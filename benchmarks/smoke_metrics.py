@@ -20,6 +20,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import numpy as np
 from common import metrics_snapshot, print_table
 
+from repro.engine import parallel
 from repro.engine.catalog import Database
 from repro.engine.column import Column
 from repro.engine.types import coerce_array, infer_type
@@ -109,9 +110,44 @@ def check_column_fast_path(n: int = 200_000, repeats: int = 3) -> float:
     return speedup
 
 
+def check_pooled_sort_ratio(n: int = 300_000, repeats: int = 3) -> float:
+    """Guard the pooled full ``ORDER BY`` (no LIMIT): pooled key
+    evaluation plus one global sort must stay within 2x of the serial
+    sort on the same rows.  A ratio, not an absolute bound, so it holds
+    on any runner; the per-row merge it replaced sat at ~10x."""
+    rng = np.random.default_rng(0)
+    db = Database()
+    db.create_table(
+        "big", {"a": rng.integers(0, 1000, n).tolist(), "s": rng.normal(size=n).tolist()}
+    )
+    sql = "SELECT a, s FROM big ORDER BY a DESC, s"
+    saved = parallel.get_config().threads
+    walls = {}
+    try:
+        for threads in (0, 2):
+            parallel.configure(threads=threads)
+            best = float("inf")
+            for _ in range(repeats):
+                start = time.perf_counter()
+                rows = db.sql(sql).num_rows
+                best = min(best, time.perf_counter() - start)
+                assert rows == n
+            walls[threads] = best
+    finally:
+        parallel.configure(threads=saved)
+        parallel.shutdown_pool()
+    ratio = walls[2] / walls[0]
+    assert ratio <= 2.0, (
+        f"pooled ORDER BY is {ratio:.1f}x the serial sort "
+        f"({walls[2] * 1e3:.0f} ms vs {walls[0] * 1e3:.0f} ms)"
+    )
+    return ratio
+
+
 def main() -> int:
     keepalive = run_workload()
     fast_path_speedup = check_column_fast_path()
+    sort_ratio = check_pooled_sort_ratio()
     snapshot = json.loads(metrics_snapshot())
     assert keepalive is not None
 
@@ -135,7 +171,8 @@ def main() -> int:
     get_registry().reset()
     print("metrics smoke ok:", len(sources), "stat sources,",
           len(snapshot["benchmarks"]), "benchmark tables,",
-          f"column fast path {fast_path_speedup:.1f}x")
+          f"column fast path {fast_path_speedup:.1f}x,",
+          f"pooled/serial sort {sort_ratio:.2f}x")
     return 0
 
 

@@ -39,6 +39,7 @@ from repro.engine.planner import (
     ProjectNode,
     ScanNode,
     SortNode,
+    TopNNode,
 )
 from repro.engine.table import Table
 from repro.errors import ExecutionError
@@ -161,6 +162,15 @@ def _run_node(
             _note_fanout(profiler, child.num_rows)
             return parallel.parallel_sort(child, node.order_by)
         return ops.sort_table(child, node.order_by)
+    if isinstance(node, TopNNode):
+        # one kernel on the driver thread whatever route produced the child
+        child = _execute(node.child, database, profiler)
+        result, candidates = ops.top_n(child, node.order_by, node.count)
+        if profiler is not None:
+            profiler.annotate(
+                f"topn: {candidates} candidates of {child.num_rows} rows"
+            )
+        return result
     if isinstance(node, LimitNode):
         return ops.limit(_execute(node.child, database, profiler), node.count)
     raise ExecutionError(f"unknown plan node {type(node).__name__}")

@@ -17,6 +17,7 @@ from repro.engine.sql.ast import AggregateCall, OrderItem, SelectItem
 from repro.engine.table import Table
 from repro.engine.types import DataType
 from repro.errors import ExecutionError
+from repro.obs.metrics import get_registry
 from repro.obs.tracing import trace
 
 
@@ -135,17 +136,19 @@ def _argsort_with_nulls(
     """Stable argsort that orders NULL below every real value.
 
     NULLs come first under ASC and last under DESC, keeping their
-    original relative order; valid keys are sorted stably.
+    original relative order; valid keys are sorted stably, NaN counting
+    as the largest value (last under ASC, first under DESC).
     """
     null_idx = np.flatnonzero(nulls)
     valid_idx = np.flatnonzero(~nulls)
-    order = valid_idx[np.argsort(keys[valid_idx], kind="stable")]
+    valid_keys = keys[valid_idx]
     if ascending:
-        return np.concatenate([null_idx, order])
-    order = order[::-1]
-    # keep equal keys in stable (original) order under DESC
-    order = _stabilise_descending(keys, order)
-    return np.concatenate([order, null_idx])
+        order = np.argsort(valid_keys, kind="stable")
+        return np.concatenate([null_idx, valid_idx[order]])
+    # stable descending: a stable ascending sort of the reversed keys,
+    # read backwards, visits equal keys (NaNs included) in original order
+    order = (len(valid_keys) - 1) - np.argsort(valid_keys[::-1], kind="stable")[::-1]
+    return np.concatenate([valid_idx[order], null_idx])
 
 
 def order_keys(
@@ -153,8 +156,9 @@ def order_keys(
 ) -> list[tuple[np.ndarray, np.ndarray, bool]]:
     """Evaluate ORDER BY keys to ``(payload, null_mask, ascending)`` triples.
 
-    The payload/null arrays are positionally aligned with ``table``; they
-    are the unit the morsel-parallel sort shards and merges.
+    The payload/null arrays are positionally aligned with ``table``.  Key
+    evaluation is row-local, so the triples of consecutive row ranges
+    concatenate to the triples of the whole table.
     """
     keys = []
     for item in order_by:
@@ -169,9 +173,11 @@ def sort_positions(
     """Stable multi-key sort of a row subset, returned as row positions.
 
     ``positions`` selects (and orders) the rows to sort; key arrays are
-    indexed globally, so disjoint position ranges can be sorted
-    independently and merged.
+    indexed globally.  Ties on every key keep the order of ``positions``,
+    so over ascending positions the result is a total order on
+    ``(keys..., row position)``.
     """
+    get_registry().counter("sort.rows_sorted").inc(len(positions))
     indices = positions
     # numpy's stable sort applied from the least-significant key backwards
     for key_arr, nulls, ascending in reversed(list(keys)):
@@ -190,20 +196,63 @@ def sort_table(table: Table, order_by: Sequence[OrderItem]) -> Table:
         return table.take(positions)
 
 
-def _stabilise_descending(keys: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Re-stabilise a reversed ascending argsort for descending order."""
-    sorted_keys = keys[order]
-    result = order.copy()
-    start = 0
-    n = len(order)
-    while start < n:
-        end = start + 1
-        while end < n and sorted_keys[end] == sorted_keys[start]:
-            end += 1
-        if end - start > 1:
-            result[start:end] = np.sort(order[start:end])
-        start = end
-    return result
+def _top_candidates(
+    key: tuple[np.ndarray, np.ndarray, bool], k: int
+) -> np.ndarray:
+    """Ascending positions of every row that sorts at or before the
+    ``k``-th row on the primary key alone (``0 < k < len``), ties included.
+
+    Mirrors :func:`_argsort_with_nulls`: NULLs lead under ASC and trail
+    under DESC, NaN is the largest value (``np.partition`` agrees).
+    """
+    key_arr, nulls, ascending = key
+    num_rows = len(nulls)
+    num_null = int(np.count_nonzero(nulls))
+    num_valid = num_rows - num_null
+    if ascending:
+        if num_null >= k:
+            return np.flatnonzero(nulls)
+        rank = k - num_null - 1
+    else:
+        if num_valid < k:  # the k-th row is a NULL: every row ties or precedes
+            return np.arange(num_rows)
+        rank = num_valid - k
+    values = key_arr[~nulls] if num_null else key_arr
+    threshold = np.partition(values, rank)[rank]
+    is_float = key_arr.dtype.kind == "f"
+    if ascending:
+        if is_float and np.isnan(threshold):
+            return np.arange(num_rows)
+        return np.flatnonzero((key_arr <= threshold) | nulls)
+    keep = key_arr >= threshold
+    if is_float:
+        keep |= np.isnan(key_arr)  # NaN precedes every threshold, NaN included
+    return np.flatnonzero(keep & ~nulls)
+
+
+def top_n(
+    table: Table, order_by: Sequence[OrderItem], k: int
+) -> tuple[Table, int]:
+    """``sort_table(table, order_by).slice(0, k)`` without the full sort.
+
+    The sort order is total on ``(keys..., row position)``, so the first
+    ``k`` rows of any row-ordered superset of the answer are the answer:
+    only the rows at or before the ``k``-th primary-key value (ties
+    included) enter the stable sort.  Returns the result and the number
+    of those candidate rows.
+    """
+    with trace("op.top_n", rows=table.num_rows, k=k):
+        if k <= 0:
+            # keys still bind and type-check, exactly as the full sort would
+            order_keys(table.slice(0, 0), order_by)
+            return table.slice(0, 0), 0
+        keys = order_keys(table, order_by)
+        if k >= table.num_rows:
+            candidates = np.arange(table.num_rows)
+        else:
+            candidates = _top_candidates(keys[0], k)
+        positions = sort_positions(keys, candidates)[:k]
+        return table.take(positions), len(candidates)
 
 
 # -- joins --------------------------------------------------------------------------

@@ -5,7 +5,7 @@ executor (gated by ``PRAGMA optimizer`` / ``REPRO_OPTIMIZER``, default
 on).  The bound plan is already a rewrite-friendly algebra — scans with
 residual predicates, join chains, filters, aggregates, projections — so
 optimization is a fixpoint of rule passes over that tree followed by
-three single-shot physical passes:
+four single-shot physical passes:
 
 Fixpoint rules (iterated until no rule fires):
 
@@ -37,18 +37,23 @@ Single-shot passes (after the fixpoint):
 7. **filter+aggregate fusion** — ``Aggregate -> Scan(filter)`` becomes a
    :class:`~repro.engine.planner.FusedAggregateNode`, whose executor
    pipeline evaluates the predicate and the partial aggregation morsel
-   by morsel without materialising the filtered table.
+   by morsel without materialising the filtered table;
+8. **Top-N** — ``Limit -> Sort`` and ``Limit -> Project -> Sort`` become
+   a :class:`~repro.engine.planner.TopNNode` (below the row-local
+   projection), which sorts only the rows that can reach the first
+   ``k`` instead of the whole input.
 
 Every rewrite preserves bit-identity with the unoptimized plan: NULL
 literals are never folded away from predicate roots, conjuncts carrying
 column references are never dropped (so dtype errors still surface),
 empty scans type-check their predicate against an empty slice, pushdown
-and fusion are row-local, and join reordering fires only where row
-order is provably invisible.  Index probes are the one documented
-exception: a merged probe issues a different index lookup, and adaptive
-indexes answer range lookups in cracking order, which is already
-implementation-defined (zone maps are disabled on probe scans for the
-same reason).
+and fusion are row-local, Top-N selects a superset of the answer under
+the sort's total order on (keys, row position), and join reordering
+fires only where row order is provably invisible.  Index probes are the
+one documented exception: a merged probe issues a different index
+lookup, and adaptive indexes answer range lookups in cracking order,
+which is already implementation-defined (zone maps are disabled on
+probe scans for the same reason).
 
 **Termination.**  Rules 1–2 strictly shrink the predicate (expression
 node count or conjunct count); rule 3 moves each conjunct at most once
@@ -83,6 +88,7 @@ from repro.engine.planner import (
     ProjectNode,
     ScanNode,
     SortNode,
+    TopNNode,
     _conjoin,
     extract_probe,
     intersect_probes,
@@ -134,6 +140,7 @@ def optimize_plan(plan: Plan, database: "Database") -> Plan:
     _prune_pass(plan.root, None, ctx)
     _reorder_pass(plan, ctx)
     plan.root = _fuse_pass(plan.root, ctx)
+    plan.root = _topn_pass(plan.root, ctx)
     if ctx.fired:
         registry.counter("optimizer.rewrites").inc(len(ctx.notes))
     plan.notes.extend(f"optimizer: {note}" for note in ctx.notes)
@@ -730,3 +737,26 @@ def _fuse_pass(node: PlanNode, ctx: _Context) -> PlanNode:
             aggregates=node.aggregates,
         )
     return node
+
+
+# -- rule 8: Top-N -----------------------------------------------------------------------
+
+
+def _topn_pass(node: PlanNode, ctx: _Context) -> PlanNode:
+    child = getattr(node, "child", None)
+    if child is not None:
+        node.child = _topn_pass(child, ctx)
+    if not isinstance(node, LimitNode):
+        return node
+    below = node.child
+    if isinstance(below, SortNode):
+        fused: PlanNode = TopNNode(below.child, below.order_by, node.count)
+    elif isinstance(below, ProjectNode) and isinstance(below.child, SortNode):
+        # a non-aggregate select list is row-local, so LIMIT commutes with it
+        sort = below.child
+        below.child = TopNNode(sort.child, sort.order_by, node.count)
+        fused = below
+    else:
+        return node
+    ctx.record("topn", "fused Sort+Limit into TopN")
+    return fused

@@ -2,7 +2,7 @@
 
 Tables are split into fixed-size row *morsels* (Leis et al., SIGMOD'14)
 and the data-parallel kernels — predicate evaluation, per-morsel
-grouping for hash aggregation, per-morsel sorting — run across a shared
+grouping for hash aggregation, sort-key evaluation — run across a shared
 ``concurrent.futures`` worker pool.  The kernels are numpy-heavy and
 release the GIL, so the default pool is thread-based; an experimental
 process pool sits behind ``pool_kind="process"`` for workloads that are
@@ -23,12 +23,9 @@ have performed:
   DISTINCT aggregates keep *row-index* partials instead and evaluate the
   final aggregate over the merged group exactly like the serial
   operator, preserving numpy's pairwise-summation rounding;
-- sorts sort each morsel with the serial multi-key routine and k-way
-  merge the runs with a comparator that mirrors the serial null/ASC/DESC
-  ordering; ties fall back to morsel order, which reproduces the serial
-  stable sort.  Runs whose sort keys contain NaN fall back to the serial
-  path (the serial DESC ordering of NaN runs is not reproducible by a
-  stable merge).
+- sorts evaluate the ORDER BY keys per morsel (row-local, so the parts
+  concatenate to the full-table keys) and run the serial stable
+  multi-key sort once over the gathered keys.
 
 Small inputs skip the pool entirely: below ``min_parallel_rows`` the
 executor uses the serial operators, so interactive point queries never
@@ -49,16 +46,14 @@ stay bit-identical to serial execution.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import os
 import pickle
 import threading
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from functools import cmp_to_key
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -286,47 +281,64 @@ def _run_batch(fn: Callable[..., Any], arg_tuples: Sequence[tuple]) -> list[Any]
     """
     ctx = current_context()
     injector = get_injector()
-    if _config.pool_kind == "process":
-        # the query context holds thread-locals and events that cannot
-        # cross the process boundary; the collection loop below still
-        # enforces the governor between morsels.  The injector is pure
-        # value state (spec + seed; decisions hash the morsel key), so
-        # it ships with each task and faults fire in the workers exactly
-        # as they would on the thread pool.
-        task_ctx: QueryContext | None = None
-        task_injector: FaultInjector | None = injector
-    else:
-        task_ctx, task_injector = ctx, injector
+    # The query context holds thread-locals and events that cannot cross
+    # the process boundary; the collection loop below still enforces the
+    # governor between morsels.  The injector is pure value state (spec +
+    # seed; decisions hash the morsel key), so it ships with each task and
+    # faults fire in process workers exactly as they do on the thread pool.
+    task_ctx = None if _config.pool_kind == "process" else ctx
     batch = next(_batch_counter)
     pool = _get_pool()
+    tasks = [
+        (fn, args, task_ctx, injector, (batch, i))
+        for i, args in enumerate(arg_tuples)
+    ]
+    # On the thread pool the caller, which would otherwise only block,
+    # keeps the last task and then takes back whatever the pool has not
+    # started: a lone task costs no cross-thread hand-off, and a worker
+    # that is slow to wake delays the batch by no more than its own work.
+    helping = bool(tasks) and _config.pool_kind == "thread"
+    pooled = tasks[:-1] if helping else tasks
     futures: list[Any] = []
     try:
-        for i, args in enumerate(arg_tuples):
-            futures.append(
-                pool.submit(_traced_task, fn, args, task_ctx, task_injector, (batch, i))
-            )
+        for task in pooled:
+            futures.append(pool.submit(_traced_task, *task))
     except BrokenProcessPool as exc:
         _cancel(futures)
         raise _PoolFailure((batch, len(futures)), exc) from exc
+    if helping:
+        futures.append(_run_inline(tasks[-1]))
+        for i in reversed(range(len(pooled))):
+            if futures[i + 1].exception() is not None or not futures[i].cancel():
+                break
+            futures[i] = _run_inline(tasks[i])
     results: list[Any] = [None] * len(futures)
     for i, future in enumerate(futures):
         try:
-            results[i] = future.result()
-        except ResourceError:
+            try:
+                results[i] = future.result()
+            except ResourceError:
+                raise
+            except Exception as exc:
+                if _is_pool_failure(exc):
+                    raise _PoolFailure((batch, i), exc) from exc
+                results[i] = _retry_morsel_serially(fn, arg_tuples[i], (batch, i), exc)
+            if ctx is not None:
+                ctx.check()
+        except (ResourceError, _PoolFailure):
             _cancel(futures[i + 1 :])
             raise
-        except Exception as exc:
-            if _is_pool_failure(exc):
-                _cancel(futures[i + 1 :])
-                raise _PoolFailure((batch, i), exc) from exc
-            results[i] = _retry_morsel_serially(fn, arg_tuples[i], (batch, i), exc)
-        if ctx is not None:
-            try:
-                ctx.check()
-            except ResourceError:
-                _cancel(futures[i + 1 :])
-                raise
     return results
+
+
+def _run_inline(task: tuple) -> Future:
+    """Run one pool task on the calling thread; its outcome as a done future."""
+    done: Future = Future()
+    try:
+        done.set_result(_traced_task(*task))
+    except Exception as exc:  # surfaces in the collection loop, like a worker's
+        done.set_exception(exc)
+    return done
 
 
 def _retry_morsel_serially(
@@ -831,20 +843,22 @@ def fused_filter_aggregate(
                 for start, stop, evaluate in ranges
             ],
         )
-        # rebase local filtered-row indices onto the concatenation of the
-        # filtered morsels (which the gather columns are slices of)
-        rebased: list[tuple[list[tuple], dict[int, Column]]] = []
-        base = 0
-        for groups, gather_columns, kept in results:
-            rebased.append((
-                [
-                    (ckey, key, idx + base, size, partials)
-                    for ckey, key, idx, size, partials in groups
-                ],
-                gather_columns,
-            ))
-            base += kept
-        return _merge_partial_aggregates(rebased, group_exprs, aggregates, modes, names)
+        return _merge_partial_aggregates(
+            _rebase_partials(results), group_exprs, aggregates, modes, names
+        )
+
+
+def _rebase_partials(results) -> list[tuple[list[tuple], dict[int, Column]]]:
+    """Rebase each part's local filtered-row indices onto the concatenation
+    of the filtered parts in order (which the gather columns are slices of)."""
+    rebased, base = [], 0
+    for groups, gather_columns, kept in results:
+        rebased.append((
+            [(ck, key, idx + base, size, partials) for ck, key, idx, size, partials in groups],
+            gather_columns,
+        ))
+        base += kept
+    return rebased
 
 
 def _concat_columns(columns: list[Column]) -> Column:
@@ -865,24 +879,35 @@ def _concat_columns(columns: list[Column]) -> Column:
 # -- sorting -------------------------------------------------------------------------
 
 
-def _sort_morsel(
-    keys: list[tuple[np.ndarray, np.ndarray, bool]], start: int, stop: int
-) -> np.ndarray:
-    return ops.sort_positions(keys, np.arange(start, stop, dtype=np.int64))
-
-
 def _eval_sort_keys_morsel(
     table: Table, order_by: Sequence[OrderItem], start: int, stop: int
 ) -> list[tuple[np.ndarray, np.ndarray, bool]]:
     return ops.order_keys(table.slice(start, stop), order_by)
 
 
-def parallel_sort(table: Table, order_by: Sequence[OrderItem]) -> Table:
-    """Morsel-parallel ORDER BY: per-morsel sort runs + a stable k-way merge.
+def sort_by_key_parts(
+    table: Table, key_parts: Sequence[list[tuple[np.ndarray, np.ndarray, bool]]]
+) -> Table:
+    """The gather step of every pooled ORDER BY route: one global sort.
 
-    Falls back to the serial sort when a key column contains NaN among
-    its valid values (see module docstring).
+    ``key_parts`` holds the order keys of consecutive row ranges covering
+    ``table`` (morsels or shards).  Key evaluation is row-local, so their
+    concatenation equals full-table evaluation and the stable sort over
+    it is the serial sort.
     """
+    keys = [
+        (
+            np.concatenate([part[i][0] for part in key_parts]),
+            np.concatenate([part[i][1] for part in key_parts]),
+            ascending,
+        )
+        for i, (_, _, ascending) in enumerate(key_parts[0])
+    ]
+    return table.take(ops.sort_positions(keys, np.arange(table.num_rows)))
+
+
+def parallel_sort(table: Table, order_by: Sequence[OrderItem]) -> Table:
+    """Morsel-parallel ORDER BY: pooled key evaluation + one global sort."""
     if not order_by:
         return table
     num_rows = table.num_rows
@@ -896,55 +921,7 @@ def parallel_sort(table: Table, order_by: Sequence[OrderItem]) -> Table:
         ranges = morsel_ranges(num_rows)
         if not ranges:
             return table
-        # evaluate the key expressions morsel-wise (row-local, so the
-        # concatenation equals full-table evaluation)
         key_parts = _run_tasks(
             _eval_sort_keys_morsel, [(table, order_by, s, e) for s, e in ranges]
         )
-        keys: list[tuple[np.ndarray, np.ndarray, bool]] = []
-        for item_index in range(len(order_by)):
-            key_arr = np.concatenate([part[item_index][0] for part in key_parts])
-            nulls = np.concatenate([part[item_index][1] for part in key_parts])
-            keys.append((key_arr, nulls, key_parts[0][item_index][2]))
-        for key_arr, nulls, _ in keys:
-            if key_arr.dtype.kind == "f" and bool(np.isnan(key_arr[~nulls]).any()):
-                return ops.sort_table(table, order_by)
-        runs = _run_tasks(_sort_morsel, [(keys, s, e) for s, e in ranges])
-        order = _merge_sorted_runs(runs, keys)
-        return table.take(order)
-
-
-def _merge_sorted_runs(
-    runs: list[np.ndarray], keys: list[tuple[np.ndarray, np.ndarray, bool]]
-) -> np.ndarray:
-    """Stable k-way merge of sorted row-index runs.
-
-    The comparator mirrors the serial ordering: NULLs before every valid
-    value under ASC and after under DESC; ties preserve original row
-    order (guaranteed by ``heapq.merge`` taking earlier runs first).
-    """
-    if len(runs) == 1:
-        return runs[0]
-
-    def compare(i: int, j: int) -> int:
-        for key_arr, nulls, ascending in keys:
-            ni = bool(nulls[i])
-            nj = bool(nulls[j])
-            if ni or nj:
-                if ni and nj:
-                    continue
-                # one NULL: first under ASC, last under DESC
-                if ni:
-                    return -1 if ascending else 1
-                return 1 if ascending else -1
-            ki = key_arr[i]
-            kj = key_arr[j]
-            if ki == kj:
-                continue
-            if ki < kj:
-                return -1 if ascending else 1
-            return 1 if ascending else -1
-        return 0
-
-    merged = heapq.merge(*runs, key=cmp_to_key(compare))
-    return np.fromiter(merged, dtype=np.int64, count=sum(len(r) for r in runs))
+        return sort_by_key_parts(table, key_parts)

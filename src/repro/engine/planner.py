@@ -243,6 +243,23 @@ class LimitNode(PlanNode):
 
 
 @dataclass
+class TopNNode(PlanNode):
+    """ORDER BY + LIMIT fused by the optimizer: the first ``count`` rows
+    of the sorted child, selected without sorting the whole input."""
+
+    child: PlanNode
+    order_by: list[OrderItem]
+    count: int
+
+    def children(self) -> list[PlanNode]:
+        return [self.child]
+
+    def label(self) -> str:
+        keys = ", ".join(o.to_sql() for o in self.order_by)
+        return f"TopN({self.count}: {keys})"
+
+
+@dataclass
 class Plan:
     """A complete logical plan plus planning metadata."""
 

@@ -9,9 +9,9 @@ Because shards are extents of the ordinary format-2 part files, mmap
 mode maps the one file and slices shards lazily — a shard that is never
 scheduled never faults its pages in.
 
-Execution is scatter-gather: filter, fused filter+aggregate and sort
-fan out one task per shard over the existing morsel pool and recombine
-with the exact partial-merge rules from the parallel module, so results
+Execution is scatter-gather: filter, fused filter+aggregate and sort-key
+evaluation fan out one task per shard over the existing morsel pool and
+recombine with the exact gather rules from the parallel module, so results
 are bit-identical to serial execution over the same (re-clustered)
 table by construction.  Zone-map pruning runs before scheduling: the
 global FAIL/MAYBE/PASS ranges are intersected with shard extents, and a
@@ -473,12 +473,9 @@ def _fused_shard_task(
     return results
 
 
-def _sort_shard_task(source, order_by) -> tuple:
-    """Sort one whole shard; returns (order keys, local sorted positions)."""
-    table = _resolve(source)
-    keys = ops.order_keys(table, order_by)
-    local = ops.sort_positions(keys, np.arange(table.num_rows, dtype=np.int64))
-    return keys, local
+def _sort_keys_shard_task(source, order_by) -> list:
+    """Evaluate the ORDER BY keys over one whole shard."""
+    return ops.order_keys(_resolve(source), order_by)
 
 
 def _run(fn, tasks: list[tuple], pooled: bool) -> list:
@@ -671,20 +668,8 @@ def scatter_fused_aggregate(
     if pooled:
         _note_shard_fanout(profiler, len(tasks))
     results = _run(_fused_shard_task, tasks, pooled)
-    # rebase local filtered-row indices onto the concatenation of all
-    # filtered spans in shard order (= ascending global row order)
-    rebased = []
-    base = 0
-    for shard_results in results:
-        for groups, gather_columns, kept in shard_results:
-            rebased.append((
-                [
-                    (ckey, key, idx + base, size, partials)
-                    for ckey, key, idx, size, partials in groups
-                ],
-                gather_columns,
-            ))
-            base += kept
+    # shard order, then span order, is ascending global row order
+    rebased = parallel._rebase_partials(r for shard in results for r in shard)
     return parallel._merge_partial_aggregates(
         rebased, group_exprs, aggregates, modes, names
     )
@@ -693,13 +678,12 @@ def scatter_fused_aggregate(
 def scatter_sort(
     name: str, table: Table, order_by, layout: ShardLayout, database, profiler
 ) -> Table | None:
-    """Scatter an ORDER BY across shards; gather by stable k-way merge.
+    """Scatter an ORDER BY's key evaluation across shards; sort once globally.
 
-    Each shard sorts its extent with the serial multi-key routine; the
-    merge comparator mirrors the serial NULL/ASC/DESC ordering and ties
-    fall back to shard (= global row) order, reproducing the serial
-    stable sort.  Returns None to decline (layout drift, NaN sort keys,
-    or a degenerate layout) — the caller falls back.
+    Shards are consecutive extents covering the table, so the per-shard
+    keys gather into the full-table keys and the one stable sort over
+    them is the serial sort.  Returns None to decline (layout drift or a
+    degenerate layout) — the caller falls back.
     """
     if not order_by or layout.total_rows != table.num_rows or table.num_rows == 0:
         return None
@@ -716,29 +700,9 @@ def scatter_sort(
         )
     if pooled:
         _note_shard_fanout(profiler, len(tasks))
-    results = _run(_sort_shard_task, tasks, pooled)
-    keys = []
-    for item_index in range(len(order_by)):
-        key_arr = np.concatenate([keys_part[item_index][0] for keys_part, _ in results])
-        nulls = np.concatenate([keys_part[item_index][1] for keys_part, _ in results])
-        keys.append((key_arr, nulls, results[0][0][item_index][2]))
-    for key_arr, nulls, _ in keys:
-        if key_arr.dtype.kind == "f" and bool(np.isnan(key_arr[~nulls]).any()):
-            return None  # stable merge can't reproduce serial NaN ordering
-    # key arrays concatenate only the nonempty shards, in shard order —
-    # rebase each run onto that concatenation, not the global row space
-    runs = []
-    base = 0
-    gather = np.empty(table.num_rows, dtype=np.int64)
-    for s, (_, local) in zip(nonempty, results):
-        runs.append(local + base)
-        rows = layout.shard_rows(s)
-        gather[base : base + rows] = np.arange(
-            layout.offsets[s], layout.offsets[s + 1], dtype=np.int64
-        )
-        base += rows
-    order = parallel._merge_sorted_runs(runs, keys)
-    return table.take(gather[order])
+    return parallel.sort_by_key_parts(
+        table, _run(_sort_keys_shard_task, tasks, pooled)
+    )
 
 
 # -- partition-local cracking --------------------------------------------------------

@@ -20,6 +20,7 @@ from repro import resilience
 from repro.engine import Database, Table
 from repro.engine import delta as deltamod
 from repro.engine import parallel, scanopt
+from repro.engine.column import Column
 from repro.engine.types import DataType
 from repro.errors import CatalogError, TypeMismatchError
 from repro.indexing import CrackerIndex
@@ -587,16 +588,22 @@ def test_dml_corpus_matches_rebuild_oracle(seed: int, delta_rows: int) -> None:
 
 
 def _rebuild_oracle(rows: list[dict]) -> Database:
-    """A fresh database holding exactly ``rows`` — never touched by DML."""
+    """A fresh database holding exactly ``rows`` — never touched by DML.
+
+    Column types are pinned to the corpus schema: inference would turn a
+    column whose surviving values are all NULL into FLOAT64.
+    """
+    types = {
+        "id": DataType.INT64, "a": DataType.INT64,
+        "b": DataType.FLOAT64, "s": DataType.STRING,
+    }
     oracle = Database()
     oracle.create_table(
         "t",
-        Table.from_dict(
+        Table(
             {
-                "id": [r["id"] for r in rows],
-                "a": [r["a"] for r in rows],
-                "b": [r["b"] for r in rows],
-                "s": [r["s"] for r in rows],
+                name: Column([r[name] for r in rows], dtype=dtype)
+                for name, dtype in types.items()
             }
         ),
     )

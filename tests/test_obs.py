@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.engine import scanopt
 from repro.engine.catalog import Database
 from repro.obs import (
     MetricsRegistry,
@@ -190,7 +191,9 @@ class TestExplainAnalyze:
                 walk(child)
 
         walk(report.root)
-        for head in ("Limit", "Sort", "Distinct", "Project", "Filter", "HashJoin", "Scan"):
+        # the optimizer fuses Limit -> Sort into one TopN node
+        top = ("TopN",) if scanopt.get_config().optimizer else ("Limit", "Sort")
+        for head in top + ("Distinct", "Project", "Filter", "HashJoin", "Scan"):
             assert any(label.startswith(head) for label in labels), labels
 
     def test_report_covers_aggregate_node(self, db: Database) -> None:
@@ -228,7 +231,8 @@ class TestExplainAnalyze:
             if line.startswith("note:"):
                 continue
             assert "time=" in line and "rows=" in line and "bytes=" in line
-        assert report.as_dict()["plan"]["label"].startswith("Limit")
+        root = "TopN(3: id DESC)" if scanopt.get_config().optimizer else "Limit(3)"
+        assert report.as_dict()["plan"]["label"] == root
 
     def test_explain_analyze_statement_through_sql_frontend(self, db: Database) -> None:
         result = db.execute("EXPLAIN ANALYZE SELECT id FROM orders LIMIT 1")

@@ -173,15 +173,66 @@ class TestKernels:
         # equal keys keep original (ascending i) order under DESC
         assert par.column("i").to_list()[:4] == [2, 3, 5, 7]
 
-    def test_sort_with_nan_keys_falls_back_to_serial(self, parallel_mode) -> None:
-        table = Table.from_dict({"y": [float("nan"), 1.0, 0.5, float("nan"), 2.0] * 4})
-        serial, par = run_both_modes(table, "SELECT y FROM t ORDER BY y DESC")
+    def test_sort_with_nan_keys_is_stable_on_the_pool(self, parallel_mode) -> None:
+        nan = float("nan")
+        table = Table.from_dict(
+            {"y": [1.0, nan, 3.0, nan, 3.0, nan, 2.0] * 3, "i": list(range(21))}
+        )
+        serial, par = run_both_modes(table, "SELECT y, i FROM t ORDER BY y DESC")
         tables_bit_identical(serial, par)
+        # NaN is the largest value; equal keys (NaNs too) keep row order
+        assert par.column("i").to_list() == [
+            1, 3, 5, 8, 10, 12, 15, 17, 19,  # NaN
+            2, 4, 9, 11, 16, 18,  # 3.0
+            6, 13, 20,  # 2.0
+            0, 7, 14,  # 1.0
+        ]
+        serial, par = run_both_modes(table, "SELECT y, i FROM t ORDER BY y")
+        tables_bit_identical(serial, par)
+        assert par.column("i").to_list()[-9:] == [1, 3, 5, 8, 10, 12, 15, 17, 19]
 
     def test_string_sort_keys(self, parallel_mode) -> None:
         table = self._table(150, seed=6)
         serial, par = run_both_modes(table, "SELECT g, x FROM t ORDER BY g DESC, x")
         tables_bit_identical(serial, par)
+
+
+class TestCallerHelps:
+    """On the thread pool the calling thread works instead of blocking."""
+
+    @pytest.fixture(autouse=True)
+    def _thread_pool(self, parallel_mode):
+        saved = parallel.get_config().pool_kind
+        parallel.configure(pool_kind="thread")
+        yield
+        parallel.configure(pool_kind=saved)
+
+    @staticmethod
+    def _who(i: int) -> tuple[int, int]:
+        import threading
+
+        return i, threading.get_ident()
+
+    def test_lone_task_never_leaves_the_calling_thread(self) -> None:
+        import threading
+
+        assert parallel._run_tasks(self._who, [(7,)]) == [(7, threading.get_ident())]
+        assert parallel._run_tasks(self._who, []) == []
+
+    def test_caller_takes_back_tasks_the_pool_has_not_started(self) -> None:
+        import threading
+
+        gate = threading.Event()
+        pool = parallel._get_pool()
+        # occupy every worker, so the batch's pooled tasks stay queued
+        blockers = [pool.submit(gate.wait, 30) for _ in range(parallel.get_threads())]
+        try:
+            results = parallel._run_tasks(self._who, [(i,) for i in range(5)])
+        finally:
+            gate.set()
+        assert all(b.result() for b in blockers)
+        assert [i for i, _ in results] == list(range(5))  # results keep task order
+        assert {tid for _, tid in results} == {threading.get_ident()}
 
 
 # -- property-style corpus test -------------------------------------------------------

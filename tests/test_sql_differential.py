@@ -71,7 +71,7 @@ def random_predicate(rng: np.random.Generator, depth: int = 0) -> str:
 
 
 def random_query(rng: np.random.Generator) -> str:
-    kind = rng.integers(0, 4)
+    kind = rng.integers(0, 5)
     where = f" WHERE {random_predicate(rng)}" if rng.random() < 0.8 else ""
     if kind == 0:  # plain projection
         distinct = "DISTINCT " if rng.random() < 0.2 else ""
@@ -96,6 +96,18 @@ def random_query(rng: np.random.Generator) -> str:
             f"SELECT s, COUNT(*) AS n, SUM(a) AS sa FROM t{where} "
             f"GROUP BY s{having}"
         )
+    if kind == 4:  # top-n: multi-key ORDER BY ... LIMIT (id breaks every tie)
+        limit = rng.integers(0, 25)
+        if rng.random() < 0.2:
+            return (
+                f"SELECT s, COUNT(*) AS n, MAX(id) AS hi FROM t{where} "
+                f"GROUP BY s ORDER BY n DESC, hi LIMIT {limit}"
+            )
+        items = rng.choice(["id, a, b, s", "*", "id, a + 1 AS a1, s"])
+        keys = rng.choice(
+            ["a DESC, id", "b, id DESC", "s DESC, a, id", "a + b DESC, id", "s, b DESC, id"]
+        )
+        return f"SELECT {items} FROM t{where} ORDER BY {keys} LIMIT {limit}"
     # expressions with functions/CASE
     items = rng.choice(
         [
