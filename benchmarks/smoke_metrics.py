@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import numpy as np
 from common import metrics_snapshot, print_table
 
-from repro.engine import parallel
+from repro.engine import parallel, scanopt
 from repro.engine.catalog import Database
 from repro.engine.column import Column
 from repro.engine.types import coerce_array, infer_type
@@ -144,10 +144,51 @@ def check_pooled_sort_ratio(n: int = 300_000, repeats: int = 3) -> float:
     return ratio
 
 
+def check_straddling_group_by_ratio(zone_rows: int = 32_768, repeats: int = 5) -> float:
+    """Guard the scan gather's dictionary: a GROUP BY on an encoded STRING
+    key over a brush that straddles a zone boundary (two spans, gathered)
+    must stay within 1.8x of the same-width brush inside one zone (one
+    span, nothing to gather).  A gather that drops the shared dictionary
+    sends the grouping through its per-row string fallback — 3-4x."""
+    n, width = 2 * zone_rows, 30_000
+    db = Database()
+    db.create_table(
+        "brushed",
+        {"k": list(range(n)), "g": [f"group{i % 12:02d}" for i in range(n)]},
+    )
+    saved = parallel.get_config().threads, scanopt.get_config().zone_rows
+    walls = {}
+    try:
+        parallel.configure(threads=0)
+        scanopt.configure(zone_rows=zone_rows)
+        for label, low in (("inside", 1_000), ("straddling", zone_rows - width // 2)):
+            sql = (
+                "SELECT g, COUNT(*) AS n FROM brushed "
+                f"WHERE k >= {low} AND k < {low + width} GROUP BY g"
+            )
+            best = float("inf")
+            for _ in range(repeats):
+                start = time.perf_counter()
+                groups = db.sql(sql).num_rows
+                best = min(best, time.perf_counter() - start)
+                assert groups == 12
+            walls[label] = best
+    finally:
+        parallel.configure(threads=saved[0])
+        scanopt.configure(zone_rows=saved[1])
+    ratio = walls["straddling"] / walls["inside"]
+    assert ratio <= 1.8, (
+        f"GROUP BY over a zone-straddling brush is {ratio:.1f}x the in-zone one "
+        f"({walls['straddling'] * 1e3:.1f} ms vs {walls['inside'] * 1e3:.1f} ms)"
+    )
+    return ratio
+
+
 def main() -> int:
     keepalive = run_workload()
     fast_path_speedup = check_column_fast_path()
     sort_ratio = check_pooled_sort_ratio()
+    straddle_ratio = check_straddling_group_by_ratio()
     snapshot = json.loads(metrics_snapshot())
     assert keepalive is not None
 
@@ -172,7 +213,8 @@ def main() -> int:
     print("metrics smoke ok:", len(sources), "stat sources,",
           len(snapshot["benchmarks"]), "benchmark tables,",
           f"column fast path {fast_path_speedup:.1f}x,",
-          f"pooled/serial sort {sort_ratio:.2f}x")
+          f"pooled/serial sort {sort_ratio:.2f}x,",
+          f"straddling/in-zone group-by {straddle_ratio:.2f}x")
     return 0
 
 

@@ -1085,6 +1085,35 @@ class Database:
             return self._execute_update(statement, stripped)
         raise CatalogError(f"unsupported statement {type(statement).__name__}")
 
+    #: every PRAGMA with the environment variable that seeds it — the one
+    #: list ``settings_table`` and the unknown-pragma message derive from
+    _SETTINGS = (
+        ("threads", "REPRO_THREADS"),
+        ("morsel_rows", "REPRO_MORSEL_ROWS"),
+        ("min_parallel_rows", "REPRO_PARALLEL_MIN_ROWS"),
+        ("delta_rows", "REPRO_DELTA_ROWS"),
+        ("dict_encode", "REPRO_DICT_ENCODE"),
+        ("zone_rows", "REPRO_ZONE_ROWS"),
+        ("plan_cache", "REPRO_PLAN_CACHE"),
+        ("plan_cache_size", "REPRO_PLAN_CACHE_SIZE"),
+        ("optimizer", "REPRO_OPTIMIZER"),
+        ("timeout_ms", "REPRO_TIMEOUT_MS"),
+        ("memory_budget_kb", "REPRO_MEMORY_BUDGET_KB"),
+        ("degrade", "REPRO_DEGRADE"),
+        ("degrade_rows", "REPRO_DEGRADE_ROWS"),
+        ("max_retries", "REPRO_MAX_RETRIES"),
+        ("faults", "REPRO_FAULTS"),
+        ("fault_seed", "REPRO_FAULT_SEED"),
+        ("wal", "REPRO_WAL"),
+        ("wal_sync", "REPRO_WAL_SYNC"),
+        ("wal_batch", "REPRO_WAL_BATCH"),
+        ("storage", "REPRO_STORAGE"),
+        ("shards", "REPRO_SHARDS"),
+        ("shard_by", "REPRO_SHARD_BY"),
+        ("shard_min_rows", "REPRO_SHARD_MIN_ROWS"),
+        ("shard_index", "REPRO_SHARD_INDEX"),
+    )
+
     #: integer-valued governor pragmas routed to ``repro.resilience.configure``
     _RESILIENCE_INT_PRAGMAS = frozenset(
         {
@@ -1288,20 +1317,7 @@ class Database:
             current = getattr(resilience.get_config(), name)
             return Table.from_rows([(name, int(current))], ["pragma", "value"])
         if name not in parallel_knobs:
-            known = sorted(
-                parallel_knobs
-                | scanopt_knobs
-                | self._RESILIENCE_INT_PRAGMAS
-                | {
-                    "faults",
-                    "delta_rows",
-                    "storage",
-                    "shards",
-                    "shard_by",
-                    "shard_min_rows",
-                    "shard_index",
-                }
-            )
+            known = sorted(pragma for pragma, _env in self._SETTINGS)
             raise CatalogError(f"unknown pragma {name!r}; expected one of {known}")
         if value:
             try:
@@ -1326,44 +1342,9 @@ class Database:
         database — recovery-relevant configuration is thereby inspectable
         before trusting a durable session.
         """
-        from repro import resilience
-        from repro.engine import parallel
-        from repro.engine import shards as shardsmod
-        from repro.engine import wal as walmod
-
-        shard_cfg = shardsmod.get_config()
-        par = parallel.get_config()
-        acc = scanopt.get_config()
-        gov = resilience.get_config()
-        wcfg = walmod.get_config()
-        entries: list[tuple[str, Any, str]] = [
-            ("threads", par.threads, "REPRO_THREADS"),
-            ("morsel_rows", par.morsel_rows, "REPRO_MORSEL_ROWS"),
-            ("min_parallel_rows", par.min_parallel_rows, "REPRO_PARALLEL_MIN_ROWS"),
-            ("delta_rows", deltamod.get_config().delta_rows, "REPRO_DELTA_ROWS"),
-            ("dict_encode", int(acc.dict_encode), "REPRO_DICT_ENCODE"),
-            ("zone_rows", acc.zone_rows, "REPRO_ZONE_ROWS"),
-            ("plan_cache", int(acc.plan_cache), "REPRO_PLAN_CACHE"),
-            ("plan_cache_size", acc.plan_cache_size, "REPRO_PLAN_CACHE_SIZE"),
-            ("optimizer", int(acc.optimizer), "REPRO_OPTIMIZER"),
-            ("timeout_ms", gov.timeout_ms, "REPRO_TIMEOUT_MS"),
-            ("memory_budget_kb", gov.memory_budget_kb, "REPRO_MEMORY_BUDGET_KB"),
-            ("degrade", int(gov.degrade), "REPRO_DEGRADE"),
-            ("degrade_rows", gov.degrade_rows, "REPRO_DEGRADE_ROWS"),
-            ("max_retries", gov.max_retries, "REPRO_MAX_RETRIES"),
-            ("faults", gov.faults or "off", "REPRO_FAULTS"),
-            ("fault_seed", gov.fault_seed, "REPRO_FAULT_SEED"),
-            ("wal", int(wcfg.wal), "REPRO_WAL"),
-            ("wal_sync", wcfg.wal_sync, "REPRO_WAL_SYNC"),
-            ("wal_batch", wcfg.wal_batch, "REPRO_WAL_BATCH"),
-            ("storage", layouts.get_config().storage, "REPRO_STORAGE"),
-            ("shards", shard_cfg.shards, "REPRO_SHARDS"),
-            ("shard_by", shard_cfg.shard_by, "REPRO_SHARD_BY"),
-            ("shard_min_rows", shard_cfg.shard_min_rows, "REPRO_SHARD_MIN_ROWS"),
-            ("shard_index", int(shard_cfg.shard_index), "REPRO_SHARD_INDEX"),
-        ]
         rows = []
-        for pragma, current, env in entries:
+        for pragma, env in self._SETTINGS:
+            current = self._execute_pragma(pragma).column("value")[0]
             if pragma in self._pragma_set:
                 source = "pragma"
             elif (os.environ.get(env) or "").strip():

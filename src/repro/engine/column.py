@@ -276,18 +276,7 @@ class Column:
 
     def concat(self, other: "Column") -> "Column":
         """Append ``other`` (same logical type) after this column."""
-        if other.dtype != self._dtype:
-            raise TypeMismatchError(
-                f"cannot concat {other.dtype.name} column onto {self._dtype.name}"
-            )
-        data = np.concatenate([self._data, other._data])
-        if self._validity is None and other._validity is None:
-            validity = None
-        else:
-            left = self._validity if self._validity is not None else np.ones(len(self), bool)
-            right = other._validity if other._validity is not None else np.ones(len(other), bool)
-            validity = np.concatenate([left, right])
-        return _wrap(data, self._dtype, validity)
+        return concat_columns([self, other])
 
     # -- statistics -------------------------------------------------------------
 
@@ -360,3 +349,76 @@ def column_from_parts(data: np.ndarray, dtype: DataType, validity: np.ndarray | 
     to avoid the inference cost of the main constructor.
     """
     return _wrap(data, dtype, validity)
+
+
+def concat_columns(columns: Sequence[Column]) -> Column:
+    """Stack same-typed columns in one pass — the engine's only column concat.
+
+    A dictionary encoding survives whenever the pieces can share one.
+    Pieces carrying the first piece's dictionary *object* (slices and
+    filters of one base column, which is what every scan gathers) stack
+    their codes directly.  Pieces after that encoded head (a delta tail,
+    built unencoded) are looked up by value and the sorted dictionary is
+    extended incrementally, so the head's payload is never re-sorted.
+    Dropping the encoding here would silently send every downstream
+    GROUP BY / DISTINCT / ORDER BY through its per-row string fallback.
+    """
+    first = columns[0]
+    if len(columns) == 1:
+        return first
+    for other in columns:
+        if other._dtype != first._dtype:
+            raise TypeMismatchError(
+                f"cannot concat {other._dtype.name} column onto {first._dtype.name}"
+            )
+    data = np.concatenate([c._data for c in columns])
+    if all(c._validity is None for c in columns):
+        validity = None
+    else:
+        validity = np.concatenate([
+            c._validity if c._validity is not None else np.ones(len(c), bool)
+            for c in columns
+        ])
+    dictionary = first._dict
+    if dictionary is None:
+        return _wrap(data, first._dtype, validity)
+    head = 1
+    while head < len(columns) and columns[head]._dict is dictionary:
+        head += 1
+    codes = [c._codes for c in columns[:head]]
+    if head < len(columns):
+        start = sum(len(c) for c in columns[:head])
+        try:
+            dictionary, codes = _extend_dictionary(
+                dictionary, codes, data[start:],
+                None if validity is None else validity[start:],
+            )
+        except TypeError:  # unsortable payload: the result stays unencoded
+            return _wrap(data, first._dtype, validity)
+    return _wrap(data, first._dtype, validity, np.concatenate(codes), dictionary)
+
+
+def _extend_dictionary(
+    dictionary: np.ndarray,
+    codes: list[np.ndarray],
+    tail_data: np.ndarray,
+    tail_valid: np.ndarray | None,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Codes for unencoded ``tail_data`` appended to an encoded head.
+
+    The new sorted dictionary is ``unique(old ∪ tail distinct)``; head
+    codes are remapped with one gather through a ``searchsorted``
+    translation table and tail codes are assigned by ``searchsorted``.
+    A tail that brings no new value keeps the dictionary object itself.
+    """
+    tail_values = tail_data if tail_valid is None else tail_data[tail_valid]
+    merged = np.unique(np.concatenate([dictionary, np.unique(tail_values)]))
+    if len(merged) == len(dictionary):
+        merged = dictionary
+    else:
+        remap = np.searchsorted(merged, dictionary).astype(np.int32)
+        codes = [np.where(c >= 0, remap[c], np.int32(-1)) for c in codes]
+    tail_codes = np.searchsorted(merged, tail_data).astype(np.int32)
+    if tail_valid is not None:
+        tail_codes[~tail_valid] = -1
+    return merged, codes + [tail_codes]

@@ -50,22 +50,22 @@ itself always stays in RAM — it is bounded by the merge threshold — but
 the main it shadows may be a read-only memory map of checkpoint files.
 Every write path here is already copy-on-write against the main
 (:func:`assign_column` copies payload and validity before masked writes,
-:func:`concat_string_encoded` and :func:`merged_table` build fresh
-arrays), so a mapped main is never mutated in place; the catalog spills
-the merged image to a fresh live directory (write-temp-then-rename) and
-remaps it instead of overwriting the checkpoint bytes.
+:func:`merged_table` builds fresh arrays through
+:func:`~repro.engine.column.concat_columns`), so a mapped main is never
+mutated in place; the catalog spills the merged image to a fresh live
+directory (write-temp-then-rename) and remaps it instead of overwriting
+the checkpoint bytes.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
-from repro.engine.column import Column, _wrap
+from repro.engine.column import Column, _wrap, concat_columns
 from repro.engine.statistics import (
     ColumnStatistics,
     ColumnZones,
@@ -74,20 +74,11 @@ from repro.engine.statistics import (
 )
 from repro.engine.table import Table
 from repro.engine.types import DataType
+from repro.env import env_int
 from repro.errors import TypeMismatchError
 
 #: default merge threshold: delta rows + tombstones before folding into the main
 DEFAULT_DELTA_ROWS = 8192
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
 
 
 @dataclass
@@ -105,7 +96,7 @@ class DeltaConfig:
     delta_rows: int = DEFAULT_DELTA_ROWS
 
 
-_config = DeltaConfig(delta_rows=max(0, _env_int("REPRO_DELTA_ROWS", DEFAULT_DELTA_ROWS)))
+_config = DeltaConfig(delta_rows=max(0, env_int("REPRO_DELTA_ROWS", DEFAULT_DELTA_ROWS)))
 _config_lock = threading.Lock()
 
 
@@ -315,49 +306,14 @@ def tail_table(store: DeltaStore, main: Table) -> Table:
     return Table(columns)
 
 
-def concat_string_encoded(base: Column, tail: Column) -> Column:
-    """Concat a dictionary-encoded STRING column with a small tail,
-    maintaining the encoding incrementally (no full re-unique of the base)."""
-    pair = base.dictionary()
-    if pair is None:
-        return base.concat(tail)
-    codes, dictionary = pair
-    tail_valid = tail.validity if tail.validity is not None else np.ones(len(tail), bool)
-    tail_data = tail.data
-    try:
-        tail_distinct = np.unique(tail_data[tail_valid])
-        new_dict = np.unique(np.concatenate([dictionary, tail_distinct]))
-        if len(new_dict) != len(dictionary):
-            remap = np.searchsorted(new_dict, dictionary).astype(np.int32)
-            base_codes = np.where(codes >= 0, remap[codes], np.int32(-1))
-        else:
-            base_codes = codes
-        tail_codes = np.searchsorted(new_dict, tail_data).astype(np.int32)
-        tail_codes[~tail_valid] = -1
-    except TypeError:  # unsortable payload: fall back to an unencoded concat
-        return base.concat(tail)
-    data = np.concatenate([base.data, tail_data])
-    if base.validity is None and tail.validity is None:
-        validity = None
-    else:
-        left = base.validity if base.validity is not None else np.ones(len(base), bool)
-        validity = np.concatenate([left, tail_valid])
-    return _wrap(
-        data,
-        DataType.STRING,
-        validity,
-        np.concatenate([base_codes, tail_codes]),
-        new_dict,
-    )
-
-
 def merged_table(main: Table, tail: Table, store: DeltaStore) -> Table:
     """The effective table: live main rows followed by live delta rows.
 
     Dictionary-encoded STRING columns keep their encoding (maintained
-    incrementally); everything else is a plain concat.  This is both the
-    table scans see while the delta is dirty and the new main a merge
-    installs.
+    incrementally by :func:`~repro.engine.column.concat_columns`).  This
+    is both what :meth:`Database.get_table` hands out while the delta is
+    dirty and the new main a merge installs; scans never build it — they
+    read the main and the tail in place.
     """
     live_main = store.live_main_mask()
     live_delta = store.live_delta_mask()
@@ -369,10 +325,7 @@ def merged_table(main: Table, tail: Table, store: DeltaStore) -> Table:
         t = tail.column(name)
         if live_delta is not None:
             t = t.filter(live_delta)
-        if base.dtype is DataType.STRING and base.dictionary() is not None:
-            columns.append((name, concat_string_encoded(base, t)))
-        else:
-            columns.append((name, base.concat(t)))
+        columns.append((name, concat_columns([base, t])))
     return Table(columns)
 
 

@@ -6,18 +6,29 @@ plan with no measurement overhead at all, while passing a
 wall-time, row-count and byte accounting — the substrate of ``EXPLAIN
 ANALYZE``.
 
-Orthogonally, the data-parallel operators (filter, scan predicates,
-hash aggregation, sort) route through the morsel-driven worker pool of
-:mod:`repro.engine.parallel` whenever it is enabled (``PRAGMA
-threads=N`` / ``REPRO_THREADS``) and the input is large enough; small
-inputs always take the serial path.  Serial and parallel execution are
-bit-identical by construction (see the parallel module docstring).
+Every base-table scan is one function, :func:`_execute_scan`, and every
+predicate scan the same three steps: **classify once** against the zone
+map (:func:`_classify_scan` — the only site of the ``scan.*`` / ``io.*``
+counters, the ``zones:`` / ``io:`` annotations and the type-error
+guard), **run span kernels** over ``(source, spans, live mask)`` tasks
+(:mod:`repro.engine.parallel` one task per span, :mod:`repro.engine.shards`
+one per shard; on the worker pool or as a governed loop on this thread),
+**gather once** (filtered pieces concatenate keeping their shared
+dictionary; a fused aggregate merges partials instead).  Pending writes
+are a trailing tail task plus a live-mask over the main, a memory-mapped
+main differs only in that the bytes its surviving spans cover are
+counted, and the other data-parallel operators (residual filters, hash
+aggregation, sort) route through the pool whenever it is enabled
+(``PRAGMA threads=N`` / ``REPRO_THREADS``) and the input is large
+enough.  Every route is bit-identical to serial execution by
+construction (see the parallel module docstring and DESIGN.md, "Scan
+pipeline").
 
 Execution is *governed*: when a :class:`~repro.resilience.QueryContext`
 is active, every plan node is a checkpoint — the deadline/cancellation
 token is checked before the node runs, and the node's output bytes are
 charged against the memory budget after.  The parallel module adds the
-finer-grained morsel-boundary checkpoints between nodes.
+finer-grained task-boundary checkpoints between nodes.
 """
 
 from __future__ import annotations
@@ -126,7 +137,7 @@ def _run_node(
             return parallel.parallel_filter(child, node.predicate)
         return ops.filter_table(child, node.predicate)
     if isinstance(node, FusedAggregateNode):
-        return _execute_fused_aggregate(node, database, profiler)
+        return _execute_scan(node.child, database, profiler, fused=node)
     if isinstance(node, AggregateNode):
         child = _execute(node.child, database, profiler)
         if parallel.should_parallelize(child.num_rows):
@@ -176,35 +187,16 @@ def _run_node(
     raise ExecutionError(f"unknown plan node {type(node).__name__}")
 
 
-def _scan_predicate_mask(
-    node: ScanNode, table: Table, database: "Database", profiler: PlanProfiler | None
-) -> np.ndarray:
-    """Truth mask of the scan predicate over ``table`` (the columnar main
-    or a probe result), routed through the zone-map and parallel fast
-    paths under the usual gating."""
-    assert node.predicate is not None
-    config = scanopt.get_config()
-    if (
-        node.probe is None  # index probes re-order rows; zones would misalign
-        and config.zone_rows > 0
-        and table.num_rows > config.zone_rows
-    ):
-        zones = database.zone_map(node.table)
-        mask, pruned, passed, num_zones = zonemap.pruned_truth_mask(
-            node.predicate, table, zones
-        )
-        registry = get_registry()
-        registry.counter("scan.zones_pruned").inc(pruned)
-        registry.counter("scan.zones_passed").inc(passed)
-        if profiler is not None and num_zones:
-            profiler.annotate(
-                f"zones: {pruned} pruned, {passed} passed of {num_zones}"
-            )
-        return mask
-    if parallel.should_parallelize(table.num_rows):
-        _note_fanout(profiler, table.num_rows)
-        return parallel.parallel_truth_mask(node.predicate, table)
-    return truth_mask(node.predicate, table)
+def _check_types(predicate, table: Table) -> None:
+    """Surface the predicate's type errors on the calling thread.
+
+    Type errors are dtype-dependent, not data-dependent: evaluating over
+    no rows raises exactly what an unpruned serial filter would, even
+    when every zone is skipped, the scan is provably empty, or the
+    evaluation happens on a pool worker (whose failures are retried and
+    re-raised wrapped).
+    """
+    truth_mask(predicate, table.slice(0, 0))
 
 
 def _ranges_nbytes(table: Table, ranges) -> int:
@@ -229,282 +221,165 @@ def _ranges_nbytes(table: Table, ranges) -> int:
     return rows * per_row
 
 
-def _streamed_scan(
-    node: ScanNode,
-    table: Table,
-    database: "Database",
-    profiler: PlanProfiler | None,
-    live_mask: np.ndarray | None = None,
-) -> Table | None:
-    """I/O-level pruned scan over a memory-mapped table, or None.
+def _classify_scan(
+    node: ScanNode, main: Table, database: "Database", profiler: PlanProfiler | None
+) -> list[tuple[int, int, bool]] | None:
+    """Classify a predicate scan of the columnar main against its zone map.
 
-    When the scan qualifies for zone pruning *and* the table is backed
-    by mapped checkpoint files, the zone map is consulted before any
-    morsel is sliced: FAIL zones are never read at all (their pages are
-    never faulted in) and the surviving zone-aligned ranges stream
-    through :func:`parallel.streamed_filter`.  Returns None when the
-    usual mask path should run instead.
+    The one place a scan meets the zone map, whatever route runs it:
+    returns the ``(start, stop, evaluate)`` spans that survive (FAIL
+    zones absent, PASS zones ``evaluate=False``), or None when the scan
+    is not zone-gated — a table at or under ``zone_rows`` is one
+    evaluate-span nobody classifies or slices.  Records ``scan.*``, and
+    on a memory-mapped main ``io.*``: the kernels only slice the listed
+    spans, so there the pruning is an I/O-level skip too.
     """
-    assert node.predicate is not None
     config = scanopt.get_config()
-    if (
-        node.probe is not None  # index probes re-order rows; zones would misalign
-        or config.zone_rows <= 0
-        or table.num_rows <= config.zone_rows
-        or not table.is_mapped
-    ):
+    gated = 0 < config.zone_rows < main.num_rows
+    if gated or parallel.should_parallelize(main.num_rows):
+        _check_types(node.predicate, main)
+    if not gated:
         return None
-    zones = database.zone_map(node.table)
-    if zones.row_count != table.num_rows:
-        return None
-    # Type errors are dtype-dependent, not data-dependent: surface them
-    # exactly as the unpruned path would even when every zone is skipped.
-    truth_mask(node.predicate, table.slice(0, 0))
-    ranges, pruned, passed, num_zones = zonemap.classify_ranges(node.predicate, zones)
-    read = _ranges_nbytes(table, ranges)
+    ranges, pruned, passed, num_zones = zonemap.classify_ranges(
+        node.predicate, database.zone_map(node.table)
+    )
     registry = get_registry()
     registry.counter("scan.zones_pruned").inc(pruned)
     registry.counter("scan.zones_passed").inc(passed)
-    registry.counter("io.zones_skipped_io").inc(pruned)
-    registry.counter("io.morsels_streamed").inc(len(ranges))
-    registry.counter("io.bytes_read").inc(read)
-    if profiler is not None and num_zones:
-        profiler.annotate(
-            f"zones: {pruned} pruned, {passed} passed of {num_zones}"
+    if profiler is not None:
+        profiler.annotate(f"zones: {pruned} pruned, {passed} passed of {num_zones}")
+    if main.is_mapped:
+        read = _ranges_nbytes(main, ranges)
+        registry.counter("io.zones_skipped_io").inc(pruned)
+        registry.counter("io.morsels_streamed").inc(len(ranges))
+        registry.counter("io.bytes_read").inc(read)
+        if profiler is not None:
+            profiler.annotate(
+                f"io: {read} bytes read, {pruned} zones skipped, "
+                f"{len(ranges)} morsels streamed"
+            )
+    return ranges
+
+
+def _probe_rows(node: ScanNode, main: Table, tail: Table | None, store, database) -> Table:
+    """Rows the scan's index probe selects, tombstoned ones dropped.
+
+    Index positions are logical row ids: ``[0, main rows)`` address the
+    main, the rest the delta tail.
+    """
+    probe = node.probe
+    index = database.index_for(node.table, probe.column)
+    if index is None:
+        raise ExecutionError(
+            f"plan expected an index on {node.table}.{probe.column}"
         )
-        profiler.annotate(
-            f"io: {read} bytes read, {pruned} zones skipped, "
-            f"{len(ranges)} morsels streamed"
-        )
-    eval_rows = sum(stop - start for start, stop, evaluate in ranges if evaluate)
-    if len(ranges) > 1 and parallel.should_parallelize(eval_rows):
-        _note_fanout(profiler, eval_rows)
-    return parallel.streamed_filter(
-        table, node.predicate, ranges, extra_mask=live_mask
+    positions = np.asarray(
+        index.lookup_range(
+            probe.low, probe.high, probe.low_inclusive, probe.high_inclusive
+        ),
+        dtype=np.int64,
     )
+    if tail is None:
+        return main.take(positions)
+    in_main = positions < main.num_rows
+    main_positions = positions[in_main]
+    tail_positions = positions[~in_main] - main.num_rows
+    tail_positions = tail_positions[tail_positions < tail.num_rows]
+    live_main, live_delta = store.live_main_mask(), store.live_delta_mask()
+    if live_main is not None:
+        main_positions = main_positions[live_main[main_positions]]
+    if live_delta is not None:
+        tail_positions = tail_positions[live_delta[tail_positions]]
+    return main.take(main_positions).concat(tail.take(tail_positions))
 
 
 def _execute_scan(
-    node: ScanNode, database: "Database", profiler: PlanProfiler | None
+    node: ScanNode,
+    database: "Database",
+    profiler: PlanProfiler | None,
+    fused: FusedAggregateNode | None = None,
 ) -> Table:
+    """Every base-table scan: classify once, run span kernels, gather once.
+
+    The source is the columnar main; a dirty delta store adds its live
+    pending rows as a trailing always-evaluate tail and its tombstones as
+    a live-mask over the main (a clean table has neither), so zone maps,
+    index probes and shard extents stay aligned to main row positions.
+    ``fused`` makes the sink a partial aggregation instead of a gather
+    of the filtered rows — the filtered table is never materialised.
+    What the code observes picks the route: a shard layout scatters one
+    task per shard, otherwise one task per span; either runs on the pool
+    when :func:`parallel.should_parallelize` says so, else as a governed
+    loop on this thread.
+    """
     store = database.delta_store_if_dirty(node.table)
+    main = database.main_table(node.table)
+    tail = live_main = None
     if store is not None:
-        return _scan_with_delta(node, store, database, profiler)
-    table = database.get_table(node.table)
+        tail = database.delta_tail(node.table)
+        live_main = store.live_main_mask()
     if profiler is not None:
-        profiler.note_input(table.num_rows, table_nbytes(table))
+        if store is None:
+            profiler.note_input(main.num_rows, table_nbytes(main))
+        else:
+            profiler.note_input(
+                main.num_rows + store.live_delta_count(),
+                table_nbytes(main) + table_nbytes(tail),
+            )
+            profiler.annotate(
+                f"delta: {store.live_delta_count()} pending rows, "
+                f"{store.main_tombstones} tombstones"
+            )
     if node.columns is not None:
-        table = table.select(node.columns)
+        main = main.select(node.columns)
+        if tail is not None:
+            tail = tail.select(node.columns)
+    predicate = node.predicate
     if node.empty:
         # provably contradictory predicate: no rows, but dtype errors the
         # unoptimized filter would raise must still surface
-        if node.predicate is not None:
-            truth_mask(node.predicate, table.slice(0, 0))
-        return table.slice(0, 0)
-    if node.probe is not None:
-        index = database.index_for(node.table, node.probe.column)
-        if index is None:
-            raise ExecutionError(
-                f"plan expected an index on {node.table}.{node.probe.column}"
-            )
-        positions = index.lookup_range(
-            node.probe.low,
-            node.probe.high,
-            node.probe.low_inclusive,
-            node.probe.high_inclusive,
-        )
-        table = table.take(np.asarray(positions, dtype=np.int64))
-    if node.predicate is not None:
-        if node.probe is None:
-            layout = database.shard_layout(node.table)
-            if layout is not None:
-                scattered = shards.scatter_filter(
-                    node.table, table, node.predicate, layout, database, profiler
-                )
-                if scattered is not None:
-                    return scattered
-        streamed = _streamed_scan(node, table, database, profiler)
-        if streamed is not None:
-            return streamed
-        table = table.filter(_scan_predicate_mask(node, table, database, profiler))
-    return table
-
-
-def _scan_with_delta(
-    node: ScanNode,
-    store,
-    database: "Database",
-    profiler: PlanProfiler | None,
-) -> Table:
-    """Scan a table with pending writes: the columnar main keeps every
-    fast path (zone maps over main positions, tombstones ANDed in after
-    the predicate), and the live delta rows ride along as a trailing
-    morsel evaluated directly — it is bounded by the merge threshold.
-    """
-    main = database.main_table(node.table)
-    tail = database.delta_tail(node.table)
-    if profiler is not None:
-        profiler.note_input(
-            main.num_rows + store.live_delta_count(),
-            table_nbytes(main) + table_nbytes(tail),
-        )
-        profiler.annotate(
-            f"delta: {store.live_delta_count()} pending rows, "
-            f"{store.main_tombstones} tombstones"
-        )
-    if node.columns is not None:
-        main = main.select(node.columns)
-        tail = tail.select(node.columns)
-    if node.empty:
-        if node.predicate is not None:
-            truth_mask(node.predicate, main.slice(0, 0))
+        if predicate is not None:
+            _check_types(predicate, main)
         return main.slice(0, 0)
-    live_main = store.live_main_mask()
-    live_delta = store.live_delta_mask()
     if node.probe is not None:
-        index = database.index_for(node.table, node.probe.column)
-        if index is None:
-            raise ExecutionError(
-                f"plan expected an index on {node.table}.{node.probe.column}"
-            )
-        positions = np.asarray(
-            index.lookup_range(
-                node.probe.low,
-                node.probe.high,
-                node.probe.low_inclusive,
-                node.probe.high_inclusive,
-            ),
-            dtype=np.int64,
-        )
-        # logical ids: [0, main rows) in the main, the rest in the delta
-        n_main = main.num_rows
-        in_main = positions < n_main
-        main_positions = positions[in_main]
-        tail_positions = positions[~in_main] - n_main
-        tail_positions = tail_positions[tail_positions < tail.num_rows]
+        # index probes re-order rows; zones and shard extents would misalign
+        part = _probe_rows(node, main, tail, store, database)
+        if predicate is None:
+            return part
+        if parallel.should_parallelize(part.num_rows):
+            _note_fanout(profiler, part.num_rows)
+            return part.filter(parallel.parallel_truth_mask(predicate, part))
+        return part.filter(truth_mask(predicate, part))
+    if tail is not None:
+        live_tail = store.live_delta_mask()
+        if live_tail is not None:
+            tail = tail.filter(live_tail)
+    if predicate is None:
         if live_main is not None:
-            main_positions = main_positions[live_main[main_positions]]
-        if live_delta is not None:
-            tail_positions = tail_positions[live_delta[tail_positions]]
-        part = main.take(main_positions).concat(tail.take(tail_positions))
-        if node.predicate is not None:
-            if parallel.should_parallelize(part.num_rows):
-                _note_fanout(profiler, part.num_rows)
-                mask = parallel.parallel_truth_mask(node.predicate, part)
-            else:
-                mask = truth_mask(node.predicate, part)
-            part = part.filter(mask)
-        return part
-    if node.predicate is not None:
-        main_part = _streamed_scan(node, main, database, profiler, live_mask=live_main)
-        if main_part is None:
-            mask = _scan_predicate_mask(node, main, database, profiler)
-            if live_main is not None:
-                mask &= live_main
-            main_part = main.filter(mask)
-    else:
-        main_part = main if live_main is None else main.filter(live_main)
-    tail_part = tail if live_delta is None else tail.filter(live_delta)
-    if node.predicate is not None and tail_part.num_rows:
-        tail_part = tail_part.filter(truth_mask(node.predicate, tail_part))
-    return main_part.concat(tail_part)
-
-
-def _execute_fused_aggregate(
-    node: FusedAggregateNode, database: "Database", profiler: PlanProfiler | None
-) -> Table:
-    """Run the fused filter+aggregate pipeline over the node's base scan.
-
-    The scan predicate and the partial aggregation are evaluated morsel
-    by morsel without materialising the filtered table in between; the
-    zone map (same gating as the plain scan path) contributes the
-    FAIL/PASS/MAYBE range classification.
-    """
-    scan = node.child
-    assert isinstance(scan, ScanNode) and scan.predicate is not None
-    store = database.delta_store_if_dirty(scan.table)
-    if store is not None and store.main_tombstones > 0:
-        # tombstones in the main would misalign the fused zone ranges;
-        # fall back to scan-then-aggregate (still delta-aware)
-        filtered = _scan_with_delta(scan, store, database, profiler)
-        if parallel.should_parallelize(filtered.num_rows):
-            _note_fanout(profiler, filtered.num_rows)
-            return parallel.parallel_hash_aggregate(
-                filtered, node.group_exprs, node.aggregates, node.group_names
-            )
-        return ops.hash_aggregate(
-            filtered, node.group_exprs, node.aggregates, node.group_names
-        )
-    # with at most appended rows pending, the effective table is the raw
-    # main plus the live tail — main zone ranges stay aligned and the
-    # tail becomes one always-evaluate trailing range
-    table = database.get_table(scan.table)
-    main_rows = database.main_table(scan.table).num_rows if store is not None else table.num_rows
-    if profiler is not None:
-        profiler.note_input(table.num_rows, table_nbytes(table))
-        if store is not None:
-            profiler.annotate(f"delta: {table.num_rows - main_rows} pending rows")
-    if scan.columns is not None:
-        table = table.select(scan.columns)
-    config = scanopt.get_config()
-    ranges = None
-    if config.zone_rows > 0 and main_rows > config.zone_rows:
-        zones = database.zone_map(scan.table)
-        ranges, pruned, passed, num_zones = zonemap.classify_ranges(
-            scan.predicate, zones
-        )
-        if table.num_rows > main_rows:
-            ranges.append((main_rows, table.num_rows, True))
-        registry = get_registry()
-        registry.counter("scan.zones_pruned").inc(pruned)
-        registry.counter("scan.zones_passed").inc(passed)
-        if table.is_mapped:
-            # the fused kernel only slices the listed ranges, so on a
-            # mapped table the pruning is an I/O-level skip too
-            read = _ranges_nbytes(table, ranges)
-            registry.counter("io.zones_skipped_io").inc(pruned)
-            registry.counter("io.morsels_streamed").inc(len(ranges))
-            registry.counter("io.bytes_read").inc(read)
-            if profiler is not None and num_zones:
-                profiler.annotate(
-                    f"io: {read} bytes read, {pruned} zones skipped, "
-                    f"{len(ranges)} morsels streamed"
-                )
-        if profiler is not None and num_zones:
-            profiler.annotate(
-                f"zones: {pruned} pruned, {passed} passed of {num_zones}"
-            )
-    if store is None and scan.probe is None:
-        layout = database.shard_layout(scan.table)
-        if layout is not None:
-            scattered = shards.scatter_fused_aggregate(
-                scan.table,
-                table,
-                scan.predicate,
-                node.group_exprs,
-                node.aggregates,
-                node.group_names,
-                ranges,
-                layout,
-                database,
-                profiler,
-            )
-            if scattered is not None:
-                # same kernel shape, scattered one task per shard
-                if profiler is not None:
-                    profiler.annotate(
-                        "fused: filter + partial aggregate per morsel"
-                    )
-                return scattered
-    if profiler is not None:
+            main = main.filter(live_main)
+        return main if tail is None else main.concat(tail)
+    ranges = _classify_scan(node, main, database, profiler)
+    if fused is not None and profiler is not None:
         profiler.annotate("fused: filter + partial aggregate per morsel")
-    if parallel.should_parallelize(table.num_rows):
-        _note_fanout(profiler, table.num_rows)
+    layout = database.shard_layout(node.table) if store is None else None
+    if layout is not None and layout.total_rows == main.num_rows:
+        if fused is None:
+            return shards.scatter_filter(
+                node.table, main, predicate, ranges, layout, database, profiler
+            )
+        return shards.scatter_fused_aggregate(
+            node.table, main, predicate, fused.group_exprs, fused.aggregates,
+            fused.group_names, ranges, layout, database, profiler,
+        )
+    if profiler is not None:
+        rows = main.num_rows if ranges is None else sum(
+            stop - start for start, stop, _ in ranges
+        )
+        if parallel.should_parallelize(rows):  # the unsharded tasks' own rule
+            _note_fanout(profiler, rows)
+    if fused is None:
+        return parallel.streamed_filter(main, predicate, ranges, live_main, tail)
     return parallel.fused_filter_aggregate(
-        table,
-        scan.predicate,
-        node.group_exprs,
-        node.aggregates,
-        node.group_names,
-        ranges=ranges,
+        main, predicate, fused.group_exprs, fused.aggregates, fused.group_names,
+        ranges, live_main, tail,
     )

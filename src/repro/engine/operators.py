@@ -431,6 +431,15 @@ def _aggregate_values(call: AggregateCall, column: Column | None, group_size: in
     raise ExecutionError(f"unknown aggregate function {call.function}")
 
 
+def group_output_names(
+    group_exprs: Sequence[Expression], group_names: Sequence[str] | None
+) -> list[str]:
+    """Output names of the group keys: the given ones, else the expressions' SQL."""
+    if group_names is not None:
+        return list(group_names)
+    return [strip_outer_parens(e.to_sql()) for e in group_exprs]
+
+
 def hash_aggregate(
     table: Table,
     group_exprs: Sequence[Expression],
@@ -450,9 +459,7 @@ def hash_aggregate(
         One row per group: key columns first, aggregate columns after.
     """
     with trace("op.hash_aggregate", rows=table.num_rows, keys=len(group_exprs)):
-        names = list(group_names) if group_names is not None else [
-            strip_outer_parens(e.to_sql()) for e in group_exprs
-        ]
+        names = group_output_names(group_exprs, group_names)
         key_columns = [expr.evaluate(table) for expr in group_exprs]
         arg_columns: dict[int, Column] = {}
         for i, (_, call) in enumerate(aggregates):

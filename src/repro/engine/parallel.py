@@ -16,6 +16,15 @@ have performed:
 - filters evaluate the predicate mask per morsel and concatenate — mask
   evaluation is row-local, so the concatenated mask equals the serial
   mask bit for bit;
+- predicate scans run two *span kernels* — :func:`_filter_spans` and
+  :func:`_fused_spans` (filter + partial aggregation) — over ``(table,
+  spans, live mask)`` tasks and gather once: the spans partition the
+  surviving rows in ascending order, so the filtered pieces concatenate
+  (through the one dictionary-keeping :func:`~repro.engine.table.
+  concat_tables`) to the serial filter's output.  The unsharded entry
+  points :func:`streamed_filter` / :func:`fused_filter_aggregate` build
+  one task per span; :mod:`repro.engine.shards` builds one per shard
+  over the same kernels;
 - aggregation computes partial states per morsel and merges them.
   COUNT/COUNT(x) partials are integer counts (addition is exact),
   MIN/MAX partials recombine by min/max (exact, NaN-propagating), and
@@ -28,8 +37,9 @@ have performed:
   multi-key sort once over the gathered keys.
 
 Small inputs skip the pool entirely: below ``min_parallel_rows`` the
-executor uses the serial operators, so interactive point queries never
-pay the fan-out overhead.
+executor uses the serial operators — and the span kernels run as a
+governed loop on the calling thread, recording no ``parallel.*``
+metrics — so interactive point queries never pay the fan-out overhead.
 
 The pool is also where the query governor's fine-grained checkpoints
 live: every morsel task checks the active
@@ -59,11 +69,12 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.engine import operators as ops
-from repro.engine.column import Column
-from repro.engine.expressions import Expression, strip_outer_parens, truth_mask
+from repro.engine.column import Column, concat_columns
+from repro.engine.expressions import Expression, truth_mask
 from repro.engine.sql.ast import AggregateCall, OrderItem
-from repro.engine.table import Table
+from repro.engine.table import Table, concat_tables
 from repro.engine.types import DataType
+from repro.env import env_int
 from repro.errors import ExecutionError, ResourceError
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import trace
@@ -76,13 +87,6 @@ from repro.resilience import get_config as _resilience_config
 from repro.resilience.faults import FaultInjector
 
 DEFAULT_MORSEL_ROWS = 65_536
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, "") or default)
-    except ValueError:
-        return default
 
 
 class ParallelConfig:
@@ -99,10 +103,10 @@ class ParallelConfig:
     __slots__ = ("threads", "morsel_rows", "min_parallel_rows", "pool_kind")
 
     def __init__(self) -> None:
-        self.threads = max(0, _env_int("REPRO_THREADS", 0))
-        self.morsel_rows = max(1, _env_int("REPRO_MORSEL_ROWS", DEFAULT_MORSEL_ROWS))
+        self.threads = max(0, env_int("REPRO_THREADS", 0))
+        self.morsel_rows = max(1, env_int("REPRO_MORSEL_ROWS", DEFAULT_MORSEL_ROWS))
         self.min_parallel_rows = max(
-            1, _env_int("REPRO_PARALLEL_MIN_ROWS", 2 * self.morsel_rows)
+            1, env_int("REPRO_PARALLEL_MIN_ROWS", 2 * self.morsel_rows)
         )
         self.pool_kind = os.environ.get("REPRO_POOL", "thread")
 
@@ -237,15 +241,28 @@ def _cancel(futures: Sequence[Any]) -> None:
         future.cancel()
 
 
-def _run_tasks(fn: Callable[..., Any], arg_tuples: Sequence[tuple]) -> list[Any]:
-    """Run ``fn(*args)`` for every tuple on the pool; results in order.
+def _run_tasks(
+    fn: Callable[..., Any], arg_tuples: Sequence[tuple], pooled: bool = True
+) -> list[Any]:
+    """Run ``fn(*args)`` for every tuple; results in order.
 
-    Records the ``parallel.*`` metrics family: morsel and batch counts,
-    the configured worker gauge, and batch wall time.  When the process
-    pool itself breaks (worker death, pickling failure) the batch falls
-    back to the thread pool once — a second failure surfaces as
-    :class:`~repro.errors.ExecutionError` naming the offending morsel.
+    Serial execution (``pooled`` False) is a governed loop on the calling
+    thread — the query context is checked before every task — and
+    records nothing.  On the pool the ``parallel.*`` metrics family is
+    recorded: morsel and batch counts, the configured worker gauge, and
+    batch wall time.  When the process pool itself breaks (worker death,
+    pickling failure) the batch falls back to the thread pool once — a
+    second failure surfaces as :class:`~repro.errors.ExecutionError`
+    naming the offending morsel.
     """
+    if not pooled:
+        ctx = current_context()
+        results = []
+        for args in arg_tuples:
+            if ctx is not None:
+                ctx.check()
+            results.append(fn(*args))
+        return results
     registry = get_registry()
     registry.counter("parallel.morsels").inc(len(arg_tuples))
     registry.counter("parallel.batches").inc()
@@ -396,7 +413,7 @@ def _traced_task(
         return fn(*args)
 
 
-# -- filter / scan-predicate kernels ------------------------------------------------
+# -- filter kernels ------------------------------------------------------------------
 
 
 def _mask_morsel(predicate: Expression, table: Table, start: int, stop: int) -> np.ndarray:
@@ -410,100 +427,104 @@ def parallel_truth_mask(predicate: Expression, table: Table) -> np.ndarray:
     return np.concatenate(masks) if masks else np.zeros(0, dtype=bool)
 
 
-def mask_ranges(
-    predicate: Expression, table: Table, ranges: Sequence[tuple[int, int]]
-) -> list[np.ndarray]:
-    """Predicate masks for explicit row ranges, one array per range.
-
-    Used by zone-map pruning to evaluate only the maybe-zones of a scan
-    on the pool; each range runs as one task with the usual governor
-    checkpoints and fault-tolerant retries.
-    """
-    return _run_tasks(_mask_morsel, [(predicate, table, s, e) for s, e in ranges])
-
-
 def parallel_filter(table: Table, predicate: Expression) -> Table:
     """Morsel-parallel WHERE: keep rows whose predicate is strictly TRUE."""
     with trace("op.filter", rows=table.num_rows, parallel=True, morsels=morsel_count(table.num_rows)):
         return table.filter(parallel_truth_mask(predicate, table))
 
 
+# -- predicate scans: span kernels ---------------------------------------------------
+#
+# Every predicate scan is a list of ``(table, spans, live, ...)`` tasks: a
+# source table, the ``(start, stop, evaluate)`` row spans of it that survived
+# zone classification (FAIL zones are absent, ``evaluate=False`` marks a PASS
+# zone taken without evaluating the predicate) and an optional table-length
+# mask of live (not tombstoned) rows.  A kernel slices *only* the listed
+# spans, so on a memory-mapped source the rows between them are never read.
+
+Span = tuple[int, int, bool]
+
+
+def _filter_spans(
+    table: Table, spans: Sequence[Span], live: np.ndarray | None, predicate: Expression
+) -> list[Table]:
+    """The filter-span kernel: the surviving rows of each span, in order.
+
+    A span covering the whole table is not sliced at all.  Masks are
+    row-local, so the pieces concatenate to exactly
+    ``table.filter(truth_mask & live)``.
+    """
+    pieces: list[Table] = []
+    for start, stop, evaluate in spans:
+        whole = start == 0 and stop == table.num_rows
+        piece = table if whole else table.slice(start, stop)
+        mask = truth_mask(predicate, piece) if evaluate else None
+        if live is not None:
+            mask = live[start:stop] if mask is None else mask & live[start:stop]
+        pieces.append(piece if mask is None else piece.filter(mask))
+    return pieces
+
+
+def _span_tasks(
+    table: Table,
+    ranges: Sequence[Span] | None,
+    extra_mask: np.ndarray | None,
+    tail: Table | None,
+) -> tuple[list[tuple], bool]:
+    """``(tasks, pooled)`` of an unsharded scan: one task per span.
+
+    ``ranges`` of None is an unclassified scan — one evaluate-span over
+    the whole table.  The scan fans out when the spans cover enough rows
+    (:func:`should_parallelize`), and is then cut at ``morsel_rows``;
+    serially every span is one governed step on the caller.  ``tail`` —
+    a delta store's live pending rows — rides along as a trailing
+    always-evaluate task over its own small table.  A scan nothing
+    survives keeps one empty evaluate-span, so the kernels still produce
+    the empty result (and a global aggregate its one row).
+    """
+    spans = [(0, table.num_rows, True)] if ranges is None else ranges
+    pooled = should_parallelize(sum(stop - start for start, stop, _ in spans))
+    if pooled:
+        size = _config.morsel_rows
+        spans = [
+            (cut, min(cut + size, stop), evaluate)
+            for start, stop, evaluate in spans
+            for cut in range(start, stop, size)
+        ]
+    tasks: list[tuple] = [(table, [span], extra_mask) for span in spans]
+    if tail is not None and tail.num_rows:
+        tasks.append((tail, [(0, tail.num_rows, True)], None))
+    return tasks or [(table, [(0, 0, True)], None)], pooled
+
+
+def _filter_tasks(tasks: Sequence[tuple], predicate: Expression, pooled: bool) -> Table:
+    """Run the filter-span kernel over ``tasks`` and gather the pieces once."""
+    results = _run_tasks(_filter_spans, [task + (predicate,) for task in tasks], pooled)
+    return concat_tables([piece for pieces in results for piece in pieces])
+
+
 def streamed_filter(
     table: Table,
     predicate: Expression,
-    ranges: Sequence[tuple[int, int, bool]],
+    ranges: Sequence[Span] | None,
     extra_mask: np.ndarray | None = None,
+    tail: Table | None = None,
 ) -> Table:
-    """Filter by streaming zone-aligned ranges — skipped rows are never read.
+    """Filter by streaming classified spans — skipped rows are never read.
 
     ``ranges`` is a zone-map classification ``[(start, stop, evaluate)]``
-    as produced by :func:`repro.engine.zonemap.classify_ranges`: FAIL
-    zones are absent, ``evaluate=False`` marks a PASS zone taken without
-    predicate evaluation.  Unlike the mask path, rows outside the listed
-    ranges are never sliced — on a memory-mapped table their pages are
-    never faulted in.  ``extra_mask`` (full-table length) is ANDed in per
-    range, used by the delta store to drop main-side tombstones.
+    as produced by :func:`repro.engine.zonemap.classify_ranges`, or None
+    for an unclassified scan.  ``extra_mask`` (full-table length) is
+    ANDed in per span, used by the delta store to drop main-side
+    tombstones; ``tail`` holds the delta's live pending rows.
 
-    Bit-identical to ``table.filter(truth_mask & extra_mask)``: the
-    ranges partition the surviving rows in ascending order and the MAYBE
-    masks come from the same row-local kernel (serially or on the pool).
+    Bit-identical to filtering ``table ++ tail`` by ``truth_mask &
+    extra_mask``: the spans partition the surviving rows in ascending
+    order and every mask comes from the same row-local kernel (serially
+    or on the pool).
     """
-    if not ranges:
-        return table.slice(0, 0)
-    eval_ranges = [(start, stop) for start, stop, evaluate in ranges if evaluate]
-    rows_to_eval = sum(stop - start for start, stop in eval_ranges)
-    if len(eval_ranges) > 1 and should_parallelize(rows_to_eval):
-        masks = dict(zip(eval_ranges, mask_ranges(predicate, table, eval_ranges)))
-    else:
-        ctx = current_context()
-        masks = {}
-        for start, stop in eval_ranges:
-            if ctx is not None:
-                ctx.check()
-            masks[(start, stop)] = truth_mask(predicate, table.slice(start, stop))
-    pieces: list[Table] = []
-    for start, stop, evaluate in ranges:
-        piece = table.slice(start, stop)
-        mask = masks[(start, stop)] if evaluate else None
-        if extra_mask is not None:
-            live = extra_mask[start:stop]
-            mask = live if mask is None else mask & live
-        if mask is not None:
-            piece = piece.filter(mask)
-        pieces.append(piece)
-    if len(pieces) == 1:
-        return pieces[0]
-    return Table(
-        {
-            name: _concat_stream_columns([p.column(name) for p in pieces])
-            for name in table.column_names
-        }
-    )
-
-
-def _concat_stream_columns(columns: list[Column]) -> Column:
-    """Like :func:`_concat_columns`, but keeps a shared dictionary encoding.
-
-    Streamed pieces all derive from one base column via slice/filter, so
-    when every piece still carries the *same* dictionary object their
-    codes are directly concatenable — the result stays encoded, matching
-    what ``filter`` on the whole column would have produced.
-    """
-    from repro.engine.column import _wrap
-
-    data = np.concatenate([c.data for c in columns])
-    if all(c.validity is None for c in columns):
-        validity = None
-    else:
-        validity = np.concatenate([
-            c.validity if c.validity is not None else np.ones(len(c), bool)
-            for c in columns
-        ])
-    dictionary = columns[0]._dict
-    if dictionary is not None and all(c._dict is dictionary for c in columns):
-        codes = np.concatenate([c._codes for c in columns])
-        return _wrap(data, columns[0].dtype, validity, codes, dictionary)
-    return _wrap(data, columns[0].dtype, validity)
+    tasks, pooled = _span_tasks(table, ranges, extra_mask, tail)
+    return _filter_tasks(tasks, predicate, pooled)
 
 
 # -- aggregation ---------------------------------------------------------------------
@@ -549,53 +570,67 @@ def _canonical_key(key: tuple) -> tuple:
     return tuple(parts)
 
 
-def _aggregate_morsel(
+_NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+def _fused_spans(
     table: Table,
-    start: int,
-    stop: int,
+    spans: Sequence[Span],
+    live: np.ndarray | None,
+    predicate: Expression | None,
     group_exprs: Sequence[Expression],
     aggregates: Sequence[tuple[str, AggregateCall]],
     modes: Sequence[str],
-) -> tuple[list[tuple], dict[int, Column]]:
-    """Partial aggregation of one morsel.
+) -> list[tuple[list[tuple], dict[int, Column], int]]:
+    """The fused-span kernel: filter + partial aggregation of each span,
+    without materialising the filtered table across spans.
 
-    Returns ``(groups, gather_columns)`` where each group entry is
-    ``(canonical_key, display_key, global_row_indices, size, partials)``
-    and ``gather_columns`` holds this morsel's evaluated argument columns
-    for gather-mode aggregates (concatenated by the merge step).
+    Returns one ``(groups, gather_columns, kept_rows)`` per span.  Each
+    group is ``(canonical_key, display_key, row_indices, size,
+    partials)``; ``gather_columns`` holds the span's evaluated argument
+    columns for gather-mode aggregates.  Row indices are local to the
+    span's filtered rows — the merge rebases them onto the concatenation
+    of all filtered spans via the kept-row counts — and only feed
+    gather-mode merges: without one they are dropped here, before the
+    result crosses a process boundary (they are as large as the rows).
     """
-    morsel = table.slice(start, stop)
-    key_columns = [expr.evaluate(morsel) for expr in group_exprs]
-    arg_columns: dict[int, Column] = {}
-    for i, (_, call) in enumerate(aggregates):
-        if call.argument is not None:
-            arg_columns[i] = call.argument.evaluate(morsel)
-    if group_exprs:
-        grouped = ops._group_rows(key_columns, morsel.num_rows)
-    else:
-        grouped = [((), np.arange(morsel.num_rows, dtype=np.int64))]
-    groups: list[tuple] = []
-    for key, idx in grouped:
-        size = len(idx)
-        partials: list[Any] = []
+    keep_rows = _MODE_GATHER in modes
+    results = []
+    for piece in _filter_spans(table, spans, live, predicate):
+        key_columns = [expr.evaluate(piece) for expr in group_exprs]
+        arg_columns: dict[int, Column] = {}
         for i, (_, call) in enumerate(aggregates):
-            mode = modes[i]
-            if mode == _MODE_COUNT_STAR:
-                partials.append(size)
-                continue
-            if mode == _MODE_GATHER:
-                partials.append(None)  # merged via row indices instead
-                continue
-            sliced = arg_columns[i].take(idx)
-            if mode == _MODE_COUNT:
-                partials.append(size - sliced.null_count())
-            else:  # minmax / sum_int: the serial kernel is an exact partial
-                partials.append(ops._aggregate_values(call, sliced, size))
-        groups.append((_canonical_key(key), key, idx + start, size, partials))
-    gather_columns = {
-        i: arg_columns[i] for i, mode in enumerate(modes) if mode == _MODE_GATHER
-    }
-    return groups, gather_columns
+            if call.argument is not None:
+                arg_columns[i] = call.argument.evaluate(piece)
+        if group_exprs:
+            grouped = ops._group_rows(key_columns, piece.num_rows)
+        else:
+            grouped = [((), np.arange(piece.num_rows, dtype=np.int64))]
+        groups: list[tuple] = []
+        for key, idx in grouped:
+            size = len(idx)
+            partials: list[Any] = []
+            for i, (_, call) in enumerate(aggregates):
+                mode = modes[i]
+                if mode == _MODE_COUNT_STAR:
+                    partials.append(size)
+                    continue
+                if mode == _MODE_GATHER:
+                    partials.append(None)  # merged via row indices instead
+                    continue
+                sliced = arg_columns[i].take(idx)
+                if mode == _MODE_COUNT:
+                    partials.append(size - sliced.null_count())
+                else:  # minmax / sum_int: the serial kernel is an exact partial
+                    partials.append(ops._aggregate_values(call, sliced, size))
+            groups.append(
+                (_canonical_key(key), key, idx if keep_rows else _NO_ROWS, size, partials)
+            )
+        gather_columns = {
+            i: arg_columns[i] for i, mode in enumerate(modes) if mode == _MODE_GATHER
+        }
+        results.append((groups, gather_columns, piece.num_rows))
+    return results
 
 
 def _merge_minmax(parts: list[Any], is_min: bool) -> Any:
@@ -616,17 +651,19 @@ def _merge_sum(parts: list[Any]) -> Any:
 
 
 def _merge_partial_aggregates(
-    results: Sequence[tuple[list[tuple], dict[int, Column]]],
+    task_results: Sequence[list[tuple[list[tuple], dict[int, Column], int]]],
     group_exprs: Sequence[Expression],
     aggregates: Sequence[tuple[str, AggregateCall]],
     modes: Sequence[str],
-    names: Sequence[str],
+    group_names: Sequence[str] | None,
 ) -> Table:
-    """Merge per-morsel partial groups into the final aggregate table.
+    """Merge the fused-span kernel's partial groups into the final table.
 
-    Group row indices must address the concatenation of the gather
-    columns across ``results`` (in order).  First-appearance order across
-    morsels reproduces the serial group order, and gather-mode aggregates
+    ``task_results`` holds each task's per-span partials, tasks and spans
+    in ascending row order.  Every span's local row indices are rebased
+    onto the concatenation of the filtered spans (which the gather
+    columns are slices of).  First-appearance order across spans
+    reproduces the serial group order, and gather-mode aggregates
     re-evaluate the serial kernel over the merged group's rows — so the
     output is bit-identical to the serial operator over the same input.
     """
@@ -634,7 +671,8 @@ def _merge_partial_aggregates(
     gather_parts: dict[int, list[Column]] = {
         i: [] for i, mode in enumerate(modes) if mode == _MODE_GATHER
     }
-    for groups, gather_columns in results:
+    base = 0
+    for groups, gather_columns, kept in itertools.chain.from_iterable(task_results):
         for i, column in gather_columns.items():
             gather_parts[i].append(column)
         for ckey, key, idx, size, partials in groups:
@@ -642,21 +680,17 @@ def _merge_partial_aggregates(
             if entry is None:
                 merged[ckey] = {
                     "key": key,
-                    "idx": [idx],
+                    "idx": [idx + base],
                     "size": size,
                     "partials": [[p] for p in partials],
                 }
             else:
-                entry["idx"].append(idx)
+                entry["idx"].append(idx + base)
                 entry["size"] += size
                 for i, partial in enumerate(partials):
                     entry["partials"][i].append(partial)
-    gather_columns_full: dict[int, Column] = {}
-    for i, parts in gather_parts.items():
-        column = parts[0]
-        for part in parts[1:]:
-            column = column.concat(part)
-        gather_columns_full[i] = column
+        base += kept
+    gather_columns_full = {i: concat_columns(parts) for i, parts in gather_parts.items()}
 
     out_rows: list[tuple[Any, ...]] = []
     for entry in merged.values():
@@ -675,11 +709,8 @@ def _merge_partial_aggregates(
                 sliced = gather_columns_full[i].take(idx)
                 row_values.append(ops._aggregate_values(call, sliced, entry["size"]))
         out_rows.append(tuple(row_values))
-
-    if not group_exprs:
-        # a global aggregate always emits exactly one row
-        return Table.from_rows(out_rows, [name for name, _ in aggregates])
-    return Table.from_rows(out_rows, list(names) + [name for name, _ in aggregates])
+    names = ops.group_output_names(group_exprs, group_names)
+    return Table.from_rows(out_rows, names + [name for name, _ in aggregates])
 
 
 def parallel_hash_aggregate(
@@ -704,70 +735,19 @@ def parallel_hash_aggregate(
         ranges = morsel_ranges(num_rows)
         if not ranges:
             return ops.hash_aggregate(table, group_exprs, aggregates, group_names)
-        names = list(group_names) if group_names is not None else [
-            strip_outer_parens(e.to_sql()) for e in group_exprs
-        ]
         modes = _partial_modes(table, aggregates)
+        # every morsel is a PASS span: the fused kernel with nothing to filter
         results = _run_tasks(
-            _aggregate_morsel,
-            [(table, s, e, group_exprs, aggregates, modes) for s, e in ranges],
+            _fused_spans,
+            [
+                (table, [(s, e, False)], None, None, group_exprs, aggregates, modes)
+                for s, e in ranges
+            ],
         )
         # merge: first-appearance order across morsels == serial group order
-        return _merge_partial_aggregates(results, group_exprs, aggregates, modes, names)
-
-
-def _fused_morsel(
-    table: Table,
-    start: int,
-    stop: int,
-    predicate: Expression | None,
-    group_exprs: Sequence[Expression],
-    aggregates: Sequence[tuple[str, AggregateCall]],
-    modes: Sequence[str],
-) -> tuple[list[tuple], dict[int, Column], int]:
-    """Filter + partial aggregation of one morsel, without materialising
-    the filtered table across morsels.
-
-    ``predicate`` of None means the morsel provably passes (a PASS zone).
-    Returns ``(groups, gather_columns, kept_rows)`` like
-    :func:`_aggregate_morsel`, except group row indices are *local* to
-    this morsel's filtered rows — the caller rebases them onto the
-    concatenation of all filtered morsels via the kept-row counts.
-    """
-    morsel = table.slice(start, stop)
-    if predicate is not None:
-        morsel = morsel.filter(truth_mask(predicate, morsel))
-    key_columns = [expr.evaluate(morsel) for expr in group_exprs]
-    arg_columns: dict[int, Column] = {}
-    for i, (_, call) in enumerate(aggregates):
-        if call.argument is not None:
-            arg_columns[i] = call.argument.evaluate(morsel)
-    if group_exprs:
-        grouped = ops._group_rows(key_columns, morsel.num_rows)
-    else:
-        grouped = [((), np.arange(morsel.num_rows, dtype=np.int64))]
-    groups: list[tuple] = []
-    for key, idx in grouped:
-        size = len(idx)
-        partials: list[Any] = []
-        for i, (_, call) in enumerate(aggregates):
-            mode = modes[i]
-            if mode == _MODE_COUNT_STAR:
-                partials.append(size)
-                continue
-            if mode == _MODE_GATHER:
-                partials.append(None)  # merged via row indices instead
-                continue
-            sliced = arg_columns[i].take(idx)
-            if mode == _MODE_COUNT:
-                partials.append(size - sliced.null_count())
-            else:  # minmax / sum_int: the serial kernel is an exact partial
-                partials.append(ops._aggregate_values(call, sliced, size))
-        groups.append((_canonical_key(key), key, idx, size, partials))
-    gather_columns = {
-        i: arg_columns[i] for i, mode in enumerate(modes) if mode == _MODE_GATHER
-    }
-    return groups, gather_columns, morsel.num_rows
+        return _merge_partial_aggregates(
+            results, group_exprs, aggregates, modes, group_names
+        )
 
 
 def fused_filter_aggregate(
@@ -776,104 +756,42 @@ def fused_filter_aggregate(
     group_exprs: Sequence[Expression],
     aggregates: Sequence[tuple[str, AggregateCall]],
     group_names: Sequence[str] | None = None,
-    ranges: Sequence[tuple[int, int, bool]] | None = None,
+    ranges: Sequence[Span] | None = None,
+    extra_mask: np.ndarray | None = None,
+    tail: Table | None = None,
 ) -> Table:
-    """Filter + hash aggregate fused per morsel (the FusedAggregate kernel).
+    """Filter + hash aggregate fused per span (the FusedAggregate kernel).
 
-    Each morsel evaluates the predicate and its partial aggregation in
-    one pass; the filtered table is never materialised as a whole.
-    ``ranges`` is an optional zone-map classification ``[(start, stop,
-    evaluate)]`` — FAIL zones are simply absent, and ``evaluate=False``
-    marks a PASS zone whose rows are taken without evaluating the
-    predicate.  None means every morsel of the table is evaluated.
-
-    Bit-identical to ``hash_aggregate(filter(table, predicate), ...)``:
-    the per-morsel filter masks concatenate to the serial mask.  On the
-    worker pool the merge is exactly :func:`_merge_partial_aggregates`
-    over the filtered table's own morselization; serially, the surviving
-    filtered morsels concatenate into one aggregation pass — the same
-    rows the unfused filter would materialise, minus the skipped zones
-    and the full-table mask array.
+    ``ranges``, ``extra_mask`` and ``tail`` are as in
+    :func:`streamed_filter`.  Bit-identical to ``hash_aggregate(filter(
+    table ++ tail, predicate), ...)``: the per-span filter masks
+    concatenate to the serial mask.  On the worker pool each span
+    evaluates the predicate and its partial aggregation in one pass and
+    the merge is exactly :func:`_merge_partial_aggregates`; serially,
+    the surviving filtered spans gather into one aggregation pass — the
+    same rows the unfused filter would materialise, minus the skipped
+    zones and the full-table mask array.
     """
-    # Type errors are dtype-dependent, not data-dependent: surface them
-    # exactly as the unfused filter would even when every zone is skipped.
-    truth_mask(predicate, table.slice(0, 0))
-    num_rows = table.num_rows
-    if ranges is None:
-        ranges = [(start, stop, True) for start, stop in morsel_ranges(num_rows)]
+    tasks, pooled = _span_tasks(table, ranges, extra_mask, tail)
     with trace(
         "op.fused_filter_aggregate",
-        rows=num_rows,
+        rows=table.num_rows,
         keys=len(group_exprs),
-        morsels=len(ranges),
+        morsels=len(tasks),
     ):
-        if not ranges:
+        if not pooled:
             return ops.hash_aggregate(
-                table.slice(0, 0), group_exprs, aggregates, group_names
+                _filter_tasks(tasks, predicate, False),
+                group_exprs, aggregates, group_names,
             )
-        if not should_parallelize(num_rows):
-            ctx = current_context()
-            pieces: list[Table] = []
-            for start, stop, evaluate in ranges:
-                if ctx is not None:
-                    ctx.check()
-                morsel = table.slice(start, stop)
-                if evaluate:
-                    morsel = morsel.filter(truth_mask(predicate, morsel))
-                pieces.append(morsel)
-            if len(pieces) == 1:
-                combined = pieces[0]
-            else:
-                combined = Table(
-                    {
-                        name: _concat_columns([p.column(name) for p in pieces])
-                        for name in table.column_names
-                    }
-                )
-            return ops.hash_aggregate(combined, group_exprs, aggregates, group_names)
-        names = list(group_names) if group_names is not None else [
-            strip_outer_parens(e.to_sql()) for e in group_exprs
-        ]
         modes = _partial_modes(table, aggregates)
         results = _run_tasks(
-            _fused_morsel,
-            [
-                (table, start, stop, predicate if evaluate else None,
-                 group_exprs, aggregates, modes)
-                for start, stop, evaluate in ranges
-            ],
+            _fused_spans,
+            [task + (predicate, group_exprs, aggregates, modes) for task in tasks],
         )
         return _merge_partial_aggregates(
-            _rebase_partials(results), group_exprs, aggregates, modes, names
+            results, group_exprs, aggregates, modes, group_names
         )
-
-
-def _rebase_partials(results) -> list[tuple[list[tuple], dict[int, Column]]]:
-    """Rebase each part's local filtered-row indices onto the concatenation
-    of the filtered parts in order (which the gather columns are slices of)."""
-    rebased, base = [], 0
-    for groups, gather_columns, kept in results:
-        rebased.append((
-            [(ck, key, idx + base, size, partials) for ck, key, idx, size, partials in groups],
-            gather_columns,
-        ))
-        base += kept
-    return rebased
-
-
-def _concat_columns(columns: list[Column]) -> Column:
-    """Stack same-typed columns in one pass (pairwise concat is quadratic)."""
-    from repro.engine.column import _wrap
-
-    data = np.concatenate([c.data for c in columns])
-    if all(c.validity is None for c in columns):
-        validity = None
-    else:
-        validity = np.concatenate([
-            c.validity if c.validity is not None else np.ones(len(c), bool)
-            for c in columns
-        ])
-    return _wrap(data, columns[0].dtype, validity)
 
 
 # -- sorting -------------------------------------------------------------------------

@@ -29,17 +29,10 @@ knobs trade build/bookkeeping cost against scan latency, never answers.
 
 from __future__ import annotations
 
-import os
+from repro.env import env_int
 
 DEFAULT_ZONE_ROWS = 65_536
 DEFAULT_PLAN_CACHE_SIZE = 256
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, "") or default)
-    except ValueError:
-        return default
 
 
 class ScanAccelConfig:
@@ -56,11 +49,11 @@ class ScanAccelConfig:
     __slots__ = ("dict_encode", "zone_rows", "plan_cache", "plan_cache_size", "optimizer")
 
     def __init__(self) -> None:
-        self.dict_encode = _env_int("REPRO_DICT_ENCODE", 1) != 0
-        self.zone_rows = max(0, _env_int("REPRO_ZONE_ROWS", DEFAULT_ZONE_ROWS))
-        self.plan_cache = _env_int("REPRO_PLAN_CACHE", 1) != 0
-        self.plan_cache_size = max(1, _env_int("REPRO_PLAN_CACHE_SIZE", DEFAULT_PLAN_CACHE_SIZE))
-        self.optimizer = _env_int("REPRO_OPTIMIZER", 1) != 0
+        self.dict_encode = env_int("REPRO_DICT_ENCODE", 1) != 0
+        self.zone_rows = max(0, env_int("REPRO_ZONE_ROWS", DEFAULT_ZONE_ROWS))
+        self.plan_cache = env_int("REPRO_PLAN_CACHE", 1) != 0
+        self.plan_cache_size = max(1, env_int("REPRO_PLAN_CACHE_SIZE", DEFAULT_PLAN_CACHE_SIZE))
+        self.optimizer = env_int("REPRO_OPTIMIZER", 1) != 0
 
 
 _config = ScanAccelConfig()

@@ -10,12 +10,14 @@ mode maps the one file and slices shards lazily — a shard that is never
 scheduled never faults its pages in.
 
 Execution is scatter-gather: filter, fused filter+aggregate and sort-key
-evaluation fan out one task per shard over the existing morsel pool and
-recombine with the exact gather rules from the parallel module, so results
-are bit-identical to serial execution over the same (re-clustered)
-table by construction.  Zone-map pruning runs before scheduling: the
-global FAIL/MAYBE/PASS ranges are intersected with shard extents, and a
-shard left with no surviving span is never scheduled at all.
+evaluation fan out one task per shard — the parallel module's span
+kernels over the shard's own table — on the morsel pool or a governed
+serial loop, and recombine with the parallel module's gathers, so
+results are bit-identical to serial execution over the same
+(re-clustered) table by construction.  Pruning happens before
+scheduling: the executor's zone classification (this module never
+consults the zone map or counts I/O itself) is split at shard extents,
+and a shard left with no surviving span is never scheduled at all.
 
 In process-pool mode shards are shipped to workers **once per catalog
 epoch**: the parent serialises each scheduled shard to a scratch file
@@ -47,20 +49,12 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.engine import operators as ops
-from repro.engine import parallel, scanopt, zonemap
-from repro.engine.expressions import strip_outer_parens, truth_mask
-from repro.engine.table import Table
+from repro.engine import parallel
+from repro.engine.table import Table, concat_tables
+from repro.env import env_int
 from repro.indexing.updates import UpdatableCrackerIndex
 from repro.obs.metrics import get_registry
-from repro.resilience import current_context
 from repro.storage import layouts
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, "") or default)
-    except ValueError:
-        return default
 
 
 def parse_shard_by(text: str) -> tuple[str, str | None]:
@@ -97,15 +91,15 @@ class ShardConfig:
     __slots__ = ("shards", "shard_by", "shard_min_rows", "shard_index")
 
     def __init__(self) -> None:
-        self.shards = max(0, _env_int("REPRO_SHARDS", 0))
+        self.shards = max(0, env_int("REPRO_SHARDS", 0))
         raw = os.environ.get("REPRO_SHARD_BY", "hash")
         try:
             parse_shard_by(raw)
             self.shard_by = raw
         except ValueError:
             self.shard_by = "hash"
-        self.shard_min_rows = max(1, _env_int("REPRO_SHARD_MIN_ROWS", 65_536))
-        self.shard_index = _env_int("REPRO_SHARD_INDEX", 1) != 0
+        self.shard_min_rows = max(1, env_int("REPRO_SHARD_MIN_ROWS", 65_536))
+        self.shard_index = env_int("REPRO_SHARD_INDEX", 1) != 0
 
 
 _config = ShardConfig()
@@ -410,112 +404,33 @@ def _resolve(source) -> Table:
     return table
 
 
-# -- scatter kernels (module level: picklable for the process pool) ------------------
+# -- scatter (module level: picklable for the process pool) --------------------------
 
 
-def _coalesce(
-    spans: Sequence[tuple[int, int, bool]],
+def _shard_task(kernel, source, *args):
+    """One shard's task: ``kernel`` over the resolved shard table."""
+    return kernel(_resolve(source), *args)
+
+
+def _local_spans(
+    layout: ShardLayout, shard: int, spans: Sequence[tuple[int, int, bool]]
 ) -> list[tuple[int, int, bool]]:
-    """Merge adjacent spans with the same evaluate flag.
+    """A shard's global spans as shard-local ones, adjacent spans with
+    the same evaluate flag merged.
 
     Partial-aggregate merging and row-local filter masks are invariant
     to chunk boundaries, so fewer, larger pieces mean fewer kernel
     launches and smaller result payloads.  Gaps between spans (pruned
     zones) are never bridged — in mmap mode they stay unread.
     """
+    base = layout.offsets[shard]
     out: list[tuple[int, int, bool]] = []
     for start, stop, evaluate in spans:
-        if out and out[-1][1] == start and out[-1][2] == evaluate:
-            out[-1] = (out[-1][0], stop, evaluate)
+        if out and out[-1][1] == start - base and out[-1][2] == evaluate:
+            out[-1] = (out[-1][0], stop - base, evaluate)
         else:
-            out.append((start, stop, evaluate))
+            out.append((start - base, stop - base, evaluate))
     return out
-
-
-_EMPTY_IDX = np.empty(0, dtype=np.int64)
-
-
-def _filter_shard_task(source, spans, predicate) -> list[Table]:
-    """Filter one shard's surviving local spans; one piece per span."""
-    table = _resolve(source)
-    pieces: list[Table] = []
-    for start, stop, evaluate in _coalesce(spans):
-        piece = table.slice(start, stop)
-        if evaluate:
-            piece = piece.filter(truth_mask(predicate, piece))
-        pieces.append(piece)
-    return pieces
-
-
-def _fused_shard_task(
-    source, spans, predicate, group_exprs, aggregates, modes
-) -> list[tuple]:
-    """Fused filter+partial-aggregate over one shard's local spans.
-
-    Group row indices only feed gather-mode merges; without one they are
-    dropped before the result crosses the process boundary (they are as
-    large as the filtered shard itself).
-    """
-    table = _resolve(source)
-    trim = parallel._MODE_GATHER not in modes
-    results: list[tuple] = []
-    for start, stop, evaluate in _coalesce(spans):
-        groups, gather_columns, kept = parallel._fused_morsel(
-            table, start, stop, predicate if evaluate else None,
-            group_exprs, aggregates, modes,
-        )
-        if trim:
-            groups = [
-                (ckey, key, _EMPTY_IDX, size, partials)
-                for ckey, key, _idx, size, partials in groups
-            ]
-        results.append((groups, gather_columns, kept))
-    return results
-
-
-def _sort_keys_shard_task(source, order_by) -> list:
-    """Evaluate the ORDER BY keys over one whole shard."""
-    return ops.order_keys(_resolve(source), order_by)
-
-
-def _run(fn, tasks: list[tuple], pooled: bool) -> list:
-    """One task per shard, on the morsel pool or a governed serial loop."""
-    if pooled:
-        return parallel._run_tasks(fn, tasks)
-    ctx = current_context()
-    results = []
-    for args in tasks:
-        if ctx is not None:
-            ctx.check()
-        results.append(fn(*args))
-    return results
-
-
-def _local_spans(
-    layout: ShardLayout, shard: int, spans: Sequence[tuple[int, int, bool]]
-) -> list[tuple[int, int, bool]]:
-    base = layout.offsets[shard]
-    return [(start - base, stop - base, evaluate) for start, stop, evaluate in spans]
-
-
-def _classify(name, table, predicate, database, profiler):
-    """Zone-map classification for a scatter: ``(ranges, zones_pruned)``.
-
-    ``ranges`` is None when the scan is ungated (no zone map, or the
-    map does not cover the table)."""
-    config = scanopt.get_config()
-    if config.zone_rows <= 0 or table.num_rows <= config.zone_rows:
-        return None, 0
-    zones = database.zone_map(name)
-    if zones.row_count != table.num_rows:
-        return None, 0
-    ranges, pruned, passed, num_zones = zonemap.classify_ranges(predicate, zones)
-    registry = get_registry()
-    registry.counter("scan.zones_pruned").inc(pruned)
-    registry.counter("scan.zones_passed").inc(passed)
-    if profiler is not None and num_zones:
-        profiler.annotate(f"zones: {pruned} pruned, {passed} passed of {num_zones}")
-    return ranges, pruned
 
 
 def _schedule(layout, ranges, profiler):
@@ -535,28 +450,6 @@ def _schedule(layout, ranges, profiler):
             f"{pruned} pruned"
         )
     return spans, scheduled
-
-
-def _account_io(
-    table, spans, scheduled, zones_skipped, pruned_shards, profiler
-) -> None:
-    """I/O accounting for a scatter over a mapped table (pruned zones —
-    and with them whole shards — are never sliced, so their pages are
-    never read).  ``io.zones_skipped_io`` counts FAIL *zones*, same
-    unit as the unsharded streamed path."""
-    from repro.engine.executor import _ranges_nbytes
-
-    flat = [span for s in scheduled for span in spans[s]]
-    read = _ranges_nbytes(table, flat)
-    registry = get_registry()
-    registry.counter("io.zones_skipped_io").inc(zones_skipped)
-    registry.counter("io.morsels_streamed").inc(len(flat))
-    registry.counter("io.bytes_read").inc(read)
-    if profiler is not None:
-        profiler.annotate(
-            f"io: {read} bytes read, {zones_skipped} zones skipped, "
-            f"{pruned_shards} shards skipped, {len(flat)} morsels streamed"
-        )
 
 
 def _sources(name, table, layout, scheduled, database, pooled):
@@ -580,51 +473,44 @@ def _note_shard_fanout(profiler, tasks: int) -> None:
         )
 
 
+def _scatter(kernel, name, table, ranges, layout, database, profiler, *args) -> list:
+    """Run a span kernel with one task per scheduled shard.
+
+    ``ranges`` is the executor's zone classification over the whole table
+    (None for an unclassified scan); it is split at shard boundaries and
+    a shard left with no surviving span is never scheduled.  Returns the
+    per-task kernel results in shard order — ascending global row order.
+    """
+    spans, scheduled = _schedule(layout, ranges, profiler)
+    if not scheduled:
+        # nothing survives: the kernel's result over one empty span
+        return [kernel(table, [(0, 0, True)], None, *args)]
+    pooled = parallel.should_parallelize(table.num_rows)
+    sources = _sources(name, table, layout, scheduled, database, pooled)
+    if pooled:
+        _note_shard_fanout(profiler, len(sources))
+    tasks = [
+        (kernel, source, _local_spans(layout, s, spans[s]), None, *args)
+        for source, s in zip(sources, scheduled)
+    ]
+    return parallel._run_tasks(_shard_task, tasks, pooled)
+
+
 def scatter_filter(
-    name: str, table: Table, predicate, layout: ShardLayout, database, profiler
-) -> Table | None:
+    name: str, table: Table, predicate, ranges, layout: ShardLayout, database, profiler
+) -> Table:
     """Scatter a filtered scan across shards; gather by concatenation.
 
     Bit-identical to ``table.filter(truth_mask(...))`` over the same
     re-clustered table: spans partition the surviving rows in ascending
     global order and each span's mask comes from the same row-local
-    kernel.  Returns None when the layout does not cover this table
-    (row-count drift — the caller falls back to the unsharded path).
+    kernel.
     """
-    if layout.total_rows != table.num_rows:
-        return None
-    # Type errors are dtype-dependent, not data-dependent: surface them
-    # exactly as the unsharded filter would even when every shard prunes.
-    truth_mask(predicate, table.slice(0, 0))
-    ranges, zones_pruned = _classify(name, table, predicate, database, profiler)
-    spans, scheduled = _schedule(layout, ranges, profiler)
-    if table.is_mapped and ranges is not None:
-        _account_io(
-            table, spans, scheduled, zones_pruned,
-            layout.num_shards - len(scheduled), profiler,
-        )
-    if not scheduled:
-        return table.slice(0, 0)
-    pooled = parallel.should_parallelize(table.num_rows)
-    sources = _sources(name, table, layout, scheduled, database, pooled)
-    tasks = [
-        (source, _local_spans(layout, s, spans[s]), predicate)
-        for source, s in zip(sources, scheduled)
-    ]
-    if pooled:
-        _note_shard_fanout(profiler, len(tasks))
-    results = _run(_filter_shard_task, tasks, pooled)
-    pieces = [piece for shard_pieces in results for piece in shard_pieces]
-    if not pieces:
-        return table.slice(0, 0)
-    if len(pieces) == 1:
-        return pieces[0]
-    return Table(
-        {
-            column: parallel._concat_stream_columns([p.column(column) for p in pieces])
-            for column in table.column_names
-        }
+    results = _scatter(
+        parallel._filter_spans, name, table, ranges, layout, database, profiler,
+        predicate,
     )
+    return concat_tables([piece for pieces in results for piece in pieces])
 
 
 def scatter_fused_aggregate(
@@ -638,40 +524,21 @@ def scatter_fused_aggregate(
     layout: ShardLayout,
     database,
     profiler,
-) -> Table | None:
+) -> Table:
     """Scatter the fused filter+aggregate across shards; merge partials.
 
-    Per-shard tasks produce the same per-morsel partial states as the
-    parallel fused kernel; the gather step rebases the local row ids in
-    shard-span order and recombines with the exact partial-merge rules,
-    so the output equals serial execution over the same table.
-    ``ranges`` is the caller's zone classification (the executor already
-    recorded the zone/io counters for it), or None for an unpruned scan.
+    Per-shard tasks run the same fused-span kernel as the unsharded
+    pooled route; the gather rebases the local row ids in shard-span
+    order and recombines with the exact partial-merge rules, so the
+    output equals serial execution over the same table.
     """
-    if layout.total_rows != table.num_rows:
-        return None
-    truth_mask(predicate, table.slice(0, 0))
-    spans, scheduled = _schedule(layout, ranges, profiler)
-    names = list(group_names) if group_names is not None else [
-        strip_outer_parens(e.to_sql()) for e in group_exprs
-    ]
-    if not scheduled:
-        return ops.hash_aggregate(table.slice(0, 0), group_exprs, aggregates, names)
     modes = parallel._partial_modes(table, aggregates)
-    pooled = parallel.should_parallelize(table.num_rows)
-    sources = _sources(name, table, layout, scheduled, database, pooled)
-    tasks = [
-        (source, _local_spans(layout, s, spans[s]), predicate,
-         group_exprs, aggregates, modes)
-        for source, s in zip(sources, scheduled)
-    ]
-    if pooled:
-        _note_shard_fanout(profiler, len(tasks))
-    results = _run(_fused_shard_task, tasks, pooled)
-    # shard order, then span order, is ascending global row order
-    rebased = parallel._rebase_partials(r for shard in results for r in shard)
+    results = _scatter(
+        parallel._fused_spans, name, table, ranges, layout, database, profiler,
+        predicate, group_exprs, aggregates, modes,
+    )
     return parallel._merge_partial_aggregates(
-        rebased, group_exprs, aggregates, modes, names
+        results, group_exprs, aggregates, modes, group_names
     )
 
 
@@ -692,7 +559,7 @@ def scatter_sort(
         return None
     pooled = parallel.should_parallelize(table.num_rows)
     sources = _sources(name, table, layout, nonempty, database, pooled)
-    tasks = [(source, order_by) for source in sources]
+    tasks = [(ops.order_keys, source, order_by) for source in sources]
     get_registry().counter("shard.tasks").inc(len(tasks))
     if profiler is not None:
         profiler.annotate(
@@ -701,7 +568,7 @@ def scatter_sort(
     if pooled:
         _note_shard_fanout(profiler, len(tasks))
     return parallel.sort_by_key_parts(
-        table, _run(_sort_keys_shard_task, tasks, pooled)
+        table, parallel._run_tasks(_shard_task, tasks, pooled)
     )
 
 

@@ -6,7 +6,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.engine.column import Column
+from repro.engine.column import Column, concat_columns
 from repro.engine.types import DataType
 from repro.errors import CatalogError
 
@@ -233,10 +233,24 @@ class Table:
         """Stack another table with the same schema underneath this one."""
         if other.schema != self._schema:
             raise CatalogError("cannot concat tables with different schemas")
-        return Table([
-            (n, self._columns[n].concat(other.column(n))) for n in self.column_names
-        ])
+        return concat_tables([self, other])
 
     def head(self, n: int = 5) -> "Table":
         """First ``n`` rows."""
         return self.slice(0, min(n, self.num_rows))
+
+
+def concat_tables(tables: Sequence[Table]) -> Table:
+    """Stack same-schema tables in one pass per column — every gather.
+
+    Empty pieces are dropped first, so a scan with one surviving piece
+    returns it as is; columns keep a shared dictionary encoding (see
+    :func:`~repro.engine.column.concat_columns`).
+    """
+    tables = [t for t in tables if t.num_rows] or tables[:1]
+    if len(tables) == 1:
+        return tables[0]
+    return Table([
+        (n, concat_columns([t.column(n) for t in tables]))
+        for n in tables[0].column_names
+    ])

@@ -69,6 +69,7 @@ from repro.engine.statistics import (
     ZoneMap,
 )
 from repro.engine.types import DataType, python_value
+from repro.env import env_int
 from repro.errors import RecoveryError, ReproError, WalError
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import trace
@@ -99,13 +100,6 @@ _SHARDED_FORMAT_VERSION = 3
 _READABLE_FORMATS = (1, 2, 3)
 
 
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, "") or default)
-    except ValueError:
-        return default
-
-
 class WalConfig:
     """Durability tunables (one process-wide instance).
 
@@ -121,10 +115,10 @@ class WalConfig:
     __slots__ = ("wal", "wal_sync", "wal_batch")
 
     def __init__(self) -> None:
-        self.wal = _env_int("REPRO_WAL", 1) != 0
+        self.wal = env_int("REPRO_WAL", 1) != 0
         sync = os.environ.get("REPRO_WAL_SYNC", "commit").strip().lower()
         self.wal_sync = sync if sync in SYNC_POLICIES else "commit"
-        self.wal_batch = max(1, _env_int("REPRO_WAL_BATCH", DEFAULT_WAL_BATCH))
+        self.wal_batch = max(1, env_int("REPRO_WAL_BATCH", DEFAULT_WAL_BATCH))
 
 
 _config = WalConfig()

@@ -17,21 +17,19 @@ tested against the zone summaries, classifying every zone as:
 Soundness rests on two facts: NULL and NaN rows never satisfy a range
 probe as TRUE (``extract_probe`` never emits ``<>`` probes), and zone
 bounds are kept in the column's native dtype so decisions use the same
-arithmetic as the expression kernels.  The pruned mask is bit-identical
-to the serial ``truth_mask`` — FAIL zones would have produced all-False,
-PASS zones all-True, and MAYBE zones are computed by the same row-local
-kernel (serially or on the morsel pool).
+arithmetic as the expression kernels.  A pruned scan is bit-identical
+to the serial ``truth_mask`` filter — FAIL zones would have produced
+all-False, PASS zones all-True, and MAYBE zones are computed by the same
+row-local kernel (serially or on the morsel pool).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import parallel
 from repro.engine.expressions import Expression, truth_mask
 from repro.engine.planner import RangeProbe, extract_probe, split_conjuncts
 from repro.engine.statistics import ColumnZones, ZoneMap
-from repro.resilience import current_context
 
 #: Zone classifications, ordered so that ``min`` combines conjuncts:
 #: a zone is as good as its worst conjunct.
@@ -114,35 +112,18 @@ def pruned_truth_mask(
     """Zone-pruned equivalent of ``truth_mask(predicate, table)``.
 
     Returns ``(mask, zones_pruned, zones_passed, num_zones)`` where the
-    mask is bit-identical to the unpruned serial mask.
+    mask is bit-identical to the unpruned serial mask.  This is the mask
+    form of :func:`classify_ranges` for callers that want a full-length
+    mask; the executor's scans consume the ranges directly and never
+    allocate one.
     """
     # Type errors are dtype-dependent, not data-dependent: surface them
     # exactly as the unpruned path would even when every zone is skipped.
     truth_mask(predicate, table.slice(0, 0))
-
-    num_zones = zone_map.num_zones
-    statuses = zone_statuses(predicate, zone_map)
-
+    ranges, pruned, passed, num_zones = classify_ranges(predicate, zone_map)
     mask = np.zeros(zone_map.row_count, dtype=bool)
-    passed = np.flatnonzero(statuses == _PASS)
-    for zone in passed:
-        start, stop = zone_map.zone_bounds(int(zone))
-        mask[start:stop] = True
-
-    ranges = [zone_map.zone_bounds(int(z)) for z in np.flatnonzero(statuses == _MAYBE)]
-    if ranges:
-        rows_to_eval = sum(stop - start for start, stop in ranges)
-        if len(ranges) > 1 and parallel.should_parallelize(rows_to_eval):
-            parts = parallel.mask_ranges(predicate, table, ranges)
-        else:
-            ctx = current_context()
-            parts = []
-            for start, stop in ranges:
-                if ctx is not None:
-                    ctx.check()
-                parts.append(truth_mask(predicate, table.slice(start, stop)))
-        for (start, stop), part in zip(ranges, parts):
-            mask[start:stop] = part
-
-    pruned = int((statuses == _FAIL).sum())
-    return mask, pruned, len(passed), num_zones
+    for start, stop, evaluate in ranges:
+        mask[start:stop] = (
+            truth_mask(predicate, table.slice(start, stop)) if evaluate else True
+        )
+    return mask, pruned, passed, num_zones

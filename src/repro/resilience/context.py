@@ -22,14 +22,8 @@ import os
 import threading
 import time
 
+from repro.env import env_int
 from repro.errors import MemoryBudgetError, QueryCancelledError, QueryTimeoutError
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, "") or default)
-    except ValueError:
-        return default
 
 
 class ResilienceConfig:
@@ -63,14 +57,14 @@ class ResilienceConfig:
     )
 
     def __init__(self) -> None:
-        self.timeout_ms = max(0, _env_int("REPRO_TIMEOUT_MS", 0))
-        self.memory_budget_kb = max(0, _env_int("REPRO_MEMORY_BUDGET_KB", 0))
-        self.degrade = bool(_env_int("REPRO_DEGRADE", 0))
-        self.degrade_rows = max(1, _env_int("REPRO_DEGRADE_ROWS", 10_000))
-        self.max_retries = max(0, _env_int("REPRO_MAX_RETRIES", 2))
+        self.timeout_ms = max(0, env_int("REPRO_TIMEOUT_MS", 0))
+        self.memory_budget_kb = max(0, env_int("REPRO_MEMORY_BUDGET_KB", 0))
+        self.degrade = bool(env_int("REPRO_DEGRADE", 0))
+        self.degrade_rows = max(1, env_int("REPRO_DEGRADE_ROWS", 10_000))
+        self.max_retries = max(0, env_int("REPRO_MAX_RETRIES", 2))
         self.retry_backoff_s = 0.001
         self.faults = os.environ.get("REPRO_FAULTS", "")
-        self.fault_seed = _env_int("REPRO_FAULT_SEED", 0)
+        self.fault_seed = env_int("REPRO_FAULT_SEED", 0)
 
 
 _config = ResilienceConfig()

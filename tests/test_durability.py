@@ -323,6 +323,18 @@ class TestSyncPolicies:
             assert rows["wal_batch"] == ("7", "pragma")
             assert rows["threads"][1].startswith(("default", "env:"))
 
+    def test_every_listed_setting_is_a_pragma(self):
+        """The listing and the unknown-pragma message name the same
+        settings, and ``PRAGMA <name>`` reads each one back."""
+        db = Database()
+        with pytest.raises(CatalogError, match="unknown pragma 'nosuch'") as unknown:
+            db.execute("PRAGMA nosuch")
+        listed = list(db.execute("PRAGMA").rows())
+        assert {"wal", "wal_sync", "wal_batch"} <= {name for name, _, _ in listed}
+        for name, value, _source in listed:
+            assert repr(name) in str(unknown.value)
+            assert str(db.execute(f"PRAGMA {name}").column("value")[0]) == value
+
 
 # -- torn-write sweep (acceptance criterion) ------------------------------------------
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import resilience
 from repro.engine import Database, Table
 from repro.engine import parallel
 from repro.obs.metrics import MetricsRegistry, set_registry
@@ -202,10 +203,15 @@ class TestCallerHelps:
 
     @pytest.fixture(autouse=True)
     def _thread_pool(self, parallel_mode):
-        saved = parallel.get_config().pool_kind
+        # no injected faults: after a crashed task the caller deliberately
+        # stops taking work back, and which task crashes depends on how
+        # many batches the process ran before this test
+        saved = parallel.get_config().pool_kind, resilience.get_config().faults
         parallel.configure(pool_kind="thread")
+        resilience.configure(faults="off")
         yield
-        parallel.configure(pool_kind=saved)
+        parallel.configure(pool_kind=saved[0])
+        resilience.configure(faults=saved[1] or "off")
 
     @staticmethod
     def _who(i: int) -> tuple[int, int]:

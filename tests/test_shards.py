@@ -464,7 +464,11 @@ class TestShardPruning:
         assert db.index_for("t", "k") is not None
         got = db.sql("SELECT COUNT(*) AS c FROM t WHERE k >= 4200 AND k < 4400")
         assert got.column("c")[0] == 200
-        assert registry.counter("shard.shards_pruned").value == 3
+        # optimizer rule probe_merge fuses both bounds into one two-sided
+        # probe that touches one shard; without it the planner probes
+        # k >= 4200 alone, which rules out only the two shards below it
+        pruned = 3 if scanopt.get_config().optimizer else 2
+        assert registry.counter("shard.shards_pruned").value == pruned
 
     def test_mapped_table_gets_no_shard_index(self, tmp_path, _pin_shard_config):
         db = self._clustered(tmp_path / "db")
