@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import numpy as np
 from common import print_table
 
-from repro import resilience
+from repro import settings
 from repro.engine import Database, parallel
 from repro.errors import QueryTimeoutError
 from repro.resilience.degrade import degraded_answer
@@ -41,8 +41,10 @@ DEADLINE_MS = 60
 
 
 def _reset() -> None:
-    resilience.configure(timeout_ms=0, faults="off", degrade=0)
-    parallel.configure(threads=0, morsel_rows=parallel.DEFAULT_MORSEL_ROWS)
+    settings.configure(
+        timeout_ms=0, faults="off", degrade=0,
+        threads=0, morsel_rows=settings.ROWS["morsel_rows"].default,
+    )
     parallel.shutdown_pool()
 
 
@@ -56,9 +58,9 @@ def run_latency_experiment(
     overshoots = {}
     try:
         for morsel_rows in morsel_sizes:
-            parallel.configure(threads=2, morsel_rows=morsel_rows, min_parallel_rows=1)
-            resilience.configure(
-                timeout_ms=DEADLINE_MS, faults=f"slow_morsel:1.0:{SLOW_MS}"
+            settings.configure(
+                threads=2, morsel_rows=morsel_rows, min_parallel_rows=1,
+                timeout_ms=DEADLINE_MS, faults=f"slow_morsel:1.0:{SLOW_MS}",
             )
             morsels = parallel.morsel_count(n)
             start = time.perf_counter()

@@ -20,7 +20,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 import numpy as np
 from common import metrics_snapshot, print_table
 
-from repro.engine import parallel, scanopt
+from repro import settings
+from repro.engine import parallel
 from repro.engine.catalog import Database
 from repro.engine.column import Column
 from repro.engine.types import coerce_array, infer_type
@@ -121,11 +122,11 @@ def check_pooled_sort_ratio(n: int = 300_000, repeats: int = 3) -> float:
         "big", {"a": rng.integers(0, 1000, n).tolist(), "s": rng.normal(size=n).tolist()}
     )
     sql = "SELECT a, s FROM big ORDER BY a DESC, s"
-    saved = parallel.get_config().threads
+    saved = settings.snapshot()
     walls = {}
     try:
         for threads in (0, 2):
-            parallel.configure(threads=threads)
+            settings.configure(threads=threads)
             best = float("inf")
             for _ in range(repeats):
                 start = time.perf_counter()
@@ -134,7 +135,7 @@ def check_pooled_sort_ratio(n: int = 300_000, repeats: int = 3) -> float:
                 assert rows == n
             walls[threads] = best
     finally:
-        parallel.configure(threads=saved)
+        settings.restore(saved)
         parallel.shutdown_pool()
     ratio = walls[2] / walls[0]
     assert ratio <= 2.0, (
@@ -156,11 +157,10 @@ def check_straddling_group_by_ratio(zone_rows: int = 32_768, repeats: int = 5) -
         "brushed",
         {"k": list(range(n)), "g": [f"group{i % 12:02d}" for i in range(n)]},
     )
-    saved = parallel.get_config().threads, scanopt.get_config().zone_rows
+    saved = settings.snapshot()
     walls = {}
     try:
-        parallel.configure(threads=0)
-        scanopt.configure(zone_rows=zone_rows)
+        settings.configure(threads=0, zone_rows=zone_rows)
         for label, low in (("inside", 1_000), ("straddling", zone_rows - width // 2)):
             sql = (
                 "SELECT g, COUNT(*) AS n FROM brushed "
@@ -174,8 +174,7 @@ def check_straddling_group_by_ratio(zone_rows: int = 32_768, repeats: int = 5) -
                 assert groups == 12
             walls[label] = best
     finally:
-        parallel.configure(threads=saved[0])
-        scanopt.configure(zone_rows=saved[1])
+        settings.restore(saved)
     ratio = walls["straddling"] / walls["inside"]
     assert ratio <= 1.8, (
         f"GROUP BY over a zone-straddling brush is {ratio:.1f}x the in-zone one "

@@ -22,30 +22,14 @@ few shell meta-commands:
 ``\\quit``          exit
 =================  ===================================================
 
-``PRAGMA threads=N`` / ``PRAGMA morsel_rows=N`` tune the morsel-driven
-parallel executor from SQL; ``\\threads`` is the shell shorthand.
-``PRAGMA timeout_ms/memory_budget_kb/degrade/faults=...`` tune the query
-governor; ``\\timeout`` is the shorthand for the deadline.  With ``PRAGMA
-degrade=1`` a query that blows its budget returns an approximate answer
-(flagged under the result) instead of an error.  Ctrl-C cancels the
-running query and returns to the prompt; the session stays usable.
-``PRAGMA dict_encode/zone_rows/plan_cache/plan_cache_size=...`` tune the
-scan accelerators (dictionary-encoded strings, zone-map data skipping,
-the catalog-versioned plan cache) and ``PRAGMA optimizer=0/1`` toggles
-the rule-based plan optimizer (constant folding, predicate pushdown,
-probe merging, projection pruning, join reordering, filter+aggregate
-fusion) — all on by default and bit-identical to the plain path.
-``PRAGMA delta_rows=N`` tunes the batched write path: INSERT appends to
-a per-table delta store and DELETE marks tombstones, with a merge into
-the columnar main once pending writes reach N (0 = merge on every
-write); ``\\delta`` shows each table's pending state.
-``PRAGMA storage=memory|mmap`` (env ``REPRO_STORAGE``) selects how
-durable databases open checkpointed columns: ``mmap`` maps them as
-read-only views so cold tables never materialise in RAM, zone-map
-pruning skips the disk read itself (watch ``io.bytes_read``,
-``io.zones_skipped_io`` and ``io.morsels_streamed`` in ``\\metrics`` or
-``EXPLAIN ANALYZE``), and a checkpoint re-homes the session onto the
-new files.
+``PRAGMA name=value`` sets any engine setting, ``PRAGMA name`` reads one
+and ``\\pragma`` lists them all (DESIGN.md, "Settings", is the table:
+name, range, default, environment variable, effect); ``\\threads``,
+``\\timeout`` and ``\\delta`` are shorthands for ``PRAGMA threads``,
+``timeout_ms`` and ``delta_rows``.  With ``PRAGMA degrade=1`` a query
+that blows its budget returns an approximate answer (flagged under the
+result) instead of an error.  Ctrl-C cancels the running query and
+returns to the prompt; the session stays usable.
 
 ``EXPLAIN ANALYZE SELECT ...`` runs the query under the profiler and
 prints per-plan-node wall time, row counts and bytes touched.
@@ -66,9 +50,10 @@ from __future__ import annotations
 
 import sys
 
+from repro import settings
 from repro.core import ExplorationLanguage, ExplorationSession
 from repro.engine.table import Table
-from repro.errors import ReproError
+from repro.errors import CatalogError, ReproError
 
 _LANGUAGE_HEADS = (
     "EXPLORE", "STEER", "FACETS", "RECOMMEND", "SEGMENT", "APPROX", "DIVERSIFY",
@@ -76,6 +61,13 @@ _LANGUAGE_HEADS = (
 _SQL_HEADS = (
     "SELECT", "CREATE", "INSERT", "UPDATE", "DELETE", "DROP", "EXPLAIN", "PRAGMA",
 )
+
+
+def _settings_line(*names: str) -> str:
+    """``name = value, ...`` as ``PRAGMA name`` would print each value."""
+    return ", ".join(
+        f"{name} = {settings.shown(getattr(settings.current, name))}" for name in names
+    )
 
 
 class Shell:
@@ -95,6 +87,15 @@ class Shell:
         self.session.db.close()
 
     # -- meta commands ---------------------------------------------------------------
+
+    def _set(self, name: str, parts: list[str]) -> bool:
+        """``\\command value`` is ``PRAGMA name=value``; False if it is rejected."""
+        if len(parts) > 1:
+            try:
+                self.session.db.execute(f"PRAGMA {name}={parts[1]}")
+            except CatalogError:
+                return False
+        return True
 
     def _meta(self, line: str) -> str:
         parts = line[1:].split()
@@ -132,40 +133,23 @@ class Shell:
             sql = line[1:].split(None, 1)[1]
             return self.session.db.explain(sql)
         if command == "threads":
-            from repro.engine import parallel
-
-            if len(parts) > 1:
-                try:
-                    parallel.set_threads(int(parts[1]))
-                except ValueError:
-                    return "usage: \\threads [n]   (n >= 0; 0 = serial)"
-            config = parallel.get_config()
-            mode = "serial" if config.threads < 2 else "parallel"
+            if not self._set("threads", parts):
+                return "usage: \\threads [n]   (n >= 0; 0 = serial)"
+            mode = "serial" if settings.current.threads < 2 else "parallel"
             return (
-                f"threads = {config.threads} ({mode}), "
-                f"morsel_rows = {config.morsel_rows}, "
-                f"min_parallel_rows = {config.min_parallel_rows}"
+                f"threads = {settings.current.threads} ({mode}), "
+                + _settings_line("morsel_rows", "min_parallel_rows")
             )
         if command == "timeout":
-            from repro import resilience
-
-            if len(parts) > 1:
-                try:
-                    resilience.configure(timeout_ms=int(parts[1]))
-                except ValueError:
-                    return "usage: \\timeout [ms]   (ms >= 0; 0 = no deadline)"
-            timeout_ms = resilience.get_config().timeout_ms
+            if not self._set("timeout_ms", parts):
+                return "usage: \\timeout [ms]   (ms >= 0; 0 = no deadline)"
+            timeout_ms = settings.current.timeout_ms
             return f"timeout = {f'{timeout_ms} ms' if timeout_ms else 'off'}"
         if command == "delta":
-            from repro.engine import delta as deltamod
-
             db = self.session.db
-            if len(parts) > 1:
-                try:
-                    db.execute(f"PRAGMA delta_rows={int(parts[1])}")
-                except ValueError:
-                    return "usage: \\delta [rows]   (rows >= 0; 0 = merge on every write)"
-            lines = [f"delta_rows = {deltamod.get_config().delta_rows}"]
+            if not self._set("delta_rows", parts):
+                return "usage: \\delta [rows]   (rows >= 0; 0 = merge on every write)"
+            lines = [_settings_line("delta_rows")]
             for name in db.table_names():
                 store = db.delta_store_if_dirty(name)
                 if store is None:
@@ -186,15 +170,8 @@ class Shell:
             assert isinstance(table, Table)
             return table.pretty(limit=table.num_rows)
         if command == "shards":
-            from repro.engine import shards as shardsmod
-
             db = self.session.db
-            config = shardsmod.get_config()
-            lines = [
-                f"shards = {config.shards}, shard_by = {config.shard_by}, "
-                f"shard_min_rows = {config.shard_min_rows}, "
-                f"shard_index = {int(config.shard_index)}"
-            ]
+            lines = [_settings_line("shards", "shard_by", "shard_min_rows", "shard_index")]
             for name in db.table_names():
                 layout = db.shard_layout(name)
                 if layout is None:

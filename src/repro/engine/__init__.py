@@ -13,17 +13,7 @@ from repro.engine.catalog import Database, RangeIndex
 from repro.engine.column import Column
 from repro.engine.csv_io import read_csv, write_csv
 from repro.engine.expressions import Expression, col, lit, truth_mask
-from repro.engine.parallel import (
-    ParallelConfig,
-    configure as configure_parallel,
-    get_threads,
-    set_threads,
-)
 from repro.engine.planner import Plan, RangeProbe
-from repro.engine.scanopt import (
-    ScanAccelConfig,
-    configure as configure_scan_accel,
-)
 from repro.engine.statistics import ColumnStatistics, TableStatistics, ZoneMap
 from repro.engine.table import Schema, Table
 from repro.engine.types import DataType
@@ -34,22 +24,16 @@ __all__ = [
     "Database",
     "DataType",
     "Expression",
-    "ParallelConfig",
     "Plan",
     "RangeIndex",
     "RangeProbe",
-    "ScanAccelConfig",
     "Schema",
     "Table",
     "TableStatistics",
     "ZoneMap",
     "col",
-    "configure_parallel",
-    "configure_scan_accel",
-    "get_threads",
     "lit",
     "read_csv",
-    "set_threads",
     "truth_mask",
     "write_csv",
 ]

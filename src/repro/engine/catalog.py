@@ -15,8 +15,8 @@ from typing import Any, Mapping, Protocol, Sequence
 
 import numpy as np
 
+from repro import settings
 from repro.engine import delta as deltamod
-from repro.engine import scanopt
 from repro.engine.delta import DeltaStore
 from repro.engine.optimizer import optimize_plan
 from repro.engine.planner import Plan, plan_statement
@@ -81,7 +81,6 @@ class Database:
         # WAL with _replaying set so replayed writes are not re-logged
         self._closed = False
         self._replaying = False
-        self._pragma_set: set[str] = set()
         self._durability = None
         if path is not None:
             from repro.engine import wal as walmod
@@ -108,9 +107,7 @@ class Database:
         """True when writes must be logged (durable, logging on, not replaying)."""
         if self._durability is None or self._replaying:
             return False
-        from repro.engine import wal as walmod
-
-        return walmod.get_config().wal and self._durability.wal is not None
+        return settings.current.wal and self._durability.wal is not None
 
     def _log_record(self, meta: dict[str, Any], blob: bytes | None = None) -> None:
         if self._wal_active():
@@ -182,7 +179,7 @@ class Database:
         ):
             self.flush_deltas()
             directory = self._durability.checkpoint(self)
-            if layouts.get_config().storage == "mmap":
+            if settings.current.storage == "mmap":
                 self._adopt_checkpoint(directory)
                 self._durability.release_live_dirs()
         return str(directory)
@@ -329,7 +326,7 @@ class Database:
     @staticmethod
     def _encode_strings(table: Table) -> None:
         """Eagerly dictionary-encode the STRING columns of a table."""
-        if not scanopt.get_config().dict_encode:
+        if not settings.current.dict_encode:
             return
         for name in table.column_names:
             column = table.column(name)
@@ -494,7 +491,7 @@ class Database:
         store = self._deltas.get(name)
         if store is None:
             return
-        if store.write_pressure >= deltamod.get_config().delta_rows and not store.is_clean():
+        if store.write_pressure >= settings.current.delta_rows and not store.is_clean():
             self._merge_delta(name, reason="threshold")
 
     def _merge_delta(self, name: str, reason: str) -> None:
@@ -548,7 +545,7 @@ class Database:
             if (
                 self._durability is not None
                 and main.is_mapped
-                and layouts.get_config().storage == "mmap"
+                and settings.current.storage == "mmap"
             ):
                 # never rewrite the checkpoint files a mapped main points
                 # at — they are the recovery source until the next
@@ -654,7 +651,7 @@ class Database:
         version-checked statistics entry; merges extend it incrementally.
         """
         return self._main_statistics(name).zone_map(
-            self.main_table(name), scanopt.get_config().zone_rows
+            self.main_table(name), settings.current.zone_rows
         )
 
     # -- indexes -------------------------------------------------------------------
@@ -759,7 +756,7 @@ class Database:
         mode, key = "hash", None
         if shard_by is not None:
             try:
-                mode, key = shardsmod.parse_shard_by(shard_by)
+                mode, key = settings.parse_shard_by(shard_by)
             except ValueError as exc:
                 raise CatalogError(str(exc)) from None
         if key is None:
@@ -795,7 +792,7 @@ class Database:
             if (
                 self._durability is not None
                 and main.is_mapped
-                and layouts.get_config().storage == "mmap"
+                and settings.current.storage == "mmap"
             ):
                 new_main = self._durability.spill_table(
                     name,
@@ -843,7 +840,7 @@ class Database:
         from repro.engine import shards as shardsmod
 
         layout = self._shard_layouts.get(name)
-        if layout is None or not shardsmod.get_config().shard_index:
+        if layout is None or not settings.current.shard_index:
             return
         main = self.main_table(name)
         if main.is_mapped:
@@ -873,9 +870,7 @@ class Database:
         """
         if self._replaying or name in self._shard_layouts:
             return
-        from repro.engine import shards as shardsmod
-
-        config = shardsmod.get_config()
+        config = settings.current
         if config.shards < 2:
             return
         if self._effective_rows(name) < config.shard_min_rows:
@@ -906,7 +901,7 @@ class Database:
         constantly, so repeat queries skip parse/bind/plan/optimize
         entirely — what is cached is the fully *optimized* plan.
         """
-        config = scanopt.get_config()
+        config = settings.current
         if not config.plan_cache:
             plan = plan_statement(parse(sql), self)
             if config.optimizer:
@@ -977,8 +972,8 @@ class Database:
         from repro.obs.tracing import get_tracer
 
         registry = get_registry()
-        config = resilience.get_config()
-        context = resilience.context_from_config(config)
+        config = settings.current
+        context = resilience.context_from_config()
         tracer = get_tracer()
         depth = tracer.open_depth()
         try:
@@ -1043,13 +1038,9 @@ class Database:
         table drops its cached statistics and any registered indexes,
         since both describe the old contents.
 
-        ``PRAGMA threads[=N]`` and ``PRAGMA morsel_rows[=N]`` read or set
-        the morsel-driven parallel executor's knobs; ``PRAGMA
-        timeout_ms``, ``memory_budget_kb``, ``degrade``, ``max_retries``
-        and ``faults`` tune the query governor; ``PRAGMA dict_encode``,
-        ``zone_rows``, ``plan_cache``, ``plan_cache_size`` and
-        ``optimizer`` tune the scan-acceleration layer and the rule-based
-        plan optimizer.  The read form returns a one-row settings table.
+        ``PRAGMA <name>[=<value>]`` reads or sets a row of
+        :data:`repro.settings.SETTINGS`; the read form returns a one-row
+        settings table.
         """
         from repro.engine.sql.ast import (
             CreateTableStatement,
@@ -1085,273 +1076,87 @@ class Database:
             return self._execute_update(statement, stripped)
         raise CatalogError(f"unsupported statement {type(statement).__name__}")
 
-    #: every PRAGMA with the environment variable that seeds it — the one
-    #: list ``settings_table`` and the unknown-pragma message derive from
-    _SETTINGS = (
-        ("threads", "REPRO_THREADS"),
-        ("morsel_rows", "REPRO_MORSEL_ROWS"),
-        ("min_parallel_rows", "REPRO_PARALLEL_MIN_ROWS"),
-        ("delta_rows", "REPRO_DELTA_ROWS"),
-        ("dict_encode", "REPRO_DICT_ENCODE"),
-        ("zone_rows", "REPRO_ZONE_ROWS"),
-        ("plan_cache", "REPRO_PLAN_CACHE"),
-        ("plan_cache_size", "REPRO_PLAN_CACHE_SIZE"),
-        ("optimizer", "REPRO_OPTIMIZER"),
-        ("timeout_ms", "REPRO_TIMEOUT_MS"),
-        ("memory_budget_kb", "REPRO_MEMORY_BUDGET_KB"),
-        ("degrade", "REPRO_DEGRADE"),
-        ("degrade_rows", "REPRO_DEGRADE_ROWS"),
-        ("max_retries", "REPRO_MAX_RETRIES"),
-        ("faults", "REPRO_FAULTS"),
-        ("fault_seed", "REPRO_FAULT_SEED"),
-        ("wal", "REPRO_WAL"),
-        ("wal_sync", "REPRO_WAL_SYNC"),
-        ("wal_batch", "REPRO_WAL_BATCH"),
-        ("storage", "REPRO_STORAGE"),
-        ("shards", "REPRO_SHARDS"),
-        ("shard_by", "REPRO_SHARD_BY"),
-        ("shard_min_rows", "REPRO_SHARD_MIN_ROWS"),
-        ("shard_index", "REPRO_SHARD_INDEX"),
-    )
+    def _reshard_all(self) -> None:
+        """``PRAGMA shards=N`` acts on the tables already registered."""
+        config = settings.current
+        for name in list(self._tables):
+            existing = self._shard_layouts.get(name)
+            if config.shards <= 1:
+                self.apply_sharding(name, 0)
+            elif existing is not None:
+                if existing.num_shards != config.shards:
+                    # re-shard in place, keeping the table's spec
+                    self.apply_sharding(
+                        name, config.shards, shard_by=f"{existing.mode}({existing.key})"
+                    )
+            elif self._effective_rows(name) >= config.shard_min_rows:
+                try:
+                    self.apply_sharding(name, config.shards, shard_by=config.shard_by)
+                except CatalogError:
+                    # bulk action: skip tables the default spec cannot
+                    # partition (range on text)
+                    continue
 
-    #: integer-valued governor pragmas routed to ``repro.resilience.configure``
-    _RESILIENCE_INT_PRAGMAS = frozenset(
-        {
-            "timeout_ms",
-            "memory_budget_kb",
-            "degrade",
-            "degrade_rows",
-            "max_retries",
-            "fault_seed",
-        }
-    )
+    def _merge_over_threshold(self) -> None:
+        """A lowered ``delta_rows`` may put tables over it immediately."""
+        for name in list(self._tables):
+            self._maybe_merge(name)
+
+    def _encode_registered(self) -> None:
+        """``dict_encode=1`` encodes tables registered while it was off."""
+        for table in self._tables.values():
+            self._encode_strings(table)
+
+    #: what a ``PRAGMA name=value`` does to *this* database once the
+    #: setting is stored — the only per-setting code on the PRAGMA path
+    _PRAGMA_FOLLOW_UPS = {
+        "shards": _reshard_all,
+        "delta_rows": _merge_over_threshold,
+        "dict_encode": _encode_registered,
+    }
 
     def _execute_pragma(self, body: str) -> Table | int:
-        """``PRAGMA <name>[=<value>]``: parallel-execution and governor knobs.
+        """``PRAGMA [<name>[=<value>]]`` over :data:`repro.settings.SETTINGS`.
 
-        The set form returns 0 (like DDL); the read form returns a
-        one-row table with the current setting.  ``PRAGMA faults`` is the
-        one string-valued pragma (a fault-injection spec, or ``off``);
-        everything else takes an integer.  ``PRAGMA delta_rows`` tunes
-        the write path's merge threshold (0 = merge on every write) and
-        immediately merges any table already over the new threshold.
-        ``PRAGMA wal`` / ``wal_sync`` / ``wal_batch`` tune the durability
-        layer.  A bare ``PRAGMA`` lists every setting with its source.
+        The set form stores the value (process-wide), runs the setting's
+        follow-up on this database if it has one, and returns 0 like
+        DDL; the read form returns a one-row table with the current
+        value; a bare ``PRAGMA`` lists every setting with its source.
         """
-        from repro import resilience
-        from repro.engine import parallel
-        from repro.engine import wal as walmod
-
-        if not body.strip():
-            return self.settings_table()
         name, _, value = body.partition("=")
-        name = name.strip().lower()
-        value = value.strip()
-        wal_knobs = {"wal", "wal_batch"}
-        if name in wal_knobs:
-            if value:
-                try:
-                    parsed = int(value)
-                except ValueError:
-                    raise CatalogError(
-                        f"PRAGMA {name} expects an integer, got {value!r}"
-                    ) from None
-                try:
-                    walmod.configure(**{name: parsed})
-                except walmod.WalError as exc:
-                    raise CatalogError(str(exc)) from None
-                self._pragma_set.add(name)
-                return 0
-            current = getattr(walmod.get_config(), name)
-            return Table.from_rows([(name, int(current))], ["pragma", "value"])
-        if name == "wal_sync":
-            if value:
-                try:
-                    walmod.configure(wal_sync=value.strip("'\"").strip())
-                except walmod.WalError as exc:
-                    raise CatalogError(str(exc)) from None
-                self._pragma_set.add(name)
-                return 0
-            return Table.from_rows(
-                [(name, walmod.get_config().wal_sync)], ["pragma", "value"]
+        name, value = name.strip().lower(), value.strip()
+        if not name:
+            return self.settings_table()
+        if name not in settings.ROWS:
+            raise CatalogError(
+                f"unknown pragma {name!r}; expected one of {sorted(settings.ROWS)}"
             )
-        if name == "storage":
-            if value:
-                try:
-                    layouts.configure(storage=value.strip("'\"").strip())
-                except ValueError as exc:
-                    raise CatalogError(str(exc)) from None
-                self._pragma_set.add(name)
-                return 0
-            return Table.from_rows(
-                [(name, layouts.get_config().storage)], ["pragma", "value"]
-            )
-        if name == "shard_by":
-            from repro.engine import shards as shardsmod
-
-            if value:
-                spec = value.strip("'\"").strip()
-                try:
-                    shardsmod.configure(shard_by=spec)
-                except ValueError as exc:
-                    raise CatalogError(str(exc)) from None
-                self._pragma_set.add(name)
-                return 0
-            return Table.from_rows(
-                [(name, shardsmod.get_config().shard_by)], ["pragma", "value"]
-            )
-        shard_knobs = {"shards", "shard_min_rows", "shard_index"}
-        if name in shard_knobs:
-            from repro.engine import shards as shardsmod
-
-            if value:
-                try:
-                    parsed = int(value)
-                except ValueError:
-                    raise CatalogError(
-                        f"PRAGMA {name} expects an integer, got {value!r}"
-                    ) from None
-                try:
-                    shardsmod.configure(**{name: parsed})
-                except ValueError as exc:
-                    raise CatalogError(str(exc)) from None
-                self._pragma_set.add(name)
-                if name == "shards":
-                    config = shardsmod.get_config()
-                    for table_name in list(self._tables):
-                        existing = self._shard_layouts.get(table_name)
-                        if parsed <= 1:
-                            self.apply_sharding(table_name, 0)
-                        elif existing is not None:
-                            if existing.num_shards != parsed:
-                                # re-shard in place, keeping the table's spec
-                                self.apply_sharding(
-                                    table_name,
-                                    parsed,
-                                    shard_by=f"{existing.mode}({existing.key})",
-                                )
-                        elif self._effective_rows(table_name) >= config.shard_min_rows:
-                            try:
-                                self.apply_sharding(
-                                    table_name, parsed, shard_by=config.shard_by
-                                )
-                            except CatalogError:
-                                # bulk action: skip tables the default
-                                # spec cannot partition (range on text)
-                                continue
-                return 0
-            current = getattr(shardsmod.get_config(), name)
-            return Table.from_rows([(name, int(current))], ["pragma", "value"])
-        parallel_knobs = {"threads", "morsel_rows", "min_parallel_rows"}
-        scanopt_knobs = {
-            "dict_encode",
-            "zone_rows",
-            "plan_cache",
-            "plan_cache_size",
-            "optimizer",
-        }
-        if name == "delta_rows":
-            if value:
-                try:
-                    parsed = int(value)
-                except ValueError:
-                    raise CatalogError(
-                        f"PRAGMA {name} expects an integer, got {value!r}"
-                    ) from None
-                try:
-                    deltamod.configure(delta_rows=parsed)
-                except ValueError as exc:
-                    raise CatalogError(str(exc)) from None
-                self._pragma_set.add(name)
-                # a lowered threshold may put tables over it immediately
-                for table_name in list(self._tables):
-                    self._maybe_merge(table_name)
-                return 0
-            return Table.from_rows(
-                [(name, deltamod.get_config().delta_rows)], ["pragma", "value"]
-            )
-        if name in scanopt_knobs:
-            if value:
-                try:
-                    parsed = int(value)
-                except ValueError:
-                    raise CatalogError(
-                        f"PRAGMA {name} expects an integer, got {value!r}"
-                    ) from None
-                try:
-                    scanopt.configure(**{name: parsed})
-                except ValueError as exc:
-                    raise CatalogError(str(exc)) from None
-                self._pragma_set.add(name)
-                if name == "dict_encode" and parsed:
-                    # encode tables registered while the knob was off
-                    for table in self._tables.values():
-                        self._encode_strings(table)
-                return 0
-            current = getattr(scanopt.get_config(), name)
-            return Table.from_rows([(name, int(current))], ["pragma", "value"])
-        if name == "faults":
-            if value:
-                try:
-                    resilience.configure(faults=value.strip("'\"").strip())
-                except ValueError as exc:
-                    raise CatalogError(str(exc)) from None
-                self._pragma_set.add(name)
-                return 0
-            current = resilience.get_config().faults or "off"
+        if not value:
+            current = settings.shown(getattr(settings.current, name))
             return Table.from_rows([(name, current)], ["pragma", "value"])
-        if name in self._RESILIENCE_INT_PRAGMAS:
-            if value:
-                try:
-                    parsed = int(value)
-                except ValueError:
-                    raise CatalogError(
-                        f"PRAGMA {name} expects an integer, got {value!r}"
-                    ) from None
-                try:
-                    resilience.configure(**{name: parsed})
-                except ValueError as exc:
-                    raise CatalogError(str(exc)) from None
-                self._pragma_set.add(name)
-                return 0
-            current = getattr(resilience.get_config(), name)
-            return Table.from_rows([(name, int(current))], ["pragma", "value"])
-        if name not in parallel_knobs:
-            known = sorted(pragma for pragma, _env in self._SETTINGS)
-            raise CatalogError(f"unknown pragma {name!r}; expected one of {known}")
-        if value:
-            try:
-                parsed = int(value)
-            except ValueError:
-                raise CatalogError(f"PRAGMA {name} expects an integer, got {value!r}") from None
-            try:
-                parallel.configure(**{name: parsed})
-            except ValueError as exc:
-                raise CatalogError(str(exc)) from None
-            self._pragma_set.add(name)
-            return 0
-        config = parallel.get_config()
-        return Table.from_rows([(name, getattr(config, name))], ["pragma", "value"])
+        try:
+            settings.configure(**{name: value})
+        except ValueError as exc:
+            raise CatalogError(f"PRAGMA {exc}") from None
+        follow_up = self._PRAGMA_FOLLOW_UPS.get(name)
+        if follow_up is not None:
+            follow_up(self)
+        return 0
 
     def settings_table(self) -> Table:
         """Every tunable with its current value and provenance.
 
         This is what a bare ``PRAGMA`` (or the shell's ``\\pragma``)
         returns.  The source column distinguishes the built-in default,
-        an environment variable, and a ``PRAGMA`` issued through this
-        database — recovery-relevant configuration is thereby inspectable
-        before trusting a durable session.
+        an environment variable, and a value set this session —
+        recovery-relevant configuration is thereby inspectable before
+        trusting a durable session.
         """
-        rows = []
-        for pragma, env in self._SETTINGS:
-            current = self._execute_pragma(pragma).column("value")[0]
-            if pragma in self._pragma_set:
-                source = "pragma"
-            elif (os.environ.get(env) or "").strip():
-                source = f"env:{env}"
-            else:
-                source = "default"
-            rows.append((pragma, str(current), source))
+        store = settings.current
+        rows = [
+            (name, str(settings.shown(getattr(store, name))), store.source(name))
+            for name in settings.ROWS
+        ]
         return Table.from_rows(rows, ["pragma", "value", "source"])
 
     def _execute_explain(self, statement, statement_sql: str) -> Table:
@@ -1371,7 +1176,7 @@ class Database:
             lines = self.explain_analyze(inner).lines()
         else:
             plan = plan_statement(statement.statement, self)
-            if scanopt.get_config().optimizer:
+            if settings.current.optimizer:
                 optimize_plan(plan, self)
             lines = plan.explain().split("\n")
             lines.extend(f"note: {note}" for note in plan.notes)
@@ -1568,7 +1373,7 @@ class Database:
             if live_delta is not None:
                 mask_tail &= live_delta
             affected += int(mask_tail.sum())
-        dict_encode = scanopt.get_config().dict_encode
+        dict_encode = settings.current.dict_encode
         new_columns = {n: main.column(n) for n in main.column_names}
         new_rows = [list(row) for row in store.rows]
         positions = {n: i for i, n in enumerate(main.column_names)}

@@ -23,7 +23,7 @@ import io
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
-from repro.engine import scanopt
+from repro import settings
 from repro.engine.column import Column
 from repro.engine.table import Table
 from repro.engine.types import DataType
@@ -147,7 +147,7 @@ def read_csv(
     if skipped:
         get_registry().counter("loading.rows_skipped").inc(skipped)
     columns = []
-    encode = scanopt.get_config().dict_encode
+    encode = settings.current.dict_encode
     for i, (name, dtype) in enumerate(zip(names, dtypes)):
         column = Column([row[i] for row in parsed], dtype=dtype)
         if encode and dtype is DataType.STRING:

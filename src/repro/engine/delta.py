@@ -59,8 +59,6 @@ the checkpoint bytes.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -74,47 +72,7 @@ from repro.engine.statistics import (
 )
 from repro.engine.table import Table
 from repro.engine.types import DataType
-from repro.env import env_int
 from repro.errors import TypeMismatchError
-
-#: default merge threshold: delta rows + tombstones before folding into the main
-DEFAULT_DELTA_ROWS = 8192
-
-
-@dataclass
-class DeltaConfig:
-    """Write-path knobs.
-
-    Attributes:
-        delta_rows: merge threshold — a table's delta is folded into the
-            columnar main once pending inserts plus tombstones reach this
-            count.  ``0`` merges on every write (the rebuild-per-statement
-            behaviour, useful for stress tests); it never disables the
-            delta store itself.
-    """
-
-    delta_rows: int = DEFAULT_DELTA_ROWS
-
-
-_config = DeltaConfig(delta_rows=max(0, env_int("REPRO_DELTA_ROWS", DEFAULT_DELTA_ROWS)))
-_config_lock = threading.Lock()
-
-
-def get_config() -> DeltaConfig:
-    """The process-wide write-path configuration."""
-    return _config
-
-
-def configure(delta_rows: int | None = None) -> DeltaConfig:
-    """Update the write-path configuration (None leaves a knob unchanged)."""
-    global _config
-    with _config_lock:
-        new_delta_rows = _config.delta_rows if delta_rows is None else delta_rows
-        if new_delta_rows < 0:
-            raise ValueError("delta_rows must be >= 0")
-        _config = DeltaConfig(delta_rows=new_delta_rows)
-    return _config
-
 
 class DeltaStore:
     """Pending writes against one table: inserted rows and tombstones.

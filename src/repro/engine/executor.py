@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import settings
 from repro.engine import operators as ops
-from repro.engine import parallel, scanopt, shards, zonemap
+from repro.engine import parallel, shards, zonemap
 from repro.engine.expressions import truth_mask
 from repro.engine.planner import (
     AggregateNode,
@@ -99,7 +100,7 @@ def _note_fanout(profiler: PlanProfiler | None, num_rows: int) -> None:
     if profiler is not None:
         profiler.annotate(
             f"parallel: {parallel.morsel_count(num_rows)} morsels "
-            f"x {parallel.get_threads()} threads"
+            f"x {settings.current.threads} threads"
         )
 
 
@@ -234,7 +235,7 @@ def _classify_scan(
     on a memory-mapped main ``io.*``: the kernels only slice the listed
     spans, so there the pruning is an I/O-level skip too.
     """
-    config = scanopt.get_config()
+    config = settings.current
     gated = 0 < config.zone_rows < main.num_rows
     if gated or parallel.should_parallelize(main.num_rows):
         _check_types(node.predicate, main)

@@ -16,7 +16,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from repro.engine import scanopt
+from repro import settings
 from repro.engine.column import Column, column_from_parts
 from repro.engine.table import Table
 from repro.engine.types import DataType, common_type, python_value
@@ -342,7 +342,7 @@ class Comparison(Expression):
             data = inner.data.astype(target.numpy_dtype, copy=False)
             result = _COMPARATORS[op](data, target.numpy_dtype.type(value))
         elif target is DataType.STRING:
-            encoded = inner.dictionary() if scanopt.get_config().dict_encode else None
+            encoded = inner.dictionary() if settings.current.dict_encode else None
             if encoded is not None:
                 result = _compare_codes(encoded, str(value), op)
                 get_registry().counter("scan.dict_filters").inc()

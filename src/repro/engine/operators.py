@@ -10,7 +10,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.engine import scanopt
+from repro import settings
 from repro.engine.column import Column, column_from_parts
 from repro.engine.expressions import Expression, strip_outer_parens, truth_mask
 from repro.engine.sql.ast import AggregateCall, OrderItem, SelectItem
@@ -73,7 +73,7 @@ def _string_codes(column: Column) -> np.ndarray | None:
     iff equal strings, code order = string order), so they substitute for
     the payload in equality- and order-based operators.
     """
-    if not scanopt.get_config().dict_encode:
+    if not settings.current.dict_encode:
         return None
     encoded = column.dictionary()
     return encoded[0] if encoded is not None else None

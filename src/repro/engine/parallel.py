@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import pickle
 import threading
 import time
@@ -68,13 +67,13 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro import settings
 from repro.engine import operators as ops
 from repro.engine.column import Column, concat_columns
 from repro.engine.expressions import Expression, truth_mask
 from repro.engine.sql.ast import AggregateCall, OrderItem
 from repro.engine.table import Table, concat_tables
 from repro.engine.types import DataType
-from repro.env import env_int
 from repro.errors import ExecutionError, ResourceError
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import trace
@@ -83,90 +82,16 @@ from repro.resilience import (
     current_context,
     get_injector,
 )
-from repro.resilience import get_config as _resilience_config
 from repro.resilience.faults import FaultInjector
 
-DEFAULT_MORSEL_ROWS = 65_536
-
-
-class ParallelConfig:
-    """Tunables of the parallel executor (one process-wide instance).
-
-    Attributes:
-        threads: worker count; 0 or 1 means serial execution.
-        morsel_rows: rows per morsel.
-        min_parallel_rows: inputs smaller than this run serially.
-        pool_kind: ``"thread"`` (default) or ``"process"`` (experimental;
-            requires picklable plans and pays per-task serialisation).
-    """
-
-    __slots__ = ("threads", "morsel_rows", "min_parallel_rows", "pool_kind")
-
-    def __init__(self) -> None:
-        self.threads = max(0, env_int("REPRO_THREADS", 0))
-        self.morsel_rows = max(1, env_int("REPRO_MORSEL_ROWS", DEFAULT_MORSEL_ROWS))
-        self.min_parallel_rows = max(
-            1, env_int("REPRO_PARALLEL_MIN_ROWS", 2 * self.morsel_rows)
-        )
-        self.pool_kind = os.environ.get("REPRO_POOL", "thread")
-
-
-_config = ParallelConfig()
 _pool_lock = threading.Lock()
 _pool: Executor | None = None
 _pool_signature: tuple[int, str] | None = None
 
 
-def get_config() -> ParallelConfig:
-    """The process-wide parallel-execution configuration."""
-    return _config
-
-
-def configure(
-    threads: int | None = None,
-    morsel_rows: int | None = None,
-    min_parallel_rows: int | None = None,
-    pool_kind: str | None = None,
-) -> ParallelConfig:
-    """Update the parallel configuration; omitted fields keep their value.
-
-    Setting ``morsel_rows`` without ``min_parallel_rows`` re-derives the
-    serial-fallback threshold as ``2 * morsel_rows``.
-    """
-    if threads is not None:
-        if threads < 0:
-            raise ValueError("threads must be >= 0")
-        _config.threads = threads
-    if morsel_rows is not None:
-        if morsel_rows < 1:
-            raise ValueError("morsel_rows must be >= 1")
-        _config.morsel_rows = morsel_rows
-        if min_parallel_rows is None:
-            _config.min_parallel_rows = 2 * morsel_rows
-    if min_parallel_rows is not None:
-        if min_parallel_rows < 1:
-            raise ValueError("min_parallel_rows must be >= 1")
-        _config.min_parallel_rows = min_parallel_rows
-    if pool_kind is not None:
-        if pool_kind not in ("thread", "process"):
-            raise ValueError("pool_kind must be 'thread' or 'process'")
-        _config.pool_kind = pool_kind
-    return _config
-
-
-def set_threads(n: int) -> None:
-    """Set the worker count (0 or 1 = serial execution)."""
-    configure(threads=n)
-
-
-def get_threads() -> int:
-    """The configured worker count."""
-    return _config.threads
-
-
 def should_parallelize(num_rows: int) -> bool:
     """True when an operator over ``num_rows`` rows should use the pool."""
-    return _config.threads >= 2 and num_rows >= _config.min_parallel_rows
+    return settings.current.threads >= 2 and num_rows >= settings.current.min_parallel_rows
 
 
 def shutdown_pool() -> None:
@@ -182,16 +107,16 @@ def shutdown_pool() -> None:
 def _get_pool() -> Executor:
     """The shared executor, (re)built when threads/pool_kind change."""
     global _pool, _pool_signature
-    signature = (_config.threads, _config.pool_kind)
+    signature = (settings.current.threads, settings.current.pool_kind)
     with _pool_lock:
         if _pool is None or _pool_signature != signature:
             if _pool is not None:
                 _pool.shutdown(wait=True)
-            if _config.pool_kind == "process":
-                _pool = ProcessPoolExecutor(max_workers=_config.threads)
+            if settings.current.pool_kind == "process":
+                _pool = ProcessPoolExecutor(max_workers=settings.current.threads)
             else:
                 _pool = ThreadPoolExecutor(
-                    max_workers=_config.threads,
+                    max_workers=settings.current.threads,
                     thread_name_prefix="repro-morsel",
                 )
             _pool_signature = signature
@@ -200,7 +125,7 @@ def _get_pool() -> Executor:
 
 def morsel_ranges(num_rows: int, morsel_rows: int | None = None) -> list[tuple[int, int]]:
     """Split ``[0, num_rows)`` into contiguous ``[start, stop)`` morsels."""
-    size = morsel_rows if morsel_rows is not None else _config.morsel_rows
+    size = morsel_rows if morsel_rows is not None else settings.current.morsel_rows
     if num_rows <= 0:
         return []
     return [(start, min(start + size, num_rows)) for start in range(0, num_rows, size)]
@@ -231,7 +156,7 @@ def _is_pool_failure(exc: BaseException) -> bool:
     """
     if isinstance(exc, BrokenProcessPool):
         return True
-    if _config.pool_kind != "process":
+    if settings.current.pool_kind != "process":
         return False
     return isinstance(exc, pickle.PicklingError) or "pickle" in str(exc).lower()
 
@@ -266,18 +191,18 @@ def _run_tasks(
     registry = get_registry()
     registry.counter("parallel.morsels").inc(len(arg_tuples))
     registry.counter("parallel.batches").inc()
-    registry.gauge("parallel.workers").set(_config.threads)
+    registry.gauge("parallel.workers").set(settings.current.threads)
     with registry.timer("parallel.batch_time").time():
         try:
             return _run_batch(fn, arg_tuples)
         except _PoolFailure as failure:
-            if _config.pool_kind != "process":
+            if settings.current.pool_kind != "process":
                 raise ExecutionError(
                     f"worker pool failed on morsel {failure.morsel[0]}:"
                     f"{failure.morsel[1]}: {failure.cause}"
                 ) from failure.cause
             registry.counter("resilience.pool_fallbacks").inc()
-            configure(pool_kind="thread")  # pool is rebuilt lazily
+            settings.configure(pool_kind="thread")  # pool is rebuilt lazily
             try:
                 return _run_batch(fn, arg_tuples)
             except _PoolFailure as second:
@@ -303,7 +228,7 @@ def _run_batch(fn: Callable[..., Any], arg_tuples: Sequence[tuple]) -> list[Any]
     # governor between morsels.  The injector is pure value state (spec +
     # seed; decisions hash the morsel key), so it ships with each task and
     # faults fire in process workers exactly as they do on the thread pool.
-    task_ctx = None if _config.pool_kind == "process" else ctx
+    task_ctx = None if settings.current.pool_kind == "process" else ctx
     batch = next(_batch_counter)
     pool = _get_pool()
     tasks = [
@@ -314,7 +239,7 @@ def _run_batch(fn: Callable[..., Any], arg_tuples: Sequence[tuple]) -> list[Any]
     # keeps the last task and then takes back whatever the pool has not
     # started: a lone task costs no cross-thread hand-off, and a worker
     # that is slow to wake delays the batch by no more than its own work.
-    helping = bool(tasks) and _config.pool_kind == "thread"
+    helping = bool(tasks) and settings.current.pool_kind == "thread"
     pooled = tasks[:-1] if helping else tasks
     futures: list[Any] = []
     try:
@@ -358,6 +283,10 @@ def _run_inline(task: tuple) -> Future:
     return done
 
 
+#: base backoff before a crashed morsel's second serial retry (doubles per attempt)
+_RETRY_BACKOFF_S = 0.001
+
+
 def _retry_morsel_serially(
     fn: Callable[..., Any], args: tuple, key: tuple[int, int], exc: BaseException
 ) -> Any:
@@ -370,11 +299,11 @@ def _retry_morsel_serially(
     """
     registry = get_registry()
     registry.counter("resilience.morsel_failures").inc()
-    config = _resilience_config()
+    max_retries = settings.current.max_retries
     last: BaseException = exc
-    for attempt in range(config.max_retries):
+    for attempt in range(max_retries):
         if attempt:
-            time.sleep(config.retry_backoff_s * (2 ** (attempt - 1)))
+            time.sleep(_RETRY_BACKOFF_S * (2 ** (attempt - 1)))
         registry.counter("resilience.retries").inc()
         try:
             with trace(
@@ -389,7 +318,7 @@ def _retry_morsel_serially(
         except Exception as retry_exc:
             last = retry_exc
     raise ExecutionError(
-        f"morsel {key[0]}:{key[1]} failed after {config.max_retries} "
+        f"morsel {key[0]}:{key[1]} failed after {max_retries} "
         f"retries: {last}"
     ) from last
 
@@ -485,7 +414,7 @@ def _span_tasks(
     spans = [(0, table.num_rows, True)] if ranges is None else ranges
     pooled = should_parallelize(sum(stop - start for start, stop, _ in spans))
     if pooled:
-        size = _config.morsel_rows
+        size = settings.current.morsel_rows
         spans = [
             (cut, min(cut + size, stop), evaluate)
             for start, stop, evaluate in spans

@@ -48,89 +48,13 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro import settings
 from repro.engine import operators as ops
 from repro.engine import parallel
 from repro.engine.table import Table, concat_tables
-from repro.env import env_int
 from repro.indexing.updates import UpdatableCrackerIndex
 from repro.obs.metrics import get_registry
 from repro.storage import layouts
-
-
-def parse_shard_by(text: str) -> tuple[str, str | None]:
-    """Parse a ``hash``/``hash(col)``/``range(col)`` spec into (mode, key)."""
-    spec = str(text).strip().strip("'\"").strip()
-    head, paren, tail = spec.partition("(")
-    mode = head.strip().lower()
-    key: str | None = None
-    if paren:
-        if not tail.endswith(")"):
-            raise ValueError(f"malformed shard_by spec: {text!r}")
-        key = tail[:-1].strip() or None
-    if mode not in ("hash", "range"):
-        raise ValueError(
-            f"shard_by must be hash[(col)] or range(col), got {text!r}"
-        )
-    return mode, key
-
-
-class ShardConfig:
-    """Tunables of the sharding layer (one process-wide instance).
-
-    Attributes:
-        shards: default shard count for new/merged tables; 0 disables
-            automatic sharding (tables can still be sharded via PRAGMA).
-        shard_by: default partitioning spec, ``"hash"``/``"hash(col)"``
-            or ``"range(col)"``; without a column the table's first
-            column is the key.
-        shard_min_rows: tables smaller than this are not auto-sharded.
-        shard_index: build a partition-local cracker index on the shard
-            key (1, default) or not (0).
-    """
-
-    __slots__ = ("shards", "shard_by", "shard_min_rows", "shard_index")
-
-    def __init__(self) -> None:
-        self.shards = max(0, env_int("REPRO_SHARDS", 0))
-        raw = os.environ.get("REPRO_SHARD_BY", "hash")
-        try:
-            parse_shard_by(raw)
-            self.shard_by = raw
-        except ValueError:
-            self.shard_by = "hash"
-        self.shard_min_rows = max(1, env_int("REPRO_SHARD_MIN_ROWS", 65_536))
-        self.shard_index = env_int("REPRO_SHARD_INDEX", 1) != 0
-
-
-_config = ShardConfig()
-
-
-def get_config() -> ShardConfig:
-    """The process-wide sharding configuration."""
-    return _config
-
-
-def configure(
-    shards: int | None = None,
-    shard_by: str | None = None,
-    shard_min_rows: int | None = None,
-    shard_index: bool | None = None,
-) -> ShardConfig:
-    """Update the sharding configuration; omitted fields keep their value."""
-    if shards is not None:
-        if shards < 0:
-            raise ValueError("shards must be >= 0")
-        _config.shards = shards
-    if shard_by is not None:
-        parse_shard_by(shard_by)  # validates
-        _config.shard_by = shard_by
-    if shard_min_rows is not None:
-        if shard_min_rows < 1:
-            raise ValueError("shard_min_rows must be >= 1")
-        _config.shard_min_rows = shard_min_rows
-    if shard_index is not None:
-        _config.shard_index = bool(shard_index)
-    return _config
 
 
 # -- layouts -------------------------------------------------------------------------
@@ -454,7 +378,7 @@ def _schedule(layout, ranges, profiler):
 
 def _sources(name, table, layout, scheduled, database, pooled):
     """Per-shard task sources: slices, or epoch-cached refs in process mode."""
-    use_refs = pooled and parallel.get_config().pool_kind == "process"
+    use_refs = pooled and settings.current.pool_kind == "process"
     sources = []
     for s in scheduled:
         if use_refs:
@@ -469,7 +393,7 @@ def _sources(name, table, layout, scheduled, database, pooled):
 def _note_shard_fanout(profiler, tasks: int) -> None:
     if profiler is not None:
         profiler.annotate(
-            f"parallel: {tasks} shard tasks x {parallel.get_threads()} threads"
+            f"parallel: {tasks} shard tasks x {settings.current.threads} threads"
         )
 
 

@@ -62,6 +62,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro import settings
 from repro.engine.statistics import (
     ColumnStatistics,
     ColumnZones,
@@ -69,7 +70,6 @@ from repro.engine.statistics import (
     ZoneMap,
 )
 from repro.engine.types import DataType, python_value
-from repro.env import env_int
 from repro.errors import RecoveryError, ReproError, WalError
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import trace
@@ -88,8 +88,6 @@ _KIND_BLOB = 2
 #: frames claiming more than this are treated as garbage length fields
 _MAX_RECORD = 1 << 31
 
-SYNC_POLICIES = ("off", "commit", "batch")
-DEFAULT_WAL_BATCH = 64
 #: Checkpoint format: v1 stored one ``.npz`` per column; v2 stores raw
 #: per-part ``.npy`` files so columns can be reopened as read-only
 #: ``np.memmap`` views (``PRAGMA storage=mmap``).  v1 dirs stay readable.
@@ -98,57 +96,6 @@ _FORMAT_VERSION = 2
 #: offsets, bounds); readers without sharding support must not open it
 _SHARDED_FORMAT_VERSION = 3
 _READABLE_FORMATS = (1, 2, 3)
-
-
-class WalConfig:
-    """Durability tunables (one process-wide instance).
-
-    Attributes:
-        wal: whether durable databases log writes at all.  With the WAL
-            off a ``Database(path=...)`` is checkpoint-only durable:
-            writes since the last :meth:`~Database.checkpoint` die with
-            the process.
-        wal_sync: fsync policy — ``"commit"``, ``"batch"`` or ``"off"``.
-        wal_batch: records between fsyncs under the ``batch`` policy.
-    """
-
-    __slots__ = ("wal", "wal_sync", "wal_batch")
-
-    def __init__(self) -> None:
-        self.wal = env_int("REPRO_WAL", 1) != 0
-        sync = os.environ.get("REPRO_WAL_SYNC", "commit").strip().lower()
-        self.wal_sync = sync if sync in SYNC_POLICIES else "commit"
-        self.wal_batch = max(1, env_int("REPRO_WAL_BATCH", DEFAULT_WAL_BATCH))
-
-
-_config = WalConfig()
-
-
-def get_config() -> WalConfig:
-    """The process-wide durability configuration."""
-    return _config
-
-
-def configure(
-    wal: bool | int | None = None,
-    wal_sync: str | None = None,
-    wal_batch: int | None = None,
-) -> WalConfig:
-    """Update the durability configuration; omitted fields keep their value."""
-    if wal is not None:
-        _config.wal = bool(wal)
-    if wal_sync is not None:
-        policy = wal_sync.strip().lower()
-        if policy not in SYNC_POLICIES:
-            raise WalError(
-                f"unknown wal_sync policy {wal_sync!r}; expected one of {list(SYNC_POLICIES)}"
-            )
-        _config.wal_sync = policy
-    if wal_batch is not None:
-        if wal_batch < 1:
-            raise WalError("wal_batch must be >= 1")
-        _config.wal_batch = wal_batch
-    return _config
 
 
 # -- record framing ----------------------------------------------------------------
@@ -307,7 +254,7 @@ class WriteAheadLog:
         registry.counter("wal.bytes").inc(len(frame))
         if injector is not None and injector.fires("wal_pre_fsync", ("wal", lsn)):
             self._die("crash after append, before fsync")
-        config = get_config()
+        config = settings.current
         if config.wal_sync == "commit" or (
             config.wal_sync == "batch" and self._appends_since_sync >= config.wal_batch
         ):
@@ -685,7 +632,7 @@ class DurabilityManager:
 
     def open_into(self, db: "Database") -> dict[str, Any]:
         """Load checkpoint + WAL into ``db`` and arm the log for appends."""
-        loaded = load_checkpoint(self.root, layouts.get_config().storage)
+        loaded = load_checkpoint(self.root, settings.current.storage)
         tables: list[tuple[str, Any, TableStatistics | None, dict | None]] = []
         if loaded is not None:
             self.checkpoint_id, tables = loaded
@@ -883,8 +830,8 @@ class DurabilityManager:
             "durable_bytes": wal.durable_bytes if wal is not None else 0,
             "records_logged": wal.records_logged if wal is not None else 0,
             "durable_records": wal.durable_records if wal is not None else 0,
-            "sync_policy": get_config().wal_sync,
-            "logging": get_config().wal,
+            "sync_policy": settings.current.wal_sync,
+            "logging": settings.current.wal,
         }
 
     def close(self) -> None:

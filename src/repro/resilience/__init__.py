@@ -26,12 +26,9 @@ surfaces below are dependency-light and safe to import from the engine.
 from repro.resilience.context import (
     CancellationToken,
     QueryContext,
-    ResilienceConfig,
     activate,
-    configure,
     context_from_config,
     current_context,
-    get_config,
 )
 from repro.resilience.faults import (
     CRASH_POINTS,
@@ -52,13 +49,10 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "QueryContext",
-    "ResilienceConfig",
     "SimulatedCrashError",
     "activate",
-    "configure",
     "context_from_config",
     "current_context",
-    "get_config",
     "get_injector",
     "parse_faults",
 ]

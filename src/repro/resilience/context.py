@@ -1,12 +1,12 @@
 """Per-query governance: deadlines, cancellation tokens, memory budgets.
 
 A :class:`QueryContext` is created when a query starts (from the
-process-wide :class:`ResilienceConfig`, tuned via ``PRAGMA timeout_ms``
-and friends) and installed in a thread-local slot for the duration of
-execution.  The executor calls :meth:`QueryContext.check` between plan
-operators and the morsel pool calls it at morsel boundaries, so a
-deadline or cancellation surfaces within roughly one morsel's work (see
-DESIGN.md for the latency model).
+``timeout_ms`` / ``memory_budget_kb`` rows of :mod:`repro.settings`) and
+installed in a thread-local slot for the duration of execution.  The
+executor calls :meth:`QueryContext.check` between plan operators and the
+morsel pool calls it at morsel boundaries, so a deadline or cancellation
+surfaces within roughly one morsel's work (see DESIGN.md for the latency
+model).
 
 Memory is governed by *estimated allocation accounting*: every operator
 output is charged against the budget via :meth:`QueryContext.charge`
@@ -18,105 +18,11 @@ OOM.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
-from repro.env import env_int
+from repro import settings
 from repro.errors import MemoryBudgetError, QueryCancelledError, QueryTimeoutError
-
-
-class ResilienceConfig:
-    """Tunables of the query governor (one process-wide instance).
-
-    Attributes:
-        timeout_ms: per-query deadline in milliseconds; 0 means none.
-        memory_budget_kb: per-query budget for estimated intermediate
-            allocations, in KiB; 0 means unlimited.
-        degrade: when truthy, a query that hits its deadline or memory
-            budget and is a degradable aggregate returns an approximate
-            answer with confidence bounds instead of failing.
-        degrade_rows: row budget of the uniform sample a degraded answer
-            is computed from.
-        max_retries: serial retries of a morsel whose worker crashed.
-        retry_backoff_s: base backoff before the second retry (doubles).
-        faults: fault-injection spec, e.g. ``"worker_crash:0.05,slow_morsel:0.1:20"``
-            (see :mod:`repro.resilience.faults`); empty disables injection.
-        fault_seed: seed of the deterministic injection hash.
-    """
-
-    __slots__ = (
-        "timeout_ms",
-        "memory_budget_kb",
-        "degrade",
-        "degrade_rows",
-        "max_retries",
-        "retry_backoff_s",
-        "faults",
-        "fault_seed",
-    )
-
-    def __init__(self) -> None:
-        self.timeout_ms = max(0, env_int("REPRO_TIMEOUT_MS", 0))
-        self.memory_budget_kb = max(0, env_int("REPRO_MEMORY_BUDGET_KB", 0))
-        self.degrade = bool(env_int("REPRO_DEGRADE", 0))
-        self.degrade_rows = max(1, env_int("REPRO_DEGRADE_ROWS", 10_000))
-        self.max_retries = max(0, env_int("REPRO_MAX_RETRIES", 2))
-        self.retry_backoff_s = 0.001
-        self.faults = os.environ.get("REPRO_FAULTS", "")
-        self.fault_seed = env_int("REPRO_FAULT_SEED", 0)
-
-
-_config = ResilienceConfig()
-
-
-def get_config() -> ResilienceConfig:
-    """The process-wide governor configuration."""
-    return _config
-
-
-def configure(
-    timeout_ms: int | None = None,
-    memory_budget_kb: int | None = None,
-    degrade: int | bool | None = None,
-    degrade_rows: int | None = None,
-    max_retries: int | None = None,
-    faults: str | None = None,
-    fault_seed: int | None = None,
-) -> ResilienceConfig:
-    """Update the governor configuration; omitted fields keep their value.
-
-    ``faults`` accepts a spec string (validated immediately), or any of
-    ``""``/``"off"``/``"none"`` to disable injection.
-    """
-    if timeout_ms is not None:
-        if timeout_ms < 0:
-            raise ValueError("timeout_ms must be >= 0 (0 = no deadline)")
-        _config.timeout_ms = timeout_ms
-    if memory_budget_kb is not None:
-        if memory_budget_kb < 0:
-            raise ValueError("memory_budget_kb must be >= 0 (0 = unlimited)")
-        _config.memory_budget_kb = memory_budget_kb
-    if degrade is not None:
-        _config.degrade = bool(degrade)
-    if degrade_rows is not None:
-        if degrade_rows < 1:
-            raise ValueError("degrade_rows must be >= 1")
-        _config.degrade_rows = degrade_rows
-    if max_retries is not None:
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        _config.max_retries = max_retries
-    if faults is not None:
-        from repro.resilience.faults import parse_faults
-
-        if faults.strip().lower() in ("off", "none"):
-            faults = ""
-        parse_faults(faults)  # validate eagerly; raises ValueError
-        _config.faults = faults
-    if fault_seed is not None:
-        _config.fault_seed = fault_seed
-    return _config
 
 
 class CancellationToken:
@@ -226,9 +132,9 @@ class QueryContext:
         self.bytes_charged = max(0, self.bytes_charged - int(nbytes))
 
 
-def context_from_config(config: ResilienceConfig | None = None) -> QueryContext:
-    """A fresh :class:`QueryContext` initialised from the configuration."""
-    config = config if config is not None else _config
+def context_from_config() -> QueryContext:
+    """A fresh :class:`QueryContext` initialised from the settings."""
+    config = settings.current
     return QueryContext(
         timeout_ms=config.timeout_ms or None,
         memory_budget_bytes=config.memory_budget_kb * 1024 or None,

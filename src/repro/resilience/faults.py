@@ -44,6 +44,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro import settings
+
 FAULT_POINTS = (
     "worker_crash",
     "slow_morsel",
@@ -197,20 +199,14 @@ _cache: tuple[tuple[str, int], FaultInjector | None] | None = None
 def get_injector() -> FaultInjector | None:
     """The injector for the current configuration (None when disabled).
 
-    Rebuilt automatically when ``faults``/``fault_seed`` change; the spec
-    was validated at configure time, so a stale unparsable environment
-    value degrades to "no injection" rather than failing queries.
+    Rebuilt automatically when ``faults``/``fault_seed`` change; the
+    store only ever holds a spec :func:`parse_faults` accepted.
     """
-    from repro.resilience.context import get_config
-
     global _cache
-    config = get_config()
+    config = settings.current
     signature = (config.faults, config.fault_seed)
     if _cache is None or _cache[0] != signature:
-        try:
-            specs = parse_faults(config.faults)
-        except ValueError:
-            specs = {}
+        specs = parse_faults(config.faults)
         injector = FaultInjector(specs, config.fault_seed) if specs else None
         _cache = (signature, injector)
     return _cache[1]

@@ -17,9 +17,8 @@ durability layer (:mod:`repro.engine.wal`) persists every column through
 :func:`save_column_files`/:func:`open_column_files` — raw per-part
 ``.npy`` files (the dense payload, the validity mask and any dictionary
 encoding) that the out-of-core tier can reopen as read-only
-``np.memmap`` views instead of materialised arrays.  ``PRAGMA
-storage=memory|mmap`` / ``REPRO_STORAGE`` selects the mode through
-:func:`get_config`/:func:`configure`.  The older one-``.npz``-per-column
+``np.memmap`` views instead of materialised arrays (the ``storage``
+row of :mod:`repro.settings` selects the mode).  The older one-``.npz``-per-column
 form (:func:`save_column`/:func:`load_column`) remains for WAL snapshot
 blobs and v1 checkpoints.  No pickle anywhere: STRING payloads
 round-trip through NumPy unicode arrays, which keeps checkpoint files
@@ -303,49 +302,8 @@ def table_from_bytes(blob: bytes) -> "Table":
 # The dictionary part is always loaded into RAM — it is tiny (distinct
 # values only) and every comparison kernel touches it.
 
-#: Valid values for ``PRAGMA storage`` / ``REPRO_STORAGE``.
+#: The modes :func:`open_column_files` accepts.
 STORAGE_MODES = ("memory", "mmap")
-
-
-@dataclass
-class StorageConfig:
-    """How checkpointed columns are (re)opened.
-
-    ``memory`` materialises every column as a dense in-RAM array (the
-    historical behaviour); ``mmap`` opens checkpoint part files as
-    read-only ``np.memmap`` views so cold data stays on disk until a
-    scan actually touches it.
-    """
-
-    storage: str = "memory"
-
-    @classmethod
-    def from_env(cls) -> "StorageConfig":
-        mode = os.environ.get("REPRO_STORAGE", "memory").strip().lower()
-        if mode not in STORAGE_MODES:
-            mode = "memory"
-        return cls(storage=mode)
-
-
-_config = StorageConfig.from_env()
-
-
-def get_config() -> StorageConfig:
-    """The process-wide storage configuration."""
-    return _config
-
-
-def configure(*, storage: str | None = None) -> StorageConfig:
-    """Update the storage configuration (``PRAGMA storage`` backend)."""
-    if storage is not None:
-        mode = str(storage).strip().lower()
-        if mode not in STORAGE_MODES:
-            raise ValueError(
-                f"unknown storage mode {storage!r}; expected one of "
-                + ", ".join(STORAGE_MODES)
-            )
-        _config.storage = mode
-    return _config
 
 
 def _fsync_save(path: Path, array: np.ndarray) -> None:

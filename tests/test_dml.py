@@ -16,49 +16,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import resilience
+from repro import settings
 from repro.engine import Database, Table
-from repro.engine import delta as deltamod
-from repro.engine import parallel, scanopt
 from repro.engine.column import Column
 from repro.engine.types import DataType
 from repro.errors import CatalogError, TypeMismatchError
 from repro.indexing import CrackerIndex
 from repro.indexing.updates import UpdatableCrackerIndex
 from repro.obs.metrics import MetricsRegistry, set_registry
+from tests.conftest import pin_defaults
 from tests.test_parallel import tables_bit_identical
 from tests.test_sql_differential import random_query, random_table
 
 
 @pytest.fixture(autouse=True)
 def _reset_write_path():
-    """Pin a deterministic write-path/accel config, restore the ambient one."""
-    saved_delta = deltamod.get_config().delta_rows
-    accel = scanopt.get_config()
-    par = parallel.get_config()
-    gov = resilience.get_config()
-    saved = (
-        accel.dict_encode, accel.zone_rows, accel.plan_cache, accel.plan_cache_size,
-        par.threads, par.morsel_rows, par.min_parallel_rows,
-        gov.faults, gov.fault_seed,
-    )
-    deltamod.configure(delta_rows=deltamod.DEFAULT_DELTA_ROWS)
-    scanopt.configure(
-        dict_encode=True,
-        zone_rows=scanopt.DEFAULT_ZONE_ROWS,
-        plan_cache=True,
-        plan_cache_size=scanopt.DEFAULT_PLAN_CACHE_SIZE,
-    )
-    yield
-    deltamod.configure(delta_rows=saved_delta)
-    scanopt.configure(
-        dict_encode=saved[0], zone_rows=saved[1],
-        plan_cache=saved[2], plan_cache_size=saved[3],
-    )
-    parallel.configure(
-        threads=saved[4], morsel_rows=saved[5], min_parallel_rows=saved[6]
-    )
-    resilience.configure(faults=saved[7] or "off", fault_seed=saved[8])
+    """Pin a deterministic write-path/accel config."""
+    pin_defaults("delta_rows", "dict_encode", "zone_rows", "plan_cache", "plan_cache_size")
 
 
 def _db(**tables) -> Database:
@@ -319,7 +293,7 @@ class TestDeltaMechanics:
         assert exact.row_count == 4 and exact.column("x").max_value == 10
 
     def test_zone_map_extended_across_merge(self):
-        scanopt.configure(zone_rows=8)
+        settings.configure(zone_rows=8)
         n = 64
         db = _db(t={"x": list(range(n))})
         db.execute("PRAGMA delta_rows=1000")
@@ -553,38 +527,34 @@ def test_dml_corpus_matches_rebuild_oracle(seed: int, delta_rows: int) -> None:
         op, next_id = _random_dml(rng, next_id)
         script.append(op)
 
-    try:
-        deltamod.configure(delta_rows=delta_rows)
-        scanopt.configure(dict_encode=True, zone_rows=8, plan_cache=True)
-        parallel.configure(threads=4, morsel_rows=7, min_parallel_rows=1)
-        resilience.configure(faults="worker_crash:0.1", fault_seed=seed)
-        db = Database()
-        db.create_table("t", table)
-        for step, op in enumerate(script):
-            _apply_dml(db, rows, op)
-            if step % 2 and step != len(script) - 1:
-                continue  # query every other step and at the end
-            oracle_db = _rebuild_oracle(rows)
-            for sql in queries:
-                got = db.sql(sql)
-                parallel.configure(threads=0)
-                resilience.configure(faults="off")
-                scanopt.configure(dict_encode=False, zone_rows=0, plan_cache=False)
-                try:
-                    expected = oracle_db.sql(sql)
-                finally:
-                    scanopt.configure(dict_encode=True, zone_rows=8, plan_cache=True)
-                    parallel.configure(threads=4, morsel_rows=7, min_parallel_rows=1)
-                    resilience.configure(faults="worker_crash:0.1", fault_seed=seed)
-                try:
-                    tables_bit_identical(got, expected)
-                except AssertionError as exc:
-                    raise AssertionError(
-                        f"write path diverged after step {step} ({op[0]}) on: {sql}"
-                    ) from exc
-    finally:
-        parallel.configure(threads=0, morsel_rows=parallel.DEFAULT_MORSEL_ROWS)
-        resilience.configure(faults="off")
+    under_test = dict(
+        dict_encode=True, zone_rows=8, plan_cache=True,
+        threads=4, morsel_rows=7, min_parallel_rows=1,
+        faults="worker_crash:0.1", fault_seed=seed,
+    )
+    settings.configure(delta_rows=delta_rows, **under_test)
+    db = Database()
+    db.create_table("t", table)
+    for step, op in enumerate(script):
+        _apply_dml(db, rows, op)
+        if step % 2 and step != len(script) - 1:
+            continue  # query every other step and at the end
+        oracle_db = _rebuild_oracle(rows)
+        for sql in queries:
+            got = db.sql(sql)
+            settings.configure(
+                threads=0, faults="off", dict_encode=False, zone_rows=0, plan_cache=False
+            )
+            try:
+                expected = oracle_db.sql(sql)
+            finally:
+                settings.configure(**under_test)
+            try:
+                tables_bit_identical(got, expected)
+            except AssertionError as exc:
+                raise AssertionError(
+                    f"write path diverged after step {step} ({op[0]}) on: {sql}"
+                ) from exc
 
 
 def _rebuild_oracle(rows: list[dict]) -> Database:

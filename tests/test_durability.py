@@ -21,14 +21,13 @@ import struct
 import numpy as np
 import pytest
 
-from repro import resilience
+from repro import settings
 from repro.engine import Database, Table
-from repro.engine import delta as deltamod
-from repro.engine import scanopt
 from repro.engine import wal as walmod
 from repro.errors import CatalogError, RecoveryError, WalError
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.resilience import SimulatedCrashError
+from tests.conftest import pin_defaults
 from tests.test_dml import _apply_dml, _python_matches, _random_dml, _rebuild_oracle
 from tests.test_parallel import tables_bit_identical
 from tests.test_sql_differential import random_table
@@ -36,21 +35,11 @@ from tests.test_sql_differential import random_table
 
 @pytest.fixture(autouse=True)
 def _pin_durability_config():
-    """Deterministic durability/write-path config; restore the ambient one."""
-    saved_wal = walmod.get_config()
-    saved = (saved_wal.wal, saved_wal.wal_sync, saved_wal.wal_batch)
-    saved_delta = deltamod.get_config().delta_rows
-    gov = resilience.get_config()
-    saved_gov = (gov.faults, gov.fault_seed)
-    walmod.configure(wal=True, wal_sync="commit", wal_batch=walmod.DEFAULT_WAL_BATCH)
-    deltamod.configure(delta_rows=deltamod.DEFAULT_DELTA_ROWS)
-    resilience.configure(faults="off", fault_seed=0)
+    """Deterministic durability/write-path config and a fresh metrics registry."""
+    pin_defaults("wal", "wal_sync", "wal_batch", "delta_rows", "faults", "fault_seed")
     registry = MetricsRegistry()
     set_registry(registry)
-    yield registry
-    walmod.configure(wal=saved[0], wal_sync=saved[1], wal_batch=saved[2])
-    deltamod.configure(delta_rows=saved_delta)
-    resilience.configure(faults=saved_gov[0] or "off", fault_seed=saved_gov[1])
+    return registry
 
 
 # -- record framing -------------------------------------------------------------------
@@ -164,28 +153,25 @@ class TestPersistReopen:
             assert list(db2.get_table("t").column("a").to_list()) == list(range(20))
 
     def test_checkpoint_preserves_statistics_and_dictionary(self, tmp_path):
-        scanopt.configure(zone_rows=8)
-        try:
-            with Database(path=tmp_path) as db:
-                db.create_table(
-                    "t", {"a": list(range(40)), "s": ["ash", "oak"] * 20}
-                )
-                stats = db.statistics("t")
-                zones = db.zone_map("t")
-                db.checkpoint()
-            with Database(path=tmp_path) as db2:
-                restored = db2.cached_statistics("t")
-                assert restored is not None  # loaded from disk, not recomputed
-                assert restored.row_count == stats.row_count
-                cs, rs = stats.columns["a"], restored.columns["a"]
-                assert (rs.min_value, rs.max_value) == (cs.min_value, cs.max_value)
-                assert rs.distinct_count == cs.distinct_count
-                restored_zones = db2.zone_map("t")
-                assert np.array_equal(restored_zones.columns["a"].mins, zones.columns["a"].mins)
-                pair = db2.get_table("t").column("s").dictionary()
-                assert pair is not None  # codes came off disk, not re-encoded
-        finally:
-            scanopt.configure(zone_rows=scanopt.DEFAULT_ZONE_ROWS)
+        settings.configure(zone_rows=8)
+        with Database(path=tmp_path) as db:
+            db.create_table(
+                "t", {"a": list(range(40)), "s": ["ash", "oak"] * 20}
+            )
+            stats = db.statistics("t")
+            zones = db.zone_map("t")
+            db.checkpoint()
+        with Database(path=tmp_path) as db2:
+            restored = db2.cached_statistics("t")
+            assert restored is not None  # loaded from disk, not recomputed
+            assert restored.row_count == stats.row_count
+            cs, rs = stats.columns["a"], restored.columns["a"]
+            assert (rs.min_value, rs.max_value) == (cs.min_value, cs.max_value)
+            assert rs.distinct_count == cs.distinct_count
+            restored_zones = db2.zone_map("t")
+            assert np.array_equal(restored_zones.columns["a"].mins, zones.columns["a"].mins)
+            pair = db2.get_table("t").column("s").dictionary()
+            assert pair is not None  # codes came off disk, not re-encoded
 
     def test_post_checkpoint_writes_replay_on_top(self, tmp_path):
         with Database(path=tmp_path) as db:
@@ -201,16 +187,16 @@ class TestPersistReopen:
             db.create_table("t", {"a": [1]})
         db2 = Database(path=tmp_path)
         db2.execute("INSERT INTO t VALUES (2)")
-        resilience.configure(faults="wal_post_append:1.0")
+        settings.configure(faults="wal_post_append:1.0")
         with pytest.raises(SimulatedCrashError):
             db2.execute("INSERT INTO t VALUES (3)")
-        resilience.configure(faults="off")
+        settings.configure(faults="off")
         # post_append under the commit policy: the record was fsynced
         with Database(path=tmp_path) as db3:
             assert sorted(db3.sql("SELECT * FROM t").rows()) == [(1,), (2,), (3,)]
 
     def test_merge_on_every_write_recovery(self, tmp_path):
-        deltamod.configure(delta_rows=1)
+        settings.configure(delta_rows=1)
         with Database(path=tmp_path) as db:
             db.create_table("t", {"a": [0], "s": ["x"]})
             for i in range(1, 6):
@@ -254,7 +240,7 @@ class TestClose:
             db.sql("SELECT * FROM t")
 
     def test_close_flushes_unsynced_tail(self, tmp_path):
-        walmod.configure(wal_sync="off")
+        settings.configure(wal_sync="off")
         db = Database(path=tmp_path)
         db.execute("CREATE TABLE t (a INT)")
         db.execute("INSERT INTO t VALUES (1)")
@@ -278,7 +264,7 @@ class TestSyncPolicies:
         db.close()
 
     def test_batch_fsyncs_every_n(self, tmp_path):
-        walmod.configure(wal_sync="batch", wal_batch=3)
+        settings.configure(wal_sync="batch", wal_batch=3)
         db = Database(path=tmp_path)
         db.execute("CREATE TABLE t (a INT)")
         db.execute("INSERT INTO t VALUES (1)")
@@ -290,7 +276,7 @@ class TestSyncPolicies:
     def test_sync_off_loses_unsynced_records_on_crash(self, tmp_path):
         db = Database(path=tmp_path)
         db.execute("CREATE TABLE t (a INT)")  # commit policy: durable
-        walmod.configure(wal_sync="off")
+        settings.configure(wal_sync="off")
         db.execute("INSERT INTO t VALUES (1)")
         with pytest.raises(SimulatedCrashError):
             db.durability.wal.simulate_crash("test power loss")
@@ -298,7 +284,7 @@ class TestSyncPolicies:
             assert db2.get_table("t").num_rows == 0  # table survived, row did not
 
     def test_wal_off_is_checkpoint_only(self, tmp_path):
-        walmod.configure(wal=False)
+        settings.configure(wal=False)
         db = Database(path=tmp_path)
         db.create_table("t", {"a": [1]})
         db.checkpoint()
@@ -312,7 +298,7 @@ class TestSyncPolicies:
         with Database(path=tmp_path) as db:
             db.execute("PRAGMA wal_sync=batch")
             db.execute("PRAGMA wal_batch=7")
-            config = walmod.get_config()
+            config = settings.current
             assert (config.wal_sync, config.wal_batch) == ("batch", 7)
             with pytest.raises(CatalogError, match="wal_sync"):
                 db.execute("PRAGMA wal_sync=sometimes")
@@ -393,12 +379,12 @@ class TestCrashPoints:
         db = Database(path=tmp_path)
         db.execute("CREATE TABLE t (a INT)")
         db.execute("INSERT INTO t VALUES (1)")
-        resilience.configure(faults="wal_pre_fsync:1.0")
+        settings.configure(faults="wal_pre_fsync:1.0")
         with pytest.raises(SimulatedCrashError):
             db.execute("INSERT INTO t VALUES (2)")
         with pytest.raises(WalError, match="closed"):
             db.durability.wal.append({"op": "merge", "table": "t", "reason": "x"})
-        resilience.configure(faults="off")
+        settings.configure(faults="off")
         with Database(path=tmp_path) as db2:
             assert sorted(db2.sql("SELECT * FROM t").rows()) == [(1,)]
 
@@ -406,10 +392,10 @@ class TestCrashPoints:
         db = Database(path=tmp_path)
         db.execute("CREATE TABLE t (a INT)")
         db.execute("INSERT INTO t VALUES (1)")
-        resilience.configure(faults="wal_torn_write:1.0")
+        settings.configure(faults="wal_torn_write:1.0")
         with pytest.raises(SimulatedCrashError, match="torn"):
             db.execute("INSERT INTO t VALUES (2)")
-        resilience.configure(faults="off")
+        settings.configure(faults="off")
         wal_path = tmp_path / walmod.wal_file_name(0)
         records, valid = walmod.read_wal(wal_path)
         assert len(records) == 2 and valid < wal_path.stat().st_size
@@ -421,10 +407,10 @@ class TestCrashPoints:
     def test_crash_mid_checkpoint_recovers(self, tmp_path):
         db = Database(path=tmp_path)
         db.create_table("t", {"a": [1, 2]})
-        resilience.configure(faults="crash_mid_checkpoint:1.0")
+        settings.configure(faults="crash_mid_checkpoint:1.0")
         with pytest.raises(SimulatedCrashError):
             db.checkpoint()
-        resilience.configure(faults="off")
+        settings.configure(faults="off")
         with Database(path=tmp_path) as db2:
             assert sorted(db2.sql("SELECT * FROM t").rows()) == [(1,), (2,)]
             db2.execute("INSERT INTO t VALUES (3)")
@@ -432,13 +418,13 @@ class TestCrashPoints:
             assert sorted(db3.sql("SELECT * FROM t").rows()) == [(1,), (2,), (3,)]
 
     def test_crash_mid_merge_recovers(self, tmp_path):
-        deltamod.configure(delta_rows=1)
+        settings.configure(delta_rows=1)
         db = Database(path=tmp_path)
         db.execute("CREATE TABLE t (a INT)")
-        resilience.configure(faults="crash_mid_merge:1.0")
+        settings.configure(faults="crash_mid_merge:1.0")
         with pytest.raises(SimulatedCrashError):
             db.execute("INSERT INTO t VALUES (7)")
-        resilience.configure(faults="off")
+        settings.configure(faults="off")
         with Database(path=tmp_path) as db2:
             # the DML record and merge marker were durable (commit policy)
             assert list(db2.sql("SELECT * FROM t").rows()) == [(7,)]
@@ -499,7 +485,7 @@ def test_kill_replay_property(tmp_path, seed):
         op, next_id = _random_dml(rng, next_id)
         script.append(op)
     crash_spec = _CRASH_SPECS[seed % len(_CRASH_SPECS)]
-    deltamod.configure(delta_rows=int(rng.choice([1, 4, 1_000_000])))
+    settings.configure(delta_rows=int(rng.choice([1, 4, 1_000_000])))
 
     db = Database(path=tmp_path)
     db.create_table("t", table)
@@ -507,7 +493,7 @@ def test_kill_replay_property(tmp_path, seed):
     snaps = [[dict(r) for r in mirror]]  # snaps[k] = state after k statements
     checkpointed = 0  # statements baked into the last successful checkpoint
     records_before: list[int] = []  # per post-checkpoint statement, on the live log
-    resilience.configure(faults=crash_spec, fault_seed=seed)
+    settings.configure(faults=crash_spec, fault_seed=seed)
     crashed = False
     expected: list[dict] | None = None
     try:
@@ -535,7 +521,7 @@ def test_kill_replay_property(tmp_path, seed):
                 break
             snaps.append([dict(r) for r in mirror])
     finally:
-        resilience.configure(faults="off")
+        settings.configure(faults="off")
     if not crashed:
         db.close()
         expected = mirror

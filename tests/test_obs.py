@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.engine import scanopt
+from repro import settings
 from repro.engine.catalog import Database
 from repro.obs import (
     MetricsRegistry,
@@ -192,7 +192,7 @@ class TestExplainAnalyze:
 
         walk(report.root)
         # the optimizer fuses Limit -> Sort into one TopN node
-        top = ("TopN",) if scanopt.get_config().optimizer else ("Limit", "Sort")
+        top = ("TopN",) if settings.current.optimizer else ("Limit", "Sort")
         for head in top + ("Distinct", "Project", "Filter", "HashJoin", "Scan"):
             assert any(label.startswith(head) for label in labels), labels
 
@@ -231,7 +231,7 @@ class TestExplainAnalyze:
             if line.startswith("note:"):
                 continue
             assert "time=" in line and "rows=" in line and "bytes=" in line
-        root = "TopN(3: id DESC)" if scanopt.get_config().optimizer else "Limit(3)"
+        root = "TopN(3: id DESC)" if settings.current.optimizer else "Limit(3)"
         assert report.as_dict()["plan"]["label"] == root
 
     def test_explain_analyze_statement_through_sql_frontend(self, db: Database) -> None:

@@ -15,47 +15,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import resilience
+from repro import settings
 from repro.engine import Database, Table
-from repro.engine import parallel, scanopt
 from repro.engine.expressions import strip_outer_parens
 from repro.engine.planner import RangeProbe, intersect_probes, probe_is_empty
 from repro.errors import BindError, TypeMismatchError
 from repro.indexing import CrackerIndex
 from repro.obs.metrics import MetricsRegistry, set_registry
+from tests.conftest import pin_defaults
 from tests.test_parallel import tables_bit_identical
 from tests.test_sql_differential import random_query, random_table
 
 
 @pytest.fixture(autouse=True)
 def _reset_config():
-    """Pin the optimizer on (regardless of REPRO_* env overrides), then
-    restore the ambient accel/parallel/governor configuration."""
-    accel = scanopt.get_config()
-    par = parallel.get_config()
-    gov = resilience.get_config()
-    saved = (
-        accel.dict_encode, accel.zone_rows, accel.plan_cache,
-        accel.plan_cache_size, accel.optimizer,
-        par.threads, par.morsel_rows, par.min_parallel_rows,
-        gov.faults, gov.fault_seed,
-    )
-    scanopt.configure(
-        dict_encode=True,
-        zone_rows=scanopt.DEFAULT_ZONE_ROWS,
-        plan_cache=True,
-        plan_cache_size=scanopt.DEFAULT_PLAN_CACHE_SIZE,
-        optimizer=True,
-    )
-    yield
-    scanopt.configure(
-        dict_encode=saved[0], zone_rows=saved[1], plan_cache=saved[2],
-        plan_cache_size=saved[3], optimizer=saved[4],
-    )
-    parallel.configure(
-        threads=saved[5], morsel_rows=saved[6], min_parallel_rows=saved[7]
-    )
-    resilience.configure(faults=saved[8] or "off", fault_seed=saved[9])
+    """Pin the optimizer and the accelerators on, regardless of REPRO_* env overrides."""
+    pin_defaults("dict_encode", "zone_rows", "plan_cache", "plan_cache_size", "optimizer")
 
 
 @pytest.fixture()
@@ -309,9 +284,9 @@ class TestRewriteRules:
             "HashJoin(inner, u"
         )
         assert "note: optimizer: join_reorder" in text
-        scanopt.configure(optimizer=False)
+        settings.configure(optimizer=False)
         unopt = db.sql(sql)
-        scanopt.configure(optimizer=True)
+        settings.configure(optimizer=True)
         tables_bit_identical(db.sql(sql), unopt)
 
     def test_no_reorder_when_order_observable(self, db):
@@ -340,7 +315,7 @@ class TestRewriteRules:
 
     def test_optimizer_off_leaves_plan_alone(self, db):
         sql = "SELECT a, COUNT(*) AS c FROM t WHERE TRUE AND b > 2.0 GROUP BY a"
-        scanopt.configure(optimizer=False)
+        settings.configure(optimizer=False)
         text = _explain_with_notes(db, sql)
         assert "optimizer:" not in text
         assert "FusedAggregate" not in text
@@ -355,9 +330,9 @@ class TestOptimizerPragma:
         db = _db(t={"a": [1, 2, 3]})
         assert db.execute("PRAGMA optimizer").column("value").to_list() == [1]
         db.execute("PRAGMA optimizer=0")
-        assert scanopt.get_config().optimizer is False
+        assert settings.current.optimizer is False
         db.execute("PRAGMA optimizer=1")
-        assert scanopt.get_config().optimizer is True
+        assert settings.current.optimizer is True
 
     def test_plan_cache_entries_are_flag_aware(self):
         """Toggling PRAGMA optimizer must not serve stale optimized plans."""
@@ -400,26 +375,23 @@ class TestFusedAggregate:
             "WHERE a >= 10 AND a < 12 GROUP BY a",
         ):
             optimized = db.sql(sql)
-            scanopt.configure(optimizer=False)
+            settings.configure(optimizer=False)
             baseline = db.sql(sql)
-            scanopt.configure(optimizer=True)
+            settings.configure(optimizer=True)
             tables_bit_identical(optimized, baseline)
 
     def test_fused_matches_under_threads(self):
         db = self._clustered_db()
         sql = "SELECT a, SUM(b) AS s, COUNT(*) AS c FROM t WHERE a < 35 GROUP BY a"
-        scanopt.configure(optimizer=False)
+        settings.configure(optimizer=False)
         baseline = db.sql(sql)
-        scanopt.configure(optimizer=True)
-        parallel.configure(threads=4, morsel_rows=7, min_parallel_rows=1)
-        try:
-            tables_bit_identical(db.sql(sql), baseline)
-        finally:
-            parallel.configure(threads=0, morsel_rows=parallel.DEFAULT_MORSEL_ROWS)
+        settings.configure(optimizer=True)
+        settings.configure(threads=4, morsel_rows=7, min_parallel_rows=1)
+        tables_bit_identical(db.sql(sql), baseline)
 
     def test_fused_records_zone_metrics(self, registry):
         db = self._clustered_db()
-        scanopt.configure(zone_rows=100)
+        settings.configure(zone_rows=100)
         assert "FusedAggregate" in db.plan(
             "SELECT COUNT(*) AS c FROM t WHERE a >= 30"
         ).explain()
@@ -430,7 +402,7 @@ class TestFusedAggregate:
 
     def test_fused_all_zones_pruned_global_returns_one_row(self):
         db = self._clustered_db()
-        scanopt.configure(zone_rows=100)
+        settings.configure(zone_rows=100)
         result = db.sql("SELECT COUNT(*) AS c, SUM(b) AS s FROM t WHERE a > 1000")
         assert result.column("c").to_list() == [0]
         assert result.column("s").to_list() == [None]
@@ -439,7 +411,7 @@ class TestFusedAggregate:
         db = _db(
             t={"a": [i // 10 for i in range(400)], "s": ["x"] * 400}
         )
-        scanopt.configure(zone_rows=100)
+        settings.configure(zone_rows=100)
         with pytest.raises(TypeMismatchError):
             db.sql("SELECT COUNT(*) AS c FROM t WHERE a > 1000 AND s < 3")
 
@@ -453,7 +425,7 @@ class TestFusedAggregate:
 
     def test_explain_analyze_annotates_fused_node(self):
         db = self._clustered_db()
-        scanopt.configure(zone_rows=100)
+        settings.configure(zone_rows=100)
         text = db.explain_analyze(
             "SELECT COUNT(*) AS c FROM t WHERE a >= 30"
         ).render()
@@ -485,26 +457,18 @@ def test_corpus_bit_identity_optimizer_on_off(seed: int) -> None:
         )
         return db
 
-    try:
-        scanopt.configure(optimizer=False, zone_rows=8, plan_cache=True)
-        parallel.configure(threads=0)
-        resilience.configure(faults="off")
-        baseline_db = build_db()
-        baseline = [baseline_db.sql(sql) for sql in queries]
+    settings.configure(optimizer=False, zone_rows=8, plan_cache=True, threads=0, faults="off")
+    baseline_db = build_db()
+    baseline = [baseline_db.sql(sql) for sql in queries]
 
-        scanopt.configure(optimizer=True)
-        parallel.configure(threads=4, morsel_rows=7, min_parallel_rows=1)
-        resilience.configure(faults="worker_crash:0.1", fault_seed=seed)
-        opt_db = build_db()
-        # run twice so the repeat hits the (flag-aware) plan cache
-        optimized = [opt_db.sql(sql) for sql in queries]
-        repeated = [opt_db.sql(sql) for sql in queries]
-    finally:
-        parallel.configure(threads=0, morsel_rows=parallel.DEFAULT_MORSEL_ROWS)
-        resilience.configure(faults="off")
-        scanopt.configure(
-            optimizer=True, zone_rows=scanopt.DEFAULT_ZONE_ROWS, plan_cache=True
-        )
+    settings.configure(
+        optimizer=True, threads=4, morsel_rows=7, min_parallel_rows=1,
+        faults="worker_crash:0.1", fault_seed=seed,
+    )
+    opt_db = build_db()
+    # run twice so the repeat hits the (flag-aware) plan cache
+    optimized = [opt_db.sql(sql) for sql in queries]
+    repeated = [opt_db.sql(sql) for sql in queries]
 
     for sql, expected, got, again in zip(queries, baseline, optimized, repeated):
         try:
@@ -547,16 +511,16 @@ def test_indexed_corpus_optimizer_on_off(seed: int) -> None:
         unordered = f"SELECT id, a FROM t {where}"
         ordered = f"SELECT id, a FROM t {where} ORDER BY id"
 
-        scanopt.configure(optimizer=True)
+        settings.configure(optimizer=True)
         opt_db = build_db()
         got_unordered = opt_db.sql(unordered)
         got_ordered = opt_db.sql(ordered)
 
-        scanopt.configure(optimizer=False)
+        settings.configure(optimizer=False)
         base_db = build_db()
         want_unordered = base_db.sql(unordered)
         want_ordered = base_db.sql(ordered)
-        scanopt.configure(optimizer=True)
+        settings.configure(optimizer=True)
 
         assert _sorted_rows(got_unordered) == _sorted_rows(want_unordered)
         tables_bit_identical(got_ordered, want_ordered)

@@ -23,44 +23,28 @@ import shutil
 import numpy as np
 import pytest
 
-from repro import resilience
+from repro import settings
 from repro.engine import Database, Table
-from repro.engine import delta as deltamod
-from repro.engine import parallel, scanopt
 from repro.engine import wal as walmod
 from repro.engine.column import Column
 from repro.engine.types import DataType
 from repro.errors import CatalogError
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.storage import layouts
+from tests.conftest import pin_defaults
 from tests.test_parallel import tables_bit_identical
 from tests.test_sql_differential import random_query, random_table
 
 
 @pytest.fixture(autouse=True)
 def _pin_storage_config():
-    """Deterministic storage/durability config; restore the ambient one."""
-    saved_storage = layouts.get_config().storage
-    saved_wal = walmod.get_config()
-    saved = (saved_wal.wal, saved_wal.wal_sync, saved_wal.wal_batch)
-    saved_delta = deltamod.get_config().delta_rows
-    gov = resilience.get_config()
-    saved_gov = (gov.faults, gov.fault_seed)
-    saved_zone = scanopt.get_config().zone_rows
-    layouts.configure(storage="memory")
-    walmod.configure(wal=True, wal_sync="commit", wal_batch=walmod.DEFAULT_WAL_BATCH)
-    deltamod.configure(delta_rows=deltamod.DEFAULT_DELTA_ROWS)
-    resilience.configure(faults="off", fault_seed=0)
+    """Deterministic storage/durability config and a fresh metrics registry."""
+    pin_defaults(
+        "storage", "wal", "wal_sync", "wal_batch", "delta_rows", "faults", "fault_seed"
+    )
     registry = MetricsRegistry()
     set_registry(registry)
-    yield registry
-    layouts.configure(storage=saved_storage)
-    walmod.configure(wal=saved[0], wal_sync=saved[1], wal_batch=saved[2])
-    deltamod.configure(delta_rows=saved_delta)
-    resilience.configure(faults="off", fault_seed=saved_gov[1])
-    resilience.configure(faults=saved_gov[0] or "off")
-    scanopt.configure(zone_rows=saved_zone)
-    parallel.configure(threads=0, morsel_rows=parallel.DEFAULT_MORSEL_ROWS)
+    return registry
 
 
 def _sample_table() -> Table:
@@ -173,10 +157,10 @@ class TestStorageConfig:
     def test_pragma_set_and_read(self):
         db = Database()
         db.execute("PRAGMA storage=mmap")
-        assert layouts.get_config().storage == "mmap"
+        assert settings.current.storage == "mmap"
         assert db.execute("PRAGMA storage").column("value")[0] == "mmap"
         db.execute("PRAGMA storage=memory")
-        assert layouts.get_config().storage == "memory"
+        assert settings.current.storage == "memory"
 
     def test_pragma_rejects_bad_mode(self):
         db = Database()
@@ -185,17 +169,26 @@ class TestStorageConfig:
 
     def test_settings_listing_includes_storage(self):
         db = Database()
-        rows = {row[0]: (row[1], row[2]) for row in db.execute("PRAGMA").rows()}
-        # the fixture pins the value; the source still reflects the env leg
-        assert rows["storage"][0] == "memory"
-        assert rows["storage"][1].startswith(("default", "env:"))
+
+        def listed() -> tuple[str, str]:
+            rows = {row[0]: (row[1], row[2]) for row in db.execute("PRAGMA").rows()}
+            return rows["storage"]
+
+        # the source follows the value: the mode start-up seeded (mmap on
+        # the mmap leg) reads as the environment's or the default, the
+        # other one as set this session — the fixture's pin included
+        seeded = settings.Settings(os.environ)
+        source = {
+            mode: seeded.source("storage") if mode == seeded.storage else "pragma"
+            for mode in ("memory", "mmap")
+        }
+        assert listed() == ("memory", source["memory"])
         db.execute("PRAGMA storage=mmap")
-        rows = {row[0]: (row[1], row[2]) for row in db.execute("PRAGMA").rows()}
-        assert rows["storage"] == ("mmap", "pragma")
+        assert listed() == ("mmap", source["mmap"])
 
     def test_configure_rejects_bad_mode(self):
         with pytest.raises(ValueError):
-            layouts.configure(storage="ram")
+            settings.configure(storage="ram")
 
 
 # -- recovery opens columns as maps ---------------------------------------------------
@@ -213,7 +206,7 @@ class TestMappedRecovery:
     def test_recovery_maps_cold_tables(self, tmp_path):
         root = tmp_path / "db"
         self._seed(root)
-        layouts.configure(storage="mmap")
+        settings.configure(storage="mmap")
         with Database(path=root) as db:
             assert db.get_table("t").is_mapped
             assert db.sql("SELECT a FROM t WHERE a >= 2").column("a").to_list() == [2, 3]
@@ -229,7 +222,7 @@ class TestMappedRecovery:
         self._seed(root)
         with Database(path=root) as db:
             expected = db.sql("SELECT * FROM t ORDER BY a")
-        layouts.configure(storage="mmap")
+        settings.configure(storage="mmap")
         with Database(path=root) as db:
             tables_bit_identical(db.sql("SELECT * FROM t ORDER BY a"), expected)
 
@@ -238,7 +231,7 @@ class TestMappedRecovery:
         self._seed(root)
         with Database(path=root) as db:  # tail beyond the checkpoint
             db.execute("INSERT INTO t VALUES (4, 4.5, 'z')")
-        layouts.configure(storage="mmap")
+        settings.configure(storage="mmap")
         with Database(path=root) as db:
             got = db.sql("SELECT a FROM t ORDER BY a").column("a").to_list()
             assert got == [1, 2, 3, 4]
@@ -248,7 +241,7 @@ class TestMappedRecovery:
     def test_delta_stays_in_ram_after_recovery(self, tmp_path):
         root = tmp_path / "db"
         self._seed(root)
-        layouts.configure(storage="mmap")
+        settings.configure(storage="mmap")
         with Database(path=root) as db:
             db.execute("INSERT INTO t VALUES (9, 9.5, 'q')")
             store = db.delta_store_if_dirty("t")
@@ -296,7 +289,7 @@ class TestMappedRecovery:
                 column_meta["file"] = npz_name
         manifest["format"] = 1
         manifest_path.write_text(json.dumps(manifest))
-        layouts.configure(storage="mmap")
+        settings.configure(storage="mmap")
         with Database(path=root) as db:  # v1 columns load materialised
             assert not db.get_table("t").is_mapped
             assert db.sql("SELECT a FROM t ORDER BY a").column("a").to_list() == [1, 2, 3]
@@ -312,7 +305,7 @@ class TestMappedCopyOnWrite:
             db.execute("CREATE TABLE t (a INT, s TEXT)")
             db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'z')")
             db.checkpoint()
-        layouts.configure(storage="mmap")
+        settings.configure(storage="mmap")
         db = Database(path=root)
         try:
             directory = db.get_table("t").column("a").backing.directory
@@ -338,7 +331,7 @@ class TestMappedCopyOnWrite:
             db.execute("CREATE TABLE t (a INT)")
             db.execute("INSERT INTO t VALUES (1), (2), (3), (4)")
             db.checkpoint()
-        layouts.configure(storage="mmap")
+        settings.configure(storage="mmap")
         with Database(path=root) as db:
             directory = db.get_table("t").column("a").backing.directory
             before = _dir_digest(directory)
@@ -355,8 +348,8 @@ class TestMappedCopyOnWrite:
             db.execute("CREATE TABLE t (s TEXT)")
             db.execute("INSERT INTO t VALUES ('ant'), ('bee')")
             db.checkpoint()
-        layouts.configure(storage="mmap")
-        deltamod.configure(delta_rows=1)  # merge (and dict extension) per write
+        settings.configure(storage="mmap")
+        settings.configure(delta_rows=1)  # merge (and dict extension) per write
         with Database(path=root) as db:
             directory = db.get_table("t").column("s").backing.directory
             before = _dir_digest(directory)
@@ -376,8 +369,8 @@ class TestMappedMerge:
             db.execute("CREATE TABLE t (a INT)")
             db.execute("INSERT INTO t VALUES (1), (2)")
             db.checkpoint()
-        layouts.configure(storage="mmap")
-        deltamod.configure(delta_rows=1)
+        settings.configure(storage="mmap")
+        settings.configure(delta_rows=1)
         with Database(path=root) as db:
             db.execute("INSERT INTO t VALUES (3)")  # threshold merge
             main = db.main_table("t")
@@ -397,8 +390,8 @@ class TestMappedMerge:
             db.execute("CREATE TABLE t (a INT)")
             db.execute("INSERT INTO t VALUES (1), (2)")
             db.checkpoint()
-        layouts.configure(storage="mmap")
-        deltamod.configure(delta_rows=1)
+        settings.configure(storage="mmap")
+        settings.configure(delta_rows=1)
         db = Database(path=root)
         db.execute("INSERT INTO t VALUES (3)")
         db.execute("INSERT INTO t VALUES (4)")
@@ -415,7 +408,7 @@ class TestMappedMerge:
 
 def _clustered_db(root, rows: int = 4096, zone_rows: int = 256) -> Database:
     """A durable db whose `k` column is zone-clustered (equal to zone index)."""
-    scanopt.configure(zone_rows=zone_rows)
+    settings.configure(zone_rows=zone_rows)
     with Database(path=root) as db:
         db.create_table(
             "t",
@@ -427,7 +420,7 @@ def _clustered_db(root, rows: int = 4096, zone_rows: int = 256) -> Database:
             ),
         )
         db.checkpoint()
-    layouts.configure(storage="mmap")
+    settings.configure(storage="mmap")
     return Database(path=root)
 
 
@@ -453,7 +446,7 @@ class TestStreamedScan:
             streamed = db.sql("SELECT * FROM t WHERE k >= 14 AND v < 50")
         finally:
             db.close()
-        layouts.configure(storage="memory")
+        settings.configure(storage="memory")
         db = Database(path=tmp_path / "db")
         try:
             tables_bit_identical(
@@ -499,12 +492,12 @@ class TestStreamedScan:
 
     def test_table_smaller_than_one_zone(self, tmp_path):
         root = tmp_path / "db"
-        scanopt.configure(zone_rows=1024)
+        settings.configure(zone_rows=1024)
         with Database(path=root) as db:
             db.execute("CREATE TABLE small (a INT)")
             db.execute("INSERT INTO small VALUES (1), (2), (3)")
             db.checkpoint()
-        layouts.configure(storage="mmap")
+        settings.configure(storage="mmap")
         with Database(path=root) as db:
             assert db.get_table("small").is_mapped
             got = db.sql("SELECT a FROM small WHERE a > 1 ORDER BY a")
@@ -515,7 +508,7 @@ class TestStreamedScan:
         with Database(path=root) as db:
             db.execute("CREATE TABLE e (a INT)")
             db.checkpoint()
-        layouts.configure(storage="mmap")
+        settings.configure(storage="mmap")
         with Database(path=root) as db:
             assert db.sql("SELECT a FROM e WHERE a = 1").num_rows == 0
 
@@ -543,7 +536,7 @@ class TestCloseReleasesMaps:
             db.execute("CREATE TABLE t (a INT)")
             db.execute("INSERT INTO t VALUES (1)")
             db.checkpoint()
-        layouts.configure(storage="mmap")
+        settings.configure(storage="mmap")
         db = Database(path=root)
         assert db.get_table("t").is_mapped
         db.close()
@@ -555,7 +548,7 @@ class TestCloseReleasesMaps:
         with Database(path=root) as db:
             db.execute("CREATE TABLE t (a INT)")
             db.checkpoint()
-        layouts.configure(storage="mmap")
+        settings.configure(storage="mmap")
         db = Database(path=root)
         db.close()
         db.close()
@@ -587,30 +580,23 @@ def test_corpus_bit_identity_mmap_vs_memory(seed: int, tmp_path) -> None:
         db.execute("INSERT INTO t VALUES (900, 1, 1.0, 'elk')")
         db.execute("DELETE FROM t WHERE id = 0")
 
-    saved_zone = scanopt.get_config().zone_rows
-    try:
-        scanopt.configure(zone_rows=8)
-        layouts.configure(storage="memory")
-        baseline_db = Database(path=root)
-        baseline = [baseline_db.sql(sql) for sql in queries]
-        baseline_db.close()
+    settings.configure(zone_rows=8, storage="memory")
+    baseline_db = Database(path=root)
+    baseline = [baseline_db.sql(sql) for sql in queries]
+    baseline_db.close()
 
-        layouts.configure(storage="mmap")
-        parallel.configure(threads=4, morsel_rows=7, min_parallel_rows=1)
-        resilience.configure(faults="worker_crash:0.1", fault_seed=seed)
-        mapped_db = Database(path=root)
-        assert mapped_db.main_table("t").is_mapped
-        mapped = [mapped_db.sql(sql) for sql in queries]
-        # kill (no close) and recover mid-session: maps reopen, results hold
-        del mapped_db
-        recovered_db = Database(path=root)
-        recovered = [recovered_db.sql(sql) for sql in queries]
-        recovered_db.close()
-    finally:
-        parallel.configure(threads=0, morsel_rows=parallel.DEFAULT_MORSEL_ROWS)
-        resilience.configure(faults="off")
-        scanopt.configure(zone_rows=saved_zone)
-        layouts.configure(storage="memory")
+    settings.configure(
+        storage="mmap", threads=4, morsel_rows=7, min_parallel_rows=1,
+        faults="worker_crash:0.1", fault_seed=seed,
+    )
+    mapped_db = Database(path=root)
+    assert mapped_db.main_table("t").is_mapped
+    mapped = [mapped_db.sql(sql) for sql in queries]
+    # kill (no close) and recover mid-session: maps reopen, results hold
+    del mapped_db
+    recovered_db = Database(path=root)
+    recovered = [recovered_db.sql(sql) for sql in queries]
+    recovered_db.close()
 
     for sql, expected, got, again in zip(queries, baseline, mapped, recovered):
         try:

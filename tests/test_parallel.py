@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import resilience
+from repro import settings
 from repro.engine import Database, Table
 from repro.engine import parallel
 from repro.obs.metrics import MetricsRegistry, set_registry
@@ -23,17 +23,14 @@ from tests.test_sql_differential import random_query, random_table
 @pytest.fixture()
 def parallel_mode():
     """Force the parallel path (tiny morsels, no serial fallback)."""
-    parallel.configure(threads=4, morsel_rows=7, min_parallel_rows=1)
-    yield parallel.get_config()
-    parallel.configure(threads=0, morsel_rows=parallel.DEFAULT_MORSEL_ROWS)
+    settings.configure(threads=4, morsel_rows=7, min_parallel_rows=1)
+    yield settings.current
     parallel.shutdown_pool()
 
 
 @pytest.fixture()
 def serial_mode():
-    parallel.configure(threads=0)
-    yield
-    parallel.configure(threads=0, morsel_rows=parallel.DEFAULT_MORSEL_ROWS)
+    settings.configure(threads=0)
 
 
 def tables_bit_identical(a: Table, b: Table) -> None:
@@ -57,13 +54,13 @@ def tables_bit_identical(a: Table, b: Table) -> None:
 def run_both_modes(table: Table, sql: str) -> tuple[Table, Table]:
     db = Database()
     db.create_table("t", table)
-    parallel.configure(threads=0)
+    settings.configure(threads=0)
     serial = db.sql(sql)
-    parallel.configure(threads=4, morsel_rows=7, min_parallel_rows=1)
+    settings.configure(threads=4, morsel_rows=7, min_parallel_rows=1)
     try:
         par = db.sql(sql)
     finally:
-        parallel.configure(threads=0)
+        settings.configure(threads=0)
     return serial, par
 
 
@@ -87,27 +84,25 @@ class TestMorselRanges:
 
 class TestConfig:
     def test_threads_gate_parallelism(self) -> None:
-        parallel.configure(threads=0, min_parallel_rows=1)
+        settings.configure(threads=0, min_parallel_rows=1)
         assert not parallel.should_parallelize(10_000)
-        parallel.configure(threads=1)
+        settings.configure(threads=1)
         assert not parallel.should_parallelize(10_000)
-        parallel.configure(threads=2)
+        settings.configure(threads=2)
         assert parallel.should_parallelize(10_000)
-        parallel.configure(threads=0, morsel_rows=parallel.DEFAULT_MORSEL_ROWS)
 
     def test_small_inputs_fall_back_to_serial(self) -> None:
-        parallel.configure(threads=4, morsel_rows=100)  # min derived = 200
+        settings.configure(threads=4, morsel_rows=100)  # min derived = 200
         assert not parallel.should_parallelize(199)
         assert parallel.should_parallelize(200)
-        parallel.configure(threads=0, morsel_rows=parallel.DEFAULT_MORSEL_ROWS)
 
     def test_rejects_bad_values(self) -> None:
         with pytest.raises(ValueError):
-            parallel.configure(threads=-1)
+            settings.configure(threads=-1)
         with pytest.raises(ValueError):
-            parallel.configure(morsel_rows=0)
+            settings.configure(morsel_rows=0)
         with pytest.raises(ValueError):
-            parallel.configure(pool_kind="fibers")
+            settings.configure(pool_kind="fibers")
 
 
 # -- kernel-level bit-identity --------------------------------------------------------
@@ -206,12 +201,7 @@ class TestCallerHelps:
         # no injected faults: after a crashed task the caller deliberately
         # stops taking work back, and which task crashes depends on how
         # many batches the process ran before this test
-        saved = parallel.get_config().pool_kind, resilience.get_config().faults
-        parallel.configure(pool_kind="thread")
-        resilience.configure(faults="off")
-        yield
-        parallel.configure(pool_kind=saved[0])
-        resilience.configure(faults=saved[1] or "off")
+        settings.configure(pool_kind="thread", faults="off")
 
     @staticmethod
     def _who(i: int) -> tuple[int, int]:
@@ -231,7 +221,7 @@ class TestCallerHelps:
         gate = threading.Event()
         pool = parallel._get_pool()
         # occupy every worker, so the batch's pooled tasks stay queued
-        blockers = [pool.submit(gate.wait, 30) for _ in range(parallel.get_threads())]
+        blockers = [pool.submit(gate.wait, 30) for _ in range(settings.current.threads)]
         try:
             results = parallel._run_tasks(self._who, [(i,) for i in range(5)])
         finally:
@@ -252,20 +242,17 @@ def test_corpus_serial_and_parallel_bit_identical(seed: int) -> None:
     table, _ = random_table(rng, n=int(rng.integers(20, 120)))
     db = Database()
     db.create_table("t", table)
-    try:
-        for _ in range(10):
-            sql = random_query(rng)
-            parallel.configure(threads=0)
-            serial = db.sql(sql)
-            parallel.configure(threads=4, morsel_rows=7, min_parallel_rows=1)
-            par = db.sql(sql)
-            try:
-                tables_bit_identical(serial, par)
-            except AssertionError as exc:  # pragma: no cover - diagnostic
-                raise AssertionError(f"modes disagree on {sql!r}: {exc}") from exc
-    finally:
-        parallel.configure(threads=0, morsel_rows=parallel.DEFAULT_MORSEL_ROWS)
-        parallel.shutdown_pool()
+    for _ in range(10):
+        sql = random_query(rng)
+        settings.configure(threads=0)
+        serial = db.sql(sql)
+        settings.configure(threads=4, morsel_rows=7, min_parallel_rows=1)
+        par = db.sql(sql)
+        try:
+            tables_bit_identical(serial, par)
+        except AssertionError as exc:  # pragma: no cover - diagnostic
+            raise AssertionError(f"modes disagree on {sql!r}: {exc}") from exc
+    parallel.shutdown_pool()
 
 
 # -- observability --------------------------------------------------------------------
@@ -299,8 +286,7 @@ class TestObservability:
     def test_per_worker_spans_collected(self, parallel_mode) -> None:
         # per-worker spans live in the parent's tracer, which only the
         # thread pool shares; process workers trace into their own
-        saved_pool = parallel.get_config().pool_kind
-        parallel.configure(pool_kind="thread")
+        settings.configure(pool_kind="thread")
         tracer = get_tracer()
         tracer.clear()
         tracer.enable()
@@ -310,7 +296,6 @@ class TestObservability:
             db.sql("SELECT x FROM t WHERE x > 3")
         finally:
             tracer.disable()
-            parallel.configure(pool_kind=saved_pool)
         names = [s.name for s in tracer.all_spans()]
         assert "parallel.morsel" in names
         workers = {
@@ -341,19 +326,18 @@ class TestKnobs:
     def test_pragma_threads_roundtrip(self) -> None:
         db = Database()
         assert db.execute("PRAGMA threads=2") == 0
-        assert parallel.get_threads() == 2
+        assert settings.current.threads == 2
         readback = db.execute("PRAGMA threads")
         assert readback.to_dicts() == [{"pragma": "threads", "value": 2}]
         assert db.execute("PRAGMA threads=0") == 0
-        assert parallel.get_threads() == 0
+        assert settings.current.threads == 0
 
     def test_pragma_morsel_rows_rederives_threshold(self) -> None:
         db = Database()
         db.execute("PRAGMA morsel_rows=500")
-        config = parallel.get_config()
+        config = settings.current
         assert config.morsel_rows == 500
         assert config.min_parallel_rows == 1000
-        parallel.configure(threads=0, morsel_rows=parallel.DEFAULT_MORSEL_ROWS)
 
     def test_pragma_rejects_unknown_and_garbage(self) -> None:
         from repro.errors import CatalogError
@@ -378,4 +362,3 @@ class TestKnobs:
         out = shell.execute("PRAGMA threads=2")
         assert out == "ok"
         assert "threads | 2" in shell.execute("PRAGMA threads")
-        shell.execute("PRAGMA threads=0")

@@ -20,10 +20,9 @@ import time
 import numpy as np
 import pytest
 
-from repro import resilience
+from repro import settings
 from repro.engine import Database, DataType
 from repro.engine import parallel
-from repro.engine import shards
 from repro.engine.csv_io import read_csv
 from repro.errors import (
     ApproximationError,
@@ -52,17 +51,8 @@ from tests.test_sql_differential import random_query, random_table
 
 @pytest.fixture(autouse=True)
 def _reset_governor():
-    """Every test restores the governor/pool state it found (which may be
-    env-driven, e.g. the CI chaos leg's ``REPRO_FAULTS``)."""
-    config = resilience.get_config()
-    saved = {slot: getattr(config, slot) for slot in type(config).__slots__}
-    pconfig = parallel.get_config()
-    psaved = {slot: getattr(pconfig, slot) for slot in type(pconfig).__slots__}
+    """No test leaves its worker pool behind."""
     yield
-    for slot, value in saved.items():
-        setattr(config, slot, value)
-    for slot, value in psaved.items():
-        setattr(pconfig, slot, value)
     parallel.shutdown_pool()
 
 
@@ -138,20 +128,20 @@ class TestQueryContext:
         assert current_context() is None
 
     def test_context_from_config_maps_zero_to_none(self):
-        resilience.configure(timeout_ms=0, memory_budget_kb=0)
+        settings.configure(timeout_ms=0, memory_budget_kb=0)
         ctx = context_from_config()
         assert ctx.deadline_s is None
         assert ctx.memory_budget_bytes is None
 
     def test_configure_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            resilience.configure(timeout_ms=-1)
+            settings.configure(timeout_ms=-1)
         with pytest.raises(ValueError):
-            resilience.configure(memory_budget_kb=-1)
+            settings.configure(memory_budget_kb=-1)
         with pytest.raises(ValueError):
-            resilience.configure(max_retries=-1)
+            settings.configure(max_retries=-1)
         with pytest.raises(ValueError):
-            resilience.configure(faults="nonsense")
+            settings.configure(faults="nonsense")
 
 
 # -- fault-injection harness ----------------------------------------------------------
@@ -208,9 +198,9 @@ class TestDeadlines:
         dies within roughly one morsel's work of its deadline, far before
         it could have finished."""
         db = _demo_db(n=4_000)
-        parallel.configure(threads=2, morsel_rows=100, min_parallel_rows=1)
+        settings.configure(threads=2, morsel_rows=100, min_parallel_rows=1)
         # 40 morsels x 50 ms sleep / 2 workers ~= 1 s of work if run dry
-        resilience.configure(faults="slow_morsel:1.0:50", timeout_ms=60)
+        settings.configure(faults="slow_morsel:1.0:50", timeout_ms=60)
         start = time.perf_counter()
         with pytest.raises(QueryTimeoutError):
             db.sql(AGG_QUERY)
@@ -221,14 +211,16 @@ class TestDeadlines:
     def test_timeout_pragma_roundtrip(self):
         db = Database()
         db.execute("PRAGMA timeout_ms=250")
-        assert resilience.get_config().timeout_ms == 250
+        assert settings.current.timeout_ms == 250
         assert db.execute("PRAGMA timeout_ms").column("value")[0] == 250
         db.execute("PRAGMA timeout_ms=0")
 
     def test_timeout_metric_increments(self, registry):
         db = _demo_db(n=4_000)
-        parallel.configure(threads=2, morsel_rows=100, min_parallel_rows=1)
-        resilience.configure(faults="slow_morsel:1.0:50", timeout_ms=40)
+        settings.configure(
+            threads=2, morsel_rows=100, min_parallel_rows=1,
+            faults="slow_morsel:1.0:50", timeout_ms=40,
+        )
         with pytest.raises(QueryTimeoutError):
             db.sql(AGG_QUERY)
         assert registry.counter("resilience.timeouts").value == 1
@@ -275,23 +267,23 @@ class TestDeadlines:
 class TestMemoryBudget:
     def test_budget_exceeded_raises(self, registry):
         db = _demo_db(n=5_000)
-        resilience.configure(memory_budget_kb=1)
+        settings.configure(memory_budget_kb=1)
         with pytest.raises(MemoryBudgetError):
             db.sql("SELECT x, y FROM t WHERE x > 10")
         assert registry.counter("resilience.memory_exceeded").value == 1
 
     def test_generous_budget_passes(self):
         db = _demo_db(n=1_000)
-        resilience.configure(memory_budget_kb=100_000)
+        settings.configure(memory_budget_kb=100_000)
         assert db.sql("SELECT COUNT(*) AS n FROM t").column("n")[0] == 1_000
 
     def test_alloc_spike_inflates_charges(self):
         db = _demo_db(n=1_000)
         # tens of KB of intermediates fit a 10 MB budget...
-        resilience.configure(memory_budget_kb=10_000)
+        settings.configure(memory_budget_kb=10_000)
         db.sql("SELECT x FROM t WHERE x >= 0")
         # ...but not when every charge is inflated 10000x
-        resilience.configure(faults="alloc_spike:1.0:10000")
+        settings.configure(faults="alloc_spike:1.0:10000")
         with pytest.raises(MemoryBudgetError):
             db.sql("SELECT x FROM t WHERE x >= 0")
 
@@ -305,14 +297,10 @@ class TestDegradation:
         # the CI-containment guarantee is calibrated against the insert
         # order; keep env-driven auto-sharding from re-clustering the
         # demo table under that sample
-        saved_shards = shards.get_config().shards
-        shards.configure(shards=0)
-        try:
-            db = _demo_db(n=n)
-        finally:
-            shards.configure(shards=saved_shards)
+        settings.configure(shards=0)
+        db = _demo_db(n=n)
         exact = db.sql(AGG_QUERY)
-        resilience.configure(memory_budget_kb=4, degrade=1, degrade_rows=2_000)
+        settings.configure(memory_budget_kb=4, degrade=1, degrade_rows=2_000)
         degraded = db.sql(AGG_QUERY)
         return exact, degraded
 
@@ -361,7 +349,7 @@ class TestDegradation:
 
     def test_non_degradable_plan_still_fails(self):
         db = _demo_db(n=5_000)
-        resilience.configure(memory_budget_kb=1, degrade=1)
+        settings.configure(memory_budget_kb=1, degrade=1)
         with pytest.raises(MemoryBudgetError):
             db.sql("SELECT x, y FROM t ORDER BY y")
 
@@ -383,7 +371,7 @@ class TestDegradation:
     def test_degradation_does_not_mask_cancellation(self, monkeypatch):
         """A cancelled query must never silently return an approximation."""
         db = _demo_db(n=1_000)
-        resilience.configure(degrade=1)
+        settings.configure(degrade=1)
         import repro.engine.executor as executor
 
         def boom(plan, database, profiler=None):
@@ -400,17 +388,19 @@ class TestDegradation:
 class TestRetries:
     def test_injected_crashes_are_retried_to_the_exact_result(self, registry):
         db = _demo_db(n=2_000)
-        parallel.configure(threads=0)
+        settings.configure(threads=0)
         serial = db.sql(AGG_QUERY)
-        parallel.configure(threads=4, morsel_rows=64, min_parallel_rows=1)
-        resilience.configure(faults="worker_crash:1.0")  # every morsel crashes once
+        settings.configure(
+            threads=4, morsel_rows=64, min_parallel_rows=1,
+            faults="worker_crash:1.0",  # every morsel crashes once
+        )
         recovered = db.sql(AGG_QUERY)
         tables_bit_identical(serial, recovered)
         assert registry.counter("resilience.morsel_failures").value > 0
         assert registry.counter("resilience.retries").value > 0
 
     def test_persistent_failure_exhausts_retries(self):
-        parallel.configure(threads=2, morsel_rows=4, min_parallel_rows=1)
+        settings.configure(threads=2, morsel_rows=4, min_parallel_rows=1)
 
         def always_broken(start: int, stop: int) -> int:
             raise RuntimeError("kaput")
@@ -419,7 +409,7 @@ class TestRetries:
             parallel._run_tasks(always_broken, [(0, 4)])
 
     def test_resource_errors_are_not_retried(self):
-        parallel.configure(threads=2, morsel_rows=4, min_parallel_rows=1)
+        settings.configure(threads=2, morsel_rows=4, min_parallel_rows=1)
         ctx = QueryContext()
         ctx.cancel()
 
@@ -433,7 +423,7 @@ class TestRetries:
     def test_differential_corpus_bit_identical_under_crashes(self):
         """The acceptance criterion: with worker_crash injection on, the
         SQL differential corpus still matches serial bit for bit."""
-        resilience.configure(faults="worker_crash:0.2", fault_seed=3)
+        settings.configure(faults="worker_crash:0.2", fault_seed=3)
         rng = np.random.default_rng(11)
         checked = 0
         for _ in range(40):
@@ -441,11 +431,11 @@ class TestRetries:
             query = random_query(rng)
             db = Database()
             db.create_table("t", table)
-            parallel.configure(threads=0)
+            settings.configure(threads=0)
             serial = db.sql(query)
-            parallel.configure(threads=4, morsel_rows=7, min_parallel_rows=1)
+            settings.configure(threads=4, morsel_rows=7, min_parallel_rows=1)
             recovered = db.sql(query)
-            parallel.configure(threads=0)
+            settings.configure(threads=0)
             tables_bit_identical(serial, recovered)
             checked += 1
         assert checked == 40
@@ -457,8 +447,7 @@ class TestPoolFallback:
     ):
         from concurrent.futures.process import BrokenProcessPool
 
-        parallel.configure(threads=2, morsel_rows=4, min_parallel_rows=1)
-        parallel.configure(pool_kind="process")
+        settings.configure(threads=2, morsel_rows=4, min_parallel_rows=1, pool_kind="process")
 
         class _BrokenPool:
             def submit(self, fn, *args):
@@ -467,7 +456,7 @@ class TestPoolFallback:
         real_get_pool = parallel._get_pool
 
         def fake_get_pool():
-            if parallel.get_config().pool_kind == "process":
+            if settings.current.pool_kind == "process":
                 return _BrokenPool()
             return real_get_pool()
 
@@ -478,13 +467,13 @@ class TestPoolFallback:
 
         results = parallel._run_tasks(kernel, [(0, 4), (4, 8)])
         assert results == [4, 4]
-        assert parallel.get_config().pool_kind == "thread"
+        assert settings.current.pool_kind == "thread"
         assert registry.counter("resilience.pool_fallbacks").value == 1
 
     def test_thread_pool_failure_is_wrapped_with_morsel_id(self):
         from concurrent.futures.process import BrokenProcessPool
 
-        parallel.configure(threads=2, morsel_rows=4, min_parallel_rows=1)
+        settings.configure(threads=2, morsel_rows=4, min_parallel_rows=1)
 
         def kernel(start: int, stop: int) -> int:
             raise BrokenProcessPool("worker died")
@@ -534,7 +523,7 @@ class TestCsvOnError:
         path = tmp_path / "clean.csv"
         path.write_text("a\n" + "\n".join(str(i) for i in range(50)) + "\n")
         assert read_csv(path).num_rows == 50
-        resilience.configure(faults="malformed_row:1.0")
+        settings.configure(faults="malformed_row:1.0")
         with pytest.raises(LoadingError, match="injected"):
             read_csv(path)
         assert read_csv(path, on_error="skip").num_rows == 0

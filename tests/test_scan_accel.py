@@ -1,4 +1,4 @@
-"""Tests for scan-path acceleration (repro.engine.scanopt et al.).
+"""Tests for scan-path acceleration (dictionary encoding, zone maps, plan cache).
 
 Covers the three techniques of PR 5 — dictionary-encoded STRING columns,
 zone-map data skipping, and the catalog-versioned plan cache — plus the
@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import resilience
+from repro import settings
 from repro.engine import Database, Table
-from repro.engine import parallel, scanopt, shards, zonemap
+from repro.engine import zonemap
 from repro.engine.column import Column
 from repro.engine.expressions import col, lit, truth_mask
 from repro.engine.planner import extract_probe
@@ -25,39 +25,15 @@ from repro.engine.types import DataType
 from repro.errors import TypeMismatchError
 from repro.indexing import CrackerIndex
 from repro.obs.metrics import MetricsRegistry, set_registry
+from tests.conftest import pin_defaults
 from tests.test_parallel import tables_bit_identical
 from tests.test_sql_differential import random_query, random_table
 
 
 @pytest.fixture(autouse=True)
 def _reset_accel():
-    """Pin the accelerators on for the test (regardless of REPRO_* env
-    overrides), then restore the ambient accel/parallel/governor config."""
-    accel = scanopt.get_config()
-    par = parallel.get_config()
-    gov = resilience.get_config()
-    shard_index_saved = shards.get_config().shard_index
-    saved = (
-        accel.dict_encode, accel.zone_rows, accel.plan_cache, accel.plan_cache_size,
-        par.threads, par.morsel_rows, par.min_parallel_rows,
-        gov.faults, gov.fault_seed,
-    )
-    scanopt.configure(
-        dict_encode=True,
-        zone_rows=scanopt.DEFAULT_ZONE_ROWS,
-        plan_cache=True,
-        plan_cache_size=scanopt.DEFAULT_PLAN_CACHE_SIZE,
-    )
-    yield
-    scanopt.configure(
-        dict_encode=saved[0], zone_rows=saved[1],
-        plan_cache=saved[2], plan_cache_size=saved[3],
-    )
-    parallel.configure(
-        threads=saved[4], morsel_rows=saved[5], min_parallel_rows=saved[6]
-    )
-    resilience.configure(faults=saved[7] or "off", fault_seed=saved[8])
-    shards.configure(shard_index=shard_index_saved)
+    """Pin the accelerators on for the test, regardless of REPRO_* env overrides."""
+    pin_defaults("dict_encode", "zone_rows", "plan_cache", "plan_cache_size")
 
 
 @pytest.fixture()
@@ -101,7 +77,7 @@ class TestDictionaryEncoding:
         assert column.null_count() == 4
 
     def test_disabled_by_config(self):
-        scanopt.configure(dict_encode=False)
+        settings.configure(dict_encode=False)
         db = Database()
         db.create_table("t", {"s": _strings(10)})
         assert db.get_table("t").column("s").dictionary() is None
@@ -135,9 +111,9 @@ class TestDictionaryEncoding:
             ">": col("s") > lit(needle),
             ">=": col("s") >= lit(needle),
         }[op]
-        scanopt.configure(dict_encode=True)
+        settings.configure(dict_encode=True)
         fast = truth_mask(predicate, table)
-        scanopt.configure(dict_encode=False)
+        settings.configure(dict_encode=False)
         slow = truth_mask(predicate, table)
         assert np.array_equal(fast, slow)
 
@@ -159,7 +135,7 @@ class TestDictionaryEncoding:
         ]
         results = {}
         for mode in (True, False):
-            scanopt.configure(dict_encode=mode)
+            settings.configure(dict_encode=mode)
             db = Database()
             db.create_table("t", {"s": list(values), "x": list(range(300))})
             results[mode] = [db.sql(q) for q in queries]
@@ -167,7 +143,7 @@ class TestDictionaryEncoding:
             tables_bit_identical(fast, slow)
 
     def test_pragma_reencodes_existing_tables(self):
-        scanopt.configure(dict_encode=False)
+        settings.configure(dict_encode=False)
         db = Database()
         db.create_table("t", {"s": _strings(10)})
         assert db.get_table("t").column("s").dictionary() is None
@@ -317,11 +293,11 @@ class TestZoneMapPruning:
         assert probe is not None and probe.low == "m"
 
     def test_scan_uses_zones_and_counts_metric(self, registry):
-        scanopt.configure(zone_rows=64)
+        settings.configure(zone_rows=64)
         # under env-driven auto-sharding the shard-key cracker index
         # would answer this scan and the zone map (the thing under
         # test) would legitimately never be consulted
-        shards.configure(shard_index=False)
+        settings.configure(shard_index=False)
         db = Database()
         db.create_table("t", _clustered_table(1000))
         result = db.sql("SELECT COUNT(*) AS n FROM t WHERE x >= 900")
@@ -329,15 +305,15 @@ class TestZoneMapPruning:
         assert registry.counter("scan.zones_pruned").value >= 10
 
     def test_explain_analyze_annotates_zones(self):
-        scanopt.configure(zone_rows=64)
-        shards.configure(shard_index=False)  # keep the scan on the zone-map path
+        settings.configure(zone_rows=64)
+        settings.configure(shard_index=False)  # keep the scan on the zone-map path
         db = Database()
         db.create_table("t", _clustered_table(1000))
         report = db.explain_analyze("SELECT * FROM t WHERE x < 10")
         assert "pruned" in report.render()
 
     def test_zone_rows_zero_disables(self, registry):
-        scanopt.configure(zone_rows=0)
+        settings.configure(zone_rows=0)
         db = Database()
         db.create_table("t", _clustered_table(1000))
         db.sql("SELECT COUNT(*) AS n FROM t WHERE x >= 900")
@@ -346,7 +322,7 @@ class TestZoneMapPruning:
     def test_index_probe_path_skips_zone_maps(self, registry):
         """A scan answered through a registered cracker index re-orders
         rows; zone maps must stay out of the way (no double filtering)."""
-        scanopt.configure(zone_rows=64)
+        settings.configure(zone_rows=64)
         n = 1000
         rng = np.random.default_rng(7)
         values = rng.integers(0, 10_000, n)
@@ -378,7 +354,7 @@ class TestPlanCache:
         assert registry.counter("plan_cache.misses").value == 1
 
     def test_disabled_by_config(self, registry):
-        scanopt.configure(plan_cache=False)
+        settings.configure(plan_cache=False)
         db = Database()
         db.create_table("t", {"x": [1, 2, 3]})
         sql = "SELECT x FROM t"
@@ -434,7 +410,7 @@ class TestPlanCache:
         assert "index: x in" not in fresh.explain()
 
     def test_lru_eviction(self, registry):
-        scanopt.configure(plan_cache_size=2)
+        settings.configure(plan_cache_size=2)
         db = Database()
         db.create_table("t", {"x": [1, 2, 3]})
         a, b, c = (f"SELECT x FROM t LIMIT {i}" for i in (1, 2, 3))
@@ -464,7 +440,7 @@ class TestStatisticsFreshness:
         assert db.statistics("t").column("x").max_value == 5
 
     def test_replace_refreshes_zone_map(self):
-        scanopt.configure(zone_rows=4)
+        settings.configure(zone_rows=4)
         db = Database()
         db.create_table("t", {"x": list(range(16))})
         old = db.zone_map("t")
@@ -495,14 +471,14 @@ class TestScanAccelPragmas:
     def test_roundtrip(self):
         db = Database()
         db.execute("PRAGMA zone_rows=128")
-        assert scanopt.get_config().zone_rows == 128
+        assert settings.current.zone_rows == 128
         assert db.execute("PRAGMA zone_rows").column("value")[0] == 128
         db.execute("PRAGMA plan_cache=0")
-        assert scanopt.get_config().plan_cache is False
+        assert settings.current.plan_cache is False
         db.execute("PRAGMA plan_cache_size=8")
-        assert scanopt.get_config().plan_cache_size == 8
+        assert settings.current.plan_cache_size == 8
         db.execute("PRAGMA dict_encode=0")
-        assert scanopt.get_config().dict_encode is False
+        assert settings.current.dict_encode is False
 
     def test_rejects_bad_values(self):
         db = Database()
@@ -535,27 +511,20 @@ def test_corpus_bit_identity_under_threads_and_faults(seed: int) -> None:
         )
         return db
 
-    try:
-        scanopt.configure(dict_encode=False, zone_rows=0, plan_cache=False)
-        parallel.configure(threads=0)
-        resilience.configure(faults="off")
-        baseline_db = build_db()
-        baseline = [baseline_db.sql(sql) for sql in queries]
+    settings.configure(dict_encode=False, zone_rows=0, plan_cache=False, threads=0, faults="off")
+    baseline_db = build_db()
+    baseline = [baseline_db.sql(sql) for sql in queries]
 
-        scanopt.configure(dict_encode=True, zone_rows=8, plan_cache=True)
-        parallel.configure(threads=4, morsel_rows=7, min_parallel_rows=1)
-        resilience.configure(faults="worker_crash:0.1", fault_seed=seed)
-        accel_db = build_db()
-        # run each query twice so the second execution exercises the
-        # plan-cache hit path under the same fault schedule
-        accelerated = [accel_db.sql(sql) for sql in queries]
-        repeated = [accel_db.sql(sql) for sql in queries]
-    finally:
-        parallel.configure(threads=0, morsel_rows=parallel.DEFAULT_MORSEL_ROWS)
-        resilience.configure(faults="off")
-        scanopt.configure(
-            dict_encode=True, zone_rows=scanopt.DEFAULT_ZONE_ROWS, plan_cache=True
-        )
+    settings.configure(
+        dict_encode=True, zone_rows=8, plan_cache=True,
+        threads=4, morsel_rows=7, min_parallel_rows=1,
+        faults="worker_crash:0.1", fault_seed=seed,
+    )
+    accel_db = build_db()
+    # run each query twice so the second execution exercises the
+    # plan-cache hit path under the same fault schedule
+    accelerated = [accel_db.sql(sql) for sql in queries]
+    repeated = [accel_db.sql(sql) for sql in queries]
 
     for sql, expected, got, again in zip(queries, baseline, accelerated, repeated):
         try:

@@ -18,16 +18,13 @@ import shutil
 
 import pytest
 
-from repro import resilience
+from repro import settings
 from repro.engine import Database, Table
-from repro.engine import delta as deltamod
 from repro.engine import operators as ops
-from repro.engine import parallel, scanopt
-from repro.engine import shards as shardsmod
-from repro.engine import wal as walmod
+from repro.engine import parallel
 from repro.errors import TypeMismatchError
 from repro.obs.metrics import get_registry
-from repro.storage import layouts
+from tests.conftest import pin_defaults
 from tests.test_parallel import tables_bit_identical
 
 ROWS = 1000
@@ -62,22 +59,13 @@ def _table() -> Table:
 
 @pytest.fixture(scope="module", autouse=True)
 def checkpoints(tmp_path_factory):
-    """Pins every config axis the lattice varies (restoring the ambient,
-    env-driven one afterwards) and builds one checkpointed durable root
-    per shard count, copied per lattice point."""
-    par, acc, shd = parallel.get_config(), scanopt.get_config(), shardsmod.get_config()
-    wcfg, gov = walmod.get_config(), resilience.get_config()
-    saved_parallel = (par.threads, par.morsel_rows, par.min_parallel_rows, par.pool_kind)
-    saved_scan = (acc.zone_rows, acc.dict_encode)
-    saved_shards = (shd.shards, shd.shard_by, shd.shard_min_rows, shd.shard_index)
-    saved_wal = (wcfg.wal, wcfg.wal_sync, wcfg.wal_batch)
-    saved_rest = (layouts.get_config().storage, deltamod.get_config().delta_rows, gov.faults)
-    scanopt.configure(zone_rows=ZONE_ROWS, dict_encode=True)
-    shardsmod.configure(shards=0, shard_index=False)
-    walmod.configure(wal=True, wal_sync="commit")
-    deltamod.configure(delta_rows=deltamod.DEFAULT_DELTA_ROWS)
-    resilience.configure(faults="off")
-    layouts.configure(storage="memory")
+    """Pins every config axis the lattice varies and builds one
+    checkpointed durable root per shard count, copied per lattice point."""
+    settings.configure(
+        zone_rows=ZONE_ROWS, dict_encode=True, shards=0, shard_index=False,
+        wal=True, wal_sync="commit", faults="off", storage="memory",
+    )
+    pin_defaults("delta_rows")
     roots = {}
     for shard_count in (0, 4):
         roots[shard_count] = tmp_path_factory.mktemp(f"routes{shard_count}") / "db"
@@ -87,22 +75,14 @@ def checkpoints(tmp_path_factory):
                 db.apply_sharding("t", shard_count, shard_by="range(k)")
             db.checkpoint()
     yield roots
-    parallel.configure(*saved_parallel)
     parallel.shutdown_pool()
-    scanopt.configure(zone_rows=saved_scan[0], dict_encode=saved_scan[1])
-    shardsmod.configure(*saved_shards)
-    walmod.configure(*saved_wal)
-    layouts.configure(storage=saved_rest[0])
-    deltamod.configure(delta_rows=saved_rest[1])
-    resilience.configure(faults=saved_rest[2] or "off")
 
 
 def _open(checkpoints, tmp_path, storage, state, threads, shard_count) -> Database:
     root = tmp_path / f"{storage}-{state}-{threads}-{shard_count}"
     shutil.copytree(checkpoints[shard_count], root)
-    layouts.configure(storage=storage)
-    parallel.configure(
-        threads=threads, morsel_rows=64, min_parallel_rows=2, pool_kind="thread"
+    settings.configure(
+        storage=storage, threads=threads, morsel_rows=64, min_parallel_rows=2, pool_kind="thread"
     )
     db = Database(path=root)
     assert db.get_table("t").is_mapped == (storage == "mmap")
@@ -144,14 +124,14 @@ def _run(db: Database, monkeypatch) -> dict:
 def reference(checkpoints, tmp_path_factory):
     """Per delta state: the unpruned, serial, in-memory, unsharded answers."""
     answers = {}
-    scanopt.configure(zone_rows=0)
+    settings.configure(zone_rows=0)
     for state in STATES:
         db = _open(checkpoints, tmp_path_factory.mktemp("reference"), "memory", state, 0, 0)
         try:
             answers[state] = {label: db.sql(sql) for label, sql in QUERIES.items()}
         finally:
             db.close()
-    scanopt.configure(zone_rows=ZONE_ROWS)
+    settings.configure(zone_rows=ZONE_ROWS)
     return answers
 
 

@@ -22,57 +22,28 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import resilience
+from repro import settings
 from repro.engine import Database, Table
-from repro.engine import delta as deltamod
-from repro.engine import parallel, scanopt
 from repro.engine import shards as shardsmod
 from repro.engine import wal as walmod
 from repro.engine.column import Column
 from repro.errors import CatalogError
 from repro.obs.metrics import MetricsRegistry, set_registry
-from repro.storage import layouts
+from tests.conftest import pin_defaults
 from tests.test_parallel import tables_bit_identical
 from tests.test_sql_differential import random_query, random_table
 
 
 @pytest.fixture(autouse=True)
 def _pin_shard_config():
-    """Deterministic shard/parallel/storage config; restore the ambient one."""
-    saved_shards = shardsmod.get_config()
-    saved = (
-        saved_shards.shards,
-        saved_shards.shard_by,
-        saved_shards.shard_min_rows,
-        saved_shards.shard_index,
+    """Deterministic shard/storage/write-path config and a fresh metrics registry."""
+    pin_defaults(
+        "shards", "shard_by", "shard_index", "storage", "delta_rows", "faults", "fault_seed"
     )
-    saved_storage = layouts.get_config().storage
-    saved_delta = deltamod.get_config().delta_rows
-    saved_zone = scanopt.get_config().zone_rows
-    saved_pool = parallel.get_config().pool_kind
-    gov = resilience.get_config()
-    saved_gov = (gov.faults, gov.fault_seed)
-    shardsmod.configure(shards=0, shard_by="hash", shard_min_rows=64, shard_index=True)
-    layouts.configure(storage="memory")
-    deltamod.configure(delta_rows=deltamod.DEFAULT_DELTA_ROWS)
-    resilience.configure(faults="off", fault_seed=0)
+    settings.configure(shard_min_rows=64)
     registry = MetricsRegistry()
     set_registry(registry)
-    yield registry
-    shardsmod.configure(
-        shards=saved[0],
-        shard_by=saved[1],
-        shard_min_rows=saved[2],
-        shard_index=saved[3],
-    )
-    layouts.configure(storage=saved_storage)
-    deltamod.configure(delta_rows=saved_delta)
-    scanopt.configure(zone_rows=saved_zone)
-    resilience.configure(faults="off", fault_seed=saved_gov[1])
-    resilience.configure(faults=saved_gov[0] or "off")
-    parallel.configure(
-        threads=0, morsel_rows=parallel.DEFAULT_MORSEL_ROWS, pool_kind=saved_pool
-    )
+    return registry
 
 
 def _filled_db(rows: int = 2000, modulus: int = 13) -> Database:
@@ -148,12 +119,12 @@ class TestPartitioning:
         assert by_shard == [1, 3, 0, 2]  # original order kept within shards
 
     def test_parse_shard_by(self):
-        assert shardsmod.parse_shard_by("hash") == ("hash", None)
-        assert shardsmod.parse_shard_by("hash(k)") == ("hash", "k")
-        assert shardsmod.parse_shard_by("'range( v )'") == ("range", "v")
+        assert settings.parse_shard_by("hash") == ("hash", None)
+        assert settings.parse_shard_by("hash(k)") == ("hash", "k")
+        assert settings.parse_shard_by("'range( v )'") == ("range", "v")
         for bad in ("turbo", "range(", "range)x("):
             with pytest.raises(ValueError):
-                shardsmod.parse_shard_by(bad)
+                settings.parse_shard_by(bad)
 
 
 # -- configuration wiring -------------------------------------------------------------
@@ -165,7 +136,7 @@ class TestShardConfig:
         db.execute("PRAGMA shard_min_rows=100")
         db.execute("PRAGMA shard_by='range(k)'")
         db.execute("PRAGMA shards=4")
-        assert shardsmod.get_config().shards == 4
+        assert settings.current.shards == 4
         assert db.execute("PRAGMA shards").column("value")[0] == 4
         assert db.execute("PRAGMA shard_by").column("value")[0] == "range(k)"
         layout = db.shard_layout("t")
@@ -189,12 +160,12 @@ class TestShardConfig:
         assert (layout.mode, layout.key) == ("range", "v")
 
     def test_small_tables_not_auto_sharded(self):
-        shardsmod.configure(shards=4, shard_min_rows=10_000)
+        settings.configure(shards=4, shard_min_rows=10_000)
         db = _filled_db(rows=100)
         assert db.shard_layout("t") is None
 
     def test_auto_shard_on_create(self):
-        shardsmod.configure(shards=4, shard_by="hash(k)", shard_min_rows=64)
+        settings.configure(shards=4, shard_by="hash(k)", shard_min_rows=64)
         db = _filled_db()
         layout = db.shard_layout("t")
         assert layout is not None and layout.num_shards == 4
@@ -318,10 +289,10 @@ class TestScatterExecution:
         db.apply_sharding("t", 4, shard_by=spec)
         # baseline: the same re-clustered rows with scatter disabled
         db.apply_sharding("t", 0)
-        parallel.configure(threads=0)
+        settings.configure(threads=0)
         expected = [db.sql(sql) for sql in SCATTER_QUERIES]
         db.apply_sharding("t", 4, shard_by=spec)  # identity: row order kept
-        parallel.configure(threads=threads, morsel_rows=257, min_parallel_rows=1)
+        settings.configure(threads=threads, morsel_rows=257, min_parallel_rows=1)
         for sql, want in zip(SCATTER_QUERIES, expected):
             try:
                 tables_bit_identical(db.sql(sql), want)
@@ -340,12 +311,26 @@ class TestScatterExecution:
         registry = _pin_shard_config
         db = _filled_db()
         db.apply_sharding("t", 4, shard_by="hash(k)")
-        parallel.configure(threads=4, morsel_rows=257, min_parallel_rows=1)
+        settings.configure(threads=4, morsel_rows=257, min_parallel_rows=1)
         report = db.explain_analyze("SELECT COUNT(*) AS c FROM t WHERE v > 0").render()
         assert "shards:" in report
         assert registry.counter("shard.tasks").value > 0
         assert registry.gauge("shard.count").value == 4
         assert registry.gauge("shard.skew_ratio").value >= 1.0
+
+    def test_hash_on_skewed_key_reports_skew(self, _pin_shard_config):
+        """70% of the rows share one key: hash(k) sends them all to one
+        shard and says so; range on a balanced key splits them evenly."""
+        gauge = _pin_shard_config.gauge("shard.skew_ratio")
+        db = Database()
+        db.create_table(
+            "t",
+            {"k": [0 if i % 10 < 7 else i % 64 for i in range(4000)], "id": list(range(4000))},
+        )
+        db.apply_sharding("t", 4, shard_by="hash(k)")
+        assert gauge.value > 2.0
+        db.apply_sharding("t", 4, shard_by="range(id)")
+        assert gauge.value < 1.1
 
     def test_worker_crash_fault_injection(self):
         db = _filled_db()
@@ -353,16 +338,15 @@ class TestScatterExecution:
         # order the sharded run does (hash re-clustering permutes rows)
         db.apply_sharding("t", 4, shard_by="hash(k)")
         db.apply_sharding("t", 0)
-        parallel.configure(threads=0)
+        settings.configure(threads=0)
         expected = [db.sql(sql) for sql in SCATTER_QUERIES]
         db.apply_sharding("t", 4, shard_by="hash(k)")
-        parallel.configure(threads=4, morsel_rows=257, min_parallel_rows=1)
-        resilience.configure(faults="worker_crash:0.2", fault_seed=11)
-        try:
-            for sql, want in zip(SCATTER_QUERIES, expected):
-                tables_bit_identical(db.sql(sql), want)
-        finally:
-            resilience.configure(faults="off")
+        settings.configure(
+            threads=4, morsel_rows=257, min_parallel_rows=1,
+            faults="worker_crash:0.2", fault_seed=11,
+        )
+        for sql, want in zip(SCATTER_QUERIES, expected):
+            tables_bit_identical(db.sql(sql), want)
 
 
 # -- epoch shipping over the process pool ---------------------------------------------
@@ -373,10 +357,10 @@ class TestEpochShipping:
         registry = _pin_shard_config
         db = _filled_db(rows=4000)
         db.apply_sharding("t", 4, shard_by="hash(k)")
-        parallel.configure(threads=0)
+        settings.configure(threads=0)
         sql = "SELECT k, COUNT(*) AS c, SUM(v) AS s FROM t WHERE v > -10 GROUP BY k"
         expected = db.sql(sql)
-        parallel.configure(
+        settings.configure(
             threads=2, morsel_rows=1024, min_parallel_rows=1, pool_kind="process"
         )
         shipped = []
@@ -394,7 +378,7 @@ class TestEpochShipping:
         db = _filled_db(rows=4000)
         db.apply_sharding("t", 4, shard_by="hash(k)")
         sql = "SELECT COUNT(*) AS c FROM t WHERE v > -10"
-        parallel.configure(
+        settings.configure(
             threads=2, morsel_rows=1024, min_parallel_rows=1, pool_kind="process"
         )
         db.sql(sql)
@@ -413,7 +397,7 @@ class TestEpochShipping:
 
 class TestShardPruning:
     def _clustered(self, root, rows=8192, zone_rows=256) -> Database:
-        scanopt.configure(zone_rows=zone_rows)
+        settings.configure(zone_rows=zone_rows)
         with Database(path=root) as db:
             db.create_table(
                 "t",
@@ -426,12 +410,12 @@ class TestShardPruning:
             )
             db.apply_sharding("t", 4, shard_by="range(k)")
             db.checkpoint()
-        layouts.configure(storage="mmap")
+        settings.configure(storage="mmap")
         return Database(path=root)
 
     def test_one_shard_predicate_prunes_rest(self, tmp_path, _pin_shard_config):
         registry = _pin_shard_config
-        shardsmod.configure(shard_index=False)  # exercise the scatter path
+        settings.configure(shard_index=False)  # exercise the scatter path
         db = self._clustered(tmp_path / "db")
         try:
             layout = db.shard_layout("t")
@@ -467,7 +451,7 @@ class TestShardPruning:
         # optimizer rule probe_merge fuses both bounds into one two-sided
         # probe that touches one shard; without it the planner probes
         # k >= 4200 alone, which rules out only the two shards below it
-        pruned = 3 if scanopt.get_config().optimizer else 2
+        pruned = 3 if settings.current.optimizer else 2
         assert registry.counter("shard.shards_pruned").value == pruned
 
     def test_mapped_table_gets_no_shard_index(self, tmp_path, _pin_shard_config):
@@ -480,7 +464,7 @@ class TestShardPruning:
 
     def test_all_fail_schedules_nothing(self, tmp_path, _pin_shard_config):
         registry = _pin_shard_config
-        shardsmod.configure(shard_index=False)
+        settings.configure(shard_index=False)
         db = self._clustered(tmp_path / "db")
         try:
             got = db.sql("SELECT k FROM t WHERE k = 99999")
@@ -626,7 +610,7 @@ class TestShardDurability:
             db.create_table("t", Table.from_dict({"k": list(range(500))}))
             db.apply_sharding("t", 2, shard_by="range(k)")
             saved = db.shard_layout("t")
-        shardsmod.configure(shards=8, shard_by="hash", shard_min_rows=1)
+        settings.configure(shards=8, shard_by="hash", shard_min_rows=1)
         with Database(path=root) as db:
             layout = db.shard_layout("t")
             assert layout.num_shards == 2
@@ -635,7 +619,7 @@ class TestShardDurability:
 
     def test_mmap_recovery_scatter(self, tmp_path):
         root = tmp_path / "db"
-        scanopt.configure(zone_rows=64)
+        settings.configure(zone_rows=64)
         with Database(path=root) as db:
             db.create_table(
                 "t",
@@ -646,8 +630,8 @@ class TestShardDurability:
             db.apply_sharding("t", 4, shard_by="range(k)")
             db.checkpoint()
             expected = db.sql("SELECT k, v FROM t WHERE k >= 600 AND k < 700")
-        layouts.configure(storage="mmap")
-        parallel.configure(threads=4, morsel_rows=128, min_parallel_rows=1)
+        settings.configure(storage="mmap")
+        settings.configure(threads=4, morsel_rows=128, min_parallel_rows=1)
         with Database(path=root) as db:
             assert db.main_table("t").is_mapped
             tables_bit_identical(
@@ -693,7 +677,7 @@ def test_corpus_bit_identity_sharded_vs_unsharded(seed: int, tmp_path) -> None:
     table, rows = random_table(rng, n=int(rng.integers(60, 160)))
     queries = [random_query(rng) for _ in range(10)]
     root = tmp_path / "db"
-    shardsmod.configure(shard_index=False)
+    settings.configure(shard_index=False)
 
     with Database(path=root) as db:
         db.create_table(
@@ -709,35 +693,28 @@ def test_corpus_bit_identity_sharded_vs_unsharded(seed: int, tmp_path) -> None:
         db.execute("INSERT INTO t VALUES (900, 1, 1.0, 'elk')")
         db.execute("DELETE FROM t WHERE id = 0")
 
-    saved_zone = scanopt.get_config().zone_rows
-    try:
-        scanopt.configure(zone_rows=8)
-        deltamod.configure(delta_rows=1)  # replay merges the tail immediately
-        baseline_db = Database(path=root)
-        assert baseline_db.shard_layout("t") is not None
-        # scatter off for the baseline only; the data keeps its shard order
-        baseline_db.apply_sharding("t", 0, log=False)
-        parallel.configure(threads=0)
-        baseline = [baseline_db.sql(sql) for sql in queries]
-        baseline_db.close()
+    settings.configure(zone_rows=8, delta_rows=1)  # replay merges the tail immediately
+    baseline_db = Database(path=root)
+    assert baseline_db.shard_layout("t") is not None
+    # scatter off for the baseline only; the data keeps its shard order
+    baseline_db.apply_sharding("t", 0, log=False)
+    settings.configure(threads=0)
+    baseline = [baseline_db.sql(sql) for sql in queries]
+    baseline_db.close()
 
-        layouts.configure(storage="mmap")
-        parallel.configure(threads=4, morsel_rows=7, min_parallel_rows=1)
-        resilience.configure(faults="worker_crash:0.1", fault_seed=seed)
-        sharded_db = Database(path=root)
-        assert sharded_db.shard_layout("t") is not None
-        sharded = [sharded_db.sql(sql) for sql in queries]
-        # kill (no close) and recover mid-session: the layout replays
-        del sharded_db
-        recovered_db = Database(path=root)
-        assert recovered_db.shard_layout("t") is not None
-        recovered = [recovered_db.sql(sql) for sql in queries]
-        recovered_db.close()
-    finally:
-        parallel.configure(threads=0, morsel_rows=parallel.DEFAULT_MORSEL_ROWS)
-        resilience.configure(faults="off")
-        scanopt.configure(zone_rows=saved_zone)
-        layouts.configure(storage="memory")
+    settings.configure(
+        storage="mmap", threads=4, morsel_rows=7, min_parallel_rows=1,
+        faults="worker_crash:0.1", fault_seed=seed,
+    )
+    sharded_db = Database(path=root)
+    assert sharded_db.shard_layout("t") is not None
+    sharded = [sharded_db.sql(sql) for sql in queries]
+    # kill (no close) and recover mid-session: the layout replays
+    del sharded_db
+    recovered_db = Database(path=root)
+    assert recovered_db.shard_layout("t") is not None
+    recovered = [recovered_db.sql(sql) for sql in queries]
+    recovered_db.close()
 
     for sql, expected, got, again in zip(queries, baseline, sharded, recovered):
         try:

@@ -112,6 +112,50 @@ class TestShellResilience:
         json.loads(shell.execute("\\metrics"))
 
 
+class TestShellSettings:
+    """The ``\\``-shorthands are PRAGMAs: what they set, the listing reports."""
+
+    @staticmethod
+    def _listed(shell) -> dict[str, list[str]]:
+        rows = [line.split("|") for line in shell.execute("\\pragma").splitlines()]
+        return {
+            cells[0].strip(): [cell.strip() for cell in cells[1:]]
+            for cells in rows
+            if len(cells) == 3
+        }
+
+    @pytest.mark.parametrize(
+        "command, name, value",
+        [
+            ("\\threads 3", "threads", "3"),
+            ("\\timeout 250", "timeout_ms", "250"),
+            ("\\delta 17", "delta_rows", "17"),
+        ],
+    )
+    def test_shorthand_shows_in_pragma_listing(self, shell, command, name, value):
+        assert self._listed(shell)[name][1] != "pragma"
+        shell.execute(command)
+        assert self._listed(shell)[name] == [value, "pragma"]
+        # and on a second shell: the setting is the process's
+        assert self._listed(Shell())[name] == [value, "pragma"]
+
+    def test_rejected_values_print_usage_and_set_nothing(self, shell):
+        before = self._listed(shell)
+        for command in ("\\threads -1", "\\threads many", "\\delta -1", "\\delta x"):
+            assert "usage" in shell.execute(command)
+        assert self._listed(shell) == before
+
+    def test_status_lines_read_the_store(self, shell):
+        shell.execute("PRAGMA shard_by='hash(region)'")
+        shell.execute("PRAGMA shard_index=0")
+        shell.execute("PRAGMA morsel_rows=4096")
+        assert shell.execute("\\shards").splitlines()[0].endswith(
+            "shard_by = hash(region), shard_min_rows = "
+            f"{self._listed(shell)['shard_min_rows'][0]}, shard_index = 0"
+        )
+        assert "morsel_rows = 4096, min_parallel_rows = 8192" in shell.execute("\\threads")
+
+
 class TestMainEntry:
     def test_dash_c(self, capsys):
         code = main(["-c", "CREATE TABLE t (a INT)"])

@@ -219,19 +219,15 @@ class TestPlanner:
         assert "index" not in plan.explain()
 
     def test_pushdown_with_join(self, db):
-        from repro.engine import scanopt
+        from repro import settings as engine_settings
 
         # b < 50 pushed into the scan; the optimizer pushes the
         # right-table label filter below the join as well (pin the
         # optimizer on: the REPRO_OPTIMIZER=0 CI leg disables it)
-        previous = scanopt.get_config().optimizer
-        scanopt.configure(optimizer=True)
-        try:
-            plan = db.plan(
-                "SELECT label FROM t JOIN u ON t.a = u.a WHERE b < 50 AND label = 'x'"
-            )
-        finally:
-            scanopt.configure(optimizer=previous)
+        engine_settings.configure(optimizer=True)
+        plan = db.plan(
+            "SELECT label FROM t JOIN u ON t.a = u.a WHERE b < 50 AND label = 'x'"
+        )
         text = plan.explain()
         assert "Scan(t, filter: (b < 50))" in text
         assert "right filter: (label = 'x')" in text

@@ -16,15 +16,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import resilience
+from repro import settings
 from repro.engine import Database, Table
-from repro.engine import delta as deltamod
 from repro.engine import operators as ops
-from repro.engine import parallel, scanopt
-from repro.engine import shards as shardsmod
+from repro.engine import parallel
 from repro.engine.sql.parser import parse
 from repro.obs.metrics import MetricsRegistry, set_registry
-from repro.storage import layouts
 from tests.test_parallel import tables_bit_identical
 
 NAN = float("nan")
@@ -92,25 +89,21 @@ def test_nan_keys_sort_stably_as_the_largest_value() -> None:
 @pytest.mark.parametrize("dict_encode", [True, False])
 @pytest.mark.parametrize("seed", range(4))
 def test_top_n_equals_sorted_prefix(seed: int, dict_encode: bool) -> None:
-    saved = scanopt.get_config().dict_encode
-    scanopt.configure(dict_encode=dict_encode)
-    try:
-        db = Database()
-        db.create_table("t", _random_table(seed))
-        table = db.get_table("t")  # dictionary-encoded by the catalog
-        assert (table.column("s").dictionary() is not None) == dict_encode
-        for keys in KEY_SHAPES:
-            order_by = _order_by(keys)
-            full = ops.sort_table(table, order_by)
-            for k in _ks(table.num_rows):
-                got, candidates = ops.top_n(table, order_by, k)
-                try:
-                    tables_bit_identical(got, ops.limit(full, k))
-                except AssertionError as exc:
-                    raise AssertionError(f"top_n diverged on {keys!r}, k={k}") from exc
-                assert candidates <= table.num_rows
-    finally:
-        scanopt.configure(dict_encode=saved)
+    settings.configure(dict_encode=dict_encode)
+    db = Database()
+    db.create_table("t", _random_table(seed))
+    table = db.get_table("t")  # dictionary-encoded by the catalog
+    assert (table.column("s").dictionary() is not None) == dict_encode
+    for keys in KEY_SHAPES:
+        order_by = _order_by(keys)
+        full = ops.sort_table(table, order_by)
+        for k in _ks(table.num_rows):
+            got, candidates = ops.top_n(table, order_by, k)
+            try:
+                tables_bit_identical(got, ops.limit(full, k))
+            except AssertionError as exc:
+                raise AssertionError(f"top_n diverged on {keys!r}, k={k}") from exc
+            assert candidates <= table.num_rows
 
 
 def test_top_n_sorts_only_the_candidates() -> None:
@@ -138,10 +131,7 @@ def test_top_n_sorts_only_the_candidates() -> None:
 
 @pytest.fixture()
 def optimizer_on():
-    saved = scanopt.get_config().optimizer
-    scanopt.configure(optimizer=True)
-    yield
-    scanopt.configure(optimizer=saved)
+    settings.configure(optimizer=True)
 
 
 class TestTopNRule:
@@ -223,41 +213,23 @@ LATTICE = [
 
 @pytest.fixture()
 def _pinned_config():
-    """Restore every process-wide knob the lattice flips."""
-    par, accel = parallel.get_config(), scanopt.get_config()
-    gov, shard = resilience.get_config(), shardsmod.get_config()
-    saved = (
-        par.threads, par.morsel_rows, par.min_parallel_rows, par.pool_kind,
-        accel.optimizer, accel.zone_rows, layouts.get_config().storage,
-        deltamod.get_config().delta_rows, gov.faults, gov.fault_seed,
-        shard.shard_index,
-    )
+    """What every lattice point shares; its pool does not outlive the test."""
+    # delta_rows: keep the DML below pending
+    settings.configure(shard_index=False, delta_rows=1_000_000, zone_rows=8)
     yield
-    parallel.configure(
-        threads=saved[0], morsel_rows=saved[1], min_parallel_rows=saved[2],
-        pool_kind=saved[3],
-    )
     parallel.shutdown_pool()
-    scanopt.configure(optimizer=saved[4], zone_rows=saved[5])
-    layouts.configure(storage=saved[6])
-    deltamod.configure(delta_rows=saved[7])
-    resilience.configure(faults=saved[8] or "off", fault_seed=saved[9])
-    shardsmod.configure(shard_index=saved[10])
 
 
 @pytest.mark.parametrize("point", LATTICE, ids=lambda p: "-".join(map(str, p)))
 def test_top_n_is_the_sorted_prefix_on_every_route(point, tmp_path, _pinned_config) -> None:
     threads, pool, num_shards, shard_by, storage, dirty, faults = point
     root = tmp_path / "db"
-    shardsmod.configure(shard_index=False)
-    deltamod.configure(delta_rows=1_000_000)  # keep the DML below pending
-    scanopt.configure(zone_rows=8)
     with Database(path=root) as db:
         db.create_table("t", _random_table(seed=11, n=90))
         if num_shards:
             db.apply_sharding("t", num_shards, shard_by=shard_by)
         db.checkpoint()
-    layouts.configure(storage=storage)
+    settings.configure(storage=storage)
     with Database(path=root) as db:
         assert (db.shard_layout("t") is not None) == bool(num_shards)
         assert db.main_table("t").is_mapped == (storage == "mmap")
@@ -268,10 +240,10 @@ def test_top_n_is_the_sorted_prefix_on_every_route(point, tmp_path, _pinned_conf
             )
             db.execute("DELETE FROM t WHERE id = 7 OR id = 40")
             assert db.delta_store_if_dirty("t") is not None
-        parallel.configure(
-            threads=threads, morsel_rows=7, min_parallel_rows=1, pool_kind=pool
+        settings.configure(
+            threads=threads, morsel_rows=7, min_parallel_rows=1, pool_kind=pool,
+            faults=faults, fault_seed=5,
         )
-        resilience.configure(faults=faults, fault_seed=5)
         for where in ("", " WHERE id >= 12 AND ties < 2"):
             # the reference: this route's own scan, sorted serially by the kernel
             scanned = db.sql(f"SELECT * FROM t{where}")
@@ -280,7 +252,7 @@ def test_top_n_is_the_sorted_prefix_on_every_route(point, tmp_path, _pinned_conf
                 for k in _ks(scanned.num_rows):
                     sql = f"SELECT * FROM t{where} ORDER BY {keys} LIMIT {k}"
                     for optimizer in (True, False):
-                        scanopt.configure(optimizer=optimizer)
+                        settings.configure(optimizer=optimizer)
                         try:
                             tables_bit_identical(db.sql(sql), ops.limit(full, k))
                         except AssertionError as exc:
