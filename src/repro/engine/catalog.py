@@ -3,6 +3,12 @@
 ``Database`` is the main entry point of the engine substrate: it registers
 tables, maintains statistics, hosts secondary indexes (including the
 adaptive cracker indexes of the paper's Database Layer), and executes SQL.
+
+Everything the catalog knows about one table is one :class:`_TableState`
+record in ``Database._tables``, and a table's columnar main is replaced
+in exactly one place, :meth:`Database._install`, whose docstring is the
+rule table for what survives the replacement (DESIGN.md, "Catalog
+state").
 """
 
 from __future__ import annotations
@@ -10,13 +16,13 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from pathlib import Path
-from typing import Any, Mapping, Protocol, Sequence
+from typing import Any, Collection, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from repro import settings
 from repro.engine import delta as deltamod
+from repro.engine import shards as shardsmod
 from repro.engine.delta import DeltaStore
 from repro.engine.optimizer import optimize_plan
 from repro.engine.planner import Plan, plan_statement
@@ -27,7 +33,6 @@ from repro.engine.types import DataType
 from repro.errors import CatalogError
 from repro.obs.metrics import get_registry
 from repro.obs.profile import ExplainAnalyzeReport, PlanProfiler
-from repro.storage import layouts
 
 
 class RangeIndex(Protocol):
@@ -50,6 +55,38 @@ class RangeIndex(Protocol):
         ...
 
 
+class _TableState:
+    """Everything the catalog holds about one table.
+
+    ``main`` is the columnar main and ``version`` its data version;
+    ``delta`` holds the pending writes against it, with the tail table,
+    effective table and effective statistics derived from them cached on
+    the store itself (:meth:`DeltaStore.cached`); ``stats`` describes
+    the main, zone maps included, and is None until someone asks;
+    ``layout`` is the shard layout clustering the main, or None;
+    ``indexes`` maps a column to its secondary index, whose positions
+    are main row positions.  :meth:`Database._install` is the only
+    writer of ``main``, ``version`` and ``delta``.
+    """
+
+    __slots__ = ("main", "version", "delta", "stats", "layout", "indexes")
+
+    def __init__(self, main: Table) -> None:
+        self.main = main
+        self.version = 0
+        self.delta = DeltaStore(main.num_rows)
+        self.stats: TableStatistics | None = None
+        self.layout: shardsmod.ShardLayout | None = None
+        self.indexes: dict[str, RangeIndex] = {}
+
+
+def _layout_spec(layout: shardsmod.ShardLayout | None) -> tuple | None:
+    """What a cached plan can know of a layout.  Offsets, bounds and the
+    object itself move with every merge; compared by identity, each merge
+    of a sharded table would clear the plan cache."""
+    return None if layout is None else (layout.mode, layout.key, layout.num_shards)
+
+
 class Database:
     """A database: tables, statistics, indexes, SQL execution.
 
@@ -60,22 +97,11 @@ class Database:
 
     def __init__(self, name: str = "db", path: str | os.PathLike | None = None) -> None:
         self.name = name
-        self._tables: dict[str, Table] = {}
-        self._statistics: dict[str, tuple[int, TableStatistics]] = {}
-        self._indexes: dict[tuple[str, str], RangeIndex] = {}
+        self._tables: dict[str, _TableState] = {}
         self._catalog_version = 0
         self._data_counter = 0
-        self._table_versions: dict[str, int] = {}
-        # write path: per-table delta stores plus caches keyed on
-        # (table data version, delta version)
-        self._deltas: dict[str, DeltaStore] = {}
-        self._tails: dict[str, tuple[int, Table]] = {}
-        self._effective: dict[str, tuple[tuple[int, int], Table]] = {}
-        self._effective_stats: dict[str, tuple[tuple[int, int], TableStatistics]] = {}
         self._plan_cache: OrderedDict[str, tuple[int, bool, Plan]] = OrderedDict()
         self._plan_cache_lock = threading.Lock()
-        # sharding: per-table partition layout (see repro.engine.shards)
-        self._shard_layouts: dict[str, Any] = {}
         self.queries_executed = 0
         # durability: None for in-memory databases; recovery replays the
         # WAL with _replaying set so replayed writes are not re-logged
@@ -123,28 +149,6 @@ class Database:
             {"op": op, "table": name}, layouts.table_to_bytes(table)
         )
 
-    def _install_recovered(
-        self,
-        name: str,
-        table: Table,
-        stats: TableStatistics | None,
-        sharding: dict | None = None,
-    ) -> None:
-        """Register a checkpoint-restored table without logging anything."""
-        self._encode_strings(table)  # no-op for columns whose codes came from disk
-        self._tables[name] = table
-        self._reset_delta(name)
-        self._bump_catalog(name)
-        if stats is not None:
-            self._statistics[name] = (self._table_versions.get(name, 0), stats)
-        if sharding is not None:
-            from repro.engine import shards as shardsmod
-
-            self._shard_layouts[name] = shardsmod.ShardLayout.from_manifest(sharding)
-            self._register_shard_index(name)
-        else:
-            self._shard_layouts.pop(name, None)
-
     def cached_statistics(self, name: str) -> TableStatistics | None:
         """Cached statistics for a table's main iff still current, else None.
 
@@ -152,10 +156,8 @@ class Database:
         is computed at checkpoint time; missing statistics are recomputed
         lazily after recovery.
         """
-        entry = self._statistics.get(name)
-        if entry is None or entry[0] != self._table_versions.get(name, 0):
-            return None
-        return entry[1]
+        state = self._tables.get(name)
+        return None if state is None else state.stats
 
     def checkpoint(self) -> str:
         """Merge pending deltas, then atomically persist the whole catalog.
@@ -180,43 +182,18 @@ class Database:
             self.flush_deltas()
             directory = self._durability.checkpoint(self)
             if settings.current.storage == "mmap":
-                self._adopt_checkpoint(directory)
+                # Re-home every main onto the just-written part files:
+                # they are byte-for-byte the current mains (deltas were
+                # flushed first), so this is also how a running session
+                # goes out of core (``PRAGMA storage=mmap``, then a
+                # checkpoint).  Same content — _install keeps everything
+                # a mapped main may carry.
+                from repro.engine import wal as walmod
+
+                for name, table, _, _ in walmod._load_checkpoint_dir(directory, "mmap"):
+                    self._install(name, table, layout=self._tables[name].layout)
                 self._durability.release_live_dirs()
         return str(directory)
-
-    def _adopt_checkpoint(self, directory: str | os.PathLike) -> None:
-        """Re-home every main onto the just-written checkpoint's files.
-
-        In mmap mode the freshly written part files are byte-for-byte
-        the current mains (deltas were flushed first), so the catalog
-        swaps its in-RAM or live-dir-backed columns for read-only maps
-        of the checkpoint — this is also how a running session goes out
-        of core (``PRAGMA storage=mmap`` followed by a checkpoint).  No
-        version bumps: content is identical by construction, so cached
-        plans, statistics, zone maps and indexes all stay valid.
-        """
-        import json
-
-        directory = Path(directory)
-        manifest = json.loads((directory / "MANIFEST.json").read_text())
-        for table_meta in manifest["tables"]:
-            name = table_meta["name"]
-            if name not in self._tables:
-                continue
-            columns = []
-            for column_meta in table_meta["columns"]:
-                dtype = DataType[column_meta["dtype"]]
-                columns.append((
-                    column_meta["name"],
-                    layouts.open_column_files(
-                        directory, column_meta["files"], dtype, mode="mmap"
-                    ),
-                ))
-            remapped = Table(columns)
-            self._encode_strings(remapped)  # codes come back from disk
-            self._tables[name] = remapped
-            self._tails.pop(name, None)
-            self._effective.pop(name, None)
 
     def close(self) -> None:
         """Flush and close the database; idempotent.
@@ -247,9 +224,9 @@ class Database:
         import gc
 
         backings = []
-        for table in self._tables.values():
-            for column_name in table.column_names:
-                backing = table.column(column_name).backing
+        for state in self._tables.values():
+            for column_name in state.main.column_names:
+                backing = state.main.column(column_name).backing
                 if backing is not None:
                     backings.append(backing)
         if not backings:
@@ -260,12 +237,6 @@ class Database:
             backing.release()
         # drop every internal reference that may pin a mapped array
         self._tables.clear()
-        self._statistics.clear()
-        self._effective.clear()
-        self._effective_stats.clear()
-        self._tails.clear()
-        self._deltas.clear()
-        self._indexes.clear()
         with self._plan_cache_lock:
             self._plan_cache.clear()
         gc.collect()
@@ -294,34 +265,123 @@ class Database:
         data-dependent caches instead)."""
         return self._catalog_version
 
-    def _bump_catalog(self, table: str | None = None) -> None:
-        """Advance the catalog version (naming the changed table, if any)
-        and drop every cached plan — the catalog they were bound against
-        no longer exists."""
+    def _bump_catalog(self) -> None:
+        """Advance the catalog version and drop every cached plan — the
+        catalog they were bound against no longer exists."""
         self._catalog_version += 1
-        if table is not None:
-            self._bump_data(table)
         with self._plan_cache_lock:
             self._plan_cache.clear()
 
-    def _bump_data(self, table: str) -> None:
-        """Advance a table's *data* version: its contents changed (merge,
-        UPDATE, replacement) but the catalog shape did not.  Invalidates
-        statistics and effective-table caches without touching cached
-        plans."""
-        self._data_counter += 1
-        self._table_versions[table] = self._data_counter
+    def _state(self, name: str) -> _TableState:
+        try:
+            return self._tables[name]
+        except KeyError:
+            raise CatalogError(f"unknown table {name!r}") from None
 
-    def _reset_delta(self, name: str) -> None:
-        """Fresh (empty) delta store tracking the current main table."""
-        main = self._tables.get(name)
-        if main is None:
-            self._deltas.pop(name, None)
+    def _install(
+        self,
+        name: str,
+        main: Table,
+        *,
+        moved: bool = False,
+        changed: Collection[str] = (),
+        stats: TableStatistics | None = None,
+        layout: shardsmod.ShardLayout | None = None,
+    ) -> None:
+        """Make ``main`` the table's columnar main — the one place a main
+        is replaced, and so the one place that decides what survives.
+
+        The writer passes what it *observed*: ``moved`` — a surviving row
+        changed position; ``changed`` — the columns whose values changed
+        in place; ``layout`` — the shard layout that clusters ``main``;
+        ``stats`` — statistics that already describe new contents.
+        Contents are *new* when no table of that name is registered
+        (``replace_table`` retires the old one first).  From that alone:
+
+        ================================  ==========  ========  =======  =======
+        observed (writers)                statistics  indexes   pending  data
+                                                                delta    version
+        ================================  ==========  ========  =======  =======
+        new contents (create, replace,    ``stats``   none      fresh    new
+        recovered, unfiltered DELETE)
+        rows moved (compacting or re-     none        none      fresh    new
+        clustering merge, re-shard)
+        rows appended (pure-append        extended    kept      fresh    new
+        merge)
+        ``changed`` in place (UPDATE)     none        others    touched  new
+                                                      kept
+        same content (adopted check-      kept        kept      kept     kept
+        point, identity re-shard,
+        unshard)
+        ================================  ==========  ========  =======  =======
+
+        On every row: the partition-local crackers of a layout that lost
+        its (mode, key, shard count) go with it; a memory-mapped main
+        carries no partition-local cracker (building one, NaN scan
+        included, faults in every page and keeping one pins them, and
+        out-of-core scans must stay on the streamed path where pruning
+        skips reads and ``io.*`` is accounted); a layout gets the cracker on its shard key (re)built
+        when the column can back one; and the catalog version moves iff
+        the schema, the index set or that layout triple changed.
+        """
+        self._encode_strings(main)  # no-op for columns that carry codes already
+        state = self._tables.get(name)
+        structural = rebuilt = state is None
+        if state is None:
+            state = self._tables[name] = _TableState(main)
+            state.stats = stats
         else:
-            self._deltas[name] = DeltaStore(main.num_rows)
-        self._tails.pop(name, None)
-        self._effective.pop(name, None)
-        self._effective_stats.pop(name, None)
+            # a merge or re-shard hands over a whole new image; an UPDATE
+            # or an adopted checkpoint keeps every row where it was
+            rebuilt = moved or main.num_rows != state.main.num_rows
+            if (
+                rebuilt
+                and state.main.is_mapped
+                and self._durability is not None
+                and settings.current.storage == "mmap"
+            ):
+                # never rewrite the checkpoint files a mapped main points
+                # at — they are the recovery source until the next
+                # checkpoint.  The new image is spilled to a live
+                # scratch dir (write-temp-then-rename) and remapped.
+                main = self._durability.spill_table(name, main)
+            if moved or changed:
+                state.stats = None  # ROADMAP item 2 patches here instead
+            elif rebuilt and state.stats is not None:
+                state.stats = deltamod.extend_statistics(
+                    state.stats, main, state.main.num_rows
+                )
+            structural = relaid = _layout_spec(layout) != _layout_spec(state.layout)
+            for column, index in list(state.indexes.items()):
+                if moved or column in changed or (
+                    isinstance(index, shardsmod.ShardedCrackerIndex)
+                    and (relaid or main.is_mapped)
+                ):
+                    del state.indexes[column]
+                    structural = True
+            if rebuilt:
+                state.delta = DeltaStore(main.num_rows)
+            elif changed:
+                state.delta.touch()
+        if rebuilt or changed:
+            self._data_counter += 1
+            state.version = self._data_counter
+        state.main, state.layout = main, layout
+        if (
+            layout is not None
+            and settings.current.shard_index
+            and not main.is_mapped
+            and layout.key in main.schema
+            and layout.key not in state.indexes  # a surviving one is still truthful
+            and not state.delta.rows  # pending rows the new index never saw
+            and shardsmod.cracker_obstacle(main.column(layout.key)) is None
+        ):
+            state.indexes[layout.key] = shardsmod.ShardedCrackerIndex(
+                main.column(layout.key), layout
+            )
+            structural = True
+        if structural:
+            self._bump_catalog()
 
     @staticmethod
     def _encode_strings(table: Table) -> None:
@@ -349,44 +409,28 @@ class Database:
         if not isinstance(table, Table):
             table = Table.from_dict(table)
         self._log_snapshot("create", name, table)
-        self._encode_strings(table)
-        self._tables[name] = table
-        self._reset_delta(name)
-        self._bump_catalog(name)
+        self._install(name, table)
         self._maybe_auto_shard(name)
         return table
 
     def drop_table(self, name: str) -> None:
         """Remove a table and everything attached to it."""
-        if name not in self._tables:
-            raise CatalogError(f"unknown table {name!r}")
+        self._state(name)
         self._log_record({"op": "drop", "table": name})
         del self._tables[name]
-        self._statistics.pop(name, None)
-        self._table_versions.pop(name, None)
-        self._shard_layouts.pop(name, None)
-        self._reset_delta(name)
-        for key in [k for k in self._indexes if k[0] == name]:
-            del self._indexes[key]
         self._bump_catalog()
 
     def replace_table(self, name: str, table: Table) -> None:
         """Swap the contents of an existing table.
 
-        Statistics, indexes and the pending delta attached to the old
-        contents are dropped, since they no longer describe the data.
+        Statistics, indexes, layout and the pending delta attached to
+        the old contents are dropped, since they no longer describe the
+        data.
         """
-        if name not in self._tables:
-            raise CatalogError(f"unknown table {name!r}")
+        self._state(name)
         self._log_snapshot("replace", name, table)
-        self._encode_strings(table)
-        self._tables[name] = table
-        self._statistics.pop(name, None)
-        self._shard_layouts.pop(name, None)
-        self._reset_delta(name)
-        for key in [k for k in self._indexes if k[0] == name]:
-            del self._indexes[key]
-        self._bump_catalog(name)
+        del self._tables[name]  # nothing of the old table describes the new one
+        self._install(name, table)
         self._maybe_auto_shard(name)
 
     def table_names(self) -> list[str]:
@@ -401,24 +445,21 @@ class Database:
         """The named table, as queries see it.
 
         While the table has pending writes this is the *effective* table
-        — live main rows followed by live delta rows, cached per (data
-        version, delta version).  With a clean delta it is the columnar
-        main itself, zero-copy.
+        — live main rows followed by live delta rows, cached on the
+        delta store per delta version.  With a clean delta it is the
+        columnar main itself, zero-copy.
 
         Raises:
             CatalogError: if the table does not exist.
         """
-        main = self.main_table(name)
-        store = self._deltas.get(name)
-        if store is None or store.is_clean():
-            return main
-        key = (self._table_versions.get(name, 0), store.version)
-        cached = self._effective.get(name)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        effective = deltamod.merged_table(main, self.delta_tail(name), store)
-        self._effective[name] = (key, effective)
-        return effective
+        state = self._state(name)
+        store = state.delta
+        if store.is_clean():
+            return state.main
+        return store.cached(
+            "effective",
+            lambda: deltamod.merged_table(state.main, self.delta_tail(name), store),
+        )
 
     def main_table(self, name: str) -> Table:
         """The columnar main of a table, ignoring any pending delta.
@@ -431,19 +472,11 @@ class Database:
             CatalogError: if the table does not exist.
         """
         try:
-            return self._tables[name]
+            return self._tables[name].main
         except KeyError:
             raise CatalogError(f"unknown table {name!r}") from None
 
     # -- delta store ---------------------------------------------------------------
-
-    def _delta(self, name: str) -> DeltaStore:
-        """The delta store of an existing table (created lazily)."""
-        store = self._deltas.get(name)
-        if store is None:
-            store = DeltaStore(self.main_table(name).num_rows)
-            self._deltas[name] = store
-        return store
 
     def delta_store_if_dirty(self, name: str) -> DeltaStore | None:
         """The table's delta store when it has pending writes, else None.
@@ -452,35 +485,28 @@ class Database:
         columnar main is the whole truth and every fast path applies
         unchanged.
         """
-        store = self._deltas.get(name)
-        if store is None or store.is_clean():
+        state = self._tables.get(name)
+        if state is None or state.delta.is_clean():
             return None
-        return store
+        return state.delta
 
     def delta_tail(self, name: str) -> Table:
         """All pending delta rows (dead ones included, keeping positions
         stable) as a columnar table, cached per delta version."""
-        store = self._delta(name)
-        version = store.version
-        cached = self._tails.get(name)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        tail = deltamod.tail_table(store, self.main_table(name))
-        self._tails[name] = (version, tail)
-        return tail
+        state = self._state(name)
+        store = state.delta
+        return store.cached("tail", lambda: deltamod.tail_table(store, state.main))
 
     def delta_pressure(self, name: str) -> int:
         """Pending inserts + tombstones awaiting the next merge."""
-        store = self._deltas.get(name)
-        return 0 if store is None else store.write_pressure
+        state = self._tables.get(name)
+        return 0 if state is None else state.delta.write_pressure
 
     def flush_deltas(self, name: str | None = None) -> None:
         """Merge pending deltas into the columnar main now (all tables,
         or just one)."""
         names = [name] if name is not None else list(self._tables)
         for table_name in names:
-            if table_name not in self._tables:
-                raise CatalogError(f"unknown table {table_name!r}")
             self._merge_delta(table_name, reason="flush")
 
     def _maybe_merge(self, name: str) -> None:
@@ -488,27 +514,24 @@ class Database:
             # replay must not race ahead of history: merges happen exactly
             # where the log's merge markers say they happened
             return
-        store = self._deltas.get(name)
-        if store is None:
-            return
+        store = self._tables[name].delta
         if store.write_pressure >= settings.current.delta_rows and not store.is_clean():
             self._merge_delta(name, reason="threshold")
 
     def _merge_delta(self, name: str, reason: str) -> None:
         """Fold a table's delta into its columnar main.
 
-        Pure appends maintain every attached structure incrementally —
-        dictionary codes ride through :func:`~repro.engine.delta.merged_table`,
-        cached zone maps are extended in place of a rebuild, and cached
-        statistics are absorbed with the O(delta) tail summary.  A merge
-        that compacts tombstones shifts row positions, so it drops
-        positional structures (registered indexes, cached stats) instead.
+        Dictionary codes ride through
+        :func:`~repro.engine.delta.merged_table`, and a sharded table
+        re-applies its layout; what that leaves of the attached
+        structures is :meth:`_install`'s call — a pure append keeps and
+        extends them, anything that moved a row drops them.
         """
         from repro.obs.tracing import trace
 
-        store = self._deltas.get(name)
-        if store is None or store.is_clean():
-            self._reset_delta(name)
+        state = self._state(name)
+        store = state.delta
+        if store.is_clean():
             return
         # a merge changes physical state only, but it is still logged: the
         # marker keeps replayed merge timing (and hence physical layout)
@@ -524,90 +547,38 @@ class Database:
         with registry.timer("write.merge_time").time(), trace(
             "write.merge", table=name, rows=pending, tombstones=tombstones, reason=reason
         ):
-            main = self._tables[name]
-            pure_append = tombstones == 0
             new_main = self.get_table(name)  # the effective table IS the merge result
-            self._encode_strings(new_main)  # encodes columns that never had codes
+            moved = tombstones > 0  # compaction renumbers the rows behind a dead one
             # a sharded table re-applies its layout: appended rows route
             # to their shards by key, range bounds track the new value
             # distribution, and the extents stay contiguous
-            layout = self._shard_layouts.get(name)
-            re_clustered = False
+            layout = state.layout
             if layout is not None:
-                from repro.engine import shards as shardsmod
-
-                new_main, layout, layout_identity = shardsmod.apply_layout(
+                new_main, layout, in_place = shardsmod.apply_layout(
                     new_main, layout.mode, layout.key, layout.num_shards,
                     uid=layout.uid,
                 )
-                self._shard_layouts[name] = layout
-                re_clustered = not layout_identity
-            if (
-                self._durability is not None
-                and main.is_mapped
-                and settings.current.storage == "mmap"
-            ):
-                # never rewrite the checkpoint files a mapped main points
-                # at — they are the recovery source until the next
-                # checkpoint.  The merged image is spilled to a live
-                # scratch dir (write-temp-then-rename) and remapped.
-                new_main = self._durability.spill_table(
-                    name,
-                    new_main,
-                    {
-                        column: new_main.schema.type_of(column)
-                        for column in new_main.column_names
-                    },
-                )
-            seeded: TableStatistics | None = None
-            entry = self._statistics.get(name)
-            if (
-                pure_append
-                and not re_clustered
-                and entry is not None
-                and entry[0] == self._table_versions.get(name, 0)
-            ):
-                seeded = deltamod.extend_statistics(entry[1], new_main, main.num_rows)
-            self._tables[name] = new_main
-            if not pure_append or re_clustered:
-                # compaction/re-clustering renumbered rows: positional
-                # indexes are stale
-                index_keys = [k for k in self._indexes if k[0] == name]
-                for key in index_keys:
-                    del self._indexes[key]
-                if index_keys:
-                    self._bump_catalog(name)
-                else:
-                    self._bump_data(name)
-            else:
-                self._bump_data(name)
-            self._reset_delta(name)
-            if seeded is not None:
-                self._statistics[name] = (self._table_versions.get(name, 0), seeded)
-            else:
-                self._statistics.pop(name, None)
+                moved = moved or not in_place
+            self._install(name, new_main, moved=moved, layout=layout)
             if layout is not None:
-                from repro.engine import shards as shardsmod
-
-                self._register_shard_index(name)
                 shardsmod.record_layout_metrics(layout)
         registry.counter("write.merges").inc()
         registry.counter("write.merge_rows").inc(pending)
-        if not self._replaying and name not in self._shard_layouts:
-            self._maybe_auto_shard(name)
+        self._maybe_auto_shard(name)
 
     # -- statistics ---------------------------------------------------------------
 
     def _main_statistics(self, name: str) -> TableStatistics:
-        """Statistics of the columnar main, lazily computed and cached
-        under the table's data version."""
-        table = self.main_table(name)
-        version = self._table_versions.get(name, 0)
-        entry = self._statistics.get(name)
-        if entry is None or entry[0] != version:
-            entry = (version, TableStatistics.from_table(table))
-            self._statistics[name] = entry
-        return entry[1]
+        """Statistics of the columnar main, computed on first use;
+        :meth:`_install` drops them when they stop describing it."""
+        state = self._state(name)
+        stats = state.stats
+        if stats is None:
+            main = state.main
+            stats = TableStatistics.from_table(main)
+            if state.main is main:  # a build that raced an install is not kept
+                state.stats = stats
+        return stats
 
     def statistics(self, name: str) -> TableStatistics:
         """Statistics for a table as queries see it, lazily cached.
@@ -622,22 +593,22 @@ class Database:
         store = self.delta_store_if_dirty(name)
         if store is None:
             return main_stats
-        key = (self._table_versions.get(name, 0), store.version)
-        cached = self._effective_stats.get(name)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        tail = self.delta_tail(name)
-        live = store.live_delta_mask()
-        if live is not None:
-            tail = tail.filter(live)
-        effective = deltamod.effective_statistics(main_stats, tail, store.main_tombstones)
-        self._effective_stats[name] = (key, effective)
-        return effective
+
+        def absorb() -> TableStatistics:
+            tail = self.delta_tail(name)
+            live = store.live_delta_mask()
+            if live is not None:
+                tail = tail.filter(live)
+            return deltamod.effective_statistics(main_stats, tail, store.main_tombstones)
+
+        return store.cached("statistics", absorb)
 
     def invalidate_statistics(self, name: str) -> None:
         """Drop cached statistics (e.g. after the table was replaced)."""
-        self._statistics.pop(name, None)
-        self._effective_stats.pop(name, None)
+        state = self._tables.get(name)
+        if state is not None:
+            state.stats = None
+            state.delta.touch()  # the absorbed statistics were derived from them
 
     def zone_map(self, name: str) -> ZoneMap:
         """Zone map of the columnar *main* at the configured ``zone_rows``
@@ -648,7 +619,7 @@ class Database:
         map deliberately ignores pending writes.  (Tombstoned main rows
         stay summarised: bounds over a superset keep FAIL/PASS sound,
         and the scan ANDs the live mask afterwards.)  Cached inside the
-        version-checked statistics entry; merges extend it incrementally.
+        statistics that :meth:`_install` keeps, extends or drops.
         """
         return self._main_statistics(name).zone_map(
             self.main_table(name), settings.current.zone_rows
@@ -671,58 +642,47 @@ class Database:
         same form the automatic shard-key index takes) — probes then
         prune shards and return current row positions.
         """
-        if table not in self._tables:
-            raise CatalogError(f"unknown table {table!r}")
-        if column not in self.main_table(table).schema:
+        state = self._state(table)
+        if column not in state.main.schema:
             raise CatalogError(f"table {table!r} has no column {column!r}")
-        if self.delta_store_if_dirty(table) is not None:
+        if not state.delta.is_clean():
             self._merge_delta(table, reason="register_index")
-        layout = self._shard_layouts.get(table)
-        if layout is not None:
-            from repro.engine import shards as shardsmod
-
-            main = self.main_table(table)
-            if main.schema.type_of(column) not in (DataType.INT64, DataType.FLOAT64):
-                raise CatalogError(
-                    f"cannot index {table}.{column}: a sharded table needs a "
-                    "numeric column to back a partition-local cracker"
-                )
-            data = main.column(column)
-            if data.validity is not None or (
-                data.data.dtype.kind == "f" and bool(np.isnan(data.data).any())
-            ):
-                raise CatalogError(
-                    f"cannot index {table}.{column}: NULLs/NaNs cannot back a "
-                    "partition-local cracker on a sharded table"
-                )
-            index = shardsmod.ShardedCrackerIndex(data, layout)
-        self._indexes[(table, column)] = index
+        if state.layout is not None:
+            data = state.main.column(column)
+            obstacle = shardsmod.cracker_obstacle(data)
+            if obstacle is not None:
+                raise CatalogError(f"cannot index {table}.{column}: {obstacle}")
+            index = shardsmod.ShardedCrackerIndex(data, state.layout)
+        state.indexes[column] = index
         self._bump_catalog()  # cached plans may now prefer an index probe
 
     def unregister_index(self, table: str, column: str) -> None:
         """Detach the index on ``table.column`` if present."""
-        if self._indexes.pop((table, column), None) is not None:
+        state = self._tables.get(table)
+        if state is not None and state.indexes.pop(column, None) is not None:
             self._bump_catalog()  # cached plans may reference the index
 
     def index_for(self, table: str, column: str) -> RangeIndex | None:
         """The registered index on ``table.column``, or None."""
-        return self._indexes.get((table, column))
+        state = self._tables.get(table)
+        return None if state is None else state.indexes.get(column)
 
     # -- sharding ------------------------------------------------------------------
 
     def shard_layout(self, name: str):
         """The table's :class:`~repro.engine.shards.ShardLayout`, or None."""
-        return self._shard_layouts.get(name)
+        state = self._tables.get(name)
+        return None if state is None else state.layout
 
     def _effective_rows(self, name: str) -> int:
         """Main rows plus pending delta inserts (the post-merge size)."""
-        store = self._deltas.get(name)
-        pending = 0 if store is None else store.pending_inserts
-        return self.main_table(name).num_rows + pending
+        state = self._tables[name]
+        return state.main.num_rows + state.delta.pending_inserts
 
     def table_version(self, name: str) -> int:
         """The table's monotonic data version (keys the shard ship cache)."""
-        return self._table_versions.get(name, 0)
+        state = self._tables.get(name)
+        return 0 if state is None else state.version
 
     def apply_sharding(
         self,
@@ -742,16 +702,12 @@ class Database:
         partitioning of a monotone key).  ``num_shards`` of 0 or 1 drops
         the layout without touching the data.
         """
-        from repro.engine import shards as shardsmod
-
-        if name not in self._tables:
-            raise CatalogError(f"unknown table {name!r}")
+        state = self._state(name)
         if num_shards <= 1:
-            if self._shard_layouts.pop(name, None) is not None:
-                self._drop_shard_indexes(name)
+            if state.layout is not None:
                 if log:
                     self._log_record({"op": "shard", "table": name, "shards": 0})
-                self._bump_catalog(name)
+                self._install(name, state.main, layout=None)
             return
         mode, key = "hash", None
         if shard_by is not None:
@@ -760,15 +716,14 @@ class Database:
             except ValueError as exc:
                 raise CatalogError(str(exc)) from None
         if key is None:
-            key = self.main_table(name).column_names[0]
-        if key not in self.main_table(name).schema:
+            key = state.main.column_names[0]
+        if key not in state.main.schema:
             raise CatalogError(f"table {name!r} has no column {key!r}")
-        if self.delta_store_if_dirty(name) is not None:
+        if not state.delta.is_clean():
             self._merge_delta(name, reason="shard")
-        main = self._tables[name]
         try:
-            new_main, layout, identity = shardsmod.apply_layout(
-                main, mode, key, num_shards
+            new_main, layout, in_place = shardsmod.apply_layout(
+                state.main, mode, key, num_shards
             )
         except ValueError as exc:
             raise CatalogError(str(exc)) from None
@@ -782,84 +737,9 @@ class Database:
                     "key": key,
                 }
             )
-        self._drop_shard_indexes(name)
-        if identity:
-            # same rows in the same order: stats, zone maps and mapped
-            # backings stay valid; only cached plans must re-bind
-            self._shard_layouts[name] = layout
-            self._bump_catalog()
-        else:
-            if (
-                self._durability is not None
-                and main.is_mapped
-                and settings.current.storage == "mmap"
-            ):
-                new_main = self._durability.spill_table(
-                    name,
-                    new_main,
-                    {
-                        column: new_main.schema.type_of(column)
-                        for column in new_main.column_names
-                    },
-                )
-            self._encode_strings(new_main)
-            self._tables[name] = new_main
-            self._shard_layouts[name] = layout
-            self._statistics.pop(name, None)
-            for index_key in [k for k in self._indexes if k[0] == name]:
-                del self._indexes[index_key]
-            self._reset_delta(name)
-            self._bump_catalog(name)
-        self._register_shard_index(name)
+        # in place: same rows in the same order (new_main is the old main)
+        self._install(name, new_main, moved=not in_place, layout=layout)
         shardsmod.record_layout_metrics(layout)
-
-    def _drop_shard_indexes(self, name: str) -> None:
-        """Remove partition-local cracker indexes of a retired layout."""
-        from repro.engine.shards import ShardedCrackerIndex
-
-        for key in [
-            k
-            for k, index in self._indexes.items()
-            if k[0] == name and isinstance(index, ShardedCrackerIndex)
-        ]:
-            del self._indexes[key]
-
-    def _register_shard_index(self, name: str) -> None:
-        """Attach a partition-local cracker index on the shard key.
-
-        Installed directly (not via :meth:`register_index`, which would
-        re-enter the merge path) and only when the key column can back a
-        cracker exactly: numeric, no NULLs, no NaNs.  Skipped when an
-        index on the key already exists — after an identity (pure
-        append) merge the surviving index is still truthful.  Also
-        skipped for mapped tables: building the cracker (and its NaN
-        scan) would fault in every page, and out-of-core scans must stay
-        on the streamed path where pruning skips reads and ``io.*`` is
-        accounted.
-        """
-        from repro.engine import shards as shardsmod
-
-        layout = self._shard_layouts.get(name)
-        if layout is None or not settings.current.shard_index:
-            return
-        main = self.main_table(name)
-        if main.is_mapped:
-            return
-        if layout.key not in main.schema:
-            return
-        if (name, layout.key) in self._indexes:
-            return
-        if main.schema.type_of(layout.key) not in (DataType.INT64, DataType.FLOAT64):
-            return
-        column = main.column(layout.key)
-        if column.validity is not None:
-            return
-        if column.data.dtype.kind == "f" and bool(np.isnan(column.data).any()):
-            return
-        self._indexes[(name, layout.key)] = shardsmod.ShardedCrackerIndex(
-            column, layout
-        )
-        self._bump_catalog()  # cached plans may now prefer an index probe
 
     def _maybe_auto_shard(self, name: str) -> None:
         """Shard a table per the live config when it crosses the row floor.
@@ -868,7 +748,7 @@ class Database:
         ``shard`` records instead, so a changed environment config can
         never fork recovery away from history.
         """
-        if self._replaying or name in self._shard_layouts:
+        if self._replaying or self._tables[name].layout is not None:
             return
         config = settings.current
         if config.shards < 2:
@@ -1080,7 +960,7 @@ class Database:
         """``PRAGMA shards=N`` acts on the tables already registered."""
         config = settings.current
         for name in list(self._tables):
-            existing = self._shard_layouts.get(name)
+            existing = self._tables[name].layout
             if config.shards <= 1:
                 self.apply_sharding(name, 0)
             elif existing is not None:
@@ -1104,8 +984,8 @@ class Database:
 
     def _encode_registered(self) -> None:
         """``dict_encode=1`` encodes tables registered while it was off."""
-        for table in self._tables.values():
-            self._encode_strings(table)
+        for state in self._tables.values():
+            self._encode_strings(state.main)
 
     #: what a ``PRAGMA name=value`` does to *this* database once the
     #: setting is stored — the only per-setting code on the PRAGMA path
@@ -1199,7 +1079,8 @@ class Database:
         from repro.engine.expressions import fold_constant
 
         name = statement.table
-        table = self.main_table(name)
+        state = self._state(name)
+        table = state.main
         names = statement.columns or list(table.column_names)
         unknown = set(names) - set(table.column_names)
         if unknown:
@@ -1224,8 +1105,8 @@ class Database:
             new_rows.append(tuple(values.get(n) for n in table.column_names))
         if sql is not None:
             self._log_record({"op": "sql", "stmt": sql})
-        store = self._delta(name)
-        self._feed_indexes_on_insert(name, table, new_rows)
+        store = state.delta
+        self._feed_indexes_on_insert(state, new_rows)
         store.append(new_rows)
         registry = get_registry()
         registry.counter("write.inserts").inc()
@@ -1235,7 +1116,7 @@ class Database:
         return len(new_rows)
 
     def _feed_indexes_on_insert(
-        self, name: str, table: Table, new_rows: list[tuple[Any, ...]]
+        self, state: _TableState, new_rows: list[tuple[Any, ...]]
     ) -> None:
         """Keep registered indexes truthful across an append.
 
@@ -1244,25 +1125,47 @@ class Database:
         fed each new value — logical ids line up with main positions plus
         delta offsets because registration merges the delta first.  An
         index without ``insert`` (or facing a value it cannot hold, e.g.
-        NULL) is unregistered: it no longer describes the table.
+        NULL) is unregistered: it no longer describes the table.  Only
+        the index set changed, so only the catalog version moves.
         """
-        index_keys = [k for k in self._indexes if k[0] == name]
-        if not index_keys:
-            return
-        positions = {n: i for i, n in enumerate(table.column_names)}
-        for key in index_keys:
-            index = self._indexes[key]
+        for column, index in list(state.indexes.items()):
             insert = getattr(index, "insert", None)
-            column_pos = positions[key[1]]
+            column_pos = state.main.column_names.index(column)
             values = [row[column_pos] for row in new_rows]
             if insert is None or any(
                 v is None or isinstance(v, (str, bool)) for v in values
             ):
-                del self._indexes[key]
-                self._bump_catalog(name)
+                del state.indexes[column]
+                self._bump_catalog()
                 continue
             for value in values:
                 insert(value)
+
+    def _matching_rows(
+        self, name: str, where
+    ) -> tuple[np.ndarray, Table | None, np.ndarray | None]:
+        """The live rows a DML statement's WHERE selects (every live row
+        when it has none): a mask over the main, and the delta tail with
+        a mask over it — both None when no insert is pending."""
+        from repro.engine.expressions import truth_mask
+
+        def select(table: Table, live: np.ndarray | None) -> np.ndarray:
+            mask = (
+                truth_mask(where, table)
+                if where is not None
+                else np.ones(table.num_rows, dtype=bool)
+            )
+            if live is not None:
+                mask &= live
+            return mask
+
+        state = self._state(name)
+        store = state.delta
+        mask_main = select(state.main, store.live_main_mask())
+        if not store.rows:
+            return mask_main, None, None
+        tail = self.delta_tail(name)
+        return mask_main, tail, select(tail, store.live_delta_mask())
 
     def _execute_delete(self, statement, sql: str | None = None) -> int:
         """DELETE: tombstone matching rows instead of materialising a
@@ -1274,11 +1177,9 @@ class Database:
         :meth:`replace_table`, which logs an (empty) snapshot record; the
         WHERE form logs the statement text once matches are computed and
         at least one row is affected."""
-        from repro.engine.expressions import truth_mask
-
         name = statement.table
-        main = self.main_table(name)
-        store = self._delta(name)
+        state = self._state(name)
+        main, store = state.main, state.delta
         registry = get_registry()
         if statement.where is None:
             affected = main.num_rows - store.main_tombstones + store.live_delta_count()
@@ -1287,25 +1188,26 @@ class Database:
             registry.counter("write.deletes").inc()
             registry.counter("write.delete_rows").inc(affected)
             return affected
-        mask_main = truth_mask(statement.where, main)
-        live_main = store.live_main_mask()
-        if live_main is not None:
-            mask_main &= live_main
-        affected = int(mask_main.sum())
-        dead_delta: list[int] = []
-        if store.rows:
-            tail = self.delta_tail(name)
-            mask_tail = truth_mask(statement.where, tail)
-            live_delta = store.live_delta_mask()
-            if live_delta is not None:
-                mask_tail &= live_delta
-            dead_delta = np.flatnonzero(mask_tail).tolist()
-            affected += len(dead_delta)
+        mask_main, _, mask_tail = self._matching_rows(name, statement.where)
+        dead_delta = [] if mask_tail is None else np.flatnonzero(mask_tail).tolist()
+        affected = int(mask_main.sum()) + len(dead_delta)
         if affected == 0:
             return 0
         if sql is not None:
             self._log_record({"op": "sql", "stmt": sql})
-        self._notify_index_deletes(name, mask_main, dead_delta, main.num_rows)
+        # Forward the tombstones to delete-capable indexes.  Purely an
+        # optimisation: the scan filters probe positions through the live
+        # masks regardless, so an index without ``delete`` stays
+        # registered and correct — it just returns dead positions the
+        # scan then drops.
+        for index in state.indexes.values():
+            delete = getattr(index, "delete", None)
+            if delete is None:
+                continue
+            for position in np.flatnonzero(mask_main):
+                delete(int(position))
+            for i in dead_delta:
+                delete(main.num_rows + i)
         store.mark_main_deleted(mask_main)
         store.mark_delta_deleted(dead_delta)
         registry.counter("write.deletes").inc()
@@ -1314,31 +1216,14 @@ class Database:
         self._maybe_merge(name)
         return affected
 
-    def _notify_index_deletes(
-        self, name: str, mask_main: np.ndarray, dead_delta: list[int], main_rows: int
-    ) -> None:
-        """Forward tombstones to delete-capable indexes.
-
-        Purely an optimisation: the scan filters probe positions through
-        the live masks regardless, so an index without ``delete`` stays
-        registered and correct — it just returns dead positions the scan
-        then drops.
-        """
-        for key in [k for k in self._indexes if k[0] == name]:
-            delete = getattr(self._indexes[key], "delete", None)
-            if delete is None:
-                continue
-            for position in np.flatnonzero(mask_main):
-                delete(int(position))
-            for index in dead_delta:
-                delete(main_rows + index)
-
     def _execute_update(self, statement, sql: str | None = None) -> int:
         """UPDATE: vectorised in-place column rewrite.
 
         The statement text is WAL-logged after every assignment has been
         evaluated and coerced, immediately before the new table is
-        installed — a type error mid-statement therefore logs nothing.
+        installed — a type error mid-statement therefore logs nothing,
+        and neither does a statement that matched no row (it returns 0
+        with nothing installed, as DELETE does).
 
         Only assigned columns are copied — unassigned columns are shared
         with the old table — and assignments patch the payload with one
@@ -1347,50 +1232,26 @@ class Database:
         column order are preserved; indexes on assigned columns are
         dropped (their values changed in place), others stay valid.
         """
-        from repro.engine.expressions import fold_constant, truth_mask
+        from repro.engine.expressions import fold_constant
 
         name = statement.table
-        main = self.main_table(name)
-        store = self._delta(name)
-        mask_main = (
-            truth_mask(statement.where, main)
-            if statement.where is not None
-            else np.ones(main.num_rows, dtype=bool)
-        )
-        live_main = store.live_main_mask()
-        if live_main is not None:
-            mask_main &= live_main
-        affected = int(mask_main.sum())
-        tail = self.delta_tail(name) if store.rows else None
-        mask_tail = None
-        if tail is not None:
-            mask_tail = (
-                truth_mask(statement.where, tail)
-                if statement.where is not None
-                else np.ones(tail.num_rows, dtype=bool)
-            )
-            live_delta = store.live_delta_mask()
-            if live_delta is not None:
-                mask_tail &= live_delta
-            affected += int(mask_tail.sum())
-        dict_encode = settings.current.dict_encode
+        state = self._state(name)
+        main, store = state.main, state.delta
+        mask_main, tail, mask_tail = self._matching_rows(name, statement.where)
+        tail_hits = np.flatnonzero(mask_tail) if mask_tail is not None else ()
+        affected = int(mask_main.sum()) + len(tail_hits)
         new_columns = {n: main.column(n) for n in main.column_names}
         new_rows = [list(row) for row in store.rows]
         positions = {n: i for i, n in enumerate(main.column_names)}
-        assigned: list[str] = []
         for column_name, expr in statement.assignments:
             if column_name not in main.schema:
                 raise CatalogError(f"unknown column {column_name!r} in UPDATE")
-            assigned.append(column_name)
             dtype = main.schema.type_of(column_name)
             new_values = expr.evaluate(main)
-            updated = deltamod.assign_column(
+            new_columns[column_name] = deltamod.assign_column(
                 new_columns[column_name], new_values, mask_main
             )
-            if dtype is DataType.STRING and dict_encode:
-                updated.encode_dictionary()
-            new_columns[column_name] = updated
-            if mask_tail is not None and mask_tail.any():
+            if len(tail_hits):
                 if expr.referenced_columns():
                     tail_values = expr.evaluate(tail)
                     folded = None
@@ -1399,7 +1260,7 @@ class Database:
                         fold_constant(expr), dtype, column_name
                     )
                     tail_values = None
-                for index in np.flatnonzero(mask_tail):
+                for index in tail_hits:
                     value = (
                         folded
                         if tail_values is None
@@ -1408,23 +1269,18 @@ class Database:
                         )
                     )
                     new_rows[int(index)][positions[column_name]] = value
+        if affected == 0:
+            return 0
         if sql is not None:
             self._log_record({"op": "sql", "stmt": sql})
-        self._tables[name] = Table(
-            [(n, new_columns[n]) for n in main.column_names]
-        )
         if new_rows:
             store.rows = [tuple(row) for row in new_rows]
-        store.touch()
-        index_keys = [
-            k for k in self._indexes if k[0] == name and k[1] in assigned
-        ]
-        for key in index_keys:
-            del self._indexes[key]
-        if index_keys:
-            self._bump_catalog(name)
-        else:
-            self._bump_data(name)
+        self._install(
+            name,
+            Table([(n, new_columns[n]) for n in main.column_names]),
+            changed=[column_name for column_name, _ in statement.assignments],
+            layout=state.layout,
+        )
         registry = get_registry()
         registry.counter("write.updates").inc()
         registry.counter("write.update_rows").inc(affected)

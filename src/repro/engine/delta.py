@@ -31,6 +31,10 @@ incremental where the structures allow it:
 A merge with tombstones compacts row positions, so it drops positional
 structures (registered indexes, cached zone maps/statistics) instead of
 maintaining them — deletes are the rare case in an exploration workload.
+Which of the two a merge was is decided in one place,
+``Database._install`` (its docstring has the rule table); the values
+derived from a store — tail table, effective table, effective
+statistics — are cached on the store itself (:meth:`DeltaStore.cached`).
 
 This is the "Updating a Cracked Database" [30] design promoted from the
 :mod:`repro.indexing.updates` demo into the engine's real update path:
@@ -59,7 +63,7 @@ the checkpoint bytes.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -83,17 +87,23 @@ class DeltaStore:
     Deleted rows are never moved — main deletes flip a bit in a lazily
     allocated mask, delta deletes land in a set — so every surviving row
     keeps its position until the next merge compacts the table.
+
+    The store also holds what is derived from it — the tail table, the
+    effective table, the effective statistics (:meth:`cached`) — because
+    it is the store's own :meth:`touch` that makes them stale, and a
+    merge that replaces the store retires them with it.
     """
 
-    __slots__ = ("main_rows", "rows", "dead_delta", "_dead_main", "version")
+    __slots__ = ("main_rows", "rows", "dead_delta", "_dead_main", "version", "_derived")
 
     def __init__(self, main_rows: int) -> None:
         self.main_rows = main_rows
         self.rows: list[tuple[Any, ...]] = []
         self.dead_delta: set[int] = set()
         self._dead_main: np.ndarray | None = None
-        #: bumped on every state change; keys the catalog's caches
+        #: bumped on every state change; keys the derived-value cache
         self.version = 0
+        self._derived: dict[str, tuple[int, Any]] = {}
 
     # -- state -----------------------------------------------------------------------
 
@@ -117,6 +127,19 @@ class DeltaStore:
     def touch(self) -> None:
         """Bump the version: any cache keyed on it is now stale."""
         self.version += 1
+
+    def cached(self, slot: str, build: Callable[[], Any]) -> Any:
+        """The derived value named ``slot``, built at most once per version.
+
+        The value is stored under the version read *before* it was
+        built, so a build that raced a write lands under the old version
+        and is never served.
+        """
+        version = self.version
+        entry = self._derived.get(slot)
+        if entry is None or entry[0] != version:
+            entry = self._derived[slot] = (version, build())
+        return entry[1]
 
     # -- mutation --------------------------------------------------------------------
 

@@ -79,55 +79,46 @@ def _string_codes(column: Column) -> np.ndarray | None:
     return encoded[0] if encoded is not None else None
 
 
+def key_array(column: Column, codes: bool = True) -> np.ndarray:
+    """The column's payload as keys that compare the way its values do.
+
+    Numeric columns keep their own dtype: through float64, INT64 keys
+    beyond 2**53 (every epoch-nanosecond timestamp) fold into their
+    neighbours, and GROUP BY and WHERE — which compare natively — stop
+    agreeing with whoever cast.  STRING columns give their dictionary
+    codes when ``codes`` allows it (order-isomorphic to the strings, but
+    only within one column: not across the two sides of a join) and a
+    ``str`` array otherwise.  NULL slots hold harmless placeholders; the
+    caller decides NULL from the validity mask and NaN behind a
+    ``dtype.kind == "f"`` check.
+    """
+    if column.dtype is not DataType.STRING:
+        return column.data
+    dict_codes = _string_codes(column) if codes else None
+    if dict_codes is not None:
+        return dict_codes
+    return np.asarray(["" if v is None else str(v) for v in column.data], dtype=str)
+
+
 def _distinct_codes(column: Column) -> np.ndarray:
     """Integer codes with equal codes iff values are DISTINCT-equal.
 
-    Code 0 marks NULL and code 1 marks NaN; real values get dense codes
-    from 2 upward, so the special values never collide with payloads.
+    Code 0 marks NULL and code 1 marks NaN; real values get codes from 2
+    upward, so the special values never collide with payloads.
     """
-    null = column.is_null_mask()
-    if column.dtype is DataType.STRING:
-        dict_codes = _string_codes(column)
-        if dict_codes is not None:
-            codes = dict_codes.astype(np.int64) + 2
-            codes[null] = 0
-            return codes
-        data = np.asarray(
-            ["" if v is None else str(v) for v in column.data], dtype=str
-        )
+    data = key_array(column)
+    if column.dtype is DataType.STRING and data.dtype.kind == "i":
+        codes = data.astype(np.int64) + 2  # dictionary codes: nothing to sort
+    else:
         _, inverse = np.unique(data, return_inverse=True)
         codes = inverse.astype(np.int64) + 2
-        codes[null] = 0
-        return codes
-    data = column.data.astype(np.float64, copy=False)
-    nan = np.isnan(data) & ~null
-    _, inverse = np.unique(np.where(nan | null, 0.0, data), return_inverse=True)
-    codes = inverse.astype(np.int64) + 2
-    codes[nan] = 1
-    codes[null] = 0
+        if data.dtype.kind == "f":
+            codes[np.isnan(data)] = 1
+    codes[column.is_null_mask()] = 0
     return codes
 
 
 # -- sorting -----------------------------------------------------------------------
-
-
-def _sort_key_array(column: Column) -> np.ndarray:
-    """A comparable payload array for argsort.
-
-    Null slots hold harmless placeholder payloads; their ordering is
-    decided separately from the validity mask (see
-    :func:`_argsort_with_nulls`), so real ``-inf`` floats and real empty
-    strings sort correctly relative to NULL.
-    """
-    if column.dtype is DataType.STRING:
-        dict_codes = _string_codes(column)
-        if dict_codes is not None:
-            # order-isomorphic to the strings, so argsort order matches
-            return dict_codes
-        return np.asarray(
-            ["" if v is None else str(v) for v in column.to_list()], dtype=str
-        )
-    return column.data.astype(np.float64, copy=False)
 
 
 def _argsort_with_nulls(
@@ -158,12 +149,14 @@ def order_keys(
 
     The payload/null arrays are positionally aligned with ``table``.  Key
     evaluation is row-local, so the triples of consecutive row ranges
-    concatenate to the triples of the whole table.
+    concatenate to the triples of the whole table.  NULL ordering is
+    decided from the mask (see :func:`_argsort_with_nulls`), so real
+    ``-inf`` floats and real empty strings sort correctly relative to NULL.
     """
     keys = []
     for item in order_by:
         column = item.expression.evaluate(table)
-        keys.append((_sort_key_array(column), column.is_null_mask(), item.ascending))
+        keys.append((key_array(column), column.is_null_mask(), item.ascending))
     return keys
 
 
@@ -315,15 +308,6 @@ def hash_join(
         return Table(out) if out else left
 
 
-def _join_key_array(column: Column) -> np.ndarray:
-    """A comparable key array for join matching (nulls handled by mask)."""
-    if column.dtype is DataType.STRING:
-        return np.asarray(
-            ["" if v is None else str(v) for v in column.data], dtype=str
-        )
-    return column.data.astype(np.float64, copy=False)
-
-
 def _match_join_keys(
     left_col: Column, right_col: Column, kind: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -331,7 +315,9 @@ def _match_join_keys(
 
     Returns aligned (left row, right row) index arrays in left-row order,
     with matches for one left row in right-row order; a right index of -1
-    marks left-join padding.  Null keys never match.
+    marks left-join padding.  Null keys never match.  Keys compare in
+    their own dtype; an INT64 key against a FLOAT64 one compares in
+    float64, as numpy promotes the pair.
     """
     if (left_col.dtype is DataType.STRING) != (right_col.dtype is DataType.STRING):
         # incomparable key types: nothing joins
@@ -343,8 +329,8 @@ def _match_join_keys(
             )
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
-    left_vals = _join_key_array(left_col)
-    right_vals = _join_key_array(right_col)
+    left_vals = key_array(left_col, codes=False)
+    right_vals = key_array(right_col, codes=False)
     left_valid = ~left_col.is_null_mask()
     right_valid = ~right_col.is_null_mask()
 
@@ -491,14 +477,18 @@ def _group_rows(
 ) -> list[tuple[tuple[Any, ...], np.ndarray]]:
     """Partition row indices by key tuple, in first-appearance order.
 
-    Null-free key columns go through a vectorised ``np.unique`` path;
-    anything else falls back to a per-row hash loop.
+    Every key column becomes integer codes — ``np.unique`` over the
+    payload, or over :func:`_distinct_codes` when the column holds a
+    NULL (one NULL group and one NaN group, whatever else is in the key,
+    as ``np.unique`` already makes one NaN group of a NULL-free column).
     """
     if num_rows == 0:
         return []
-    if all(not column.has_nulls for column in key_columns):
-        codes = np.zeros(num_rows, dtype=np.int64)
-        for column in key_columns:
+    codes = np.zeros(num_rows, dtype=np.int64)
+    for column in key_columns:
+        if column.has_nulls:
+            inverse = _distinct_codes(column)
+        else:
             if column.dtype is DataType.STRING:
                 dict_codes = _string_codes(column)
                 if dict_codes is not None:
@@ -510,30 +500,16 @@ def _group_rows(
             else:
                 data = column.data
             _, inverse = np.unique(data, return_inverse=True)
-            codes = codes * (int(inverse.max()) + 1 if len(inverse) else 1) + inverse
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        boundaries = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [num_rows]])
-        groups = []
-        for start, end in zip(starts, ends):
-            idx = np.sort(order[start:end])
-            key = tuple(column[int(idx[0])] for column in key_columns)
-            groups.append((key, idx))
-        groups.sort(key=lambda item: int(item[1][0]))  # first-appearance order
-        return groups
-
-    buckets: dict[tuple[Any, ...], list[int]] = {}
-    order_keys: list[tuple[Any, ...]] = []
-    for row_idx in range(num_rows):
-        key = tuple(column[row_idx] for column in key_columns)
-        bucket = buckets.get(key)
-        if bucket is None:
-            buckets[key] = [row_idx]
-            order_keys.append(key)
-        else:
-            bucket.append(row_idx)
-    return [
-        (key, np.asarray(buckets[key], dtype=np.int64)) for key in order_keys
-    ]
+        codes = codes * (int(inverse.max()) + 1 if len(inverse) else 1) + inverse
+    order = np.argsort(codes, kind="stable")
+    sorted_codes = codes[order]
+    boundaries = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
+    starts = np.concatenate([[0], boundaries])
+    ends = np.concatenate([boundaries, [num_rows]])
+    groups = []
+    for start, end in zip(starts, ends):
+        idx = np.sort(order[start:end])
+        key = tuple(column[int(idx[0])] for column in key_columns)
+        groups.append((key, idx))
+    groups.sort(key=lambda item: int(item[1][0]))  # first-appearance order
+    return groups

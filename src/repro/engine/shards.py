@@ -44,7 +44,7 @@ import os
 import shutil
 import tempfile
 import zlib
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -52,9 +52,12 @@ from repro import settings
 from repro.engine import operators as ops
 from repro.engine import parallel
 from repro.engine.table import Table, concat_tables
-from repro.indexing.updates import UpdatableCrackerIndex
+from repro.engine.types import DataType
 from repro.obs.metrics import get_registry
 from repro.storage import layouts
+
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.indexing.updates import UpdatableCrackerIndex
 
 
 # -- layouts -------------------------------------------------------------------------
@@ -499,6 +502,21 @@ def scatter_sort(
 # -- partition-local cracking --------------------------------------------------------
 
 
+def cracker_obstacle(column) -> str | None:
+    """Why ``column`` cannot back a partition-local cracker exactly, or None.
+
+    A cracker holds plain numbers: the column must be numeric and carry
+    no NULL and no NaN (the NaN scan reads the whole payload).
+    """
+    if column.dtype not in (DataType.INT64, DataType.FLOAT64):
+        return "a sharded table needs a numeric column to back a partition-local cracker"
+    if column.validity is not None or (
+        column.data.dtype.kind == "f" and bool(np.isnan(column.data).any())
+    ):
+        return "NULLs/NaNs cannot back a partition-local cracker on a sharded table"
+    return None
+
+
 class ShardedCrackerIndex:
     """One lazy :class:`UpdatableCrackerIndex` per shard of a key column.
 
@@ -520,8 +538,8 @@ class ShardedCrackerIndex:
         self._seed = seed
         self._crackers: dict[int, UpdatableCrackerIndex] = {}
         self._pending_deletes: dict[int, set[int]] = {}
-        self._minmax: dict[int, tuple[float, float]] = {}
-        self._tail_values: list[float] = []
+        self._minmax: dict[int, tuple[Any, Any]] = {}
+        self._tail_values: list[Any] = []
         self._tail_dead: set[int] = set()
         self._next_id = layout.total_rows
 
@@ -534,7 +552,7 @@ class ShardedCrackerIndex:
         """Queue one appended row; returns its logical row id.  O(1)."""
         row_id = self._next_id
         self._next_id += 1
-        self._tail_values.append(float(value))
+        self._tail_values.append(value)
         return row_id
 
     def delete(self, row_id: int) -> None:
@@ -592,15 +610,19 @@ class ShardedCrackerIndex:
 
     # -- internals -------------------------------------------------------------------
 
-    def _shard_minmax(self, shard: int) -> tuple[float, float]:
+    def _shard_keys(self, shard: int) -> np.ndarray:
+        """One shard's keys, in the column's own dtype (:func:`ops.key_array`)."""
+        start, stop = self._layout.offsets[shard], self._layout.offsets[shard + 1]
+        return ops.key_array(self._column)[start:stop]
+
+    def _shard_minmax(self, shard: int) -> tuple[Any, Any]:
         cached = self._minmax.get(shard)
         if cached is None:
-            start, stop = self._layout.offsets[shard], self._layout.offsets[shard + 1]
-            data = np.asarray(self._column.data[start:stop], dtype=np.float64)
+            data = self._shard_keys(shard)
             if len(data) == 0:
                 cached = (math.inf, -math.inf)
             else:
-                cached = (float(np.min(data)), float(np.max(data)))
+                cached = (np.min(data).item(), np.max(data).item())
             self._minmax[shard] = cached
         return cached
 
@@ -616,10 +638,12 @@ class ShardedCrackerIndex:
     def _cracker_for(self, shard: int) -> UpdatableCrackerIndex:
         cracker = self._crackers.get(shard)
         if cracker is None:
-            start, stop = self._layout.offsets[shard], self._layout.offsets[shard + 1]
-            values = np.asarray(self._column.data[start:stop], dtype=np.float64)
+            # imported where a cracker is first built: the catalog imports
+            # this module, and the indexing package pulls in scipy (~70 MB)
+            from repro.indexing.updates import UpdatableCrackerIndex
+
             cracker = UpdatableCrackerIndex(
-                values, variant=self._variant, seed=self._seed + shard
+                self._shard_keys(shard), variant=self._variant, seed=self._seed + shard
             )
             for local in self._pending_deletes.pop(shard, ()):
                 cracker.delete(local)
@@ -627,7 +651,7 @@ class ShardedCrackerIndex:
         return cracker
 
 
-def _value_in_range(value: float, low, high, low_inc: bool, high_inc: bool) -> bool:
+def _value_in_range(value: Any, low, high, low_inc: bool, high_inc: bool) -> bool:
     if math.isnan(value):
         return False
     if low is not None and (value < low or (value == low and not low_inc)):

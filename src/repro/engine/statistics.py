@@ -50,7 +50,9 @@ class ColumnStatistics:
         if column.dtype.is_numeric and len(valid) > 0:
             lo = float(valid.min())
             hi = float(valid.max())
-            if hi > lo:
+            # float64 bucket edges must be able to tell the buckets apart
+            # (INT64 keys beyond 2**53 a few units wide cannot: no histogram)
+            if (hi - lo) / _HISTOGRAM_BUCKETS > np.spacing(max(abs(lo), abs(hi))):
                 counts, bounds = np.histogram(
                     valid.astype(np.float64), bins=_HISTOGRAM_BUCKETS, range=(lo, hi)
                 )

@@ -63,6 +63,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro import settings
+from repro.engine.shards import ShardLayout
 from repro.engine.statistics import (
     ColumnStatistics,
     ColumnZones,
@@ -637,7 +638,8 @@ class DurabilityManager:
         if loaded is not None:
             self.checkpoint_id, tables = loaded
         for name, table, stats, sharding in tables:
-            db._install_recovered(name, table, stats, sharding=sharding)
+            layout = ShardLayout.from_manifest(sharding) if sharding is not None else None
+            db._install(name, table, stats=stats, layout=layout)
         records, valid_bytes = read_wal(self.wal_path())
         # arm the writer first: it truncates any torn tail away
         self.wal = WriteAheadLog(self.wal_path(), valid_bytes=valid_bytes)
@@ -730,7 +732,7 @@ class DurabilityManager:
         get_registry().counter("write.checkpoints").inc()
         return directory
 
-    def spill_table(self, name: str, table, schema_types) -> "Table":
+    def spill_table(self, name: str, table: "Table") -> "Table":
         """Persist a rewritten main to a live scratch dir; reopen it mapped.
 
         When a memory-mapped main is rewritten by a delta merge, the
@@ -765,7 +767,7 @@ class DurabilityManager:
                 layouts.open_column_files(
                     final,
                     files_by_column[column_name],
-                    schema_types[column_name],
+                    table.schema.type_of(column_name),
                     mode="mmap",
                 ),
             ))

@@ -5,13 +5,18 @@ and a ``settings.restore()``: a test (or a module-scoped fixture) pins
 what it needs with ``settings.configure`` and never puts anything back.
 The ambient store is whatever ``REPRO_*`` seeded — the CI legs differ in
 nothing else — so a leak here silently turns a leg into the default one.
+The same per-test fixture restarts the worker pool's batch numbering, the
+one other piece of process-wide state a test's outcome depended on.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro import settings
+from repro.engine import parallel
 
 #: the store as the environment seeded it; this file is imported before
 #: any test module, so nothing has had the chance to configure yet
@@ -22,6 +27,14 @@ def pin_defaults(*names: str) -> None:
     """Set the named settings to their built-in defaults, whatever the
     environment seeded."""
     settings.configure(**{name: settings.ROWS[name].default for name in names})
+
+
+def restart_batch_numbering() -> None:
+    """Fault injection keys on ``(batch, task)`` and batches are numbered
+    process-wide: restarted per test, the morsel an injected fault lands
+    on depends on the test alone, so a chaos-leg failure reproduces by
+    running that one test."""
+    parallel._batch_counter = itertools.count()
 
 
 def _restoring():
@@ -42,4 +55,5 @@ def _module_settings(request):
 
 @pytest.fixture(autouse=True)
 def _test_settings(_module_settings):
+    restart_batch_numbering()
     yield from _restoring()

@@ -186,6 +186,17 @@ def _aggregate(call: AggregateCall, rows: list[Row]) -> Any:
     raise NotImplementedError(call.function)
 
 
+#: stands for every NaN in a group key: ``nan != nan``, so as a dict key
+#: each NaN object would be a group of its own, where SQL has one NaN group
+_NAN = ("NaN",)
+
+
+def _group_key(values) -> tuple:
+    return tuple(
+        _NAN if isinstance(v, float) and math.isnan(v) else v for v in values
+    )
+
+
 def run_reference(statement: SelectStatement, rows: list[Row]) -> list[tuple]:
     """Execute a (single-table, join-free) SELECT over dict rows.
 
@@ -202,22 +213,23 @@ def run_reference(statement: SelectStatement, rows: list[Row]) -> list[tuple]:
 
     if statement.is_aggregate:
         groups: dict[tuple, list[Row]] = {}
-        order: list[tuple] = []
+        shown: dict[tuple, tuple] = {}  # group -> its first row's key values
         for row in working:
-            key = tuple(
+            values = tuple(
                 eval_expression(expr, row) for expr in statement.group_by
             )
+            key = _group_key(values)
             if key not in groups:
                 groups[key] = []
-                order.append(key)
+                shown[key] = values
             groups[key].append(row)
         if not statement.group_by:
             groups = {(): working}
-            order = [()]
+            shown = {(): ()}
         out_rows: list[Row] = []
-        for key in order:
+        for key in shown:
             out: Row = {}
-            for expr, value in zip(statement.group_by, key):
+            for expr, value in zip(statement.group_by, shown[key]):
                 name = strip_outer_parens(expr.to_sql())
                 for item in statement.items:
                     if (
@@ -267,7 +279,7 @@ def run_reference(statement: SelectStatement, rows: list[Row]) -> list[tuple]:
         seen: set[tuple] = set()
         deduped = []
         for row in working_out:
-            signature = tuple(row.get(name) for name in output_names)
+            signature = _group_key(row.get(name) for name in output_names)
             if signature not in seen:
                 seen.add(signature)
                 deduped.append(row)
@@ -282,6 +294,4 @@ def _order_rank(order_item, row: Row):
     value = eval_expression(order_item.expression, row)
     if value is None:
         return (0, 0)
-    if isinstance(value, str):
-        return (1, value)
-    return (1, float(value))
+    return (1, value)  # as is: through float(), ints beyond 2**53 tie

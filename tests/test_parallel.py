@@ -199,8 +199,10 @@ class TestCallerHelps:
     @pytest.fixture(autouse=True)
     def _thread_pool(self, parallel_mode):
         # no injected faults: after a crashed task the caller deliberately
-        # stops taking work back, and which task crashes depends on how
-        # many batches the process ran before this test
+        # stops taking work back, so "every task ran on this thread" holds
+        # only for a batch in which nothing crashes — which batch that is
+        # no longer depends on earlier tests (conftest restarts the batch
+        # numbering), but it does on the leg's fault spec and seed
         settings.configure(pool_kind="thread", faults="off")
 
     @staticmethod

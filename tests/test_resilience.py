@@ -399,6 +399,35 @@ class TestRetries:
         assert registry.counter("resilience.morsel_failures").value > 0
         assert registry.counter("resilience.retries").value > 0
 
+    def test_crash_placement_ignores_earlier_batches(self, monkeypatch):
+        """Faults key on (batch, task); conftest restarts the batch
+        numbering per test, so the same query under the same faults and
+        seed crashes the same morsels whatever ran before it."""
+        from tests.conftest import restart_batch_numbering
+
+        db = _demo_db(n=2_000)
+        settings.configure(
+            threads=4, morsel_rows=64, min_parallel_rows=1, pool_kind="thread",
+            faults="worker_crash:0.3", fault_seed=7,
+        )
+        crashed: list[tuple[int, int]] = []
+        retry = parallel._retry_morsel_serially
+
+        def spy(fn, args, key, exc):
+            crashed.append(key)
+            return retry(fn, args, key, exc)
+
+        monkeypatch.setattr(parallel, "_retry_morsel_serially", spy)
+        db.sql(AGG_QUERY)  # numbered from 0 by this test's own fixture
+        first = sorted(crashed)
+        assert first and first[0][0] == 0
+        for _ in range(3):  # the batches of "earlier tests"
+            db.sql(AGG_QUERY)
+        restart_batch_numbering()
+        del crashed[:]
+        db.sql(AGG_QUERY)
+        assert sorted(crashed) == first
+
     def test_persistent_failure_exhausts_retries(self):
         settings.configure(threads=2, morsel_rows=4, min_parallel_rows=1)
 

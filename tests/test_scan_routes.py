@@ -9,6 +9,12 @@ bit-identical to the unpruned serial in-memory reference; gathered
 STRING columns still carry the base column's dictionary object; the
 zone counters agree between memory and mmap and memory reads no bytes;
 a type-mismatched predicate raises the same error on every route.
+
+The key kernels (GROUP BY / DISTINCT / ORDER BY / Top-N / JOIN / the
+shard cracker) run at four corners of the same lattice — serial, pooled,
+sharded, dirty delta — against the pure-Python reference interpreter:
+INT64 keys beyond 2**53 stay distinct, and a key holding NULLs still
+makes one NaN group.
 """
 
 from __future__ import annotations
@@ -22,9 +28,12 @@ from repro import settings
 from repro.engine import Database, Table
 from repro.engine import operators as ops
 from repro.engine import parallel
+from repro.engine.sql.parser import parse
 from repro.errors import TypeMismatchError
 from repro.obs.metrics import get_registry
 from tests.conftest import pin_defaults
+from tests.reference_interpreter import run_reference
+from tests.test_join_differential import nested_loop_join
 from tests.test_parallel import tables_bit_identical
 
 ROWS = 1000
@@ -154,3 +163,115 @@ def test_lattice_point(
                 db.sql(sql)
     finally:
         db.close()
+
+
+# -- key kernels: one answer per key, on every route ------------------------------------
+
+BIG = 2**53  # beyond it float64 folds neighbouring INT64 keys together
+#: the corners of the lattice above a key kernel can tell apart
+POINTS = {
+    "serial": dict(threads=0, shards=0, dirty=False),
+    "pooled": dict(threads=4, shards=0, dirty=False),
+    "sharded": dict(threads=4, shards=4, dirty=False),
+    "dirty": dict(threads=0, shards=0, dirty=True),
+}
+WIDE_KEY_QUERIES = {
+    "group_by": "SELECT k, COUNT(*) AS n, SUM(v) AS total FROM w GROUP BY k",
+    "distinct": "SELECT DISTINCT k FROM w",
+    "order_asc": "SELECT k, v FROM w ORDER BY k, v",
+    "order_desc": "SELECT k, v FROM w ORDER BY k DESC, v",
+    "topn": "SELECT k, v FROM w ORDER BY k DESC, v LIMIT 5",
+    "join_inner": "SELECT v, x FROM w JOIN u ON w.k = u.k",
+    "join_left": "SELECT v, x FROM w LEFT JOIN u ON w.k = u.k",
+    # through the shard key's auto-registered cracker at the sharded point
+    "probe": f"SELECT k, v FROM w WHERE k >= {BIG + 1} AND k <= {BIG + 2}",
+}
+NAN_GROUP_QUERIES = {
+    "one_key": "SELECT f, COUNT(*) AS n FROM g GROUP BY f",
+    "two_keys": "SELECT f, s, COUNT(*) AS n, SUM(i) AS total FROM g GROUP BY f, s",
+}
+
+
+def _at_point(point: str, name: str, table: Table, shard_key: str, writes) -> Database:
+    """An in-memory database holding ``table`` at one corner of the lattice."""
+    spec = POINTS[point]
+    settings.configure(
+        threads=spec["threads"], morsel_rows=64, min_parallel_rows=2,
+        pool_kind="thread", shard_index=True,
+    )
+    db = Database()
+    db.create_table(name, table)
+    if spec["shards"]:
+        db.apply_sharding(name, spec["shards"], shard_by=f"range({shard_key})")
+    if spec["dirty"]:
+        for statement in writes:
+            db.execute(statement)
+        assert db.delta_store_if_dirty(name) is not None
+    return db
+
+
+def _same_rows(got: Table, want: list[tuple], ordered: bool) -> None:
+    """Exact comparison (Python ints never round), NaN equal to NaN."""
+
+    def canon(rows):
+        rows = [
+            tuple("NaN" if isinstance(v, float) and v != v else v for v in row)
+            for row in rows
+        ]
+        return rows if ordered else sorted(rows, key=repr)
+
+    assert canon(got.rows()) == canon(want)
+
+
+@pytest.mark.parametrize("point", POINTS)
+@pytest.mark.parametrize("case", WIDE_KEY_QUERIES)
+def test_wide_int_keys_stay_exact(point, case):
+    rows = 300
+    wide = Table.from_dict(
+        {
+            "k": [BIG + (i * 7) % 4 for i in range(rows)],
+            "v": list(range(rows)),
+        }
+    )
+    db = _at_point(
+        point, "w", wide, "k",
+        [
+            f"INSERT INTO w VALUES ({BIG + 1}, 1000), ({BIG + 5}, 1001)",
+            "DELETE FROM w WHERE v = 17",
+        ],
+    )
+    db.create_table("u", {"k": [BIG, BIG + 1, BIG + 1], "x": [10, 20, 30]})
+    sql = WIDE_KEY_QUERIES[case]
+    if case == "probe":
+        assert ("index: k in" in db.explain(sql)) == (point == "sharded")
+    physical = db.get_table("w").to_dicts()  # the row order this route scans
+    if case.startswith("join"):
+        joined = nested_loop_join(physical, db.get_table("u").to_dicts(), "k", "k", case[5:])
+        want = [(row["v"], row["x"]) for row in joined]
+    else:
+        want = run_reference(parse(sql), physical)
+    _same_rows(db.sql(sql), want, ordered=case in ("order_asc", "order_desc", "topn"))
+
+
+@pytest.mark.parametrize("point", POINTS)
+@pytest.mark.parametrize("case", NAN_GROUP_QUERIES)
+def test_one_nan_group_whatever_else_is_in_the_key(point, case):
+    rows = 300
+    nan = float("nan")
+    grouped = Table.from_dict(
+        {
+            "i": list(range(rows)),
+            "f": [(1.0, nan, None, nan, 1.0, nan, 2.5)[i % 7] for i in range(rows)],
+            "s": [(None, "a", "b")[i % 3] for i in range(rows)],
+        }
+    )
+    db = _at_point(
+        point, "g", grouped, "i",
+        ["INSERT INTO g VALUES (1000, NULL, 'a'), (1001, 3.5, NULL)", "DELETE FROM g WHERE i = 8"],
+    )
+    sql = NAN_GROUP_QUERIES[case]
+    got = db.sql(sql)
+    assert sum(1 for f in got.column("f").to_list() if f is not None and f != f) == (
+        1 if case == "one_key" else 3
+    )
+    _same_rows(got, run_reference(parse(sql), db.get_table("g").to_dicts()), ordered=True)
