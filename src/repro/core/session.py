@@ -62,17 +62,11 @@ class ExplorationSession:
         if self.enable_cracking:
             self._maybe_crack(statement.table, statement)
         result = self.db.sql(query)
-        columns: set[str] = set()
-        if statement.where is not None:
-            columns |= statement.where.referenced_columns()
-        for item in statement.items:
-            if item.expression is not None:
-                columns |= item.expression.referenced_columns()
         self.history.record(
             query,
             result.num_rows,
             tables=frozenset({statement.table}),
-            columns=frozenset(columns),
+            columns=frozenset(statement.referenced_columns(("select", "where"))),
         )
         self._session_queries.append(query)
         return result

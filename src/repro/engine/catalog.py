@@ -25,8 +25,8 @@ from repro.engine import delta as deltamod
 from repro.engine import shards as shardsmod
 from repro.engine.delta import DeltaStore
 from repro.engine.optimizer import optimize_plan
-from repro.engine.planner import Plan, plan_statement
-from repro.engine.sql.parser import parse
+from repro.engine.planner import Plan, bind_statement, plan_statement
+from repro.engine.sql.parser import parse, parse_statement
 from repro.engine.statistics import TableStatistics, ZoneMap
 from repro.engine.table import Table
 from repro.engine.types import DataType
@@ -769,8 +769,16 @@ class Database:
         """Parse and plan a query without executing it (plan-cache aware)."""
         return self._plan_cached(sql)[0]
 
-    def _plan_cached(self, sql: str) -> tuple[Plan, bool]:
-        """``(plan, cache_hit)`` for a SQL string.
+    def _plan_fresh(self, statement, optimize: bool) -> Plan:
+        """Bind and plan a parsed SELECT, then optimize it if asked."""
+        plan = plan_statement(statement, self)
+        if optimize:
+            optimize_plan(plan, self)
+        return plan
+
+    def _plan_cached(self, sql: str, statement=None) -> tuple[Plan, bool]:
+        """``(plan, cache_hit)`` for a SQL string (``statement`` is its
+        parse, when the caller already has it).
 
         The cache is an LRU keyed on the exact SQL text; each entry
         remembers the catalog version *and* the optimizer setting it was
@@ -783,10 +791,7 @@ class Database:
         """
         config = settings.current
         if not config.plan_cache:
-            plan = plan_statement(parse(sql), self)
-            if config.optimizer:
-                optimize_plan(plan, self)
-            return plan, False
+            return self._plan_fresh(statement or parse(sql), config.optimizer), False
         registry = get_registry()
         optimized = bool(config.optimizer)
         with self._plan_cache_lock:
@@ -799,9 +804,7 @@ class Database:
                 self._plan_cache.move_to_end(sql)
                 registry.counter("plan_cache.hits").inc()
                 return entry[2], True
-        plan = plan_statement(parse(sql), self)
-        if optimized:
-            optimize_plan(plan, self)
+        plan = self._plan_fresh(statement or parse(sql), optimized)
         registry.counter("plan_cache.misses").inc()
         with self._plan_cache_lock:
             self._plan_cache[sql] = (self._catalog_version, optimized, plan)
@@ -825,7 +828,9 @@ class Database:
         an approximate answer with confidence bounds instead of failing.
         """
         self._check_open()
-        plan = self.plan(query)
+        return self._run_query(self.plan(query))
+
+    def _run_query(self, plan: Plan) -> Table:
         self.queries_executed += 1
         registry = get_registry()
         registry.counter("engine.queries").inc()
@@ -892,13 +897,9 @@ class Database:
         counts and bytes touched; render it with
         :meth:`~repro.obs.profile.ExplainAnalyzeReport.render`.
         """
-        plan, hit = self._plan_cached(query)
-        report = self._profile_plan(plan)
-        if hit:
-            report.notes.append("plan cache: hit")
-        return report
+        return self._profile_plan(*self._plan_cached(query))
 
-    def _profile_plan(self, plan: Plan) -> ExplainAnalyzeReport:
+    def _profile_plan(self, plan: Plan, cache_hit: bool) -> ExplainAnalyzeReport:
         from repro.engine.executor import execute_plan
 
         profiler = PlanProfiler()
@@ -908,7 +909,10 @@ class Database:
         with registry.timer("engine.query_time").time():
             execute_plan(plan, self, profiler=profiler)
         assert profiler.root is not None
-        return ExplainAnalyzeReport(root=profiler.root, notes=list(plan.notes))
+        report = ExplainAnalyzeReport(root=profiler.root, notes=list(plan.notes))
+        if cache_hit:
+            report.notes.append("plan cache: hit")
+        return report
 
     def execute(self, statement_sql: str) -> Table | int:
         """Execute any supported statement.
@@ -931,7 +935,6 @@ class Database:
             SelectStatement,
             UpdateStatement,
         )
-        from repro.engine.sql.parser import parse_statement
 
         self._check_open()
         stripped = statement_sql.strip().rstrip(";").strip()
@@ -939,9 +942,9 @@ class Database:
             return self._execute_pragma(stripped[6:].strip())
         statement = parse_statement(statement_sql)
         if isinstance(statement, SelectStatement):
-            return self.sql(statement_sql)
+            return self._run_query(self._plan_cached(statement_sql, statement)[0])
         if isinstance(statement, ExplainStatement):
-            return self._execute_explain(statement, stripped)
+            return self._execute_explain(statement, statement_sql)
         if isinstance(statement, CreateTableStatement):
             self.create_table(statement.table, _empty_table(statement.columns))
             return 0
@@ -1042,22 +1045,16 @@ class Database:
     def _execute_explain(self, statement, statement_sql: str) -> Table:
         """EXPLAIN [ANALYZE]: the plan (and measurements) as a one-column
         table of report lines, the way conventional engines present it."""
-        import re
-
         from repro.engine.column import Column
-        from repro.engine.types import DataType
 
         if statement.analyze:
             # route through the plan-cache-aware path (keyed on the inner
             # SELECT text) so repeat EXPLAIN ANALYZE skips planning too
-            inner = re.sub(
-                r"^\s*EXPLAIN\s+ANALYZE\s+", "", statement_sql, flags=re.IGNORECASE
-            )
-            lines = self.explain_analyze(inner).lines()
+            inner = statement_sql[statement.select_offset :].rstrip().rstrip(";").rstrip()
+            cached = self._plan_cached(inner, statement.statement)
+            lines = self._profile_plan(*cached).lines()
         else:
-            plan = plan_statement(statement.statement, self)
-            if settings.current.optimizer:
-                optimize_plan(plan, self)
+            plan = self._plan_fresh(statement.statement, settings.current.optimizer)
             lines = plan.explain().split("\n")
             lines.extend(f"note: {note}" for note in plan.notes)
         return Table([("plan", Column(lines, dtype=DataType.STRING))])
@@ -1179,6 +1176,7 @@ class Database:
         at least one row is affected."""
         name = statement.table
         state = self._state(name)
+        bind_statement(statement, self)
         main, store = state.main, state.delta
         registry = get_registry()
         if statement.where is None:
@@ -1236,6 +1234,7 @@ class Database:
 
         name = statement.table
         state = self._state(name)
+        bind_statement(statement, self)
         main, store = state.main, state.delta
         mask_main, tail, mask_tail = self._matching_rows(name, statement.where)
         tail_hits = np.flatnonzero(mask_tail) if mask_tail is not None else ()

@@ -12,7 +12,8 @@ strictly TRUE.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Iterable
+import operator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -24,8 +25,29 @@ from repro.errors import TypeMismatchError
 from repro.obs.metrics import get_registry
 
 
+def _map_slot(value: Any, fn: Callable[["Expression"], Any]) -> Any:
+    """``fn`` over every expression in one child slot's value, shape kept
+    (and the value itself when ``fn`` returned every expression as is)."""
+    if type(value) is tuple:
+        mapped = tuple([_map_slot(item, fn) for item in value])
+        return value if all(map(operator.is_, mapped, value)) else mapped
+    return value if value is None else fn(value)
+
+
 class Expression(abc.ABC):
-    """Base class of the expression AST."""
+    """Base class of the expression AST.
+
+    A node class declares once, in ``_children``, which attributes hold
+    its sub-expressions (each an expression, ``None``, or a nested tuple
+    of expressions); every other public attribute is a scalar field.
+    The walk, the column set, the structural key and the rename below
+    derive from that declaration and rely on nodes never changing after
+    construction: a rewrite builds new nodes through the constructor,
+    whose keyword names are the attribute names.
+    """
+
+    _children: tuple[str, ...] = ()
+    _key: tuple | None = None
 
     @abc.abstractmethod
     def evaluate(self, table: Table) -> Column:
@@ -36,12 +58,52 @@ class Expression(abc.ABC):
         """Logical type this expression produces against ``table``."""
 
     @abc.abstractmethod
+    def to_sql(self) -> str:
+        """Render back to SQL text (EXPLAIN lines, output column names)."""
+
+    def children(self) -> list["Expression"]:
+        """Direct sub-expressions, in declaration order."""
+        found: list[Expression] = []
+        for slot in self._children:
+            _map_slot(getattr(self, slot), found.append)
+        return found
+
+    def walk(self) -> Iterator["Expression"]:
+        """This node and every node below it, parents first."""
+        yield self
+        for child in self.children():
+            yield from child.walk()
+
     def referenced_columns(self) -> set[str]:
         """Names of all columns the expression reads."""
+        return {node.name for node in self.walk() if isinstance(node, ColumnRef)}
 
-    @abc.abstractmethod
-    def to_sql(self) -> str:
-        """Render back to SQL text."""
+    def key(self) -> tuple:
+        """Structural identity: the node type followed by its fields in
+        constructor order — a scalar as itself, a child slot as its
+        children's keys — as one nested tuple, built once per node."""
+        if self._key is None:
+            key: list[Any] = [type(self).__name__]
+            for name, value in vars(self).items():
+                if name in self._children:
+                    key.append(_map_slot(value, Expression.key))
+                elif name[0] != "_":
+                    key.append(value)
+            self._key = tuple(key)
+        return self._key
+
+    def rewrite_columns(self, fn: Callable[[str], str]) -> "Expression":
+        """This tree with every column name passed through ``fn``.
+
+        Nodes are rebuilt, never edited; a subtree in which no name
+        changed is returned as the same object.
+        """
+        rewrite = operator.methodcaller("rewrite_columns", fn)
+        new = {slot: _map_slot(getattr(self, slot), rewrite) for slot in self._children}
+        if all(value is getattr(self, slot) for slot, value in new.items()):
+            return self
+        fields = {k: v for k, v in vars(self).items() if k[0] != "_"}
+        return type(self)(**fields | new)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_sql()})"
@@ -70,10 +132,10 @@ class Expression(abc.ABC):
         return self._binop(">=", other)
 
     def __hash__(self) -> int:
-        return hash(self.to_sql())
+        return hash(self.key())
 
     def same_as(self, other: Any) -> bool:
-        """Structural equality by rendered SQL.
+        """Structural equality (equal :meth:`key`).
 
         ``__eq__`` is operator sugar — ``a == b`` builds a
         :class:`Comparison` node rather than answering a boolean — so
@@ -82,7 +144,7 @@ class Expression(abc.ABC):
         (or ``any(e.same_as(x) for x in xs)``) wherever two expressions
         must be compared for semantic identity.
         """
-        return isinstance(other, Expression) and self.to_sql() == other.to_sql()
+        return isinstance(other, Expression) and self.key() == other.key()
 
     def __add__(self, other: Any) -> "Expression":
         return Arithmetic("+", self, _lift(other))
@@ -173,8 +235,9 @@ class ColumnRef(Expression):
     def output_type(self, table: Table) -> DataType:
         return table.schema.type_of(self.name)
 
-    def referenced_columns(self) -> set[str]:
-        return {self.name}
+    def rewrite_columns(self, fn: Callable[[str], str]) -> "ColumnRef":
+        name = fn(self.name)
+        return self if name == self.name else ColumnRef(name)
 
     def to_sql(self) -> str:
         return self.name
@@ -185,6 +248,9 @@ class Literal(Expression):
 
     def __init__(self, value: Any) -> None:
         self.value = python_value(value)
+        # typed, so 1 / 1.0 / TRUE stay three keys (1 == 1.0 == True in
+        # Python); by repr, so NaN equals itself and 0.0 is not -0.0
+        self._key = ("Literal", type(self.value).__name__, repr(self.value))
 
     def evaluate(self, table: Table) -> Column:
         n = table.num_rows
@@ -205,9 +271,6 @@ class Literal(Expression):
 
     def output_type(self, table: Table) -> DataType:
         return self._dtype()
-
-    def referenced_columns(self) -> set[str]:
-        return set()
 
     def to_sql(self) -> str:
         if self.value is None:
@@ -267,6 +330,8 @@ def _combined_validity(left: Column, right: Column) -> np.ndarray | None:
 
 class Comparison(Expression):
     """Binary comparison: ``left <op> right`` with SQL null semantics."""
+
+    _children = ("left", "right")
 
     def __init__(self, op: str, left: Expression, right: Expression) -> None:
         if op not in _COMPARATORS:
@@ -363,9 +428,6 @@ class Comparison(Expression):
         common_type(self.left.output_type(table), self.right.output_type(table))
         return DataType.BOOL
 
-    def referenced_columns(self) -> set[str]:
-        return self.left.referenced_columns() | self.right.referenced_columns()
-
     def to_sql(self) -> str:
         return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"
 
@@ -381,6 +443,8 @@ _ARITH: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
 
 class Arithmetic(Expression):
     """Binary arithmetic over numeric operands."""
+
+    _children = ("left", "right")
 
     def __init__(self, op: str, left: Expression, right: Expression) -> None:
         if op not in _ARITH:
@@ -420,15 +484,14 @@ class Arithmetic(Expression):
             raise TypeMismatchError("arithmetic requires numeric operands")
         return DataType.FLOAT64 if self.op == "/" else target
 
-    def referenced_columns(self) -> set[str]:
-        return self.left.referenced_columns() | self.right.referenced_columns()
-
     def to_sql(self) -> str:
         return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"
 
 
 class Negate(Expression):
     """Unary minus."""
+
+    _children = ("operand",)
 
     def __init__(self, operand: Expression) -> None:
         self.operand = operand
@@ -444,9 +507,6 @@ class Negate(Expression):
         if not dtype.is_numeric:
             raise TypeMismatchError("unary minus requires a numeric operand")
         return dtype
-
-    def referenced_columns(self) -> set[str]:
-        return self.operand.referenced_columns()
 
     def to_sql(self) -> str:
         return f"(-{self.operand.to_sql()})"
@@ -467,6 +527,8 @@ def _from_kleene(truth: np.ndarray, known: np.ndarray) -> Column:
 class And(Expression):
     """Kleene-logic conjunction."""
 
+    _children = ("left", "right")
+
     def __init__(self, left: Expression, right: Expression) -> None:
         self.left = left
         self.right = right
@@ -482,15 +544,14 @@ class And(Expression):
     def output_type(self, table: Table) -> DataType:
         return DataType.BOOL
 
-    def referenced_columns(self) -> set[str]:
-        return self.left.referenced_columns() | self.right.referenced_columns()
-
     def to_sql(self) -> str:
         return f"({self.left.to_sql()} AND {self.right.to_sql()})"
 
 
 class Or(Expression):
     """Kleene-logic disjunction."""
+
+    _children = ("left", "right")
 
     def __init__(self, left: Expression, right: Expression) -> None:
         self.left = left
@@ -506,15 +567,14 @@ class Or(Expression):
     def output_type(self, table: Table) -> DataType:
         return DataType.BOOL
 
-    def referenced_columns(self) -> set[str]:
-        return self.left.referenced_columns() | self.right.referenced_columns()
-
     def to_sql(self) -> str:
         return f"({self.left.to_sql()} OR {self.right.to_sql()})"
 
 
 class Not(Expression):
     """Kleene-logic negation."""
+
+    _children = ("operand",)
 
     def __init__(self, operand: Expression) -> None:
         self.operand = operand
@@ -526,9 +586,6 @@ class Not(Expression):
     def output_type(self, table: Table) -> DataType:
         return DataType.BOOL
 
-    def referenced_columns(self) -> set[str]:
-        return self.operand.referenced_columns()
-
     def to_sql(self) -> str:
         return f"(NOT {self.operand.to_sql()})"
 
@@ -536,9 +593,11 @@ class Not(Expression):
 class InList(Expression):
     """``expr IN (v1, v2, ...)`` membership test over literals/expressions."""
 
-    def __init__(self, operand: Expression, options: list[Expression]) -> None:
+    _children = ("operand", "options")
+
+    def __init__(self, operand: Expression, options: Iterable[Expression]) -> None:
         self.operand = operand
-        self.options = options
+        self.options = tuple(options)
 
     def evaluate(self, table: Table) -> Column:
         inner = self.operand.evaluate(table)
@@ -553,12 +612,6 @@ class InList(Expression):
     def output_type(self, table: Table) -> DataType:
         return DataType.BOOL
 
-    def referenced_columns(self) -> set[str]:
-        refs = self.operand.referenced_columns()
-        for option in self.options:
-            refs |= option.referenced_columns()
-        return refs
-
     def to_sql(self) -> str:
         opts = ", ".join(o.to_sql() for o in self.options)
         return f"({self.operand.to_sql()} IN ({opts}))"
@@ -566,6 +619,8 @@ class InList(Expression):
 
 class IsNull(Expression):
     """``expr IS [NOT] NULL`` — always yields a non-null boolean."""
+
+    _children = ("operand",)
 
     def __init__(self, operand: Expression, negated: bool) -> None:
         self.operand = operand
@@ -579,9 +634,6 @@ class IsNull(Expression):
 
     def output_type(self, table: Table) -> DataType:
         return DataType.BOOL
-
-    def referenced_columns(self) -> set[str]:
-        return self.operand.referenced_columns()
 
     def to_sql(self) -> str:
         suffix = "IS NOT NULL" if self.negated else "IS NULL"
@@ -602,6 +654,8 @@ def truth_mask(predicate: Expression, table: Table) -> np.ndarray:
 
 class Like(Expression):
     """SQL ``LIKE`` pattern matching (``%`` = any run, ``_`` = one char)."""
+
+    _children = ("operand",)
 
     def __init__(self, operand: Expression, pattern: str, negated: bool = False) -> None:
         import re
@@ -634,9 +688,6 @@ class Like(Expression):
     def output_type(self, table: Table) -> DataType:
         return DataType.BOOL
 
-    def referenced_columns(self) -> set[str]:
-        return self.operand.referenced_columns()
-
     def to_sql(self) -> str:
         keyword = "NOT LIKE" if self.negated else "LIKE"
         escaped = self.pattern.replace("'", "''")
@@ -666,12 +717,14 @@ SCALAR_FUNCTIONS: dict[str, tuple[Callable[..., np.ndarray], str, str]] = {
 class FunctionCall(Expression):
     """A scalar function call (see :data:`SCALAR_FUNCTIONS`)."""
 
-    def __init__(self, name: str, arguments: list[Expression]) -> None:
+    _children = ("arguments",)
+
+    def __init__(self, name: str, arguments: Iterable[Expression]) -> None:
         name = name.upper()
         if name not in SCALAR_FUNCTIONS:
             raise TypeMismatchError(f"unknown function {name!r}")
         self.name = name
-        self.arguments = arguments
+        self.arguments = tuple(arguments)
 
     def _check_arity(self) -> None:
         allowed = (1, 2) if self.name == "ROUND" else (1,)
@@ -730,12 +783,6 @@ class FunctionCall(Expression):
             return self.arguments[0].output_type(table)
         return DataType.FLOAT64
 
-    def referenced_columns(self) -> set[str]:
-        refs: set[str] = set()
-        for argument in self.arguments:
-            refs |= argument.referenced_columns()
-        return refs
-
     def to_sql(self) -> str:
         args = ", ".join(a.to_sql() for a in self.arguments)
         return f"{self.name}({args})"
@@ -744,14 +791,16 @@ class FunctionCall(Expression):
 class Case(Expression):
     """``CASE WHEN cond THEN value ... [ELSE value] END``."""
 
+    _children = ("branches", "default")
+
     def __init__(
         self,
-        branches: list[tuple[Expression, Expression]],
+        branches: Iterable[tuple[Expression, Expression]],
         default: Expression | None = None,
     ) -> None:
-        if not branches:
+        self.branches = tuple((condition, value) for condition, value in branches)
+        if not self.branches:
             raise TypeMismatchError("CASE needs at least one WHEN branch")
-        self.branches = branches
         self.default = default
 
     def evaluate(self, table: Table) -> Column:
@@ -789,14 +838,6 @@ class Case(Expression):
         if self.default is not None:
             out = common_type(out, self.default.output_type(table))
         return out
-
-    def referenced_columns(self) -> set[str]:
-        refs: set[str] = set()
-        for condition, value in self.branches:
-            refs |= condition.referenced_columns() | value.referenced_columns()
-        if self.default is not None:
-            refs |= self.default.referenced_columns()
-        return refs
 
     def to_sql(self) -> str:
         parts = ["CASE"]

@@ -70,10 +70,9 @@ and in the ``optimizer.*`` metrics family.
 
 from __future__ import annotations
 
-import copy
 import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 from repro.engine import expressions as ex
 from repro.engine.planner import (
@@ -150,33 +149,6 @@ def optimize_plan(plan: Plan, database: "Database") -> Plan:
 # -- expression helpers ------------------------------------------------------------------
 
 
-def _iter_children(expr: ex.Expression) -> Iterator[ex.Expression]:
-    """Every direct sub-expression, across all expression shapes."""
-    for attr in ("left", "right", "operand"):
-        child = getattr(expr, attr, None)
-        if isinstance(child, ex.Expression):
-            yield child
-    for attr in ("options", "arguments"):
-        seq = getattr(expr, attr, None)
-        if seq:
-            yield from (item for item in seq if isinstance(item, ex.Expression))
-    branches = getattr(expr, "branches", None)
-    if branches:
-        for condition, value in branches:
-            yield condition
-            yield value
-    default = getattr(expr, "default", None)
-    if isinstance(default, ex.Expression):
-        yield default
-
-
-def _column_refs(expr: ex.Expression) -> Iterator[ex.ColumnRef]:
-    if isinstance(expr, ex.ColumnRef):
-        yield expr
-    for child in _iter_children(expr):
-        yield from _column_refs(child)
-
-
 def _literal_truth(expr: ex.Expression) -> Any:
     """True/False/None for boolean-or-NULL literals, ``_MISSING`` otherwise."""
     if isinstance(expr, ex.Literal):
@@ -219,19 +191,18 @@ def _fold_comparison(expr: ex.Comparison) -> ex.Literal | None:
     return ex.Literal(bool(_COMPARE[expr.op](lv, rv)))
 
 
-def _fold(expr: ex.Expression) -> tuple[ex.Expression, bool]:
+def _fold(expr: ex.Expression) -> ex.Expression:
     """Collapse literal-only boolean subtrees (Kleene semantics).
 
     A node folds only when its operands are themselves literals, so no
     column-referencing subtree is ever dropped — whatever the original
     predicate would have evaluated (and whatever dtype errors it would
     have raised) still evaluates.  Results are always strict TRUE/FALSE
-    literals; an unknown (NULL) outcome keeps the original node.
+    literals; an unknown (NULL) outcome keeps the original node, and a
+    subtree nothing folded in is returned as the same object.
     """
     if isinstance(expr, (ex.And, ex.Or)):
-        left, left_changed = _fold(expr.left)
-        right, right_changed = _fold(expr.right)
-        changed = left_changed or right_changed
+        left, right = _fold(expr.left), _fold(expr.right)
         lt, rt = _literal_truth(left), _literal_truth(right)
         if lt is not _MISSING and rt is not _MISSING:
             if isinstance(expr, ex.And):
@@ -247,23 +218,19 @@ def _fold(expr: ex.Expression) -> tuple[ex.Expression, bool]:
                     else (False if lt is False and rt is False else None)
                 )
             if value is not None:
-                return ex.Literal(value), True
-        if changed:
-            return type(expr)(left, right), True
-        return expr, False
-    if isinstance(expr, ex.Not):
-        inner, changed = _fold(expr.operand)
+                return ex.Literal(value)
+        if left is not expr.left or right is not expr.right:
+            return type(expr)(left, right)
+    elif isinstance(expr, ex.Not):
+        inner = _fold(expr.operand)
         truth = _literal_truth(inner)
         if truth is True or truth is False:
-            return ex.Literal(not truth), True
-        if changed:
-            return ex.Not(inner), True
-        return expr, False
-    if isinstance(expr, ex.Comparison):
-        folded = _fold_comparison(expr)
-        if folded is not None:
-            return folded, True
-    return expr, False
+            return ex.Literal(not truth)
+        if inner is not expr.operand:
+            return ex.Not(inner)
+    elif isinstance(expr, ex.Comparison):
+        return _fold_comparison(expr) or expr
+    return expr
 
 
 def _simplify_predicate(
@@ -278,12 +245,8 @@ def _simplify_predicate(
     leave a non-boolean predicate root the unoptimized plan never had.
     """
     conjuncts = split_conjuncts(predicate)
-    folded_conjuncts: list[ex.Expression] = []
-    folded = 0
-    for conj in conjuncts:
-        new, changed = _fold(conj)
-        folded += int(changed)
-        folded_conjuncts.append(new)
+    folded_conjuncts = [_fold(conj) for conj in conjuncts]
+    folded = sum(new is not old for new, old in zip(folded_conjuncts, conjuncts))
     if any(
         isinstance(c, ex.Literal) and c.value is None for c in folded_conjuncts
     ):
@@ -397,15 +360,6 @@ def _join_chain(node: PlanNode) -> tuple[list[JoinNode], ScanNode] | None:
     return joins, cursor
 
 
-def _rename_into_right(expr: ex.Expression, inverse: dict[str, str]) -> ex.Expression:
-    """A copy of ``expr`` with join-output names mapped back to the right
-    table's own column names (the statement keeps its bound originals)."""
-    clone = copy.deepcopy(expr)
-    for ref in _column_refs(clone):
-        ref.name = inverse[ref.name]
-    return clone
-
-
 def _pushdown_pass(node: PlanNode, ctx: _Context) -> PlanNode:
     child = getattr(node, "child", None)
     if child is not None:
@@ -440,8 +394,10 @@ def _pushdown_pass(node: PlanNode, ctx: _Context) -> PlanNode:
             if joins[j].clause.kind == "inner":
                 # a right-side filter below a LEFT join would drop padded
                 # rows the residual filter keeps; inner joins only
+                # phrased in the right table's own column names; the
+                # statement keeps its bound original
                 inverse = {out: orig for orig, out in maps[j].items()}
-                pushed = _rename_into_right(conj, inverse)
+                pushed = conj.rewrite_columns(inverse.__getitem__)
                 join = joins[j]
                 join.right_predicate = (
                     pushed
@@ -519,15 +475,14 @@ def _probe_pass(node: PlanNode, ctx: _Context) -> None:
 
 def _item_refs(items) -> set[str] | None:
     """Columns a select-item list reads; None when ``*`` needs everything."""
-    refs: set[str] = set()
-    for item in items:
-        if item.star:
-            return None
-        if item.expression is not None:
-            refs |= item.expression.referenced_columns()
-        if item.aggregate is not None and item.aggregate.argument is not None:
-            refs |= item.aggregate.argument.referenced_columns()
-    return refs
+    if any(item.star for item in items):
+        return None
+    return {
+        name
+        for item in items
+        for _, expr, _ in item.expressions()
+        for name in expr.referenced_columns()
+    }
 
 
 def _prune_pass(node: PlanNode, needed: set[str] | None, ctx: _Context) -> None:

@@ -286,8 +286,7 @@ class Plan:
 def plan_statement(statement: SelectStatement, database: "Database") -> Plan:
     """Bind and plan a SELECT statement against ``database``."""
     notes: list[str] = []
-    binder = _Binder(statement, database)
-    statement = binder.bind()
+    bind_statement(statement, database)
 
     conjuncts = split_conjuncts(statement.where) if statement.where is not None else []
     base_columns = set(database.main_table(statement.table).column_names)
@@ -502,102 +501,62 @@ def probe_is_empty(probe: RangeProbe) -> bool:
 # -- binding ----------------------------------------------------------------------------
 
 
+def bind_statement(statement, database: "Database") -> None:
+    """Resolve the qualified names of a SELECT, DELETE or UPDATE in place:
+    every expression it holds is rewritten under the statement's scope,
+    the FROM table plus, for a SELECT, its joins."""
+    joins = statement.joins if isinstance(statement, SelectStatement) else []
+    binder = _Binder(statement.table, joins, database)
+    for join in joins:
+        binder.bind_join(join)
+    for clause, expr, replace in statement.expressions():
+        # ORDER BY may reference select-list aliases; leave those alone.
+        if clause == "order" and isinstance(expr, ex.ColumnRef):
+            if expr.name in {i.output_name() for i in statement.items if not i.star}:
+                continue
+        replace(expr.rewrite_columns(binder.resolve))
+
+
 class _Binder:
     """Resolves qualified column names against the FROM/JOIN tables."""
 
-    def __init__(self, statement: SelectStatement, database: "Database") -> None:
-        self._statement = statement
-        self._database = database
-        base = database.main_table(statement.table)
-        self._base_columns = set(base.column_names)
-        self._join_columns: dict[str, set[str]] = {}
-        for clause in statement.joins:
-            join_table = database.main_table(clause.table)
-            self._join_columns[clause.table] = set(join_table.column_names)
+    def __init__(
+        self, table: str, joins: list[JoinClause], database: "Database"
+    ) -> None:
+        self._table = table
+        self._columns = {
+            name: set(database.main_table(name).column_names)
+            for name in [table] + [clause.table for clause in joins]
+        }
 
-    def bind(self) -> SelectStatement:
-        """Rewrite all name references in place and return the statement."""
-        stmt = self._statement
-        for clause in stmt.joins:
-            self._bind_join(clause)
-        for item in stmt.items:
-            if item.expression is not None:
-                self._bind_expr(item.expression)
-            if item.aggregate is not None and item.aggregate.argument is not None:
-                self._bind_expr(item.aggregate.argument)
-        if stmt.where is not None:
-            self._bind_expr(stmt.where)
-        for expr in stmt.group_by:
-            self._bind_expr(expr)
-        if stmt.having is not None:
-            self._bind_expr(stmt.having)
-        for _, call in stmt.having_aggregates:
-            if call.argument is not None:
-                self._bind_expr(call.argument)
-        for order in stmt.order_by:
-            self._bind_order_expr(order)
-        return stmt
+    def _split(self, name: str) -> tuple[str, str]:
+        """``(table, column)`` of a qualified name, checked against the scope."""
+        qualifier, column = name.split(".", 1)
+        if qualifier not in self._columns:
+            raise BindError(f"unknown table qualifier {qualifier!r} in {name!r}")
+        if column not in self._columns[qualifier]:
+            raise BindError(f"table {qualifier!r} has no column {column!r}")
+        return qualifier, column
 
-    def _bind_expr(self, expr: ex.Expression) -> None:
-        if isinstance(expr, ex.ColumnRef):
-            expr.name = self._resolve(expr.name, in_join_output=True)
-            return
-        for attr in ("left", "right", "operand"):
-            child = getattr(expr, attr, None)
-            if isinstance(child, ex.Expression):
-                self._bind_expr(child)
-        options = getattr(expr, "options", None)
-        if options:
-            for option in options:
-                self._bind_expr(option)
-
-    def _bind_order_expr(self, order: OrderItem) -> None:
-        # ORDER BY may reference select-list aliases; leave those alone.
-        expr = order.expression
-        if isinstance(expr, ex.ColumnRef):
-            aliases = {i.output_name() for i in self._statement.items if not i.star}
-            if expr.name in aliases:
-                return
-        self._bind_expr(expr)
-
-    def _resolve(self, name: str, in_join_output: bool) -> str:
+    def resolve(self, name: str) -> str:
+        """The name ``name`` goes by in the scan/join output."""
         if "." not in name:
             return name
-        qualifier, column = name.split(".", 1)
-        if qualifier == self._statement.table:
-            if column not in self._base_columns:
-                raise BindError(f"table {qualifier!r} has no column {column!r}")
-            return column
-        if qualifier in self._join_columns:
-            if column not in self._join_columns[qualifier]:
-                raise BindError(f"table {qualifier!r} has no column {column!r}")
-            if in_join_output and column in self._base_columns:
-                return f"right_{column}"
-            return column
-        raise BindError(f"unknown table qualifier {qualifier!r} in {name!r}")
+        qualifier, column = self._split(name)
+        if qualifier != self._table and column in self._columns[self._table]:
+            return f"right_{column}"
+        return column
 
-    def _bind_join(self, clause: JoinClause) -> None:
+    def bind_join(self, clause: JoinClause) -> None:
         """Normalise an ON clause so left_column is on the probe side and
         right_column belongs to the joined table."""
 
         def side_of(name: str) -> tuple[str, str]:
             """Return ('left'|'right', bare_column) for one ON operand."""
             if "." in name:
-                qualifier, column = name.split(".", 1)
-                if qualifier == clause.table:
-                    if column not in self._join_columns[clause.table]:
-                        raise BindError(f"table {qualifier!r} has no column {column!r}")
-                    return "right", column
-                if qualifier == self._statement.table:
-                    if column not in self._base_columns:
-                        raise BindError(f"table {qualifier!r} has no column {column!r}")
-                    return "left", column
-                if qualifier in self._join_columns:
-                    return "left", column  # an earlier join's table
-                raise BindError(f"unknown table qualifier {qualifier!r} in {name!r}")
-            if name in self._join_columns[clause.table]:
-                return "right", name
-            return "left", name
+                qualifier, name = self._split(name)
+                return ("right" if qualifier == clause.table else "left"), name
+            return ("right" if name in self._columns[clause.table] else "left"), name
 
         left_side, left_col = side_of(clause.left_column)
         right_side, right_col = side_of(clause.right_column)

@@ -7,10 +7,27 @@ the statement shell around them: select lists, joins, grouping, ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from operator import setitem
+from typing import Callable, Collection, Iterator
 
 from repro.engine.expressions import Expression, strip_outer_parens
 
 AGGREGATE_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
+
+#: One entry of a statement's ``expressions()``: the clause the
+#: expression sits in (``select``, ``aggregate``, ``where``, ``group``,
+#: ``having``, ``having_aggregate``, ``order``, ``set``), the
+#: expression, and a setter that stores a replacement in its place.
+ExpressionSite = tuple[str, Expression, Callable[[Expression], None]]
+
+
+def _site(clause: str, holder: object, attribute: str) -> list[ExpressionSite]:
+    """The expression in ``holder.attribute``, when there is one."""
+    expression = getattr(holder, attribute)
+    if expression is None:
+        return []
+    return [(clause, expression, partial(setattr, holder, attribute))]
 
 
 @dataclass
@@ -54,6 +71,12 @@ class SelectItem:
     aggregate: AggregateCall | None = None
     alias: str | None = None
     star: bool = False
+
+    def expressions(self) -> Iterator[ExpressionSite]:
+        """The item's expression, or its aggregate's argument."""
+        yield from _site("select", self, "expression")
+        if self.aggregate is not None:
+            yield from _site("aggregate", self.aggregate, "argument")
 
     def output_name(self) -> str:
         """Column name this item produces."""
@@ -127,6 +150,33 @@ class SelectStatement:
             if item.aggregate is not None
         ]
 
+    def expressions(self) -> Iterator[ExpressionSite]:
+        """Every expression the statement holds, tagged with its clause.
+
+        This is the only enumeration of "the expressions of a SELECT":
+        the binder rewrites through it and every column collector reads
+        through it, so a clause cannot be bound but not collected.
+        """
+        for item in self.items:
+            yield from item.expressions()
+        yield from _site("where", self, "where")
+        for position, expression in enumerate(self.group_by):
+            yield "group", expression, partial(setitem, self.group_by, position)
+        yield from _site("having", self, "having")
+        for _, call in self.having_aggregates:
+            yield from _site("having_aggregate", call, "argument")
+        for order in self.order_by:
+            yield from _site("order", order, "expression")
+
+    def referenced_columns(self, clauses: Collection[str] | None = None) -> set[str]:
+        """Column names read by the statement (by ``clauses`` only, when given)."""
+        return {
+            name
+            for clause, expression, _ in self.expressions()
+            if clauses is None or clause in clauses
+            for name in expression.referenced_columns()
+        }
+
     def to_sql(self) -> str:
         """Render the statement back to SQL text."""
         keyword = "SELECT DISTINCT " if self.distinct else "SELECT "
@@ -193,6 +243,10 @@ class DeleteStatement:
     table: str
     where: Expression | None = None
 
+    def expressions(self) -> Iterator[ExpressionSite]:
+        """The WHERE predicate, in :meth:`SelectStatement.expressions` form."""
+        yield from _site("where", self, "where")
+
     def to_sql(self) -> str:
         """Render back to SQL text."""
         suffix = f" WHERE {self.where.to_sql()}" if self.where is not None else ""
@@ -207,6 +261,15 @@ class UpdateStatement:
     assignments: list[tuple[str, Expression]]
     where: Expression | None = None
 
+    def expressions(self) -> Iterator[ExpressionSite]:
+        """SET values and the WHERE predicate, in
+        :meth:`SelectStatement.expressions` form."""
+        for position, (column, expression) in enumerate(self.assignments):
+            yield "set", expression, lambda new, at=position, to=column: setitem(
+                self.assignments, at, (to, new)
+            )
+        yield from _site("where", self, "where")
+
     def to_sql(self) -> str:
         """Render back to SQL text."""
         sets = ", ".join(f"{c} = {e.to_sql()}" for c, e in self.assignments)
@@ -219,11 +282,13 @@ class ExplainStatement:
     """``EXPLAIN [ANALYZE] <select>``.
 
     Plain EXPLAIN renders the plan; ANALYZE also executes it and reports
-    per-node wall time, row counts and bytes touched.
+    per-node wall time, row counts and bytes touched.  ``select_offset``
+    is where the inner SELECT starts in the parsed text.
     """
 
     statement: SelectStatement
     analyze: bool = False
+    select_offset: int = 0
 
     def to_sql(self) -> str:
         """Render back to SQL text."""

@@ -134,7 +134,8 @@ class _Parser:
 
         self._expect(TokenType.KEYWORD, "EXPLAIN")
         analyze = bool(self._accept(TokenType.KEYWORD, "ANALYZE"))
-        return ExplainStatement(statement=self.parse_select(), analyze=analyze)
+        select_offset = self._peek().position
+        return ExplainStatement(self.parse_select(), analyze, select_offset)
 
     def _parse_create(self):
         from repro.engine.sql.ast import CreateTableStatement

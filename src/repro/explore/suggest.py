@@ -37,15 +37,10 @@ def query_fragments(sql: str) -> frozenset[str]:
                 else "*"
             )
             fragments.add(f"agg:{item.aggregate.function}({arg})")
-        elif item.expression is not None:
-            for column in item.expression.referenced_columns():
-                fragments.add(f"select:{column}")
-    if statement.where is not None:
-        for column in statement.where.referenced_columns():
-            fragments.add(f"where:{column}")
-    for expr in statement.group_by:
-        for column in expr.referenced_columns():
-            fragments.add(f"group:{column}")
+    for clause, expression, _ in statement.expressions():
+        if clause in ("select", "where", "group"):
+            for column in expression.referenced_columns():
+                fragments.add(f"{clause}:{column}")
     return frozenset(fragments)
 
 

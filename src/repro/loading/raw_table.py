@@ -145,20 +145,9 @@ class RawTable:
         from repro.engine.sql.parser import parse
 
         statement = parse(query)
-        needed: set[str] = set()
-        for item in statement.items:
-            if item.star:
-                needed.update(self.column_names)
-            if item.expression is not None:
-                needed |= item.expression.referenced_columns()
-            if item.aggregate is not None and item.aggregate.argument is not None:
-                needed |= item.aggregate.argument.referenced_columns()
-        if statement.where is not None:
-            needed |= statement.where.referenced_columns()
-        for expr in statement.group_by:
-            needed |= expr.referenced_columns()
-        for order in statement.order_by:
-            needed |= order.expression.referenced_columns()
+        needed = statement.referenced_columns()
+        if any(item.star for item in statement.items):
+            needed.update(self.column_names)
         available = set(self.column_names)
         needed = {n.split(".", 1)[-1] for n in needed} & available
         self.fetch(sorted(needed) or self.column_names[:1])
