@@ -183,8 +183,58 @@ def check_straddling_group_by_ratio(zone_rows: int = 32_768, repeats: int = 5) -
     return ratio
 
 
+def check_no_group_gathers(n: int = 200_000) -> int:
+    """Guard the group kernel with a count, not a clock: the five
+    aggregate views of a dashboard-shaped table (dictionary keys, a 1-10
+    int key, float SUM/AVG, a global MIN/MAX) must take no per-group
+    gather — ``agg.rows_gathered`` stays 0 — and find the right groups.
+    Returns the rows the views aggregated."""
+    rng = np.random.default_rng(0)
+    db = Database()
+    db.create_table(
+        "sales",
+        {
+            "ts": np.cumsum(rng.integers(1, 5, n)).tolist(),
+            "price": np.round(rng.gamma(2.0, 20.0, n), 4).tolist(),
+            "qty": rng.integers(1, 11, n).tolist(),
+            "region": [f"region_{i:02d}" for i in rng.integers(0, 12, n)],
+            "channel": [("partner", "phone", "store", "web")[i] for i in rng.integers(0, 4, n)],
+            "product": [f"product_{i:03d}" for i in rng.integers(0, 500, n)],
+        },
+    )
+    ts = db.get_table("sales").column("ts").data
+    where = f"WHERE ts >= {ts[n // 10]} AND ts < {ts[n // 2]}"
+    brushed = n // 2 - n // 10
+    views = {
+        f"SELECT region, COUNT(*) AS n, SUM(price) AS revenue FROM sales {where} "
+        "GROUP BY region ORDER BY region": 12,
+        f"SELECT channel, COUNT(*) AS n, SUM(price) AS revenue FROM sales {where} "
+        "GROUP BY channel ORDER BY channel": 4,
+        f"SELECT qty, COUNT(*) AS n, AVG(price) AS avg_price FROM sales {where} "
+        "GROUP BY qty ORDER BY qty": 10,
+        f"SELECT product, COUNT(*) AS n, SUM(price) AS revenue FROM sales {where} "
+        "GROUP BY product": 500,
+        "SELECT COUNT(*) AS n, SUM(price) AS revenue, AVG(price) AS avg_price, "
+        f"MIN(price) AS min_price, MAX(price) AS max_price FROM sales {where}": 1,
+    }
+    gathered = get_registry().counter("agg.rows_gathered")
+    before = gathered.value
+    for sql, groups in views.items():
+        result = db.sql(sql)
+        assert result.num_rows == groups, f"{groups} groups expected: {sql}"
+        assert int(result.column("n").data.sum()) == brushed, sql
+    assert gathered.value == before, (
+        f"{gathered.value - before} rows went through a per-group gather"
+    )
+    # the counter is live: a DISTINCT aggregate is the fallback it counts
+    db.sql(f"SELECT region, COUNT(DISTINCT product) AS n FROM sales {where} GROUP BY region")
+    assert gathered.value - before == brushed
+    return brushed * len(views)
+
+
 def main() -> int:
     keepalive = run_workload()
+    gather_free_rows = check_no_group_gathers()
     fast_path_speedup = check_column_fast_path()
     sort_ratio = check_pooled_sort_ratio()
     straddle_ratio = check_straddling_group_by_ratio()
@@ -213,7 +263,8 @@ def main() -> int:
           len(snapshot["benchmarks"]), "benchmark tables,",
           f"column fast path {fast_path_speedup:.1f}x,",
           f"pooled/serial sort {sort_ratio:.2f}x,",
-          f"straddling/in-zone group-by {straddle_ratio:.2f}x")
+          f"straddling/in-zone group-by {straddle_ratio:.2f}x,",
+          f"{gather_free_rows} rows grouped with no per-group gather")
     return 0
 
 

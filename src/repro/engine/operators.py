@@ -385,36 +385,266 @@ def _match_join_keys(
 
 
 # -- aggregation ------------------------------------------------------------------------
+#
+# One group kernel serves the serial operator, the fused-span partials and
+# the partial merge (:mod:`repro.engine.parallel`): :func:`group_rows` sorts
+# the rows into group order once, :func:`aggregate_groups` reduces each
+# aggregate over that order, :func:`grouped_output` builds the result table
+# from arrays.  DESIGN.md, "Grouped aggregation kernel".
+
+#: below this many combined ids the stable argsort runs over uint16, where
+#: numpy's stable sort is a radix sort
+_RADIX_SORT_IDS = 1 << 16
+
+#: ``(order, starts, counts)``: see :func:`group_ids`
+Grouping = tuple[np.ndarray | None, np.ndarray, np.ndarray]
 
 
-def _aggregate_values(call: AggregateCall, column: Column | None, group_size: int) -> Any:
-    """Evaluate one aggregate over the (already filtered) group values."""
-    if call.argument is None:  # COUNT(*)
-        return group_size
-    assert column is not None
-    if call.function == "COUNT":
-        if call.distinct:
-            return len({v for v in column.to_list() if v is not None})
-        return group_size - column.null_count()
+def aggregate_columns(
+    group_exprs: Sequence[Expression], aggregates: Sequence[tuple[str, AggregateCall]]
+) -> set[str]:
+    """The input columns an aggregation reads: its keys' and arguments'."""
+    names: set[str] = set()
+    for expr in group_exprs:
+        names |= expr.referenced_columns()
+    for _, call in aggregates:
+        if call.argument is not None:
+            names |= call.argument.referenced_columns()
+    return names
+
+
+def _key_ids(column: Column) -> tuple[np.ndarray, int]:
+    """``(ids, radix)``: non-negative ints below ``radix``, equal iff the
+    key values are GROUP BY-equal (one NULL group, one NaN group).
+
+    The cheapest source that is exact wins: dictionary codes as they are;
+    a BOOL as 0/1; an integer column as ``data - min`` when its observed
+    range is no wider than its row count (so the id space never exceeds
+    what a sort of the rows would touch anyway); :func:`_distinct_codes`
+    for a column holding a NULL; an ``np.unique`` inverse otherwise.
+    """
+    codes = _string_codes(column)
+    if column.has_nulls:
+        ids = _distinct_codes(column)  # dictionary codes + 2 when there are any
+        return ids, (len(column.dictionary()[1]) + 2 if codes is not None else int(ids.max()) + 1)
+    if codes is not None:
+        return codes, len(column.dictionary()[1])
+    data = column.data
+    if data.dtype.kind == "b":
+        return data.view(np.uint8), 2
+    if data.dtype.kind == "i":
+        low, high = int(data.min()), int(data.max())
+        if high - low < len(data):
+            return (data - low if low else data), high - low + 1
+    inverse = np.unique(key_array(column), return_inverse=True)[1]
+    return inverse, int(inverse.max()) + 1
+
+
+def group_ids(ids: np.ndarray, space: int) -> Grouping:
+    """Rows with ids below ``space`` sorted into groups: ``(order, starts,
+    counts)`` with ``order[starts[g] : starts[g] + counts[g]]`` the rows of
+    the group with the ``g``-th smallest id, ascending."""
+    if space <= _RADIX_SORT_IDS:
+        ids = ids.astype(np.uint16, copy=False)
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    leads = np.ones(len(ids), dtype=bool)  # the first row of each group
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=leads[1:])
+    starts = np.flatnonzero(leads)
+    return order, starts, np.diff(starts, append=len(ids))
+
+
+def group_rows(key_columns: Sequence[Column], num_rows: int) -> Grouping:
+    """The group kernel: one stable argsort of the rows by key tuple.
+
+    Key columns combine mixed-radix into one id per row; the running id
+    space is re-densified before the product could leave int64.  No key
+    columns is the global group: ``order`` None stands for the identity.
+    """
+    if not key_columns:
+        return None, np.zeros(1, dtype=np.int64), np.array([num_rows], dtype=np.int64)
+    if num_rows == 0:
+        none = np.zeros(0, dtype=np.int64)
+        return none, none, none
+    ids, space = _key_ids(key_columns[0])
+    for column in key_columns[1:]:
+        more, radix = _key_ids(column)
+        if space * radix >= 1 << 63:
+            distinct, ids = np.unique(ids, return_inverse=True)
+            space = len(distinct)
+        ids = ids.astype(np.int64) * radix + more
+        space *= radix
+    return group_ids(ids, space)
+
+
+def row_group_ids(
+    order: np.ndarray, counts: np.ndarray, labels: np.ndarray | None = None
+) -> np.ndarray:
+    """Per row of a keyed :data:`Grouping`, the label of its group
+    (default: the group's rank)."""
+    if labels is None:
+        labels = np.arange(len(counts), dtype=np.int32)
+    ids = np.empty(len(order), dtype=labels.dtype)
+    ids[order] = np.repeat(labels, counts)
+    return ids
+
+
+def _result_type(function: str, argument: DataType) -> DataType:
+    if function == "COUNT":
+        return DataType.INT64
+    if function == "AVG":
+        return DataType.FLOAT64
+    if function == "SUM":
+        return DataType.FLOAT64 if argument is DataType.FLOAT64 else DataType.INT64
+    if function in ("MIN", "MAX"):
+        return argument
+    raise ExecutionError(f"unknown aggregate function {function}")
+
+
+def _null_column(dtype: DataType, length: int) -> Column:
+    return column_from_parts(
+        np.zeros(length, dtype=dtype.numpy_dtype), dtype, np.zeros(length, dtype=bool)
+    )
+
+
+def aggregate_groups(
+    function: str,
+    distinct: bool,
+    column: Column | None,
+    order: np.ndarray | None,
+    starts: np.ndarray,
+    counts: np.ndarray,
+) -> Column:
+    """One aggregate over every group of a :data:`Grouping`, in its order.
+
+    ``column`` None is COUNT(*).  The argument is taken into group order
+    once; COUNT(x), integer SUM and numeric MIN/MAX are ``reduceat`` over
+    it, float SUM and AVG sum each group's contiguous slice — numpy's
+    pairwise ``.sum()`` over the rows in ascending order, which
+    ``np.add.reduceat`` (sequential) does not reproduce.  DISTINCT and
+    STRING arguments evaluate group by group.
+    """
+    if column is None:
+        return column_from_parts(counts, DataType.INT64)
+    result_type = _result_type(function, column.dtype)
+    if len(column) == 0:  # no group, or the global group over no rows
+        if function == "COUNT":
+            return column_from_parts(np.zeros(len(counts), dtype=np.int64), DataType.INT64)
+        return _null_column(result_type, len(counts))
+    if distinct or (column.dtype is DataType.STRING and function != "COUNT"):
+        if order is not None:
+            column = column.take(order)
+        return _aggregate_per_group(function, distinct, column, starts, counts, result_type)
+    data, valid = column.data, column.validity
+    if order is not None and valid is not None:
+        valid = valid[order]
+    present = counts if valid is None else np.add.reduceat(valid, starts, dtype=np.int64)
+    if function == "COUNT":
+        return column_from_parts(present, DataType.INT64)
+    if order is not None:
+        data = data[order]
+    if function in ("MIN", "MAX"):
+        if valid is not None:
+            data = np.where(valid, data, _reduce_identity(data.dtype, function == "MIN"))
+        reduce = np.minimum if function == "MIN" else np.maximum
+        values = reduce.reduceat(data, starts)
+    elif result_type is DataType.INT64:  # SUM of INT64 / BOOL: exact in any order
+        data = data.astype(np.int64, copy=False)
+        values = np.add.reduceat(data if valid is None else np.where(valid, data, 0), starts)
+    else:
+        data = data.astype(np.float64, copy=False)
+        if valid is not None:
+            data, starts = data[valid], np.cumsum(present) - present
+        values = np.array(
+            [np.add.reduce(data[start : start + size]) for start, size in zip(starts, present)]
+        )
+        if function == "AVG":
+            values = values / np.maximum(present, 1)
+    return column_from_parts(values, result_type, None if valid is None else present > 0)
+
+
+def _reduce_identity(dtype: np.dtype, is_min: bool) -> Any:
+    """The value MIN (or MAX) ignores, parked in NULL slots."""
+    if dtype.kind == "f":
+        return np.inf if is_min else -np.inf
+    if dtype.kind == "b":
+        return is_min
+    info = np.iinfo(dtype)
+    return info.max if is_min else info.min
+
+
+def _aggregate_per_group(
+    function: str,
+    distinct: bool,
+    column: Column,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    result_type: DataType,
+) -> Column:
+    """The fallback: one Python evaluation per group of ``column`` (already
+    in group order).  ``agg.rows_gathered`` counts the rows that take it."""
+    get_registry().counter("agg.rows_gathered").inc(len(column))
+    values = [
+        _aggregate_values(function, distinct, column.slice(start, start + size))
+        for start, size in zip(starts.tolist(), counts.tolist())
+    ]
+    return Column(values, dtype=result_type)
+
+
+def _aggregate_values(function: str, distinct: bool, column: Column) -> Any:
+    """Evaluate one aggregate over one group's values."""
+    if function == "COUNT":  # DISTINCT: one NaN, as SELECT DISTINCT and GROUP BY make
+        codes = _distinct_codes(column)
+        return len(np.unique(codes[codes != 0]))
     valid = column.valid_data()
-    if call.distinct:
+    if distinct:
         if column.dtype is DataType.STRING:
             valid = np.asarray(sorted(set(valid)), dtype=object)
         else:
             valid = np.unique(valid)
     if len(valid) == 0:
         return None
-    if call.function == "SUM":
+    if function == "SUM":
         return float(valid.sum()) if column.dtype is DataType.FLOAT64 else int(valid.sum())
-    if call.function == "AVG":
+    if function == "AVG":
         return float(np.mean(valid.astype(np.float64)))
-    if call.function == "MIN":
-        value = min(valid) if column.dtype is DataType.STRING else valid.min()
-        return value if isinstance(value, str) else value.item()
-    if call.function == "MAX":
-        value = max(valid) if column.dtype is DataType.STRING else valid.max()
-        return value if isinstance(value, str) else value.item()
-    raise ExecutionError(f"unknown aggregate function {call.function}")
+    if column.dtype is DataType.STRING:
+        return min(valid) if function == "MIN" else max(valid)
+    return (valid.min() if function == "MIN" else valid.max()).item()
+
+
+def first_appearance(order: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first_rows, appearance)``: each group's first row, ascending, and
+    the permutation of the kernel's groups that puts them in that order."""
+    first_rows = order[starts]  # the sort is stable: a group's first row leads it
+    appearance = np.argsort(first_rows)
+    return first_rows[appearance], appearance
+
+
+def grouped_output(
+    names: Sequence[str],
+    key_columns: Sequence[Column],
+    columns: Sequence[Column],
+    order: np.ndarray | None,
+    starts: np.ndarray,
+) -> Table:
+    """The result table: groups in first-appearance order, key columns
+    (each group's first row) before the aggregates' ``columns``.
+
+    A column with no non-NULL value comes out FLOAT64 — no groups at all
+    therefore gives all-FLOAT64 empty columns — which is what inferring
+    the types from result rows used to decide.
+    """
+    if key_columns:
+        first_rows, appearance = first_appearance(order, starts)
+        columns = [key.take(first_rows) for key in key_columns] + [
+            column.take(appearance) for column in columns
+        ]
+    return Table([
+        (name, column if column.null_count() < len(column)
+         else _null_column(DataType.FLOAT64, len(column)))
+        for name, column in zip(names, columns)
+    ])
 
 
 def group_output_names(
@@ -432,7 +662,7 @@ def hash_aggregate(
     aggregates: Sequence[tuple[str, AggregateCall]],
     group_names: Sequence[str] | None = None,
 ) -> Table:
-    """GROUP BY via hashing on materialised key columns.
+    """GROUP BY over materialised key columns.
 
     Args:
         table: input rows (already WHERE-filtered).
@@ -447,69 +677,16 @@ def hash_aggregate(
     with trace("op.hash_aggregate", rows=table.num_rows, keys=len(group_exprs)):
         names = group_output_names(group_exprs, group_names)
         key_columns = [expr.evaluate(table) for expr in group_exprs]
-        arg_columns: dict[int, Column] = {}
-        for i, (_, call) in enumerate(aggregates):
-            if call.argument is not None:
-                arg_columns[i] = call.argument.evaluate(table)
-
-        if not group_exprs:
-            row: list[Any] = []
-            for i, (_, call) in enumerate(aggregates):
-                row.append(_aggregate_values(call, arg_columns.get(i), table.num_rows))
-            return Table.from_rows([tuple(row)], [name for name, _ in aggregates])
-
-        grouped = _group_rows(key_columns, table.num_rows)
-
-        out_rows: list[tuple[Any, ...]] = []
-        for key, idx in grouped:
-            row_values: list[Any] = list(key)
-            for i, (_, call) in enumerate(aggregates):
-                arg = arg_columns.get(i)
-                sliced = arg.take(idx) if arg is not None else None
-                row_values.append(_aggregate_values(call, sliced, len(idx)))
-            out_rows.append(tuple(row_values))
-        out_names = names + [name for name, _ in aggregates]
-        return Table.from_rows(out_rows, out_names)
-
-
-def _group_rows(
-    key_columns: list[Column], num_rows: int
-) -> list[tuple[tuple[Any, ...], np.ndarray]]:
-    """Partition row indices by key tuple, in first-appearance order.
-
-    Every key column becomes integer codes — ``np.unique`` over the
-    payload, or over :func:`_distinct_codes` when the column holds a
-    NULL (one NULL group and one NaN group, whatever else is in the key,
-    as ``np.unique`` already makes one NaN group of a NULL-free column).
-    """
-    if num_rows == 0:
-        return []
-    codes = np.zeros(num_rows, dtype=np.int64)
-    for column in key_columns:
-        if column.has_nulls:
-            inverse = _distinct_codes(column)
-        else:
-            if column.dtype is DataType.STRING:
-                dict_codes = _string_codes(column)
-                if dict_codes is not None:
-                    data = dict_codes
-                else:
-                    data = np.asarray(
-                        ["" if v is None else str(v) for v in column.data], dtype=str
-                    )
-            else:
-                data = column.data
-            _, inverse = np.unique(data, return_inverse=True)
-        codes = codes * (int(inverse.max()) + 1 if len(inverse) else 1) + inverse
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    boundaries = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [num_rows]])
-    groups = []
-    for start, end in zip(starts, ends):
-        idx = np.sort(order[start:end])
-        key = tuple(column[int(idx[0])] for column in key_columns)
-        groups.append((key, idx))
-    groups.sort(key=lambda item: int(item[1][0]))  # first-appearance order
-    return groups
+        order, starts, counts = group_rows(key_columns, table.num_rows)
+        columns = [
+            aggregate_groups(
+                call.function,
+                call.distinct,
+                None if call.argument is None else call.argument.evaluate(table),
+                order, starts, counts,
+            )
+            for _, call in aggregates
+        ]
+        return grouped_output(
+            names + [name for name, _ in aggregates], key_columns, columns, order, starts
+        )

@@ -75,6 +75,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.engine import expressions as ex
+from repro.engine.operators import aggregate_columns
 from repro.engine.planner import (
     AggregateNode,
     DistinctNode,
@@ -498,13 +499,7 @@ def _prune_pass(node: PlanNode, needed: set[str] | None, ctx: _Context) -> None:
     elif isinstance(node, ProjectNode):
         _prune_pass(node.child, _item_refs(node.items), ctx)
     elif isinstance(node, AggregateNode):  # includes FusedAggregateNode
-        refs: set[str] = set()
-        for expr in node.group_exprs:
-            refs |= expr.referenced_columns()
-        for _, call in node.aggregates:
-            if call.argument is not None:
-                refs |= call.argument.referenced_columns()
-        _prune_pass(node.child, refs, ctx)
+        _prune_pass(node.child, aggregate_columns(node.group_exprs, node.aggregates), ctx)
     elif isinstance(node, FilterNode):
         if needed is not None:
             needed = set(needed) | node.predicate.referenced_columns()

@@ -25,13 +25,18 @@ have performed:
   points :func:`streamed_filter` / :func:`fused_filter_aggregate` build
   one task per span; :mod:`repro.engine.shards` builds one per shard
   over the same kernels;
-- aggregation computes partial states per morsel and merges them.
-  COUNT/COUNT(x) partials are integer counts (addition is exact),
-  MIN/MAX partials recombine by min/max (exact, NaN-propagating), and
-  integer SUM partials recombine by addition.  Float SUM/AVG and
-  DISTINCT aggregates keep *row-index* partials instead and evaluate the
-  final aggregate over the merged group exactly like the serial
-  operator, preserving numpy's pairwise-summation rounding;
+- aggregation computes a columnar partial per span — the span's groups'
+  key columns in first-appearance order and one column per aggregate —
+  with the serial group kernel (:func:`~repro.engine.operators.
+  group_rows`), and merges by running that kernel again over the
+  concatenated partial keys.  COUNT(*)/COUNT(x) and integer SUM
+  partials recombine as a SUM over the merged groups (integer addition
+  is exact), MIN/MAX partials as MIN/MAX (exact, NaN-propagating).
+  Float SUM/AVG and DISTINCT aggregates are *gather* mode: a span ships
+  its evaluated argument column and each row's group, and the merge
+  evaluates the serial aggregate over all spans' rows sorted into
+  merged-group order — ascending within a group, so numpy's pairwise
+  summation rounds as it does serially;
 - sorts evaluate the ORDER BY keys per morsel (row-local, so the parts
   concatenate to the full-table keys) and run the serial stable
   multi-key sort once over the gathered keys.
@@ -57,13 +62,12 @@ stay bit-identical to serial execution.
 from __future__ import annotations
 
 import itertools
-import math
 import pickle
 import threading
 import time
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -375,13 +379,18 @@ Span = tuple[int, int, bool]
 
 
 def _filter_spans(
-    table: Table, spans: Sequence[Span], live: np.ndarray | None, predicate: Expression
+    table: Table,
+    spans: Sequence[Span],
+    live: np.ndarray | None,
+    predicate: Expression,
+    columns: Sequence[str] | None = None,
 ) -> list[Table]:
     """The filter-span kernel: the surviving rows of each span, in order.
 
     A span covering the whole table is not sliced at all.  Masks are
     row-local, so the pieces concatenate to exactly
-    ``table.filter(truth_mask & live)``.
+    ``table.filter(truth_mask & live)``.  ``columns`` names what the sink
+    reads: the predicate sees every column, only those are copied.
     """
     pieces: list[Table] = []
     for start, stop, evaluate in spans:
@@ -390,6 +399,8 @@ def _filter_spans(
         mask = truth_mask(predicate, piece) if evaluate else None
         if live is not None:
             mask = live[start:stop] if mask is None else mask & live[start:stop]
+        if columns is not None:
+            piece = piece.select(columns)
         pieces.append(piece if mask is None else piece.filter(mask))
     return pieces
 
@@ -426,9 +437,16 @@ def _span_tasks(
     return tasks or [(table, [(0, 0, True)], None)], pooled
 
 
-def _filter_tasks(tasks: Sequence[tuple], predicate: Expression, pooled: bool) -> Table:
+def _filter_tasks(
+    tasks: Sequence[tuple],
+    predicate: Expression,
+    pooled: bool,
+    columns: Sequence[str] | None = None,
+) -> Table:
     """Run the filter-span kernel over ``tasks`` and gather the pieces once."""
-    results = _run_tasks(_filter_spans, [task + (predicate,) for task in tasks], pooled)
+    results = _run_tasks(
+        _filter_spans, [task + (predicate, columns) for task in tasks], pooled
+    )
     return concat_tables([piece for pieces in results for piece in pieces])
 
 
@@ -481,25 +499,33 @@ def _partial_modes(
             modes.append(_MODE_MINMAX)
         elif call.function == "SUM" and call.argument.output_type(table) is not DataType.FLOAT64:
             modes.append(_MODE_SUM_INT)
-        else:  # float SUM, AVG: keep indices to preserve pairwise summation
+        else:  # float SUM, AVG: keep the rows to preserve pairwise summation
             modes.append(_MODE_GATHER)
     return modes
 
 
-def _canonical_key(key: tuple) -> tuple:
-    """A mergeable group key: NULL and NaN get stable sentinels."""
-    parts = []
-    for value in key:
-        if value is None:
-            parts.append((0, None))
-        elif isinstance(value, float) and math.isnan(value):
-            parts.append((1, None))
-        else:
-            parts.append((2, value))
-    return tuple(parts)
+def _sink_columns(
+    table: Table,
+    group_exprs: Sequence[Expression],
+    aggregates: Sequence[tuple[str, AggregateCall]],
+) -> list[str]:
+    """The columns of ``table`` a fused aggregate reads after its filter —
+    one at least, so the row count survives a COUNT(*)-only sink."""
+    read = ops.aggregate_columns(group_exprs, aggregates)
+    return [n for n in table.column_names if n in read] or list(table.column_names[:1])
 
 
-_NO_ROWS = np.empty(0, dtype=np.int64)
+class _Partial(NamedTuple):
+    """One span's partial aggregation, groups in first-appearance order."""
+
+    keys: list[Column]
+    #: per aggregate its partial column — in gather mode the span's
+    #: evaluated argument column, one value per *row*, instead
+    columns: list[Column | None]
+    #: per row its group's index into ``keys``; only with keys and a
+    #: gather-mode aggregate
+    row_groups: np.ndarray | None
+    num_groups: int
 
 
 def _fused_spans(
@@ -507,80 +533,48 @@ def _fused_spans(
     spans: Sequence[Span],
     live: np.ndarray | None,
     predicate: Expression | None,
+    columns: Sequence[str] | None,
     group_exprs: Sequence[Expression],
     aggregates: Sequence[tuple[str, AggregateCall]],
     modes: Sequence[str],
-) -> list[tuple[list[tuple], dict[int, Column], int]]:
+) -> list[_Partial]:
     """The fused-span kernel: filter + partial aggregation of each span,
     without materialising the filtered table across spans.
 
-    Returns one ``(groups, gather_columns, kept_rows)`` per span.  Each
-    group is ``(canonical_key, display_key, row_indices, size,
-    partials)``; ``gather_columns`` holds the span's evaluated argument
-    columns for gather-mode aggregates.  Row indices are local to the
-    span's filtered rows — the merge rebases them onto the concatenation
-    of all filtered spans via the kept-row counts — and only feed
-    gather-mode merges: without one they are dropped here, before the
-    result crosses a process boundary (they are as large as the rows).
+    The serial group kernel run over the span is an exact partial for
+    every mode but gather; a gather-mode aggregate ships its argument
+    values and each row's group instead, and the merge evaluates it over
+    the rows of all spans.
     """
-    keep_rows = _MODE_GATHER in modes
     results = []
-    for piece in _filter_spans(table, spans, live, predicate):
+    for piece in _filter_spans(table, spans, live, predicate, columns):
         key_columns = [expr.evaluate(piece) for expr in group_exprs]
-        arg_columns: dict[int, Column] = {}
-        for i, (_, call) in enumerate(aggregates):
-            if call.argument is not None:
-                arg_columns[i] = call.argument.evaluate(piece)
-        if group_exprs:
-            grouped = ops._group_rows(key_columns, piece.num_rows)
-        else:
-            grouped = [((), np.arange(piece.num_rows, dtype=np.int64))]
-        groups: list[tuple] = []
-        for key, idx in grouped:
-            size = len(idx)
-            partials: list[Any] = []
-            for i, (_, call) in enumerate(aggregates):
-                mode = modes[i]
-                if mode == _MODE_COUNT_STAR:
-                    partials.append(size)
-                    continue
-                if mode == _MODE_GATHER:
-                    partials.append(None)  # merged via row indices instead
-                    continue
-                sliced = arg_columns[i].take(idx)
-                if mode == _MODE_COUNT:
-                    partials.append(size - sliced.null_count())
-                else:  # minmax / sum_int: the serial kernel is an exact partial
-                    partials.append(ops._aggregate_values(call, sliced, size))
-            groups.append(
-                (_canonical_key(key), key, idx if keep_rows else _NO_ROWS, size, partials)
-            )
-        gather_columns = {
-            i: arg_columns[i] for i, mode in enumerate(modes) if mode == _MODE_GATHER
-        }
-        results.append((groups, gather_columns, piece.num_rows))
+        order, starts, counts = ops.group_rows(key_columns, piece.num_rows)
+        appearance = row_groups = None
+        if key_columns:
+            first_rows, appearance = ops.first_appearance(order, starts)
+            key_columns = [key.take(first_rows) for key in key_columns]
+            if _MODE_GATHER in modes:
+                position = np.argsort(appearance).astype(np.int32)  # its inverse
+                row_groups = ops.row_group_ids(order, counts, position)
+        partials: list[Column | None] = []
+        for (_, call), mode in zip(aggregates, modes):
+            column = None if call.argument is None else call.argument.evaluate(piece)
+            if mode != _MODE_GATHER:
+                column = ops.aggregate_groups(call.function, False, column, order, starts, counts)
+                if appearance is not None:
+                    column = column.take(appearance)
+            partials.append(column)
+        results.append(_Partial(key_columns, partials, row_groups, len(counts)))
     return results
 
 
-def _merge_minmax(parts: list[Any], is_min: bool) -> Any:
-    values = [p for p in parts if p is not None]
-    if not values:
-        return None
-    for value in values:
-        if isinstance(value, float) and math.isnan(value):
-            return value  # serial np.min/np.max propagate NaN
-    return min(values) if is_min else max(values)
-
-
-def _merge_sum(parts: list[Any]) -> Any:
-    values = [p for p in parts if p is not None]
-    if not values:
-        return None
-    return sum(values)
+#: how partial columns recombine: counts and integer sums add, MIN/MAX fold
+_MERGE_FUNCTION = {"COUNT": "SUM", "SUM": "SUM", "MIN": "MIN", "MAX": "MAX"}
 
 
 def _merge_partial_aggregates(
-    task_results: Sequence[list[tuple[list[tuple], dict[int, Column], int]]],
+    task_results: Sequence[list[_Partial]],
     group_exprs: Sequence[Expression],
     aggregates: Sequence[tuple[str, AggregateCall]],
     modes: Sequence[str],
@@ -589,57 +583,48 @@ def _merge_partial_aggregates(
     """Merge the fused-span kernel's partial groups into the final table.
 
     ``task_results`` holds each task's per-span partials, tasks and spans
-    in ascending row order.  Every span's local row indices are rebased
-    onto the concatenation of the filtered spans (which the gather
-    columns are slices of).  First-appearance order across spans
-    reproduces the serial group order, and gather-mode aggregates
-    re-evaluate the serial kernel over the merged group's rows — so the
-    output is bit-identical to the serial operator over the same input.
+    in ascending row order.  The group kernel runs again over the
+    concatenated partial keys — first appearance among them is first
+    appearance among the rows — and every partial column recombines as
+    an aggregate over it.  Gather-mode aggregates evaluate the serial
+    kernel over all spans' rows, regrouped by merged group: the same
+    values in the same order as serial execution over the same input.
     """
-    merged: dict[tuple, dict[str, Any]] = {}
-    gather_parts: dict[int, list[Column]] = {
-        i: [] for i, mode in enumerate(modes) if mode == _MODE_GATHER
-    }
-    base = 0
-    for groups, gather_columns, kept in itertools.chain.from_iterable(task_results):
-        for i, column in gather_columns.items():
-            gather_parts[i].append(column)
-        for ckey, key, idx, size, partials in groups:
-            entry = merged.get(ckey)
-            if entry is None:
-                merged[ckey] = {
-                    "key": key,
-                    "idx": [idx + base],
-                    "size": size,
-                    "partials": [[p] for p in partials],
-                }
-            else:
-                entry["idx"].append(idx + base)
-                entry["size"] += size
-                for i, partial in enumerate(partials):
-                    entry["partials"][i].append(partial)
-        base += kept
-    gather_columns_full = {i: concat_columns(parts) for i, parts in gather_parts.items()}
-
-    out_rows: list[tuple[Any, ...]] = []
-    for entry in merged.values():
-        row_values: list[Any] = list(entry["key"])
-        for i, (_, call) in enumerate(aggregates):
-            mode = modes[i]
-            parts = entry["partials"][i]
-            if mode in (_MODE_COUNT_STAR, _MODE_COUNT):
-                row_values.append(sum(parts))
-            elif mode == _MODE_MINMAX:
-                row_values.append(_merge_minmax(parts, call.function == "MIN"))
-            elif mode == _MODE_SUM_INT:
-                row_values.append(_merge_sum(parts))
-            else:  # gather: evaluate over the merged group like serial
-                idx = np.concatenate(entry["idx"])
-                sliced = gather_columns_full[i].take(idx)
-                row_values.append(ops._aggregate_values(call, sliced, entry["size"]))
-        out_rows.append(tuple(row_values))
+    partials = list(itertools.chain.from_iterable(task_results))
+    key_columns = [
+        concat_columns([partial.keys[j] for partial in partials])
+        for j in range(len(group_exprs))
+    ]
+    sizes = [partial.num_groups for partial in partials]
+    order, starts, counts = ops.group_rows(key_columns, sum(sizes))
+    row_grouping = None  # all spans' rows by merged group; the global group needs none
+    if key_columns and _MODE_GATHER in modes:
+        merged_group = ops.row_group_ids(order, counts)  # of each partial row
+        offsets = np.cumsum(sizes) - sizes
+        row_grouping = ops.group_ids(
+            np.concatenate([
+                merged_group[offset + partial.row_groups]
+                for offset, partial in zip(offsets, partials)
+            ]),
+            len(counts),
+        )
+    columns = []
+    for i, ((_, call), mode) in enumerate(zip(aggregates, modes)):
+        column = concat_columns([partial.columns[i] for partial in partials])
+        if mode != _MODE_GATHER:
+            merged = ops.aggregate_groups(
+                _MERGE_FUNCTION[call.function], False, column, order, starts, counts
+            )
+        else:
+            merged = ops.aggregate_groups(
+                call.function, call.distinct, column,
+                *(row_grouping or ops.group_rows((), len(column))),
+            )
+        columns.append(merged)
     names = ops.group_output_names(group_exprs, group_names)
-    return Table.from_rows(out_rows, names + [name for name, _ in aggregates])
+    return ops.grouped_output(
+        names + [name for name, _ in aggregates], key_columns, columns, order, starts
+    )
 
 
 def parallel_hash_aggregate(
@@ -669,7 +654,7 @@ def parallel_hash_aggregate(
         results = _run_tasks(
             _fused_spans,
             [
-                (table, [(s, e, False)], None, None, group_exprs, aggregates, modes)
+                (table, [(s, e, False)], None, None, None, group_exprs, aggregates, modes)
                 for s, e in ranges
             ],
         )
@@ -699,7 +684,8 @@ def fused_filter_aggregate(
     the merge is exactly :func:`_merge_partial_aggregates`; serially,
     the surviving filtered spans gather into one aggregation pass — the
     same rows the unfused filter would materialise, minus the skipped
-    zones and the full-table mask array.
+    zones, the full-table mask array and the columns only the predicate
+    reads (:func:`_sink_columns`).
     """
     tasks, pooled = _span_tasks(table, ranges, extra_mask, tail)
     with trace(
@@ -708,15 +694,16 @@ def fused_filter_aggregate(
         keys=len(group_exprs),
         morsels=len(tasks),
     ):
+        columns = _sink_columns(table, group_exprs, aggregates)
         if not pooled:
             return ops.hash_aggregate(
-                _filter_tasks(tasks, predicate, False),
+                _filter_tasks(tasks, predicate, False, columns),
                 group_exprs, aggregates, group_names,
             )
         modes = _partial_modes(table, aggregates)
         results = _run_tasks(
             _fused_spans,
-            [task + (predicate, group_exprs, aggregates, modes) for task in tasks],
+            [task + (predicate, columns, group_exprs, aggregates, modes) for task in tasks],
         )
         return _merge_partial_aggregates(
             results, group_exprs, aggregates, modes, group_names

@@ -455,14 +455,15 @@ def scatter_fused_aggregate(
     """Scatter the fused filter+aggregate across shards; merge partials.
 
     Per-shard tasks run the same fused-span kernel as the unsharded
-    pooled route; the gather rebases the local row ids in shard-span
-    order and recombines with the exact partial-merge rules, so the
-    output equals serial execution over the same table.
+    pooled route; the gather takes the partials in shard-span order and
+    recombines with the exact partial-merge rules, so the output equals
+    serial execution over the same table.
     """
     modes = parallel._partial_modes(table, aggregates)
     results = _scatter(
         parallel._fused_spans, name, table, ranges, layout, database, profiler,
-        predicate, group_exprs, aggregates, modes,
+        predicate, parallel._sink_columns(table, group_exprs, aggregates),
+        group_exprs, aggregates, modes,
     )
     return parallel._merge_partial_aggregates(
         results, group_exprs, aggregates, modes, group_names

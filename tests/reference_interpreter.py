@@ -165,11 +165,12 @@ def _aggregate(call: AggregateCall, rows: list[Row]) -> Any:
     values = [eval_expression(call.argument, row) for row in rows]
     values = [v for v in values if v is not None]
     if call.distinct:
-        seen = []
+        # one NaN, as _group_key makes one NaN group: ``nan not in [nan]``
+        # holds for two NaN objects
+        first: dict[tuple, Any] = {}
         for v in values:
-            if v not in seen:
-                seen.append(v)
-        values = seen
+            first.setdefault(_group_key((v,)), v)
+        values = list(first.values())
     if call.function == "COUNT":
         return len(values)
     if not values:
@@ -179,10 +180,10 @@ def _aggregate(call: AggregateCall, rows: list[Row]) -> Any:
         return float(total) if any(isinstance(v, float) for v in values) else total
     if call.function == "AVG":
         return sum(float(v) for v in values) / len(values)
-    if call.function == "MIN":
-        return min(values)
-    if call.function == "MAX":
-        return max(values)
+    if call.function in ("MIN", "MAX"):
+        if any(isinstance(v, float) and math.isnan(v) for v in values):
+            return math.nan  # Python's min/max keep or drop a NaN by position
+        return min(values) if call.function == "MIN" else max(values)
     raise NotImplementedError(call.function)
 
 
