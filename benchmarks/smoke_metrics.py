@@ -232,9 +232,45 @@ def check_no_group_gathers(n: int = 200_000) -> int:
     return brushed * len(views)
 
 
+def check_join_right_scan_prunes(n: int = 200_000) -> int:
+    """Guard the join's right input with a count: a dimension clustered on
+    ``day`` joined under a pushed ``day`` range is a zone-gated scan —
+    ``scan.zones_pruned`` moves — and answers what the unoptimized plan
+    (filter above the join) answers.  Returns the zones pruned."""
+    rng = np.random.default_rng(0)
+    db = Database()
+    db.create_table("days", {"day": list(range(n)), "w": rng.integers(0, 100, n).tolist()})
+    db.create_table(
+        "facts", {"id": list(range(20_000)), "day_id": rng.integers(0, n, 20_000).tolist()}
+    )
+    join = "SELECT id, day, w FROM facts JOIN days ON day_id = day"
+    brushed = f"{join} WHERE day >= {n // 10} AND day < {n // 4}"
+    pruned = get_registry().counter("scan.zones_pruned")
+    saved = settings.snapshot()
+    try:
+        settings.configure(optimizer=False)
+        reference = db.sql(brushed)
+        settings.configure(optimizer=True)
+        before = pruned.value
+        db.sql(join)
+        # the counter is live: with no right predicate nothing is classified
+        assert pruned.value == before
+        result = db.sql(brushed)
+    finally:
+        settings.restore(saved)
+    assert pruned.value > before, "the pushed range pruned no zone of the right table"
+    assert result.schema == reference.schema and 0 < result.num_rows < 20_000
+    for name in result.column_names:
+        assert result.column(name).validity is None and np.array_equal(
+            result.column(name).data, reference.column(name).data
+        ), name
+    return pruned.value - before
+
+
 def main() -> int:
     keepalive = run_workload()
     gather_free_rows = check_no_group_gathers()
+    join_zones_pruned = check_join_right_scan_prunes()
     fast_path_speedup = check_column_fast_path()
     sort_ratio = check_pooled_sort_ratio()
     straddle_ratio = check_straddling_group_by_ratio()
@@ -264,7 +300,8 @@ def main() -> int:
           f"column fast path {fast_path_speedup:.1f}x,",
           f"pooled/serial sort {sort_ratio:.2f}x,",
           f"straddling/in-zone group-by {straddle_ratio:.2f}x,",
-          f"{gather_free_rows} rows grouped with no per-group gather")
+          f"{gather_free_rows} rows grouped with no per-group gather,",
+          f"{join_zones_pruned} zones of a join's right table pruned")
     return 0
 
 

@@ -6,8 +6,11 @@ plan with no measurement overhead at all, while passing a
 wall-time, row-count and byte accounting — the substrate of ``EXPLAIN
 ANALYZE``.
 
-Every base-table scan is one function, :func:`_execute_scan`, and every
-predicate scan the same three steps: **classify once** against the zone
+Every base-table scan is one function, :func:`_execute_scan` — a join's
+right input is a :class:`~repro.engine.planner.ScanNode` like the
+driving one, renamed to its planned output names before
+:func:`~repro.engine.operators.hash_join` — and every predicate scan the
+same three steps: **classify once** against the zone
 map (:func:`_classify_scan` — the only site of the ``scan.*`` / ``io.*``
 counters, the ``zones:`` / ``io:`` annotations and the type-error
 guard), **run span kernels** over ``(source, spans, live mask)`` tasks
@@ -111,29 +114,21 @@ def _run_node(
         return _execute_scan(node, database, profiler)
     if isinstance(node, JoinNode):
         left = _execute(node.child, database, profiler)
-        right = database.get_table(node.clause.table)
-        if profiler is not None:
-            profiler.note_input(right.num_rows, table_nbytes(right))
-        if node.right_predicate is not None:
-            if parallel.should_parallelize(right.num_rows):
-                _note_fanout(profiler, right.num_rows)
-                right = right.filter(
-                    parallel.parallel_truth_mask(node.right_predicate, right)
-                )
-            else:
-                right = right.filter(truth_mask(node.right_predicate, right))
-        if node.right_columns is not None:
-            right = right.select(node.right_columns)
+        right = _execute(node.right, database, profiler)
+        names = node.right_names  # planned unique: hash_join never renames
+        if any(out != name for name, out in names.items()):
+            right = right.rename(names)
         return ops.hash_join(
             left,
             right,
             node.clause.left_column,
-            node.clause.right_column,
+            names[node.clause.right_column],
             kind=node.clause.kind,
         )
     if isinstance(node, FilterNode):
         child = _execute(node.child, database, profiler)
         if parallel.should_parallelize(child.num_rows):
+            _check_types(node.predicate, child)
             _note_fanout(profiler, child.num_rows)
             return parallel.parallel_filter(child, node.predicate)
         return ops.filter_table(child, node.predicate)

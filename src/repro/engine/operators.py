@@ -548,6 +548,8 @@ def aggregate_groups(
             data = np.where(valid, data, _reduce_identity(data.dtype, function == "MIN"))
         reduce = np.minimum if function == "MIN" else np.maximum
         values = reduce.reduceat(data, starts)
+        if values.dtype.kind == "f":
+            values = values + 0.0  # a zero extreme is +0.0 (numpy picks by SIMD lane)
     elif result_type is DataType.INT64:  # SUM of INT64 / BOOL: exact in any order
         data = data.astype(np.int64, copy=False)
         values = np.add.reduceat(data if valid is None else np.where(valid, data, 0), starts)
@@ -610,7 +612,10 @@ def _aggregate_values(function: str, distinct: bool, column: Column) -> Any:
         return float(np.mean(valid.astype(np.float64)))
     if column.dtype is DataType.STRING:
         return min(valid) if function == "MIN" else max(valid)
-    return (valid.min() if function == "MIN" else valid.max()).item()
+    extreme = valid.min() if function == "MIN" else valid.max()
+    if column.dtype is DataType.FLOAT64:
+        extreme = extreme + 0.0  # a zero extreme is +0.0, as in aggregate_groups
+    return extreme.item()
 
 
 def first_appearance(order: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,9 @@ executor (gated by ``PRAGMA optimizer`` / ``REPRO_OPTIMIZER``, default
 on).  The bound plan is already a rewrite-friendly algebra — scans with
 residual predicates, join chains, filters, aggregates, projections — so
 optimization is a fixpoint of rule passes over that tree followed by
-four single-shot physical passes:
+four single-shot physical passes.  Rules 1–3, 7 and 8 are node-local
+functions applied by a bottom-up walk (:func:`_bottom_up`: 1–3 in one
+walk per iteration, 7–8 in one):
 
 Fixpoint rules (iterated until no rule fires):
 
@@ -16,20 +18,21 @@ Fixpoint rules (iterated until no rule fires):
 2. **redundant-conjunct dedup** — structurally identical conjuncts
    (via :meth:`~repro.engine.expressions.Expression.same_as`) evaluate
    once;
-3. **predicate pushdown** — residual filter conjuncts over base-table
-   columns move into the scan (where zone maps and dictionary filters
-   see them), and conjuncts over a single inner join's right table move
-   below that join, rewritten into the right table's own column names;
+3. **predicate pushdown** — a residual filter conjunct whose columns all
+   come from one input of the join chain moves into that input's scan
+   (where zone maps and dictionary filters see it): the driving scan,
+   or an inner join's right scan, rewritten into that table's own
+   column names through the join's ``right_names``;
 4. **probe merging** — every range conjunct on the probed column is
    intersected into the index probe (``_select_index`` picks only one),
    and a pushed range conjunct on an indexed column becomes a probe; an
-   empty intersection marks the scan empty.
+   empty intersection marks the scan empty.  Driving scan only.
 
 Single-shot passes (after the fixpoint):
 
-5. **projection pruning** — scans and join right inputs materialise only
-   referenced columns, guarded by a join-output naming simulation so the
-   ``right_`` clash renames the binder assumed stay byte-identical;
+5. **projection pruning** — every scan materialises only referenced
+   columns; a join splits the required set between its inputs by its
+   ``right_names`` (planned names: pruning cannot change one);
 6. **statistics-driven join reordering** — under a global
    order-insensitive aggregate (COUNT/MIN/MAX), join inputs are ordered
    by estimated expansion ``rows / NDV(key)`` from
@@ -57,7 +60,7 @@ probe scans for the same reason).
 
 **Termination.**  Rules 1–2 strictly shrink the predicate (expression
 node count or conjunct count); rule 3 moves each conjunct at most once
-(scan and join predicates are never lifted back into a filter); rule 4
+(scan predicates are never lifted back into a filter); rule 4
 strictly shrinks the scan's conjunct list.  The per-iteration measure
 (total conjuncts not yet at their final site + total expression nodes)
 is non-negative and strictly decreases whenever a rule fires, so the
@@ -132,19 +135,27 @@ def optimize_plan(plan: Plan, database: "Database") -> Plan:
     ctx = _Context(database=database)
     for _ in range(_MAX_PASSES):
         ctx.changed = False
-        plan.root = _fold_pass(plan.root, ctx)
-        plan.root = _pushdown_pass(plan.root, ctx)
+        plan.root = _bottom_up(plan.root, ctx, (_fold_rule, _pushdown_rule))
         _probe_pass(plan.root, ctx)
         if not ctx.changed:
             break
     _prune_pass(plan.root, None, ctx)
     _reorder_pass(plan, ctx)
-    plan.root = _fuse_pass(plan.root, ctx)
-    plan.root = _topn_pass(plan.root, ctx)
+    plan.root = _bottom_up(plan.root, ctx, (_fuse_rule, _topn_rule))
     if ctx.fired:
         registry.counter("optimizer.rewrites").inc(len(ctx.notes))
     plan.notes.extend(f"optimizer: {note}" for note in ctx.notes)
     return plan
+
+
+def _bottom_up(node: PlanNode, ctx: _Context, rules) -> PlanNode:
+    """Apply each ``rule(node, ctx)`` in turn to every node of the tree,
+    children first; a rule returns the node or what replaces it."""
+    for slot in node._children:
+        setattr(node, slot, _bottom_up(getattr(node, slot), ctx, rules))
+    for rule in rules:
+        node = rule(node, ctx)
+    return node
 
 
 # -- expression helpers ------------------------------------------------------------------
@@ -279,10 +290,7 @@ def _simplify_predicate(
 # -- rule 1+2: constant folding, tautology/contradiction, dedup --------------------------
 
 
-def _fold_pass(node: PlanNode, ctx: _Context) -> PlanNode:
-    child = getattr(node, "child", None)
-    if child is not None:
-        node.child = _fold_pass(child, ctx)
+def _fold_rule(node: PlanNode, ctx: _Context) -> PlanNode:
     if isinstance(node, ScanNode) and node.predicate is not None and not node.empty:
         new, changed, contradiction, detail = _simplify_predicate(node.predicate)
         if changed:
@@ -300,52 +308,10 @@ def _fold_pass(node: PlanNode, ctx: _Context) -> PlanNode:
             if new is None:
                 return node.child
             node.predicate = new
-    elif isinstance(node, JoinNode) and node.right_predicate is not None:
-        new, changed, _, detail = _simplify_predicate(node.right_predicate)
-        if changed:
-            node.right_predicate = new
-            ctx.record("constant_fold", f"join({node.clause.table}): {detail}")
     return node
 
 
 # -- rule 3: predicate pushdown ----------------------------------------------------------
-
-
-def _simulate_chain(
-    base_names: list[str],
-    joins: list[JoinNode],
-    database: "Database",
-    right_names_per_join: list[list[str]] | None = None,
-) -> tuple[dict[str, tuple[Any, str]], list[dict[str, str]]]:
-    """Replay the executor's join-output naming over a join chain.
-
-    Returns ``(producers, maps)``: ``producers`` maps every output column
-    name to ``("base", name)`` or ``(join_index, original_right_name)``;
-    ``maps[j]`` maps join ``j``'s right-table column names to their
-    output names (the ``right_`` clash renaming of ``hash_join``).
-    """
-    used = set(base_names)
-    producers: dict[str, tuple[Any, str]] = {
-        name: ("base", name) for name in base_names
-    }
-    maps: list[dict[str, str]] = []
-    for j, join in enumerate(joins):
-        if right_names_per_join is not None:
-            right_names = right_names_per_join[j]
-        elif join.right_columns is not None:
-            right_names = join.right_columns
-        else:
-            right_names = list(database.main_table(join.clause.table).column_names)
-        mapping: dict[str, str] = {}
-        for name in right_names:
-            out = name
-            while out in used:
-                out = f"right_{out}"
-            used.add(out)
-            mapping[name] = out
-            producers[out] = (j, name)
-        maps.append(mapping)
-    return producers, maps
 
 
 def _join_chain(node: PlanNode) -> tuple[list[JoinNode], ScanNode] | None:
@@ -361,60 +327,48 @@ def _join_chain(node: PlanNode) -> tuple[list[JoinNode], ScanNode] | None:
     return joins, cursor
 
 
-def _pushdown_pass(node: PlanNode, ctx: _Context) -> PlanNode:
-    child = getattr(node, "child", None)
-    if child is not None:
-        node.child = _pushdown_pass(child, ctx)
+def _pushdown_rule(node: PlanNode, ctx: _Context) -> PlanNode:
     if not (isinstance(node, FilterNode) and isinstance(node.child, JoinNode)):
         return node
     chain = _join_chain(node.child)
     if chain is None:
         return node
     joins, scan = chain
-    base_names = list(ctx.database.main_table(scan.table).column_names)
-    producers, maps = _simulate_chain(base_names, joins, ctx.database)
+    # where each output column comes from: (input scan, its name there).
+    # A right-side filter below a LEFT join would drop padded rows the
+    # residual filter keeps, so only inner joins offer their right scan.
+    scans = [scan] + [join.right for join in joins]
+    home = {
+        name: (0, name) for name in ctx.database.main_table(scan.table).column_names
+    }
+    for j, join in enumerate(joins, 1):
+        if join.clause.kind == "inner":
+            home.update((out, (j, name)) for name, out in join.right_names.items())
     remaining: list[ex.Expression] = []
-    to_scan = 0
-    to_join = 0
+    moved = [0] * len(scans)
     for conj in split_conjuncts(node.predicate):
         refs = conj.referenced_columns()
-        resolved = [producers.get(name, _MISSING) for name in refs]
-        if _MISSING in resolved:
+        # a constant conjunct is row-local on the driving scan
+        owners = {home[name][0] if name in home else None for name in refs} or {0}
+        if len(owners) > 1 or None in owners:
             remaining.append(conj)
             continue
-        owners = {owner for owner, _ in resolved}
-        if not refs or owners == {"base"}:
-            # base-only (or constant) conjuncts are row-local on the scan
-            scan.predicate = _conjoin(split_conjuncts(scan.predicate) + [conj]) if (
-                scan.predicate is not None
-            ) else conj
-            to_scan += 1
-            continue
-        if len(owners) == 1:
-            j = next(iter(owners))
-            if joins[j].clause.kind == "inner":
-                # a right-side filter below a LEFT join would drop padded
-                # rows the residual filter keeps; inner joins only
-                # phrased in the right table's own column names; the
-                # statement keeps its bound original
-                inverse = {out: orig for orig, out in maps[j].items()}
-                pushed = conj.rewrite_columns(inverse.__getitem__)
-                join = joins[j]
-                join.right_predicate = (
-                    pushed
-                    if join.right_predicate is None
-                    else ex.And(join.right_predicate, pushed)
-                )
-                to_join += 1
-                continue
-        remaining.append(conj)
-    if not (to_scan or to_join):
+        (j,) = owners
+        # phrased in the input's own column names; the statement keeps
+        # its bound original
+        pushed = conj.rewrite_columns(lambda name: home[name][1])
+        target = scans[j]
+        target.predicate = (
+            pushed if target.predicate is None else ex.And(target.predicate, pushed)
+        )
+        moved[j] += 1
+    if not any(moved):
         return node
     parts = []
-    if to_scan:
-        parts.append(f"{to_scan} conjunct(s) to scan({scan.table})")
-    if to_join:
-        parts.append(f"{to_join} conjunct(s) below join")
+    if moved[0]:
+        parts.append(f"{moved[0]} conjunct(s) to scan({scan.table})")
+    if sum(moved[1:]):
+        parts.append(f"{sum(moved[1:])} conjunct(s) below join")
     ctx.record("pushdown", ", ".join(parts))
     if not remaining:
         return node.child
@@ -426,8 +380,10 @@ def _pushdown_pass(node: PlanNode, ctx: _Context) -> PlanNode:
 
 
 def _probe_pass(node: PlanNode, ctx: _Context) -> None:
-    for child in node.children():
-        _probe_pass(child, ctx)
+    # the driving input only: an index answers in crack order, which a
+    # join's right input would make visible as match order
+    for slot in node._children[:1]:
+        _probe_pass(getattr(node, slot), ctx)
     if not isinstance(node, ScanNode) or node.empty or node.predicate is None:
         return
     original = split_conjuncts(node.predicate)
@@ -505,7 +461,14 @@ def _prune_pass(node: PlanNode, needed: set[str] | None, ctx: _Context) -> None:
             needed = set(needed) | node.predicate.referenced_columns()
         _prune_pass(node.child, needed, ctx)
     elif isinstance(node, JoinNode):
-        _prune_join_chain(node, needed, ctx)
+        left = right = None
+        if needed is not None:
+            names = node.right_names
+            right = {name for name, out in names.items() if out in needed}
+            right.add(node.clause.right_column)
+            left = (needed - set(names.values())) | {node.clause.left_column}
+        _prune_scan(node.right, right, ctx)
+        _prune_pass(node.child, left, ctx)
     elif isinstance(node, ScanNode):
         _prune_scan(node, needed, ctx)
 
@@ -526,72 +489,6 @@ def _prune_scan(scan: ScanNode, needed: set[str] | None, ctx: _Context) -> None:
     ctx.record(
         "prune", f"scan({scan.table}): {len(keep)} of {len(names)} column(s)"
     )
-
-
-def _prune_join_chain(
-    top: JoinNode, needed: set[str] | None, ctx: _Context
-) -> None:
-    if needed is None:
-        return
-    chain = _join_chain(top)
-    if chain is None:
-        return
-    joins, scan = chain
-    if scan.columns is not None or any(j.right_columns is not None for j in joins):
-        return
-    database = ctx.database
-    base_names = list(database.main_table(scan.table).column_names)
-    _, full_maps = _simulate_chain(base_names, joins, database)
-
-    # walk the chain top-down, peeling each join's outputs off the
-    # required set and collecting which right-table columns survive
-    need = set(needed)
-    right_keeps: list[list[str]] = [[] for _ in joins]
-    for j in range(len(joins) - 1, -1, -1):
-        join = joins[j]
-        mapping = full_maps[j]
-        required_orig = {
-            orig for orig, out in mapping.items() if out in need
-        } | {join.clause.right_column}
-        if join.right_predicate is not None:
-            required_orig |= join.right_predicate.referenced_columns()
-        order = (
-            join.right_columns
-            if join.right_columns is not None
-            else list(database.main_table(join.clause.table).column_names)
-        )
-        right_keeps[j] = [name for name in order if name in required_orig]
-        need = (need - set(mapping.values())) | {join.clause.left_column}
-
-    scan_required = set(need)
-    if scan.predicate is not None:
-        scan_required |= scan.predicate.referenced_columns()
-    scan_keep = [name for name in base_names if name in scan_required]
-    if not scan_keep:
-        scan_keep = base_names[:1]
-
-    # naming guard: the binder resolved clash renames against the full
-    # schemas; pruning must not change any kept column's output name
-    _, pruned_maps = _simulate_chain(
-        scan_keep, joins, database, right_names_per_join=right_keeps
-    )
-    for j, keep in enumerate(right_keeps):
-        for orig in keep:
-            if pruned_maps[j][orig] != full_maps[j][orig]:
-                return
-    pruned_sites = 0
-    if len(scan_keep) < len(base_names):
-        scan.columns = scan_keep
-        pruned_sites += 1
-    for j, join in enumerate(joins):
-        full = (
-            len(database.main_table(join.clause.table).column_names)
-        )
-        if len(right_keeps[j]) < full:
-            join.right_columns = right_keeps[j]
-            pruned_sites += 1
-    if pruned_sites:
-        ctx.record("prune", f"{pruned_sites} input(s) pruned under join chain")
 
 
 # -- rule 6: statistics-driven join reordering -------------------------------------------
@@ -645,16 +542,6 @@ def _reorder_pass(plan: Plan, ctx: _Context) -> None:
     if ranked == list(range(len(joins))):
         return
     reordered = [joins[i] for i in ranked]
-    # naming guard: every join must produce the same clash renames in
-    # the new order, else bound references upstream go stale
-    _, original_maps = _simulate_chain(
-        sorted(base_names), joins, database
-    )
-    _, new_maps = _simulate_chain(sorted(base_names), reordered, database)
-    new_position = {id(join): pos for pos, join in enumerate(reordered)}
-    for j, join in enumerate(joins):
-        if original_maps[j] != new_maps[new_position[id(join)]]:
-            return
     cursor: PlanNode = scan
     for join in reordered:
         join.child = cursor
@@ -667,10 +554,7 @@ def _reorder_pass(plan: Plan, ctx: _Context) -> None:
 # -- rule 7: filter+aggregate fusion -----------------------------------------------------
 
 
-def _fuse_pass(node: PlanNode, ctx: _Context) -> PlanNode:
-    child = getattr(node, "child", None)
-    if child is not None:
-        node.child = _fuse_pass(child, ctx)
+def _fuse_rule(node: PlanNode, ctx: _Context) -> PlanNode:
     if (
         isinstance(node, AggregateNode)
         and not isinstance(node, FusedAggregateNode)
@@ -692,10 +576,7 @@ def _fuse_pass(node: PlanNode, ctx: _Context) -> PlanNode:
 # -- rule 8: Top-N -----------------------------------------------------------------------
 
 
-def _topn_pass(node: PlanNode, ctx: _Context) -> PlanNode:
-    child = getattr(node, "child", None)
-    if child is not None:
-        node.child = _topn_pass(child, ctx)
+def _topn_rule(node: PlanNode, ctx: _Context) -> PlanNode:
     if not isinstance(node, LimitNode):
         return node
     below = node.child

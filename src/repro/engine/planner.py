@@ -4,8 +4,10 @@ The planner turns a parsed :class:`~repro.engine.sql.ast.SelectStatement`
 into a tree of plan nodes.  Rewrites applied, in order:
 
 1. **Name binding** — qualified references (``t.col``) are resolved against
-   the FROM/JOIN tables; right-side join columns that clash with left names
-   are renamed ``right_<name>`` to match the executor's join output.
+   the FROM/JOIN tables, and every join's output names are decided here
+   (:class:`_Binder`): a joined column whose name an earlier table of the
+   chain already uses is renamed ``right_<name>``.  Each
+   :class:`JoinNode` carries its map, and the executor renames by it.
 2. **Predicate splitting and pushdown** — the WHERE clause is split into
    conjuncts; conjuncts that reference only base-table columns are pushed
    into the scan so they can use an index.
@@ -65,11 +67,17 @@ class RangeProbe:
 
 @dataclass
 class PlanNode:
-    """Base class for logical plan nodes."""
+    """Base class for logical plan nodes.
+
+    ``_children`` names the fields that hold child nodes, outermost
+    first; :meth:`children` and the optimizer's bottom-up walk read it.
+    """
+
+    _children = ()
 
     def children(self) -> list["PlanNode"]:
         """Child nodes, outermost first."""
-        return []
+        return [getattr(self, slot) for slot in self._children]
 
     def label(self) -> str:
         """One-line description used by EXPLAIN."""
@@ -109,31 +117,27 @@ class ScanNode(PlanNode):
 
 @dataclass
 class JoinNode(PlanNode):
-    """Hash equi-join of a child plan with a base table.
+    """Hash equi-join of a child plan with the scan of a base table.
 
-    The optimizer may set ``right_predicate`` (an inner-join filter pushed
-    below the join, phrased in the right table's own column names) and
-    ``right_columns`` (projection pruning of the right input).
+    ``right`` is an ordinary :class:`ScanNode`: a filter pushed below the
+    join, projection pruning and ``empty`` are that scan's own fields, in
+    the right table's own column names.  ``right_names`` maps every
+    column of the right table to its name in the join output, as
+    :class:`_Binder` decided it; the executor renames by it.
     """
 
     child: PlanNode
+    right: ScanNode
     clause: JoinClause
-    right_predicate: ex.Expression | None = None
-    right_columns: list[str] | None = None
+    right_names: dict[str, str]
 
-    def children(self) -> list[PlanNode]:
-        return [self.child]
+    _children = ("child", "right")
 
     def label(self) -> str:
-        parts = [
+        return (
             f"HashJoin({self.clause.kind}, {self.clause.table}, "
-            f"{self.clause.left_column} = {self.clause.right_column}"
-        ]
-        if self.right_predicate is not None:
-            parts.append(f", right filter: {self.right_predicate.to_sql()}")
-        if self.right_columns is not None:
-            parts.append(f", right columns: [{', '.join(self.right_columns)}]")
-        return "".join(parts) + ")"
+            f"{self.clause.left_column} = {self.clause.right_column})"
+        )
 
 
 @dataclass
@@ -143,8 +147,7 @@ class FilterNode(PlanNode):
     child: PlanNode
     predicate: ex.Expression
 
-    def children(self) -> list[PlanNode]:
-        return [self.child]
+    _children = ("child",)
 
     def label(self) -> str:
         return f"Filter({self.predicate.to_sql()})"
@@ -159,8 +162,7 @@ class AggregateNode(PlanNode):
     group_names: list[str]
     aggregates: list[tuple[str, AggregateCall]]
 
-    def children(self) -> list[PlanNode]:
-        return [self.child]
+    _children = ("child",)
 
     def label(self) -> str:
         keys = ", ".join(self.group_names) or "<global>"
@@ -194,8 +196,7 @@ class ProjectNode(PlanNode):
     child: PlanNode
     items: list[SelectItem]
 
-    def children(self) -> list[PlanNode]:
-        return [self.child]
+    _children = ("child",)
 
     def label(self) -> str:
         return "Project(" + ", ".join(i.to_sql() for i in self.items) + ")"
@@ -207,8 +208,7 @@ class DistinctNode(PlanNode):
 
     child: PlanNode
 
-    def children(self) -> list[PlanNode]:
-        return [self.child]
+    _children = ("child",)
 
     def label(self) -> str:
         return "Distinct"
@@ -221,8 +221,7 @@ class SortNode(PlanNode):
     child: PlanNode
     order_by: list[OrderItem]
 
-    def children(self) -> list[PlanNode]:
-        return [self.child]
+    _children = ("child",)
 
     def label(self) -> str:
         return "Sort(" + ", ".join(o.to_sql() for o in self.order_by) + ")"
@@ -235,8 +234,7 @@ class LimitNode(PlanNode):
     child: PlanNode
     count: int
 
-    def children(self) -> list[PlanNode]:
-        return [self.child]
+    _children = ("child",)
 
     def label(self) -> str:
         return f"Limit({self.count})"
@@ -251,8 +249,7 @@ class TopNNode(PlanNode):
     order_by: list[OrderItem]
     count: int
 
-    def children(self) -> list[PlanNode]:
-        return [self.child]
+    _children = ("child",)
 
     def label(self) -> str:
         keys = ", ".join(o.to_sql() for o in self.order_by)
@@ -286,7 +283,7 @@ class Plan:
 def plan_statement(statement: SelectStatement, database: "Database") -> Plan:
     """Bind and plan a SELECT statement against ``database``."""
     notes: list[str] = []
-    bind_statement(statement, database)
+    join_names = bind_statement(statement, database)
 
     conjuncts = split_conjuncts(statement.where) if statement.where is not None else []
     base_columns = set(database.main_table(statement.table).column_names)
@@ -311,8 +308,10 @@ def plan_statement(statement: SelectStatement, database: "Database") -> Plan:
         predicate=_conjoin(remaining),
         probe=probe,
     )
-    for clause in statement.joins:
-        node = JoinNode(child=node, clause=clause)
+    for clause, names in zip(statement.joins, join_names):
+        node = JoinNode(
+            child=node, right=ScanNode(table=clause.table), clause=clause, right_names=names
+        )
     residual_pred = _conjoin(residual)
     if residual_pred is not None:
         node = FilterNode(child=node, predicate=residual_pred)
@@ -501,10 +500,11 @@ def probe_is_empty(probe: RangeProbe) -> bool:
 # -- binding ----------------------------------------------------------------------------
 
 
-def bind_statement(statement, database: "Database") -> None:
+def bind_statement(statement, database: "Database") -> list[dict[str, str]]:
     """Resolve the qualified names of a SELECT, DELETE or UPDATE in place:
     every expression it holds is rewritten under the statement's scope,
-    the FROM table plus, for a SELECT, its joins."""
+    the FROM table plus, for a SELECT, its joins.  Returns each join's
+    ``{right column: output name}`` map, in join order."""
     joins = statement.joins if isinstance(statement, SelectStatement) else []
     binder = _Binder(statement.table, joins, database)
     for join in joins:
@@ -515,26 +515,44 @@ def bind_statement(statement, database: "Database") -> None:
             if expr.name in {i.output_name() for i in statement.items if not i.star}:
                 continue
         replace(expr.rewrite_columns(binder.resolve))
+    return binder.join_names
 
 
 class _Binder:
-    """Resolves qualified column names against the FROM/JOIN tables."""
+    """Resolves qualified column names against the FROM/JOIN tables.
+
+    The one place join output names are decided: a joined table's column
+    keeps its name unless an earlier table of the chain already put that
+    name in the output, in which case ``right_`` is prefixed until it is
+    unique.  Decided from the full schemas, so neither projection
+    pruning nor join reordering can change a name.
+    """
 
     def __init__(
         self, table: str, joins: list[JoinClause], database: "Database"
     ) -> None:
-        self._table = table
-        self._columns = {
-            name: set(database.main_table(name).column_names)
-            for name in [table] + [clause.table for clause in joins]
-        }
+        base = database.main_table(table).column_names
+        #: table -> {its column: the name it goes by in the scan/join output}
+        self._names = {table: {name: name for name in base}}
+        self.join_names: list[dict[str, str]] = []
+        used = set(base)
+        for clause in joins:
+            names = {}
+            for name in database.main_table(clause.table).column_names:
+                out = name
+                while out in used:
+                    out = f"right_{out}"
+                used.add(out)
+                names[name] = out
+            self.join_names.append(names)
+            self._names.setdefault(clause.table, names)
 
     def _split(self, name: str) -> tuple[str, str]:
         """``(table, column)`` of a qualified name, checked against the scope."""
         qualifier, column = name.split(".", 1)
-        if qualifier not in self._columns:
+        if qualifier not in self._names:
             raise BindError(f"unknown table qualifier {qualifier!r} in {name!r}")
-        if column not in self._columns[qualifier]:
+        if column not in self._names[qualifier]:
             raise BindError(f"table {qualifier!r} has no column {column!r}")
         return qualifier, column
 
@@ -543,20 +561,20 @@ class _Binder:
         if "." not in name:
             return name
         qualifier, column = self._split(name)
-        if qualifier != self._table and column in self._columns[self._table]:
-            return f"right_{column}"
-        return column
+        return self._names[qualifier][column]
 
     def bind_join(self, clause: JoinClause) -> None:
-        """Normalise an ON clause so left_column is on the probe side and
-        right_column belongs to the joined table."""
+        """Normalise an ON clause so left_column names a column of the
+        probe side's output and right_column one of the joined table."""
 
         def side_of(name: str) -> tuple[str, str]:
-            """Return ('left'|'right', bare_column) for one ON operand."""
+            """Return ('left'|'right', column) for one ON operand."""
             if "." in name:
-                qualifier, name = self._split(name)
-                return ("right" if qualifier == clause.table else "left"), name
-            return ("right" if name in self._columns[clause.table] else "left"), name
+                qualifier, column = self._split(name)
+                if qualifier == clause.table:
+                    return "right", column
+                return "left", self._names[qualifier][column]
+            return ("right" if name in self._names[clause.table] else "left"), name
 
         left_side, left_col = side_of(clause.left_column)
         right_side, right_col = side_of(clause.right_column)

@@ -183,7 +183,9 @@ def _aggregate(call: AggregateCall, rows: list[Row]) -> Any:
     if call.function in ("MIN", "MAX"):
         if any(isinstance(v, float) and math.isnan(v) for v in values):
             return math.nan  # Python's min/max keep or drop a NaN by position
-        return min(values) if call.function == "MIN" else max(values)
+        extreme = min(values) if call.function == "MIN" else max(values)
+        # a float extreme that is a zero is +0.0: min/max pick by position
+        return extreme + 0.0 if isinstance(extreme, float) else extreme
     raise NotImplementedError(call.function)
 
 

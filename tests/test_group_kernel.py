@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hypothesis_settings, strategies as st
+from hypothesis import example, given, settings as hypothesis_settings, strategies as st
 
 from repro import settings
 from repro.engine import Database, Table
@@ -73,7 +73,10 @@ def _spec_aggregate(call: AggregateCall, column: Column | None, group_size: int)
         return float(np.mean(valid.astype(np.float64)))
     if column.dtype is DataType.STRING:
         return min(valid) if call.function == "MIN" else max(valid)
-    return (valid.min() if call.function == "MIN" else valid.max()).item()
+    extreme = valid.min() if call.function == "MIN" else valid.max()
+    if column.dtype is DataType.FLOAT64:
+        extreme = extreme + 0.0  # a zero extreme is +0.0 (DESIGN.md "Grouped aggregation kernel")
+    return extreme.item()
 
 
 def spec_hash_aggregate(table, group_exprs, aggregates, group_names=None) -> Table:
@@ -101,25 +104,6 @@ def spec_hash_aggregate(table, group_exprs, aggregates, group_names=None) -> Tab
             )
         )
     return Table.from_rows(out_rows, names)
-
-
-def identical_up_to_min_max_zero_sign(got: Table, want: Table, min_max: set[str]) -> None:
-    """``tables_bit_identical``, except that a float MIN/MAX that is a zero
-    may be either zero: numpy's SIMD min/max pick between 0.0 and -0.0 by
-    lane, so the fold of per-span partials and the one pass over all rows
-    can differ there (and did before the kernel)."""
-
-    def unsigned(table: Table) -> Table:
-        for name in min_max & set(table.column_names):
-            column = table.column(name)
-            if column.dtype is DataType.FLOAT64:
-                table = table.with_column(
-                    name, Column(column.data + 0.0, DataType.FLOAT64, column.validity)
-                )
-        return table.select(got.column_names)
-
-    assert got.column_names == want.column_names
-    tables_bit_identical(unsigned(got), unsigned(want))
 
 
 # -- the lattice -------------------------------------------------------------------------
@@ -248,7 +232,7 @@ def test_lattice_point(route, key, monkeypatch, pool):
     settings.configure(threads=0, optimizer=False, zone_rows=0)
     monkeypatch.setattr(ops, "hash_aggregate", spec_hash_aggregate)
     for sql, table in got.items():
-        identical_up_to_min_max_zero_sign(table, db.sql(sql), {"lf", "hf"})
+        tables_bit_identical(table, db.sql(sql))
         _same_rows(table, run_reference(parse(sql), rows), ordered=True)
 
 
@@ -318,8 +302,21 @@ def _grouped_inputs(draw):
     return table, len(kinds), cuts
 
 
+def _zero_sign_inputs():
+    """ROADMAP item 0's repro: ``SELECT MIN(g) FROM t`` was -0.0 from
+    ``reduceat`` over the NULL-padded array and 0.0 from ``valid.min()``."""
+    g = [-0.0, 1.0, 0.0, 1.0, 0.0, 0.0, -0.0, None, None, -0.0, -0.0]
+    types = {"f": DataType.FLOAT64, "g": DataType.FLOAT64, "n": DataType.INT64,
+             "s": DataType.STRING, "b": DataType.BOOL}
+    return Table([
+        (name, Column(g if name == "g" else [None] * len(g), dtype=dtype))
+        for name, dtype in types.items()
+    ]), 0, []
+
+
 @hypothesis_settings(max_examples=150, deadline=None)
 @given(_grouped_inputs())
+@example(_zero_sign_inputs())
 def test_kernel_equals_the_per_group_formulation(inputs):
     table, num_keys, cuts = inputs
     group_exprs = [ex.ColumnRef(f"k{j}") for j in range(num_keys)]
@@ -330,7 +327,6 @@ def test_kernel_equals_the_per_group_formulation(inputs):
     want = spec_hash_aggregate(table, group_exprs, aggregates)
     tables_bit_identical(ops.hash_aggregate(table, group_exprs, aggregates), want)
     # the same rows as partials of arbitrary spans, merged
-    min_max = {name for name, call in aggregates if call.function in ("MIN", "MAX")}
     bounds = [0, *cuts, table.num_rows]
     spans = [(start, stop, False) for start, stop in zip(bounds, bounds[1:])]
     modes = parallel._partial_modes(table, aggregates)
@@ -339,7 +335,7 @@ def test_kernel_equals_the_per_group_formulation(inputs):
         for span in spans
     ]
     merged = parallel._merge_partial_aggregates(partials, group_exprs, aggregates, modes, None)
-    identical_up_to_min_max_zero_sign(merged, want, min_max)
+    tables_bit_identical(merged, want)
 
 
 def test_float_sums_keep_the_pairwise_order_on_long_groups():

@@ -10,7 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import settings
 from repro.engine import Database, Table
+from repro.engine import operators as ops
 from repro.engine.column import Column
 from repro.engine.types import DataType
 
@@ -18,22 +20,27 @@ WORDS = ["red", "green", "blue"]
 
 
 def nested_loop_join(left_rows, right_rows, left_key, right_key, kind="inner"):
+    """One join of a chain: ``left_rows`` may itself be a join's output.  A
+    right column takes ``right_`` prefixes until no column of the chain so
+    far has its name."""
     out = []
+    names: dict[str, str] = {}
+    used = set(left_rows[0]) if left_rows else set()
+    for name in right_rows[0] if right_rows else []:
+        out_name = name
+        while out_name in used:
+            out_name = f"right_{out_name}"
+        used.add(out_name)
+        names[name] = out_name
     for left in left_rows:
         matched = False
         for right in right_rows:
             lv, rv = left[left_key], right[right_key]
             if lv is not None and lv == rv:
                 matched = True
-                merged = dict(left)
-                for name, value in right.items():
-                    merged[name if name not in left else f"right_{name}"] = value
-                out.append(merged)
+                out.append({**left, **{names[n]: v for n, v in right.items()}})
         if kind == "left" and not matched:
-            merged = dict(left)
-            for name in right_rows[0] if right_rows else []:
-                merged[name if name not in left else f"right_{name}"] = None
-            out.append(merged)
+            out.append({**left, **{out_name: None for out_name in names.values()}})
     return out
 
 
@@ -129,6 +136,65 @@ def test_join_then_aggregate_differential(seed: int) -> None:
         expected[row["label"]] = (n + 1, sv + row["v"])
     expected = {k: (n, round(sv, 6)) for k, (n, sv) in expected.items()}
     assert got == expected
+
+
+@pytest.fixture(autouse=True)
+def no_engine_join_renames(monkeypatch):
+    """Output names are planned (``planner._Binder``): the executor hands
+    ``hash_join`` inputs whose names are already unique, so its own clash
+    loop renames nothing on any join the engine issues."""
+    hash_join = ops.hash_join
+
+    def spy(left, right, *args, **kwargs):
+        result = hash_join(left, right, *args, **kwargs)
+        assert result.column_names == left.column_names + right.column_names
+        return result
+
+    monkeypatch.setattr(ops, "hash_join", spy)
+
+
+@pytest.mark.parametrize("optimizer", (True, False))
+@pytest.mark.parametrize("kind", ("inner", "left"))
+@pytest.mark.parametrize("left_has_right_x", (False, True))
+def test_chain_names_each_joined_column_once(left_has_right_x, kind, optimizer):
+    """``u.x`` and ``v.x`` are two columns, whatever else is called ``x``."""
+    settings.configure(optimizer=optimizer)
+    tables = {
+        "t": {"a": [1, 2, 3, 4]},
+        "u": {"k": [1, 2, 3, 4], "x": [10, 20, 30, 40]},
+        "v": {"k2": [4, 3, 2], "x": [400, 300, 200]},
+    }
+    vx = "right_x"
+    if left_has_right_x:
+        tables["t"]["right_x"] = [-1, -2, -3, -4]
+        vx = "right_right_x"
+    db = Database()
+    for name, data in tables.items():
+        db.create_table(name, data)
+    t, u, v = (Table.from_dict(data).to_dicts() for data in tables.values())
+    rows = nested_loop_join(nested_loop_join(t, u, "a", "k"), v, "a", "k2", kind)
+    assert [row[vx] for row in rows if row[vx] is not None] == [200, 300, 400]
+    keyword = "LEFT JOIN" if kind == "left" else "JOIN"
+    chain = f"FROM t JOIN u ON a = k {keyword} v ON a = k2"
+
+    assert db.sql(f"SELECT * {chain}").to_dicts() == rows
+    assert db.sql(f"SELECT v.x {chain}").to_dicts() == [{vx: r[vx]} for r in rows]
+    assert db.sql(f"SELECT u.x, v.x {chain}").to_dicts() == [
+        {"x": r["x"], vx: r[vx]} for r in rows
+    ]
+    filtered = db.sql(f"SELECT a, x {chain} WHERE v.x > 150").to_dicts()
+    assert filtered == [{"a": a, "x": 10 * a} for a in (2, 3, 4)]
+
+
+def test_on_clause_reads_a_renamed_column_of_an_earlier_join():
+    """``u.x`` is ``right_x`` in the output once ``t`` has an ``x``; a later
+    ON clause that says ``u.x`` must key on it, not on ``t.x``."""
+    db = Database()
+    db.create_table("t", {"a": [1, 2], "x": [7, 7]})
+    db.create_table("u", {"k": [1, 2], "x": [5, 6]})
+    db.create_table("v", {"k2": [5, 6, 7], "y": ["five", "six", "seven"]})
+    got = db.sql("SELECT a, y FROM t JOIN u ON t.a = u.k JOIN v ON u.x = v.k2")
+    assert got.to_dicts() == [{"a": 1, "y": "five"}, {"a": 2, "y": "six"}]
 
 
 class TestEdgeCases:

@@ -230,7 +230,7 @@ class TestPlanner:
         )
         text = plan.explain()
         assert "Scan(t, filter: (b < 50))" in text
-        assert "right filter: (label = 'x')" in text
+        assert "Scan(u, filter: (label = 'x')" in text
 
     def test_bind_error_unknown_qualifier(self, db):
         with pytest.raises(BindError):
