@@ -24,10 +24,12 @@ from repro import settings
 from repro.engine import parallel
 from repro.engine.catalog import Database
 from repro.engine.column import Column
+from repro.engine.table import Table
 from repro.engine.types import coerce_array, infer_type
 from repro.indexing import CrackerIndex
 from repro.obs import get_registry
 from repro.prefetch import SemanticRangeCache, TileCache
+from repro.sampling import ApproximateQueryEngine, SampleCatalog
 from repro.storage import AdaptiveStore, QueryProfile
 
 
@@ -267,10 +269,47 @@ def check_join_right_scan_prunes(n: int = 200_000) -> int:
     return pruned.value - before
 
 
+def check_sampled_intervals_cover(n: int = 200_000, seeds: int = 20) -> float:
+    """Guard the bound, not only the point estimate: grouped COUNT and SUM
+    from a 2 % uniform sample, over fixed seeds — every interval must be
+    non-degenerate (a sampled group's size is an estimate, never ``± 0``)
+    and at least 90 % of the (seed, group, aggregate) cells must contain
+    the exact value: a share, not one lucky seed.  Returns that share."""
+    rng = np.random.default_rng(0)
+    codes = rng.integers(0, 8, n)
+    price = rng.normal(100.0, 10.0, n)
+    table = Table([
+        ("region", Column(np.array([f"region_{i}" for i in range(8)], dtype=object)[codes])),
+        ("price", Column(price)),
+    ])
+    exact = {
+        "count": np.bincount(codes, minlength=8).astype(float),
+        "sum": np.bincount(codes, weights=price, minlength=8),
+    }
+    hits = cells = 0
+    for seed in range(seeds):
+        catalog = SampleCatalog(table)
+        catalog.add_uniform(0.02, seed=seed)
+        engine = ApproximateQueryEngine(table, catalog)
+        for aggregate, truth in exact.items():
+            answer = engine.query(
+                aggregate, None if aggregate == "count" else "price", group_by=["region"]
+            )
+            assert len(answer.group_estimates) == 8
+            for (region,), estimate in answer.group_estimates.items():
+                assert estimate.half_width > 0, f"{aggregate} of {region}: ± 0 from a sample"
+                hits += estimate.contains(truth[int(region[-1])])
+                cells += 1
+    share = hits / cells
+    assert share >= 0.90, f"only {hits} of {cells} sampled intervals contain the exact value"
+    return share
+
+
 def main() -> int:
     keepalive = run_workload()
     gather_free_rows = check_no_group_gathers()
     join_zones_pruned = check_join_right_scan_prunes()
+    interval_coverage = check_sampled_intervals_cover()
     fast_path_speedup = check_column_fast_path()
     sort_ratio = check_pooled_sort_ratio()
     straddle_ratio = check_straddling_group_by_ratio()
@@ -301,7 +340,8 @@ def main() -> int:
           f"pooled/serial sort {sort_ratio:.2f}x,",
           f"straddling/in-zone group-by {straddle_ratio:.2f}x,",
           f"{gather_free_rows} rows grouped with no per-group gather,",
-          f"{join_zones_pruned} zones of a join's right table pruned")
+          f"{join_zones_pruned} zones of a join's right table pruned,",
+          f"sampled-interval coverage {interval_coverage:.2f}")
     return 0
 
 

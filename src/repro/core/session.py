@@ -119,13 +119,22 @@ class ExplorationSession:
 
         Raises:
             CatalogError: if :meth:`build_samples` was not called for the
-                table.
+                table, or the table has been written to since — the
+                samples hold row positions of the table they were drawn
+                from.
         """
         if table not in self._catalogs:
             raise CatalogError(
                 f"no sample catalog for {table!r}; call build_samples first"
             )
-        engine = ApproximateQueryEngine(self.db.get_table(table), self._catalogs[table])
+        catalog = self._catalogs[table]
+        # every write installs or presents a new Table object, so identity is the check
+        if self.db.get_table(table) is not catalog.table:
+            raise CatalogError(
+                f"table {table!r} has changed since build_samples; "
+                "its samples index the old rows — call build_samples again"
+            )
+        engine = ApproximateQueryEngine(catalog.table, catalog)
         return engine.query(
             aggregate,
             value_column=value_column,

@@ -10,11 +10,13 @@ middleware layer: under resource pressure, a bounded-error answer now
 beats an exact answer never.
 
 The approximate answer is a :class:`DegradedTable`: alongside each
-aggregate column ``x`` it carries ``x_lo``/``x_hi`` confidence bounds
-(closed-form SRS estimators from :mod:`repro.sampling.estimators`), and
-the table object itself is tagged with ``degraded=True``, the sampled
-row count and the reason, so shells and clients can surface the
-approximation honestly.
+aggregate column ``x`` it carries ``x_lo``/``x_hi`` confidence bounds,
+and the table object itself is tagged with ``degraded=True``, the
+sampled row count and the reason, so shells and clients can surface the
+approximation honestly.  This module owns the plan analysis, the sample
+draw and the column layout; the numbers are
+:func:`repro.sampling.estimators.stratified_estimate` over a one-stratum
+sample, the same function every other approximate answer calls.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Any
 import numpy as np
 
 from repro.engine import expressions as ex
+from repro.engine.column import Column, column_from_parts
 from repro.engine.expressions import truth_mask
 from repro.engine.planner import (
     AggregateNode,
@@ -33,9 +36,10 @@ from repro.engine.planner import (
     ScanNode,
 )
 from repro.engine.table import Table
+from repro.engine.types import DataType
 from repro.errors import ApproximationError
 from repro.obs.tracing import trace
-from repro.sampling.estimators import Estimate, srs_estimate
+from repro.sampling.estimators import stratified_estimate
 
 _SUPPORTED = ("COUNT", "SUM", "AVG")
 
@@ -169,147 +173,37 @@ def degraded_answer(
             predicate = (
                 probe_pred if predicate is None else ex.And(probe_pred, predicate)
             )
-        keep = (
-            truth_mask(predicate, subset)
-            if predicate is not None
-            else np.ones(sample_size, dtype=bool)
+        aggregates = []
+        for _, call in agg_node.aggregates:
+            if call.argument is None:
+                aggregates.append(("COUNT", None, None))
+            else:
+                column = call.argument.evaluate(subset)
+                aggregates.append((call.function, column.data, column.validity))
+        keys, cells = stratified_estimate(
+            aggregates,
+            [n_population],
+            [sample_size],
+            keys=[expr.evaluate(subset) for expr in agg_node.group_exprs],
+            member=None if predicate is None else truth_mask(predicate, subset),
+            confidence=confidence,
         )
 
-        key_columns = [expr.evaluate(subset) for expr in agg_node.group_exprs]
-        arg_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for i, (_, call) in enumerate(agg_node.aggregates):
-            if call.argument is not None:
-                column = call.argument.evaluate(subset)
-                valid = ~column.is_null_mask()
-                if call.function == "COUNT":
-                    values = np.zeros(sample_size, dtype=np.float64)
-                else:
-                    values = np.where(
-                        valid, column.data.astype(np.float64, copy=False), 0.0
-                    )
-                arg_cache[i] = (values, valid)
-
-        if agg_node.group_exprs:
-            groups = _sample_groups(key_columns, keep)
-        else:
-            groups = [((), np.ones(sample_size, dtype=bool))]
-
-        estimates: list[tuple[tuple, list[Estimate | None]]] = []
-        for key, in_group in groups:
-            cells: list[Estimate | None] = []
-            for i, (_, call) in enumerate(agg_node.aggregates):
-                cells.append(
-                    _estimate_cell(
-                        call.function,
-                        call.argument is None,
-                        arg_cache.get(i),
-                        keep & in_group,
-                        sample_size,
-                        n_population,
-                        confidence,
-                    )
+        # each aggregate column ``x`` is followed by its ``x_lo`` / ``x_hi`` bounds
+        by_name: dict[str, list[tuple[str, Column]]] = {
+            name: [(name, key)] for name, key in zip(agg_node.group_names, keys)
+        }
+        for (name, _), (value, half_width, _) in zip(agg_node.aggregates, cells):
+            defined = ~np.isnan(value)
+            by_name[name] = [
+                (name + suffix, column_from_parts(bound, DataType.FLOAT64, defined))
+                for suffix, bound in (
+                    ("", value), ("_lo", value - half_width), ("_hi", value + half_width)
                 )
-            estimates.append((key, cells))
-
-        rows, names = _render(agg_node, output, estimates)
-        result = DegradedTable.from_rows(rows, names)
+            ]
+        result = DegradedTable([pair for name in output for pair in by_name[name]])
         result.reason = reason or "resource budget exhausted"
         result.sample_rows = int(sample_size)
         result.total_rows = int(n_population)
         result.confidence = confidence
         return result
-
-
-def _sample_groups(
-    key_columns: list, keep: np.ndarray
-) -> list[tuple[tuple, np.ndarray]]:
-    """Group membership masks over the sample, first-appearance order.
-
-    Only rows satisfying the predicate define groups (like the exact
-    aggregate, which groups post-WHERE rows).
-    """
-    order: list[tuple] = []
-    masks: dict[tuple, np.ndarray] = {}
-    n = len(keep)
-    for row in range(n):
-        if not keep[row]:
-            continue
-        key = tuple(column[row] for column in key_columns)
-        mask = masks.get(key)
-        if mask is None:
-            mask = np.zeros(n, dtype=bool)
-            masks[key] = mask
-            order.append(key)
-        mask[row] = True
-    return [(key, masks[key]) for key in order]
-
-
-def _estimate_cell(
-    function: str,
-    is_star: bool,
-    arg: tuple[np.ndarray, np.ndarray] | None,
-    member: np.ndarray,
-    sample_size: int,
-    n_population: int,
-    confidence: float,
-) -> Estimate | None:
-    """SRS estimate of one aggregate cell from the full sample.
-
-    COUNT and SUM are estimated via per-row indicators/contributions over
-    the *entire* sample (scaled by N), so group shares and predicate
-    selectivity are part of the estimate; AVG averages the qualifying
-    values against an estimated group population.
-    """
-    if sample_size == 0:
-        return None
-    if function == "COUNT":
-        indicator = member.astype(np.float64)
-        if not is_star:
-            assert arg is not None
-            indicator = indicator * arg[1].astype(np.float64)
-        return srs_estimate(indicator, n_population, "count", confidence)
-    assert arg is not None
-    values, valid = arg
-    qualifying = member & valid
-    if function == "SUM":
-        contributions = np.where(qualifying, values, 0.0)
-        return srs_estimate(contributions, n_population, "sum", confidence)
-    # AVG: mean of qualifying values against the estimated group population
-    picked = values[qualifying]
-    if len(picked) == 0:
-        return None
-    share = len(picked) / sample_size
-    est_population = max(len(picked), int(round(n_population * share)))
-    return srs_estimate(picked, est_population, "avg", confidence)
-
-
-def _render(
-    agg_node: AggregateNode,
-    output: list[str],
-    estimates: list[tuple[tuple, list[Estimate | None]]],
-) -> tuple[list[tuple], list[str]]:
-    """Lay out result rows following the plan's projected column order.
-
-    Each aggregate column ``x`` is followed by ``x_lo``/``x_hi`` bounds.
-    """
-    group_pos = {name: i for i, name in enumerate(agg_node.group_names)}
-    agg_pos = {name: i for i, (name, _) in enumerate(agg_node.aggregates)}
-    names: list[str] = []
-    for name in output:
-        names.append(name)
-        if name in agg_pos:
-            names.extend((f"{name}_lo", f"{name}_hi"))
-    rows: list[tuple] = []
-    for key, cells in estimates:
-        row: list[Any] = []
-        for name in output:
-            if name in group_pos:
-                row.append(key[group_pos[name]])
-                continue
-            cell = cells[agg_pos[name]]
-            if cell is None:
-                row.extend((None, None, None))
-            else:
-                row.extend((cell.value, cell.low, cell.high))
-        rows.append(tuple(row))
-    return rows, names

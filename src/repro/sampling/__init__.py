@@ -1,7 +1,9 @@
 """Approximate query processing by sampling (paper §2.2 and §2.3).
 
-- :mod:`repro.sampling.estimators` — closed-form (CLT) estimators with
-  confidence intervals for COUNT/SUM/AVG under simple random sampling.
+- :mod:`repro.sampling.estimators` — the one closed-form (CLT) estimator
+  under every approximate answer: COUNT/SUM/AVG with confidence intervals
+  per group from a stratified sample, a uniform one being the
+  one-stratum case.
 - :class:`OnlineAggregator` — online aggregation ([25], CONTROL [24]):
   running estimates whose intervals shrink as data streams in, with
   group-by support and stopping conditions.
@@ -15,7 +17,7 @@
   ([59, 60]): biased sampling under a hard row budget.
 """
 
-from repro.sampling.estimators import Estimate, GroupedEstimate, srs_estimate
+from repro.sampling.estimators import Estimate, srs_estimate, stratified_estimate
 from repro.sampling.online_agg import OnlineAggregator, OnlineResult
 from repro.sampling.reservoir import ReservoirSampler, reservoir_sample
 from repro.sampling.stratified import StratifiedSample, build_stratified_sample
@@ -28,7 +30,6 @@ from repro.sampling.weighted import Impression, WeightedSampler
 __all__ = [
     "ApproximateQueryEngine",
     "Estimate",
-    "GroupedEstimate",
     "Impression",
     "OnlineAggregator",
     "OnlineResult",
@@ -46,4 +47,5 @@ __all__ = [
     "build_stratified_sample",
     "reservoir_sample",
     "srs_estimate",
+    "stratified_estimate",
 ]

@@ -5,33 +5,41 @@ fractions plus stratified samples on frequently grouped column sets — and,
 per query, picks the cheapest sample that satisfies the user's bound:
 
 - ``error_bound``: pick the smallest sample whose *predicted* relative
-  error (from an error-latency profile calibrated on the smallest sample)
-  meets the bound.
+  error meets the bound — the error-latency profile ``c / sqrt(rows)``,
+  with ``c`` calibrated by answering *this* query (its aggregate, column,
+  WHERE and GROUP BY; the worst group's error) from the smallest sample.
 - ``time_bound``: pick the largest sample whose size fits the time budget
   (cost is proportional to rows scanned).
 
-The returned answers carry closed-form confidence intervals; the S7
-benchmark reproduces the headline shapes (error falls like 1/sqrt(rows);
-stratified samples keep rare-group errors bounded where uniform samples
-blow up).
+Whichever sample is chosen, the answer comes from
+:func:`~repro.sampling.estimators.stratified_estimate`: a uniform sample
+declares one stratum, a stratified sample its own, and neither is ever
+read as the other.  The S7 benchmark reproduces the headline shapes
+(error falls like 1/sqrt(rows); stratified samples keep rare-group errors
+bounded where uniform samples blow up) and reports interval coverage.
+
+A catalog's samples are row positions into the table it was built over;
+they do not follow writes (``ExplorationSession.approx`` refuses a table
+that has changed since ``build_samples``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.engine.expressions import Expression, truth_mask
+from repro.engine.expressions import Expression
 from repro.engine.table import Table
 from repro.errors import ApproximationError
-from repro.sampling.estimators import Estimate, srs_estimate
+from repro.sampling.estimators import Estimate
 from repro.sampling.stratified import (
     StratifiedSample,
     build_stratified_sample,
     build_uniform_sample,
+    estimate_sample,
 )
 
 
@@ -140,16 +148,17 @@ class ApproximateQueryEngine:
         Raises:
             ApproximationError: when no sample can satisfy the request.
         """
-        if aggregate != "count" and value_column is None:
-            raise ApproximationError(f"{aggregate} requires a value column")
         candidates = self._candidates(group_by)
         if not candidates:
             raise ApproximationError(
                 "no registered sample can answer this query shape"
             )
-        chosen = self._choose(candidates, error_bound, time_bound_rows, group_by)
-        return self._evaluate(
-            chosen, aggregate, value_column, where, group_by, confidence
+
+        def evaluate(sample: StoredSample) -> ApproximateAnswer:
+            return self._evaluate(sample, aggregate, value_column, where, group_by, confidence)
+
+        return evaluate(
+            self._choose(candidates, error_bound, time_bound_rows, group_by, evaluate)
         )
 
     # -- selection ----------------------------------------------------------------------
@@ -173,7 +182,8 @@ class ApproximateQueryEngine:
         candidates: list[StoredSample],
         error_bound: float | None,
         time_bound_rows: int | None,
-        group_by: Sequence[str] | None = None,
+        group_by: Sequence[str] | None,
+        evaluate: Callable[[StoredSample], ApproximateAnswer],
     ) -> StoredSample:
         if group_by and error_bound is None and time_bound_rows is None:
             # unbounded grouped query: a covering stratified sample keeps
@@ -190,54 +200,28 @@ class ApproximateQueryEngine:
             return fitting[-1]  # largest that fits
         if error_bound is not None:
             # error-latency profile: relative error scales like c/sqrt(n);
-            # calibrate c on the smallest candidate, then pick the smallest
-            # sample predicted to satisfy the bound
+            # calibrate c on the query's own answer from the smallest
+            # candidate (its worst group), then pick the smallest sample
+            # predicted to satisfy the bound
             smallest = candidates[0]
-            pilot_error = self._pilot_relative_error(smallest)
-            c = pilot_error * math.sqrt(max(1, smallest.size))
+            try:
+                pilot = evaluate(smallest)
+                errors = [pilot.estimate] if pilot.estimate else pilot.group_estimates.values()
+                worst = max((e.relative_error for e in errors), default=math.inf)
+            except ApproximationError:  # too small to answer at all
+                worst = math.inf
+            c = worst * math.sqrt(max(1, smallest.size))
             for sample in candidates:
-                predicted = c / math.sqrt(max(1, sample.size))
-                if predicted <= error_bound:
+                if c / math.sqrt(max(1, sample.size)) <= error_bound:
                     return sample
             # no sample suffices: fall back to the exact answer over the
             # base table (a "sample" of fraction 1, zero sampling error)
-            return self._full_table_sample()
+            return StoredSample(
+                name="full_table",
+                kind="uniform",
+                row_indices=np.arange(self.table.num_rows, dtype=np.int64),
+            )
         return candidates[-1]  # no bound: use the largest sample
-
-    def _full_table_sample(self) -> StoredSample:
-        return StoredSample(
-            name="full_table",
-            kind="uniform",
-            row_indices=np.arange(self.table.num_rows, dtype=np.int64),
-        )
-
-    def _pilot_relative_error(self, sample: StoredSample) -> float:
-        """A crude pilot error for ELP calibration: the relative sampling
-        error of a mean over this sample's rows."""
-        rows = self._rows_of(sample)
-        if len(rows) < 2:
-            return 1.0
-        numeric = [
-            name
-            for name in self.table.column_names
-            if self.table.column(name).dtype.is_numeric
-        ]
-        if not numeric:
-            return 1.0 / math.sqrt(len(rows))
-        values = np.asarray(
-            self.table.column(numeric[0]).data[rows], dtype=np.float64
-        )
-        estimate = srs_estimate(values, self.table.num_rows, "avg")
-        return min(1.0, estimate.relative_error)
-
-    def _rows_of(self, sample: StoredSample) -> np.ndarray:
-        if sample.kind == "uniform":
-            assert sample.row_indices is not None
-            return sample.row_indices
-        assert sample.stratified is not None
-        return np.concatenate(
-            [s.row_indices for s in sample.stratified.strata.values()]
-        ) if sample.stratified.strata else np.empty(0, dtype=np.int64)
 
     # -- evaluation ----------------------------------------------------------------------
 
@@ -250,86 +234,18 @@ class ApproximateQueryEngine:
         group_by: Sequence[str] | None,
         confidence: float,
     ) -> ApproximateAnswer:
-        rows = self._rows_of(sample)
-        subset = self.table.take(rows)
-        keep = (
-            truth_mask(where, subset)
-            if where is not None
-            else np.ones(len(rows), dtype=bool)
-        )
-
-        if sample.kind == "stratified" and group_by:
-            assert sample.stratified is not None
-            if where is None:
-                groups = sample.stratified.estimate_grouped(
-                    self.table, value_column, aggregate, group_by, confidence
-                )
-                return ApproximateAnswer(None, groups, sample.name, len(rows))
-            # predicate + stratified: fall through to scaled per-group SRS
-            groups = self._grouped_srs(
-                sample, subset, keep, aggregate, value_column, group_by, confidence
-            )
-            return ApproximateAnswer(None, groups, sample.name, len(rows))
-
-        if group_by:
-            groups = self._grouped_srs(
-                sample, subset, keep, aggregate, value_column, group_by, confidence
-            )
-            return ApproximateAnswer(None, groups, sample.name, len(rows))
-
-        n_population = self.table.num_rows
-        if aggregate == "count":
-            indicator = keep.astype(np.float64)
-            estimate = srs_estimate(indicator, n_population, "count", confidence)
+        if sample.kind == "stratified":
+            design = sample.stratified.design()
         else:
-            assert value_column is not None
-            if not keep.any():
-                raise ApproximationError(
-                    "no sampled rows satisfy the predicate; use a larger sample"
-                )
-            values = np.asarray(
-                subset.column(value_column).data[keep], dtype=np.float64
+            design = (sample.row_indices, None, [self.table.num_rows], [sample.size])
+        groups = estimate_sample(
+            self.table, design, aggregate, value_column, where, group_by or (), confidence
+        )
+        if group_by:
+            return ApproximateAnswer(None, groups, sample.name, sample.size)
+        estimate = groups.get(())
+        if estimate is None or (aggregate != "count" and estimate.sample_size == 0):
+            raise ApproximationError(
+                "no sampled rows satisfy the predicate; use a larger sample"
             )
-            if aggregate == "avg":
-                estimate = srs_estimate(values, n_population, "avg", confidence)
-            else:  # sum over qualifying rows: estimate via per-row contribution
-                contributions = np.zeros(len(rows))
-                contributions[keep] = values
-                estimate = srs_estimate(contributions, n_population, "sum", confidence)
-        return ApproximateAnswer(estimate, {}, sample.name, len(rows))
-
-    def _grouped_srs(
-        self,
-        sample: StoredSample,
-        subset: Table,
-        keep: np.ndarray,
-        aggregate: str,
-        value_column: str | None,
-        group_by: Sequence[str],
-        confidence: float,
-    ) -> dict[tuple[Any, ...], Estimate]:
-        """Per-group SRS estimates over a (possibly filtered) sample."""
-        key_columns = [subset.column(c) for c in group_by]
-        n_sample = len(keep)
-        n_population = self.table.num_rows
-        buckets: dict[tuple[Any, ...], list[int]] = {}
-        for i in range(n_sample):
-            if not keep[i]:
-                continue
-            key = tuple(col[i] for col in key_columns)
-            buckets.setdefault(key, []).append(i)
-        results: dict[tuple[Any, ...], Estimate] = {}
-        for key, indices in buckets.items():
-            share = len(indices) / max(1, n_sample)
-            est_population = max(len(indices), int(round(n_population * share)))
-            if aggregate == "count":
-                results[key] = srs_estimate(
-                    np.ones(len(indices)), est_population, "count", confidence
-                )
-                continue
-            assert value_column is not None
-            values = np.asarray(
-                [subset.column(value_column)[i] for i in indices], dtype=np.float64
-            )
-            results[key] = srs_estimate(values, est_population, aggregate, confidence)
-        return results
+        return ApproximateAnswer(estimate, {}, sample.name, sample.size)

@@ -1,31 +1,50 @@
-"""Closed-form estimators for aggregates under simple random sampling.
+"""The one estimator under every approximate answer.
 
-Given a simple random sample (without replacement) of size ``n`` from a
-population of size ``N``, the classical CLT estimators with finite
-population correction (FPC) are:
+:func:`stratified_estimate` is the textbook stratified *domain* estimator.
+A sample declares, per sampled row, a stratum id and, per stratum ``h``,
+the rows it stands for and the rows drawn from it, ``(N_h, n_h)``; a
+uniform sample is the one-stratum case.  For an output group ``g`` and a
+per-row contribution ``y_i = value_i · 1[row in g ∧ WHERE ∧ non-NULL]``
+taken over the *whole* sample — a row outside the group contributes a
+zero, it is not dropped — the classical results are:
 
-========  ==========================  =============================================
-Aggregate  Point estimate              Standard error
-========  ==========================  =============================================
-AVG        sample mean ȳ               sqrt(s²/n · (1 − n/N))
-SUM        N · ȳ                       N · SE(AVG)
-COUNT      N · p̂  (p̂ = match frac.)   N · sqrt(p̂(1−p̂)/n · (1 − n/N))
-========  ==========================  =============================================
+=========  ===============================  ==================================
+Aggregate  Point estimate                   Variance
+=========  ===============================  ==================================
+SUM        ``Σ_h N_h · ȳ_h``                ``Σ_h N_h²(1 − n_h/N_h) s²_h/n_h``
+COUNT      SUM of the indicator ``d_i``     the same, over ``d_i``
+AVG        ``SUM(y) / SUM(d)``              linearised: the SUM variance of
+                                            ``y_i − AVG·d_i``, over ``SUM(d)²``
+=========  ===============================  ==================================
 
-These are exactly the estimators the online-aggregation and BlinkDB lines
-of work use for their closed-form error bounds.
+with ``ȳ_h`` and ``s²_h`` the mean and the (``ddof=1``) variance of the
+contributions of stratum ``h``'s sampled rows.  Because group membership
+and the predicate are part of the contribution, a group's size is
+estimated with its own sampling error instead of being treated as known,
+and a stratified sample is never read as if it were uniform.
+
+Every approximate answer in the repo — the governor's degrade path,
+:class:`~repro.sampling.blinkdb.ApproximateQueryEngine`, stratified
+samples, online aggregation and :func:`srs_estimate` — is a caller.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Sequence
 
 import numpy as np
 from scipy.stats import norm
 
+from repro.engine.column import Column
+from repro.engine.operators import first_appearance, group_rows, row_group_ids
 from repro.errors import ApproximationError
+
+#: one aggregate's answer for every output group: ``(value, half_width,
+#: support)`` arrays — ``value`` is NaN where undefined (an AVG no sampled
+#: non-NULL row backs), ``support`` counts the sampled rows that contributed
+GroupCells = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -36,8 +55,8 @@ class Estimate:
         value: the point estimate.
         half_width: half the CI width (``value ± half_width``).
         confidence: the confidence level the interval was built at.
-        sample_size: rows used.
-        population_size: rows being estimated about.
+        sample_size: sampled rows that contributed to the estimate.
+        population_size: rows the sample stands for.
     """
 
     value: float
@@ -68,27 +87,121 @@ class Estimate:
         return self.low <= truth <= self.high
 
 
-@dataclass(frozen=True)
-class GroupedEstimate:
-    """Per-group estimates of one aggregate."""
+def stratified_estimate(
+    aggregates: Sequence[tuple[str, np.ndarray | None, np.ndarray | None]],
+    population: Sequence[int],
+    taken: Sequence[int],
+    strata: np.ndarray | None = None,
+    keys: Sequence[Column] = (),
+    member: np.ndarray | None = None,
+    confidence: float = 0.95,
+) -> tuple[list[Column], list[GroupCells]]:
+    """COUNT / SUM / AVG with bounds for every group, from one sample.
 
-    groups: dict[Any, Estimate]
+    Args:
+        aggregates: ``(function, values, valid)`` per aggregate over the
+            sampled rows: ``function`` is ``"COUNT"``, ``"SUM"`` or
+            ``"AVG"``; ``values`` the argument (ignored by COUNT); ``valid``
+            True where it is non-NULL (None: everywhere).
+        population: ``N_h``, the rows each stratum stands for.
+        taken: ``n_h``, the rows sampled from each stratum; they sum to
+            the number of sampled rows.
+        strata: the stratum id of every sampled row (ignored, and may be
+            None, for a one-stratum sample).
+        keys: GROUP BY key columns over the sampled rows; none is the
+            global group.
+        member: True for sampled rows that pass the WHERE (None: all).
+            Only these define groups, as in the exact aggregate.
+        confidence: CI level in (0, 1).
 
-    def __getitem__(self, key: Any) -> Estimate:
-        return self.groups[key]
+    Returns:
+        The key columns, one entry per group in first-appearance order, and
+        one :data:`GroupCells` per aggregate.  A stratum with a single
+        sampled row adds no variance (it has none to estimate); a fully
+        sampled stratum adds none because it has none.
 
-    def __iter__(self):
-        return iter(self.groups.items())
+    Raises:
+        ApproximationError: for a bad confidence level or function name.
+    """
+    if not 0.0 < confidence < 1.0:
+        raise ApproximationError(f"confidence must be in (0,1), got {confidence}")
+    z = float(norm.ppf(0.5 + confidence / 2.0))
+    population = np.asarray(population, dtype=np.float64)
+    taken = np.asarray(taken, dtype=np.float64)
+    divisor = np.maximum(taken, 1.0)  # n_h, safe to divide by for an empty stratum
+    # per stratum, what multiplies Σ(y − ȳ_h)²: N_h²(1 − n_h/N_h) / (n_h (n_h − 1))
+    spread = np.where(
+        (taken > 1) & (taken < population),
+        population * (population - taken) / (divisor * np.maximum(taken - 1.0, 1.0)),
+        0.0,
+    )
+    num_strata = len(population)
 
-    def __len__(self) -> int:
-        return len(self.groups)
+    rows = slice(None) if member is None else np.flatnonzero(member)
+    num_rows = int(taken.sum()) if member is None else len(rows)
+    if member is not None:
+        keys = [key.take(rows) for key in keys]
+    order, starts, counts = group_rows(keys, num_rows)
+    num_groups = len(counts)
+    if keys:  # label every row with its group's place in first-appearance order
+        first_rows, appearance = first_appearance(order, starts)
+        place = np.empty(num_groups, dtype=np.int64)
+        place[appearance] = np.arange(num_groups)
+        group = row_group_ids(order, counts, place)
+        keys = [key.take(first_rows) for key in keys]
+    else:
+        group = np.zeros(num_rows, dtype=np.int64)
+    # the non-empty (group × stratum) cells, and each row's cell
+    if num_strata > 1:
+        cells, cell = np.unique(group * num_strata + strata[rows], return_inverse=True)
+        cell_group, cell_stratum = np.divmod(cells, num_strata)
+    else:
+        cell, cell_group = group, np.arange(num_groups)
+        cell_stratum = np.zeros(num_groups, dtype=np.int64)
+
+    def per_cell(x: np.ndarray) -> np.ndarray:
+        return np.bincount(cell, weights=x, minlength=len(cell_group))
+
+    def per_group(x: np.ndarray) -> np.ndarray:
+        return np.bincount(cell_group, weights=x, minlength=num_groups)
+
+    def total(x: np.ndarray) -> np.ndarray:  # Σ_h N_h · x̄_h
+        return per_group(population[cell_stratum] * (per_cell(x) / divisor[cell_stratum]))
+
+    results: list[GroupCells] = []
+    for function, values, valid in aggregates:
+        if function not in ("COUNT", "SUM", "AVG"):
+            raise ApproximationError(f"unknown aggregate {function!r}")
+        present = np.ones(num_rows) if valid is None else valid[rows].astype(np.float64)
+        if function == "COUNT":
+            residual = present
+        else:
+            residual = np.where(present > 0, np.asarray(values, dtype=np.float64)[rows], 0.0)
+        value = total(residual)
+        scale = 1.0
+        if function == "AVG":
+            scale = total(present)
+            value = np.divide(value, scale, out=np.full(num_groups, np.nan), where=scale > 0)
+            residual = np.where(present > 0, residual - value[group], 0.0)
+        squares = per_cell(residual * residual) - per_cell(residual) ** 2 / divisor[cell_stratum]
+        variance = per_group(spread[cell_stratum] * np.maximum(squares, 0.0))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            half_width = z * np.sqrt(variance) / scale
+        support = np.bincount(group, weights=present, minlength=num_groups)
+        results.append((value, half_width, support))
+    return keys, results
 
 
-def _fpc(sample_size: int, population_size: int) -> float:
-    """Finite population correction factor (1 for tiny samples)."""
-    if population_size <= 1 or sample_size >= population_size:
-        return 0.0 if sample_size >= population_size else 1.0
-    return 1.0 - sample_size / population_size
+def cell_estimates(
+    cells: GroupCells, confidence: float, population_size: int
+) -> list[Estimate | None]:
+    """One :class:`Estimate` per group of a :data:`GroupCells` (None where
+    the value is undefined)."""
+    return [
+        None if math.isnan(value)
+        else Estimate(value, half_width, confidence, int(support), population_size)
+        for value, half_width, support in zip(*(array.tolist() for array in cells))
+    ]
 
 
 def srs_estimate(
@@ -97,12 +210,12 @@ def srs_estimate(
     aggregate: str = "avg",
     confidence: float = 0.95,
 ) -> Estimate:
-    """Estimate one aggregate from a simple random sample.
+    """Estimate one aggregate from a simple random sample: the one-stratum,
+    one-group case of :func:`stratified_estimate`.
 
     Args:
-        sample: sampled values.  For COUNT estimation pass a boolean array
-            of per-row predicate outcomes (or sample only matching rows
-            and pass their indicator).
+        sample: sampled values.  For COUNT estimation pass the per-row
+            predicate outcomes (the count is the total of the indicator).
         population_size: N, the full table's row count.
         aggregate: ``"avg"``, ``"sum"`` or ``"count"``.
         confidence: CI confidence level in (0, 1).
@@ -111,67 +224,10 @@ def srs_estimate(
         ApproximationError: for an empty sample or unknown aggregate.
     """
     sample = np.asarray(sample, dtype=np.float64)
-    n = len(sample)
-    if n == 0:
+    if len(sample) == 0:
         raise ApproximationError("cannot estimate from an empty sample")
-    if not 0.0 < confidence < 1.0:
-        raise ApproximationError(f"confidence must be in (0,1), got {confidence}")
-    z = float(norm.ppf(0.5 + confidence / 2.0))
-    fpc = _fpc(n, population_size)
-    mean = float(sample.mean())
-    variance = float(sample.var(ddof=1)) if n > 1 else 0.0
-    se_mean = math.sqrt(max(0.0, variance / n * fpc))
-
-    if aggregate == "avg":
-        return Estimate(mean, z * se_mean, confidence, n, population_size)
-    if aggregate == "sum":
-        return Estimate(
-            population_size * mean,
-            z * population_size * se_mean,
-            confidence,
-            n,
-            population_size,
-        )
-    if aggregate == "count":
-        p = mean  # indicator mean
-        se = math.sqrt(max(0.0, p * (1.0 - p) / n * fpc))
-        return Estimate(
-            population_size * p,
-            z * population_size * se,
-            confidence,
-            n,
-            population_size,
-        )
-    raise ApproximationError(f"unknown aggregate {aggregate!r}")
-
-
-def combine_strata(
-    estimates: list[tuple[Estimate, int]],
-    aggregate: str,
-    population_size: int,
-    confidence: float = 0.95,
-) -> Estimate:
-    """Combine independent per-stratum estimates into one population estimate.
-
-    Args:
-        estimates: (stratum estimate, stratum population size) pairs; each
-            estimate must be an AVG-style per-row mean for ``avg``, or a
-            stratum total for ``sum``/``count``.
-        aggregate: the aggregate being combined.
-        population_size: total N.
-        confidence: CI level of the inputs (assumed uniform).
-    """
-    if not estimates:
-        raise ApproximationError("no strata to combine")
-    z = float(norm.ppf(0.5 + confidence / 2.0))
-    if aggregate in ("sum", "count"):
-        value = sum(e.value for e, _ in estimates)
-        variance = sum((e.half_width / z) ** 2 for e, _ in estimates)
-        half = z * math.sqrt(variance)
-    else:  # weighted mean of stratum means
-        total = sum(size for _, size in estimates)
-        value = sum(e.value * size for e, size in estimates) / total
-        variance = sum(((e.half_width / z) * size / total) ** 2 for e, size in estimates)
-        half = z * math.sqrt(variance)
-    n = sum(e.sample_size for e, _ in estimates)
-    return Estimate(value, half, confidence, n, population_size)
+    function = "SUM" if aggregate == "count" else aggregate.upper()
+    _, [cells] = stratified_estimate(
+        [(function, sample, None)], [population_size], [len(sample)], confidence=confidence
+    )
+    return cell_estimates(cells, confidence, population_size)[0]

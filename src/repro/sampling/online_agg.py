@@ -6,7 +6,11 @@ analyst can stop a query the moment the answer is "good enough" — the
 canonical interactive-exploration behaviour the tutorial highlights.
 
 Group-by is supported: each group carries its own interval, and the
-stopping test can demand that *every* group has converged.
+stopping test can demand that *every* group has converged.  The rows
+consumed so far are a uniform sample of the table, so every snapshot is
+:func:`~repro.sampling.estimators.stratified_estimate` over them — a
+group's size is unknown mid-stream and is estimated, with its sampling
+error, as part of the group's SUM or COUNT.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
+from repro.engine.column import Column
 from repro.errors import ApproximationError
-from repro.sampling.estimators import Estimate, srs_estimate
+from repro.sampling.estimators import Estimate, cell_estimates, stratified_estimate
 
 
 @dataclass
@@ -63,7 +68,7 @@ class OnlineAggregator:
         if aggregate not in ("avg", "sum", "count"):
             raise ApproximationError(f"unsupported aggregate {aggregate!r}")
         self._values = np.asarray(values, dtype=np.float64)
-        self._groups = None if groups is None else np.asarray(groups)
+        self._groups = None if groups is None else Column(np.asarray(groups))
         if self._groups is not None and len(self._groups) != len(self._values):
             raise ApproximationError("groups array must match values length")
         self.aggregate = aggregate
@@ -71,8 +76,6 @@ class OnlineAggregator:
         self.batch_size = batch_size
         self._order = np.random.default_rng(seed).permutation(len(self._values))
         self._cursor = 0
-        self._seen_values: list[np.ndarray] = []
-        self._seen_groups: list[np.ndarray] = []
 
     @property
     def total_rows(self) -> int:
@@ -91,36 +94,32 @@ class OnlineAggregator:
 
     def step(self) -> OnlineResult:
         """Consume one batch and return the updated snapshot."""
-        end = min(self._cursor + self.batch_size, len(self._values))
-        batch_idx = self._order[self._cursor:end]
-        self._cursor = end
-        self._seen_values.append(self._values[batch_idx])
-        if self._groups is not None:
-            self._seen_groups.append(self._groups[batch_idx])
+        self._cursor = min(self._cursor + self.batch_size, len(self._values))
         return self.current()
 
     def current(self) -> OnlineResult:
-        """The current snapshot without consuming more rows."""
-        if not self._seen_values:
-            return OnlineResult(0, self.total_rows, None)
-        seen = np.concatenate(self._seen_values)
+        """The current snapshot without consuming more rows: the rows seen
+        so far are a uniform sample of the table, so a group's size is
+        estimated — with its sampling error — along with its aggregate."""
         n_total = self.total_rows
+        if self._cursor == 0:
+            return OnlineResult(0, n_total, None)
+        seen = self._order[: self._cursor]
+        # a count is the total of the predicate outcomes
+        function = "SUM" if self.aggregate == "count" else self.aggregate.upper()
+        keys, [cells] = stratified_estimate(
+            [(function, self._values[seen], None)],
+            [n_total],
+            [self._cursor],
+            keys=[] if self._groups is None else [self._groups.take(seen)],
+            confidence=self.confidence,
+        )
+        estimates = cell_estimates(cells, self.confidence, n_total)
         if self._groups is None:
-            estimate = srs_estimate(seen, n_total, self.aggregate, self.confidence)
-            return OnlineResult(self._cursor, n_total, estimate)
-        seen_groups = np.concatenate(self._seen_groups)
-        group_estimates: dict[Any, Estimate] = {}
-        # group sizes are unknown mid-stream; estimate each group's
-        # population as N * (group share of the sample) — the standard
-        # online-aggregation treatment
-        for key in np.unique(seen_groups):
-            mask = seen_groups == key
-            share = mask.mean()
-            estimated_population = max(int(round(n_total * share)), int(mask.sum()))
-            group_estimates[key.item() if hasattr(key, "item") else key] = srs_estimate(
-                seen[mask], estimated_population, self.aggregate, self.confidence
-            )
-        return OnlineResult(self._cursor, n_total, None, group_estimates)
+            return OnlineResult(self._cursor, n_total, estimates[0])
+        return OnlineResult(
+            self._cursor, n_total, None, dict(zip(keys[0].to_list(), estimates))
+        )
 
     def run(self) -> Iterator[OnlineResult]:
         """Iterate snapshots batch by batch until the table is exhausted."""

@@ -4,9 +4,12 @@ A uniform sample of a skewed table starves rare groups: a group holding
 0.1% of the rows gets ~0.1% of the sample, often too few rows for any
 usable estimate.  BlinkDB's stratified samples instead take
 ``min(cap, |group|)`` rows from **every** group, so rare groups are as
-well represented as popular ones.  Each stored row carries its group's
-scale factor ``|group| / taken``, which the estimators use to stay
-unbiased.
+well represented as popular ones.  Each stratum records the rows it
+stands for and the rows it holds, ``(N_h, n_h)`` — what
+:func:`~repro.sampling.estimators.stratified_estimate` needs to weight
+every sampled row correctly under any WHERE and any GROUP BY
+(:func:`estimate_sample` is the by-column-name front of it, shared with
+:mod:`repro.sampling.blinkdb`).
 """
 
 from __future__ import annotations
@@ -16,9 +19,16 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.engine.expressions import Expression, truth_mask
+from repro.engine.operators import first_appearance, group_rows
 from repro.engine.table import Table
 from repro.errors import ApproximationError
-from repro.sampling.estimators import Estimate, combine_strata, srs_estimate
+from repro.sampling.estimators import Estimate, cell_estimates, stratified_estimate
+
+#: what a sample declares to the estimator: ``(rows, strata, population,
+#: taken)`` — the sampled row positions, each one's stratum id (None for a
+#: one-stratum sample), and per stratum the rows it stands for and holds
+SampleDesign = tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -70,6 +80,19 @@ class StratifiedSample:
         """True if this sample stratifies on a superset of the given columns."""
         return set(group_columns) <= set(self.columns)
 
+    def design(self) -> SampleDesign:
+        """What the estimator needs to know of this sample: stratum ``h`` is
+        the ``h``-th entry of :attr:`strata`."""
+        strata = list(self.strata.values())
+        taken = np.array([s.taken for s in strata], dtype=np.int64)
+        rows = np.concatenate([s.row_indices for s in strata] or [np.empty(0, dtype=np.int64)])
+        return (
+            rows,
+            np.repeat(np.arange(len(strata)), taken),
+            np.array([s.population for s in strata], dtype=np.int64),
+            taken,
+        )
+
     def estimate_grouped(
         self,
         table: Table,
@@ -92,52 +115,47 @@ class StratifiedSample:
             raise ApproximationError(
                 f"sample on {self.columns} cannot answer GROUP BY {group_columns}"
             )
-        positions = [self.columns.index(c) for c in group_columns]
-        buckets: dict[tuple[Any, ...], list[Stratum]] = {}
-        for stratum in self.strata.values():
-            out_key = tuple(stratum.key[p] for p in positions)
-            buckets.setdefault(out_key, []).append(stratum)
+        return estimate_sample(
+            table, self.design(), aggregate, value_column, None, group_columns, confidence
+        )
 
-        values_col = table.column(value_column) if value_column else None
-        results: dict[tuple[Any, ...], Estimate] = {}
-        for out_key, strata in buckets.items():
-            parts: list[tuple[Estimate, int]] = []
-            group_population = sum(s.population for s in strata)
-            for stratum in strata:
-                if value_column is None or aggregate == "count":
-                    sample_values = np.ones(stratum.taken)
-                else:
-                    data = values_col.data[stratum.row_indices]
-                    sample_values = np.asarray(data, dtype=np.float64)
-                per_stratum_aggregate = "avg" if aggregate == "avg" else aggregate
-                if aggregate == "count":
-                    # every sampled row is a member: the count is known
-                    # exactly per stratum (it is the stored population)
-                    parts.append(
-                        (
-                            Estimate(
-                                float(stratum.population), 0.0, confidence,
-                                stratum.taken, stratum.population,
-                            ),
-                            stratum.population,
-                        )
-                    )
-                    continue
-                parts.append(
-                    (
-                        srs_estimate(
-                            sample_values,
-                            stratum.population,
-                            per_stratum_aggregate,
-                            confidence,
-                        ),
-                        stratum.population,
-                    )
-                )
-            results[out_key] = combine_strata(
-                parts, aggregate, group_population, confidence
-            )
-        return results
+
+def estimate_sample(
+    table: Table,
+    design: SampleDesign,
+    aggregate: str,
+    value_column: str | None,
+    where: Expression | None,
+    group_by: Sequence[str],
+    confidence: float,
+) -> dict[tuple[Any, ...], Estimate]:
+    """One aggregate of ``table`` estimated from a sample of it, per group
+    (the global group's key is ``()``): the named columns and the predicate
+    are evaluated on the sampled rows and handed to
+    :func:`~repro.sampling.estimators.stratified_estimate`.  A group whose
+    estimate is undefined — an AVG no sampled non-NULL value backs — is
+    left out.
+    """
+    if aggregate != "count" and value_column is None:
+        raise ApproximationError(f"{aggregate} requires a value column")
+    rows, strata, population, taken = design
+    subset = table.take(rows)
+    values = valid = None
+    if value_column is not None:
+        column = subset.column(value_column)
+        values, valid = column.data, column.validity
+    keys, [cells] = stratified_estimate(
+        [(aggregate.upper(), values, valid)],
+        population,
+        taken,
+        strata,
+        [subset.column(name) for name in group_by],
+        None if where is None else truth_mask(where, subset),
+        confidence,
+    )
+    group_keys = zip(*(key.to_list() for key in keys)) if keys else [()]
+    estimates = cell_estimates(cells, confidence, int(np.sum(population)))
+    return {key: e for key, e in zip(group_keys, estimates) if e is not None}
 
 
 def build_stratified_sample(
@@ -148,6 +166,10 @@ def build_stratified_sample(
 ) -> StratifiedSample:
     """Build a stratified sample capped at ``cap`` rows per group.
 
+    Rows are grouped by the engine's GROUP BY kernel — NULL keys form one
+    stratum and so do NaN keys — and drawn group by group in the groups'
+    first-appearance order, so a seed names one sample.
+
     Args:
         table: base table.
         columns: stratification columns.
@@ -156,20 +178,18 @@ def build_stratified_sample(
     """
     if cap <= 0:
         raise ApproximationError("cap must be positive")
+    if not columns:
+        raise ApproximationError("a stratified sample needs a stratification column")
     rng = np.random.default_rng(seed)
-    group_rows: dict[tuple[Any, ...], list[int]] = {}
     key_columns = [table.column(c) for c in columns]
-    for row in range(table.num_rows):
-        key = tuple(col[row] for col in key_columns)
-        group_rows.setdefault(key, []).append(row)
+    order, starts, counts = group_rows(key_columns, table.num_rows)
+    first_rows, appearance = first_appearance(order, starts)
+    keys = zip(*(column.take(first_rows).to_list() for column in key_columns))
     strata: dict[tuple[Any, ...], Stratum] = {}
-    for key, rows in group_rows.items():
-        rows_arr = np.asarray(rows, dtype=np.int64)
-        if len(rows_arr) > cap:
-            chosen = rng.choice(rows_arr, size=cap, replace=False)
-        else:
-            chosen = rows_arr
-        strata[key] = Stratum(key=key, row_indices=np.sort(chosen), population=len(rows_arr))
+    for key, start, size in zip(keys, starts[appearance].tolist(), counts[appearance].tolist()):
+        chosen = order[start : start + size]  # the group's rows, ascending
+        chosen = np.sort(rng.choice(chosen, size=cap, replace=False)) if size > cap else chosen.copy()
+        strata[key] = Stratum(key=key, row_indices=chosen, population=size)
     return StratifiedSample(
         columns=tuple(columns), cap=cap, strata=strata, base_rows=table.num_rows
     )

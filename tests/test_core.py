@@ -12,7 +12,7 @@ from repro.core import (
     validate_coverage,
 )
 from repro.core.taxonomy import render_table
-from repro.engine import Database, col
+from repro.engine import Database, Table, col
 from repro.errors import CatalogError
 from repro.workloads import sales_table
 
@@ -74,6 +74,27 @@ class TestSession:
         answer = session.approx("sales", "avg", "revenue")
         truth = float(np.mean(session.db.get_table("sales").column("revenue").data))
         assert abs(answer.estimate.value - truth) / truth < 0.1
+
+    def test_approx_refuses_samples_of_a_table_that_changed(self):
+        """Samples are row positions into the table build_samples saw.  At
+        the parent, after ``DELETE FROM t WHERE id >= 1000`` + merge,
+        ``approx`` raised a bare ``IndexError: index 1006 is out of bounds``
+        from ``Column.take`` — or, with positions still in range, read
+        whichever rows the compacting merge had moved there."""
+        session = ExplorationSession(enable_cracking=False)
+        session.load_table(
+            "t", Table.from_dict({"id": np.arange(5000), "v": np.arange(5000.0)})
+        )
+        session.build_samples("t", uniform_fractions=(0.5,))
+        assert session.approx("t", "avg", "v").estimate.contains(2499.5)
+        session.db.execute("DELETE FROM t WHERE id >= 1000")
+        with pytest.raises(CatalogError, match="'t' has changed since build_samples"):
+            session.approx("t", "avg", "v")  # pending delete
+        session.db.flush_deltas("t")
+        with pytest.raises(CatalogError, match="build_samples again"):
+            session.approx("t", "avg", "v")  # merged: rows renumbered
+        session.build_samples("t", uniform_fractions=(0.5,))
+        assert session.approx("t", "avg", "v").estimate.contains(499.5)
 
     def test_recommend_views(self, session):
         views = session.recommend_views(
