@@ -24,13 +24,16 @@ from repro import settings
 from repro.engine import parallel
 from repro.engine.catalog import Database
 from repro.engine.column import Column
+from repro.engine.expressions import col
 from repro.engine.table import Table
 from repro.engine.types import coerce_array, infer_type
+from repro.explore import CubeExplorer, FacetRecommender, SeeDB, VizDeck
 from repro.indexing import CrackerIndex
 from repro.obs import get_registry
 from repro.prefetch import SemanticRangeCache, TileCache
 from repro.sampling import ApproximateQueryEngine, SampleCatalog
 from repro.storage import AdaptiveStore, QueryProfile
+from repro.workloads import sales_table
 
 
 def run_workload() -> tuple:
@@ -305,8 +308,57 @@ def check_sampled_intervals_cover(n: int = 200_000, seeds: int = 20) -> float:
     return share
 
 
+def check_views_run_on_group_kernel(n: int = 200_000, repeats: int = 3) -> float:
+    """Guard "a recommended view is a GROUP BY" with a ratio and a count:
+    SeeDB's exact pass over 2 dimensions x 4 measures must stay within 4x
+    of the two ``GROUP BY dim, (region = 'north')`` statements that
+    compute the same SUMs and COUNTs through ``Database.sql`` (192x when
+    every view ran a private per-group loop), and SeeDB, facets, the cube
+    and VizDeck must send no row through the kernel's per-group fallback.
+    Returns the ratio."""
+    db = Database()
+    db.create_table("sales", sales_table(n, seed=0))
+    table = db.get_table("sales")
+    dimensions = ["region", "category"]
+    measures = ["price", "quantity", "revenue", "discount"]
+    target = col("region") == "north"
+    partials = ", ".join(f"SUM({m}) AS s_{m}, COUNT({m}) AS c_{m}" for m in measures)
+    statements = [
+        f"SELECT {d}, region = 'north' AS is_target, {partials} FROM sales "
+        f"GROUP BY {d}, region = 'north'"
+        for d in dimensions
+    ]
+
+    def best(run) -> float:
+        times = []
+        for _ in range(repeats):
+            started = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    gathered = get_registry().counter("agg.rows_gathered")
+    before = gathered.value
+    sql_s = best(lambda: [db.sql(statement) for statement in statements])
+    seedb_s = best(lambda: SeeDB(table, dimensions, measures).recommend(target, prune=False))
+    SeeDB(table, dimensions, measures).recommend(target, prune=True)
+    FacetRecommender(table).interesting_facets(target)
+    CubeExplorer(table, "region", "category", "revenue")
+    VizDeck(table).candidates()
+    assert gathered.value == before, (
+        f"{gathered.value - before} rows of a recommended view took the per-group fallback"
+    )
+    ratio = seedb_s / sql_s
+    assert ratio <= 4.0, (
+        f"SeeDB's shared pass is {ratio:.1f}x the equivalent GROUP BYs "
+        f"({seedb_s * 1e3:.1f} ms vs {sql_s * 1e3:.1f} ms)"
+    )
+    return ratio
+
+
 def main() -> int:
     keepalive = run_workload()
+    views_ratio = check_views_run_on_group_kernel()
     gather_free_rows = check_no_group_gathers()
     join_zones_pruned = check_join_right_scan_prunes()
     interval_coverage = check_sampled_intervals_cover()
@@ -341,7 +393,8 @@ def main() -> int:
           f"straddling/in-zone group-by {straddle_ratio:.2f}x,",
           f"{gather_free_rows} rows grouped with no per-group gather,",
           f"{join_zones_pruned} zones of a join's right table pruned,",
-          f"sampled-interval coverage {interval_coverage:.2f}")
+          f"sampled-interval coverage {interval_coverage:.2f},",
+          f"SeeDB / equivalent GROUP BYs {views_ratio:.2f}x")
     return 0
 
 

@@ -18,8 +18,20 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.engine.expressions import Expression, truth_mask
+from repro.engine import operators as ops
+from repro.engine.column import Column
+from repro.engine.expressions import Expression, col, truth_mask
 from repro.engine.table import Table
+
+
+def _categorical_columns(table: Table, max_cardinality: int) -> list[str]:
+    """The low-cardinality non-numeric columns of a table."""
+    return [
+        name
+        for name in table.column_names
+        if not table.column(name).dtype.is_numeric
+        and table.column(name).distinct_count() <= max_cardinality
+    ]
 
 
 @dataclass
@@ -34,6 +46,9 @@ class InterestingFacet:
 
 class FacetRecommender:
     """Finds interesting facets of a query result and recommends tuples.
+
+    Supports are one GROUP BY per facet column on the engine's group
+    kernel, with SQL's semantics: a column's NULLs are one value, ``None``.
 
     Args:
         table: the full table.
@@ -50,12 +65,7 @@ class FacetRecommender:
     ) -> None:
         self.table = table
         if facet_columns is None:
-            facet_columns = [
-                name
-                for name in table.column_names
-                if not table.column(name).dtype.is_numeric
-                and table.column(name).distinct_count() <= max_cardinality
-            ]
+            facet_columns = _categorical_columns(table, max_cardinality)
         self.facet_columns = list(facet_columns)
 
     def interesting_facets(
@@ -71,53 +81,45 @@ class FacetRecommender:
             min_ratio: minimum relevance ratio to report.
             min_support: minimum occurrences inside the result.
         """
-        mask = truth_mask(predicate, self.table)
-        result_size = int(mask.sum())
+        return self._facets(truth_mask(predicate, self.table), min_ratio, min_support)
+
+    def _facets(
+        self, in_result: np.ndarray, min_ratio: float, min_support: int
+    ) -> list[InterestingFacet]:
+        result_size = int(in_result.sum())
         if result_size == 0:
             return []
         n = self.table.num_rows
+        member = Column(in_result)
         facets: list[InterestingFacet] = []
         for attribute in self.facet_columns:
-            values = np.asarray(self.table.column(attribute).to_list(), dtype=object)
-            in_result = values[mask]
-            for value in set(in_result.tolist()):
-                support = int(np.sum(in_result == value))
-                if support < min_support:
-                    continue
-                p_result = support / result_size
-                p_database = float(np.sum(values == value)) / n
-                if p_database == 0:
-                    continue
-                ratio = p_result / p_database
-                if ratio >= min_ratio:
-                    facets.append(
-                        InterestingFacet(attribute, value, float(ratio), support)
-                    )
+            # SELECT attribute, COUNT(*), SUM(in_result) GROUP BY attribute
+            column = self.table.column(attribute)
+            order, starts, counts = ops.group_rows([column], n)
+            supports = ops.aggregate_groups("SUM", False, member, order, starts, counts).data
+            ratios = (supports / result_size) / (counts / n)
+            keep = np.flatnonzero((supports >= max(min_support, 1)) & (ratios >= min_ratio))
+            values = column.take(order[starts[keep]]).to_list()  # one per reported group
+            facets.extend(
+                InterestingFacet(attribute, *facet)
+                for facet in zip(values, ratios[keep].tolist(), supports[keep].tolist())
+            )
         facets.sort(key=lambda f: -f.relevance_ratio)
         return facets
 
-    def recommend_tuples(
-        self,
-        predicate: Expression,
-        k: int = 10,
-        min_ratio: float = 1.5,
-    ) -> Table:
+    def recommend_tuples(self, predicate: Expression, k: int = 10, min_ratio: float = 1.5) -> Table:
         """Rows *outside* the result that share its interesting facets.
 
         Rows are scored by the summed relevance ratios of the interesting
         facet values they carry; the top-k are returned.
         """
-        facets = self.interesting_facets(predicate, min_ratio=min_ratio)
-        mask = truth_mask(predicate, self.table)
+        in_result = truth_mask(predicate, self.table)
         scores = np.zeros(self.table.num_rows)
-        for facet in facets:
-            values = np.asarray(
-                self.table.column(facet.attribute).to_list(), dtype=object
-            )
-            scores += np.where(values == facet.value, facet.relevance_ratio, 0.0)
-        scores[mask] = -np.inf  # only recommend rows the user has not seen
-        order = np.argsort(-scores, kind="stable")
-        chosen = [int(i) for i in order[:k] if np.isfinite(scores[i]) and scores[i] > 0]
-        if not chosen:
-            return self.table.slice(0, 0)
-        return self.table.take(np.asarray(chosen, dtype=np.int64))
+        for facet in self._facets(in_result, min_ratio, min_support=2):
+            attribute = col(facet.attribute)
+            carries = attribute.is_null() if facet.value is None else attribute == facet.value
+            scores += np.where(truth_mask(carries, self.table), facet.relevance_ratio, 0.0)
+        scores[in_result] = -np.inf  # only recommend rows the user has not seen
+        order = np.argsort(-scores, kind="stable")[:k]
+        chosen = order[scores[order] > 0]  # -inf marks the result itself
+        return self.table.take(chosen)

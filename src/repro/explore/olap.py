@@ -15,6 +15,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.engine import operators as ops
+from repro.engine.expressions import col
+from repro.engine.sql.ast import AggregateCall
 from repro.engine.table import Table
 
 
@@ -37,6 +40,11 @@ class CubeCell:
 class CubeExplorer:
     """Surprise analysis over one (row dim, column dim, measure) view.
 
+    The cells are ``AVG(measure) GROUP BY row_dim, column_dim`` on the
+    engine's group kernel, with SQL's semantics: NULL measures are skipped
+    (a cell with none left is absent), a dimension's NULLs are one value
+    (``None``), and NaN groups as the engine's GROUP BY groups it.
+
     Args:
         table: the fact table.
         row_dim, column_dim: categorical dimensions.
@@ -50,24 +58,20 @@ class CubeExplorer:
         self.row_dim = row_dim
         self.column_dim = column_dim
         self.measure = measure
-        rows = np.asarray(table.column(row_dim).to_list(), dtype=object)
-        columns = np.asarray(table.column(column_dim).to_list(), dtype=object)
-        values = np.asarray(table.column(measure).data, dtype=np.float64)
-        self.row_values = sorted(set(rows.tolist()), key=str)
-        self.column_values = sorted(set(columns.tolist()), key=str)
-        r = len(self.row_values)
-        c = len(self.column_values)
-        self._matrix = np.full((r, c), np.nan)
-        self._counts = np.zeros((r, c), dtype=np.int64)
+        cells = ops.hash_aggregate(
+            table,
+            [col(row_dim), col(column_dim)],
+            [("mean", AggregateCall("AVG", col(measure)))],
+            group_names=["row", "column"],
+        )
+        self.row_values = sorted(set(cells.column("row")), key=str)
+        self.column_values = sorted(set(cells.column("column")), key=str)
+        self._matrix = np.full((len(self.row_values), len(self.column_values)), np.nan)
         row_index = {v: i for i, v in enumerate(self.row_values)}
         column_index = {v: i for i, v in enumerate(self.column_values)}
-        sums = np.zeros((r, c))
-        for row, column, value in zip(rows, columns, values):
-            i, j = row_index[row], column_index[column]
-            sums[i, j] += value
-            self._counts[i, j] += 1
-        mask = self._counts > 0
-        self._matrix[mask] = sums[mask] / self._counts[mask]
+        for row, column, mean in cells.rows():
+            if mean is not None:
+                self._matrix[row_index[row], column_index[column]] = mean
 
     # -- the additive model ----------------------------------------------------------
 

@@ -7,15 +7,22 @@ the data) — those are the "interesting" bar charts to show first.
 
 Both of the paper's optimisation families are implemented:
 
-- **shared scans** — all candidate views over the same dimension are
-  computed from a single grouping pass;
+- **shared scans** — every view is a GROUP BY, and all views over one
+  dimension come out of one pass of the engine's group kernel keyed on
+  ``(dimension, is target)``: SUM and COUNT of each measure for target and
+  reference at once, AVG as their ratio;
 - **confidence-interval pruning** — the data is consumed in phases, each
   view keeps a running utility estimate with a Hoeffding-style interval,
   and views whose upper bound falls below the current top-k's lower bound
-  are dropped without reading the remaining phases.
+  are dropped without reading the remaining phases.  A phase aggregates
+  only its own rows and adds its partial SUMs and COUNTs to the earlier
+  phases'; the survivors' final utilities are read off the merged partials.
 
 The S9 benchmark reproduces the headline result: pruning cuts the views
-fully evaluated by a large factor while preserving the true top-k.
+fully evaluated (and ``rows_aggregated``, the aggregate updates) by a
+large factor while preserving the true top-k.  Not wall-clock, at these
+sizes: ten kernel calls per dimension over randomly gathered rows are
+slower than the one shared pass (ROADMAP item 13: zone-range phases).
 """
 
 from __future__ import annotations
@@ -26,10 +33,16 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.engine import operators as ops
+from repro.engine.column import Column, concat_columns
 from repro.engine.expressions import Expression, truth_mask
 from repro.engine.table import Table
 
 AGGREGATES = ("avg", "sum", "count")
+
+#: one grouping pass over one dimension: per (dimension value, is target)
+#: group its key, its target flag and ``stats[group, measure] = (SUM, COUNT)``
+_Partials = tuple[Column, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -55,28 +68,15 @@ class ViewRecommendation:
     reference_distribution: dict[Any, float] = field(default_factory=dict)
 
 
-def _aggregate_by_group(
-    keys: np.ndarray, values: np.ndarray, aggregate: str
-) -> dict[Any, float]:
-    result: dict[Any, float] = {}
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    sorted_values = values[order]
-    boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [len(sorted_keys)]])
-    for start, end in zip(starts, ends):
-        if start >= end:
-            continue
-        key = sorted_keys[start]
-        chunk = sorted_values[start:end]
-        if aggregate == "avg":
-            result[key] = float(chunk.mean())
-        elif aggregate == "sum":
-            result[key] = float(chunk.sum())
-        else:  # count
-            result[key] = float(end - start)
-    return result
+def _merge(a: _Partials, b: _Partials) -> _Partials:
+    """Add two passes' partials group by group: the kernel regroups the
+    concatenated keys, and SUM and COUNT partials both recombine as SUM."""
+    keys = concat_columns([a[0], b[0]])
+    flags = np.concatenate([a[1], b[1]])
+    order, starts, _ = ops.group_rows([keys, Column(flags)], len(keys))
+    first = order[starts]
+    stats = np.concatenate([a[2], b[2]])[order]
+    return keys.take(first), flags[first], np.add.reduceat(stats, starts)
 
 
 def _normalise(distribution: dict[Any, float], keys: Sequence[Any]) -> np.ndarray:
@@ -99,6 +99,13 @@ def kl_divergence(p: np.ndarray, q: np.ndarray, epsilon: float = 1e-9) -> float:
 class SeeDB:
     """The view recommender.
 
+    Distributions follow SQL aggregate semantics (the engine's group
+    kernel computes them): NULL measures are skipped — ``count(m)`` is
+    ``COUNT(m)``, and a group whose ``avg`` or ``sum`` is NULL is absent —
+    NULL dimension values form one group keyed ``None``, and NaN groups
+    as the engine's GROUP BY groups it.  Rows on which the target
+    predicate is NULL belong to the reference.
+
     Args:
         table: the data.
         dimensions: candidate GROUP BY columns (categorical).
@@ -120,6 +127,7 @@ class SeeDB:
         self.views_evaluated_fully = 0
         self.views_pruned = 0
         self.phases_executed = 0
+        self.rows_aggregated = 0  # logical work: rows fed to the group kernel x views they served
 
     def candidate_views(self) -> list[ViewSpec]:
         """The full candidate space."""
@@ -130,20 +138,39 @@ class SeeDB:
             for aggregate in self.aggregates
         ]
 
-    # -- exact evaluation (shared scans, no pruning) --------------------------------------
+    def _aggregate(
+        self, dimension: str, views: Sequence[ViewSpec], is_target: np.ndarray, rows: Any
+    ) -> _Partials:
+        """The shared scan: SUM and COUNT of every measure ``views`` (all on
+        ``dimension``) read, per (dimension value, is target) group of
+        ``rows`` (positions, or a slice)."""
+        keys = self.table.column(dimension).take(rows)
+        flags = is_target[rows]
+        order, starts, counts = ops.group_rows([keys, Column(flags)], len(keys))
+        stats = np.zeros((len(counts), len(self.measures), 2))
+        for measure in {spec.measure for spec in views}:
+            column = self.table.column(measure).take(rows)
+            total = ops.aggregate_groups("SUM", False, column, order, starts, counts).data
+            present = ops.aggregate_groups("COUNT", False, column, order, starts, counts).data
+            i = self.measures.index(measure)
+            stats[:, i, 0], stats[:, i, 1] = np.where(present > 0, total, 0.0), present
+        self.rows_aggregated += len(keys) * len(views)
+        first = order[starts]
+        return keys.take(first), flags[first], stats
 
-    def _view_utility(
-        self,
-        spec: ViewSpec,
-        target_rows: np.ndarray,
-        reference_rows: np.ndarray,
+    def _view(
+        self, spec: ViewSpec, partials: _Partials
     ) -> tuple[float, dict[Any, float], dict[Any, float]]:
-        keys = np.asarray(self.table.column(spec.dimension).to_list(), dtype=object)
-        values = np.asarray(self.table.column(spec.measure).data, dtype=np.float64)
-        target = _aggregate_by_group(keys[target_rows], values[target_rows], spec.aggregate)
-        reference = _aggregate_by_group(
-            keys[reference_rows], values[reference_rows], spec.aggregate
-        )
+        """Utility and (target, reference) distributions of one view, read
+        off its dimension's partials."""
+        group_keys, flags, stats = partials
+        total, present = stats[:, self.measures.index(spec.measure)].T
+        values = {"count": present, "sum": total, "avg": total / np.maximum(present, 1.0)}
+        # SUM and AVG over no non-NULL value are NULL: the group is absent
+        known = (present > 0) | (spec.aggregate == "count")
+        cells = list(zip(group_keys.to_list(), flags, values[spec.aggregate].tolist(), known))
+        target = {key: value for key, flag, value, ok in cells if ok and flag}
+        reference = {key: value for key, flag, value, ok in cells if ok and not flag}
         all_keys = sorted(set(target) | set(reference), key=str)
         utility = kl_divergence(
             _normalise(target, all_keys), _normalise(reference, all_keys)
@@ -168,82 +195,42 @@ class SeeDB:
             num_phases: data partitions used by the pruning scheme.
             confidence: pruning interval confidence.
         """
-        mask = truth_mask(target_predicate, self.table)
-        target_rows = np.flatnonzero(mask)
-        reference_rows = np.flatnonzero(~mask)
-        if len(target_rows) == 0 or len(reference_rows) == 0:
+        is_target = truth_mask(target_predicate, self.table)
+        if is_target.all() or not is_target.any():
             raise ValueError("target predicate must split the table non-trivially")
-        if not prune:
-            return self._recommend_exact(target_rows, reference_rows, k)
-        return self._recommend_pruned(
-            target_rows, reference_rows, k, num_phases, confidence
-        )
-
-    def _recommend_exact(
-        self, target_rows: np.ndarray, reference_rows: np.ndarray, k: int
-    ) -> list[ViewRecommendation]:
-        recommendations = []
-        for spec in self.candidate_views():
-            utility, target, reference = self._view_utility(
-                spec, target_rows, reference_rows
-            )
-            self.views_evaluated_fully += 1
-            recommendations.append(
-                ViewRecommendation(spec, utility, target, reference)
-            )
-        recommendations.sort(key=lambda r: -r.utility)
-        return recommendations[:k]
-
-    # -- phased evaluation with pruning ---------------------------------------------------
-
-    def _recommend_pruned(
-        self,
-        target_rows: np.ndarray,
-        reference_rows: np.ndarray,
-        k: int,
-        num_phases: int,
-        confidence: float,
-    ) -> list[ViewRecommendation]:
-        rng = np.random.default_rng(0)
-        target_perm = rng.permutation(target_rows)
-        reference_perm = rng.permutation(reference_rows)
-        target_phases = np.array_split(target_perm, num_phases)
-        reference_phases = np.array_split(reference_perm, num_phases)
-
+        phases: list[Any] = [slice(None)]  # exact: one pass over every row
+        if prune:
+            rng = np.random.default_rng(0)
+            sides = [
+                np.array_split(rng.permutation(np.flatnonzero(side)), num_phases)
+                for side in (is_target, ~is_target)
+            ]
+            phases = [np.concatenate(parts) for parts in zip(*sides)]
+            self.phases_executed += num_phases
         alive = self.candidate_views()
-        utilities: dict[ViewSpec, list[float]] = {spec: [] for spec in alive}
+        merged: dict[str, _Partials] = {}  # per dimension, every phase so far
         delta = 1.0 - confidence
-        seen_target = np.empty(0, dtype=np.int64)
-        seen_reference = np.empty(0, dtype=np.int64)
 
-        for phase in range(num_phases):
-            self.phases_executed += 1
-            seen_target = np.concatenate([seen_target, target_phases[phase]])
-            seen_reference = np.concatenate([seen_reference, reference_phases[phase]])
-            for spec in alive:
-                utility, _, _ = self._view_utility(spec, seen_target, seen_reference)
-                utilities[spec].append(utility)
+        for phase, rows in enumerate(phases):
+            for dimension in dict.fromkeys(spec.dimension for spec in alive):
+                views = [spec for spec in alive if spec.dimension == dimension]
+                partials = self._aggregate(dimension, views, is_target, rows)
+                merged[dimension] = _merge(merged[dimension], partials) if phase else partials
             if phase < 1 or len(alive) <= k:
                 continue
             # Hoeffding-style running interval on the utility estimates
             m = phase + 1
             epsilon = math.sqrt(math.log(2.0 / delta) / (2.0 * m))
-            bounds = {
-                spec: (history[-1] - epsilon, history[-1] + epsilon)
-                for spec, history in utilities.items()
-                if spec in set(alive)
-            }
-            lower_topk = sorted((lo for lo, _ in bounds.values()), reverse=True)[k - 1]
-            survivors = [spec for spec in alive if bounds[spec][1] >= lower_topk]
+            utilities = {spec: self._view(spec, merged[spec.dimension])[0] for spec in alive}
+            lower_topk = sorted(utilities.values(), reverse=True)[k - 1] - epsilon
+            survivors = [spec for spec in alive if utilities[spec] + epsilon >= lower_topk]
             self.views_pruned += len(alive) - len(survivors)
             alive = survivors
 
         self.views_evaluated_fully += len(alive)
-        final = []
-        for spec in alive:
-            utility, target, reference = self._view_utility(
-                spec, target_rows, reference_rows
-            )
-            final.append(ViewRecommendation(spec, utility, target, reference))
+        final = [
+            ViewRecommendation(spec, *self._view(spec, merged[spec.dimension]))
+            for spec in alive
+        ]
         final.sort(key=lambda r: -r.utility)
         return final[:k]

@@ -22,7 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.engine import operators as ops
 from repro.engine.table import Table
+from repro.explore.facets import _categorical_columns
 
 
 @dataclass
@@ -77,14 +79,6 @@ class VizDeck:
             if self.table.column(name).dtype.is_numeric
         ]
 
-    def _categorical_columns(self, max_cardinality: int = 30) -> list[str]:
-        result = []
-        for name in self.table.column_names:
-            column = self.table.column(name)
-            if not column.dtype.is_numeric and column.distinct_count() <= max_cardinality:
-                result.append(name)
-        return result
-
     def candidates(self) -> list[VizCandidate]:
         """Score every candidate visualization (unsorted)."""
         result: list[VizCandidate] = []
@@ -95,11 +89,9 @@ class VizDeck:
                 1.0, _abs_skewness(values) / 3.0
             )
             result.append(VizCandidate("histogram", (name,), score))
-        for name in self._categorical_columns():
-            labels = self.table.column(name).to_list()
-            counts = np.asarray(
-                [labels.count(v) for v in set(labels)], dtype=np.float64
-            )
+        for name in _categorical_columns(self.table, max_cardinality=30):
+            # SELECT COUNT(*) GROUP BY name; the NULLs are one bar
+            _, _, counts = ops.group_rows([self.table.column(name)], self.table.num_rows)
             p = counts / counts.sum()
             entropy = float(-np.sum(p * np.log(p)))
             max_entropy = math.log(len(counts)) if len(counts) > 1 else 1.0

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine import operators as ops
+
 
 def m4_reduce(
     x: np.ndarray,
@@ -35,26 +37,32 @@ def m4_reduce(
     n = len(x)
     if n == 0 or width <= 0:
         return np.empty(0), np.empty(0)
+    by_x = np.argsort(x, kind="stable")
     if n <= 4 * width:
-        order = np.argsort(x, kind="stable")
-        return x[order], y[order]
-    lo, hi = float(x.min()), float(x.max())
-    span = hi - lo or 1.0
-    columns = np.clip(((x - lo) / span * width).astype(np.int64), 0, width - 1)
-    keep: set[int] = set()
-    order = np.argsort(x, kind="stable")
-    sorted_columns = columns[order]
-    boundaries = np.flatnonzero(sorted_columns[1:] != sorted_columns[:-1]) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [n]])
-    for start, end in zip(starts, ends):
-        bucket = order[start:end]
-        keep.add(int(bucket[0]))                       # first
-        keep.add(int(bucket[-1]))                      # last
-        keep.add(int(bucket[np.argmin(y[bucket])]))    # min
-        keep.add(int(bucket[np.argmax(y[bucket])]))    # max
-    kept = np.asarray(sorted(keep, key=lambda i: (x[i], i)), dtype=np.int64)
+        return x[by_x], y[by_x]
+    # GROUP BY pixel column over the x-ordered rows: the kernel's sort is
+    # stable, so every bucket stays in x order and its ends are its first
+    # and last rows
+    order, starts, counts = ops.group_ids(_pixels(x, width)[by_x], width)
+    rows = by_x[order]
+    bucket_y = y[rows]
+    position = np.arange(n)
+    picks = [starts, starts + counts - 1]  # each bucket's first and last row
+    for extreme in (np.minimum, np.maximum):
+        # ... and the first row at its min / max (if that is NaN, its first
+        # NaN), which is the row np.argmin / np.argmax pick
+        at_extreme = bucket_y == np.repeat(extreme.reduceat(bucket_y, starts), counts)
+        hit = np.where(at_extreme | np.isnan(bucket_y), position, n)
+        picks.append(np.minimum.reduceat(hit, starts))
+    kept = rows[np.unique(np.concatenate(picks))]
     return x[kept], y[kept]
+
+
+def _pixels(values: np.ndarray, size: int) -> np.ndarray:
+    """The pixel (of ``size`` along the axis) each value falls in."""
+    lo = float(values.min())
+    span = float(values.max()) - lo or 1.0
+    return np.clip(((values - lo) / span * size).astype(np.int64), 0, size - 1)
 
 
 def _rasterise(x: np.ndarray, y: np.ndarray, width: int, height: int) -> np.ndarray:
@@ -62,15 +70,13 @@ def _rasterise(x: np.ndarray, y: np.ndarray, width: int, height: int) -> np.ndar
     image = np.zeros((width, height), dtype=bool)
     if len(x) == 0:
         return image
-    x_lo, x_hi = float(x.min()), float(x.max())
-    y_lo, y_hi = float(y.min()), float(y.max())
-    x_span = x_hi - x_lo or 1.0
-    y_span = y_hi - y_lo or 1.0
-    columns = np.clip(((x - x_lo) / x_span * width).astype(np.int64), 0, width - 1)
-    rows = np.clip(((y - y_lo) / y_span * height).astype(np.int64), 0, height - 1)
-    for column in np.unique(columns):
-        mask = columns == column
-        image[column, rows[mask].min() : rows[mask].max() + 1] = True
+    columns = _pixels(x, width)
+    order, starts, _ = ops.group_ids(columns, width)
+    rows = _pixels(y, height)[order]
+    lows = np.minimum.reduceat(rows, starts)[:, None]
+    highs = np.maximum.reduceat(rows, starts)[:, None]
+    heights = np.arange(height)
+    image[columns[order[starts]]] = (lows <= heights) & (heights <= highs)
     return image
 
 

@@ -20,6 +20,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.engine import operators as ops
+from repro.engine.column import Column
+
 
 @dataclass
 class OrderingResult:
@@ -40,7 +43,9 @@ class OrderedSampler:
     """Samples grouped values until the group-mean ordering is settled.
 
     Args:
-        groups: per-row group keys.
+        groups: per-row group keys, a sequence or an engine ``Column``;
+            they partition as the engine's GROUP BY does (the NULLs are
+            one group, keyed ``None``).
         values: per-row measure values.
         confidence: target probability that the returned order is correct.
         batch: rows drawn per group per round.
@@ -49,17 +54,20 @@ class OrderedSampler:
 
     def __init__(
         self,
-        groups: Sequence[Any],
+        groups: Sequence[Any] | Column,
         values: np.ndarray,
         confidence: float = 0.95,
         batch: int = 10,
         seed: int = 0,
     ) -> None:
-        self._values_by_group: dict[Any, np.ndarray] = {}
-        groups_arr = np.asarray(groups, dtype=object)
+        keys = groups if isinstance(groups, Column) else Column(groups)
         values = np.asarray(values, dtype=np.float64)
-        for key in sorted(set(groups_arr.tolist()), key=str):
-            self._values_by_group[key] = values[groups_arr == key]
+        order, starts, _ = ops.group_rows([keys], len(keys))
+        # per group: its key and its rows' values, rows ascending
+        members = dict(zip(keys.take(order[starts]).to_list(), np.split(values[order], starts[1:])))
+        self._values_by_group: dict[Any, np.ndarray] = {
+            key: members[key] for key in sorted(members, key=str)
+        }
         self.confidence = confidence
         self.batch = batch
         self._rng = np.random.default_rng(seed)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.indexing import HybridCrackSortIndex, PartitionedAdaptiveIndex
 from repro.prefetch import SemanticRangeCache
 from repro.synopses import EquiDepthHistogram, HaarWaveletSynopsis
-from repro.viz import m4_reduce
+from repro.viz import m4_reduce, reduction_error
 
 
 def brute_range(values: np.ndarray, low, high) -> set[int]:
@@ -125,6 +125,36 @@ class TestM4Properties:
         assert float(y.min()) in ry
         assert y[0] in ry and y[-1] in ry
         assert np.all(np.diff(rx) >= 0), "output stays in x order"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(10, 2_000),
+        width=st.integers(1, 50),
+        seed=st.integers(0, 100),
+    )
+    def test_keeps_the_rows_a_per_bucket_loop_keeps(self, n, width, seed):
+        """Duplicate ``x`` and ties in ``y``: per pixel column the first,
+        the last, and the first minimum and first maximum in (x, row) order."""
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, n // 2 + 1, size=n).astype(float)
+        y = rng.integers(0, 6, size=n).astype(float)
+        by_x = sorted(range(n), key=lambda i: (x[i], i))
+        kept = by_x
+        if n > 4 * width:
+            low = x.min()
+            span = (x.max() - low) or 1.0
+            buckets: dict[int, list[int]] = {}
+            for i in by_x:
+                pixel = min(max(int((x[i] - low) / span * width), 0), width - 1)
+                buckets.setdefault(pixel, []).append(i)
+            keep = set()
+            for rows in buckets.values():
+                keep |= {rows[0], rows[-1]}
+                keep |= {min(rows, key=lambda i: y[i]), max(rows, key=lambda i: y[i])}
+            kept = sorted(keep, key=lambda i: (x[i], i))
+        rx, ry = m4_reduce(x, y, width)
+        assert rx.tolist() == x[kept].tolist() and ry.tolist() == y[kept].tolist()
+        assert reduction_error(x, y, rx, ry, width=width) == 0.0
 
 
 class TestSynopsisProperties:
