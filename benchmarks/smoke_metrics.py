@@ -272,6 +272,76 @@ def check_join_right_scan_prunes(n: int = 200_000) -> int:
     return pruned.value - before
 
 
+def check_index_scans_share_the_pipeline(
+    n: int = 1_000_000, warmup: int = 100, repeats: int = 5
+) -> float:
+    """Guard "an index picks rows, the scan pipeline reads them" with a
+    ratio, an answer and a route: once ``warmup`` range queries have
+    cracked a ``CrackerIndex`` on an unclustered column, a 1 % GROUP BY
+    must run at least 3x faster than with the index unregistered, return
+    the same table bit for bit, and go through
+    ``parallel.fused_filter_aggregate`` like any other filtered aggregate.
+    Returns the speedup."""
+    rng = np.random.default_rng(0)
+    domain = 100_000
+    width = domain // 100
+    db = Database()
+    db.create_table(
+        "t",
+        {
+            "x": rng.integers(0, domain, n).tolist(),
+            "g": rng.integers(0, 16, n).tolist(),
+            "v": rng.normal(100.0, 10.0, n).tolist(),
+        },
+    )
+    db.register_index("t", "x", CrackerIndex(np.asarray(db.get_table("t").column("x").data)))
+    for low in rng.integers(0, domain - width, warmup):
+        db.sql(f"SELECT COUNT(*) AS n FROM t WHERE x >= {low} AND x < {low + width}")
+    low = int(rng.integers(0, domain - width))
+    sql = (
+        "SELECT g, COUNT(*) AS n, SUM(v) AS s FROM t "
+        f"WHERE x >= {low} AND x < {low + width} GROUP BY g"
+    )
+    fused = parallel.fused_filter_aggregate
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return fused(*args, **kwargs)
+
+    def best() -> tuple[float, Table]:
+        times = []
+        for _ in range(repeats):
+            started = time.perf_counter()
+            result = db.sql(sql)
+            times.append(time.perf_counter() - started)
+        return min(times), result
+
+    saved = settings.snapshot()
+    try:
+        settings.configure(threads=0, optimizer=True)
+        assert f"index: x in [{low}, {low + width}): " in db.explain_analyze(sql).render()
+        parallel.fused_filter_aggregate = spy
+        indexed_s, indexed = best()
+        assert len(calls) == repeats, "the indexed GROUP BY left the fused scan pipeline"
+        db.unregister_index("t", "x")
+        plain_s, plain = best()
+    finally:
+        parallel.fused_filter_aggregate = fused
+        settings.restore(saved)
+    assert indexed.schema == plain.schema and indexed.num_rows == plain.num_rows == 16
+    for name in plain.column_names:
+        assert indexed.column(name).validity is None and np.array_equal(
+            indexed.column(name).data, plain.column(name).data
+        ), name
+    speedup = plain_s / indexed_s
+    assert speedup >= 3.0, (
+        f"the indexed 1 % GROUP BY is only {speedup:.1f}x the unindexed scan "
+        f"({indexed_s * 1e3:.2f} ms vs {plain_s * 1e3:.2f} ms)"
+    )
+    return speedup
+
+
 def check_sampled_intervals_cover(n: int = 200_000, seeds: int = 20) -> float:
     """Guard the bound, not only the point estimate: grouped COUNT and SUM
     from a 2 % uniform sample, over fixed seeds — every interval must be
@@ -361,6 +431,7 @@ def main() -> int:
     views_ratio = check_views_run_on_group_kernel()
     gather_free_rows = check_no_group_gathers()
     join_zones_pruned = check_join_right_scan_prunes()
+    index_speedup = check_index_scans_share_the_pipeline()
     interval_coverage = check_sampled_intervals_cover()
     fast_path_speedup = check_column_fast_path()
     sort_ratio = check_pooled_sort_ratio()
@@ -393,6 +464,7 @@ def main() -> int:
           f"straddling/in-zone group-by {straddle_ratio:.2f}x,",
           f"{gather_free_rows} rows grouped with no per-group gather,",
           f"{join_zones_pruned} zones of a join's right table pruned,",
+          f"indexed / unindexed 1 % GROUP BY {index_speedup:.1f}x faster,",
           f"sampled-interval coverage {interval_coverage:.2f},",
           f"SeeDB / equivalent GROUP BYs {views_ratio:.2f}x")
     return 0

@@ -257,10 +257,10 @@ class Database:
     @property
     def catalog_version(self) -> int:
         """Monotonic counter bumped by every *structural* change — DDL,
-        table replacement, index (un)registration; cached plans are valid
-        only for the version they were planned under.  Delta appends and
-        tombstones deliberately do **not** bump it: an append changes no
-        schema, no index set and no plan shape, so the plan cache
+        table replacement, a changed shard layout; cached plans are valid
+        only for the version they were planned under.  Delta appends,
+        tombstones and index (un)registration deliberately do **not**
+        bump it: they change no schema and no plan shape, so the plan cache
         survives the write (the per-table data version below keys the
         data-dependent caches instead)."""
         return self._catalog_version
@@ -322,7 +322,8 @@ class Database:
         out-of-core scans must stay on the streamed path where pruning
         skips reads and ``io.*`` is accounted); a layout gets the cracker on its shard key (re)built
         when the column can back one; and the catalog version moves iff
-        the schema, the index set or that layout triple changed.
+        the schema or that layout triple changed — an index picks rows at
+        run time, so the index set is no part of a plan.
         """
         self._encode_strings(main)  # no-op for columns that carry codes already
         state = self._tables.get(name)
@@ -358,7 +359,6 @@ class Database:
                     and (relaid or main.is_mapped)
                 ):
                     del state.indexes[column]
-                    structural = True
             if rebuilt:
                 state.delta = DeltaStore(main.num_rows)
             elif changed:
@@ -379,7 +379,6 @@ class Database:
             state.indexes[layout.key] = shardsmod.ShardedCrackerIndex(
                 main.column(layout.key), layout
             )
-            structural = True
         if structural:
             self._bump_catalog()
 
@@ -464,7 +463,7 @@ class Database:
     def main_table(self, name: str) -> Table:
         """The columnar main of a table, ignoring any pending delta.
 
-        The scan fast paths (zone maps, index probes) are aligned to the
+        The scan fast paths (zone maps, index positions) are aligned to the
         main's row positions; the executor unions in the delta tail
         separately.
 
@@ -630,7 +629,9 @@ class Database:
     def register_index(self, table: str, column: str, index: RangeIndex) -> None:
         """Attach a secondary index to ``table.column``.
 
-        The planner will route qualifying range predicates through it.
+        A scan whose predicate has a range conjunct on the column reads
+        only the main rows the index returns (and still evaluates the
+        whole predicate over them); no plan changes, so cached plans stay.
         Index positions refer to main row positions, so a pending delta
         is merged first — the index then describes exactly the table the
         caller just observed via :meth:`get_table`.
@@ -639,7 +640,7 @@ class Database:
         applied, so positions in a caller-built index refer to a row
         order that no longer exists.  The registration is honoured by
         rebuilding the index partition-local from the live column (the
-        same form the automatic shard-key index takes) — probes then
+        same form the automatic shard-key index takes) — lookups then
         prune shards and return current row positions.
         """
         state = self._state(table)
@@ -654,13 +655,12 @@ class Database:
                 raise CatalogError(f"cannot index {table}.{column}: {obstacle}")
             index = shardsmod.ShardedCrackerIndex(data, state.layout)
         state.indexes[column] = index
-        self._bump_catalog()  # cached plans may now prefer an index probe
 
     def unregister_index(self, table: str, column: str) -> None:
         """Detach the index on ``table.column`` if present."""
         state = self._tables.get(table)
-        if state is not None and state.indexes.pop(column, None) is not None:
-            self._bump_catalog()  # cached plans may reference the index
+        if state is not None:
+            state.indexes.pop(column, None)
 
     def index_for(self, table: str, column: str) -> RangeIndex | None:
         """The registered index on ``table.column``, or None."""
@@ -783,7 +783,7 @@ class Database:
         The cache is an LRU keyed on the exact SQL text; each entry
         remembers the catalog version *and* the optimizer setting it was
         planned under and is only served while both are current (DDL,
-        table replacement and index changes bump the version and clear
+        table replacement and a changed layout bump the version and clear
         the cache; toggling ``PRAGMA optimizer`` makes old entries
         stale).  Exploration workloads re-issue the same statements
         constantly, so repeat queries skip parse/bind/plan/optimize
@@ -1122,8 +1122,7 @@ class Database:
         fed each new value — logical ids line up with main positions plus
         delta offsets because registration merges the delta first.  An
         index without ``insert`` (or facing a value it cannot hold, e.g.
-        NULL) is unregistered: it no longer describes the table.  Only
-        the index set changed, so only the catalog version moves.
+        NULL) is unregistered: it no longer describes the table.
         """
         for column, index in list(state.indexes.items()):
             insert = getattr(index, "insert", None)
@@ -1133,7 +1132,6 @@ class Database:
                 v is None or isinstance(v, (str, bool)) for v in values
             ):
                 del state.indexes[column]
-                self._bump_catalog()
                 continue
             for value in values:
                 insert(value)
@@ -1194,10 +1192,10 @@ class Database:
         if sql is not None:
             self._log_record({"op": "sql", "stmt": sql})
         # Forward the tombstones to delete-capable indexes.  Purely an
-        # optimisation: the scan filters probe positions through the live
-        # masks regardless, so an index without ``delete`` stays
-        # registered and correct — it just returns dead positions the
-        # scan then drops.
+        # optimisation: the scan drops dead index positions through the
+        # live mask regardless, so an index without ``delete`` stays
+        # registered and correct — it just returns positions the scan
+        # then drops.
         for index in state.indexes.values():
             delete = getattr(index, "delete", None)
             if delete is None:

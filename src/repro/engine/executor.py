@@ -13,7 +13,8 @@ driving one, renamed to its planned output names before
 same three steps: **classify once** against the zone
 map (:func:`_classify_scan` — the only site of the ``scan.*`` / ``io.*``
 counters, the ``zones:`` / ``io:`` annotations and the type-error
-guard), **run span kernels** over ``(source, spans, live mask)`` tasks
+guard) unless an index picks the rows (:func:`_index_rows`), **run span
+kernels** over ``(source, spans, live mask)`` tasks
 (:mod:`repro.engine.parallel` one task per span, :mod:`repro.engine.shards`
 one per shard; on the worker pool or as a governed loop on this thread),
 **gather once** (filtered pieces concatenate keeping their shared
@@ -40,7 +41,7 @@ import numpy as np
 
 from repro import settings
 from repro.engine import operators as ops
-from repro.engine import parallel, shards, zonemap
+from repro.engine import parallel, planner, shards, zonemap
 from repro.engine.expressions import truth_mask
 from repro.engine.planner import (
     AggregateNode,
@@ -154,7 +155,6 @@ def _run_node(
         if (
             isinstance(scan, ScanNode)
             and scan.predicate is None
-            and scan.probe is None
             and not scan.empty
             and database.delta_store_if_dirty(scan.table) is None
         ):
@@ -257,36 +257,36 @@ def _classify_scan(
     return ranges
 
 
-def _probe_rows(node: ScanNode, main: Table, tail: Table | None, store, database) -> Table:
-    """Rows the scan's index probe selects, tombstoned ones dropped.
-
-    Index positions are logical row ids: ``[0, main rows)`` address the
-    main, the rest the delta tail.
-    """
-    probe = node.probe
-    index = database.index_for(node.table, probe.column)
-    if index is None:
-        raise ExecutionError(
-            f"plan expected an index on {node.table}.{probe.column}"
-        )
-    positions = np.asarray(
-        index.lookup_range(
-            probe.low, probe.high, probe.low_inclusive, probe.high_inclusive
-        ),
-        dtype=np.int64,
+def _index_rows(node: ScanNode, database, num_rows, live_main, profiler) -> np.ndarray | None:
+    """Ascending main positions an index picks for the scan, tombstones
+    dropped; None when no range conjunct's column has one.  The range
+    conjuncts on the first indexed column (read by ``extract_probe``, as
+    zone maps read them) intersect into one lookup.  The scan evaluates
+    its whole predicate over these rows, so an index may return a
+    superset in any order — NULL and NaN slots, crack order and pending
+    inserts' positions (the tail is scanned whole) change no answer."""
+    indexes = database._state(node.table).indexes
+    probe = None
+    for conj in planner.split_conjuncts(node.predicate) if indexes else ():
+        candidate = planner.extract_probe(conj)
+        if candidate is None or candidate.column not in indexes:
+            continue
+        if probe is None:
+            probe = candidate
+        else:  # None on another column (the first indexed one wins) or unorderable bounds
+            probe = planner.intersect_probes(probe, candidate) or probe
+    if probe is None:
+        return None
+    positions = indexes[probe.column].lookup_range(
+        probe.low, probe.high, probe.low_inclusive, probe.high_inclusive
     )
-    if tail is None:
-        return main.take(positions)
-    in_main = positions < main.num_rows
-    main_positions = positions[in_main]
-    tail_positions = positions[~in_main] - main.num_rows
-    tail_positions = tail_positions[tail_positions < tail.num_rows]
-    live_main, live_delta = store.live_main_mask(), store.live_delta_mask()
+    rows = np.sort(np.asarray(positions, dtype=np.int64))
+    rows = rows[: np.searchsorted(rows, num_rows)]
     if live_main is not None:
-        main_positions = main_positions[live_main[main_positions]]
-    if live_delta is not None:
-        tail_positions = tail_positions[live_delta[tail_positions]]
-    return main.take(main_positions).concat(tail.take(tail_positions))
+        rows = rows[live_main[rows]]
+    if profiler is not None:
+        profiler.annotate(f"index: {probe.describe()}: {len(rows)} of {num_rows} rows")
+    return rows
 
 
 def _execute_scan(
@@ -300,7 +300,8 @@ def _execute_scan(
     The source is the columnar main; a dirty delta store adds its live
     pending rows as a trailing always-evaluate tail and its tombstones as
     a live-mask over the main (a clean table has neither), so zone maps,
-    index probes and shard extents stay aligned to main row positions.
+    index positions and shard extents stay aligned to main row positions;
+    rows an index picks are instead the source, as one unclassified span.
     ``fused`` makes the sink a partial aggregation instead of a gather
     of the filtered rows — the filtered table is never materialised.
     What the code observes picks the route: a shard layout scatters one
@@ -337,15 +338,6 @@ def _execute_scan(
         if predicate is not None:
             _check_types(predicate, main)
         return main.slice(0, 0)
-    if node.probe is not None:
-        # index probes re-order rows; zones and shard extents would misalign
-        part = _probe_rows(node, main, tail, store, database)
-        if predicate is None:
-            return part
-        if parallel.should_parallelize(part.num_rows):
-            _note_fanout(profiler, part.num_rows)
-            return part.filter(parallel.parallel_truth_mask(predicate, part))
-        return part.filter(truth_mask(predicate, part))
     if tail is not None:
         live_tail = store.live_delta_mask()
         if live_tail is not None:
@@ -354,10 +346,16 @@ def _execute_scan(
         if live_main is not None:
             main = main.filter(live_main)
         return main if tail is None else main.concat(tail)
-    ranges = _classify_scan(node, main, database, profiler)
+    picked = _index_rows(node, database, main.num_rows, live_main, profiler)
+    if picked is None:
+        ranges = _classify_scan(node, main, database, profiler)
+        layout = database.shard_layout(node.table) if store is None else None
+    else:
+        main, live_main, ranges, layout = main.take(picked), None, None, None
+        if parallel.should_parallelize(main.num_rows):
+            _check_types(predicate, main)
     if fused is not None and profiler is not None:
         profiler.annotate("fused: filter + partial aggregate per morsel")
-    layout = database.shard_layout(node.table) if store is None else None
     if layout is not None and layout.total_rows == main.num_rows:
         if fused is None:
             return shards.scatter_filter(

@@ -5,9 +5,9 @@ executor (gated by ``PRAGMA optimizer`` / ``REPRO_OPTIMIZER``, default
 on).  The bound plan is already a rewrite-friendly algebra — scans with
 residual predicates, join chains, filters, aggregates, projections — so
 optimization is a fixpoint of rule passes over that tree followed by
-four single-shot physical passes.  Rules 1–3, 7 and 8 are node-local
+four single-shot physical passes.  Rules 1–3, 6 and 7 are node-local
 functions applied by a bottom-up walk (:func:`_bottom_up`: 1–3 in one
-walk per iteration, 7–8 in one):
+walk per iteration, 6–7 in one):
 
 Fixpoint rules (iterated until no rule fires):
 
@@ -22,26 +22,22 @@ Fixpoint rules (iterated until no rule fires):
    come from one input of the join chain moves into that input's scan
    (where zone maps and dictionary filters see it): the driving scan,
    or an inner join's right scan, rewritten into that table's own
-   column names through the join's ``right_names``;
-4. **probe merging** — every range conjunct on the probed column is
-   intersected into the index probe (``_select_index`` picks only one),
-   and a pushed range conjunct on an indexed column becomes a probe; an
-   empty intersection marks the scan empty.  Driving scan only.
+   column names through the join's ``right_names``.
 
 Single-shot passes (after the fixpoint):
 
-5. **projection pruning** — every scan materialises only referenced
+4. **projection pruning** — every scan materialises only referenced
    columns; a join splits the required set between its inputs by its
    ``right_names`` (planned names: pruning cannot change one);
-6. **statistics-driven join reordering** — under a global
+5. **statistics-driven join reordering** — under a global
    order-insensitive aggregate (COUNT/MIN/MAX), join inputs are ordered
    by estimated expansion ``rows / NDV(key)`` from
    :mod:`repro.engine.statistics`;
-7. **filter+aggregate fusion** — ``Aggregate -> Scan(filter)`` becomes a
+6. **filter+aggregate fusion** — ``Aggregate -> Scan(filter)`` becomes a
    :class:`~repro.engine.planner.FusedAggregateNode`, whose executor
    pipeline evaluates the predicate and the partial aggregation morsel
    by morsel without materialising the filtered table;
-8. **Top-N** — ``Limit -> Sort`` and ``Limit -> Project -> Sort`` become
+7. **Top-N** — ``Limit -> Sort`` and ``Limit -> Project -> Sort`` become
    a :class:`~repro.engine.planner.TopNNode` (below the row-local
    projection), which sorts only the rows that can reach the first
    ``k`` instead of the whole input.
@@ -52,19 +48,17 @@ column references are never dropped (so dtype errors still surface),
 empty scans type-check their predicate against an empty slice, pushdown
 and fusion are row-local, Top-N selects a superset of the answer under
 the sort's total order on (keys, row position), and join reordering
-fires only where row order is provably invisible.  Index probes are the
-one documented exception: a merged probe issues a different index
-lookup, and adaptive indexes answer range lookups in cracking order,
-which is already implementation-defined (zone maps are disabled on
-probe scans for the same reason).
+fires only where row order is provably invisible.  No rule reads the
+table's indexes: an index picks rows at run time, under the scan's whole
+predicate, so it cannot change a plan or an answer.
 
 **Termination.**  Rules 1–2 strictly shrink the predicate (expression
 node count or conjunct count); rule 3 moves each conjunct at most once
-(scan predicates are never lifted back into a filter); rule 4
-strictly shrinks the scan's conjunct list.  The per-iteration measure
-(total conjuncts not yet at their final site + total expression nodes)
-is non-negative and strictly decreases whenever a rule fires, so the
-fixpoint terminates; ``_MAX_PASSES`` is a belt-and-braces bound.
+(scan predicates are never lifted back into a filter).  The
+per-iteration measure (total conjuncts not yet at their final site +
+total expression nodes) is non-negative and strictly decreases whenever
+a rule fires, so the fixpoint terminates; ``_MAX_PASSES`` is a
+belt-and-braces bound.
 
 The rewrite trace lands in ``Plan.notes`` (rendered by ``EXPLAIN`` as
 ``note: optimizer: ...`` lines and carried into ``EXPLAIN ANALYZE``)
@@ -93,9 +87,6 @@ from repro.engine.planner import (
     SortNode,
     TopNNode,
     _conjoin,
-    extract_probe,
-    intersect_probes,
-    probe_is_empty,
     split_conjuncts,
 )
 from repro.obs.metrics import get_registry
@@ -136,7 +127,6 @@ def optimize_plan(plan: Plan, database: "Database") -> Plan:
     for _ in range(_MAX_PASSES):
         ctx.changed = False
         plan.root = _bottom_up(plan.root, ctx, (_fold_rule, _pushdown_rule))
-        _probe_pass(plan.root, ctx)
         if not ctx.changed:
             break
     _prune_pass(plan.root, None, ctx)
@@ -376,58 +366,7 @@ def _pushdown_rule(node: PlanNode, ctx: _Context) -> PlanNode:
     return node
 
 
-# -- rule 4: probe merging ---------------------------------------------------------------
-
-
-def _probe_pass(node: PlanNode, ctx: _Context) -> None:
-    # the driving input only: an index answers in crack order, which a
-    # join's right input would make visible as match order
-    for slot in node._children[:1]:
-        _probe_pass(getattr(node, slot), ctx)
-    if not isinstance(node, ScanNode) or node.empty or node.predicate is None:
-        return
-    original = split_conjuncts(node.predicate)
-    probe = node.probe
-    remaining: list[ex.Expression] = []
-    merged = 0
-    for conj in original:
-        candidate = extract_probe(conj)
-        if candidate is not None:
-            if probe is None and ctx.database.index_for(
-                node.table, candidate.column
-            ) is not None:
-                probe = candidate
-                merged += 1
-                continue
-            if probe is not None and candidate.column == probe.column:
-                tightened = intersect_probes(probe, candidate)
-                if tightened is not None:
-                    probe = tightened
-                    merged += 1
-                    continue
-        remaining.append(conj)
-    if not merged or probe is None:
-        return
-    if probe_is_empty(probe):
-        # contradictory range: the scan is empty; keep the full predicate
-        # (and drop the probe) so dtype errors still type-check
-        node.empty = True
-        node.probe = None
-        node.predicate = _conjoin(original)
-        ctx.record(
-            "contradiction",
-            f"scan({node.table}): probe {probe.describe()} is empty",
-        )
-        return
-    node.probe = probe
-    node.predicate = _conjoin(remaining)
-    ctx.record(
-        "probe_merge",
-        f"scan({node.table}): {merged} conjunct(s) into {probe.describe()}",
-    )
-
-
-# -- rule 5: projection pruning ----------------------------------------------------------
+# -- rule 4: projection pruning ----------------------------------------------------------
 
 
 def _item_refs(items) -> set[str] | None:
@@ -491,7 +430,7 @@ def _prune_scan(scan: ScanNode, needed: set[str] | None, ctx: _Context) -> None:
     )
 
 
-# -- rule 6: statistics-driven join reordering -------------------------------------------
+# -- rule 5: statistics-driven join reordering -------------------------------------------
 
 
 def _reorder_pass(plan: Plan, ctx: _Context) -> None:
@@ -551,7 +490,7 @@ def _reorder_pass(plan: Plan, ctx: _Context) -> None:
     ctx.record("join_reorder", f"by estimated expansion: {order}")
 
 
-# -- rule 7: filter+aggregate fusion -----------------------------------------------------
+# -- rule 6: filter+aggregate fusion -----------------------------------------------------
 
 
 def _fuse_rule(node: PlanNode, ctx: _Context) -> PlanNode:
@@ -560,7 +499,6 @@ def _fuse_rule(node: PlanNode, ctx: _Context) -> PlanNode:
         and not isinstance(node, FusedAggregateNode)
         and isinstance(node.child, ScanNode)
         and node.child.predicate is not None
-        and node.child.probe is None
         and not node.child.empty
     ):
         ctx.record("fuse", f"filter+aggregate over scan({node.child.table})")
@@ -573,7 +511,7 @@ def _fuse_rule(node: PlanNode, ctx: _Context) -> PlanNode:
     return node
 
 
-# -- rule 8: Top-N -----------------------------------------------------------------------
+# -- rule 7: Top-N -----------------------------------------------------------------------
 
 
 def _topn_rule(node: PlanNode, ctx: _Context) -> PlanNode:

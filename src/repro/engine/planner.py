@@ -1,4 +1,4 @@
-"""Logical planning: name binding, rewrites, and index selection.
+"""Logical planning: name binding and predicate pushdown.
 
 The planner turns a parsed :class:`~repro.engine.sql.ast.SelectStatement`
 into a tree of plan nodes.  Rewrites applied, in order:
@@ -10,14 +10,13 @@ into a tree of plan nodes.  Rewrites applied, in order:
    :class:`JoinNode` carries its map, and the executor renames by it.
 2. **Predicate splitting and pushdown** — the WHERE clause is split into
    conjuncts; conjuncts that reference only base-table columns are pushed
-   into the scan so they can use an index.
-3. **Index selection** — a pushed conjunct of the form ``col < c``,
-   ``col BETWEEN a AND b`` or ``col = c`` on a column with a registered
-   index becomes an index range probe instead of a full scan filter.
+   into the scan, where zone maps and indexes see them.
 
-The paper's Database Layer section (adaptive indexing) plugs in exactly at
-step 3: cracker indexes register themselves with the catalog and the scan
-consults them, refining them as a side effect of query processing.
+A plan never depends on the indexes a table has.  The paper's Database
+Layer section (adaptive indexing) plugs in at execution: cracker indexes
+register themselves with the catalog, and a scan whose predicate has a
+range conjunct (:func:`extract_probe`) on an indexed column asks the
+index which rows to read, refining it as a side effect.
 """
 
 from __future__ import annotations
@@ -57,11 +56,12 @@ class RangeProbe:
     high_inclusive: bool = True
 
     def describe(self) -> str:
-        """Human-readable rendering used by EXPLAIN."""
+        """Human-readable rendering, as EXPLAIN ANALYZE's index annotation
+        prints it; an unbounded side is open."""
         lo = "-inf" if self.low is None else repr(self.low)
         hi = "+inf" if self.high is None else repr(self.high)
-        lb = "[" if self.low_inclusive else "("
-        rb = "]" if self.high_inclusive else ")"
+        lb = "[" if self.low_inclusive and self.low is not None else "("
+        rb = "]" if self.high_inclusive and self.high is not None else ")"
         return f"{self.column} in {lb}{lo}, {hi}{rb}"
 
 
@@ -86,8 +86,7 @@ class PlanNode:
 
 @dataclass
 class ScanNode(PlanNode):
-    """Scan a base table, optionally through an index probe and a residual
-    filter predicate.
+    """Scan a base table, optionally filtered by a predicate.
 
     The optimizer may additionally set ``columns`` (projection pruning:
     only the named columns are materialised) and ``empty`` (a provably
@@ -98,7 +97,6 @@ class ScanNode(PlanNode):
 
     table: str
     predicate: ex.Expression | None = None
-    probe: RangeProbe | None = None
     columns: list[str] | None = None
     empty: bool = False
 
@@ -106,8 +104,6 @@ class ScanNode(PlanNode):
         parts = [f"Scan({self.table}"]
         if self.empty:
             parts.append(", empty")
-        if self.probe is not None:
-            parts.append(f", index: {self.probe.describe()}")
         if self.predicate is not None:
             parts.append(f", filter: {self.predicate.to_sql()}")
         if self.columns is not None:
@@ -282,7 +278,6 @@ class Plan:
 
 def plan_statement(statement: SelectStatement, database: "Database") -> Plan:
     """Bind and plan a SELECT statement against ``database``."""
-    notes: list[str] = []
     join_names = bind_statement(statement, database)
 
     conjuncts = split_conjuncts(statement.where) if statement.where is not None else []
@@ -299,15 +294,7 @@ def plan_statement(statement: SelectStatement, database: "Database") -> Plan:
     else:
         pushed = conjuncts
 
-    probe, remaining = _select_index(pushed, statement.table, database)
-    if probe is not None:
-        notes.append(f"index probe on {probe.describe()}")
-
-    node: PlanNode = ScanNode(
-        table=statement.table,
-        predicate=_conjoin(remaining),
-        probe=probe,
-    )
+    node: PlanNode = ScanNode(table=statement.table, predicate=_conjoin(pushed))
     for clause, names in zip(statement.joins, join_names):
         node = JoinNode(
             child=node, right=ScanNode(table=clause.table), clause=clause, right_names=names
@@ -356,7 +343,7 @@ def plan_statement(statement: SelectStatement, database: "Database") -> Plan:
     if statement.limit is not None:
         node = LimitNode(child=node, count=statement.limit)
 
-    return Plan(root=node, statement=statement, notes=notes)
+    return Plan(root=node, statement=statement)
 
 
 def _group_output_name(expr: ex.Expression, items: list[SelectItem]) -> str:
@@ -389,21 +376,6 @@ def _conjoin(conjuncts: list[ex.Expression]) -> ex.Expression | None:
     return result
 
 
-def _select_index(
-    conjuncts: list[ex.Expression], table: str, database: "Database"
-) -> tuple[RangeProbe | None, list[ex.Expression]]:
-    """Pick at most one indexable conjunct; return the probe + the rest."""
-    for i, conj in enumerate(conjuncts):
-        probe = extract_probe(conj)
-        if probe is None:
-            continue
-        if database.index_for(table, probe.column) is None:
-            continue
-        remaining = conjuncts[:i] + conjuncts[i + 1 :]
-        return probe, remaining
-    return None, conjuncts
-
-
 def extract_probe(
     conj: ex.Expression, allow_strings: bool = False
 ) -> RangeProbe | None:
@@ -411,8 +383,9 @@ def extract_probe(
 
     Returns None for anything else — including NULL or NaN literals, which
     no range can represent, and (unless ``allow_strings``) string
-    literals, which ordered numeric indexes cannot probe.  Also used by
-    zone-map pruning to read range conjuncts off a scan predicate.
+    literals, which ordered numeric indexes cannot probe.  Zone-map
+    pruning and the executor's index lookup read a scan predicate's range
+    conjuncts through it.
     """
     if isinstance(conj, ex.And):
         left = extract_probe(conj.left, allow_strings)
@@ -481,20 +454,6 @@ def intersect_probes(left: RangeProbe, right: RangeProbe) -> RangeProbe | None:
         # mixed str/numeric bounds are not orderable; no probe
         return None
     return merged
-
-
-def probe_is_empty(probe: RangeProbe) -> bool:
-    """True when no value can satisfy the probe's range."""
-    if probe.low is None or probe.high is None:
-        return False
-    try:
-        if probe.low > probe.high:
-            return True
-        if probe.low == probe.high:
-            return not (probe.low_inclusive and probe.high_inclusive)
-    except TypeError:
-        return False
-    return False
 
 
 # -- binding ----------------------------------------------------------------------------

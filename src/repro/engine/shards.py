@@ -577,7 +577,8 @@ class ShardedCrackerIndex:
         low_inclusive: bool = True,
         high_inclusive: bool = True,
     ) -> np.ndarray:
-        """Global row ids whose key falls in the range, shard by shard."""
+        """Global row ids whose key falls in the range, shard by shard,
+        each shard's in its cracker's order."""
         layout = self._layout
         parts: list[np.ndarray] = []
         pruned = 0
@@ -590,12 +591,7 @@ class ShardedCrackerIndex:
             local = self._cracker_for(shard).lookup_range(
                 low, high, low_inclusive, high_inclusive
             )
-            # sorted per shard -> globally ascending (extents ascend), so a
-            # probe returns rows in physical order, bit-identical to a scan
-            # regardless of this index's crack history
-            parts.append(
-                np.sort(np.asarray(local, dtype=np.int64)) + layout.offsets[shard]
-            )
+            parts.append(local + layout.offsets[shard])
         if pruned:
             get_registry().counter("shard.shards_pruned").inc(pruned)
         for i, value in enumerate(self._tail_values):

@@ -28,13 +28,7 @@ import numpy as np
 from repro.engine import expressions as ex
 from repro.engine.column import Column, column_from_parts
 from repro.engine.expressions import truth_mask
-from repro.engine.planner import (
-    AggregateNode,
-    Plan,
-    ProjectNode,
-    RangeProbe,
-    ScanNode,
-)
+from repro.engine.planner import AggregateNode, Plan, ProjectNode, ScanNode
 from repro.engine.table import Table
 from repro.engine.types import DataType
 from repro.errors import ApproximationError
@@ -103,25 +97,6 @@ def _analyse(plan: Plan) -> tuple[AggregateNode, ScanNode, list[str]] | None:
     return node, scan, output
 
 
-def _probe_predicate(probe: RangeProbe) -> ex.Expression:
-    """Rebuild the filter an index probe stands for, for sampled evaluation."""
-    conjuncts: list[ex.Expression] = []
-    if probe.low is not None:
-        op = ">=" if probe.low_inclusive else ">"
-        conjuncts.append(
-            ex.Comparison(op, ex.ColumnRef(probe.column), ex.Literal(probe.low))
-        )
-    if probe.high is not None:
-        op = "<=" if probe.high_inclusive else "<"
-        conjuncts.append(
-            ex.Comparison(op, ex.ColumnRef(probe.column), ex.Literal(probe.high))
-        )
-    result = conjuncts[0]
-    for conj in conjuncts[1:]:
-        result = ex.And(result, conj)
-    return result
-
-
 def degraded_answer(
     plan: Plan,
     database: Any,
@@ -167,12 +142,6 @@ def degraded_answer(
             )
         subset = base.take(rows_idx)
 
-        predicate = scan.predicate
-        if scan.probe is not None:
-            probe_pred = _probe_predicate(scan.probe)
-            predicate = (
-                probe_pred if predicate is None else ex.And(probe_pred, predicate)
-            )
         aggregates = []
         for _, call in agg_node.aggregates:
             if call.argument is None:
@@ -185,7 +154,7 @@ def degraded_answer(
             [n_population],
             [sample_size],
             keys=[expr.evaluate(subset) for expr in agg_node.group_exprs],
-            member=None if predicate is None else truth_mask(predicate, subset),
+            member=None if scan.predicate is None else truth_mask(scan.predicate, subset),
             confidence=confidence,
         )
 

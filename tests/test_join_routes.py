@@ -157,8 +157,8 @@ def test_lattice_point(state, kind, tmp_path):
 
         if kind == "inner":
             # a right scan marked empty: no SQL gets there today (a constant
-            # conjunct lands on the driving scan, probe merging stays on
-            # it), so mark the planned scans by hand
+            # conjunct lands on the driving scan), so mark the planned
+            # scans by hand
             settings.configure(optimizer=True, plan_cache=False)
             plan = db.plan(join + WHERES["range"])
             _right_scan(plan).empty = True

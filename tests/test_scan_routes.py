@@ -10,6 +10,13 @@ STRING columns still carry the base column's dictionary object; the
 zone counters agree between memory and mmap and memory reads no bytes;
 a type-mismatched predicate raises the same error on every route.
 
+An index axis — none, a ``CrackerIndex`` on the NaN-bearing float
+column, an ``UpdatableCrackerIndex`` holding pending inserts and
+tombstones, the shard key's ``ShardedCrackerIndex`` — x threads x
+optimizer runs a filter, a fused GROUP BY with float SUM/AVG, an ORDER
+BY and a join's right input: an index picks the rows a scan reads and
+never changes its answer, row order and float rounding included.
+
 The key kernels (GROUP BY / DISTINCT / ORDER BY / Top-N / JOIN / the
 shard cracker) run at four corners of the same lattice — serial, pooled,
 sharded, dirty delta — against the pure-Python reference interpreter:
@@ -22,14 +29,18 @@ from __future__ import annotations
 import itertools
 import shutil
 
+import numpy as np
 import pytest
 
 from repro import settings
+from repro.core.session import ExplorationSession
 from repro.engine import Database, Table
 from repro.engine import operators as ops
 from repro.engine import parallel
+from repro.engine.shards import ShardedCrackerIndex
 from repro.engine.sql.parser import parse
 from repro.errors import TypeMismatchError
+from repro.indexing import CrackerIndex, UpdatableCrackerIndex
 from repro.obs.metrics import get_registry
 from tests.conftest import pin_defaults
 from tests.reference_interpreter import run_reference
@@ -87,7 +98,10 @@ def checkpoints(tmp_path_factory):
     parallel.shutdown_pool()
 
 
-def _open(checkpoints, tmp_path, storage, state, threads, shard_count) -> Database:
+def _open(checkpoints, tmp_path, storage, state, threads, shard_count, index=None) -> Database:
+    """One lattice point's database; ``index(db)`` registers an index
+    before the writes, so it has to absorb them.  Besides ``STATES`` the
+    index axis uses ``deleted``: tombstones and no pending rows."""
     root = tmp_path / f"{storage}-{state}-{threads}-{shard_count}"
     shutil.copytree(checkpoints[shard_count], root)
     settings.configure(
@@ -95,10 +109,12 @@ def _open(checkpoints, tmp_path, storage, state, threads, shard_count) -> Databa
     )
     db = Database(path=root)
     assert db.get_table("t").is_mapped == (storage == "mmap")
-    if state != "clean":
+    if index is not None:
+        index(db)
+    if state in ("appended", "tombstoned"):
         # tail rows reuse dictionary values and fall inside WHERE
         db.execute("INSERT INTO t VALUES (150, 'c', 1.5), (300, NULL, 2.5), (5000, 'a', 3.5)")
-    if state == "tombstoned":
+    if state in ("tombstoned", "deleted"):
         db.execute("DELETE FROM t WHERE k >= 120 AND k < 140")  # straddles a zone boundary
     assert (db.delta_store_if_dirty("t") is None) == (state == "clean")
     return db
@@ -163,6 +179,118 @@ def test_lattice_point(
                 db.sql(sql)
     finally:
         db.close()
+
+
+# -- indexes: an index picks rows, the answer stays the scan's --------------------------
+
+INDEX_WHERE = f"{WHERE} AND f >= 5.0 AND f < 80.0"
+INDEX_WARMUP = "SELECT k FROM t WHERE k >= 200 AND k < 300 AND f >= 20.0 AND f < 60.0"
+INDEX_QUERIES = {
+    "filter": f"SELECT k, s, f FROM t WHERE {INDEX_WHERE}",
+    "fused": (
+        "SELECT s, COUNT(*) AS n, SUM(f) AS total, AVG(f) AS mean "
+        f"FROM t WHERE {INDEX_WHERE} GROUP BY s"
+    ),
+    "order": f"SELECT k, s, f FROM t WHERE {INDEX_WHERE} ORDER BY s",  # ties keep scan order
+    # t is the join's right input; the optimizer pushes the range below the join
+    "join": (
+        "SELECT d.tag, t.k, t.f FROM d JOIN t ON d.k = t.k "
+        "WHERE t.f >= 5.0 AND t.f < 80.0 AND t.k >= 100"
+    ),
+}
+
+
+#: kind -> (delta state, shard count, indexed column, index class); an index
+#: on f is registered before the writes — a CrackerIndex cannot absorb an
+#: INSERT and ignores a DELETE — the sharded point's is the shard key's own
+#: cracker, built on reopen
+INDEXES = {
+    "none": ("clean", 0, None, None),
+    "cracker": ("deleted", 0, "f", CrackerIndex),
+    "updatable": ("tombstoned", 0, "f", UpdatableCrackerIndex),
+    "sharded": ("clean", 4, "k", ShardedCrackerIndex),
+}
+
+
+def _add_dimension(db: Database) -> None:
+    keys = list(range(0, ROWS + 10, 3))
+    db.create_table("d", {"k": keys, "tag": ["wxyz"[i % 4] for i in range(len(keys))]})
+
+
+@pytest.fixture(scope="module")
+def index_reference(checkpoints, tmp_path_factory):
+    """Per delta state: the index queries' answers with no index, serial,
+    unpruned, unoptimized."""
+    saved = settings.snapshot()
+    settings.configure(zone_rows=0, optimizer=False)
+    answers = {}
+    for state in {state for state, *_ in INDEXES.values()}:
+        db = _open(checkpoints, tmp_path_factory.mktemp("index_ref"), "memory", state, 0, 0)
+        try:
+            _add_dimension(db)
+            answers[state] = {label: db.sql(sql) for label, sql in INDEX_QUERIES.items()}
+        finally:
+            db.close()
+    settings.restore(saved)
+    return answers
+
+
+@pytest.mark.parametrize("optimizer", (True, False), ids=("optimized", "unoptimized"))
+@pytest.mark.parametrize("threads", (0, 4))
+@pytest.mark.parametrize("kind", INDEXES)
+def test_index_axis(checkpoints, index_reference, tmp_path, kind, threads, optimizer):
+    state, shard_count, column, index_class = INDEXES[kind]
+
+    def register(db):
+        values = np.asarray(db.main_table("t").column("f").data)  # NaN slots included
+        db.register_index("t", "f", index_class(values))
+
+    settings.configure(shard_index=kind == "sharded", optimizer=optimizer)
+    db = _open(
+        checkpoints, tmp_path, "memory", state, threads, shard_count,
+        register if column == "f" else None,
+    )
+    try:
+        if column is not None:
+            assert isinstance(db.index_for("t", column), index_class)
+        if kind == "updatable":
+            assert db.index_for("t", "f").pending_count == 3  # the inserts, unmerged
+        _add_dimension(db)
+        # a narrower range first: the queries below then span several
+        # cracked pieces, so the index answers them out of row order
+        report = db.explain_analyze(INDEX_WARMUP).render()
+        assert (f"index: {column} in" in report) == (column is not None)
+        for label, want in index_reference[state].items():
+            tables_bit_identical(db.sql(INDEX_QUERIES[label]), want)
+    finally:
+        db.close()
+
+
+#: the answers a cracker index used to change: it holds NULL slots'
+#: placeholder values and NaN, which the probed conjunct never re-checked
+INDEX_REPROS = {
+    "null": ({"x": [1, None, 3, 7, None, 9], "y": [1, 2, 3, 4, 5, 6]}, "x < 5"),
+    "nan": ({"x": [1.0, float("nan"), 6.0, 7.0], "y": [1, 2, 3, 4]}, "x > 5"),
+}
+
+
+@pytest.mark.parametrize("case", INDEX_REPROS)
+def test_index_reads_null_and_nan_rows_as_sql_does(case):
+    data, where = INDEX_REPROS[case]
+    sql = f"SELECT y FROM t WHERE {where}"
+    plain = Database()
+    plain.create_table("t", data)
+    session = ExplorationSession()  # registers a CrackerIndex on x by default
+    session.load_table("t", data)
+    indexed = Database()
+    indexed.create_table("t", data)
+    indexed.register_index(
+        "t", "x", CrackerIndex(np.asarray(indexed.main_table("t").column("x").data))
+    )
+    want = plain.sql(sql)
+    tables_bit_identical(session.sql(sql), want)
+    assert session.db.index_for("t", "x") is not None
+    tables_bit_identical(indexed.sql(sql), want)
 
 
 # -- key kernels: one answer per key, on every route ------------------------------------
@@ -243,7 +371,8 @@ def test_wide_int_keys_stay_exact(point, case):
     db.create_table("u", {"k": [BIG, BIG + 1, BIG + 1], "x": [10, 20, 30]})
     sql = WIDE_KEY_QUERIES[case]
     if case == "probe":
-        assert ("index: k in" in db.explain(sql)) == (point == "sharded")
+        report = db.explain_analyze(sql).render()
+        assert (f"index: k in [{BIG + 1}, {BIG + 2}]: " in report) == (point == "sharded")
     physical = db.get_table("w").to_dicts()  # the row order this route scans
     if case.startswith("join"):
         joined = nested_loop_join(physical, db.get_table("u").to_dicts(), "k", "k", case[5:])

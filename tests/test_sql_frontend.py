@@ -209,14 +209,13 @@ class TestPlanner:
 
         values = np.asarray(db.get_table("t").column("a").data)
         db.register_index("t", "a", CrackerIndex(values))
-        plan = db.plan("SELECT b FROM t WHERE a >= 10 AND a <= 20")
-        assert "index" in plan.explain()
-        result = db.sql("SELECT b FROM t WHERE a >= 10 AND a <= 20 ORDER BY b")
-        assert result.column("b").to_list() == list(range(10, 21))
+        sql = "SELECT b FROM t WHERE a >= 10 AND a <= 20"
+        report = db.explain_analyze(sql).render()
+        assert "index: a in [10, 20]: 11 of 100 rows" in report
+        assert db.sql(sql).column("b").to_list() == list(range(10, 21))
 
     def test_no_index_no_probe(self, db):
-        plan = db.plan("SELECT b FROM t WHERE a >= 10")
-        assert "index" not in plan.explain()
+        assert "index" not in db.explain_analyze("SELECT b FROM t WHERE a >= 10").render()
 
     def test_pushdown_with_join(self, db):
         from repro import settings as engine_settings
