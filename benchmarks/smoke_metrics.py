@@ -25,6 +25,7 @@ from repro.engine import parallel
 from repro.engine.catalog import Database
 from repro.engine.column import Column
 from repro.engine.expressions import col
+from repro.engine.statistics import ColumnStatistics
 from repro.engine.table import Table
 from repro.engine.types import coerce_array, infer_type
 from repro.explore import CubeExplorer, FacetRecommender, SeeDB, VizDeck
@@ -426,12 +427,80 @@ def check_views_run_on_group_kernel(n: int = 200_000, repeats: int = 3) -> float
     return ratio
 
 
+def check_update_resummarises_assigned_columns(n: int = 200_000, repeats: int = 5) -> float:
+    """Guard column-granular statistics maintenance with a count, a ratio
+    and an answer: over ``n`` rows x 5 columns, the first read after
+    ``UPDATE … SET qty = …`` must build exactly one ``ColumnStatistics``
+    (the assigned column's), run at least 5x faster than the first read
+    after ``invalidate_statistics`` (every column rebuilt), and answer
+    the same.  Returns the speedup."""
+    rng = np.random.default_rng(0)
+    kinds = np.array([f"kind_{i}" for i in range(8)], dtype=object)
+    ts = np.cumsum(rng.integers(1, 5, n))
+    db = Database()
+    db.create_table("readings", Table([
+        ("id", Column(np.arange(n, dtype=np.int64))),
+        ("ts", Column(ts)),
+        ("val", Column(np.round(rng.gamma(2.0, 20.0, n), 4))),
+        ("qty", Column(rng.integers(1, 11, n))),
+        ("kind", Column(kinds[rng.integers(0, 8, n)])),
+    ]))
+    read = (
+        "SELECT COUNT(*) AS n, AVG(val) AS mean_val, MAX(qty) AS top FROM readings "
+        f"WHERE ts >= {int(ts[n - 10_000])}"
+    )
+    db.sql(read)
+    original = ColumnStatistics.__dict__["from_column"]
+    built = []
+
+    def spy(column):
+        built.append(column)
+        return original.__func__(ColumnStatistics, column)
+
+    def timed_read() -> tuple[float, Table]:
+        started = time.perf_counter()
+        result = db.sql(read)
+        return time.perf_counter() - started, result
+
+    patched_s = rebuilt_s = float("inf")
+    saved = settings.snapshot()
+    try:
+        settings.configure(threads=0)
+        ColumnStatistics.from_column = staticmethod(spy)
+        for _ in range(repeats):
+            lo = int(rng.integers(0, n - 100))
+            db.execute(f"UPDATE readings SET qty = qty + 1 WHERE id >= {lo} AND id < {lo + 100}")
+            built.clear()
+            seconds, patched = timed_read()
+            patched_s = min(patched_s, seconds)
+            assert len(built) == 1, (
+                f"the first read after an UPDATE built {len(built)} column statistics"
+            )
+            db.invalidate_statistics("readings")
+            seconds, rebuilt = timed_read()
+            rebuilt_s = min(rebuilt_s, seconds)
+            assert len(built) == 1 + 5  # the spy is live: a rebuild builds all five
+            assert patched.num_rows == rebuilt.num_rows == 1
+            for name in rebuilt.column_names:
+                assert np.array_equal(patched.column(name).data, rebuilt.column(name).data), name
+    finally:
+        ColumnStatistics.from_column = original
+        settings.restore(saved)
+    speedup = rebuilt_s / patched_s
+    assert speedup >= 5.0, (
+        f"the first read after an UPDATE is only {speedup:.1f}x the full rebuild "
+        f"({patched_s * 1e3:.2f} ms vs {rebuilt_s * 1e3:.2f} ms)"
+    )
+    return speedup
+
+
 def main() -> int:
     keepalive = run_workload()
     views_ratio = check_views_run_on_group_kernel()
     gather_free_rows = check_no_group_gathers()
     join_zones_pruned = check_join_right_scan_prunes()
     index_speedup = check_index_scans_share_the_pipeline()
+    update_speedup = check_update_resummarises_assigned_columns()
     interval_coverage = check_sampled_intervals_cover()
     fast_path_speedup = check_column_fast_path()
     sort_ratio = check_pooled_sort_ratio()
@@ -466,7 +535,8 @@ def main() -> int:
           f"{join_zones_pruned} zones of a join's right table pruned,",
           f"indexed / unindexed 1 % GROUP BY {index_speedup:.1f}x faster,",
           f"sampled-interval coverage {interval_coverage:.2f},",
-          f"SeeDB / equivalent GROUP BYs {views_ratio:.2f}x")
+          f"SeeDB / equivalent GROUP BYs {views_ratio:.2f}x,",
+          f"first read after an UPDATE {update_speedup:.1f}x faster than after a rebuild")
     return 0
 
 

@@ -152,8 +152,11 @@ class Database:
     def cached_statistics(self, name: str) -> TableStatistics | None:
         """Cached statistics for a table's main iff still current, else None.
 
-        The checkpoint writer persists exactly what is cached — nothing
-        is computed at checkpoint time; missing statistics are recomputed
+        The object may be partial: after an UPDATE it lacks the assigned
+        columns' entries, after a pure-append merge every column entry
+        (zone maps stay), until the next read completes it.  The
+        checkpoint writer persists exactly what is cached — nothing is
+        computed at checkpoint time; missing statistics are recomputed
         lazily after recovery.
         """
         state = self._tables.get(name)
@@ -308,12 +311,20 @@ class Database:
         clustering merge, re-shard)
         rows appended (pure-append        extended    kept      fresh    new
         merge)
-        ``changed`` in place (UPDATE)     none        others    touched  new
+        ``changed`` in place (UPDATE)     patched     others    touched  new
                                                       kept
         same content (adopted check-      kept        kept      kept     kept
         point, identity re-shard,
         unshard)
         ================================  ==========  ========  =======  =======
+
+        *Patched* statistics are a new object over the same rows: the
+        entries (column statistics and zones) of the ``changed`` columns
+        are gone and every other entry is the same object.  *Extended*
+        ones carry every zone map extended over the appended rows and no
+        column statistics — each column gained rows.  Either way the
+        next read completes what is missing (:meth:`_main_statistics`),
+        so a main's statistics always equal a rebuild from scratch.
 
         On every row: the partition-local crackers of a layout that lost
         its (mode, key, shard count) go with it; a memory-mapped main
@@ -346,12 +357,12 @@ class Database:
                 # checkpoint.  The new image is spilled to a live
                 # scratch dir (write-temp-then-rename) and remapped.
                 main = self._durability.spill_table(name, main)
-            if moved or changed:
-                state.stats = None  # ROADMAP item 2 patches here instead
+            if moved:
+                state.stats = None
             elif rebuilt and state.stats is not None:
-                state.stats = deltamod.extend_statistics(
-                    state.stats, main, state.main.num_rows
-                )
+                state.stats = deltamod.extend_statistics(state.stats, main)
+            elif changed and state.stats is not None:
+                state.stats = state.stats.without(changed)
             structural = relaid = _layout_spec(layout) != _layout_spec(state.layout)
             for column, index in list(state.indexes.items()):
                 if moved or column in changed or (
@@ -568,13 +579,13 @@ class Database:
     # -- statistics ---------------------------------------------------------------
 
     def _main_statistics(self, name: str) -> TableStatistics:
-        """Statistics of the columnar main, computed on first use;
-        :meth:`_install` drops them when they stop describing it."""
+        """Statistics of the columnar main, computed on first use and
+        completed after :meth:`_install` dropped the entries a write
+        changed (only the missing columns are computed)."""
         state = self._state(name)
-        stats = state.stats
-        if stats is None:
-            main = state.main
-            stats = TableStatistics.from_table(main)
+        stats, main = state.stats, state.main
+        if stats is None or len(stats.columns) < len(main.column_names):
+            stats = TableStatistics.from_table(main, reuse=stats)
             if state.main is main:  # a build that raced an install is not kept
                 state.stats = stats
         return stats
@@ -618,7 +629,7 @@ class Database:
         map deliberately ignores pending writes.  (Tombstoned main rows
         stay summarised: bounds over a superset keep FAIL/PASS sound,
         and the scan ANDs the live mask afterwards.)  Cached inside the
-        statistics that :meth:`_install` keeps, extends or drops.
+        statistics that :meth:`_install` keeps, extends, patches or drops.
         """
         return self._main_statistics(name).zone_map(
             self.main_table(name), settings.current.zone_rows
@@ -1224,7 +1235,7 @@ class Database:
         Only assigned columns are copied — unassigned columns are shared
         with the old table — and assignments patch the payload with one
         masked write under the same typed-coercion contract as INSERT.
-        Pending delta rows are rewritten tuple-wise.  Row order and
+        Only the pending delta rows it hit are rewritten.  Row order and
         column order are preserved; indexes on assigned columns are
         dropped (their values changed in place), others stay valid.
         """
@@ -1235,10 +1246,10 @@ class Database:
         bind_statement(statement, self)
         main, store = state.main, state.delta
         mask_main, tail, mask_tail = self._matching_rows(name, statement.where)
-        tail_hits = np.flatnonzero(mask_tail) if mask_tail is not None else ()
+        tail_hits = [] if mask_tail is None else np.flatnonzero(mask_tail).tolist()
         affected = int(mask_main.sum()) + len(tail_hits)
         new_columns = {n: main.column(n) for n in main.column_names}
-        new_rows = [list(row) for row in store.rows]
+        hit_rows = {i: list(store.rows[i]) for i in tail_hits}
         positions = {n: i for i, n in enumerate(main.column_names)}
         for column_name, expr in statement.assignments:
             if column_name not in main.schema:
@@ -1248,7 +1259,7 @@ class Database:
             new_columns[column_name] = deltamod.assign_column(
                 new_columns[column_name], new_values, mask_main
             )
-            if len(tail_hits):
+            if hit_rows:
                 if expr.referenced_columns():
                     tail_values = expr.evaluate(tail)
                     folded = None
@@ -1257,21 +1268,21 @@ class Database:
                         fold_constant(expr), dtype, column_name
                     )
                     tail_values = None
-                for index in tail_hits:
-                    value = (
+                for index, row in hit_rows.items():
+                    row[positions[column_name]] = (
                         folded
                         if tail_values is None
-                        else deltamod.coerce_scalar(
-                            tail_values[int(index)], dtype, column_name
-                        )
+                        else deltamod.coerce_scalar(tail_values[index], dtype, column_name)
                     )
-                    new_rows[int(index)][positions[column_name]] = value
         if affected == 0:
             return 0
         if sql is not None:
             self._log_record({"op": "sql", "stmt": sql})
-        if new_rows:
-            store.rows = [tuple(row) for row in new_rows]
+        if hit_rows:
+            rows = list(store.rows)
+            for index, row in hit_rows.items():
+                rows[index] = tuple(row)
+            store.rows = rows
         self._install(
             name,
             Table([(n, new_columns[n]) for n in main.column_names]),

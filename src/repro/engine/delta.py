@@ -21,12 +21,11 @@ incremental where the structures allow it:
 - **zone maps** — on a pure append (no tombstones) only the trailing
   partial zone and the new zones are recomputed; complete old zones are
   spliced in unchanged;
-- **statistics** — on a pure append the cached main statistics are
-  *absorbed* with O(delta) tail statistics: row/null counts and min/max
-  stay exact, distinct counts come from the merged dictionary for
-  encoded strings and a max() lower bound otherwise, and numeric
-  histograms keep the old bounds (approximate until the next full
-  rebuild).
+- **statistics** — on a pure append the zone maps carry over extended;
+  every column gained rows, so its statistics are recomputed at the next
+  read, like the columns an UPDATE assigned.  A main's statistics always
+  equal a rebuild; only the *effective* statistics of pending writes are
+  absorbed approximately (:func:`effective_statistics`).
 
 A merge with tombstones compacts row positions, so it drops positional
 structures (registered indexes, cached zone maps/statistics) instead of
@@ -339,17 +338,13 @@ def extend_zone_map(old: ZoneMap, table: Table) -> ZoneMap:
 
 
 def _absorb_column(
-    main: ColumnStatistics,
-    tail: ColumnStatistics,
-    row_count: int,
-    exact_distinct: int | None = None,
+    main: ColumnStatistics, tail: ColumnStatistics, row_count: int
 ) -> ColumnStatistics:
     """Main-column statistics absorbed with an O(delta) tail summary.
 
     Row/null counts and min/max combine exactly (min/max conservatively
     under tombstones — a superset's bounds stay sound); the distinct
-    count is exact when the merged dictionary size is known and a
-    ``max()`` lower bound otherwise; the histogram keeps the main's
+    count is a ``max()`` lower bound; the histogram keeps the main's
     bounds (stale for appended out-of-range values, still sound for the
     clamped estimators).
     """
@@ -361,14 +356,11 @@ def _absorb_column(
             return a
         return pick(a, b)
 
-    distinct = exact_distinct if exact_distinct is not None else max(
-        main.distinct_count, tail.distinct_count
-    )
     return ColumnStatistics(
         dtype=main.dtype,
         row_count=row_count,
         null_count=main.null_count + tail.null_count,
-        distinct_count=distinct,
+        distinct_count=max(main.distinct_count, tail.distinct_count),
         min_value=_combine(main.min_value, tail.min_value, min),
         max_value=_combine(main.max_value, tail.max_value, max),
         bucket_bounds=main.bucket_bounds,
@@ -392,32 +384,16 @@ def effective_statistics(
     return TableStatistics(row_count=row_count, columns=columns)
 
 
-def extend_statistics(
-    main_stats: TableStatistics, merged_main: Table, old_rows: int
-) -> TableStatistics:
+def extend_statistics(main_stats: TableStatistics, merged_main: Table) -> TableStatistics:
     """Post-merge statistics seeded from the pre-merge main statistics.
 
-    Pure-append only: absorbs the appended slice column-wise, takes the
-    exact distinct count from maintained dictionaries, and extends every
-    cached zone map incrementally.
+    Pure-append only.  Every cached zone map is extended incrementally —
+    a complete zone summarises rows the merge did not touch.  Every
+    column gained rows, so no column entry carries over: the next read
+    completes them (:meth:`TableStatistics.from_table` with ``reuse=``),
+    exactly as after an UPDATE, so the result equals a rebuild.
     """
-    tail = merged_main.slice(old_rows, merged_main.num_rows)
-    tail_stats = TableStatistics.from_table(tail)
-    row_count = merged_main.num_rows
-    columns = {}
-    for name, stats in main_stats.columns.items():
-        tail_col = tail_stats.column(name)
-        if tail_col is None:
-            columns[name] = stats
-            continue
-        exact_distinct = None
-        merged_column = merged_main.column(name)
-        pair = merged_column.dictionary()
-        if pair is not None:
-            valid_codes = pair[0] if merged_column.validity is None else pair[0][merged_column.validity]
-            exact_distinct = len(np.unique(valid_codes)) if len(valid_codes) else 0
-        columns[name] = _absorb_column(stats, tail_col, row_count, exact_distinct)
-    seeded = TableStatistics(row_count=row_count, columns=columns)
+    extended = TableStatistics(row_count=merged_main.num_rows)
     for zone_rows, zones in main_stats.zone_maps.items():
-        seeded.zone_maps[zone_rows] = extend_zone_map(zones, merged_main)
-    return seeded
+        extended.zone_maps[zone_rows] = extend_zone_map(zones, merged_main)
+    return extended

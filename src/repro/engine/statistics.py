@@ -11,7 +11,7 @@ workloads, which the adaptive components then address.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Collection
 
 import numpy as np
 
@@ -173,17 +173,28 @@ class ZoneMap:
         return self.columns.get(name)
 
     @classmethod
-    def from_table(cls, table: Table, zone_rows: int) -> "ZoneMap":
-        """Summarise every numeric column of ``table`` zone by zone."""
+    def from_table(
+        cls, table: Table, zone_rows: int, reuse: "ZoneMap | None" = None
+    ) -> "ZoneMap":
+        """Summarise every numeric column of ``table`` zone by zone.
+
+        ``reuse`` — a map of this same table at this granularity that may
+        lack some columns — lends the summaries it has: only the columns
+        it lacks are computed.
+        """
         n = table.num_rows
         zone_map = cls(zone_rows=zone_rows, row_count=n)
         if zone_rows <= 0 or n == 0:
             return zone_map
+        known = {} if reuse is None else reuse.columns
         starts = range(0, n, zone_rows)
         num_zones = zone_map.num_zones
         for name in table.column_names:
             column = table.column(name)
             if not column.dtype.is_numeric:
+                continue
+            if name in known:
+                zone_map.columns[name] = known[name]
                 continue
             data = column.data
             validity = column.validity
@@ -224,13 +235,47 @@ class TableStatistics:
     zone_maps: dict[int, ZoneMap] = field(default_factory=dict)
 
     @classmethod
-    def from_table(cls, table: Table) -> "TableStatistics":
-        """Compute statistics for every column."""
-        return cls(
+    def from_table(
+        cls, table: Table, reuse: "TableStatistics | None" = None
+    ) -> "TableStatistics":
+        """Compute statistics for every column.
+
+        ``reuse`` — statistics of this same table that may be partial
+        (:meth:`without`) — completes instead: its entries are shared, and
+        only the columns it lacks are computed, here and in each of its
+        zone maps.  Every summary is a function of its column alone, so
+        the result equals a build from scratch.
+        """
+        known = {} if reuse is None else reuse.columns
+        stats = cls(
             row_count=table.num_rows,
             columns={
-                name: ColumnStatistics.from_column(table.column(name))
+                name: known[name] if name in known
+                else ColumnStatistics.from_column(table.column(name))
                 for name in table.column_names
+            },
+        )
+        if reuse is not None:
+            stats.zone_maps = {
+                zone_rows: ZoneMap.from_table(table, zone_rows, reuse=zones)
+                for zone_rows, zones in reuse.zone_maps.items()
+            }
+        return stats
+
+    def without(self, names: Collection[str]) -> "TableStatistics":
+        """Statistics over the same rows lacking the entries of ``names``
+        (column statistics and zones alike); every other entry is shared.
+        :meth:`from_table` with ``reuse=`` completes them."""
+
+        def keep(entries: dict) -> dict:
+            return {name: entry for name, entry in entries.items() if name not in names}
+
+        return TableStatistics(
+            row_count=self.row_count,
+            columns=keep(self.columns),
+            zone_maps={
+                zone_rows: ZoneMap(zones.zone_rows, zones.row_count, keep(zones.columns))
+                for zone_rows, zones in self.zone_maps.items()
             },
         )
 

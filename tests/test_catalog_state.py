@@ -7,16 +7,26 @@ cached plan, (for the delta column) two pending rows — is put through
 every writer, and each writer x structure cell asserts kept / dropped /
 rebuilt exactly as the rule table in ``Database._install``'s docstring
 (and DESIGN.md, "Catalog state") says, so the table is held to the code.
+What the statistics rows promise — the completed statistics equal a
+rebuild from scratch after any write sequence — is a property test below.
 """
 
 from __future__ import annotations
 
+import math
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from repro import settings
-from repro.engine import Database, Table
+from repro.engine import Database, DataType, Table
+from repro.engine.column import Column
 from repro.engine.shards import ShardedCrackerIndex
+from repro.engine.statistics import TableStatistics, ZoneMap
 from repro.errors import TypeMismatchError
 from repro.indexing import UpdatableCrackerIndex
 from repro.obs.metrics import get_registry
@@ -82,13 +92,18 @@ def _snapshot(db: Database, name: str) -> dict:
 
 
 def _summary(new, old) -> str:
-    """``none`` / ``kept`` (the same object) / ``extended`` or ``restored``
-    (another object over more / the same rows)."""
+    """``none`` / ``kept`` (the same object) / ``extended`` (another object
+    over more rows) / ``patched`` (another object over the same rows whose
+    every entry is the old one's object, some of the old entries absent)
+    / ``restored`` (another object over the same rows)."""
     if new is None:
         return "none"
     if new is old:
         return "kept"
-    return "extended" if new.row_count > old.row_count else "restored"
+    if new.row_count > old.row_count:
+        return "extended"
+    shared = all(old.columns.get(name) is entry for name, entry in new.columns.items())
+    return "patched" if shared and len(new.columns) < len(old.columns) else "restored"
 
 
 def _index(new, old) -> str:
@@ -190,7 +205,7 @@ NEW = dict(stats="none", zones="none", index_a="dropped", cracker_k="dropped",
 # an index picks rows at run time: no change to the index set replans
 MOVED = dict(stats="none", zones="none", index_a="dropped", cracker_k="rebuilt",
              layout="kept", delta="clean", plan="kept", catalog="same", version="moved")
-CHANGED = dict(stats="none", zones="none", index_a="kept", cracker_k="kept",
+CHANGED = dict(stats="patched", zones="patched", index_a="kept", cracker_k="kept",
                layout="kept", delta="touched", plan="kept", catalog="same", version="moved")
 SAME = dict(stats="kept", zones="kept", index_a="kept", cracker_k="kept",
             layout="kept", delta="kept", plan="kept", catalog="same", version="same")
@@ -306,3 +321,198 @@ def test_update_matching_no_row_logs_and_installs_nothing(tmp_path):
             db.execute("UPDATE t SET b = 'x' WHERE k < 0")
     finally:
         db.close()
+
+
+# -- statistics after writes equal a rebuild ------------------------------------------
+
+BIG = 2**60  # INT64 keys no float64 can tell apart
+STATS_ROWS = 200
+READ_SQL = "SELECT COUNT(*) AS n, SUM(n) AS total FROM t WHERE f > 0"
+
+
+def _stats_table(rows: int = STATS_ROWS) -> Table:
+    """NULLs in every column, NaN and both zeros in ``f``, both zeros but
+    no NaN in ``g`` (a NaN leaves a column without histogram), INT64 keys
+    past 2**53, a dictionary-encoded STRING and a BOOL."""
+    f = [float(((i * 37) % 23) - 11) / 4 for i in range(rows)]
+    for i in range(rows):
+        if i % 17 == 0:
+            f[i] = math.nan
+        elif i % 13 == 0:
+            f[i] = -0.0
+    return Table([
+        ("k", Column(np.arange(rows, dtype=np.int64) + BIG)),
+        ("f", Column([None if i % 19 == 0 else v for i, v in enumerate(f)],
+                     dtype=DataType.FLOAT64)),
+        ("g", Column([None if i % 23 == 0 else -0.0 if i % 29 == 0 else (i * 0.37) % 5
+                      for i in range(rows)], dtype=DataType.FLOAT64)),
+        ("n", Column([None if i % 7 == 0 else (i * 5) % 9 - 4 for i in range(rows)],
+                     dtype=DataType.INT64)),
+        ("s", Column([None if i % 5 == 0 else "abcd"[i % 4] for i in range(rows)],
+                     dtype=DataType.STRING)),
+        ("b", Column([None if i % 11 == 0 else i % 3 == 0 for i in range(rows)],
+                     dtype=DataType.BOOL)),
+    ])
+
+
+def _same_value(got, want) -> bool:
+    return got == want or (got != got and want != want)  # NaN is NaN
+
+
+def _assert_statistics_equal_rebuild(db: Database) -> None:
+    main = db.main_table("t")
+    got, want = db.cached_statistics("t"), TableStatistics.from_table(main)
+    assert got is not None and got.row_count == want.row_count
+    assert got.columns.keys() == want.columns.keys(), "statistics left partial"
+    for name, expected in want.columns.items():
+        actual = got.columns[name]
+        for field in ("dtype", "row_count", "null_count", "distinct_count",
+                      "min_value", "max_value"):
+            assert _same_value(getattr(actual, field), getattr(expected, field)), (name, field)
+        for field in ("bucket_bounds", "bucket_counts"):
+            a, e = getattr(actual, field), getattr(expected, field)
+            assert (a is None) == (e is None) and (a is None or np.array_equal(a, e)), (
+                name, field,
+            )
+    assert got.zone_maps, "the read consulted no zone map"
+    for zone_rows, zones in got.zone_maps.items():
+        fresh = ZoneMap.from_table(main, zone_rows)
+        assert zones.row_count == fresh.row_count
+        assert zones.columns.keys() == fresh.columns.keys()
+        for name, expected in fresh.columns.items():
+            for field in ("mins", "maxs", "real_counts", "null_counts", "nan_counts"):
+                assert np.array_equal(
+                    getattr(zones.columns[name], field), getattr(expected, field)
+                ), (zone_rows, name, field)
+
+
+_KEY_RANGE = st.tuples(st.integers(0, STATS_ROWS), st.integers(1, 12))
+_ASSIGNMENTS = {
+    "k": ["k + 0"],
+    "f": ["f * -1", "f + 1.5", "NULL", "-0.0"],
+    "g": ["g * -1", "g + 0.5", "NULL"],
+    "n": ["n + 1", "NULL", "7"],
+    "s": ["'zz'", "'a'"],  # a bare NULL types as FLOAT64: no STRING/BOOL
+    "b": ["NOT b", "TRUE"],
+}
+_ASSIGNMENT = st.sampled_from(
+    [(column, expr) for column, exprs in _ASSIGNMENTS.items() for expr in exprs]
+)
+_VALUE_ROW = st.tuples(
+    st.sampled_from(["0.25", "-0.0", "0.0", "NULL", "3.5"]),
+    st.sampled_from(["-0.0", "NULL", "9.25"]),
+    st.sampled_from(["-2", "NULL", "4"]),
+    st.sampled_from(["'b'", "'new'", "NULL"]),
+    st.sampled_from(["TRUE", "FALSE", "NULL"]),
+)
+_OPS = st.one_of(
+    st.tuples(st.just("update"), st.lists(_ASSIGNMENT, min_size=1, max_size=2,
+                                          unique_by=lambda a: a[0]), _KEY_RANGE),
+    st.tuples(st.just("insert"), st.lists(_VALUE_ROW, min_size=1, max_size=3)),
+    st.tuples(st.just("delete"), _KEY_RANGE),
+    st.tuples(st.just("merge")),
+    st.tuples(st.just("checkpoint")),
+    st.tuples(st.just("reopen")),
+    st.tuples(st.just("read")),
+)
+
+
+def _where(key_range) -> str:
+    lo, width = key_range
+    return f"k >= {BIG + lo} AND k < {BIG + lo + width}"
+
+
+@hypothesis_settings(max_examples=40, deadline=None)
+@given(st.lists(_OPS, min_size=1, max_size=12))
+def test_statistics_equal_a_rebuild_after_any_write_sequence(ops):
+    next_key = STATS_ROWS
+    with tempfile.TemporaryDirectory() as root:
+        db = Database(path=root)
+        try:
+            db.create_table("t", _stats_table())
+            db.sql(READ_SQL)
+            for op in ops:
+                kind = op[0]
+                if kind == "update":
+                    sets = ", ".join(f"{column} = {expr}" for column, expr in op[1])
+                    db.execute(f"UPDATE t SET {sets} WHERE {_where(op[2])}")
+                elif kind == "insert":
+                    rows = []
+                    for values in op[1]:
+                        rows.append(f"({BIG + next_key}, {', '.join(values)})")
+                        next_key += 1
+                    db.execute("INSERT INTO t VALUES " + ", ".join(rows))
+                elif kind == "delete":
+                    db.execute(f"DELETE FROM t WHERE {_where(op[1])}")
+                elif kind == "merge":
+                    db.flush_deltas("t")
+                elif kind == "checkpoint":
+                    db.checkpoint()
+                elif kind == "reopen":
+                    db.close()
+                    db = Database(path=root)
+                else:
+                    db.sql(READ_SQL)
+                    _assert_statistics_equal_rebuild(db)
+            db.sql(READ_SQL)
+            _assert_statistics_equal_rebuild(db)
+        finally:
+            db.close()
+
+
+def test_update_drops_only_the_assigned_entries():
+    db = Database()
+    db.create_table("t", _stats_table())
+    db.sql(READ_SQL)
+    before = db.cached_statistics("t")
+    db.execute(f"UPDATE t SET f = f * -1, s = 'zz' WHERE {_where((10, 40))}")
+    patched = db.cached_statistics("t")
+    assert patched is not before and patched.row_count == before.row_count
+    assert set(patched.columns) == {"k", "g", "n", "b"}
+    zones, old_zones = patched.zone_maps[ZONE_ROWS], before.zone_maps[ZONE_ROWS]
+    assert set(zones.columns) == {"k", "g", "n"}  # STRING and BOOL have no zones
+    for name in ("k", "g", "n", "b"):
+        assert patched.columns[name] is before.columns[name]
+    for name in ("k", "g", "n"):
+        assert zones.columns[name] is old_zones.columns[name]
+    db.sql(READ_SQL)
+    completed = db.cached_statistics("t")
+    assert completed.columns["k"] is before.columns["k"]  # still shared
+    _assert_statistics_equal_rebuild(db)
+
+
+def test_checkpoint_between_update_and_read_persists_partial_statistics(tmp_path):
+    db = Database(path=tmp_path / "db")
+    try:
+        db.create_table("t", _stats_table())
+        db.sql(READ_SQL)
+        db.execute(f"UPDATE t SET f = f + 1.5 WHERE {_where((0, 80))}")
+        db.checkpoint()
+        db.close()
+        db = Database(path=tmp_path / "db")
+        restored = db.cached_statistics("t")
+        assert restored is not None and "f" not in restored.columns
+        assert "f" not in restored.zone_maps[ZONE_ROWS].columns
+        db.sql(READ_SQL)
+        _assert_statistics_equal_rebuild(db)
+    finally:
+        db.close()
+
+
+def test_join_plan_reads_completed_statistics():
+    """Join reordering reads distinct counts: after an UPDATE collapses
+    ``u.x`` the plan reorders, and it is the plan a rebuild gives."""
+    settings.configure(optimizer=True, plan_cache=False)
+    db = Database()
+    db.create_table("f", {"a": [i % 100 for i in range(400)], "c": [i % 50 for i in range(400)]})
+    db.create_table("u", {"x": list(range(100))})
+    db.create_table("v", {"y": [i % 50 for i in range(100)]})
+    sql = "EXPLAIN SELECT COUNT(*) AS n FROM f JOIN u ON a = x JOIN v ON c = y"
+    before = db.execute(sql).column("plan").to_list()
+    assert not any("join_reorder" in line for line in before)
+    db.execute("UPDATE u SET x = 0 WHERE x >= 20")
+    assert "x" not in db.cached_statistics("u").columns
+    completed = db.execute(sql).column("plan").to_list()
+    assert any("join_reorder" in line for line in completed)
+    db.invalidate_statistics("u")
+    assert db.execute(sql).column("plan").to_list() == completed

@@ -1,9 +1,11 @@
 """Focused unit tests for the engine primitives: type system, columns,
 tables, statistics, CSV I/O."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import DataType, Table, write_csv
@@ -88,6 +90,29 @@ class TestColumn:
     def test_distinct_count(self):
         assert Column([1, 1, 2, None]).distinct_count() == 2
         assert Column(["a", "a", "b"]).distinct_count() == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.just("FLOAT64"), st.lists(st.one_of(
+                st.floats(), st.sampled_from([0.0, -0.0, math.nan]), st.none()))),
+            st.tuples(st.just("INT64"), st.lists(st.one_of(
+                st.integers(-(2**63), 2**63 - 1), st.integers(-3, 3), st.none()))),
+            st.tuples(st.just("BOOL"), st.lists(st.one_of(st.booleans(), st.none()))),
+            st.tuples(st.sampled_from(["STRING", "ENCODED"]), st.lists(st.one_of(
+                st.text("abc", max_size=2), st.none()))),
+        )
+    )
+    @example(("FLOAT64", [math.nan, math.nan]))
+    @example(("FLOAT64", [0.0, -0.0]))
+    @example(("FLOAT64", [math.nan, math.nan, 1.0]))
+    @example(("FLOAT64", []))
+    def test_distinct_count_matches_unique(self, case):
+        kind, values = case
+        column = Column(values, dtype=DataType.STRING if kind == "ENCODED" else DataType[kind])
+        if kind == "ENCODED":
+            assert column.encode_dictionary()
+        assert column.distinct_count() == len(np.unique(column.valid_data()))
 
     def test_equality(self):
         assert Column([1, None]) == Column([1, None])
