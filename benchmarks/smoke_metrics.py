@@ -21,13 +21,14 @@ import numpy as np
 from common import metrics_snapshot, print_table
 
 from repro import settings
-from repro.engine import parallel
+from repro.engine import expressions, parallel
 from repro.engine.catalog import Database
 from repro.engine.column import Column
 from repro.engine.expressions import col
 from repro.engine.statistics import ColumnStatistics
 from repro.engine.table import Table
 from repro.engine.types import coerce_array, infer_type
+from repro.errors import TypeMismatchError
 from repro.explore import CubeExplorer, FacetRecommender, SeeDB, VizDeck
 from repro.indexing import CrackerIndex
 from repro.obs import get_registry
@@ -494,6 +495,55 @@ def check_update_resummarises_assigned_columns(n: int = 200_000, repeats: int = 
     return speedup
 
 
+def check_type_errors_raise_at_bind(n: int = 200_000) -> int:
+    """Guard "types are decided at bind" with counts: over ``n`` rows at
+    the default ``zone_rows``, a scan whose every zone FAILs calls
+    ``expressions.truth_mask`` 0 times, serially and at threads=2 (no
+    predicate is evaluated over an empty slice to find its type), and a
+    mistyped predicate raises ``TypeMismatchError`` after 0 calls.
+    Returns the calls one live brush makes — the spy sees evaluations."""
+    db = Database()
+    db.create_table("t", {"k": list(range(n)), "s": [f"s{i % 7}" for i in range(n)]})
+    original = expressions.truth_mask
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    holders = [
+        module for name, module in list(sys.modules.items())
+        if name.startswith("repro") and getattr(module, "truth_mask", None) is original
+    ]
+    saved = settings.snapshot()
+    try:
+        for module in holders:
+            module.truth_mask = spy
+        for threads in (0, 2):
+            settings.configure(
+                threads=threads, pool_kind="thread", morsel_rows=65_536,
+                zone_rows=settings.ROWS["zone_rows"].default,
+            )
+            calls.clear()
+            assert db.sql(f"SELECT k FROM t WHERE k >= {n}").num_rows == 0
+            assert not calls, f"an all-FAIL scan called truth_mask {len(calls)}x, threads={threads}"
+            try:
+                db.sql(f"SELECT COUNT(*) AS c FROM t WHERE k >= {n} AND s > 5")
+            except TypeMismatchError:
+                pass
+            else:
+                raise AssertionError("a STRING > INT64 predicate did not raise")
+            assert not calls, f"a mistyped scan called truth_mask {len(calls)}x, threads={threads}"
+        db.sql(f"SELECT k FROM t WHERE k >= {n - 10}")
+        live = len(calls)
+    finally:
+        for module in holders:
+            module.truth_mask = original
+        settings.restore(saved)
+    assert live > 0, "the spy saw no predicate evaluation"
+    return live
+
+
 def main() -> int:
     keepalive = run_workload()
     views_ratio = check_views_run_on_group_kernel()
@@ -505,6 +555,7 @@ def main() -> int:
     fast_path_speedup = check_column_fast_path()
     sort_ratio = check_pooled_sort_ratio()
     straddle_ratio = check_straddling_group_by_ratio()
+    live_calls = check_type_errors_raise_at_bind()
     snapshot = json.loads(metrics_snapshot())
     assert keepalive is not None
 
@@ -536,7 +587,8 @@ def main() -> int:
           f"indexed / unindexed 1 % GROUP BY {index_speedup:.1f}x faster,",
           f"sampled-interval coverage {interval_coverage:.2f},",
           f"SeeDB / equivalent GROUP BYs {views_ratio:.2f}x,",
-          f"first read after an UPDATE {update_speedup:.1f}x faster than after a rebuild")
+          f"first read after an UPDATE {update_speedup:.1f}x faster than after a rebuild,",
+          f"0 predicate evaluations before a type error ({live_calls} for a live brush)")
     return 0
 
 

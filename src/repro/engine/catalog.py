@@ -25,7 +25,7 @@ from repro.engine import delta as deltamod
 from repro.engine import shards as shardsmod
 from repro.engine.delta import DeltaStore
 from repro.engine.optimizer import optimize_plan
-from repro.engine.planner import Plan, bind_statement, plan_statement
+from repro.engine.planner import Plan, bind_expression, bind_statement, plan_statement
 from repro.engine.sql.parser import parse, parse_statement
 from repro.engine.statistics import TableStatistics, ZoneMap
 from repro.engine.table import Table
@@ -1079,10 +1079,10 @@ class Database:
         replayed) and *before* any in-memory state changes.
 
         Values may be any constant expression (``-2``, ``1+1``, ``NULL``)
-        — they are folded through the normal expression kernels.  Lossy
-        coercions (a fractional float into INT64, a number into STRING)
-        raise :class:`~repro.errors.TypeMismatchError` instead of the old
-        silent numpy truncation.
+        — each is typed for its column (:func:`~repro.engine.planner.
+        bind_expression`: a number into STRING raises) and folded through the
+        normal expression kernels; a fractional float into INT64 raises
+        :class:`~repro.errors.TypeMismatchError` instead of truncating.
         """
         from repro.engine.expressions import fold_constant
 
@@ -1093,7 +1093,6 @@ class Database:
         unknown = set(names) - set(table.column_names)
         if unknown:
             raise CatalogError(f"unknown column(s) in INSERT: {sorted(unknown)}")
-        dtypes = {n: table.schema.type_of(n) for n in table.column_names}
         new_rows: list[tuple[Any, ...]] = []
         for row in statement.rows:
             if len(row) != len(names):
@@ -1107,8 +1106,9 @@ class Database:
                         "INSERT VALUES must be constant expressions "
                         "(no column references)"
                     )
+                expr = bind_expression(expr, table.schema, "values", column_name)
                 values[column_name] = deltamod.coerce_scalar(
-                    fold_constant(expr), dtypes[column_name], column_name
+                    fold_constant(expr), table.schema.type_of(column_name), column_name
                 )
             new_rows.append(tuple(values.get(n) for n in table.column_names))
         if sql is not None:
@@ -1239,8 +1239,6 @@ class Database:
         column order are preserved; indexes on assigned columns are
         dropped (their values changed in place), others stay valid.
         """
-        from repro.engine.expressions import fold_constant
-
         name = statement.table
         state = self._state(name)
         bind_statement(statement, self)
@@ -1252,27 +1250,16 @@ class Database:
         hit_rows = {i: list(store.rows[i]) for i in tail_hits}
         positions = {n: i for i, n in enumerate(main.column_names)}
         for column_name, expr in statement.assignments:
-            if column_name not in main.schema:
-                raise CatalogError(f"unknown column {column_name!r} in UPDATE")
             dtype = main.schema.type_of(column_name)
             new_values = expr.evaluate(main)
             new_columns[column_name] = deltamod.assign_column(
                 new_columns[column_name], new_values, mask_main
             )
             if hit_rows:
-                if expr.referenced_columns():
-                    tail_values = expr.evaluate(tail)
-                    folded = None
-                else:
-                    folded = deltamod.coerce_scalar(
-                        fold_constant(expr), dtype, column_name
-                    )
-                    tail_values = None
+                tail_values = expr.evaluate(tail)
                 for index, row in hit_rows.items():
-                    row[positions[column_name]] = (
-                        folded
-                        if tail_values is None
-                        else deltamod.coerce_scalar(tail_values[index], dtype, column_name)
+                    row[positions[column_name]] = deltamod.coerce_scalar(
+                        tail_values[index], dtype, column_name
                     )
         if affected == 0:
             return 0

@@ -66,7 +66,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.engine.column import Column, _wrap, concat_columns
+from repro.engine.column import Column, _null_fill_value, _wrap, concat_columns
 from repro.engine.statistics import (
     ColumnStatistics,
     ColumnZones,
@@ -74,7 +74,7 @@ from repro.engine.statistics import (
     ZoneMap,
 )
 from repro.engine.table import Table
-from repro.engine.types import DataType
+from repro.engine.types import DataType, python_value
 from repro.errors import TypeMismatchError
 
 class DeltaStore:
@@ -190,84 +190,47 @@ class DeltaStore:
 
 
 def coerce_scalar(value: Any, dtype: DataType, column: str) -> Any:
-    """Check one INSERT value against the target column type.
-
-    Exact widening (int → FLOAT64) is performed; lossy narrowing (a
-    fractional float into INT64, a number into STRING, anything into
-    BOOL but a bool) raises :class:`TypeMismatchError` instead of the
-    silent truncation/stringification ``np.asarray`` would apply.
-    """
-    if value is None:
-        return None
-    if isinstance(value, np.generic):
-        value = value.item()
-    if dtype is DataType.BOOL:
-        if isinstance(value, bool):
-            return value
-    elif dtype is DataType.STRING:
-        if isinstance(value, str):
-            return value
-    elif dtype is DataType.INT64:
-        if isinstance(value, bool):
-            pass  # fall through to the error: TRUE is not an integer here
-        elif isinstance(value, int):
-            return value
-        elif isinstance(value, float):
-            if np.isfinite(value) and value.is_integer():
-                return int(value)
+    """One INSERT or UPDATE value, of a type bound assignable to ``dtype``,
+    stored as ``dtype``: an int widens to FLOAT64; a float into INT64 must
+    be integral — :class:`TypeMismatchError` instead of truncating it."""
+    value = python_value(value)
+    if dtype is DataType.FLOAT64 and value is not None:
+        return float(value)
+    if dtype is DataType.INT64 and isinstance(value, float):
+        if not (np.isfinite(value) and value.is_integer()):
             raise TypeMismatchError(
-                f"cannot store {value!r} in INT64 column {column!r} "
-                "without losing precision"
+                f"cannot store {value!r} in INT64 column {column!r} without losing precision"
             )
-    elif dtype is DataType.FLOAT64:
-        if isinstance(value, bool):
-            pass
-        elif isinstance(value, (int, float)):
-            return float(value)
-    raise TypeMismatchError(
-        f"cannot store {type(value).__name__} value {value!r} "
-        f"in {dtype.name} column {column!r}"
-    )
+        return int(value)
+    return value
 
 
 def assign_column(old: Column, values: Column, mask: np.ndarray) -> Column:
     """``old`` with ``values`` written into the rows where ``mask`` is True.
 
     The vectorised UPDATE kernel: payload and validity are copied once
-    and patched in place, with the same typed-coercion contract as
-    :func:`coerce_scalar` — int → float widens, a fractional float into
-    INT64 (or any cross-kind write) raises :class:`TypeMismatchError`.
+    and patched in place.  The values' type is already bound
+    :func:`~repro.engine.types.assignable`; as in :func:`coerce_scalar`,
+    a fractional float into INT64 raises :class:`TypeMismatchError`.
     """
-    target, source = old.dtype, values.dtype
+    target = old.dtype
     new_validity = old.validity.copy() if old.validity is not None else np.ones(len(old), bool)
     values_valid = values.validity if values.validity is not None else np.ones(len(values), bool)
     new_validity[mask] = values_valid[mask]
 
     data = old.data.copy()
     write = mask & values_valid
-    if source == target:
-        data[write] = values.data[write]
-    elif target is DataType.FLOAT64 and source is DataType.INT64:
-        data[write] = values.data[write].astype(np.float64)
-    elif target is DataType.INT64 and source is DataType.FLOAT64:
-        incoming = values.data[write]
-        if len(incoming) and not (
-            np.isfinite(incoming).all() and np.equal(np.floor(incoming), incoming).all()
-        ):
-            raise TypeMismatchError(
-                "UPDATE would store fractional FLOAT64 values in an INT64 "
-                "column; cast explicitly or change the column type"
-            )
-        data[write] = incoming.astype(np.int64)
-    else:
+    incoming = values.data[write]
+    if target is DataType.INT64 and values.dtype is DataType.FLOAT64 and not (
+        np.isfinite(incoming).all() and np.equal(np.floor(incoming), incoming).all()
+    ):
         raise TypeMismatchError(
-            f"cannot assign {source.name} values to {target.name} column in UPDATE"
+            "UPDATE would store fractional FLOAT64 values in an INT64 "
+            "column; cast explicitly or change the column type"
         )
+    data[write] = incoming
     # park the null fill in newly nulled slots so the payload stays harmless
-    nulled = mask & ~values_valid
-    if nulled.any():
-        fill: Any = "" if target is DataType.STRING else (False if target is DataType.BOOL else 0)
-        data[nulled] = fill
+    data[mask & ~values_valid] = _null_fill_value(target)
     return _wrap(data, target, new_validity)
 
 

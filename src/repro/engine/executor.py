@@ -12,11 +12,11 @@ driving one, renamed to its planned output names before
 :func:`~repro.engine.operators.hash_join` — and every predicate scan the
 same three steps: **classify once** against the zone
 map (:func:`_classify_scan` — the only site of the ``scan.*`` / ``io.*``
-counters, the ``zones:`` / ``io:`` annotations and the type-error
-guard) unless an index picks the rows (:func:`_index_rows`), **run span
-kernels** over ``(source, spans, live mask)`` tasks
-(:mod:`repro.engine.parallel` one task per span, :mod:`repro.engine.shards`
-one per shard; on the worker pool or as a governed loop on this thread),
+counters and the ``zones:`` / ``io:`` annotations) unless an index picks
+the rows (:func:`_index_rows`), **run span kernels** over ``(source,
+spans, live mask)`` tasks (:mod:`repro.engine.parallel` one task per
+span, :mod:`repro.engine.shards` one per shard; on the worker pool or as
+a governed loop on this thread),
 **gather once** (filtered pieces concatenate keeping their shared
 dictionary; a fused aggregate merges partials instead).  Pending writes
 are a trailing tail task plus a live-mask over the main, a memory-mapped
@@ -42,7 +42,6 @@ import numpy as np
 from repro import settings
 from repro.engine import operators as ops
 from repro.engine import parallel, planner, shards, zonemap
-from repro.engine.expressions import truth_mask
 from repro.engine.planner import (
     AggregateNode,
     DistinctNode,
@@ -129,7 +128,6 @@ def _run_node(
     if isinstance(node, FilterNode):
         child = _execute(node.child, database, profiler)
         if parallel.should_parallelize(child.num_rows):
-            _check_types(node.predicate, child)
             _note_fanout(profiler, child.num_rows)
             return parallel.parallel_filter(child, node.predicate)
         return ops.filter_table(child, node.predicate)
@@ -183,18 +181,6 @@ def _run_node(
     raise ExecutionError(f"unknown plan node {type(node).__name__}")
 
 
-def _check_types(predicate, table: Table) -> None:
-    """Surface the predicate's type errors on the calling thread.
-
-    Type errors are dtype-dependent, not data-dependent: evaluating over
-    no rows raises exactly what an unpruned serial filter would, even
-    when every zone is skipped, the scan is provably empty, or the
-    evaluation happens on a pool worker (whose failures are retried and
-    re-raised wrapped).
-    """
-    truth_mask(predicate, table.slice(0, 0))
-
-
 def _ranges_nbytes(table: Table, ranges) -> int:
     """Upper bound on bytes the streamed ranges can fault in from disk.
 
@@ -230,11 +216,7 @@ def _classify_scan(
     on a memory-mapped main ``io.*``: the kernels only slice the listed
     spans, so there the pruning is an I/O-level skip too.
     """
-    config = settings.current
-    gated = 0 < config.zone_rows < main.num_rows
-    if gated or parallel.should_parallelize(main.num_rows):
-        _check_types(node.predicate, main)
-    if not gated:
+    if not 0 < settings.current.zone_rows < main.num_rows:
         return None
     ranges, pruned, passed, num_zones = zonemap.classify_ranges(
         node.predicate, database.zone_map(node.table)
@@ -333,10 +315,6 @@ def _execute_scan(
             tail = tail.select(node.columns)
     predicate = node.predicate
     if node.empty:
-        # provably contradictory predicate: no rows, but dtype errors the
-        # unoptimized filter would raise must still surface
-        if predicate is not None:
-            _check_types(predicate, main)
         return main.slice(0, 0)
     if tail is not None:
         live_tail = store.live_delta_mask()
@@ -352,8 +330,6 @@ def _execute_scan(
         layout = database.shard_layout(node.table) if store is None else None
     else:
         main, live_main, ranges, layout = main.take(picked), None, None, None
-        if parallel.should_parallelize(main.num_rows):
-            _check_types(predicate, main)
     if fused is not None and profiler is not None:
         profiler.annotate("fused: filter + partial aggregate per morsel")
     if layout is not None and layout.total_rows == main.num_rows:

@@ -7,11 +7,16 @@ and returns a :class:`~repro.engine.column.Column`.
 SQL three-valued logic is honoured: comparisons involving NULL yield NULL,
 AND/OR follow Kleene logic, and WHERE keeps only rows whose predicate is
 strictly TRUE.
+
+Types come from a schema, not from rows: :meth:`Expression.output_type`
+raises what :meth:`Expression.evaluate` would without reading a row, and
+:meth:`Expression.bind` types each bare ``NULL`` by its context.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 import operator
 from typing import Any, Callable, Iterable, Iterator
 
@@ -19,7 +24,7 @@ import numpy as np
 
 from repro import settings
 from repro.engine.column import Column, column_from_parts
-from repro.engine.table import Table
+from repro.engine.table import Schema, Table
 from repro.engine.types import DataType, common_type, python_value
 from repro.errors import TypeMismatchError
 from repro.obs.metrics import get_registry
@@ -48,14 +53,39 @@ class Expression(abc.ABC):
 
     _children: tuple[str, ...] = ()
     _key: tuple | None = None
+    _bare_null: bool | None = None
+    #: the type a bare NULL operand of this node takes, when the node fixes one
+    _null_operand: DataType | None = None
 
     @abc.abstractmethod
     def evaluate(self, table: Table) -> Column:
         """Evaluate over every row of ``table``."""
 
     @abc.abstractmethod
-    def output_type(self, table: Table) -> DataType:
-        """Logical type this expression produces against ``table``."""
+    def output_type(self, schema: Schema) -> DataType:
+        """Logical type over rows of ``schema``, raising the dtype errors
+        :meth:`evaluate` raises (same messages) without reading a row;
+        UNKNOWN where only a bare NULL decides it."""
+
+    def _null_type(self, schema: Schema, want: DataType) -> DataType:
+        """The type a bare NULL operand of this node takes: the node's
+        fixed operand type, else ``want`` — its own context's type."""
+        return self._null_operand or want
+
+    def bind(self, schema: Schema, want: DataType = DataType.FLOAT64) -> "Expression":
+        """This tree with every bare NULL rebuilt as a NULL of its context's
+        type (:meth:`_null_type`; ``want`` where nothing below the root
+        decides); a subtree without one comes back as the same object."""
+        if not self._has_bare_null():
+            return self
+        hint = self._null_type(schema, want)
+        return self.map_children(lambda child: child.bind(schema, hint))
+
+    def _has_bare_null(self) -> bool:
+        """True while a NULL literal in this tree is untyped (cached, like the key)."""
+        if self._bare_null is None:
+            self._bare_null = any(map(Expression._has_bare_null, self.children()))
+        return self._bare_null
 
     @abc.abstractmethod
     def to_sql(self) -> str:
@@ -98,8 +128,12 @@ class Expression(abc.ABC):
         Nodes are rebuilt, never edited; a subtree in which no name
         changed is returned as the same object.
         """
-        rewrite = operator.methodcaller("rewrite_columns", fn)
-        new = {slot: _map_slot(getattr(self, slot), rewrite) for slot in self._children}
+        return self.map_children(operator.methodcaller("rewrite_columns", fn))
+
+    def map_children(self, fn: Callable[["Expression"], "Expression"]) -> "Expression":
+        """This node over ``fn`` of each child, rebuilt through the
+        constructor — or itself when ``fn`` returned every child as is."""
+        new = {slot: _map_slot(getattr(self, slot), fn) for slot in self._children}
         if all(value is getattr(self, slot) for slot, value in new.items()):
             return self
         fields = {k: v for k, v in vars(self).items() if k[0] != "_"}
@@ -226,14 +260,16 @@ def strip_outer_parens(text: str) -> str:
 class ColumnRef(Expression):
     """Reference to a named column of the input table."""
 
+    _bare_null = False
+
     def __init__(self, name: str) -> None:
         self.name = name
 
     def evaluate(self, table: Table) -> Column:
         return table.column(self.name)
 
-    def output_type(self, table: Table) -> DataType:
-        return table.schema.type_of(self.name)
+    def output_type(self, schema: Schema) -> DataType:
+        return schema.type_of(self.name)
 
     def rewrite_columns(self, fn: Callable[[str], str]) -> "ColumnRef":
         name = fn(self.name)
@@ -243,34 +279,37 @@ class ColumnRef(Expression):
         return self.name
 
 
-class Literal(Expression):
-    """A constant value (int, float, bool, str, or None)."""
+_LITERAL_TYPES = {
+    bool: DataType.BOOL, int: DataType.INT64, float: DataType.FLOAT64, str: DataType.STRING
+}
 
-    def __init__(self, value: Any) -> None:
+
+class Literal(Expression):
+    """A constant value (int, float, bool, str, or None).  A NULL's
+    ``dtype`` is UNKNOWN until binding types it (:meth:`Expression.bind`);
+    evaluated untyped, it is FLOAT64."""
+
+    def __init__(self, value: Any, dtype: DataType | None = None) -> None:
         self.value = python_value(value)
-        # typed, so 1 / 1.0 / TRUE stay three keys (1 == 1.0 == True in
-        # Python); by repr, so NaN equals itself and 0.0 is not -0.0
-        self._key = ("Literal", type(self.value).__name__, repr(self.value))
+        self.dtype = (dtype or DataType.UNKNOWN) if self.value is None else (
+            _LITERAL_TYPES.get(type(self.value))
+        )
+        if self.dtype is None:
+            raise TypeMismatchError(f"unsupported literal {self.value!r}")
+        # typed, so 1 / 1.0 / TRUE (equal in Python) and two typed NULLs stay
+        # distinct keys; by repr, so NaN equals itself and 0.0 is not -0.0
+        self._key = ("Literal", self.dtype.name, repr(self.value))
+        self._bare_null = self.dtype is DataType.UNKNOWN
 
     def evaluate(self, table: Table) -> Column:
-        n = table.num_rows
-        return Column([self.value] * n, dtype=self._dtype())
+        dtype = DataType.FLOAT64 if self.dtype is DataType.UNKNOWN else self.dtype
+        return Column([self.value] * table.num_rows, dtype=dtype)
 
-    def _dtype(self) -> DataType:
-        if self.value is None:
-            return DataType.FLOAT64
-        if isinstance(self.value, bool):
-            return DataType.BOOL
-        if isinstance(self.value, int):
-            return DataType.INT64
-        if isinstance(self.value, float):
-            return DataType.FLOAT64
-        if isinstance(self.value, str):
-            return DataType.STRING
-        raise TypeMismatchError(f"unsupported literal {self.value!r}")
+    def output_type(self, schema: Schema) -> DataType:
+        return self.dtype
 
-    def output_type(self, table: Table) -> DataType:
-        return self._dtype()
+    def bind(self, schema: Schema, want: DataType = DataType.FLOAT64) -> "Literal":
+        return Literal(None, want) if self._bare_null else self
 
     def to_sql(self) -> str:
         if self.value is None:
@@ -320,6 +359,14 @@ def _compare_codes(
     return codes >= lo  # >=
 
 
+def _comparable(data: np.ndarray, target: DataType) -> np.ndarray:
+    """A payload as values that compare the way ``target`` values do: in
+    its NumPy dtype, or for STRING a ``str`` array (NULL slots ``""``)."""
+    if target is DataType.STRING:
+        return np.asarray([v if v is not None else "" for v in data], dtype=str)
+    return data.astype(target.numpy_dtype, copy=False)
+
+
 def _combined_validity(left: Column, right: Column) -> np.ndarray | None:
     if left.validity is None and right.validity is None:
         return None
@@ -342,27 +389,20 @@ class Comparison(Expression):
 
     _FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
 
-    def _scalar_operand(self) -> tuple[Expression, Any, str] | None:
-        """``(column_side, literal_value, op)`` when exactly one side is a
+    def _scalar_operand(self) -> tuple[Expression, "Literal", str] | None:
+        """``(column_side, literal, op)`` when exactly one side is a
         non-NULL literal — the shape the scalar fast path handles.  The
         op is flipped when the literal is on the left."""
         if isinstance(self.right, Literal) and not isinstance(self.left, Literal):
             if self.right.value is not None:
-                return self.left, self.right.value, self.op
+                return self.left, self.right, self.op
         elif isinstance(self.left, Literal) and not isinstance(self.right, Literal):
             if self.left.value is not None:
-                return self.right, self.left.value, self._FLIPPED[self.op]
+                return self.right, self.left, self._FLIPPED[self.op]
         return None
 
-    @staticmethod
-    def _literal_dtype(value: Any) -> DataType:
-        if isinstance(value, bool):
-            return DataType.BOOL
-        if isinstance(value, int):
-            return DataType.INT64
-        if isinstance(value, float):
-            return DataType.FLOAT64
-        return DataType.STRING
+    def _null_type(self, schema: Schema, want: DataType) -> DataType:
+        return _operand_type(schema, (self.left, self.right))
 
     def evaluate(self, table: Table) -> Column:
         scalar = self._scalar_operand()
@@ -370,29 +410,15 @@ class Comparison(Expression):
             return self._evaluate_scalar(table, *scalar)
         lcol = self.left.evaluate(table)
         rcol = self.right.evaluate(table)
-        ltype, rtype = lcol.dtype, rcol.dtype
-        target = common_type(ltype, rtype)
-        if target is DataType.STRING and self.op not in ("=", "<>", "<", "<=", ">", ">="):
-            raise TypeMismatchError(f"operator {self.op} unsupported for strings")
-        ldata = lcol.data
-        rdata = rcol.data
-        if target.is_numeric:
-            ldata = ldata.astype(target.numpy_dtype, copy=False)
-            rdata = rdata.astype(target.numpy_dtype, copy=False)
-            result = _COMPARATORS[self.op](ldata, rdata)
-        elif target is DataType.STRING:
-            lu = np.asarray([v if v is not None else "" for v in ldata], dtype=str)
-            ru = np.asarray([v if v is not None else "" for v in rdata], dtype=str)
-            result = _COMPARATORS[self.op](lu, ru)
-        else:  # BOOL
-            if self.op not in ("=", "<>"):
-                raise TypeMismatchError("booleans only support = and <>")
-            result = _COMPARATORS[self.op](ldata, rdata)
+        target = self._target(lcol.dtype, rcol.dtype)
+        result = _COMPARATORS[self.op](
+            _comparable(lcol.data, target), _comparable(rcol.data, target)
+        )
         validity = _combined_validity(lcol, rcol)
         return column_from_parts(np.asarray(result, dtype=bool), DataType.BOOL, validity)
 
     def _evaluate_scalar(
-        self, table: Table, side: Expression, value: Any, op: str
+        self, table: Table, side: Expression, literal: "Literal", op: str
     ) -> Column:
         """Column-vs-literal comparison without materialising the literal.
 
@@ -402,34 +428,44 @@ class Comparison(Expression):
         the sorted dictionary instead of materialising string arrays.
         """
         inner = side.evaluate(table)
-        target = common_type(inner.dtype, self._literal_dtype(value))
-        if target.is_numeric:
-            data = inner.data.astype(target.numpy_dtype, copy=False)
-            result = _COMPARATORS[op](data, target.numpy_dtype.type(value))
-        elif target is DataType.STRING:
-            encoded = inner.dictionary() if settings.current.dict_encode else None
-            if encoded is not None:
-                result = _compare_codes(encoded, str(value), op)
-                get_registry().counter("scan.dict_filters").inc()
-            else:
-                data = np.asarray(
-                    [v if v is not None else "" for v in inner.data], dtype=str
-                )
-                result = _COMPARATORS[op](data, value)
-        else:  # BOOL
-            if op not in ("=", "<>"):
-                raise TypeMismatchError("booleans only support = and <>")
-            result = _COMPARATORS[op](inner.data, bool(value))
+        target = self._target(inner.dtype, literal.dtype)
+        strings = target is DataType.STRING and settings.current.dict_encode
+        encoded = inner.dictionary() if strings else None
+        if encoded is not None:
+            result = _compare_codes(encoded, literal.value, op)
+            get_registry().counter("scan.dict_filters").inc()
+        else:
+            value = target.numpy_dtype.type(literal.value)
+            result = _COMPARATORS[op](_comparable(inner.data, target), value)
         return column_from_parts(
             np.asarray(result, dtype=bool), DataType.BOOL, inner.validity
         )
 
-    def output_type(self, table: Table) -> DataType:
-        common_type(self.left.output_type(table), self.right.output_type(table))
+    def _target(self, left: DataType, right: DataType) -> DataType:
+        """The type both sides compare in (flipping the op keeps = / <>)."""
+        target = common_type(left, right)
+        if not target.is_orderable and self.op not in ("=", "<>"):
+            raise TypeMismatchError("booleans only support = and <>")
+        return target
+
+    def output_type(self, schema: Schema) -> DataType:
+        # the sides in the order the evaluating path unifies them
+        side, other = (self._scalar_operand() or (self.left, self.right))[:2]
+        self._target(side.output_type(schema), other.output_type(schema))
         return DataType.BOOL
 
     def to_sql(self) -> str:
         return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"
+
+
+def _operand_type(
+    schema: Schema, operands: Iterable[Expression], default: DataType = DataType.FLOAT64
+) -> DataType:
+    """The type a bare NULL among ``operands`` that must agree takes: the
+    others' type, ``default`` when there is none, FLOAT64 when they differ
+    (a mix other than INT64 + FLOAT64 raises when the tree is typed)."""
+    known = {operand.output_type(schema) for operand in operands} - {DataType.UNKNOWN}
+    return known.pop() if len(known) == 1 else DataType.FLOAT64 if known else default
 
 
 _ARITH: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
@@ -456,33 +492,32 @@ class Arithmetic(Expression):
     def evaluate(self, table: Table) -> Column:
         lcol = self.left.evaluate(table)
         rcol = self.right.evaluate(table)
-        target = common_type(lcol.dtype, rcol.dtype)
-        if not target.is_numeric:
-            raise TypeMismatchError(f"arithmetic requires numeric operands, got {target.name}")
-        if self.op == "/":
-            target = DataType.FLOAT64
+        target = self._target(lcol.dtype, rcol.dtype)
         ldata = lcol.data.astype(target.numpy_dtype, copy=False)
         rdata = rcol.data.astype(target.numpy_dtype, copy=False)
         validity = _combined_validity(lcol, rcol)
         if self.op in ("/", "%"):
             zero = rdata == 0
-            if zero.any():
-                safe = rdata.copy()
-                safe[zero] = 1
-                result = _ARITH[self.op](ldata, safe)
-                zmask = ~zero
-                validity = zmask if validity is None else (validity & zmask)
-            else:
-                result = _ARITH[self.op](ldata, rdata)
-        else:
-            result = _ARITH[self.op](ldata, rdata)
+            if zero.any():  # x / 0 is NULL
+                rdata = np.where(zero, 1, rdata)
+                validity = ~zero if validity is None else validity & ~zero
+        result = _ARITH[self.op](ldata, rdata)
         return column_from_parts(np.asarray(result, dtype=target.numpy_dtype), target, validity)
 
-    def output_type(self, table: Table) -> DataType:
-        target = common_type(self.left.output_type(table), self.right.output_type(table))
+    def _target(self, left: DataType, right: DataType) -> DataType:
+        """The type the operands compute in, and the result's."""
+        target = common_type(left, right)
+        if target is DataType.UNKNOWN:
+            return target
         if not target.is_numeric:
-            raise TypeMismatchError("arithmetic requires numeric operands")
+            raise TypeMismatchError(f"arithmetic requires numeric operands, got {target.name}")
         return DataType.FLOAT64 if self.op == "/" else target
+
+    def _null_type(self, schema: Schema, want: DataType) -> DataType:
+        return _operand_type(schema, (self.left, self.right))
+
+    def output_type(self, schema: Schema) -> DataType:
+        return self._target(self.left.output_type(schema), self.right.output_type(schema))
 
     def to_sql(self) -> str:
         return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"
@@ -502,9 +537,9 @@ class Negate(Expression):
             raise TypeMismatchError("unary minus requires a numeric operand")
         return column_from_parts(-inner.data, inner.dtype, inner.validity)
 
-    def output_type(self, table: Table) -> DataType:
-        dtype = self.operand.output_type(table)
-        if not dtype.is_numeric:
+    def output_type(self, schema: Schema) -> DataType:
+        dtype = self.operand.output_type(schema)
+        if not (dtype.is_numeric or dtype is DataType.UNKNOWN):
             raise TypeMismatchError("unary minus requires a numeric operand")
         return dtype
 
@@ -524,14 +559,28 @@ def _from_kleene(truth: np.ndarray, known: np.ndarray) -> Column:
     return column_from_parts(truth, DataType.BOOL, validity)
 
 
-class And(Expression):
-    """Kleene-logic conjunction."""
+class _Connective(Expression):
+    """AND / OR: Kleene logic over two boolean operands."""
 
     _children = ("left", "right")
+    _null_operand = DataType.BOOL
 
     def __init__(self, left: Expression, right: Expression) -> None:
         self.left = left
         self.right = right
+
+    def output_type(self, schema: Schema) -> DataType:
+        expect_boolean(self.left.output_type(schema))
+        return expect_boolean(self.right.output_type(schema))
+
+    def to_sql(self) -> str:
+        return f"({self.left.to_sql()} {self._keyword} {self.right.to_sql()})"
+
+
+class And(_Connective):
+    """Kleene-logic conjunction."""
+
+    _keyword = "AND"
 
     def evaluate(self, table: Table) -> Column:
         lt, lk = _to_kleene(self.left.evaluate(table))
@@ -541,21 +590,11 @@ class And(Expression):
         known = (lk & rk) | false_somewhere
         return _from_kleene(truth, known)
 
-    def output_type(self, table: Table) -> DataType:
-        return DataType.BOOL
 
-    def to_sql(self) -> str:
-        return f"({self.left.to_sql()} AND {self.right.to_sql()})"
-
-
-class Or(Expression):
+class Or(_Connective):
     """Kleene-logic disjunction."""
 
-    _children = ("left", "right")
-
-    def __init__(self, left: Expression, right: Expression) -> None:
-        self.left = left
-        self.right = right
+    _keyword = "OR"
 
     def evaluate(self, table: Table) -> Column:
         lt, lk = _to_kleene(self.left.evaluate(table))
@@ -564,17 +603,12 @@ class Or(Expression):
         known = (lk & rk) | lt | rt
         return _from_kleene(truth, known)
 
-    def output_type(self, table: Table) -> DataType:
-        return DataType.BOOL
-
-    def to_sql(self) -> str:
-        return f"({self.left.to_sql()} OR {self.right.to_sql()})"
-
 
 class Not(Expression):
     """Kleene-logic negation."""
 
     _children = ("operand",)
+    _null_operand = DataType.BOOL
 
     def __init__(self, operand: Expression) -> None:
         self.operand = operand
@@ -583,8 +617,8 @@ class Not(Expression):
         truth, known = _to_kleene(self.operand.evaluate(table))
         return _from_kleene(~truth & known, known)
 
-    def output_type(self, table: Table) -> DataType:
-        return DataType.BOOL
+    def output_type(self, schema: Schema) -> DataType:
+        return expect_boolean(self.operand.output_type(schema))
 
     def to_sql(self) -> str:
         return f"(NOT {self.operand.to_sql()})"
@@ -609,7 +643,12 @@ class InList(Expression):
         validity = inner.validity
         return column_from_parts(result, DataType.BOOL, validity)
 
-    def output_type(self, table: Table) -> DataType:
+    def _null_type(self, schema: Schema, want: DataType) -> DataType:
+        return _operand_type(schema, (self.operand, *self.options))
+
+    def output_type(self, schema: Schema) -> DataType:
+        for option in self.options:  # the comparisons evaluate runs
+            Comparison("=", self.operand, option).output_type(schema)
         return DataType.BOOL
 
     def to_sql(self) -> str:
@@ -632,12 +671,21 @@ class IsNull(Expression):
         result = ~nulls if self.negated else nulls
         return column_from_parts(result, DataType.BOOL, None)
 
-    def output_type(self, table: Table) -> DataType:
+    def output_type(self, schema: Schema) -> DataType:
+        self.operand.output_type(schema)
         return DataType.BOOL
 
     def to_sql(self) -> str:
         suffix = "IS NOT NULL" if self.negated else "IS NULL"
         return f"({self.operand.to_sql()} {suffix})"
+
+
+def expect_boolean(dtype: DataType) -> DataType:
+    """BOOL, for a predicate or logical operand of type ``dtype`` — BOOL or
+    a bare NULL; raises otherwise."""
+    if dtype is not DataType.BOOL and dtype is not DataType.UNKNOWN:
+        raise TypeMismatchError(f"predicate must be boolean, got {dtype.name}")
+    return DataType.BOOL
 
 
 def truth_mask(predicate: Expression, table: Table) -> np.ndarray:
@@ -646,8 +694,7 @@ def truth_mask(predicate: Expression, table: Table) -> np.ndarray:
     This implements the SQL WHERE rule: NULL predicate results drop the row.
     """
     result = predicate.evaluate(table)
-    if result.dtype is not DataType.BOOL:
-        raise TypeMismatchError(f"predicate must be boolean, got {result.dtype.name}")
+    expect_boolean(result.dtype)
     truth, known = _to_kleene(result)
     return truth & known
 
@@ -685,7 +732,9 @@ class Like(Expression):
             result = ~result & ~inner.is_null_mask()
         return column_from_parts(result, DataType.BOOL, inner.validity)
 
-    def output_type(self, table: Table) -> DataType:
+    def output_type(self, schema: Schema) -> DataType:
+        if self.operand.output_type(schema) not in (DataType.STRING, DataType.UNKNOWN):
+            raise TypeMismatchError("LIKE requires a string operand")
         return DataType.BOOL
 
     def to_sql(self) -> str:
@@ -737,10 +786,9 @@ class FunctionCall(Expression):
     def evaluate(self, table: Table) -> Column:
         self._check_arity()
         inner = self.arguments[0].evaluate(table)
-        fn, in_kind, out_kind = SCALAR_FUNCTIONS[self.name]
+        out = self._result_type(inner.dtype)
+        fn, in_kind, _ = SCALAR_FUNCTIONS[self.name]
         if in_kind == "numeric":
-            if not inner.dtype.is_numeric:
-                raise TypeMismatchError(f"{self.name} requires a numeric argument")
             data = inner.data.astype(np.float64, copy=False)
             if self.name == "ROUND" and len(self.arguments) == 2:
                 digits_col = self.arguments[1].evaluate(table)
@@ -755,15 +803,10 @@ class FunctionCall(Expression):
                 base = validity if validity is not None else np.ones(len(result), bool)
                 validity = base & ~invalid
                 result = np.where(invalid, 0.0, result)
-            if out_kind == "same" and inner.dtype is DataType.INT64:
-                return column_from_parts(
-                    result.astype(np.int64), DataType.INT64, validity
-                )
+            if out is DataType.INT64:
+                return column_from_parts(result.astype(np.int64), out, validity)
             return column_from_parts(result, DataType.FLOAT64, validity)
-        # string functions
-        if inner.dtype is not DataType.STRING:
-            raise TypeMismatchError(f"{self.name} requires a string argument")
-        values = inner.to_list()
+        values = inner.to_list()  # a string function
         if self.name == "LENGTH":
             data = np.asarray([0 if v is None else len(v) for v in values], np.int64)
             return column_from_parts(data, DataType.INT64, inner.validity)
@@ -773,15 +816,25 @@ class FunctionCall(Expression):
             out[i] = None if v is None else transform(v)
         return column_from_parts(out, DataType.STRING, inner.validity)
 
-    def output_type(self, table: Table) -> DataType:
+    def _result_type(self, argument: DataType) -> DataType:
+        """The call's type over an ``argument`` of that type; raises on the
+        wrong kind."""
         _, in_kind, out_kind = SCALAR_FUNCTIONS[self.name]
-        if out_kind == "int":
-            return DataType.INT64
-        if out_kind == "string":
-            return DataType.STRING
-        if out_kind == "same":
-            return self.arguments[0].output_type(table)
-        return DataType.FLOAT64
+        if in_kind == "numeric":
+            if not (argument.is_numeric or argument is DataType.UNKNOWN):
+                raise TypeMismatchError(f"{self.name} requires a numeric argument")
+            same = out_kind == "same" and argument is not DataType.FLOAT64
+            return argument if same else DataType.FLOAT64
+        if argument not in (DataType.STRING, DataType.UNKNOWN):
+            raise TypeMismatchError(f"{self.name} requires a string argument")
+        return DataType.INT64 if out_kind == "int" else DataType.STRING
+
+    def output_type(self, schema: Schema) -> DataType:
+        self._check_arity()
+        out = self._result_type(self.arguments[0].output_type(schema))
+        for digits in self.arguments[1:]:  # ROUND's
+            digits.output_type(schema)
+        return out
 
     def to_sql(self) -> str:
         args = ", ".join(a.to_sql() for a in self.arguments)
@@ -805,38 +858,39 @@ class Case(Expression):
 
     def evaluate(self, table: Table) -> Column:
         n = table.num_rows
-        value_columns = [value.evaluate(table) for _, value in self.branches]
-        default_column = (
-            self.default.evaluate(table) if self.default is not None else None
-        )
-        out_type = value_columns[0].dtype
-        for column in value_columns[1:]:
-            out_type = common_type(out_type, column.dtype)
-        if default_column is not None:
-            out_type = common_type(out_type, default_column.dtype)
-
-        chosen = np.full(n, -1, dtype=np.int64)  # branch index; -1 = default
+        columns = [value.evaluate(table) for value in self._values()]
+        out_type = functools.reduce(common_type, [column.dtype for column in columns])
+        # branch index per row; len(branches) is the ELSE, a NULL without one
+        chosen = np.full(n, len(self.branches), dtype=np.int64)
         remaining = np.ones(n, dtype=bool)
         for i, (condition, _) in enumerate(self.branches):
             mask = truth_mask(condition, table) & remaining
             chosen[mask] = i
             remaining &= ~mask
-
-        values: list[Any] = [None] * n
-        for row in range(n):
-            branch = chosen[row]
-            if branch >= 0:
-                values[row] = value_columns[branch][row]
-            elif default_column is not None:
-                values[row] = default_column[row]
+        values = [
+            columns[branch][row] if branch < len(columns) else None
+            for row, branch in enumerate(chosen.tolist())
+        ]
         return Column(values, dtype=out_type)
 
-    def output_type(self, table: Table) -> DataType:
-        out = self.branches[0][1].output_type(table)
-        for _, value in self.branches[1:]:
-            out = common_type(out, value.output_type(table))
-        if self.default is not None:
-            out = common_type(out, self.default.output_type(table))
+    def _values(self) -> list[Expression]:
+        """The branch values and the ELSE value, in evaluation order."""
+        values = [value for _, value in self.branches]
+        return values if self.default is None else values + [self.default]
+
+    def bind(self, schema: Schema, want: DataType = DataType.FLOAT64) -> "Case":
+        if not self._has_bare_null():
+            return self
+        out = _operand_type(schema, self._values(), want)  # the others', else the CASE's
+        return Case(
+            [(c.bind(schema, DataType.BOOL), v.bind(schema, out)) for c, v in self.branches],
+            None if self.default is None else self.default.bind(schema, out),
+        )
+
+    def output_type(self, schema: Schema) -> DataType:
+        out = functools.reduce(common_type, [v.output_type(schema) for v in self._values()])
+        for condition, _ in self.branches:
+            expect_boolean(condition.output_type(schema))
         return out
 
     def to_sql(self) -> str:
@@ -850,14 +904,9 @@ class Case(Expression):
 
 
 def fold_constant(expr: Expression) -> Any:
-    """The Python value of a constant expression (no column references).
-
-    Evaluates the expression against a one-row dummy table, so unary
-    minus, arithmetic, comparisons and NULL all fold through the same
-    kernels that would run at query time.  Callers must have checked
-    ``referenced_columns()`` is empty; type errors (``-'a'``) surface as
-    the usual :class:`~repro.errors.TypeMismatchError`.
-    """
+    """The Python value of a column-free expression, evaluated over a
+    one-row dummy table: NULL, unary minus, arithmetic and comparisons fold
+    through the kernels that run at query time, their errors included."""
     if isinstance(expr, Literal):
         return expr.value
     dummy = Table([("__const__", Column(np.zeros(1, dtype=np.int64)))])

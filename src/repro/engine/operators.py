@@ -15,7 +15,7 @@ from repro.engine.column import Column, column_from_parts
 from repro.engine.expressions import Expression, strip_outer_parens, truth_mask
 from repro.engine.sql.ast import AggregateCall, OrderItem, SelectItem
 from repro.engine.table import Table
-from repro.engine.types import DataType
+from repro.engine.types import DataType, aggregate_type
 from repro.errors import ExecutionError
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import trace
@@ -236,8 +236,6 @@ def top_n(
     """
     with trace("op.top_n", rows=table.num_rows, k=k):
         if k <= 0:
-            # keys still bind and type-check, exactly as the full sort would
-            order_keys(table.slice(0, 0), order_by)
             return table.slice(0, 0), 0
         keys = order_keys(table, order_by)
         if k >= table.num_rows:
@@ -489,18 +487,6 @@ def row_group_ids(
     return ids
 
 
-def _result_type(function: str, argument: DataType) -> DataType:
-    if function == "COUNT":
-        return DataType.INT64
-    if function == "AVG":
-        return DataType.FLOAT64
-    if function == "SUM":
-        return DataType.FLOAT64 if argument is DataType.FLOAT64 else DataType.INT64
-    if function in ("MIN", "MAX"):
-        return argument
-    raise ExecutionError(f"unknown aggregate function {function}")
-
-
 def _null_column(dtype: DataType, length: int) -> Column:
     return column_from_parts(
         np.zeros(length, dtype=dtype.numpy_dtype), dtype, np.zeros(length, dtype=bool)
@@ -526,7 +512,7 @@ def aggregate_groups(
     """
     if column is None:
         return column_from_parts(counts, DataType.INT64)
-    result_type = _result_type(function, column.dtype)
+    result_type = aggregate_type(function, column.dtype)
     if len(column) == 0:  # no group, or the global group over no rows
         if function == "COUNT":
             return column_from_parts(np.zeros(len(counts), dtype=np.int64), DataType.INT64)
@@ -634,22 +620,15 @@ def grouped_output(
     starts: np.ndarray,
 ) -> Table:
     """The result table: groups in first-appearance order, key columns
-    (each group's first row) before the aggregates' ``columns``.
-
-    A column with no non-NULL value comes out FLOAT64 — no groups at all
-    therefore gives all-FLOAT64 empty columns — which is what inferring
-    the types from result rows used to decide.
-    """
+    (each group's first row) before the aggregates' ``columns``.  Every
+    column keeps its kernel's type — the key's, the aggregate's result
+    type — however many rows or NULLs it holds."""
     if key_columns:
         first_rows, appearance = first_appearance(order, starts)
         columns = [key.take(first_rows) for key in key_columns] + [
             column.take(appearance) for column in columns
         ]
-    return Table([
-        (name, column if column.null_count() < len(column)
-         else _null_column(DataType.FLOAT64, len(column)))
-        for name, column in zip(names, columns)
-    ])
+    return Table(list(zip(names, columns)))
 
 
 def group_output_names(

@@ -12,9 +12,10 @@ walk per iteration, 6–7 in one):
 Fixpoint rules (iterated until no rule fires):
 
 1. **constant folding / tautology & contradiction elimination** —
-   literal-only boolean subtrees collapse (Kleene semantics; never to a
-   bare NULL literal), conjuncts folded to TRUE are dropped, and a
-   conjunct folded to FALSE marks the scan provably empty;
+   literal-only boolean subtrees fold through the kernels and comparisons
+   with a NULL operand to NULL (Kleene semantics), conjuncts folded to
+   TRUE are dropped, and a conjunct folded to FALSE or NULL marks the
+   scan provably empty;
 2. **redundant-conjunct dedup** — structurally identical conjuncts
    (via :meth:`~repro.engine.expressions.Expression.same_as`) evaluate
    once;
@@ -42,15 +43,15 @@ Single-shot passes (after the fixpoint):
    projection), which sorts only the rows that can reach the first
    ``k`` instead of the whole input.
 
-Every rewrite preserves bit-identity with the unoptimized plan: NULL
-literals are never folded away from predicate roots, conjuncts carrying
-column references are never dropped (so dtype errors still surface),
-empty scans type-check their predicate against an empty slice, pushdown
-and fusion are row-local, Top-N selects a superset of the answer under
-the sort's total order on (keys, row position), and join reordering
-fires only where row order is provably invisible.  No rule reads the
-table's indexes: an index picks rows at run time, under the scan's whole
-predicate, so it cannot change a plan or an answer.
+Every rewrite preserves bit-identity with the unoptimized plan: a plan
+arrives bound, so every dtype error has already been raised and a rule
+may drop whatever it proves (a folded NULL is BOOL-typed and keeps no
+row, like FALSE), pushdown and fusion are row-local, Top-N selects a
+superset of the answer under the sort's total order on (keys, row
+position), and join reordering fires only where row order is provably
+invisible.  No rule reads the table's indexes: an index picks rows at
+run time, under the scan's whole predicate, so it cannot change a plan
+or an answer.
 
 **Termination.**  Rules 1–2 strictly shrink the predicate (expression
 node count or conjunct count); rule 3 moves each conjunct at most once
@@ -67,7 +68,6 @@ and in the ``optimizer.*`` metrics family.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -89,6 +89,7 @@ from repro.engine.planner import (
     _conjoin,
     split_conjuncts,
 )
+from repro.engine.types import DataType
 from repro.obs.metrics import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -152,86 +153,31 @@ def _bottom_up(node: PlanNode, ctx: _Context, rules) -> PlanNode:
 
 
 def _literal_truth(expr: ex.Expression) -> Any:
-    """True/False/None for boolean-or-NULL literals, ``_MISSING`` otherwise."""
-    if isinstance(expr, ex.Literal):
-        if expr.value is None or isinstance(expr.value, bool):
-            return expr.value
-    return _MISSING
+    """True/False/None of a predicate literal (BOOL-typed when bound),
+    ``_MISSING`` for anything else."""
+    return expr.value if isinstance(expr, ex.Literal) else _MISSING
 
 
-_COMPARE = {
-    "=": operator.eq,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-
-def _fold_comparison(expr: ex.Comparison) -> ex.Literal | None:
-    """A literal-vs-literal comparison folded to TRUE/FALSE, else None.
-
-    Mixed string/numeric operands and boolean ordering are left alone:
-    they raise type errors at runtime, and folding would hide them.
-    NULL operands are never folded (the comparison yields NULL, and a
-    bare NULL literal is not a valid predicate root).
-    """
-    left, right = expr.left, expr.right
-    if not (isinstance(left, ex.Literal) and isinstance(right, ex.Literal)):
-        return None
-    lv, rv = left.value, right.value
-    if lv is None or rv is None:
-        return None
-    if isinstance(lv, bool) or isinstance(rv, bool):
-        if not (isinstance(lv, bool) and isinstance(rv, bool)):
-            return None
-        if expr.op not in ("=", "<>"):
-            return None
-    elif isinstance(lv, str) != isinstance(rv, str):
-        return None
-    return ex.Literal(bool(_COMPARE[expr.op](lv, rv)))
+#: what a comparison with a NULL operand folds to
+_NULL = ex.Literal(None, DataType.BOOL)
 
 
 def _fold(expr: ex.Expression) -> ex.Expression:
-    """Collapse literal-only boolean subtrees (Kleene semantics).
-
-    A node folds only when its operands are themselves literals, so no
-    column-referencing subtree is ever dropped — whatever the original
-    predicate would have evaluated (and whatever dtype errors it would
-    have raised) still evaluates.  Results are always strict TRUE/FALSE
-    literals; an unknown (NULL) outcome keeps the original node, and a
-    subtree nothing folded in is returned as the same object.
-    """
-    if isinstance(expr, (ex.And, ex.Or)):
-        left, right = _fold(expr.left), _fold(expr.right)
-        lt, rt = _literal_truth(left), _literal_truth(right)
-        if lt is not _MISSING and rt is not _MISSING:
-            if isinstance(expr, ex.And):
-                value = (
-                    False
-                    if lt is False or rt is False
-                    else (True if lt is True and rt is True else None)
-                )
-            else:
-                value = (
-                    True
-                    if lt is True or rt is True
-                    else (False if lt is False and rt is False else None)
-                )
-            if value is not None:
-                return ex.Literal(value)
-        if left is not expr.left or right is not expr.right:
-            return type(expr)(left, right)
-    elif isinstance(expr, ex.Not):
-        inner = _fold(expr.operand)
-        truth = _literal_truth(inner)
-        if truth is True or truth is False:
-            return ex.Literal(not truth)
-        if inner is not expr.operand:
-            return ex.Not(inner)
-    elif isinstance(expr, ex.Comparison):
-        return _fold_comparison(expr) or expr
+    """Fold a predicate's comparisons and AND/OR/NOT whose operands are
+    literals through the kernels (Kleene semantics, exactly what
+    evaluating them gives) to TRUE, FALSE or a BOOL-typed NULL, and a
+    comparison with a NULL operand to NULL; a subtree nothing folded in
+    is returned as the same object."""
+    if isinstance(expr, ex.Comparison) and any(
+        isinstance(side, ex.Literal) and side.value is None for side in (expr.left, expr.right)
+    ):
+        return _NULL
+    if isinstance(expr, (ex.And, ex.Or, ex.Not)):
+        expr = expr.map_children(_fold)
+    elif not isinstance(expr, ex.Comparison):
+        return expr
+    if all(isinstance(operand, ex.Literal) for operand in expr.children()):
+        return ex.Literal(ex.fold_constant(expr), DataType.BOOL)
     return expr
 
 
@@ -241,40 +187,31 @@ def _simplify_predicate(
     """``(new_predicate, changed, contradiction, detail)`` for one predicate.
 
     Folds each conjunct, drops TRUE conjuncts and duplicates, and flags a
-    FALSE conjunct as a contradiction (the literal is *kept* so the
-    predicate still evaluates where it must).  Bails out untouched when a
-    conjunct is a bare NULL literal — dropping its TRUE siblings could
-    leave a non-boolean predicate root the unoptimized plan never had.
+    FALSE or NULL conjunct as a contradiction (the literal is *kept*, so
+    EXPLAIN shows what proved it).
     """
     conjuncts = split_conjuncts(predicate)
     folded_conjuncts = [_fold(conj) for conj in conjuncts]
     folded = sum(new is not old for new, old in zip(folded_conjuncts, conjuncts))
-    if any(
-        isinstance(c, ex.Literal) and c.value is None for c in folded_conjuncts
-    ):
-        return predicate, False, False, ""
     kept: list[ex.Expression] = []
     dropped_true = dropped_dup = 0
     contradiction = False
     for conj in folded_conjuncts:
-        if _literal_truth(conj) is True:
+        truth = _literal_truth(conj)
+        if truth is True:
             dropped_true += 1
             continue
-        if _literal_truth(conj) is False:
+        if truth is not _MISSING:
             contradiction = True
         if any(conj.same_as(seen) for seen in kept):
             dropped_dup += 1
             continue
         kept.append(conj)
-    changed = bool(folded or dropped_true or dropped_dup)
-    parts = []
-    if folded:
-        parts.append(f"{folded} folded")
-    if dropped_true:
-        parts.append(f"{dropped_true} tautology dropped")
-    if dropped_dup:
-        parts.append(f"{dropped_dup} duplicate dropped")
-    return _conjoin(kept), changed, contradiction, ", ".join(parts)
+    counts = {
+        "folded": folded, "tautology dropped": dropped_true, "duplicate dropped": dropped_dup
+    }
+    detail = ", ".join(f"{n} {what}" for what, n in counts.items() if n)
+    return _conjoin(kept), any(counts.values()), contradiction, detail
 
 
 # -- rule 1+2: constant folding, tautology/contradiction, dedup --------------------------
@@ -287,8 +224,6 @@ def _fold_rule(node: PlanNode, ctx: _Context) -> PlanNode:
             node.predicate = new
             ctx.record("constant_fold", f"scan({node.table}): {detail}")
         if contradiction:
-            # keep the (simplified) predicate: the executor type-checks it
-            # against an empty slice so dtype errors still surface
             node.empty = True
             ctx.record("contradiction", f"scan({node.table}) is provably empty")
     elif isinstance(node, FilterNode):

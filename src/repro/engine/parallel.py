@@ -419,8 +419,9 @@ def _span_tasks(
     serially every span is one governed step on the caller.  ``tail`` —
     a delta store's live pending rows — rides along as a trailing
     always-evaluate task over its own small table.  A scan nothing
-    survives keeps one empty evaluate-span, so the kernels still produce
-    the empty result (and a global aggregate its one row).
+    survives keeps one empty span, so the kernels still produce the
+    empty result (and a global aggregate its one row) without evaluating
+    the predicate.
     """
     spans = [(0, table.num_rows, True)] if ranges is None else ranges
     pooled = should_parallelize(sum(stop - start for start, stop, _ in spans))
@@ -434,7 +435,7 @@ def _span_tasks(
     tasks: list[tuple] = [(table, [span], extra_mask) for span in spans]
     if tail is not None and tail.num_rows:
         tasks.append((tail, [(0, tail.num_rows, True)], None))
-    return tasks or [(table, [(0, 0, True)], None)], pooled
+    return tasks or [(table, [(0, 0, False)], None)], pooled
 
 
 def _filter_tasks(
@@ -487,7 +488,7 @@ _MODE_GATHER = "gather"
 def _partial_modes(
     table: Table, aggregates: Sequence[tuple[str, AggregateCall]]
 ) -> list[str]:
-    modes = []
+    modes, schema = [], table.schema
     for _, call in aggregates:
         if call.argument is None:
             modes.append(_MODE_COUNT_STAR)
@@ -497,7 +498,7 @@ def _partial_modes(
             modes.append(_MODE_COUNT)
         elif call.function in ("MIN", "MAX"):
             modes.append(_MODE_MINMAX)
-        elif call.function == "SUM" and call.argument.output_type(table) is not DataType.FLOAT64:
+        elif call.function == "SUM" and call.argument.output_type(schema) is not DataType.FLOAT64:
             modes.append(_MODE_SUM_INT)
         else:  # float SUM, AVG: keep the rows to preserve pairwise summation
             modes.append(_MODE_GATHER)

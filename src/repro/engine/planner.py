@@ -8,7 +8,10 @@ into a tree of plan nodes.  Rewrites applied, in order:
    (:class:`_Binder`): a joined column whose name an earlier table of the
    chain already uses is renamed ``right_<name>``.  Each
    :class:`JoinNode` carries its map, and the executor renames by it.
-2. **Predicate splitting and pushdown** — the WHERE clause is split into
+2. **Typing** — every expression is typed against the schema it is
+   evaluated over (:func:`bind_statement`): a bare ``NULL`` takes its
+   context's type, and every dtype error raises before any row is read.
+3. **Predicate splitting and pushdown** — the WHERE clause is split into
    conjuncts; conjuncts that reference only base-table columns are pushed
    into the scan, where zone maps and indexes see them.
 
@@ -32,7 +35,9 @@ from repro.engine.sql.ast import (
     SelectItem,
     SelectStatement,
 )
-from repro.errors import BindError
+from repro.engine.table import Schema
+from repro.engine.types import DataType, aggregate_type, assignable
+from repro.errors import BindError, TypeMismatchError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.catalog import Database
@@ -90,9 +95,8 @@ class ScanNode(PlanNode):
 
     The optimizer may additionally set ``columns`` (projection pruning:
     only the named columns are materialised) and ``empty`` (a provably
-    contradictory predicate: the scan returns no rows, but the predicate
-    is kept and type-checked against an empty slice so dtype errors
-    surface exactly as an unoptimized scan would raise them).
+    contradictory predicate: the scan returns no rows; the predicate
+    stays for EXPLAIN).
     """
 
     table: str
@@ -327,12 +331,7 @@ def plan_statement(statement: SelectStatement, database: "Database") -> Plan:
                 items=[SelectItem(expression=ex.ColumnRef(n), alias=n) for n in keep],
             )
     else:
-        output_names = {
-            i.output_name() for i in statement.items if not i.star
-        }
-        sort_uses_aliases = statement.order_by and all(
-            o.expression.referenced_columns() <= output_names for o in statement.order_by
-        )
+        sort_uses_aliases = _sorts_output(statement)
         if statement.order_by and not sort_uses_aliases:
             node = SortNode(child=node, order_by=list(statement.order_by))
         node = ProjectNode(child=node, items=list(statement.items))
@@ -344,6 +343,18 @@ def plan_statement(statement: SelectStatement, database: "Database") -> Plan:
         node = LimitNode(child=node, count=statement.limit)
 
     return Plan(root=node, statement=statement)
+
+
+def _sorts_output(statement: SelectStatement) -> bool:
+    """True when ORDER BY reads the statement's output rather than the
+    scan: always under an aggregate, else when its keys name only select
+    items (then the sort runs after the projection)."""
+    if statement.is_aggregate:
+        return True
+    names = {i.output_name() for i in statement.items if not i.star}
+    return bool(statement.order_by) and all(
+        o.expression.referenced_columns() <= names for o in statement.order_by
+    )
 
 
 def _group_output_name(expr: ex.Expression, items: list[SelectItem]) -> str:
@@ -397,8 +408,7 @@ def extract_probe(
         return None
     left, right, op = conj.left, conj.right, conj.op
     if isinstance(left, ex.Literal) and isinstance(right, ex.ColumnRef):
-        flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
-        left, right, op = right, left, flipped[op]
+        left, right, op = right, left, ex.Comparison._FLIPPED[op]
     if not (isinstance(left, ex.ColumnRef) and isinstance(right, ex.Literal)):
         return None
     value = right.value
@@ -460,21 +470,82 @@ def intersect_probes(left: RangeProbe, right: RangeProbe) -> RangeProbe | None:
 
 
 def bind_statement(statement, database: "Database") -> list[dict[str, str]]:
-    """Resolve the qualified names of a SELECT, DELETE or UPDATE in place:
-    every expression it holds is rewritten under the statement's scope,
-    the FROM table plus, for a SELECT, its joins.  Returns each join's
+    """Bind a SELECT, DELETE or UPDATE in place: every expression it holds
+    is rewritten under the statement's scope (the FROM table plus, for a
+    SELECT, its joins) and typed over what it is evaluated on — the scan
+    or join output; for HAVING and an ORDER BY over the output, the
+    aggregate's or projection's; for SET, its column.  Returns each join's
     ``{right column: output name}`` map, in join order."""
     joins = statement.joins if isinstance(statement, SelectStatement) else []
     binder = _Binder(statement.table, joins, database)
     for join in joins:
         binder.bind_join(join)
+    scope = binder.scope
+    assigned = iter(getattr(statement, "assignments", ()))
+    output_sites = []  # typed once the output schema is known
     for clause, expr, replace in statement.expressions():
-        # ORDER BY may reference select-list aliases; leave those alone.
-        if clause == "order" and isinstance(expr, ex.ColumnRef):
-            if expr.name in {i.output_name() for i in statement.items if not i.star}:
-                continue
-        replace(expr.rewrite_columns(binder.resolve))
+        # an ORDER BY alias has no qualifier: resolving leaves it alone
+        expr = expr.rewrite_columns(binder.resolve)
+        replace(expr)
+        if isinstance(expr, ex.ColumnRef) and clause not in ("where", "having", "set"):
+            continue  # no type rule to check; a missing column raises where it is read
+        if clause in ("having", "order"):
+            output_sites.append((clause, expr, replace))
+        else:
+            column = next(assigned)[0] if clause == "set" else None
+            replace(bind_expression(expr, scope, clause, column))
+    if isinstance(statement, SelectStatement):
+        # typing the aggregates raises a SUM or AVG over STRING
+        aggregates = []
+        for name, call in statement.aggregates() + statement.having_aggregates:
+            argument = call.argument and call.argument.output_type(scope)
+            aggregates.append((name, aggregate_type(call.function, argument)))
+        # HAVING is under an aggregate, so it always reads the output
+        output = scope
+        if output_sites and _sorts_output(statement):
+            output = _output_schema(statement, scope, aggregates)
+        for clause, expr, replace in output_sites:
+            replace(bind_expression(expr, output, clause))
     return binder.join_names
+
+
+def bind_expression(
+    expr: ex.Expression, schema: Schema, clause: str, column: str | None = None
+) -> ex.Expression:
+    """``expr`` with its bare NULLs typed — as ``column`` of ``schema`` for a
+    SET or VALUES value, BOOL at a WHERE or HAVING root — and checked over
+    ``schema``: a predicate must be boolean, a value's type
+    :func:`~repro.engine.types.assignable` to its column (whether each
+    value fits, a fractional FLOAT64 into INT64, is checked on store)."""
+    predicate = clause in ("where", "having")
+    target = schema.type_of(column) if column else None
+    expr = expr.bind(schema, target or (DataType.BOOL if predicate else DataType.FLOAT64))
+    dtype = expr.output_type(schema)
+    if predicate:
+        ex.expect_boolean(dtype)
+    elif target is not None and not assignable(dtype, target):
+        raise TypeMismatchError(
+            f"cannot assign {dtype.name} values to {target.name} column {column!r}"
+        )
+    return expr
+
+
+def _output_schema(
+    statement: SelectStatement, scope: Schema, aggregates: list[tuple[str, DataType]]
+) -> Schema:
+    """What HAVING and an output ORDER BY read: the groups, then the
+    ``aggregates`` with their result types — or the projection's columns."""
+    if not statement.is_aggregate:
+        return Schema([
+            field for item in statement.items for field in (
+                scope.fields() if item.star
+                else [(item.output_name(), item.expression.output_type(scope))]
+            )
+        ])
+    return Schema([
+        (_group_output_name(expr, statement.items), expr.output_type(scope))
+        for expr in statement.group_by
+    ] + aggregates)
 
 
 class _Binder:
@@ -490,21 +561,26 @@ class _Binder:
     def __init__(
         self, table: str, joins: list[JoinClause], database: "Database"
     ) -> None:
-        base = database.main_table(table).column_names
+        base = database.main_table(table).schema
         #: table -> {its column: the name it goes by in the scan/join output}
-        self._names = {table: {name: name for name in base}}
+        self._names = {table: {name: name for name in base.names}}
         self.join_names: list[dict[str, str]] = []
-        used = set(base)
+        fields = base.fields()
+        used = set(base.names)
         for clause in joins:
             names = {}
-            for name in database.main_table(clause.table).column_names:
+            for name, dtype in database.main_table(clause.table).schema.fields():
                 out = name
                 while out in used:
                     out = f"right_{out}"
                 used.add(out)
                 names[name] = out
+                fields.append((out, dtype))
             self.join_names.append(names)
             self._names.setdefault(clause.table, names)
+        #: the scan/join output, what every clause but HAVING and an
+        #: output ORDER BY is evaluated over
+        self.scope = Schema(fields) if joins else base
 
     def _split(self, name: str) -> tuple[str, str]:
         """``(table, column)`` of a qualified name, checked against the scope."""

@@ -411,7 +411,7 @@ def _scatter(kernel, name, table, ranges, layout, database, profiler, *args) -> 
     spans, scheduled = _schedule(layout, ranges, profiler)
     if not scheduled:
         # nothing survives: the kernel's result over one empty span
-        return [kernel(table, [(0, 0, True)], None, *args)]
+        return [kernel(table, [(0, 0, False)], None, *args)]
     pooled = parallel.should_parallelize(table.num_rows)
     sources = _sources(name, table, layout, scheduled, database, pooled)
     if pooled:

@@ -14,6 +14,10 @@ STRING     ``object``       Python ``str`` values (dictionary-free)
 Nulls are represented out-of-band with a boolean validity mask on each
 :class:`~repro.engine.column.Column`, so the payload arrays stay dense and
 vectorisable.
+
+A fifth type, ``UNKNOWN``, is a bare ``NULL``'s until binding gives it its
+context's (:meth:`~repro.engine.expressions.Expression.bind`); no column,
+checkpoint or WAL record ever carries it.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ class DataType(enum.Enum):
     FLOAT64 = "float64"
     BOOL = "bool"
     STRING = "string"
+    UNKNOWN = "unknown"
 
     @property
     def numpy_dtype(self) -> np.dtype:
@@ -108,14 +113,40 @@ def common_type(left: DataType, right: DataType) -> DataType:
     """Return the type two operands promote to in arithmetic/comparison.
 
     INT64 and FLOAT64 promote to FLOAT64; identical types promote to
-    themselves.  Anything else is a type error.
+    themselves; UNKNOWN (a bare NULL) takes the other side's type.
+    Anything else is a type error.
     """
-    if left == right:
+    if left is right or right is DataType.UNKNOWN:
         return left
-    numeric = {DataType.INT64, DataType.FLOAT64}
-    if left in numeric and right in numeric:
+    if left is DataType.UNKNOWN:
+        return right
+    if left.is_numeric and right.is_numeric:
         return DataType.FLOAT64
     raise TypeMismatchError(f"no common type for {left.name} and {right.name}")
+
+
+def aggregate_type(function: str, argument: DataType | None) -> DataType:
+    """The result type of ``function`` over an ``argument`` column (None
+    for ``COUNT(*)``): COUNT, MIN and MAX take every type; SUM and AVG
+    reject STRING."""
+    if function == "COUNT":
+        return DataType.INT64
+    if function in ("MIN", "MAX"):
+        return argument
+    if function not in ("SUM", "AVG"):
+        raise TypeMismatchError(f"unknown aggregate function {function}")
+    if argument is DataType.STRING:
+        raise TypeMismatchError(f"{function} requires a numeric argument, got STRING")
+    return DataType.FLOAT64 if function == "AVG" or argument is DataType.FLOAT64 else DataType.INT64
+
+
+def assignable(source: DataType, target: DataType) -> bool:
+    """True when values of ``source`` may be stored in a ``target`` column:
+    the same type, a bare NULL, or a number into a number (whether each
+    FLOAT64 value fits an INT64 column is asked when it is stored)."""
+    return source is target or source is DataType.UNKNOWN or (
+        source.is_numeric and target.is_numeric
+    )
 
 
 def coerce_array(values: Any, dtype: DataType) -> np.ndarray:

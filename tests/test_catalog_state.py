@@ -392,8 +392,8 @@ _ASSIGNMENTS = {
     "f": ["f * -1", "f + 1.5", "NULL", "-0.0"],
     "g": ["g * -1", "g + 0.5", "NULL"],
     "n": ["n + 1", "NULL", "7"],
-    "s": ["'zz'", "'a'"],  # a bare NULL types as FLOAT64: no STRING/BOOL
-    "b": ["NOT b", "TRUE"],
+    "s": ["'zz'", "'a'", "NULL"],
+    "b": ["NOT b", "TRUE", "NULL"],
 }
 _ASSIGNMENT = st.sampled_from(
     [(column, expr) for column, exprs in _ASSIGNMENTS.items() for expr in exprs]

@@ -30,7 +30,7 @@ from repro.engine import parallel
 from repro.engine.column import Column
 from repro.engine.sql.ast import AggregateCall
 from repro.engine.sql.parser import parse
-from repro.engine.types import DataType
+from repro.engine.types import DataType, aggregate_type
 from repro.obs.metrics import get_registry
 from tests.conftest import pin_defaults
 from tests.reference_interpreter import run_reference
@@ -80,7 +80,9 @@ def _spec_aggregate(call: AggregateCall, column: Column | None, group_size: int)
 
 
 def spec_hash_aggregate(table, group_exprs, aggregates, group_names=None) -> Table:
-    """``hash_aggregate`` as it was: per-group gathers, result rows as tuples."""
+    """``hash_aggregate`` as it was — per-group gathers, result rows as
+    tuples — typed from the schema: the keys' types and the aggregates'
+    result types, whatever the rows hold."""
     names = ops.group_output_names(group_exprs, group_names) + [n for n, _ in aggregates]
     key_columns = [expr.evaluate(table) for expr in group_exprs]
     arguments = [
@@ -103,7 +105,14 @@ def spec_hash_aggregate(table, group_exprs, aggregates, group_names=None) -> Tab
                 for (_, call), arg in zip(aggregates, arguments)
             )
         )
-    return Table.from_rows(out_rows, names)
+    types = [column.dtype for column in key_columns] + [
+        DataType.INT64 if arg is None else aggregate_type(call.function, arg.dtype)
+        for (_, call), arg in zip(aggregates, arguments)
+    ]
+    return Table([
+        (name, Column([row[j] for row in out_rows], dtype=dtype))
+        for j, (name, dtype) in enumerate(zip(names, types))
+    ])
 
 
 # -- the lattice -------------------------------------------------------------------------
@@ -236,18 +245,22 @@ def test_lattice_point(route, key, monkeypatch, pool):
         _same_rows(table, run_reference(parse(sql), rows), ordered=True)
 
 
-def test_shapes_result_rows_used_to_decide():
-    db = _database(ROUTES["serial"])
+@pytest.mark.parametrize("route", ("serial", "threads", "sharded", "dirty"))
+def test_shapes_come_from_the_schema(route, pool):
+    """No group, an all-NULL aggregate, the global group over no rows:
+    every column keeps the type the schema gives it (``nul`` is INT64)."""
+    db = _database(ROUTES[route])
     none = db.sql("SELECT ds, COUNT(*) AS n, MIN(sv) AS s FROM t WHERE i < 0 GROUP BY ds")
-    assert none.num_rows == 0 and set(none.schema.types) == {DataType.FLOAT64}
+    assert none.num_rows == 0
+    assert none.schema.types == (DataType.STRING, DataType.INT64, DataType.STRING)
     nulls = db.sql("SELECT ds, SUM(nul) AS s, MIN(nul) AS m, COUNT(nul) AS n FROM t GROUP BY ds")
     assert nulls.schema.types == (
-        DataType.STRING, DataType.FLOAT64, DataType.FLOAT64, DataType.INT64
+        DataType.STRING, DataType.INT64, DataType.INT64, DataType.INT64
     )
-    assert nulls.column("s").null_count() == nulls.num_rows == 5
+    assert nulls.column("s").null_count() == nulls.num_rows == 5 + (route == "dirty")
     empty = db.sql("SELECT COUNT(*) AS n, SUM(iv) AS s, MAX(sv) AS m FROM t WHERE i < 0")
     assert list(empty.rows()) == [(0, None, None)]
-    assert empty.schema.types == (DataType.INT64, DataType.FLOAT64, DataType.FLOAT64)
+    assert empty.schema.types == (DataType.INT64, DataType.INT64, DataType.STRING)
 
 
 # -- new kernel == per-group formulation, on random inputs -------------------------------

@@ -45,7 +45,7 @@ def random_table(rng: np.random.Generator, n: int) -> tuple[Table, list[dict]]:
 
 
 def random_predicate(rng: np.random.Generator, depth: int = 0) -> str:
-    choice = rng.integers(0, 8 if depth < 2 else 6)
+    choice = rng.integers(0, 9 if depth < 2 else 7)
     if choice == 0:
         return f"a {rng.choice(['<', '<=', '>', '>=', '=', '<>'])} {rng.integers(-20, 20)}"
     if choice == 1:
@@ -62,6 +62,11 @@ def random_predicate(rng: np.random.Generator, depth: int = 0) -> str:
         return rng.choice([
             "a IS NULL", "a IS NOT NULL", "s IS NULL",
             f"s LIKE '{rng.choice(['a%', '%t', '_o%', '%e%'])}'",
+        ])
+    if choice == 6:  # a bare NULL, typed by its context when bound
+        return rng.choice([
+            "s = NULL", "a <> NULL", "NULL", "a + NULL > 0",
+            f"(CASE WHEN a > 0 THEN s ELSE NULL END) = '{rng.choice(WORDS)}'",
         ])
     connector = "AND" if rng.random() < 0.5 else "OR"
     left = random_predicate(rng, depth + 1)
