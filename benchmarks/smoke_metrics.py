@@ -21,10 +21,11 @@ import numpy as np
 from common import metrics_snapshot, print_table
 
 from repro import settings
-from repro.engine import expressions, parallel
+from repro.engine import expressions, parallel, planner
 from repro.engine.catalog import Database
 from repro.engine.column import Column
 from repro.engine.expressions import col
+from repro.engine.sql import parser
 from repro.engine.statistics import ColumnStatistics
 from repro.engine.table import Table
 from repro.engine.types import coerce_array, infer_type
@@ -544,6 +545,93 @@ def check_type_errors_raise_at_bind(n: int = 200_000) -> int:
     return live
 
 
+def check_plan_templates(statements: int = 500, rows: int = 20_000) -> int:
+    """Guard the plan cache's template level with counts: ``statements``
+    drill-down statements in five shapes (a point lookup, a range GROUP BY,
+    an IN list under ORDER BY … LIMIT, a join GROUP BY, a CASE projection),
+    each with fresh literals, must call ``parse`` and
+    ``planner.plan_statement`` at most once per shape, re-bind a template
+    (``plan_cache.template_hits``) for every other statement, and answer
+    what a fresh plan answers.  Returns the template hits."""
+    rng = np.random.default_rng(0)
+    kinds = np.array([f"kind_{i}" for i in range(8)], dtype=object)
+    db = Database()
+    db.create_table("events", Table([
+        ("id", Column(np.arange(rows, dtype=np.int64))),
+        ("day", Column(rng.integers(0, 365, rows))),
+        ("user_id", Column(rng.integers(0, 1_000, rows))),
+        ("kind", Column(kinds[rng.integers(0, 8, rows)])),
+        ("amount", Column(np.round(rng.gamma(2.0, 50.0, rows), 2))),
+        ("qty", Column(rng.integers(1, 10, rows))),
+    ]))
+    db.create_table("users", {
+        "user_id": list(range(1_000)), "segment": [f"seg_{i % 5}" for i in range(1_000)],
+    })
+
+    shapes = 5
+
+    def statement(i: int) -> str:
+        """The ``i``-th statement: shape ``i % shapes``, literals no other has."""
+        day, key, cut = i // 5, i * 31 % (rows - 50), round(20 + i * 0.17, 2)
+        first, second = kinds[rng.integers(0, 8, 2)]
+        return [
+            f"SELECT id, day, user_id, kind, amount FROM events WHERE id = {key}",
+            "SELECT kind, COUNT(*) AS n, SUM(amount) AS total FROM events "
+            f"WHERE day >= {day} AND day < {day + 5} GROUP BY kind ORDER BY kind",
+            f"SELECT id, amount FROM events WHERE kind IN ('{first}', '{second}') "
+            f"AND amount > {cut!r} ORDER BY amount DESC, id LIMIT 10",
+            "SELECT segment, COUNT(*) AS n, SUM(amount) AS total FROM events "
+            "JOIN users ON events.user_id = users.user_id "
+            f"WHERE day >= {day} AND day < {day + 5} GROUP BY segment ORDER BY segment",
+            f"SELECT id, amount * qty AS gross, CASE WHEN amount > {cut!r} THEN 'high' "
+            f"ELSE 'low' END AS band FROM events WHERE id >= {key} AND id < {key + 50}",
+        ][i % shapes]
+
+    originals = {"parse": parser.parse, "plan_statement": planner.plan_statement}
+    calls = dict.fromkeys(originals, 0)
+
+    def spy(name):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+        return counted
+
+    holders = [
+        (module, name) for module_name, module in list(sys.modules.items())
+        if module_name.startswith("repro") for name, fn in originals.items()
+        if getattr(module, name, None) is fn
+    ]
+    hits = get_registry().counter("plan_cache.template_hits")
+    before = hits.value
+    answered = []
+    saved = settings.snapshot()
+    try:
+        settings.configure(
+            plan_cache=True, plan_cache_size=settings.ROWS["plan_cache_size"].default
+        )
+        for module, name in holders:
+            setattr(module, name, spy(name))
+        for i in range(statements):
+            sql = statement(i)
+            answered.append((sql, db.sql(sql)))
+        counted, template_hits = dict(calls), hits.value - before
+        settings.configure(plan_cache=False)
+        for sql, result in answered[:: statements // 50]:
+            assert list(result.rows()) == list(db.sql(sql).rows()), sql
+    finally:
+        for module, name in holders:
+            setattr(module, name, originals[name])
+        settings.restore(saved)
+    assert counted["parse"] <= shapes and counted["plan_statement"] <= shapes, (
+        f"{statements} statements of {shapes} shapes were parsed {counted['parse']}x "
+        f"and planned {counted['plan_statement']}x"
+    )
+    assert template_hits >= statements - shapes, (
+        f"only {template_hits} of {statements} statements re-bound a template"
+    )
+    return template_hits
+
+
 def main() -> int:
     keepalive = run_workload()
     views_ratio = check_views_run_on_group_kernel()
@@ -556,6 +644,7 @@ def main() -> int:
     sort_ratio = check_pooled_sort_ratio()
     straddle_ratio = check_straddling_group_by_ratio()
     live_calls = check_type_errors_raise_at_bind()
+    template_hits = check_plan_templates()
     snapshot = json.loads(metrics_snapshot())
     assert keepalive is not None
 
@@ -588,7 +677,8 @@ def main() -> int:
           f"sampled-interval coverage {interval_coverage:.2f},",
           f"SeeDB / equivalent GROUP BYs {views_ratio:.2f}x,",
           f"first read after an UPDATE {update_speedup:.1f}x faster than after a rebuild,",
-          f"0 predicate evaluations before a type error ({live_calls} for a live brush)")
+          f"0 predicate evaluations before a type error ({live_calls} for a live brush),",
+          f"{template_hits} of 500 fresh-literal statements re-bound a plan template")
     return 0
 
 

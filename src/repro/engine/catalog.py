@@ -25,7 +25,8 @@ from repro.engine import delta as deltamod
 from repro.engine import shards as shardsmod
 from repro.engine.delta import DeltaStore
 from repro.engine.optimizer import optimize_plan
-from repro.engine.planner import Plan, bind_expression, bind_statement, plan_statement
+from repro.engine.planner import Plan, Template, bind_expression, bind_statement, plan_statement
+from repro.engine.sql.lexer import Token, shape, tokenize
 from repro.engine.sql.parser import parse, parse_statement
 from repro.engine.statistics import TableStatistics, ZoneMap
 from repro.engine.table import Table
@@ -100,7 +101,10 @@ class Database:
         self._tables: dict[str, _TableState] = {}
         self._catalog_version = 0
         self._data_counter = 0
-        self._plan_cache: OrderedDict[str, tuple[int, bool, Plan]] = OrderedDict()
+        #: the plan cache's two levels (:meth:`_plan_cached`): by SQL text,
+        #: and by shape, whose entry holds a Template or None
+        self._plan_cache: OrderedDict[str, tuple] = OrderedDict()
+        self._plan_templates: OrderedDict[tuple, tuple] = OrderedDict()
         self._plan_cache_lock = threading.Lock()
         self.queries_executed = 0
         # durability: None for in-memory databases; recovery replays the
@@ -240,8 +244,7 @@ class Database:
             backing.release()
         # drop every internal reference that may pin a mapped array
         self._tables.clear()
-        with self._plan_cache_lock:
-            self._plan_cache.clear()
+        self._clear_plans()
         gc.collect()
         for handle in handles:
             try:
@@ -272,8 +275,13 @@ class Database:
         """Advance the catalog version and drop every cached plan — the
         catalog they were bound against no longer exists."""
         self._catalog_version += 1
+        self._clear_plans()
+
+    def _clear_plans(self) -> None:
+        """Drop both levels of the plan cache."""
         with self._plan_cache_lock:
             self._plan_cache.clear()
+            self._plan_templates.clear()
 
     def _state(self, name: str) -> _TableState:
         try:
@@ -787,42 +795,72 @@ class Database:
             optimize_plan(plan, self)
         return plan
 
-    def _plan_cached(self, sql: str, statement=None) -> tuple[Plan, bool]:
-        """``(plan, cache_hit)`` for a SQL string (``statement`` is its
-        parse, when the caller already has it).
+    def _plan_cached(
+        self, sql: str, tokens: list[Token] | None = None
+    ) -> tuple[Plan, str | None]:
+        """``(plan, how the cache served it)`` for a SELECT string:
+        ``"hit"``, ``"template hit"`` or None for a fresh plan.  ``tokens``
+        is ``tokenize(sql)`` when the caller already has it.
 
-        The cache is an LRU keyed on the exact SQL text; each entry
-        remembers the catalog version *and* the optimizer setting it was
-        planned under and is only served while both are current (DDL,
-        table replacement and a changed layout bump the version and clear
-        the cache; toggling ``PRAGMA optimizer`` makes old entries
-        stale).  Exploration workloads re-issue the same statements
-        constantly, so repeat queries skip parse/bind/plan/optimize
-        entirely — what is cached is the fully *optimized* plan.
+        The cache has two LRU levels, each bounded by ``plan_cache_size``,
+        and holds fully *optimized* plans.  An entry remembers the catalog
+        version *and* the optimizer setting it was planned under and is
+        only served while both are current (DDL, table replacement and a
+        changed layout bump the version and clear the cache; toggling
+        ``PRAGMA optimizer`` makes old entries stale).  The first level
+        is keyed on the exact SQL text and costs no tokenization.  The
+        second is keyed on the statement's shape, its tokens with the
+        literals masked (:func:`~repro.engine.sql.lexer.shape`): a brush
+        or slider re-issues one statement with new constants, and a shape
+        hit re-binds the cached plan to them (:meth:`Template.bind`)
+        without parsing, binding, planning or optimizing.  A shape whose
+        plan is no template (:meth:`Template.of`) is remembered as such.
         """
         config = settings.current
         if not config.plan_cache:
-            return self._plan_fresh(statement or parse(sql), config.optimizer), False
+            return self._plan_fresh(parse(sql, tokens), config.optimizer), None
         registry = get_registry()
-        optimized = bool(config.optimizer)
-        with self._plan_cache_lock:
-            entry = self._plan_cache.get(sql)
-            if (
-                entry is not None
-                and entry[0] == self._catalog_version
-                and entry[1] == optimized
-            ):
-                self._plan_cache.move_to_end(sql)
-                registry.counter("plan_cache.hits").inc()
-                return entry[2], True
-        plan = self._plan_fresh(statement or parse(sql), optimized)
+        stamp = (self._catalog_version, bool(config.optimizer))
+        entry = self._cache_get(self._plan_cache, sql, stamp)
+        if entry is not None:
+            registry.counter("plan_cache.hits").inc()
+            return entry[1], "hit"
+        tokens = tokens or tokenize(sql)
+        key, positions = shape(tokens)
+        entry = self._cache_get(self._plan_templates, key, stamp)
+        if entry is not None and entry[1] is not None:
+            plan = entry[1].bind([tokens[i].value for i in positions])
+            registry.counter("plan_cache.hits").inc()
+            registry.counter("plan_cache.template_hits").inc()
+            self._cache_put(self._plan_cache, sql, (stamp, plan))
+            return plan, "template hit"
+        literals: dict[int, Any] = {}
+        statement = parse(sql, tokens, literals)
+        plan = self._plan_fresh(statement, stamp[1])
         registry.counter("plan_cache.misses").inc()
+        self._cache_put(self._plan_cache, sql, (stamp, plan))
+        if entry is None:
+            template = Template.of(statement, plan, [literals.get(i) for i in positions])
+            self._cache_put(self._plan_templates, key, (stamp, template))
+        return plan, None
+
+    def _cache_get(self, cache: OrderedDict, key: Any, stamp: tuple) -> tuple | None:
+        """``cache``'s entry for ``key`` if it was planned under ``stamp``."""
         with self._plan_cache_lock:
-            self._plan_cache[sql] = (self._catalog_version, optimized, plan)
-            self._plan_cache.move_to_end(sql)
-            while len(self._plan_cache) > config.plan_cache_size:
-                self._plan_cache.popitem(last=False)
-        return plan, False
+            entry = cache.get(key)
+            if entry is None or entry[0] != stamp:
+                return None
+            cache.move_to_end(key)
+            return entry
+
+    def _cache_put(self, cache: OrderedDict, key: Any, entry: tuple) -> None:
+        """Store ``entry`` as the newest in ``cache``, evicting the oldest
+        past ``plan_cache_size``."""
+        with self._plan_cache_lock:
+            cache[key] = entry
+            cache.move_to_end(key)
+            while len(cache) > settings.current.plan_cache_size:
+                cache.popitem(last=False)
 
     def explain(self, sql: str) -> str:
         """Textual plan for a query (like EXPLAIN)."""
@@ -910,7 +948,7 @@ class Database:
         """
         return self._profile_plan(*self._plan_cached(query))
 
-    def _profile_plan(self, plan: Plan, cache_hit: bool) -> ExplainAnalyzeReport:
+    def _profile_plan(self, plan: Plan, served: str | None) -> ExplainAnalyzeReport:
         from repro.engine.executor import execute_plan
 
         profiler = PlanProfiler()
@@ -921,8 +959,8 @@ class Database:
             execute_plan(plan, self, profiler=profiler)
         assert profiler.root is not None
         report = ExplainAnalyzeReport(root=profiler.root, notes=list(plan.notes))
-        if cache_hit:
-            report.notes.append("plan cache: hit")
+        if served:
+            report.notes.append(f"plan cache: {served}")
         return report
 
     def execute(self, statement_sql: str) -> Table | int:
@@ -951,11 +989,15 @@ class Database:
         stripped = statement_sql.strip().rstrip(";").strip()
         if stripped[:6].upper() == "PRAGMA":
             return self._execute_pragma(stripped[6:].strip())
-        statement = parse_statement(statement_sql)
-        if isinstance(statement, SelectStatement):
-            return self._run_query(self._plan_cached(statement_sql, statement)[0])
+        if stripped[:7].upper().split() == ["SELECT"]:
+            # the plan cache first: an exact hit is not even tokenized
+            return self._run_query(self.plan(statement_sql))
+        tokens = tokenize(statement_sql)
+        statement = parse_statement(statement_sql, tokens)
+        if isinstance(statement, SelectStatement):  # e.g. after a leading comment
+            return self._run_query(self._plan_cached(statement_sql, tokens)[0])
         if isinstance(statement, ExplainStatement):
-            return self._execute_explain(statement, statement_sql)
+            return self._execute_explain(statement, statement_sql, tokens)
         if isinstance(statement, CreateTableStatement):
             self.create_table(statement.table, _empty_table(statement.columns))
             return 0
@@ -1053,17 +1095,17 @@ class Database:
         ]
         return Table.from_rows(rows, ["pragma", "value", "source"])
 
-    def _execute_explain(self, statement, statement_sql: str) -> Table:
+    def _execute_explain(self, statement, statement_sql: str, tokens: list[Token]) -> Table:
         """EXPLAIN [ANALYZE]: the plan (and measurements) as a one-column
         table of report lines, the way conventional engines present it."""
         from repro.engine.column import Column
 
         if statement.analyze:
             # route through the plan-cache-aware path (keyed on the inner
-            # SELECT text) so repeat EXPLAIN ANALYZE skips planning too
+            # SELECT text, whose tokens follow EXPLAIN ANALYZE) so repeat
+            # EXPLAIN ANALYZE skips planning too
             inner = statement_sql[statement.select_offset :].rstrip().rstrip(";").rstrip()
-            cached = self._plan_cached(inner, statement.statement)
-            lines = self._profile_plan(*cached).lines()
+            lines = self._profile_plan(*self._plan_cached(inner, tokens[2:])).lines()
         else:
             plan = self._plan_fresh(statement.statement, settings.current.optimizer)
             lines = plan.explain().split("\n")

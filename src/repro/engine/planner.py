@@ -24,6 +24,8 @@ index which rows to read, refining it as a side effect.
 
 from __future__ import annotations
 
+import dataclasses
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -261,7 +263,6 @@ class Plan:
     """A complete logical plan plus planning metadata."""
 
     root: PlanNode
-    statement: SelectStatement
     notes: list[str] = field(default_factory=list)
 
     def explain(self) -> str:
@@ -342,7 +343,7 @@ def plan_statement(statement: SelectStatement, database: "Database") -> Plan:
     if statement.limit is not None:
         node = LimitNode(child=node, count=statement.limit)
 
-    return Plan(root=node, statement=statement)
+    return Plan(root=node)
 
 
 def _sorts_output(statement: SelectStatement) -> bool:
@@ -464,6 +465,104 @@ def intersect_probes(left: RangeProbe, right: RangeProbe) -> RangeProbe | None:
         # mixed str/numeric bounds are not orderable; no probe
         return None
     return merged
+
+
+# -- templates ---------------------------------------------------------------------------
+
+
+def _parts(value: Any) -> Any:
+    """What ``value`` — a plan, a plan node, a clause, an expression or a
+    list of them — holds, or () for a scalar, a name or a name map."""
+    if isinstance(value, ex.Expression):
+        return value.children()
+    if isinstance(value, (list, tuple)):
+        return value
+    if dataclasses.is_dataclass(value):
+        return [getattr(value, name) for name in value.__dataclass_fields__]
+    return ()
+
+
+def _holders(value: Any, targets: set[int], found: set[int]) -> bool:
+    """Whether ``value`` holds one of the ``targets`` (identities); adds
+    each target it holds, and every object on the way to one, to ``found``."""
+    held = id(value) in targets
+    for part in () if held else _parts(value):
+        held = _holders(part, targets, found) or held
+    if held:
+        found.add(id(value))
+    return held
+
+
+def _rebuild(value: Any, swap: dict[int, ex.Literal], path: set[int]) -> Any:
+    """``value`` with each object ``swap`` maps replaced, descending only
+    along ``path`` and copying only what something below changed in."""
+    if id(value) in swap:
+        return swap[id(value)]
+    if id(value) not in path:
+        return value
+    if isinstance(value, ex.Expression):
+        return value.map_children(lambda part: _rebuild(part, swap, path))
+    if isinstance(value, (list, tuple)):
+        parts = [_rebuild(part, swap, path) for part in value]
+        return value if all(map(operator.is_, parts, value)) else type(value)(parts)
+    changed = {}
+    for name in value.__dataclass_fields__:
+        part = getattr(value, name)
+        if id(part) in path:
+            new = _rebuild(part, swap, path)
+            if new is not part:
+                changed[name] = new
+    return dataclasses.replace(value, **changed) if changed else value
+
+
+class Template:
+    """An optimized plan that serves every statement of its shape — the
+    same tokens, other literal values of the same kinds — once re-bound.
+
+    ``slots`` holds the Literal each slot token became, in token order;
+    ``path`` the identities of the slots and of every node, clause, list
+    and expression above one.  No plan is changed once optimized, so a
+    re-bound plan shares everything off that path with the template.
+    """
+
+    __slots__ = ("plan", "slots", "path")
+
+    def __init__(self, plan: Plan, slots: list[ex.Literal], path: set[int]) -> None:
+        self.plan = plan
+        self.slots = slots
+        self.path = path
+
+    @classmethod
+    def of(
+        cls, statement: SelectStatement, plan: Plan, literals: list[ex.Literal | None]
+    ) -> "Template | None":
+        """``plan`` — ``statement``'s optimized plan, whose slot tokens
+        became ``literals`` — as a template, or None when it is none.
+
+        It is one when each literal is still held by the plan (one the
+        optimizer folded, deduplicated or turned into a contradiction is
+        not, and the plan then depends on its value) and sits where no
+        name is rendered from the SQL text: a WHERE or HAVING predicate or
+        an aliased select item, never an unaliased item, a GROUP BY or
+        ORDER BY key or an aggregate argument.
+        """
+        targets = {id(literal) for literal in literals}
+        sites = [item.expression for item in statement.items if item.alias] + [
+            expr for clause, expr, _ in statement.expressions() if clause in ("where", "having")
+        ]
+        in_sites: set[int] = set()
+        path: set[int] = set()
+        _holders(sites, targets, in_sites)
+        _holders(plan, targets, path)
+        return cls(plan, literals, path) if targets <= in_sites & path else None
+
+    def bind(self, values: list[Any]) -> Plan:
+        """The plan over new slot ``values`` (lexed, so each of its slot's
+        kind): a slot whose value changed becomes a fresh Literal."""
+        swap = {
+            id(old): ex.Literal(new) for old, new in zip(self.slots, values) if old.value != new
+        }
+        return _rebuild(self.plan, swap, self.path) if swap else self.plan
 
 
 # -- binding ----------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""A hand-written tokenizer for the engine's SQL subset."""
+"""The tokenizer for the engine's SQL subset: one compiled master regex."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Iterator
+import re
+from typing import Any, NamedTuple
 
 from repro.errors import LexerError
 
@@ -33,12 +33,25 @@ KEYWORDS = frozenset(
     }
 )
 
-_OPERATORS = ("<=", ">=", "<>", "!=", "=", "<", ">", "+", "-", "*", "/", "%")
-_PUNCT = {"(", ")", ",", ".", ";"}
+#: one alternative per token kind, tried in order at each position: a
+#: word is an identifier or keyword, a number is ``1``, ``1.5``, ``.5`` or
+#: ``1e5``, a string doubles ``''`` to escape a quote (so its closing
+#: quote is never followed by another), ``--`` comments run to the end
+#: of the line, and a lone character nothing else matched is an error (an
+#: unterminated string when it is a quote)
+_TOKEN = re.compile(
+    r"(?P<space>\s+|--[^\n]*\n?)"
+    r"|(?P<word>[^\W\d]\w*)"
+    r"|(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d*)?)"
+    r"|(?P<string>'(?:[^']|'')*'(?!'))"
+    r"|(?P<operator><=|>=|<>|!=|[=<>+\-*/%])"
+    r"|(?P<punct>[(),.;])"
+    r"|(?P<error>.)",
+    re.DOTALL,
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token.
 
     Attributes:
@@ -67,85 +80,62 @@ def tokenize(sql: str) -> list[Token]:
     Raises:
         LexerError: on characters outside the dialect.
     """
-    return list(_tokens(sql))
-
-
-def _tokens(sql: str) -> Iterator[Token]:
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
+    tokens: list[Token] = []
+    for match in _TOKEN.finditer(sql):
+        kind = match.lastgroup
+        if kind == "space":
             continue
-        if ch == "-" and sql.startswith("--", i):
-            newline = sql.find("\n", i)
-            i = n if newline < 0 else newline + 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (sql[i].isalnum() or sql[i] == "_"):
-                i += 1
-            word = sql[start:i]
-            upper = word.upper()
+        text, start = match.group(), match.start()
+        if kind == "word":
+            upper = text.upper()
             if upper in KEYWORDS:
-                yield Token(TokenType.KEYWORD, upper, start)
+                tokens.append(Token(TokenType.KEYWORD, upper, start))
             else:
-                yield Token(TokenType.IDENTIFIER, word, start)
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            start = i
-            seen_dot = False
-            seen_exp = False
-            while i < n:
-                c = sql[i]
-                if c.isdigit():
-                    i += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    i += 1
-                elif c in "eE" and not seen_exp and i > start:
-                    seen_exp = True
-                    i += 1
-                    if i < n and sql[i] in "+-":
-                        i += 1
-                else:
-                    break
-            text = sql[start:i]
-            value: Any
-            if seen_dot or seen_exp:
-                value = float(text)
+                tokens.append(Token(TokenType.IDENTIFIER, text, start))
+        elif kind == "number":
+            value = int(text) if text.isdigit() else float(text)
+            tokens.append(Token(TokenType.NUMBER, value, start))
+        elif kind == "string":
+            tokens.append(Token(TokenType.STRING, text[1:-1].replace("''", "'"), start))
+        elif kind == "operator":
+            tokens.append(Token(TokenType.OPERATOR, "<>" if text == "!=" else text, start))
+        elif kind == "punct":
+            tokens.append(Token(TokenType.PUNCT, text, start))
+        elif text == "'":
+            raise LexerError("unterminated string literal", start)
+        else:
+            raise LexerError(f"unexpected character {text!r}", start)
+    tokens.append(Token(TokenType.EOF, None, len(sql)))
+    return tokens
+
+
+#: keywords whose next token the parser reads as a plain value (a LIMIT
+#: count, a LIKE pattern), never as a Literal
+_VALUE_AFTER = ("LIMIT", "LIKE")
+
+
+def shape(tokens: list[Token]) -> tuple[tuple, list[int]]:
+    """``(key, slots)``: a statement's tokens with their literals masked,
+    and the indexes of the masked tokens.
+
+    Each NUMBER or STRING token is a *slot*, keyed by its value's Python
+    kind (``int``, ``float`` or ``str`` — the bound ``Literal.dtype``), so
+    ``5`` and ``5.0`` are two shapes; the token after LIMIT or LIKE stays
+    verbatim, as ``(kind, value)``.  Every other token is keyed by its
+    value: keyword, identifier and symbol values never coincide (an
+    identifier is never a keyword's spelling), and NULL, TRUE and FALSE
+    are keywords.  Two statements with one key differ only in the values
+    of their slots.
+    """
+    key: list = []
+    slots: list[int] = []
+    for index, token in enumerate(tokens):
+        value = token.value
+        if token.type is TokenType.NUMBER or token.type is TokenType.STRING:
+            if key and key[-1] in _VALUE_AFTER:
+                value = (type(value), value)
             else:
-                value = int(text)
-            yield Token(TokenType.NUMBER, value, start)
-            continue
-        if ch == "'":
-            start = i
-            i += 1
-            parts: list[str] = []
-            while True:
-                if i >= n:
-                    raise LexerError("unterminated string literal", start)
-                if sql[i] == "'":
-                    if i + 1 < n and sql[i + 1] == "'":
-                        parts.append("'")
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                parts.append(sql[i])
-                i += 1
-            yield Token(TokenType.STRING, "".join(parts), start)
-            continue
-        matched_op = next((op for op in _OPERATORS if sql.startswith(op, i)), None)
-        if matched_op is not None:
-            canonical = "<>" if matched_op == "!=" else matched_op
-            yield Token(TokenType.OPERATOR, canonical, i)
-            i += len(matched_op)
-            continue
-        if ch in _PUNCT:
-            yield Token(TokenType.PUNCT, ch, i)
-            i += 1
-            continue
-        raise LexerError(f"unexpected character {ch!r}", i)
-    yield Token(TokenType.EOF, None, n)
+                slots.append(index)
+                value = type(value)
+        key.append(value)
+    return tuple(key), slots

@@ -38,36 +38,47 @@ from repro.errors import ParseError
 _COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
 
-def parse(sql: str) -> SelectStatement:
+def parse(
+    sql: str,
+    tokens: list[Token] | None = None,
+    literals: dict[int, ex.Literal] | None = None,
+) -> SelectStatement:
     """Parse a SELECT string into a :class:`SelectStatement`.
+
+    ``tokens`` is ``tokenize(sql)`` when the caller already has it;
+    ``literals``, when given, receives the :class:`Literal` each NUMBER
+    or STRING token became, keyed by the token's index.
 
     Raises:
         ParseError: when the input does not match the dialect grammar.
         LexerError: on invalid characters.
     """
-    parser = _Parser(tokenize(sql))
+    parser = _Parser(tokens or tokenize(sql), literals)
     statement = parser.parse_select()
     parser.expect_end()
     return statement
 
 
-def parse_statement(sql: str):
+def parse_statement(sql: str, tokens: list[Token] | None = None):
     """Parse any supported statement (SELECT or DDL/DML).
 
     Returns one of the statement dataclasses in
-    :mod:`repro.engine.sql.ast`.
+    :mod:`repro.engine.sql.ast`; ``tokens`` is as for :func:`parse`.
     """
-    parser = _Parser(tokenize(sql))
+    parser = _Parser(tokens or tokenize(sql))
     statement = parser.parse_any()
     parser.expect_end()
     return statement
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]) -> None:
+    def __init__(
+        self, tokens: list[Token], literals: dict[int, ex.Literal] | None = None
+    ) -> None:
         self._tokens = tokens
         self._pos = 0
         self._having_counter = 0
+        self._literals = {} if literals is None else literals
 
     # -- token plumbing ----------------------------------------------------------
 
@@ -446,12 +457,10 @@ class _Parser:
 
     def _primary(self, allow_aggregates: bool) -> ex.Expression:
         token = self._peek()
-        if token.type is TokenType.NUMBER:
+        if token.type is TokenType.NUMBER or token.type is TokenType.STRING:
+            literal = self._literals[self._pos] = ex.Literal(token.value)
             self._advance()
-            return ex.Literal(token.value)
-        if token.type is TokenType.STRING:
-            self._advance()
-            return ex.Literal(token.value)
+            return literal
         if token.matches(TokenType.KEYWORD, "NULL"):
             self._advance()
             return ex.Literal(None)

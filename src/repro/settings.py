@@ -145,9 +145,9 @@ SETTINGS = (
     Setting("zone_rows", "REPRO_ZONE_ROWS", 65_536, _integer(0),
             "rows per zone-map zone; 0 disables zone skipping"),
     Setting("plan_cache", "REPRO_PLAN_CACHE", True, _flag,
-            "cache bound plans keyed on SQL text"),
+            "cache optimized plans by SQL text and by shape (literals masked)"),
     Setting("plan_cache_size", "REPRO_PLAN_CACHE_SIZE", 256, _integer(1),
-            "LRU capacity of the plan cache"),
+            "LRU capacity of each plan-cache level"),
     Setting("optimizer", "REPRO_OPTIMIZER", True, _flag,
             "run the rule-based plan optimizer between planning and execution"),
     Setting("timeout_ms", "REPRO_TIMEOUT_MS", 0, _integer(0),

@@ -29,8 +29,9 @@ from hypothesis import strategies as st
 
 from repro import settings
 from repro.engine import Database, Table
+from repro.engine import catalog
 from repro.engine import expressions as ex
-from repro.engine.sql import parser
+from repro.engine.sql import lexer, parser
 from repro.engine.sql.parser import parse
 from repro.loading import RawTable
 from tests.conftest import pin_defaults
@@ -337,20 +338,25 @@ def _ledger_trace():
 
 
 def test_execute_tokenises_each_statement_once(db, monkeypatch):
+    """At most once per statement, and not at all on an exact plan-cache hit."""
     calls = []
-    real = parser.tokenize
-    monkeypatch.setattr(parser, "tokenize", lambda sql: calls.append(sql) or real(sql))
+    real = lexer.tokenize
+    for module in (parser, catalog):
+        monkeypatch.setattr(module, "tokenize", lambda sql: calls.append(sql) or real(sql))
     select = "SELECT k, ABS(a) AS m FROM t WHERE b > 1 ORDER BY k"
     first = db.execute(select)
-    assert len(calls) == 1  # a plan-cache miss: parsed by execute(), not again by the planner
-    assert db.execute(select) == first and len(calls) == 2
+    assert len(calls) == 1  # a miss: one token list for its shape and its parse
+    assert db.execute(select) == first and len(calls) == 1  # an exact hit
+    assert db.execute(select.replace("b > 1", "b > 2")).num_rows == 3 and len(calls) == 2
     report = db.execute(f"  explain analyze {select} ; ").column("plan").to_list()
     assert len(calls) == 3 and "note: plan cache: hit" in report  # keyed on the inner text
     fresh = db.execute("EXPLAIN ANALYZE SELECT k FROM t WHERE a < 0").column("plan").to_list()
-    assert len(calls) == 4 and "note: plan cache: hit" not in fresh
+    assert len(calls) == 4 and not any(line.startswith("note: plan cache") for line in fresh)
     db.execute("EXPLAIN SELECT k FROM t WHERE a < 1")
     db.execute("DELETE FROM t WHERE t.a < -5")
     assert len(calls) == 6
+    commented = db.execute("-- after a comment\nSELECT k FROM t WHERE a < 2")
+    assert commented.column("k").to_list() == [2, 4] and len(calls) == 7
 
 
 def test_ledger_trace_targets_still_wrap_the_front_end(db):
@@ -359,7 +365,8 @@ def test_ledger_trace_targets_still_wrap_the_front_end(db):
     tracer.install()
     try:
         db.sql("SELECT k FROM t WHERE a > 0")
-        db.execute("SELECT k FROM t WHERE a > 1")
+        db.execute("SELECT k FROM t WHERE a > 1")  # the same shape: no parse, no plan
+        db.execute("SELECT k FROM t WHERE a > 1 ORDER BY k")
         db.execute("UPDATE t SET a = t.k WHERE t.k = 2")
     finally:
         tracer.uninstall()
@@ -369,11 +376,11 @@ def test_ledger_trace_targets_still_wrap_the_front_end(db):
             counts[trace.NAMES[span[0]]] = counts.get(trace.NAMES[span[0]], 0) + 1
     optimized = 2 if settings.current.optimizer else 0
     assert {name: counts.get(name, 0) for name in trace.NAMES[:7]} == {
-        "sql.parser.parse": 1,
-        "sql.parser.parse_statement": 2,
+        "sql.parser.parse": 2,
+        "sql.parser.parse_statement": 1,
         "planner.plan_statement": 2,
         "optimizer.optimize_plan": optimized,
         "catalog.Database.sql": 1,
-        "catalog.Database.execute": 2,
-        "catalog.Database.plan": 1,
+        "catalog.Database.execute": 3,
+        "catalog.Database.plan": 3,
     }

@@ -2,13 +2,27 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Database, Table, col, lit
 from repro.engine.expressions import truth_mask
 from repro.engine.sql import parse, tokenize, TokenType
 from repro.errors import BindError, LexerError, ParseError
+
+#: what SQL text is made of: keywords inside identifiers, quotes and
+#: doubled quotes, comments, number shapes, operators.  Numeric characters
+#: that are neither letters nor decimal digits (``²``, ``Ⅻ``) start an
+#: identifier now, where the loop raised ValueError or LexerError, and
+#: are left out
+_SQL_PIECES = st.lists(
+    st.sampled_from([
+        "SELECT", "select", "FROM", "x", "_", "é", "1", "5", "0", ".", "e", "E", "+", "-",
+        "'", "''", "--", "\n", " ", "\t", "<", ">", "=", "!", "*", "/", "%", "(", ")",
+        ",", ";", "@", '"',
+    ]),
+    max_size=24,
+).map("".join)
 
 
 class TestLexer:
@@ -45,6 +59,108 @@ class TestLexer:
     def test_eof_token(self):
         tokens = tokenize("")
         assert len(tokens) == 1 and tokens[0].type is TokenType.EOF
+
+    def test_error_offsets(self):
+        with pytest.raises(LexerError, match=r"unterminated string literal \(at position 9\)"):
+            tokenize("SELECT a 'b''c")
+        with pytest.raises(LexerError, match=r"unexpected character '@' \(at position 7\)"):
+            tokenize("SELECT @a")
+
+    @given(_SQL_PIECES)
+    @settings(max_examples=400, deadline=None)
+    @example("SELECT x -- a comment\n FROM t -- and another")
+    @example("'it''s' '' 'a''")
+    @example("1e5 1E+5 2.5e-3 .5 5. 1.2.3 1e5e3 1e 7ea")
+    @example("a != b <> c <= >= < > = + - * / % ( ) , . ; t.5")
+    @example("selected FROM_x into_ ORDERS wherever _select é_SELECT")
+    def test_stream_equals_the_reference_loop(self, sql):
+        assert _lexed(tokenize, sql) == _lexed(_reference_tokens, sql)
+
+
+def _lexed(lexer, sql):
+    """``(type, kind, value, position)`` per token, or the error raised."""
+    try:
+        return [(t[0], type(t[1]), t[1], t[2]) for t in lexer(sql)]
+    except (LexerError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_tokens(sql):
+    """The per-character loop the master regex replaced, kept as the
+    property's reference: ``(type, value, position)`` triples."""
+    from repro.engine.sql.lexer import KEYWORDS
+
+    operators = ("<=", ">=", "<>", "!=", "=", "<", ">", "+", "-", "*", "/", "%")
+    i, n = 0, len(sql)
+    while i < n:
+        ch = sql[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "-" and sql.startswith("--", i):
+            newline = sql.find("\n", i)
+            i = n if newline < 0 else newline + 1
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < n and (sql[i].isalnum() or sql[i] == "_"):
+                i += 1
+            word = sql[start:i]
+            upper = word.upper()
+            if upper in KEYWORDS:
+                yield TokenType.KEYWORD, upper, start
+            else:
+                yield TokenType.IDENTIFIER, word, start
+            continue
+        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
+            start = i
+            seen_dot = seen_exp = False
+            while i < n:
+                c = sql[i]
+                if c.isdigit():
+                    i += 1
+                elif c == "." and not seen_dot and not seen_exp:
+                    seen_dot = True
+                    i += 1
+                elif c in "eE" and not seen_exp and i > start:
+                    seen_exp = True
+                    i += 1
+                    if i < n and sql[i] in "+-":
+                        i += 1
+                else:
+                    break
+            text = sql[start:i]
+            yield TokenType.NUMBER, float(text) if seen_dot or seen_exp else int(text), start
+            continue
+        if ch == "'":
+            start = i
+            i += 1
+            parts = []
+            while True:
+                if i >= n:
+                    raise LexerError("unterminated string literal", start)
+                if sql[i] == "'":
+                    if i + 1 < n and sql[i + 1] == "'":
+                        parts.append("'")
+                        i += 2
+                        continue
+                    i += 1
+                    break
+                parts.append(sql[i])
+                i += 1
+            yield TokenType.STRING, "".join(parts), start
+            continue
+        matched = next((op for op in operators if sql.startswith(op, i)), None)
+        if matched is not None:
+            yield TokenType.OPERATOR, "<>" if matched == "!=" else matched, i
+            i += len(matched)
+            continue
+        if ch in "(),.;":
+            yield TokenType.PUNCT, ch, i
+            i += 1
+            continue
+        raise LexerError(f"unexpected character {ch!r}", i)
+    yield TokenType.EOF, None, n
 
 
 class TestParser:
