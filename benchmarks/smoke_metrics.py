@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -238,6 +239,81 @@ def check_no_group_gathers(n: int = 200_000) -> int:
     db.sql(f"SELECT region, COUNT(DISTINCT product) AS n FROM sales {where} GROUP BY region")
     assert gathered.value - before == brushed
     return brushed * len(views)
+
+
+def check_scan_gathers_once(zone_rows: int = 4_096) -> int:
+    """Guard the selection-vector gather with counts, not a clock: over a
+    brush that straddles 4 zones, a fused GROUP BY takes each sink column
+    (``region``, ``price``) once per task source — once per scan serially,
+    once per task on the pool — and a plain filter takes each column it
+    outputs once per scan, serially and at threads=2; ``ts`` and ``qty``,
+    read only by the fused predicate, and ``product``, read by nothing,
+    are never taken.  Both answer what ``optimizer=0, zone_rows=0``
+    answers.  Returns the columns taken."""
+    n = 8 * zone_rows
+    rng = np.random.default_rng(0)
+    db = Database()
+    db.create_table("t", {
+        "ts": list(range(n)),
+        "qty": rng.integers(1, 11, n).tolist(),
+        "region": [f"region_{i}" for i in rng.integers(0, 12, n)],
+        "price": np.round(rng.gamma(2.0, 20.0, n), 4).tolist(),
+        "product": [f"product_{i}" for i in rng.integers(0, 50, n)],
+    })
+    where = f"WHERE ts >= {zone_rows // 2} AND ts < {3 * zone_rows + zone_rows // 2} AND qty > 2"
+    statements = {  # SQL -> the main columns its scan gathers
+        f"SELECT region, COUNT(*) AS n, SUM(price) AS revenue FROM t {where} GROUP BY region":
+            ["price", "region"],
+        f"SELECT region, price FROM t {where}": ["price", "qty", "region", "ts"],
+    }
+    base = db.main_table("t")
+    main = [(name, base.column(name).data) for name in base.column_names]
+    local = threading.local()  # pooled tasks gather on worker threads
+    taken: list[str] = []
+    real_take, real_gather = Column.take, parallel.gather
+
+    def take_spy(self, indices):
+        if getattr(local, "gathering", False):
+            taken.extend(name for name, data in main if np.may_share_memory(self.data, data))
+        return real_take(self, indices)
+
+    def gather_spy(*args, **kwargs):
+        local.gathering = True
+        try:
+            return real_gather(*args, **kwargs)
+        finally:
+            local.gathering = False
+
+    morsels = get_registry().counter("parallel.morsels")
+    total = 0
+    saved = settings.snapshot()
+    try:
+        for threads in (0, 2):
+            for sql, gathered in statements.items():
+                settings.configure(
+                    threads=threads, pool_kind="thread", min_parallel_rows=2,
+                    zone_rows=zone_rows, optimizer=True,
+                )
+                assert "zones: 4 pruned, 0 passed of 8" in db.explain_analyze(sql).render(), sql
+                taken.clear()
+                before = morsels.value
+                Column.take, parallel.gather = take_spy, gather_spy
+                try:
+                    got = db.sql(sql)
+                finally:
+                    Column.take, parallel.gather = real_take, real_gather
+                pooled_tasks = morsels.value - before if "GROUP BY" in sql else 0
+                assert sorted(taken) == sorted(gathered * max(pooled_tasks, 1)), (
+                    f"threads={threads}: {len(taken)} column takes, {sorted(set(taken))}: {sql}"
+                )
+                total += len(taken)
+                settings.configure(optimizer=False, zone_rows=0)
+                want = db.sql(sql)
+                assert got.schema == want.schema and list(got.rows()) == list(want.rows()), sql
+    finally:
+        settings.restore(saved)
+        parallel.shutdown_pool()
+    return total
 
 
 def check_join_right_scan_prunes(n: int = 200_000) -> int:
@@ -636,6 +712,7 @@ def main() -> int:
     keepalive = run_workload()
     views_ratio = check_views_run_on_group_kernel()
     gather_free_rows = check_no_group_gathers()
+    columns_taken = check_scan_gathers_once()
     join_zones_pruned = check_join_right_scan_prunes()
     index_speedup = check_index_scans_share_the_pipeline()
     update_speedup = check_update_resummarises_assigned_columns()
@@ -672,6 +749,8 @@ def main() -> int:
           f"pooled/serial sort {sort_ratio:.2f}x,",
           f"straddling/in-zone group-by {straddle_ratio:.2f}x,",
           f"{gather_free_rows} rows grouped with no per-group gather,",
+          f"{columns_taken} column takes over 4 straddling-brush scans "
+          "(one per sink column per task source),",
           f"{join_zones_pruned} zones of a join's right table pruned,",
           f"indexed / unindexed 1 % GROUP BY {index_speedup:.1f}x faster,",
           f"sampled-interval coverage {interval_coverage:.2f},",

@@ -247,26 +247,21 @@ class Column:
             return self._data
         return self._data[self._validity]
 
-    def take(self, indices: np.ndarray) -> "Column":
-        """Gather rows by position."""
+    def take(self, indices: np.ndarray | slice) -> "Column":
+        """Gather rows by position; a ``slice`` is a zero-copy view."""
         data = self._data[indices]
         validity = self._validity[indices] if self._validity is not None else None
         codes = self._codes[indices] if self._codes is not None else None
         return _wrap(data, self._dtype, validity, codes, self._dict)
 
     def filter(self, mask: np.ndarray) -> "Column":
-        """Keep rows where ``mask`` is True."""
-        data = self._data[mask]
-        validity = self._validity[mask] if self._validity is not None else None
-        codes = self._codes[mask] if self._codes is not None else None
-        return _wrap(data, self._dtype, validity, codes, self._dict)
+        """Keep rows where the boolean ``mask`` is True: one take of its
+        positions (numpy's boolean index is the slower copy)."""
+        return self.take(np.flatnonzero(mask))
 
     def slice(self, start: int, stop: int) -> "Column":
         """Contiguous row range ``[start, stop)``."""
-        data = self._data[start:stop]
-        validity = self._validity[start:stop] if self._validity is not None else None
-        codes = self._codes[start:stop] if self._codes is not None else None
-        return _wrap(data, self._dtype, validity, codes, self._dict)
+        return self.take(slice(start, stop))
 
     def is_null_mask(self) -> np.ndarray:
         """Boolean array, True where the value is null."""
@@ -317,13 +312,26 @@ class Column:
             values = self.valid_data()
         if values.dtype == object:
             return len(set(values.tolist()))
-        ordered = np.sort(values)
-        stop = len(ordered)
-        if ordered.dtype.kind == "f":
-            stop = int(np.searchsorted(ordered, np.nan))  # NaNs sort last
-        head = ordered[:stop]
-        distinct = int(np.count_nonzero(head[1:] != head[:-1])) + (stop > 0)
-        return distinct + (stop < len(ordered))
+        return int(np.count_nonzero(_run_heads(np.sort(values))))
+
+
+def _run_heads(ordered: np.ndarray) -> np.ndarray:
+    """True at the first element of each run of equal values of a sorted
+    array, NaNs (sorted last) one run — ``np.unique``'s own mask."""
+    heads = np.empty(len(ordered), dtype=bool)
+    heads[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=heads[1:])
+    if ordered.dtype.kind == "f":
+        heads[int(np.searchsorted(ordered, np.nan)) + 1 :] = False
+    return heads
+
+
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` of a non-object array, bit for bit, by one sort
+    and an adjacent compare: numpy 2.4 hashes integers instead, ~30x the
+    sort for 200k distinct int64 values."""
+    ordered = np.sort(values)
+    return ordered[_run_heads(ordered)]
 
 
 def _null_fill_value(dtype: DataType) -> Any:

@@ -11,7 +11,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro import settings
-from repro.engine.column import Column, column_from_parts
+from repro.engine.column import Column, column_from_parts, sorted_distinct
 from repro.engine.expressions import Expression, strip_outer_parens, truth_mask
 from repro.engine.sql.ast import AggregateCall, OrderItem, SelectItem
 from repro.engine.table import Table
@@ -582,14 +582,13 @@ def _aggregate_per_group(
 def _aggregate_values(function: str, distinct: bool, column: Column) -> Any:
     """Evaluate one aggregate over one group's values."""
     if function == "COUNT":  # DISTINCT: one NaN, as SELECT DISTINCT and GROUP BY make
-        codes = _distinct_codes(column)
-        return len(np.unique(codes[codes != 0]))
+        return column.distinct_count()
     valid = column.valid_data()
     if distinct:
         if column.dtype is DataType.STRING:
             valid = np.asarray(sorted(set(valid)), dtype=object)
         else:
-            valid = np.unique(valid)
+            valid = sorted_distinct(valid)
     if len(valid) == 0:
         return None
     if function == "SUM":

@@ -18,23 +18,29 @@ have performed:
   mask bit for bit;
 - predicate scans run two *span kernels* — :func:`_filter_spans` and
   :func:`_fused_spans` (filter + partial aggregation) — over ``(table,
-  spans, live mask)`` tasks and gather once: the spans partition the
-  surviving rows in ascending order, so the filtered pieces concatenate
-  (through the one dictionary-keeping :func:`~repro.engine.table.
-  concat_tables`) to the serial filter's output.  The unsharded entry
-  points :func:`streamed_filter` / :func:`fused_filter_aggregate` build
-  one task per span; :mod:`repro.engine.shards` builds one per shard
-  over the same kernels;
-- aggregation computes a columnar partial per span — the span's groups'
-  key columns in first-appearance order and one column per aggregate —
-  with the serial group kernel (:func:`~repro.engine.operators.
-  group_rows`), and merges by running that kernel again over the
-  concatenated partial keys.  COUNT(*)/COUNT(x) and integer SUM
-  partials recombine as a SUM over the merged groups (integer addition
-  is exact), MIN/MAX partials as MIN/MAX (exact, NaN-propagating).
-  Float SUM/AVG and DISTINCT aggregates are *gather* mode: a span ships
-  its evaluated argument column and each row's group, and the merge
-  evaluates the serial aggregate over all spans' rows sorted into
+  spans, live mask)`` tasks.  The filter kernel returns a *selection*:
+  the ascending row positions of its source that survive, copying no
+  column.  :func:`gather` then takes each sink column once per source
+  (the main, and a delta tail), a contiguous run as a zero-copy slice:
+  the spans partition the surviving rows in ascending order, so the
+  take is the serial filter's output, and it keeps the base column's
+  dictionary object.  One ``np.flatnonzero`` plus a ``take`` per column
+  is the cheaper copy: numpy's boolean index re-scans the mask per
+  column.  The unsharded entry points :func:`streamed_filter` /
+  :func:`fused_filter_aggregate` build one task per span;
+  :mod:`repro.engine.shards` builds one per shard over the same kernels
+  and shifts each shard-local selection by the shard's offset;
+- aggregation computes a columnar partial per task — the groups' key
+  columns of the task's gathered rows in first-appearance order and one
+  column per aggregate — with the serial group kernel
+  (:func:`~repro.engine.operators.group_rows`), and merges by running
+  that kernel again over the concatenated partial keys.
+  COUNT(*)/COUNT(x) and integer SUM partials recombine as a SUM over the
+  merged groups (integer addition is exact), MIN/MAX partials as MIN/MAX
+  (exact, NaN-propagating).  Float SUM/AVG and DISTINCT aggregates are
+  *gather* mode: a task ships its evaluated argument column and each
+  row's group, and the merge evaluates the serial aggregate over all
+  tasks' rows sorted into
   merged-group order — ascending within a group, so numpy's pairwise
   summation rounds as it does serially;
 - sorts evaluate the ORDER BY keys per morsel (row-local, so the parts
@@ -67,7 +73,7 @@ import threading
 import time
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -382,27 +388,45 @@ def _filter_spans(
     table: Table,
     spans: Sequence[Span],
     live: np.ndarray | None,
-    predicate: Expression,
-    columns: Sequence[str] | None = None,
-) -> list[Table]:
-    """The filter-span kernel: the surviving rows of each span, in order.
+    predicate: Expression | None,
+) -> np.ndarray:
+    """The filter-span kernel: the task's *selection* — the ascending
+    positions of ``table`` whose rows survive its spans.
 
-    A span covering the whole table is not sliced at all.  Masks are
-    row-local, so the pieces concatenate to exactly
-    ``table.filter(truth_mask & live)``.  ``columns`` names what the sink
-    reads: the predicate sees every column, only those are copied.
+    A span covering the whole table is not sliced to evaluate.  Masks are
+    row-local, so ``table.take(selection)`` is exactly
+    ``table.filter(truth_mask & live)``; no column is copied here.
     """
-    pieces: list[Table] = []
+    runs = []
     for start, stop, evaluate in spans:
         whole = start == 0 and stop == table.num_rows
-        piece = table if whole else table.slice(start, stop)
-        mask = truth_mask(predicate, piece) if evaluate else None
+        mask = None
+        if evaluate:
+            mask = truth_mask(predicate, table if whole else table.slice(start, stop))
         if live is not None:
             mask = live[start:stop] if mask is None else mask & live[start:stop]
-        if columns is not None:
-            piece = piece.select(columns)
-        pieces.append(piece if mask is None else piece.filter(mask))
-    return pieces
+        runs.append(np.arange(start, stop) if mask is None else np.flatnonzero(mask) + start)
+    return runs[0] if len(runs) == 1 else np.concatenate(runs)
+
+
+def gather(
+    selections: Iterable[tuple[Table, np.ndarray]], columns: Sequence[str] | None = None
+) -> Table:
+    """A scan's one gather: ``(source, selection)`` pairs in ascending row
+    order.  Consecutive selections of one source join, and each source
+    takes its ``columns`` (the sink's; all when None) once — a selection
+    that is one contiguous run as a zero-copy slice.  The pieces, at most
+    a main and a delta tail, concatenate through :func:`concat_tables`.
+    """
+    pieces = []
+    for _, run in itertools.groupby(selections, key=lambda pair: id(pair[0])):
+        sources, parts = zip(*run)
+        source = sources[0] if columns is None else sources[0].select(columns)
+        rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if len(rows) and rows[-1] - rows[0] == len(rows) - 1:
+            rows = slice(int(rows[0]), int(rows[-1]) + 1)
+        pieces.append(source.take(rows))
+    return concat_tables(pieces)
 
 
 def _span_tasks(
@@ -444,11 +468,9 @@ def _filter_tasks(
     pooled: bool,
     columns: Sequence[str] | None = None,
 ) -> Table:
-    """Run the filter-span kernel over ``tasks`` and gather the pieces once."""
-    results = _run_tasks(
-        _filter_spans, [task + (predicate, columns) for task in tasks], pooled
-    )
-    return concat_tables([piece for pieces in results for piece in pieces])
+    """Run the filter-span kernel over ``tasks`` and gather once per source."""
+    selections = _run_tasks(_filter_spans, [task + (predicate,) for task in tasks], pooled)
+    return gather(zip([task[0] for task in tasks], selections), columns)
 
 
 def streamed_filter(
@@ -517,10 +539,10 @@ def _sink_columns(
 
 
 class _Partial(NamedTuple):
-    """One span's partial aggregation, groups in first-appearance order."""
+    """One task's partial aggregation, groups in first-appearance order."""
 
     keys: list[Column]
-    #: per aggregate its partial column — in gather mode the span's
+    #: per aggregate its partial column — in gather mode the task's
     #: evaluated argument column, one value per *row*, instead
     columns: list[Column | None]
     #: per row its group's index into ``keys``; only with keys and a
@@ -538,36 +560,35 @@ def _fused_spans(
     group_exprs: Sequence[Expression],
     aggregates: Sequence[tuple[str, AggregateCall]],
     modes: Sequence[str],
-) -> list[_Partial]:
-    """The fused-span kernel: filter + partial aggregation of each span,
-    without materialising the filtered table across spans.
+) -> _Partial:
+    """The fused-span kernel: filter + partial aggregation of one task,
+    without materialising the filtered table across tasks — its piece is
+    the sink columns gathered from the task's selection.
 
-    The serial group kernel run over the span is an exact partial for
+    The serial group kernel run over the piece is an exact partial for
     every mode but gather; a gather-mode aggregate ships its argument
     values and each row's group instead, and the merge evaluates it over
-    the rows of all spans.
+    the rows of all tasks.
     """
-    results = []
-    for piece in _filter_spans(table, spans, live, predicate, columns):
-        key_columns = [expr.evaluate(piece) for expr in group_exprs]
-        order, starts, counts = ops.group_rows(key_columns, piece.num_rows)
-        appearance = row_groups = None
-        if key_columns:
-            first_rows, appearance = ops.first_appearance(order, starts)
-            key_columns = [key.take(first_rows) for key in key_columns]
-            if _MODE_GATHER in modes:
-                position = np.argsort(appearance).astype(np.int32)  # its inverse
-                row_groups = ops.row_group_ids(order, counts, position)
-        partials: list[Column | None] = []
-        for (_, call), mode in zip(aggregates, modes):
-            column = None if call.argument is None else call.argument.evaluate(piece)
-            if mode != _MODE_GATHER:
-                column = ops.aggregate_groups(call.function, False, column, order, starts, counts)
-                if appearance is not None:
-                    column = column.take(appearance)
-            partials.append(column)
-        results.append(_Partial(key_columns, partials, row_groups, len(counts)))
-    return results
+    piece = gather([(table, _filter_spans(table, spans, live, predicate))], columns)
+    key_columns = [expr.evaluate(piece) for expr in group_exprs]
+    order, starts, counts = ops.group_rows(key_columns, piece.num_rows)
+    appearance = row_groups = None
+    if key_columns:
+        first_rows, appearance = ops.first_appearance(order, starts)
+        key_columns = [key.take(first_rows) for key in key_columns]
+        if _MODE_GATHER in modes:
+            position = np.argsort(appearance).astype(np.int32)  # its inverse
+            row_groups = ops.row_group_ids(order, counts, position)
+    partials: list[Column | None] = []
+    for (_, call), mode in zip(aggregates, modes):
+        column = None if call.argument is None else call.argument.evaluate(piece)
+        if mode != _MODE_GATHER:
+            column = ops.aggregate_groups(call.function, False, column, order, starts, counts)
+            if appearance is not None:
+                column = column.take(appearance)
+        partials.append(column)
+    return _Partial(key_columns, partials, row_groups, len(counts))
 
 
 #: how partial columns recombine: counts and integer sums add, MIN/MAX fold
@@ -575,7 +596,7 @@ _MERGE_FUNCTION = {"COUNT": "SUM", "SUM": "SUM", "MIN": "MIN", "MAX": "MAX"}
 
 
 def _merge_partial_aggregates(
-    task_results: Sequence[list[_Partial]],
+    partials: Sequence[_Partial],
     group_exprs: Sequence[Expression],
     aggregates: Sequence[tuple[str, AggregateCall]],
     modes: Sequence[str],
@@ -583,15 +604,14 @@ def _merge_partial_aggregates(
 ) -> Table:
     """Merge the fused-span kernel's partial groups into the final table.
 
-    ``task_results`` holds each task's per-span partials, tasks and spans
-    in ascending row order.  The group kernel runs again over the
-    concatenated partial keys — first appearance among them is first
-    appearance among the rows — and every partial column recombines as
-    an aggregate over it.  Gather-mode aggregates evaluate the serial
-    kernel over all spans' rows, regrouped by merged group: the same
-    values in the same order as serial execution over the same input.
+    ``partials`` holds each task's partial, tasks in ascending row order.
+    The group kernel runs again over the concatenated partial keys —
+    first appearance among them is first appearance among the rows — and
+    every partial column recombines as an aggregate over it.  Gather-mode
+    aggregates evaluate the serial kernel over all tasks' rows, regrouped
+    by merged group: the same values in the same order as serial
+    execution over the same input.
     """
-    partials = list(itertools.chain.from_iterable(task_results))
     key_columns = [
         concat_columns([partial.keys[j] for partial in partials])
         for j in range(len(group_exprs))
@@ -683,10 +703,10 @@ def fused_filter_aggregate(
     concatenate to the serial mask.  On the worker pool each span
     evaluates the predicate and its partial aggregation in one pass and
     the merge is exactly :func:`_merge_partial_aggregates`; serially,
-    the surviving filtered spans gather into one aggregation pass — the
-    same rows the unfused filter would materialise, minus the skipped
-    zones, the full-table mask array and the columns only the predicate
-    reads (:func:`_sink_columns`).
+    the spans' selections gather into one aggregation pass — the same
+    rows the unfused filter would materialise, minus the skipped zones,
+    the full-table mask array and the columns only the predicate reads
+    (:func:`_sink_columns`), each sink column taken once per source.
     """
     tasks, pooled = _span_tasks(table, ranges, extra_mask, tail)
     with trace(

@@ -51,7 +51,7 @@ import numpy as np
 from repro import settings
 from repro.engine import operators as ops
 from repro.engine import parallel
-from repro.engine.table import Table, concat_tables
+from repro.engine.table import Table
 from repro.engine.types import DataType
 from repro.obs.metrics import get_registry
 from repro.storage import layouts
@@ -405,13 +405,14 @@ def _scatter(kernel, name, table, ranges, layout, database, profiler, *args) -> 
 
     ``ranges`` is the executor's zone classification over the whole table
     (None for an unclassified scan); it is split at shard boundaries and
-    a shard left with no surviving span is never scheduled.  Returns the
-    per-task kernel results in shard order — ascending global row order.
+    a shard left with no surviving span is never scheduled.  Returns
+    ``(offset, result)`` per task in shard order — ascending global row
+    order — where ``offset`` is the global row of the task's local row 0.
     """
     spans, scheduled = _schedule(layout, ranges, profiler)
     if not scheduled:
         # nothing survives: the kernel's result over one empty span
-        return [kernel(table, [(0, 0, False)], None, *args)]
+        return [(0, kernel(table, [(0, 0, False)], None, *args))]
     pooled = parallel.should_parallelize(table.num_rows)
     sources = _sources(name, table, layout, scheduled, database, pooled)
     if pooled:
@@ -420,24 +421,27 @@ def _scatter(kernel, name, table, ranges, layout, database, profiler, *args) -> 
         (kernel, source, _local_spans(layout, s, spans[s]), None, *args)
         for source, s in zip(sources, scheduled)
     ]
-    return parallel._run_tasks(_shard_task, tasks, pooled)
+    results = parallel._run_tasks(_shard_task, tasks, pooled)
+    return list(zip([layout.offsets[s] for s in scheduled], results))
 
 
 def scatter_filter(
     name: str, table: Table, predicate, ranges, layout: ShardLayout, database, profiler
 ) -> Table:
-    """Scatter a filtered scan across shards; gather by concatenation.
+    """Scatter a filtered scan across shards; gather once from the main.
 
-    Bit-identical to ``table.filter(truth_mask(...))`` over the same
-    re-clustered table: spans partition the surviving rows in ascending
-    global order and each span's mask comes from the same row-local
-    kernel.
+    Each shard returns its shard-local selection (an int array, which is
+    all a process worker ships back); shifted by the shard's offset, the
+    selections are ascending global positions, and one take per column
+    of the re-clustered ``table`` is bit-identical to
+    ``table.filter(truth_mask(...))``: each span's mask comes from the
+    same row-local kernel.
     """
     results = _scatter(
         parallel._filter_spans, name, table, ranges, layout, database, profiler,
         predicate,
     )
-    return concat_tables([piece for pieces in results for piece in pieces])
+    return parallel.gather((table, rows + offset) for offset, rows in results)
 
 
 def scatter_fused_aggregate(
@@ -466,7 +470,7 @@ def scatter_fused_aggregate(
         group_exprs, aggregates, modes,
     )
     return parallel._merge_partial_aggregates(
-        results, group_exprs, aggregates, modes, group_names
+        [partial for _, partial in results], group_exprs, aggregates, modes, group_names
     )
 
 

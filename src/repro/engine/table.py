@@ -198,16 +198,17 @@ class Table:
         return Table([(name, self.column(name)) for name in names])
 
     def filter(self, mask: np.ndarray) -> "Table":
-        """Keep rows where the boolean ``mask`` is True."""
-        return Table([(n, c.filter(mask)) for n, c in self._columns.items()])
+        """Keep rows where the boolean ``mask`` is True: its positions are
+        computed once and every column takes them."""
+        return self.take(np.flatnonzero(mask))
 
-    def take(self, indices: np.ndarray) -> "Table":
-        """Gather rows by position."""
+    def take(self, indices: np.ndarray | slice) -> "Table":
+        """Gather rows by position; a ``slice`` is a zero-copy view."""
         return Table([(n, c.take(indices)) for n, c in self._columns.items()])
 
     def slice(self, start: int, stop: int) -> "Table":
         """Contiguous row range ``[start, stop)``."""
-        return Table([(n, c.slice(start, stop)) for n, c in self._columns.items()])
+        return self.take(slice(start, stop))
 
     def rename(self, mapping: Mapping[str, str]) -> "Table":
         """Rename columns according to ``mapping`` (missing names unchanged)."""

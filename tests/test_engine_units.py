@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import DataType, Table, write_csv
-from repro.engine.column import Column
+from repro.engine import operators as ops
+from repro.engine.column import Column, sorted_distinct
 from repro.engine.csv_io import (
     infer_field_type,
     parse_field,
@@ -21,6 +22,7 @@ from repro.engine.csv_io import (
 from repro.engine.statistics import ColumnStatistics, TableStatistics
 from repro.engine.types import coerce_array, common_type, infer_type
 from repro.errors import CatalogError, LoadingError, TypeMismatchError
+from repro.storage import layouts
 
 
 class TestTypes:
@@ -114,6 +116,42 @@ class TestColumn:
             assert column.encode_dictionary()
         assert column.distinct_count() == len(np.unique(column.valid_data()))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.just(DataType.FLOAT64), st.lists(st.one_of(
+                st.floats(), st.sampled_from([0.0, -0.0, math.nan]), st.none()))),
+            st.tuples(st.just(DataType.INT64), st.lists(st.one_of(
+                st.integers(-(2**63), 2**63 - 1), st.integers(2**53 - 2, 2**53 + 2),
+                st.none()))),
+        ),
+        st.data(),
+    )
+    @example((DataType.FLOAT64, [-0.0, 0.0, None]), None)
+    @example((DataType.FLOAT64, [0.0, -0.0, math.nan, math.nan]), None)
+    @example((DataType.INT64, [2**53, 2**53 + 1, None, 2**53]), None)
+    def test_distinct_aggregates_match_unique(self, case, data):
+        """A group's DISTINCT aggregates sort instead of hashing: the same
+        values as an ``np.unique`` reference, bit for bit — NULL skipped,
+        NaN one value, a ±0.0 run kept as ``np.unique`` keeps it, INT64
+        past 2**53 never rounded through float64."""
+        dtype, values = case
+        column = Column(values, dtype=dtype)
+        if data is not None:  # a slice, as the per-group fallback passes
+            start = data.draw(st.integers(0, len(values)))
+            column = column.slice(start, data.draw(st.integers(start, len(values))))
+        valid = column.valid_data()
+        unique = np.unique(valid)
+        distinct = sorted_distinct(valid)
+        assert distinct.dtype == unique.dtype and distinct.tobytes() == unique.tobytes()
+        assert ops._aggregate_values("COUNT", True, column) == len(unique)
+        if len(unique):
+            total = float(unique.sum()) if dtype is DataType.FLOAT64 else int(unique.sum())
+            got = ops._aggregate_values("SUM", True, column)
+            assert type(got) is type(total) and repr(got) == repr(total)
+            mean = float(np.mean(unique.astype(np.float64)))
+            assert repr(ops._aggregate_values("AVG", True, column)) == repr(mean)
+
     def test_equality(self):
         assert Column([1, None]) == Column([1, None])
         assert not (Column([1]) == Column([2]))
@@ -135,6 +173,31 @@ class TestColumn:
         else:
             column = Column(values)
         assert column.to_list() == values
+
+
+FILTER_ROWS = 24
+
+
+@pytest.fixture(scope="module")
+def filter_table(tmp_path_factory):
+    """NULL, NaN and ±0.0 floats, INT64 past 2**53, an encoded STRING and
+    a memory-mapped fixed-width STRING column."""
+    n = FILTER_ROWS
+    floats = [(0.0, -0.0, math.nan, None, 2.5)[i % 5] for i in range(n)]
+    encoded = Column([None if i % 7 == 0 else f"s{i % 4}" for i in range(n)])
+    assert encoded.encode_dictionary()
+    directory = tmp_path_factory.mktemp("mapped")
+    plain = Column([None if i % 6 == 0 else "ab"[: i % 3] for i in range(n)])
+    files = layouts.save_column_files(directory, "m", plain)
+    mapped = layouts.open_column_files(directory, files, DataType.STRING, "mmap")
+    assert mapped.is_mapped and mapped.data.dtype.kind == "U"
+    return Table([
+        ("f", Column(floats, dtype=DataType.FLOAT64)),
+        ("i", Column([None if i % 4 == 1 else 2**53 + i for i in range(n)], dtype=DataType.INT64)),
+        ("b", Column([None if i % 5 == 2 else i % 2 == 0 for i in range(n)], dtype=DataType.BOOL)),
+        ("s", encoded),
+        ("m", mapped),
+    ])
 
 
 class TestTable:
@@ -192,6 +255,34 @@ class TestTable:
     def test_equality(self, table):
         assert table == Table.from_dict({"a": [1, 2, 3], "s": ["x", "y", "z"]})
         assert not (table == table.rename({"a": "q"}))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.booleans(), min_size=FILTER_ROWS, max_size=FILTER_ROWS))
+    @example([False] * FILTER_ROWS)
+    @example([True] * FILTER_ROWS)
+    def test_filter_equals_boolean_index(self, filter_table, mask):
+        """``Table.filter`` takes the mask's positions once: every column
+        equals numpy's boolean index of each part, bit for bit, and an
+        encoded column keeps its dictionary object."""
+        mask = np.asarray(mask, dtype=bool)
+        for table, rows in ((filter_table, mask), (filter_table.slice(0, 0), mask[:0])):
+            filtered = table.filter(rows)
+            assert filtered.schema == table.schema and filtered.num_rows == int(rows.sum())
+            for name in table.column_names:
+                got, base = filtered.column(name), table.column(name)
+                want = base.data[rows]
+                assert got.data.dtype == want.dtype and got.data.tobytes() == want.tobytes()
+                validity = None if base.validity is None else base.validity[rows]
+                if validity is not None and validity.all():
+                    validity = None
+                assert (got.validity is None) == (validity is None)
+                assert validity is None or np.array_equal(got.validity, validity)
+                if base.dictionary() is None:
+                    assert got.dictionary() is None
+                else:
+                    assert np.array_equal(got.dictionary()[0], base.dictionary()[0][rows])
+                    assert got.dictionary()[1] is base.dictionary()[1]
+                assert not got.is_mapped
 
 
 class TestStatistics:

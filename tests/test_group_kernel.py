@@ -487,31 +487,54 @@ def test_dashboard_views_gather_no_group(route, pool):
 
 
 def test_fused_scan_copies_only_what_the_sink_reads(monkeypatch):
+    """The gather takes each sink column once per source — once from the
+    main however many spans survive, once more from a delta tail — and
+    never a column only the predicate reads."""
     settings.configure(
-        threads=0, zone_rows=64, shards=0, dict_encode=True, optimizer=True, storage="memory"
+        threads=0, zone_rows=64, shards=0, dict_encode=True, optimizer=True,
+        storage="memory", delta_rows=10_000,
     )
     db = Database()
     db.create_table("t", _lattice_table())
-    main = db.main_table("t")
     sql = (
         "SELECT ds, COUNT(*) AS n, SUM(fv) AS total FROM t "
         "WHERE i >= 40 AND i < 555 AND si > -3 AND bk_n = TRUE GROUP BY ds"
     )
-    copied: list[str] = []
-    real_filter = Column.filter
+    taken: list[Column] = []
+    gathering: list[int] = []
+    real_take, real_gather = Column.take, parallel.gather
 
-    def spy(self, mask):
-        copied.extend(
-            name for name in main.column_names
-            if np.shares_memory(self.data, main.column(name).data)
-        )
-        return real_filter(self, mask)
+    def take_spy(self, indices):
+        if gathering:
+            taken.append(self)
+        return real_take(self, indices)
 
-    monkeypatch.setattr(Column, "filter", spy)
-    assert "FusedAggregate" in db.explain(sql)
-    got = db.sql(sql)
-    monkeypatch.undo()
-    # zones 0 and 8 straddle the brush; every zone evaluates ``si`` and ``bk_n``
-    assert set(copied) == {"ds", "fv"} and copied.count("ds") == copied.count("fv") >= 2
-    settings.configure(optimizer=False, zone_rows=0)
-    tables_bit_identical(got, db.sql(sql))
+    def gather_spy(*args, **kwargs):
+        gathering.append(1)
+        try:
+            return real_gather(*args, **kwargs)
+        finally:
+            gathering.pop()
+
+    for sources in (1, 2):
+        if sources == 2:  # a pending row the brush keeps, and main tombstones
+            db.execute("INSERT INTO t (i, ds, si, fv, bk_n) VALUES (100, 'zulu', 1, 2.5, TRUE)")
+            db.execute(WRITES[1])
+        main = db.main_table("t")
+        assert "FusedAggregate" in db.explain(sql)
+        # zones 0 and 8 straddle the brush, zones 1-7 evaluate ``si`` and ``bk_n``
+        assert "zones: 1 pruned, 0 passed of 10" in db.explain_analyze(sql).render()
+        taken.clear()
+        monkeypatch.setattr(Column, "take", take_spy)
+        monkeypatch.setattr(parallel, "gather", gather_spy)
+        got = db.sql(sql)
+        monkeypatch.undo()
+        from_main = [
+            name for column in taken for name in main.column_names
+            if np.shares_memory(column.data, main.column(name).data)
+        ]
+        assert sorted(from_main) == ["ds", "fv"]
+        assert len(taken) == 2 * sources and all(len(c) == 1 for c in taken[2:])
+        settings.configure(optimizer=False, zone_rows=0)
+        tables_bit_identical(got, db.sql(sql))
+        settings.configure(optimizer=True, zone_rows=64)
