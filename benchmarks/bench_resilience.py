@@ -65,7 +65,7 @@ def run_latency_experiment(
                 threads=2, morsel_rows=morsel_rows, min_parallel_rows=1,
                 timeout_ms=DEADLINE_MS, faults=f"slow_morsel:1.0:{SLOW_MS}",
             )
-            morsels = parallel.morsel_count(n)
+            morsels = -(-n // morsel_rows)  # the GROUP BY's one span, cut per morsel
             start = time.perf_counter()
             try:
                 db.sql(QUERY)

@@ -120,38 +120,40 @@ def check_column_fast_path(n: int = 200_000, repeats: int = 3) -> float:
     return speedup
 
 
-def check_pooled_sort_ratio(n: int = 300_000, repeats: int = 3) -> float:
-    """Guard the pooled full ``ORDER BY`` (no LIMIT): pooled key
-    evaluation plus one global sort must stay within 2x of the serial
-    sort on the same rows.  A ratio, not an absolute bound, so it holds
-    on any runner; the per-row merge it replaced sat at ~10x."""
+def check_sort_is_one_kernel(n: int = 300_000) -> int:
+    """Guard the full ``ORDER BY`` (no LIMIT) with counts, not a clock: at
+    threads=2, over a plain table and over 4 shards, it runs no pool
+    batch and no shard task — a sort is one kernel on the calling thread whatever
+    produced its input — and answers what threads=0 answers, bit for bit.
+    Returns the rows sorted per statement."""
     rng = np.random.default_rng(0)
     db = Database()
     db.create_table(
         "big", {"a": rng.integers(0, 1000, n).tolist(), "s": rng.normal(size=n).tolist()}
     )
     sql = "SELECT a, s FROM big ORDER BY a DESC, s"
+    counters = [get_registry().counter(name) for name in ("parallel.batches", "shard.tasks")]
     saved = settings.snapshot()
-    walls = {}
     try:
-        for threads in (0, 2):
-            settings.configure(threads=threads)
-            best = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                rows = db.sql(sql).num_rows
-                best = min(best, time.perf_counter() - start)
-                assert rows == n
-            walls[threads] = best
+        for shards in (0, 4):
+            db.apply_sharding("big", shards, shard_by="hash(a)")
+            settings.configure(threads=0)
+            want = db.sql(sql)
+            settings.configure(threads=2)
+            before = [counter.value for counter in counters]
+            got = db.sql(sql)
+            batches, tasks = (counter.value - b for counter, b in zip(counters, before))
+            assert (batches, tasks) == (0, 0), (
+                f"ORDER BY over {shards} shards ran {batches} batches and {tasks} shard tasks"
+            )
+            for name in ("a", "s"):
+                assert got.column(name).data.tobytes() == want.column(name).data.tobytes(), (
+                    f"ORDER BY over {shards} shards differs from threads=0 in {name!r}"
+                )
     finally:
         settings.restore(saved)
         parallel.shutdown_pool()
-    ratio = walls[2] / walls[0]
-    assert ratio <= 2.0, (
-        f"pooled ORDER BY is {ratio:.1f}x the serial sort "
-        f"({walls[2] * 1e3:.0f} ms vs {walls[0] * 1e3:.0f} ms)"
-    )
-    return ratio
+    return n
 
 
 def check_straddling_group_by_ratio(zone_rows: int = 32_768, repeats: int = 5) -> float:
@@ -718,7 +720,7 @@ def main() -> int:
     update_speedup = check_update_resummarises_assigned_columns()
     interval_coverage = check_sampled_intervals_cover()
     fast_path_speedup = check_column_fast_path()
-    sort_ratio = check_pooled_sort_ratio()
+    sorted_rows = check_sort_is_one_kernel()
     straddle_ratio = check_straddling_group_by_ratio()
     live_calls = check_type_errors_raise_at_bind()
     template_hits = check_plan_templates()
@@ -746,7 +748,7 @@ def main() -> int:
     print("metrics smoke ok:", len(sources), "stat sources,",
           len(snapshot["benchmarks"]), "benchmark tables,",
           f"column fast path {fast_path_speedup:.1f}x,",
-          f"pooled/serial sort {sort_ratio:.2f}x,",
+          f"{sorted_rows}-row ORDER BY at threads=2 ran 0 batches and 0 shard tasks,",
           f"straddling/in-zone group-by {straddle_ratio:.2f}x,",
           f"{gather_free_rows} rows grouped with no per-group gather,",
           f"{columns_taken} column takes over 4 straddling-brush scans "

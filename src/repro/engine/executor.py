@@ -19,14 +19,15 @@ span, :mod:`repro.engine.shards` one per shard; on the worker pool or as
 a governed loop on this thread),
 **gather once** (filtered pieces concatenate keeping their shared
 dictionary; a fused aggregate merges partials instead).  Pending writes
-are a trailing tail task plus a live-mask over the main, a memory-mapped
-main differs only in that the bytes its surviving spans cover are
-counted, and the other data-parallel operators (residual filters, hash
-aggregation, sort) route through the pool whenever it is enabled
-(``PRAGMA threads=N`` / ``REPRO_THREADS``) and the input is large
-enough.  Every route is bit-identical to serial execution by
-construction (see the parallel module docstring and DESIGN.md, "Scan
-pipeline").
+are a trailing tail task plus a live-mask over the main, and a
+memory-mapped main differs only in that the bytes its surviving spans
+cover are counted.  Above the scan each operator has one serial kernel
+and at most one pooled route, the scan's: with the pool enabled
+(``PRAGMA threads=N`` / ``REPRO_THREADS``) and enough input rows, a
+residual filter or a GROUP BY runs the span tasks over its in-memory
+child, and a sort is always :func:`~repro.engine.operators.sort_table`.
+Every route is bit-identical to serial execution by construction (see
+the parallel module docstring and DESIGN.md, "Scan pipeline").
 
 Execution is *governed*: when a :class:`~repro.resilience.QueryContext`
 is active, every plan node is a checkpoint — the deadline/cancellation
@@ -98,15 +99,6 @@ def _execute(
     return result
 
 
-def _note_fanout(profiler: PlanProfiler | None, num_rows: int) -> None:
-    """Record the morsel fan-out of a parallel operator on the profiler."""
-    if profiler is not None:
-        profiler.annotate(
-            f"parallel: {parallel.morsel_count(num_rows)} morsels "
-            f"x {settings.current.threads} threads"
-        )
-
-
 def _run_node(
     node: PlanNode, database: "Database", profiler: PlanProfiler | None
 ) -> Table:
@@ -126,19 +118,20 @@ def _run_node(
             kind=node.clause.kind,
         )
     if isinstance(node, FilterNode):
+        # pooled, an in-memory child is one unclassified span of a scan
         child = _execute(node.child, database, profiler)
         if parallel.should_parallelize(child.num_rows):
-            _note_fanout(profiler, child.num_rows)
-            return parallel.parallel_filter(child, node.predicate)
+            return parallel.streamed_filter(child, node.predicate, None, profiler=profiler)
         return ops.filter_table(child, node.predicate)
     if isinstance(node, FusedAggregateNode):
         return _execute_scan(node.child, database, profiler, fused=node)
     if isinstance(node, AggregateNode):
+        # pooled, a fused scan of one PASS span: nothing to evaluate
         child = _execute(node.child, database, profiler)
         if parallel.should_parallelize(child.num_rows):
-            _note_fanout(profiler, child.num_rows)
-            return parallel.parallel_hash_aggregate(
-                child, node.group_exprs, node.aggregates, node.group_names
+            return parallel.fused_filter_aggregate(
+                child, None, node.group_exprs, node.aggregates, node.group_names,
+                ranges=[(0, child.num_rows, False)], profiler=profiler,
             )
         return ops.hash_aggregate(
             child, node.group_exprs, node.aggregates, node.group_names
@@ -148,25 +141,7 @@ def _run_node(
     if isinstance(node, DistinctNode):
         return ops.distinct(_execute(node.child, database, profiler))
     if isinstance(node, SortNode):
-        child = _execute(node.child, database, profiler)
-        scan = node.child
-        if (
-            isinstance(scan, ScanNode)
-            and scan.predicate is None
-            and not scan.empty
-            and database.delta_store_if_dirty(scan.table) is None
-        ):
-            layout = database.shard_layout(scan.table)
-            if layout is not None:
-                scattered = shards.scatter_sort(
-                    scan.table, child, node.order_by, layout, database, profiler
-                )
-                if scattered is not None:
-                    return scattered
-        if parallel.should_parallelize(child.num_rows):
-            _note_fanout(profiler, child.num_rows)
-            return parallel.parallel_sort(child, node.order_by)
-        return ops.sort_table(child, node.order_by)
+        return ops.sort_table(_execute(node.child, database, profiler), node.order_by)
     if isinstance(node, TopNNode):
         # one kernel on the driver thread whatever route produced the child
         child = _execute(node.child, database, profiler)
@@ -341,15 +316,11 @@ def _execute_scan(
             node.table, main, predicate, fused.group_exprs, fused.aggregates,
             fused.group_names, ranges, layout, database, profiler,
         )
-    if profiler is not None:
-        rows = main.num_rows if ranges is None else sum(
-            stop - start for start, stop, _ in ranges
-        )
-        if parallel.should_parallelize(rows):  # the unsharded tasks' own rule
-            _note_fanout(profiler, rows)
     if fused is None:
-        return parallel.streamed_filter(main, predicate, ranges, live_main, tail)
+        return parallel.streamed_filter(
+            main, predicate, ranges, live_main, tail, profiler=profiler
+        )
     return parallel.fused_filter_aggregate(
         main, predicate, fused.group_exprs, fused.aggregates, fused.group_names,
-        ranges, live_main, tail,
+        ranges, live_main, tail, profiler=profiler,
     )

@@ -1,21 +1,22 @@
 """Morsel-driven parallel query execution.
 
-Tables are split into fixed-size row *morsels* (Leis et al., SIGMOD'14)
-and the data-parallel kernels — predicate evaluation, per-morsel
-grouping for hash aggregation, sort-key evaluation — run across a shared
-``concurrent.futures`` worker pool.  The kernels are numpy-heavy and
-release the GIL, so the default pool is thread-based; an experimental
-process pool sits behind ``pool_kind="process"`` for workloads that are
-dominated by Python-level work.
+A scan's spans are cut into row *morsels* of at most ``morsel_rows``
+rows (Leis et al., SIGMOD'14) and its span kernels — predicate
+evaluation into a row selection, and a fused aggregate's per-task
+partial grouping — run across a shared ``concurrent.futures`` worker
+pool.  That is the only pooled route: a residual filter or a GROUP BY
+over an in-memory input runs as a scan of it (one unclassified span, or
+one PASS span with nothing to evaluate), and a sort is one serial kernel
+on the calling thread whatever produced its input.  The kernels are
+numpy-heavy and release the GIL, so the default pool is thread-based; an
+experimental process pool sits behind ``pool_kind="process"`` for
+workloads that are dominated by Python-level work.
 
 Correctness contract: **serial and parallel execution produce
 bit-identical results.**  Every kernel is organised so that the final
 combining step performs exactly the arithmetic the serial operator would
 have performed:
 
-- filters evaluate the predicate mask per morsel and concatenate — mask
-  evaluation is row-local, so the concatenated mask equals the serial
-  mask bit for bit;
 - predicate scans run two *span kernels* — :func:`_filter_spans` and
   :func:`_fused_spans` (filter + partial aggregation) — over ``(table,
   spans, live mask)`` tasks.  The filter kernel returns a *selection*:
@@ -42,15 +43,14 @@ have performed:
   row's group, and the merge evaluates the serial aggregate over all
   tasks' rows sorted into
   merged-group order — ascending within a group, so numpy's pairwise
-  summation rounds as it does serially;
-- sorts evaluate the ORDER BY keys per morsel (row-local, so the parts
-  concatenate to the full-table keys) and run the serial stable
-  multi-key sort once over the gathered keys.
+  summation rounds as it does serially.
 
-Small inputs skip the pool entirely: below ``min_parallel_rows`` the
-executor uses the serial operators — and the span kernels run as a
-governed loop on the calling thread, recording no ``parallel.*``
-metrics — so interactive point queries never pay the fan-out overhead.
+One rule decides pooling: a scan pools when the rows its tasks cover
+reach ``min_parallel_rows`` (:func:`should_parallelize`).  Below it the
+executor runs a residual filter or GROUP BY with the serial operators,
+and a scan's span kernels run as a governed loop on the calling thread
+recording no ``parallel.*`` metrics — so interactive point queries
+never pay the fan-out overhead.
 
 The pool is also where the query governor's fine-grained checkpoints
 live: every morsel task checks the active
@@ -86,6 +86,7 @@ from repro.engine.table import Table, concat_tables
 from repro.engine.types import DataType
 from repro.errors import ExecutionError, ResourceError
 from repro.obs.metrics import get_registry
+from repro.obs.profile import PlanProfiler
 from repro.obs.tracing import trace
 from repro.resilience import (
     QueryContext,
@@ -133,17 +134,10 @@ def _get_pool() -> Executor:
         return _pool
 
 
-def morsel_ranges(num_rows: int, morsel_rows: int | None = None) -> list[tuple[int, int]]:
-    """Split ``[0, num_rows)`` into contiguous ``[start, stop)`` morsels."""
-    size = morsel_rows if morsel_rows is not None else settings.current.morsel_rows
-    if num_rows <= 0:
-        return []
-    return [(start, min(start + size, num_rows)) for start in range(0, num_rows, size)]
-
-
-def morsel_count(num_rows: int) -> int:
-    """Number of morsels the current configuration splits ``num_rows`` into."""
-    return len(morsel_ranges(num_rows))
+def note_fanout(profiler: PlanProfiler | None, tasks: int, unit: str = "morsels") -> None:
+    """Annotate the EXPLAIN ANALYZE node with the tasks a pooled batch ran."""
+    if profiler is not None:
+        profiler.annotate(f"parallel: {tasks} {unit} x {settings.current.threads} threads")
 
 
 _batch_counter = itertools.count()
@@ -352,26 +346,6 @@ def _traced_task(
         return fn(*args)
 
 
-# -- filter kernels ------------------------------------------------------------------
-
-
-def _mask_morsel(predicate: Expression, table: Table, start: int, stop: int) -> np.ndarray:
-    return truth_mask(predicate, table.slice(start, stop))
-
-
-def parallel_truth_mask(predicate: Expression, table: Table) -> np.ndarray:
-    """Evaluate a predicate mask morsel-wise; equals the serial mask."""
-    ranges = morsel_ranges(table.num_rows)
-    masks = _run_tasks(_mask_morsel, [(predicate, table, s, e) for s, e in ranges])
-    return np.concatenate(masks) if masks else np.zeros(0, dtype=bool)
-
-
-def parallel_filter(table: Table, predicate: Expression) -> Table:
-    """Morsel-parallel WHERE: keep rows whose predicate is strictly TRUE."""
-    with trace("op.filter", rows=table.num_rows, parallel=True, morsels=morsel_count(table.num_rows)):
-        return table.filter(parallel_truth_mask(predicate, table))
-
-
 # -- predicate scans: span kernels ---------------------------------------------------
 #
 # Every predicate scan is a list of ``(table, spans, live, ...)`` tasks: a
@@ -434,6 +408,7 @@ def _span_tasks(
     ranges: Sequence[Span] | None,
     extra_mask: np.ndarray | None,
     tail: Table | None,
+    profiler: PlanProfiler | None = None,
 ) -> tuple[list[tuple], bool]:
     """``(tasks, pooled)`` of an unsharded scan: one task per span.
 
@@ -445,7 +420,8 @@ def _span_tasks(
     always-evaluate task over its own small table.  A scan nothing
     survives keeps one empty span, so the kernels still produce the
     empty result (and a global aggregate its one row) without evaluating
-    the predicate.
+    the predicate.  A pooled scan's task count is annotated on
+    ``profiler``.
     """
     spans = [(0, table.num_rows, True)] if ranges is None else ranges
     pooled = should_parallelize(sum(stop - start for start, stop, _ in spans))
@@ -459,7 +435,10 @@ def _span_tasks(
     tasks: list[tuple] = [(table, [span], extra_mask) for span in spans]
     if tail is not None and tail.num_rows:
         tasks.append((tail, [(0, tail.num_rows, True)], None))
-    return tasks or [(table, [(0, 0, False)], None)], pooled
+    tasks = tasks or [(table, [(0, 0, False)], None)]
+    if pooled:
+        note_fanout(profiler, len(tasks))
+    return tasks, pooled
 
 
 def _filter_tasks(
@@ -479,6 +458,7 @@ def streamed_filter(
     ranges: Sequence[Span] | None,
     extra_mask: np.ndarray | None = None,
     tail: Table | None = None,
+    profiler: PlanProfiler | None = None,
 ) -> Table:
     """Filter by streaming classified spans — skipped rows are never read.
 
@@ -493,7 +473,7 @@ def streamed_filter(
     order and every mask comes from the same row-local kernel (serially
     or on the pool).
     """
-    tasks, pooled = _span_tasks(table, ranges, extra_mask, tail)
+    tasks, pooled = _span_tasks(table, ranges, extra_mask, tail, profiler)
     return _filter_tasks(tasks, predicate, pooled)
 
 
@@ -648,57 +628,22 @@ def _merge_partial_aggregates(
     )
 
 
-def parallel_hash_aggregate(
-    table: Table,
-    group_exprs: Sequence[Expression],
-    aggregates: Sequence[tuple[str, AggregateCall]],
-    group_names: Sequence[str] | None = None,
-) -> Table:
-    """Morsel-parallel GROUP BY: per-morsel partials + a merge step.
-
-    Produces exactly the rows (values, order and names) of
-    :func:`repro.engine.operators.hash_aggregate`.
-    """
-    num_rows = table.num_rows
-    with trace(
-        "op.hash_aggregate",
-        rows=num_rows,
-        keys=len(group_exprs),
-        parallel=True,
-        morsels=morsel_count(num_rows),
-    ):
-        ranges = morsel_ranges(num_rows)
-        if not ranges:
-            return ops.hash_aggregate(table, group_exprs, aggregates, group_names)
-        modes = _partial_modes(table, aggregates)
-        # every morsel is a PASS span: the fused kernel with nothing to filter
-        results = _run_tasks(
-            _fused_spans,
-            [
-                (table, [(s, e, False)], None, None, None, group_exprs, aggregates, modes)
-                for s, e in ranges
-            ],
-        )
-        # merge: first-appearance order across morsels == serial group order
-        return _merge_partial_aggregates(
-            results, group_exprs, aggregates, modes, group_names
-        )
-
-
 def fused_filter_aggregate(
     table: Table,
-    predicate: Expression,
+    predicate: Expression | None,
     group_exprs: Sequence[Expression],
     aggregates: Sequence[tuple[str, AggregateCall]],
     group_names: Sequence[str] | None = None,
     ranges: Sequence[Span] | None = None,
     extra_mask: np.ndarray | None = None,
     tail: Table | None = None,
+    profiler: PlanProfiler | None = None,
 ) -> Table:
     """Filter + hash aggregate fused per span (the FusedAggregate kernel).
 
     ``ranges``, ``extra_mask`` and ``tail`` are as in
-    :func:`streamed_filter`.  Bit-identical to ``hash_aggregate(filter(
+    :func:`streamed_filter`; a GROUP BY over an in-memory input is this
+    with no predicate and one PASS span over it.  Bit-identical to ``hash_aggregate(filter(
     table ++ tail, predicate), ...)``: the per-span filter masks
     concatenate to the serial mask.  On the worker pool each span
     evaluates the predicate and its partial aggregation in one pass and
@@ -708,7 +653,7 @@ def fused_filter_aggregate(
     the full-table mask array and the columns only the predicate reads
     (:func:`_sink_columns`), each sink column taken once per source.
     """
-    tasks, pooled = _span_tasks(table, ranges, extra_mask, tail)
+    tasks, pooled = _span_tasks(table, ranges, extra_mask, tail, profiler)
     with trace(
         "op.fused_filter_aggregate",
         rows=table.num_rows,
@@ -731,52 +676,28 @@ def fused_filter_aggregate(
         )
 
 
-# -- sorting -------------------------------------------------------------------------
+# -- names the perf ledger's tracer binds --------------------------------------------
+#
+# No engine code calls these; each hands its arguments to the kernel it names,
+# and they go when the ledger reads its layers from engine spans (ROADMAP 4(b)).
 
 
-def _eval_sort_keys_morsel(
-    table: Table, order_by: Sequence[OrderItem], start: int, stop: int
-) -> list[tuple[np.ndarray, np.ndarray, bool]]:
-    return ops.order_keys(table.slice(start, stop), order_by)
+def parallel_truth_mask(predicate: Expression, table: Table) -> np.ndarray:
+    """:func:`truth_mask`; goes with ROADMAP 4(b)."""
+    return truth_mask(predicate, table)
 
 
-def sort_by_key_parts(
-    table: Table, key_parts: Sequence[list[tuple[np.ndarray, np.ndarray, bool]]]
-) -> Table:
-    """The gather step of every pooled ORDER BY route: one global sort.
+def parallel_filter(table: Table, predicate: Expression) -> Table:
+    """:func:`streamed_filter` over one unclassified span; goes with ROADMAP 4(b)."""
+    return streamed_filter(table, predicate, None)
 
-    ``key_parts`` holds the order keys of consecutive row ranges covering
-    ``table`` (morsels or shards).  Key evaluation is row-local, so their
-    concatenation equals full-table evaluation and the stable sort over
-    it is the serial sort.
-    """
-    keys = [
-        (
-            np.concatenate([part[i][0] for part in key_parts]),
-            np.concatenate([part[i][1] for part in key_parts]),
-            ascending,
-        )
-        for i, (_, _, ascending) in enumerate(key_parts[0])
-    ]
-    return table.take(ops.sort_positions(keys, np.arange(table.num_rows)))
+
+def parallel_hash_aggregate(table, group_exprs, aggregates, group_names=None) -> Table:
+    """:func:`fused_filter_aggregate` over one PASS span; goes with ROADMAP 4(b)."""
+    whole = [(0, table.num_rows, False)]
+    return fused_filter_aggregate(table, None, group_exprs, aggregates, group_names, whole)
 
 
 def parallel_sort(table: Table, order_by: Sequence[OrderItem]) -> Table:
-    """Morsel-parallel ORDER BY: pooled key evaluation + one global sort."""
-    if not order_by:
-        return table
-    num_rows = table.num_rows
-    with trace(
-        "op.sort",
-        rows=num_rows,
-        keys=len(order_by),
-        parallel=True,
-        morsels=morsel_count(num_rows),
-    ):
-        ranges = morsel_ranges(num_rows)
-        if not ranges:
-            return table
-        key_parts = _run_tasks(
-            _eval_sort_keys_morsel, [(table, order_by, s, e) for s, e in ranges]
-        )
-        return sort_by_key_parts(table, key_parts)
+    """:func:`~repro.engine.operators.sort_table`; goes with ROADMAP 4(b)."""
+    return ops.sort_table(table, order_by)

@@ -9,15 +9,18 @@ Because shards are extents of the ordinary format-2 part files, mmap
 mode maps the one file and slices shards lazily — a shard that is never
 scheduled never faults its pages in.
 
-Execution is scatter-gather: filter, fused filter+aggregate and sort-key
-evaluation fan out one task per shard — the parallel module's span
+Execution is scatter-gather: a filtered scan and a fused
+filter+aggregate fan out one task per shard — the parallel module's span
 kernels over the shard's own table — on the morsel pool or a governed
 serial loop, and recombine with the parallel module's gathers, so
 results are bit-identical to serial execution over the same
 (re-clustered) table by construction.  Pruning happens before
 scheduling: the executor's zone classification (this module never
 consults the zone map or counts I/O itself) is split at shard extents,
-and a shard left with no surviving span is never scheduled at all.
+and a shard left with no surviving span is never scheduled at all.  The
+scatter pools by the parallel module's one rule, on the rows the
+scheduled shards' spans cover.  Nothing else scatters: a sort is one
+kernel on the calling thread whatever produced its input.
 
 In process-pool mode shards are shipped to workers **once per catalog
 epoch**: the parent serialises each scheduled shard to a scratch file
@@ -361,22 +364,22 @@ def _local_spans(
 
 
 def _schedule(layout, ranges, profiler):
-    """Span plan + shard.* accounting; returns (spans, scheduled shards)."""
+    """Span plan + shard.* accounting; returns (spans, scheduled shards,
+    the rows their spans cover)."""
     spans = plan_spans(layout, ranges)
     scheduled = [s for s in range(layout.num_shards) if spans[s]]
     pruned = layout.num_shards - len(scheduled)
+    rows = sum(stop - start for s in scheduled for start, stop, _ in spans[s])
     registry = get_registry()
     registry.counter("shard.tasks").inc(len(scheduled))
     registry.counter("shard.shards_pruned").inc(pruned)
-    registry.counter("shard.rows").inc(
-        sum(stop - start for s in scheduled for start, stop, _ in spans[s])
-    )
+    registry.counter("shard.rows").inc(rows)
     if profiler is not None:
         profiler.annotate(
             f"shards: {len(scheduled)} of {layout.num_shards} scheduled, "
             f"{pruned} pruned"
         )
-    return spans, scheduled
+    return spans, scheduled, rows
 
 
 def _sources(name, table, layout, scheduled, database, pooled):
@@ -393,13 +396,6 @@ def _sources(name, table, layout, scheduled, database, pooled):
     return sources
 
 
-def _note_shard_fanout(profiler, tasks: int) -> None:
-    if profiler is not None:
-        profiler.annotate(
-            f"parallel: {tasks} shard tasks x {settings.current.threads} threads"
-        )
-
-
 def _scatter(kernel, name, table, ranges, layout, database, profiler, *args) -> list:
     """Run a span kernel with one task per scheduled shard.
 
@@ -408,15 +404,17 @@ def _scatter(kernel, name, table, ranges, layout, database, profiler, *args) -> 
     a shard left with no surviving span is never scheduled.  Returns
     ``(offset, result)`` per task in shard order — ascending global row
     order — where ``offset`` is the global row of the task's local row 0.
+    The scatter pools when those spans cover enough rows, the rule every
+    scan follows.
     """
-    spans, scheduled = _schedule(layout, ranges, profiler)
+    spans, scheduled, rows = _schedule(layout, ranges, profiler)
     if not scheduled:
         # nothing survives: the kernel's result over one empty span
         return [(0, kernel(table, [(0, 0, False)], None, *args))]
-    pooled = parallel.should_parallelize(table.num_rows)
+    pooled = parallel.should_parallelize(rows)
     sources = _sources(name, table, layout, scheduled, database, pooled)
     if pooled:
-        _note_shard_fanout(profiler, len(sources))
+        parallel.note_fanout(profiler, len(sources), "shard tasks")
     tasks = [
         (kernel, source, _local_spans(layout, s, spans[s]), None, *args)
         for source, s in zip(sources, scheduled)
@@ -474,34 +472,13 @@ def scatter_fused_aggregate(
     )
 
 
-def scatter_sort(
-    name: str, table: Table, order_by, layout: ShardLayout, database, profiler
-) -> Table | None:
-    """Scatter an ORDER BY's key evaluation across shards; sort once globally.
+# The perf ledger's tracer binds this name; no engine code calls it, and it
+# goes when the ledger reads its layers from engine spans (ROADMAP 4(b)).
 
-    Shards are consecutive extents covering the table, so the per-shard
-    keys gather into the full-table keys and the one stable sort over
-    them is the serial sort.  Returns None to decline (layout drift or a
-    degenerate layout) — the caller falls back.
-    """
-    if not order_by or layout.total_rows != table.num_rows or table.num_rows == 0:
-        return None
-    nonempty = [s for s in range(layout.num_shards) if layout.shard_rows(s) > 0]
-    if len(nonempty) < 2:
-        return None
-    pooled = parallel.should_parallelize(table.num_rows)
-    sources = _sources(name, table, layout, nonempty, database, pooled)
-    tasks = [(ops.order_keys, source, order_by) for source in sources]
-    get_registry().counter("shard.tasks").inc(len(tasks))
-    if profiler is not None:
-        profiler.annotate(
-            f"shards: {len(tasks)} of {layout.num_shards} scheduled, 0 pruned"
-        )
-    if pooled:
-        _note_shard_fanout(profiler, len(tasks))
-    return parallel.sort_by_key_parts(
-        table, parallel._run_tasks(_shard_task, tasks, pooled)
-    )
+
+def scatter_sort(name, table: Table, order_by, layout, database, profiler) -> Table:
+    """:func:`~repro.engine.operators.sort_table`; goes with ROADMAP 4(b)."""
+    return ops.sort_table(table, order_by)
 
 
 # -- partition-local cracking --------------------------------------------------------

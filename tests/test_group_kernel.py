@@ -178,8 +178,9 @@ AGGREGATES = {
                 "SUM(DISTINCT fz) AS sf, AVG(DISTINCT fv) AS af, MIN(DISTINCT sv) AS ls, "
                 "MAX(DISTINCT iv) AS hi",
 }
-#: no WHERE is Aggregate (``hash_aggregate`` / ``parallel_hash_aggregate``), a
-#: WHERE is FusedAggregate (the span kernels); the last one keeps no row
+#: no WHERE is Aggregate (``hash_aggregate``, pooled the fused span kernels over
+#: one PASS span), a WHERE is FusedAggregate (the span kernels); the last one
+#: keeps no row
 WHERES = ("", "WHERE i >= 40 AND i < 555", "WHERE i < 0")
 ROUTES = {
     "serial": dict(threads=0),

@@ -14,9 +14,10 @@ import pytest
 from repro import settings
 from repro.engine import Database, Table
 from repro.engine import parallel
-from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.obs.profile import PlanProfiler
 from repro.obs.tracing import get_tracer
+from tests.conftest import pin_defaults
 from tests.test_sql_differential import random_query, random_table
 
 
@@ -64,22 +65,55 @@ def run_both_modes(table: Table, sql: str) -> tuple[Table, Table]:
     return serial, par
 
 
-# -- morsel iterator ------------------------------------------------------------------
+# -- morsel cuts of a scan's spans ---------------------------------------------------
 
 
 class TestMorselRanges:
+    """``parallel._span_tasks`` is where every unsharded scan is cut into
+    tasks: pooled, each span is cut at ``morsel_rows`` on its own."""
+
+    @staticmethod
+    def _cut(ranges, num_rows=10, morsel_rows=3, threads=2, tail=None):
+        """The task spans of a scan over ``num_rows`` rows, and whether it pools;
+        a task over the ``tail`` table shows as ``("tail", spans)``."""
+        settings.configure(threads=threads, morsel_rows=morsel_rows, min_parallel_rows=1)
+        table = Table.from_dict({"x": list(range(num_rows))})
+        tasks, pooled = parallel._span_tasks(table, ranges, None, tail)
+        return [
+            spans if source is table else ("tail", spans) for source, spans, _live in tasks
+        ], pooled
+
     def test_covers_all_rows_without_overlap(self) -> None:
-        ranges = parallel.morsel_ranges(10, 3)
-        assert ranges == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        assert self._cut(None) == (
+            [[(0, 3, True)], [(3, 6, True)], [(6, 9, True)], [(9, 10, True)]], True
+        )
 
     def test_exact_multiple(self) -> None:
-        assert parallel.morsel_ranges(6, 3) == [(0, 3), (3, 6)]
+        assert self._cut([(0, 6, False)]) == ([[(0, 3, False)], [(3, 6, False)]], True)
 
-    def test_empty_input(self) -> None:
-        assert parallel.morsel_ranges(0, 3) == []
+    def test_cuts_fall_at_morsel_rows_within_each_span(self) -> None:
+        tasks, pooled = self._cut([(2, 9, True), (12, 14, False)], num_rows=20)
+        assert pooled
+        assert tasks == [[(2, 5, True)], [(5, 8, True)], [(8, 9, True)], [(12, 14, False)]]
+        # serially every span is one task, uncut
+        tasks, pooled = self._cut([(2, 9, True), (12, 14, False)], num_rows=20, threads=0)
+        assert not pooled and tasks == [[(2, 9, True)], [(12, 14, False)]]
+
+    def test_gaps_between_spans_are_never_bridged(self) -> None:
+        tasks, _ = self._cut([(0, 2, True), (4, 6, True)], morsel_rows=100)
+        assert tasks == [[(0, 2, True)], [(4, 6, True)]]
 
     def test_single_morsel_when_smaller_than_size(self) -> None:
-        assert parallel.morsel_ranges(2, 100) == [(0, 2)]
+        assert self._cut(None, num_rows=2, morsel_rows=100) == ([[(0, 2, True)]], True)
+
+    def test_tail_task_comes_last(self) -> None:
+        tail = Table.from_dict({"x": [10, 11]})
+        tasks, _ = self._cut([(0, 6, True)], tail=tail)
+        assert tasks == [[(0, 3, True)], [(3, 6, True)], ("tail", [(0, 2, True)])]
+
+    def test_empty_input(self) -> None:
+        # an all-FAIL scan keeps one empty span, and nothing to pool
+        assert self._cut([]) == ([[(0, 0, False)]], False)
 
 
 class TestConfig:
@@ -119,14 +153,61 @@ class TestKernels:
             }
         )
 
-    def test_filter_mask_identical(self, parallel_mode) -> None:
-        from repro.engine.expressions import col, truth_mask
+    @staticmethod
+    def _residual(sql: str, node: str) -> tuple[Table, Table, Database]:
+        """``sql`` under ``optimizer=0``, serially and with the pool; the
+        pooled run's ``node`` (a Filter left above a join, an unfused
+        Aggregate) must have fanned out.  Both tables have NULLs and NaNs,
+        and ``t.g`` is a dictionary-encoded STRING column."""
+        rng = np.random.default_rng(7)
+        n = 500
 
-        table = self._table()
-        predicate = (col("x") > 0) & (col("y") < 0.5)
-        serial = truth_mask(predicate, table)
-        par = parallel.parallel_truth_mask(predicate, table)
-        assert np.array_equal(serial, par)
+        def floats(size):
+            return [
+                None if v < -1.5 else float("nan") if v > 1.5 else float(v)
+                for v in rng.normal(size=size)
+            ]
+
+        db = Database()
+        db.create_table("t", {
+            "g": [None if v == 0 else "abcd"[v] for v in rng.integers(0, 4, n)],
+            "x": [int(v) if v % 7 else None for v in rng.integers(-50, 50, n)],
+            "y": floats(n),
+            "k": [i % 50 for i in range(n)],
+        })
+        db.create_table("u", {"k2": list(range(50)), "w": floats(50)})
+        assert db.main_table("t").column("g").dictionary() is not None
+        settings.configure(optimizer=False, threads=0)
+        serial = db.sql(sql)
+        settings.configure(threads=4, morsel_rows=7, min_parallel_rows=1)
+        pooled = db.sql(sql)
+        lines = db.explain_analyze(sql).render().splitlines()
+        assert any(
+            line.strip().startswith(node) and "parallel:" in line for line in lines
+        ), "\n".join(lines)
+        return serial, pooled, db
+
+    def test_filter_mask_identical(self) -> None:
+        """A pooled residual filter is the scan's span tasks over its child."""
+        serial, pooled, db = self._residual(
+            "SELECT g, x, y, w FROM t JOIN u ON k = k2 WHERE x > 0 OR w < 0.5 OR g = 'b'",
+            "Filter",
+        )
+        assert 0 < pooled.num_rows < 500
+        tables_bit_identical(serial, pooled)
+        base = db.main_table("t").column("g").dictionary()[1]
+        assert pooled.column("g").dictionary()[1] is base
+
+    def test_group_by_identical(self) -> None:
+        """A pooled non-fused GROUP BY is one PASS span's fused tasks."""
+        serial, pooled, _ = self._residual(
+            "SELECT g, COUNT(*) AS n, COUNT(y) AS cy, SUM(x) AS sx, AVG(y) AS my, "
+            "MIN(y) AS lo, MAX(x) AS hi, COUNT(DISTINCT x) AS dx FROM t "
+            "WHERE x > -40 OR y < 1 GROUP BY g",
+            "Aggregate",
+        )
+        assert pooled.num_rows == 4  # a, b, c and the NULL group
+        tables_bit_identical(serial, pooled)
 
     def test_aggregate_partials_recombine(self, parallel_mode) -> None:
         table = self._table(500, seed=3)
@@ -307,6 +388,25 @@ class TestObservability:
         }
         assert all(w for w in workers)
         tracer.clear()
+
+    @pytest.mark.parametrize("shape", [
+        "SELECT x FROM t WHERE x % 3 = 0",
+        "SELECT g, COUNT(*) AS n FROM t WHERE x % 3 = 0 GROUP BY g",
+    ])
+    def test_fanout_annotation_is_the_tasks_that_ran(self, shape) -> None:
+        """16 zones of 64 rows are 16 tasks although 1,000 rows are 10
+        morsels of 100; a pending INSERT adds its tail task."""
+        pin_defaults("shards", "delta_rows", "optimizer")
+        settings.configure(threads=4, morsel_rows=100, min_parallel_rows=2, zone_rows=64)
+        db = Database()
+        db.create_table("t", {"x": list(range(1000)), "g": ["a", "b"] * 500})
+        morsels = get_registry().counter("parallel.morsels")
+        for want in (16, 17):
+            before = morsels.value
+            text = db.explain_analyze(shape).render()
+            assert morsels.value - before == want
+            assert f"parallel: {want} morsels x 4 threads" in text, text
+            db.execute("INSERT INTO t VALUES (1000, 'a')")
 
     def test_profiler_serial_runs_have_no_fanout_annotation(self, serial_mode) -> None:
         db = Database()

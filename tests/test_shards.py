@@ -5,7 +5,8 @@ and NULL keys route to shard 0, identity layouts skip the re-cluster),
 `PRAGMA shards` / `shard_by` / `shard_min_rows` / `shard_index` wiring
 and the settings listing, scatter-gather execution that stays
 bit-identical to the unsharded path over the same re-clustered main
-(filter, fused aggregate, sort; serial and threaded), the epoch-keyed
+(filter, fused aggregate; serial and threaded) while a sort and every
+scan's pooling decision take one route each, the epoch-keyed
 process-pool shard cache (`parallel.bytes_shipped` must not grow with
 query count), shard-local pruning (`shard.shards_pruned` = N−1 on a
 one-shard predicate; `io.bytes_read` bounded by one shard in mmap
@@ -347,6 +348,57 @@ class TestScatterExecution:
         )
         for sql, want in zip(SCATTER_QUERIES, expected):
             tables_bit_identical(db.sql(sql), want)
+
+
+class TestOneRoutePerOperator:
+    """A sort is one kernel on the calling thread, and every scan — sharded or not
+    — pools by one rule: the rows its tasks cover."""
+
+    @pytest.mark.parametrize("pool_kind", ["thread", "process"])
+    @pytest.mark.parametrize("spec", [None, "range(v)", "hash(k)"])
+    def test_order_by_runs_no_task(self, _pin_shard_config, spec, pool_kind):
+        registry = _pin_shard_config
+        sql = "SELECT k, v, s FROM t ORDER BY v DESC, s, k"
+        db = _filled_db()
+        if spec is not None:
+            # the unsharded answer over the same re-clustered rows
+            db.apply_sharding("t", 4, shard_by=spec)
+            db.apply_sharding("t", 0)
+        settings.configure(threads=0)
+        want = db.sql(sql)
+        if spec is not None:
+            db.apply_sharding("t", 4, shard_by=spec)  # identity: row order kept
+        settings.configure(threads=2, morsel_rows=64, min_parallel_rows=1, pool_kind=pool_kind)
+        counters = [registry.counter(name) for name in ("shard.tasks", "parallel.batches")]
+        before = [counter.value for counter in counters]
+        got = db.sql(sql)
+        assert [counter.value for counter in counters] == before
+        tables_bit_identical(got, want)
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    @pytest.mark.parametrize("sql", [
+        "SELECT x FROM t WHERE x >= 0 AND x < 300",
+        "SELECT g, COUNT(*) AS n FROM t WHERE x >= 0 AND x < 300 GROUP BY g",
+    ])
+    @pytest.mark.parametrize("min_rows, batches", [(301, 0), (300, 1)])
+    def test_covered_rows_decide_pooling(
+        self, _pin_shard_config, sharded, sql, min_rows, batches
+    ):
+        """The brush covers 300 of 1,000 rows: zones 0-2, which on 4 range
+        shards of 250 rows are spans of shards 0 and 1."""
+        registry = _pin_shard_config
+        pin_defaults("optimizer")
+        settings.configure(zone_rows=100, shard_index=False)  # no index serves the scan
+        db = Database()
+        db.create_table("t", {"x": list(range(1000)), "g": ["a", "b"] * 500})
+        if sharded:
+            db.apply_sharding("t", 4, shard_by="range(x)")
+        settings.configure(threads=2, morsel_rows=1000, min_parallel_rows=min_rows)
+        counter = registry.counter("parallel.batches")
+        before = counter.value
+        db.sql(sql)
+        assert counter.value - before == batches
+        assert registry.counter("shard.tasks").value == (2 if sharded else 0)
 
 
 # -- epoch shipping over the process pool ---------------------------------------------
