@@ -250,8 +250,9 @@ def check_scan_gathers_once(zone_rows: int = 4_096) -> int:
     once per task on the pool — and a plain filter takes each column it
     outputs once per scan, serially and at threads=2; ``ts`` and ``qty``,
     read only by the fused predicate, and ``product``, read by nothing,
-    are never taken.  Both answer what ``optimizer=0, zone_rows=0``
-    answers.  Returns the columns taken."""
+    are never taken.  The same holds again over 4 ``range(ts)`` shards,
+    where the tasks are the scheduled shards.  Both answer what
+    ``optimizer=0, zone_rows=0`` answers.  Returns the columns taken."""
     n = 8 * zone_rows
     rng = np.random.default_rng(0)
     db = Database()
@@ -268,8 +269,7 @@ def check_scan_gathers_once(zone_rows: int = 4_096) -> int:
             ["price", "region"],
         f"SELECT region, price FROM t {where}": ["price", "qty", "region", "ts"],
     }
-    base = db.main_table("t")
-    main = [(name, base.column(name).data) for name in base.column_names]
+    main: list[tuple[str, np.ndarray]] = []
     local = threading.local()  # pooled tasks gather on worker threads
     taken: list[str] = []
     real_take, real_gather = Column.take, parallel.gather
@@ -290,28 +290,36 @@ def check_scan_gathers_once(zone_rows: int = 4_096) -> int:
     total = 0
     saved = settings.snapshot()
     try:
-        for threads in (0, 2):
-            for sql, gathered in statements.items():
-                settings.configure(
-                    threads=threads, pool_kind="thread", min_parallel_rows=2,
-                    zone_rows=zone_rows, optimizer=True,
-                )
-                assert "zones: 4 pruned, 0 passed of 8" in db.explain_analyze(sql).render(), sql
-                taken.clear()
-                before = morsels.value
-                Column.take, parallel.gather = take_spy, gather_spy
-                try:
-                    got = db.sql(sql)
-                finally:
-                    Column.take, parallel.gather = real_take, real_gather
-                pooled_tasks = morsels.value - before if "GROUP BY" in sql else 0
-                assert sorted(taken) == sorted(gathered * max(pooled_tasks, 1)), (
-                    f"threads={threads}: {len(taken)} column takes, {sorted(set(taken))}: {sql}"
-                )
-                total += len(taken)
-                settings.configure(optimizer=False, zone_rows=0)
-                want = db.sql(sql)
-                assert got.schema == want.schema and list(got.rows()) == list(want.rows()), sql
+        for shards in (0, 4):
+            if shards:  # ts ascends, so the range layout keeps the main's rows
+                settings.configure(shard_index=False)  # no index serves the brush
+                db.apply_sharding("t", shards, shard_by="range(ts)")
+            base = db.main_table("t")
+            main[:] = [(name, base.column(name).data) for name in base.column_names]
+            for threads in (0, 2):
+                for sql, gathered in statements.items():
+                    settings.configure(
+                        threads=threads, min_parallel_rows=2, zone_rows=zone_rows, optimizer=True
+                    )
+                    plan = db.explain_analyze(sql).render()
+                    assert "zones: 4 pruned, 0 passed of 8" in plan, sql
+                    assert ("shards: 2 of 4 scheduled" in plan) == bool(shards), sql
+                    taken.clear()
+                    before = morsels.value
+                    Column.take, parallel.gather = take_spy, gather_spy
+                    try:
+                        got = db.sql(sql)
+                    finally:
+                        Column.take, parallel.gather = real_take, real_gather
+                    pooled_tasks = morsels.value - before if "GROUP BY" in sql else 0
+                    assert sorted(taken) == sorted(gathered * max(pooled_tasks, 1)), (
+                        f"shards={shards} threads={threads}: {len(taken)} column takes, "
+                        f"{sorted(set(taken))}: {sql}"
+                    )
+                    total += len(taken)
+                    settings.configure(optimizer=False, zone_rows=0)
+                    want = db.sql(sql)
+                    assert got.schema == want.schema and list(got.rows()) == list(want.rows()), sql
     finally:
         settings.restore(saved)
         parallel.shutdown_pool()
@@ -600,7 +608,7 @@ def check_type_errors_raise_at_bind(n: int = 200_000) -> int:
             module.truth_mask = spy
         for threads in (0, 2):
             settings.configure(
-                threads=threads, pool_kind="thread", morsel_rows=65_536,
+                threads=threads, morsel_rows=65_536,
                 zone_rows=settings.ROWS["zone_rows"].default,
             )
             calls.clear()
@@ -751,7 +759,7 @@ def main() -> int:
           f"{sorted_rows}-row ORDER BY at threads=2 ran 0 batches and 0 shard tasks,",
           f"straddling/in-zone group-by {straddle_ratio:.2f}x,",
           f"{gather_free_rows} rows grouped with no per-group gather,",
-          f"{columns_taken} column takes over 4 straddling-brush scans "
+          f"{columns_taken} column takes over 8 straddling-brush scans, 4 sharded "
           "(one per sink column per task source),",
           f"{join_zones_pruned} zones of a join's right table pruned,",
           f"indexed / unindexed 1 % GROUP BY {index_speedup:.1f}x faster,",

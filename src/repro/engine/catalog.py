@@ -573,8 +573,7 @@ class Database:
             layout = state.layout
             if layout is not None:
                 new_main, layout, in_place = shardsmod.apply_layout(
-                    new_main, layout.mode, layout.key, layout.num_shards,
-                    uid=layout.uid,
+                    new_main, layout.mode, layout.key, layout.num_shards
                 )
                 moved = moved or not in_place
             self._install(name, new_main, moved=moved, layout=layout)
@@ -699,7 +698,7 @@ class Database:
         return state.main.num_rows + state.delta.pending_inserts
 
     def table_version(self, name: str) -> int:
-        """The table's monotonic data version (keys the shard ship cache)."""
+        """The table's monotonic data version, moved by every install that changes rows."""
         state = self._tables.get(name)
         return 0 if state is None else state.version
 

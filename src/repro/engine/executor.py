@@ -14,9 +14,9 @@ same three steps: **classify once** against the zone
 map (:func:`_classify_scan` — the only site of the ``scan.*`` / ``io.*``
 counters and the ``zones:`` / ``io:`` annotations) unless an index picks
 the rows (:func:`_index_rows`), **run span kernels** over ``(source,
-spans, live mask)`` tasks (:mod:`repro.engine.parallel` one task per
-span, :mod:`repro.engine.shards` one per shard; on the worker pool or as
-a governed loop on this thread),
+spans, live mask)`` tasks (:mod:`repro.engine.parallel`: one task per
+span, or per shard over a shard layout; on the worker pool or as a
+governed loop on this thread),
 **gather once** (filtered pieces concatenate keeping their shared
 dictionary; a fused aggregate merges partials instead).  Pending writes
 are a trailing tail task plus a live-mask over the main, and a
@@ -42,7 +42,7 @@ import numpy as np
 
 from repro import settings
 from repro.engine import operators as ops
-from repro.engine import parallel, planner, shards, zonemap
+from repro.engine import parallel, planner, zonemap
 from repro.engine.planner import (
     AggregateNode,
     DistinctNode,
@@ -261,7 +261,7 @@ def _execute_scan(
     rows an index picks are instead the source, as one unclassified span.
     ``fused`` makes the sink a partial aggregation instead of a gather
     of the filtered rows — the filtered table is never materialised.
-    What the code observes picks the route: a shard layout scatters one
+    One route, two runners: a shard layout of the clean main makes one
     task per shard, otherwise one task per span; either runs on the pool
     when :func:`parallel.should_parallelize` says so, else as a governed
     loop on this thread.
@@ -305,22 +305,15 @@ def _execute_scan(
         layout = database.shard_layout(node.table) if store is None else None
     else:
         main, live_main, ranges, layout = main.take(picked), None, None, None
+    if layout is not None and layout.total_rows != main.num_rows:
+        layout = None
     if fused is not None and profiler is not None:
         profiler.annotate("fused: filter + partial aggregate per morsel")
-    if layout is not None and layout.total_rows == main.num_rows:
-        if fused is None:
-            return shards.scatter_filter(
-                node.table, main, predicate, ranges, layout, database, profiler
-            )
-        return shards.scatter_fused_aggregate(
-            node.table, main, predicate, fused.group_exprs, fused.aggregates,
-            fused.group_names, ranges, layout, database, profiler,
-        )
     if fused is None:
         return parallel.streamed_filter(
-            main, predicate, ranges, live_main, tail, profiler=profiler
+            main, predicate, ranges, live_main, tail, profiler=profiler, layout=layout
         )
     return parallel.fused_filter_aggregate(
         main, predicate, fused.group_exprs, fused.aggregates, fused.group_names,
-        ranges, live_main, tail, profiler=profiler,
+        ranges, live_main, tail, profiler=profiler, layout=layout,
     )

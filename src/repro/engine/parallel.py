@@ -8,9 +8,8 @@ pool.  That is the only pooled route: a residual filter or a GROUP BY
 over an in-memory input runs as a scan of it (one unclassified span, or
 one PASS span with nothing to evaluate), and a sort is one serial kernel
 on the calling thread whatever produced its input.  The kernels are
-numpy-heavy and release the GIL, so the default pool is thread-based; an
-experimental process pool sits behind ``pool_kind="process"`` for
-workloads that are dominated by Python-level work.
+numpy-heavy and release the GIL, so the pool is a thread pool and a task
+is an ordinary call over the scan's own tables.
 
 Correctness contract: **serial and parallel execution produce
 bit-identical results.**  Every kernel is organised so that the final
@@ -27,10 +26,10 @@ have performed:
   take is the serial filter's output, and it keeps the base column's
   dictionary object.  One ``np.flatnonzero`` plus a ``take`` per column
   is the cheaper copy: numpy's boolean index re-scans the mask per
-  column.  The unsharded entry points :func:`streamed_filter` /
-  :func:`fused_filter_aggregate` build one task per span;
-  :mod:`repro.engine.shards` builds one per shard over the same kernels
-  and shifts each shard-local selection by the shard's offset;
+  column.  The two scan runners :func:`streamed_filter` /
+  :func:`fused_filter_aggregate` build their tasks in
+  :func:`_span_tasks`: one per span, or over a shard layout one per
+  scheduled shard, its global spans in one task;
 - aggregation computes a columnar partial per task — the groups' key
   columns of the task's gathered rows in first-appearance order and one
   column per aggregate — with the serial group kernel
@@ -59,8 +58,7 @@ loop re-checks after each completed morsel — so a deadline or a
 cancellation surfaces within roughly one morsel's work.  Fault
 tolerance is morsel-granular too: a worker exception (real or injected
 via :mod:`repro.resilience.faults`) is retried *serially* on the
-calling thread with bounded backoff instead of poisoning the query, and
-a broken/unpicklable process pool falls back to the thread pool once.
+calling thread with bounded backoff instead of poisoning the query.
 Retries re-run exactly the kernel the worker would have run, so results
 stay bit-identical to serial execution.
 """
@@ -68,17 +66,16 @@ stay bit-identical to serial execution.
 from __future__ import annotations
 
 import itertools
-import pickle
 import threading
 import time
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro import settings
 from repro.engine import operators as ops
+from repro.engine import shards
 from repro.engine.column import Column, concat_columns
 from repro.engine.expressions import Expression, truth_mask
 from repro.engine.sql.ast import AggregateCall, OrderItem
@@ -96,8 +93,8 @@ from repro.resilience import (
 from repro.resilience.faults import FaultInjector
 
 _pool_lock = threading.Lock()
-_pool: Executor | None = None
-_pool_signature: tuple[int, str] | None = None
+_pool: ThreadPoolExecutor | None = None
+_pool_threads: int | None = None
 
 
 def should_parallelize(num_rows: int) -> bool:
@@ -107,30 +104,24 @@ def should_parallelize(num_rows: int) -> bool:
 
 def shutdown_pool() -> None:
     """Tear down the shared worker pool (it is rebuilt lazily)."""
-    global _pool, _pool_signature
+    global _pool, _pool_threads
     with _pool_lock:
         if _pool is not None:
             _pool.shutdown(wait=True)
         _pool = None
-        _pool_signature = None
+        _pool_threads = None
 
 
-def _get_pool() -> Executor:
-    """The shared executor, (re)built when threads/pool_kind change."""
-    global _pool, _pool_signature
-    signature = (settings.current.threads, settings.current.pool_kind)
+def _get_pool() -> ThreadPoolExecutor:
+    """The shared thread pool, (re)built when ``threads`` changes."""
+    global _pool, _pool_threads
+    threads = settings.current.threads
     with _pool_lock:
-        if _pool is None or _pool_signature != signature:
+        if _pool is None or _pool_threads != threads:
             if _pool is not None:
                 _pool.shutdown(wait=True)
-            if settings.current.pool_kind == "process":
-                _pool = ProcessPoolExecutor(max_workers=settings.current.threads)
-            else:
-                _pool = ThreadPoolExecutor(
-                    max_workers=settings.current.threads,
-                    thread_name_prefix="repro-morsel",
-                )
-            _pool_signature = signature
+            _pool = ThreadPoolExecutor(max_workers=threads, thread_name_prefix="repro-morsel")
+            _pool_threads = threads
         return _pool
 
 
@@ -143,33 +134,6 @@ def note_fanout(profiler: PlanProfiler | None, tasks: int, unit: str = "morsels"
 _batch_counter = itertools.count()
 
 
-class _PoolFailure(Exception):
-    """Internal: the pool itself (not a kernel) failed on a morsel."""
-
-    def __init__(self, morsel: tuple[int, int], cause: BaseException) -> None:
-        super().__init__(str(cause))
-        self.morsel = morsel
-        self.cause = cause
-
-
-def _is_pool_failure(exc: BaseException) -> bool:
-    """True for errors that indict the pool, not the kernel.
-
-    A broken process pool, or (process mode only) a pickling failure
-    while shipping the task/result across the process boundary.
-    """
-    if isinstance(exc, BrokenProcessPool):
-        return True
-    if settings.current.pool_kind != "process":
-        return False
-    return isinstance(exc, pickle.PicklingError) or "pickle" in str(exc).lower()
-
-
-def _cancel(futures: Sequence[Any]) -> None:
-    for future in futures:
-        future.cancel()
-
-
 def _run_tasks(
     fn: Callable[..., Any], arg_tuples: Sequence[tuple], pooled: bool = True
 ) -> list[Any]:
@@ -179,10 +143,7 @@ def _run_tasks(
     thread — the query context is checked before every task — and
     records nothing.  On the pool the ``parallel.*`` metrics family is
     recorded: morsel and batch counts, the configured worker gauge, and
-    batch wall time.  When the process pool itself breaks (worker death,
-    pickling failure) the batch falls back to the thread pool once — a
-    second failure surfaces as :class:`~repro.errors.ExecutionError`
-    naming the offending morsel.
+    batch wall time.
     """
     if not pooled:
         ctx = current_context()
@@ -197,24 +158,7 @@ def _run_tasks(
     registry.counter("parallel.batches").inc()
     registry.gauge("parallel.workers").set(settings.current.threads)
     with registry.timer("parallel.batch_time").time():
-        try:
-            return _run_batch(fn, arg_tuples)
-        except _PoolFailure as failure:
-            if settings.current.pool_kind != "process":
-                raise ExecutionError(
-                    f"worker pool failed on morsel {failure.morsel[0]}:"
-                    f"{failure.morsel[1]}: {failure.cause}"
-                ) from failure.cause
-            registry.counter("resilience.pool_fallbacks").inc()
-            settings.configure(pool_kind="thread")  # pool is rebuilt lazily
-            try:
-                return _run_batch(fn, arg_tuples)
-            except _PoolFailure as second:
-                raise ExecutionError(
-                    f"worker pool failed on morsel {second.morsel[0]}:"
-                    f"{second.morsel[1]} even after thread-pool fallback: "
-                    f"{second.cause}"
-                ) from second.cause
+        return _run_batch(fn, arg_tuples)
 
 
 def _run_batch(fn: Callable[..., Any], arg_tuples: Sequence[tuple]) -> list[Any]:
@@ -223,41 +167,25 @@ def _run_batch(fn: Callable[..., Any], arg_tuples: Sequence[tuple]) -> list[Any]
     The active :class:`~repro.resilience.QueryContext` is re-checked
     after every completed morsel, so a deadline/cancellation aborts the
     batch within roughly one morsel's work.  Kernel exceptions are
-    retried serially; pool-level failures raise :class:`_PoolFailure`.
+    retried serially.
     """
     ctx = current_context()
     injector = get_injector()
-    # The query context holds thread-locals and events that cannot cross
-    # the process boundary; the collection loop below still enforces the
-    # governor between morsels.  The injector is pure value state (spec +
-    # seed; decisions hash the morsel key), so it ships with each task and
-    # faults fire in process workers exactly as they do on the thread pool.
-    task_ctx = None if settings.current.pool_kind == "process" else ctx
     batch = next(_batch_counter)
+    if not arg_tuples:
+        return []
     pool = _get_pool()
-    tasks = [
-        (fn, args, task_ctx, injector, (batch, i))
-        for i, args in enumerate(arg_tuples)
-    ]
-    # On the thread pool the caller, which would otherwise only block,
-    # keeps the last task and then takes back whatever the pool has not
-    # started: a lone task costs no cross-thread hand-off, and a worker
-    # that is slow to wake delays the batch by no more than its own work.
-    helping = bool(tasks) and settings.current.pool_kind == "thread"
-    pooled = tasks[:-1] if helping else tasks
-    futures: list[Any] = []
-    try:
-        for task in pooled:
-            futures.append(pool.submit(_traced_task, *task))
-    except BrokenProcessPool as exc:
-        _cancel(futures)
-        raise _PoolFailure((batch, len(futures)), exc) from exc
-    if helping:
-        futures.append(_run_inline(tasks[-1]))
-        for i in reversed(range(len(pooled))):
-            if futures[i + 1].exception() is not None or not futures[i].cancel():
-                break
-            futures[i] = _run_inline(tasks[i])
+    tasks = [(fn, args, ctx, injector, (batch, i)) for i, args in enumerate(arg_tuples)]
+    # The caller, which would otherwise only block, keeps the last task and
+    # then takes back whatever the pool has not started: a lone task costs
+    # no cross-thread hand-off, and a worker that is slow to wake delays
+    # the batch by no more than its own work.
+    futures: list[Future] = [pool.submit(_traced_task, *task) for task in tasks[:-1]]
+    futures.append(_run_inline(tasks[-1]))
+    for i in reversed(range(len(tasks) - 1)):
+        if futures[i + 1].exception() is not None or not futures[i].cancel():
+            break
+        futures[i] = _run_inline(tasks[i])
     results: list[Any] = [None] * len(futures)
     for i, future in enumerate(futures):
         try:
@@ -266,13 +194,12 @@ def _run_batch(fn: Callable[..., Any], arg_tuples: Sequence[tuple]) -> list[Any]
             except ResourceError:
                 raise
             except Exception as exc:
-                if _is_pool_failure(exc):
-                    raise _PoolFailure((batch, i), exc) from exc
                 results[i] = _retry_morsel_serially(fn, arg_tuples[i], (batch, i), exc)
             if ctx is not None:
                 ctx.check()
-        except (ResourceError, _PoolFailure):
-            _cancel(futures[i + 1 :])
+        except ResourceError:
+            for later in futures[i + 1 :]:
+                later.cancel()
             raise
     return results
 
@@ -409,13 +336,17 @@ def _span_tasks(
     extra_mask: np.ndarray | None,
     tail: Table | None,
     profiler: PlanProfiler | None = None,
+    layout: shards.ShardLayout | None = None,
 ) -> tuple[list[tuple], bool]:
-    """``(tasks, pooled)`` of an unsharded scan: one task per span.
+    """``(tasks, pooled)`` of a scan: one task per span, or per shard.
 
     ``ranges`` of None is an unclassified scan — one evaluate-span over
     the whole table.  The scan fans out when the spans cover enough rows
-    (:func:`should_parallelize`), and is then cut at ``morsel_rows``;
-    serially every span is one governed step on the caller.  ``tail`` —
+    (:func:`should_parallelize`).  Without a ``layout`` a pooled scan is
+    cut at ``morsel_rows``, and serially every span is one governed step
+    on the caller.  Over a layout the spans split at shard extents and
+    each scheduled shard is one task of its own spans
+    (:func:`~repro.engine.shards.schedule`), pooled or not.  ``tail`` —
     a delta store's live pending rows — rides along as a trailing
     always-evaluate task over its own small table.  A scan nothing
     survives keeps one empty span, so the kernels still produce the
@@ -423,21 +354,26 @@ def _span_tasks(
     the predicate.  A pooled scan's task count is annotated on
     ``profiler``.
     """
-    spans = [(0, table.num_rows, True)] if ranges is None else ranges
-    pooled = should_parallelize(sum(stop - start for start, stop, _ in spans))
-    if pooled:
-        size = settings.current.morsel_rows
-        spans = [
-            (cut, min(cut + size, stop), evaluate)
-            for start, stop, evaluate in spans
-            for cut in range(start, stop, size)
-        ]
-    tasks: list[tuple] = [(table, [span], extra_mask) for span in spans]
+    if layout is not None:
+        groups, rows = shards.schedule(layout, ranges, profiler)
+        pooled, unit = should_parallelize(rows), "shard tasks"
+    else:
+        spans = [(0, table.num_rows, True)] if ranges is None else ranges
+        pooled, unit = should_parallelize(sum(stop - start for start, stop, _ in spans)), "morsels"
+        if pooled:
+            size = settings.current.morsel_rows
+            spans = [
+                (cut, min(cut + size, stop), evaluate)
+                for start, stop, evaluate in spans
+                for cut in range(start, stop, size)
+            ]
+        groups = [[span] for span in spans]
+    tasks: list[tuple] = [(table, group, extra_mask) for group in groups]
     if tail is not None and tail.num_rows:
         tasks.append((tail, [(0, tail.num_rows, True)], None))
     tasks = tasks or [(table, [(0, 0, False)], None)]
     if pooled:
-        note_fanout(profiler, len(tasks))
+        note_fanout(profiler, len(tasks), unit)
     return tasks, pooled
 
 
@@ -459,6 +395,7 @@ def streamed_filter(
     extra_mask: np.ndarray | None = None,
     tail: Table | None = None,
     profiler: PlanProfiler | None = None,
+    layout: shards.ShardLayout | None = None,
 ) -> Table:
     """Filter by streaming classified spans — skipped rows are never read.
 
@@ -466,14 +403,15 @@ def streamed_filter(
     as produced by :func:`repro.engine.zonemap.classify_ranges`, or None
     for an unclassified scan.  ``extra_mask`` (full-table length) is
     ANDed in per span, used by the delta store to drop main-side
-    tombstones; ``tail`` holds the delta's live pending rows.
+    tombstones; ``tail`` holds the delta's live pending rows; a
+    ``layout`` of ``table`` makes one task per scheduled shard.
 
     Bit-identical to filtering ``table ++ tail`` by ``truth_mask &
     extra_mask``: the spans partition the surviving rows in ascending
     order and every mask comes from the same row-local kernel (serially
     or on the pool).
     """
-    tasks, pooled = _span_tasks(table, ranges, extra_mask, tail, profiler)
+    tasks, pooled = _span_tasks(table, ranges, extra_mask, tail, profiler, layout)
     return _filter_tasks(tasks, predicate, pooled)
 
 
@@ -638,10 +576,11 @@ def fused_filter_aggregate(
     extra_mask: np.ndarray | None = None,
     tail: Table | None = None,
     profiler: PlanProfiler | None = None,
+    layout: shards.ShardLayout | None = None,
 ) -> Table:
     """Filter + hash aggregate fused per span (the FusedAggregate kernel).
 
-    ``ranges``, ``extra_mask`` and ``tail`` are as in
+    ``ranges``, ``extra_mask``, ``tail`` and ``layout`` are as in
     :func:`streamed_filter`; a GROUP BY over an in-memory input is this
     with no predicate and one PASS span over it.  Bit-identical to ``hash_aggregate(filter(
     table ++ tail, predicate), ...)``: the per-span filter masks
@@ -653,7 +592,7 @@ def fused_filter_aggregate(
     the full-table mask array and the columns only the predicate reads
     (:func:`_sink_columns`), each sink column taken once per source.
     """
-    tasks, pooled = _span_tasks(table, ranges, extra_mask, tail, profiler)
+    tasks, pooled = _span_tasks(table, ranges, extra_mask, tail, profiler, layout)
     with trace(
         "op.fused_filter_aggregate",
         rows=table.num_rows,

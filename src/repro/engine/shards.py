@@ -9,26 +9,18 @@ Because shards are extents of the ordinary format-2 part files, mmap
 mode maps the one file and slices shards lazily — a shard that is never
 scheduled never faults its pages in.
 
-Execution is scatter-gather: a filtered scan and a fused
-filter+aggregate fan out one task per shard — the parallel module's span
-kernels over the shard's own table — on the morsel pool or a governed
-serial loop, and recombine with the parallel module's gathers, so
-results are bit-identical to serial execution over the same
-(re-clustered) table by construction.  Pruning happens before
-scheduling: the executor's zone classification (this module never
-consults the zone map or counts I/O itself) is split at shard extents,
-and a shard left with no surviving span is never scheduled at all.  The
-scatter pools by the parallel module's one rule, on the rows the
-scheduled shards' spans cover.  Nothing else scatters: a sort is one
+Execution is scatter-gather over the one main: :func:`schedule` turns a
+scan's spans into one group per shard, and the parallel module's scan
+runners make each group one ``(main, spans, live)`` task of their span
+kernels — on the morsel pool or a governed serial loop — and gather or
+merge as for any scan, so results are bit-identical to serial execution
+over the same (re-clustered) table by construction.  Pruning happens
+before scheduling: the executor's zone classification (this module
+never consults the zone map or counts I/O itself) is split at shard
+extents, and a shard left with no surviving span is never scheduled at
+all.  The scatter pools by the parallel module's one rule, on the rows
+the scheduled shards' spans cover.  Nothing else scatters: a sort is one
 kernel on the calling thread whatever produced its input.
-
-In process-pool mode shards are shipped to workers **once per catalog
-epoch**: the parent serialises each scheduled shard to a scratch file
-keyed by ``(layout uid, shard, table version, columns)``, tasks carry
-the small ``("shardref", key, path)`` handle instead of the columns,
-and each worker caches the materialised shard until the version moves.
-``parallel.bytes_shipped`` counts the bytes actually serialised, so
-repeated queries against an unchanged table ship nothing.
 
 Each shard may also own a partition-local
 :class:`~repro.indexing.updates.UpdatableCrackerIndex`
@@ -39,33 +31,24 @@ local row ids onto the global extent.
 
 from __future__ import annotations
 
-import atexit
 import bisect
-import itertools
 import math
-import os
-import shutil
-import tempfile
 import zlib
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from repro import settings
 from repro.engine import operators as ops
 from repro.engine import parallel
 from repro.engine.table import Table
 from repro.engine.types import DataType
 from repro.obs.metrics import get_registry
-from repro.storage import layouts
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.indexing.updates import UpdatableCrackerIndex
 
 
 # -- layouts -------------------------------------------------------------------------
-
-_layout_counter = itertools.count(1)
 
 
 class ShardLayout:
@@ -75,10 +58,9 @@ class ShardLayout:
     ``[offsets[s], offsets[s+1])`` of the re-clustered main.  ``bounds``
     (range mode) has N−1 ascending split points: shard 0 takes values
     ``<= bounds[0]``, shard s the values in ``(bounds[s-1], bounds[s]]``.
-    ``uid`` identifies this layout instance process-wide (ship-cache key).
     """
 
-    __slots__ = ("mode", "key", "offsets", "bounds", "uid")
+    __slots__ = ("mode", "key", "offsets", "bounds")
 
     def __init__(
         self,
@@ -86,13 +68,11 @@ class ShardLayout:
         key: str,
         offsets: Sequence[int],
         bounds: Sequence[float] | None,
-        uid: int | None = None,
     ) -> None:
         self.mode = mode
         self.key = key
         self.offsets = [int(o) for o in offsets]
         self.bounds = [float(b) for b in bounds] if bounds is not None else None
-        self.uid = uid if uid is not None else next(_layout_counter)
 
     @property
     def num_shards(self) -> int:
@@ -195,7 +175,7 @@ def _range_ids(column, bounds: Sequence[float]) -> np.ndarray:
 
 
 def apply_layout(
-    table: Table, mode: str, key: str, num_shards: int, uid: int | None = None
+    table: Table, mode: str, key: str, num_shards: int
 ) -> tuple[Table, ShardLayout, bool]:
     """Partition ``table`` by ``key`` into ``num_shards`` extents.
 
@@ -219,7 +199,7 @@ def apply_layout(
     counts = np.bincount(ids, minlength=num_shards)
     offsets = np.zeros(num_shards + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    layout = ShardLayout(mode, key, offsets.tolist(), bounds, uid=uid)
+    layout = ShardLayout(mode, key, offsets.tolist(), bounds)
     identity = table.num_rows == 0 or bool(np.all(ids[1:] >= ids[:-1]))
     if identity:
         return table, layout, True
@@ -267,213 +247,66 @@ def plan_spans(
     return spans
 
 
-# -- epoch shipping (process pool) ---------------------------------------------------
-
-_SCRATCH: str | None = None
-_CACHE: dict[tuple, Table] = {}
-_SHIPPED: dict[tuple, str] = {}
-_ship_counter = itertools.count()
-
-
-def _scratch_dir() -> str:
-    global _SCRATCH
-    if _SCRATCH is None:
-        _SCRATCH = tempfile.mkdtemp(prefix="repro-shards-")
-        atexit.register(shutil.rmtree, _SCRATCH, ignore_errors=True)
-    return _SCRATCH
-
-
-def _evict_stale(key: tuple, shipped: dict, cache: dict) -> None:
-    """Drop entries for the same (layout, shard, columns) at other versions."""
-    uid, shard, _version, cols = key
-    for old in [k for k in shipped if (k[0], k[1], k[3]) == (uid, shard, cols) and k != key]:
-        path = shipped.pop(old)
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-    for old in [k for k in cache if (k[0], k[1], k[3]) == (uid, shard, cols) and k != key]:
-        cache.pop(old, None)
-
-
-def _ship_shard(table: Table, layout: ShardLayout, shard: int, version: int):
-    """Serialise one shard to the scratch dir once per epoch; return a ref.
-
-    The ref ``("shardref", key, path)`` is what crosses the process
-    boundary.  ``parallel.bytes_shipped`` counts only actual
-    serialisations: repeated queries at an unchanged table version reuse
-    the file (and the workers' caches) and ship nothing.
-    """
-    key = (layout.uid, shard, version, tuple(table.column_names))
-    if key not in _SHIPPED:
-        start, stop = layout.offsets[shard], layout.offsets[shard + 1]
-        blob = layouts.table_to_bytes(table.slice(start, stop))
-        path = os.path.join(_scratch_dir(), f"shard-{next(_ship_counter):06d}.bin")
-        with open(path, "wb") as handle:
-            handle.write(blob)
-        _evict_stale(key, _SHIPPED, _CACHE)
-        _SHIPPED[key] = path
-        _CACHE[key] = table.slice(start, stop)
-        get_registry().counter("parallel.bytes_shipped").inc(len(blob))
-    return ("shardref", key, _SHIPPED[key])
-
-
-def _resolve(source) -> Table:
-    """Materialise a task's table: a Table passes through, a shardref
-    loads from the worker-side epoch cache (or the scratch file once)."""
-    if isinstance(source, Table):
-        return source
-    _tag, key, path = source
-    cached = _CACHE.get(key)
-    if cached is not None:
-        return cached
-    with open(path, "rb") as handle:
-        table = layouts.table_from_bytes(handle.read())
-    _evict_stale(key, {}, _CACHE)
-    _CACHE[key] = table
-    return table
-
-
-# -- scatter (module level: picklable for the process pool) --------------------------
-
-
-def _shard_task(kernel, source, *args):
-    """One shard's task: ``kernel`` over the resolved shard table."""
-    return kernel(_resolve(source), *args)
-
-
-def _local_spans(
-    layout: ShardLayout, shard: int, spans: Sequence[tuple[int, int, bool]]
-) -> list[tuple[int, int, bool]]:
-    """A shard's global spans as shard-local ones, adjacent spans with
-    the same evaluate flag merged.
+def _merged(spans: Sequence[tuple[int, int, bool]]) -> list[tuple[int, int, bool]]:
+    """Adjacent spans with the same evaluate flag as one.
 
     Partial-aggregate merging and row-local filter masks are invariant
-    to chunk boundaries, so fewer, larger pieces mean fewer kernel
-    launches and smaller result payloads.  Gaps between spans (pruned
-    zones) are never bridged — in mmap mode they stay unread.
+    to span boundaries, so fewer, larger spans mean fewer slices and
+    kernel calls.  Gaps between spans (pruned zones) are never bridged —
+    in mmap mode they stay unread.
     """
-    base = layout.offsets[shard]
     out: list[tuple[int, int, bool]] = []
     for start, stop, evaluate in spans:
-        if out and out[-1][1] == start - base and out[-1][2] == evaluate:
-            out[-1] = (out[-1][0], stop - base, evaluate)
+        if out and out[-1][1] == start and out[-1][2] == evaluate:
+            out[-1] = (out[-1][0], stop, evaluate)
         else:
-            out.append((start - base, stop - base, evaluate))
+            out.append((start, stop, evaluate))
     return out
 
 
-def _schedule(layout, ranges, profiler):
-    """Span plan + shard.* accounting; returns (spans, scheduled shards,
-    the rows their spans cover)."""
-    spans = plan_spans(layout, ranges)
-    scheduled = [s for s in range(layout.num_shards) if spans[s]]
-    pruned = layout.num_shards - len(scheduled)
-    rows = sum(stop - start for s in scheduled for start, stop, _ in spans[s])
+def schedule(
+    layout: ShardLayout, ranges: Sequence[tuple[int, int, bool]] | None, profiler
+) -> tuple[list[list[tuple[int, int, bool]]], int]:
+    """A sharded scan's task spans: per scheduled shard its surviving
+    global spans, merged (:func:`_merged`), in shard order — ascending
+    row order — and the rows they cover.  Records the ``shard.*``
+    counters and annotates ``profiler``.
+    """
+    groups = [_merged(spans) for spans in plan_spans(layout, ranges) if spans]
+    pruned = layout.num_shards - len(groups)
+    rows = sum(stop - start for spans in groups for start, stop, _ in spans)
     registry = get_registry()
-    registry.counter("shard.tasks").inc(len(scheduled))
+    registry.counter("shard.tasks").inc(len(groups))
     registry.counter("shard.shards_pruned").inc(pruned)
     registry.counter("shard.rows").inc(rows)
     if profiler is not None:
         profiler.annotate(
-            f"shards: {len(scheduled)} of {layout.num_shards} scheduled, "
+            f"shards: {len(groups)} of {layout.num_shards} scheduled, "
             f"{pruned} pruned"
         )
-    return spans, scheduled, rows
+    return groups, rows
 
 
-def _sources(name, table, layout, scheduled, database, pooled):
-    """Per-shard task sources: slices, or epoch-cached refs in process mode."""
-    use_refs = pooled and settings.current.pool_kind == "process"
-    sources = []
-    for s in scheduled:
-        if use_refs:
-            sources.append(
-                _ship_shard(table, layout, s, database.table_version(name))
-            )
-        else:
-            sources.append(table.slice(layout.offsets[s], layout.offsets[s + 1]))
-    return sources
+# -- names the perf ledger's tracer binds --------------------------------------------
+#
+# No engine code calls these; each hands its arguments to the kernel it names,
+# and they go when the ledger reads its layers from engine spans (ROADMAP 4(b)).
 
 
-def _scatter(kernel, name, table, ranges, layout, database, profiler, *args) -> list:
-    """Run a span kernel with one task per scheduled shard.
-
-    ``ranges`` is the executor's zone classification over the whole table
-    (None for an unclassified scan); it is split at shard boundaries and
-    a shard left with no surviving span is never scheduled.  Returns
-    ``(offset, result)`` per task in shard order — ascending global row
-    order — where ``offset`` is the global row of the task's local row 0.
-    The scatter pools when those spans cover enough rows, the rule every
-    scan follows.
-    """
-    spans, scheduled, rows = _schedule(layout, ranges, profiler)
-    if not scheduled:
-        # nothing survives: the kernel's result over one empty span
-        return [(0, kernel(table, [(0, 0, False)], None, *args))]
-    pooled = parallel.should_parallelize(rows)
-    sources = _sources(name, table, layout, scheduled, database, pooled)
-    if pooled:
-        parallel.note_fanout(profiler, len(sources), "shard tasks")
-    tasks = [
-        (kernel, source, _local_spans(layout, s, spans[s]), None, *args)
-        for source, s in zip(sources, scheduled)
-    ]
-    results = parallel._run_tasks(_shard_task, tasks, pooled)
-    return list(zip([layout.offsets[s] for s in scheduled], results))
-
-
-def scatter_filter(
-    name: str, table: Table, predicate, ranges, layout: ShardLayout, database, profiler
-) -> Table:
-    """Scatter a filtered scan across shards; gather once from the main.
-
-    Each shard returns its shard-local selection (an int array, which is
-    all a process worker ships back); shifted by the shard's offset, the
-    selections are ascending global positions, and one take per column
-    of the re-clustered ``table`` is bit-identical to
-    ``table.filter(truth_mask(...))``: each span's mask comes from the
-    same row-local kernel.
-    """
-    results = _scatter(
-        parallel._filter_spans, name, table, ranges, layout, database, profiler,
-        predicate,
-    )
-    return parallel.gather((table, rows + offset) for offset, rows in results)
+def scatter_filter(name, table: Table, predicate, ranges, layout, database, profiler) -> Table:
+    """:func:`~repro.engine.parallel.streamed_filter`; goes with ROADMAP 4(b)."""
+    return parallel.streamed_filter(table, predicate, ranges, profiler=profiler, layout=layout)
 
 
 def scatter_fused_aggregate(
-    name: str,
-    table: Table,
-    predicate,
-    group_exprs,
-    aggregates,
-    group_names,
-    ranges,
-    layout: ShardLayout,
-    database,
-    profiler,
+    name, table: Table, predicate, group_exprs, aggregates, group_names, ranges, layout,
+    database, profiler,
 ) -> Table:
-    """Scatter the fused filter+aggregate across shards; merge partials.
-
-    Per-shard tasks run the same fused-span kernel as the unsharded
-    pooled route; the gather takes the partials in shard-span order and
-    recombines with the exact partial-merge rules, so the output equals
-    serial execution over the same table.
-    """
-    modes = parallel._partial_modes(table, aggregates)
-    results = _scatter(
-        parallel._fused_spans, name, table, ranges, layout, database, profiler,
-        predicate, parallel._sink_columns(table, group_exprs, aggregates),
-        group_exprs, aggregates, modes,
+    """:func:`~repro.engine.parallel.fused_filter_aggregate`; goes with ROADMAP 4(b)."""
+    return parallel.fused_filter_aggregate(
+        table, predicate, group_exprs, aggregates, group_names, ranges,
+        profiler=profiler, layout=layout,
     )
-    return parallel._merge_partial_aggregates(
-        [partial for _, partial in results], group_exprs, aggregates, modes, group_names
-    )
-
-
-# The perf ledger's tracer binds this name; no engine code calls it, and it
-# goes when the ledger reads its layers from engine spans (ROADMAP 4(b)).
 
 
 def scatter_sort(name, table: Table, order_by, layout, database, profiler) -> Table:

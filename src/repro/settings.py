@@ -17,8 +17,8 @@ under one lock before it assigns any — a rejected call changes nothing.
 
 The store is process-wide because callers rely on it: a durable
 ``Database`` that is closed and reopened keeps the settings ``PRAGMA``
-gave its predecessor, and forked pool workers inherit it (DESIGN.md,
-"Settings", says what per-``Database`` state needs first).
+gave its predecessor (DESIGN.md, "Settings", says what per-``Database``
+state needs first).
 
 This module imports nothing from :mod:`repro.engine` or
 :mod:`repro.resilience` at import time — both import it.
@@ -134,9 +134,6 @@ SETTINGS = (
     Setting("min_parallel_rows", "REPRO_PARALLEL_MIN_ROWS", 131_072, _integer(1),
             "inputs smaller than this skip the pool; re-derived as 2 x morsel_rows "
             "whenever morsel_rows is set without it"),
-    Setting("pool_kind", "REPRO_POOL", "thread", _choice("thread", "process"),
-            "worker pool: thread, or process (experimental: picklable plans, "
-            "shards shipped once per table version)"),
     Setting("delta_rows", "REPRO_DELTA_ROWS", 8192, _integer(0),
             "pending inserts + tombstones that trigger a delta merge; "
             "0 merges on every write"),

@@ -261,7 +261,7 @@ def _route_db(table: Table, route: dict) -> Database:
 def test_schema_does_not_depend_on_the_rows(route, seed):
     spec = ROUTES[route]
     settings.configure(
-        threads=spec["threads"], pool_kind="thread", morsel_rows=16, min_parallel_rows=2,
+        threads=spec["threads"], morsel_rows=16, min_parallel_rows=2,
         zone_rows=16,
     )
     rng = np.random.default_rng(seed)

@@ -184,12 +184,12 @@ AGGREGATES = {
 WHERES = ("", "WHERE i >= 40 AND i < 555", "WHERE i < 0")
 ROUTES = {
     "serial": dict(threads=0),
-    "threads": dict(threads=4, pool_kind="thread"),
-    "processes": dict(threads=2, pool_kind="process"),
-    "sharded": dict(threads=4, pool_kind="thread", shards=2),
+    "threads": dict(threads=4),
+    "sharded_serial": dict(threads=0, shards=2),
+    "sharded": dict(threads=4, shards=2),
     "dirty": dict(threads=0, dirty=True),
-    "dirty_threads": dict(threads=4, pool_kind="thread", dirty=True),
-    "strings_unencoded": dict(threads=4, pool_kind="thread", dict_encode=False),
+    "dirty_threads": dict(threads=4, dirty=True),
+    "strings_unencoded": dict(threads=4, dict_encode=False),
 }
 WRITES = (
     "INSERT INTO t (i, ds, si, wi, fk, bk, qty, fv, fz, iv, sv, bv) VALUES "
@@ -210,8 +210,7 @@ def _statements(key: str):
 def _database(route: dict) -> Database:
     pin_defaults("delta_rows")  # the dirty routes keep their writes pending
     settings.configure(
-        threads=route["threads"], pool_kind=route.get("pool_kind", "thread"),
-        morsel_rows=64, min_parallel_rows=2, zone_rows=64,
+        threads=route["threads"], morsel_rows=64, min_parallel_rows=2, zone_rows=64,
         dict_encode=route.get("dict_encode", True), shards=0, optimizer=True,
     )
     db = Database()
@@ -392,7 +391,7 @@ def test_mixed_radix_ids_never_wrap_int64(threads, pool):
     wide = list(range(n)) + [0]
     table = Table.from_dict({"c0": [0] * n + [7], **{f"c{j}": wide for j in range(1, 5)}})
     settings.configure(
-        threads=threads, pool_kind="thread", morsel_rows=16384, min_parallel_rows=2,
+        threads=threads, morsel_rows=16384, min_parallel_rows=2,
         shards=0, zone_rows=0,
     )
     db = Database()
@@ -417,7 +416,7 @@ DISTINCT_SPELLINGS = {
 def test_distinct_spellings_agree_on_one_nan(route, pool):
     spec = ROUTES[route]
     settings.configure(
-        threads=spec["threads"], pool_kind="thread", morsel_rows=4, min_parallel_rows=2,
+        threads=spec["threads"], morsel_rows=4, min_parallel_rows=2,
         zone_rows=0, shards=0,
     )
     pin_defaults("delta_rows")
@@ -468,7 +467,7 @@ def test_dashboard_views_gather_no_group(route, pool):
     datagen, sessions = _ledger("datagen"), _ledger("sessions")
     spec = ROUTES[route]
     settings.configure(
-        threads=spec["threads"], pool_kind="thread", morsel_rows=2048, min_parallel_rows=2,
+        threads=spec["threads"], morsel_rows=2048, min_parallel_rows=2,
         zone_rows=1024, shards=0, dict_encode=True,
     )
     data = datagen.sales(3, rows=20_000)

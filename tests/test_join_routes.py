@@ -84,7 +84,7 @@ def _open(state: str, tmp_path) -> Database:
     spec = STATES[state]
     settings.configure(
         storage="memory", threads=spec.get("threads", 0), morsel_rows=64,
-        min_parallel_rows=2, pool_kind="thread",
+        min_parallel_rows=2,
         zone_rows=spec.get("zone_rows", settings.ROWS["zone_rows"].default),
     )
     if spec.get("storage") == "mmap":

@@ -14,6 +14,7 @@ import pytest
 from repro import settings
 from repro.engine import Database, Table
 from repro.engine import parallel
+from repro.engine.shards import ShardLayout
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.obs.profile import PlanProfiler
 from repro.obs.tracing import get_tracer
@@ -69,16 +70,17 @@ def run_both_modes(table: Table, sql: str) -> tuple[Table, Table]:
 
 
 class TestMorselRanges:
-    """``parallel._span_tasks`` is where every unsharded scan is cut into
-    tasks: pooled, each span is cut at ``morsel_rows`` on its own."""
+    """``parallel._span_tasks`` is where every scan is cut into tasks:
+    pooled, each span is cut at ``morsel_rows`` on its own; over a shard
+    layout each scheduled shard is one task."""
 
     @staticmethod
-    def _cut(ranges, num_rows=10, morsel_rows=3, threads=2, tail=None):
+    def _cut(ranges, num_rows=10, morsel_rows=3, threads=2, tail=None, layout=None):
         """The task spans of a scan over ``num_rows`` rows, and whether it pools;
         a task over the ``tail`` table shows as ``("tail", spans)``."""
         settings.configure(threads=threads, morsel_rows=morsel_rows, min_parallel_rows=1)
         table = Table.from_dict({"x": list(range(num_rows))})
-        tasks, pooled = parallel._span_tasks(table, ranges, None, tail)
+        tasks, pooled = parallel._span_tasks(table, ranges, None, tail, layout=layout)
         return [
             spans if source is table else ("tail", spans) for source, spans, _live in tasks
         ], pooled
@@ -115,6 +117,18 @@ class TestMorselRanges:
         # an all-FAIL scan keeps one empty span, and nothing to pool
         assert self._cut([]) == ([[(0, 0, False)]], False)
 
+    @pytest.mark.parametrize("threads", [0, 2])
+    def test_a_layout_makes_one_task_per_scheduled_shard(self, threads) -> None:
+        """Spans split at shard extents, a shard's adjacent spans with one
+        evaluate flag merge, nothing is cut at ``morsel_rows``, and the
+        shard no span reaches gets no task; pooled or not, the same tasks."""
+        layout = ShardLayout("range", "x", [0, 4, 8, 10], [3.0, 7.0])
+        tasks, pooled = self._cut(
+            [(0, 2, True), (2, 6, True), (6, 7, False)], threads=threads, layout=layout
+        )
+        assert tasks == [[(0, 4, True)], [(4, 6, True), (6, 7, False)]]
+        assert pooled == bool(threads)
+
 
 class TestConfig:
     def test_threads_gate_parallelism(self) -> None:
@@ -135,8 +149,6 @@ class TestConfig:
             settings.configure(threads=-1)
         with pytest.raises(ValueError):
             settings.configure(morsel_rows=0)
-        with pytest.raises(ValueError):
-            settings.configure(pool_kind="fibers")
 
 
 # -- kernel-level bit-identity --------------------------------------------------------
@@ -284,7 +296,7 @@ class TestCallerHelps:
         # only for a batch in which nothing crashes — which batch that is
         # no longer depends on earlier tests (conftest restarts the batch
         # numbering), but it does on the leg's fault spec and seed
-        settings.configure(pool_kind="thread", faults="off")
+        settings.configure(faults="off")
 
     @staticmethod
     def _who(i: int) -> tuple[int, int]:
@@ -367,9 +379,8 @@ class TestObservability:
         assert any(node.annotations for node in _walk_profiles(report.root))
 
     def test_per_worker_spans_collected(self, parallel_mode) -> None:
-        # per-worker spans live in the parent's tracer, which only the
-        # thread pool shares; process workers trace into their own
-        settings.configure(pool_kind="thread")
+        # per-worker spans live in the parent's tracer, which the pool's
+        # threads share
         tracer = get_tracer()
         tracer.clear()
         tracer.enable()

@@ -103,8 +103,8 @@ def redraw(sql: str, rng: np.random.Generator) -> str:
 
 ROUTES = {
     "serial": dict(threads=0),
-    "threads2": dict(threads=2, morsel_rows=7, min_parallel_rows=1, pool_kind="thread"),
-    "shards2": dict(threads=2, morsel_rows=7, min_parallel_rows=1, pool_kind="thread"),
+    "threads2": dict(threads=2, morsel_rows=7, min_parallel_rows=1),
+    "shards2": dict(threads=2, morsel_rows=7, min_parallel_rows=1),
 }
 
 

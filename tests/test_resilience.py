@@ -407,7 +407,7 @@ class TestRetries:
 
         db = _demo_db(n=2_000)
         settings.configure(
-            threads=4, morsel_rows=64, min_parallel_rows=1, pool_kind="thread",
+            threads=4, morsel_rows=64, min_parallel_rows=1,
             faults="worker_crash:0.3", fault_seed=7,
         )
         crashed: list[tuple[int, int]] = []
@@ -471,47 +471,14 @@ class TestRetries:
 
 
 class TestPoolFallback:
-    def test_broken_process_pool_falls_back_to_threads(
-        self, registry, monkeypatch
-    ):
-        from concurrent.futures.process import BrokenProcessPool
-
-        settings.configure(threads=2, morsel_rows=4, min_parallel_rows=1, pool_kind="process")
-
-        class _BrokenPool:
-            def submit(self, fn, *args):
-                raise BrokenProcessPool("worker died")
-
-        real_get_pool = parallel._get_pool
-
-        def fake_get_pool():
-            if settings.current.pool_kind == "process":
-                return _BrokenPool()
-            return real_get_pool()
-
-        monkeypatch.setattr(parallel, "_get_pool", fake_get_pool)
-
-        def kernel(start: int, stop: int) -> int:
-            return stop - start
-
-        results = parallel._run_tasks(kernel, [(0, 4), (4, 8)])
-        assert results == [4, 4]
-        assert settings.current.pool_kind == "thread"
-        assert registry.counter("resilience.pool_fallbacks").value == 1
-
     def test_thread_pool_failure_is_wrapped_with_morsel_id(self):
-        from concurrent.futures.process import BrokenProcessPool
-
         settings.configure(threads=2, morsel_rows=4, min_parallel_rows=1)
 
         def kernel(start: int, stop: int) -> int:
-            raise BrokenProcessPool("worker died")
+            raise RuntimeError("worker died")
 
-        # no fallback available in thread mode: the failure surfaces as
-        # an ExecutionError naming the offending morsel.  (Under ambient
-        # REPRO_FAULTS an injected crash may land on this morsel first
-        # and route it through the serial-retry path instead — the
-        # kernel still fails, with the same morsel id in the message.)
+        # a failing task goes through the serial-retry path; when the
+        # retries fail too, an ExecutionError names the offending morsel
         with pytest.raises(ExecutionError, match=r"morsel \d+:0"):
             parallel._run_tasks(kernel, [(0, 4)])
 

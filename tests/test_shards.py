@@ -1,4 +1,4 @@
-"""Sharded execution tests: partitioning, scatter-gather, shipping, durability.
+"""Sharded execution tests: partitioning, scatter-gather, durability.
 
 Covers the PR 10 surface: deterministic hash/range partitioning (NaN
 and NULL keys route to shard 0, identity layouts skip the re-cluster),
@@ -6,16 +6,15 @@ and NULL keys route to shard 0, identity layouts skip the re-cluster),
 and the settings listing, scatter-gather execution that stays
 bit-identical to the unsharded path over the same re-clustered main
 (filter, fused aggregate; serial and threaded) while a sort and every
-scan's pooling decision take one route each, the epoch-keyed
-process-pool shard cache (`parallel.bytes_shipped` must not grow with
-query count), shard-local pruning (`shard.shards_pruned` = N−1 on a
-one-shard predicate; `io.bytes_read` bounded by one shard in mmap
-mode), the partition-local `ShardedCrackerIndex` (physical-order
-results, inserts, deletes, min/max pruning), layout persistence through
-checkpoints and WAL-only replay, the delta write path re-applying the
-layout at merge, the shell `\\shards` command, and the differential
-corpus: sharded must be bit-identical to unsharded under threads,
-worker-crash fault injection, mmap storage, and a kill–recover cycle.
+scan's pooling decision take one route each, shard-local pruning
+(`shard.shards_pruned` = N−1 on a one-shard predicate; `io.bytes_read`
+bounded by one shard in mmap mode), the partition-local
+`ShardedCrackerIndex` (physical-order results, inserts, deletes, min/max
+pruning), layout persistence through checkpoints and WAL-only replay,
+the delta write path re-applying the layout at merge, the shell
+`\\shards` command, and the differential corpus: sharded must be
+bit-identical to unsharded under threads, worker-crash fault injection,
+mmap storage, and a kill–recover cycle.
 """
 
 from __future__ import annotations
@@ -354,9 +353,8 @@ class TestOneRoutePerOperator:
     """A sort is one kernel on the calling thread, and every scan — sharded or not
     — pools by one rule: the rows its tasks cover."""
 
-    @pytest.mark.parametrize("pool_kind", ["thread", "process"])
     @pytest.mark.parametrize("spec", [None, "range(v)", "hash(k)"])
-    def test_order_by_runs_no_task(self, _pin_shard_config, spec, pool_kind):
+    def test_order_by_runs_no_task(self, _pin_shard_config, spec):
         registry = _pin_shard_config
         sql = "SELECT k, v, s FROM t ORDER BY v DESC, s, k"
         db = _filled_db()
@@ -368,7 +366,7 @@ class TestOneRoutePerOperator:
         want = db.sql(sql)
         if spec is not None:
             db.apply_sharding("t", 4, shard_by=spec)  # identity: row order kept
-        settings.configure(threads=2, morsel_rows=64, min_parallel_rows=1, pool_kind=pool_kind)
+        settings.configure(threads=2, morsel_rows=64, min_parallel_rows=1)
         counters = [registry.counter(name) for name in ("shard.tasks", "parallel.batches")]
         before = [counter.value for counter in counters]
         got = db.sql(sql)
@@ -399,49 +397,6 @@ class TestOneRoutePerOperator:
         db.sql(sql)
         assert counter.value - before == batches
         assert registry.counter("shard.tasks").value == (2 if sharded else 0)
-
-
-# -- epoch shipping over the process pool ---------------------------------------------
-
-
-class TestEpochShipping:
-    def test_bytes_shipped_flat_across_queries(self, _pin_shard_config):
-        registry = _pin_shard_config
-        db = _filled_db(rows=4000)
-        db.apply_sharding("t", 4, shard_by="hash(k)")
-        settings.configure(threads=0)
-        sql = "SELECT k, COUNT(*) AS c, SUM(v) AS s FROM t WHERE v > -10 GROUP BY k"
-        expected = db.sql(sql)
-        settings.configure(
-            threads=2, morsel_rows=1024, min_parallel_rows=1, pool_kind="process"
-        )
-        shipped = []
-        for _ in range(4):
-            tables_bit_identical(db.sql(sql), expected)
-            shipped.append(registry.counter("parallel.bytes_shipped").value)
-        assert shipped[0] > 0, "first query must ship shard payloads"
-        assert shipped[3] == shipped[0], (
-            "bytes shipped grew with query count — the epoch cache is not reused: "
-            f"{shipped}"
-        )
-
-    def test_new_epoch_reships_once(self, _pin_shard_config):
-        registry = _pin_shard_config
-        db = _filled_db(rows=4000)
-        db.apply_sharding("t", 4, shard_by="hash(k)")
-        sql = "SELECT COUNT(*) AS c FROM t WHERE v > -10"
-        settings.configure(
-            threads=2, morsel_rows=1024, min_parallel_rows=1, pool_kind="process"
-        )
-        db.sql(sql)
-        first = registry.counter("parallel.bytes_shipped").value
-        db.execute("INSERT INTO t VALUES (1, 1.0, 'elk')")
-        db.flush_deltas("t")  # new table version -> one reship
-        db.sql(sql)
-        second = registry.counter("parallel.bytes_shipped").value
-        assert second > first
-        db.sql(sql)
-        assert registry.counter("parallel.bytes_shipped").value == second
 
 
 # -- shard pruning --------------------------------------------------------------------

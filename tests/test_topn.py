@@ -199,14 +199,15 @@ class TestTopNRule:
 
 # -- every route -------------------------------------------------------------------------
 
-#: (threads, pool, shards, shard_by, storage, dirty delta, faults)
+#: (threads, pool, shards, shard_by, storage, dirty delta, faults); the one
+#: pool is the thread pool, and the field keeps each point's test id
 LATTICE = [
     (0, "thread", 0, None, "memory", False, "off"),
     (2, "thread", 0, None, "memory", True, "worker_crash:0.1"),
-    (4, "process", 0, None, "mmap", False, "off"),
+    (4, "thread", 0, None, "mmap", False, "off"),
     (0, "thread", 2, "hash(id)", "memory", True, "off"),
     (2, "thread", 4, "range(id)", "mmap", False, "worker_crash:0.1"),
-    (4, "process", 2, "range(id)", "memory", False, "worker_crash:0.1"),
+    (4, "thread", 2, "range(id)", "memory", False, "worker_crash:0.1"),
     (4, "thread", 4, "hash(id)", "mmap", True, "off"),
 ]
 
@@ -222,7 +223,7 @@ def _pinned_config():
 
 @pytest.mark.parametrize("point", LATTICE, ids=lambda p: "-".join(map(str, p)))
 def test_top_n_is_the_sorted_prefix_on_every_route(point, tmp_path, _pinned_config) -> None:
-    threads, pool, num_shards, shard_by, storage, dirty, faults = point
+    threads, _pool, num_shards, shard_by, storage, dirty, faults = point
     root = tmp_path / "db"
     with Database(path=root) as db:
         db.create_table("t", _random_table(seed=11, n=90))
@@ -241,7 +242,7 @@ def test_top_n_is_the_sorted_prefix_on_every_route(point, tmp_path, _pinned_conf
             db.execute("DELETE FROM t WHERE id = 7 OR id = 40")
             assert db.delta_store_if_dirty("t") is not None
         settings.configure(
-            threads=threads, morsel_rows=7, min_parallel_rows=1, pool_kind=pool,
+            threads=threads, morsel_rows=7, min_parallel_rows=1,
             faults=faults, fault_seed=5,
         )
         for where in ("", " WHERE id >= 12 AND ties < 2"):
