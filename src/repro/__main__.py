@@ -156,7 +156,7 @@ class Shell:
                     continue
                 lines.append(
                     f"{name}: {store.pending_inserts} pending rows, "
-                    f"{store.main_tombstones + len(store.dead_delta)} tombstones"
+                    f"{store.tombstones} tombstones"
                 )
             if len(lines) == 1:
                 lines.append("(all tables merged)")

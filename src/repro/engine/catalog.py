@@ -25,7 +25,7 @@ from repro.engine import delta as deltamod
 from repro.engine import shards as shardsmod
 from repro.engine.delta import DeltaStore
 from repro.engine.optimizer import optimize_plan
-from repro.engine.planner import Plan, Template, bind_expression, bind_statement, plan_statement
+from repro.engine.planner import Plan, Template, bind_statement, plan_statement
 from repro.engine.sql.lexer import Token, shape, tokenize
 from repro.engine.sql.parser import parse, parse_statement
 from repro.engine.statistics import TableStatistics, ZoneMap
@@ -75,7 +75,7 @@ class _TableState:
     def __init__(self, main: Table) -> None:
         self.main = main
         self.version = 0
-        self.delta = DeltaStore(main.num_rows)
+        self.delta = DeltaStore(main)
         self.stats: TableStatistics | None = None
         self.layout: shardsmod.ShardLayout | None = None
         self.indexes: dict[str, RangeIndex] = {}
@@ -379,7 +379,7 @@ class Database:
                 ):
                     del state.indexes[column]
             if rebuilt:
-                state.delta = DeltaStore(main.num_rows)
+                state.delta = DeltaStore(main)
             elif changed:
                 state.delta.touch()
         if rebuilt or changed:
@@ -392,7 +392,7 @@ class Database:
             and not main.is_mapped
             and layout.key in main.schema
             and layout.key not in state.indexes  # a surviving one is still truthful
-            and not state.delta.rows  # pending rows the new index never saw
+            and not state.delta.pending_inserts  # pending rows the new index never saw
             and shardsmod.cracker_obstacle(main.column(layout.key)) is None
         ):
             state.indexes[layout.key] = shardsmod.ShardedCrackerIndex(
@@ -513,7 +513,7 @@ class Database:
         stable) as a columnar table, cached per delta version."""
         state = self._state(name)
         store = state.delta
-        return store.cached("tail", lambda: deltamod.tail_table(store, state.main))
+        return store.cached("tail", lambda: deltamod.tail_table(store))
 
     def delta_pressure(self, name: str) -> int:
         """Pending inserts + tombstones awaiting the next merge."""
@@ -561,7 +561,7 @@ class Database:
             )
         registry = get_registry()
         pending = store.pending_inserts
-        tombstones = store.main_tombstones + len(store.dead_delta)
+        tombstones = store.tombstones
         with registry.timer("write.merge_time").time(), trace(
             "write.merge", table=name, rows=pending, tombstones=tombstones, reason=reason
         ):
@@ -1112,60 +1112,43 @@ class Database:
         return Table([("plan", Column(lines, dtype=DataType.STRING))])
 
     def _execute_insert(self, statement, sql: str | None = None) -> int:
-        """INSERT: constant-fold + type-check each value, append to the
-        table's delta store, feed insert-capable indexes, maybe merge.
+        """INSERT: type-check and coerce the values a column at a time,
+        append them to the table's delta store as one typed batch, feed
+        insert-capable indexes, maybe merge.
 
         The statement text is WAL-logged *after* validation and coercion
         succeed (a rejected statement changed nothing, so it must not be
         replayed) and *before* any in-memory state changes.
 
-        Values may be any constant expression (``-2``, ``1+1``, ``NULL``)
-        — each is typed for its column (:func:`~repro.engine.planner.
-        bind_expression`: a number into STRING raises) and folded through the
-        normal expression kernels; a fractional float into INT64 raises
+        A plain literal is checked by its type; any other value may be a
+        constant expression (``-2``, ``1+1``) — typed for its column and
+        folded through the normal expression kernels
+        (:func:`~repro.engine.delta.insert_columns`).  A number into
+        STRING raises, and a fractional float into INT64 raises
         :class:`~repro.errors.TypeMismatchError` instead of truncating.
         """
-        from repro.engine.expressions import fold_constant
-
         name = statement.table
         state = self._state(name)
-        table = state.main
-        names = statement.columns or list(table.column_names)
-        unknown = set(names) - set(table.column_names)
+        schema = state.main.schema
+        names = statement.columns or list(schema.names)
+        unknown = set(names) - set(schema.names)
         if unknown:
             raise CatalogError(f"unknown column(s) in INSERT: {sorted(unknown)}")
-        new_rows: list[tuple[Any, ...]] = []
-        for row in statement.rows:
-            if len(row) != len(names):
-                raise CatalogError(
-                    f"INSERT row width {len(row)} does not match {len(names)} columns"
-                )
-            values: dict[str, Any] = {}
-            for column_name, expr in zip(names, row):
-                if expr.referenced_columns():
-                    raise CatalogError(
-                        "INSERT VALUES must be constant expressions "
-                        "(no column references)"
-                    )
-                expr = bind_expression(expr, table.schema, "values", column_name)
-                values[column_name] = deltamod.coerce_scalar(
-                    fold_constant(expr), table.schema.type_of(column_name), column_name
-                )
-            new_rows.append(tuple(values.get(n) for n in table.column_names))
+        columns = deltamod.insert_columns(statement.rows, names, schema)
         if sql is not None:
             self._log_record({"op": "sql", "stmt": sql})
         store = state.delta
-        self._feed_indexes_on_insert(state, new_rows)
-        store.append(new_rows)
+        self._feed_indexes_on_insert(state, columns)
+        store.append(columns)
         registry = get_registry()
         registry.counter("write.inserts").inc()
-        registry.counter("write.insert_rows").inc(len(new_rows))
+        registry.counter("write.insert_rows").inc(len(statement.rows))
         registry.gauge("write.delta_pressure").set(store.write_pressure)
         self._maybe_merge(name)
-        return len(new_rows)
+        return len(statement.rows)
 
     def _feed_indexes_on_insert(
-        self, state: _TableState, new_rows: list[tuple[Any, ...]]
+        self, state: _TableState, columns: list[tuple[np.ndarray, np.ndarray | None]]
     ) -> None:
         """Keep registered indexes truthful across an append.
 
@@ -1176,16 +1159,18 @@ class Database:
         index without ``insert`` (or facing a value it cannot hold, e.g.
         NULL) is unregistered: it no longer describes the table.
         """
+        schema = state.main.schema
         for column, index in list(state.indexes.items()):
             insert = getattr(index, "insert", None)
-            column_pos = state.main.column_names.index(column)
-            values = [row[column_pos] for row in new_rows]
-            if insert is None or any(
-                v is None or isinstance(v, (str, bool)) for v in values
+            data, valid = columns[schema.names.index(column)]
+            if (
+                insert is None
+                or (valid is not None and not valid.all())
+                or not schema.type_of(column).is_numeric
             ):
                 del state.indexes[column]
                 continue
-            for value in values:
+            for value in data.tolist():
                 insert(value)
 
     def _matching_rows(
@@ -1209,7 +1194,7 @@ class Database:
         state = self._state(name)
         store = state.delta
         mask_main = select(state.main, store.live_main_mask())
-        if not store.rows:
+        if not store.pending_inserts:
             return mask_main, None, None
         tail = self.delta_tail(name)
         return mask_main, tail, select(tail, store.live_delta_mask())
@@ -1217,8 +1202,9 @@ class Database:
     def _execute_delete(self, statement, sql: str | None = None) -> int:
         """DELETE: tombstone matching rows instead of materialising a
         filtered copy of the table.  Main rows flip a bit in the delta
-        store's dead mask, delta rows land in its dead set; nothing moves
-        until the next merge compacts the table.
+        store's dead mask over the main, delta rows one in its dead mask
+        over the delta; nothing moves until the next merge compacts the
+        table.
 
         WAL logging: the unfiltered form goes through
         :meth:`replace_table`, which logs an (empty) snapshot record; the
@@ -1237,7 +1223,7 @@ class Database:
             registry.counter("write.delete_rows").inc(affected)
             return affected
         mask_main, _, mask_tail = self._matching_rows(name, statement.where)
-        dead_delta = [] if mask_tail is None else np.flatnonzero(mask_tail).tolist()
+        dead_delta = np.flatnonzero(mask_tail) if mask_tail is not None else np.empty(0, int)
         affected = int(mask_main.sum()) + len(dead_delta)
         if affected == 0:
             return 0
@@ -1254,7 +1240,7 @@ class Database:
                 continue
             for position in np.flatnonzero(mask_main):
                 delete(int(position))
-            for i in dead_delta:
+            for i in dead_delta.tolist():
                 delete(main.num_rows + i)
         store.mark_main_deleted(mask_main)
         store.mark_delta_deleted(dead_delta)
@@ -1276,7 +1262,9 @@ class Database:
         Only assigned columns are copied — unassigned columns are shared
         with the old table — and assignments patch the payload with one
         masked write under the same typed-coercion contract as INSERT.
-        Only the pending delta rows it hit are rewritten.  Row order and
+        The pending delta rows it hit are patched the same way, into new
+        buffers (:meth:`~repro.engine.delta.DeltaStore.install_column`),
+        so a tail a reader holds keeps its values.  Row order and
         column order are preserved; indexes on assigned columns are
         dropped (their values changed in place), others stay valid.
         """
@@ -1285,32 +1273,26 @@ class Database:
         bind_statement(statement, self)
         main, store = state.main, state.delta
         mask_main, tail, mask_tail = self._matching_rows(name, statement.where)
-        tail_hits = [] if mask_tail is None else np.flatnonzero(mask_tail).tolist()
-        affected = int(mask_main.sum()) + len(tail_hits)
+        tail_hit = mask_tail is not None and bool(mask_tail.any())
+        affected = int(mask_main.sum()) + (int(mask_tail.sum()) if tail_hit else 0)
         new_columns = {n: main.column(n) for n in main.column_names}
-        hit_rows = {i: list(store.rows[i]) for i in tail_hits}
-        positions = {n: i for i, n in enumerate(main.column_names)}
+        new_tail = {}
         for column_name, expr in statement.assignments:
-            dtype = main.schema.type_of(column_name)
-            new_values = expr.evaluate(main)
             new_columns[column_name] = deltamod.assign_column(
-                new_columns[column_name], new_values, mask_main
+                new_columns[column_name], expr.evaluate(main), mask_main
             )
-            if hit_rows:
-                tail_values = expr.evaluate(tail)
-                for index, row in hit_rows.items():
-                    row[positions[column_name]] = deltamod.coerce_scalar(
-                        tail_values[index], dtype, column_name
-                    )
+            if tail_hit:
+                new_tail[column_name] = deltamod.assign_column(
+                    new_tail.get(column_name, tail.column(column_name)),
+                    expr.evaluate(tail),
+                    mask_tail,
+                )
         if affected == 0:
             return 0
         if sql is not None:
             self._log_record({"op": "sql", "stmt": sql})
-        if hit_rows:
-            rows = list(store.rows)
-            for index, row in hit_rows.items():
-                rows[index] = tuple(row)
-            store.rows = rows
+        for column_name, column in new_tail.items():
+            store.install_column(main.column_names.index(column_name), column)
         self._install(
             name,
             Table([(n, new_columns[n]) for n in main.column_names]),

@@ -1,12 +1,16 @@
 """Per-table delta stores: the batched write path.
 
-Writes no longer rebuild the columnar main.  ``INSERT`` appends row
-tuples to a small row-major :class:`DeltaStore`; ``DELETE`` marks
-tombstones (a boolean mask over the main, a set over the delta) without
-moving a single row.  Scans union the columnar main with the live delta
-rows as a trailing morsel — the zone-map and dictionary fast paths keep
-applying to the main, and the delta tail is evaluated directly (it is
-bounded by the merge threshold, so it stays cache-sized).
+Writes no longer rebuild the columnar main.  ``INSERT`` checks and
+coerces its VALUES a column at a time (:func:`insert_columns`) and
+appends them as one typed batch to a :class:`DeltaStore`, which keeps a
+growable payload + validity buffer per column; ``DELETE`` marks
+tombstones (a boolean mask over the main, another over the delta, each
+with a maintained count) without moving a single row.  Scans union the
+columnar main with the live delta rows as a trailing morsel — the
+zone-map and dictionary fast paths keep applying to the main, and the
+delta tail, zero-copy views of the buffers (:func:`tail_table`), is
+evaluated directly (it is bounded by the merge threshold, so it stays
+cache-sized).
 
 When the write pressure (pending inserts + tombstones) reaches the
 configured threshold (``PRAGMA delta_rows`` / ``REPRO_DELTA_ROWS``), a
@@ -41,7 +45,7 @@ pending inserts and a pending-deletion set, merged when crossing a
 threshold rather than eagerly per statement.
 
 Durability (:mod:`repro.engine.wal`) treats the delta store as volatile:
-what is logged is the *statement* that fed it, not the delta contents,
+what is logged is the *statement text* that fed it, not the delta contents,
 and each merge writes a marker record before folding.  Replay therefore
 re-executes statements into a fresh delta store and merges exactly where
 the markers say — merges change physical state only, so the recovered
@@ -51,13 +55,15 @@ when the log was written.
 Out-of-core interaction (``PRAGMA storage=mmap``): the delta store
 itself always stays in RAM — it is bounded by the merge threshold — but
 the main it shadows may be a read-only memory map of checkpoint files.
-Every write path here is already copy-on-write against the main
-(:func:`assign_column` copies payload and validity before masked writes,
-:func:`merged_table` builds fresh arrays through
-:func:`~repro.engine.column.concat_columns`), so a mapped main is never
-mutated in place; the catalog spills the merged image to a fresh live
-directory (write-temp-then-rename) and remaps it instead of overwriting
-the checkpoint bytes.
+Every write path here is copy-on-write against the main and against a
+tail already handed out (:func:`assign_column` copies payload and
+validity before masked writes, :meth:`DeltaStore.install_column` puts
+the patched copy in new buffers, :func:`merged_table` builds fresh
+arrays through :func:`~repro.engine.column.concat_columns`), so neither
+a mapped main nor a reader's tail is mutated in place; the catalog
+spills the merged image to a fresh live directory
+(write-temp-then-rename) and remaps it instead of overwriting the
+checkpoint bytes.
 """
 
 from __future__ import annotations
@@ -66,26 +72,46 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.engine.column import Column, _null_fill_value, _wrap, concat_columns
+from repro.engine.column import (
+    Column,
+    _null_fill_value,
+    _wrap,
+    column_from_parts,
+    concat_columns,
+)
+from repro.engine.expressions import Expression, Literal, fold_constant
+from repro.engine.planner import bind_expression
 from repro.engine.statistics import (
     ColumnStatistics,
     ColumnZones,
     TableStatistics,
     ZoneMap,
 )
-from repro.engine.table import Table
-from repro.engine.types import DataType, python_value
-from repro.errors import TypeMismatchError
+from repro.engine.table import Schema, Table
+from repro.engine.types import DataType, assignable
+from repro.errors import CatalogError, ReproError, TypeMismatchError
+
 
 class DeltaStore:
-    """Pending writes against one table: inserted rows and tombstones.
+    """Pending writes against one table: appended rows and tombstones.
 
-    Inserted rows are row-major tuples in the main's column order; delta
-    row ``i`` has the logical position ``main_rows + i``, so positions
-    handed out by secondary indexes stay meaningful across appends.
-    Deleted rows are never moved — main deletes flip a bit in a lazily
-    allocated mask, delta deletes land in a set — so every surviving row
-    keeps its position until the next merge compacts the table.
+    Appended rows live column by column in growable typed buffers — per
+    column a payload array in the column's NumPy dtype (null slots hold
+    its null fill) and a validity array, both grown geometrically and
+    filled up to :attr:`length`.  Delta row ``i`` has the logical
+    position ``main_rows + i``, so positions handed out by secondary
+    indexes stay meaningful across appends.  Deleted rows are never
+    moved — a main delete flips a bit in a lazily allocated mask over the
+    main, a delta delete a bit in a bool buffer beside the columns — and
+    both tombstone counts are maintained as the bits flip, so
+    :attr:`write_pressure` reads three integers.
+
+    A column buffer's filled prefix never changes in place: an append
+    writes past it, growing copies it into a bigger buffer, and an UPDATE
+    of pending rows installs a patched copy (:meth:`install_column`).  A
+    tail table, whose columns are read-only views of the prefix
+    (:func:`tail_table`), is therefore a snapshot its reader keeps; the
+    live masks are handed out as copies.
 
     The store also holds what is derived from it — the tail table, the
     effective table, the effective statistics (:meth:`cached`) — because
@@ -93,12 +119,20 @@ class DeltaStore:
     merge that replaces the store retires them with it.
     """
 
-    __slots__ = ("main_rows", "rows", "dead_delta", "_dead_main", "version", "_derived")
+    __slots__ = (
+        "main_rows", "schema", "length", "main_tombstones", "delta_tombstones",
+        "_data", "_valid", "_dead_delta", "_dead_main", "version", "_derived",
+    )
 
-    def __init__(self, main_rows: int) -> None:
-        self.main_rows = main_rows
-        self.rows: list[tuple[Any, ...]] = []
-        self.dead_delta: set[int] = set()
+    def __init__(self, main: Table) -> None:
+        self.main_rows = main.num_rows
+        self.schema = main.schema
+        self.length = 0
+        self.main_tombstones = 0
+        self.delta_tombstones = 0
+        self._data = [np.empty(0, dtype.numpy_dtype) for dtype in main.schema.types]
+        self._valid = [np.empty(0, bool) for _ in main.schema.types]
+        self._dead_delta = np.empty(0, bool)
         self._dead_main: np.ndarray | None = None
         #: bumped on every state change; keys the derived-value cache
         self.version = 0
@@ -108,20 +142,21 @@ class DeltaStore:
 
     def is_clean(self) -> bool:
         """True when the main table alone is the whole truth."""
-        return not self.rows and not self.dead_delta and self._dead_main is None
+        return not self.length and not self.main_tombstones
 
     @property
     def pending_inserts(self) -> int:
-        return len(self.rows)
+        return self.length
 
     @property
-    def main_tombstones(self) -> int:
-        return 0 if self._dead_main is None else int(self._dead_main.sum())
+    def tombstones(self) -> int:
+        """Deleted rows awaiting the merge, main and delta."""
+        return self.main_tombstones + self.delta_tombstones
 
     @property
     def write_pressure(self) -> int:
         """Pending inserts + tombstones: what the merge threshold compares."""
-        return len(self.rows) + self.main_tombstones + len(self.dead_delta)
+        return self.length + self.tombstones
 
     def touch(self) -> None:
         """Bump the version: any cache keyed on it is now stale."""
@@ -142,28 +177,70 @@ class DeltaStore:
 
     # -- mutation --------------------------------------------------------------------
 
-    def append(self, rows: Sequence[tuple[Any, ...]]) -> None:
-        """Append pre-coerced row tuples (main column order)."""
-        self.rows.extend(rows)
+    def append(self, columns: Sequence[tuple[np.ndarray, np.ndarray | None]]) -> None:
+        """Append one ``(payload, validity)`` batch per column, in main
+        column order, already coerced to the column types (validity None
+        when every value is valid)."""
+        start = self.length
+        stop = start + len(columns[0][0])
+        if stop > len(self._dead_delta):
+            self._grow(stop)
+        for data_buffer, valid_buffer, (data, valid) in zip(self._data, self._valid, columns):
+            data_buffer[start:stop] = data
+            valid_buffer[start:stop] = True if valid is None else valid
+        self._dead_delta[start:stop] = False
+        self.length = stop  # last: a reader never sees a row half written
+        self.touch()
+
+    def _grow(self, needed: int) -> None:
+        """Move every buffer to one at least twice as big (and ``needed``)
+        holding a copy of the filled prefix; all share one capacity."""
+        capacity = max(needed, 2 * len(self._dead_delta), 64)
+        self._data = [_regrown(buffer, self.length, capacity) for buffer in self._data]
+        self._valid = [_regrown(buffer, self.length, capacity) for buffer in self._valid]
+        self._dead_delta = _regrown(self._dead_delta, self.length, capacity)
+
+    def install_column(self, index: int, column: Column) -> None:
+        """Replace pending column ``index`` with ``column`` (an UPDATE's
+        patched copy of the whole tail column): new buffers, never a write
+        into the ones a tail already handed out."""
+        capacity = len(self._dead_delta)
+        self._data[index] = _regrown(column.data, len(column), capacity)
+        valid = column.validity
+        self._valid[index] = _regrown(
+            np.ones(len(column), bool) if valid is None else valid, len(column), capacity
+        )
         self.touch()
 
     def mark_main_deleted(self, mask: np.ndarray) -> None:
         """Tombstone main rows where ``mask`` is True."""
-        if not mask.any():
+        fresh = mask if self._dead_main is None else mask & ~self._dead_main
+        count = int(np.count_nonzero(fresh))
+        if not count:
             return
         if self._dead_main is None:
             self._dead_main = np.zeros(self.main_rows, dtype=bool)
-        self._dead_main |= mask
+        self._dead_main |= fresh
+        self.main_tombstones += count
         self.touch()
 
-    def mark_delta_deleted(self, indices: Sequence[int]) -> None:
-        """Tombstone delta rows by delta-local index."""
-        if not len(indices):
+    def mark_delta_deleted(self, positions: np.ndarray) -> None:
+        """Tombstone delta rows by delta-local position."""
+        fresh = positions[~self._dead_delta[positions]]
+        if not len(fresh):
             return
-        self.dead_delta.update(int(i) for i in indices)
+        self._dead_delta[fresh] = True
+        self.delta_tombstones += len(fresh)
         self.touch()
 
-    # -- masks -----------------------------------------------------------------------
+    # -- reads -----------------------------------------------------------------------
+
+    def column(self, index: int, length: int) -> Column:
+        """Pending column ``index`` up to ``length``: read-only views of
+        its buffers."""
+        data, valid = self._data[index][:length], self._valid[index][:length]
+        data.flags.writeable = valid.flags.writeable = False
+        return column_from_parts(data, self.schema.types[index], valid)
 
     def live_main_mask(self) -> np.ndarray | None:
         """True where a main row survives, or None when nothing was deleted."""
@@ -173,36 +250,145 @@ class DeltaStore:
 
     def live_delta_mask(self) -> np.ndarray | None:
         """True where a delta row survives, or None when nothing was deleted."""
-        if not self.dead_delta:
+        if not self.delta_tombstones:
             return None
-        mask = np.ones(len(self.rows), dtype=bool)
-        for i in self.dead_delta:
-            if i < len(mask):
-                mask[i] = False
-        return mask
+        return ~self._dead_delta[: self.length]
 
     def live_delta_count(self) -> int:
         """Number of pending rows that have not been tombstoned."""
-        return len(self.rows) - len(self.dead_delta)
+        return self.length - self.delta_tombstones
 
 
-# -- typed coercion ------------------------------------------------------------------
+def _regrown(buffer: np.ndarray, filled: int, capacity: int) -> np.ndarray:
+    """A new ``capacity``-slot buffer of ``buffer``'s dtype that starts
+    with a copy of its first ``filled`` slots."""
+    grown = np.empty(capacity, buffer.dtype)
+    grown[:filled] = buffer[:filled]
+    return grown
 
 
-def coerce_scalar(value: Any, dtype: DataType, column: str) -> Any:
-    """One INSERT or UPDATE value, of a type bound assignable to ``dtype``,
-    stored as ``dtype``: an int widens to FLOAT64; a float into INT64 must
-    be integral — :class:`TypeMismatchError` instead of truncating it."""
-    value = python_value(value)
-    if dtype is DataType.FLOAT64 and value is not None:
-        return float(value)
-    if dtype is DataType.INT64 and isinstance(value, float):
-        if not (np.isfinite(value) and value.is_integer()):
-            raise TypeMismatchError(
-                f"cannot store {value!r} in INT64 column {column!r} without losing precision"
-            )
-        return int(value)
-    return value
+# -- typed coercion: INSERT batches, UPDATE patches ---------------------------------
+
+_NONE = type(None)
+#: the type of a literal of each Python kind (a bare NULL's is UNKNOWN)
+_KIND_TYPES = {_NONE: DataType.UNKNOWN, bool: DataType.BOOL, int: DataType.INT64,
+               float: DataType.FLOAT64, str: DataType.STRING}
+#: per column type, the Python kinds whose literals are assignable to it
+_STORABLE = {
+    dtype: frozenset(kind for kind, source in _KIND_TYPES.items() if assignable(source, dtype))
+    for dtype in DataType
+}
+
+
+def insert_columns(
+    rows: Sequence[Sequence[Expression]], names: Sequence[str], schema: Schema
+) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """An INSERT's VALUES rows for the columns ``names`` as one
+    ``(payload, validity)`` batch per column of ``schema``, in its order
+    (validity None when every value is valid) — an unnamed column all
+    NULL.
+
+    A column's values are checked and coerced together: each plain
+    literal's type must be :func:`~repro.engine.types.assignable` to
+    the column's, any other item is bound for the column and folded
+    (:func:`~repro.engine.planner.bind_expression`, :func:`~repro.engine.
+    expressions.fold_constant`), then :func:`coerce_values` stores them.
+    A rejected batch raises what its first failing row raises on its own
+    — a short row its width, else its leftmost failing item — and
+    returns nothing, so it changes nothing.
+
+    Raises:
+        CatalogError: a row whose width is not ``len(names)``, or an item
+            that reads a column.
+        TypeMismatchError: an item whose type does not fit its column, or
+            a value :func:`coerce_values` cannot store.
+    """
+    try:
+        return _insert_columns(rows, names, schema)
+    except ReproError:
+        for row in rows:  # whichever error the batch met, raise the first row's
+            _insert_columns([row], names, schema)
+        raise
+
+
+def _insert_columns(
+    rows: Sequence[Sequence[Expression]], names: Sequence[str], schema: Schema
+) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """:func:`insert_columns`, raising the first error it meets."""
+    width = len(names)
+    if set(map(len, rows)) != {width}:
+        short = next(row for row in rows if len(row) != width)
+        raise CatalogError(f"INSERT row width {len(short)} does not match {width} columns")
+    batch = {name: _column_values(items, schema, name) for name, items in zip(names, zip(*rows))}
+    count = len(rows)
+    for name, dtype in schema.fields():
+        if name not in batch:
+            fill = _null_fill_value(dtype)
+            batch[name] = np.full(count, fill, dtype.numpy_dtype), np.zeros(count, bool)
+    return [batch[name] for name in schema.names]
+
+
+def _column_values(
+    items: Sequence[Expression], schema: Schema, name: str
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One column's VALUES items as ``(payload, validity)``."""
+    dtype = schema.type_of(name)
+    values = [
+        item.value if type(item) is Literal else _folded(item, schema, name) for item in items
+    ]
+    kinds = set(map(type, values))
+    if not kinds <= _STORABLE[dtype]:  # a plain literal of the wrong type
+        wrong = next(value for value in values if type(value) not in _STORABLE[dtype])
+        bind_expression(Literal(wrong), schema, "values", name)  # raises as binding would
+    return coerce_values(values, kinds, dtype, name)
+
+
+def _folded(item: Expression, schema: Schema, name: str) -> Any:
+    """A VALUES item that is not a plain literal, bound for column ``name``
+    and folded to its value."""
+    if item.referenced_columns():
+        raise CatalogError("INSERT VALUES must be constant expressions (no column references)")
+    return fold_constant(bind_expression(item, schema, "values", name))
+
+
+def coerce_values(
+    values: list, kinds: set[type], dtype: DataType, column: str
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Python values of the ``kinds`` a ``dtype`` column can store
+    (:data:`_STORABLE`) as its ``(payload, validity)`` in one conversion
+    (validity None when no value is NULL): a NULL parks the null fill,
+    an int widens to FLOAT64, and a FLOAT64 into INT64 must be integral
+    — :class:`TypeMismatchError` for the first value the column cannot
+    hold (:func:`_unstorable`) instead of truncating it."""
+    valid = None
+    if _NONE in kinds:
+        valid = np.array([value is not None for value in values], bool)
+        fill = _null_fill_value(dtype)
+        values = [fill if value is None else value for value in values]
+    try:
+        data = np.array(values, dtype=dtype.numpy_dtype)
+        # the int conversion truncates a fractional float: compare back
+        lossless = dtype is not DataType.INT64 or float not in kinds or bool(
+            (data == np.array(values, dtype=np.float64)).all()
+        )
+    except (OverflowError, ValueError):
+        lossless = False
+    if not lossless:
+        raise next(filter(None, (_unstorable(value, dtype, column) for value in values)))
+    return data, valid
+
+
+def _unstorable(value: Any, dtype: DataType, column: str) -> TypeMismatchError | None:
+    """Why a ``dtype`` column cannot store ``value``, or None when it can."""
+    if dtype is DataType.INT64 and type(value) is float and not value.is_integer():
+        return TypeMismatchError(
+            f"cannot store {value!r} in INT64 column {column!r} without losing precision"
+        )
+    try:
+        np.array([value], dtype=dtype.numpy_dtype)
+    except OverflowError as exc:
+        return TypeMismatchError(f"cannot store {value!r} in {dtype.name} column {column!r}: {exc}")
+    return None
 
 
 def assign_column(old: Column, values: Column, mask: np.ndarray) -> Column:
@@ -210,7 +396,7 @@ def assign_column(old: Column, values: Column, mask: np.ndarray) -> Column:
 
     The vectorised UPDATE kernel: payload and validity are copied once
     and patched in place.  The values' type is already bound
-    :func:`~repro.engine.types.assignable`; as in :func:`coerce_scalar`,
+    :func:`~repro.engine.types.assignable`; as in :func:`coerce_values`,
     a fractional float into INT64 raises :class:`TypeMismatchError`.
     """
     target = old.dtype
@@ -234,19 +420,20 @@ def assign_column(old: Column, values: Column, mask: np.ndarray) -> Column:
     return _wrap(data, target, new_validity)
 
 
+
+
 # -- tail materialisation and merge ---------------------------------------------------
 
 
-def tail_table(store: DeltaStore, main: Table) -> Table:
+def tail_table(store: DeltaStore) -> Table:
     """All delta rows (dead ones included, for position stability) as a
-    columnar table with the main's schema."""
-    rows = list(store.rows)  # snapshot: appends may race a reader
-    columns = []
-    for j, name in enumerate(main.column_names):
-        dtype = main.schema.type_of(name)
-        values = [row[j] for row in rows]
-        columns.append((name, Column(values, dtype=dtype)))
-    return Table(columns)
+    columnar table with the main's schema: zero-copy views of the
+    store's buffers up to its current length, which no later write
+    changes (:class:`DeltaStore`)."""
+    length = store.length  # read once: an append racing this lands past it
+    return Table([
+        (name, store.column(index, length)) for index, name in enumerate(store.schema.names)
+    ])
 
 
 def merged_table(main: Table, tail: Table, store: DeltaStore) -> Table:

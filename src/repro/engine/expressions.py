@@ -23,11 +23,14 @@ from typing import Any, Callable, Iterable, Iterator
 import numpy as np
 
 from repro import settings
-from repro.engine.column import Column, column_from_parts
+from repro.engine.column import Column, _null_fill_value, column_from_parts
 from repro.engine.table import Schema, Table
 from repro.engine.types import DataType, common_type, python_value
 from repro.errors import TypeMismatchError
 from repro.obs.metrics import get_registry
+
+#: a node's :meth:`Expression.key`, through its class's override
+_KEY = operator.methodcaller("key")
 
 
 def _map_slot(value: Any, fn: Callable[["Expression"], Any]) -> Any:
@@ -116,7 +119,7 @@ class Expression(abc.ABC):
             key: list[Any] = [type(self).__name__]
             for name, value in vars(self).items():
                 if name in self._children:
-                    key.append(_map_slot(value, Expression.key))
+                    key.append(_map_slot(value, _KEY))
                 elif name[0] != "_":
                     key.append(value)
             self._key = tuple(key)
@@ -296,14 +299,24 @@ class Literal(Expression):
         )
         if self.dtype is None:
             raise TypeMismatchError(f"unsupported literal {self.value!r}")
+        self._bare_null = self.dtype is DataType.UNKNOWN
+
+    def key(self) -> tuple:
         # typed, so 1 / 1.0 / TRUE (equal in Python) and two typed NULLs stay
         # distinct keys; by repr, so NaN equals itself and 0.0 is not -0.0
-        self._key = ("Literal", self.dtype.name, repr(self.value))
-        self._bare_null = self.dtype is DataType.UNKNOWN
+        if self._key is None:
+            self._key = ("Literal", self.dtype.name, repr(self.value))
+        return self._key
 
     def evaluate(self, table: Table) -> Column:
         dtype = DataType.FLOAT64 if self.dtype is DataType.UNKNOWN else self.dtype
-        return Column([self.value] * table.num_rows, dtype=dtype)
+        valid = self.value is not None
+        fill = self.value if valid else _null_fill_value(dtype)
+        return column_from_parts(
+            np.full(table.num_rows, fill, dtype.numpy_dtype),
+            dtype,
+            None if valid else np.zeros(table.num_rows, dtype=bool),
+        )
 
     def output_type(self, schema: Schema) -> DataType:
         return self.dtype

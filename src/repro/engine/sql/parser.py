@@ -16,7 +16,9 @@ Grammar sketch (precedence low → high)::
     primary     := literal | identifier ('.' identifier)? | '(' or_expr ')'
 
 Aggregates inside HAVING are rewritten into references to synthetic
-columns that the executor materialises alongside the group keys.
+columns that the executor materialises alongside the group keys.  A
+VALUES item that is a lone literal token skips the expression levels
+(``_values_row``): an INSERT batch is mostly such items.
 """
 
 from __future__ import annotations
@@ -36,6 +38,18 @@ from repro.engine.sql.lexer import Token, TokenType, tokenize
 from repro.errors import ParseError
 
 _COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
+#: the keywords that are literal values on their own
+_VALUE_WORDS = {"NULL": None, "TRUE": True, "FALSE": False}
+
+
+def _plain_literal(token: Token) -> ex.Literal | None:
+    """The :class:`Literal` a lone NUMBER, STRING, NULL, TRUE or FALSE
+    token stands for, else None."""
+    if token.type is TokenType.NUMBER or token.type is TokenType.STRING:
+        return ex.Literal(token.value)
+    if token.type is TokenType.KEYWORD and token.value in _VALUE_WORDS:
+        return ex.Literal(_VALUE_WORDS[token.value])
+    return None
 
 
 def parse(
@@ -185,17 +199,34 @@ class _Parser:
                 columns.append(self._identifier("column name"))
             self._expect(TokenType.PUNCT, ")")
         self._expect(TokenType.KEYWORD, "VALUES")
-        rows: list[list[ex.Expression]] = []
-        while True:
-            self._expect(TokenType.PUNCT, "(")
-            row = [self._or_expr(allow_aggregates=False)]
-            while self._accept(TokenType.PUNCT, ","):
-                row.append(self._or_expr(allow_aggregates=False))
-            self._expect(TokenType.PUNCT, ")")
-            rows.append(row)
-            if not self._accept(TokenType.PUNCT, ","):
-                break
+        rows = [self._values_row()]
+        while self._accept(TokenType.PUNCT, ","):
+            rows.append(self._values_row())
         return InsertStatement(table=table, columns=columns, rows=rows)
+
+    def _values_row(self) -> list[ex.Expression]:
+        """One parenthesised VALUES row.  An item that is a lone literal
+        token — NUMBER, STRING, NULL, TRUE or FALSE — followed by ``,`` or
+        ``)`` becomes its :class:`Literal` after one token of lookahead;
+        anything else (``-1``, ``1+1``, a CASE, a function call) descends
+        the expression grammar."""
+        self._expect(TokenType.PUNCT, "(")
+        tokens, row = self._tokens, []
+        while True:
+            token, after = tokens[self._pos], self._peek(1)
+            literal = None
+            if after.type is TokenType.PUNCT and after.value in (",", ")"):
+                literal = _plain_literal(token)
+            if literal is None:
+                row.append(self._or_expr(allow_aggregates=False))
+                if not self._accept(TokenType.PUNCT, ","):
+                    self._expect(TokenType.PUNCT, ")")
+                    return row
+                continue
+            row.append(literal)
+            self._pos += 2  # the literal and the separator after it
+            if after.value == ")":
+                return row
 
     def _parse_delete(self):
         from repro.engine.sql.ast import DeleteStatement
@@ -457,19 +488,12 @@ class _Parser:
 
     def _primary(self, allow_aggregates: bool) -> ex.Expression:
         token = self._peek()
-        if token.type is TokenType.NUMBER or token.type is TokenType.STRING:
-            literal = self._literals[self._pos] = ex.Literal(token.value)
+        literal = _plain_literal(token)
+        if literal is not None:
+            if token.type is not TokenType.KEYWORD:  # NULL, TRUE, FALSE fill no slot
+                self._literals[self._pos] = literal
             self._advance()
             return literal
-        if token.matches(TokenType.KEYWORD, "NULL"):
-            self._advance()
-            return ex.Literal(None)
-        if token.matches(TokenType.KEYWORD, "TRUE"):
-            self._advance()
-            return ex.Literal(True)
-        if token.matches(TokenType.KEYWORD, "FALSE"):
-            self._advance()
-            return ex.Literal(False)
         if token.type is TokenType.KEYWORD and token.value in AGGREGATE_FUNCTIONS:
             if not allow_aggregates:
                 raise ParseError(

@@ -13,8 +13,14 @@ delta-heavy thresholds.
 
 from __future__ import annotations
 
+import math
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from repro import settings
 from repro.engine import Database, Table
@@ -579,3 +585,190 @@ def _rebuild_oracle(rows: list[dict]) -> Database:
         ),
     )
     return oracle
+
+
+# -- VALUES batches: typed literals against create_table --------------------------------
+
+_VALUES_TYPES = {
+    "i": DataType.INT64, "f": DataType.FLOAT64, "s": DataType.STRING, "b": DataType.BOOL,
+}
+_SEED_ROWS = {"i": [1, None], "f": [0.5, None], "s": ["a", None], "b": [True, None]}
+
+
+def _number_sql(value: int | float) -> str:
+    """A number as VALUES text; a negative one is unary minus, so it takes
+    the expression grammar rather than the plain-literal lookahead."""
+    text = repr(abs(value))
+    return "-" + text if math.copysign(1, value) < 0 else text
+
+
+def _string_sql(value: str) -> str:
+    return "'" + value.replace("'", "''") + "'"
+
+
+_NULL_CELL = st.just(("NULL", None))
+_VALUE_CELLS = {
+    "i": st.one_of(
+        _NULL_CELL,
+        st.integers(-(2**63) + 1, 2**63 - 1).map(lambda v: (_number_sql(v), v)),
+        # integral floats into INT64, up to where every integer is a float
+        st.integers(-(2**53), 2**53).map(lambda v: (_number_sql(float(v)), v)),
+        st.integers(-99, 99).map(lambda v: (f"{v} + 1", v + 1)),
+    ),
+    "f": st.one_of(
+        _NULL_CELL,
+        st.floats(allow_nan=False, allow_infinity=False).map(lambda v: (_number_sql(v), v)),
+        st.integers(-(2**63) + 1, 2**63 - 1).map(lambda v: (_number_sql(v), float(v))),
+        st.integers(-99, 99).map(lambda v: (f"{v} * 0.5", v * 0.5)),
+    ),
+    "s": st.one_of(
+        _NULL_CELL,
+        st.text(st.characters(exclude_categories=("Cs",)), max_size=6).map(
+            lambda v: (_string_sql(v), v)
+        ),
+        st.text("a'b -", max_size=6).map(lambda v: (_string_sql(v), v)),
+        st.just(("CASE WHEN 1 < 2 THEN 'lo' ELSE 'hi' END", "lo")),
+    ),
+    "b": st.one_of(
+        _NULL_CELL,
+        st.sampled_from([("TRUE", True), ("FALSE", False), ("1 < 2", True), ("NOT TRUE", False)]),
+    ),
+}
+_VALUE_ROWS = st.lists(st.fixed_dictionaries(_VALUE_CELLS), min_size=1, max_size=12)
+#: a column list for the INSERT: None (all, positionally) or a permutation of a subset
+_COLUMN_LISTS = st.none() | st.permutations(list(_VALUES_TYPES)).flatmap(
+    lambda names: st.integers(1, len(names)).map(lambda k: names[:k])
+)
+_PLAIN_ROW = {"i": ("1", 1), "f": ("1.0", 1.0), "s": ("'a'", "a"), "b": ("TRUE", True)}
+
+
+def _values_sql(rows: list[dict], names: list[str] | None) -> str:
+    listed = f" ({', '.join(names)})" if names else ""
+    tuples = ", ".join(
+        "(" + ", ".join(row[name][0] for name in names or _VALUES_TYPES) + ")" for row in rows
+    )
+    return f"INSERT INTO t{listed} VALUES {tuples}"
+
+
+def _values_table(rows: list[dict], names: list[str] | None) -> Table:
+    """What ``create_table`` builds from the seed rows plus ``rows``."""
+    return Table([
+        (name, Column(
+            _SEED_ROWS[name]
+            + [row[name][1] if name in (names or _VALUES_TYPES) else None for row in rows],
+            dtype=dtype,
+        ))
+        for name, dtype in _VALUES_TYPES.items()
+    ])
+
+
+def _seeded(path: str | None = None) -> Database:
+    db = Database(path=path)
+    db.create_table("t", _values_table([], None))
+    return db
+
+
+@pytest.mark.parametrize("delta_rows", [1, 1_000_000])
+@hypothesis_settings(max_examples=60, deadline=None)
+@given(rows=_VALUE_ROWS, names=_COLUMN_LISTS)
+@example(rows=[dict.fromkeys(_VALUES_TYPES, ("NULL", None))], names=None)
+@example(
+    rows=[_PLAIN_ROW, {"i": ("2", 2), "f": ("3", 3.0), "s": ("'y'", "y"), "b": ("FALSE", False)}],
+    names=None,
+)
+@example(
+    rows=[{"i": ("9007199254740993", 2**53 + 1), "f": ("9007199254740993", 2.0**53),
+           "s": ("'it''s'", "it's"), "b": ("NULL", None)}],
+    names=None,
+)
+@example(
+    rows=[{"i": ("4.0", 4), "f": ("-0.0", -0.0), "s": ("''''", "'"), "b": ("FALSE", False)}],
+    names=["i", "f", "s"],
+)
+@example(
+    rows=[{"i": ("-1", -1), "f": ("1 * 0.5", 0.5), "s": ("''", ""), "b": ("TRUE", True)},
+          {"i": ("1 + 1", 2), "f": ("-1.5", -1.5), "s": ("'--'", "--"), "b": ("1 < 2", True)}],
+    names=["b", "i", "f", "s"],
+)
+def test_values_batch_equals_create_table(delta_rows, rows, names):
+    """A VALUES batch — plain literals through the lookahead, ``-1`` or
+    ``1 + 1`` through the grammar, any column list — leaves the table that
+    ``create_table`` builds from the same values, pending and merged."""
+    settings.configure(delta_rows=delta_rows)
+    db = _seeded()
+    assert db.execute(_values_sql(rows, names)) == len(rows)
+    want = _values_table(rows, names)
+    tables_bit_identical(db.get_table("t"), want)
+    tables_bit_identical(db.sql("SELECT * FROM t"), want)
+    db.flush_deltas()
+    tables_bit_identical(db.get_table("t"), want)
+
+
+_FRACTIONAL = ("i", "2.5", TypeMismatchError,
+               "cannot store 2.5 in INT64 column 'i' without losing precision")
+_INTO_STRING = ("s", "7", TypeMismatchError, "cannot assign INT64 values to STRING column 's'")
+_WIDTH = "width"
+_UNKNOWN = "unknown"
+
+
+def _expected_rejection(cells: list[list[str]], defects: list[tuple[int, object]]):
+    """``(error type, message)`` a batch with these defects raises: an
+    unknown column before anything, else the first defect in row order —
+    a row's width before its items, its items left to right."""
+    if any(kind == _UNKNOWN for _, kind in defects):
+        return CatalogError, "unknown column(s) in INSERT: ['z']"
+    ranked = []
+    for row, kind in defects:
+        if kind == _WIDTH:
+            ranked.append((row, -1, CatalogError,
+                           f"INSERT row width {len(cells[row])} does not match 4 columns"))
+        elif len(cells[row]) == 4:  # a short row is rejected by its width alone
+            column, _, error, message = kind
+            ranked.append((row, list(_VALUES_TYPES).index(column), error, message))
+    return min(ranked, key=lambda entry: entry[:2])[2:]
+
+
+@hypothesis_settings(max_examples=60, deadline=None)
+@given(
+    rows=_VALUE_ROWS,
+    defects=st.lists(
+        st.tuples(st.integers(0, 11), st.sampled_from([_FRACTIONAL, _INTO_STRING, _WIDTH])),
+        min_size=1, max_size=3,
+    ) | st.just([(0, _UNKNOWN)]),
+)
+@example(rows=[_PLAIN_ROW], defects=[(0, _FRACTIONAL)])
+@example(rows=[_PLAIN_ROW], defects=[(0, _INTO_STRING)])
+@example(rows=[_PLAIN_ROW] * 2, defects=[(1, _FRACTIONAL), (0, _WIDTH)])
+@example(rows=[_PLAIN_ROW] * 2, defects=[(1, _INTO_STRING), (1, _FRACTIONAL)])
+@example(rows=[_PLAIN_ROW], defects=[(0, _UNKNOWN)])
+def test_rejected_values_batch_changes_nothing(rows, defects):
+    """A batch with defects — a fractional value into INT64, a number into
+    STRING, a short row, an unknown column — raises the first defect's
+    error and message, appends nothing and logs nothing."""
+    settings.configure(delta_rows=1_000_000)
+    names = list(_VALUES_TYPES)
+    cells = [[row[name][0] for name in names] for row in rows]
+    defects = [(row % len(rows), kind) for row, kind in defects]
+    for row, kind in defects:
+        if kind == _WIDTH:
+            cells[row] = cells[row][:3]
+        elif kind == _UNKNOWN:
+            names[0] = "z"
+        elif len(cells[row]) == 4:
+            column, text, _, _ = kind
+            cells[row][names.index(column)] = text
+    error, message = _expected_rejection(cells, defects)
+    sql = f"INSERT INTO t ({', '.join(names)}) VALUES " + ", ".join(
+        "(" + ", ".join(row) + ")" for row in cells
+    )
+    with tempfile.TemporaryDirectory() as path:
+        db = _seeded(path)
+        db.execute("INSERT INTO t VALUES (2, 1.5, 'b', FALSE)")  # a pending row
+        before, logged = db.get_table("t"), db.durability.wal.records_logged
+        with pytest.raises(error) as raised:
+            db.execute(sql)
+        assert str(raised.value) == message
+        assert db.durability.wal.records_logged == logged
+        assert db.delta_store_if_dirty("t").pending_inserts == 1
+        tables_bit_identical(db.get_table("t"), before)
+        db.close()

@@ -430,6 +430,70 @@ class TestCrashPoints:
             assert list(db2.sql("SELECT * FROM t").rows()) == [(7,)]
 
 
+# -- pending rows: reader snapshots, power loss after a batch INSERT ------------------
+
+
+def _rows(table: Table) -> list[tuple]:
+    return list(table.rows())
+
+
+class TestPendingRows:
+    def test_reads_taken_while_dirty_keep_their_values(self, tmp_path):
+        """A ``get_table()`` result, the delta tail and a query result taken
+        while writes are pending are snapshots: an UPDATE and a DELETE that
+        hit the pending rows afterwards change none of them."""
+        settings.configure(delta_rows=1_000_000)
+        with Database(path=tmp_path) as db:
+            db.create_table("t", {"id": [0, 1], "x": [10, 11], "s": ["a", "b"]})
+            db.execute("INSERT INTO t VALUES (2, 12, 'c'), (3, 13, 'd'), (4, 14, NULL)")
+            table, tail = db.get_table("t"), db.delta_tail("t")
+            result = db.sql("SELECT id, x, s FROM t WHERE x >= 11 ORDER BY id")
+            seen = [_rows(table), _rows(tail), _rows(result)]
+            assert db.execute("UPDATE t SET x = x + 100, s = 'z' WHERE id >= 3") == 2
+            assert db.execute("DELETE FROM t WHERE id = 2") == 1
+            assert db.delta_store_if_dirty("t").pending_inserts == 3  # still pending
+            assert [_rows(table), _rows(tail), _rows(result)] == seen
+            assert _rows(db.get_table("t")) == [
+                (0, 10, "a"), (1, 11, "b"), (3, 113, "z"), (4, 114, "z"),
+            ]
+
+    @pytest.mark.parametrize("delta_rows", [1, 1_000_000])
+    @pytest.mark.parametrize(
+        "crash", ["power_loss", "wal_pre_fsync:1.0", "wal_torn_write:1.0"]
+    )
+    def test_crash_after_a_batch_recovers_the_acknowledged_rows(
+        self, tmp_path, delta_rows, crash
+    ):
+        """Recovery restores exactly the rows of acknowledged statements:
+        a 250-row batch that returned survives power loss; one whose WAL
+        record never became durable is gone, merged or pending."""
+        settings.configure(delta_rows=delta_rows)
+        db = Database(path=tmp_path)
+        db.create_table("t", {"id": [0], "v": [0.5], "s": ["a"]})
+        acknowledged = {0: (0, 0.5, "a")}
+        batch = {i: (i, i / 4, f"k'{i % 7}") for i in range(1, 251)}
+        db.execute("INSERT INTO t VALUES " + ", ".join(
+            f"({i}, {v!r}, '{s.replace(chr(39), chr(39) * 2)}')" for i, v, s in batch.values()
+        ))
+        acknowledged.update(batch)
+        assert db.execute("UPDATE t SET v = v + 1 WHERE id >= 200") == 51
+        for i in range(200, 251):
+            acknowledged[i] = (i, i / 4 + 1, batch[i][2])
+        assert db.execute("DELETE FROM t WHERE id < 5") == 5
+        for i in range(5):
+            del acknowledged[i]
+        if crash == "power_loss":
+            with pytest.raises(SimulatedCrashError):
+                db.durability.wal.simulate_crash("test power loss")
+        else:
+            settings.configure(faults=crash)
+            with pytest.raises(SimulatedCrashError):
+                db.execute("INSERT INTO t VALUES (900, 1.0, 'lost'), (901, 2.0, 'lost')")
+            settings.configure(faults="off")
+        with Database(path=tmp_path) as recovered:
+            assert sorted(_rows(recovered.get_table("t"))) == sorted(acknowledged.values())
+
+
 # -- kill–replay property test (acceptance criterion) ---------------------------------
 
 

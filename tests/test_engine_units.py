@@ -19,6 +19,7 @@ from repro.engine.csv_io import (
     scan_lines,
     split_line,
 )
+from repro.engine.expressions import IsNull, Literal
 from repro.engine.statistics import ColumnStatistics, TableStatistics
 from repro.engine.types import coerce_array, common_type, infer_type
 from repro.errors import CatalogError, LoadingError, TypeMismatchError
@@ -173,6 +174,57 @@ class TestColumn:
         else:
             column = Column(values)
         assert column.to_list() == values
+
+
+class TestLiteralColumn:
+    """``Literal.evaluate`` fills its column with ``np.full``; the column
+    must equal the one the list constructor builds from the repeated value."""
+
+    @pytest.mark.parametrize(
+        "value, dtype",
+        [
+            (5, None), (2**62, None), (-0.0, None), (2.5, None), ("it's", None), ("", None),
+            (True, None), (False, None), (None, None),
+            (None, DataType.INT64), (None, DataType.STRING), (None, DataType.BOOL),
+        ],
+    )
+    @pytest.mark.parametrize("rows", [0, 1, 4])
+    def test_equals_list_construction(self, value, dtype, rows):
+        literal = Literal(value, dtype)
+        got = literal.evaluate(Table.from_dict({"a": list(range(rows))}))
+        want = Column(
+            [value] * rows,
+            dtype=DataType.FLOAT64 if literal.dtype is DataType.UNKNOWN else literal.dtype,
+        )
+        assert got.dtype is want.dtype and got.data.dtype == want.data.dtype
+        assert len(got) == rows
+        assert got.data.tolist() == want.data.tolist()
+        if got.dtype is DataType.FLOAT64:
+            assert np.signbit(got.data).tolist() == np.signbit(want.data).tolist()
+        if want.validity is None:
+            assert got.validity is None
+        else:
+            assert got.validity.tolist() == want.validity.tolist()
+        assert got.to_list() == [value] * rows
+
+    def test_out_of_range_int_raises_like_the_list(self):
+        table = Table.from_dict({"a": [1, 2]})
+        for value in (2**64, -(2**64)):
+            with pytest.raises(OverflowError):
+                Column([value] * 2, dtype=DataType.INT64)
+            with pytest.raises(OverflowError):
+                Literal(value).evaluate(table)
+        with pytest.raises(OverflowError):  # a uint64 list wraps this one to -2**63
+            Literal(2**63).evaluate(table)
+
+    def test_key_is_built_on_first_read(self):
+        literal = Literal(1.0)
+        assert literal._key is None
+        assert literal.key() == ("Literal", "FLOAT64", "1.0")
+        assert literal.key() != Literal(1).key() and literal.same_as(Literal(1.0))
+        null = Literal(None)
+        IsNull(null, negated=False).key()  # a parent's key builds its child's first
+        assert null.key() == ("Literal", "UNKNOWN", "None") and null.same_as(Literal(None))
 
 
 FILTER_ROWS = 24
