@@ -10,6 +10,7 @@ CI runs this after the test suite (``python benchmarks/smoke_metrics.py``).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 import threading
@@ -367,7 +368,8 @@ def check_index_scans_share_the_pipeline(
     """Guard "an index picks rows, the scan pipeline reads them" with a
     ratio, an answer and a route: once ``warmup`` range queries have
     cracked a ``CrackerIndex`` on an unclustered column, a 1 % GROUP BY
-    must run at least 3x faster than with the index unregistered, return
+    must run at least 3x faster than with the index unregistered (each
+    repeat a first evaluation, not a selection-memo reuse), return
     the same table bit for bit, and go through
     ``parallel.fused_filter_aggregate`` like any other filtered aggregate.
     Returns the speedup."""
@@ -401,6 +403,9 @@ def check_index_scans_share_the_pipeline(
     def best() -> tuple[float, Table]:
         times = []
         for _ in range(repeats):
+            # a new settings generation: the unindexed scan evaluates its
+            # WHERE every time instead of reusing its selection memo
+            settings.configure(threads=0)
             started = time.perf_counter()
             result = db.sql(sql)
             times.append(time.perf_counter() - started)
@@ -582,17 +587,12 @@ def check_update_resummarises_assigned_columns(n: int = 200_000, repeats: int = 
     return speedup
 
 
-def check_type_errors_raise_at_bind(n: int = 200_000) -> int:
-    """Guard "types are decided at bind" with counts: over ``n`` rows at
-    the default ``zone_rows``, a scan whose every zone FAILs calls
-    ``expressions.truth_mask`` 0 times, serially and at threads=2 (no
-    predicate is evaluated over an empty slice to find its type), and a
-    mistyped predicate raises ``TypeMismatchError`` after 0 calls.
-    Returns the calls one live brush makes — the spy sees evaluations."""
-    db = Database()
-    db.create_table("t", {"k": list(range(n)), "s": [f"s{i % 7}" for i in range(n)]})
+@contextlib.contextmanager
+def truth_mask_calls():
+    """A list that gains one entry per ``expressions.truth_mask`` call, on
+    every module that imported it by name, while the block runs."""
     original = expressions.truth_mask
-    calls = []
+    calls: list[int] = []
 
     def spy(*args, **kwargs):
         calls.append(1)
@@ -602,30 +602,49 @@ def check_type_errors_raise_at_bind(n: int = 200_000) -> int:
         module for name, module in list(sys.modules.items())
         if name.startswith("repro") and getattr(module, "truth_mask", None) is original
     ]
-    saved = settings.snapshot()
     try:
         for module in holders:
             module.truth_mask = spy
-        for threads in (0, 2):
-            settings.configure(
-                threads=threads, morsel_rows=65_536,
-                zone_rows=settings.ROWS["zone_rows"].default,
-            )
-            calls.clear()
-            assert db.sql(f"SELECT k FROM t WHERE k >= {n}").num_rows == 0
-            assert not calls, f"an all-FAIL scan called truth_mask {len(calls)}x, threads={threads}"
-            try:
-                db.sql(f"SELECT COUNT(*) AS c FROM t WHERE k >= {n} AND s > 5")
-            except TypeMismatchError:
-                pass
-            else:
-                raise AssertionError("a STRING > INT64 predicate did not raise")
-            assert not calls, f"a mistyped scan called truth_mask {len(calls)}x, threads={threads}"
-        db.sql(f"SELECT k FROM t WHERE k >= {n - 10}")
-        live = len(calls)
+        yield calls
     finally:
         for module in holders:
             module.truth_mask = original
+
+
+def check_type_errors_raise_at_bind(n: int = 200_000) -> int:
+    """Guard "types are decided at bind" with counts: over ``n`` rows at
+    the default ``zone_rows``, a scan whose every zone FAILs calls
+    ``expressions.truth_mask`` 0 times, serially and at threads=2 (no
+    predicate is evaluated over an empty slice to find its type), and a
+    mistyped predicate raises ``TypeMismatchError`` after 0 calls.
+    Returns the calls one live brush makes — the spy sees evaluations."""
+    db = Database()
+    db.create_table("t", {"k": list(range(n)), "s": [f"s{i % 7}" for i in range(n)]})
+    saved = settings.snapshot()
+    try:
+        with truth_mask_calls() as calls:
+            for threads in (0, 2):
+                settings.configure(
+                    threads=threads, morsel_rows=65_536,
+                    zone_rows=settings.ROWS["zone_rows"].default,
+                )
+                calls.clear()
+                assert db.sql(f"SELECT k FROM t WHERE k >= {n}").num_rows == 0
+                assert not calls, (
+                    f"an all-FAIL scan called truth_mask {len(calls)}x, threads={threads}"
+                )
+                try:
+                    db.sql(f"SELECT COUNT(*) AS c FROM t WHERE k >= {n} AND s > 5")
+                except TypeMismatchError:
+                    pass
+                else:
+                    raise AssertionError("a STRING > INT64 predicate did not raise")
+                assert not calls, (
+                    f"a mistyped scan called truth_mask {len(calls)}x, threads={threads}"
+                )
+            db.sql(f"SELECT k FROM t WHERE k >= {n - 10}")
+            live = len(calls)
+    finally:
         settings.restore(saved)
     assert live > 0, "the spy saw no predicate evaluation"
     return live
@@ -771,6 +790,66 @@ def check_values_skip_the_grammar(rows: int = 250) -> int:
     return grammar
 
 
+def check_linked_views_share_selections(zone_rows: int = 4_096) -> int:
+    """Guard the selection memo with counts, not a clock: six linked views
+    with one WHERE over an 8-zone table, serially and at threads=2, call
+    ``expressions.truth_mask`` once per MAYBE span for the first view and
+    0 times for the other five; an INSERT between two gestures makes the
+    next first view evaluate again (its MAYBE spans and the pending tail)
+    and the rest reuse that.  Every view still classifies its own zones,
+    as before the memo: 2 ``scan.zones_pruned`` and 0
+    ``scan.zones_passed`` per statement.  Returns the first view's
+    evaluations after the INSERT."""
+    n = 8 * zone_rows
+    rng = np.random.default_rng(1)
+    db = Database()
+    db.create_table("t", {
+        "ts": list(range(n)),
+        "qty": rng.integers(1, 11, n).tolist(),
+        "region": [f"region_{i}" for i in rng.integers(0, 12, n)],
+        "price": np.round(rng.gamma(2.0, 20.0, n), 4).tolist(),
+    })
+    where = f"WHERE ts >= {zone_rows // 2} AND ts < {5 * zone_rows + 7} AND qty > 2"
+    views = [
+        f"SELECT region, COUNT(*) AS n, SUM(price) AS revenue FROM t {where} GROUP BY region",
+        f"SELECT qty, COUNT(*) AS n FROM t {where} GROUP BY qty",
+        f"SELECT region, SUM(price) AS revenue FROM t {where} "
+        "GROUP BY region ORDER BY revenue DESC LIMIT 3",
+        f"SELECT COUNT(*) AS n, SUM(price) AS revenue, AVG(qty) AS q FROM t {where}",
+        f"SELECT qty, MAX(price) AS top FROM t {where} GROUP BY qty",
+        f"SELECT ts, region, price FROM t {where} ORDER BY price DESC LIMIT 20",
+    ]
+    registry = get_registry()
+    zone_counters = [registry.counter("scan.zones_pruned"), registry.counter("scan.zones_passed")]
+    saved = settings.snapshot()
+    try:
+        with truth_mask_calls() as calls:
+            for threads in (0, 2):
+                settings.configure(
+                    threads=threads, min_parallel_rows=2, zone_rows=zone_rows, optimizer=True,
+                    delta_rows=settings.ROWS["delta_rows"].default,
+                )
+                for gesture in range(2):
+                    if gesture:
+                        db.execute(f"INSERT INTO t VALUES ({n + threads}, 5, 'region_0', 1.0)")
+                    # the MAYBE zones 0..5; a pending tail is one more span
+                    maybe = 6 + (db.delta_store_if_dirty("t") is not None)
+                    for i, sql in enumerate(views):
+                        calls.clear()
+                        before = [counter.value for counter in zone_counters]
+                        db.sql(sql)
+                        zones = [counter.value - b for counter, b in zip(zone_counters, before)]
+                        assert zones == [2, 0], f"view {i} classified {zones}, threads={threads}"
+                        want = maybe if i == 0 else 0
+                        assert len(calls) == want, (
+                            f"view {i} of gesture {gesture} evaluated {len(calls)} spans, "
+                            f"want {want}, threads={threads}"
+                        )
+    finally:
+        settings.restore(saved)
+    return maybe
+
+
 def main() -> int:
     keepalive = run_workload()
     views_ratio = check_views_run_on_group_kernel()
@@ -786,6 +865,7 @@ def main() -> int:
     live_calls = check_type_errors_raise_at_bind()
     template_hits = check_plan_templates()
     grammar_calls = check_values_skip_the_grammar()
+    linked_calls = check_linked_views_share_selections()
     snapshot = json.loads(metrics_snapshot())
     assert keepalive is not None
 
@@ -823,7 +903,8 @@ def main() -> int:
           f"0 predicate evaluations before a type error ({live_calls} for a live brush),",
           f"{template_hits} of 500 fresh-literal statements re-bound a plan template,",
           f"a 250-row VALUES batch parsed with 0 expression-grammar calls "
-          f"({grammar_calls} for two expression items) into shared tail buffers")
+          f"({grammar_calls} for two expression items) into shared tail buffers,",
+          f"the first of six linked views evaluated {linked_calls} spans, the other five 0")
     return 0
 
 

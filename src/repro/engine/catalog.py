@@ -24,7 +24,9 @@ from repro import settings
 from repro.engine import delta as deltamod
 from repro.engine import shards as shardsmod
 from repro.engine.delta import DeltaStore
+from repro.engine.expressions import Expression
 from repro.engine.optimizer import optimize_plan
+from repro.engine.parallel import ScanMemo, SelectionMemo
 from repro.engine.planner import Plan, Template, bind_statement, plan_statement
 from repro.engine.sql.lexer import Token, shape, tokenize
 from repro.engine.sql.parser import parse, parse_statement
@@ -66,11 +68,14 @@ class _TableState:
     the main, zone maps included, and is None until someone asks;
     ``layout`` is the shard layout clustering the main, or None;
     ``indexes`` maps a column to its secondary index, whose positions
-    are main row positions.  :meth:`Database._install` is the only
-    writer of ``main``, ``version`` and ``delta``.
+    are main row positions; ``selections`` keeps the span selections
+    zone-gated scans evaluated, valid for one ``(version, delta.version,
+    settings generation)`` (:meth:`Database.selection_memo`).
+    :meth:`Database._install` is the only writer of ``main``, ``version``
+    and ``delta``.
     """
 
-    __slots__ = ("main", "version", "delta", "stats", "layout", "indexes")
+    __slots__ = ("main", "version", "delta", "stats", "layout", "indexes", "selections")
 
     def __init__(self, main: Table) -> None:
         self.main = main
@@ -79,6 +84,7 @@ class _TableState:
         self.stats: TableStatistics | None = None
         self.layout: shardsmod.ShardLayout | None = None
         self.indexes: dict[str, RangeIndex] = {}
+        self.selections = SelectionMemo()
 
 
 def _layout_spec(layout: shardsmod.ShardLayout | None) -> tuple | None:
@@ -696,6 +702,15 @@ class Database:
         """Main rows plus pending delta inserts (the post-merge size)."""
         state = self._tables[name]
         return state.main.num_rows + state.delta.pending_inserts
+
+    def selection_memo(self, name: str, predicate: Expression) -> ScanMemo:
+        """A zone-gated scan's handle on the table's selection memo for
+        ``predicate``: what earlier scans of the same predicate evaluated
+        is reused while the table's data version, its delta version and
+        the settings generation all stay what they were."""
+        state = self._state(name)
+        epoch = (state.version, state.delta.version, settings.generation)
+        return state.selections.scan(epoch, predicate.key(), state.main.num_rows)
 
     def table_version(self, name: str) -> int:
         """The table's monotonic data version, moved by every install that changes rows."""

@@ -264,7 +264,10 @@ def _execute_scan(
     One route, two runners: a shard layout of the clean main makes one
     task per shard, otherwise one task per span; either runs on the pool
     when :func:`parallel.should_parallelize` says so, else as a governed
-    loop on this thread.
+    loop on this thread.  A classified scan outside the reference
+    configuration (``optimizer=0``) reads and fills the table's
+    selection memo, so a WHERE an earlier scan evaluated in the same
+    epoch is not evaluated again.
     """
     store = database.delta_store_if_dirty(node.table)
     main = database.main_table(node.table)
@@ -307,13 +310,21 @@ def _execute_scan(
         main, live_main, ranges, layout = main.take(picked), None, None, None
     if layout is not None and layout.total_rows != main.num_rows:
         layout = None
+    memo = None
+    if ranges is not None and settings.current.optimizer:
+        memo = database.selection_memo(node.table, predicate)
     if fused is not None and profiler is not None:
         profiler.annotate("fused: filter + partial aggregate per morsel")
     if fused is None:
-        return parallel.streamed_filter(
-            main, predicate, ranges, live_main, tail, profiler=profiler, layout=layout
+        result = parallel.streamed_filter(
+            main, predicate, ranges, live_main, tail, profiler, layout, memo
         )
-    return parallel.fused_filter_aggregate(
-        main, predicate, fused.group_exprs, fused.aggregates, fused.group_names,
-        ranges, live_main, tail, profiler=profiler, layout=layout,
-    )
+    else:
+        result = parallel.fused_filter_aggregate(
+            main, predicate, fused.group_exprs, fused.aggregates, fused.group_names,
+            ranges, live_main, tail, profiler, layout, memo,
+        )
+    if profiler is not None and memo is not None and memo.tally[1]:
+        evaluated, reused = memo.tally
+        profiler.annotate(f"selection: {reused} of {evaluated} spans reused")
+    return result

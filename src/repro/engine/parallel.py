@@ -29,7 +29,12 @@ have performed:
   column.  The two scan runners :func:`streamed_filter` /
   :func:`fused_filter_aggregate` build their tasks in
   :func:`_span_tasks`: one per span, or over a shard layout one per
-  scheduled shard, its global spans in one task;
+  scheduled shard, its global spans in one task.  A zone-gated scan
+  also hands every task its table's :class:`SelectionMemo`: within one
+  table version, delta version and configuration a span's selection
+  under a predicate is one fixed array, so linked views repeating a
+  WHERE evaluate it once, and the filter kernel is the one place that
+  reads and fills the memo on every route;
 - aggregation computes a columnar partial per task — the groups' key
   columns of the task's gathered rows in first-appearance order and one
   column per aggregate — with the serial group kernel
@@ -68,6 +73,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -290,24 +296,137 @@ def _filter_spans(
     spans: Sequence[Span],
     live: np.ndarray | None,
     predicate: Expression | None,
+    memo: "ScanMemo | None" = None,
 ) -> np.ndarray:
     """The filter-span kernel: the task's *selection* — the ascending
     positions of ``table`` whose rows survive its spans.
 
     A span covering the whole table is not sliced to evaluate.  Masks are
     row-local, so ``table.take(selection)`` is exactly
-    ``table.filter(truth_mask & live)``; no column is copied here.
+    ``table.filter(truth_mask & live)``; no column is copied here.  With
+    a ``memo`` (a zone-gated scan's, see :class:`SelectionMemo`) an
+    evaluated span's run is read from it when an earlier scan of the same
+    predicate in the same epoch kept one, and kept in it otherwise — the
+    one place every route, serial or pooled, main, shard or delta tail,
+    reuses a selection.
     """
     runs = []
     for start, stop, evaluate in spans:
-        whole = start == 0 and stop == table.num_rows
-        mask = None
-        if evaluate:
-            mask = truth_mask(predicate, table if whole else table.slice(start, stop))
-        if live is not None:
-            mask = live[start:stop] if mask is None else mask & live[start:stop]
-        runs.append(np.arange(start, stop) if mask is None else np.flatnonzero(mask) + start)
+        run = memo.get(start, stop) if evaluate and memo is not None else None
+        if run is None:
+            whole = start == 0 and stop == table.num_rows
+            mask = None
+            if evaluate:
+                mask = truth_mask(predicate, table if whole else table.slice(start, stop))
+            if live is not None:
+                mask = live[start:stop] if mask is None else mask & live[start:stop]
+            run = np.arange(start, stop) if mask is None else np.flatnonzero(mask) + start
+            if evaluate and memo is not None:
+                memo.keep(start, stop, run)
+        runs.append(run)
     return runs[0] if len(runs) == 1 else np.concatenate(runs)
+
+
+# -- the selection memo --------------------------------------------------------------
+
+#: predicates a table's :class:`SelectionMemo` keeps, least recently scanned
+#: dropped first
+MEMO_PREDICATES = 4
+
+
+class SelectionMemo:
+    """A table's evaluated span selections, kept for the next scan.
+
+    Linked views fan one gesture out into scans that repeat a WHERE.
+    Within one *epoch* — the table's data version, its delta version and
+    the settings generation — a span's selection under a predicate is a
+    fixed array, so it is computed once.  Per predicate key the memo
+    holds *runs*: ``(source, start, stop)`` → the positions
+    :func:`_filter_spans` kept of that evaluated span, the source being
+    ``"main"`` or ``"tail"`` (the live delta tail).  A scan in any other
+    epoch clears it whole.  It keeps :data:`MEMO_PREDICATES` predicates
+    and never more positions than the epoch's ``capacity`` (the main's
+    row count): a run that does not fit once every other predicate is
+    gone is not kept.  Pooled tasks fill it, so it is locked.
+    """
+
+    __slots__ = ("_lock", "_epoch", "_capacity", "_entries", "_positions")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._epoch: tuple | None = None
+        self._capacity = 0
+        self._entries: OrderedDict[tuple, dict[tuple, np.ndarray]] = OrderedDict()
+        self._positions = 0
+
+    def scan(self, epoch: tuple, key: tuple, capacity: int) -> "ScanMemo":
+        """The handle one scan of the predicate ``key`` reads and fills."""
+        with self._lock:
+            if epoch != self._epoch:
+                self._epoch, self._capacity = epoch, capacity
+                self._entries.clear()
+                self._positions = 0
+            runs = self._entries.pop(key, {})
+            self._entries[key] = runs
+            while len(self._entries) > MEMO_PREDICATES:
+                self._drop(next(iter(self._entries)))
+        return ScanMemo(self, key, runs)
+
+    def _drop(self, key: tuple) -> None:
+        self._positions -= sum(len(run) for run in self._entries.pop(key).values())
+
+    def _reuse(self, scan: "ScanMemo", span: tuple) -> np.ndarray | None:
+        with self._lock:
+            scan.tally[0] += 1
+            run = scan.runs.get(span)
+            if run is not None:
+                scan.tally[1] += 1
+                get_registry().counter("scan.spans_reused").inc()
+        return run
+
+    def _keep(self, scan: "ScanMemo", span: tuple, run: np.ndarray) -> None:
+        with self._lock:
+            if self._entries.get(scan.key) is not scan.runs or span in scan.runs:
+                return  # another thread's scan dropped the entry or kept the span
+            for other in [key for key in self._entries if key != scan.key]:
+                if self._positions + len(run) <= self._capacity:
+                    break
+                self._drop(other)
+            if self._positions + len(run) <= self._capacity:
+                run.flags.writeable = False  # handed to every later scan as is
+                scan.runs[span] = run
+                self._positions += len(run)
+
+
+class ScanMemo:
+    """One scan's handle on its predicate's runs in a :class:`SelectionMemo`,
+    for one source (:meth:`on` is the same scan's handle for another)."""
+
+    __slots__ = ("memo", "key", "runs", "source", "tally")
+
+    def __init__(
+        self,
+        memo: SelectionMemo,
+        key: tuple,
+        runs: dict[tuple, np.ndarray],
+        source: str = "main",
+        tally: list[int] | None = None,
+    ) -> None:
+        self.memo, self.key, self.runs, self.source = memo, key, runs, source
+        #: the scan's ``[evaluated spans, reused spans]``, over all its sources
+        self.tally = [0, 0] if tally is None else tally
+
+    def on(self, source: str) -> "ScanMemo":
+        """The same scan's handle for ``source``."""
+        return ScanMemo(self.memo, self.key, self.runs, source, self.tally)
+
+    def get(self, start: int, stop: int) -> np.ndarray | None:
+        """The kept run of span ``[start, stop)``, or None."""
+        return self.memo._reuse(self, (self.source, start, stop))
+
+    def keep(self, start: int, stop: int, run: np.ndarray) -> None:
+        """Offer the evaluated run of span ``[start, stop)`` to the memo."""
+        self.memo._keep(self, (self.source, start, stop), run)
 
 
 def gather(
@@ -337,8 +456,10 @@ def _span_tasks(
     tail: Table | None,
     profiler: PlanProfiler | None = None,
     layout: shards.ShardLayout | None = None,
+    memo: ScanMemo | None = None,
 ) -> tuple[list[tuple], bool]:
-    """``(tasks, pooled)`` of a scan: one task per span, or per shard.
+    """``(tasks, pooled)`` of a scan: one ``(source, spans, live, memo)``
+    task per span, or per shard.
 
     ``ranges`` of None is an unclassified scan — one evaluate-span over
     the whole table.  The scan fans out when the spans cover enough rows
@@ -352,7 +473,8 @@ def _span_tasks(
     survives keeps one empty span, so the kernels still produce the
     empty result (and a global aggregate its one row) without evaluating
     the predicate.  A pooled scan's task count is annotated on
-    ``profiler``.
+    ``profiler``.  A zone-gated scan's ``memo`` goes into every task,
+    bound to the task's source.
     """
     if layout is not None:
         groups, rows = shards.schedule(layout, ranges, profiler)
@@ -368,10 +490,10 @@ def _span_tasks(
                 for cut in range(start, stop, size)
             ]
         groups = [[span] for span in spans]
-    tasks: list[tuple] = [(table, group, extra_mask) for group in groups]
+    tasks: list[tuple] = [(table, group, extra_mask, memo) for group in groups]
     if tail is not None and tail.num_rows:
-        tasks.append((tail, [(0, tail.num_rows, True)], None))
-    tasks = tasks or [(table, [(0, 0, False)], None)]
+        tasks.append((tail, [(0, tail.num_rows, True)], None, memo and memo.on("tail")))
+    tasks = tasks or [(table, [(0, 0, False)], None, None)]
     if pooled:
         note_fanout(profiler, len(tasks), unit)
     return tasks, pooled
@@ -384,7 +506,11 @@ def _filter_tasks(
     columns: Sequence[str] | None = None,
 ) -> Table:
     """Run the filter-span kernel over ``tasks`` and gather once per source."""
-    selections = _run_tasks(_filter_spans, [task + (predicate,) for task in tasks], pooled)
+    selections = _run_tasks(
+        _filter_spans,
+        [(source, spans, live, predicate, memo) for source, spans, live, memo in tasks],
+        pooled,
+    )
     return gather(zip([task[0] for task in tasks], selections), columns)
 
 
@@ -396,6 +522,7 @@ def streamed_filter(
     tail: Table | None = None,
     profiler: PlanProfiler | None = None,
     layout: shards.ShardLayout | None = None,
+    memo: ScanMemo | None = None,
 ) -> Table:
     """Filter by streaming classified spans — skipped rows are never read.
 
@@ -404,14 +531,15 @@ def streamed_filter(
     for an unclassified scan.  ``extra_mask`` (full-table length) is
     ANDed in per span, used by the delta store to drop main-side
     tombstones; ``tail`` holds the delta's live pending rows; a
-    ``layout`` of ``table`` makes one task per scheduled shard.
+    ``layout`` of ``table`` makes one task per scheduled shard; a
+    ``memo`` serves and keeps the evaluated spans' selections.
 
     Bit-identical to filtering ``table ++ tail`` by ``truth_mask &
     extra_mask``: the spans partition the surviving rows in ascending
     order and every mask comes from the same row-local kernel (serially
     or on the pool).
     """
-    tasks, pooled = _span_tasks(table, ranges, extra_mask, tail, profiler, layout)
+    tasks, pooled = _span_tasks(table, ranges, extra_mask, tail, profiler, layout, memo)
     return _filter_tasks(tasks, predicate, pooled)
 
 
@@ -478,6 +606,7 @@ def _fused_spans(
     group_exprs: Sequence[Expression],
     aggregates: Sequence[tuple[str, AggregateCall]],
     modes: Sequence[str],
+    memo: ScanMemo | None = None,
 ) -> _Partial:
     """The fused-span kernel: filter + partial aggregation of one task,
     without materialising the filtered table across tasks — its piece is
@@ -488,7 +617,7 @@ def _fused_spans(
     values and each row's group instead, and the merge evaluates it over
     the rows of all tasks.
     """
-    piece = gather([(table, _filter_spans(table, spans, live, predicate))], columns)
+    piece = gather([(table, _filter_spans(table, spans, live, predicate, memo))], columns)
     key_columns = [expr.evaluate(piece) for expr in group_exprs]
     order, starts, counts = ops.group_rows(key_columns, piece.num_rows)
     appearance = row_groups = None
@@ -577,10 +706,11 @@ def fused_filter_aggregate(
     tail: Table | None = None,
     profiler: PlanProfiler | None = None,
     layout: shards.ShardLayout | None = None,
+    memo: ScanMemo | None = None,
 ) -> Table:
     """Filter + hash aggregate fused per span (the FusedAggregate kernel).
 
-    ``ranges``, ``extra_mask``, ``tail`` and ``layout`` are as in
+    ``ranges``, ``extra_mask``, ``tail``, ``layout`` and ``memo`` are as in
     :func:`streamed_filter`; a GROUP BY over an in-memory input is this
     with no predicate and one PASS span over it.  Bit-identical to ``hash_aggregate(filter(
     table ++ tail, predicate), ...)``: the per-span filter masks
@@ -592,7 +722,7 @@ def fused_filter_aggregate(
     the full-table mask array and the columns only the predicate reads
     (:func:`_sink_columns`), each sink column taken once per source.
     """
-    tasks, pooled = _span_tasks(table, ranges, extra_mask, tail, profiler, layout)
+    tasks, pooled = _span_tasks(table, ranges, extra_mask, tail, profiler, layout, memo)
     with trace(
         "op.fused_filter_aggregate",
         rows=table.num_rows,
@@ -608,7 +738,10 @@ def fused_filter_aggregate(
         modes = _partial_modes(table, aggregates)
         results = _run_tasks(
             _fused_spans,
-            [task + (predicate, columns, group_exprs, aggregates, modes) for task in tasks],
+            [
+                (source, spans, live, predicate, columns, group_exprs, aggregates, modes, memo)
+                for source, spans, live, memo in tasks
+            ],
         )
         return _merge_partial_aggregates(
             results, group_exprs, aggregates, modes, group_names

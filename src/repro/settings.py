@@ -244,6 +244,9 @@ class Settings:
 #: the process-wide store
 current = Settings(os.environ)
 _lock = threading.Lock()
+#: advanced by every :func:`configure` and :func:`restore`, so a cache of
+#: work done under one configuration can tell it is stale; not a setting
+generation = 0
 
 
 def configure(**values: Any) -> None:
@@ -253,6 +256,7 @@ def configure(**values: Any) -> None:
         TypeError: for a keyword that is no row of :data:`SETTINGS`.
         ValueError: for a value its row's parser rejects.
     """
+    global generation
     unknown = sorted(values.keys() - ROWS.keys())
     if unknown:
         raise TypeError(f"unknown setting(s) {unknown}; expected some of {sorted(ROWS)}")
@@ -260,6 +264,7 @@ def configure(**values: Any) -> None:
         parsed = {name: ROWS[name].parse(name, raw) for name, raw in values.items()}
         for name, value in _derive(parsed).items():
             setattr(current, name, value)
+        generation += 1
 
 
 def snapshot() -> dict[str, Any]:
@@ -270,6 +275,8 @@ def snapshot() -> dict[str, Any]:
 
 def restore(saved: Mapping[str, Any]) -> None:
     """Put back what :func:`snapshot` returned."""
+    global generation
     with _lock:
         for name, value in saved.items():
             setattr(current, name, value)
+        generation += 1

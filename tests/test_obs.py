@@ -273,3 +273,21 @@ class TestExplainAnalyze:
         assert snapshot["counters"]["engine.queries"] == 1
         assert snapshot["counters"]["engine.queries_profiled"] == 1
         assert snapshot["timers"]["engine.query_time"]["count"] == 2
+
+
+class TestSelectionReuse:
+    def test_reused_spans_are_counted_and_annotated(self, registry) -> None:
+        settings.configure(zone_rows=16, optimizer=True, shards=0)
+        database = Database()
+        database.create_table("t", {"k": list(range(128)), "v": [i % 10 for i in range(128)]})
+        sql = "SELECT k FROM t WHERE k >= 20 AND k < 90 AND v > 3"
+        first = database.explain_analyze(sql).render()
+        assert "selection:" not in first
+        assert registry.counter("scan.spans_reused").value == 0
+        second = database.explain_analyze(sql).render()
+        reused = registry.counter("scan.spans_reused").value
+        assert reused == 5  # zones 1..5 of 8 are MAYBE: every one reused
+        assert f"selection: {reused} of {reused} spans reused" in second
+        database.execute("INSERT INTO t VALUES (200, 9)")  # a new epoch
+        assert "selection:" not in database.explain_analyze(sql).render()
+        assert registry.counter("scan.spans_reused").value == reused

@@ -82,7 +82,7 @@ class TestMorselRanges:
         table = Table.from_dict({"x": list(range(num_rows))})
         tasks, pooled = parallel._span_tasks(table, ranges, None, tail, layout=layout)
         return [
-            spans if source is table else ("tail", spans) for source, spans, _live in tasks
+            spans if source is table else ("tail", spans) for source, spans, _live, _memo in tasks
         ], pooled
 
     def test_covers_all_rows_without_overlap(self) -> None:
