@@ -24,6 +24,7 @@ from common import metrics_snapshot, print_table
 
 from repro import settings
 from repro.engine import expressions, parallel, planner
+from repro.engine import operators as ops
 from repro.engine.catalog import Database
 from repro.engine.column import Column
 from repro.engine.expressions import col
@@ -247,11 +248,11 @@ def check_no_group_gathers(n: int = 200_000) -> int:
 def check_scan_gathers_once(zone_rows: int = 4_096) -> int:
     """Guard the selection-vector gather with counts, not a clock: over a
     brush that straddles 4 zones, a fused GROUP BY takes each sink column
-    (``region``, ``price``) once per task source — once per scan serially,
-    once per task on the pool — and a plain filter takes each column it
-    outputs once per scan, serially and at threads=2; ``ts`` and ``qty``,
-    read only by the fused predicate, and ``product``, read by nothing,
-    are never taken.  The same holds again over 4 ``range(ts)`` shards,
+    (``region``, ``price``) once per task source, serially and on the
+    pool alike — the pool's tasks only select — and a plain filter takes
+    each column it outputs once per scan, serially and at threads=2;
+    ``ts`` and ``qty``, read only by the fused predicate, and ``product``,
+    read by nothing, are never taken.  The same holds again over 4 ``range(ts)`` shards,
     where the tasks are the scheduled shards.  Both answer what
     ``optimizer=0, zone_rows=0`` answers.  Returns the columns taken."""
     n = 8 * zone_rows
@@ -268,10 +269,12 @@ def check_scan_gathers_once(zone_rows: int = 4_096) -> int:
     statements = {  # SQL -> the main columns its scan gathers
         f"SELECT region, COUNT(*) AS n, SUM(price) AS revenue FROM t {where} GROUP BY region":
             ["price", "region"],
+        f"SELECT region, COUNT(*) AS n, MAX(price) AS top FROM t {where} GROUP BY region":
+            ["price", "region"],
         f"SELECT region, price FROM t {where}": ["price", "qty", "region", "ts"],
     }
     main: list[tuple[str, np.ndarray]] = []
-    local = threading.local()  # pooled tasks gather on worker threads
+    local = threading.local()  # takes outside the gather do not count
     taken: list[str] = []
     real_take, real_gather = Column.take, parallel.gather
 
@@ -287,7 +290,6 @@ def check_scan_gathers_once(zone_rows: int = 4_096) -> int:
         finally:
             local.gathering = False
 
-    morsels = get_registry().counter("parallel.morsels")
     total = 0
     saved = settings.snapshot()
     try:
@@ -306,14 +308,12 @@ def check_scan_gathers_once(zone_rows: int = 4_096) -> int:
                     assert "zones: 4 pruned, 0 passed of 8" in plan, sql
                     assert ("shards: 2 of 4 scheduled" in plan) == bool(shards), sql
                     taken.clear()
-                    before = morsels.value
                     Column.take, parallel.gather = take_spy, gather_spy
                     try:
                         got = db.sql(sql)
                     finally:
                         Column.take, parallel.gather = real_take, real_gather
-                    pooled_tasks = morsels.value - before if "GROUP BY" in sql else 0
-                    assert sorted(taken) == sorted(gathered * max(pooled_tasks, 1)), (
+                    assert sorted(taken) == sorted(gathered), (
                         f"shards={shards} threads={threads}: {len(taken)} column takes, "
                         f"{sorted(set(taken))}: {sql}"
                     )
@@ -850,6 +850,74 @@ def check_linked_views_share_selections(zone_rows: int = 4_096) -> int:
     return maybe
 
 
+def check_pooled_float_aggregate_groups_once(n: int = 200_000) -> int:
+    """Guard the pooled aggregate route with counts, not a clock: over 2
+    ``range(ts)`` shards at threads=2, with a brush over both, a ``COUNT(*)
+    + SUM(price)`` GROUP BY runs one batch of the 2 shard tasks' filters
+    and groups once on the calling thread — 1 ``operators.group_rows``
+    and 1 ``group_ids`` call — and so does a ``COUNT(*) + MIN(price)``
+    GROUP BY.  Both answer what threads=0 answers (no NaN, no zero sum:
+    equal floats are equal bits).  Returns the float aggregate's
+    ``group_rows`` calls."""
+    rng = np.random.default_rng(2)
+    db = Database()
+    db.create_table("t", {
+        "ts": list(range(n)),
+        "region": [f"region_{i:02d}" for i in rng.integers(0, 12, n)],
+        "price": np.round(rng.gamma(2.0, 20.0, n), 4).tolist(),
+    })
+    where = f"WHERE ts >= {n // 10} AND ts < {9 * n // 10}"
+    statements = {  # SQL -> (group_rows, group_ids) calls on the pool
+        f"SELECT region, COUNT(*) AS n, SUM(price) AS revenue FROM t {where} GROUP BY region":
+            (1, 1),
+        f"SELECT region, COUNT(*) AS n, MIN(price) AS low FROM t {where} GROUP BY region":
+            (1, 1),
+    }
+    calls = {"group_rows": [], "group_ids": []}
+    groupings = []  # group_rows calls per statement
+    real = {name: getattr(ops, name) for name in calls}
+    lock = threading.Lock()
+
+    def spy(name):
+        def counted(*args):
+            with lock:
+                calls[name].append(None)
+            return real[name](*args)
+        return counted
+
+    registry = get_registry()
+    fanout = [registry.counter("parallel.batches"), registry.counter("parallel.morsels")]
+    saved = settings.snapshot()
+    try:
+        settings.configure(shard_index=False, faults="off")  # no index serves the brush
+        db.apply_sharding("t", 2, shard_by="range(ts)")
+        for sql, want in statements.items():
+            settings.configure(threads=0)
+            serial = db.sql(sql)
+            settings.configure(threads=2, min_parallel_rows=2)
+            for lists in calls.values():
+                lists.clear()
+            before = [counter.value for counter in fanout]
+            for name in calls:
+                setattr(ops, name, spy(name))
+            try:
+                pooled = db.sql(sql)
+            finally:
+                for name in calls:
+                    setattr(ops, name, real[name])
+            got = (len(calls["group_rows"]), len(calls["group_ids"]))
+            groupings.append(got[0])
+            assert got == want, f"{got} (group_rows, group_ids) calls, want {want}: {sql}"
+            ran = [counter.value - b for counter, b in zip(fanout, before)]
+            assert ran == [1, 2], f"{ran} (batches, tasks), want one batch of 2: {sql}"
+            assert pooled.schema == serial.schema, sql
+            assert list(pooled.rows()) == list(serial.rows()), f"differs from threads=0: {sql}"
+    finally:
+        settings.restore(saved)
+        parallel.shutdown_pool()
+    return groupings[0]
+
+
 def main() -> int:
     keepalive = run_workload()
     views_ratio = check_views_run_on_group_kernel()
@@ -866,6 +934,7 @@ def main() -> int:
     template_hits = check_plan_templates()
     grammar_calls = check_values_skip_the_grammar()
     linked_calls = check_linked_views_share_selections()
+    float_groupings = check_pooled_float_aggregate_groups_once()
     snapshot = json.loads(metrics_snapshot())
     assert keepalive is not None
 
@@ -893,7 +962,7 @@ def main() -> int:
           f"{sorted_rows}-row ORDER BY at threads=2 ran 0 batches and 0 shard tasks,",
           f"straddling/in-zone group-by {straddle_ratio:.2f}x,",
           f"{gather_free_rows} rows grouped with no per-group gather,",
-          f"{columns_taken} column takes over 8 straddling-brush scans, 4 sharded "
+          f"{columns_taken} column takes over 12 straddling-brush scans, 6 sharded "
           "(one per sink column per task source),",
           f"{join_zones_pruned} zones of a join's right table pruned,",
           f"indexed / unindexed 1 % GROUP BY {index_speedup:.1f}x faster,",
@@ -904,7 +973,8 @@ def main() -> int:
           f"{template_hits} of 500 fresh-literal statements re-bound a plan template,",
           f"a 250-row VALUES batch parsed with 0 expression-grammar calls "
           f"({grammar_calls} for two expression items) into shared tail buffers,",
-          f"the first of six linked views evaluated {linked_calls} spans, the other five 0")
+          f"the first of six linked views evaluated {linked_calls} spans, the other five 0,",
+          f"{float_groupings} group_rows call for a pooled float SUM over 2 shard tasks")
     return 0
 
 

@@ -18,7 +18,7 @@ spans, live mask)`` tasks (:mod:`repro.engine.parallel`: one task per
 span, or per shard over a shard layout; on the worker pool or as a
 governed loop on this thread),
 **gather once** (filtered pieces concatenate keeping their shared
-dictionary; a fused aggregate merges partials instead).  Pending writes
+dictionary; a fused aggregate takes only the columns it reads).  Pending writes
 are a trailing tail task plus a live-mask over the main, and a
 memory-mapped main differs only in that the bytes its surviving spans
 cover are counted.  Above the scan each operator has one serial kernel
@@ -259,8 +259,8 @@ def _execute_scan(
     a live-mask over the main (a clean table has neither), so zone maps,
     index positions and shard extents stay aligned to main row positions;
     rows an index picks are instead the source, as one unclassified span.
-    ``fused`` makes the sink a partial aggregation instead of a gather
-    of the filtered rows — the filtered table is never materialised.
+    ``fused`` makes the sink one aggregation over the gathered columns
+    it reads — the filtered table is never materialised.
     One route, two runners: a shard layout of the clean main makes one
     task per shard, otherwise one task per span; either runs on the pool
     when :func:`parallel.should_parallelize` says so, else as a governed

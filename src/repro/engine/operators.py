@@ -384,14 +384,14 @@ def _match_join_keys(
 
 # -- aggregation ------------------------------------------------------------------------
 #
-# One group kernel serves the serial operator, the fused-span partials and
-# the partial merge (:mod:`repro.engine.parallel`): :func:`group_rows` sorts
+# One group kernel serves every grouped aggregation, serial or after a
+# pooled scan (:mod:`repro.engine.parallel`): :func:`group_rows` sorts
 # the rows into group order once, :func:`aggregate_groups` reduces each
 # aggregate over that order, :func:`grouped_output` builds the result table
 # from arrays.  DESIGN.md, "Grouped aggregation kernel".
 
-#: below this many combined ids the stable argsort runs over uint16, where
-#: numpy's stable sort is a radix sort
+#: up to this many combined ids the stable argsort runs over uint16 (over
+#: uint8 up to 256), where numpy's stable sort is a radix sort
 _RADIX_SORT_IDS = 1 << 16
 
 #: ``(order, starts, counts)``: see :func:`group_ids`
@@ -442,8 +442,8 @@ def group_ids(ids: np.ndarray, space: int) -> Grouping:
     """Rows with ids below ``space`` sorted into groups: ``(order, starts,
     counts)`` with ``order[starts[g] : starts[g] + counts[g]]`` the rows of
     the group with the ``g``-th smallest id, ascending."""
-    if space <= _RADIX_SORT_IDS:
-        ids = ids.astype(np.uint16, copy=False)
+    if space <= _RADIX_SORT_IDS:  # a stable sort's permutation is one, whatever the width
+        ids = ids.astype(np.uint8 if space <= 1 << 8 else np.uint16, copy=False)
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
     leads = np.ones(len(ids), dtype=bool)  # the first row of each group

@@ -36,8 +36,8 @@ Single-shot passes (after the fixpoint):
    :mod:`repro.engine.statistics`;
 6. **filter+aggregate fusion** — ``Aggregate -> Scan(filter)`` becomes a
    :class:`~repro.engine.planner.FusedAggregateNode`, whose executor
-   pipeline evaluates the predicate and the partial aggregation morsel
-   by morsel without materialising the filtered table;
+   pipeline evaluates the predicate morsel by morsel and aggregates
+   the surviving rows without materialising the filtered table;
 7. **Top-N** — ``Limit -> Sort`` and ``Limit -> Project -> Sort`` become
    a :class:`~repro.engine.planner.TopNNode` (below the row-local
    projection), which sorts only the rows that can reach the first

@@ -1,13 +1,13 @@
 """Morsel-driven parallel query execution.
 
 A scan's spans are cut into row *morsels* of at most ``morsel_rows``
-rows (Leis et al., SIGMOD'14) and its span kernels — predicate
-evaluation into a row selection, and a fused aggregate's per-task
-partial grouping — run across a shared ``concurrent.futures`` worker
-pool.  That is the only pooled route: a residual filter or a GROUP BY
-over an in-memory input runs as a scan of it (one unclassified span, or
-one PASS span with nothing to evaluate), and a sort is one serial kernel
-on the calling thread whatever produced its input.  The kernels are
+rows (Leis et al., SIGMOD'14) and its span kernel — predicate
+evaluation into a row selection — runs across a shared
+``concurrent.futures`` worker pool.  That is the only pooled route: a
+residual filter or a GROUP BY over an in-memory input runs as a scan of
+it (one unclassified span, or one PASS span with nothing to evaluate),
+and an aggregation or a sort is one serial kernel on the calling thread
+whatever produced its input.  The kernels are
 numpy-heavy and release the GIL, so the pool is a thread pool and a task
 is an ordinary call over the scan's own tables.
 
@@ -16,9 +16,8 @@ bit-identical results.**  Every kernel is organised so that the final
 combining step performs exactly the arithmetic the serial operator would
 have performed:
 
-- predicate scans run two *span kernels* — :func:`_filter_spans` and
-  :func:`_fused_spans` (filter + partial aggregation) — over ``(table,
-  spans, live mask)`` tasks.  The filter kernel returns a *selection*:
+- predicate scans run one *span kernel*, :func:`_filter_spans`, over
+  ``(table, spans, live mask)`` tasks.  It returns a *selection*:
   the ascending row positions of its source that survive, copying no
   column.  :func:`gather` then takes each sink column once per source
   (the main, and a delta tail), a contiguous run as a zero-copy slice:
@@ -35,19 +34,11 @@ have performed:
   under a predicate is one fixed array, so linked views repeating a
   WHERE evaluate it once, and the filter kernel is the one place that
   reads and fills the memo on every route;
-- aggregation computes a columnar partial per task — the groups' key
-  columns of the task's gathered rows in first-appearance order and one
-  column per aggregate — with the serial group kernel
-  (:func:`~repro.engine.operators.group_rows`), and merges by running
-  that kernel again over the concatenated partial keys.
-  COUNT(*)/COUNT(x) and integer SUM partials recombine as a SUM over the
-  merged groups (integer addition is exact), MIN/MAX partials as MIN/MAX
-  (exact, NaN-propagating).  Float SUM/AVG and DISTINCT aggregates are
-  *gather* mode: a task ships its evaluated argument column and each
-  row's group, and the merge evaluates the serial aggregate over all
-  tasks' rows sorted into
-  merged-group order — ascending within a group, so numpy's pairwise
-  summation rounds as it does serially.
+- a fused aggregate, pooled or not, gathers its tasks' selections once
+  and runs :func:`~repro.engine.operators.hash_aggregate` once on the
+  calling thread — the serial operator's input and arithmetic, so
+  numpy's pairwise float summation rounds as it does serially and a
+  DISTINCT aggregate sees all its group's rows.  The pool only selects.
 
 One rule decides pooling: a scan pools when the rows its tasks cover
 reach ``min_parallel_rows`` (:func:`should_parallelize`).  Below it the
@@ -75,18 +66,16 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro import settings
 from repro.engine import operators as ops
 from repro.engine import shards
-from repro.engine.column import Column, concat_columns
 from repro.engine.expressions import Expression, truth_mask
 from repro.engine.sql.ast import AggregateCall, OrderItem
 from repro.engine.table import Table, concat_tables
-from repro.engine.types import DataType
 from repro.errors import ExecutionError, ResourceError
 from repro.obs.metrics import get_registry
 from repro.obs.profile import PlanProfiler
@@ -545,33 +534,6 @@ def streamed_filter(
 
 # -- aggregation ---------------------------------------------------------------------
 
-#: Partial-state modes; see module docstring for the recombination rules.
-_MODE_COUNT_STAR = "count_star"
-_MODE_COUNT = "count"
-_MODE_MINMAX = "minmax"
-_MODE_SUM_INT = "sum_int"
-_MODE_GATHER = "gather"
-
-
-def _partial_modes(
-    table: Table, aggregates: Sequence[tuple[str, AggregateCall]]
-) -> list[str]:
-    modes, schema = [], table.schema
-    for _, call in aggregates:
-        if call.argument is None:
-            modes.append(_MODE_COUNT_STAR)
-        elif call.distinct:
-            modes.append(_MODE_GATHER)
-        elif call.function == "COUNT":
-            modes.append(_MODE_COUNT)
-        elif call.function in ("MIN", "MAX"):
-            modes.append(_MODE_MINMAX)
-        elif call.function == "SUM" and call.argument.output_type(schema) is not DataType.FLOAT64:
-            modes.append(_MODE_SUM_INT)
-        else:  # float SUM, AVG: keep the rows to preserve pairwise summation
-            modes.append(_MODE_GATHER)
-    return modes
-
 
 def _sink_columns(
     table: Table,
@@ -582,117 +544,6 @@ def _sink_columns(
     one at least, so the row count survives a COUNT(*)-only sink."""
     read = ops.aggregate_columns(group_exprs, aggregates)
     return [n for n in table.column_names if n in read] or list(table.column_names[:1])
-
-
-class _Partial(NamedTuple):
-    """One task's partial aggregation, groups in first-appearance order."""
-
-    keys: list[Column]
-    #: per aggregate its partial column — in gather mode the task's
-    #: evaluated argument column, one value per *row*, instead
-    columns: list[Column | None]
-    #: per row its group's index into ``keys``; only with keys and a
-    #: gather-mode aggregate
-    row_groups: np.ndarray | None
-    num_groups: int
-
-
-def _fused_spans(
-    table: Table,
-    spans: Sequence[Span],
-    live: np.ndarray | None,
-    predicate: Expression | None,
-    columns: Sequence[str] | None,
-    group_exprs: Sequence[Expression],
-    aggregates: Sequence[tuple[str, AggregateCall]],
-    modes: Sequence[str],
-    memo: ScanMemo | None = None,
-) -> _Partial:
-    """The fused-span kernel: filter + partial aggregation of one task,
-    without materialising the filtered table across tasks — its piece is
-    the sink columns gathered from the task's selection.
-
-    The serial group kernel run over the piece is an exact partial for
-    every mode but gather; a gather-mode aggregate ships its argument
-    values and each row's group instead, and the merge evaluates it over
-    the rows of all tasks.
-    """
-    piece = gather([(table, _filter_spans(table, spans, live, predicate, memo))], columns)
-    key_columns = [expr.evaluate(piece) for expr in group_exprs]
-    order, starts, counts = ops.group_rows(key_columns, piece.num_rows)
-    appearance = row_groups = None
-    if key_columns:
-        first_rows, appearance = ops.first_appearance(order, starts)
-        key_columns = [key.take(first_rows) for key in key_columns]
-        if _MODE_GATHER in modes:
-            position = np.argsort(appearance).astype(np.int32)  # its inverse
-            row_groups = ops.row_group_ids(order, counts, position)
-    partials: list[Column | None] = []
-    for (_, call), mode in zip(aggregates, modes):
-        column = None if call.argument is None else call.argument.evaluate(piece)
-        if mode != _MODE_GATHER:
-            column = ops.aggregate_groups(call.function, False, column, order, starts, counts)
-            if appearance is not None:
-                column = column.take(appearance)
-        partials.append(column)
-    return _Partial(key_columns, partials, row_groups, len(counts))
-
-
-#: how partial columns recombine: counts and integer sums add, MIN/MAX fold
-_MERGE_FUNCTION = {"COUNT": "SUM", "SUM": "SUM", "MIN": "MIN", "MAX": "MAX"}
-
-
-def _merge_partial_aggregates(
-    partials: Sequence[_Partial],
-    group_exprs: Sequence[Expression],
-    aggregates: Sequence[tuple[str, AggregateCall]],
-    modes: Sequence[str],
-    group_names: Sequence[str] | None,
-) -> Table:
-    """Merge the fused-span kernel's partial groups into the final table.
-
-    ``partials`` holds each task's partial, tasks in ascending row order.
-    The group kernel runs again over the concatenated partial keys —
-    first appearance among them is first appearance among the rows — and
-    every partial column recombines as an aggregate over it.  Gather-mode
-    aggregates evaluate the serial kernel over all tasks' rows, regrouped
-    by merged group: the same values in the same order as serial
-    execution over the same input.
-    """
-    key_columns = [
-        concat_columns([partial.keys[j] for partial in partials])
-        for j in range(len(group_exprs))
-    ]
-    sizes = [partial.num_groups for partial in partials]
-    order, starts, counts = ops.group_rows(key_columns, sum(sizes))
-    row_grouping = None  # all spans' rows by merged group; the global group needs none
-    if key_columns and _MODE_GATHER in modes:
-        merged_group = ops.row_group_ids(order, counts)  # of each partial row
-        offsets = np.cumsum(sizes) - sizes
-        row_grouping = ops.group_ids(
-            np.concatenate([
-                merged_group[offset + partial.row_groups]
-                for offset, partial in zip(offsets, partials)
-            ]),
-            len(counts),
-        )
-    columns = []
-    for i, ((_, call), mode) in enumerate(zip(aggregates, modes)):
-        column = concat_columns([partial.columns[i] for partial in partials])
-        if mode != _MODE_GATHER:
-            merged = ops.aggregate_groups(
-                _MERGE_FUNCTION[call.function], False, column, order, starts, counts
-            )
-        else:
-            merged = ops.aggregate_groups(
-                call.function, call.distinct, column,
-                *(row_grouping or ops.group_rows((), len(column))),
-            )
-        columns.append(merged)
-    names = ops.group_output_names(group_exprs, group_names)
-    return ops.grouped_output(
-        names + [name for name, _ in aggregates], key_columns, columns, order, starts
-    )
 
 
 def fused_filter_aggregate(
@@ -712,15 +563,14 @@ def fused_filter_aggregate(
 
     ``ranges``, ``extra_mask``, ``tail``, ``layout`` and ``memo`` are as in
     :func:`streamed_filter`; a GROUP BY over an in-memory input is this
-    with no predicate and one PASS span over it.  Bit-identical to ``hash_aggregate(filter(
-    table ++ tail, predicate), ...)``: the per-span filter masks
-    concatenate to the serial mask.  On the worker pool each span
-    evaluates the predicate and its partial aggregation in one pass and
-    the merge is exactly :func:`_merge_partial_aggregates`; serially,
-    the spans' selections gather into one aggregation pass — the same
-    rows the unfused filter would materialise, minus the skipped zones,
-    the full-table mask array and the columns only the predicate reads
-    (:func:`_sink_columns`), each sink column taken once per source.
+    with no predicate and one PASS span over it.  Bit-identical to
+    ``hash_aggregate(filter(table ++ tail, predicate), ...)``: the spans'
+    selections gather into one aggregation pass — the same rows the
+    unfused filter would materialise, minus the skipped zones, the
+    full-table mask array and the columns only the predicate reads
+    (:func:`_sink_columns`), each sink column taken once per source.  On
+    the worker pool the tasks run the filter kernel and the calling
+    thread still runs that one pass.
     """
     tasks, pooled = _span_tasks(table, ranges, extra_mask, tail, profiler, layout, memo)
     with trace(
@@ -730,21 +580,9 @@ def fused_filter_aggregate(
         morsels=len(tasks),
     ):
         columns = _sink_columns(table, group_exprs, aggregates)
-        if not pooled:
-            return ops.hash_aggregate(
-                _filter_tasks(tasks, predicate, False, columns),
-                group_exprs, aggregates, group_names,
-            )
-        modes = _partial_modes(table, aggregates)
-        results = _run_tasks(
-            _fused_spans,
-            [
-                (source, spans, live, predicate, columns, group_exprs, aggregates, modes, memo)
-                for source, spans, live, memo in tasks
-            ],
-        )
-        return _merge_partial_aggregates(
-            results, group_exprs, aggregates, modes, group_names
+        return ops.hash_aggregate(
+            _filter_tasks(tasks, predicate, pooled, columns),
+            group_exprs, aggregates, group_names,
         )
 
 

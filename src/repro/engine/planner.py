@@ -177,8 +177,8 @@ class FusedAggregateNode(AggregateNode):
     """Filter+aggregate fused into one per-morsel pipeline.
 
     Produced by the optimizer from ``Aggregate -> Scan(filter)``: the
-    executor evaluates the scan predicate and the partial aggregation
-    morsel by morsel without materialising the filtered table in between,
+    executor evaluates the scan predicate morsel by morsel and aggregates
+    the surviving rows without materialising the filtered table in between,
     consulting the zone map to skip FAIL zones and wholesale-accept PASS
     zones.  Subclasses :class:`AggregateNode` (same fields, ``child`` is
     the :class:`ScanNode`) so shape-based consumers — graceful

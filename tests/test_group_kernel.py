@@ -327,10 +327,21 @@ def _zero_sign_inputs():
     ]), 0, []
 
 
+def _pooled_aggregate(table, spans, group_exprs, aggregates) -> Table:
+    """``fused_filter_aggregate`` at threads=2, one pool task per span of
+    ``spans`` (PASS spans, no predicate): one batch when any row is in."""
+    settings.configure(threads=2, morsel_rows=max(table.num_rows, 1), min_parallel_rows=1)
+    batches = get_registry().counter("parallel.batches")
+    before = batches.value
+    result = parallel.fused_filter_aggregate(table, None, group_exprs, aggregates, ranges=spans)
+    assert batches.value - before == (table.num_rows > 0)
+    return result
+
+
 @hypothesis_settings(max_examples=150, deadline=None)
 @given(_grouped_inputs())
 @example(_zero_sign_inputs())
-def test_kernel_equals_the_per_group_formulation(inputs):
+def test_kernel_equals_the_per_group_formulation(pool, inputs):
     table, num_keys, cuts = inputs
     group_exprs = [ex.ColumnRef(f"k{j}") for j in range(num_keys)]
     aggregates = [("n", AggregateCall("COUNT", None))] + [
@@ -339,19 +350,13 @@ def test_kernel_equals_the_per_group_formulation(inputs):
     ]
     want = spec_hash_aggregate(table, group_exprs, aggregates)
     tables_bit_identical(ops.hash_aggregate(table, group_exprs, aggregates), want)
-    # the same rows as partials of arbitrary spans, merged
+    # the same rows as pool tasks over arbitrary spans, grouped once
     bounds = [0, *cuts, table.num_rows]
     spans = [(start, stop, False) for start, stop in zip(bounds, bounds[1:])]
-    modes = parallel._partial_modes(table, aggregates)
-    partials = [
-        parallel._fused_spans(table, [span], None, None, None, group_exprs, aggregates, modes)
-        for span in spans
-    ]
-    merged = parallel._merge_partial_aggregates(partials, group_exprs, aggregates, modes, None)
-    tables_bit_identical(merged, want)
+    tables_bit_identical(_pooled_aggregate(table, spans, group_exprs, aggregates), want)
 
 
-def test_float_sums_keep_the_pairwise_order_on_long_groups():
+def test_float_sums_keep_the_pairwise_order_on_long_groups(pool):
     """Groups long enough for numpy's pairwise blocks (128) and unrolled
     lanes (8) to matter: a sequential ``reduceat`` differs in the last bits."""
     rng = np.random.default_rng(7)
@@ -369,15 +374,8 @@ def test_float_sums_keep_the_pairwise_order_on_long_groups():
     ]
     want = spec_hash_aggregate(table, group_exprs, aggregates)
     tables_bit_identical(ops.hash_aggregate(table, group_exprs, aggregates), want)
-    modes = parallel._partial_modes(table, aggregates)
-    partials = [
-        parallel._fused_spans(table, [(s, min(s + 1000, n), False)], None, None, None,
-                              group_exprs, aggregates, modes)
-        for s in range(0, n, 1000)
-    ]
-    tables_bit_identical(
-        parallel._merge_partial_aggregates(partials, group_exprs, aggregates, modes, None), want
-    )
+    spans = [(s, min(s + 1000, n), False) for s in range(0, n, 1000)]
+    tables_bit_identical(_pooled_aggregate(table, spans, group_exprs, aggregates), want)
 
 
 # -- satellite regressions ---------------------------------------------------------------

@@ -8,11 +8,15 @@ byte for byte, not just normalised values.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings as hypothesis_settings, strategies as st
 
 from repro import settings
 from repro.engine import Database, Table
+from repro.engine import operators as ops
 from repro.engine import parallel
 from repro.engine.shards import ShardLayout
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
@@ -324,6 +328,119 @@ class TestCallerHelps:
         assert all(b.result() for b in blockers)
         assert [i for i, _ in results] == list(range(5))  # results keep task order
         assert {tid for _, tid in results} == {threading.get_ident()}
+
+
+# -- pooled aggregates: partials only where they merge exactly -----------------------
+
+NAN = float("nan")
+#: zero signs, NaN, NULL and a magnitude that swamps the small values
+_FLOATS = [0.0, -0.0, NAN, 1.5, -2.25, 1e16, None]
+
+
+def _sharded_db(ys: list) -> Database:
+    """``t(ts, g, k, y)`` over 2 ``range(ts)`` shards of 64-row zones, at
+    threads=2 with no faults and no shard index, so a brush over both
+    shards is one pooled batch of 2 shard tasks on every CI leg."""
+    pin_defaults("delta_rows", "storage", "memory_budget_kb", "degrade", "plan_cache")
+    settings.configure(
+        threads=2, min_parallel_rows=2, zone_rows=64, shards=0, shard_index=False,
+        optimizer=True, faults="off",
+    )
+    n = len(ys)
+    db = Database()
+    db.create_table("t", {
+        "ts": list(range(n)),
+        "g": ["abc"[(i * 7) % 3] for i in range(n)],
+        "k": [(i * 5) % 11 - 5 for i in range(n)],
+        "y": ys,
+    })
+    db.apply_sharding("t", 2, shard_by="range(ts)")
+    return db
+
+
+def _pooled_run(db: Database, sql: str) -> tuple[Table, tuple[int, int]]:
+    """``sql`` with ``(parallel.batches, parallel.morsels)`` it recorded."""
+    registry = get_registry()
+    counters = [registry.counter("parallel.batches"), registry.counter("parallel.morsels")]
+    before = [counter.value for counter in counters]
+    result = db.sql(sql)
+    batches, morsels = (counter.value - b for counter, b in zip(counters, before))
+    return result, (batches, morsels)
+
+
+class TestPooledAggregates:
+    """A pooled fused aggregate runs the scan's filter tasks on the pool,
+    and the calling thread groups the gathered rows once, whatever the
+    aggregates: the serial operator's input and arithmetic."""
+
+    N = 2000
+    BRUSH = "WHERE ts >= 300 AND ts < 1700"  # over both shards
+
+    def _groupings(self, db: Database, sql: str, monkeypatch) -> tuple[Table, dict, tuple]:
+        """Run ``sql`` pooled, counting ``group_rows`` and ``group_ids`` calls
+        on every thread (``group_rows`` reaches ``group_ids`` by name too)."""
+        calls: dict[str, list] = {"group_rows": [], "group_ids": []}
+        lock = threading.Lock()
+
+        def spy(name, real):
+            def counted(*args):
+                with lock:
+                    calls[name].append(threading.get_ident())
+                return real(*args)
+            return counted
+
+        with monkeypatch.context() as patch:
+            for name in calls:
+                patch.setattr(ops, name, spy(name, getattr(ops, name)))
+            result, fanout = _pooled_run(db, sql)
+        return result, {name: len(seen) for name, seen in calls.items()}, fanout
+
+    def _db(self) -> Database:
+        return _sharded_db([_FLOATS[(i * 3) % len(_FLOATS)] for i in range(self.N)])
+
+    @pytest.mark.parametrize("select", [
+        "COUNT(*) AS n, SUM(y) AS s",
+        "COUNT(*) AS n, MIN(y) AS lo, SUM(k) AS sk",
+    ])
+    def test_groups_once_on_the_calling_thread(self, select, monkeypatch) -> None:
+        db = self._db()
+        sql = f"SELECT g, {select} FROM t {self.BRUSH} GROUP BY g"
+        pooled, calls, fanout = self._groupings(db, sql, monkeypatch)
+        assert calls == {"group_rows": 1, "group_ids": 1}  # once, on the calling thread
+        assert fanout == (1, 2)  # one batch of the two shard tasks
+        settings.configure(threads=0)
+        tables_bit_identical(pooled, db.sql(sql))
+
+
+_AGGREGATES = (
+    "COUNT(*)", "COUNT(y)", "SUM(y)", "AVG(y)", "MIN(y)", "MAX(y)", "SUM(k)",
+    "SUM(DISTINCT y)", "AVG(DISTINCT y)", "COUNT(DISTINCT y)", "MIN(DISTINCT k)",
+)
+
+
+@hypothesis_settings(max_examples=40, deadline=None)
+@given(
+    ys=st.lists(st.sampled_from(_FLOATS), min_size=130, max_size=260),
+    calls=st.lists(st.sampled_from(_AGGREGATES), min_size=1, max_size=4, unique=True),
+    grouped=st.booleans(),
+)
+@example(
+    ys=[0.0, -0.0, NAN, 1.5, -0.0, None, 0.0, NAN, -2.25, 1e16] * 16,
+    calls=["AVG(y)", "SUM(DISTINCT y)", "MIN(y)"],
+    grouped=True,
+)
+def test_pooled_aggregates_equal_serial(ys, calls, grouped) -> None:
+    """Any mix of aggregates over 2 pooled shard tasks equals threads=0
+    bit for bit."""
+    db = _sharded_db(ys)
+    select = ", ".join(f"{call} AS a{i}" for i, call in enumerate(calls))
+    sql = f"SELECT {'g, ' if grouped else ''}{select} FROM t WHERE ts >= 10 AND ts < {len(ys) - 10}"
+    sql += " GROUP BY g" if grouped else ""
+    pooled, fanout = _pooled_run(db, sql)
+    assert fanout == (1, 2)
+    settings.configure(threads=0)
+    tables_bit_identical(pooled, db.sql(sql))
+    parallel.shutdown_pool()
 
 
 # -- property-style corpus test -------------------------------------------------------
