@@ -295,7 +295,6 @@ def check_scan_gathers_once(zone_rows: int = 4_096) -> int:
     try:
         for shards in (0, 4):
             if shards:  # ts ascends, so the range layout keeps the main's rows
-                settings.configure(shard_index=False)  # no index serves the brush
                 db.apply_sharding("t", shards, shard_by="range(ts)")
             base = db.main_table("t")
             main[:] = [(name, base.column(name).data) for name in base.column_names]
@@ -889,7 +888,7 @@ def check_pooled_float_aggregate_groups_once(n: int = 200_000) -> int:
     fanout = [registry.counter("parallel.batches"), registry.counter("parallel.morsels")]
     saved = settings.snapshot()
     try:
-        settings.configure(shard_index=False, faults="off")  # no index serves the brush
+        settings.configure(faults="off")
         db.apply_sharding("t", 2, shard_by="range(ts)")
         for sql, want in statements.items():
             settings.configure(threads=0)
@@ -918,6 +917,56 @@ def check_pooled_float_aggregate_groups_once(n: int = 200_000) -> int:
     return groupings[0]
 
 
+def check_shard_key_brushes_prune_zones(n: int = 100_000, zone_rows: int = 4_096) -> int:
+    """Guard the sharded scan's one route with counts, not a clock: over
+    2 ``range(ts)`` and 2 ``hash(ts)`` in-memory shards, three rotating
+    ``ts`` brushes with ``GROUP BY region`` each prune zones
+    (``scan.zones_pruned`` moves), print a ``zones:`` and a ``shards:``
+    line and no ``index:`` line under EXPLAIN ANALYZE, and answer what
+    the unsharded table answers bit for bit (integer sums, so a hash
+    layout's row order changes no bit).  Returns the zones pruned."""
+    rng = np.random.default_rng(3)
+    data = {
+        "ts": list(range(n)),
+        "region": [f"region_{i:02d}" for i in rng.integers(0, 12, n)],
+        "qty": rng.integers(1, 11, n).tolist(),
+        "price": np.round(rng.gamma(2.0, 20.0, n), 4).tolist(),
+    }
+    brushes = [
+        "SELECT region, COUNT(*) AS n, SUM(qty) AS q, MAX(price) AS top FROM t "
+        f"WHERE ts >= {low} AND ts < {low + n // 10} GROUP BY region ORDER BY region"
+        for low in (n // 10, n // 2, 3 * n // 4)
+    ]
+    pruned = get_registry().counter("scan.zones_pruned")
+    total = 0
+    saved = settings.snapshot()
+    try:
+        settings.configure(zone_rows=zone_rows, shards=0, threads=0, faults="off")
+        plain = Database()
+        plain.create_table("t", data)
+        want = [plain.sql(sql) for sql in brushes]
+        for spec in ("range(ts)", "hash(ts)"):
+            db = Database()
+            db.create_table("t", data)
+            db.apply_sharding("t", 2, shard_by=spec)
+            for sql, expected in zip(brushes, want):
+                before = pruned.value
+                got = db.sql(sql)
+                assert pruned.value > before, f"{spec}: the brush pruned no zone: {sql}"
+                total += pruned.value - before
+                report = db.explain_analyze(sql).render()
+                assert "zones:" in report and "shards:" in report, f"{spec}: {report}"
+                assert "index:" not in report, f"{spec}: an index served the brush: {report}"
+                assert got.schema == expected.schema, sql
+                for name in got.column_names:
+                    assert got.column(name).validity is None and np.array_equal(
+                        got.column(name).data, expected.column(name).data
+                    ), f"{spec}: {name} differs from the unsharded table: {sql}"
+    finally:
+        settings.restore(saved)
+    return total
+
+
 def main() -> int:
     keepalive = run_workload()
     views_ratio = check_views_run_on_group_kernel()
@@ -935,6 +984,7 @@ def main() -> int:
     grammar_calls = check_values_skip_the_grammar()
     linked_calls = check_linked_views_share_selections()
     float_groupings = check_pooled_float_aggregate_groups_once()
+    shard_zones_pruned = check_shard_key_brushes_prune_zones()
     snapshot = json.loads(metrics_snapshot())
     assert keepalive is not None
 
@@ -974,7 +1024,8 @@ def main() -> int:
           f"a 250-row VALUES batch parsed with 0 expression-grammar calls "
           f"({grammar_calls} for two expression items) into shared tail buffers,",
           f"the first of six linked views evaluated {linked_calls} spans, the other five 0,",
-          f"{float_groupings} group_rows call for a pooled float SUM over 2 shard tasks")
+          f"{float_groupings} group_rows call for a pooled float SUM over 2 shard tasks,",
+          f"{shard_zones_pruned} zones pruned by 6 shard-key brushes with no index")
     return 0
 
 

@@ -171,7 +171,7 @@ class Shell:
             return table.pretty(limit=table.num_rows)
         if command == "shards":
             db = self.session.db
-            lines = [_settings_line("shards", "shard_by", "shard_min_rows", "shard_index")]
+            lines = [_settings_line("shards", "shard_by", "shard_min_rows")]
             for name in db.table_names():
                 layout = db.shard_layout(name)
                 if layout is None:

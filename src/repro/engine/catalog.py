@@ -340,14 +340,8 @@ class Database:
         next read completes what is missing (:meth:`_main_statistics`),
         so a main's statistics always equal a rebuild from scratch.
 
-        On every row: the partition-local crackers of a layout that lost
-        its (mode, key, shard count) go with it; a memory-mapped main
-        carries no partition-local cracker (building one, NaN scan
-        included, faults in every page and keeping one pins them, and
-        out-of-core scans must stay on the streamed path where pruning
-        skips reads and ``io.*`` is accounted); a layout gets the cracker on its shard key (re)built
-        when the column can back one; and the catalog version moves iff
-        the schema or that layout triple changed — an index picks rows at
+        On every row the catalog version moves iff the schema or the
+        layout's (mode, key, shard count) changed — an index picks rows at
         run time, so the index set is no part of a plan.
         """
         self._encode_strings(main)  # no-op for columns that carry codes already
@@ -377,12 +371,9 @@ class Database:
                 state.stats = deltamod.extend_statistics(state.stats, main)
             elif changed and state.stats is not None:
                 state.stats = state.stats.without(changed)
-            structural = relaid = _layout_spec(layout) != _layout_spec(state.layout)
-            for column, index in list(state.indexes.items()):
-                if moved or column in changed or (
-                    isinstance(index, shardsmod.ShardedCrackerIndex)
-                    and (relaid or main.is_mapped)
-                ):
+            structural = _layout_spec(layout) != _layout_spec(state.layout)
+            for column in list(state.indexes):
+                if moved or column in changed:
                     del state.indexes[column]
             if rebuilt:
                 state.delta = DeltaStore(main)
@@ -392,18 +383,6 @@ class Database:
             self._data_counter += 1
             state.version = self._data_counter
         state.main, state.layout = main, layout
-        if (
-            layout is not None
-            and settings.current.shard_index
-            and not main.is_mapped
-            and layout.key in main.schema
-            and layout.key not in state.indexes  # a surviving one is still truthful
-            and not state.delta.pending_inserts  # pending rows the new index never saw
-            and shardsmod.cracker_obstacle(main.column(layout.key)) is None
-        ):
-            state.indexes[layout.key] = shardsmod.ShardedCrackerIndex(
-                main.column(layout.key), layout
-            )
         if structural:
             self._bump_catalog()
 
@@ -658,26 +637,20 @@ class Database:
         whole predicate over them); no plan changes, so cached plans stay.
         Index positions refer to main row positions, so a pending delta
         is merged first — the index then describes exactly the table the
-        caller just observed via :meth:`get_table`.
-
-        On a sharded table the main was re-clustered when its layout was
-        applied, so positions in a caller-built index refer to a row
-        order that no longer exists.  The registration is honoured by
-        rebuilding the index partition-local from the live column (the
-        same form the automatic shard-key index takes) — lookups then
-        prune shards and return current row positions.
+        caller just observed via :meth:`get_table` (on a sharded table,
+        the re-clustered main).  A merge that leaves a different main
+        than that table — a sharded one re-clustering the pending rows,
+        a mapped one spilled — registers nothing: the index's positions
+        are not main positions.
         """
         state = self._state(table)
         if column not in state.main.schema:
             raise CatalogError(f"table {table!r} has no column {column!r}")
         if not state.delta.is_clean():
+            observed = self.get_table(table)
             self._merge_delta(table, reason="register_index")
-        if state.layout is not None:
-            data = state.main.column(column)
-            obstacle = shardsmod.cracker_obstacle(data)
-            if obstacle is not None:
-                raise CatalogError(f"cannot index {table}.{column}: {obstacle}")
-            index = shardsmod.ShardedCrackerIndex(data, state.layout)
+            if state.main is not observed:
+                return
         state.indexes[column] = index
 
     def unregister_index(self, table: str, column: str) -> None:

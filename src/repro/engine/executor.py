@@ -314,7 +314,7 @@ def _execute_scan(
     if ranges is not None and settings.current.optimizer:
         memo = database.selection_memo(node.table, predicate)
     if fused is not None and profiler is not None:
-        profiler.annotate("fused: filter + partial aggregate per morsel")
+        profiler.annotate("fused: filter per span, one group pass")
     if fused is None:
         result = parallel.streamed_filter(
             main, predicate, ranges, live_main, tail, profiler, layout, memo

@@ -21,31 +21,20 @@ extents, and a shard left with no surviving span is never scheduled at
 all.  The scatter pools by the parallel module's one rule, on the rows
 the scheduled shards' spans cover.  Nothing else scatters: a sort is one
 kernel on the calling thread whatever produced its input.
-
-Each shard may also own a partition-local
-:class:`~repro.indexing.updates.UpdatableCrackerIndex`
-(:class:`ShardedCrackerIndex`): range probes crack each shard
-independently, prune shards by their actual key min/max, and rebase the
-local row ids onto the global extent.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 import zlib
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.engine import operators as ops
 from repro.engine import parallel
 from repro.engine.table import Table
-from repro.engine.types import DataType
 from repro.obs.metrics import get_registry
-
-if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.indexing.updates import UpdatableCrackerIndex
 
 
 # -- layouts -------------------------------------------------------------------------
@@ -312,164 +301,6 @@ def scatter_fused_aggregate(
 def scatter_sort(name, table: Table, order_by, layout, database, profiler) -> Table:
     """:func:`~repro.engine.operators.sort_table`; goes with ROADMAP 4(b)."""
     return ops.sort_table(table, order_by)
-
-
-# -- partition-local cracking --------------------------------------------------------
-
-
-def cracker_obstacle(column) -> str | None:
-    """Why ``column`` cannot back a partition-local cracker exactly, or None.
-
-    A cracker holds plain numbers: the column must be numeric and carry
-    no NULL and no NaN (the NaN scan reads the whole payload).
-    """
-    if column.dtype not in (DataType.INT64, DataType.FLOAT64):
-        return "a sharded table needs a numeric column to back a partition-local cracker"
-    if column.validity is not None or (
-        column.data.dtype.kind == "f" and bool(np.isnan(column.data).any())
-    ):
-        return "NULLs/NaNs cannot back a partition-local cracker on a sharded table"
-    return None
-
-
-class ShardedCrackerIndex:
-    """One lazy :class:`UpdatableCrackerIndex` per shard of a key column.
-
-    Range lookups prune shards by the actual key min/max of each extent
-    (computed lazily and NaN-safe: a NaN bound never proves exclusion),
-    crack only the shards the range touches, and rebase the local row
-    ids onto the shard's global offset.  Delta appends land in a linear
-    tail buffer addressed at ``total_rows + i`` — matching the logical
-    row ids the delta scan path expects — until the next merge rebuilds
-    the index over the re-clustered main.
-    """
-
-    def __init__(
-        self, column, layout: ShardLayout, variant: str = "standard", seed: int = 0
-    ) -> None:
-        self._column = column
-        self._layout = layout
-        self._variant = variant
-        self._seed = seed
-        self._crackers: dict[int, UpdatableCrackerIndex] = {}
-        self._pending_deletes: dict[int, set[int]] = {}
-        self._minmax: dict[int, tuple[Any, Any]] = {}
-        self._tail_values: list[Any] = []
-        self._tail_dead: set[int] = set()
-        self._next_id = layout.total_rows
-
-    @property
-    def shards_built(self) -> int:
-        """Number of shards whose cracker has been materialised."""
-        return len(self._crackers)
-
-    def insert(self, value: Any) -> int:
-        """Queue one appended row; returns its logical row id.  O(1)."""
-        row_id = self._next_id
-        self._next_id += 1
-        self._tail_values.append(value)
-        return row_id
-
-    def delete(self, row_id: int) -> None:
-        """Queue a delete by logical row id.  O(1)."""
-        layout = self._layout
-        if row_id >= layout.total_rows:
-            self._tail_dead.add(row_id - layout.total_rows)
-            return
-        shard = bisect.bisect_right(layout.offsets, row_id) - 1
-        local = row_id - layout.offsets[shard]
-        cracker = self._crackers.get(shard)
-        if cracker is not None:
-            cracker.delete(local)
-        else:
-            self._pending_deletes.setdefault(shard, set()).add(local)
-
-    def lookup_range(
-        self,
-        low: Any,
-        high: Any,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> np.ndarray:
-        """Global row ids whose key falls in the range, shard by shard,
-        each shard's in its cracker's order."""
-        layout = self._layout
-        parts: list[np.ndarray] = []
-        pruned = 0
-        for shard in range(layout.num_shards):
-            if layout.shard_rows(shard) == 0:
-                continue
-            if self._pruned(shard, low, high, low_inclusive, high_inclusive):
-                pruned += 1
-                continue
-            local = self._cracker_for(shard).lookup_range(
-                low, high, low_inclusive, high_inclusive
-            )
-            parts.append(local + layout.offsets[shard])
-        if pruned:
-            get_registry().counter("shard.shards_pruned").inc(pruned)
-        for i, value in enumerate(self._tail_values):
-            if i not in self._tail_dead and _value_in_range(
-                value, low, high, low_inclusive, high_inclusive
-            ):
-                parts.append(
-                    np.asarray([layout.total_rows + i], dtype=np.int64)
-                )
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
-
-    # -- internals -------------------------------------------------------------------
-
-    def _shard_keys(self, shard: int) -> np.ndarray:
-        """One shard's keys, in the column's own dtype (:func:`ops.key_array`)."""
-        start, stop = self._layout.offsets[shard], self._layout.offsets[shard + 1]
-        return ops.key_array(self._column)[start:stop]
-
-    def _shard_minmax(self, shard: int) -> tuple[Any, Any]:
-        cached = self._minmax.get(shard)
-        if cached is None:
-            data = self._shard_keys(shard)
-            if len(data) == 0:
-                cached = (math.inf, -math.inf)
-            else:
-                cached = (np.min(data).item(), np.max(data).item())
-            self._minmax[shard] = cached
-        return cached
-
-    def _pruned(self, shard, low, high, low_inc, high_inc) -> bool:
-        mn, mx = self._shard_minmax(shard)
-        # NaN bounds make every comparison False: the shard stays scheduled
-        if low is not None and (mx < low or (mx == low and not low_inc)):
-            return True
-        if high is not None and (mn > high or (mn == high and not high_inc)):
-            return True
-        return False
-
-    def _cracker_for(self, shard: int) -> UpdatableCrackerIndex:
-        cracker = self._crackers.get(shard)
-        if cracker is None:
-            # imported where a cracker is first built: the catalog imports
-            # this module, and the indexing package pulls in scipy (~70 MB)
-            from repro.indexing.updates import UpdatableCrackerIndex
-
-            cracker = UpdatableCrackerIndex(
-                self._shard_keys(shard), variant=self._variant, seed=self._seed + shard
-            )
-            for local in self._pending_deletes.pop(shard, ()):
-                cracker.delete(local)
-            self._crackers[shard] = cracker
-        return cracker
-
-
-def _value_in_range(value: Any, low, high, low_inc: bool, high_inc: bool) -> bool:
-    if math.isnan(value):
-        return False
-    if low is not None and (value < low or (value == low and not low_inc)):
-        return False
-    if high is not None and (value > high or (value == high and not high_inc)):
-        return False
-    return True
 
 
 # -- observability -------------------------------------------------------------------

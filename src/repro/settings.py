@@ -179,8 +179,6 @@ SETTINGS = (
             "no column = the table's first"),
     Setting("shard_min_rows", "REPRO_SHARD_MIN_ROWS", 65_536, _integer(1),
             "tables smaller than this are not auto-sharded"),
-    Setting("shard_index", "REPRO_SHARD_INDEX", True, _flag,
-            "build a partition-local cracker index on the shard key"),
 )
 
 #: the rows by name

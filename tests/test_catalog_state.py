@@ -1,12 +1,13 @@
 """The install matrix: what survives each way a table's main is replaced.
 
 One durable table carrying every structure the catalog attaches — cached
-statistics with a zone map inside, a caller-registered index on ``a``,
-the partition-local cracker on the shard key ``k``, a range layout, a
-cached plan, (for the delta column) two pending rows — is put through
-every writer, and each writer x structure cell asserts kept / dropped /
-rebuilt exactly as the rule table in ``Database._install``'s docstring
-(and DESIGN.md, "Catalog state") says, so the table is held to the code.
+statistics with a zone map inside, caller-registered indexes on ``a``
+and on the shard key ``k`` (a sharded table's index follows the same
+rule as any other), a range layout, a cached plan, (for the delta
+column) two pending rows — is put through every writer, and each writer
+x structure cell asserts kept / dropped / rebuilt exactly as the rule
+table in ``Database._install``'s docstring (and DESIGN.md, "Catalog
+state") says, so the table is held to the code.
 What the statistics rows promise — the completed statistics equal a
 rebuild from scratch after any write sequence — is a property test below.
 """
@@ -25,7 +26,6 @@ from hypothesis import strategies as st
 from repro import settings
 from repro.engine import Database, DataType, Table
 from repro.engine.column import Column
-from repro.engine.shards import ShardedCrackerIndex
 from repro.engine.statistics import TableStatistics, ZoneMap
 from repro.errors import TypeMismatchError
 from repro.indexing import UpdatableCrackerIndex
@@ -41,7 +41,7 @@ PENDING = f"INSERT INTO t VALUES ({ROWS}, 0.5, 1, 'x'), ({ROWS + 1}, 1.5, 2, 'y'
 @pytest.fixture(autouse=True)
 def _pinned():
     settings.configure(
-        zone_rows=ZONE_ROWS, storage="memory", shards=0, shard_index=True, threads=0,
+        zone_rows=ZONE_ROWS, storage="memory", shards=0, threads=0,
         dict_encode=True, wal=True, faults="off", plan_cache=True,
     )
     pin_defaults("delta_rows", "plan_cache_size", "memory_budget_kb")
@@ -64,6 +64,8 @@ def _attached(root, pending: bool) -> Database:
     values = np.asarray(db.main_table("t").column("a").data)
     db.register_index("t", "a", UpdatableCrackerIndex(values))
     db.apply_sharding("t", 2, shard_by="range(k)")
+    keys = np.asarray(db.main_table("t").column("k").data)
+    db.register_index("t", "k", UpdatableCrackerIndex(keys))
     db.statistics("t")
     db.zone_map("t")
     db.checkpoint()  # storage=memory: persists what is cached, adopts nothing
@@ -203,7 +205,7 @@ def _reopen(db):
 NEW = dict(stats="none", zones="none", index_a="dropped", cracker_k="dropped",
            layout="none", delta="clean", plan="replanned", catalog="moved", version="moved")
 # an index picks rows at run time: no change to the index set replans
-MOVED = dict(stats="none", zones="none", index_a="dropped", cracker_k="rebuilt",
+MOVED = dict(stats="none", zones="none", index_a="dropped", cracker_k="dropped",
              layout="kept", delta="clean", plan="kept", catalog="same", version="moved")
 CHANGED = dict(stats="patched", zones="patched", index_a="kept", cracker_k="kept",
                layout="kept", delta="touched", plan="kept", catalog="same", version="moved")
@@ -219,10 +221,8 @@ MATRIX = {
         _sql("UPDATE t SET a = a + 1 WHERE k < 10"), CHANGED, dict(index_a="dropped"),
     ),
     "update_unindexed": (_sql("UPDATE t SET b = b + 1 WHERE k < 10"), CHANGED, {}),
-    # the shard-key cracker is dropped with its column's values and rebuilt
-    # at once — unless pending rows exist that a new index would never see
     "update_shard_key": (
-        _sql("UPDATE t SET k = k + 0 WHERE k < 10"), CHANGED, dict(cracker_k="rebuilt"),
+        _sql("UPDATE t SET k = k + 0 WHERE k < 10"), CHANGED, dict(cracker_k="dropped"),
     ),
     "update_no_row": (_sql("UPDATE t SET b = 0 WHERE k < 0"), SAME, {}),
     # not an install at all: the delta grew and the index set shrank
@@ -239,25 +239,20 @@ MATRIX = {
     # 2 -> 4 range shards of a monotone key: no row moves, the layout changes
     "reshard_identity": (
         _reshard(4, "range(k)"), SAME,
-        dict(cracker_k="rebuilt", layout="changed", delta="clean",
-             plan="replanned", catalog="moved"),
+        dict(layout="changed", delta="clean", plan="replanned", catalog="moved"),
     ),
     "reshard_moving": (
         _reshard(2, "hash(b)"), MOVED,
-        dict(cracker_k="dropped", layout="changed", plan="replanned", catalog="moved"),
+        dict(layout="changed", plan="replanned", catalog="moved"),
     ),
-    "unshard": (
-        _reshard(0), SAME,
-        dict(cracker_k="dropped", layout="none", plan="replanned", catalog="moved"),
-    ),
-    # a mapped main carries no in-RAM cracker
-    "adopt_mmap": (_adopt, SAME, dict(cracker_k="dropped", delta="clean")),
+    "unshard": (_reshard(0), SAME, dict(layout="none", plan="replanned", catalog="moved")),
+    "adopt_mmap": (_adopt, SAME, dict(delta="clean")),
     # recovered: new contents with the checkpoint's statistics and layout;
     # the WAL replays the pending rows; versions of another Database object
     # do not compare
     "reopen": (
         _reopen, NEW,
-        dict(stats="restored", zones="restored", cracker_k="rebuilt", layout="kept",
+        dict(stats="restored", zones="restored", layout="kept",
              delta="replayed 2", plan=None, catalog=None, version=None),
     ),
 }
@@ -280,7 +275,7 @@ def test_install_matrix(tmp_path, writer, structure):
         before = _snapshot(db, "t")
         assert before["stats"] is not None and before["zones"] is not None
         assert isinstance(before["index_a"], UpdatableCrackerIndex)
-        assert isinstance(before["cracker_k"], ShardedCrackerIndex)
+        assert isinstance(before["cracker_k"], UpdatableCrackerIndex)
         plan = db.plan(PLAN_SQL)
         db, name = write(db)
         got = _outcomes(db, name, before, plan)
@@ -291,7 +286,9 @@ def test_install_matrix(tmp_path, writer, structure):
 
 def test_live_adoption_matches_reopen(tmp_path):
     """A session that goes out of core and one that reopens the same
-    directory plan, answer and read alike (no in-RAM cracker on either)."""
+    directory plan, answer and read alike.  Registered indexes are the
+    session's own and never persist, so the live one drops its index on
+    ``k`` to compare like with like."""
     sql = "SELECT COUNT(*) AS n FROM t WHERE k < 500"
 
     def observe(db):
@@ -300,7 +297,9 @@ def test_live_adoption_matches_reopen(tmp_path):
         explain = db.execute(f"EXPLAIN {sql}").column("plan").to_list()
         return explain, db.sql(sql).to_dicts(), counter.value - before
 
-    db, _ = _adopt(_attached(tmp_path / "db", pending=False))
+    db = _attached(tmp_path / "db", pending=False)
+    db.unregister_index("t", "k")
+    db, _ = _adopt(db)
     try:
         live = observe(db)
         db, _ = _reopen(db)  # storage is still mmap

@@ -72,7 +72,7 @@ def _fact() -> Table:
 @pytest.fixture(scope="module", autouse=True)
 def pins():
     settings.configure(
-        dict_encode=True, shards=0, shard_index=False, wal=True, wal_sync="commit",
+        dict_encode=True, shards=0, wal=True, wal_sync="commit",
         storage="memory", plan_cache=True,
     )
     pin_defaults("delta_rows")

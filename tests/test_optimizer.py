@@ -424,7 +424,7 @@ class TestFusedAggregate:
             "SELECT COUNT(*) AS c FROM t WHERE a >= 30"
         ).render()
         assert "FusedAggregate" in text
-        assert "fused: filter + partial aggregate per morsel" in text
+        assert "fused: filter per span, one group pass" in text
 
 
 # -- corpus property test: optimizer on == off, bit for bit ---------------------------

@@ -294,10 +294,6 @@ class TestZoneMapPruning:
 
     def test_scan_uses_zones_and_counts_metric(self, registry):
         settings.configure(zone_rows=64)
-        # under env-driven auto-sharding the shard-key cracker index
-        # would answer this scan and the zone map (the thing under
-        # test) would legitimately never be consulted
-        settings.configure(shard_index=False)
         db = Database()
         db.create_table("t", _clustered_table(1000))
         result = db.sql("SELECT COUNT(*) AS n FROM t WHERE x >= 900")
@@ -306,7 +302,6 @@ class TestZoneMapPruning:
 
     def test_explain_analyze_annotates_zones(self):
         settings.configure(zone_rows=64)
-        settings.configure(shard_index=False)  # keep the scan on the zone-map path
         db = Database()
         db.create_table("t", _clustered_table(1000))
         report = db.explain_analyze("SELECT * FROM t WHERE x < 10")
@@ -331,7 +326,9 @@ class TestZoneMapPruning:
         plain.create_table("t", {"x": values.tolist(), "id": list(range(n))})
         indexed = Database()
         indexed.create_table("t", {"x": values.tolist(), "id": list(range(n))})
-        indexed.register_index("t", "x", CrackerIndex(values.astype(np.float64)))
+        # built over the main as registered (auto-sharding re-clusters it)
+        main = indexed.main_table("t").column("x").data
+        indexed.register_index("t", "x", CrackerIndex(main.astype(np.float64)))
         sql = "SELECT id, x FROM t WHERE x >= 2000 AND x < 2500"
         want = plain.sql(sql)
         report = indexed.explain_analyze(sql).render()

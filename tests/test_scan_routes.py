@@ -12,13 +12,13 @@ a type-mismatched predicate raises the same error on every route.
 
 An index axis — none, a ``CrackerIndex`` on the NaN-bearing float
 column, an ``UpdatableCrackerIndex`` holding pending inserts and
-tombstones, the shard key's ``ShardedCrackerIndex`` — x threads x
+tombstones, one registered over a 4-shard main — x threads x
 optimizer runs a filter, a fused GROUP BY with float SUM/AVG, an ORDER
 BY and a join's right input: an index picks the rows a scan reads and
 never changes its answer, row order and float rounding included.
 
-The key kernels (GROUP BY / DISTINCT / ORDER BY / Top-N / JOIN / the
-shard cracker) run at four corners of the same lattice — serial, pooled,
+The key kernels (GROUP BY / DISTINCT / ORDER BY / Top-N / JOIN / a
+shard-key probe) run at four corners of the same lattice — serial, pooled,
 sharded, dirty delta — against the pure-Python reference interpreter:
 INT64 keys beyond 2**53 stay distinct, and a key holding NULLs still
 makes one NaN group.
@@ -37,7 +37,6 @@ from repro.core.session import ExplorationSession
 from repro.engine import Database, Table
 from repro.engine import operators as ops
 from repro.engine import parallel
-from repro.engine.shards import ShardedCrackerIndex
 from repro.engine.sql.parser import parse
 from repro.errors import TypeMismatchError
 from repro.indexing import CrackerIndex, UpdatableCrackerIndex
@@ -82,7 +81,7 @@ def checkpoints(tmp_path_factory):
     """Pins every config axis the lattice varies and builds one
     checkpointed durable root per shard count, copied per lattice point."""
     settings.configure(
-        zone_rows=ZONE_ROWS, dict_encode=True, shards=0, shard_index=False,
+        zone_rows=ZONE_ROWS, dict_encode=True, shards=0,
         wal=True, wal_sync="commit", faults="off", storage="memory",
     )
     pin_defaults("delta_rows")
@@ -200,15 +199,14 @@ INDEX_QUERIES = {
 }
 
 
-#: kind -> (delta state, shard count, indexed column, index class); an index
-#: on f is registered before the writes — a CrackerIndex cannot absorb an
-#: INSERT and ignores a DELETE — the sharded point's is the shard key's own
-#: cracker, built on reopen
+#: kind -> (delta state, shard count, index class); the index on f is
+#: registered before the writes — a CrackerIndex cannot absorb an INSERT
+#: and ignores a DELETE — the sharded point's over the re-clustered main
 INDEXES = {
-    "none": ("clean", 0, None, None),
-    "cracker": ("deleted", 0, "f", CrackerIndex),
-    "updatable": ("tombstoned", 0, "f", UpdatableCrackerIndex),
-    "sharded": ("clean", 4, "k", ShardedCrackerIndex),
+    "none": ("clean", 0, None),
+    "cracker": ("deleted", 0, CrackerIndex),
+    "updatable": ("tombstoned", 0, UpdatableCrackerIndex),
+    "sharded": ("clean", 4, UpdatableCrackerIndex),
 }
 
 
@@ -239,27 +237,28 @@ def index_reference(checkpoints, tmp_path_factory):
 @pytest.mark.parametrize("threads", (0, 4))
 @pytest.mark.parametrize("kind", INDEXES)
 def test_index_axis(checkpoints, index_reference, tmp_path, kind, threads, optimizer):
-    state, shard_count, column, index_class = INDEXES[kind]
+    state, shard_count, index_class = INDEXES[kind]
 
     def register(db):
         values = np.asarray(db.main_table("t").column("f").data)  # NaN slots included
         db.register_index("t", "f", index_class(values))
 
-    settings.configure(shard_index=kind == "sharded", optimizer=optimizer)
+    settings.configure(optimizer=optimizer)
     db = _open(
         checkpoints, tmp_path, "memory", state, threads, shard_count,
-        register if column == "f" else None,
+        register if index_class is not None else None,
     )
     try:
-        if column is not None:
-            assert isinstance(db.index_for("t", column), index_class)
+        assert (db.shard_layout("t") is not None) == bool(shard_count)
+        if index_class is not None:
+            assert isinstance(db.index_for("t", "f"), index_class)
         if kind == "updatable":
             assert db.index_for("t", "f").pending_count == 3  # the inserts, unmerged
         _add_dimension(db)
         # a narrower range first: the queries below then span several
         # cracked pieces, so the index answers them out of row order
         report = db.explain_analyze(INDEX_WARMUP).render()
-        assert (f"index: {column} in" in report) == (column is not None)
+        assert ("index: f in" in report) == (index_class is not None)
         for label, want in index_reference[state].items():
             tables_bit_identical(db.sql(INDEX_QUERIES[label]), want)
     finally:
@@ -311,7 +310,7 @@ WIDE_KEY_QUERIES = {
     "topn": "SELECT k, v FROM w ORDER BY k DESC, v LIMIT 5",
     "join_inner": "SELECT v, x FROM w JOIN u ON w.k = u.k",
     "join_left": "SELECT v, x FROM w LEFT JOIN u ON w.k = u.k",
-    # through the shard key's auto-registered cracker at the sharded point
+    # zone classification split at shard extents at the sharded point
     "probe": f"SELECT k, v FROM w WHERE k >= {BIG + 1} AND k <= {BIG + 2}",
 }
 NAN_GROUP_QUERIES = {
@@ -324,7 +323,7 @@ def _at_point(point: str, name: str, table: Table, shard_key: str, writes) -> Da
     """An in-memory database holding ``table`` at one corner of the lattice."""
     spec = POINTS[point]
     settings.configure(
-        threads=spec["threads"], morsel_rows=64, min_parallel_rows=2, shard_index=True
+        threads=spec["threads"], morsel_rows=64, min_parallel_rows=2
     )
     db = Database()
     db.create_table(name, table)
@@ -371,7 +370,8 @@ def test_wide_int_keys_stay_exact(point, case):
     sql = WIDE_KEY_QUERIES[case]
     if case == "probe":
         report = db.explain_analyze(sql).render()
-        assert (f"index: k in [{BIG + 1}, {BIG + 2}]: " in report) == (point == "sharded")
+        assert "index:" not in report and "zones:" in report
+        assert ("shards:" in report) == (point == "sharded")
     physical = db.get_table("w").to_dicts()  # the row order this route scans
     if case.startswith("join"):
         joined = nested_loop_join(physical, db.get_table("u").to_dicts(), "k", "k", case[5:])

@@ -54,7 +54,6 @@ CASES = {
     "shards": ("2", 2, "-1"),
     "shard_by": ("'range(k)'", "range(k)", "turbo(k)"),
     "shard_min_rows": ("100", 100, "0"),
-    "shard_index": ("0", False, "no"),
 }
 
 
@@ -64,18 +63,27 @@ def _listing(db: Database) -> dict[str, tuple[str, str]]:
 
 def test_every_row_has_a_case() -> None:
     assert list(CASES) == [row.name for row in settings.SETTINGS]
-    assert len(settings.SETTINGS) == 24
+    assert len(settings.SETTINGS) == 23
 
 
-def test_the_worker_pool_is_no_setting() -> None:
-    """The pool is always a thread pool, so its former selector is an
-    unknown name on both surfaces and changes nothing."""
-    name = "_".join(("pool", "kind"))  # spelled so no live use of the name remains
+#: deleted settings, spelled so no live use of the name remains: the pool
+#: is always a thread pool, and a sharded table builds no index of its own
+DELETED = {
+    "_".join(("pool", "kind")): ("process", "thread"),
+    "_".join(("shard", "index")): ("1", True),
+}
+
+
+@pytest.mark.parametrize("name", DELETED)
+def test_the_worker_pool_is_no_setting(name: str) -> None:
+    """A deleted setting is an unknown name on both surfaces and changes
+    nothing."""
+    pragma_value, configure_value = DELETED[name]
     before = settings.snapshot()
     with pytest.raises(CatalogError, match=f"^unknown pragma '{name}'"):
-        Database().execute(f"PRAGMA {name}=process")
+        Database().execute(f"PRAGMA {name}={pragma_value}")
     with pytest.raises(TypeError, match=name):
-        settings.configure(**{name: "thread"})
+        settings.configure(**{name: configure_value})
     assert settings.snapshot() == before
 
 

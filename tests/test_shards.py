@@ -2,19 +2,18 @@
 
 Covers the PR 10 surface: deterministic hash/range partitioning (NaN
 and NULL keys route to shard 0, identity layouts skip the re-cluster),
-`PRAGMA shards` / `shard_by` / `shard_min_rows` / `shard_index` wiring
-and the settings listing, scatter-gather execution that stays
-bit-identical to the unsharded path over the same re-clustered main
-(filter, fused aggregate; serial and threaded) while a sort and every
-scan's pooling decision take one route each, shard-local pruning
-(`shard.shards_pruned` = N−1 on a one-shard predicate; `io.bytes_read`
-bounded by one shard in mmap mode), the partition-local
-`ShardedCrackerIndex` (physical-order results, inserts, deletes, min/max
-pruning), layout persistence through checkpoints and WAL-only replay,
-the delta write path re-applying the layout at merge, the shell
-`\\shards` command, and the differential corpus: sharded must be
-bit-identical to unsharded under threads, worker-crash fault injection,
-mmap storage, and a kill–recover cycle.
+`PRAGMA shards` / `shard_by` / `shard_min_rows` wiring and the settings
+listing, scatter-gather execution that stays bit-identical to the
+unsharded path over the same re-clustered main (filter, fused aggregate;
+serial and threaded) while a sort and every scan's pooling decision take
+one route each, shard-local pruning through the zone map
+(`shard.shards_pruned` = N−1 on a one-shard predicate, in memory and
+mapped; `io.bytes_read` bounded by one shard in mmap mode), a caller's
+index over a sharded main, layout persistence through checkpoints and
+WAL-only replay, the delta write path re-applying the layout at merge,
+the shell `\\shards` command, and the differential corpus: sharded must
+be bit-identical to unsharded under threads, worker-crash fault
+injection, mmap storage, and a kill–recover cycle.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from repro.engine import shards as shardsmod
 from repro.engine import wal as walmod
 from repro.engine.column import Column
 from repro.errors import CatalogError
+from repro.indexing import UpdatableCrackerIndex
 from repro.obs.metrics import MetricsRegistry, set_registry
 from tests.conftest import pin_defaults
 from tests.test_parallel import tables_bit_identical
@@ -37,9 +37,7 @@ from tests.test_sql_differential import random_query, random_table
 @pytest.fixture(autouse=True)
 def _pin_shard_config():
     """Deterministic shard/storage/write-path config and a fresh metrics registry."""
-    pin_defaults(
-        "shards", "shard_by", "shard_index", "storage", "delta_rows", "faults", "fault_seed"
-    )
+    pin_defaults("shards", "shard_by", "storage", "delta_rows", "faults", "fault_seed")
     settings.configure(shard_min_rows=64)
     registry = MetricsRegistry()
     set_registry(registry)
@@ -173,7 +171,7 @@ class TestShardConfig:
     def test_settings_listing_includes_shards(self):
         db = Database()
         rows = {row[0]: (row[1], row[2]) for row in db.execute("PRAGMA").rows()}
-        for name in ("shards", "shard_by", "shard_min_rows", "shard_index"):
+        for name in ("shards", "shard_by", "shard_min_rows"):
             assert name in rows
         db.execute("PRAGMA shards=2")
         rows = {row[0]: (row[1], row[2]) for row in db.execute("PRAGMA").rows()}
@@ -386,7 +384,7 @@ class TestOneRoutePerOperator:
         shards of 250 rows are spans of shards 0 and 1."""
         registry = _pin_shard_config
         pin_defaults("optimizer")
-        settings.configure(zone_rows=100, shard_index=False)  # no index serves the scan
+        settings.configure(zone_rows=100)
         db = Database()
         db.create_table("t", {"x": list(range(1000)), "g": ["a", "b"] * 500})
         if sharded:
@@ -422,7 +420,6 @@ class TestShardPruning:
 
     def test_one_shard_predicate_prunes_rest(self, tmp_path, _pin_shard_config):
         registry = _pin_shard_config
-        settings.configure(shard_index=False)  # exercise the scatter path
         db = self._clustered(tmp_path / "db")
         try:
             layout = db.shard_layout("t")
@@ -438,38 +435,32 @@ class TestShardPruning:
             db.close()
 
     def test_index_probe_prunes_shards(self, _pin_shard_config):
-        # in-memory: mapped tables never get the shard index (they stay
-        # on the streamed path), so probe pruning is tested unmapped
+        """In memory, a shard-key brush takes the route every scan takes:
+        the zone map's probe classifies, the classification is split at
+        shard extents, and ``shards.schedule`` prunes the three shards
+        the brush misses."""
         registry = _pin_shard_config
-        db = Database()
-        db.create_table(
-            "t",
-            Table.from_dict(
-                {
-                    "k": list(range(8192)),
-                    "v": [float(i % 97) for i in range(8192)],
-                }
-            ),
-        )
+        settings.configure(zone_rows=256)
+        data = {"k": list(range(8192)), "v": [float(i % 97) for i in range(8192)]}
+        plain, db = Database(), Database()
+        plain.create_table("t", Table.from_dict(data))
+        db.create_table("t", Table.from_dict(data))
         db.apply_sharding("t", 4, shard_by="range(k)")
-        assert db.index_for("t", "k") is not None
-        got = db.sql("SELECT COUNT(*) AS c FROM t WHERE k >= 4200 AND k < 4400")
+        assert db.index_for("t", "k") is None
+        sql = "SELECT COUNT(*) AS c, SUM(v) AS s FROM t WHERE k >= 4200 AND k < 4400"
+        want = plain.sql(sql)
+        pruned = registry.counter("shard.shards_pruned")
+        before = pruned.value
+        got = db.sql(sql)
+        assert pruned.value - before == 3
+        tables_bit_identical(got, want)
         assert got.column("c")[0] == 200
-        # both bounds intersect into one two-sided lookup that touches one
-        # shard, with the optimizer on or off
-        assert registry.counter("shard.shards_pruned").value == 3
-
-    def test_mapped_table_gets_no_shard_index(self, tmp_path, _pin_shard_config):
-        db = self._clustered(tmp_path / "db")
-        try:
-            assert db.get_table("t").is_mapped
-            assert db.index_for("t", "k") is None
-        finally:
-            db.close()
+        report = db.explain_analyze(sql).render()
+        assert "zones:" in report and "index:" not in report
+        assert "shards: 1 of 4 scheduled, 3 pruned" in report
 
     def test_all_fail_schedules_nothing(self, tmp_path, _pin_shard_config):
         registry = _pin_shard_config
-        settings.configure(shard_index=False)
         db = self._clustered(tmp_path / "db")
         try:
             got = db.sql("SELECT k FROM t WHERE k = 99999")
@@ -479,72 +470,36 @@ class TestShardPruning:
             db.close()
 
 
-# -- the partition-local cracker index ------------------------------------------------
+# -- a caller's index -----------------------------------------------------------------
 
 
-class TestShardedCrackerIndex:
-    def _index(self, values, num_shards=4):
-        table = Table.from_dict({"k": [float(v) for v in values]})
-        table, layout, _ = shardsmod.apply_layout(table, "range", "k", num_shards)
-        return shardsmod.ShardedCrackerIndex(table.column("k"), layout), table
-
-    def test_lookup_matches_naive_filter(self):
-        rng = np.random.default_rng(5)
-        values = [float(v) for v in rng.integers(0, 500, size=400)]
-        index, table = self._index(values)
-        data = np.asarray(table.column("k").data)
-        for low, high in ((10, 90), (0, 499), (250, 250), (495, 600)):
-            got = index.lookup_range(low, high, True, True)
-            want = np.flatnonzero((data >= low) & (data <= high))
-            assert np.array_equal(np.sort(got), want)
-
-    def test_pruning_counts_skipped_shards(self, _pin_shard_config):
-        registry = _pin_shard_config
-        index, _table = self._index(list(range(400)))
-        index.lookup_range(10.0, 20.0, True, True)
-        assert registry.counter("shard.shards_pruned").value == 3
-
-    def test_insert_and_delete(self):
-        index, table = self._index(list(range(100)))
-        new_id = index.insert(42.5)
-        assert new_id == 100
-        got = index.lookup_range(42, 43, True, True)
-        assert set(got.tolist()) == {42, 43, 100}
-        index.delete(42)  # main row, lands in a shard cracker
-        index.delete(100)  # tail row
-        got = index.lookup_range(42, 43, True, True)
-        assert set(got.tolist()) == {43}
-
-    def test_delete_before_cracker_built(self):
-        index, _table = self._index(list(range(100)))
-        index.delete(7)  # stashes: shard cracker not built yet
-        got = index.lookup_range(0.0, 10.0, True, True)
-        assert 7 not in set(got.tolist())
-
-    def test_nan_insert_never_matches(self):
-        index, _table = self._index(list(range(10)))
-        index.insert(float("nan"))
-        got = index.lookup_range(-1e18, 1e18, True, True)
-        assert 10 not in set(got.tolist())
-
-    def test_auto_registered_on_shard(self):
+class TestRegisteredIndex:
+    def test_stored_unchanged_over_the_sharded_main(self):
         db = _filled_db()
         db.apply_sharding("t", 4, shard_by="hash(k)")
-        assert isinstance(
-            db.index_for("t", "k"), shardsmod.ShardedCrackerIndex
-        )
-        db.apply_sharding("t", 0)
-        assert db.index_for("t", "k") is None
+        sql = "SELECT k, v FROM t WHERE v >= -10.0 AND v < 5.0"
+        want = db.sql(sql)
+        index = UpdatableCrackerIndex(np.asarray(db.get_table("t").column("v").data))
+        db.register_index("t", "v", index)
+        assert db.index_for("t", "v") is index
+        assert "index: v in" in db.explain_analyze(sql).render()
+        tables_bit_identical(db.sql(sql), want)
 
-    def test_not_registered_on_null_or_text_keys(self):
+    @pytest.mark.parametrize("spec, registered", [("range(k)", True), ("hash(k)", False)])
+    def test_registration_over_pending_rows(self, spec, registered):
+        """The index describes the effective table: a merge that keeps
+        its row order registers it, one that re-clusters the pending rows
+        into their shards registers nothing."""
         db = Database()
-        db.create_table(
-            "n", Table.from_dict({"k": [1, None] * 50, "s": ["a", "b"] * 50})
-        )
-        db.apply_sharding("n", 2, shard_by="hash(k)")
-        assert db.index_for("n", "k") is None
-        db.apply_sharding("n", 2, shard_by="hash(s)")
-        assert db.index_for("n", "s") is None
+        db.create_table("t", Table.from_dict({"k": list(range(200))}))
+        db.apply_sharding("t", 4, shard_by=spec)
+        db.execute(f"INSERT INTO t VALUES {', '.join(f'({i})' for i in range(200, 213))}")
+        values = np.asarray(db.get_table("t").column("k").data)
+        db.register_index("t", "k", UpdatableCrackerIndex(values))
+        assert db.delta_store_if_dirty("t") is None
+        assert (db.index_for("t", "k") is not None) == registered
+        got = db.sql("SELECT k FROM t WHERE k >= 190 AND k < 205").column("k").to_list()
+        assert sorted(got) == list(range(190, 205))
 
 
 # -- durability -----------------------------------------------------------------------
@@ -674,13 +629,11 @@ def test_corpus_bit_identity_sharded_vs_unsharded(seed: int, tmp_path) -> None:
     """Replay the differential corpus against a durable sharded database —
     serial/unsharded as the baseline, then sharded under the morsel pool
     with worker-crash injection, mmap storage, and a kill–recover cycle
-    in between.  Payloads must match byte for byte.  The cracker index
-    is disabled so both sides plan identically; it has its own tests."""
+    in between.  Payloads must match byte for byte."""
     rng = np.random.default_rng(7000 + seed)
     table, rows = random_table(rng, n=int(rng.integers(60, 160)))
     queries = [random_query(rng) for _ in range(10)]
     root = tmp_path / "db"
-    settings.configure(shard_index=False)
 
     with Database(path=root) as db:
         db.create_table(

@@ -216,7 +216,7 @@ LATTICE = [
 def _pinned_config():
     """What every lattice point shares; its pool does not outlive the test."""
     # delta_rows: keep the DML below pending
-    settings.configure(shard_index=False, delta_rows=1_000_000, zone_rows=8)
+    settings.configure(delta_rows=1_000_000, zone_rows=8)
     yield
     parallel.shutdown_pool()
 
