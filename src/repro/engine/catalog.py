@@ -65,7 +65,9 @@ class _TableState:
     ``delta`` holds the pending writes against it, with the tail table,
     effective table and effective statistics derived from them cached on
     the store itself (:meth:`DeltaStore.cached`); ``stats`` describes
-    the main, zone maps included, and is None until someone asks;
+    the main — its column entries completed by
+    :meth:`Database.statistics`, its zone maps by
+    :meth:`Database.zone_map` — and is None until one of them asks;
     ``layout`` is the shard layout clustering the main, or None;
     ``indexes`` maps a column to its secondary index, whose positions
     are main row positions; ``selections`` keeps the span selections
@@ -164,7 +166,8 @@ class Database:
 
         The object may be partial: after an UPDATE it lacks the assigned
         columns' entries, after a pure-append merge every column entry
-        (zone maps stay), until the next read completes it.  The
+        (zone maps stay), until their readers complete them — a scan its
+        zone map, :meth:`statistics` the column entries.  The
         checkpoint writer persists exactly what is cached — nothing is
         computed at checkpoint time; missing statistics are recomputed
         lazily after recovery.
@@ -336,9 +339,11 @@ class Database:
         entries (column statistics and zones) of the ``changed`` columns
         are gone and every other entry is the same object.  *Extended*
         ones carry every zone map extended over the appended rows and no
-        column statistics — each column gained rows.  Either way the
-        next read completes what is missing (:meth:`_main_statistics`),
-        so a main's statistics always equal a rebuild from scratch.
+        column statistics — each column gained rows.  Either way each
+        reader completes what it reads: the next scan its zone map
+        (:meth:`zone_map`), the next :meth:`statistics` call the column
+        entries (:meth:`_main_statistics`), so what either returns
+        equals a rebuild from scratch.
 
         On every row the catalog version moves iff the schema or the
         layout's (mode, key, shard count) changed — an index picks rows at
@@ -572,8 +577,9 @@ class Database:
 
     def _main_statistics(self, name: str) -> TableStatistics:
         """Statistics of the columnar main, computed on first use and
-        completed after :meth:`_install` dropped the entries a write
-        changed (only the missing columns are computed)."""
+        completed after :meth:`_install` dropped the column entries a
+        write changed (only the missing columns are computed).  Zone maps
+        carry over as they are: :meth:`zone_map` completes its own."""
         state = self._state(name)
         stats, main = state.stats, state.main
         if stats is None or len(stats.columns) < len(main.column_names):
@@ -589,7 +595,10 @@ class Database:
         writes are pending, the cached main statistics are *absorbed*
         with an O(delta) summary of the live delta rows — row/null
         counts and min/max reflect the pending writes exactly; distinct
-        counts and histograms are approximate until the next merge.
+        counts are approximate until the next merge.  The column entries
+        are built here, on the first read after a write dropped them —
+        the optimizer's join reorder is the engine's one reader, so a
+        scan never pays for them.
         """
         main_stats = self._main_statistics(name)
         store = self.delta_store_if_dirty(name)
@@ -621,11 +630,23 @@ class Database:
         map deliberately ignores pending writes.  (Tombstoned main rows
         stay summarised: bounds over a superset keep FAIL/PASS sound,
         and the scan ANDs the live mask afterwards.)  Cached inside the
-        statistics that :meth:`_install` keeps, extends, patches or drops.
+        statistics that :meth:`_install` keeps, extends, patches or
+        drops; completing it summarises only the columns a write dropped
+        and builds no column statistics — a scan reads none.
         """
-        return self._main_statistics(name).zone_map(
-            self.main_table(name), settings.current.zone_rows
-        )
+        state = self._state(name)
+        stats, main = state.stats, state.main
+        if stats is None:
+            stats = TableStatistics(row_count=main.num_rows)
+        zone_rows = settings.current.zone_rows
+        zones = stats.zone_maps.get(zone_rows)
+        numeric = sum(dtype.is_numeric for dtype in main.schema.types)
+        if zones is None or len(zones.columns) < numeric:
+            zones = ZoneMap.from_table(main, zone_rows, reuse=zones)
+            if state.main is main:  # a build that raced an install is not kept
+                stats.zone_maps[zone_rows] = zones
+                state.stats = stats
+        return zones
 
     # -- indexes -------------------------------------------------------------------
 

@@ -26,10 +26,11 @@ incremental where the structures allow it:
   partial zone and the new zones are recomputed; complete old zones are
   spliced in unchanged;
 - **statistics** — on a pure append the zone maps carry over extended;
-  every column gained rows, so its statistics are recomputed at the next
-  read, like the columns an UPDATE assigned.  A main's statistics always
-  equal a rebuild; only the *effective* statistics of pending writes are
-  absorbed approximately (:func:`effective_statistics`).
+  every column gained rows, so its statistics are recomputed when
+  ``Database.statistics`` next reads them, like the columns an UPDATE
+  assigned.  A main's statistics always equal a rebuild; only the
+  *effective* statistics of pending writes are absorbed approximately
+  (:func:`effective_statistics`).
 
 A merge with tombstones compacts row positions, so it drops positional
 structures (registered indexes, cached zone maps/statistics) instead of
@@ -494,9 +495,7 @@ def _absorb_column(
 
     Row/null counts and min/max combine exactly (min/max conservatively
     under tombstones — a superset's bounds stay sound); the distinct
-    count is a ``max()`` lower bound; the histogram keeps the main's
-    bounds (stale for appended out-of-range values, still sound for the
-    clamped estimators).
+    count is a ``max()`` lower bound.
     """
 
     def _combine(a: Any, b: Any, pick: Any) -> Any:
@@ -513,8 +512,6 @@ def _absorb_column(
         distinct_count=max(main.distinct_count, tail.distinct_count),
         min_value=_combine(main.min_value, tail.min_value, min),
         max_value=_combine(main.max_value, tail.max_value, max),
-        bucket_bounds=main.bucket_bounds,
-        bucket_counts=main.bucket_counts,
     )
 
 
@@ -539,9 +536,10 @@ def extend_statistics(main_stats: TableStatistics, merged_main: Table) -> TableS
 
     Pure-append only.  Every cached zone map is extended incrementally —
     a complete zone summarises rows the merge did not touch.  Every
-    column gained rows, so no column entry carries over: the next read
-    completes them (:meth:`TableStatistics.from_table` with ``reuse=``),
-    exactly as after an UPDATE, so the result equals a rebuild.
+    column gained rows, so no column entry carries over: the next
+    ``Database.statistics`` completes them
+    (:meth:`TableStatistics.from_table` with ``reuse=``), exactly as
+    after an UPDATE, so the result equals a rebuild.
     """
     extended = TableStatistics(row_count=merged_main.num_rows)
     for zone_rows, zones in main_stats.zone_maps.items():

@@ -1,11 +1,15 @@
-"""Per-column statistics used by the planner and the exploration layers.
+"""Per-column statistics for the optimizer, per-zone summaries for scans.
 
-These are the classical optimizer statistics: row counts, min/max, distinct
-counts, and a small equi-width histogram per numeric column.  The
-selectivity estimators implement the textbook uniformity assumptions and are
-deliberately simple; the point of the exploration work in the paper is
-precisely that such static statistics are insufficient for ad-hoc
-workloads, which the adaptive components then address.
+The column statistics are the classical optimizer ones: row and null
+counts, min/max and distinct counts.  The selectivity estimators
+implement the textbook uniformity assumptions (min/max interpolation)
+and are deliberately simple; the point of the exploration work in the
+paper is precisely that such static statistics are insufficient for
+ad-hoc workloads, which the adaptive components then address.  For the
+same reason nothing here is built before someone reads it: a scan
+completes only its zone map (:class:`ZoneMap`), and the column entries
+are completed when the optimizer asks for them
+(``Database.statistics``).
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from repro.engine.column import Column
 from repro.engine.table import Table
 from repro.engine.types import DataType
 
-_HISTOGRAM_BUCKETS = 32
-
 
 @dataclass
 class ColumnStatistics:
@@ -32,14 +34,11 @@ class ColumnStatistics:
     distinct_count: int
     min_value: Any = None
     max_value: Any = None
-    bucket_bounds: np.ndarray | None = None
-    bucket_counts: np.ndarray | None = None
 
     @classmethod
     def from_column(cls, column: Column) -> "ColumnStatistics":
-        """Compute statistics for a column in one pass."""
-        valid = column.valid_data()
-        stats = cls(
+        """Compute statistics for a column."""
+        return cls(
             dtype=column.dtype,
             row_count=len(column),
             null_count=column.null_count(),
@@ -47,20 +46,14 @@ class ColumnStatistics:
             min_value=column.min(),
             max_value=column.max(),
         )
-        if column.dtype.is_numeric and len(valid) > 0:
-            lo = float(valid.min())
-            hi = float(valid.max())
-            # float64 bucket edges must be able to tell the buckets apart
-            # (INT64 keys beyond 2**53 a few units wide cannot: no histogram)
-            if (hi - lo) / _HISTOGRAM_BUCKETS > np.spacing(max(abs(lo), abs(hi))):
-                counts, bounds = np.histogram(
-                    valid.astype(np.float64), bins=_HISTOGRAM_BUCKETS, range=(lo, hi)
-                )
-                stats.bucket_bounds = bounds
-                stats.bucket_counts = counts
-        return stats
 
     # -- selectivity estimation ---------------------------------------------------
+
+    def _bounds_known(self) -> bool:
+        """True when min/max bound the values: present and not NaN (a
+        FLOAT64 column holding a NaN has NaN bounds, which bound nothing)."""
+        lo, hi = self.min_value, self.max_value
+        return lo is not None and lo == lo and hi == hi
 
     def estimate_equality_selectivity(self, value: Any = None) -> float:
         """Fraction of rows expected to equal a point value (1/NDV)."""
@@ -69,7 +62,7 @@ class ColumnStatistics:
         if (
             value is not None
             and self.dtype.is_numeric
-            and self.min_value is not None
+            and self._bounds_known()
             and not (self.min_value <= value <= self.max_value)
         ):
             return 0.0
@@ -80,20 +73,18 @@ class ColumnStatistics:
     ) -> float:
         """Fraction of rows expected inside ``[low, high]``.
 
-        Uses the histogram when present, otherwise a linear interpolation
-        between min and max.  Non-numeric columns fall back to 1/3 (the
-        classical System R default).
+        A linear interpolation between min and max.  Non-numeric columns
+        and unknown bounds fall back to 1/3 (the classical System R
+        default).
         """
         if self.row_count == 0:
             return 0.0
-        if not self.dtype.is_numeric or self.min_value is None:
+        if not self.dtype.is_numeric or not self._bounds_known():
             return 1.0 / 3.0
         lo = float(self.min_value) if low is None else float(low)
         hi = float(self.max_value) if high is None else float(high)
         if hi < lo:
             return 0.0
-        if self.bucket_bounds is not None and self.bucket_counts is not None:
-            return self._histogram_fraction(lo, hi)
         span = float(self.max_value) - float(self.min_value)
         if span <= 0:
             return 1.0 if lo <= float(self.min_value) <= hi else 0.0
@@ -102,26 +93,6 @@ class ColumnStatistics:
         if clipped_hi < clipped_lo:
             return 0.0
         return (clipped_hi - clipped_lo) / span
-
-    def _histogram_fraction(self, lo: float, hi: float) -> float:
-        assert self.bucket_bounds is not None and self.bucket_counts is not None
-        bounds = self.bucket_bounds
-        counts = self.bucket_counts
-        total = counts.sum()
-        if total == 0:
-            return 0.0
-        covered = 0.0
-        for i in range(len(counts)):
-            b_lo, b_hi = float(bounds[i]), float(bounds[i + 1])
-            if b_hi < lo or b_lo > hi:
-                continue
-            width = b_hi - b_lo
-            if width <= 0:
-                covered += counts[i] if lo <= b_lo <= hi else 0.0
-                continue
-            overlap = min(hi, b_hi) - max(lo, b_lo)
-            covered += counts[i] * max(0.0, overlap) / width
-        return min(1.0, covered / total)
 
 
 @dataclass
@@ -228,7 +199,13 @@ class ZoneMap:
 
 @dataclass
 class TableStatistics:
-    """Statistics for every column of a table."""
+    """Statistics for every column of a table, and its zone maps.
+
+    The two are completed by their own readers: the column entries by
+    :meth:`from_table` with ``reuse=`` (``Database.statistics``), a zone
+    map by :meth:`ZoneMap.from_table` with ``reuse=``
+    (``Database.zone_map``, which every zone-gated scan calls).
+    """
 
     row_count: int
     columns: dict[str, ColumnStatistics] = field(default_factory=dict)
@@ -241,31 +218,27 @@ class TableStatistics:
         """Compute statistics for every column.
 
         ``reuse`` — statistics of this same table that may be partial
-        (:meth:`without`) — completes instead: its entries are shared, and
-        only the columns it lacks are computed, here and in each of its
-        zone maps.  Every summary is a function of its column alone, so
-        the result equals a build from scratch.
+        (:meth:`without`) — completes instead: its column entries are
+        shared, only the columns it lacks are computed, and its zone maps
+        carry over as they are.  Every entry is a function of its column
+        alone, so the result equals a build from scratch.
         """
         known = {} if reuse is None else reuse.columns
-        stats = cls(
+        return cls(
             row_count=table.num_rows,
             columns={
                 name: known[name] if name in known
                 else ColumnStatistics.from_column(table.column(name))
                 for name in table.column_names
             },
+            zone_maps={} if reuse is None else dict(reuse.zone_maps),
         )
-        if reuse is not None:
-            stats.zone_maps = {
-                zone_rows: ZoneMap.from_table(table, zone_rows, reuse=zones)
-                for zone_rows, zones in reuse.zone_maps.items()
-            }
-        return stats
 
     def without(self, names: Collection[str]) -> "TableStatistics":
         """Statistics over the same rows lacking the entries of ``names``
         (column statistics and zones alike); every other entry is shared.
-        :meth:`from_table` with ``reuse=`` completes them."""
+        :meth:`from_table` and :meth:`ZoneMap.from_table` with ``reuse=``
+        complete them."""
 
         def keep(entries: dict) -> dict:
             return {name: entry for name, entry in entries.items() if name not in names}
@@ -282,16 +255,3 @@ class TableStatistics:
     def column(self, name: str) -> ColumnStatistics | None:
         """Statistics for one column, or None if unknown."""
         return self.columns.get(name)
-
-    def zone_map(self, table: Table, zone_rows: int) -> ZoneMap:
-        """The zone map of ``table`` at ``zone_rows`` granularity (cached).
-
-        Recomputed when the cached map was built for a different row count
-        — the catalog additionally version-checks the whole statistics
-        object, so a stale map can never describe a replaced table.
-        """
-        zones = self.zone_maps.get(zone_rows)
-        if zones is None or zones.row_count != table.num_rows:
-            zones = ZoneMap.from_table(table, zone_rows)
-            self.zone_maps[zone_rows] = zones
-        return zones

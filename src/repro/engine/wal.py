@@ -351,9 +351,11 @@ def _stats_to_manifest(
 ) -> tuple[dict[str, Any] | None, dict[str, np.ndarray]]:
     """Split cached statistics into JSON metadata and dense npz arrays.
 
-    Histogram and zone-map arrays are keyed by *column index* (manifest
-    column order), which keeps npz key parsing unambiguous for column
-    names containing separators.
+    Zone-map arrays are keyed by *column index* (manifest column order),
+    which keeps npz key parsing unambiguous for column names containing
+    separators.  Column entries are JSON only; an older manifest's
+    per-column ``hist`` flag and ``h{i}b``/``h{i}c`` histogram arrays
+    are ignored by the reader.
     """
     if stats is None:
         return None, {}
@@ -363,7 +365,6 @@ def _stats_to_manifest(
     for name, cs in stats.columns.items():
         if name not in order:
             continue
-        ci = order[name]
         meta["columns"][name] = {
             "dtype": cs.dtype.name,
             "row_count": cs.row_count,
@@ -371,11 +372,7 @@ def _stats_to_manifest(
             "distinct_count": cs.distinct_count,
             "min": _json_scalar(cs.min_value),
             "max": _json_scalar(cs.max_value),
-            "hist": cs.bucket_bounds is not None,
         }
-        if cs.bucket_bounds is not None:
-            arrays[f"h{ci}b"] = cs.bucket_bounds
-            arrays[f"h{ci}c"] = cs.bucket_counts
     for zone_rows, zone_map in stats.zone_maps.items():
         meta["zone_maps"][str(zone_rows)] = {
             "row_count": zone_map.row_count,
@@ -401,9 +398,8 @@ def _stats_from_manifest(
     order = {name: i for i, name in enumerate(column_order)}
     columns: dict[str, ColumnStatistics] = {}
     for name, entry in meta.get("columns", {}).items():
-        ci = order[name]
-        bounds = arrays.get(f"h{ci}b") if entry.get("hist") else None
-        counts = arrays.get(f"h{ci}c") if entry.get("hist") else None
+        if name not in order:  # damaged: the loader falls back to an older checkpoint
+            raise KeyError(f"statistics for unknown column {name!r}")
         columns[name] = ColumnStatistics(
             dtype=DataType[entry["dtype"]],
             row_count=int(entry["row_count"]),
@@ -411,8 +407,6 @@ def _stats_from_manifest(
             distinct_count=int(entry["distinct_count"]),
             min_value=entry.get("min"),
             max_value=entry.get("max"),
-            bucket_bounds=bounds,
-            bucket_counts=counts,
         )
     zone_maps: dict[int, ZoneMap] = {}
     for zone_key, zone_meta in meta.get("zone_maps", {}).items():

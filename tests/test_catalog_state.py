@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro import settings
 from repro.engine import Database, DataType, Table
 from repro.engine.column import Column
-from repro.engine.statistics import TableStatistics, ZoneMap
+from repro.engine.statistics import ColumnStatistics, TableStatistics, ZoneMap
 from repro.errors import TypeMismatchError
 from repro.indexing import UpdatableCrackerIndex
 from repro.obs.metrics import get_registry
@@ -331,8 +331,8 @@ READ_SQL = "SELECT COUNT(*) AS n, SUM(n) AS total FROM t WHERE f > 0"
 
 def _stats_table(rows: int = STATS_ROWS) -> Table:
     """NULLs in every column, NaN and both zeros in ``f``, both zeros but
-    no NaN in ``g`` (a NaN leaves a column without histogram), INT64 keys
-    past 2**53, a dictionary-encoded STRING and a BOOL."""
+    no NaN in ``g``, INT64 keys past 2**53, a dictionary-encoded STRING
+    and a BOOL."""
     f = [float(((i * 37) % 23) - 11) / 4 for i in range(rows)]
     for i in range(rows):
         if i % 17 == 0:
@@ -358,31 +358,47 @@ def _same_value(got, want) -> bool:
     return got == want or (got != got and want != want)  # NaN is NaN
 
 
-def _assert_statistics_equal_rebuild(db: Database) -> None:
-    main = db.main_table("t")
-    got, want = db.cached_statistics("t"), TableStatistics.from_table(main)
+def _assert_statistics_equal_rebuild(db: Database, name: str = "t") -> None:
+    main = db.main_table(name)
+    got, want = db.cached_statistics(name), TableStatistics.from_table(main)
     assert got is not None and got.row_count == want.row_count
     assert got.columns.keys() == want.columns.keys(), "statistics left partial"
-    for name, expected in want.columns.items():
-        actual = got.columns[name]
+    for column, expected in want.columns.items():
+        actual = got.columns[column]
         for field in ("dtype", "row_count", "null_count", "distinct_count",
                       "min_value", "max_value"):
-            assert _same_value(getattr(actual, field), getattr(expected, field)), (name, field)
-        for field in ("bucket_bounds", "bucket_counts"):
-            a, e = getattr(actual, field), getattr(expected, field)
-            assert (a is None) == (e is None) and (a is None or np.array_equal(a, e)), (
-                name, field,
+            assert _same_value(getattr(actual, field), getattr(expected, field)), (
+                column, field,
             )
-    assert got.zone_maps, "the read consulted no zone map"
+    _assert_zones_equal_rebuild(db, name)
+
+
+def _assert_zones_equal_rebuild(db: Database, name: str = "t") -> None:
+    main, got = db.main_table(name), db.cached_statistics(name)
+    assert got is not None and got.zone_maps, "the read consulted no zone map"
     for zone_rows, zones in got.zone_maps.items():
         fresh = ZoneMap.from_table(main, zone_rows)
         assert zones.row_count == fresh.row_count
         assert zones.columns.keys() == fresh.columns.keys()
-        for name, expected in fresh.columns.items():
+        for column, expected in fresh.columns.items():
             for field in ("mins", "maxs", "real_counts", "null_counts", "nan_counts"):
                 assert np.array_equal(
-                    getattr(zones.columns[name], field), getattr(expected, field)
-                ), (zone_rows, name, field)
+                    getattr(zones.columns[column], field), getattr(expected, field)
+                ), (zone_rows, column, field)
+
+
+def _read(db: Database) -> None:
+    """The scan completes its zone map and leaves the column entries as
+    they were; ``Database.statistics`` then completes those."""
+    cached = db.cached_statistics("t")
+    columns = {} if cached is None else dict(cached.columns)
+    db.sql(READ_SQL)
+    scanned = db.cached_statistics("t").columns
+    assert scanned.keys() == columns.keys(), "the scan built column statistics"
+    assert all(scanned[name] is entry for name, entry in columns.items())
+    _assert_zones_equal_rebuild(db)
+    db.statistics("t")
+    _assert_statistics_equal_rebuild(db)
 
 
 _KEY_RANGE = st.tuples(st.integers(0, STATS_ROWS), st.integers(1, 12))
@@ -451,10 +467,8 @@ def test_statistics_equal_a_rebuild_after_any_write_sequence(ops):
                     db.close()
                     db = Database(path=root)
                 else:
-                    db.sql(READ_SQL)
-                    _assert_statistics_equal_rebuild(db)
-            db.sql(READ_SQL)
-            _assert_statistics_equal_rebuild(db)
+                    _read(db)
+            _read(db)
         finally:
             db.close()
 
@@ -463,6 +477,7 @@ def test_update_drops_only_the_assigned_entries():
     db = Database()
     db.create_table("t", _stats_table())
     db.sql(READ_SQL)
+    db.statistics("t")
     before = db.cached_statistics("t")
     db.execute(f"UPDATE t SET f = f * -1, s = 'zz' WHERE {_where((10, 40))}")
     patched = db.cached_statistics("t")
@@ -474,10 +489,9 @@ def test_update_drops_only_the_assigned_entries():
         assert patched.columns[name] is before.columns[name]
     for name in ("k", "g", "n"):
         assert zones.columns[name] is old_zones.columns[name]
-    db.sql(READ_SQL)
+    _read(db)
     completed = db.cached_statistics("t")
     assert completed.columns["k"] is before.columns["k"]  # still shared
-    _assert_statistics_equal_rebuild(db)
 
 
 def test_checkpoint_between_update_and_read_persists_partial_statistics(tmp_path):
@@ -485,15 +499,58 @@ def test_checkpoint_between_update_and_read_persists_partial_statistics(tmp_path
     try:
         db.create_table("t", _stats_table())
         db.sql(READ_SQL)
+        db.statistics("t")
         db.execute(f"UPDATE t SET f = f + 1.5 WHERE {_where((0, 80))}")
         db.checkpoint()
         db.close()
         db = Database(path=tmp_path / "db")
         restored = db.cached_statistics("t")
-        assert restored is not None and "f" not in restored.columns
+        assert restored is not None and set(restored.columns) == {"k", "g", "n", "s", "b"}
         assert "f" not in restored.zone_maps[ZONE_ROWS].columns
+        _read(db)
+    finally:
+        db.close()
+
+
+def test_a_scan_builds_no_column_statistics(tmp_path, monkeypatch):
+    """Whatever a write left missing, a scan builds only zones; the next
+    ``Database.statistics`` builds exactly the missing column entries."""
+    built = []
+    build = ColumnStatistics.from_column.__func__
+
+    def spy(cls, column):
+        built.append(column)
+        return build(cls, column)
+
+    monkeypatch.setattr(ColumnStatistics, "from_column", classmethod(spy))
+    everything = set(_stats_table().column_names)
+
+    def scan_then_statistics(db, missing):
+        built.clear()
         db.sql(READ_SQL)
-        _assert_statistics_equal_rebuild(db)
+        assert built == [], "the scan built column statistics"
+        assert everything - set(db.cached_statistics("t").columns) == missing
+        db.statistics("t")
+        assert len(built) == len(missing)
+        assert set(db.cached_statistics("t").columns) == everything
+
+    db = Database(path=tmp_path / "db")
+    try:
+        db.create_table("t", _stats_table())
+        scan_then_statistics(db, everything)
+        db.execute(f"UPDATE t SET f = f * -1, s = 'zz' WHERE {_where((10, 40))}")
+        scan_then_statistics(db, {"f", "s"})
+        db.execute(f"INSERT INTO t VALUES ({BIG + STATS_ROWS}, 0.5, 1.5, 2, 'b', TRUE)")
+        db.flush_deltas("t")  # a pure append
+        scan_then_statistics(db, everything)
+        db.execute(f"DELETE FROM t WHERE {_where((0, 5))}")
+        db.flush_deltas("t")  # compacts
+        scan_then_statistics(db, everything)
+        db.execute(f"UPDATE t SET n = 7 WHERE {_where((20, 5))}")
+        db.checkpoint()
+        db.close()
+        db = Database(path=tmp_path / "db")
+        scan_then_statistics(db, {"n"})
     finally:
         db.close()
 

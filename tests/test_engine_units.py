@@ -371,6 +371,17 @@ class TestStatistics:
         assert stats.estimate_range_selectivity(8, 9) == 0.0
 
 
+def test_nan_bounds_estimate_as_unknown():
+    """A NaN in a FLOAT64 column makes its min/max NaN; the estimators
+    then take the no-bounds defaults, and the stored bounds stay NaN."""
+    stats = ColumnStatistics.from_column(Column([1.0, float("nan"), 3.0, 2.0]))
+    assert math.isnan(stats.min_value) and math.isnan(stats.max_value)
+    assert stats.estimate_range_selectivity(0, 2) == pytest.approx(1 / 3)
+    assert stats.estimate_range_selectivity(None, None) == pytest.approx(1 / 3)
+    assert stats.estimate_equality_selectivity(2.0) == pytest.approx(1 / stats.distinct_count)
+    assert stats.estimate_equality_selectivity(99.0) == pytest.approx(1 / stats.distinct_count)
+
+
 class TestCsvIO:
     def test_parse_field_types(self):
         assert parse_field("42", DataType.INT64) == 42
