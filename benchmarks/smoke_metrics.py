@@ -29,7 +29,7 @@ from repro.engine.catalog import Database
 from repro.engine.column import Column
 from repro.engine.expressions import col
 from repro.engine.sql import parser
-from repro.engine.statistics import ColumnStatistics, TableStatistics
+from repro.engine.statistics import ColumnStatistics
 from repro.engine.table import Table
 from repro.engine.types import coerce_array, infer_type
 from repro.errors import TypeMismatchError
@@ -520,14 +520,14 @@ def check_views_run_on_group_kernel(n: int = 200_000, repeats: int = 3) -> float
 
 
 def check_update_resummarises_assigned_columns(n: int = 200_000, repeats: int = 5) -> float:
-    """Guard column-granular statistics maintenance with counts, a ratio
-    and answers: over ``n`` rows x 5 columns, a scan after
-    ``UPDATE … SET qty = …`` must build no ``ColumnStatistics`` (it
-    completes its zone map only); the next ``Database.statistics`` must
-    build exactly one (the assigned column's) and run at least 5x faster
-    than the one after ``invalidate_statistics`` (every column rebuilt);
-    scans and statistics must answer the same either way.  Returns the
-    speedup."""
+    """Guard on-read column statistics with counts, a ratio and answers:
+    over ``n`` rows x 5 columns, a scan after ``UPDATE … SET qty = …``
+    must build no ``ColumnStatistics`` (it completes its zone map only);
+    reading ``qty`` from the next ``Database.statistics`` must build
+    exactly one entry and run at least 5x faster than building every
+    column's; the scan must answer as it does over the same rows in a
+    fresh database, and the ``qty`` entry must equal the rebuilt one.
+    Returns the speedup."""
     rng = np.random.default_rng(0)
     kinds = np.array([f"kind_{i}" for i in range(8)], dtype=object)
     ts = np.cumsum(rng.integers(1, 5, n))
@@ -544,7 +544,7 @@ def check_update_resummarises_assigned_columns(n: int = 200_000, repeats: int = 
         f"WHERE ts >= {int(ts[n - 10_000])}"
     )
     db.sql(read)
-    db.statistics("readings")
+    db.statistics("readings").column("qty")
     original = ColumnStatistics.__dict__["from_column"]
     built = []
 
@@ -552,10 +552,10 @@ def check_update_resummarises_assigned_columns(n: int = 200_000, repeats: int = 
         built.append(column)
         return original.__func__(ColumnStatistics, column)
 
-    def timed_statistics() -> tuple[float, TableStatistics]:
+    def timed(read_columns) -> tuple[float, dict]:
         started = time.perf_counter()
-        stats = db.statistics("readings")
-        return time.perf_counter() - started, stats
+        entries = read_columns()
+        return time.perf_counter() - started, entries
 
     completed_s = rebuilt_s = float("inf")
     saved = settings.snapshot()
@@ -568,18 +568,23 @@ def check_update_resummarises_assigned_columns(n: int = 200_000, repeats: int = 
             built.clear()
             patched = db.sql(read)
             assert not built, f"a scan after an UPDATE built {len(built)} column statistics"
-            seconds, completed = timed_statistics()
+            seconds, completed = timed(lambda: {"qty": db.statistics("readings").column("qty")})
             completed_s = min(completed_s, seconds)
             assert len(built) == 1, (
-                f"the first statistics read after an UPDATE built {len(built)} column statistics"
+                f"the first read of qty's statistics after an UPDATE built {len(built)} entries"
             )
-            db.invalidate_statistics("readings")
-            rebuilt = db.sql(read)
-            assert len(built) == 1, "a scan after invalidate_statistics built column statistics"
-            seconds, fresh = timed_statistics()
+            fresh = Database()
+            fresh.create_table("readings", db.get_table("readings"))
+            rebuilt = fresh.sql(read)
+            assert len(built) == 1, "a scan of the rebuilt table built column statistics"
+            table = fresh.get_table("readings")
+            seconds, every = timed(lambda: {
+                name: ColumnStatistics.from_column(table.column(name))
+                for name in table.column_names
+            })
             rebuilt_s = min(rebuilt_s, seconds)
             assert len(built) == 1 + 5  # the spy is live: a rebuild builds all five
-            assert completed.columns == fresh.columns
+            assert completed["qty"] == every["qty"]
             assert patched.num_rows == rebuilt.num_rows == 1
             for name in rebuilt.column_names:
                 assert np.array_equal(patched.column(name).data, rebuilt.column(name).data), name
@@ -588,8 +593,8 @@ def check_update_resummarises_assigned_columns(n: int = 200_000, repeats: int = 
         settings.restore(saved)
     speedup = rebuilt_s / completed_s
     assert speedup >= 5.0, (
-        f"the first statistics read after an UPDATE is only {speedup:.1f}x the full "
-        f"rebuild ({completed_s * 1e3:.2f} ms vs {rebuilt_s * 1e3:.2f} ms)"
+        f"reading qty's statistics after an UPDATE is only {speedup:.1f}x building "
+        f"every column's ({completed_s * 1e3:.2f} ms vs {rebuilt_s * 1e3:.2f} ms)"
     )
     return speedup
 

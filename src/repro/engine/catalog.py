@@ -63,11 +63,10 @@ class _TableState:
 
     ``main`` is the columnar main and ``version`` its data version;
     ``delta`` holds the pending writes against it, with the tail table,
-    effective table and effective statistics derived from them cached on
-    the store itself (:meth:`DeltaStore.cached`); ``stats`` describes
-    the main — its column entries completed by
-    :meth:`Database.statistics`, its zone maps by
-    :meth:`Database.zone_map` — and is None until one of them asks;
+    effective table and column statistics derived from them cached on
+    the store itself (:meth:`DeltaStore.cached`); ``zones`` maps a
+    ``zone_rows`` granularity to the main's zone map, built by
+    :meth:`Database.zone_map` when a scan first asks;
     ``layout`` is the shard layout clustering the main, or None;
     ``indexes`` maps a column to its secondary index, whose positions
     are main row positions; ``selections`` keeps the span selections
@@ -77,13 +76,13 @@ class _TableState:
     and ``delta``.
     """
 
-    __slots__ = ("main", "version", "delta", "stats", "layout", "indexes", "selections")
+    __slots__ = ("main", "version", "delta", "zones", "layout", "indexes", "selections")
 
     def __init__(self, main: Table) -> None:
         self.main = main
         self.version = 0
         self.delta = DeltaStore(main)
-        self.stats: TableStatistics | None = None
+        self.zones: dict[int, ZoneMap] = {}
         self.layout: shardsmod.ShardLayout | None = None
         self.indexes: dict[str, RangeIndex] = {}
         self.selections = SelectionMemo()
@@ -160,20 +159,6 @@ class Database:
         self._durability.wal.append(
             {"op": op, "table": name}, layouts.table_to_bytes(table)
         )
-
-    def cached_statistics(self, name: str) -> TableStatistics | None:
-        """Cached statistics for a table's main iff still current, else None.
-
-        The object may be partial: after an UPDATE it lacks the assigned
-        columns' entries, after a pure-append merge every column entry
-        (zone maps stay), until their readers complete them — a scan its
-        zone map, :meth:`statistics` the column entries.  The
-        checkpoint writer persists exactly what is cached — nothing is
-        computed at checkpoint time; missing statistics are recomputed
-        lazily after recovery.
-        """
-        state = self._tables.get(name)
-        return None if state is None else state.stats
 
     def checkpoint(self) -> str:
         """Merge pending deltas, then atomically persist the whole catalog.
@@ -305,7 +290,7 @@ class Database:
         *,
         moved: bool = False,
         changed: Collection[str] = (),
-        stats: TableStatistics | None = None,
+        zones: dict[int, ZoneMap] | None = None,
         layout: shardsmod.ShardLayout | None = None,
     ) -> None:
         """Make ``main`` the table's columnar main — the one place a main
@@ -314,15 +299,15 @@ class Database:
         The writer passes what it *observed*: ``moved`` — a surviving row
         changed position; ``changed`` — the columns whose values changed
         in place; ``layout`` — the shard layout that clusters ``main``;
-        ``stats`` — statistics that already describe new contents.
+        ``zones`` — zone maps that already describe new contents.
         Contents are *new* when no table of that name is registered
         (``replace_table`` retires the old one first).  From that alone:
 
         ================================  ==========  ========  =======  =======
-        observed (writers)                statistics  indexes   pending  data
+        observed (writers)                zone maps   indexes   pending  data
                                                                 delta    version
         ================================  ==========  ========  =======  =======
-        new contents (create, replace,    ``stats``   none      fresh    new
+        new contents (create, replace,    ``zones``   none      fresh    new
         recovered, unfiltered DELETE)
         rows moved (compacting or re-     none        none      fresh    new
         clustering merge, re-shard)
@@ -335,15 +320,14 @@ class Database:
         unshard)
         ================================  ==========  ========  =======  =======
 
-        *Patched* statistics are a new object over the same rows: the
-        entries (column statistics and zones) of the ``changed`` columns
-        are gone and every other entry is the same object.  *Extended*
-        ones carry every zone map extended over the appended rows and no
-        column statistics — each column gained rows.  Either way each
-        reader completes what it reads: the next scan its zone map
-        (:meth:`zone_map`), the next :meth:`statistics` call the column
-        entries (:meth:`_main_statistics`), so what either returns
-        equals a rebuild from scratch.
+        *Patched* zone maps are new objects over the same rows: the
+        summaries of the ``changed`` columns are gone and every other
+        one is the same object.  *Extended* ones are spliced over the
+        appended rows (``delta.extend_statistics``).  Either way the next
+        scan completes what it reads (:meth:`zone_map`), so it equals a
+        rebuild from scratch.  Column statistics are no catalog state:
+        they are derived per delta version (:meth:`statistics`), so a
+        fresh or touched delta retires them.
 
         On every row the catalog version moves iff the schema or the
         layout's (mode, key, shard count) changed — an index picks rows at
@@ -354,7 +338,7 @@ class Database:
         structural = rebuilt = state is None
         if state is None:
             state = self._tables[name] = _TableState(main)
-            state.stats = stats
+            state.zones = zones or {}
         else:
             # a merge or re-shard hands over a whole new image; an UPDATE
             # or an adopted checkpoint keeps every row where it was
@@ -371,11 +355,14 @@ class Database:
                 # scratch dir (write-temp-then-rename) and remapped.
                 main = self._durability.spill_table(name, main)
             if moved:
-                state.stats = None
-            elif rebuilt and state.stats is not None:
-                state.stats = deltamod.extend_statistics(state.stats, main)
-            elif changed and state.stats is not None:
-                state.stats = state.stats.without(changed)
+                state.zones = {}
+            elif rebuilt and state.zones:
+                state.zones = deltamod.extend_statistics(state.zones, main)
+            elif changed:
+                state.zones = {
+                    zone_rows: zone_map.without(changed)
+                    for zone_rows, zone_map in state.zones.items()
+                }
             structural = _layout_spec(layout) != _layout_spec(state.layout)
             for column in list(state.indexes):
                 if moved or column in changed:
@@ -575,51 +562,17 @@ class Database:
 
     # -- statistics ---------------------------------------------------------------
 
-    def _main_statistics(self, name: str) -> TableStatistics:
-        """Statistics of the columnar main, computed on first use and
-        completed after :meth:`_install` dropped the column entries a
-        write changed (only the missing columns are computed).  Zone maps
-        carry over as they are: :meth:`zone_map` completes its own."""
-        state = self._state(name)
-        stats, main = state.stats, state.main
-        if stats is None or len(stats.columns) < len(main.column_names):
-            stats = TableStatistics.from_table(main, reuse=stats)
-            if state.main is main:  # a build that raced an install is not kept
-                state.stats = stats
-        return stats
-
     def statistics(self, name: str) -> TableStatistics:
-        """Statistics for a table as queries see it, lazily cached.
+        """Column statistics of a table as queries see it
+        (:meth:`get_table`), pending writes included.
 
-        With a clean delta these are the (exact) main statistics.  While
-        writes are pending, the cached main statistics are *absorbed*
-        with an O(delta) summary of the live delta rows — row/null
-        counts and min/max reflect the pending writes exactly; distinct
-        counts are approximate until the next merge.  The column entries
-        are built here, on the first read after a write dropped them —
-        the optimizer's join reorder is the engine's one reader, so a
-        scan never pays for them.
+        One object per delta version, cached on the store: it builds a
+        column's entry when that column is first read — the optimizer's
+        join reorder, the engine's one reader, reads its join keys only
+        — so every entry is exact, and taking the object builds none.
         """
-        main_stats = self._main_statistics(name)
-        store = self.delta_store_if_dirty(name)
-        if store is None:
-            return main_stats
-
-        def absorb() -> TableStatistics:
-            tail = self.delta_tail(name)
-            live = store.live_delta_mask()
-            if live is not None:
-                tail = tail.filter(live)
-            return deltamod.effective_statistics(main_stats, tail, store.main_tombstones)
-
-        return store.cached("statistics", absorb)
-
-    def invalidate_statistics(self, name: str) -> None:
-        """Drop cached statistics (e.g. after the table was replaced)."""
-        state = self._tables.get(name)
-        if state is not None:
-            state.stats = None
-            state.delta.touch()  # the absorbed statistics were derived from them
+        store = self._state(name).delta
+        return store.cached("statistics", lambda: TableStatistics(self.get_table(name)))
 
     def zone_map(self, name: str) -> ZoneMap:
         """Zone map of the columnar *main* at the configured ``zone_rows``
@@ -629,24 +582,20 @@ class Database:
         them to the main and evaluates the delta tail directly, so the
         map deliberately ignores pending writes.  (Tombstoned main rows
         stay summarised: bounds over a superset keep FAIL/PASS sound,
-        and the scan ANDs the live mask afterwards.)  Cached inside the
-        statistics that :meth:`_install` keeps, extends, patches or
-        drops; completing it summarises only the columns a write dropped
-        and builds no column statistics — a scan reads none.
+        and the scan ANDs the live mask afterwards.)  Kept on the
+        table's state, which :meth:`_install` keeps, extends, patches or
+        empties; a map that is not ``complete`` is completed here,
+        summarising only the columns it lacks.
         """
         state = self._state(name)
-        stats, main = state.stats, state.main
-        if stats is None:
-            stats = TableStatistics(row_count=main.num_rows)
+        main, zones = state.main, state.zones
         zone_rows = settings.current.zone_rows
-        zones = stats.zone_maps.get(zone_rows)
-        numeric = sum(dtype.is_numeric for dtype in main.schema.types)
-        if zones is None or len(zones.columns) < numeric:
-            zones = ZoneMap.from_table(main, zone_rows, reuse=zones)
+        zone_map = zones.get(zone_rows)
+        if zone_map is None or not zone_map.complete:
+            zone_map = ZoneMap.from_table(main, zone_rows, reuse=zone_map)
             if state.main is main:  # a build that raced an install is not kept
-                stats.zone_maps[zone_rows] = zones
-                state.stats = stats
-        return zones
+                zones[zone_rows] = zone_map
+        return zone_map
 
     # -- indexes -------------------------------------------------------------------
 
@@ -975,9 +924,9 @@ class Database:
         """Execute any supported statement.
 
         SELECTs return their result :class:`Table`; DML statements return
-        the number of rows affected; DDL statements return 0.  Mutating a
-        table drops its cached statistics and any registered indexes,
-        since both describe the old contents.
+        the number of rows affected; DDL statements return 0.  What a
+        mutation keeps of the structures describing the old contents is
+        :meth:`_install`'s rule table.
 
         ``PRAGMA <name>[=<value>]`` reads or sets a row of
         :data:`repro.settings.SETTINGS`; the read form returns a one-row

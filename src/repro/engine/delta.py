@@ -25,20 +25,18 @@ incremental where the structures allow it:
 - **zone maps** — on a pure append (no tombstones) only the trailing
   partial zone and the new zones are recomputed; complete old zones are
   spliced in unchanged;
-- **statistics** — on a pure append the zone maps carry over extended;
-  every column gained rows, so its statistics are recomputed when
-  ``Database.statistics`` next reads them, like the columns an UPDATE
-  assigned.  A main's statistics always equal a rebuild; only the
-  *effective* statistics of pending writes are absorbed approximately
-  (:func:`effective_statistics`).
+- **column statistics** are not maintained at all: they are built
+  over the table as queries see it, per delta version, when the
+  optimizer reads a column (``Database.statistics``), so they are
+  exact with writes pending and after every merge.
 
 A merge with tombstones compacts row positions, so it drops positional
-structures (registered indexes, cached zone maps/statistics) instead of
-maintaining them — deletes are the rare case in an exploration workload.
-Which of the two a merge was is decided in one place,
-``Database._install`` (its docstring has the rule table); the values
-derived from a store — tail table, effective table, effective
-statistics — are cached on the store itself (:meth:`DeltaStore.cached`).
+structures (registered indexes, zone maps) instead of maintaining them
+— deletes are the rare case in an exploration workload.  Which of the
+two a merge was is decided in one place, ``Database._install`` (its
+docstring has the rule table); the values derived from a store — tail
+table, effective table, column statistics — are cached on the store
+itself (:meth:`DeltaStore.cached`).
 
 This is the "Updating a Cracked Database" [30] design promoted from the
 :mod:`repro.indexing.updates` demo into the engine's real update path:
@@ -82,12 +80,7 @@ from repro.engine.column import (
 )
 from repro.engine.expressions import Expression, Literal, fold_constant
 from repro.engine.planner import bind_expression
-from repro.engine.statistics import (
-    ColumnStatistics,
-    ColumnZones,
-    TableStatistics,
-    ZoneMap,
-)
+from repro.engine.statistics import ColumnZones, ZoneMap
 from repro.engine.table import Schema, Table
 from repro.engine.types import DataType, assignable
 from repro.errors import CatalogError, ReproError, TypeMismatchError
@@ -115,7 +108,7 @@ class DeltaStore:
     live masks are handed out as copies.
 
     The store also holds what is derived from it — the tail table, the
-    effective table, the effective statistics (:meth:`cached`) — because
+    effective table, the column statistics (:meth:`cached`) — because
     it is the store's own :meth:`touch` that makes them stale, and a
     merge that replaces the store retires them with it.
     """
@@ -473,7 +466,9 @@ def extend_zone_map(old: ZoneMap, table: Table) -> ZoneMap:
     keep = old.row_count // zone_rows  # complete zones to splice in unchanged
     start = keep * zone_rows
     fresh = ZoneMap.from_table(table.slice(start, n), zone_rows)
-    merged = ZoneMap(zone_rows=zone_rows, row_count=n)
+    if not keep:  # nothing to splice in: the fresh map covers the whole table
+        return fresh
+    merged = ZoneMap(zone_rows=zone_rows, row_count=n, complete=old.complete)
     for name, zones in old.columns.items():
         new_zones = fresh.columns.get(name)
         if new_zones is None:
@@ -488,60 +483,11 @@ def extend_zone_map(old: ZoneMap, table: Table) -> ZoneMap:
     return merged
 
 
-def _absorb_column(
-    main: ColumnStatistics, tail: ColumnStatistics, row_count: int
-) -> ColumnStatistics:
-    """Main-column statistics absorbed with an O(delta) tail summary.
-
-    Row/null counts and min/max combine exactly (min/max conservatively
-    under tombstones — a superset's bounds stay sound); the distinct
-    count is a ``max()`` lower bound.
-    """
-
-    def _combine(a: Any, b: Any, pick: Any) -> Any:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return pick(a, b)
-
-    return ColumnStatistics(
-        dtype=main.dtype,
-        row_count=row_count,
-        null_count=main.null_count + tail.null_count,
-        distinct_count=max(main.distinct_count, tail.distinct_count),
-        min_value=_combine(main.min_value, tail.min_value, min),
-        max_value=_combine(main.max_value, tail.max_value, max),
-    )
-
-
-def effective_statistics(
-    main_stats: TableStatistics, live_tail: Table, dead_main: int
-) -> TableStatistics:
-    """Statistics of main + live delta, absorbed without touching the main."""
-    row_count = main_stats.row_count - dead_main + live_tail.num_rows
-    tail_stats = TableStatistics.from_table(live_tail)
-    columns = {}
-    for name, stats in main_stats.columns.items():
-        tail_col = tail_stats.column(name)
-        if tail_col is None:
-            columns[name] = stats
-            continue
-        columns[name] = _absorb_column(stats, tail_col, row_count)
-    return TableStatistics(row_count=row_count, columns=columns)
-
-
-def extend_statistics(main_stats: TableStatistics, merged_main: Table) -> TableStatistics:
-    """Post-merge statistics seeded from the pre-merge main statistics.
-
-    Pure-append only.  Every cached zone map is extended incrementally —
-    a complete zone summarises rows the merge did not touch.  Every
-    column gained rows, so no column entry carries over: the next
-    ``Database.statistics`` completes them
-    (:meth:`TableStatistics.from_table` with ``reuse=``), exactly as
-    after an UPDATE, so the result equals a rebuild.
-    """
-    extended = TableStatistics(row_count=merged_main.num_rows)
-    for zone_rows, zones in main_stats.zone_maps.items():
-        extended.zone_maps[zone_rows] = extend_zone_map(zones, merged_main)
-    return extended
+def extend_statistics(zones: dict[int, ZoneMap], merged_main: Table) -> dict[int, ZoneMap]:
+    """A table's zone maps after a pure-append merge: every map extended
+    incrementally (:func:`extend_zone_map`) — a complete zone summarises
+    rows the merge did not touch."""
+    return {
+        zone_rows: extend_zone_map(zone_map, merged_main)
+        for zone_rows, zone_map in zones.items()
+    }

@@ -7,9 +7,9 @@ and are deliberately simple; the point of the exploration work in the
 paper is precisely that such static statistics are insufficient for
 ad-hoc workloads, which the adaptive components then address.  For the
 same reason nothing here is built before someone reads it: a scan
-completes only its zone map (:class:`ZoneMap`), and the column entries
-are completed when the optimizer asks for them
-(``Database.statistics``).
+builds its zone map (:class:`ZoneMap`, kept on the table's catalog
+state), and a column's entry is built when the optimizer reads it
+(:class:`TableStatistics`, from ``Database.statistics``).
 """
 
 from __future__ import annotations
@@ -121,12 +121,16 @@ class ZoneMap:
 
     Zones are contiguous ``zone_rows``-sized row ranges; the last zone may
     be short.  Only numeric columns are summarised — string predicates go
-    through dictionary codes instead.
+    through dictionary codes instead.  ``complete`` records that every
+    numeric column is: ``Database.zone_map`` serves such a map as it is,
+    and completes any other (a write dropped summaries, or a checkpoint
+    restored it) through :meth:`from_table` with ``reuse=``.
     """
 
     zone_rows: int
     row_count: int
     columns: dict[str, ColumnZones] = field(default_factory=dict)
+    complete: bool = False
 
     @property
     def num_zones(self) -> int:
@@ -154,7 +158,7 @@ class ZoneMap:
         it lacks are computed.
         """
         n = table.num_rows
-        zone_map = cls(zone_rows=zone_rows, row_count=n)
+        zone_map = cls(zone_rows=zone_rows, row_count=n, complete=True)
         if zone_rows <= 0 or n == 0:
             return zone_map
         known = {} if reuse is None else reuse.columns
@@ -196,62 +200,35 @@ class ZoneMap:
             )
         return zone_map
 
+    def without(self, names: Collection[str]) -> "ZoneMap":
+        """This map over the same rows lacking the summaries of ``names``;
+        every other summary is the same object."""
+        kept = {name: zones for name, zones in self.columns.items() if name not in names}
+        return ZoneMap(
+            self.zone_rows, self.row_count, kept, self.complete and len(kept) == len(self.columns)
+        )
 
-@dataclass
+
 class TableStatistics:
-    """Statistics for every column of a table, and its zone maps.
+    """Column statistics of one table, each entry built on first read.
 
-    The two are completed by their own readers: the column entries by
-    :meth:`from_table` with ``reuse=`` (``Database.statistics``), a zone
-    map by :meth:`ZoneMap.from_table` with ``reuse=``
-    (``Database.zone_map``, which every zone-gated scan calls).
+    ``Database.statistics`` hands out one per table as queries see it
+    (and per delta version), so an entry is a function of the table's
+    current values alone and equals a rebuild from scratch; the
+    optimizer's join reorder reads only its join keys, so no other
+    column's entry is built.
     """
 
-    row_count: int
-    columns: dict[str, ColumnStatistics] = field(default_factory=dict)
-    zone_maps: dict[int, ZoneMap] = field(default_factory=dict)
-
-    @classmethod
-    def from_table(
-        cls, table: Table, reuse: "TableStatistics | None" = None
-    ) -> "TableStatistics":
-        """Compute statistics for every column.
-
-        ``reuse`` — statistics of this same table that may be partial
-        (:meth:`without`) — completes instead: its column entries are
-        shared, only the columns it lacks are computed, and its zone maps
-        carry over as they are.  Every entry is a function of its column
-        alone, so the result equals a build from scratch.
-        """
-        known = {} if reuse is None else reuse.columns
-        return cls(
-            row_count=table.num_rows,
-            columns={
-                name: known[name] if name in known
-                else ColumnStatistics.from_column(table.column(name))
-                for name in table.column_names
-            },
-            zone_maps={} if reuse is None else dict(reuse.zone_maps),
-        )
-
-    def without(self, names: Collection[str]) -> "TableStatistics":
-        """Statistics over the same rows lacking the entries of ``names``
-        (column statistics and zones alike); every other entry is shared.
-        :meth:`from_table` and :meth:`ZoneMap.from_table` with ``reuse=``
-        complete them."""
-
-        def keep(entries: dict) -> dict:
-            return {name: entry for name, entry in entries.items() if name not in names}
-
-        return TableStatistics(
-            row_count=self.row_count,
-            columns=keep(self.columns),
-            zone_maps={
-                zone_rows: ZoneMap(zones.zone_rows, zones.row_count, keep(zones.columns))
-                for zone_rows, zones in self.zone_maps.items()
-            },
-        )
+    def __init__(self, table: Table) -> None:
+        self.table = table
+        self.row_count = table.num_rows
+        #: the entries built so far, by column name
+        self.columns: dict[str, ColumnStatistics] = {}
 
     def column(self, name: str) -> ColumnStatistics | None:
-        """Statistics for one column, or None if unknown."""
-        return self.columns.get(name)
+        """Statistics for one column (built now if not yet read), or None
+        if the table has no such column."""
+        entry = self.columns.get(name)
+        if entry is None and name in self.table.schema:
+            entry = self.columns[name] = ColumnStatistics.from_column(self.table.column(name))
+        return entry

@@ -21,8 +21,8 @@ to the last fsync, plus whatever the OS happened to flush.
 
 **Checkpoints.**  :func:`write_checkpoint` serialises every table's
 columnar main (one ``.npz`` per column through the
-:mod:`repro.storage.layouts` seam, dictionary codes included), cached
-statistics and zone maps into a numbered ``checkpoint-NNNNNN``
+:mod:`repro.storage.layouts` seam, dictionary codes included) and its
+cached zone maps into a numbered ``checkpoint-NNNNNN``
 directory.  The manifest is written last via write-temp-then-
 ``os.replace``, so a directory with a readable manifest is complete by
 construction; the ``CURRENT`` pointer file is swapped the same way.
@@ -64,13 +64,8 @@ import numpy as np
 
 from repro import settings
 from repro.engine.shards import ShardLayout
-from repro.engine.statistics import (
-    ColumnStatistics,
-    ColumnZones,
-    TableStatistics,
-    ZoneMap,
-)
-from repro.engine.types import DataType, python_value
+from repro.engine.statistics import ColumnZones, ZoneMap
+from repro.engine.types import DataType
 from repro.errors import RecoveryError, ReproError, WalError
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import trace
@@ -339,76 +334,50 @@ def _copy_fsync(source: Path, target: Path) -> None:
 # -- checkpoint serialisation ------------------------------------------------------
 
 
-def _json_scalar(value: Any) -> Any:
-    value = python_value(value)
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    return str(value)
-
-
-def _stats_to_manifest(
-    table: "Table", stats: TableStatistics | None
+def _zones_to_manifest(
+    table: "Table", zones: dict[int, ZoneMap]
 ) -> tuple[dict[str, Any] | None, dict[str, np.ndarray]]:
-    """Split cached statistics into JSON metadata and dense npz arrays.
+    """Split cached zone maps into JSON metadata and dense npz arrays.
 
     Zone-map arrays are keyed by *column index* (manifest column order),
     which keeps npz key parsing unambiguous for column names containing
-    separators.  Column entries are JSON only; an older manifest's
-    per-column ``hist`` flag and ``h{i}b``/``h{i}c`` histogram arrays
-    are ignored by the reader.
+    separators.  The metadata keeps the ``stats`` layout of the format:
+    an older writer's per-column entries (``columns``, with a ``hist``
+    flag and ``h{i}b``/``h{i}c`` histogram arrays) are no longer
+    written, and the reader ignores them.
     """
-    if stats is None:
+    if not zones:
         return None, {}
-    meta: dict[str, Any] = {"row_count": stats.row_count, "columns": {}, "zone_maps": {}}
+    meta: dict[str, Any] = {"row_count": table.num_rows, "zone_maps": {}}
     arrays: dict[str, np.ndarray] = {}
     order = {name: i for i, name in enumerate(table.column_names)}
-    for name, cs in stats.columns.items():
-        if name not in order:
-            continue
-        meta["columns"][name] = {
-            "dtype": cs.dtype.name,
-            "row_count": cs.row_count,
-            "null_count": cs.null_count,
-            "distinct_count": cs.distinct_count,
-            "min": _json_scalar(cs.min_value),
-            "max": _json_scalar(cs.max_value),
-        }
-    for zone_rows, zone_map in stats.zone_maps.items():
+    for zone_rows, zone_map in zones.items():
         meta["zone_maps"][str(zone_rows)] = {
             "row_count": zone_map.row_count,
             "columns": [name for name in zone_map.columns if name in order],
         }
-        for name, zones in zone_map.columns.items():
+        for name, column_zones in zone_map.columns.items():
             if name not in order:
                 continue
             prefix = f"z{zone_rows}_{order[name]}_"
-            arrays[prefix + "min"] = zones.mins
-            arrays[prefix + "max"] = zones.maxs
-            arrays[prefix + "real"] = zones.real_counts
-            arrays[prefix + "null"] = zones.null_counts
-            arrays[prefix + "nan"] = zones.nan_counts
+            arrays[prefix + "min"] = column_zones.mins
+            arrays[prefix + "max"] = column_zones.maxs
+            arrays[prefix + "real"] = column_zones.real_counts
+            arrays[prefix + "null"] = column_zones.null_counts
+            arrays[prefix + "nan"] = column_zones.nan_counts
     return meta, arrays
 
 
-def _stats_from_manifest(
+def _zones_from_manifest(
     meta: dict[str, Any],
     arrays: dict[str, np.ndarray],
     column_order: list[str],
-) -> TableStatistics:
+) -> dict[int, ZoneMap]:
     order = {name: i for i, name in enumerate(column_order)}
-    columns: dict[str, ColumnStatistics] = {}
-    for name, entry in meta.get("columns", {}).items():
+    for name in meta.get("columns", {}):  # an older writer's column entries: unread
         if name not in order:  # damaged: the loader falls back to an older checkpoint
             raise KeyError(f"statistics for unknown column {name!r}")
-        columns[name] = ColumnStatistics(
-            dtype=DataType[entry["dtype"]],
-            row_count=int(entry["row_count"]),
-            null_count=int(entry["null_count"]),
-            distinct_count=int(entry["distinct_count"]),
-            min_value=entry.get("min"),
-            max_value=entry.get("max"),
-        )
-    zone_maps: dict[int, ZoneMap] = {}
+    zones: dict[int, ZoneMap] = {}
     for zone_key, zone_meta in meta.get("zone_maps", {}).items():
         zone_rows = int(zone_key)
         zone_columns: dict[str, ColumnZones] = {}
@@ -421,14 +390,12 @@ def _stats_from_manifest(
                 null_counts=arrays[prefix + "null"],
                 nan_counts=arrays[prefix + "nan"],
             )
-        zone_maps[zone_rows] = ZoneMap(
+        zones[zone_rows] = ZoneMap(
             zone_rows=zone_rows,
             row_count=int(zone_meta["row_count"]),
             columns=zone_columns,
         )
-    return TableStatistics(
-        row_count=int(meta["row_count"]), columns=columns, zone_maps=zone_maps
-    )
+    return zones
 
 
 def checkpoint_dir_name(checkpoint_id: int) -> str:
@@ -482,7 +449,7 @@ def write_checkpoint(db: "Database", root: Path, checkpoint_id: int) -> Path:
                     "files": files,
                 }
             )
-        stats_meta, stats_arrays = _stats_to_manifest(table, db.cached_statistics(name))
+        stats_meta, stats_arrays = _zones_to_manifest(table, db._state(name).zones)
         stats_file = None
         if stats_arrays or stats_meta:
             stats_file = f"t{ti}_stats.npz"
@@ -514,13 +481,13 @@ def write_checkpoint(db: "Database", root: Path, checkpoint_id: int) -> Path:
 
 def _load_checkpoint_dir(
     directory: Path, storage: str = "memory"
-) -> list[tuple[str, "Table", TableStatistics | None, dict | None]]:
+) -> list[tuple[str, "Table", dict[int, ZoneMap], dict | None]]:
     from repro.engine.table import Table
 
     manifest = json.loads((directory / "MANIFEST.json").read_text())
     if manifest.get("format") not in _READABLE_FORMATS:
         raise ValueError(f"unsupported checkpoint format {manifest.get('format')!r}")
-    tables: list[tuple[str, Table, TableStatistics | None, dict | None]] = []
+    tables: list[tuple[str, Table, dict[int, ZoneMap], dict | None]] = []
     for table_meta in manifest["tables"]:
         columns = []
         for column_meta in table_meta["columns"]:
@@ -533,7 +500,7 @@ def _load_checkpoint_dir(
                 column = layouts.load_column(str(directory / column_meta["file"]), dtype)
             columns.append((column_meta["name"], column))
         table = Table(columns)
-        stats = None
+        zones: dict[int, ZoneMap] = {}
         if table_meta.get("stats") is not None:
             arrays: dict[str, np.ndarray] = {}
             if table_meta.get("stats_file"):
@@ -541,10 +508,10 @@ def _load_checkpoint_dir(
                     str(directory / table_meta["stats_file"]), allow_pickle=False
                 ) as npz:
                     arrays = {key: npz[key] for key in npz.files}
-            stats = _stats_from_manifest(
+            zones = _zones_from_manifest(
                 table_meta["stats"], arrays, [n for n, _ in columns]
             )
-        tables.append((table_meta["name"], table, stats, table_meta.get("sharding")))
+        tables.append((table_meta["name"], table, zones, table_meta.get("sharding")))
     return tables
 
 
@@ -560,7 +527,7 @@ def _checkpoint_id_of(name: str) -> int | None:
 
 def load_checkpoint(
     root: Path, storage: str = "memory"
-) -> tuple[int, list[tuple[str, "Table", TableStatistics | None, dict | None]]] | None:
+) -> tuple[int, list[tuple[str, "Table", dict[int, ZoneMap], dict | None]]] | None:
     """The newest *valid* checkpoint under ``root``, or None.
 
     ``CURRENT`` is tried first; if it is missing or names a broken
@@ -628,12 +595,12 @@ class DurabilityManager:
     def open_into(self, db: "Database") -> dict[str, Any]:
         """Load checkpoint + WAL into ``db`` and arm the log for appends."""
         loaded = load_checkpoint(self.root, settings.current.storage)
-        tables: list[tuple[str, Any, TableStatistics | None, dict | None]] = []
+        tables: list[tuple[str, Any, dict[int, ZoneMap], dict | None]] = []
         if loaded is not None:
             self.checkpoint_id, tables = loaded
-        for name, table, stats, sharding in tables:
+        for name, table, zones, sharding in tables:
             layout = ShardLayout.from_manifest(sharding) if sharding is not None else None
-            db._install(name, table, stats=stats, layout=layout)
+            db._install(name, table, zones=zones, layout=layout)
         records, valid_bytes = read_wal(self.wal_path())
         # arm the writer first: it truncates any torn tail away
         self.wal = WriteAheadLog(self.wal_path(), valid_bytes=valid_bytes)

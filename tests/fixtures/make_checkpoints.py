@@ -1,17 +1,26 @@
 """Write the golden checkpoint fixtures that pin the on-disk format.
 
 Run it with the ``repro`` package whose checkpoints the fixtures should
-hold on the path, from the root of that checkout::
+hold on the path, from the root of that checkout (``git archive`` of the
+commit to pin), naming the fixtures that checkout writes::
 
-    PYTHONPATH=src python tests/fixtures/make_checkpoints.py tests/fixtures
+    PYTHONPATH=src python tests/fixtures/make_checkpoints.py tests/fixtures checkpoint_v1
 
-It (re)writes two durable database roots under the given directory:
+It (re)writes the durable database root of each named fixture (by
+default all of them) under the given directory:
 
-- ``checkpoint_v2/`` — format 2, unsharded: table ``full`` with every
+- ``checkpoint_v1/`` — format 1 (one ``.npz`` per column), as written by
+  the last format-1 writer, commit ``78c218e``: table ``full`` with every
   column entry and zone map built before the checkpoint, and table
-  ``partial`` whose statistics an UPDATE left partial;
+  ``partial``, whose statistics that writer's UPDATE dropped whole;
+- ``checkpoint_v2/`` — format 2, unsharded: the same two tables, the
+  statistics of ``partial`` left partial by the UPDATE;
 - ``checkpoint_v3/`` — format 3: table ``sharded``, range-sharded on
   ``n``, so its rows are stored re-clustered.
+
+The format-1 writer has no ``repro.settings``, so :func:`write_v1`
+configures through PRAGMAs, and its column histograms cannot bin INT64
+keys past 2**53, so its keys start at 0.
 
 ``tests/test_checkpoint_fixtures.py`` opens them with the current code
 and runs the same writers against it to compare.
@@ -25,7 +34,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import settings
 from repro.engine import Database, DataType, Table
 from repro.engine.column import Column
 
@@ -36,17 +44,20 @@ BIG = 2**60  # INT64 keys no float64 can tell apart
 
 def configure() -> None:
     """The settings every writer (and the test reading back) runs under."""
+    from repro import settings
+
     settings.configure(
         zone_rows=ZONE_ROWS, storage="memory", shards=0, threads=0,
         dict_encode=True, wal=True, faults="off",
     )
 
 
-def table(rows: int = ROWS) -> Table:
+def table(rows: int = ROWS, first_key: int = BIG) -> Table:
     """NULLs in every column, NaN and -0.0 in ``f``, a NaN-free FLOAT64
-    ``g``, INT64 keys past 2**53, a dictionary-encoded STRING, a BOOL."""
+    ``g``, INT64 keys from ``first_key`` (by default past 2**53), a
+    dictionary-encoded STRING, a BOOL."""
     return Table([
-        ("k", Column(np.arange(rows, dtype=np.int64) + BIG)),
+        ("k", Column(np.arange(rows, dtype=np.int64) + first_key)),
         ("f", Column([None if i % 19 == 0 else float("nan") if i % 17 == 0
                       else -0.0 if i % 13 == 0 else ((i * 37) % 23 - 11) / 4
                       for i in range(rows)], dtype=DataType.FLOAT64)),
@@ -61,16 +72,30 @@ def table(rows: int = ROWS) -> Table:
     ])
 
 
+def _write_full_and_partial(db: Database, first_key: int) -> None:
+    for name in ("full", "partial"):
+        db.create_table(name, table(first_key=first_key))
+        db.statistics(name)
+        db.zone_map(name)
+    db.execute(f"UPDATE partial SET f = f * -1, s = 'zz' WHERE k < {first_key + 80}")
+    db.checkpoint()
+
+
+def write_v1(root: Path) -> None:
+    db = Database(path=root)
+    try:
+        db.execute(f"PRAGMA zone_rows={ZONE_ROWS}")
+        db.execute("PRAGMA dict_encode=1")
+        _write_full_and_partial(db, first_key=0)
+    finally:
+        db.close()
+
+
 def write_v2(root: Path) -> None:
     configure()
     db = Database(path=root)
     try:
-        for name in ("full", "partial"):
-            db.create_table(name, table())
-            db.statistics(name)
-            db.zone_map(name)
-        db.execute(f"UPDATE partial SET f = f * -1, s = 'zz' WHERE k < {BIG + 80}")
-        db.checkpoint()
+        _write_full_and_partial(db, first_key=BIG)
     finally:
         db.close()
 
@@ -88,15 +113,18 @@ def write_v3(root: Path) -> None:
         db.close()
 
 
-WRITERS = {"checkpoint_v2": write_v2, "checkpoint_v3": write_v3}
+WRITERS = {"checkpoint_v1": write_v1, "checkpoint_v2": write_v2, "checkpoint_v3": write_v3}
 
 
-def main(out: Path) -> None:
-    for name, write in WRITERS.items():
+def main(out: Path, names: list[str]) -> None:
+    for name in names:
         root = out / name
         shutil.rmtree(root, ignore_errors=True)
-        write(root)
+        WRITERS[name](root)
 
 
 if __name__ == "__main__":
-    main(Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent))
+    # e.g. ``... make_checkpoints.py tests/fixtures checkpoint_v1``: one
+    # checkout writes the fixtures of its own format only
+    main(Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent),
+         sys.argv[2:] or list(WRITERS))

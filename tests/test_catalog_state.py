@@ -1,19 +1,22 @@
 """The install matrix: what survives each way a table's main is replaced.
 
-One durable table carrying every structure the catalog attaches — cached
-statistics with a zone map inside, caller-registered indexes on ``a``
+One durable table carrying every structure the catalog attaches — its
+zone maps, caller-registered indexes on ``a``
 and on the shard key ``k`` (a sharded table's index follows the same
 rule as any other), a range layout, a cached plan, (for the delta
 column) two pending rows — is put through every writer, and each writer
 x structure cell asserts kept / dropped / rebuilt exactly as the rule
 table in ``Database._install``'s docstring (and DESIGN.md, "Catalog
 state") says, so the table is held to the code.
-What the statistics rows promise — the completed statistics equal a
-rebuild from scratch after any write sequence — is a property test below.
+What the zone-map rows promise — a scan's completed zone map equals a
+rebuild from scratch after any write sequence — is a property test
+below, beside what ``Database.statistics`` promises: every column entry
+equals a build over the table as queries see it, writes pending or not.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import tempfile
 
@@ -26,7 +29,7 @@ from hypothesis import strategies as st
 from repro import settings
 from repro.engine import Database, DataType, Table
 from repro.engine.column import Column
-from repro.engine.statistics import ColumnStatistics, TableStatistics, ZoneMap
+from repro.engine.statistics import ColumnStatistics, ZoneMap
 from repro.errors import TypeMismatchError
 from repro.indexing import UpdatableCrackerIndex
 from repro.obs.metrics import get_registry
@@ -75,13 +78,20 @@ def _attached(root, pending: bool) -> Database:
     return db
 
 
+def _zone_maps(db: Database, name: str) -> dict[int, ZoneMap]:
+    """The table's zone maps by granularity, as the catalog holds them."""
+    return db._state(name).zones
+
+
 def _snapshot(db: Database, name: str) -> dict:
-    stats = db.cached_statistics(name)
+    zone_maps = _zone_maps(db, name)
     store = db.delta_store_if_dirty(name)
     layout = db.shard_layout(name)
     return {
-        "stats": stats,
-        "zones": None if stats is None else stats.zone_maps.get(ZONE_ROWS),
+        # column statistics are no catalog state: the "stats" row is the
+        # table's zone maps, the "zones" row the one scans read here
+        "stats": zone_maps,
+        "zones": zone_maps.get(ZONE_ROWS),
         "index_a": db.index_for(name, "a"),
         "cracker_k": db.index_for(name, "k"),
         "layout": layout and (layout.mode, layout.key, layout.num_shards),
@@ -97,11 +107,15 @@ def _summary(new, old) -> str:
     """``none`` / ``kept`` (the same object) / ``extended`` (another object
     over more rows) / ``patched`` (another object over the same rows whose
     every entry is the old one's object, some of the old entries absent)
-    / ``restored`` (another object over the same rows)."""
-    if new is None:
+    / ``restored`` (another object over the same rows).  A table's zone
+    maps by granularity summarise as the map at ``ZONE_ROWS``."""
+    if not new:
         return "none"
     if new is old:
         return "kept"
+    if isinstance(new, dict):
+        assert new.keys() == old.keys()
+        return _summary(new[ZONE_ROWS], old[ZONE_ROWS])
     if new.row_count > old.row_count:
         return "extended"
     shared = all(old.columns.get(name) is entry for name, entry in new.columns.items())
@@ -116,6 +130,8 @@ def _index(new, old) -> str:
 
 def _outcomes(db: Database, name: str, before: dict, plan) -> dict:
     now = _snapshot(db, name)
+    # summarised before the scans below complete a zone map in place
+    zone_maps = {key: _summary(now[key], before[key]) for key in ("stats", "zones")}
     if now["store"] is None:
         delta = "clean"
     elif now["store"] is not before["store"]:
@@ -137,8 +153,7 @@ def _outcomes(db: Database, name: str, before: dict, plan) -> dict:
             want = data[(data >= low) & (data < high)]
             assert sorted(got.column(column).to_list()) == sorted(want.tolist())
     return {
-        "stats": _summary(now["stats"], before["stats"]),
-        "zones": _summary(now["zones"], before["zones"]),
+        **zone_maps,
         "index_a": _index(now["index_a"], before["index_a"]),
         "cracker_k": _index(now["cracker_k"], before["cracker_k"]),
         "layout": layout,
@@ -273,7 +288,7 @@ def test_install_matrix(tmp_path, writer, structure):
     db = _attached(tmp_path / "db", pending=structure == "delta")
     try:
         before = _snapshot(db, "t")
-        assert before["stats"] is not None and before["zones"] is not None
+        assert before["stats"] and before["zones"] is not None
         assert isinstance(before["index_a"], UpdatableCrackerIndex)
         assert isinstance(before["cracker_k"], UpdatableCrackerIndex)
         plan = db.plan(PLAN_SQL)
@@ -322,11 +337,14 @@ def test_update_matching_no_row_logs_and_installs_nothing(tmp_path):
         db.close()
 
 
-# -- statistics after writes equal a rebuild ------------------------------------------
+# -- zone maps and statistics after writes equal a rebuild ----------------------------
 
 BIG = 2**60  # INT64 keys no float64 can tell apart
 STATS_ROWS = 200
 READ_SQL = "SELECT COUNT(*) AS n, SUM(n) AS total FROM t WHERE f > 0"
+_STATISTICS_FIELDS = (
+    "dtype", "row_count", "null_count", "distinct_count", "min_value", "max_value",
+)
 
 
 def _stats_table(rows: int = STATS_ROWS) -> Table:
@@ -359,26 +377,25 @@ def _same_value(got, want) -> bool:
 
 
 def _assert_statistics_equal_rebuild(db: Database, name: str = "t") -> None:
-    main = db.main_table(name)
-    got, want = db.cached_statistics(name), TableStatistics.from_table(main)
-    assert got is not None and got.row_count == want.row_count
-    assert got.columns.keys() == want.columns.keys(), "statistics left partial"
-    for column, expected in want.columns.items():
-        actual = got.columns[column]
-        for field in ("dtype", "row_count", "null_count", "distinct_count",
-                      "min_value", "max_value"):
+    """Every column entry ``Database.statistics`` gives equals one built
+    from the table as queries see it, pending writes included."""
+    table, stats = db.get_table(name), db.statistics(name)
+    assert stats.row_count == table.num_rows
+    for column in table.column_names:
+        actual = stats.column(column)
+        expected = ColumnStatistics.from_column(table.column(column))
+        for field in _STATISTICS_FIELDS:
             assert _same_value(getattr(actual, field), getattr(expected, field)), (
                 column, field,
             )
-    _assert_zones_equal_rebuild(db, name)
 
 
 def _assert_zones_equal_rebuild(db: Database, name: str = "t") -> None:
-    main, got = db.main_table(name), db.cached_statistics(name)
-    assert got is not None and got.zone_maps, "the read consulted no zone map"
-    for zone_rows, zones in got.zone_maps.items():
+    main, zone_maps = db.main_table(name), _zone_maps(db, name)
+    assert zone_maps, "the read consulted no zone map"
+    for zone_rows, zones in zone_maps.items():
         fresh = ZoneMap.from_table(main, zone_rows)
-        assert zones.row_count == fresh.row_count
+        assert zones.complete and zones.row_count == fresh.row_count
         assert zones.columns.keys() == fresh.columns.keys()
         for column, expected in fresh.columns.items():
             for field in ("mins", "maxs", "real_counts", "null_counts", "nan_counts"):
@@ -388,16 +405,16 @@ def _assert_zones_equal_rebuild(db: Database, name: str = "t") -> None:
 
 
 def _read(db: Database) -> None:
-    """The scan completes its zone map and leaves the column entries as
-    they were; ``Database.statistics`` then completes those."""
-    cached = db.cached_statistics("t")
-    columns = {} if cached is None else dict(cached.columns)
+    """The scan completes its zone map and leaves the column statistics
+    as they were; every entry ``Database.statistics`` gives then equals
+    a rebuild, writes pending or not."""
+    stats = db.statistics("t")
+    columns = dict(stats.columns)
     db.sql(READ_SQL)
-    scanned = db.cached_statistics("t").columns
-    assert scanned.keys() == columns.keys(), "the scan built column statistics"
-    assert all(scanned[name] is entry for name, entry in columns.items())
+    assert db.statistics("t") is stats and stats.columns == columns, (
+        "the scan touched the column statistics"
+    )
     _assert_zones_equal_rebuild(db)
-    db.statistics("t")
     _assert_statistics_equal_rebuild(db)
 
 
@@ -474,47 +491,62 @@ def test_statistics_equal_a_rebuild_after_any_write_sequence(ops):
 
 
 def test_update_drops_only_the_assigned_entries():
+    """An UPDATE drops the assigned columns' zones and shares the rest;
+    the column statistics go with the delta version it touched."""
     db = Database()
     db.create_table("t", _stats_table())
     db.sql(READ_SQL)
-    db.statistics("t")
-    before = db.cached_statistics("t")
+    stats = db.statistics("t")
+    stats.column("k")
+    before = _zone_maps(db, "t")[ZONE_ROWS]
     db.execute(f"UPDATE t SET f = f * -1, s = 'zz' WHERE {_where((10, 40))}")
-    patched = db.cached_statistics("t")
+    patched = _zone_maps(db, "t")[ZONE_ROWS]
     assert patched is not before and patched.row_count == before.row_count
-    assert set(patched.columns) == {"k", "g", "n", "b"}
-    zones, old_zones = patched.zone_maps[ZONE_ROWS], before.zone_maps[ZONE_ROWS]
-    assert set(zones.columns) == {"k", "g", "n"}  # STRING and BOOL have no zones
-    for name in ("k", "g", "n", "b"):
-        assert patched.columns[name] is before.columns[name]
+    assert not patched.complete
+    assert set(patched.columns) == {"k", "g", "n"}  # STRING and BOOL have no zones
     for name in ("k", "g", "n"):
-        assert zones.columns[name] is old_zones.columns[name]
+        assert patched.columns[name] is before.columns[name]
+    fresh = db.statistics("t")
+    assert fresh is not stats and fresh.columns == {}
     _read(db)
-    completed = db.cached_statistics("t")
+    completed = _zone_maps(db, "t")[ZONE_ROWS]
     assert completed.columns["k"] is before.columns["k"]  # still shared
 
 
+def _manifest_stats(root) -> dict:
+    """The ``stats`` entry the current checkpoint's manifest holds for ``t``."""
+    directory = root / (root / "CURRENT").read_text().strip()
+    manifest = json.loads((directory / "MANIFEST.json").read_text())
+    (meta,) = (meta for meta in manifest["tables"] if meta["name"] == "t")
+    return meta["stats"]
+
+
 def test_checkpoint_between_update_and_read_persists_partial_statistics(tmp_path):
+    """A checkpoint persists the zone maps as the UPDATE left them and no
+    column statistics; the reopened table completes and rebuilds both."""
     db = Database(path=tmp_path / "db")
     try:
         db.create_table("t", _stats_table())
         db.sql(READ_SQL)
-        db.statistics("t")
+        db.statistics("t").column("f")
         db.execute(f"UPDATE t SET f = f + 1.5 WHERE {_where((0, 80))}")
         db.checkpoint()
         db.close()
+        written = _manifest_stats(tmp_path / "db")
+        assert "columns" not in written
+        assert written["zone_maps"][str(ZONE_ROWS)]["columns"] == ["k", "g", "n"]
         db = Database(path=tmp_path / "db")
-        restored = db.cached_statistics("t")
-        assert restored is not None and set(restored.columns) == {"k", "g", "n", "s", "b"}
-        assert "f" not in restored.zone_maps[ZONE_ROWS].columns
+        restored = _zone_maps(db, "t")[ZONE_ROWS]
+        assert set(restored.columns) == {"k", "g", "n"} and not restored.complete
+        assert db.statistics("t").columns == {}
         _read(db)
     finally:
         db.close()
 
 
-def test_a_scan_builds_no_column_statistics(tmp_path, monkeypatch):
-    """Whatever a write left missing, a scan builds only zones; the next
-    ``Database.statistics`` builds exactly the missing column entries."""
+def _spy_on_column_statistics(monkeypatch) -> list:
+    """A list that gains one entry per ``ColumnStatistics.from_column``
+    call while the test runs."""
     built = []
     build = ColumnStatistics.from_column.__func__
 
@@ -523,36 +555,58 @@ def test_a_scan_builds_no_column_statistics(tmp_path, monkeypatch):
         return build(cls, column)
 
     monkeypatch.setattr(ColumnStatistics, "from_column", classmethod(spy))
-    everything = set(_stats_table().column_names)
+    return built
 
-    def scan_then_statistics(db, missing):
+
+def test_a_scan_builds_no_column_statistics(tmp_path, monkeypatch):
+    """Whatever a write did, a scan builds only zones and taking
+    ``Database.statistics`` builds nothing; reading a column builds its
+    entry once."""
+    built = _spy_on_column_statistics(monkeypatch)
+    everything = _stats_table().column_names
+
+    def scan_then_statistics(db):
         built.clear()
         db.sql(READ_SQL)
         assert built == [], "the scan built column statistics"
-        assert everything - set(db.cached_statistics("t").columns) == missing
-        db.statistics("t")
-        assert len(built) == len(missing)
-        assert set(db.cached_statistics("t").columns) == everything
+        stats = db.statistics("t")
+        assert built == [] and stats.columns == {}, "taking the statistics built entries"
+        for _ in range(2):
+            for name in everything:
+                db.statistics("t").column(name)
+            assert len(built) == len(everything)
+        _assert_statistics_equal_rebuild(db)
 
     db = Database(path=tmp_path / "db")
     try:
         db.create_table("t", _stats_table())
-        scan_then_statistics(db, everything)
+        scan_then_statistics(db)
         db.execute(f"UPDATE t SET f = f * -1, s = 'zz' WHERE {_where((10, 40))}")
-        scan_then_statistics(db, {"f", "s"})
+        scan_then_statistics(db)
         db.execute(f"INSERT INTO t VALUES ({BIG + STATS_ROWS}, 0.5, 1.5, 2, 'b', TRUE)")
+        scan_then_statistics(db)  # pending
         db.flush_deltas("t")  # a pure append
-        scan_then_statistics(db, everything)
+        scan_then_statistics(db)
         db.execute(f"DELETE FROM t WHERE {_where((0, 5))}")
         db.flush_deltas("t")  # compacts
-        scan_then_statistics(db, everything)
+        scan_then_statistics(db)
         db.execute(f"UPDATE t SET n = 7 WHERE {_where((20, 5))}")
         db.checkpoint()
         db.close()
         db = Database(path=tmp_path / "db")
-        scan_then_statistics(db, {"n"})
+        scan_then_statistics(db)
     finally:
         db.close()
+
+
+_JOIN_SQL = "EXPLAIN SELECT COUNT(*) AS n FROM f JOIN u ON a = x JOIN v ON c = y"
+
+
+def _join_tables(db: Database) -> None:
+    db.create_table("f", {"a": [i % 100 for i in range(400)], "c": [i % 50 for i in range(400)],
+                          "note": [f"f{i % 7}" for i in range(400)]})
+    db.create_table("u", {"x": list(range(100)), "w": [i * 0.5 for i in range(100)]})
+    db.create_table("v", {"y": [i % 50 for i in range(100)], "z": ["vz"] * 100})
 
 
 def test_join_plan_reads_completed_statistics():
@@ -560,15 +614,31 @@ def test_join_plan_reads_completed_statistics():
     ``u.x`` the plan reorders, and it is the plan a rebuild gives."""
     settings.configure(optimizer=True, plan_cache=False)
     db = Database()
-    db.create_table("f", {"a": [i % 100 for i in range(400)], "c": [i % 50 for i in range(400)]})
-    db.create_table("u", {"x": list(range(100))})
-    db.create_table("v", {"y": [i % 50 for i in range(100)]})
-    sql = "EXPLAIN SELECT COUNT(*) AS n FROM f JOIN u ON a = x JOIN v ON c = y"
-    before = db.execute(sql).column("plan").to_list()
+    _join_tables(db)
+    before = db.execute(_JOIN_SQL).column("plan").to_list()
     assert not any("join_reorder" in line for line in before)
     db.execute("UPDATE u SET x = 0 WHERE x >= 20")
-    assert "x" not in db.cached_statistics("u").columns
-    completed = db.execute(sql).column("plan").to_list()
+    completed = db.execute(_JOIN_SQL).column("plan").to_list()
     assert any("join_reorder" in line for line in completed)
-    db.invalidate_statistics("u")
-    assert db.execute(sql).column("plan").to_list() == completed
+    rebuilt = Database()
+    for name in ("f", "u", "v"):
+        rebuilt.create_table(name, db.get_table(name))
+    assert rebuilt.execute(_JOIN_SQL).column("plan").to_list() == completed
+
+
+def test_join_reorder_builds_only_the_join_key_entries(monkeypatch):
+    """Planning a two-join global COUNT(*) builds the statistics of the
+    two join keys it ranks by and of no other column; planning it again
+    builds none, and neither does a scan."""
+    settings.configure(optimizer=True, plan_cache=False)
+    db = Database()
+    _join_tables(db)
+    built = _spy_on_column_statistics(monkeypatch)
+    db.execute(_JOIN_SQL)
+    assert len(built) == 2
+    assert set(db.statistics("u").columns) == {"x"}
+    assert set(db.statistics("v").columns) == {"y"}
+    assert db.statistics("f").columns == {}
+    db.execute(_JOIN_SQL)
+    db.sql("SELECT COUNT(*) AS n FROM u WHERE w > 10")
+    assert len(built) == 2

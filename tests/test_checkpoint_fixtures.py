@@ -1,13 +1,16 @@
 """Checkpoints written by an earlier writer still load.
 
-``tests/fixtures/checkpoint_v2`` (format 2) and ``checkpoint_v3``
-(format 3) were written by ``tests/fixtures/make_checkpoints.py`` with
-the code from before the column histograms were deleted, so their
-manifests still carry a ``hist`` flag and ``h{i}b``/``h{i}c`` arrays per
-column, which the reader ignores.  Opened with the current code, each
-table's rows, dictionaries and layout equal what the same writer
-produces today; its zone maps and column entries equal what the manifest
-holds; and completing them equals a rebuild from scratch.
+``tests/fixtures/checkpoint_v1`` (format 1), ``checkpoint_v2`` (format
+2) and ``checkpoint_v3`` (format 3) were written by
+``tests/fixtures/make_checkpoints.py`` with code from before the column
+histograms were deleted, so their manifests still carry per-column
+statistics entries with a ``hist`` flag and ``h{i}b``/``h{i}c`` arrays.
+The reader restores only the zone maps and ignores the column entries,
+which today's writer no longer writes.  Opened with the current code,
+each table's rows, dictionaries and layout equal what the same writer
+produces today; its zone maps equal what the manifest holds; every
+column entry the manifest holds equals what ``Database.statistics``
+computes now; and completing the zone maps equals a rebuild.
 """
 
 from __future__ import annotations
@@ -20,14 +23,24 @@ import numpy as np
 import pytest
 
 from repro.engine import Database, DataType, Table
-from repro.engine.statistics import TableStatistics
 from tests.conftest import pin_defaults
 from tests.fixtures import make_checkpoints
-from tests.test_catalog_state import _assert_statistics_equal_rebuild, _same_value
+from tests.test_catalog_state import (
+    _STATISTICS_FIELDS,
+    _assert_statistics_equal_rebuild,
+    _assert_zones_equal_rebuild,
+    _same_value,
+    _zone_maps,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
-#: the column entries an UPDATE left missing when the fixture was written
-MISSING = {"full": set(), "partial": {"f", "s"}, "sharded": set()}
+_EVERY_COLUMN = {"k", "f", "g", "n", "s", "b"}
+#: per fixture and table, the column entries its writer's UPDATE left out
+MISSING = {
+    "checkpoint_v1": {"full": set(), "partial": _EVERY_COLUMN},
+    "checkpoint_v2": {"full": set(), "partial": {"f", "s"}},
+    "checkpoint_v3": {"sharded": set()},
+}
 
 
 @pytest.fixture(autouse=True)
@@ -36,14 +49,20 @@ def _pinned():
     pin_defaults("delta_rows", "memory_budget_kb")
 
 
+def _current(root: Path) -> Path:
+    return root / (root / "CURRENT").read_text().strip()
+
+
 def _written(root: Path) -> tuple[dict, dict[str, dict[str, np.ndarray]]]:
     """The manifest, and each table's statistics arrays, read raw."""
-    directory = root / (root / "CURRENT").read_text().strip()
+    directory = _current(root)
     manifest = json.loads((directory / "MANIFEST.json").read_text())
     arrays = {}
     for meta in manifest["tables"]:
-        with np.load(directory / meta["stats_file"], allow_pickle=False) as npz:
-            arrays[meta["name"]] = {key: npz[key] for key in npz.files}
+        arrays[meta["name"]] = {}
+        if meta["stats_file"] is not None:
+            with np.load(directory / meta["stats_file"], allow_pickle=False) as npz:
+                arrays[meta["name"]] = {key: npz[key] for key in npz.files}
     return manifest, arrays
 
 
@@ -65,52 +84,88 @@ def _assert_same_rows(got: Table, want: Table) -> None:
             assert a.valid_data().tobytes() == b.valid_data().tobytes(), name
 
 
-def _assert_restored(stats: TableStatistics, meta: dict, arrays: dict, order: list) -> None:
-    """Every column entry and zone the manifest holds, and nothing else."""
-    assert stats.row_count == meta["row_count"]
-    assert stats.columns.keys() == meta["columns"].keys()
-    for name, entry in meta["columns"].items():
-        got = stats.columns[name]
-        assert got.dtype.name == entry["dtype"]
-        for field, key in (("row_count", "row_count"), ("null_count", "null_count"),
-                           ("distinct_count", "distinct_count"),
-                           ("min_value", "min"), ("max_value", "max")):
-            assert _same_value(getattr(got, field), entry[key]), (name, field)
-    assert {str(zone_rows) for zone_rows in stats.zone_maps} == meta["zone_maps"].keys()
+def _assert_restored_zones(db: Database, name: str, meta: dict, arrays: dict,
+                           order: list) -> None:
+    """Every zone the manifest holds, and nothing else, before any scan."""
+    zone_maps = _zone_maps(db, name)
+    assert {str(zone_rows) for zone_rows in zone_maps} == meta["zone_maps"].keys()
     for key, zone_meta in meta["zone_maps"].items():
-        zones = stats.zone_maps[int(key)]
+        zones = zone_maps[int(key)]
         assert zones.row_count == zone_meta["row_count"]
         assert list(zones.columns) == zone_meta["columns"]
-        for name in zone_meta["columns"]:
-            prefix = f"z{key}_{order.index(name)}_"
+        for column in zone_meta["columns"]:
+            prefix = f"z{key}_{order.index(column)}_"
             for field, part in (("mins", "min"), ("maxs", "max"), ("real_counts", "real"),
                                 ("null_counts", "null"), ("nan_counts", "nan")):
-                got, want = getattr(zones.columns[name], field), arrays[prefix + part]
-                assert got.dtype == want.dtype and np.array_equal(got, want), (name, field)
+                got, want = getattr(zones.columns[column], field), arrays[prefix + part]
+                assert got.dtype == want.dtype and np.array_equal(got, want), (column, field)
+
+
+def _assert_entries_recomputed(db: Database, name: str, entries: dict) -> None:
+    """Every column entry an older writer persisted equals the one
+    ``Database.statistics`` builds over the same rows now."""
+    stats = db.statistics(name)
+    for column, entry in entries.items():
+        got = stats.column(column)
+        written = {"dtype": DataType[entry["dtype"]], "min_value": entry["min"],
+                   "max_value": entry["max"]}
+        for field in _STATISTICS_FIELDS:
+            want = written[field] if field in written else entry[field]
+            assert _same_value(getattr(got, field), want), (name, column, field)
 
 
 @pytest.mark.parametrize("fixture", sorted(make_checkpoints.WRITERS))
 def test_checkpoint_written_before_the_histograms_went_loads(tmp_path, fixture):
     manifest, arrays = _written(FIXTURES / fixture)
     assert manifest["format"] == int(fixture[-1])
-    entries = [e for meta in manifest["tables"] for e in meta["stats"]["columns"].values()]
+    entries = [
+        entry for meta in manifest["tables"] if meta["stats"] is not None
+        for entry in meta["stats"]["columns"].values()
+    ]
     assert any(entry["hist"] for entry in entries), "the fixture carries no histogram"
     shutil.copytree(FIXTURES / fixture, tmp_path / "old")
     make_checkpoints.WRITERS[fixture](tmp_path / "new")
     old, new = Database(path=tmp_path / "old"), Database(path=tmp_path / "new")
     try:
+        assert {meta["name"] for meta in manifest["tables"]} == MISSING[fixture].keys()
         for meta in manifest["tables"]:
-            name = meta["name"]
+            name, stats = meta["name"], meta["stats"] or {"columns": {}, "zone_maps": {}}
             main = old.main_table(name)
             _assert_same_rows(main, new.main_table(name))
             layout, want_layout = old.shard_layout(name), new.shard_layout(name)
             assert (layout and layout.to_manifest()) == (want_layout and want_layout.to_manifest())
-            assert set(main.column_names) - set(meta["stats"]["columns"]) == MISSING[name]
-            _assert_restored(old.cached_statistics(name), meta["stats"], arrays[name],
-                             [column["name"] for column in meta["columns"]])
+            assert set(main.column_names) - set(stats["columns"]) == MISSING[fixture][name]
+            _assert_restored_zones(old, name, stats, arrays[name],
+                                   [column["name"] for column in meta["columns"]])
+            _assert_entries_recomputed(old, name, stats["columns"])
             old.zone_map(name)
-            old.statistics(name)
+            _assert_zones_equal_rebuild(old, name)
             _assert_statistics_equal_rebuild(old, name)
     finally:
         old.close()
         new.close()
+
+
+@pytest.mark.parametrize("ghost", [False, True], ids=["intact", "unknown_column"])
+def test_statistics_naming_an_unknown_column_fall_back_to_an_older_checkpoint(
+    tmp_path, ghost
+):
+    """The reader ignores column entries, but one that names a column the
+    table lacks still marks the checkpoint damaged, so recovery opens the
+    older one."""
+    root = tmp_path / "db"
+    shutil.copytree(FIXTURES / "checkpoint_v2", root)
+    older = _current(root)
+    newer = root / "checkpoint-000002"
+    shutil.copytree(older, newer)
+    shutil.copy(root / "wal-000001.log", root / "wal-000002.log")
+    manifest = json.loads((newer / "MANIFEST.json").read_text())
+    manifest["id"] = 2
+    if ghost:
+        columns = manifest["tables"][0]["stats"]["columns"]
+        columns["ghost"] = columns["k"]
+    (newer / "MANIFEST.json").write_text(json.dumps(manifest))
+    (root / "CURRENT").write_text(newer.name)
+    with Database(path=root) as db:
+        assert db.durability.last_recovery["checkpoint"] == (1 if ghost else 2)
+        assert db.main_table("full").num_rows == make_checkpoints.ROWS

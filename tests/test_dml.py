@@ -320,6 +320,18 @@ class TestDeltaMechanics:
             "SELECT COUNT(*) AS n FROM t WHERE x >= 60 AND x < 70"
         ).to_dicts() == [{"n": 10}]
 
+    def test_zone_map_of_an_empty_table_extends_to_every_column(self):
+        """A map with no zone to splice in is replaced by one over the
+        merged rows: the empty table's map summarised no column."""
+        settings.configure(zone_rows=8)
+        db = _db(t=Table([("x", Column(np.array([], dtype=np.int64)))]))
+        db.execute("PRAGMA delta_rows=1000")
+        assert db.zone_map("t").columns == {}
+        db.execute("INSERT INTO t (x) VALUES " + ", ".join(f"({v})" for v in range(20)))
+        db.flush_deltas("t")
+        zones = db.zone_map("t").column("x")
+        assert zones is not None and int(zones.maxs[-1]) == 19
+
     def test_merge_metrics_and_span(self):
         fresh = MetricsRegistry()
         old = set_registry(fresh)

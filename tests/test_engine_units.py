@@ -360,10 +360,11 @@ class TestStatistics:
 
     def test_table_statistics(self):
         table = Table.from_dict({"a": [1, 2], "s": ["x", "y"]})
-        stats = TableStatistics.from_table(table)
-        assert stats.row_count == 2
-        assert stats.column("a") is not None
+        stats = TableStatistics(table)
+        assert stats.row_count == 2 and stats.columns == {}  # nothing built yet
+        assert stats.column("a") is stats.column("a") is not None
         assert stats.column("zzz") is None
+        assert set(stats.columns) == {"a"}
 
     def test_constant_column(self):
         stats = ColumnStatistics.from_column(Column([7, 7, 7]))
