@@ -669,21 +669,31 @@ def check_plan_templates(statements: int = 500, rows: int = 20_000) -> int:
     each with fresh literals, must call ``parse`` and
     ``planner.plan_statement`` at most once per shape, re-bind a template
     (``plan_cache.template_hits``) for every other statement, and answer
-    what a fresh plan answers.  Returns the template hits."""
+    what a fresh plan — a fresh database's — answers.  Returns the
+    template hits."""
     rng = np.random.default_rng(0)
     kinds = np.array([f"kind_{i}" for i in range(8)], dtype=object)
-    db = Database()
-    db.create_table("events", Table([
-        ("id", Column(np.arange(rows, dtype=np.int64))),
-        ("day", Column(rng.integers(0, 365, rows))),
-        ("user_id", Column(rng.integers(0, 1_000, rows))),
-        ("kind", Column(kinds[rng.integers(0, 8, rows)])),
-        ("amount", Column(np.round(rng.gamma(2.0, 50.0, rows), 2))),
-        ("qty", Column(rng.integers(1, 10, rows))),
-    ]))
-    db.create_table("users", {
-        "user_id": list(range(1_000)), "segment": [f"seg_{i % 5}" for i in range(1_000)],
-    })
+    tables = {
+        "events": Table([
+            ("id", Column(np.arange(rows, dtype=np.int64))),
+            ("day", Column(rng.integers(0, 365, rows))),
+            ("user_id", Column(rng.integers(0, 1_000, rows))),
+            ("kind", Column(kinds[rng.integers(0, 8, rows)])),
+            ("amount", Column(np.round(rng.gamma(2.0, 50.0, rows), 2))),
+            ("qty", Column(rng.integers(1, 10, rows))),
+        ]),
+        "users": Table.from_dict({
+            "user_id": list(range(1_000)), "segment": [f"seg_{i % 5}" for i in range(1_000)],
+        }),
+    }
+
+    def fresh() -> Database:
+        db = Database()
+        for name, table in tables.items():
+            db.create_table(name, table)
+        return db
+
+    db = fresh()
 
     shapes = 5
 
@@ -721,24 +731,18 @@ def check_plan_templates(statements: int = 500, rows: int = 20_000) -> int:
     hits = get_registry().counter("plan_cache.template_hits")
     before = hits.value
     answered = []
-    saved = settings.snapshot()
     try:
-        settings.configure(
-            plan_cache=True, plan_cache_size=settings.ROWS["plan_cache_size"].default
-        )
         for module, name in holders:
             setattr(module, name, spy(name))
         for i in range(statements):
             sql = statement(i)
             answered.append((sql, db.sql(sql)))
         counted, template_hits = dict(calls), hits.value - before
-        settings.configure(plan_cache=False)
-        for sql, result in answered[:: statements // 50]:
-            assert list(result.rows()) == list(db.sql(sql).rows()), sql
     finally:
         for module, name in holders:
             setattr(module, name, originals[name])
-        settings.restore(saved)
+    for sql, result in answered[:: statements // 50]:
+        assert list(result.rows()) == list(fresh().sql(sql).rows()), sql
     assert counted["parse"] <= shapes and counted["plan_statement"] <= shapes, (
         f"{statements} statements of {shapes} shapes were parsed {counted['parse']}x "
         f"and planned {counted['plan_statement']}x"

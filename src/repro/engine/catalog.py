@@ -37,6 +37,9 @@ from repro.errors import CatalogError
 from repro.obs.metrics import get_registry
 from repro.obs.profile import ExplainAnalyzeReport, PlanProfiler
 
+#: LRU capacity of each plan-cache level (:meth:`Database._plan_cached`)
+PLAN_CACHE_SIZE = 256
+
 
 class RangeIndex(Protocol):
     """Protocol for secondary indexes consulted by table scans.
@@ -381,8 +384,6 @@ class Database:
     @staticmethod
     def _encode_strings(table: Table) -> None:
         """Eagerly dictionary-encode the STRING columns of a table."""
-        if not settings.current.dict_encode:
-            return
         for name in table.column_names:
             column = table.column(name)
             if column.dtype is DataType.STRING:
@@ -759,7 +760,7 @@ class Database:
         ``"hit"``, ``"template hit"`` or None for a fresh plan.  ``tokens``
         is ``tokenize(sql)`` when the caller already has it.
 
-        The cache has two LRU levels, each bounded by ``plan_cache_size``,
+        The cache has two LRU levels, each bounded by ``PLAN_CACHE_SIZE``,
         and holds fully *optimized* plans.  An entry remembers the catalog
         version *and* the optimizer setting it was planned under and is
         only served while both are current (DDL, table replacement and a
@@ -773,11 +774,8 @@ class Database:
         without parsing, binding, planning or optimizing.  A shape whose
         plan is no template (:meth:`Template.of`) is remembered as such.
         """
-        config = settings.current
-        if not config.plan_cache:
-            return self._plan_fresh(parse(sql, tokens), config.optimizer), None
         registry = get_registry()
-        stamp = (self._catalog_version, bool(config.optimizer))
+        stamp = (self._catalog_version, bool(settings.current.optimizer))
         entry = self._cache_get(self._plan_cache, sql, stamp)
         if entry is not None:
             registry.counter("plan_cache.hits").inc()
@@ -812,11 +810,11 @@ class Database:
 
     def _cache_put(self, cache: OrderedDict, key: Any, entry: tuple) -> None:
         """Store ``entry`` as the newest in ``cache``, evicting the oldest
-        past ``plan_cache_size``."""
+        past :data:`PLAN_CACHE_SIZE`."""
         with self._plan_cache_lock:
             cache[key] = entry
             cache.move_to_end(key)
-            while len(cache) > settings.current.plan_cache_size:
+            while len(cache) > PLAN_CACHE_SIZE:
                 cache.popitem(last=False)
 
     def explain(self, sql: str) -> str:
@@ -883,12 +881,7 @@ class Database:
 
                 if degradable(plan):
                     registry.counter("resilience.degradations").inc()
-                    return degraded_answer(
-                        plan,
-                        self,
-                        max_rows=config.degrade_rows,
-                        reason=str(exc),
-                    )
+                    return degraded_answer(plan, self, reason=str(exc))
             raise
         except KeyboardInterrupt:
             context.cancel()
@@ -995,17 +988,11 @@ class Database:
         for name in list(self._tables):
             self._maybe_merge(name)
 
-    def _encode_registered(self) -> None:
-        """``dict_encode=1`` encodes tables registered while it was off."""
-        for state in self._tables.values():
-            self._encode_strings(state.main)
-
     #: what a ``PRAGMA name=value`` does to *this* database once the
     #: setting is stored — the only per-setting code on the PRAGMA path
     _PRAGMA_FOLLOW_UPS = {
         "shards": _reshard_all,
         "delta_rows": _merge_over_threshold,
-        "dict_encode": _encode_registered,
     }
 
     def _execute_pragma(self, body: str) -> Table | int:

@@ -23,7 +23,6 @@ import io
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
-from repro import settings
 from repro.engine.column import Column
 from repro.engine.table import Table
 from repro.engine.types import DataType
@@ -147,10 +146,9 @@ def read_csv(
     if skipped:
         get_registry().counter("loading.rows_skipped").inc(skipped)
     columns = []
-    encode = settings.current.dict_encode
     for i, (name, dtype) in enumerate(zip(names, dtypes)):
         column = Column([row[i] for row in parsed], dtype=dtype)
-        if encode and dtype is DataType.STRING:
+        if dtype is DataType.STRING:
             column.encode_dictionary()
         columns.append((name, column))
     return Table(columns)

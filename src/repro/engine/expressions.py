@@ -22,7 +22,6 @@ from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro import settings
 from repro.engine.column import Column, _null_fill_value, column_from_parts
 from repro.engine.table import Schema, Table
 from repro.engine.types import DataType, common_type, python_value
@@ -442,8 +441,7 @@ class Comparison(Expression):
         """
         inner = side.evaluate(table)
         target = self._target(inner.dtype, literal.dtype)
-        strings = target is DataType.STRING and settings.current.dict_encode
-        encoded = inner.dictionary() if strings else None
+        encoded = inner.dictionary() if target is DataType.STRING else None
         if encoded is not None:
             result = _compare_codes(encoded, literal.value, op)
             get_registry().counter("scan.dict_filters").inc()

@@ -10,7 +10,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro import settings
 from repro.engine.column import Column, column_from_parts, sorted_distinct
 from repro.engine.expressions import Expression, strip_outer_parens, truth_mask
 from repro.engine.sql.ast import AggregateCall, OrderItem, SelectItem
@@ -67,14 +66,12 @@ def distinct(table: Table) -> Table:
 
 
 def _string_codes(column: Column) -> np.ndarray | None:
-    """Dictionary codes of a STRING column, when encoded and enabled.
+    """Dictionary codes of a STRING column, when it carries them.
 
     Codes are order-isomorphic to the strings they stand for (equal codes
     iff equal strings, code order = string order), so they substitute for
     the payload in equality- and order-based operators.
     """
-    if not settings.current.dict_encode:
-        return None
     encoded = column.dictionary()
     return encoded[0] if encoded is not None else None
 

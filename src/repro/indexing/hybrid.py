@@ -26,10 +26,11 @@ from repro.indexing.cracking import CrackerIndex, CrackingVariant
 
 
 class _SortedRun:
-    """The final index: a growing sorted run of (value, position) pairs."""
+    """The final index: a growing sorted run of (value, position) pairs,
+    in the column's own dtype."""
 
-    def __init__(self) -> None:
-        self.values = np.empty(0, dtype=np.float64)
+    def __init__(self, dtype: np.dtype) -> None:
+        self.values = np.empty(0, dtype=dtype)
         self.positions = np.empty(0, dtype=np.int64)
 
     def merge(self, values: np.ndarray, positions: np.ndarray) -> int:
@@ -87,10 +88,10 @@ class HybridCrackSortIndex:
             lo, hi = int(bounds[i]), int(bounds[i + 1])
             if hi > lo:
                 self._partitions.append(_Partition(values[lo:hi], base_offset=lo, flavour=flavour))
-        self._final = _SortedRun()
+        self._final = _SortedRun(values.dtype)
         # ranges already merged into the final index, as a sorted list of
-        # disjoint closed intervals over the value domain
-        self._merged: list[tuple[float, float]] = []
+        # disjoint intervals of bound keys (:func:`_bounds`)
+        self._merged: list[tuple[tuple, tuple]] = []
         self.work_touched = 0
 
     def reset_counters(self) -> None:
@@ -106,8 +107,7 @@ class HybridCrackSortIndex:
     ) -> np.ndarray:
         """Row positions in range; merges newly touched ranges into the
         final sorted index as a side effect."""
-        lo_key = -math.inf if low is None else float(low)
-        hi_key = math.inf if high is None else float(high)
+        lo_key, hi_key = _bounds(low, high, low_inclusive, high_inclusive)
         if not self._covered(lo_key, hi_key):
             moved_values: list[np.ndarray] = []
             moved_positions: list[np.ndarray] = []
@@ -130,19 +130,32 @@ class HybridCrackSortIndex:
 
     # -- merged-range bookkeeping ----------------------------------------------------
 
-    def _covered(self, lo: float, hi: float) -> bool:
+    def _covered(self, lo: tuple, hi: tuple) -> bool:
         return any(mlo <= lo and hi <= mhi for mlo, mhi in self._merged)
 
-    def _remember(self, lo: float, hi: float) -> None:
+    def _remember(self, lo: tuple, hi: tuple) -> None:
         intervals = self._merged + [(lo, hi)]
         intervals.sort()
-        merged: list[tuple[float, float]] = []
+        merged: list[tuple[tuple, tuple]] = []
         for interval in intervals:
-            if merged and interval[0] <= merged[-1][1]:
+            # contiguous when it starts no later than just past the last
+            # one's end: [a, b) and [b, c) join, [a, b) and (b, c) do not
+            if merged and interval[0] <= (merged[-1][1][0], merged[-1][1][1] + 1):
                 merged[-1] = (merged[-1][0], max(merged[-1][1], interval[1]))
             else:
                 merged.append(interval)
         self._merged = merged
+
+
+def _bounds(low: Any, high: Any, low_inclusive: bool, high_inclusive: bool) -> tuple:
+    """A range as two ``(value, side)`` keys, ordered so that ``x`` lies
+    in it iff ``lo <= (x, 0) <= hi``: an exclusive low bound sits just
+    above its value (side 1), an exclusive high one just below (side -1).
+    The values stay exact — as floats, INT64 bounds beyond 2**53 would
+    claim ranges covered that were never merged."""
+    lo = (-math.inf, 0) if low is None else (low, 0 if low_inclusive else 1)
+    hi = (math.inf, 0) if high is None else (high, 0 if high_inclusive else -1)
+    return lo, hi
 
 
 class _Partition:
@@ -185,8 +198,4 @@ class _Partition:
             touched += end - start
         fresh = local[self._live[local]]
         self._live[fresh] = False
-        return (
-            self._values[fresh].astype(np.float64),
-            fresh.astype(np.int64) + self._base_offset,
-            touched,
-        )
+        return self._values[fresh], fresh.astype(np.int64) + self._base_offset, touched

@@ -27,8 +27,8 @@ class PartitionStats:
 
     start: int
     end: int
-    min_value: float
-    max_value: float
+    min_value: Any
+    max_value: Any
     queries_touched: int = 0
 
 
@@ -65,8 +65,10 @@ class PartitionedAdaptiveIndex:
                 PartitionStats(
                     start=start,
                     end=end,
-                    min_value=float(chunk.min()) if len(chunk) else 0.0,
-                    max_value=float(chunk.max()) if len(chunk) else 0.0,
+                    # exact Python scalars: as floats, INT64 bounds beyond
+                    # 2**53 would prune partitions holding qualifying rows
+                    min_value=chunk.min().item(),
+                    max_value=chunk.max().item(),
                 )
             )
         self.partitions_pruned = 0

@@ -37,7 +37,9 @@ class UpdatableCrackerIndex:
     ) -> None:
         self._cracker = CrackerIndex(values, variant=variant, seed=seed)
         self._next_row_id = len(self._cracker)
-        self._pending_values: list[float] = []
+        # pending values as exact Python scalars of the column's dtype:
+        # a float would fold INT64 keys beyond 2**53 into their neighbours
+        self._pending_values: list[Any] = []
         self._pending_ids: list[int] = []
         self._deleted: set[int] = set()
         self.work_touched = 0
@@ -61,7 +63,7 @@ class UpdatableCrackerIndex:
         """Queue one insert; returns the new row id.  O(1)."""
         row_id = self._next_row_id
         self._next_row_id += 1
-        self._pending_values.append(float(value))
+        self._pending_values.append(self._cracker._values.dtype.type(value).item())
         self._pending_ids.append(row_id)
         return row_id
 
@@ -88,7 +90,7 @@ class UpdatableCrackerIndex:
 
     # -- internals --------------------------------------------------------------------
 
-    def _in_range(self, value: float, low: Any, high: Any, low_inc: bool, high_inc: bool) -> bool:
+    def _in_range(self, value: Any, low: Any, high: Any, low_inc: bool, high_inc: bool) -> bool:
         if low is not None and (value < low or (value == low and not low_inc)):
             return False
         if high is not None and (value > high or (value == high and not high_inc)):
@@ -107,7 +109,9 @@ class UpdatableCrackerIndex:
         ]
         if not hits:
             return
-        merge_values = np.asarray([self._pending_values[i] for i in hits])
+        merge_values = np.asarray(
+            [self._pending_values[i] for i in hits], dtype=self._cracker._values.dtype
+        )
         merge_ids = np.asarray([self._pending_ids[i] for i in hits], dtype=np.int64)
         hit_set = set(hits)
         self._pending_values = [v for i, v in enumerate(self._pending_values) if i not in hit_set]
@@ -124,7 +128,7 @@ class UpdatableCrackerIndex:
         # `values` is ascending the target offsets are non-decreasing, which
         # keeps (offset, value) pairs aligned for the shift computation
         insert_offsets = np.asarray(
-            [self._target_offset(float(v)) for v in values], dtype=np.int64
+            [self._target_offset(v) for v in values.tolist()], dtype=np.int64
         )
         cracker._values = np.insert(cracker._values, insert_offsets, values)
         cracker._positions = np.insert(cracker._positions, insert_offsets, row_ids)
@@ -146,7 +150,7 @@ class UpdatableCrackerIndex:
         # ripple-approximate cost: merged values + log-structured shifting
         self.work_touched += len(values) + len(cracker._cracks)
 
-    def _target_offset(self, value: float) -> int:
+    def _target_offset(self, value: Any) -> int:
         """Offset of the piece a merged value belongs in (no new cracks).
 
         The value goes to the *start* of its piece: the offset of the last

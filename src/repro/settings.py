@@ -137,14 +137,8 @@ SETTINGS = (
     Setting("delta_rows", "REPRO_DELTA_ROWS", 8192, _integer(0),
             "pending inserts + tombstones that trigger a delta merge; "
             "0 merges on every write"),
-    Setting("dict_encode", "REPRO_DICT_ENCODE", True, _flag,
-            "build and use dictionary encodings for STRING columns"),
     Setting("zone_rows", "REPRO_ZONE_ROWS", 65_536, _integer(0),
             "rows per zone-map zone; 0 disables zone skipping"),
-    Setting("plan_cache", "REPRO_PLAN_CACHE", True, _flag,
-            "cache optimized plans by SQL text and by shape (literals masked)"),
-    Setting("plan_cache_size", "REPRO_PLAN_CACHE_SIZE", 256, _integer(1),
-            "LRU capacity of each plan-cache level"),
     Setting("optimizer", "REPRO_OPTIMIZER", True, _flag,
             "run the rule-based plan optimizer between planning and execution"),
     Setting("timeout_ms", "REPRO_TIMEOUT_MS", 0, _integer(0),
@@ -155,8 +149,6 @@ SETTINGS = (
     Setting("degrade", "REPRO_DEGRADE", False, _flag,
             "answer a degradable aggregate that blew its budget from a sample, "
             "with bounds, instead of failing"),
-    Setting("degrade_rows", "REPRO_DEGRADE_ROWS", 10_000, _integer(1),
-            "rows of the uniform sample a degraded answer is computed from"),
     Setting("max_retries", "REPRO_MAX_RETRIES", 2, _integer(0),
             "serial retries of a morsel whose worker crashed"),
     Setting("faults", "REPRO_FAULTS", "", _faults,

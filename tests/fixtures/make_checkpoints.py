@@ -48,7 +48,7 @@ def configure() -> None:
 
     settings.configure(
         zone_rows=ZONE_ROWS, storage="memory", shards=0, threads=0,
-        dict_encode=True, wal=True, faults="off",
+        wal=True, faults="off",
     )
 
 
@@ -85,7 +85,6 @@ def write_v1(root: Path) -> None:
     db = Database(path=root)
     try:
         db.execute(f"PRAGMA zone_rows={ZONE_ROWS}")
-        db.execute("PRAGMA dict_encode=1")
         _write_full_and_partial(db, first_key=0)
     finally:
         db.close()

@@ -45,9 +45,9 @@ PENDING = f"INSERT INTO t VALUES ({ROWS}, 0.5, 1, 'x'), ({ROWS + 1}, 1.5, 2, 'y'
 def _pinned():
     settings.configure(
         zone_rows=ZONE_ROWS, storage="memory", shards=0, threads=0,
-        dict_encode=True, wal=True, faults="off", plan_cache=True,
+        wal=True, faults="off",
     )
-    pin_defaults("delta_rows", "plan_cache_size", "memory_budget_kb")
+    pin_defaults("delta_rows", "memory_budget_kb")
 
 
 def _table(rows: int = ROWS) -> Table:
@@ -612,7 +612,7 @@ def _join_tables(db: Database) -> None:
 def test_join_plan_reads_completed_statistics():
     """Join reordering reads distinct counts: after an UPDATE collapses
     ``u.x`` the plan reorders, and it is the plan a rebuild gives."""
-    settings.configure(optimizer=True, plan_cache=False)
+    settings.configure(optimizer=True)
     db = Database()
     _join_tables(db)
     before = db.execute(_JOIN_SQL).column("plan").to_list()
@@ -630,7 +630,7 @@ def test_join_reorder_builds_only_the_join_key_entries(monkeypatch):
     """Planning a two-join global COUNT(*) builds the statistics of the
     two join keys it ranks by and of no other column; planning it again
     builds none, and neither does a scan."""
-    settings.configure(optimizer=True, plan_cache=False)
+    settings.configure(optimizer=True)
     db = Database()
     _join_tables(db)
     built = _spy_on_column_statistics(monkeypatch)

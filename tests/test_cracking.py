@@ -1,14 +1,20 @@
 """Unit and property tests for database cracking and its variants."""
 
+import operator
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import settings as engine_settings
+from repro.engine import Database, Table
+from repro.engine.column import Column
 from repro.indexing import (
     CrackerIndex,
     CrackingVariant,
     HybridCrackSortIndex,
+    PartitionedAdaptiveIndex,
     ScanIndex,
     SortedIndex,
     UpdatableCrackerIndex,
@@ -260,3 +266,115 @@ class TestUpdatableCracker:
                 expected = {i for i, v in shadow.items() if value <= v <= value + 10}
                 assert got == expected
                 assert index.is_consistent()
+
+
+# -- registered range indexes keep INT64 keys exact -----------------------------------
+
+BIG = 2**53  # beyond it float64 folds neighbouring INT64 keys together
+
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_KEYS = st.integers(-(2**62), 2**62) | st.sampled_from([BIG - 1, BIG, BIG + 1, 1, 2, 3])
+
+
+def _indexed_scan(make_index, initial, inserted, op, probe) -> None:
+    """``SELECT x FROM t WHERE x <op> probe`` through a registered index
+    answers what Python's exact comparison of the keys does.  ``inserted``
+    rows are fed to the index by INSERT and merged as a pure append, which
+    keeps it registered."""
+    engine_settings.configure(shards=0)
+    db = Database()
+    db.create_table("t", Table([("x", Column(np.asarray(initial, dtype=np.int64)))]))
+    index = make_index(db.main_table("t").column("x").data)
+    db.register_index("t", "x", index)
+    if inserted:
+        db.execute("INSERT INTO t VALUES " + ", ".join(f"({v})" for v in inserted))
+        db.flush_deltas("t")
+    assert db.index_for("t", "x") is index
+    got = db.sql(f"SELECT x FROM t WHERE x {op} {probe}").column("x").to_list()
+    assert sorted(got) == sorted(v for v in initial + inserted if _OPS[op](v, probe))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_KEYS, min_size=1, max_size=12), st.lists(_KEYS, min_size=1, max_size=4),
+    st.sampled_from(sorted(_OPS)), _KEYS,
+)
+@example([1, 2, 3], [BIG + 1], ">=", BIG + 1)
+@example([1, 2, 3], [BIG - 1, BIG], ">", BIG - 1)
+@example([BIG + 1, 2], [BIG, BIG - 1], "<", BIG)
+def test_updatable_cracker_keeps_inserted_int64_keys(initial, inserted, op, probe):
+    """Fails at the parent: inserts were queued as floats, so ``2**53 + 1``
+    read as ``2**53`` and a query from ``2**53 + 1`` never merged it."""
+    _indexed_scan(UpdatableCrackerIndex, initial, inserted, op, probe)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_KEYS, min_size=1, max_size=16), st.sampled_from(sorted(_OPS)), _KEYS)
+@example([1, 2, BIG + 1, 3], ">", BIG)
+@example([BIG - 1, 5, BIG, 7], ">=", BIG + 1)
+@example([BIG + 1, 9, 1, 4], "<", BIG + 1)
+def test_partitioned_index_keeps_int64_partition_bounds(values, op, probe):
+    """Fails at the parent: partition bounds were floats, so the partition
+    holding ``2**53 + 1`` looked as if its maximum were ``2**53``."""
+    _indexed_scan(
+        lambda keys: PartitionedAdaptiveIndex(keys, partition_size=2), values, [], op, probe
+    )
+
+
+@pytest.mark.parametrize("flavour", ["crack", "sort"])
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_KEYS, min_size=1, max_size=16), st.sampled_from(sorted(_OPS)), _KEYS)
+@example([1, 2, BIG + 1, 3], ">", BIG)
+@example([BIG - 1, 5, BIG, 7], ">=", BIG + 1)
+@example([BIG + 1, 9, 1, 4], "<", BIG + 1)
+def test_hybrid_index_keeps_int64_keys(flavour, values, op, probe):
+    """Fails at the parent: the final sorted run was float64."""
+    _indexed_scan(
+        lambda keys: HybridCrackSortIndex(keys, num_partitions=2, flavour=flavour),
+        values, [], op, probe,
+    )
+
+
+@pytest.mark.parametrize("flavour", ["crack", "sort"])
+def test_hybrid_index_remembers_which_bounds_it_merged(flavour):
+    """Fails at the parent, which remembered every merged range as closed:
+    after ``x > 5``, ``x >= 5`` lost the fives; after ``[10, 20)`` and
+    ``[20, 30)``, ``(25, 30]`` lost the thirties."""
+    db = Database()
+    db.create_table("t", {"x": [5, 7, 3, 5, 9, 1]})
+    db.register_index("t", "x", HybridCrackSortIndex(
+        db.main_table("t").column("x").data, num_partitions=2, flavour=flavour
+    ))
+    assert sorted(db.sql("SELECT x FROM t WHERE x > 5").column("x").to_list()) == [7, 9]
+    assert sorted(db.sql("SELECT x FROM t WHERE x >= 5").column("x").to_list()) == [5, 5, 7, 9]
+
+    values = np.array([10, 30, 15, 25, 30, 20, 5, 29])
+    index = HybridCrackSortIndex(values, num_partitions=2, flavour=flavour)
+    for low, high in ((10, 20), (20, 30)):
+        assert set(index.lookup_range(low, high, True, False).tolist()) == brute_force(
+            values, low, high, True, False
+        )
+    assert set(index.lookup_range(25, 30, False, True).tolist()) == {1, 4, 7}
+
+
+@pytest.mark.parametrize("flavour", ["crack", "sort"])
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 12), min_size=1, max_size=30),
+    st.lists(
+        st.tuples(
+            st.none() | st.integers(0, 12), st.none() | st.integers(0, 12),
+            st.booleans(), st.booleans(),
+        ),
+        min_size=1, max_size=8,
+    ),
+)
+def test_hybrid_query_sequences_match_brute_force(flavour, values, queries):
+    """Any sequence of ranges, each bound open or closed, on a domain
+    small enough that bounds collide with merged ones."""
+    arr = np.asarray(values, dtype=np.int64)
+    index = HybridCrackSortIndex(arr, num_partitions=3, flavour=flavour)
+    for low, high, low_inc, high_inc in queries:
+        got = index.lookup_range(low, high, low_inc, high_inc).tolist()
+        assert len(got) == len(set(got))
+        assert set(got) == brute_force(arr, low, high, low_inc, high_inc)

@@ -38,7 +38,7 @@ from tests.test_sql_differential import random_query, random_table
 @pytest.fixture(autouse=True)
 def _reset_write_path():
     """Pin a deterministic write-path/accel config."""
-    pin_defaults("delta_rows", "dict_encode", "zone_rows", "plan_cache", "plan_cache_size")
+    pin_defaults("delta_rows", "zone_rows")
 
 
 def _db(**tables) -> Database:
@@ -547,8 +547,7 @@ def test_dml_corpus_matches_rebuild_oracle(seed: int, delta_rows: int) -> None:
         script.append(op)
 
     under_test = dict(
-        dict_encode=True, zone_rows=8, plan_cache=True,
-        threads=4, morsel_rows=7, min_parallel_rows=1,
+        zone_rows=8, threads=4, morsel_rows=7, min_parallel_rows=1,
         faults="worker_crash:0.1", fault_seed=seed,
     )
     settings.configure(delta_rows=delta_rows, **under_test)
@@ -558,14 +557,12 @@ def test_dml_corpus_matches_rebuild_oracle(seed: int, delta_rows: int) -> None:
         _apply_dml(db, rows, op)
         if step % 2 and step != len(script) - 1:
             continue  # query every other step and at the end
-        oracle_db = _rebuild_oracle(rows)
         for sql in queries:
             got = db.sql(sql)
-            settings.configure(
-                threads=0, faults="off", dict_encode=False, zone_rows=0, plan_cache=False
-            )
+            settings.configure(threads=0, faults="off", zone_rows=0)
             try:
-                expected = oracle_db.sql(sql)
+                # a fresh database per query: a plan-cache miss every time
+                expected = _rebuild_oracle(rows).sql(sql)
             finally:
                 settings.configure(**under_test)
             try:

@@ -179,7 +179,6 @@ def test_literal_keys_are_typed():
 
 @pytest.fixture(params=[True, False], ids=["optimizer_on", "optimizer_off"])
 def db(request):
-    pin_defaults("plan_cache", "plan_cache_size")
     settings.configure(optimizer=request.param)
     database = Database()
     database.create_table(

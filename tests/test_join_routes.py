@@ -72,8 +72,7 @@ def _fact() -> Table:
 @pytest.fixture(scope="module", autouse=True)
 def pins():
     settings.configure(
-        dict_encode=True, shards=0, wal=True, wal_sync="commit",
-        storage="memory", plan_cache=True,
+        shards=0, wal=True, wal_sync="commit", storage="memory",
     )
     pin_defaults("delta_rows")
     yield
@@ -158,15 +157,21 @@ def test_lattice_point(state, kind, tmp_path):
         if kind == "inner":
             # a right scan marked empty: no SQL gets there today (a constant
             # conjunct lands on the driving scan), so mark the planned
-            # scans by hand
-            settings.configure(optimizer=True, plan_cache=False)
-            plan = db.plan(join + WHERES["range"])
-            _right_scan(plan).empty = True
-            assert "Scan(u, empty, filter:" in plan.explain()
-            tables_bit_identical(execute_plan(plan, db), want)
-            # a mistyped predicate never becomes a plan to mark
-            with pytest.raises(TypeMismatchError, match="no common type for STRING and INT64"):
-                db.plan(join + MISTYPED)
+            # scans by hand, in a plan a fresh database's cache missed on
+            settings.configure(optimizer=True)
+            fresh = _open(state, tmp_path / "fresh")
+            try:
+                plan = fresh.plan(join + WHERES["range"])
+                _right_scan(plan).empty = True
+                assert "Scan(u, empty, filter:" in plan.explain()
+                tables_bit_identical(execute_plan(plan, fresh), want)
+                # a mistyped predicate never becomes a plan to mark
+                with pytest.raises(
+                    TypeMismatchError, match="no common type for STRING and INT64"
+                ):
+                    fresh.plan(join + MISTYPED)
+            finally:
+                fresh.close()
     finally:
         db.close()
 

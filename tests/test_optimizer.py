@@ -29,8 +29,8 @@ from tests.test_sql_differential import random_query, random_table
 
 @pytest.fixture(autouse=True)
 def _reset_config():
-    """Pin the optimizer and the accelerators on, regardless of REPRO_* env overrides."""
-    pin_defaults("dict_encode", "zone_rows", "plan_cache", "plan_cache_size", "optimizer")
+    """Pin the optimizer and zone maps on, regardless of REPRO_* env overrides."""
+    pin_defaults("zone_rows", "optimizer")
 
 
 @pytest.fixture()
@@ -451,7 +451,7 @@ def test_corpus_bit_identity_optimizer_on_off(seed: int) -> None:
         )
         return db
 
-    settings.configure(optimizer=False, zone_rows=8, plan_cache=True, threads=0, faults="off")
+    settings.configure(optimizer=False, zone_rows=8, threads=0, faults="off")
     baseline_db = build_db()
     baseline = [baseline_db.sql(sql) for sql in queries]
 

@@ -341,7 +341,7 @@ def _sharded_db(ys: list) -> Database:
     """``t(ts, g, k, y)`` over 2 ``range(ts)`` shards of 64-row zones, at
     threads=2 with no faults, so a brush over both
     shards is one pooled batch of 2 shard tasks on every CI leg."""
-    pin_defaults("delta_rows", "storage", "memory_budget_kb", "degrade", "plan_cache")
+    pin_defaults("delta_rows", "storage", "memory_budget_kb", "degrade")
     settings.configure(
         threads=2, min_parallel_rows=2, zone_rows=64, shards=0,
         optimizer=True, faults="off",

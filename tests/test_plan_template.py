@@ -2,8 +2,8 @@
 in its literals re-binds that plan (DESIGN.md, "Plan cache").
 
 * re-bound ≡ fresh — every query of the differential corpus, its
-  literals redrawn, answers with the schema and bits ``plan_cache=0``
-  gives, serially, on two threads and over two shards;
+  literals redrawn, answers with the schema and bits a fresh database's
+  plan gives, serially, on two threads and over two shards;
 * a property over pairs of statements of one pattern, with the literal
   cases pinned as examples: INT64 beyond 2^53, ``-0.0``, quotes, ``5``
   vs ``5.0``, LIMIT and LIKE, a folded, a deduplicated and a
@@ -27,18 +27,12 @@ from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
 from repro import settings
-from repro.engine import Database, Table, parallel
+from repro.engine import Database, Table, catalog, parallel
 from repro.engine.sql.lexer import shape, tokenize
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry, set_registry
-from tests.conftest import pin_defaults
 from tests.test_parallel import tables_bit_identical
 from tests.test_sql_differential import WORDS, random_query, random_table
-
-
-@pytest.fixture(autouse=True)
-def _plan_cache_on():
-    pin_defaults("plan_cache", "plan_cache_size")
 
 
 @pytest.fixture()
@@ -57,16 +51,13 @@ def _counts(registry) -> tuple[int, int, int]:
     )
 
 
-def _answer(db: Database, sql: str, cache: bool = True):
-    """The result of ``sql``, or the error it raised, with the plan cache
-    on or bypassed."""
-    settings.configure(plan_cache=cache)
+def _answer(db: Database, sql: str):
+    """The result of ``sql``, or the error it raised.  On a fresh database
+    it is a plan-cache miss: the statement is planned from scratch."""
     try:
         return db.sql(sql)
     except ReproError as exc:
         return type(exc), str(exc)
-    finally:
-        settings.configure(plan_cache=True)
 
 
 def _assert_same(got, want) -> None:
@@ -114,17 +105,22 @@ def test_rebound_plans_answer_like_fresh_ones(route, seed, registry):
     settings.configure(shards=0, **ROUTES[route])
     rng = np.random.default_rng(seed)
     table, _ = random_table(rng, n=int(rng.integers(5, 80)))
-    db = Database()
-    db.create_table("t", table)
-    if route == "shards2":
-        db.apply_sharding("t", 2, shard_by="range(id)")
+
+    def build() -> Database:
+        db = Database()
+        db.create_table("t", table)
+        if route == "shards2":
+            db.apply_sharding("t", 2, shard_by="range(id)")
+        return db
+
+    db = build()
     try:
         for _ in range(12):
             sql = random_query(rng)
             _answer(db, sql)  # plans the shape
             again = redraw(sql, rng)
             assert shape(tokenize(again))[0] == shape(tokenize(sql))[0], again
-            _assert_same(_answer(db, again), _answer(db, again, cache=False))
+            _assert_same(_answer(db, again), _answer(build(), again))
     finally:
         parallel.shutdown_pool()
     assert _counts(registry)[1] > 0, "no redrawn statement re-bound a template"
@@ -201,7 +197,7 @@ def test_second_statement_answers_like_a_fresh_plan(pair):
     first, second = pair
     db = _pair_db()
     _answer(db, first)
-    _assert_same(_answer(db, second), _answer(db, second, cache=False))
+    _assert_same(_answer(db, second), _answer(_pair_db(), second))
 
 
 @pytest.mark.parametrize(
@@ -285,8 +281,8 @@ def test_catalog_changes_force_a_replan(change, registry):
     assert _counts(registry) == (2, 2, 2)
 
 
-def test_plan_cache_size_bounds_the_template_level(registry):
-    settings.configure(plan_cache_size=2)
+def test_plan_cache_size_bounds_the_template_level(registry, monkeypatch):
+    monkeypatch.setattr(catalog, "PLAN_CACHE_SIZE", 2)
     db = _pair_db()
     shapes = [
         "SELECT id FROM t WHERE a > {}",
@@ -321,16 +317,15 @@ def test_a_template_hit_shares_what_no_slot_is_under():
     assert db.plan(sql.format(1)) is first  # the exact text still hits
 
 
-def test_concurrent_shape_hits_answer_like_fresh_plans():
+def test_concurrent_shape_hits_answer_like_fresh_plans(monkeypatch):
     """Six threads share both cache levels, small enough to evict all the
     time; a torn or lost entry would hand a thread another statement's plan."""
     settings.configure(threads=0, shards=0)
     db = _pair_db()
     shapes = ["SELECT id FROM t WHERE a > {} ORDER BY id", "SELECT id, s FROM t WHERE id < {}"]
     statements = [sql.format(value) for sql in shapes for value in range(8)]
-    settings.configure(plan_cache=False)
-    want = {sql: db.sql(sql).column("id").to_list() for sql in statements}
-    settings.configure(plan_cache=True, plan_cache_size=4)
+    want = {sql: _pair_db().sql(sql).column("id").to_list() for sql in statements}
+    monkeypatch.setattr(catalog, "PLAN_CACHE_SIZE", 4)
     wrong = []
 
     def worker(seed: int) -> None:

@@ -300,7 +300,7 @@ class TestDegradation:
         settings.configure(shards=0)
         db = _demo_db(n=n)
         exact = db.sql(AGG_QUERY)
-        settings.configure(memory_budget_kb=4, degrade=1, degrade_rows=2_000)
+        settings.configure(memory_budget_kb=4, degrade=1)
         degraded = db.sql(AGG_QUERY)
         return exact, degraded
 
@@ -308,7 +308,7 @@ class TestDegradation:
         exact, degraded = self._exact_and_degraded()
         assert isinstance(degraded, DegradedTable)
         assert degraded.degraded
-        assert degraded.sample_rows == 2_000
+        assert degraded.sample_rows == 10_000  # degraded_answer's row budget
         assert degraded.total_rows == 20_000
         assert "budget" in degraded.reason
         assert list(degraded.column_names) == [

@@ -3,10 +3,14 @@
 Covers the three techniques of PR 5 — dictionary-encoded STRING columns,
 zone-map data skipping, and the catalog-versioned plan cache — plus the
 supporting plumbing: the Column fast-path constructor, the monotonic
-catalog version, and statistics-staleness regressions.  The corpus
-property test at the bottom replays the SQL differential-test corpus
-with every accelerator on (under threads and fault injection) against
-the all-off serial engine and requires bit-identical payloads.
+catalog version, and statistics-staleness regressions.  Encoding and the
+cache have no switch: the string kernels are reached through columns
+that carry no codes (a ``Table`` built outside a ``Database``, a delta
+tail), and uncached planning is what a fresh ``Database`` runs.  The
+corpus property test at the bottom replays the SQL differential-test
+corpus with every accelerator on (under threads and fault injection)
+against the serial, unzoned engine planning each query afresh and
+requires bit-identical payloads.
 """
 
 from __future__ import annotations
@@ -16,13 +20,13 @@ import pytest
 
 from repro import settings
 from repro.engine import Database, Table
-from repro.engine import zonemap
+from repro.engine import catalog, zonemap
 from repro.engine.column import Column
 from repro.engine.expressions import col, lit, truth_mask
 from repro.engine.planner import extract_probe
 from repro.engine.statistics import ZoneMap
 from repro.engine.types import DataType
-from repro.errors import TypeMismatchError
+from repro.errors import CatalogError, TypeMismatchError
 from repro.indexing import CrackerIndex
 from repro.obs.metrics import MetricsRegistry, set_registry
 from tests.conftest import pin_defaults
@@ -32,8 +36,8 @@ from tests.test_sql_differential import random_query, random_table
 
 @pytest.fixture(autouse=True)
 def _reset_accel():
-    """Pin the accelerators on for the test, regardless of REPRO_* env overrides."""
-    pin_defaults("dict_encode", "zone_rows", "plan_cache", "plan_cache_size")
+    """Pin zone maps and the delta threshold, regardless of REPRO_* env overrides."""
+    pin_defaults("zone_rows", "delta_rows")
 
 
 @pytest.fixture()
@@ -77,10 +81,11 @@ class TestDictionaryEncoding:
         assert column.null_count() == 4
 
     def test_disabled_by_config(self):
-        settings.configure(dict_encode=False)
-        db = Database()
-        db.create_table("t", {"s": _strings(10)})
-        assert db.get_table("t").column("s").dictionary() is None
+        """No setting turns encoding off: only a column the catalog never
+        registered goes without codes."""
+        with pytest.raises(CatalogError, match="^unknown pragma 'dict_encode'"):
+            Database().execute("PRAGMA dict_encode=0")
+        assert Table.from_dict({"s": _strings(10)}).column("s").dictionary() is None
 
     def test_codes_survive_take_filter_slice(self):
         column = Column(_strings(40, null_every=9), dtype=DataType.STRING)
@@ -111,10 +116,10 @@ class TestDictionaryEncoding:
             ">": col("s") > lit(needle),
             ">=": col("s") >= lit(needle),
         }[op]
-        settings.configure(dict_encode=True)
+        unencoded = Table.from_dict({"s": _strings(60, null_every=7)})
+        assert unencoded.column("s").dictionary() is None
         fast = truth_mask(predicate, table)
-        settings.configure(dict_encode=False)
-        slow = truth_mask(predicate, table)
+        slow = truth_mask(predicate, unencoded)
         assert np.array_equal(fast, slow)
 
     def test_dict_filter_metric_increments(self, registry):
@@ -133,21 +138,29 @@ class TestDictionaryEncoding:
             "SELECT s, COUNT(*) AS n, SUM(x) AS sx FROM t GROUP BY s ORDER BY s",
             "SELECT x, s FROM t ORDER BY s, x LIMIT 40",
         ]
-        results = {}
-        for mode in (True, False):
-            settings.configure(dict_encode=mode)
-            db = Database()
-            db.create_table("t", {"s": list(values), "x": list(range(300))})
-            results[mode] = [db.sql(q) for q in queries]
-        for fast, slow in zip(results[True], results[False]):
-            tables_bit_identical(fast, slow)
+        encoded = Database()
+        encoded.create_table("t", {"s": list(values), "x": list(range(300))})
+        # the same rows all pending over an empty main: the delta tail
+        # holds them without codes, and the scans read it in place
+        pending = Database()
+        pending.create_table("t", encoded.get_table("t").slice(0, 0))
+        pending.execute(
+            "INSERT INTO t VALUES "
+            + ", ".join(f"({'NULL' if s is None else repr(s)}, {x})" for x, s in enumerate(values))
+        )
+        assert pending.delta_tail("t").column("s").dictionary() is None
+        for q in queries:
+            tables_bit_identical(encoded.sql(q), pending.sql(q))
 
     def test_pragma_reencodes_existing_tables(self):
-        settings.configure(dict_encode=False)
+        """Registering a table encodes its STRING columns, whichever way
+        it was built."""
+        table = Table.from_dict({"s": _strings(10)})
+        assert table.column("s").dictionary() is None
         db = Database()
-        db.create_table("t", {"s": _strings(10)})
-        assert db.get_table("t").column("s").dictionary() is None
-        db.execute("PRAGMA dict_encode=1")
+        db.create_table("t", table)
+        assert db.get_table("t").column("s").dictionary() is not None
+        db.replace_table("t", Table.from_dict({"s": _strings(12)}))
         assert db.get_table("t").column("s").dictionary() is not None
 
 
@@ -355,12 +368,19 @@ class TestPlanCache:
         assert registry.counter("plan_cache.misses").value == 1
 
     def test_disabled_by_config(self, registry):
-        settings.configure(plan_cache=False)
-        db = Database()
-        db.create_table("t", {"x": [1, 2, 3]})
+        """No setting turns the cache off; a fresh database misses."""
+        for pragma in ("plan_cache=0", "plan_cache_size=8"):
+            with pytest.raises(CatalogError, match="^unknown pragma 'plan_cache"):
+                Database().execute(f"PRAGMA {pragma}")
         sql = "SELECT x FROM t"
-        assert db.plan(sql) is not db.plan(sql)
+        plans = []
+        for _ in range(2):
+            db = Database()
+            db.create_table("t", {"x": [1, 2, 3]})
+            plans.append(db.plan(sql))
+        assert plans[0] is not plans[1]
         assert registry.counter("plan_cache.hits").value == 0
+        assert registry.counter("plan_cache.misses").value == 2
 
     @pytest.mark.parametrize(
         "ddl",
@@ -425,8 +445,8 @@ class TestPlanCache:
         assert "index: x in" not in db.explain_analyze(sql).render()
         assert db.sql(sql).column("x").to_list() == [2.0, 3.0]
 
-    def test_lru_eviction(self, registry):
-        settings.configure(plan_cache_size=2)
+    def test_lru_eviction(self, registry, monkeypatch):
+        monkeypatch.setattr(catalog, "PLAN_CACHE_SIZE", 2)
         db = Database()
         db.create_table("t", {"x": [1, 2, 3]})
         a, b, c = (f"SELECT x FROM t LIMIT {i}" for i in (1, 2, 3))
@@ -489,19 +509,13 @@ class TestScanAccelPragmas:
         db.execute("PRAGMA zone_rows=128")
         assert settings.current.zone_rows == 128
         assert db.execute("PRAGMA zone_rows").column("value")[0] == 128
-        db.execute("PRAGMA plan_cache=0")
-        assert settings.current.plan_cache is False
-        db.execute("PRAGMA plan_cache_size=8")
-        assert settings.current.plan_cache_size == 8
-        db.execute("PRAGMA dict_encode=0")
-        assert settings.current.dict_encode is False
 
     def test_rejects_bad_values(self):
         db = Database()
         with pytest.raises(Exception):
             db.execute("PRAGMA zone_rows=-1")
-        with pytest.raises(Exception):
-            db.execute("PRAGMA plan_cache_size=0")
+        with pytest.raises(CatalogError):
+            db.execute("PRAGMA zone_rows=abc")
 
 
 # -- corpus property test: accelerated == unaccelerated, bit for bit ------------------
@@ -509,34 +523,46 @@ class TestScanAccelPragmas:
 
 @pytest.mark.parametrize("seed", range(12))
 def test_corpus_bit_identity_under_threads_and_faults(seed: int) -> None:
-    """Replay the differential-test corpus with dictionary encoding, zone
-    maps (tiny zones) and the plan cache all on — executed on the morsel
-    pool with worker-crash injection — against the all-off serial engine.
-    Payloads must match byte for byte."""
+    """Replay the differential-test corpus with dictionary codes, zone maps
+    (tiny zones) and the plan cache — executed on the morsel pool with
+    worker-crash injection — against the serial, unzoned engine reading
+    the same rows unencoded from a delta tail, each query planned by a
+    fresh database.  Payloads must match byte for byte."""
     rng = np.random.default_rng(1000 + seed)
     table, rows = random_table(rng, n=int(rng.integers(20, 90)))
     queries = [random_query(rng) for _ in range(10)]
 
-    def build_db() -> Database:
+    def literal(value) -> str:
+        if value is None:
+            return "NULL"
+        return f"'{value}'" if isinstance(value, str) else repr(value)
+
+    def pending_db() -> Database:
+        # every row pending over an empty main: the delta tail holds the
+        # strings without codes, so the plain string kernels answer
         db = Database()
-        db.create_table(
-            "t",
-            Table.from_dict(
-                {name: [r[name] for r in rows] for name in ("id", "a", "b", "s")}
-            ),
+        db.create_table("t", table.slice(0, 0))
+        db.execute(
+            "INSERT INTO t VALUES "
+            + ", ".join(
+                "(" + ", ".join(literal(r[name]) for name in ("id", "a", "b", "s")) + ")"
+                for r in rows
+            )
         )
+        assert db.delta_tail("t").column("s").dictionary() is None
+        assert db.delta_tail("t").num_rows == len(rows)
         return db
 
-    settings.configure(dict_encode=False, zone_rows=0, plan_cache=False, threads=0, faults="off")
-    baseline_db = build_db()
-    baseline = [baseline_db.sql(sql) for sql in queries]
+    settings.configure(zone_rows=0, threads=0, faults="off", delta_rows=len(rows) + 1)
+    baseline = [pending_db().sql(sql) for sql in queries]
 
     settings.configure(
-        dict_encode=True, zone_rows=8, plan_cache=True,
-        threads=4, morsel_rows=7, min_parallel_rows=1,
+        zone_rows=8, threads=4, morsel_rows=7, min_parallel_rows=1,
         faults="worker_crash:0.1", fault_seed=seed,
     )
-    accel_db = build_db()
+    accel_db = Database()
+    accel_db.create_table("t", table)
+    assert accel_db.get_table("t").column("s").dictionary() is not None
     # run each query twice so the second execution exercises the
     # plan-cache hit path under the same fault schedule
     accelerated = [accel_db.sql(sql) for sql in queries]

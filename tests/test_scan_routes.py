@@ -81,7 +81,7 @@ def checkpoints(tmp_path_factory):
     """Pins every config axis the lattice varies and builds one
     checkpointed durable root per shard count, copied per lattice point."""
     settings.configure(
-        zone_rows=ZONE_ROWS, dict_encode=True, shards=0,
+        zone_rows=ZONE_ROWS, shards=0,
         wal=True, wal_sync="commit", faults="off", storage="memory",
     )
     pin_defaults("delta_rows")

@@ -81,7 +81,7 @@ def _pinned():
         zone_rows=ZONE_ROWS, optimizer=True, shards=0, storage="memory", wal_sync="off",
         faults="off",
     )
-    pin_defaults("delta_rows", "plan_cache", "dict_encode", "memory_budget_kb", "degrade")
+    pin_defaults("delta_rows", "memory_budget_kb", "degrade")
 
 
 def _row(i: int) -> tuple:

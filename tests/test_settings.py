@@ -34,15 +34,11 @@ CASES = {
     "morsel_rows": ("500", 500, "0"),
     "min_parallel_rows": ("7", 7, "0"),
     "delta_rows": ("0", 0, "-1"),
-    "dict_encode": ("0", False, "yes"),
     "zone_rows": ("128", 128, "-1"),
-    "plan_cache": ("0", False, "on"),
-    "plan_cache_size": ("8", 8, "0"),
     "optimizer": ("0", False, "fast"),
     "timeout_ms": ("250", 250, "-1"),
     "memory_budget_kb": ("64", 64, "-1"),
     "degrade": ("2", True, "maybe"),
-    "degrade_rows": ("100", 100, "0"),
     "max_retries": ("0", 0, "-1"),
     "faults": ("'worker_crash:0.5,slow_morsel:0.1:20'", "worker_crash:0.5,slow_morsel:0.1:20",
                "meteor_strike:1"),
@@ -63,21 +59,28 @@ def _listing(db: Database) -> dict[str, tuple[str, str]]:
 
 def test_every_row_has_a_case() -> None:
     assert list(CASES) == [row.name for row in settings.SETTINGS]
-    assert len(settings.SETTINGS) == 23
+    assert len(settings.SETTINGS) == 19
 
 
 #: deleted settings, spelled so no live use of the name remains: the pool
-#: is always a thread pool, and a sharded table builds no index of its own
+#: is always a thread pool, a sharded table builds no index of its own,
+#: the catalog always dictionary-encodes STRING columns, the plan cache
+#: is always on with a fixed size, and a degraded answer always samples
+#: ``degraded_answer``'s default row budget
 DELETED = {
     "_".join(("pool", "kind")): ("process", "thread"),
     "_".join(("shard", "index")): ("1", True),
+    "_".join(("dict", "encode")): ("0", False),
+    "_".join(("plan", "cache")): ("0", False),
+    "_".join(("plan", "cache", "size")): ("8", 8),
+    "_".join(("degrade", "rows")): ("100", 100),
 }
 
 
 @pytest.mark.parametrize("name", DELETED)
 def test_the_worker_pool_is_no_setting(name: str) -> None:
-    """A deleted setting is an unknown name on both surfaces and changes
-    nothing."""
+    """A deleted setting is an unknown name on every surface and changes
+    nothing: ``PRAGMA``, ``configure`` and its old environment variable."""
     pragma_value, configure_value = DELETED[name]
     before = settings.snapshot()
     with pytest.raises(CatalogError, match=f"^unknown pragma '{name}'"):
@@ -85,6 +88,22 @@ def test_the_worker_pool_is_no_setting(name: str) -> None:
     with pytest.raises(TypeError, match=name):
         settings.configure(**{name: configure_value})
     assert settings.snapshot() == before
+    seeded = settings.Settings({f"REPRO_{name.upper()}": pragma_value})
+    assert not hasattr(seeded, name)
+    for row in settings.SETTINGS:
+        assert (getattr(seeded, row.name), seeded.source(row.name)) == (row.default, "default")
+
+
+def test_every_row_has_a_reader() -> None:
+    """Each row is read somewhere in the engine as ``current.<name>`` or
+    ``config.<name>`` (the local every reader binds the store to), so no
+    row outlives its last reader."""
+    package = REPO / "src/repro"
+    read = set()
+    for path in package.rglob("*.py"):
+        if path != package / "settings.py":
+            read |= set(re.findall(r"\b(?:current|config)\.(\w+)", path.read_text()))
+    assert [row.name for row in settings.SETTINGS if row.name not in read] == []
 
 
 @pytest.mark.parametrize("row", settings.SETTINGS, ids=lambda row: row.name)

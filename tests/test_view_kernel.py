@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from repro import Database, settings
+from repro import Database
 from repro.engine import col, truth_mask
 from repro.engine.column import Column
 from repro.engine.table import Table
@@ -21,19 +21,30 @@ from repro.workloads import sales_table
 N = 480
 NAMES = np.array(["ash", "birch", "cedar", "elm", "fir"], dtype=object)
 
-#: (kind of key column ``k``, dict_encode): plain STRING keys, dictionary
-#: codes (what ``Database.create_table`` builds), INT64 keys, a NULL key
+#: (kind of key column ``k``, encoded): plain STRING keys (a table built
+#: outside the database), dictionary codes (what ``Database.create_table``
+#: builds), INT64 keys, a NULL key
 KEYS = [("string", 0), ("string", 1), ("int", 1), ("null", 0), ("null", 1)]
 MEASURES = ["clean", "null", "nan"]
 
 
-def _database(keys: str, dict_encode: int, measure: str = "clean") -> tuple[Database, Table]:
+def _database(keys: str, encoded: int, measure: str = "clean") -> tuple[Database, Table]:
+    """The database holding ``t`` and the table the views are handed: the
+    registered one, or with ``encoded=0`` the same rows built outside the
+    database, whose STRING columns carry no dictionary codes."""
+    db = Database()
+    db.create_table("t", _table(keys, measure))
+    table = db.get_table("t") if encoded else _table(keys, measure)
+    assert (table.column("c").dictionary() is not None) == bool(encoded)
+    return db, table
+
+
+def _table(keys: str, measure: str) -> Table:
     """``t(k, c, flag, m, w, v)``: key ``k`` of the asked kind over five
     values, a second STRING key ``c``, a 0/1 ``flag``, the measure ``m`` of
     the asked kind (``null``: a third of it NULL and every target row of
     ``cedar`` / every row of cell (birch, y) NULL; ``nan``: NaNs inside
     cell (elm, x)), an INT64 measure ``w`` and a clean float ``v``."""
-    settings.configure(dict_encode=bool(dict_encode))
     rng = np.random.default_rng(11)
     group = rng.integers(0, 5, N)
     c = np.array(["x", "y", "z"], dtype=object)[rng.integers(0, 3, N)]
@@ -50,7 +61,7 @@ def _database(keys: str, dict_encode: int, measure: str = "clean") -> tuple[Data
         valid &= ~((group == 2) & (flag == 1)) & ~((group == 1) & (c == "y"))
     elif measure == "nan":
         m[(group == 3) & (c == "x") & (rng.integers(0, 2, N) == 0)] = np.nan
-    table = Table([
+    return Table([
         ("k", k),
         ("c", Column(c, dtype=DataType.STRING)),
         ("flag", Column(flag)),
@@ -58,9 +69,6 @@ def _database(keys: str, dict_encode: int, measure: str = "clean") -> tuple[Data
         ("w", Column(rng.integers(1, 10, N))),
         ("v", Column(rng.normal(10.0 * group, 3.0))),
     ])
-    db = Database()
-    db.create_table("t", table)
-    return db, db.get_table("t")
 
 
 def _close(actual, expected) -> bool:
@@ -86,12 +94,12 @@ def _sql_distributions(db: Database, dimension: str, measure: str, aggregate: st
 
 @pytest.mark.parametrize("prune", [False, True], ids=["exact", "pruned"])
 @pytest.mark.parametrize("measure", MEASURES)
-@pytest.mark.parametrize("keys,dict_encode", KEYS)
-def test_seedb_distributions_equal_sql(keys, dict_encode, measure, prune):
+@pytest.mark.parametrize("keys,encoded", KEYS)
+def test_seedb_distributions_equal_sql(keys, encoded, measure, prune):
     """Fails at the parent on every NULL-measure cell (a NULL read 0.0 and
     was counted).  The phased recommender adds partials in phase order,
     hence the relative 1e-9."""
-    db, table = _database(keys, dict_encode, measure)
+    db, table = _database(keys, encoded, measure)
     seedb = SeeDB(table, ["k", "c"], ["m", "w"])
     views = seedb.recommend(col("flag") == 1, k=4 if prune else 12, prune=prune, num_phases=4)
     assert len(views) == (4 if prune else 12)
@@ -108,11 +116,11 @@ def test_seedb_distributions_equal_sql(keys, dict_encode, measure, prune):
 
 
 @pytest.mark.parametrize("measure", MEASURES)
-@pytest.mark.parametrize("keys,dict_encode", KEYS)
-def test_cube_cells_equal_sql(keys, dict_encode, measure):
+@pytest.mark.parametrize("keys,encoded", KEYS)
+def test_cube_cells_equal_sql(keys, encoded, measure):
     """A cell is ``AVG(m) GROUP BY k, c``; a NULL mean is no cell, and
     neither is a NaN one (the matrix marks absence with NaN)."""
-    db, table = _database(keys, dict_encode, measure)
+    db, table = _database(keys, encoded, measure)
     explorer = CubeExplorer(table, "k", "c", "m")
     rows = list(db.sql("SELECT k, c, AVG(m) AS a FROM t GROUP BY k, c").rows())
     expected = {
@@ -125,9 +133,9 @@ def test_cube_cells_equal_sql(keys, dict_encode, measure):
         assert (4 if keys == "int" else "birch", "y") not in expected
 
 
-@pytest.mark.parametrize("keys,dict_encode", KEYS)
-def test_facet_supports_equal_sql(keys, dict_encode):
-    db, table = _database(keys, dict_encode)
+@pytest.mark.parametrize("keys,encoded", KEYS)
+def test_facet_supports_equal_sql(keys, encoded):
+    db, table = _database(keys, encoded)
     facets = FacetRecommender(table, facet_columns=["k"]).interesting_facets(
         col("w") >= 6, min_ratio=0.0, min_support=1
     )
@@ -144,11 +152,11 @@ def test_facet_supports_equal_sql(keys, dict_encode):
     )
 
 
-@pytest.mark.parametrize("keys,dict_encode", KEYS)
-def test_vizdeck_bar_counts_equal_sql(keys, dict_encode):
+@pytest.mark.parametrize("keys,encoded", KEYS)
+def test_vizdeck_bar_counts_equal_sql(keys, encoded):
     """The bar score is a function of ``COUNT(*) GROUP BY k`` alone (the
     NULLs are one bar); an INT64 column is a histogram, not a bar."""
-    db, table = _database(keys, dict_encode)
+    db, table = _database(keys, encoded)
     scores = {c.describe(): c.score for c in VizDeck(table).candidates()}
     if keys == "int":
         assert "bar(k)" not in scores and "histogram(k)" in scores
@@ -159,11 +167,11 @@ def test_vizdeck_bar_counts_equal_sql(keys, dict_encode):
     assert _close(scores["bar(k)"], 1.0 - abs(balance - 0.6))
 
 
-@pytest.mark.parametrize("keys,dict_encode", KEYS)
-def test_ordered_sampler_partition_equals_sql(keys, dict_encode):
+@pytest.mark.parametrize("keys,encoded", KEYS)
+def test_ordered_sampler_partition_equals_sql(keys, encoded):
     """One batch as large as the table exhausts every group: the sizes and
     means are then the partition's, exactly."""
-    db, table = _database(keys, dict_encode)
+    db, table = _database(keys, encoded)
     rows = list(db.sql("SELECT k, COUNT(*) AS n, AVG(v) AS a FROM t GROUP BY k").rows())
     values = table.column("v").data
     sampler = OrderedSampler(table.column("k"), values, batch=N)
