@@ -336,7 +336,8 @@ class Database:
         layout's (mode, key, shard count) changed — an index picks rows at
         run time, so the index set is no part of a plan.
         """
-        self._encode_strings(main)  # no-op for columns that carry codes already
+        for column_name in main.column_names:  # STRING columns without codes get them
+            main.column(column_name).encode_dictionary()
         state = self._tables.get(name)
         structural = rebuilt = state is None
         if state is None:
@@ -380,14 +381,6 @@ class Database:
         state.main, state.layout = main, layout
         if structural:
             self._bump_catalog()
-
-    @staticmethod
-    def _encode_strings(table: Table) -> None:
-        """Eagerly dictionary-encode the STRING columns of a table."""
-        for name in table.column_names:
-            column = table.column(name)
-            if column.dtype is DataType.STRING:
-                column.encode_dictionary()
 
     # -- DDL ---------------------------------------------------------------------
 

@@ -148,8 +148,7 @@ def read_csv(
     columns = []
     for i, (name, dtype) in enumerate(zip(names, dtypes)):
         column = Column([row[i] for row in parsed], dtype=dtype)
-        if dtype is DataType.STRING:
-            column.encode_dictionary()
+        column.encode_dictionary()  # a no-op unless STRING
         columns.append((name, column))
     return Table(columns)
 

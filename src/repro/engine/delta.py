@@ -17,11 +17,10 @@ configured threshold (``PRAGMA delta_rows`` / ``REPRO_DELTA_ROWS``), a
 *merge* folds the delta into a new columnar main.  The merge is
 incremental where the structures allow it:
 
-- **dictionary codes** — the merged STRING column's sorted dictionary is
-  ``unique(old_dict ∪ tail_distinct)``; old codes are remapped with one
-  gather through a ``searchsorted`` translation table and tail codes are
-  assigned by ``searchsorted``, so the O(n log n) re-encode of the main
-  payload never reruns;
+- **dictionary codes** — the tail is factorized and only its distinct
+  values are placed in the main's sorted dictionary by ``searchsorted``;
+  old codes are remapped with one gather through a translation table,
+  so the main payload is never re-encoded;
 - **zone maps** — on a pure append (no tombstones) only the trailing
   partial zone and the new zones are recomputed; complete old zones are
   spliced in unchanged;

@@ -373,9 +373,10 @@ def _compare_codes(
 
 def _comparable(data: np.ndarray, target: DataType) -> np.ndarray:
     """A payload as values that compare the way ``target`` values do: in
-    its NumPy dtype, or for STRING a ``str`` array (NULL slots ``""``)."""
+    its NumPy dtype, or for STRING an object array of ``str`` (NULL slots
+    ``""``; a NumPy ``str`` array would drop trailing NULs)."""
     if target is DataType.STRING:
-        return np.asarray([v if v is not None else "" for v in data], dtype=str)
+        return np.array(["" if v is None else v for v in data.tolist()], dtype=object)
     return data.astype(target.numpy_dtype, copy=False)
 
 

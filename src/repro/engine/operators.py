@@ -10,7 +10,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.engine.column import Column, column_from_parts, sorted_distinct
+from repro.engine.column import Column, column_from_parts, factorize_sorted, sorted_distinct
 from repro.engine.expressions import Expression, strip_outer_parens, truth_mask
 from repro.engine.sql.ast import AggregateCall, OrderItem, SelectItem
 from repro.engine.table import Table
@@ -65,36 +65,27 @@ def distinct(table: Table) -> Table:
         return table.take(np.sort(first_seen))
 
 
-def _string_codes(column: Column) -> np.ndarray | None:
-    """Dictionary codes of a STRING column, when it carries them.
-
-    Codes are order-isomorphic to the strings they stand for (equal codes
-    iff equal strings, code order = string order), so they substitute for
-    the payload in equality- and order-based operators.
-    """
-    encoded = column.dictionary()
-    return encoded[0] if encoded is not None else None
-
-
-def key_array(column: Column, codes: bool = True) -> np.ndarray:
+def key_array(column: Column) -> np.ndarray:
     """The column's payload as keys that compare the way its values do.
 
     Numeric columns keep their own dtype: through float64, INT64 keys
     beyond 2**53 (every epoch-nanosecond timestamp) fold into their
     neighbours, and GROUP BY and WHERE — which compare natively — stop
     agreeing with whoever cast.  STRING columns give their dictionary
-    codes when ``codes`` allows it (order-isomorphic to the strings, but
-    only within one column: not across the two sides of a join) and a
-    ``str`` array otherwise.  NULL slots hold harmless placeholders; the
-    caller decides NULL from the validity mask and NaN behind a
-    ``dtype.kind == "f"`` check.
+    codes (order-isomorphic to the strings, but only within one column:
+    a join maps both sides into one dictionary first).  NULL slots hold
+    harmless placeholders; the caller decides NULL from the validity
+    mask and NaN behind a ``dtype.kind == "f"`` check.
     """
-    if column.dtype is not DataType.STRING:
-        return column.data
-    dict_codes = _string_codes(column) if codes else None
-    if dict_codes is not None:
-        return dict_codes
-    return np.asarray(["" if v is None else str(v) for v in column.data], dtype=str)
+    if column.dtype is DataType.STRING:
+        return _string_codes(column)
+    return column.data
+
+
+def _string_codes(column: Column) -> np.ndarray:
+    """A STRING column's dictionary codes, factorized now (and not kept)
+    when it carries none: the kernels' one way to read string keys."""
+    return column.string_codes()[0]
 
 
 def _distinct_codes(column: Column) -> np.ndarray:
@@ -104,7 +95,7 @@ def _distinct_codes(column: Column) -> np.ndarray:
     upward, so the special values never collide with payloads.
     """
     data = key_array(column)
-    if column.dtype is DataType.STRING and data.dtype.kind == "i":
+    if column.dtype is DataType.STRING:
         codes = data.astype(np.int64) + 2  # dictionary codes: nothing to sort
     else:
         _, inverse = np.unique(data, return_inverse=True)
@@ -144,11 +135,10 @@ def order_keys(
 ) -> list[tuple[np.ndarray, np.ndarray, bool]]:
     """Evaluate ORDER BY keys to ``(payload, null_mask, ascending)`` triples.
 
-    The payload/null arrays are positionally aligned with ``table``.  Key
-    evaluation is row-local, so the triples of consecutive row ranges
-    concatenate to the triples of the whole table.  NULL ordering is
-    decided from the mask (see :func:`_argsort_with_nulls`), so real
-    ``-inf`` floats and real empty strings sort correctly relative to NULL.
+    The payload/null arrays are positionally aligned with ``table``.  NULL
+    ordering is decided from the mask (see :func:`_argsort_with_nulls`), so
+    real ``-inf`` floats and real empty strings sort correctly relative to
+    NULL.
     """
     keys = []
     for item in order_by:
@@ -324,8 +314,10 @@ def _match_join_keys(
             )
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
-    left_vals = key_array(left_col, codes=False)
-    right_vals = key_array(right_col, codes=False)
+    if left_col.dtype is DataType.STRING:
+        left_vals, right_vals = _shared_codes(left_col, right_col)
+    else:
+        left_vals, right_vals = left_col.data, right_col.data
     left_valid = ~left_col.is_null_mask()
     right_valid = ~right_col.is_null_mask()
 
@@ -379,6 +371,19 @@ def _match_join_keys(
     return left_idx, right_idx
 
 
+def _shared_codes(left: Column, right: Column) -> tuple[np.ndarray, np.ndarray]:
+    """Both STRING columns' codes into the sorted union of their two
+    dictionaries, so equal codes mean equal strings across the sides."""
+    left_codes, left_values = left.string_codes()
+    right_codes, right_values = right.string_codes()
+    if left_values is right_values:
+        return left_codes, right_codes
+    ids = factorize_sorted(np.concatenate([left_values, right_values]))[1]
+    split = len(left_values)
+    # a NULL's code −1 picks the appended placeholder
+    return np.append(ids[:split], 0)[left_codes], np.append(ids[split:], 0)[right_codes]
+
+
 # -- aggregation ------------------------------------------------------------------------
 #
 # One group kernel serves every grouped aggregation, serial or after a
@@ -416,14 +421,15 @@ def _key_ids(column: Column) -> tuple[np.ndarray, int]:
     a BOOL as 0/1; an integer column as ``data - min`` when its observed
     range is no wider than its row count (so the id space never exceeds
     what a sort of the rows would touch anyway); :func:`_distinct_codes`
-    for a column holding a NULL; an ``np.unique`` inverse otherwise.
+    for a column holding a NULL; string codes (:func:`key_array`) or an
+    ``np.unique`` inverse otherwise.
     """
-    codes = _string_codes(column)
+    encoded = column.dictionary()
     if column.has_nulls:
         ids = _distinct_codes(column)  # dictionary codes + 2 when there are any
-        return ids, (len(column.dictionary()[1]) + 2 if codes is not None else int(ids.max()) + 1)
-    if codes is not None:
-        return codes, len(column.dictionary()[1])
+        return ids, (len(encoded[1]) + 2 if encoded is not None else int(ids.max()) + 1)
+    if encoded is not None:
+        return encoded[0], len(encoded[1])
     data = column.data
     if data.dtype.kind == "b":
         return data.view(np.uint8), 2
@@ -431,8 +437,10 @@ def _key_ids(column: Column) -> tuple[np.ndarray, int]:
         low, high = int(data.min()), int(data.max())
         if high - low < len(data):
             return (data - low if low else data), high - low + 1
-    inverse = np.unique(key_array(column), return_inverse=True)[1]
-    return inverse, int(inverse.max()) + 1
+    ids = key_array(column)
+    if column.dtype is not DataType.STRING:
+        ids = np.unique(ids, return_inverse=True)[1]
+    return ids, int(ids.max()) + 1
 
 
 def group_ids(ids: np.ndarray, space: int) -> Grouping:

@@ -109,8 +109,8 @@ def _hash_ids(column, n: int) -> np.ndarray:
     """Deterministic shard id per row of a column under hash partitioning.
 
     Numeric payloads hash their 64-bit patterns through splitmix64;
-    strings hash per distinct value via crc32 (through the dictionary
-    codes when encoded).  NULL and NaN rows route to shard 0.
+    strings hash per distinct value via crc32 (through their dictionary
+    codes, :meth:`Column.string_codes`).  NULL and NaN rows route to shard 0.
     """
     data = column.data
     if data.dtype.kind in "iufb":
@@ -122,19 +122,9 @@ def _hash_ids(column, n: int) -> np.ndarray:
         if data.dtype.kind == "f":
             ids = np.where(np.isnan(data), 0, ids)
     else:
-        encoding = column.dictionary()
-        if encoding is not None:
-            codes, values = encoding
-            per_value = np.asarray(
-                [zlib.crc32(str(v).encode("utf-8")) % n for v in values],
-                dtype=np.int64,
-            )
-            ids = np.where(codes >= 0, per_value[np.maximum(codes, 0)], 0)
-        else:
-            ids = np.asarray(
-                [zlib.crc32(str(v).encode("utf-8")) % n for v in data],
-                dtype=np.int64,
-            )
+        codes, values = column.string_codes()
+        per_value = [zlib.crc32(str(v).encode("utf-8")) % n for v in values]
+        ids = np.array(per_value + [0], dtype=np.int64)[codes]  # a NULL's −1 reads 0
     if column.validity is not None:
         ids = np.where(column.validity, ids, 0)
     return ids

@@ -8,7 +8,7 @@ Logical    NumPy backing    Notes
 INT64      ``int64``        exact integers
 FLOAT64    ``float64``      IEEE doubles
 BOOL       ``bool_``        predicates and flags
-STRING     ``object``       Python ``str`` values (dictionary-free)
+STRING     ``object``       Python ``str`` values (plus dictionary codes)
 ========= ================ =========================================
 
 Nulls are represented out-of-band with a boolean validity mask on each
@@ -156,8 +156,7 @@ def coerce_array(values: Any, dtype: DataType) -> np.ndarray:
     """
     if dtype is DataType.STRING:
         arr = np.empty(len(values), dtype=object)
-        for i, v in enumerate(values):
-            arr[i] = None if v is None else str(v)
+        arr[:] = [None if v is None else str(v) for v in values]
         return arr
     try:
         return np.asarray(values, dtype=dtype.numpy_dtype)

@@ -22,7 +22,8 @@ row of :mod:`repro.settings` selects the mode).  The older one-``.npz``-per-colu
 form (:func:`save_column`/:func:`load_column`) remains for WAL snapshot
 blobs and v1 checkpoints.  No pickle anywhere: STRING payloads
 round-trip through NumPy unicode arrays, which keeps checkpoint files
-inert data.
+inert data (plus a lengths part when a value ends in NUL, which a unicode
+array would drop).
 """
 
 from __future__ import annotations
@@ -177,19 +178,37 @@ class ColumnGroupLayout(Layout):
 # of integers that happens to back a FLOAT64 column.
 
 
-def _strings_to_unicode(data: np.ndarray, validity: np.ndarray | None) -> np.ndarray:
+def _string_parts(
+    part: str, values: np.ndarray, validity: np.ndarray | None, nul_free: bool = False
+) -> dict[str, np.ndarray]:
     """An object payload of ``str`` as a dense NumPy unicode array.
 
     Null slots may hold ``None``; they are parked as ``""`` (the validity
     mask, stored alongside, is what distinguishes a null from an actual
-    empty string).
+    empty string).  A unicode array drops trailing NULs, so when it holds
+    fewer characters than the values (unless the caller knows the values
+    are ``nul_free``) a ``{part}_lengths`` array of every value's length
+    is written too.
     """
     if validity is not None:
-        data = data.copy()
-        data[~validity] = ""
-    if len(data) == 0:
-        return np.empty(0, dtype="U1")
-    return np.asarray(data, dtype=np.str_)
+        values = values.copy()
+        values[~validity] = ""
+    unicode = np.asarray(values, dtype=np.str_) if len(values) else np.empty(0, "U1")
+    arrays = {part: unicode}
+    if not nul_free and values.dtype == object and (
+        sum(map(len, values)) != int(np.char.str_len(unicode).sum())
+    ):
+        arrays[f"{part}_lengths"] = np.fromiter(map(len, values), np.int64, len(values))
+    return arrays
+
+
+def _strings_from_unicode(unicode: np.ndarray, lengths: np.ndarray | None) -> np.ndarray:
+    """The object payload :func:`_string_parts` wrote, trailing NULs restored."""
+    values = unicode.astype(object)
+    if lengths is not None:
+        for i in np.flatnonzero(np.char.str_len(unicode) != lengths):
+            values[i] += "\x00" * int(lengths[i] - len(values[i]))
+    return values
 
 
 def column_to_arrays(column: "Column") -> dict[str, np.ndarray]:
@@ -197,15 +216,17 @@ def column_to_arrays(column: "Column") -> dict[str, np.ndarray]:
     from repro.engine.types import DataType
 
     validity = column.validity
-    if column.dtype is DataType.STRING:
-        arrays = {"data": _strings_to_unicode(column.data, validity)}
-        pair = column.dictionary()
-        if pair is not None:
-            codes, dictionary = pair
-            arrays["codes"] = codes
-            arrays["dictionary"] = _strings_to_unicode(dictionary, None)
-    else:
+    if column.dtype is not DataType.STRING:
         arrays = {"data": column.data}
+    elif (pair := column.dictionary()) is None:
+        arrays = _string_parts("data", column.data, validity)
+    else:
+        codes, dictionary = pair
+        dictionary_parts = _string_parts("dictionary", dictionary, None)
+        # the data holds dictionary values: NUL-free when the dictionary is
+        arrays = _string_parts("data", column.data, validity, len(dictionary_parts) == 1)
+        arrays["codes"] = codes
+        arrays.update(dictionary_parts)
     if validity is not None:
         arrays["validity"] = validity
     return arrays
@@ -221,9 +242,8 @@ def column_from_arrays(arrays: dict[str, np.ndarray], dtype: "DataType") -> "Col
     if validity is not None:
         validity = validity.astype(bool)
     if dtype is DataType.STRING:
-        data = data.astype(object)
+        data = _strings_from_unicode(data, arrays.get("data_lengths"))
         if validity is not None:
-            data = data.copy()
             data[~validity] = None
     column = column_from_parts(np.ascontiguousarray(data) if data.dtype != object else data,
                                dtype, validity)
@@ -231,7 +251,7 @@ def column_from_arrays(arrays: dict[str, np.ndarray], dtype: "DataType") -> "Col
     dictionary = arrays.get("dictionary")
     if codes is not None and dictionary is not None:
         column._codes = codes.astype(np.int32)
-        column._dict = dictionary.astype(object)
+        column._dict = _strings_from_unicode(dictionary, arrays.get("dictionary_lengths"))
     return column
 
 
@@ -379,7 +399,8 @@ def open_column_files(
     the old ``.npz`` form).  ``mode="mmap"`` opens the data/validity/
     codes parts as read-only ``np.memmap`` views and records a
     :class:`ColumnBacking` on the column; the dictionary part (if any)
-    is small and always loaded into RAM.
+    is small and always loaded into RAM, and so is a column with a
+    ``_lengths`` part (trailing NULs).
     """
     from repro.engine.column import column_from_parts
     from repro.engine.types import DataType
@@ -387,7 +408,8 @@ def open_column_files(
     directory = Path(directory)
     if mode not in STORAGE_MODES:
         raise ValueError(f"unknown storage mode {mode!r}")
-    if mode == "memory":
+    if mode == "memory" or any(part.endswith("_lengths") for part in files):
+        # trailing NULs are restored in RAM: a mapped unicode array drops them
         arrays = {
             part: np.load(directory / name, allow_pickle=False)
             for part, name in files.items()
