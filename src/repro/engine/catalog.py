@@ -149,19 +149,9 @@ class Database:
             return False
         return settings.current.wal and self._durability.wal is not None
 
-    def _log_record(self, meta: dict[str, Any], blob: bytes | None = None) -> None:
+    def _log_record(self, meta: dict[str, Any]) -> None:
         if self._wal_active():
-            self._durability.wal.append(meta, blob)
-
-    def _log_snapshot(self, op: str, name: str, table: Table) -> None:
-        """Log a DDL operation as a full-table snapshot record."""
-        if not self._wal_active():
-            return
-        from repro.storage import layouts
-
-        self._durability.wal.append(
-            {"op": op, "table": name}, layouts.table_to_bytes(table)
-        )
+            self._durability.wal.append(meta)
 
     def checkpoint(self) -> str:
         """Merge pending deltas, then atomically persist the whole catalog.
@@ -397,10 +387,16 @@ class Database:
             raise CatalogError(f"table {name!r} already exists")
         if not isinstance(table, Table):
             table = Table.from_dict(table)
-        self._log_snapshot("create", name, table)
+        if self._wal_active():  # column files first, then a record naming them
+            self._durability.log_load("create", name, table)
+        self._register(name, table)
+        return table
+
+    def _register(self, name: str, table: Table) -> None:
+        """Install new contents: nothing of an old ``name`` describes them."""
+        self._tables.pop(name, None)
         self._install(name, table)
         self._maybe_auto_shard(name)
-        return table
 
     def drop_table(self, name: str) -> None:
         """Remove a table and everything attached to it."""
@@ -417,10 +413,9 @@ class Database:
         data.
         """
         self._state(name)
-        self._log_snapshot("replace", name, table)
-        del self._tables[name]  # nothing of the old table describes the new one
-        self._install(name, table)
-        self._maybe_auto_shard(name)
+        if self._wal_active():
+            self._durability.log_load("replace", name, table)
+        self._register(name, table)
 
     def table_names(self) -> list[str]:
         """Registered table names, sorted."""
@@ -942,7 +937,11 @@ class Database:
         if isinstance(statement, ExplainStatement):
             return self._execute_explain(statement, statement_sql, tokens)
         if isinstance(statement, CreateTableStatement):
-            self.create_table(statement.table, _empty_table(statement.columns))
+            if statement.table in self._tables:
+                raise CatalogError(f"table {statement.table!r} already exists")
+            table = _empty_table(statement.columns)
+            self._log_record({"op": "sql", "stmt": stripped})
+            self._register(statement.table, table)
             return 0
         if isinstance(statement, DropTableStatement):
             self.drop_table(statement.table)
@@ -1049,7 +1048,7 @@ class Database:
             lines.extend(f"note: {note}" for note in plan.notes)
         return Table([("plan", Column(lines, dtype=DataType.STRING))])
 
-    def _execute_insert(self, statement, sql: str | None = None) -> int:
+    def _execute_insert(self, statement, sql: str) -> int:
         """INSERT: type-check and coerce the values a column at a time,
         append them to the table's delta store as one typed batch, feed
         insert-capable indexes, maybe merge.
@@ -1073,8 +1072,7 @@ class Database:
         if unknown:
             raise CatalogError(f"unknown column(s) in INSERT: {sorted(unknown)}")
         columns = deltamod.insert_columns(statement.rows, names, schema)
-        if sql is not None:
-            self._log_record({"op": "sql", "stmt": sql})
+        self._log_record({"op": "sql", "stmt": sql})
         store = state.delta
         self._feed_indexes_on_insert(state, columns)
         store.append(columns)
@@ -1137,17 +1135,15 @@ class Database:
         tail = self.delta_tail(name)
         return mask_main, tail, select(tail, store.live_delta_mask())
 
-    def _execute_delete(self, statement, sql: str | None = None) -> int:
+    def _execute_delete(self, statement, sql: str) -> int:
         """DELETE: tombstone matching rows instead of materialising a
         filtered copy of the table.  Main rows flip a bit in the delta
         store's dead mask over the main, delta rows one in its dead mask
         over the delta; nothing moves until the next merge compacts the
         table.
 
-        WAL logging: the unfiltered form goes through
-        :meth:`replace_table`, which logs an (empty) snapshot record; the
-        WHERE form logs the statement text once matches are computed and
-        at least one row is affected."""
+        WAL logging: the statement text, once matches are computed and at
+        least one row is affected (the unfiltered form: always)."""
         name = statement.table
         state = self._state(name)
         bind_statement(statement, self)
@@ -1155,8 +1151,9 @@ class Database:
         registry = get_registry()
         if statement.where is None:
             affected = main.num_rows - store.main_tombstones + store.live_delta_count()
+            self._log_record({"op": "sql", "stmt": sql})
             # dropping every row is a structural reset, like replace_table
-            self.replace_table(name, main.slice(0, 0))
+            self._register(name, main.slice(0, 0))
             registry.counter("write.deletes").inc()
             registry.counter("write.delete_rows").inc(affected)
             return affected
@@ -1165,8 +1162,7 @@ class Database:
         affected = int(mask_main.sum()) + len(dead_delta)
         if affected == 0:
             return 0
-        if sql is not None:
-            self._log_record({"op": "sql", "stmt": sql})
+        self._log_record({"op": "sql", "stmt": sql})
         # Forward the tombstones to delete-capable indexes.  Purely an
         # optimisation: the scan drops dead index positions through the
         # live mask regardless, so an index without ``delete`` stays
@@ -1188,7 +1184,7 @@ class Database:
         self._maybe_merge(name)
         return affected
 
-    def _execute_update(self, statement, sql: str | None = None) -> int:
+    def _execute_update(self, statement, sql: str) -> int:
         """UPDATE: vectorised in-place column rewrite.
 
         The statement text is WAL-logged after every assignment has been
@@ -1227,8 +1223,7 @@ class Database:
                 )
         if affected == 0:
             return 0
-        if sql is not None:
-            self._log_record({"op": "sql", "stmt": sql})
+        self._log_record({"op": "sql", "stmt": sql})
         for column_name, column in new_tail.items():
             store.install_column(main.column_names.index(column_name), column)
         self._install(

@@ -5,14 +5,18 @@ database is opened with ``Database(path=...)``.  Three cooperating
 pieces live here:
 
 **Write-ahead log.**  An append-only file of length-prefixed,
-CRC32-checksummed records.  Every INSERT/DELETE/UPDATE statement, every
-DDL operation (as a full-table snapshot, so replay needs no SQL round
-trip for programmatic writes) and every delta merge is logged *before*
-it mutates in-memory state.  The frame is::
+CRC32-checksummed records.  Every writing SQL statement (as its text),
+programmatic DDL operation and delta merge is logged *before* it mutates
+in-memory state.  A programmatic ``create_table``/``replace_table``
+first writes its columns, as a checkpoint writes them, into a fresh
+``load-NNNNNN`` directory that its record names; the next checkpoint
+retires the directory with the log.  The frame is::
 
     file   := MAGIC record*
     record := u32 payload_len | u32 crc32(payload) | payload
     payload:= u8 kind | body            (kind 1: JSON; kind 2: JSON+blob)
+
+Kind 2, a create/replace as one npz blob, is only read: older writers wrote it.
 
 ``wal_sync`` picks the fsync policy: ``commit`` (fsync every record —
 the default), ``batch`` (fsync every ``wal_batch`` records) or ``off``
@@ -20,7 +24,7 @@ the default), ``batch`` (fsync every ``wal_batch`` records) or ``off``
 to the last fsync, plus whatever the OS happened to flush.
 
 **Checkpoints.**  :func:`write_checkpoint` serialises every table's
-columnar main (one ``.npz`` per column through the
+columnar main (raw per-part ``.npy`` files per column through the
 :mod:`repro.storage.layouts` seam, dictionary codes included) and its
 cached zone maps into a numbered ``checkpoint-NNNNNN``
 directory.  The manifest is written last via write-temp-then-
@@ -97,18 +101,14 @@ _READABLE_FORMATS = (1, 2, 3)
 # -- record framing ----------------------------------------------------------------
 
 
-def encode_record(meta: dict[str, Any], blob: bytes | None = None) -> bytes:
-    """One framed WAL record: length, CRC, kind byte, JSON (+ blob)."""
-    body = json.dumps(meta, separators=(",", ":")).encode("utf-8")
-    if blob is None:
-        payload = bytes([_KIND_JSON]) + body
-    else:
-        payload = bytes([_KIND_BLOB]) + _JLEN.pack(len(body)) + body + blob
+def encode_record(meta: dict[str, Any]) -> bytes:
+    """One framed WAL record: length, CRC, kind byte, JSON."""
+    payload = bytes([_KIND_JSON]) + json.dumps(meta, separators=(",", ":")).encode("utf-8")
     return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
 def decode_payload(payload: bytes) -> tuple[dict[str, Any], bytes | None]:
-    """Invert :func:`encode_record`'s payload (the CRC already passed)."""
+    """A checked payload's JSON, plus the blob of an older writer's kind 2."""
     kind = payload[0]
     if kind == _KIND_JSON:
         return json.loads(payload[1:].decode("utf-8")), None
@@ -224,7 +224,7 @@ class WriteAheadLog:
     def closed(self) -> bool:
         return self._closed
 
-    def append(self, meta: dict[str, Any], blob: bytes | None = None) -> int:
+    def append(self, meta: dict[str, Any]) -> int:
         """Append one record (returns its index within this session).
 
         Honours the configured sync policy and the ``wal_*`` crash
@@ -232,7 +232,7 @@ class WriteAheadLog:
         """
         if self._closed:
             raise WalError("write-ahead log is closed")
-        frame = encode_record(meta, blob)
+        frame = encode_record(meta)
         lsn = self.records_logged
         registry = get_registry()
         injector = get_injector()
@@ -408,6 +408,34 @@ def wal_file_name(checkpoint_id: int) -> str:
     return f"wal-{checkpoint_id:06d}.log"
 
 
+def _write_columns(directory: Path, table: "Table", prefix: str = "") -> list[dict[str, Any]]:
+    """Write ``table``'s columns as part files named ``{prefix}c{i}.{part}.npy``
+    under ``directory``; returns their manifest entries."""
+    columns_meta = []
+    for ci, column_name in enumerate(table.column_names):
+        column = table.column(column_name)
+        stem = f"{prefix}c{ci}"
+        backing = column.backing
+        if (
+            backing is not None
+            and ("dictionary" in backing.files or column.dictionary() is None)
+            and all(path.exists() for path in backing.paths().values())
+        ):
+            # a mapped column IS its file bytes (copy-on-write keeps
+            # it immutable), so writing it is a file copy — cold
+            # data is never re-serialised, or even read
+            files = {}
+            for part, source in backing.paths().items():
+                file_name = f"{stem}.{part}.npy"
+                _copy_fsync(source, directory / file_name)
+                files[part] = file_name
+        else:
+            files = layouts.save_column_files(directory, stem, column)
+        dtype = table.schema.type_of(column_name).name
+        columns_meta.append({"name": column_name, "dtype": dtype, "files": files})
+    return columns_meta
+
+
 def write_checkpoint(db: "Database", root: Path, checkpoint_id: int) -> Path:
     """Serialise every table (deltas already flushed) into a numbered dir.
 
@@ -422,33 +450,7 @@ def write_checkpoint(db: "Database", root: Path, checkpoint_id: int) -> Path:
     tables_meta = []
     for ti, name in enumerate(db.table_names()):
         table = db.main_table(name)
-        columns_meta = []
-        for ci, column_name in enumerate(table.column_names):
-            column = table.column(column_name)
-            stem = f"t{ti}_c{ci}"
-            backing = column.backing
-            if (
-                backing is not None
-                and ("dictionary" in backing.files or column.dictionary() is None)
-                and all(path.exists() for path in backing.paths().values())
-            ):
-                # a mapped column IS its file bytes (copy-on-write keeps
-                # it immutable), so checkpointing is a file copy — cold
-                # data is never re-serialised, or even read
-                files = {}
-                for part, source in backing.paths().items():
-                    file_name = f"{stem}.{part}.npy"
-                    _copy_fsync(source, directory / file_name)
-                    files[part] = file_name
-            else:
-                files = layouts.save_column_files(directory, stem, column)
-            columns_meta.append(
-                {
-                    "name": column_name,
-                    "dtype": table.schema.type_of(column_name).name,
-                    "files": files,
-                }
-            )
+        columns_meta = _write_columns(directory, table, f"t{ti}_")
         stats_meta, stats_arrays = _zones_to_manifest(table, db._state(name).zones)
         stats_file = None
         if stats_arrays or stats_meta:
@@ -479,27 +481,32 @@ def write_checkpoint(db: "Database", root: Path, checkpoint_id: int) -> Path:
     return directory
 
 
+def _open_table(directory: Path, columns_meta: list[dict[str, Any]], storage: str) -> "Table":
+    """The table a manifest's or a load record's column entries list."""
+    from repro.engine.table import Table
+
+    columns = []
+    for column_meta in columns_meta:
+        dtype = DataType[column_meta["dtype"]]
+        if "files" in column_meta:  # raw per-part files, mmap-able
+            column = layouts.open_column_files(
+                directory, column_meta["files"], dtype, mode=storage
+            )
+        else:  # checkpoint v1: one .npz per column, always materialised
+            column = layouts.load_column(str(directory / column_meta["file"]), dtype)
+        columns.append((column_meta["name"], column))
+    return Table(columns)
+
+
 def _load_checkpoint_dir(
     directory: Path, storage: str = "memory"
 ) -> list[tuple[str, "Table", dict[int, ZoneMap], dict | None]]:
-    from repro.engine.table import Table
-
     manifest = json.loads((directory / "MANIFEST.json").read_text())
     if manifest.get("format") not in _READABLE_FORMATS:
         raise ValueError(f"unsupported checkpoint format {manifest.get('format')!r}")
     tables: list[tuple[str, Table, dict[int, ZoneMap], dict | None]] = []
     for table_meta in manifest["tables"]:
-        columns = []
-        for column_meta in table_meta["columns"]:
-            dtype = DataType[column_meta["dtype"]]
-            if "files" in column_meta:  # v2: raw per-part files, mmap-able
-                column = layouts.open_column_files(
-                    directory, column_meta["files"], dtype, mode=storage
-                )
-            else:  # v1: one .npz per column, always materialised
-                column = layouts.load_column(str(directory / column_meta["file"]), dtype)
-            columns.append((column_meta["name"], column))
-        table = Table(columns)
+        table = _open_table(directory, table_meta["columns"], storage)
         zones: dict[int, ZoneMap] = {}
         if table_meta.get("stats") is not None:
             arrays: dict[str, np.ndarray] = {}
@@ -508,9 +515,7 @@ def _load_checkpoint_dir(
                     str(directory / table_meta["stats_file"]), allow_pickle=False
                 ) as npz:
                     arrays = {key: npz[key] for key in npz.files}
-            zones = _zones_from_manifest(
-                table_meta["stats"], arrays, [n for n, _ in columns]
-            )
+            zones = _zones_from_manifest(table_meta["stats"], arrays, table.column_names)
         tables.append((table_meta["name"], table, zones, table_meta.get("sharding")))
     return tables
 
@@ -583,6 +588,11 @@ class DurabilityManager:
         # retired by the next checkpoint, rebuilt by replay on recovery
         self._live_counter = 0
         self._live_dirs: dict[str, Path] = {}
+        # the load dirs the live log names (recovery sources until the next
+        # checkpoint), numbered past every one on disk so none is reused
+        self._load_dirs: set[str] = set()
+        loads = self.root.glob("load-" + "[0-9]" * 6 + "*")
+        self._load_counter = max((int(path.name[5:11]) for path in loads), default=0)
 
     def wal_path(self, checkpoint_id: int | None = None) -> Path:
         """Path of the log paired with a checkpoint (default: the live one)."""
@@ -632,13 +642,21 @@ class DurabilityManager:
                 op = meta.get("op")
                 if op not in _REPLAY_OPS:
                     raise RecoveryError(f"unknown WAL operation {op!r}")
+                if blob is not None:  # an older writer's whole-table npz blob
+                    table = layouts.table_from_bytes(blob)
+                elif op in ("create", "replace"):  # lost files are lost history: raise
+                    if not (self.root / meta["dir"]).is_dir():
+                        raise RecoveryError(f"{op} of {meta['table']!r}: no dir {meta['dir']!r}")
+                    self._load_dirs.add(meta["dir"])
+                    storage = settings.current.storage
+                    table = _open_table(self.root / meta["dir"], meta["files"], storage)
                 try:
                     if op == "sql":
                         db.execute(meta["stmt"])
                     elif op == "create":
-                        db.create_table(meta["table"], layouts.table_from_bytes(blob))
+                        db.create_table(meta["table"], table)
                     elif op == "replace":
-                        db.replace_table(meta["table"], layouts.table_from_bytes(blob))
+                        db.replace_table(meta["table"], table)
                     elif op == "drop":
                         db.drop_table(meta["table"])
                     elif op == "merge":
@@ -668,7 +686,8 @@ class DurabilityManager:
     # -- checkpointing --------------------------------------------------------------
 
     def checkpoint(self, db: "Database") -> Path:
-        """Write checkpoint ``id+1``, swap ``CURRENT``, retire the old log."""
+        """Write checkpoint ``id+1``, swap ``CURRENT``, retire the old log
+        and the load dirs it names."""
         if self.wal is None:
             raise WalError("durability manager is not open")
         self.wal.flush()
@@ -690,8 +709,36 @@ class DurabilityManager:
         self.wal, self.checkpoint_id = new_wal, next_id
         old_wal.close()
         self._remove_pair(old_id)
+        for name in self._load_dirs:  # named by the retired log only
+            shutil.rmtree(self.root / name, ignore_errors=True)
+        self._load_dirs.clear()
         get_registry().counter("write.checkpoints").inc()
         return directory
+
+    def _write_dir(self, directory: Path, table: "Table") -> list[dict[str, Any]]:
+        """Write ``table``'s columns as part files into a new ``directory``
+        (write-temp, fsync, ``os.replace``); returns their manifest entries."""
+        tmp = directory.with_name(directory.name + ".tmp")
+        for leftover in (tmp, directory):  # stale dirs from a crashed session
+            if leftover.exists():
+                shutil.rmtree(leftover)
+        tmp.mkdir(parents=True)
+        columns = _write_columns(tmp, table)
+        _fsync_dir(tmp)
+        os.replace(tmp, directory)
+        _fsync_dir(self.root)
+        return columns
+
+    def log_load(self, op: str, name: str, table: "Table") -> None:
+        """Log a programmatic ``create``/``replace``: ``table``'s columns go
+        to a fresh ``load-NNNNNN`` dir first, then a record names its files."""
+        for column_name in table.column_names:  # codes, as a checkpoint writes them
+            table.column(column_name).encode_dictionary()
+        self._load_counter += 1
+        directory = self.root / f"load-{self._load_counter:06d}"
+        columns = self._write_dir(directory, table)
+        self.wal.append({"op": op, "table": name, "dir": directory.name, "files": columns})
+        self._load_dirs.add(directory.name)
 
     def spill_table(self, name: str, table: "Table") -> "Table":
         """Persist a rewritten main to a live scratch dir; reopen it mapped.
@@ -705,38 +752,14 @@ class DurabilityManager:
         replaying the WAL's merge markers, and the next checkpoint (which
         re-homes the data into its own directory) retires them.
         """
-        from repro.engine.table import Table
-
         self._live_counter += 1
         final = self.root / f"live-{self._live_counter:06d}"
-        tmp = self.root / f"live-{self._live_counter:06d}.tmp"
-        for leftover in (tmp, final):  # stale dirs from a crashed session
-            if leftover.exists():
-                shutil.rmtree(leftover)
-        tmp.mkdir(parents=True)
-        files_by_column: dict[str, dict[str, str]] = {}
-        for ci, column_name in enumerate(table.column_names):
-            files_by_column[column_name] = layouts.save_column_files(
-                tmp, f"c{ci}", table.column(column_name)
-            )
-        os.replace(tmp, final)
-        _fsync_dir(self.root)
-        columns = []
-        for column_name in table.column_names:
-            columns.append((
-                column_name,
-                layouts.open_column_files(
-                    final,
-                    files_by_column[column_name],
-                    table.schema.type_of(column_name),
-                    mode="mmap",
-                ),
-            ))
+        table = _open_table(final, self._write_dir(final, table), "mmap")
         old = self._live_dirs.pop(name, None)
         self._live_dirs[name] = final
         if old is not None:
             shutil.rmtree(old, ignore_errors=True)
-        return Table(columns)
+        return table
 
     def release_live_dirs(self) -> None:
         """Drop merge scratch dirs (after a checkpoint re-homed the data)."""
@@ -764,7 +787,8 @@ class DurabilityManager:
             pass  # cleanup is best-effort; recovery tolerates leftovers
 
     def _cleanup(self) -> None:
-        """Drop orphan checkpoint dirs / logs from crashed checkpoints."""
+        """Drop orphan checkpoint dirs / logs from crashed checkpoints, and
+        load dirs no replayed record names."""
         live = set(self._live_dirs.values())
         for entry in list(self.root.iterdir()):
             if entry.is_dir():
@@ -774,6 +798,9 @@ class DurabilityManager:
                 elif entry.name.startswith("live-") and entry not in live:
                     # merge scratch from a previous session; replay has
                     # already rebuilt any dirs still needed
+                    shutil.rmtree(entry, ignore_errors=True)
+                elif entry.name.startswith("load-") and entry.name not in self._load_dirs:
+                    # its record never became durable, or a checkpoint retired it
                     shutil.rmtree(entry, ignore_errors=True)
             elif entry.name.startswith("wal-") and entry.name.endswith(".log"):
                 if entry.name != wal_file_name(self.checkpoint_id):

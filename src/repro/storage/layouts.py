@@ -18,9 +18,10 @@ durability layer (:mod:`repro.engine.wal`) persists every column through
 ``.npy`` files (the dense payload, the validity mask and any dictionary
 encoding) that the out-of-core tier can reopen as read-only
 ``np.memmap`` views instead of materialised arrays (the ``storage``
-row of :mod:`repro.settings` selects the mode).  The older one-``.npz``-per-column
-form (:func:`save_column`/:func:`load_column`) remains for WAL snapshot
-blobs and v1 checkpoints.  No pickle anywhere: STRING payloads
+row of :mod:`repro.settings` selects the mode).  Two older ``.npz`` forms
+are only read: one archive per column (:func:`load_column`, v1
+checkpoints) and one per table (:func:`table_from_bytes`, the blobs of
+older WAL records).  No pickle anywhere: STRING payloads
 round-trip through NumPy unicode arrays, which keeps checkpoint files
 inert data (plus a lengths part when a value ends in NUL, which a unicode
 array would drop).
@@ -170,7 +171,7 @@ class ColumnGroupLayout(Layout):
 
 # -- column serialization (the durability layer's physical seam) ----------------------
 #
-# One ``.npz`` per column: ``data`` (STRING payloads as NumPy unicode, so
+# The arrays of one column: ``data`` (STRING payloads as NumPy unicode, so
 # nothing needs pickle), optional ``validity``, and the optional
 # ``codes``/``dictionary`` pair of a dictionary-encoded STRING column.
 # The logical dtype travels out of band (checkpoint manifest / WAL record
@@ -255,43 +256,18 @@ def column_from_arrays(arrays: dict[str, np.ndarray], dtype: "DataType") -> "Col
     return column
 
 
-def save_column(target: str | IO[bytes], column: "Column") -> None:
-    """Serialise one column as an uncompressed ``.npz`` (path or stream)."""
-    np.savez(target, **column_to_arrays(column))
-
-
 def load_column(source: str | IO[bytes], dtype: "DataType") -> "Column":
-    """Load a column written by :func:`save_column` (``allow_pickle=False``)."""
+    """Load a column :func:`column_to_arrays` wrote as one ``.npz``
+    (``allow_pickle=False``), as a v1 checkpoint holds it."""
     with np.load(source, allow_pickle=False) as npz:
         arrays = {key: npz[key] for key in npz.files}
     return column_from_arrays(arrays, dtype)
 
 
-def table_to_bytes(table: "Table") -> bytes:
-    """A whole table as one self-describing ``.npz`` blob.
-
-    Used for WAL snapshot records (programmatic ``create_table`` /
-    ``replace_table`` payloads); checkpoints store one file per column
-    instead, via :func:`save_column`.
-    """
-    payload: dict[str, np.ndarray] = {
-        "__names": np.asarray(list(table.column_names), dtype=np.str_)
-        if table.num_columns
-        else np.empty(0, dtype="U1"),
-        "__dtypes": np.asarray(
-            [table.schema.type_of(n).name for n in table.column_names], dtype=np.str_
-        ),
-    }
-    for i, name in enumerate(table.column_names):
-        for key, array in column_to_arrays(table.column(name)).items():
-            payload[f"c{i}.{key}"] = array
-    buffer = io.BytesIO()
-    np.savez(buffer, **payload)
-    return buffer.getvalue()
-
-
 def table_from_bytes(blob: bytes) -> "Table":
-    """Rebuild a table from :func:`table_to_bytes` output."""
+    """Rebuild a table from the whole-table ``.npz`` blob of an older WAL
+    record: ``__names`` and ``__dtypes``, then column ``i``'s arrays
+    keyed ``c{i}.{part}``."""
     from repro.engine.table import Table
     from repro.engine.types import DataType
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,10 +28,15 @@ from repro.engine import wal as walmod
 from repro.errors import CatalogError, RecoveryError, WalError
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.resilience import SimulatedCrashError
+from repro.storage import layouts
 from tests.conftest import pin_defaults
+from tests.fixtures import make_checkpoints
 from tests.test_dml import _apply_dml, _python_matches, _random_dml, _rebuild_oracle
 from tests.test_parallel import tables_bit_identical
 from tests.test_sql_differential import random_table
+
+
+WAL_V1 = Path(__file__).parent / "fixtures" / "wal_v1"
 
 
 @pytest.fixture(autouse=True)
@@ -55,19 +61,35 @@ class TestRecordFraming:
         assert decoded == meta and blob is None
 
     def test_blob_roundtrip(self):
+        """Kind 2 (JSON + blob) is read only: a frame built byte for byte
+        as older writers built it decodes to its JSON and its blob."""
         blob = bytes(range(256)) * 3
-        frame = walmod.encode_record({"op": "create", "table": "t"}, blob)
-        decoded, got = walmod.decode_payload(frame[8:])
+        body = b'{"op":"create","table":"t"}'
+        payload = bytes([2]) + struct.pack("<I", len(body)) + body + blob
+        decoded, got = walmod.decode_payload(payload)
         assert decoded == {"op": "create", "table": "t"}
         assert got == blob
 
     def test_reader_roundtrip_and_valid_bytes(self, tmp_path):
         path = tmp_path / "wal.log"
-        frames = [walmod.encode_record({"i": i}, b"x" * i) for i in range(5)]
+        frames = [walmod.encode_record({"i": i}) for i in range(5)]
         path.write_bytes(walmod.MAGIC + b"".join(frames))
         records, valid = walmod.read_wal(path)
         assert [m["i"] for m, _ in records] == list(range(5))
         assert valid == path.stat().st_size
+        # an older writer's log, kind-2 frames among kind 1
+        path = WAL_V1 / walmod.wal_file_name(0)
+        records, valid = walmod.read_wal(path)
+        assert valid == path.stat().st_size
+        blobs = [(meta, blob) for meta, blob in records if blob is not None]
+        assert [(m["op"], m["table"]) for m, _ in blobs] == [
+            ("create", "loaded"), ("create", "made"), ("create", "swapped"),
+            ("replace", "swapped"), ("replace", "made"), ("create", "gone"),
+        ]
+        loaded = layouts.table_from_bytes(blobs[0][1])
+        assert loaded.column("s").to_list() == make_checkpoints.wal_table(40).column("s").to_list()
+        assert all(isinstance(meta, dict) and blob is None for meta, blob in records
+                   if meta["op"] not in ("create", "replace"))
 
     def test_missing_and_short_files(self, tmp_path):
         assert walmod.read_wal(tmp_path / "absent.log") == ([], 0)
@@ -336,25 +358,30 @@ def _frame_offsets(data: bytes) -> list[int]:
 
 
 def test_torn_write_sweep_never_raises(tmp_path):
-    """Truncate the WAL at *every* byte offset of the final record: recovery
-    must never raise and must restore exactly the statements whose records
-    survived intact."""
+    """Truncate the WAL at *every* byte offset of the final record, a
+    ``replace_table`` naming its load dir: recovery must never raise, must
+    restore exactly the statements whose records survived intact, and must
+    remove the load dir a cut record leaves behind."""
     source = tmp_path / "db"
     with Database(path=source) as db:
         db.execute("CREATE TABLE t (a INT)")
         for i in range(3):
             db.execute(f"INSERT INTO t VALUES ({i})")
+        db.replace_table("t", Table.from_dict({"a": [7, 8]}))
     wal_path = source / walmod.wal_file_name(0)
     image = wal_path.read_bytes()
     last_start = _frame_offsets(image)[-1]
+    assert walmod.read_wal(wal_path)[0][-1][0]["dir"] == "load-000001"
     for cut in range(last_start, len(image) + 1):
         target = tmp_path / f"cut{cut}"
         shutil.copytree(source, target)
         (target / walmod.wal_file_name(0)).write_bytes(image[:cut])
         with Database(path=target) as recovered:
             rows = sorted(recovered.sql("SELECT * FROM t").rows())
-            expected = 3 if cut == len(image) else 2
-            assert rows == [(i,) for i in range(expected)], f"cut at byte {cut}"
+            intact = cut == len(image)
+            assert rows == ([(7,), (8,)] if intact else [(0,), (1,), (2,)]), f"cut at {cut}"
+            assert (target / "load-000001").is_dir() == intact, f"cut at byte {cut}"
+        shutil.rmtree(target)
 
 
 def test_midlog_corruption_raises_recovery_error(tmp_path):
@@ -369,6 +396,139 @@ def test_midlog_corruption_raises_recovery_error(tmp_path):
     wal_path.write_bytes(bytes(image))
     with pytest.raises(RecoveryError, match="mid-log"):
         Database(path=tmp_path)
+
+
+# -- load dirs: a programmatic create/replace's column files --------------------------
+
+
+def _load_dirs(root) -> list[str]:
+    return sorted(entry.name for entry in root.iterdir() if entry.name.startswith("load-"))
+
+
+class TestLoadDirs:
+    def test_record_names_the_files_a_checkpoint_writes(self, tmp_path):
+        with Database(path=tmp_path) as db:
+            db.create_table("t", {"a": [1, 2, None], "s": ["x", None, "y"]})
+        (meta, blob), = walmod.read_wal(tmp_path / walmod.wal_file_name(0))[0]
+        assert blob is None and set(meta) == {"op", "table", "dir", "files"}
+        assert (meta["op"], meta["table"], meta["dir"]) == ("create", "t", "load-000001")
+        assert [(c["name"], c["dtype"], sorted(c["files"])) for c in meta["files"]] == [
+            ("a", "INT64", ["data", "validity"]),
+            ("s", "STRING", ["codes", "data", "dictionary", "validity"]),
+        ]
+        assert sorted(p.name for p in (tmp_path / "load-000001").iterdir()) == sorted(
+            name for c in meta["files"] for name in c["files"].values()
+        )
+
+    def test_close_without_a_checkpoint_keeps_it(self, tmp_path):
+        with Database(path=tmp_path) as db:
+            db.create_table("t", {"a": [1, 2]})
+        assert _load_dirs(tmp_path) == ["load-000001"]
+        with Database(path=tmp_path) as db:
+            assert db.durability.last_recovery["records_replayed"] == 1
+            assert list(db.get_table("t").rows()) == [(1,), (2,)]
+        assert _load_dirs(tmp_path) == ["load-000001"]
+
+    def test_a_later_merge_spill_never_deletes_or_reuses_it(self, tmp_path):
+        with Database(path=tmp_path) as db:
+            db.create_table("t", {"a": [1, 2], "s": ["x", "y"]})
+        before = {p.name: p.read_bytes() for p in (tmp_path / "load-000001").iterdir()}
+        settings.configure(storage="mmap", delta_rows=1)
+        with Database(path=tmp_path) as db:
+            assert db.main_table("t").column("a").backing.directory.name == "load-000001"
+            db.execute("INSERT INTO t VALUES (3, 'z')")  # merged: spilled to a live dir
+            assert db.main_table("t").column("a").backing.directory.name.startswith("live-")
+            db.create_table("u", {"b": [5]})
+            db.execute("INSERT INTO t VALUES (4, 'w')")  # re-spilled: the old live dir goes
+            assert _load_dirs(tmp_path) == ["load-000001", "load-000002"]
+        assert {p.name: p.read_bytes() for p in (tmp_path / "load-000001").iterdir()} == before
+        settings.configure(storage="memory")
+        with Database(path=tmp_path) as db:
+            assert sorted(db.get_table("t").rows()) == [(1, "x"), (2, "y"), (3, "z"), (4, "w")]
+            assert list(db.get_table("u").rows()) == [(5,)]
+            db.create_table("v", {"c": [6]})  # numbered past every load dir on disk
+        assert _load_dirs(tmp_path) == ["load-000001", "load-000002", "load-000003"]
+
+    def test_a_missing_load_dir_raises(self, tmp_path, _pin_durability_config):
+        with Database(path=tmp_path) as db:
+            db.create_table("t", {"a": [1]})
+            db.create_table("u", {"a": [2]})
+        shutil.rmtree(tmp_path / "load-000002")
+        with pytest.raises(RecoveryError, match="load-000002"):
+            Database(path=tmp_path)
+        registry = _pin_durability_config
+        assert registry.counter("recovery.records_failed").value == 0
+
+    @pytest.mark.parametrize("storage", ["memory", "mmap"])
+    def test_a_checkpoint_retires_them(self, tmp_path, storage):
+        settings.configure(storage=storage)
+        with Database(path=tmp_path) as db:
+            db.create_table("t", {"a": [1, 2]})
+        with Database(path=tmp_path) as db:  # replayed: mapped under mmap
+            assert db.get_table("t").is_mapped == (storage == "mmap")
+            db.replace_table("t", Table.from_dict({"a": [3]}))
+            db.create_table("u", {"b": ["p", None]})
+            assert _load_dirs(tmp_path) == ["load-000001", "load-000002", "load-000003"]
+            db.checkpoint()
+            assert _load_dirs(tmp_path) == []
+            assert list(db.get_table("t").rows()) == [(3,)]
+        with Database(path=tmp_path) as db:
+            assert db.durability.last_recovery["records_replayed"] == 0
+            assert list(db.get_table("t").rows()) == [(3,)]
+            assert list(db.get_table("u").rows()) == [("p",), (None,)]
+
+    def test_sql_ddl_logs_its_text(self, tmp_path):
+        with Database(path=tmp_path) as db:
+            db.execute("CREATE TABLE t (a INT, s TEXT)")
+            db.execute("INSERT INTO t VALUES (1, 'x')")
+            db.execute("DELETE FROM t")
+        records, _ = walmod.read_wal(tmp_path / walmod.wal_file_name(0))
+        assert [meta for meta, _ in records] == [
+            {"op": "sql", "stmt": "CREATE TABLE t (a INT, s TEXT)"},
+            {"op": "sql", "stmt": "INSERT INTO t VALUES (1, 'x')"},
+            {"op": "sql", "stmt": "DELETE FROM t"},
+        ]
+        assert _load_dirs(tmp_path) == []
+
+
+def test_durable_create_peaks_near_its_column_files(tmp_path):
+    """A durable ``create_table`` holds little beyond what writing the
+    same columns as part files holds (a whole-table npz blob held ~6x)."""
+    import tracemalloc
+
+    pin_defaults("shards")  # an auto-shard would reorder the rows inside the create
+    rows = 50_000
+
+    def table() -> Table:
+        built = Table.from_dict({
+            "region": [f"region-{i % 12}" for i in range(rows)],
+            "product": [f"product-{i * 7 % 500:04d}" for i in range(rows)],
+            "customer": [f"customer-{i * 13 % 5000:05d}" for i in range(rows)],
+        })
+        for name in built.column_names:
+            built.column(name).encode_dictionary()
+        return built
+
+    def peak(work) -> int:
+        tracemalloc.start()
+        try:
+            work()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    files, durable = table(), table()
+    (tmp_path / "files").mkdir()
+    written = peak(lambda: [
+        layouts.save_column_files(tmp_path / "files", f"c{ci}", files.column(name))
+        for ci, name in enumerate(files.column_names)
+    ])
+    db = Database(path=tmp_path / "db")
+    try:
+        created = peak(lambda: db.create_table("t", durable))
+    finally:
+        db.close()
+    assert created < 2 * written, (created, written)
 
 
 # -- crash injection points -----------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +33,11 @@ from repro.errors import CatalogError
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.storage import layouts
 from tests.conftest import pin_defaults
+from tests.fixtures import make_checkpoints
 from tests.test_parallel import tables_bit_identical
 from tests.test_sql_differential import random_query, random_table
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(autouse=True)
@@ -272,27 +276,14 @@ class TestMappedRecovery:
     def test_v1_checkpoints_still_load(self, tmp_path):
         """A v1 (one-.npz-per-column) checkpoint remains a valid source."""
         root = tmp_path / "db"
-        self._seed(root)
-        directory = root / walmod.checkpoint_dir_name(1)
-        manifest_path = directory / "MANIFEST.json"
-        import json
-
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["format"] == 2
-        for table_meta in manifest["tables"]:
-            for ci, column_meta in enumerate(table_meta["columns"]):
-                files = column_meta.pop("files")
-                dtype = DataType[column_meta["dtype"]]
-                column = layouts.open_column_files(directory, files, dtype, "memory")
-                npz_name = f"v1_{ci}.npz"
-                layouts.save_column(str(directory / npz_name), column)
-                column_meta["file"] = npz_name
-        manifest["format"] = 1
-        manifest_path.write_text(json.dumps(manifest))
+        shutil.copytree(FIXTURES / "checkpoint_v1", root)
         settings.configure(storage="mmap")
         with Database(path=root) as db:  # v1 columns load materialised
-            assert not db.get_table("t").is_mapped
-            assert db.sql("SELECT a FROM t ORDER BY a").column("a").to_list() == [1, 2, 3]
+            assert db.durability.last_recovery["checkpoint"] == 1
+            for name in ("full", "partial"):
+                assert not db.get_table(name).is_mapped
+            got = db.sql("SELECT k FROM full ORDER BY k").column("k").to_list()
+            assert got == list(range(make_checkpoints.ROWS))
 
 
 # -- copy-on-write against mapped mains ----------------------------------------------
