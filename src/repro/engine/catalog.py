@@ -326,8 +326,8 @@ class Database:
         layout's (mode, key, shard count) changed — an index picks rows at
         run time, so the index set is no part of a plan.
         """
-        for column_name in main.column_names:  # STRING columns without codes get them
-            main.column(column_name).encode_dictionary()
+        for column_name in main.column_names:  # every STRING main's codes, before a query
+            main.column(column_name).dictionary()
         state = self._tables.get(name)
         structural = rebuilt = state is None
         if state is None:

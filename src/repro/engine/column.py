@@ -18,13 +18,14 @@ from repro.errors import TypeMismatchError
 class Column:
     """An immutable typed column of values with optional nulls.
 
-    STRING columns may additionally carry a *dictionary encoding*: an
-    int32 code per row (−1 in null slots) indexing a sorted array of
-    distinct values.  Codes are order-isomorphic to the strings they
-    stand for, so comparisons, DISTINCT, group keys and sort keys can
-    operate on the codes without materialising Python strings.  The
-    encoding is a cache — it never changes the column's logical value —
-    and is propagated for free through ``take``/``filter``/``slice``.
+    Every STRING column has a *dictionary*: an int32 code per row (−1 in
+    null slots) indexing a sorted array of distinct values, built from
+    the valid rows on the first :meth:`dictionary` call and kept.  Codes
+    are order-isomorphic to the strings they stand for, so comparisons,
+    LIKE, DISTINCT, group keys and sort keys operate on the codes without
+    materialising Python strings.  ``take``/``filter``/``slice`` pass a
+    built dictionary on, and :func:`concat_columns` maps one into the
+    union of its pieces'.
 
     Args:
         values: payload values; ``None`` entries become nulls.
@@ -33,7 +34,7 @@ class Column:
             it is derived from ``None`` entries in ``values``.
     """
 
-    __slots__ = ("_data", "_validity", "_dtype", "_codes", "_dict", "_backing")
+    __slots__ = ("_data", "_validity", "_dtype", "_dictionary", "_backing")
 
     def __init__(
         self,
@@ -81,54 +82,27 @@ class Column:
         self._data = data
         self._validity = validity
         self._dtype = dtype
-        self._codes = None
-        self._dict = None
+        self._dictionary = None
         self._backing = None
 
     # -- dictionary encoding ---------------------------------------------------
 
     def dictionary(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The ``(codes, values)`` dictionary view, or None when unencoded.
+        """The ``(codes, values)`` of a STRING column; None for other types.
 
         ``codes`` is an int32 array aligned with the column (−1 in null
-        slots); ``values`` is the sorted object array of distinct payload
-        strings, so ``values[codes[i]]`` reproduces row ``i`` and code
-        order equals string order.
+        slots); ``values`` is the sorted object array of distinct strings,
+        so ``values[codes[i]]`` reproduces row ``i`` and code order equals
+        string order.  Built on first call as ``np.unique`` of the valid
+        values and its inverse, and kept as one tuple, so a concurrent
+        reader sees the whole pair or none.  A dictionary passed on by
+        ``take``/``filter``/``slice`` or read from a checkpoint is used as
+        it is, and may hold values no row of this column holds.
         """
-        if self._codes is None:
-            return None
-        return self._codes, self._dict
-
-    def string_codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(codes, values)`` of a STRING column: its encoding, or one
-        built now and not kept (null slots code −1 and read as ``""``).
-
-        Raises TypeError for a payload whose values do not sort.
-        """
-        if self._codes is not None:
-            return self._codes, self._dict
-        data, valid = self._data, self._validity
-        if valid is not None:  # null slots may hold None; park a harmless string
-            data = np.where(valid, data, "")
-        values, codes = factorize_sorted(data)
-        if valid is not None:
-            codes[~valid] = -1
-        return codes, values
-
-    def encode_dictionary(self) -> bool:
-        """Build (and cache) the dictionary encoding of a STRING column.
-
-        Returns True when an encoding is present afterwards.  Non-STRING
-        columns, and pathological payloads that fail to sort, are left
-        unencoded — the encoding is an optimisation, never a requirement.
-        """
-        if self._dtype is not DataType.STRING:
-            return False
-        try:
-            self._codes, self._dict = self.string_codes()
-        except TypeError:
-            return False
-        return True
+        pair = self._dictionary
+        if pair is None and self._dtype is DataType.STRING:
+            pair = self._dictionary = _encode(self._data, self._validity)
+        return pair
 
     # -- construction helpers -------------------------------------------------
 
@@ -232,8 +206,10 @@ class Column:
         """Gather rows by position; a ``slice`` is a zero-copy view."""
         data = self._data[indices]
         validity = self._validity[indices] if self._validity is not None else None
-        codes = self._codes[indices] if self._codes is not None else None
-        return _wrap(data, self._dtype, validity, codes, self._dict)
+        pair = self._dictionary
+        if pair is not None:
+            pair = (pair[0][indices], pair[1])
+        return _wrap(data, self._dtype, validity, pair)
 
     def filter(self, mask: np.ndarray) -> "Column":
         """Keep rows where the boolean ``mask`` is True: one take of its
@@ -278,21 +254,18 @@ class Column:
 
     def distinct_count(self) -> int:
         """Number of distinct valid values: one sort, then a count of
-        adjacent differences (a dictionary-encoded column sorts its codes).
+        adjacent differences (a STRING column sorts its codes).
 
         Equal to ``len(np.unique(valid))`` on every input — NaNs count as
         one value, and so do ``-0.0`` and ``0.0`` — without the hash path
         that numpy 2.4's ``np.unique`` takes, which needs ~30x the sort for
-        200k distinct int64 values.  Python strings (an object payload)
-        count through a set: sorting them is ~25x slower than hashing them.
+        200k distinct int64 values.
         """
-        if self._codes is not None:
-            codes = self._codes
+        if self._dtype is DataType.STRING:
+            codes = self.dictionary()[0]
             values = codes if self._validity is None else codes[self._validity]
         else:
             values = self.valid_data()
-        if values.dtype == object:
-            return len(set(values.tolist()))
         return int(np.count_nonzero(_run_heads(np.sort(values))))
 
 
@@ -312,6 +285,17 @@ def factorize_sorted(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     index = {value: code for code, value in enumerate(distinct)}
     codes = np.fromiter(map(index.__getitem__, items), np.int32, len(items))
     return np.array(distinct, dtype=object), codes
+
+
+def _encode(data: np.ndarray, validity: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(codes, values)`` of a STRING payload's valid rows, −1 elsewhere."""
+    if validity is None:
+        values, codes = factorize_sorted(data)
+    else:
+        values, valid_codes = factorize_sorted(data[validity])
+        codes = np.full(len(data), -1, dtype=np.int32)
+        codes[validity] = valid_codes
+    return codes, values.astype(object, copy=False)
 
 
 def _run_heads(ordered: np.ndarray) -> np.ndarray:
@@ -356,8 +340,7 @@ def _wrap(
     data: np.ndarray,
     dtype: DataType,
     validity: np.ndarray | None,
-    codes: np.ndarray | None = None,
-    dictionary: np.ndarray | None = None,
+    dictionary: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Column:
     """Build a Column around prepared arrays without re-inference."""
     col = Column.__new__(Column)
@@ -366,32 +349,38 @@ def _wrap(
     col._data = data
     col._validity = validity
     col._dtype = dtype
-    col._codes = codes
-    col._dict = dictionary
+    col._dictionary = dictionary
     col._backing = None
     return col
 
 
-def column_from_parts(data: np.ndarray, dtype: DataType, validity: np.ndarray | None = None) -> Column:
+def column_from_parts(
+    data: np.ndarray,
+    dtype: DataType,
+    validity: np.ndarray | None = None,
+    codes: np.ndarray | None = None,
+    dictionary: np.ndarray | None = None,
+) -> Column:
     """Public wrapper for building a column from prepared arrays.
 
     Used by operators that compute payload and validity separately and want
-    to avoid the inference cost of the main constructor.
+    to avoid the inference cost of the main constructor, and by the storage
+    layer, which hands a STRING column the ``codes`` and sorted object
+    ``dictionary`` it read.
     """
-    return _wrap(data, dtype, validity)
+    return _wrap(data, dtype, validity, None if codes is None else (codes, dictionary))
 
 
 def concat_columns(columns: Sequence[Column]) -> Column:
     """Stack same-typed columns in one pass — the engine's only column concat.
 
-    A dictionary encoding survives whenever the pieces can share one.
-    Pieces carrying the first piece's dictionary *object* (slices and
-    filters of one base column, which is what every scan gathers) stack
-    their codes directly.  Pieces after that encoded head (a delta tail,
-    built unencoded) are factorized and only their distinct values are
-    placed in the sorted dictionary, so the head's payload is never read.
-    Dropping the encoding here would silently make every downstream
-    GROUP BY / DISTINCT / ORDER BY factorize the strings again.
+    When any piece has a dictionary built, the result carries the pieces'
+    codes mapped into the union of their dictionaries
+    (:func:`merge_dictionaries`): slices and filters of one base column,
+    which is what every scan gathers, share its dictionary object and stack
+    their codes as they are; a delta tail after them is encoded once and
+    only its distinct values are placed.  Pieces none of which has a
+    dictionary yet give a result without one.
     """
     first = columns[0]
     if len(columns) == 1:
@@ -409,48 +398,35 @@ def concat_columns(columns: Sequence[Column]) -> Column:
             c._validity if c._validity is not None else np.ones(len(c), bool)
             for c in columns
         ])
-    dictionary = first._dict
-    if dictionary is None:
+    if all(c._dictionary is None for c in columns):
         return _wrap(data, first._dtype, validity)
-    head = 1
-    while head < len(columns) and columns[head]._dict is dictionary:
-        head += 1
-    codes = [c._codes for c in columns[:head]]
-    if head < len(columns):
-        start = sum(len(c) for c in columns[:head])
-        try:
-            dictionary, codes = _extend_dictionary(
-                dictionary, codes, data[start:],
-                None if validity is None else validity[start:],
-            )
-        except TypeError:  # unsortable payload: the result stays unencoded
-            return _wrap(data, first._dtype, validity)
-    return _wrap(data, first._dtype, validity, np.concatenate(codes), dictionary)
+    codes, values = merge_dictionaries(columns)
+    return _wrap(data, first._dtype, validity, (np.concatenate(codes), values))
 
 
-def _extend_dictionary(
-    dictionary: np.ndarray,
-    codes: list[np.ndarray],
-    tail_data: np.ndarray,
-    tail_valid: np.ndarray | None,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Codes for unencoded ``tail_data`` appended to an encoded head.
+def merge_dictionaries(columns: Sequence[Column]) -> tuple[list[np.ndarray], np.ndarray]:
+    """STRING ``columns``' codes mapped into the sorted union of their
+    dictionaries, and that union: equal codes mean equal strings across
+    the columns.
 
-    The tail is factorized and only its distinct values are placed in the
-    sorted dictionary by ``searchsorted``; head codes are remapped with
-    one gather.  A tail that brings no new value keeps the dictionary
-    object itself.
+    Each column's dictionary is built at most once, and never again once
+    it has one.  The union starts from the first dictionary and takes in
+    only the distinct values the others add, placed by ``searchsorted``;
+    a column whose dictionary is the union keeps its codes, and when no
+    column adds a value the union is the first dictionary object itself.
     """
-    valid = slice(None) if tail_valid is None else tail_valid
-    tail_values, tail_ids = factorize_sorted(tail_data[valid])
-    at = np.searchsorted(dictionary, tail_values)
-    known = np.append(dictionary, None)[at] == tail_values
-    merged = dictionary
-    if not known.all():
-        merged = np.insert(dictionary.astype(object), at[~known], tail_values[~known])
-        remap = np.append(np.searchsorted(merged, dictionary), -1).astype(np.int32)
-        codes = [remap[c] for c in codes]  # a NULL's −1 picks the appended −1
-        at = np.searchsorted(merged, tail_values)
-    tail_codes = np.full(len(tail_data), -1, dtype=np.int32)
-    tail_codes[valid] = at[tail_ids]
-    return merged, codes + [tail_codes]
+    pairs = [column.dictionary() for column in columns]
+    merged = pairs[0][1]
+    for _, values in pairs[1:]:
+        if values is not merged:
+            at = np.searchsorted(merged, values)
+            new = np.append(merged, None)[at] != values
+            if new.any():
+                merged = np.insert(merged, at[new], values[new])
+    mapped = []
+    for codes, values in pairs:
+        if values is not merged:
+            remap = np.append(np.searchsorted(merged, values), -1).astype(np.int32)
+            codes = remap[codes]  # a NULL's −1 picks the appended −1
+        mapped.append(codes)
+    return mapped, merged

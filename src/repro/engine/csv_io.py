@@ -145,12 +145,10 @@ def read_csv(
         parsed.append(values)
     if skipped:
         get_registry().counter("loading.rows_skipped").inc(skipped)
-    columns = []
-    for i, (name, dtype) in enumerate(zip(names, dtypes)):
-        column = Column([row[i] for row in parsed], dtype=dtype)
-        column.encode_dictionary()  # a no-op unless STRING
-        columns.append((name, column))
-    return Table(columns)
+    return Table([
+        (name, Column([row[i] for row in parsed], dtype=dtype))
+        for i, (name, dtype) in enumerate(zip(names, dtypes))
+    ])
 
 
 def _parse_row(

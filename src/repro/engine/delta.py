@@ -432,8 +432,8 @@ def tail_table(store: DeltaStore) -> Table:
 def merged_table(main: Table, tail: Table, store: DeltaStore) -> Table:
     """The effective table: live main rows followed by live delta rows.
 
-    Dictionary-encoded STRING columns keep their encoding (maintained
-    incrementally by :func:`~repro.engine.column.concat_columns`).  This
+    STRING columns keep the main's dictionary, extended by the tail's
+    values (:func:`~repro.engine.column.concat_columns`).  This
     is both what :meth:`Database.get_table` hands out while the delta is
     dirty and the new main a merge installs; scans never build it — they
     read the main and the tail in place.

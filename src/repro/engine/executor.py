@@ -58,6 +58,7 @@ from repro.engine.planner import (
     TopNNode,
 )
 from repro.engine.table import Table
+from repro.engine.types import DataType
 from repro.errors import ExecutionError
 from repro.obs.metrics import get_registry
 from repro.obs.profile import PlanProfiler, table_nbytes
@@ -173,7 +174,7 @@ def _ranges_nbytes(table: Table, ranges) -> int:
         per_row += column.data.dtype.itemsize
         if column.validity is not None:
             per_row += column.validity.dtype.itemsize
-        if column.dictionary() is not None:
+        if column.dtype is DataType.STRING:
             per_row += 4  # int32 codes
     return rows * per_row
 

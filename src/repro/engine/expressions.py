@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.engine.column import Column, _null_fill_value, column_from_parts
+from repro.engine.column import Column, _null_fill_value, column_from_parts, merge_dictionaries
 from repro.engine.table import Schema, Table
 from repro.engine.types import DataType, common_type, python_value
 from repro.errors import TypeMismatchError
@@ -352,7 +352,7 @@ def _compare_codes(
     Codes are order-isomorphic to the strings, so the literal's slot in
     the sorted dictionary (via ``searchsorted``) turns every comparison
     into an int32 compare.  Null slots hold code -1 and produce arbitrary
-    payload bits, masked out by validity exactly like the string path.
+    payload bits, masked out by validity.
     """
     codes, values = encoded
     lo = int(np.searchsorted(values, value, side="left"))
@@ -369,15 +369,6 @@ def _compare_codes(
     if op == ">":
         return codes >= hi
     return codes >= lo  # >=
-
-
-def _comparable(data: np.ndarray, target: DataType) -> np.ndarray:
-    """A payload as values that compare the way ``target`` values do: in
-    its NumPy dtype, or for STRING an object array of ``str`` (NULL slots
-    ``""``; a NumPy ``str`` array would drop trailing NULs)."""
-    if target is DataType.STRING:
-        return np.array(["" if v is None else v for v in data.tolist()], dtype=object)
-    return data.astype(target.numpy_dtype, copy=False)
 
 
 def _combined_validity(left: Column, right: Column) -> np.ndarray | None:
@@ -424,9 +415,12 @@ class Comparison(Expression):
         lcol = self.left.evaluate(table)
         rcol = self.right.evaluate(table)
         target = self._target(lcol.dtype, rcol.dtype)
-        result = _COMPARATORS[self.op](
-            _comparable(lcol.data, target), _comparable(rcol.data, target)
-        )
+        if target is DataType.STRING:  # codes into one dictionary compare as the strings
+            left, right = merge_dictionaries([lcol, rcol])[0]
+        else:
+            left = lcol.data.astype(target.numpy_dtype, copy=False)
+            right = rcol.data.astype(target.numpy_dtype, copy=False)
+        result = _COMPARATORS[self.op](left, right)
         validity = _combined_validity(lcol, rcol)
         return column_from_parts(np.asarray(result, dtype=bool), DataType.BOOL, validity)
 
@@ -436,19 +430,18 @@ class Comparison(Expression):
         """Column-vs-literal comparison without materialising the literal.
 
         Produces the same bits as the general path: identical payload at
-        valid slots, identical validity.  String columns carrying a
-        dictionary compare int32 codes against the literal's position in
-        the sorted dictionary instead of materialising string arrays.
+        valid slots, identical validity.  A STRING column compares its
+        int32 codes against the literal's position in its sorted
+        dictionary instead of materialising string arrays.
         """
         inner = side.evaluate(table)
         target = self._target(inner.dtype, literal.dtype)
-        encoded = inner.dictionary() if target is DataType.STRING else None
-        if encoded is not None:
-            result = _compare_codes(encoded, literal.value, op)
+        if target is DataType.STRING:
+            result = _compare_codes(inner.dictionary(), literal.value, op)
             get_registry().counter("scan.dict_filters").inc()
         else:
             value = target.numpy_dtype.type(literal.value)
-            result = _COMPARATORS[op](_comparable(inner.data, target), value)
+            result = _COMPARATORS[op](inner.data.astype(target.numpy_dtype, copy=False), value)
         return column_from_parts(
             np.asarray(result, dtype=bool), DataType.BOOL, inner.validity
         )
@@ -733,13 +726,10 @@ class Like(Expression):
         inner = self.operand.evaluate(table)
         if inner.dtype is not DataType.STRING:
             raise TypeMismatchError("LIKE requires a string operand")
-        result = np.asarray(
-            [
-                bool(self._regex.match(v)) if v is not None else False
-                for v in inner.to_list()
-            ],
-            dtype=bool,
-        )
+        # one match per dictionary value, gathered through the codes
+        codes, values = inner.dictionary()
+        matched = [self._regex.match(v) is not None for v in values.tolist()]
+        result = np.array(matched + [False], dtype=bool)[codes]  # a NULL's −1 reads False
         if self.negated:
             result = ~result & ~inner.is_null_mask()
         return column_from_parts(result, DataType.BOOL, inner.validity)

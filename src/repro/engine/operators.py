@@ -10,7 +10,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.engine.column import Column, column_from_parts, factorize_sorted, sorted_distinct
+from repro.engine.column import Column, column_from_parts, merge_dictionaries, sorted_distinct
 from repro.engine.expressions import Expression, strip_outer_parens, truth_mask
 from repro.engine.sql.ast import AggregateCall, OrderItem, SelectItem
 from repro.engine.table import Table
@@ -78,14 +78,8 @@ def key_array(column: Column) -> np.ndarray:
     mask and NaN behind a ``dtype.kind == "f"`` check.
     """
     if column.dtype is DataType.STRING:
-        return _string_codes(column)
+        return column.dictionary()[0]
     return column.data
-
-
-def _string_codes(column: Column) -> np.ndarray:
-    """A STRING column's dictionary codes, factorized now (and not kept)
-    when it carries none: the kernels' one way to read string keys."""
-    return column.string_codes()[0]
 
 
 def _distinct_codes(column: Column) -> np.ndarray:
@@ -315,7 +309,7 @@ def _match_join_keys(
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
     if left_col.dtype is DataType.STRING:
-        left_vals, right_vals = _shared_codes(left_col, right_col)
+        left_vals, right_vals = merge_dictionaries([left_col, right_col])[0]
     else:
         left_vals, right_vals = left_col.data, right_col.data
     left_valid = ~left_col.is_null_mask()
@@ -371,19 +365,6 @@ def _match_join_keys(
     return left_idx, right_idx
 
 
-def _shared_codes(left: Column, right: Column) -> tuple[np.ndarray, np.ndarray]:
-    """Both STRING columns' codes into the sorted union of their two
-    dictionaries, so equal codes mean equal strings across the sides."""
-    left_codes, left_values = left.string_codes()
-    right_codes, right_values = right.string_codes()
-    if left_values is right_values:
-        return left_codes, right_codes
-    ids = factorize_sorted(np.concatenate([left_values, right_values]))[1]
-    split = len(left_values)
-    # a NULL's code −1 picks the appended placeholder
-    return np.append(ids[:split], 0)[left_codes], np.append(ids[split:], 0)[right_codes]
-
-
 # -- aggregation ------------------------------------------------------------------------
 #
 # One group kernel serves every grouped aggregation, serial or after a
@@ -421,8 +402,7 @@ def _key_ids(column: Column) -> tuple[np.ndarray, int]:
     a BOOL as 0/1; an integer column as ``data - min`` when its observed
     range is no wider than its row count (so the id space never exceeds
     what a sort of the rows would touch anyway); :func:`_distinct_codes`
-    for a column holding a NULL; string codes (:func:`key_array`) or an
-    ``np.unique`` inverse otherwise.
+    for a column holding a NULL; an ``np.unique`` inverse otherwise.
     """
     encoded = column.dictionary()
     if column.has_nulls:
@@ -437,9 +417,7 @@ def _key_ids(column: Column) -> tuple[np.ndarray, int]:
         low, high = int(data.min()), int(data.max())
         if high - low < len(data):
             return (data - low if low else data), high - low + 1
-    ids = key_array(column)
-    if column.dtype is not DataType.STRING:
-        ids = np.unique(ids, return_inverse=True)[1]
+    ids = np.unique(data, return_inverse=True)[1]
     return ids, int(ids.max()) + 1
 
 

@@ -110,7 +110,7 @@ def _hash_ids(column, n: int) -> np.ndarray:
 
     Numeric payloads hash their 64-bit patterns through splitmix64;
     strings hash per distinct value via crc32 (through their dictionary
-    codes, :meth:`Column.string_codes`).  NULL and NaN rows route to shard 0.
+    codes, :meth:`Column.dictionary`).  NULL and NaN rows route to shard 0.
     """
     data = column.data
     if data.dtype.kind in "iufb":
@@ -122,7 +122,7 @@ def _hash_ids(column, n: int) -> np.ndarray:
         if data.dtype.kind == "f":
             ids = np.where(np.isnan(data), 0, ids)
     else:
-        codes, values = column.string_codes()
+        codes, values = column.dictionary()
         per_value = [zlib.crc32(str(v).encode("utf-8")) % n for v in values]
         ids = np.array(per_value + [0], dtype=np.int64)[codes]  # a NULL's −1 reads 0
     if column.validity is not None:

@@ -418,7 +418,7 @@ def _write_columns(directory: Path, table: "Table", prefix: str = "") -> list[di
         backing = column.backing
         if (
             backing is not None
-            and ("dictionary" in backing.files or column.dictionary() is None)
+            and ("dictionary" in backing.files or column.dtype is not DataType.STRING)
             and all(path.exists() for path in backing.paths().values())
         ):
             # a mapped column IS its file bytes (copy-on-write keeps
@@ -732,8 +732,6 @@ class DurabilityManager:
     def log_load(self, op: str, name: str, table: "Table") -> None:
         """Log a programmatic ``create``/``replace``: ``table``'s columns go
         to a fresh ``load-NNNNNN`` dir first, then a record names its files."""
-        for column_name in table.column_names:  # codes, as a checkpoint writes them
-            table.column(column_name).encode_dictionary()
         self._load_counter += 1
         directory = self.root / f"load-{self._load_counter:06d}"
         columns = self._write_dir(directory, table)

@@ -172,8 +172,8 @@ class ColumnGroupLayout(Layout):
 # -- column serialization (the durability layer's physical seam) ----------------------
 #
 # The arrays of one column: ``data`` (STRING payloads as NumPy unicode, so
-# nothing needs pickle), optional ``validity``, and the optional
-# ``codes``/``dictionary`` pair of a dictionary-encoded STRING column.
+# nothing needs pickle), optional ``validity``, and a STRING column's
+# ``codes``/``dictionary`` pair (part sets of older writers may lack it).
 # The logical dtype travels out of band (checkpoint manifest / WAL record
 # metadata) — the arrays alone do not distinguish INT64 from a sequence
 # of integers that happens to back a FLOAT64 column.
@@ -219,10 +219,8 @@ def column_to_arrays(column: "Column") -> dict[str, np.ndarray]:
     validity = column.validity
     if column.dtype is not DataType.STRING:
         arrays = {"data": column.data}
-    elif (pair := column.dictionary()) is None:
-        arrays = _string_parts("data", column.data, validity)
     else:
-        codes, dictionary = pair
+        codes, dictionary = column.dictionary()
         dictionary_parts = _string_parts("dictionary", dictionary, None)
         # the data holds dictionary values: NUL-free when the dictionary is
         arrays = _string_parts("data", column.data, validity, len(dictionary_parts) == 1)
@@ -246,14 +244,12 @@ def column_from_arrays(arrays: dict[str, np.ndarray], dtype: "DataType") -> "Col
         data = _strings_from_unicode(data, arrays.get("data_lengths"))
         if validity is not None:
             data[~validity] = None
-    column = column_from_parts(np.ascontiguousarray(data) if data.dtype != object else data,
-                               dtype, validity)
-    codes = arrays.get("codes")
-    dictionary = arrays.get("dictionary")
-    if codes is not None and dictionary is not None:
-        column._codes = codes.astype(np.int32)
-        column._dict = _strings_from_unicode(dictionary, arrays.get("dictionary_lengths"))
-    return column
+    codes, dictionary = arrays.get("codes"), None
+    if codes is not None:  # older STRING part sets hold the payload only
+        codes = codes.astype(np.int32)
+        dictionary = _strings_from_unicode(arrays["dictionary"], arrays.get("dictionary_lengths"))
+    return column_from_parts(np.ascontiguousarray(data) if data.dtype != object else data,
+                             dtype, validity, codes=codes, dictionary=dictionary)
 
 
 def load_column(source: str | IO[bytes], dtype: "DataType") -> "Column":
@@ -379,7 +375,6 @@ def open_column_files(
     ``_lengths`` part (trailing NULs).
     """
     from repro.engine.column import column_from_parts
-    from repro.engine.types import DataType
 
     directory = Path(directory)
     if mode not in STORAGE_MODES:
@@ -401,11 +396,10 @@ def open_column_files(
 
     data = _map("data")
     validity = _map("validity").astype(bool, copy=False) if "validity" in files else None
-    column = column_from_parts(data, dtype, validity)
-    if dtype is DataType.STRING and "codes" in files and "dictionary" in files:
-        column._codes = _map("codes")
-        column._dict = np.load(
-            directory / files["dictionary"], allow_pickle=False
-        ).astype(object)
+    codes = dictionary = None
+    if "codes" in files:
+        codes = _map("codes")
+        dictionary = np.load(directory / files["dictionary"], allow_pickle=False).astype(object)
+    column = column_from_parts(data, dtype, validity, codes=codes, dictionary=dictionary)
     column._backing = ColumnBacking(directory, files, mapped)
     return column

@@ -6,13 +6,16 @@ an undocumented public class/function anywhere in the library fails CI.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import repro
+from repro.engine.column import Column
 
 PACKAGES = [
     "repro",
@@ -89,3 +92,24 @@ def test_all_exports_resolve() -> None:
 
 def test_version_string() -> None:
     assert repro.__version__.count(".") == 2
+
+
+def test_only_the_column_module_touches_column_slots() -> None:
+    """No module but ``engine/column.py`` reads or writes a ``Column``'s
+    private slots on another object (``obj._dictionary``; ``self._data`` of
+    some other class is its own).  ``_backing`` is the one exception: the
+    storage layer sets it on a column it opened mapped."""
+    private = set(Column.__slots__) - {"_backing"}
+    root = Path(repro.__file__).parent
+    reached = []
+    for path in sorted(root.rglob("*.py")):
+        if path == root / "engine" / "column.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in private
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+            ):
+                reached.append(f"{path.relative_to(root)}:{node.lineno} .{node.attr}")
+    assert not reached, f"Column slots touched outside engine/column.py: {reached}"

@@ -506,7 +506,7 @@ def test_durable_create_peaks_near_its_column_files(tmp_path):
             "customer": [f"customer-{i * 13 % 5000:05d}" for i in range(rows)],
         })
         for name in built.column_names:
-            built.column(name).encode_dictionary()
+            built.column(name).dictionary()
         return built
 
     def peak(work) -> int:

@@ -4,13 +4,13 @@ Covers the three techniques of PR 5 — dictionary-encoded STRING columns,
 zone-map data skipping, and the catalog-versioned plan cache — plus the
 supporting plumbing: the Column fast-path constructor, the monotonic
 catalog version, and statistics-staleness regressions.  Encoding and the
-cache have no switch: the string kernels are reached through columns
-that carry no codes (a ``Table`` built outside a ``Database``, a delta
-tail), and uncached planning is what a fresh ``Database`` runs.  The
-corpus property test at the bottom replays the SQL differential-test
-corpus with every accelerator on (under threads and fault injection)
-against the serial, unzoned engine planning each query afresh and
-requires bit-identical payloads.
+cache have no switch: every STRING column has its dictionary (a
+``Database`` builds it at registration, any other column on first use),
+and uncached planning is what a fresh ``Database`` runs.  The corpus
+property test at the bottom replays the SQL differential-test corpus with
+every accelerator on (under threads and fault injection) against the
+reference interpreter and against the serial, unzoned engine reading the
+rows from a delta tail, each query planned afresh.
 """
 
 from __future__ import annotations
@@ -29,9 +29,11 @@ from repro.engine.types import DataType
 from repro.errors import CatalogError, TypeMismatchError
 from repro.indexing import CrackerIndex
 from repro.obs.metrics import MetricsRegistry, set_registry
-from tests.conftest import pin_defaults
+from repro.engine.sql.parser import parse
+from tests.conftest import built_dictionary, pin_defaults
+from tests.reference_interpreter import run_reference
 from tests.test_parallel import tables_bit_identical
-from tests.test_sql_differential import random_query, random_table
+from tests.test_sql_differential import _sort_key, normalise, random_query, random_table
 
 
 @pytest.fixture(autouse=True)
@@ -65,8 +67,8 @@ class TestDictionaryEncoding:
         db = Database()
         db.create_table("t", {"s": _strings(50), "x": list(range(50))})
         column = db.get_table("t").column("s")
-        encoded = column.dictionary()
-        assert encoded is not None
+        encoded = built_dictionary(column)
+        assert encoded is not None and column.dictionary() is encoded
         codes, values = encoded
         assert codes.dtype == np.int32
         assert list(values) == sorted(set(values))
@@ -74,28 +76,34 @@ class TestDictionaryEncoding:
 
     def test_nulls_get_sentinel_code(self):
         column = Column(_strings(20, null_every=5), dtype=DataType.STRING)
-        column.encode_dictionary()
         codes, values = column.dictionary()
         assert (codes[::5] == -1).all()
-        assert None not in list(values)
+        assert values.tolist() == sorted({v for v in _strings(20, null_every=5) if v is not None})
         assert column.null_count() == 4
 
     def test_disabled_by_config(self):
-        """No setting turns encoding off: only a column the catalog never
-        registered goes without codes."""
+        """No setting turns encoding off: a column the catalog never
+        registered builds its dictionary on first use."""
         with pytest.raises(CatalogError, match="^unknown pragma 'dict_encode'"):
             Database().execute("PRAGMA dict_encode=0")
-        assert Table.from_dict({"s": _strings(10)}).column("s").dictionary() is None
+        column = Table.from_dict({"s": _strings(10)}).column("s")
+        assert built_dictionary(column) is None
+        codes, values = column.dictionary()
+        assert built_dictionary(column) is not None
+        assert values.tolist() == sorted(set(_strings(10)))
+        assert [values[c] for c in codes] == _strings(10)
 
     def test_codes_survive_take_filter_slice(self):
         column = Column(_strings(40, null_every=9), dtype=DataType.STRING)
-        column.encode_dictionary()
+        unbuilt = column.take(np.array([0, 1]))
+        base = column.dictionary()
         taken = column.take(np.array([3, 1, 4, 15, 9, 2]))
         filtered = column.filter(np.arange(40) % 2 == 0)
         sliced = column.slice(5, 20)
+        assert built_dictionary(unbuilt) is None  # nothing to pass on yet
         for derived in (taken, filtered, sliced):
-            encoded = derived.dictionary()
-            assert encoded is not None
+            encoded = built_dictionary(derived)
+            assert encoded is not None and encoded[1] is base[1]
             codes, values = encoded
             decoded = [None if c < 0 else values[c] for c in codes]
             expected = [derived[i] for i in range(len(derived))]
@@ -104,10 +112,11 @@ class TestDictionaryEncoding:
     @pytest.mark.parametrize("op", ["=", "<>", "<", "<=", ">", ">="])
     @pytest.mark.parametrize("needle", ["v002", "v0025", "aaaa", "zzzz"])
     def test_comparisons_bit_identical_on_off(self, op, needle):
-        """Code-domain comparisons must equal string-domain ones for every
-        operator, for present, absent, below-range and above-range needles."""
-        table = Table.from_dict({"s": _strings(60, null_every=7)})
-        table.column("s").encode_dictionary()
+        """Code-domain comparisons must equal Python's string comparisons
+        for every operator, for present, absent, below-range and
+        above-range needles, NULL rows never TRUE."""
+        strings = _strings(60, null_every=7)
+        table = Table.from_dict({"s": strings})
         predicate = {
             "=": col("s") == lit(needle),
             "<>": col("s") != lit(needle),
@@ -116,11 +125,12 @@ class TestDictionaryEncoding:
             ">": col("s") > lit(needle),
             ">=": col("s") >= lit(needle),
         }[op]
-        unencoded = Table.from_dict({"s": _strings(60, null_every=7)})
-        assert unencoded.column("s").dictionary() is None
-        fast = truth_mask(predicate, table)
-        slow = truth_mask(predicate, unencoded)
-        assert np.array_equal(fast, slow)
+        python = {
+            "=": str.__eq__, "<>": str.__ne__, "<": str.__lt__,
+            "<=": str.__le__, ">": str.__gt__, ">=": str.__ge__,
+        }[op]
+        want = [v is not None and python(v, needle) for v in strings]
+        assert truth_mask(predicate, table).tolist() == want
 
     def test_dict_filter_metric_increments(self, registry):
         db = Database()
@@ -141,27 +151,30 @@ class TestDictionaryEncoding:
         encoded = Database()
         encoded.create_table("t", {"s": list(values), "x": list(range(300))})
         # the same rows all pending over an empty main: the delta tail
-        # holds them without codes, and the scans read it in place
+        # holds them without codes until a scan reads it in place
         pending = Database()
         pending.create_table("t", encoded.get_table("t").slice(0, 0))
         pending.execute(
             "INSERT INTO t VALUES "
             + ", ".join(f"({'NULL' if s is None else repr(s)}, {x})" for x, s in enumerate(values))
         )
-        assert pending.delta_tail("t").column("s").dictionary() is None
+        assert built_dictionary(pending.delta_tail("t").column("s")) is None
+        rows = [{"s": s, "x": x} for x, s in enumerate(values)]
         for q in queries:
-            tables_bit_identical(encoded.sql(q), pending.sql(q))
+            got = encoded.sql(q)
+            tables_bit_identical(got, pending.sql(q))
+            assert normalise(got.rows()) == normalise(run_reference(parse(q), rows)), q
 
     def test_pragma_reencodes_existing_tables(self):
         """Registering a table encodes its STRING columns, whichever way
         it was built."""
         table = Table.from_dict({"s": _strings(10)})
-        assert table.column("s").dictionary() is None
+        assert built_dictionary(table.column("s")) is None
         db = Database()
         db.create_table("t", table)
-        assert db.get_table("t").column("s").dictionary() is not None
+        assert built_dictionary(db.get_table("t").column("s")) is not None
         db.replace_table("t", Table.from_dict({"s": _strings(12)}))
-        assert db.get_table("t").column("s").dictionary() is not None
+        assert built_dictionary(db.get_table("t").column("s")) is not None
 
 
 # -- Column fast-path constructor -----------------------------------------------------
@@ -525,9 +538,10 @@ class TestScanAccelPragmas:
 def test_corpus_bit_identity_under_threads_and_faults(seed: int) -> None:
     """Replay the differential-test corpus with dictionary codes, zone maps
     (tiny zones) and the plan cache — executed on the morsel pool with
-    worker-crash injection — against the serial, unzoned engine reading
-    the same rows unencoded from a delta tail, each query planned by a
-    fresh database.  Payloads must match byte for byte."""
+    worker-crash injection — against the reference interpreter over the
+    same rows, and against the serial, unzoned engine reading them from a
+    delta tail (codes built on first use), each query planned by a fresh
+    database.  Payloads must match the latter byte for byte."""
     rng = np.random.default_rng(1000 + seed)
     table, rows = random_table(rng, n=int(rng.integers(20, 90)))
     queries = [random_query(rng) for _ in range(10)]
@@ -539,7 +553,7 @@ def test_corpus_bit_identity_under_threads_and_faults(seed: int) -> None:
 
     def pending_db() -> Database:
         # every row pending over an empty main: the delta tail holds the
-        # strings without codes, so the plain string kernels answer
+        # strings without codes until the first scan builds them
         db = Database()
         db.create_table("t", table.slice(0, 0))
         db.execute(
@@ -549,7 +563,7 @@ def test_corpus_bit_identity_under_threads_and_faults(seed: int) -> None:
                 for r in rows
             )
         )
-        assert db.delta_tail("t").column("s").dictionary() is None
+        assert built_dictionary(db.delta_tail("t").column("s")) is None
         assert db.delta_tail("t").num_rows == len(rows)
         return db
 
@@ -562,13 +576,19 @@ def test_corpus_bit_identity_under_threads_and_faults(seed: int) -> None:
     )
     accel_db = Database()
     accel_db.create_table("t", table)
-    assert accel_db.get_table("t").column("s").dictionary() is not None
+    assert built_dictionary(accel_db.get_table("t").column("s")) is not None
     # run each query twice so the second execution exercises the
     # plan-cache hit path under the same fault schedule
     accelerated = [accel_db.sql(sql) for sql in queries]
     repeated = [accel_db.sql(sql) for sql in queries]
 
     for sql, expected, got, again in zip(queries, baseline, accelerated, repeated):
+        statement = parse(sql)
+        reference = normalise(run_reference(statement, [dict(r) for r in rows]))
+        answer = normalise([tuple(r) for r in got.rows()])
+        if not statement.order_by:
+            reference, answer = sorted(reference, key=_sort_key), sorted(answer, key=_sort_key)
+        assert answer == reference, f"accelerated engine disagrees with the reference on: {sql}"
         try:
             tables_bit_identical(got, expected)
             tables_bit_identical(again, expected)

@@ -6,9 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import settings as repro_settings
 from repro.engine import Database, Table
+from repro.engine.column import Column
+from repro.engine.expressions import Like, col
 from repro.engine.sql.parser import parse, parse_statement
+from repro.engine.types import DataType
 from repro.errors import CatalogError, ParseError, TypeMismatchError
+from tests.conftest import pin_defaults
+from tests.reference_interpreter import eval_expression
 
 
 @pytest.fixture()
@@ -38,6 +44,31 @@ class TestLike:
         result = db.sql("SELECT a FROM t WHERE s NOT LIKE '%a%'")
         # 'cherry pie' has no 'a'; NULL row is dropped
         assert result.column("a").to_list() == [3]
+        # LIKE matches once per dictionary value and gathers through the
+        # codes: over a main and over a delta tail, the payload (False at
+        # NULLs) and validity are the per-row match's, bit for bit
+        values = [None, "", "a\x00", "a", "ä", "añb", "b", None, "€a", "a\x00b"]
+        pin_defaults("delta_rows")
+        repro_settings.configure(delta_rows=100_000)
+        main = Database()
+        main.create_table("u", {"s": values})
+        pending = Database()
+        pending.create_table("u", Table([("s", Column.empty(DataType.STRING))]))
+        pending.execute("INSERT INTO u VALUES " + ", ".join(
+            "(NULL)" if v is None else f"('{v}')" for v in values
+        ))
+        valid = [v is not None for v in values]
+        for database, table in ((main, main.get_table("u")), (pending, pending.delta_tail("u"))):
+            for pattern in ("a%", "%a%", "_", "", "a_", "%\x00", "ä%", "%b"):
+                for negated in (False, True):
+                    like = Like(col("s"), pattern, negated)
+                    truth = [eval_expression(like, {"s": v}) for v in values]
+                    got = like.evaluate(table)
+                    assert got.data.dtype == bool and got.data.tolist() == [t is True for t in truth]
+                    assert (got.validity is None and all(valid)) or got.validity.tolist() == valid
+                    keyword = "NOT LIKE" if negated else "LIKE"
+                    rows = database.sql(f"SELECT s FROM u WHERE s {keyword} '{pattern}'")
+                    assert rows.column("s").to_list() == [v for v, t in zip(values, truth) if t]
 
     def test_case_sensitive(self, db):
         assert db.sql("SELECT a FROM t WHERE s LIKE 'banana'").num_rows == 0

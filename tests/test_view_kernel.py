@@ -17,13 +17,15 @@ from repro.engine.types import DataType
 from repro.explore import CubeExplorer, FacetRecommender, SeeDB, VizDeck
 from repro.viz import OrderedSampler
 from repro.workloads import sales_table
+from tests.conftest import built_dictionary
 
 N = 480
 NAMES = np.array(["ash", "birch", "cedar", "elm", "fir"], dtype=object)
 
-#: (kind of key column ``k``, encoded): plain STRING keys (a table built
-#: outside the database), dictionary codes (what ``Database.create_table``
-#: builds), INT64 keys, a NULL key
+#: (kind of key column ``k``, encoded): STRING keys with no dictionary
+#: built yet (a table built outside the database), dictionary codes built
+#: at registration (what ``Database.create_table`` does), INT64 keys, a
+#: NULL key
 KEYS = [("string", 0), ("string", 1), ("int", 1), ("null", 0), ("null", 1)]
 MEASURES = ["clean", "null", "nan"]
 
@@ -31,11 +33,11 @@ MEASURES = ["clean", "null", "nan"]
 def _database(keys: str, encoded: int, measure: str = "clean") -> tuple[Database, Table]:
     """The database holding ``t`` and the table the views are handed: the
     registered one, or with ``encoded=0`` the same rows built outside the
-    database, whose STRING columns carry no dictionary codes."""
+    database, whose STRING columns build their dictionaries on first use."""
     db = Database()
     db.create_table("t", _table(keys, measure))
     table = db.get_table("t") if encoded else _table(keys, measure)
-    assert (table.column("c").dictionary() is not None) == bool(encoded)
+    assert (built_dictionary(table.column("c")) is not None) == bool(encoded)
     return db, table
 
 
