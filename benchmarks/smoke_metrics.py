@@ -633,14 +633,15 @@ def check_update_resummarises_assigned_columns(n: int = 200_000, repeats: int = 
 
 @contextlib.contextmanager
 def truth_mask_calls():
-    """A list that gains one entry per ``expressions.truth_mask`` call, on
-    every module that imported it by name, while the block runs."""
+    """A list that gains one entry per ``expressions.truth_mask`` call —
+    the row count it evaluates — on every module that imported it by
+    name, while the block runs."""
     original = expressions.truth_mask
     calls: list[int] = []
 
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def spy(predicate, table):
+        calls.append(table.num_rows)
+        return original(predicate, table)
 
     holders = [
         module for name, module in list(sys.modules.items())
@@ -653,6 +654,69 @@ def truth_mask_calls():
     finally:
         for module in holders:
             module.truth_mask = original
+
+
+def check_dml_selects_through_zones(n: int = 200_000, zone_rows: int = 4_096) -> int:
+    """Guard "a DML WHERE is a scan" with counts, not a clock: over ``n``
+    rows clustered on ``id`` with writes pending, an UPDATE and a DELETE
+    on a 100-row ``id`` range must each prune all but at most 2 zones,
+    and evaluate their WHERE (``truth_mask``) and their SET over fewer
+    than 2 zones' rows plus the delta tail; both must answer what a
+    NumPy mirror of the writes answers.  Returns the zones pruned."""
+    rng = np.random.default_rng(0)
+    qty = rng.integers(1, 11, n)
+    db = Database()
+    db.create_table("t", Table([
+        ("id", Column(np.arange(n, dtype=np.int64))), ("qty", Column(qty.copy())),
+    ]))
+    pending = 50
+    pruned = get_registry().counter("scan.zones_pruned")
+    num_zones = -(-n // zone_rows)
+    budget = 2 * zone_rows + pending
+    evaluate = expressions.Arithmetic.evaluate
+    set_rows: list[int] = []
+
+    def spy(self, table):
+        set_rows.append(table.num_rows)
+        return evaluate(self, table)
+
+    saved = settings.snapshot()
+    try:
+        settings.configure(threads=0, zone_rows=zone_rows, delta_rows=1_000_000, optimizer=True)
+        db.execute("INSERT INTO t VALUES " + ", ".join(f"({n + i}, 1)" for i in range(pending)))
+        lo = int(rng.integers(0, n - 100))
+        with truth_mask_calls() as where_rows:
+            expressions.Arithmetic.evaluate = spy
+            try:
+                before = pruned.value
+                updated = db.execute(f"UPDATE t SET qty = qty + 1 WHERE id >= {lo} AND id < {lo + 100}")
+                update_pruned = pruned.value - before
+                update_where, update_set = sum(where_rows), sum(set_rows)
+                where_rows.clear()
+                before = pruned.value
+                deleted = db.execute(f"DELETE FROM t WHERE id >= {lo + 50} AND id < {lo + 150}")
+                delete_pruned = pruned.value - before
+                delete_where = sum(where_rows)
+            finally:
+                expressions.Arithmetic.evaluate = evaluate
+        got = db.sql("SELECT id, qty FROM t ORDER BY id")
+    finally:
+        settings.restore(saved)
+    assert updated == 100 and deleted == 100, (updated, deleted)
+    for what, zones in (("UPDATE", update_pruned), ("DELETE", delete_pruned)):
+        assert zones >= num_zones - 2, f"the {what} pruned {zones} of {num_zones} zones"
+    for what, rows in (
+        ("UPDATE's WHERE", update_where), ("UPDATE's SET", update_set),
+        ("DELETE's WHERE", delete_where),
+    ):
+        assert 0 < rows < budget, f"the {what} was evaluated over {rows} rows (budget {budget})"
+    qty[lo : lo + 100] += 1
+    keep = np.ones(n, dtype=bool)
+    keep[lo + 50 : lo + 150] = False
+    assert np.array_equal(got.column("id").data[: n - 100], np.flatnonzero(keep))
+    assert np.array_equal(got.column("qty").data[: n - 100], qty[keep])
+    assert got.num_rows == n - 100 + pending
+    return update_pruned + delete_pruned
 
 
 def check_type_errors_raise_at_bind(n: int = 200_000) -> int:
@@ -1035,6 +1099,7 @@ def main() -> int:
     linked_calls = check_linked_views_share_selections()
     float_groupings = check_pooled_float_aggregate_groups_once()
     shard_zones_pruned = check_shard_key_brushes_prune_zones()
+    dml_zones_pruned = check_dml_selects_through_zones()
     snapshot = json.loads(metrics_snapshot())
     assert keepalive is not None
 
@@ -1077,7 +1142,9 @@ def main() -> int:
           f"({grammar_calls} for two expression items) into shared tail buffers,",
           f"the first of six linked views evaluated {linked_calls} spans, the other five 0,",
           f"{float_groupings} group_rows call for a pooled float SUM over 2 shard tasks,",
-          f"{shard_zones_pruned} zones pruned by 6 shard-key brushes with no index")
+          f"{shard_zones_pruned} zones pruned by 6 shard-key brushes with no index,",
+          f"{dml_zones_pruned} zones pruned by a 100-row UPDATE and DELETE, whose WHERE "
+          "and SET read under 2 zones plus the tail")
     return 0
 
 

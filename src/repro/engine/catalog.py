@@ -1109,41 +1109,18 @@ class Database:
             for value in data.tolist():
                 insert(value)
 
-    def _matching_rows(
-        self, name: str, where
-    ) -> tuple[np.ndarray, Table | None, np.ndarray | None]:
-        """The live rows a DML statement's WHERE selects (every live row
-        when it has none): a mask over the main, and the delta tail with
-        a mask over it — both None when no insert is pending."""
-        from repro.engine.expressions import truth_mask
-
-        def select(table: Table, live: np.ndarray | None) -> np.ndarray:
-            mask = (
-                truth_mask(where, table)
-                if where is not None
-                else np.ones(table.num_rows, dtype=bool)
-            )
-            if live is not None:
-                mask &= live
-            return mask
-
-        state = self._state(name)
-        store = state.delta
-        mask_main = select(state.main, store.live_main_mask())
-        if not store.pending_inserts:
-            return mask_main, None, None
-        tail = self.delta_tail(name)
-        return mask_main, tail, select(tail, store.live_delta_mask())
-
     def _execute_delete(self, statement, sql: str) -> int:
-        """DELETE: tombstone matching rows instead of materialising a
-        filtered copy of the table.  Main rows flip a bit in the delta
-        store's dead mask over the main, delta rows one in its dead mask
-        over the delta; nothing moves until the next merge compacts the
-        table.
+        """DELETE: tombstone the rows the scan selects
+        (:func:`~repro.engine.executor.select_rows`) instead of
+        materialising a filtered copy of the table.  Main rows flip a bit
+        in the delta store's dead mask over the main, delta rows one in
+        its dead mask over the delta; nothing moves until the next merge
+        compacts the table.
 
-        WAL logging: the statement text, once matches are computed and at
-        least one row is affected (the unfiltered form: always)."""
+        WAL logging: the statement text, once the rows are selected and
+        at least one is affected (the unfiltered form: always)."""
+        from repro.engine.executor import select_rows
+
         name = statement.table
         state = self._state(name)
         bind_statement(statement, self)
@@ -1157,9 +1134,8 @@ class Database:
             registry.counter("write.deletes").inc()
             registry.counter("write.delete_rows").inc(affected)
             return affected
-        mask_main, _, mask_tail = self._matching_rows(name, statement.where)
-        dead_delta = np.flatnonzero(mask_tail) if mask_tail is not None else np.empty(0, int)
-        affected = int(mask_main.sum()) + len(dead_delta)
+        main_rows, tail_rows = select_rows(self, name, statement.where)
+        affected = len(main_rows) + len(tail_rows)
         if affected == 0:
             return 0
         self._log_record({"op": "sql", "stmt": sql})
@@ -1170,14 +1146,10 @@ class Database:
         # then drops.
         for index in state.indexes.values():
             delete = getattr(index, "delete", None)
-            if delete is None:
-                continue
-            for position in np.flatnonzero(mask_main):
-                delete(int(position))
-            for i in dead_delta.tolist():
-                delete(main.num_rows + i)
-        store.mark_main_deleted(mask_main)
-        store.mark_delta_deleted(dead_delta)
+            if delete is not None:
+                for position in np.concatenate([main_rows, main.num_rows + tail_rows]).tolist():
+                    delete(position)
+        store.mark_deleted(main_rows, tail_rows)
         registry.counter("write.deletes").inc()
         registry.counter("write.delete_rows").inc(affected)
         registry.gauge("write.delta_pressure").set(store.write_pressure)
@@ -1185,44 +1157,51 @@ class Database:
         return affected
 
     def _execute_update(self, statement, sql: str) -> int:
-        """UPDATE: vectorised in-place column rewrite.
+        """UPDATE: vectorised in-place column rewrite of the rows the scan
+        selects (:func:`~repro.engine.executor.select_rows`).
 
-        The statement text is WAL-logged after every assignment has been
-        evaluated and coerced, immediately before the new table is
-        installed — a type error mid-statement therefore logs nothing,
-        and neither does a statement that matched no row (it returns 0
-        with nothing installed, as DELETE does).
+        Each assignment is evaluated over those rows only, so a value the
+        WHERE rules out is never computed.  The statement text is
+        WAL-logged after every assignment has been evaluated and coerced,
+        immediately before the new table is installed — a type error
+        mid-statement therefore logs nothing, and neither does a
+        statement that matched no row (it returns 0 with nothing
+        installed, as DELETE does).
 
         Only assigned columns are copied — unassigned columns are shared
-        with the old table — and assignments patch the payload with one
-        masked write under the same typed-coercion contract as INSERT.
-        The pending delta rows it hit are patched the same way, into new
-        buffers (:meth:`~repro.engine.delta.DeltaStore.install_column`),
+        with the old table — and assignments scatter into the payload at
+        the selected positions under the same typed-coercion contract as
+        INSERT.  The pending delta rows it hit are patched the same way,
+        into new buffers (:meth:`~repro.engine.delta.DeltaStore.install_column`),
         so a tail a reader holds keeps its values.  Row order and
         column order are preserved; indexes on assigned columns are
         dropped (their values changed in place), others stay valid.
         """
+        from repro.engine.executor import select_rows
+
         name = statement.table
         state = self._state(name)
         bind_statement(statement, self)
         main, store = state.main, state.delta
-        mask_main, tail, mask_tail = self._matching_rows(name, statement.where)
-        tail_hit = mask_tail is not None and bool(mask_tail.any())
-        affected = int(mask_main.sum()) + (int(mask_tail.sum()) if tail_hit else 0)
+        main_rows, tail_rows = select_rows(self, name, statement.where)
+        affected = len(main_rows) + len(tail_rows)
+        if affected == 0:
+            return 0
+        tail = self.delta_tail(name) if len(tail_rows) else None
+        main_hit = main.take(main_rows)
+        tail_hit = None if tail is None else tail.take(tail_rows)
         new_columns = {n: main.column(n) for n in main.column_names}
         new_tail = {}
         for column_name, expr in statement.assignments:
             new_columns[column_name] = deltamod.assign_column(
-                new_columns[column_name], expr.evaluate(main), mask_main
+                new_columns[column_name], expr.evaluate(main_hit), main_rows
             )
-            if tail_hit:
+            if tail is not None:
                 new_tail[column_name] = deltamod.assign_column(
                     new_tail.get(column_name, tail.column(column_name)),
-                    expr.evaluate(tail),
-                    mask_tail,
+                    expr.evaluate(tail_hit),
+                    tail_rows,
                 )
-        if affected == 0:
-            return 0
         self._log_record({"op": "sql", "stmt": sql})
         for column_name, column in new_tail.items():
             store.install_column(main.column_names.index(column_name), column)

@@ -55,7 +55,7 @@ itself always stays in RAM — it is bounded by the merge threshold — but
 the main it shadows may be a read-only memory map of checkpoint files.
 Every write path here is copy-on-write against the main and against a
 tail already handed out (:func:`assign_column` copies payload and
-validity before masked writes, :meth:`DeltaStore.install_column` puts
+validity before scattered writes, :meth:`DeltaStore.install_column` puts
 the patched copy in new buffers, :func:`merged_table` builds fresh
 arrays through :func:`~repro.engine.column.concat_columns`), so neither
 a mapped main nor a reader's tail is mutated in place; the catalog
@@ -205,25 +205,15 @@ class DeltaStore:
         )
         self.touch()
 
-    def mark_main_deleted(self, mask: np.ndarray) -> None:
-        """Tombstone main rows where ``mask`` is True."""
-        fresh = mask if self._dead_main is None else mask & ~self._dead_main
-        count = int(np.count_nonzero(fresh))
-        if not count:
-            return
-        if self._dead_main is None:
-            self._dead_main = np.zeros(self.main_rows, dtype=bool)
-        self._dead_main |= fresh
-        self.main_tombstones += count
-        self.touch()
-
-    def mark_delta_deleted(self, positions: np.ndarray) -> None:
-        """Tombstone delta rows by delta-local position."""
-        fresh = positions[~self._dead_delta[positions]]
-        if not len(fresh):
-            return
-        self._dead_delta[fresh] = True
-        self.delta_tombstones += len(fresh)
+    def mark_deleted(self, main_rows: np.ndarray, delta_rows: np.ndarray) -> None:
+        """Tombstone live main rows and live delta rows, each by position."""
+        if len(main_rows):
+            if self._dead_main is None:
+                self._dead_main = np.zeros(self.main_rows, dtype=bool)
+            self._dead_main[main_rows] = True
+            self.main_tombstones += len(main_rows)
+        self._dead_delta[delta_rows] = True
+        self.delta_tombstones += len(delta_rows)
         self.touch()
 
     # -- reads -----------------------------------------------------------------------
@@ -384,22 +374,17 @@ def _unstorable(value: Any, dtype: DataType, column: str) -> TypeMismatchError |
     return None
 
 
-def assign_column(old: Column, values: Column, mask: np.ndarray) -> Column:
-    """``old`` with ``values`` written into the rows where ``mask`` is True.
+def assign_column(old: Column, values: Column, rows: np.ndarray) -> Column:
+    """``old`` with ``values[i]`` written at position ``rows[i]``.
 
     The vectorised UPDATE kernel: payload and validity are copied once
-    and patched in place.  The values' type is already bound
+    and scattered into at ``rows``.  The values' type is already bound
     :func:`~repro.engine.types.assignable`; as in :func:`coerce_values`,
     a fractional float into INT64 raises :class:`TypeMismatchError`.
     """
     target = old.dtype
-    new_validity = old.validity.copy() if old.validity is not None else np.ones(len(old), bool)
-    values_valid = values.validity if values.validity is not None else np.ones(len(values), bool)
-    new_validity[mask] = values_valid[mask]
-
-    data = old.data.copy()
-    write = mask & values_valid
-    incoming = values.data[write]
+    valid = values.validity if values.validity is not None else np.ones(len(values), bool)
+    incoming = values.data[valid]
     if target is DataType.INT64 and values.dtype is DataType.FLOAT64 and not (
         np.isfinite(incoming).all() and np.equal(np.floor(incoming), incoming).all()
     ):
@@ -407,12 +392,13 @@ def assign_column(old: Column, values: Column, mask: np.ndarray) -> Column:
             "UPDATE would store fractional FLOAT64 values in an INT64 "
             "column; cast explicitly or change the column type"
         )
-    data[write] = incoming
+    data = old.data.copy()
+    data[rows[valid]] = incoming
     # park the null fill in newly nulled slots so the payload stays harmless
-    data[mask & ~values_valid] = _null_fill_value(target)
+    data[rows[~valid]] = _null_fill_value(target)
+    new_validity = old.validity.copy() if old.validity is not None else np.ones(len(old), bool)
+    new_validity[rows] = valid
     return _wrap(data, target, new_validity)
-
-
 
 
 # -- tail materialisation and merge ---------------------------------------------------

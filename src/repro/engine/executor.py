@@ -6,28 +6,31 @@ plan with no measurement overhead at all, while passing a
 wall-time, row-count and byte accounting — the substrate of ``EXPLAIN
 ANALYZE``.
 
-Every base-table scan is one function, :func:`_execute_scan` — a join's
+Every base-table read is one selection step, :func:`_selection`,
+whatever its sink: a query's scan (:func:`_execute_scan`; a join's
 right input is a :class:`~repro.engine.planner.ScanNode` like the
 driving one, renamed to its planned output names before
-:func:`~repro.engine.operators.hash_join` — and every predicate scan the
-same three steps: **classify once** against the zone
-map (:func:`_classify_scan` — the only site of the ``scan.*`` / ``io.*``
-counters and the ``zones:`` / ``io:`` annotations) unless an index picks
-the rows (:func:`_index_rows`), **run span kernels** over ``(source,
-spans, live mask)`` tasks (:mod:`repro.engine.parallel`: one task per
-span, or per shard over a shard layout; on the worker pool or as a
-governed loop on this thread),
-**gather once** (filtered pieces concatenate keeping their shared
-dictionary; a fused aggregate takes only the columns it reads).  Pending writes
-are a trailing tail task plus a live-mask over the main, and a
-memory-mapped main differs only in that the bytes its surviving spans
-cover are counted.  Above the scan each operator has one serial kernel
-and at most one pooled route, the scan's: with the pool enabled
-(``PRAGMA threads=N`` / ``REPRO_THREADS``) and enough input rows, a
-residual filter or a GROUP BY runs the span tasks over its in-memory
-child, and a sort is always :func:`~repro.engine.operators.sort_table`.
-Every route is bit-identical to serial execution by construction (see
-the parallel module docstring and DESIGN.md, "Scan pipeline").
+:func:`~repro.engine.operators.hash_join`) or a DML statement's WHERE
+(:func:`select_rows`).  Every predicate selection takes the same steps:
+**classify once** against the zone map (:func:`_classify_scan` — the
+only site of the ``scan.*`` / ``io.*`` counters and the ``zones:`` /
+``io:`` annotations) unless an index picks the rows
+(:func:`_index_rows`), **run span kernels** over ``(source, spans, live
+mask)`` tasks (:func:`repro.engine.parallel.select`: one task per span,
+or per shard over a shard layout; on the worker pool or as a governed
+loop on this thread), then one sink: a query **gathers once** (filtered
+pieces concatenate keeping their shared dictionary; a fused aggregate
+takes only the columns it reads), a DML statement marks the positions.
+Pending writes are a trailing tail task plus a live mask over the main
+and one over the tail, and a memory-mapped main differs only in that
+the bytes its surviving spans cover are counted.  Above the scan each
+operator has one serial kernel and at most one pooled route, the
+scan's: with the pool enabled (``PRAGMA threads=N`` /
+``REPRO_THREADS``) and enough input rows, a residual filter or a GROUP
+BY runs the span tasks over its in-memory child, and a sort is always
+:func:`~repro.engine.operators.sort_table`.  Every route is
+bit-identical to serial execution by construction (see the parallel
+module docstring and DESIGN.md, "Scan pipeline").
 
 Execution is *governed*: when a :class:`~repro.resilience.QueryContext`
 is active, every plan node is a checkpoint — the deadline/cancellation
@@ -43,6 +46,7 @@ import numpy as np
 from repro import settings
 from repro.engine import operators as ops
 from repro.engine import parallel, planner, zonemap
+from repro.engine.expressions import Expression
 from repro.engine.planner import (
     AggregateNode,
     DistinctNode,
@@ -57,7 +61,7 @@ from repro.engine.planner import (
     SortNode,
     TopNNode,
 )
-from repro.engine.table import Table
+from repro.engine.table import Table, concat_tables
 from repro.engine.types import DataType
 from repro.errors import ExecutionError
 from repro.obs.metrics import get_registry
@@ -247,35 +251,32 @@ def _index_rows(node: ScanNode, database, num_rows, live_main, profiler) -> np.n
     return rows
 
 
-def _execute_scan(
-    node: ScanNode,
-    database: "Database",
-    profiler: PlanProfiler | None,
-    fused: FusedAggregateNode | None = None,
-) -> Table:
-    """Every base-table scan: classify once, run span kernels, gather once.
+def _selection(
+    node: ScanNode, database: "Database", profiler: PlanProfiler | None, memo: bool
+) -> tuple[dict, np.ndarray | None]:
+    """The selection step of every scan, whatever its sink: the arguments
+    of :func:`parallel.select`, and the main positions an index picked
+    (or None).
 
-    The source is the columnar main; a dirty delta store adds its live
-    pending rows as a trailing always-evaluate tail and its tombstones as
-    a live-mask over the main (a clean table has neither), so zone maps,
-    index positions and shard extents stay aligned to main row positions;
-    rows an index picks are instead the source, as one unclassified span.
-    ``fused`` makes the sink one aggregation over the gathered columns
-    it reads — the filtered table is never materialised.
-    One route, two runners: a shard layout of the clean main makes one
-    task per shard, otherwise one task per span; either runs on the pool
-    when :func:`parallel.should_parallelize` says so, else as a governed
-    loop on this thread.  A classified scan outside the reference
-    configuration (``optimizer=0``) reads and fills the table's
-    selection memo, so a WHERE an earlier scan evaluated in the same
-    epoch is not evaluated again.
+    The sources are the columnar main and, while writes are pending, the
+    delta tail — every pending row, dead ones included, so a tail
+    position is a delta position — each with its live mask (a clean
+    table has neither), so zone maps, index positions and shard extents
+    stay aligned to main row positions.  A predicate scan's index pick
+    (:func:`_index_rows`) makes those rows the source, as one
+    unclassified span; otherwise the main is classified once
+    (:func:`_classify_scan`) and a shard layout of the clean main makes
+    one task per shard.  With ``memo`` a classified scan outside the
+    reference configuration (``optimizer=0``) reads and fills the
+    table's selection memo, so a WHERE an earlier scan evaluated in the
+    same epoch is not evaluated again.
     """
     store = database.delta_store_if_dirty(node.table)
     main = database.main_table(node.table)
-    tail = live_main = None
+    tail = live_main = live_tail = None
     if store is not None:
         tail = database.delta_tail(node.table)
-        live_main = store.live_main_mask()
+        live_main, live_tail = store.live_main_mask(), store.live_delta_mask()
     if profiler is not None:
         if store is None:
             profiler.note_input(main.num_rows, table_nbytes(main))
@@ -292,40 +293,75 @@ def _execute_scan(
         main = main.select(node.columns)
         if tail is not None:
             tail = tail.select(node.columns)
-    predicate = node.predicate
-    if node.empty:
-        return main.slice(0, 0)
-    if tail is not None:
-        live_tail = store.live_delta_mask()
-        if live_tail is not None:
-            tail = tail.filter(live_tail)
-    if predicate is None:
-        if live_main is not None:
-            main = main.filter(live_main)
-        return main if tail is None else main.concat(tail)
+    scan = dict(
+        table=main, predicate=node.predicate, ranges=None, extra_mask=live_main,
+        tail=tail, tail_live=live_tail, profiler=profiler, layout=None, memo=None,
+    )
+    if node.predicate is None or node.empty:
+        return scan, None
     picked = _index_rows(node, database, main.num_rows, live_main, profiler)
-    if picked is None:
-        ranges = _classify_scan(node, main, database, profiler)
-        layout = database.shard_layout(node.table) if store is None else None
-    else:
-        main, live_main, ranges, layout = main.take(picked), None, None, None
-    if layout is not None and layout.total_rows != main.num_rows:
-        layout = None
-    memo = None
-    if ranges is not None and settings.current.optimizer:
-        memo = database.selection_memo(node.table, predicate)
-    if fused is not None and profiler is not None:
-        profiler.annotate("fused: filter per span, one group pass")
+    if picked is not None:
+        scan.update(table=main.take(picked), extra_mask=None)
+        return scan, picked
+    scan["ranges"] = _classify_scan(node, main, database, profiler)
+    layout = database.shard_layout(node.table) if store is None else None
+    if layout is not None and layout.total_rows == main.num_rows:
+        scan["layout"] = layout
+    if memo and scan["ranges"] is not None and settings.current.optimizer:
+        scan["memo"] = database.selection_memo(node.table, node.predicate)
+    return scan, None
+
+
+def _execute_scan(
+    node: ScanNode,
+    database: "Database",
+    profiler: PlanProfiler | None,
+    fused: FusedAggregateNode | None = None,
+) -> Table:
+    """Every base-table scan: its selection (:func:`_selection`), gathered
+    once by :func:`parallel.streamed_filter` — or, with ``fused``, by
+    :func:`parallel.fused_filter_aggregate`, whose sink is one
+    aggregation over the gathered columns it reads, so the filtered
+    table is never materialised.  One route, two runners: the span
+    tasks run on the pool when :func:`parallel.should_parallelize` says
+    so, else as a governed loop on this thread.
+    """
+    scan, _ = _selection(node, database, profiler, memo=True)
+    if node.empty:
+        return scan["table"].slice(0, 0)
+    if node.predicate is None:  # every live row
+        sources = [(scan["table"], scan["extra_mask"]), (scan["tail"], scan["tail_live"])]
+        return concat_tables([
+            source if live is None else source.filter(live)
+            for source, live in sources if source is not None
+        ])
     if fused is None:
-        result = parallel.streamed_filter(
-            main, predicate, ranges, live_main, tail, profiler, layout, memo
-        )
+        result = parallel.streamed_filter(**scan)
     else:
+        if profiler is not None:
+            profiler.annotate("fused: filter per span, one group pass")
         result = parallel.fused_filter_aggregate(
-            main, predicate, fused.group_exprs, fused.aggregates, fused.group_names,
-            ranges, live_main, tail, profiler, layout, memo,
+            group_exprs=fused.group_exprs, aggregates=fused.aggregates,
+            group_names=fused.group_names, **scan,
         )
+    memo = scan["memo"]
     if profiler is not None and memo is not None and memo.tally[1]:
         evaluated, reused = memo.tally
         profiler.annotate(f"selection: {reused} of {evaluated} spans reused")
     return result
+
+
+def select_rows(
+    database: "Database", name: str, predicate: Expression | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows a DML statement's WHERE selects (every live row without
+    one): ascending live main positions and delta positions — the
+    scan's selection, marked instead of gathered.  It neither reads nor
+    fills the selection memo, whose epoch the statement's own write
+    ends, and an index-picked selection maps back to main positions."""
+    scan, picked = _selection(ScanNode(name, predicate), database, None, memo=False)
+    selection = parallel.select(**scan)
+    empty, tail = np.empty(0, dtype=np.int64), scan["tail"]
+    main_rows = np.concatenate([empty] + [rows for source, rows in selection if source is not tail])
+    tail_rows = np.concatenate([empty] + [rows for source, rows in selection if source is tail])
+    return (main_rows if picked is None else picked[main_rows]), tail_rows

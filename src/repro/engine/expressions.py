@@ -720,16 +720,14 @@ class Like(Expression):
         # version; normalise, then translate the SQL wildcards
         escaped = escaped.replace(r"\%", "%").replace(r"\_", "_")
         escaped = escaped.replace("%", ".*").replace("_", ".")
-        self._regex = re.compile(f"^{escaped}$", re.DOTALL)
+        self._regex = re.compile(escaped, re.DOTALL)
 
     def evaluate(self, table: Table) -> Column:
         inner = self.operand.evaluate(table)
         if inner.dtype is not DataType.STRING:
             raise TypeMismatchError("LIKE requires a string operand")
-        # one match per dictionary value, gathered through the codes
-        codes, values = inner.dictionary()
-        matched = [self._regex.match(v) is not None for v in values.tolist()]
-        result = np.array(matched + [False], dtype=bool)[codes]  # a NULL's −1 reads False
+        # the whole value: re.match's ``$`` would also match before a final newline
+        result = _per_value(inner, lambda v: self._regex.fullmatch(v) is not None, bool, False)
         if self.negated:
             result = ~result & ~inner.is_null_mask()
         return column_from_parts(result, DataType.BOOL, inner.validity)
@@ -745,8 +743,29 @@ class Like(Expression):
         return f"({self.operand.to_sql()} {keyword} '{escaped}')"
 
 
-def _fn_round(values: np.ndarray, digits: int = 0) -> np.ndarray:
-    return np.round(values, digits)
+def _per_value(column: Column, fn: Callable[[str], Any], dtype: Any, fill: Any) -> np.ndarray:
+    """``fn`` of every row of a STRING ``column`` as a ``dtype`` array:
+    computed once per dictionary value and gathered through the codes,
+    ``fill`` at NULLs (whose code −1 reads the last slot)."""
+    codes, values = column.dictionary()
+    return np.array([fn(v) for v in values.tolist()] + [fill], dtype=dtype)[codes]
+
+
+def _round_rows(
+    values: np.ndarray, digits: Column, validity: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``ROUND(values, digits)`` row by row, with the result's validity:
+    one ``np.round`` per distinct digits value, NULL where the digits
+    are."""
+    result = np.zeros(len(values))
+    places = digits.data.astype(np.int64)
+    known = ~digits.is_null_mask()
+    for place in np.unique(places[known]).tolist():
+        rows = known & (places == place)
+        result[rows] = np.round(values[rows], place)
+    if digits.validity is not None:
+        validity = known if validity is None else validity & known
+    return result, validity
 
 
 #: Scalar function registry: name -> (apply, input kind, output kind).
@@ -756,7 +775,7 @@ SCALAR_FUNCTIONS: dict[str, tuple[Callable[..., np.ndarray], str, str]] = {
     "SQRT": (np.sqrt, "numeric", "float"),
     "FLOOR": (np.floor, "numeric", "float"),
     "CEIL": (np.ceil, "numeric", "float"),
-    "ROUND": (_fn_round, "numeric", "float"),
+    "ROUND": (np.round, "numeric", "float"),
     "LN": (np.log, "numeric", "float"),
     "EXP": (np.exp, "numeric", "float"),
     "LENGTH": (None, "string", "int"),  # handled specially
@@ -792,15 +811,13 @@ class FunctionCall(Expression):
         fn, in_kind, _ = SCALAR_FUNCTIONS[self.name]
         if in_kind == "numeric":
             data = inner.data.astype(np.float64, copy=False)
-            if self.name == "ROUND" and len(self.arguments) == 2:
-                digits_col = self.arguments[1].evaluate(table)
-                digits = int(digits_col[0]) if len(digits_col) else 0
-                result = _fn_round(data, digits)
+            validity = inner.validity
+            if len(self.arguments) == 2:  # ROUND's digits, per row
+                result, validity = _round_rows(data, self.arguments[1].evaluate(table), validity)
             else:
                 with np.errstate(invalid="ignore", divide="ignore"):
                     result = fn(data)
             invalid = ~np.isfinite(result)
-            validity = inner.validity
             if invalid.any():
                 base = validity if validity is not None else np.ones(len(result), bool)
                 validity = base & ~invalid
@@ -808,15 +825,10 @@ class FunctionCall(Expression):
             if out is DataType.INT64:
                 return column_from_parts(result.astype(np.int64), out, validity)
             return column_from_parts(result, DataType.FLOAT64, validity)
-        values = inner.to_list()  # a string function
-        if self.name == "LENGTH":
-            data = np.asarray([0 if v is None else len(v) for v in values], np.int64)
-            return column_from_parts(data, DataType.INT64, inner.validity)
+        if self.name == "LENGTH":  # a string function
+            return column_from_parts(_per_value(inner, len, np.int64, 0), out, inner.validity)
         transform = str.upper if self.name == "UPPER" else str.lower
-        out = np.empty(len(values), dtype=object)
-        for i, v in enumerate(values):
-            out[i] = None if v is None else transform(v)
-        return column_from_parts(out, DataType.STRING, inner.validity)
+        return column_from_parts(_per_value(inner, transform, object, ""), out, inner.validity)
 
     def _result_type(self, argument: DataType) -> DataType:
         """The call's type over an ``argument`` of that type; raises on the
@@ -862,18 +874,18 @@ class Case(Expression):
         n = table.num_rows
         columns = [value.evaluate(table) for value in self._values()]
         out_type = functools.reduce(common_type, [column.dtype for column in columns])
-        # branch index per row; len(branches) is the ELSE, a NULL without one
-        chosen = np.full(n, len(self.branches), dtype=np.int64)
-        remaining = np.ones(n, dtype=bool)
-        for i, (condition, _) in enumerate(self.branches):
-            mask = truth_mask(condition, table) & remaining
-            chosen[mask] = i
-            remaining &= ~mask
-        values = [
-            columns[branch][row] if branch < len(columns) else None
-            for row, branch in enumerate(chosen.tolist())
-        ]
-        return Column(values, dtype=out_type)
+        data = np.full(n, _null_fill_value(out_type), out_type.numpy_dtype)
+        valid = np.zeros(n, dtype=bool)
+        remaining = np.ones(n, dtype=bool)  # no branch taken yet: the ELSE's, a NULL without one
+        for i, column in enumerate(columns):
+            rows = remaining.copy()
+            if i < len(self.branches):
+                rows &= truth_mask(self.branches[i][0], table)
+                remaining &= ~rows
+            rows &= ~column.is_null_mask()
+            data[rows] = column.data[rows]
+            valid |= rows
+        return column_from_parts(data, out_type, valid)
 
     def _values(self) -> list[Expression]:
         """The branch values and the ELSE value, in evaluation order."""

@@ -17,18 +17,17 @@ combining step performs exactly the arithmetic the serial operator would
 have performed:
 
 - predicate scans run one *span kernel*, :func:`_filter_spans`, over
-  ``(table, spans, live mask)`` tasks.  It returns a *selection*:
-  the ascending row positions of its source that survive, copying no
-  column.  :func:`gather` then takes each sink column once per source
-  (the main, and a delta tail), a contiguous run as a zero-copy slice:
-  the spans partition the surviving rows in ascending order, so the
-  take is the serial filter's output, and it keeps the base column's
-  dictionary object.  One ``np.flatnonzero`` plus a ``take`` per column
-  is the cheaper copy: numpy's boolean index re-scans the mask per
-  column.  The two scan runners :func:`streamed_filter` /
-  :func:`fused_filter_aggregate` build their tasks in
-  :func:`_span_tasks`: one per span, or over a shard layout one per
-  scheduled shard, its global spans in one task.  A zone-gated scan
+  ``(table, spans, live mask)`` tasks built by :func:`_span_tasks` —
+  one per span, or over a shard layout one per scheduled shard, its
+  global spans in one task.  It returns a *selection*: the ascending
+  row positions of its source that survive, copying no column
+  (:func:`select`; a DML statement marks them).  :func:`gather` then
+  takes each sink column once per source (the main, and a delta tail),
+  a contiguous run as a zero-copy slice: the spans partition the
+  surviving rows in ascending order, so the take is the serial filter's
+  output, and it keeps the base column's dictionary object.  One
+  ``np.flatnonzero`` plus a ``take`` per column is the cheaper copy:
+  numpy's boolean index re-scans the mask per column.  A zone-gated scan
   also hands every task its table's :class:`SelectionMemo`: within one
   table version, delta version and configuration a span's selection
   under a predicate is one fixed array, so linked views repeating a
@@ -297,7 +296,7 @@ def _filter_spans(
     evaluated span's run is read from it when an earlier scan of the same
     predicate in the same epoch kept one, and kept in it otherwise — the
     one place every route, serial or pooled, main, shard or delta tail,
-    reuses a selection.
+    reuses a selection.  Without a ``predicate`` only ``live`` selects.
     """
     runs = []
     for start, stop, evaluate in spans:
@@ -305,7 +304,7 @@ def _filter_spans(
         if run is None:
             whole = start == 0 and stop == table.num_rows
             mask = None
-            if evaluate:
+            if evaluate and predicate is not None:
                 mask = truth_mask(predicate, table if whole else table.slice(start, stop))
             if live is not None:
                 mask = live[start:stop] if mask is None else mask & live[start:stop]
@@ -443,6 +442,7 @@ def _span_tasks(
     ranges: Sequence[Span] | None,
     extra_mask: np.ndarray | None,
     tail: Table | None,
+    tail_live: np.ndarray | None = None,
     profiler: PlanProfiler | None = None,
     layout: shards.ShardLayout | None = None,
     memo: ScanMemo | None = None,
@@ -457,8 +457,9 @@ def _span_tasks(
     on the caller.  Over a layout the spans split at shard extents and
     each scheduled shard is one task of its own spans
     (:func:`~repro.engine.shards.schedule`), pooled or not.  ``tail`` —
-    a delta store's live pending rows — rides along as a trailing
-    always-evaluate task over its own small table.  A scan nothing
+    a delta store's pending rows, dead ones included — rides along as a
+    trailing always-evaluate task over its own small table, ``tail_live``
+    its live mask as ``extra_mask`` is the main's.  A scan nothing
     survives keeps one empty span, so the kernels still produce the
     empty result (and a global aggregate its one row) without evaluating
     the predicate.  A pooled scan's task count is annotated on
@@ -481,55 +482,56 @@ def _span_tasks(
         groups = [[span] for span in spans]
     tasks: list[tuple] = [(table, group, extra_mask, memo) for group in groups]
     if tail is not None and tail.num_rows:
-        tasks.append((tail, [(0, tail.num_rows, True)], None, memo and memo.on("tail")))
+        tasks.append((tail, [(0, tail.num_rows, True)], tail_live, memo and memo.on("tail")))
     tasks = tasks or [(table, [(0, 0, False)], None, None)]
     if pooled:
         note_fanout(profiler, len(tasks), unit)
     return tasks, pooled
 
 
-def _filter_tasks(
-    tasks: Sequence[tuple],
-    predicate: Expression,
-    pooled: bool,
-    columns: Sequence[str] | None = None,
-) -> Table:
-    """Run the filter-span kernel over ``tasks`` and gather once per source."""
-    selections = _run_tasks(
+def select(
+    table: Table,
+    predicate: Expression | None,
+    ranges: Sequence[Span] | None,
+    extra_mask: np.ndarray | None = None,
+    tail: Table | None = None,
+    tail_live: np.ndarray | None = None,
+    profiler: PlanProfiler | None = None,
+    layout: shards.ShardLayout | None = None,
+    memo: ScanMemo | None = None,
+) -> list[tuple[Table, np.ndarray]]:
+    """A scan's selection: ``(source, positions)`` per task, in ascending
+    row order — the surviving live positions of ``table``, then of
+    ``tail`` (delta positions).  ``ranges`` is a zone-map classification
+    (:func:`repro.engine.zonemap.classify_ranges`), or None for an
+    unclassified scan; ``extra_mask`` and ``tail_live`` are the sources'
+    live masks; a ``layout`` of ``table`` makes one task per scheduled
+    shard; a ``memo`` serves and keeps the evaluated spans' selections.
+    """
+    tasks, pooled = _span_tasks(
+        table, ranges, extra_mask, tail, tail_live, profiler, layout, memo
+    )
+    positions = _run_tasks(
         _filter_spans,
         [(source, spans, live, predicate, memo) for source, spans, live, memo in tasks],
         pooled,
     )
-    return gather(zip([task[0] for task in tasks], selections), columns)
+    return list(zip([task[0] for task in tasks], positions))
 
 
 def streamed_filter(
-    table: Table,
-    predicate: Expression,
-    ranges: Sequence[Span] | None,
-    extra_mask: np.ndarray | None = None,
-    tail: Table | None = None,
-    profiler: PlanProfiler | None = None,
-    layout: shards.ShardLayout | None = None,
-    memo: ScanMemo | None = None,
+    table: Table, predicate: Expression, ranges: Sequence[Span] | None, **scan: Any
 ) -> Table:
-    """Filter by streaming classified spans — skipped rows are never read.
+    """Filter by streaming classified spans — skipped rows are never read:
+    the :func:`select` selection (``scan`` is the rest of its arguments),
+    gathered once.
 
-    ``ranges`` is a zone-map classification ``[(start, stop, evaluate)]``
-    as produced by :func:`repro.engine.zonemap.classify_ranges`, or None
-    for an unclassified scan.  ``extra_mask`` (full-table length) is
-    ANDed in per span, used by the delta store to drop main-side
-    tombstones; ``tail`` holds the delta's live pending rows; a
-    ``layout`` of ``table`` makes one task per scheduled shard; a
-    ``memo`` serves and keeps the evaluated spans' selections.
-
-    Bit-identical to filtering ``table ++ tail`` by ``truth_mask &
-    extra_mask``: the spans partition the surviving rows in ascending
+    Bit-identical to filtering ``table ++ tail`` by ``truth_mask`` and
+    the live masks: the spans partition the surviving rows in ascending
     order and every mask comes from the same row-local kernel (serially
     or on the pool).
     """
-    tasks, pooled = _span_tasks(table, ranges, extra_mask, tail, profiler, layout, memo)
-    return _filter_tasks(tasks, predicate, pooled)
+    return gather(select(table, predicate, ranges, **scan))
 
 
 # -- aggregation ---------------------------------------------------------------------
@@ -553,17 +555,13 @@ def fused_filter_aggregate(
     aggregates: Sequence[tuple[str, AggregateCall]],
     group_names: Sequence[str] | None = None,
     ranges: Sequence[Span] | None = None,
-    extra_mask: np.ndarray | None = None,
-    tail: Table | None = None,
-    profiler: PlanProfiler | None = None,
-    layout: shards.ShardLayout | None = None,
-    memo: ScanMemo | None = None,
+    **scan: Any,
 ) -> Table:
     """Filter + hash aggregate fused per span (the FusedAggregate kernel).
 
-    ``ranges``, ``extra_mask``, ``tail``, ``layout`` and ``memo`` are as in
-    :func:`streamed_filter`; a GROUP BY over an in-memory input is this
-    with no predicate and one PASS span over it.  Bit-identical to
+    ``ranges`` and ``scan`` are :func:`select`'s; a GROUP BY over an
+    in-memory input is this with no predicate and one PASS span over it.
+    Bit-identical to
     ``hash_aggregate(filter(table ++ tail, predicate), ...)``: the spans'
     selections gather into one aggregation pass — the same rows the
     unfused filter would materialise, minus the skipped zones, the
@@ -572,17 +570,11 @@ def fused_filter_aggregate(
     the worker pool the tasks run the filter kernel and the calling
     thread still runs that one pass.
     """
-    tasks, pooled = _span_tasks(table, ranges, extra_mask, tail, profiler, layout, memo)
-    with trace(
-        "op.fused_filter_aggregate",
-        rows=table.num_rows,
-        keys=len(group_exprs),
-        morsels=len(tasks),
-    ):
+    with trace("op.fused_filter_aggregate", rows=table.num_rows, keys=len(group_exprs)):
+        selection = select(table, predicate, ranges, **scan)
         columns = _sink_columns(table, group_exprs, aggregates)
         return ops.hash_aggregate(
-            _filter_tasks(tasks, predicate, pooled, columns),
-            group_exprs, aggregates, group_names,
+            gather(selection, columns), group_exprs, aggregates, group_names
         )
 
 

@@ -90,7 +90,7 @@ def eval_expression(expr: ex.Expression, row: Row) -> Any:
             return None
         pattern = re.escape(expr.pattern).replace(r"\%", "%").replace(r"\_", "_")
         pattern = pattern.replace("%", ".*").replace("_", ".")
-        matched = re.match(f"^{pattern}$", value, re.DOTALL) is not None
+        matched = re.fullmatch(pattern, value, re.DOTALL) is not None
         return (not matched) if expr.negated else matched
     if isinstance(expr, ex.FunctionCall):
         value = eval_expression(expr.arguments[0], row)
@@ -108,10 +108,12 @@ def eval_expression(expr: ex.Expression, row: Row) -> Any:
         if name == "ROUND":
             digits = 0
             if len(expr.arguments) == 2:
-                digits = int(eval_expression(expr.arguments[1], row))
+                digits = eval_expression(expr.arguments[1], row)
+                if digits is None:
+                    return None
             import numpy as np
 
-            return float(np.round(value, digits))
+            return float(np.round(value, int(digits)))
         if name == "LN":
             return None if value <= 0 else math.log(value)
         if name == "EXP":

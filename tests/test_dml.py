@@ -23,13 +23,14 @@ from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
 from repro import settings
-from repro.engine import Database, Table
+from repro.engine import Database, Table, parallel
 from repro.engine.column import Column
+from repro.engine.expressions import Arithmetic
 from repro.engine.types import DataType
 from repro.errors import CatalogError, TypeMismatchError
 from repro.indexing import CrackerIndex
 from repro.indexing.updates import UpdatableCrackerIndex
-from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from tests.conftest import pin_defaults
 from tests.test_parallel import tables_bit_identical
 from tests.test_sql_differential import random_query, random_table
@@ -452,6 +453,84 @@ class TestIndexWritePath:
         assert db.index_for("t", "y") is not None
         assert sorted(db.sql("SELECT x FROM t WHERE x > 0").column("x").to_list()) == [
             2.0, 3.0,
+        ]
+
+
+# -- a DML WHERE is a scan ---------------------------------------------------------------
+
+
+class TestDMLSelectsThroughTheScan:
+    """UPDATE and DELETE select their rows as a query scan does: zones are
+    classified once, the WHERE is evaluated over MAYBE zones and the
+    pending tail only, and SET over the rows the WHERE matched."""
+
+    @staticmethod
+    def _spy(monkeypatch) -> tuple[list[int], list[int]]:
+        """Row counts of every WHERE (``truth_mask`` in the span kernel)
+        and every SET (``Arithmetic.evaluate``) evaluation."""
+        where_rows, set_rows = [], []
+        truth_mask, evaluate = parallel.truth_mask, Arithmetic.evaluate
+
+        def spied_mask(predicate, table):
+            where_rows.append(table.num_rows)
+            return truth_mask(predicate, table)
+
+        def spied_evaluate(self, table):
+            set_rows.append(table.num_rows)
+            return evaluate(self, table)
+
+        monkeypatch.setattr(parallel, "truth_mask", spied_mask)
+        monkeypatch.setattr(Arithmetic, "evaluate", spied_evaluate)
+        return where_rows, set_rows
+
+    def test_where_and_set_read_only_the_rows_they_need(self, monkeypatch):
+        settings.configure(zone_rows=64, delta_rows=1_000_000, shards=0)
+        n = 8 * 64
+        db = _db(t={"id": list(range(n)), "f": [float(i) for i in range(n)]})
+        db.execute(  # pending rows with ids inside the range, one of them deleted
+            "INSERT INTO t VALUES " + ", ".join(f"({110 + i}, {1000.0 + i})" for i in range(10))
+        )
+        db.execute("DELETE FROM t WHERE f = 1003.0")
+        db.execute("DELETE FROM t WHERE id = 105")  # a tombstone in the matched zone
+        where = "WHERE id >= 100 AND id < 120"
+        rows = [(i, float(i)) for i in range(n) if i != 105]
+        rows += [(110 + i, 1000.0 + i) for i in range(10) if i != 3]
+        pruned = get_registry().counter("scan.zones_pruned")
+        where_rows, set_rows = self._spy(monkeypatch)
+
+        before = pruned.value
+        assert db.execute(f"UPDATE t SET f = f + 0.5 {where}") == 19 + 9
+        assert pruned.value - before == 7  # of 8 zones, one MAYBE zone is left
+        assert sorted(where_rows) == [10, 64]  # that zone and the tail, dead rows included
+        assert set_rows == [19, 9]  # the live matched main rows, then the tail's
+        got = db.sql("SELECT id, f FROM t ORDER BY id, f").to_dicts()
+        assert [(row["id"], row["f"]) for row in got] == sorted(
+            (i, f + 0.5 if 100 <= i < 120 else f) for i, f in rows
+        )
+
+        where_rows.clear()
+        before = pruned.value
+        assert db.execute(f"DELETE FROM t {where}") == 19 + 9
+        assert pruned.value - before == 7
+        assert sorted(where_rows) == [10, 64]
+        remaining = db.sql("SELECT id FROM t ORDER BY id").column("id").to_list()
+        assert remaining == [i for i in range(n) if not 100 <= i < 120]
+
+    def test_set_is_not_evaluated_over_unmatched_rows(self):
+        # d is NULL on the row the WHERE rules out: SET is not evaluated there
+        db = _db(t={"f": [1.2345, 2.3456, 3.4567], "d": [None, 2, 2]})
+        assert db.execute("UPDATE t SET f = ROUND(f, d) WHERE d = 2") == 2
+        assert db.sql("SELECT f FROM t").column("f").to_list() == [1.2345, 2.35, 3.46]
+
+    def test_an_index_picked_selection_maps_back_to_main_positions(self):
+        x = [5.0, 1.0, 4.0, 2.0, 3.0]
+        db = _db(t={"x": x, "y": [0, 0, 0, 0, 0]})
+        db.register_index("t", "x", CrackerIndex(np.array(x)))
+        assert db.execute("UPDATE t SET y = 1 WHERE x >= 2.0 AND x < 4.5") == 3
+        assert db.sql("SELECT y FROM t").column("y").to_list() == [0, 0, 1, 1, 1]
+        assert db.execute("DELETE FROM t WHERE x >= 4.0") == 2
+        assert db.sql("SELECT x, y FROM t").to_dicts() == [
+            {"x": 1.0, "y": 0}, {"x": 2.0, "y": 1}, {"x": 3.0, "y": 1},
         ]
 
 

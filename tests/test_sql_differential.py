@@ -179,3 +179,25 @@ def test_differential_random_queries(seed: int) -> None:
             assert sorted(got_plain, key=_sort_key) == sorted(expected, key=_sort_key), (
                 f"plain engine disagrees on: {sql}"
             )
+
+
+@pytest.mark.parametrize("first_digits", [1, None])
+def test_round_reads_its_digits_row_by_row(first_digits) -> None:
+    """``ROUND(x, d)`` rounds each row to that row's ``d`` — a NULL ``d``
+    gives NULL — as the reference interpreter does, whatever row 0's
+    digits are."""
+    rows = [
+        {"id": i, "f": f, "d": d}
+        for i, (f, d) in enumerate(
+            zip([1.2345, 2.3456, 3.4567, 4.5678, -5.6789], [first_digits, 3, 0, None, 2])
+        )
+    ]
+    db = Database()
+    db.create_table("t", Table.from_dict({name: [r[name] for r in rows] for name in rows[0]}))
+    for sql in (
+        "SELECT id, ROUND(f, d) AS r FROM t ORDER BY id",
+        "SELECT id, ROUND(f, d) AS r FROM t WHERE d >= 0 ORDER BY id",
+        "SELECT id, ROUND(f) AS r, ROUND(f, 2) AS s FROM t ORDER BY id",
+    ):
+        expected = normalise(run_reference(parse(sql), [dict(r) for r in rows]))
+        assert normalise([tuple(r) for r in db.sql(sql).rows()]) == expected, sql

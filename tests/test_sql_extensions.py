@@ -14,7 +14,7 @@ from repro.engine.sql.parser import parse, parse_statement
 from repro.engine.types import DataType
 from repro.errors import CatalogError, ParseError, TypeMismatchError
 from tests.conftest import pin_defaults
-from tests.reference_interpreter import eval_expression
+from tests.reference_interpreter import eval_expression, run_reference
 
 
 @pytest.fixture()
@@ -47,7 +47,7 @@ class TestLike:
         # LIKE matches once per dictionary value and gathers through the
         # codes: over a main and over a delta tail, the payload (False at
         # NULLs) and validity are the per-row match's, bit for bit
-        values = [None, "", "a\x00", "a", "ä", "añb", "b", None, "€a", "a\x00b"]
+        values = [None, "", "a\x00", "a", "ä", "añb", "b", None, "€a", "a\x00b", "a\n", "\na"]
         pin_defaults("delta_rows")
         repro_settings.configure(delta_rows=100_000)
         main = Database()
@@ -59,7 +59,7 @@ class TestLike:
         ))
         valid = [v is not None for v in values]
         for database, table in ((main, main.get_table("u")), (pending, pending.delta_tail("u"))):
-            for pattern in ("a%", "%a%", "_", "", "a_", "%\x00", "ä%", "%b"):
+            for pattern in ("a%", "%a%", "_", "", "a_", "%\x00", "ä%", "%b", "a", "%a"):
                 for negated in (False, True):
                     like = Like(col("s"), pattern, negated)
                     truth = [eval_expression(like, {"s": v}) for v in values]
@@ -69,6 +69,11 @@ class TestLike:
                     keyword = "NOT LIKE" if negated else "LIKE"
                     rows = database.sql(f"SELECT s FROM u WHERE s {keyword} '{pattern}'")
                     assert rows.column("s").to_list() == [v for v, t in zip(values, truth) if t]
+            # a trailing newline is part of the value: LIKE matches all of it
+            assert database.sql("SELECT s FROM u WHERE s LIKE 'a'").column("s").to_list() == ["a"]
+            unlike = database.sql("SELECT s FROM u WHERE s NOT LIKE 'a'").column("s").to_list()
+            assert "a\n" in unlike and "a" not in unlike
+            assert "a\n" in database.sql("SELECT s FROM u WHERE s LIKE 'a%'").column("s").to_list()
 
     def test_case_sensitive(self, db):
         assert db.sql("SELECT a FROM t WHERE s LIKE 'banana'").num_rows == 0
@@ -142,6 +147,26 @@ class TestCase:
             "SELECT CASE WHEN a = 1 THEN 1 ELSE 2.5 END AS c FROM t ORDER BY a LIMIT 2"
         )
         assert result.column("c").to_list() == [1.0, 2.5]
+        # each branch is written under its row mask: payload, validity and
+        # type are the reference interpreter's, row for row, over a STRING,
+        # a mixed numeric, a BOOL, an all-NULL branch and a NULL ELSE
+        cases = {
+            "CASE WHEN b > 0 THEN s ELSE 'low' END": DataType.STRING,
+            "CASE WHEN a = 1 THEN a WHEN a = 2 THEN b WHEN a = 3 THEN 7 END": DataType.FLOAT64,
+            "CASE WHEN a < 3 THEN a > 1 ELSE s IS NULL END": DataType.BOOL,
+            "CASE WHEN a > 2 THEN LENGTH(s) WHEN a > 1 THEN NULL ELSE a END": DataType.INT64,
+            "CASE WHEN s IS NULL THEN 'none' WHEN a > 2 THEN UPPER(s) ELSE NULL END": DataType.STRING,
+        }
+        rows = db.get_table("t").to_dicts()
+        for case, dtype in cases.items():
+            sql = f"SELECT {case} AS c FROM t"
+            got = db.sql(sql).column("c")
+            want = [value for value, in run_reference(parse(sql), rows)]
+            assert got.dtype is dtype and got.to_list() == want, case
+            fill = {DataType.STRING: "", DataType.BOOL: False}.get(dtype, 0)
+            assert [v for v, w in zip(got.data.tolist(), want) if w is None] == [
+                fill for w in want if w is None
+            ], case
 
     def test_case_without_when_raises(self):
         with pytest.raises(ParseError):
