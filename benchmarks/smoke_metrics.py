@@ -28,7 +28,7 @@ from repro.engine import operators as ops
 from repro.engine.catalog import Database
 from repro.engine.column import Column
 from repro.engine.expressions import col
-from repro.engine.sql import parser
+from repro.engine.sql import parser, tokenize
 from repro.engine.statistics import ColumnStatistics
 from repro.engine.table import Table
 from repro.engine.types import DataType, coerce_array, infer_type
@@ -849,15 +849,18 @@ def check_plan_templates(statements: int = 500, rows: int = 20_000) -> int:
     return template_hits
 
 
-def check_values_skip_the_grammar(rows: int = 250) -> int:
-    """Guard the VALUES fast path with counts, not times: a ``rows``-row ×
+def check_values_skip_the_grammar(rows: int = 250) -> tuple[int, int, int]:
+    """Guard the VALUES reader with counts, not times: a ``rows``-row ×
     5-column INSERT of plain literals (NULL, TRUE/FALSE and ``''``-escaped
-    quotes included) calls ``_Parser._or_expr`` 0 times — a ``-1`` or
-    ``1 + 1`` item still calls it once — and the delta tail's numeric
-    columns are views of the store's column buffers
-    (``np.shares_memory``): reading pending rows copies none of them, and
-    an append that fits the buffers leaves an earlier tail's memory
-    shared with the next.  Returns the calls the two grammar items made."""
+    quotes included) tokenizes to one ``ROWS`` token (6 tokens in all:
+    INSERT, INTO, the name, VALUES, ROWS, EOF), builds no ``Literal`` and
+    calls ``_Parser._or_expr`` 0 times — a ``-1`` or ``1 + 1`` item still
+    calls it once — and the delta tail's numeric columns are views of
+    the store's column buffers (``np.shares_memory``): reading pending
+    rows copies none of them, and an append that fits the buffers leaves
+    an earlier tail's memory shared with the next.  Returns the calls
+    the two grammar items made, the batch's token count and the
+    literals it built."""
     db = Database()
     db.create_table("readings", {
         "id": [0], "ts": [0], "val": [0.5], "ok": [True], "kind": ["a"],
@@ -867,19 +870,26 @@ def check_values_skip_the_grammar(rows: int = 250) -> int:
         f"{'TRUE' if i % 2 else 'FALSE'}, 'k''{i % 8}')"
         for i in range(1, rows + 1)
     )
+    token_count = len(tokenize(batch))
     original = parser._Parser._or_expr
-    calls = []
+    original_literal = expressions.Literal.__init__
+    calls, literals = [], []
 
     def spy(self, *args, **kwargs):
         calls.append(1)
         return original(self, *args, **kwargs)
 
+    def literal_spy(self, *args, **kwargs):
+        literals.append(1)
+        original_literal(self, *args, **kwargs)
+
     saved = settings.snapshot()
     try:
         settings.configure(delta_rows=settings.ROWS["delta_rows"].default)
         parser._Parser._or_expr = spy
+        expressions.Literal.__init__ = literal_spy
         assert db.execute(batch) == rows
-        plain = len(calls)
+        plain, built = len(calls), len(literals)
         assert db.execute("INSERT INTO readings VALUES (-1, 1 + 1, NULL, TRUE, 'x')") == 1
         grammar = len(calls) - plain
         store = db.delta_store_if_dirty("readings")
@@ -888,7 +898,10 @@ def check_values_skip_the_grammar(rows: int = 250) -> int:
         second = db.delta_tail("readings")
     finally:
         parser._Parser._or_expr = original
+        expressions.Literal.__init__ = original_literal
         settings.restore(saved)
+    assert token_count == 6, f"a {rows}-row plain-literal INSERT lexed to {token_count} tokens"
+    assert built == 0, f"a {rows}-row plain-literal INSERT built {built} Literals"
     assert plain == 0, f"a {rows}-row plain-literal INSERT called _or_expr {plain}x"
     assert grammar == 2, f"two expression items called _or_expr {grammar}x"
     assert store is not None and first.num_rows == rows + 1 and second.num_rows == rows + 2
@@ -899,7 +912,7 @@ def check_values_skip_the_grammar(rows: int = 250) -> int:
             f"an append that fit moved tail {name!r}"
         )
     assert first.column("kind").to_list()[0] == "k'1"
-    return grammar
+    return grammar, token_count, built
 
 
 def check_linked_views_share_selections(zone_rows: int = 4_096) -> int:
@@ -1095,7 +1108,7 @@ def main() -> int:
     straddle_ratio = check_straddling_group_by_ratio()
     live_calls = check_type_errors_raise_at_bind()
     template_hits = check_plan_templates()
-    grammar_calls = check_values_skip_the_grammar()
+    grammar_calls, batch_tokens, batch_literals = check_values_skip_the_grammar()
     linked_calls = check_linked_views_share_selections()
     float_groupings = check_pooled_float_aggregate_groups_once()
     shard_zones_pruned = check_shard_key_brushes_prune_zones()
@@ -1138,8 +1151,9 @@ def main() -> int:
           f"read {update_speedup:.1f}x faster than a rebuild,",
           f"0 predicate evaluations before a type error ({live_calls} for a live brush),",
           f"{template_hits} of 500 fresh-literal statements re-bound a plan template,",
-          f"a 250-row VALUES batch parsed with 0 expression-grammar calls "
-          f"({grammar_calls} for two expression items) into shared tail buffers,",
+          f"a 250-row VALUES batch lexed to {batch_tokens} tokens with {batch_literals} "
+          f"Literals and 0 expression-grammar calls ({grammar_calls} for two expression "
+          "items) into shared tail buffers,",
           f"the first of six linked views evaluated {linked_calls} spans, the other five 0,",
           f"{float_groupings} group_rows call for a pooled float SUM over 2 shard tasks,",
           f"{shard_zones_pruned} zones pruned by 6 shard-key brushes with no index,",

@@ -256,6 +256,8 @@ _NONE = type(None)
 #: the type of a literal of each Python kind (a bare NULL's is UNKNOWN)
 _KIND_TYPES = {_NONE: DataType.UNKNOWN, bool: DataType.BOOL, int: DataType.INT64,
                float: DataType.FLOAT64, str: DataType.STRING}
+#: the Python kinds of a plain VALUES value
+_PLAIN = frozenset(_KIND_TYPES)
 #: per column type, the Python kinds whose literals are assignable to it
 _STORABLE = {
     dtype: frozenset(kind for kind, source in _KIND_TYPES.items() if assignable(source, dtype))
@@ -264,16 +266,18 @@ _STORABLE = {
 
 
 def insert_columns(
-    rows: Sequence[Sequence[Expression]], names: Sequence[str], schema: Schema
+    rows: Sequence[Sequence[Any]], names: Sequence[str], schema: Schema
 ) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """An INSERT's VALUES rows for the columns ``names`` as one
     ``(payload, validity)`` batch per column of ``schema``, in its order
     (validity None when every value is valid) — an unnamed column all
     NULL.
 
-    A column's values are checked and coerced together: each plain
-    literal's type must be :func:`~repro.engine.types.assignable` to
-    the column's, any other item is bound for the column and folded
+    An item is a plain value (the lexer read the whole list), a
+    :class:`Literal` or another expression.  A column's values are
+    checked and coerced together: each plain value's type, or plain
+    literal's, must be :func:`~repro.engine.types.assignable` to the
+    column's, any other item is bound for the column and folded
     (:func:`~repro.engine.planner.bind_expression`, :func:`~repro.engine.
     expressions.fold_constant`), then :func:`coerce_values` stores them.
     A rejected batch raises what its first failing row raises on its own
@@ -295,7 +299,7 @@ def insert_columns(
 
 
 def _insert_columns(
-    rows: Sequence[Sequence[Expression]], names: Sequence[str], schema: Schema
+    rows: Sequence[Sequence[Any]], names: Sequence[str], schema: Schema
 ) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """:func:`insert_columns`, raising the first error it meets."""
     width = len(names)
@@ -312,14 +316,22 @@ def _insert_columns(
 
 
 def _column_values(
-    items: Sequence[Expression], schema: Schema, name: str
+    items: Sequence[Any], schema: Schema, name: str
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """One column's VALUES items as ``(payload, validity)``."""
+    """One column's VALUES items as ``(payload, validity)``: a plain
+    value is itself, a :class:`Literal` its value, any other item is
+    folded (:func:`_folded`)."""
     dtype = schema.type_of(name)
-    values = [
-        item.value if type(item) is Literal else _folded(item, schema, name) for item in items
-    ]
+    values = items
     kinds = set(map(type, values))
+    if not kinds <= _PLAIN:
+        values = [
+            item if type(item) in _PLAIN
+            else item.value if type(item) is Literal
+            else _folded(item, schema, name)
+            for item in items
+        ]
+        kinds = set(map(type, values))
     if not kinds <= _STORABLE[dtype]:  # a plain literal of the wrong type
         wrong = next(value for value in values if type(value) not in _STORABLE[dtype])
         bind_expression(Literal(wrong), schema, "values", name)  # raises as binding would
@@ -335,7 +347,7 @@ def _folded(item: Expression, schema: Schema, name: str) -> Any:
 
 
 def coerce_values(
-    values: list, kinds: set[type], dtype: DataType, column: str
+    values: Sequence, kinds: set[type], dtype: DataType, column: str
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Python values of the ``kinds`` a ``dtype`` column can store
     (:data:`_STORABLE`) as its ``(payload, validity)`` in one conversion

@@ -286,6 +286,11 @@ _LITERAL_TYPES = {
 }
 
 
+def _outside_int64(value: int) -> TypeMismatchError:
+    """The error for an integer literal that INT64 cannot hold."""
+    return TypeMismatchError(f"integer literal {value} is outside the INT64 range")
+
+
 class Literal(Expression):
     """A constant value (int, float, bool, str, or None).  A NULL's
     ``dtype`` is UNKNOWN until binding types it (:meth:`Expression.bind`);
@@ -311,10 +316,12 @@ class Literal(Expression):
         dtype = DataType.FLOAT64 if self.dtype is DataType.UNKNOWN else self.dtype
         valid = self.value is not None
         fill = self.value if valid else _null_fill_value(dtype)
+        try:
+            data = np.full(table.num_rows, fill, dtype.numpy_dtype)
+        except OverflowError:
+            raise _outside_int64(fill) from None
         return column_from_parts(
-            np.full(table.num_rows, fill, dtype.numpy_dtype),
-            dtype,
-            None if valid else np.zeros(table.num_rows, dtype=bool),
+            data, dtype, None if valid else np.zeros(table.num_rows, dtype=bool)
         )
 
     def output_type(self, schema: Schema) -> DataType:
@@ -440,7 +447,10 @@ class Comparison(Expression):
             result = _compare_codes(inner.dictionary(), literal.value, op)
             get_registry().counter("scan.dict_filters").inc()
         else:
-            value = target.numpy_dtype.type(literal.value)
+            try:
+                value = target.numpy_dtype.type(literal.value)
+            except OverflowError:
+                raise _outside_int64(literal.value) from None
             result = _COMPARATORS[op](inner.data.astype(target.numpy_dtype, copy=False), value)
         return column_from_parts(
             np.asarray(result, dtype=bool), DataType.BOOL, inner.validity

@@ -75,7 +75,7 @@ from repro.engine import shards
 from repro.engine.expressions import Expression, truth_mask
 from repro.engine.sql.ast import AggregateCall, OrderItem
 from repro.engine.table import Table, concat_tables
-from repro.errors import ExecutionError, ResourceError
+from repro.errors import ExecutionError, ReproError, ResourceError
 from repro.obs.metrics import get_registry
 from repro.obs.profile import PlanProfiler
 from repro.obs.tracing import trace
@@ -191,7 +191,7 @@ def _run_batch(fn: Callable[..., Any], arg_tuples: Sequence[tuple]) -> list[Any]
                 results[i] = _retry_morsel_serially(fn, arg_tuples[i], (batch, i), exc)
             if ctx is not None:
                 ctx.check()
-        except ResourceError:
+        except ReproError:
             for later in futures[i + 1 :]:
                 later.cancel()
             raise
@@ -219,7 +219,9 @@ def _retry_morsel_serially(
 
     Retries call the kernel directly — no pool, no fault injection — so
     an injected (or transient) crash recovers to the exact result the
-    worker would have produced.  Exhausted retries surface as
+    worker would have produced, and a :class:`~repro.errors.ReproError`
+    a retry raises (a literal INT64 cannot hold) is the statement's own,
+    raised as serial execution raises it.  Exhausted retries surface as
     :class:`~repro.errors.ExecutionError` chained to the last failure.
     """
     registry = get_registry()
@@ -238,7 +240,7 @@ def _retry_morsel_serially(
                 attempt=attempt + 1,
             ):
                 return fn(*args)
-        except ResourceError:
+        except ReproError:
             raise
         except Exception as retry_exc:
             last = retry_exc

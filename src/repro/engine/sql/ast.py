@@ -9,9 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from operator import setitem
-from typing import Callable, Collection, Iterator
+from typing import Any, Callable, Collection, Iterator, Sequence
 
-from repro.engine.expressions import Expression, strip_outer_parens
+from repro.engine.expressions import Expression, Literal, strip_outer_parens
 
 AGGREGATE_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 
@@ -225,13 +225,19 @@ class InsertStatement:
 
     table: str
     columns: list[str]  # empty = positional
-    rows: list[list[Expression]]
+    #: per row, an :class:`Expression` per item, or the Python value of
+    #: each plain literal (tuples) when the lexer read the whole list
+    #: (``TokenType.ROWS``)
+    rows: Sequence[Sequence[Any]]
 
     def to_sql(self) -> str:
         """Render back to SQL text."""
         cols = f" ({', '.join(self.columns)})" if self.columns else ""
         rows = ", ".join(
-            "(" + ", ".join(v.to_sql() for v in row) + ")" for row in self.rows
+            "(" + ", ".join(
+                (v if isinstance(v, Expression) else Literal(v)).to_sql() for v in row
+            ) + ")"
+            for row in self.rows
         )
         return f"INSERT INTO {self.table}{cols} VALUES {rows}"
 

@@ -16,9 +16,15 @@ Grammar sketch (precedence low → high)::
     primary     := literal | identifier ('.' identifier)? | '(' or_expr ')'
 
 Aggregates inside HAVING are rewritten into references to synthetic
-columns that the executor materialises alongside the group keys.  A
-VALUES item that is a lone literal token skips the expression levels
-(``_values_row``): an INSERT batch is mostly such items.
+columns that the executor materialises alongside the group keys.
+
+An INSERT's VALUES list reaches the parser in one of two forms.  A
+plain list (only NUMBER, STRING, NULL, TRUE and FALSE items) is one
+``ROWS`` token the lexer already read into rows of Python values, which
+become :attr:`InsertStatement.rows` as they are.  Any other list comes
+as tokens, and ``_values_row`` reads it a row at a time: an item that is
+a lone literal token skips the expression levels after one token of
+lookahead, anything else (``-1``, ``1 + 1``, a CASE) descends them.
 """
 
 from __future__ import annotations
@@ -34,12 +40,10 @@ from repro.engine.sql.ast import (
     SelectItem,
     SelectStatement,
 )
-from repro.engine.sql.lexer import Token, TokenType, tokenize
+from repro.engine.sql.lexer import VALUE_WORDS, Token, TokenType, literal_value, tokenize
 from repro.errors import ParseError
 
 _COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
-#: the keywords that are literal values on their own
-_VALUE_WORDS = {"NULL": None, "TRUE": True, "FALSE": False}
 
 
 def _plain_literal(token: Token) -> ex.Literal | None:
@@ -47,8 +51,8 @@ def _plain_literal(token: Token) -> ex.Literal | None:
     token stands for, else None."""
     if token.type is TokenType.NUMBER or token.type is TokenType.STRING:
         return ex.Literal(token.value)
-    if token.type is TokenType.KEYWORD and token.value in _VALUE_WORDS:
-        return ex.Literal(_VALUE_WORDS[token.value])
+    if token.type is TokenType.KEYWORD and token.value in VALUE_WORDS:
+        return ex.Literal(literal_value("word", token.value, token.position))
     return None
 
 
@@ -199,13 +203,17 @@ class _Parser:
                 columns.append(self._identifier("column name"))
             self._expect(TokenType.PUNCT, ")")
         self._expect(TokenType.KEYWORD, "VALUES")
+        plain = self._accept(TokenType.ROWS)
+        if plain is not None:
+            return InsertStatement(table=table, columns=columns, rows=plain.value)
         rows = [self._values_row()]
         while self._accept(TokenType.PUNCT, ","):
             rows.append(self._values_row())
         return InsertStatement(table=table, columns=columns, rows=rows)
 
     def _values_row(self) -> list[ex.Expression]:
-        """One parenthesised VALUES row.  An item that is a lone literal
+        """One parenthesised row of a VALUES list the lexer did not read
+        (not plain, see the module docstring).  An item that is a lone literal
         token — NUMBER, STRING, NULL, TRUE or FALSE — followed by ``,`` or
         ``)`` becomes its :class:`Literal` after one token of lookahead;
         anything else (``-1``, ``1+1``, a CASE, a function call) descends

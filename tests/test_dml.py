@@ -25,9 +25,11 @@ from hypothesis import strategies as st
 from repro import settings
 from repro.engine import Database, Table, parallel
 from repro.engine.column import Column
-from repro.engine.expressions import Arithmetic
+from repro.engine.expressions import Arithmetic, Literal
+from repro.engine.sql import TokenType, tokenize
+from repro.engine.sql.parser import parse_statement
 from repro.engine.types import DataType
-from repro.errors import CatalogError, TypeMismatchError
+from repro.errors import CatalogError, ReproError, TypeMismatchError
 from repro.indexing import CrackerIndex
 from repro.indexing.updates import UpdatableCrackerIndex
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
@@ -860,3 +862,158 @@ def test_rejected_values_batch_changes_nothing(rows, defects):
         assert db.delta_store_if_dirty("t").pending_inserts == 1
         tables_bit_identical(db.get_table("t"), before)
         db.close()
+
+
+# -- the VALUES reader equals the token path ------------------------------------------
+
+_NULL_WORDS = st.sampled_from(["NULL", "null", "Null", "nUlL"])
+_BOOL_WORDS = st.sampled_from(["TRUE", "True", "tRuE", "FALSE", "false", "FaLsE"])
+#: unsigned numbers: ints past 2**53 and 2**63, and every float shape
+_NUMBER_TEXT = st.one_of(
+    st.integers(0, 2**65).map(str),
+    st.from_regex(
+        r"\A(?:[0-9]{1,3}\.[0-9]{0,3}|\.[0-9]{1,3}|[0-9]{1,3})(?:[eE][+-]?[0-9]{1,2})?\Z"
+    ),
+)
+_STRING_TEXT = st.text(
+    st.characters(exclude_categories=("Cs",)) | st.sampled_from(list("',)-\x00٣é")),
+    max_size=6,
+).map(_string_sql)
+_PLAIN_CELLS = {
+    "i": st.one_of(_NULL_WORDS, _NUMBER_TEXT),
+    "f": st.one_of(_NULL_WORDS, _NUMBER_TEXT),
+    "s": st.one_of(_NULL_WORDS, _STRING_TEXT),
+    "b": st.one_of(_NULL_WORDS, _BOOL_WORDS),
+}
+_SPACES = st.sampled_from(["", " ", "\t", "\n", " \t\n "])
+_TAILS = st.sampled_from(["", ";", " ;\n", ";;", ",", ", ;"])
+
+
+def _reader_outcome(sql: str):
+    """``(statement, None)`` or ``(None, (error type, message))``."""
+    try:
+        return parse_statement(sql), None
+    except ReproError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _typed_rows(statement) -> list[list[tuple[type, str]]]:
+    """``(type, repr)`` of every VALUES value; a Literal stands for its value."""
+    return [
+        [(type(v), repr(v)) for v in (
+            item.value if isinstance(item, Literal) else item for item in row
+        )]
+        for row in statement.rows
+    ]
+
+
+@hypothesis_settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(st.fixed_dictionaries(_PLAIN_CELLS), min_size=1, max_size=6),
+    names=_COLUMN_LISTS,
+    space=_SPACES,
+    tail=_TAILS,
+    short=st.booleans(),
+)
+@example(  # ints past 2**53 and 2**63 (the last is too big for INT64)
+    rows=[{"i": "9007199254740993", "f": "18446744073709551617", "s": "'a'", "b": "TRUE"},
+          {"i": "9223372036854775808", "f": "1", "s": "NULL", "b": "FALSE"}],
+    names=None, space=" ", tail="", short=False,
+)
+@example(  # every float shape, integral ones into INT64
+    rows=[{"i": "1e-0", "f": "1.", "s": "'x'", "b": "NULL"},
+          {"i": "1E+3", "f": ".5", "s": "'y'", "b": "NULL"}],
+    names=None, space="", tail="", short=False,
+)
+@example(  # quotes, separators, a comment opener, NUL, non-ASCII, a Unicode digit
+    rows=[{"i": "1", "f": "2", "s": "'it''s, (x) -- y'", "b": "TRUE"},
+          {"i": "2", "f": "3", "s": "'\x00é٣'", "b": "FALSE"}],
+    names=None, space=" ", tail="", short=False,
+)
+@example(  # mixed-case words, tabs and newlines, a trailing ;
+    rows=[{"i": "nUlL", "f": "null", "s": "Null", "b": "tRuE"}],
+    names=None, space="\t\n", tail=";", short=False,
+)
+@example(rows=[{"i": "1", "f": "2", "s": "'a'", "b": "TRUE"}], names=None, space=" ",
+         tail=";;", short=False)
+@example(rows=[{"i": "1", "f": "2", "s": "'a'", "b": "TRUE"}], names=None, space=" ",
+         tail=",", short=False)
+@example(  # a column list and a short row
+    rows=[{"i": "1", "f": "2", "s": "'a'", "b": "TRUE"}] * 2,
+    names=["s", "i"], space=" ", tail="", short=True,
+)
+def test_values_reader_equals_token_path(rows, names, space, tail, short):
+    """A plain VALUES list read in one step (``TokenType.ROWS``) gives what
+    the token path gives for the same text with a ``-- x`` comment after
+    VALUES (which no plain list holds): the same rows by value and Python
+    type, the same table pending and merged, or the same error with no
+    WAL record.  The comment replaces six spaces, so error positions line
+    up too."""
+    settings.configure(delta_rows=1_000_000)
+    columns = names or list(_VALUES_TYPES)
+    cells = [[row[name] for name in columns] for row in rows]
+    if short:
+        cells[-1] = cells[-1][:-1]
+    separator = f"{space},{space}"
+    listed = f" ({', '.join(names)})" if names else ""
+    body = separator.join(f"({space}{separator.join(row)}{space})" for row in cells) + tail
+    read = f"INSERT INTO t{listed} VALUES      {body}"
+    forced = f"INSERT INTO t{listed} VALUES -- x\n{body}"
+    assert len(read) == len(forced)
+    assert TokenType.ROWS not in {token.type for token in tokenize(forced)}
+    plain = bool(cells[-1]) and tail.strip() in ("", ";")
+    assert (tokenize(read)[-2].type is TokenType.ROWS) == plain
+
+    (statement, error), (forced_statement, forced_error) = map(_reader_outcome, (read, forced))
+    assert error == forced_error
+    if error is None:
+        assert all(type(item) is Literal for row in forced_statement.rows for item in row)
+        assert _typed_rows(statement) == _typed_rows(forced_statement)
+
+    outcomes = []
+    with tempfile.TemporaryDirectory() as path_a, tempfile.TemporaryDirectory() as path_b:
+        for path, sql in ((path_a, read), (path_b, forced)):
+            db = _seeded(path)
+            logged = db.durability.wal.records_logged
+            try:
+                db.execute(sql)
+                failure = None
+            except ReproError as exc:
+                failure = type(exc), str(exc)
+                assert db.durability.wal.records_logged == logged
+                assert db.delta_store_if_dirty("t") is None
+            outcomes.append((db, failure))
+        (db_read, failure), (db_forced, forced_failure) = outcomes
+        assert failure == forced_failure
+        tables_bit_identical(db_read.get_table("t"), db_forced.get_table("t"))
+        db_read.flush_deltas()
+        db_forced.flush_deltas()
+        tables_bit_identical(db_read.get_table("t"), db_forced.get_table("t"))
+        db_read.close()
+        db_forced.close()
+
+
+# -- integer literals outside INT64 --------------------------------------------------
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT -9223372036854775808 AS x FROM t",
+    "SELECT i FROM t WHERE i > -9223372036854775808",
+    "UPDATE t SET i = -9223372036854775808",
+    "INSERT INTO t VALUES (-9223372036854775808, 1.0, 'x', TRUE)",
+])
+def test_int_literal_outside_int64_raises_type_mismatch(sql):
+    """``-9223372036854775808`` negates a literal one past INT64's top, so
+    it is a type error that names the value, not a bare OverflowError,
+    wherever it is evaluated; the table is left as it was."""
+    db = _seeded()
+    before = db.get_table("t")
+    with pytest.raises(TypeMismatchError, match="9223372036854775808"):
+        db.execute(sql)
+    tables_bit_identical(db.get_table("t"), before)
+
+
+def test_int_literal_past_int64_into_float64_is_stored():
+    db = _seeded()
+    assert db.execute("INSERT INTO t (f) VALUES (9223372036854775808)") == 1
+    assert db.get_table("t").column("f").to_list()[-1] == 9.223372036854776e18

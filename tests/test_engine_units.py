@@ -209,13 +209,15 @@ class TestLiteralColumn:
         assert got.to_list() == [value] * rows
 
     def test_out_of_range_int_raises_like_the_list(self):
+        """A list refuses an int INT64 cannot hold, and so does a literal,
+        as a type error that names the value."""
         table = Table.from_dict({"a": [1, 2]})
         for value in (2**64, -(2**64)):
             with pytest.raises(OverflowError):
                 Column([value] * 2, dtype=DataType.INT64)
-            with pytest.raises(OverflowError):
+            with pytest.raises(TypeMismatchError, match=f"literal {value} is outside"):
                 Literal(value).evaluate(table)
-        with pytest.raises(OverflowError):  # a uint64 list wraps this one to -2**63
+        with pytest.raises(TypeMismatchError):  # a uint64 list wraps this one to -2**63
             Literal(2**63).evaluate(table)
 
     def test_key_is_built_on_first_read(self):

@@ -1,5 +1,8 @@
 """Detailed tests of the SQL lexer, parser, expressions and planner."""
 
+import re
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -66,6 +69,30 @@ class TestLexer:
         with pytest.raises(LexerError, match=r"unexpected character '@' \(at position 7\)"):
             tokenize("SELECT @a")
 
+    @pytest.mark.parametrize("text", ["1e", "2.5E+", ".5e-"])
+    def test_malformed_exponent_is_a_lexer_error(self, text):
+        """An exponent without digits is one malformed number, not a
+        number and a name, and raises where the number starts."""
+        db = Database()
+        db.create_table("t", {"a": [1], "b": [0.5], "s": ["x"]})
+        select, insert = f"SELECT {text} FROM t", f"INSERT INTO t VALUES (1, {text}, 'x')"
+        for sql in (select, insert):
+            message = f"malformed number '{text}' (at position {sql.index(text)})"
+            with pytest.raises(LexerError, match=re.escape(message)):
+                tokenize(sql)
+            with pytest.raises(LexerError, match=re.escape(message)):
+                db.execute(sql)
+        assert db.get_table("t").num_rows == 1
+
+    def test_values_reader_is_linear_in_trailing_space(self):
+        """A plain VALUES list read whole, or refused for what trails it,
+        in linear time: 100k spaces take milliseconds, not minutes."""
+        spaces = " " * 100_000
+        start = time.perf_counter()
+        assert tokenize(f"INSERT INTO t VALUES (1){spaces};{spaces}")[-2].type is TokenType.ROWS
+        assert tokenize(f"INSERT INTO t VALUES (1){spaces}x")[-2].type is TokenType.IDENTIFIER
+        assert time.perf_counter() - start < 5.0
+
     @given(_SQL_PIECES)
     @settings(max_examples=400, deadline=None)
     @example("SELECT x -- a comment\n FROM t -- and another")
@@ -78,10 +105,10 @@ class TestLexer:
 
 
 def _lexed(lexer, sql):
-    """``(type, kind, value, position)`` per token, or the error raised."""
+    """``(type, kind, value, position)`` per token, or the LexerError raised."""
     try:
         return [(t[0], type(t[1]), t[1], t[2]) for t in lexer(sql)]
-    except (LexerError, ValueError) as exc:
+    except LexerError as exc:
         return type(exc), str(exc)
 
 
@@ -130,7 +157,11 @@ def _reference_tokens(sql):
                 else:
                     break
             text = sql[start:i]
-            yield TokenType.NUMBER, float(text) if seen_dot or seen_exp else int(text), start
+            try:
+                value = float(text) if seen_dot or seen_exp else int(text)
+            except ValueError:  # an exponent without digits: 1e, 2.5E+
+                raise LexerError(f"malformed number {text!r}", start) from None
+            yield TokenType.NUMBER, value, start
             continue
         if ch == "'":
             start = i
