@@ -10,6 +10,7 @@ CI runs this after the test suite (``python benchmarks/smoke_metrics.py``).
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import json
 import sys
@@ -23,7 +24,7 @@ import numpy as np
 from common import metrics_snapshot, print_table
 
 from repro import settings
-from repro.engine import expressions, parallel, planner
+from repro.engine import expressions, parallel, planner, statistics
 from repro.engine import operators as ops
 from repro.engine.catalog import Database
 from repro.engine.column import Column
@@ -551,15 +552,23 @@ def check_views_run_on_group_kernel(n: int = 200_000, repeats: int = 3) -> float
     return ratio
 
 
-def check_update_resummarises_assigned_columns(n: int = 200_000, repeats: int = 5) -> float:
-    """Guard on-read column statistics with counts, a ratio and answers:
-    over ``n`` rows x 5 columns, a scan after ``UPDATE … SET qty = …``
-    must build no ``ColumnStatistics`` (it completes its zone map only);
-    reading ``qty`` from the next ``Database.statistics`` must build
-    exactly one entry and run at least 5x faster than building every
-    column's; the scan must answer as it does over the same rows in a
-    fresh database, and the ``qty`` entry must equal the rebuilt one.
-    Returns the speedup."""
+def check_update_resummarises_assigned_columns(
+    n: int = 200_000, repeats: int = 5, zone_rows: int = 4_096
+) -> tuple[float, int, int]:
+    """Guard on-write zone maps and on-read column statistics with counts,
+    a ratio and answers: over ``n`` rows x 5 columns in ``zone_rows``-row
+    zones, each ``UPDATE … SET qty = …`` of 100 consecutive ids must
+    re-summarise (``statistics.summarise_zone`` calls) exactly the one
+    or two zones of ``qty`` they hit and none of any other column, and the scan after it must
+    re-summarise no zone and build no ``ColumnStatistics``; reading
+    ``qty`` from the next ``Database.statistics`` must build exactly one
+    entry and run at least 5x faster than building every column's; the
+    scan must answer as it does over the same rows in a fresh database,
+    and the ``qty`` entry must equal the rebuilt one.  Returns the
+    speedup, the most ``qty`` zones one UPDATE re-summarised and the
+    zone count."""
+    saved = settings.snapshot()
+    settings.configure(threads=0, zone_rows=zone_rows)
     rng = np.random.default_rng(0)
     kinds = np.array([f"kind_{i}" for i in range(8)], dtype=object)
     ts = np.cumsum(rng.integers(1, 5, n))
@@ -577,12 +586,18 @@ def check_update_resummarises_assigned_columns(n: int = 200_000, repeats: int = 
     )
     db.sql(read)
     db.statistics("readings").column("qty")
+    num_zones = db.zone_map("readings").num_zones
     original = ColumnStatistics.__dict__["from_column"]
-    built = []
+    kernel = statistics.summarise_zone
+    built, summarised = [], []
 
     def spy(column):
         built.append(column)
         return original.__func__(ColumnStatistics, column)
+
+    def kernel_spy(data, validity, start, stop):
+        summarised.append(data)
+        return kernel(data, validity, start, stop)
 
     def timed(read_columns) -> tuple[float, dict]:
         started = time.perf_counter()
@@ -590,16 +605,30 @@ def check_update_resummarises_assigned_columns(n: int = 200_000, repeats: int = 
         return time.perf_counter() - started, entries
 
     completed_s = rebuilt_s = float("inf")
-    saved = settings.snapshot()
+    most = 0
     try:
-        settings.configure(threads=0)
         ColumnStatistics.from_column = staticmethod(spy)
-        for _ in range(repeats):
-            lo = int(rng.integers(0, n - 100))
+        statistics.summarise_zone = kernel_spy
+        for attempt in range(repeats):  # the first straddles the boundary of zones 0 and 1
+            lo = zone_rows - 50 if attempt == 0 else int(rng.integers(0, n - 100))
+            summarised.clear()
             db.execute(f"UPDATE readings SET qty = qty + 1 WHERE id >= {lo} AND id < {lo + 100}")
+            main = db.main_table("readings")
+            names = {id(main.column(name).data): name for name in main.column_names}
+            per_column = collections.Counter(names.get(id(data)) for data in summarised)
+            hit = (lo + 99) // zone_rows - lo // zone_rows + 1  # ids are row positions
+            assert per_column == {"qty": hit}, (
+                f"a 100-id UPDATE over {hit} zones re-summarised {dict(per_column)} "
+                f"of {num_zones} zones"
+            )
+            most = max(most, per_column["qty"])
             built.clear()
+            summarised.clear()
             patched = db.sql(read)
             assert not built, f"a scan after an UPDATE built {len(built)} column statistics"
+            assert not summarised, (
+                f"a scan after an UPDATE re-summarised {len(summarised)} of {num_zones} zones"
+            )
             seconds, completed = timed(lambda: {"qty": db.statistics("readings").column("qty")})
             completed_s = min(completed_s, seconds)
             assert len(built) == 1, (
@@ -622,13 +651,14 @@ def check_update_resummarises_assigned_columns(n: int = 200_000, repeats: int = 
                 assert np.array_equal(patched.column(name).data, rebuilt.column(name).data), name
     finally:
         ColumnStatistics.from_column = original
+        statistics.summarise_zone = kernel
         settings.restore(saved)
     speedup = rebuilt_s / completed_s
     assert speedup >= 5.0, (
         f"reading qty's statistics after an UPDATE is only {speedup:.1f}x building "
         f"every column's ({completed_s * 1e3:.2f} ms vs {rebuilt_s * 1e3:.2f} ms)"
     )
-    return speedup
+    return speedup, most, num_zones
 
 
 @contextlib.contextmanager
@@ -1100,7 +1130,7 @@ def main() -> int:
     columns_taken = check_scan_gathers_once()
     join_zones_pruned = check_join_right_scan_prunes()
     index_speedup = check_index_scans_share_the_pipeline()
-    update_speedup = check_update_resummarises_assigned_columns()
+    update_speedup, update_zones, update_of = check_update_resummarises_assigned_columns()
     interval_coverage = check_sampled_intervals_cover()
     fast_path_speedup = check_column_fast_path()
     encode_speedup = check_strings_encode_without_sorting_rows()
@@ -1147,8 +1177,9 @@ def main() -> int:
           f"indexed / unindexed 1 % GROUP BY {index_speedup:.1f}x faster,",
           f"sampled-interval coverage {interval_coverage:.2f},",
           f"SeeDB / equivalent GROUP BYs {views_ratio:.2f}x,",
-          f"0 column statistics built by a scan after an UPDATE, the first statistics "
-          f"read {update_speedup:.1f}x faster than a rebuild,",
+          f"a 100-id UPDATE re-summarised at most {update_zones} of {update_of} zones of qty "
+          f"and 0 of other columns, the scan after it 0 zones and 0 column statistics, "
+          f"the first statistics read {update_speedup:.1f}x faster than a rebuild,",
           f"0 predicate evaluations before a type error ({live_calls} for a live brush),",
           f"{template_hits} of 500 fresh-literal statements re-bound a plan template,",
           f"a 250-row VALUES batch lexed to {batch_tokens} tokens with {batch_literals} "

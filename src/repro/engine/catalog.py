@@ -283,6 +283,7 @@ class Database:
         *,
         moved: bool = False,
         changed: Collection[str] = (),
+        rows: Sequence[int] = (),
         zones: dict[int, ZoneMap] | None = None,
         layout: shardsmod.ShardLayout | None = None,
     ) -> None:
@@ -291,7 +292,8 @@ class Database:
 
         The writer passes what it *observed*: ``moved`` — a surviving row
         changed position; ``changed`` — the columns whose values changed
-        in place; ``layout`` — the shard layout that clusters ``main``;
+        in place, at the main positions ``rows``; ``layout`` — the shard
+        layout that clusters ``main``;
         ``zones`` — zone maps that already describe new contents.
         Contents are *new* when no table of that name is registered
         (``replace_table`` retires the old one first).  From that alone:
@@ -306,19 +308,19 @@ class Database:
         clustering merge, re-shard)
         rows appended (pure-append        extended    kept      fresh    new
         merge)
-        ``changed`` in place (UPDATE)     patched     others    touched  new
-                                                      kept
+        ``changed`` at ``rows`` in place  patched     others    touched  new
+        (UPDATE)                                      kept
         same content (adopted check-      kept        kept      kept     kept
         point, identity re-shard,
         unshard)
         ================================  ==========  ========  =======  =======
 
-        *Patched* zone maps are new objects over the same rows: the
-        summaries of the ``changed`` columns are gone and every other
-        one is the same object.  *Extended* ones are spliced over the
-        appended rows (``delta.extend_statistics``).  Either way the next
-        scan completes what it reads (:meth:`zone_map`), so it equals a
-        rebuild from scratch.  Column statistics are no catalog state:
+        *Patched* zone maps re-summarise the zones holding ``rows`` of
+        the ``changed`` columns, *extended* ones the appended rows
+        (``delta.extend_statistics``); both through
+        :meth:`ZoneMap.resummarised`, so every kept map summarises each
+        numeric column, equals a rebuild from scratch, and shares every
+        other summary object.  Column statistics are no catalog state:
         they are derived per delta version (:meth:`statistics`), so a
         fresh or touched delta retires them.
 
@@ -354,7 +356,7 @@ class Database:
                 state.zones = deltamod.extend_statistics(state.zones, main)
             elif changed:
                 state.zones = {
-                    zone_rows: zone_map.without(changed)
+                    zone_rows: zone_map.resummarised(main, rows, changed)
                     for zone_rows, zone_map in state.zones.items()
                 }
             structural = _layout_spec(layout) != _layout_spec(state.layout)
@@ -573,15 +575,15 @@ class Database:
         stay summarised: bounds over a superset keep FAIL/PASS sound,
         and the scan ANDs the live mask afterwards.)  Kept on the
         table's state, which :meth:`_install` keeps, extends, patches or
-        empties; a map that is not ``complete`` is completed here,
-        summarising only the columns it lacks.
+        empties: a map there is served as it is, and a missing one is
+        built here.
         """
         state = self._state(name)
         main, zones = state.main, state.zones
         zone_rows = settings.current.zone_rows
         zone_map = zones.get(zone_rows)
-        if zone_map is None or not zone_map.complete:
-            zone_map = ZoneMap.from_table(main, zone_rows, reuse=zone_map)
+        if zone_map is None:
+            zone_map = ZoneMap.from_table(main, zone_rows)
             if state.main is main:  # a build that raced an install is not kept
                 zones[zone_rows] = zone_map
         return zone_map
@@ -1209,6 +1211,7 @@ class Database:
             name,
             Table([(n, new_columns[n]) for n in main.column_names]),
             changed=[column_name for column_name, _ in statement.assignments],
+            rows=main_rows,
             layout=state.layout,
         )
         registry = get_registry()

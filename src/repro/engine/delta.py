@@ -22,8 +22,9 @@ incremental where the structures allow it:
   old codes are remapped with one gather through a translation table,
   so the main payload is never re-encoded;
 - **zone maps** — on a pure append (no tombstones) only the trailing
-  partial zone and the new zones are recomputed; complete old zones are
-  spliced in unchanged;
+  partial zone and the new zones are summarised; every whole old zone
+  is kept (:meth:`~repro.engine.statistics.ZoneMap.resummarised`, the
+  one kernel an UPDATE's patch and a first scan's build also run);
 - **column statistics** are not maintained at all: they are built
   over the table as queries see it, per delta version, when the
   optimizer reads a column (``Database.statistics``), so they are
@@ -79,7 +80,7 @@ from repro.engine.column import (
 )
 from repro.engine.expressions import Expression, Literal, fold_constant
 from repro.engine.planner import bind_expression
-from repro.engine.statistics import ColumnZones, ZoneMap
+from repro.engine.statistics import ZoneMap
 from repro.engine.table import Schema, Table
 from repro.engine.types import DataType, assignable
 from repro.errors import CatalogError, ReproError, TypeMismatchError
@@ -451,39 +452,15 @@ def merged_table(main: Table, tail: Table, store: DeltaStore) -> Table:
 
 
 def extend_zone_map(old: ZoneMap, table: Table) -> ZoneMap:
-    """Zone map of ``table`` given the map of its prefix (pure append only).
-
-    Complete old zones are reused verbatim; only the trailing partial
-    zone and the appended rows are re-summarised.
-    """
-    zone_rows = old.zone_rows
-    n = table.num_rows
-    if zone_rows <= 0 or old.row_count == n:
-        return old
-    keep = old.row_count // zone_rows  # complete zones to splice in unchanged
-    start = keep * zone_rows
-    fresh = ZoneMap.from_table(table.slice(start, n), zone_rows)
-    if not keep:  # nothing to splice in: the fresh map covers the whole table
-        return fresh
-    merged = ZoneMap(zone_rows=zone_rows, row_count=n, complete=old.complete)
-    for name, zones in old.columns.items():
-        new_zones = fresh.columns.get(name)
-        if new_zones is None:
-            continue
-        merged.columns[name] = ColumnZones(
-            mins=np.concatenate([zones.mins[:keep], new_zones.mins]),
-            maxs=np.concatenate([zones.maxs[:keep], new_zones.maxs]),
-            real_counts=np.concatenate([zones.real_counts[:keep], new_zones.real_counts]),
-            null_counts=np.concatenate([zones.null_counts[:keep], new_zones.null_counts]),
-            nan_counts=np.concatenate([zones.nan_counts[:keep], new_zones.nan_counts]),
-        )
-    return merged
+    """Zone map of ``table`` given the map of its prefix (pure append
+    only): the old partial zone and the appended zones are summarised,
+    every whole old zone is kept (:meth:`ZoneMap.resummarised`)."""
+    return old.resummarised(table)
 
 
 def extend_statistics(zones: dict[int, ZoneMap], merged_main: Table) -> dict[int, ZoneMap]:
-    """A table's zone maps after a pure-append merge: every map extended
-    incrementally (:func:`extend_zone_map`) — a complete zone summarises
-    rows the merge did not touch."""
+    """A table's zone maps after a pure-append merge, each extended over
+    the appended rows (:func:`extend_zone_map`)."""
     return {
         zone_rows: extend_zone_map(zone_map, merged_main)
         for zone_rows, zone_map in zones.items()

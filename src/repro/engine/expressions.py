@@ -338,7 +338,12 @@ class Literal(Expression):
         if isinstance(self.value, str):
             escaped = self.value.replace("'", "''")
             return f"'{escaped}'"
-        return repr(self.value)
+        text = repr(self.value)
+        return _INFINITIES.get(text, text)
+
+
+#: how an infinite float reads back as a literal: ``inf`` would be a column
+_INFINITIES = {"inf": "1e999", "-inf": "-1e999"}
 
 
 _COMPARATORS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {

@@ -8,14 +8,15 @@ paper is precisely that such static statistics are insufficient for
 ad-hoc workloads, which the adaptive components then address.  For the
 same reason nothing here is built before someone reads it: a scan
 builds its zone map (:class:`ZoneMap`, kept on the table's catalog
-state), and a column's entry is built when the optimizer reads it
+state, where a write re-summarises only the zones it touched), and a
+column's entry is built when the optimizer reads it
 (:class:`TableStatistics`, from ``Database.statistics``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Collection
+from typing import Any, Collection, Sequence
 
 import numpy as np
 
@@ -121,16 +122,16 @@ class ZoneMap:
 
     Zones are contiguous ``zone_rows``-sized row ranges; the last zone may
     be short.  Only numeric columns are summarised — string predicates go
-    through dictionary codes instead.  ``complete`` records that every
-    numeric column is: ``Database.zone_map`` serves such a map as it is,
-    and completes any other (a write dropped summaries, or a checkpoint
-    restored it) through :meth:`from_table` with ``reuse=``.
+    through dictionary codes instead.  A map the catalog keeps summarises
+    every numeric column of its main in every zone (a map of no zone
+    holds none).  Every map is made by :meth:`resummarised` — built,
+    extended over appended rows or patched after an UPDATE — and every
+    zone summary by :func:`summarise_zone`.
     """
 
     zone_rows: int
     row_count: int
     columns: dict[str, ColumnZones] = field(default_factory=dict)
-    complete: bool = False
 
     @property
     def num_zones(self) -> int:
@@ -148,65 +149,79 @@ class ZoneMap:
         return self.columns.get(name)
 
     @classmethod
-    def from_table(
-        cls, table: Table, zone_rows: int, reuse: "ZoneMap | None" = None
-    ) -> "ZoneMap":
-        """Summarise every numeric column of ``table`` zone by zone.
+    def from_table(cls, table: Table, zone_rows: int) -> "ZoneMap":
+        """Summarise every numeric column of ``table`` zone by zone."""
+        return cls(zone_rows, 0).resummarised(table)
 
-        ``reuse`` — a map of this same table at this granularity that may
-        lack some columns — lends the summaries it has: only the columns
-        it lacks are computed.
+    def resummarised(
+        self, table: Table, rows: Sequence[int] = (), columns: Collection[str] | None = None
+    ) -> "ZoneMap":
+        """This map over ``table``: the rows it summarised, values changed
+        in place or not, then any rows appended.
+
+        The zones holding the positions ``rows`` are summarised again in
+        ``columns`` (default every numeric column), and when rows were
+        appended so is every zone of every numeric column past this
+        map's whole zones.  A column with no zone to summarise keeps its
+        :class:`ColumnZones` object.
         """
         n = table.num_rows
-        zone_map = cls(zone_rows=zone_rows, row_count=n, complete=True)
-        if zone_rows <= 0 or n == 0:
-            return zone_map
-        known = {} if reuse is None else reuse.columns
-        starts = range(0, n, zone_rows)
-        num_zones = zone_map.num_zones
+        fresh = ZoneMap(self.zone_rows, n, dict(self.columns))
+        num_zones = fresh.num_zones
+        if not num_zones:
+            return fresh
+        appended = range(
+            self.row_count // self.zone_rows if n > self.row_count else num_zones, num_zones
+        )
+        zones = np.unique(np.asarray(rows, np.int64) // self.zone_rows)
         for name in table.column_names:
             column = table.column(name)
             if not column.dtype.is_numeric:
                 continue
-            if name in known:
-                zone_map.columns[name] = known[name]
+            listed = zones if columns is None or name in columns else ()
+            touched = sorted({*listed, *appended})
+            if not touched:
                 continue
-            data = column.data
-            validity = column.validity
-            mins = np.zeros(num_zones, dtype=data.dtype)
-            maxs = np.zeros(num_zones, dtype=data.dtype)
-            real_counts = np.zeros(num_zones, dtype=np.int64)
-            null_counts = np.zeros(num_zones, dtype=np.int64)
-            nan_counts = np.zeros(num_zones, dtype=np.int64)
-            is_float = data.dtype.kind == "f"
-            for zone, start in enumerate(starts):
-                stop = min(start + zone_rows, n)
-                chunk = data[start:stop]
-                if validity is not None:
-                    valid = validity[start:stop]
-                    null_counts[zone] = int((~valid).sum())
-                    chunk = chunk[valid]
-                if is_float:
-                    nan = np.isnan(chunk)
-                    if nan.any():
-                        nan_counts[zone] = int(nan.sum())
-                        chunk = chunk[~nan]
-                real_counts[zone] = len(chunk)
-                if len(chunk):
-                    mins[zone] = chunk.min()
-                    maxs[zone] = chunk.max()
-            zone_map.columns[name] = ColumnZones(
-                mins, maxs, real_counts, null_counts, nan_counts
-            )
-        return zone_map
+            data, validity = column.data, column.validity
+            mins, maxs, reals, nulls, nans = parts = [
+                np.zeros(num_zones, dtype) for dtype in (data.dtype, data.dtype) + _COUNTS
+            ]
+            old = self.columns.get(name)
+            if old is not None:  # whole old zones first; only ``touched`` ones change
+                for part, kept in zip(parts, vars(old).values()):
+                    part[: len(kept)] = kept
+            for zone in touched:
+                mins[zone], maxs[zone], reals[zone], nulls[zone], nans[zone] = summarise_zone(
+                    data, validity, *fresh.zone_bounds(zone)
+                )
+            fresh.columns[name] = ColumnZones(*parts)
+        return fresh
 
-    def without(self, names: Collection[str]) -> "ZoneMap":
-        """This map over the same rows lacking the summaries of ``names``;
-        every other summary is the same object."""
-        kept = {name: zones for name, zones in self.columns.items() if name not in names}
-        return ZoneMap(
-            self.zone_rows, self.row_count, kept, self.complete and len(kept) == len(self.columns)
-        )
+
+#: the dtypes of a :class:`ColumnZones`' three counts
+_COUNTS = (np.int64,) * 3
+
+
+def summarise_zone(
+    data: np.ndarray, validity: np.ndarray | None, start: int, stop: int
+) -> tuple[Any, Any, int, int, int]:
+    """Rows ``[start, stop)`` of a numeric column's payload and validity
+    summarised as :class:`ColumnZones` keeps a zone: ``(min, max, real,
+    null, nan)``, the bounds 0 when no value is real."""
+    chunk = data[start:stop]
+    nulls = nans = 0
+    if validity is not None:
+        valid = validity[start:stop]
+        nulls = int((~valid).sum())
+        chunk = chunk[valid]
+    if chunk.dtype.kind == "f":
+        nan = np.isnan(chunk)
+        if nan.any():
+            nans = int(nan.sum())
+            chunk = chunk[~nan]
+    if not len(chunk):
+        return 0, 0, 0, nulls, nans
+    return chunk.min(), chunk.max(), len(chunk), nulls, nans
 
 
 class TableStatistics:

@@ -369,11 +369,13 @@ def _zones_to_manifest(
 
 
 def _zones_from_manifest(
-    meta: dict[str, Any],
-    arrays: dict[str, np.ndarray],
-    column_order: list[str],
+    meta: dict[str, Any], arrays: dict[str, np.ndarray], table: "Table"
 ) -> dict[int, ZoneMap]:
-    order = {name: i for i, name in enumerate(column_order)}
+    """The zone maps a manifest holds that summarise every numeric column
+    of ``table``; one lacking a column (an older writer persisted a map
+    an UPDATE had cut) is left for the first scan to rebuild."""
+    order = {name: i for i, name in enumerate(table.column_names)}
+    numeric = {name for name, dtype in table.schema.fields() if dtype.is_numeric}
     for name in meta.get("columns", {}):  # an older writer's column entries: unread
         if name not in order:  # damaged: the loader falls back to an older checkpoint
             raise KeyError(f"statistics for unknown column {name!r}")
@@ -390,11 +392,8 @@ def _zones_from_manifest(
                 null_counts=arrays[prefix + "null"],
                 nan_counts=arrays[prefix + "nan"],
             )
-        zones[zone_rows] = ZoneMap(
-            zone_rows=zone_rows,
-            row_count=int(zone_meta["row_count"]),
-            columns=zone_columns,
-        )
+        if numeric <= zone_columns.keys():
+            zones[zone_rows] = ZoneMap(zone_rows, int(zone_meta["row_count"]), zone_columns)
     return zones
 
 
@@ -515,7 +514,7 @@ def _load_checkpoint_dir(
                     str(directory / table_meta["stats_file"]), allow_pickle=False
                 ) as npz:
                     arrays = {key: npz[key] for key in npz.files}
-            zones = _zones_from_manifest(table_meta["stats"], arrays, table.column_names)
+            zones = _zones_from_manifest(table_meta["stats"], arrays, table)
         tables.append((table_meta["name"], table, zones, table_meta.get("sharding")))
     return tables
 

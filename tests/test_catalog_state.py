@@ -8,26 +8,29 @@ column) two pending rows — is put through every writer, and each writer
 x structure cell asserts kept / dropped / rebuilt exactly as the rule
 table in ``Database._install``'s docstring (and DESIGN.md, "Catalog
 state") says, so the table is held to the code.
-What the zone-map rows promise — a scan's completed zone map equals a
-rebuild from scratch after any write sequence — is a property test
-below, beside what ``Database.statistics`` promises: every column entry
-equals a build over the table as queries see it, writes pending or not.
+What the zone-map rows promise — every zone map the catalog keeps
+equals a rebuild from scratch after any write sequence, and a write
+re-summarises only the zones it touched — is a property test below,
+beside what ``Database.statistics`` promises: every column entry equals
+a build over the table as queries see it, writes pending or not.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
 from repro import settings
 from repro.engine import Database, DataType, Table
+from repro.engine import statistics
 from repro.engine.column import Column
 from repro.engine.statistics import ColumnStatistics, ZoneMap
 from repro.errors import TypeMismatchError
@@ -105,10 +108,10 @@ def _snapshot(db: Database, name: str) -> dict:
 
 def _summary(new, old) -> str:
     """``none`` / ``kept`` (the same object) / ``extended`` (another object
-    over more rows) / ``patched`` (another object over the same rows whose
-    every entry is the old one's object, some of the old entries absent)
-    / ``restored`` (another object over the same rows).  A table's zone
-    maps by granularity summarise as the map at ``ZONE_ROWS``."""
+    over more rows) / ``patched`` (another object over the same rows that
+    shares at least one entry object with the old one) / ``restored``
+    (another object over the same rows).  A table's zone maps by
+    granularity summarise as the map at ``ZONE_ROWS``."""
     if not new:
         return "none"
     if new is old:
@@ -118,8 +121,8 @@ def _summary(new, old) -> str:
         return _summary(new[ZONE_ROWS], old[ZONE_ROWS])
     if new.row_count > old.row_count:
         return "extended"
-    shared = all(old.columns.get(name) is entry for name, entry in new.columns.items())
-    return "patched" if shared and len(new.columns) < len(old.columns) else "restored"
+    shared = any(old.columns.get(name) is entry for name, entry in new.columns.items())
+    return "patched" if shared else "restored"
 
 
 def _index(new, old) -> str:
@@ -130,7 +133,7 @@ def _index(new, old) -> str:
 
 def _outcomes(db: Database, name: str, before: dict, plan) -> dict:
     now = _snapshot(db, name)
-    # summarised before the scans below complete a zone map in place
+    # summarised before the scans below build a missing zone map in place
     zone_maps = {key: _summary(now[key], before[key]) for key in ("stats", "zones")}
     if now["store"] is None:
         delta = "clean"
@@ -395,7 +398,7 @@ def _assert_zones_equal_rebuild(db: Database, name: str = "t") -> None:
     assert zone_maps, "the read consulted no zone map"
     for zone_rows, zones in zone_maps.items():
         fresh = ZoneMap.from_table(main, zone_rows)
-        assert zones.complete and zones.row_count == fresh.row_count
+        assert zones.row_count == fresh.row_count
         assert zones.columns.keys() == fresh.columns.keys()
         for column, expected in fresh.columns.items():
             for field in ("mins", "maxs", "real_counts", "null_counts", "nan_counts"):
@@ -405,9 +408,9 @@ def _assert_zones_equal_rebuild(db: Database, name: str = "t") -> None:
 
 
 def _read(db: Database) -> None:
-    """The scan completes its zone map and leaves the column statistics
-    as they were; every entry ``Database.statistics`` gives then equals
-    a rebuild, writes pending or not."""
+    """The scan reads (or builds) its zone map and leaves the column
+    statistics as they were; every entry ``Database.statistics`` gives
+    then equals a rebuild, writes pending or not."""
     stats = db.statistics("t")
     columns = dict(stats.columns)
     db.sql(READ_SQL)
@@ -454,8 +457,43 @@ def _where(key_range) -> str:
     return f"k >= {BIG + lo} AND k < {BIG + lo + width}"
 
 
+def _hit_zones(db: Database, key_range) -> int:
+    """How many zones of the main hold a live row ``_where(key_range)`` selects."""
+    lo, width = key_range
+    keys = np.asarray(db.main_table("t").column("k").data)
+    hit = (keys >= BIG + lo) & (keys < BIG + lo + width)
+    live = db._state("t").delta.live_main_mask()
+    if live is not None:
+        hit &= live
+    return len(np.unique(np.flatnonzero(hit) // ZONE_ROWS))
+
+
+@contextlib.contextmanager
+def _zone_kernel_calls():
+    """A list that gains the ``(start, stop)`` rows of every
+    ``statistics.summarise_zone`` call while the block runs."""
+    calls = []
+    kernel = statistics.summarise_zone
+
+    def spy(data, validity, start, stop):
+        calls.append((start, stop))
+        return kernel(data, validity, start, stop)
+
+    statistics.summarise_zone = spy
+    try:
+        yield calls
+    finally:
+        statistics.summarise_zone = kernel
+
+
 @hypothesis_settings(max_examples=40, deadline=None)
 @given(st.lists(_OPS, min_size=1, max_size=12))
+# an UPDATE of pending rows only, then a read
+@example([("insert", [("0.25", "NULL", "4", "'new'", "TRUE")]),
+          ("update", [("f", "f + 1.5"), ("n", "n + 1")], (STATS_ROWS, 1)), ("read",)])
+# an UPDATE straddling the boundary of zones 0 and 1, then checkpoint and reopen
+@example([("update", [("f", "f * -1"), ("n", "NULL"), ("s", "'zz'")], (60, 12)),
+          ("checkpoint",), ("reopen",), ("read",)])
 def test_statistics_equal_a_rebuild_after_any_write_sequence(ops):
     next_key = STATS_ROWS
     with tempfile.TemporaryDirectory() as root:
@@ -467,7 +505,13 @@ def test_statistics_equal_a_rebuild_after_any_write_sequence(ops):
                 kind = op[0]
                 if kind == "update":
                     sets = ", ".join(f"{column} = {expr}" for column, expr in op[1])
-                    db.execute(f"UPDATE t SET {sets} WHERE {_where(op[2])}")
+                    numeric = [column for column, _ in op[1] if column in "kfgn"]
+                    kept = _zone_maps(db, "t").keys() == {ZONE_ROWS}  # the scan builds none
+                    zones = _hit_zones(db, op[2])
+                    with _zone_kernel_calls() as calls:
+                        db.execute(f"UPDATE t SET {sets} WHERE {_where(op[2])}")
+                    if kept:  # one kernel call per zone hit, per assigned numeric column
+                        assert len(calls) == zones * len(numeric), (calls, zones, numeric)
                 elif kind == "insert":
                     rows = []
                     for values in op[1]:
@@ -491,26 +535,33 @@ def test_statistics_equal_a_rebuild_after_any_write_sequence(ops):
 
 
 def test_update_drops_only_the_assigned_entries():
-    """An UPDATE drops the assigned columns' zones and shares the rest;
-    the column statistics go with the delta version it touched."""
+    """An UPDATE re-summarises the assigned numeric columns in the zones
+    it hit, one kernel call per zone, and shares every other summary; the
+    column statistics go with the delta version it touched."""
     db = Database()
     db.create_table("t", _stats_table())
     db.sql(READ_SQL)
     stats = db.statistics("t")
     stats.column("k")
     before = _zone_maps(db, "t")[ZONE_ROWS]
-    db.execute(f"UPDATE t SET f = f * -1, s = 'zz' WHERE {_where((10, 40))}")
+    with _zone_kernel_calls() as calls:  # rows 50..89: zones 0 and 1 of four
+        db.execute(f"UPDATE t SET f = f * -1, s = 'zz' WHERE {_where((50, 40))}")
     patched = _zone_maps(db, "t")[ZONE_ROWS]
     assert patched is not before and patched.row_count == before.row_count
-    assert not patched.complete
-    assert set(patched.columns) == {"k", "g", "n"}  # STRING and BOOL have no zones
+    assert calls == [(0, 64), (64, 128)]  # f's two zones; STRING and BOOL have no zones
+    assert set(patched.columns) == {"k", "f", "g", "n"}
     for name in ("k", "g", "n"):
         assert patched.columns[name] is before.columns[name]
+    for field in ("mins", "maxs", "real_counts", "null_counts", "nan_counts"):
+        old, new = getattr(before.columns["f"], field), getattr(patched.columns["f"], field)
+        assert np.array_equal(new[2:], old[2:]), field
+    _assert_zones_equal_rebuild(db)
     fresh = db.statistics("t")
     assert fresh is not stats and fresh.columns == {}
+    with _zone_kernel_calls() as calls:
+        db.sql(READ_SQL)
+    assert calls == [] and _zone_maps(db, "t")[ZONE_ROWS] is patched
     _read(db)
-    completed = _zone_maps(db, "t")[ZONE_ROWS]
-    assert completed.columns["k"] is before.columns["k"]  # still shared
 
 
 def _manifest_stats(root) -> dict:
@@ -522,8 +573,9 @@ def _manifest_stats(root) -> dict:
 
 
 def test_checkpoint_between_update_and_read_persists_partial_statistics(tmp_path):
-    """A checkpoint persists the zone maps as the UPDATE left them and no
-    column statistics; the reopened table completes and rebuilds both."""
+    """A checkpoint after an UPDATE persists whole zone maps — the UPDATE
+    re-summarised what it hit — and no column statistics; the reopened
+    map equals a rebuild before any scan."""
     db = Database(path=tmp_path / "db")
     try:
         db.create_table("t", _stats_table())
@@ -534,10 +586,9 @@ def test_checkpoint_between_update_and_read_persists_partial_statistics(tmp_path
         db.close()
         written = _manifest_stats(tmp_path / "db")
         assert "columns" not in written
-        assert written["zone_maps"][str(ZONE_ROWS)]["columns"] == ["k", "g", "n"]
+        assert written["zone_maps"][str(ZONE_ROWS)]["columns"] == ["k", "f", "g", "n"]
         db = Database(path=tmp_path / "db")
-        restored = _zone_maps(db, "t")[ZONE_ROWS]
-        assert set(restored.columns) == {"k", "g", "n"} and not restored.complete
+        _assert_zones_equal_rebuild(db)
         assert db.statistics("t").columns == {}
         _read(db)
     finally:

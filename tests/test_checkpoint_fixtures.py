@@ -101,10 +101,16 @@ def _assert_same_rows(got: Table, want: Table) -> None:
 
 def _assert_restored_zones(db: Database, name: str, meta: dict, arrays: dict,
                            order: list) -> None:
-    """Every zone the manifest holds, and nothing else, before any scan."""
+    """Every zone map the manifest holds that summarises each numeric
+    column, and nothing else, before any scan: one lacking a column (an
+    UPDATE once cut it) is left for the first scan to build."""
     zone_maps = _zone_maps(db, name)
-    assert {str(zone_rows) for zone_rows in zone_maps} == meta["zone_maps"].keys()
-    for key, zone_meta in meta["zone_maps"].items():
+    numeric = {column for column, dtype in db.main_table(name).schema.fields()
+               if dtype.is_numeric}
+    whole = {key: zone_meta for key, zone_meta in meta["zone_maps"].items()
+             if numeric <= set(zone_meta["columns"])}
+    assert {str(zone_rows) for zone_rows in zone_maps} == whole.keys()
+    for key, zone_meta in whole.items():
         zones = zone_maps[int(key)]
         assert zones.row_count == zone_meta["row_count"]
         assert list(zones.columns) == zone_meta["columns"]

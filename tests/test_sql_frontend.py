@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.engine import Database, Table, col, lit
 from repro.engine.expressions import truth_mask
 from repro.engine.sql import parse, tokenize, TokenType
+from repro.engine.sql.parser import parse_statement
 from repro.errors import BindError, LexerError, ParseError
 
 #: what SQL text is made of: keywords inside identifiers, quotes and
@@ -276,6 +277,33 @@ class TestParser:
         sql = f"SELECT {column} FROM t WHERE {column} {op} {value} LIMIT {limit}"
         statement = parse(sql)
         assert parse(statement.to_sql()).to_sql() == statement.to_sql()
+
+    # an infinite float renders as ``1e999``, which lexes back to the same
+    # value; ``inf`` would read back as a column name
+
+    @pytest.fixture()
+    def infinite_db(self):
+        db = Database()
+        db.execute("CREATE TABLE t (a DOUBLE, b INT)")
+        db.execute("INSERT INTO t VALUES (2.5, 2)")
+        return db
+
+    def test_infinite_insert_round_trips(self, infinite_db):
+        insert = parse_statement("INSERT INTO t VALUES (1e999, 1)").to_sql()
+        assert insert == "INSERT INTO t VALUES (1e999, 1)"
+        infinite_db.execute(insert)
+        got = infinite_db.sql("SELECT a FROM t WHERE b = 1").to_dicts()
+        assert got == [{"a": float("inf")}]
+
+    def test_infinite_where_round_trips(self, infinite_db):
+        statement = parse("SELECT b FROM t WHERE a < 1e999")
+        assert statement.where.to_sql() == "(a < 1e999)"
+        assert infinite_db.sql(statement.to_sql()).to_dicts() == [{"b": 2}]
+
+    def test_negative_infinite_literal_renders_as_a_number(self, infinite_db):
+        text = lit(float("-inf")).to_sql()
+        assert text == "-1e999"
+        assert infinite_db.sql(f"SELECT b FROM t WHERE a > {text}").to_dicts() == [{"b": 2}]
 
 
 class TestExpressions:
