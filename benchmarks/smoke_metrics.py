@@ -126,7 +126,7 @@ def check_column_fast_path(n: int = 200_000, repeats: int = 3) -> float:
 def check_strings_encode_without_sorting_rows(
     n: int = 200_000, distinct: int = 500, repeats: int = 3
 ) -> float:
-    """Guard dictionary encoding of an object STRING column: a hash
+    """Guard building an object STRING column, which encodes it: a hash
     factorize plus a sort of the distinct values only must build exactly
     the sorted codes and dictionary ``np.unique`` builds (reproduced
     inline below), well ahead of that sort over every row."""
@@ -137,10 +137,10 @@ def check_strings_encode_without_sorting_rows(
     fast_s, slow_s = float("inf"), float("inf")
     codes = dictionary = reference = None
     for _ in range(repeats):
-        column = Column(values, dtype=DataType.STRING)
         start = time.perf_counter()
-        codes, dictionary = column.dictionary()
+        column = Column(values, dtype=DataType.STRING)
         fast_s = min(fast_s, time.perf_counter() - start)
+        codes, dictionary = column.dictionary()
         start = time.perf_counter()
         reference = np.unique(values, return_inverse=True)
         slow_s = min(slow_s, time.perf_counter() - start)
@@ -313,7 +313,8 @@ def check_scan_gathers_once(zone_rows: int = 4_096) -> int:
 
     def take_spy(self, indices):
         if getattr(local, "gathering", False):
-            taken.extend(name for name, data in main if np.may_share_memory(self.data, data))
+            payload = ops.key_array(self)  # a STRING column's codes
+            taken.extend(name for name, data in main if np.may_share_memory(payload, data))
         return real_take(self, indices)
 
     def gather_spy(*args, **kwargs):
@@ -330,7 +331,7 @@ def check_scan_gathers_once(zone_rows: int = 4_096) -> int:
             if shards:  # ts ascends, so the range layout keeps the main's rows
                 db.apply_sharding("t", shards, shard_by="range(ts)")
             base = db.main_table("t")
-            main[:] = [(name, base.column(name).data) for name in base.column_names]
+            main[:] = [(name, ops.key_array(base.column(name))) for name in base.column_names]
             for threads in (0, 2):
                 for sql, gathered in statements.items():
                     settings.configure(

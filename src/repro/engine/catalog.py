@@ -192,46 +192,47 @@ class Database:
     def close(self) -> None:
         """Flush and close the database; idempotent.
 
-        Durable databases fsync any unsynced WAL tail; the shared worker
-        pool is shut down deterministically (it restarts lazily if some
-        other database issues a parallel query later).
+        Durable databases fsync any unsynced WAL tail.  Every table's
+        state and both plan-cache levels are dropped (:meth:`_release_tables`),
+        so a closed database pins no main, tail or zone map, and reading
+        a table of it raises.  The shared worker pool is shut down
+        deterministically (it restarts lazily if some other database
+        issues a parallel query later).
         """
         if self._closed:
             return
         self._closed = True
+        self._release_tables()
         if self._durability is not None:
             self._durability.close()
-            self._release_mmaps()
             self._durability.release_live_dirs()
         from repro.engine import parallel
 
         parallel.shutdown_pool()
 
-    def _release_mmaps(self) -> None:
-        """Close every memory map held by this database's tables.
+    def _release_tables(self) -> None:
+        """Drop every table's state and cached plan, and close the memory
+        maps the mains held.
 
-        Without this, checkpoint directories stay undeletable on
+        Without the map close, checkpoint directories stay undeletable on
         platforms with strict open-file semantics (Windows) for as long
         as the process lives.  Best-effort: maps still pinned by
         user-held column references are left to the garbage collector.
         """
         import gc
 
-        backings = []
+        handles = []
         for state in self._tables.values():
             for column_name in state.main.column_names:
                 backing = state.main.column(column_name).backing
                 if backing is not None:
-                    backings.append(backing)
-        if not backings:
-            return
-        handles = []
-        for backing in backings:
-            handles.extend(backing.mmap_handles())
-            backing.release()
+                    handles.extend(backing.mmap_handles())
+                    backing.release()
         # drop every internal reference that may pin a mapped array
         self._tables.clear()
         self._clear_plans()
+        if not handles:
+            return
         gc.collect()
         for handle in handles:
             try:
@@ -274,6 +275,7 @@ class Database:
         try:
             return self._tables[name]
         except KeyError:
+            self._check_open()
             raise CatalogError(f"unknown table {name!r}") from None
 
     def _install(
@@ -328,8 +330,6 @@ class Database:
         layout's (mode, key, shard count) changed — an index picks rows at
         run time, so the index set is no part of a plan.
         """
-        for column_name in main.column_names:  # every STRING main's codes, before a query
-            main.column(column_name).dictionary()
         state = self._tables.get(name)
         structural = rebuilt = state is None
         if state is None:
@@ -436,7 +436,8 @@ class Database:
         columnar main itself, zero-copy.
 
         Raises:
-            CatalogError: if the table does not exist.
+            CatalogError: if the table does not exist, or the database
+                is closed.
         """
         state = self._state(name)
         store = state.delta
@@ -455,12 +456,10 @@ class Database:
         separately.
 
         Raises:
-            CatalogError: if the table does not exist.
+            CatalogError: if the table does not exist, or the database
+                is closed.
         """
-        try:
-            return self._tables[name].main
-        except KeyError:
-            raise CatalogError(f"unknown table {name!r}") from None
+        return self._state(name).main
 
     # -- delta store ---------------------------------------------------------------
 

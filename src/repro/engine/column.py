@@ -7,7 +7,8 @@ treated as immutable by the query layer; all operations return new columns.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from itertools import compress
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -18,14 +19,15 @@ from repro.errors import TypeMismatchError
 class Column:
     """An immutable typed column of values with optional nulls.
 
-    Every STRING column has a *dictionary*: an int32 code per row (−1 in
-    null slots) indexing a sorted array of distinct values, built from
-    the valid rows on the first :meth:`dictionary` call and kept.  Codes
+    A STRING column is its *dictionary*: ``_data`` holds an int32 code
+    per row (−1 in null slots) indexing ``_dictionary``, a sorted object
+    array of distinct values, both built once when the column is.  Codes
     are order-isomorphic to the strings they stand for, so comparisons,
     LIKE, DISTINCT, group keys and sort keys operate on the codes without
-    materialising Python strings.  ``take``/``filter``/``slice`` pass a
-    built dictionary on, and :func:`concat_columns` maps one into the
-    union of its pieces'.
+    materialising Python strings; :attr:`data` decodes on each read.
+    ``take``/``filter``/``slice`` gather codes under the same dictionary,
+    and :func:`concat_columns` maps the pieces' codes into the union of
+    their dictionaries.
 
     Args:
         values: payload values; ``None`` entries become nulls.
@@ -42,47 +44,42 @@ class Column:
         dtype: DataType | None = None,
         validity: np.ndarray | None = None,
     ) -> None:
-        inferred_validity = None
+        dictionary = None
         # enum attribute lookups are slow: one here, none when inferring
         string = dtype is not None and dtype is DataType.STRING
-        if string and _plain_strings(values):
-            # what a loader hands over: the array is its own payload, with
-            # no per-value NULL scan and no per-value coercion
-            data = values.copy()
-        else:
+        if not string:
             if not isinstance(values, np.ndarray) or values.dtype == object:
                 values = list(values)
                 # lists of plain numbers/bools convert in one vectorised
                 # call; a None, a string or mixed kinds land on object/str
                 # dtype and take the per-element path
-                numbers = None
-                if not string:
-                    try:
-                        numbers = np.asarray(values)
-                    except (ValueError, TypeError, OverflowError):
-                        pass
+                try:
+                    numbers = np.asarray(values)
+                except (ValueError, TypeError, OverflowError):
+                    numbers = None
                 if numbers is not None and numbers.ndim == 1 and numbers.dtype.kind in "biuf":
                     values = numbers
-                elif any(v is None for v in values):
-                    inferred_validity = np.array([v is not None for v in values], dtype=bool)
             if dtype is None:  # infer_type skips NULLs; no value at all reads FLOAT64
                 dtype = infer_type(values) if len(values) else DataType.FLOAT64
-            if inferred_validity is not None:
+            string = dtype is DataType.STRING
+        if validity is not None and (validity.dtype != bool or len(validity) != len(values)):
+            raise TypeMismatchError("validity mask must be a bool array matching the data length")
+        if string:
+            data, dictionary, validity = _encode_strings(values, validity)
+        else:
+            if not isinstance(values, np.ndarray) and any(v is None for v in values):
+                if validity is None:
+                    validity = np.array([v is not None for v in values], dtype=bool)
                 fill = _null_fill_value(dtype)
                 values = [fill if v is None else v for v in values]
             data = coerce_array(values, dtype)
-
-        if validity is None:
-            validity = inferred_validity
-        elif validity.dtype != bool or len(validity) != len(data):
-            raise TypeMismatchError("validity mask must be a bool array matching the data length")
         if validity is not None and bool(validity.all()):
             validity = None
 
         self._data = data
         self._validity = validity
         self._dtype = dtype
-        self._dictionary = None
+        self._dictionary = dictionary
         self._backing = None
 
     # -- dictionary encoding ---------------------------------------------------
@@ -90,26 +87,16 @@ class Column:
     def dictionary(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The ``(codes, values)`` of a STRING column; None for other types.
 
-        ``codes`` is an int32 array aligned with the column (−1 in null
-        slots); ``values`` is the sorted object array of distinct strings,
-        so ``values[codes[i]]`` reproduces row ``i`` and code order equals
-        string order.  Built on first call as ``np.unique`` of the valid
-        values and its inverse, and kept as one tuple, so a concurrent
-        reader sees the whole pair or none.  A dictionary passed on by
-        ``take``/``filter``/``slice`` or read from a checkpoint is used as
-        it is, and may hold values no row of this column holds.
+        ``codes`` is the column's int32 array (−1 in null slots);
+        ``values`` is the sorted object array of distinct strings, so
+        ``values[codes[i]]`` reproduces row ``i`` and code order equals
+        string order.  A column gathered by ``take``/``filter``/``slice``
+        or read from a checkpoint keeps its source's dictionary, which may
+        hold values no row of this column holds.
         """
-        pair = self._dictionary
-        if pair is None and self._dtype is DataType.STRING:
-            pair = self._dictionary = _encode(self._data, self._validity)
-        return pair
+        return None if self._dictionary is None else (self._data, self._dictionary)
 
     # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def from_numpy(cls, array: np.ndarray, dtype: DataType | None = None) -> "Column":
-        """Wrap an existing NumPy array (no copy for non-object dtypes)."""
-        return cls(array, dtype=dtype)
 
     @classmethod
     def empty(cls, dtype: DataType) -> "Column":
@@ -125,8 +112,15 @@ class Column:
 
     @property
     def data(self) -> np.ndarray:
-        """The dense payload array.  Null slots hold an arbitrary fill value."""
-        return self._data
+        """The dense payload array.  Null slots hold an arbitrary fill value.
+
+        A STRING column decodes its codes into a fresh object array on
+        each read (``""`` in null slots); kernels read the codes instead
+        (:meth:`dictionary`).
+        """
+        if self._dictionary is None:
+            return self._data
+        return np.append(self._dictionary, "")[self._data]
 
     @property
     def validity(self) -> np.ndarray | None:
@@ -167,11 +161,11 @@ class Column:
         """Value at ``index`` as a native Python value, or None for null."""
         if self._validity is not None and not self._validity[index]:
             return None
-        return python_value(self._data[index])
+        value = self._data[index]
+        return python_value(value) if self._dictionary is None else self._dictionary[value]
 
     def __iter__(self) -> Iterator[Any]:
-        for i in range(len(self)):
-            yield self[i]
+        return iter(self.to_list())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Column):
@@ -194,22 +188,21 @@ class Column:
 
     def to_list(self) -> list[Any]:
         """Materialise as a Python list (nulls become None)."""
-        return list(self)
+        values = self.data.tolist()
+        if self._validity is not None:
+            for i in np.flatnonzero(~self._validity).tolist():
+                values[i] = None
+        return values
 
     def valid_data(self) -> np.ndarray:
         """Payload restricted to valid (non-null) slots."""
-        if self._validity is None:
-            return self._data
-        return self._data[self._validity]
+        valid = self._valid_payload()
+        return valid if self._dictionary is None else self._dictionary[valid]
 
     def take(self, indices: np.ndarray | slice) -> "Column":
         """Gather rows by position; a ``slice`` is a zero-copy view."""
-        data = self._data[indices]
         validity = self._validity[indices] if self._validity is not None else None
-        pair = self._dictionary
-        if pair is not None:
-            pair = (pair[0][indices], pair[1])
-        return _wrap(data, self._dtype, validity, pair)
+        return column_from_parts(self._data[indices], self._dtype, validity, self._dictionary)
 
     def filter(self, mask: np.ndarray) -> "Column":
         """Keep rows where the boolean ``mask`` is True: one take of its
@@ -234,23 +227,24 @@ class Column:
 
     def min(self) -> Any:
         """Minimum valid value, or None for an all-null/empty column."""
-        valid = self.valid_data()
-        if len(valid) == 0:
-            return None
-        if valid.dtype.kind == "U":
-            # numpy's minimum ufunc has no loop for fixed-width unicode
-            # (mapped string payloads); builtin min compares identically.
-            return python_value(min(valid.tolist()))
-        return python_value(valid.min())
+        return self._extreme(np.min)
 
     def max(self) -> Any:
         """Maximum valid value, or None for an all-null/empty column."""
-        valid = self.valid_data()
+        return self._extreme(np.max)
+
+    def _extreme(self, reduce: Callable[[np.ndarray], Any]) -> Any:
+        """``reduce`` of the valid payload (a STRING column's codes, whose
+        order is its values')."""
+        valid = self._valid_payload()
         if len(valid) == 0:
             return None
-        if valid.dtype.kind == "U":
-            return python_value(max(valid.tolist()))
-        return python_value(valid.max())
+        extreme = reduce(valid)
+        return python_value(extreme) if self._dictionary is None else self._dictionary[extreme]
+
+    def _valid_payload(self) -> np.ndarray:
+        """``_data`` at the valid slots: codes for a STRING column."""
+        return self._data if self._validity is None else self._data[self._validity]
 
     def distinct_count(self) -> int:
         """Number of distinct valid values: one sort, then a count of
@@ -261,41 +255,55 @@ class Column:
         that numpy 2.4's ``np.unique`` takes, which needs ~30x the sort for
         200k distinct int64 values.
         """
-        if self._dtype is DataType.STRING:
-            codes = self.dictionary()[0]
-            values = codes if self._validity is None else codes[self._validity]
-        else:
-            values = self.valid_data()
-        return int(np.count_nonzero(_run_heads(np.sort(values))))
+        return int(np.count_nonzero(_run_heads(np.sort(self._valid_payload()))))
 
 
-def factorize_sorted(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def factorize_sorted(data: np.ndarray | list) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(data, return_inverse=True)`` as ``(values, int32 codes)``.
 
-    An object payload (Python strings) is hashed through a ``dict`` and
-    only its distinct values are sorted, not every row's object (~7x
-    faster at 1M rows); codes stay in value order, which every kernel
-    relies on.  A typed payload (a mapped ``U`` array) keeps ``np.unique``.
+    A list of Python strings is hashed through a ``dict`` and only its
+    distinct values are sorted, not every row's object (~7x faster at 1M
+    rows); codes stay in value order, which every kernel relies on.  A
+    typed array (an older checkpoint's unicode payload) keeps ``np.unique``.
     """
-    if data.dtype != object:
+    if isinstance(data, np.ndarray):
         values, inverse = np.unique(data, return_inverse=True)
         return values, inverse.astype(np.int32).reshape(-1)
-    items = data.tolist()
-    distinct = sorted(set(items))
+    distinct = sorted(set(data))
     index = {value: code for code, value in enumerate(distinct)}
-    codes = np.fromiter(map(index.__getitem__, items), np.int32, len(items))
+    codes = np.fromiter(map(index.__getitem__, data), np.int32, len(data))
     return np.array(distinct, dtype=object), codes
 
 
-def _encode(data: np.ndarray, validity: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(codes, values)`` of a STRING payload's valid rows, −1 elsewhere."""
+def _encode_strings(
+    values: Sequence[Any] | np.ndarray, validity: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(codes, dictionary, validity)`` of STRING ``values``: the valid
+    rows factorized (:func:`factorize_sorted`), −1 elsewhere.
+
+    Values are read as one list, and scanned for ``None`` and coerced
+    through ``str`` only when they are not all plain ``str`` (what a
+    loader hands over).  A ``None`` is a NULL whatever ``validity`` says.
+    """
+    typed = isinstance(values, np.ndarray) and values.dtype.kind == "U"
+    if not typed:
+        values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        if values and set(map(type, values)) != {str}:  # NULLs or other kinds
+            present = np.array([v is not None for v in values], dtype=bool)
+            if not present.all():
+                validity = present if validity is None else validity & present
+            values = ["" if v is None else v for v in values]
+            values = coerce_array(values, DataType.STRING).tolist()
+    if validity is not None and bool(validity.all()):
+        validity = None
     if validity is None:
-        values, codes = factorize_sorted(data)
+        dictionary, codes = factorize_sorted(values)
     else:
-        values, valid_codes = factorize_sorted(data[validity])
-        codes = np.full(len(data), -1, dtype=np.int32)
+        kept = values[validity] if typed else list(compress(values, validity.tolist()))
+        dictionary, valid_codes = factorize_sorted(kept)
+        codes = np.full(len(validity), -1, dtype=np.int32)
         codes[validity] = valid_codes
-    return codes, values.astype(object, copy=False)
+    return codes, dictionary.astype(object, copy=False), validity
 
 
 def _run_heads(ordered: np.ndarray) -> np.ndarray:
@@ -317,16 +325,6 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
     return ordered[_run_heads(ordered)]
 
 
-def _plain_strings(values: Any) -> bool:
-    """True for a 1-D object array holding nothing but plain ``str``."""
-    return (
-        isinstance(values, np.ndarray)
-        and values.dtype == object
-        and values.ndim == 1
-        and set(map(type, values.tolist())) == {str}
-    )
-
-
 def _null_fill_value(dtype: DataType) -> Any:
     """A harmless payload value to park in null slots."""
     if dtype is DataType.STRING:
@@ -336,13 +334,19 @@ def _null_fill_value(dtype: DataType) -> Any:
     return 0
 
 
-def _wrap(
+def column_from_parts(
     data: np.ndarray,
     dtype: DataType,
-    validity: np.ndarray | None,
-    dictionary: tuple[np.ndarray, np.ndarray] | None = None,
+    validity: np.ndarray | None = None,
+    dictionary: np.ndarray | None = None,
 ) -> Column:
-    """Build a Column around prepared arrays without re-inference."""
+    """Public wrapper for building a column from prepared arrays.
+
+    Used by operators that compute payload and validity separately and want
+    to avoid the inference cost of the main constructor, and by the storage
+    layer.  A STRING column's ``data`` is its int32 codes (−1 in null
+    slots) into ``dictionary``, the sorted object array of its values.
+    """
     col = Column.__new__(Column)
     if validity is not None and bool(validity.all()):
         validity = None
@@ -354,33 +358,22 @@ def _wrap(
     return col
 
 
-def column_from_parts(
-    data: np.ndarray,
-    dtype: DataType,
-    validity: np.ndarray | None = None,
-    codes: np.ndarray | None = None,
-    dictionary: np.ndarray | None = None,
-) -> Column:
-    """Public wrapper for building a column from prepared arrays.
-
-    Used by operators that compute payload and validity separately and want
-    to avoid the inference cost of the main constructor, and by the storage
-    layer, which hands a STRING column the ``codes`` and sorted object
-    ``dictionary`` it read.
-    """
-    return _wrap(data, dtype, validity, None if codes is None else (codes, dictionary))
+def null_column(dtype: DataType, length: int) -> Column:
+    """``length`` NULLs of ``dtype`` (STRING: codes −1 over no value)."""
+    nulls = np.zeros(length, bool)
+    if dtype is DataType.STRING:
+        return column_from_parts(np.full(length, -1, np.int32), dtype, nulls, np.empty(0, object))
+    return column_from_parts(np.zeros(length, dtype.numpy_dtype), dtype, nulls)
 
 
 def concat_columns(columns: Sequence[Column]) -> Column:
     """Stack same-typed columns in one pass — the engine's only column concat.
 
-    When any piece has a dictionary built, the result carries the pieces'
-    codes mapped into the union of their dictionaries
+    STRING pieces' codes are mapped into the union of their dictionaries
     (:func:`merge_dictionaries`): slices and filters of one base column,
     which is what every scan gathers, share its dictionary object and stack
-    their codes as they are; a delta tail after them is encoded once and
-    only its distinct values are placed.  Pieces none of which has a
-    dictionary yet give a result without one.
+    their codes as they are; a delta tail after them places only its
+    distinct values.
     """
     first = columns[0]
     if len(columns) == 1:
@@ -390,7 +383,6 @@ def concat_columns(columns: Sequence[Column]) -> Column:
             raise TypeMismatchError(
                 f"cannot concat {other._dtype.name} column onto {first._dtype.name}"
             )
-    data = np.concatenate([c._data for c in columns])
     if all(c._validity is None for c in columns):
         validity = None
     else:
@@ -398,10 +390,11 @@ def concat_columns(columns: Sequence[Column]) -> Column:
             c._validity if c._validity is not None else np.ones(len(c), bool)
             for c in columns
         ])
-    if all(c._dictionary is None for c in columns):
-        return _wrap(data, first._dtype, validity)
-    codes, values = merge_dictionaries(columns)
-    return _wrap(data, first._dtype, validity, (np.concatenate(codes), values))
+    if first._dictionary is None:
+        pieces, values = [c._data for c in columns], None
+    else:
+        pieces, values = merge_dictionaries(columns)
+    return column_from_parts(np.concatenate(pieces), first._dtype, validity, values)
 
 
 def merge_dictionaries(columns: Sequence[Column]) -> tuple[list[np.ndarray], np.ndarray]:
@@ -409,24 +402,36 @@ def merge_dictionaries(columns: Sequence[Column]) -> tuple[list[np.ndarray], np.
     dictionaries, and that union: equal codes mean equal strings across
     the columns.
 
-    Each column's dictionary is built at most once, and never again once
-    it has one.  The union starts from the first dictionary and takes in
-    only the distinct values the others add, placed by ``searchsorted``;
-    a column whose dictionary is the union keeps its codes, and when no
-    column adds a value the union is the first dictionary object itself.
+    The union starts from the first dictionary and takes in only the
+    distinct values the others add, placed by ``searchsorted``; a column
+    whose dictionary is the union keeps its codes, and when no column adds
+    a value the union is the first dictionary object itself.
     """
-    pairs = [column.dictionary() for column in columns]
-    merged = pairs[0][1]
-    for _, values in pairs[1:]:
+    dictionaries = [column._dictionary for column in columns]
+    merged = dictionaries[0]
+    for values in dictionaries[1:]:
         if values is not merged:
             at = np.searchsorted(merged, values)
             new = np.append(merged, None)[at] != values
             if new.any():
                 merged = np.insert(merged, at[new], values[new])
     mapped = []
-    for codes, values in pairs:
+    for column, values in zip(columns, dictionaries):
+        codes = column._data
         if values is not merged:
-            remap = np.append(np.searchsorted(merged, values), -1).astype(np.int32)
-            codes = remap[codes]  # a NULL's −1 picks the appended −1
+            placed = np.append(np.searchsorted(merged, values), -1).astype(np.int32)
+            codes = placed[codes]  # a NULL's −1 picks the appended −1
         mapped.append(codes)
     return mapped, merged
+
+
+def compact_dictionary(column: Column) -> Column:
+    """STRING ``column`` with the dictionary values no row holds dropped
+    and its codes remapped: one count over the codes, and ``column``
+    itself when every value is in use."""
+    codes, values = column._data, column._dictionary
+    used = np.bincount(codes[codes >= 0], minlength=len(values)) > 0
+    if used.all():
+        return column
+    remap = np.append(np.cumsum(used, dtype=np.int32) - 1, np.int32(-1))
+    return column_from_parts(remap[codes], column._dtype, column._validity, values[used])

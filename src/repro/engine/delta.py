@@ -74,9 +74,10 @@ import numpy as np
 from repro.engine.column import (
     Column,
     _null_fill_value,
-    _wrap,
     column_from_parts,
+    compact_dictionary,
     concat_columns,
+    merge_dictionaries,
 )
 from repro.engine.expressions import Expression, Literal, fold_constant
 from repro.engine.planner import bind_expression
@@ -221,10 +222,10 @@ class DeltaStore:
 
     def column(self, index: int, length: int) -> Column:
         """Pending column ``index`` up to ``length``: read-only views of
-        its buffers."""
+        its buffers, a STRING column's values encoded into codes."""
         data, valid = self._data[index][:length], self._valid[index][:length]
         data.flags.writeable = valid.flags.writeable = False
-        return column_from_parts(data, self.schema.types[index], valid)
+        return Column(data, self.schema.types[index], valid)
 
     def live_main_mask(self) -> np.ndarray | None:
         """True where a main row survives, or None when nothing was deleted."""
@@ -391,13 +392,21 @@ def assign_column(old: Column, values: Column, rows: np.ndarray) -> Column:
     """``old`` with ``values[i]`` written at position ``rows[i]``.
 
     The vectorised UPDATE kernel: payload and validity are copied once
-    and scattered into at ``rows``.  The values' type is already bound
+    and scattered into at ``rows``; STRING codes are first mapped into
+    one dictionary (:func:`~repro.engine.column.merge_dictionaries`),
+    and the values the update overwrote everywhere leave it.
+    The values' type is already bound
     :func:`~repro.engine.types.assignable`; as in :func:`coerce_values`,
     a fractional float into INT64 raises :class:`TypeMismatchError`.
     """
     target = old.dtype
     valid = values.validity if values.validity is not None else np.ones(len(values), bool)
-    incoming = values.data[valid]
+    if target is DataType.STRING:
+        (data, codes), dictionary = merge_dictionaries([old, values])
+        incoming, fill = codes[valid], -1
+    else:
+        data, dictionary = old.data, None
+        incoming, fill = values.data[valid], _null_fill_value(target)
     if target is DataType.INT64 and values.dtype is DataType.FLOAT64 and not (
         np.isfinite(incoming).all() and np.equal(np.floor(incoming), incoming).all()
     ):
@@ -405,13 +414,14 @@ def assign_column(old: Column, values: Column, rows: np.ndarray) -> Column:
             "UPDATE would store fractional FLOAT64 values in an INT64 "
             "column; cast explicitly or change the column type"
         )
-    data = old.data.copy()
+    data = data.copy()
     data[rows[valid]] = incoming
     # park the null fill in newly nulled slots so the payload stays harmless
-    data[rows[~valid]] = _null_fill_value(target)
+    data[rows[~valid]] = fill
     new_validity = old.validity.copy() if old.validity is not None else np.ones(len(old), bool)
     new_validity[rows] = valid
-    return _wrap(data, target, new_validity)
+    updated = column_from_parts(data, target, new_validity, dictionary)
+    return updated if dictionary is None else compact_dictionary(updated)
 
 
 # -- tail materialisation and merge ---------------------------------------------------
@@ -421,7 +431,7 @@ def tail_table(store: DeltaStore) -> Table:
     """All delta rows (dead ones included, for position stability) as a
     columnar table with the main's schema: zero-copy views of the
     store's buffers up to its current length, which no later write
-    changes (:class:`DeltaStore`)."""
+    changes (:class:`DeltaStore`), a STRING column encoded into codes."""
     length = store.length  # read once: an append racing this lands past it
     return Table([
         (name, store.column(index, length)) for index, name in enumerate(store.schema.names)
@@ -432,7 +442,8 @@ def merged_table(main: Table, tail: Table, store: DeltaStore) -> Table:
     """The effective table: live main rows followed by live delta rows.
 
     STRING columns keep the main's dictionary, extended by the tail's
-    values (:func:`~repro.engine.column.concat_columns`).  This
+    values (:func:`~repro.engine.column.concat_columns`) and, when rows
+    were deleted, cut to the values the live rows hold.  This
     is both what :meth:`Database.get_table` hands out while the delta is
     dirty and the new main a merge installs; scans never build it — they
     read the main and the tail in place.
@@ -447,7 +458,10 @@ def merged_table(main: Table, tail: Table, store: DeltaStore) -> Table:
         t = tail.column(name)
         if live_delta is not None:
             t = t.filter(live_delta)
-        columns.append((name, concat_columns([base, t])))
+        merged = concat_columns([base, t])
+        if merged.dtype is DataType.STRING and (live_main is not None or live_delta is not None):
+            merged = compact_dictionary(merged)
+        columns.append((name, merged))
     return Table(columns)
 
 

@@ -62,7 +62,6 @@ from repro.engine.planner import (
     TopNNode,
 )
 from repro.engine.table import Table, concat_tables
-from repro.engine.types import DataType
 from repro.errors import ExecutionError
 from repro.obs.metrics import get_registry
 from repro.obs.profile import PlanProfiler, table_nbytes
@@ -164,10 +163,11 @@ def _run_node(
 def _ranges_nbytes(table: Table, ranges) -> int:
     """Upper bound on bytes the streamed ranges can fault in from disk.
 
-    Counts the per-row footprint of the *mapped* columns only (payload +
-    validity + dictionary codes; the dictionary itself is RAM-resident)
-    times the rows inside non-FAIL ranges — the pages a streamed scan
-    may touch.  Skipped zones contribute nothing, which is the point.
+    Counts the per-row footprint of the *mapped* columns only (payload,
+    which for a STRING column is its 4 code bytes, plus validity; the
+    dictionary is RAM-resident) times the rows inside non-FAIL ranges —
+    the pages a streamed scan may touch.  Skipped zones contribute
+    nothing, which is the point.
     """
     rows = sum(stop - start for start, stop, _evaluate in ranges)
     per_row = 0
@@ -175,11 +175,9 @@ def _ranges_nbytes(table: Table, ranges) -> int:
         column = table.column(name)
         if not column.is_mapped:
             continue
-        per_row += column.data.dtype.itemsize
+        per_row += ops.key_array(column).dtype.itemsize
         if column.validity is not None:
             per_row += column.validity.dtype.itemsize
-        if column.dtype is DataType.STRING:
-            per_row += 4  # int32 codes
     return rows * per_row
 
 

@@ -22,7 +22,14 @@ from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.engine.column import Column, _null_fill_value, column_from_parts, merge_dictionaries
+from repro.engine.column import (
+    Column,
+    _null_fill_value,
+    column_from_parts,
+    factorize_sorted,
+    merge_dictionaries,
+    null_column,
+)
 from repro.engine.table import Schema, Table
 from repro.engine.types import DataType, common_type, python_value
 from repro.errors import TypeMismatchError
@@ -314,15 +321,16 @@ class Literal(Expression):
 
     def evaluate(self, table: Table) -> Column:
         dtype = DataType.FLOAT64 if self.dtype is DataType.UNKNOWN else self.dtype
-        valid = self.value is not None
-        fill = self.value if valid else _null_fill_value(dtype)
+        if self.value is None:
+            return null_column(dtype, table.num_rows)
+        if dtype is DataType.STRING:  # zero codes over a one-value dictionary
+            values = np.array([self.value], object)
+            return column_from_parts(np.zeros(table.num_rows, np.int32), dtype, None, values)
         try:
-            data = np.full(table.num_rows, fill, dtype.numpy_dtype)
+            data = np.full(table.num_rows, self.value, dtype.numpy_dtype)
         except OverflowError:
-            raise _outside_int64(fill) from None
-        return column_from_parts(
-            data, dtype, None if valid else np.zeros(table.num_rows, dtype=bool)
-        )
+            raise _outside_int64(self.value) from None
+        return column_from_parts(data, dtype)
 
     def output_type(self, schema: Schema) -> DataType:
         return self.dtype
@@ -842,8 +850,11 @@ class FunctionCall(Expression):
             return column_from_parts(result, DataType.FLOAT64, validity)
         if self.name == "LENGTH":  # a string function
             return column_from_parts(_per_value(inner, len, np.int64, 0), out, inner.validity)
+        codes, values = inner.dictionary()  # the mapped values re-factorized
         transform = str.upper if self.name == "UPPER" else str.lower
-        return column_from_parts(_per_value(inner, transform, object, ""), out, inner.validity)
+        mapped, remap = factorize_sorted(list(map(transform, values.tolist())))
+        codes = np.append(remap, np.int32(-1))[codes]  # a NULL's −1 reads the appended −1
+        return column_from_parts(codes, out, inner.validity, mapped)
 
     def _result_type(self, argument: DataType) -> DataType:
         """The call's type over an ``argument`` of that type; raises on the
@@ -889,18 +900,23 @@ class Case(Expression):
         n = table.num_rows
         columns = [value.evaluate(table) for value in self._values()]
         out_type = functools.reduce(common_type, [column.dtype for column in columns])
-        data = np.full(n, _null_fill_value(out_type), out_type.numpy_dtype)
+        if out_type is DataType.STRING:  # every branch's codes in one dictionary
+            payloads, dictionary = merge_dictionaries(columns)
+            data = np.full(n, -1, np.int32)
+        else:
+            payloads, dictionary = [column.data for column in columns], None
+            data = np.full(n, _null_fill_value(out_type), out_type.numpy_dtype)
         valid = np.zeros(n, dtype=bool)
         remaining = np.ones(n, dtype=bool)  # no branch taken yet: the ELSE's, a NULL without one
-        for i, column in enumerate(columns):
+        for i, (column, payload) in enumerate(zip(columns, payloads)):
             rows = remaining.copy()
             if i < len(self.branches):
                 rows &= truth_mask(self.branches[i][0], table)
                 remaining &= ~rows
             rows &= ~column.is_null_mask()
-            data[rows] = column.data[rows]
+            data[rows] = payload[rows]
             valid |= rows
-        return column_from_parts(data, out_type, valid)
+        return column_from_parts(data, out_type, valid, dictionary)
 
     def _values(self) -> list[Expression]:
         """The branch values and the ELSE value, in evaluation order."""

@@ -10,7 +10,13 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.engine.column import Column, column_from_parts, merge_dictionaries, sorted_distinct
+from repro.engine.column import (
+    Column,
+    column_from_parts,
+    merge_dictionaries,
+    null_column,
+    sorted_distinct,
+)
 from repro.engine.expressions import Expression, strip_outer_parens, truth_mask
 from repro.engine.sql.ast import AggregateCall, OrderItem, SelectItem
 from repro.engine.table import Table
@@ -256,7 +262,9 @@ def hash_join(
             (name, left.column(name).take(left_idx)) for name in left.column_names
         ]
         pad_mask = right_idx < 0
-        safe_right_idx = np.where(pad_mask, 0, right_idx)
+        padded = bool(pad_mask.any())
+        # a left-join padding row takes right row 0, then is made NULL
+        rows = np.where(pad_mask, 0, right_idx) if padded else right_idx
         used_names = set(left.column_names)
         for name in right.column_names:
             out_name = name
@@ -264,23 +272,16 @@ def hash_join(
                 out_name = f"right_{out_name}"
             used_names.add(out_name)
             source = right.column(name)
-            if len(right) == 0:
-                # all output rows (if any) are left-join padding: emit nulls
-                taken = column_from_parts(
-                    np.zeros(len(left_idx), dtype=source.dtype.numpy_dtype),
-                    source.dtype,
-                    np.zeros(len(left_idx), dtype=bool) if len(left_idx) else None,
-                )
-                out.append((out_name, taken))
+            if right.num_rows == 0:  # every output row (if any) is padding
+                out.append((out_name, null_column(source.dtype, len(left_idx))))
                 continue
-            taken = source.take(safe_right_idx)
-            if pad_mask.any():
-                validity = (
-                    taken.validity.copy() if taken.validity is not None
-                    else np.ones(len(taken), bool)
-                )
-                validity[pad_mask] = False
-                taken = column_from_parts(taken.data, taken.dtype, validity)
+            taken = source.take(rows)
+            if padded:  # NULL validity, and a STRING code −1, at the padding
+                pair = taken.dictionary()  # None but for STRING
+                data = taken.data if pair is None else np.where(pad_mask, np.int32(-1), pair[0])
+                values = None if pair is None else pair[1]
+                validity = ~pad_mask if taken.validity is None else taken.validity & ~pad_mask
+                taken = column_from_parts(data, taken.dtype, validity, values)
             out.append((out_name, taken))
         if left.num_rows and not out:
             raise ExecutionError("join produced no columns")
@@ -470,12 +471,6 @@ def row_group_ids(
     return ids
 
 
-def _null_column(dtype: DataType, length: int) -> Column:
-    return column_from_parts(
-        np.zeros(length, dtype=dtype.numpy_dtype), dtype, np.zeros(length, dtype=bool)
-    )
-
-
 def aggregate_groups(
     function: str,
     distinct: bool,
@@ -499,12 +494,12 @@ def aggregate_groups(
     if len(column) == 0:  # no group, or the global group over no rows
         if function == "COUNT":
             return column_from_parts(np.zeros(len(counts), dtype=np.int64), DataType.INT64)
-        return _null_column(result_type, len(counts))
+        return null_column(result_type, len(counts))
     if distinct or (column.dtype is DataType.STRING and function != "COUNT"):
         if order is not None:
             column = column.take(order)
         return _aggregate_per_group(function, distinct, column, starts, counts, result_type)
-    data, valid = column.data, column.validity
+    data, valid = key_array(column), column.validity
     if order is not None and valid is not None:
         valid = valid[order]
     present = counts if valid is None else np.add.reduceat(valid, starts, dtype=np.int64)
@@ -566,20 +561,17 @@ def _aggregate_values(function: str, distinct: bool, column: Column) -> Any:
     """Evaluate one aggregate over one group's values."""
     if function == "COUNT":  # DISTINCT: one NaN, as SELECT DISTINCT and GROUP BY make
         return column.distinct_count()
+    if column.dtype is DataType.STRING:  # MIN or MAX: of the codes
+        return column.min() if function == "MIN" else column.max()
     valid = column.valid_data()
     if distinct:
-        if column.dtype is DataType.STRING:
-            valid = np.asarray(sorted(set(valid)), dtype=object)
-        else:
-            valid = sorted_distinct(valid)
+        valid = sorted_distinct(valid)
     if len(valid) == 0:
         return None
     if function == "SUM":
         return float(valid.sum()) if column.dtype is DataType.FLOAT64 else int(valid.sum())
     if function == "AVG":
         return float(np.mean(valid.astype(np.float64)))
-    if column.dtype is DataType.STRING:
-        return min(valid) if function == "MIN" else max(valid)
     extreme = valid.min() if function == "MIN" else valid.max()
     if column.dtype is DataType.FLOAT64:
         extreme = extreme + 0.0  # a zero extreme is +0.0, as in aggregate_groups

@@ -112,8 +112,9 @@ def _hash_ids(column, n: int) -> np.ndarray:
     strings hash per distinct value via crc32 (through their dictionary
     codes, :meth:`Column.dictionary`).  NULL and NaN rows route to shard 0.
     """
-    data = column.data
-    if data.dtype.kind in "iufb":
+    encoded = column.dictionary()
+    if encoded is None:
+        data = column.data
         if data.dtype.kind == "f":
             bits = np.ascontiguousarray(data, dtype=np.float64).view(np.uint64)
         else:
@@ -122,7 +123,7 @@ def _hash_ids(column, n: int) -> np.ndarray:
         if data.dtype.kind == "f":
             ids = np.where(np.isnan(data), 0, ids)
     else:
-        codes, values = column.dictionary()
+        codes, values = encoded
         per_value = [zlib.crc32(str(v).encode("utf-8")) % n for v in values]
         ids = np.array(per_value + [0], dtype=np.int64)[codes]  # a NULL's −1 reads 0
     if column.validity is not None:
@@ -167,7 +168,7 @@ def apply_layout(
     column = table.column(key)
     bounds: list[float] | None = None
     if mode == "range":
-        if column.data.dtype.kind not in "iufb":
+        if column.dictionary() is not None:
             raise ValueError(
                 f"range sharding requires a numeric key column, got {key!r}"
             )

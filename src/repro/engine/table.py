@@ -163,8 +163,7 @@ class Table:
 
     def rows(self) -> Iterator[tuple[Any, ...]]:
         """Iterate rows as tuples."""
-        for i in range(self.num_rows):
-            yield self.row(i)
+        return zip(*(self._columns[name].to_list() for name in self.column_names))
 
     def to_dicts(self) -> list[dict[str, Any]]:
         """Materialise as a list of ``{column: value}`` dicts."""

@@ -8,7 +8,9 @@ Logical    NumPy backing    Notes
 INT64      ``int64``        exact integers
 FLOAT64    ``float64``      IEEE doubles
 BOOL       ``bool_``        predicates and flags
-STRING     ``object``       Python ``str`` values (plus dictionary codes)
+STRING     ``int32``        codes into a sorted ``object`` dictionary
+                            of Python ``str`` values (``numpy_dtype``
+                            is ``object``, the values' dtype)
 ========= ================ =========================================
 
 Nulls are represented out-of-band with a boolean validity mask on each

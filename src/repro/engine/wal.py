@@ -25,7 +25,8 @@ to the last fsync, plus whatever the OS happened to flush.
 
 **Checkpoints.**  :func:`write_checkpoint` serialises every table's
 columnar main (raw per-part ``.npy`` files per column through the
-:mod:`repro.storage.layouts` seam, dictionary codes included) and its
+:mod:`repro.storage.layouts` seam, a STRING column as its codes and
+dictionary) and its
 cached zone maps into a numbered ``checkpoint-NNNNNN``
 directory.  The manifest is written last via write-temp-then-
 ``os.replace``, so a directory with a readable manifest is complete by
@@ -88,14 +89,14 @@ _KIND_BLOB = 2
 #: frames claiming more than this are treated as garbage length fields
 _MAX_RECORD = 1 << 31
 
-#: Checkpoint format: v1 stored one ``.npz`` per column; v2 stores raw
-#: per-part ``.npy`` files so columns can be reopened as read-only
-#: ``np.memmap`` views (``PRAGMA storage=mmap``).  v1 dirs stay readable.
-_FORMAT_VERSION = 2
-#: format 3 adds a per-table "sharding" manifest entry (mode, key,
-#: offsets, bounds); readers without sharding support must not open it
-_SHARDED_FORMAT_VERSION = 3
-_READABLE_FORMATS = (1, 2, 3)
+#: Checkpoint format: v1 stored one ``.npz`` per column; v2 raw per-part
+#: ``.npy`` files, so columns can be reopened as read-only ``np.memmap``
+#: views (``PRAGMA storage=mmap``); v3 added a per-table "sharding"
+#: manifest entry (mode, key, offsets, bounds).  v4, the one written,
+#: stores a STRING column as its codes and dictionary, with no payload
+#: part.  Every older format stays readable.
+_FORMAT_VERSION = 4
+_READABLE_FORMATS = (1, 2, 3, 4)
 
 
 # -- record framing ----------------------------------------------------------------
@@ -415,11 +416,7 @@ def _write_columns(directory: Path, table: "Table", prefix: str = "") -> list[di
         column = table.column(column_name)
         stem = f"{prefix}c{ci}"
         backing = column.backing
-        if (
-            backing is not None
-            and ("dictionary" in backing.files or column.dtype is not DataType.STRING)
-            and all(path.exists() for path in backing.paths().values())
-        ):
+        if backing is not None and all(path.exists() for path in backing.paths().values()):
             # a mapped column IS its file bytes (copy-on-write keeps
             # it immutable), so writing it is a file copy — cold
             # data is never re-serialised, or even read
@@ -469,12 +466,7 @@ def write_checkpoint(db: "Database", root: Path, checkpoint_id: int) -> Path:
                 "sharding": layout.to_manifest() if layout is not None else None,
             }
         )
-    version = (
-        _SHARDED_FORMAT_VERSION
-        if any(meta["sharding"] is not None for meta in tables_meta)
-        else _FORMAT_VERSION
-    )
-    manifest = {"format": version, "id": checkpoint_id, "tables": tables_meta}
+    manifest = {"format": _FORMAT_VERSION, "id": checkpoint_id, "tables": tables_meta}
     _atomic_write(directory / "MANIFEST.json", json.dumps(manifest, indent=1).encode())
     _fsync_dir(directory)
     return directory

@@ -22,13 +22,14 @@ from typing import Any
 def table_nbytes(table: Any) -> int:
     """Estimated payload bytes of a table: data plus validity arrays.
 
-    Object-dtype (string) columns count pointer bytes only — a stable
-    lower bound that keeps the estimate cheap.
+    A STRING column counts its int32 codes, not its dictionary — a
+    stable lower bound that keeps the estimate cheap.
     """
     total = 0
     for name in table.column_names:
         column = table.column(name)
-        total += int(column.data.nbytes)
+        encoded = column.dictionary()
+        total += int((column.data if encoded is None else encoded[0]).nbytes)
         if column.validity is not None:
             total += int(column.validity.nbytes)
     return total

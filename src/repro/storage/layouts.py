@@ -15,16 +15,16 @@ classical effects:
 This module is also the engine's physical (de)serialization seam: the
 durability layer (:mod:`repro.engine.wal`) persists every column through
 :func:`save_column_files`/:func:`open_column_files` — raw per-part
-``.npy`` files (the dense payload, the validity mask and any dictionary
-encoding) that the out-of-core tier can reopen as read-only
-``np.memmap`` views instead of materialised arrays (the ``storage``
-row of :mod:`repro.settings` selects the mode).  Two older ``.npz`` forms
-are only read: one archive per column (:func:`load_column`, v1
-checkpoints) and one per table (:func:`table_from_bytes`, the blobs of
-older WAL records).  No pickle anywhere: STRING payloads
-round-trip through NumPy unicode arrays, which keeps checkpoint files
-inert data (plus a lengths part when a value ends in NUL, which a unicode
-array would drop).
+``.npy`` files (the dense payload or a STRING column's codes and
+dictionary, and the validity mask) that the out-of-core tier can reopen
+as read-only ``np.memmap`` views instead of materialised arrays (the
+``storage`` row of :mod:`repro.settings` selects the mode).  Two older
+``.npz`` forms are only read: one archive per column (:func:`load_column`,
+v1 checkpoints) and one per table (:func:`table_from_bytes`, the blobs of
+older WAL records).  No pickle anywhere: STRING dictionaries round-trip
+through NumPy unicode arrays, which keeps checkpoint files inert data
+(plus a lengths part when a value ends in NUL, which a unicode array
+would drop).
 """
 
 from __future__ import annotations
@@ -171,40 +171,18 @@ class ColumnGroupLayout(Layout):
 
 # -- column serialization (the durability layer's physical seam) ----------------------
 #
-# The arrays of one column: ``data`` (STRING payloads as NumPy unicode, so
-# nothing needs pickle), optional ``validity``, and a STRING column's
-# ``codes``/``dictionary`` pair (part sets of older writers may lack it).
-# The logical dtype travels out of band (checkpoint manifest / WAL record
-# metadata) — the arrays alone do not distinguish INT64 from a sequence
-# of integers that happens to back a FLOAT64 column.
-
-
-def _string_parts(
-    part: str, values: np.ndarray, validity: np.ndarray | None, nul_free: bool = False
-) -> dict[str, np.ndarray]:
-    """An object payload of ``str`` as a dense NumPy unicode array.
-
-    Null slots may hold ``None``; they are parked as ``""`` (the validity
-    mask, stored alongside, is what distinguishes a null from an actual
-    empty string).  A unicode array drops trailing NULs, so when it holds
-    fewer characters than the values (unless the caller knows the values
-    are ``nul_free``) a ``{part}_lengths`` array of every value's length
-    is written too.
-    """
-    if validity is not None:
-        values = values.copy()
-        values[~validity] = ""
-    unicode = np.asarray(values, dtype=np.str_) if len(values) else np.empty(0, "U1")
-    arrays = {part: unicode}
-    if not nul_free and values.dtype == object and (
-        sum(map(len, values)) != int(np.char.str_len(unicode).sum())
-    ):
-        arrays[f"{part}_lengths"] = np.fromiter(map(len, values), np.int64, len(values))
-    return arrays
+# The arrays of one column: ``data``, or a STRING column's ``codes`` and
+# ``dictionary`` (as NumPy unicode, so nothing needs pickle), plus an
+# optional ``validity``.  Part sets of older writers also hold a STRING
+# ``data`` payload, and some hold nothing else.  The logical dtype travels
+# out of band (checkpoint manifest / WAL record metadata) — the arrays
+# alone do not distinguish INT64 from a sequence of integers that happens
+# to back a FLOAT64 column.
 
 
 def _strings_from_unicode(unicode: np.ndarray, lengths: np.ndarray | None) -> np.ndarray:
-    """The object payload :func:`_string_parts` wrote, trailing NULs restored."""
+    """The object array of ``str`` a unicode part holds, trailing NULs
+    (which a unicode array drops) restored from its lengths part."""
     values = unicode.astype(object)
     if lengths is not None:
         for i in np.flatnonzero(np.char.str_len(unicode) != lengths):
@@ -214,42 +192,37 @@ def _strings_from_unicode(unicode: np.ndarray, lengths: np.ndarray | None) -> np
 
 def column_to_arrays(column: "Column") -> dict[str, np.ndarray]:
     """The dense arrays that fully describe ``column`` (pickle-free)."""
-    from repro.engine.types import DataType
-
-    validity = column.validity
-    if column.dtype is not DataType.STRING:
+    encoded = column.dictionary()
+    if encoded is None:
         arrays = {"data": column.data}
     else:
-        codes, dictionary = column.dictionary()
-        dictionary_parts = _string_parts("dictionary", dictionary, None)
-        # the data holds dictionary values: NUL-free when the dictionary is
-        arrays = _string_parts("data", column.data, validity, len(dictionary_parts) == 1)
-        arrays["codes"] = codes
-        arrays.update(dictionary_parts)
-    if validity is not None:
-        arrays["validity"] = validity
+        codes, values = encoded
+        unicode = np.asarray(values, dtype=np.str_) if len(values) else np.empty(0, "U1")
+        arrays = {"codes": codes, "dictionary": unicode}
+        if sum(map(len, values)) != int(np.char.str_len(unicode).sum()):  # a NUL dropped
+            arrays["dictionary_lengths"] = np.fromiter(map(len, values), np.int64, len(values))
+    if column.validity is not None:
+        arrays["validity"] = column.validity
     return arrays
 
 
 def column_from_arrays(arrays: dict[str, np.ndarray], dtype: "DataType") -> "Column":
-    """Rebuild a column from :func:`column_to_arrays` output."""
-    from repro.engine.column import column_from_parts
+    """Rebuild a column from :func:`column_to_arrays` output, or from an
+    older writer's part set: a STRING payload without codes is encoded
+    here, one beside codes is not read."""
+    from repro.engine.column import Column, column_from_parts
     from repro.engine.types import DataType
 
-    data = arrays["data"]
     validity = arrays.get("validity")
     if validity is not None:
         validity = validity.astype(bool)
-    if dtype is DataType.STRING:
-        data = _strings_from_unicode(data, arrays.get("data_lengths"))
-        if validity is not None:
-            data[~validity] = None
-    codes, dictionary = arrays.get("codes"), None
-    if codes is not None:  # older STRING part sets hold the payload only
-        codes = codes.astype(np.int32)
+    if dtype is not DataType.STRING:
+        return column_from_parts(np.ascontiguousarray(arrays["data"]), dtype, validity)
+    if "codes" in arrays:
         dictionary = _strings_from_unicode(arrays["dictionary"], arrays.get("dictionary_lengths"))
-    return column_from_parts(np.ascontiguousarray(data) if data.dtype != object else data,
-                             dtype, validity, codes=codes, dictionary=dictionary)
+        return column_from_parts(arrays["codes"].astype(np.int32), dtype, validity, dictionary)
+    payload = _strings_from_unicode(arrays["data"], arrays.get("data_lengths"))
+    return Column(payload, dtype, validity)
 
 
 def load_column(source: str | IO[bytes], dtype: "DataType") -> "Column":
@@ -285,10 +258,10 @@ def table_from_bytes(blob: bytes) -> "Table":
 
 # -- out-of-core storage tier ---------------------------------------------------------
 #
-# Checkpoint v2 stores each column as raw per-part ``.npy`` files
-# (``{stem}.data.npy`` plus optional ``validity``/``codes``/
-# ``dictionary`` parts).  Unlike the ``.npz`` zip container, a raw
-# ``.npy`` can be reopened as a read-only ``np.memmap`` view, so cold
+# Checkpoints since v2 store each column as raw per-part ``.npy`` files
+# (``{stem}.data.npy``, or a STRING column's ``codes``/``dictionary``,
+# plus an optional ``validity``).  Unlike the ``.npz`` zip container, a
+# raw ``.npy`` can be reopened as a read-only ``np.memmap`` view, so cold
 # tables never have to be materialised: the scan path faults in only the
 # pages it actually slices, and zone-map pruning skips the read itself.
 # The dictionary part is always loaded into RAM — it is tiny (distinct
@@ -309,9 +282,9 @@ def _fsync_save(path: Path, array: np.ndarray) -> None:
 def save_column_files(directory: Path, stem: str, column: "Column") -> dict[str, str]:
     """Write ``column`` as raw per-part ``.npy`` files under ``directory``.
 
-    Returns a mapping from part name (``data``/``validity``/``codes``/
-    ``dictionary``) to the file name written, suitable for a checkpoint
-    manifest and for :func:`open_column_files`.
+    Returns a mapping from part name (``data``, or ``codes``/``dictionary``
+    /``dictionary_lengths``, and ``validity``) to the file name written,
+    suitable for a checkpoint manifest and for :func:`open_column_files`.
     """
     files: dict[str, str] = {}
     for part, array in column_to_arrays(column).items():
@@ -367,20 +340,24 @@ def open_column_files(
 ) -> "Column":
     """Open a column written by :func:`save_column_files`.
 
-    ``mode="memory"`` materialises every part (bit-identical to loading
-    the old ``.npz`` form).  ``mode="mmap"`` opens the data/validity/
-    codes parts as read-only ``np.memmap`` views and records a
-    :class:`ColumnBacking` on the column; the dictionary part (if any)
-    is small and always loaded into RAM, and so is a column with a
-    ``_lengths`` part (trailing NULs).
+    ``mode="memory"`` materialises every part it reads.  ``mode="mmap"``
+    opens the data (a STRING column's codes) and validity parts as
+    read-only ``np.memmap`` views and records a :class:`ColumnBacking`
+    over the parts it read; the dictionary is small and always loaded
+    into RAM.  An older writer's STRING payload is not read when codes
+    sit beside it; one without codes is encoded in RAM and carries no
+    backing, since the column is then no longer its file bytes.
     """
     from repro.engine.column import column_from_parts
+    from repro.engine.types import DataType
 
     directory = Path(directory)
     if mode not in STORAGE_MODES:
         raise ValueError(f"unknown storage mode {mode!r}")
-    if mode == "memory" or any(part.endswith("_lengths") for part in files):
-        # trailing NULs are restored in RAM: a mapped unicode array drops them
+    string = dtype is DataType.STRING
+    if string and "codes" in files:  # a payload beside the codes: unread
+        files = {part: name for part, name in files.items() if not part.startswith("data")}
+    if mode == "memory" or (string and "codes" not in files):
         arrays = {
             part: np.load(directory / name, allow_pickle=False)
             for part, name in files.items()
@@ -394,12 +371,15 @@ def open_column_files(
         mapped.append(array)
         return array
 
-    data = _map("data")
     validity = _map("validity").astype(bool, copy=False) if "validity" in files else None
-    codes = dictionary = None
-    if "codes" in files:
-        codes = _map("codes")
-        dictionary = np.load(directory / files["dictionary"], allow_pickle=False).astype(object)
-    column = column_from_parts(data, dtype, validity, codes=codes, dictionary=dictionary)
+    if string:
+        lengths = files.get("dictionary_lengths")
+        dictionary = _strings_from_unicode(
+            np.load(directory / files["dictionary"], allow_pickle=False),
+            None if lengths is None else np.load(directory / lengths, allow_pickle=False),
+        )
+        column = column_from_parts(_map("codes"), dtype, validity, dictionary)
+    else:
+        column = column_from_parts(_map("data"), dtype, validity)
     column._backing = ColumnBacking(directory, files, mapped)
     return column

@@ -29,12 +29,6 @@ def pin_defaults(*names: str) -> None:
     settings.configure(**{name: settings.ROWS[name].default for name in names})
 
 
-def built_dictionary(column):
-    """A STRING column's dictionary if one is built, else None: looked up
-    without building one, which ``Column.dictionary()`` would."""
-    return column._dictionary
-
-
 def restart_batch_numbering() -> None:
     """Fault injection keys on ``(batch, task)`` and batches are numbered
     process-wide: restarted per test, the morsel an injected fault lands

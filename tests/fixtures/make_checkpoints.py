@@ -17,12 +17,22 @@ default all of them) under the given directory:
   statistics of ``partial`` left partial by the UPDATE;
 - ``checkpoint_v3/`` — format 3: table ``sharded``, range-sharded on
   ``n``, so its rows are stored re-clustered;
+- ``checkpoint_v4/`` — format 4, which stores a STRING column as its
+  codes and dictionary only: table ``plain``, whose STRING ``s`` holds
+  NULL, ``''``, a value ending in NUL, one ending in a newline and
+  non-ASCII values, and table ``sharded``, as in ``checkpoint_v3``.  It
+  is the current writer's: CI regenerates it and compares it with the
+  committed copy (``--compare``, below), so a change to what a
+  checkpoint holds shows there;
 - ``wal_v1/`` — no checkpoint, only a write-ahead log holding every kind
   of record :func:`wal_v1_script` makes: programmatic creates and
   replaces as whole-table npz blobs (frame kind 2), SQL DDL and DML,
   merge markers, a re-shard and a drop.  It was written by the ``src``
   of commit ``a6b14e7``, the last kind-2 writer, through this file's
   :func:`write_wal_v1`; today's writer logs those creates as load dirs.
+
+``make_checkpoints.py --compare A B`` exits non-zero when two fixture
+roots differ in content (:func:`differences`).
 
 The format-1 writer has no ``repro.settings``, so :func:`write_v1`
 configures through PRAGMAs, and its column histograms cannot bin INT64
@@ -34,6 +44,7 @@ and runs the same writers against it to compare.
 
 from __future__ import annotations
 
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -101,6 +112,29 @@ def write_v2(root: Path) -> None:
     db = Database(path=root)
     try:
         _write_full_and_partial(db, first_key=BIG)
+    finally:
+        db.close()
+
+
+def v4_table(rows: int = ROWS) -> Table:
+    """:func:`table` with a STRING ``s`` holding NULL, ``''``, a value
+    ending in NUL, one ending in a newline and non-ASCII values."""
+    strings = [None, "", "a\x00", "a", "line\n", "d\u00e9j\u00e0", "\u65e5\u672c"]
+    base = table(rows)
+    s = Column([strings[i % len(strings)] for i in range(rows)], dtype=DataType.STRING)
+    return Table([(name, s if name == "s" else base.column(name)) for name in base.column_names])
+
+
+def write_v4(root: Path) -> None:
+    configure()
+    db = Database(path=root)
+    try:
+        db.create_table("plain", v4_table())
+        db.create_table("sharded", table())
+        db.apply_sharding("sharded", 2, shard_by="range(n)")
+        for name in ("plain", "sharded"):
+            db.zone_map(name)
+        db.checkpoint()
     finally:
         db.close()
 
@@ -175,9 +209,45 @@ def write_wal_v1(root: Path) -> None:
         db.close()
 
 
+#: the checkpoints written before the column histograms went
 WRITERS = {"checkpoint_v1": write_v1, "checkpoint_v2": write_v2, "checkpoint_v3": write_v3}
 #: every fixture :func:`main` can write: the checkpoints and the log
-FIXTURES = {**WRITERS, "wal_v1": write_wal_v1}
+FIXTURES = {**WRITERS, "checkpoint_v4": write_v4, "wal_v1": write_wal_v1}
+
+
+def _arrays(path: Path) -> dict[str, np.ndarray]:
+    if path.suffix == ".npy":
+        return {"": np.load(path, allow_pickle=False)}
+    with np.load(path, allow_pickle=False) as npz:
+        return {key: npz[key] for key in npz.files}
+
+
+def differences(left: Path, right: Path) -> list[str]:
+    """What differs between fixture roots ``left`` and ``right``: their
+    file names, each manifest as JSON, each ``.npy``/``.npz`` part as
+    decoded arrays (dtype, shape and bytes) and any other file byte for
+    byte.  The container bytes around the arrays (``.npy`` header
+    padding, zip entry fields) vary with the numpy and Python versions,
+    so they are not compared."""
+    def names(root: Path) -> set[str]:
+        return {str(path.relative_to(root)) for path in root.rglob("*") if path.is_file()}
+
+    found = [f"only in one root: {name}" for name in sorted(names(left) ^ names(right))]
+    for name in sorted(names(left) & names(right)):
+        a, b = left / name, right / name
+        if a.name == "MANIFEST.json":
+            same = json.loads(a.read_text()) == json.loads(b.read_text())
+        elif a.suffix in (".npy", ".npz"):
+            x, y = _arrays(a), _arrays(b)
+            same = x.keys() == y.keys() and all(
+                x[k].dtype == y[k].dtype and x[k].shape == y[k].shape
+                and x[k].tobytes() == y[k].tobytes() for k in x
+            )
+        else:
+            same = a.read_bytes() == b.read_bytes()
+        if not same:
+            found.append(f"differs: {name}")
+    return found
 
 
 def main(out: Path, names: list[str]) -> None:
@@ -188,6 +258,10 @@ def main(out: Path, names: list[str]) -> None:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--compare"]:
+        found = differences(Path(sys.argv[2]), Path(sys.argv[3]))
+        print("\n".join(found) or "same content")
+        sys.exit(1 if found else 0)
     # e.g. ``... make_checkpoints.py tests/fixtures checkpoint_v1``: one
     # checkout writes the fixtures of its own format only
     main(Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent),

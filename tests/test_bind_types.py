@@ -140,9 +140,10 @@ def test_set_null_survives_merge_checkpoint_and_reopen(tmp_path, checkpoint):
             db.checkpoint()
         want = {"x": [1, 2, 3, 4], "s": ["a", None, None, None], "b": [True, None, None, None]}
         assert _columns(db.get_table("t")) == want
+        schema = db.get_table("t").schema
     with Database(path=tmp_path) as reopened:
         assert _columns(reopened.get_table("t")) == want
-        assert reopened.get_table("t").schema == db.get_table("t").schema
+        assert reopened.get_table("t").schema == schema
 
 
 # -- satellites: aggregate arguments and logical operands are typed at bind --------------

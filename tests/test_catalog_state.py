@@ -33,7 +33,7 @@ from repro.engine import Database, DataType, Table
 from repro.engine import statistics
 from repro.engine.column import Column
 from repro.engine.statistics import ColumnStatistics, ZoneMap
-from repro.errors import TypeMismatchError
+from repro.errors import CatalogError, TypeMismatchError
 from repro.indexing import UpdatableCrackerIndex
 from repro.obs.metrics import get_registry
 from tests.conftest import pin_defaults
@@ -693,3 +693,22 @@ def test_join_reorder_builds_only_the_join_key_entries(monkeypatch):
     db.execute(_JOIN_SQL)
     db.sql("SELECT COUNT(*) AS n FROM u WHERE w > 10")
     assert len(built) == 2
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+def test_close_drops_every_table_state(tmp_path, durable):
+    """A closed database, in memory or durable, pins no main, tail, zone
+    map or plan, and reading a table of it raises."""
+    pin_defaults("delta_rows")
+    db = Database(path=tmp_path) if durable else Database()
+    db.create_table("t", {"a": list(range(100)), "s": ["x", "y", None, "z"] * 25})
+    db.execute("INSERT INTO t VALUES (100, 'w')")
+    db.zone_map("t")
+    db.sql("SELECT s, COUNT(*) AS n FROM t WHERE a > 5 GROUP BY s")
+    assert db.delta_store_if_dirty("t") is not None and db._plan_cache
+    db.close()
+    assert not db._tables and not db._plan_cache and not db._plan_templates
+    assert not db.has_table("t") and db.table_names() == []
+    for read in (db.get_table, db.main_table, db._state, db.delta_tail):
+        with pytest.raises(CatalogError, match="^database is closed$"):
+            read("t")

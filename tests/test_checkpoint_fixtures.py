@@ -13,6 +13,12 @@ holds a ``""`` for its NULLs that today's leaves out); its zone maps equal what 
 column entry the manifest holds equals what ``Database.statistics``
 computes now; and completing the zone maps equals a rebuild.
 
+``tests/fixtures/checkpoint_v4`` is the current writer's (format 4): a
+STRING column is its codes and dictionary, with no payload part, and a
+mapped one maps its codes and validity only.  Every checkpoint fixture
+opens alike under both storage modes, and a checkpoint of any of them
+is a format-4 one.
+
 ``tests/fixtures/wal_v1`` is a root with no checkpoint whose log holds
 every kind of record, the programmatic creates and replaces as
 whole-table npz blobs (frame kind 2), which the current writer no longer
@@ -33,6 +39,7 @@ import pytest
 from repro import settings
 from repro.engine import Database, DataType, Table
 from repro.engine import wal as walmod
+from repro.storage import layouts
 from tests.conftest import pin_defaults
 from tests.fixtures import make_checkpoints
 from tests.test_catalog_state import (
@@ -215,3 +222,85 @@ def test_wal_written_with_blob_records_replays(tmp_path, storage):
             assert (layout and layout.to_manifest()) == (want_layout and want_layout.to_manifest())
         assert want.shard_layout("loaded") is not None
         assert want.delta_store_if_dirty("loaded") is not None
+
+
+#: the parts a format-4 STRING column may hold
+_STRING_PARTS = {"codes", "dictionary", "dictionary_lengths", "validity"}
+
+
+def _string_files(manifest: dict) -> list[dict[str, str]]:
+    return [column["files"] for meta in manifest["tables"] for column in meta["columns"]
+            if column["dtype"] == "STRING"]
+
+
+@pytest.mark.parametrize("storage", ["memory", "mmap"])
+def test_format_4_stores_a_string_column_as_its_codes(tmp_path, storage):
+    manifest, _ = _written(FIXTURES / "checkpoint_v4")
+    assert manifest["format"] == 4
+    assert _string_files(manifest) and all(
+        set(files) <= _STRING_PARTS for files in _string_files(manifest)
+    )
+    shutil.copytree(FIXTURES / "checkpoint_v4", tmp_path / "old")
+    make_checkpoints.write_v4(tmp_path / "new")
+    settings.configure(storage=storage)
+    with Database(path=tmp_path / "old") as old, Database(path=tmp_path / "new") as new:
+        assert old.table_names() == ["plain", "sharded"]
+        assert old.shard_layout("plain") is None and old.shard_layout("sharded") is not None
+        for name in old.table_names():
+            main = old.main_table(name)
+            _assert_same_rows(main, new.main_table(name))
+            layout, want_layout = old.shard_layout(name), new.shard_layout(name)
+            assert (layout and layout.to_manifest()) == (want_layout and want_layout.to_manifest())
+            column = main.column("s")
+            assert column.dictionary()[0].dtype == np.int32
+            if storage == "mmap":  # the codes and validity mapped, nothing else
+                backing = column.backing
+                assert {Path(array.filename).name for array in backing.arrays} == {
+                    backing.files["codes"], backing.files["validity"]
+                }
+            else:
+                assert not column.is_mapped
+        strings = make_checkpoints.v4_table().column("s").to_list()
+        assert old.main_table("plain").column("s").to_list() == strings
+        assert {"", "a\x00", "line\n", None} <= set(strings)
+
+
+def test_the_current_writer_reproduces_checkpoint_v4(tmp_path):
+    """The current writer rewrites ``checkpoint_v4`` with the committed
+    files, manifest and decoded arrays (CI's "Checkpoint writer matches
+    its fixture" step), and one changed code shows as a difference."""
+    make_checkpoints.main(tmp_path, ["checkpoint_v4"])
+    new = tmp_path / "checkpoint_v4"
+    assert make_checkpoints.differences(new, FIXTURES / "checkpoint_v4") == []
+    part = next(new.rglob("*.codes.npy"))
+    codes = np.load(part)
+    codes[-1] = -1 if codes[-1] >= 0 else 0
+    np.save(part, codes)
+    assert make_checkpoints.differences(new, FIXTURES / "checkpoint_v4") == [
+        f"differs: {part.relative_to(new)}"
+    ]
+
+
+@pytest.mark.parametrize("fixture", [*sorted(make_checkpoints.WRITERS), "checkpoint_v4"])
+def test_every_checkpoint_opens_alike_in_both_modes_and_rewrites_as_format_4(tmp_path, fixture):
+    """An older STRING part set is read as codes (its payload unread when
+    codes sit beside it, else encoded at open); a checkpoint of it, of
+    mapped parts too, is format 4 with no STRING payload part."""
+    tables = {}
+    for storage in layouts.STORAGE_MODES:
+        root = tmp_path / storage
+        shutil.copytree(FIXTURES / fixture, root)
+        settings.configure(storage=storage)
+        with Database(path=root) as db:
+            tables[storage] = {name: db.main_table(name) for name in db.table_names()}
+            db.checkpoint()
+        manifest, _ = _written(root)
+        assert manifest["format"] == 4
+        assert all(set(files) <= _STRING_PARTS for files in _string_files(manifest))
+        settings.configure(storage="memory")
+        with Database(path=root) as db:
+            for name, table in tables[storage].items():
+                _assert_same_rows(db.main_table(name), table)
+    assert tables["memory"].keys() == tables["mmap"].keys()
+    for name, table in tables["memory"].items():
+        _assert_same_rows(tables["mmap"][name], table)

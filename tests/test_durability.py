@@ -414,7 +414,7 @@ class TestLoadDirs:
         assert (meta["op"], meta["table"], meta["dir"]) == ("create", "t", "load-000001")
         assert [(c["name"], c["dtype"], sorted(c["files"])) for c in meta["files"]] == [
             ("a", "INT64", ["data", "validity"]),
-            ("s", "STRING", ["codes", "data", "dictionary", "validity"]),
+            ("s", "STRING", ["codes", "dictionary", "validity"]),
         ]
         assert sorted(p.name for p in (tmp_path / "load-000001").iterdir()) == sorted(
             name for c in meta["files"] for name in c["files"].values()

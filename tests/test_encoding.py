@@ -3,11 +3,12 @@
 ``column.factorize_sorted`` builds every dictionary: one hash factorize
 of the payload, then a sort of the distinct values only.  Its result must
 equal ``np.unique(..., return_inverse=True)`` bit for bit, because code
-order is value order for every kernel on codes.  Every STRING column has
-a dictionary, built from its valid rows on first use, whichever way the
-column was built.  ``Column`` takes an
-object array of plain ``str`` as its payload without per-value passes;
-that must build what the general path builds.  Kernels compare strings as
+order is value order for every kernel on codes.  A STRING column is its
+dictionary: int32 codes over a sorted object array of values, built from
+its valid rows when the column is, whichever way the column was built,
+and no row payload beside them.  ``Column`` encodes an object array of
+plain ``str`` without per-value passes; that must build what the general
+path builds.  Kernels compare strings as
 Python does, so a value ending in NUL stays distinct from the value
 without it: in WHERE, in a join, after a delta merge and after a
 checkpoint (a NumPy unicode array would drop the NUL).
@@ -15,9 +16,7 @@ checkpoint (a NumPy unicode array would drop the NUL).
 
 from __future__ import annotations
 
-import sys
 import tempfile
-import threading
 
 import numpy as np
 import pytest
@@ -26,11 +25,13 @@ from hypothesis import example, given, settings as hsettings, strategies as st
 from repro import settings
 from repro.engine import Database, Table, column as column_module
 from repro.engine.column import Column, column_from_parts, concat_columns, factorize_sorted
+from repro.engine.delta import assign_column
 from repro.engine.expressions import Case, col, lit
+from repro.engine.operators import hash_join
 from repro.engine.types import DataType
 from repro.errors import TypeMismatchError
 from repro.storage import layouts
-from tests.conftest import built_dictionary, pin_defaults
+from tests.conftest import pin_defaults
 
 #: short strings over a small alphabet (collisions), non-ASCII and NUL
 _TEXT = st.text(alphabet="ab\x00é€\U0001f600", max_size=3)
@@ -121,26 +122,21 @@ def test_encode_dictionary_equals_the_sort_based_encoding(values):
 @example(["a"], ["a\x00", None])
 @example([None], [None])
 @example([], ["b", None])
+@example([f"v{i:03d}" for i in range(0, 120, 2)], [f"v{i:03d}" for i in range(1, 60, 3)] + [None])
 def test_extended_dictionary_equals_a_fresh_encoding(head, tail):
-    """A merge's dictionary (a head with its dictionary built + a tail
-    without one) is the encoding of every valid value of both, built
-    afresh: the tail is encoded once and its values placed in the head's."""
+    """A merge's dictionary (a head's + a tail's) is the encoding of every
+    valid value of both, built afresh: only the tail's values are placed
+    in the head's, by ``searchsorted``."""
     first = Column(head, dtype=DataType.STRING)
     head_values = first.dictionary()[1].tolist()
     rest = Column(tail, dtype=DataType.STRING)
-    assert built_dictionary(rest) is None
     merged = concat_columns([first, rest])
-    assert built_dictionary(merged) is not None and built_dictionary(rest) is not None
     codes, values = merged.dictionary()
     _assert_encoding((codes, values), _unique_encoding(merged))
     decoded = [None if c < 0 else values[c] for c in codes]
     assert decoded == head + tail  # Python equality: 'a\x00' is not 'a'
     if set(values.tolist()) == set(head_values):
         assert values is first.dictionary()[1]
-    # pieces none of which has a dictionary give a result without one
-    unbuilt = concat_columns([Column(head, dtype=DataType.STRING), Column(tail, dtype=DataType.STRING)])
-    assert built_dictionary(unbuilt) is None
-    _assert_encoding(unbuilt.dictionary(), (codes, values))
 
 
 def _dense(pair: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -153,50 +149,37 @@ def _dense(pair: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]
     return remap[codes], values[used]
 
 
-def _by_every_route(values: list, cut: int) -> dict[str, tuple[Column, bool]]:
-    """A STRING column holding ``values`` (or a part of them) built by each
-    route there is, and whether its dictionary is one built afresh from
-    its own rows (else passed on from the column it was derived from)."""
+def _by_every_route(values: list, cut: int, directory: str) -> dict[str, tuple[Column, list, bool]]:
+    """A STRING column built by each route there is: the column, the
+    list of values it must hold, and whether its dictionary is one built
+    afresh from its own rows, or cut to them (else passed on from the
+    column it was derived from, or a union a concat kept)."""
     built = Column(values, dtype=DataType.STRING)
-    built.dictionary()
     n = len(values)
     positions = np.arange(n)[::-1]
     mask = np.arange(n) % 2 == 0
-    valid = np.array([v is not None for v in values], dtype=bool)
+    written = ["w\x00" if i % 3 else None for i in range(n - cut)]
     routes = {
-        "list": (Column(values, dtype=DataType.STRING), True),
-        "object array": (Column(_objects(values), dtype=DataType.STRING), True),
-        "column_from_parts": (column_from_parts(_objects(values), DataType.STRING, valid), True),
-        "take": (built.take(positions), False),
-        "filter": (built.filter(mask), False),
-        "slice": (built.slice(cut, n), False),
-        "take, nothing built": (Column(values, dtype=DataType.STRING).take(positions), True),
-        # the head passes all of ``built``'s dictionary on, and the rows hold all of it
-        "concat": (concat_columns([built.slice(0, cut), Column(values[cut:], dtype=DataType.STRING)]),
-                   True),
-        "concat, nothing built": (concat_columns([
-            Column(values[:cut], dtype=DataType.STRING), Column(values[cut:], dtype=DataType.STRING)
-        ]), True),
+        "list": (Column(values, dtype=DataType.STRING), values, True),
+        "object array": (Column(_objects(values), dtype=DataType.STRING), values, True),
+        "column_from_parts": (column_from_parts(
+            built.dictionary()[0], DataType.STRING, built.validity, built.dictionary()[1]
+        ), values, True),
+        "take": (built.take(positions), [values[i] for i in positions], False),
+        "filter": (built.filter(mask), [v for v, kept in zip(values, mask) if kept], False),
+        "slice": (built.slice(cut, n), values[cut:], False),
+        "concat": (concat_columns([
+            built.slice(0, cut), Column(values[cut:], dtype=DataType.STRING)
+        ]), values, False),
+        "assign_column": (
+            assign_column(built, Column(written, dtype=DataType.STRING), np.arange(cut, n)),
+            values[:cut] + written, True,
+        ),
     }
     table = Table([("s", Column(values, dtype=DataType.STRING)),
                    ("k", Column(list(range(n)), dtype=DataType.INT64))])
     case = Case([(col("k") < lit(cut), col("s"))], lit("zz"))
-    routes["CASE output"] = (case.evaluate(table), True)
-    return routes
-
-
-@hsettings(max_examples=60, deadline=None)
-@given(st.lists(st.one_of(st.none(), _TEXT), max_size=30), st.data())
-@example([None], None)
-@example(["b", None], None)
-@example(["a\x00", "a", None, "é"], None)
-def test_every_route_has_the_unique_dictionary(values, data):
-    """Every STRING column answers ``dictionary()``: ``np.unique`` over its
-    valid values and its inverse, −1 at NULLs — exactly, where the route
-    builds one afresh; after cutting a passed-on dictionary down to the
-    values the codes use, where it derives the column from a built one."""
-    cut = data.draw(st.integers(0, len(values))) if data is not None else len(values) // 2
-    routes = _by_every_route(values, cut)
+    routes["CASE output"] = (case.evaluate(table), values[:cut] + ["zz"] * (n - cut), False)
     pin_defaults("delta_rows")
     settings.configure(delta_rows=100_000)
     db = Database()
@@ -205,56 +188,102 @@ def test_every_route_has_the_unique_dictionary(values, data):
         db.execute("INSERT INTO t VALUES " + ", ".join(
             "(NULL)" if v is None else f"('{v}')" for v in values
         ))
-    tail = db.delta_tail("t").column("s")
-    assert built_dictionary(tail) is None
-    routes["delta tail"] = (tail, True)
+    routes["delta tail"] = (db.delta_tail("t").column("s"), values, True)
+    files = layouts.save_column_files(directory, "c", built)
+    for mode in layouts.STORAGE_MODES:
+        routes[f"reopened, {mode}"] = (
+            layouts.open_column_files(directory, files, DataType.STRING, mode), values, True
+        )
+    return routes
+
+
+@hsettings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.none(), _TEXT), max_size=30), st.data())
+@example([None], None)
+@example(["b", None], None)
+@example(["a\x00", "a", None, "é"], None)
+@example([None, "", "a\x00", "x\n", "é", "", None], None)
+def test_every_route_has_the_unique_dictionary(values, data):
+    """Every STRING column, whichever route built it, holds the values of
+    a list model, and its ``dictionary()`` is ``np.unique`` over its
+    valid values and its inverse, −1 at NULLs — exactly, where the route
+    builds one afresh; after cutting a passed-on dictionary down to the
+    values the codes use, where the column keeps another's."""
+    cut = data.draw(st.integers(0, len(values))) if data is not None else len(values) // 2
     with tempfile.TemporaryDirectory() as directory:
-        files = layouts.save_column_files(directory, "c", Column(values, dtype=DataType.STRING))
-        for mode in layouts.STORAGE_MODES:
-            routes[f"reopened, {mode}"] = (
-                layouts.open_column_files(directory, files, DataType.STRING, mode), True
-            )
-        for route, (column, fresh) in routes.items():
+        for route, (column, model, fresh) in _by_every_route(values, cut, directory).items():
+            assert column.to_list() == model, route
             pair = column.dictionary()
             assert pair is not None and pair[1].dtype == object, route
-            want = _unique_encoding(column)
-            _assert_encoding(pair if fresh else _dense(pair), want)
+            _assert_encoding(pair if fresh else _dense(pair), _unique_encoding(column))
             decoded = [None if c < 0 else pair[1][c] for c in pair[0]]
-            assert decoded == column.to_list(), route
+            assert decoded == model, route
 
 
-def test_a_dictionary_built_by_racing_threads_is_whole():
-    """Pool threads may build one column's dictionary at once: each gets a
-    whole ``(codes, values)`` pair that decodes to the column, and the
-    column keeps one of them."""
-    values = [None if i % 7 == 0 else f"v{i % 13}" for i in range(2_000)]
-    columns = [Column(values, dtype=DataType.STRING) for _ in range(40)]
-    seen: list[tuple] = []
-    errors: list[BaseException] = []
+def test_every_route_holds_codes_not_rows():
+    """No route leaves a row-length payload in a STRING column: its data
+    slot is the int32 codes, and no slot holds an object or unicode array
+    as long as the column."""
+    values = [None, "", "a\x00", "x\n", "é"] * 12
+    with tempfile.TemporaryDirectory() as directory:
+        for route, (column, _, _) in _by_every_route(values, 25, directory).items():
+            assert column._data.dtype == np.int32, route
+            for slot in Column.__slots__:
+                held = getattr(column, slot)
+                assert not (
+                    isinstance(held, np.ndarray) and held.dtype.kind in "OU"
+                    and len(held) == len(column)
+                ), (route, slot)
 
-    def build() -> None:
-        try:
-            for column in columns:
-                seen.append((column, column.dictionary()))
-        except BaseException as exc:  # handed to the asserting thread
-            errors.append(exc)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=build) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads) and not errors
-    assert len(seen) == 6 * len(columns)
-    for column, (codes, dictionary) in seen:
-        assert [None if c < 0 else dictionary[c] for c in codes] == values
-        kept = built_dictionary(column)
-        assert kept[1].tolist() == dictionary.tolist() and np.array_equal(kept[0], codes)
+def test_left_join_padding_is_null_codes_under_the_right_dictionary():
+    """An unmatched left row reads code −1 in every right STRING column,
+    which keeps the right column's dictionary object; an empty right side
+    pads with all-NULL codes."""
+    right = Table([("k", Column([0, 1, 2, 3], dtype=DataType.INT64)),
+                   ("s", Column(["b", None, "a", "b"], dtype=DataType.STRING))])
+    left = Table([("j", Column([3, 9, 0, 1, 7], dtype=DataType.INT64))])
+    out = hash_join(left, right, "j", "k", "left")
+    s = out.column("s")
+    model = {3: "b", 0: "b", 1: None, 9: None, 7: None}
+    assert s.to_list() == [model[j] for j in out.column("j").to_list()]
+    codes, values = s.dictionary()
+    assert values is right.column("s").dictionary()[1]
+    assert np.array_equal(codes < 0, ~s.validity)
+    empty = hash_join(left, Table([("k", Column.empty(DataType.INT64)),
+                                   ("s", Column.empty(DataType.STRING))]), "j", "k", "left")
+    assert empty.column("s").to_list() == [None] * 5
+    assert empty.column("s").dictionary()[0].tolist() == [-1] * 5
+
+
+@pytest.mark.parametrize("storage", layouts.STORAGE_MODES)
+def test_no_dictionary_value_outlives_its_last_row(tmp_path, storage):
+    """A value no row holds any more leaves the dictionary: after each of
+    200 UPDATEs to a new value, after a DELETE and the merge that applies
+    it, and across a checkpoint and a reopen."""
+    pin_defaults("delta_rows", "storage", "faults")
+    settings.configure(storage=storage, delta_rows=100_000)
+
+    def assert_tight(db: Database) -> None:
+        column = db.get_table("t").column("s")
+        _assert_encoding(column.dictionary(), _unique_encoding(column))
+
+    table = Table([("k", Column(list(range(1000)), dtype=DataType.INT64)),
+                   ("s", Column([f"s{i % 7}" for i in range(1000)], dtype=DataType.STRING))])
+    with Database(path=tmp_path) as db:
+        db.create_table("t", table)
+        for i in range(200):
+            db.execute(f"UPDATE t SET s = 'v{i}' WHERE k < {500 + i}")
+            assert_tight(db)
+        assert len(db.get_table("t").column("s").dictionary()[1]) == 1 + 7
+        db.execute("DELETE FROM t WHERE k >= 699")
+        db.flush_deltas("t")
+        assert_tight(db)
+        assert db.main_table("t").column("s").dictionary()[1].tolist() == ["v199"]
+        db.checkpoint()
+    with Database(path=tmp_path) as db:
+        assert_tight(db)
+        assert db.main_table("t").column("s").dictionary()[1].tolist() == ["v199"]
 
 
 # -- the constructor's fast path ----------------------------------------------------------
@@ -289,8 +318,9 @@ def test_object_array_builds_what_the_general_path_builds(values, data):
 
 def test_plain_strings_skip_the_per_value_coercion(monkeypatch):
     calls = []
+    coerce = column_module.coerce_array
     monkeypatch.setattr(column_module, "coerce_array",
-                        lambda *args: calls.append(args) or np.empty(0, object))
+                        lambda *args: calls.append(args) or coerce(*args))
     array = _objects(["b", "a", "b"])
     column = Column(array, dtype=DataType.STRING)
     assert calls == [] and column.data is not array and column.data.tolist() == ["b", "a", "b"]
@@ -344,9 +374,9 @@ def test_string_join_compares_like_python(value):
 
 @pytest.mark.parametrize("value", ["a\x00", "\x00", ""])
 def test_unencoded_tail_compares_like_python(value):
-    """Rows pending in a delta tail carry no codes until a query reads
-    them: WHERE, GROUP BY and a join over them, on the codes built then,
-    compare as Python compares the strings."""
+    """Rows pending in a delta tail are encoded when the tail is built:
+    WHERE, GROUP BY and a join over them, on those codes, compare as
+    Python compares the strings."""
     pin_defaults("delta_rows")
     settings.configure(delta_rows=100_000)
     left, right = _nul_tables(value)
@@ -357,7 +387,7 @@ def test_unencoded_tail_compares_like_python(value):
     db.create_table("r", right)
     rows = ", ".join(f"('{s}', {x})" for s, x in zip(left["s"], left["x"]))
     db.execute(f"INSERT INTO l VALUES {rows}")
-    assert built_dictionary(db.delta_tail("l").column("s")) is None
+    assert db.delta_tail("l").column("s").dictionary()[0].dtype == np.int32
     joined = db.sql("SELECT l.x, r.y FROM l JOIN r ON l.s = r.s")
     assert sorted(joined.rows()) == _expected_join(left, right)
     where = db.sql(f"SELECT x FROM l WHERE s = '{value.rstrip(chr(0))}' ORDER BY x")
@@ -397,13 +427,11 @@ def test_trailing_nul_survives_a_reopen(tmp_path, storage, durable):
 def test_only_a_nul_ended_column_writes_lengths(tmp_path):
     plain = Column(["a", "b", None], dtype=DataType.STRING)
     assert set(layouts.save_column_files(tmp_path, "p", plain)) == {
-        "data", "validity", "codes", "dictionary"
+        "validity", "codes", "dictionary"
     }
     nul = Column(["a", "b\x00", None], dtype=DataType.STRING)
     files = layouts.save_column_files(tmp_path, "n", nul)
-    assert set(files) == {
-        "data", "data_lengths", "validity", "codes", "dictionary", "dictionary_lengths"
-    }
+    assert set(files) == {"validity", "codes", "dictionary", "dictionary_lengths"}
     reopened = layouts.open_column_files(tmp_path, files, DataType.STRING, "mmap")
-    assert not reopened.is_mapped and reopened.to_list() == ["a", "b\x00", None]
+    assert reopened.is_mapped and reopened.to_list() == ["a", "b\x00", None]
     assert reopened.dictionary()[1].tolist() == ["a", "b\x00"]

@@ -24,7 +24,6 @@ from repro.engine.statistics import ColumnStatistics, TableStatistics
 from repro.engine.types import coerce_array, common_type, infer_type
 from repro.errors import CatalogError, LoadingError, TypeMismatchError
 from repro.storage import layouts
-from tests.conftest import built_dictionary
 
 
 class TestTypes:
@@ -114,8 +113,6 @@ class TestColumn:
     def test_distinct_count_matches_unique(self, case):
         kind, values = case
         column = Column(values, dtype=DataType.STRING if kind == "ENCODED" else DataType[kind])
-        if kind == "ENCODED":  # built before the count, else built by it
-            column.dictionary()
         assert column.distinct_count() == len(np.unique(column.valid_data()))
 
     @settings(max_examples=150, deadline=None)
@@ -235,17 +232,16 @@ FILTER_ROWS = 24
 
 @pytest.fixture(scope="module")
 def filter_table(tmp_path_factory):
-    """NULL, NaN and ±0.0 floats, INT64 past 2**53, an encoded STRING and
-    a memory-mapped fixed-width STRING column."""
+    """NULL, NaN and ±0.0 floats, INT64 past 2**53, a STRING column and a
+    memory-mapped one (mapped codes)."""
     n = FILTER_ROWS
     floats = [(0.0, -0.0, math.nan, None, 2.5)[i % 5] for i in range(n)]
     encoded = Column([None if i % 7 == 0 else f"s{i % 4}" for i in range(n)])
-    encoded.dictionary()
     directory = tmp_path_factory.mktemp("mapped")
     plain = Column([None if i % 6 == 0 else "ab"[: i % 3] for i in range(n)])
     files = layouts.save_column_files(directory, "m", plain)
     mapped = layouts.open_column_files(directory, files, DataType.STRING, "mmap")
-    assert mapped.is_mapped and mapped.data.dtype.kind == "U"
+    assert mapped.is_mapped and isinstance(mapped.dictionary()[0], np.memmap)
     return Table([
         ("f", Column(floats, dtype=DataType.FLOAT64)),
         ("i", Column([None if i % 4 == 1 else 2**53 + i for i in range(n)], dtype=DataType.INT64)),
@@ -325,17 +321,15 @@ class TestTable:
             assert filtered.schema == table.schema and filtered.num_rows == int(rows.sum())
             for name in table.column_names:
                 got, base = filtered.column(name), table.column(name)
-                want = base.data[rows]
-                assert got.data.dtype == want.dtype and got.data.tobytes() == want.tobytes()
+                want = ops.key_array(base)[rows]  # a STRING column's codes
+                got_data = ops.key_array(got)
+                assert got_data.dtype == want.dtype and got_data.tobytes() == want.tobytes()
                 validity = None if base.validity is None else base.validity[rows]
                 if validity is not None and validity.all():
                     validity = None
                 assert (got.validity is None) == (validity is None)
                 assert validity is None or np.array_equal(got.validity, validity)
-                if built_dictionary(base) is None:
-                    assert built_dictionary(got) is None
-                else:
-                    assert np.array_equal(got.dictionary()[0], base.dictionary()[0][rows])
+                if base.dictionary() is not None:
                     assert got.dictionary()[1] is base.dictionary()[1]
                 assert not got.is_mapped
 

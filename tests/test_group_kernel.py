@@ -32,7 +32,7 @@ from repro.engine.sql.ast import AggregateCall
 from repro.engine.sql.parser import parse
 from repro.engine.types import DataType, aggregate_type
 from repro.obs.metrics import get_registry
-from tests.conftest import built_dictionary, pin_defaults
+from tests.conftest import pin_defaults
 from tests.reference_interpreter import run_reference
 from tests.test_parallel import tables_bit_identical
 from tests.test_scan_routes import _same_rows
@@ -223,8 +223,8 @@ def _database(route: dict) -> Database:
             db.execute(_insert_all(table))
         tail = db.delta_tail("t")
         assert tail.num_rows == ROWS and db.main_table("t").num_rows == 0
-        assert all(
-            built_dictionary(tail.column(name)) is None
+        assert all(  # encoded once, when the tail was built
+            tail.column(name).dictionary()[0].dtype == np.int32
             for name in tail.column_names
             if tail.schema.type_of(name) is DataType.STRING
         )
@@ -272,21 +272,9 @@ def pool():
 def test_lattice_point(route, key, monkeypatch, pool):
     db = _database(ROUTES[route])
     # the tail's rows read as they are: ``get_table`` would concat them
-    # behind the empty main, building their dictionaries
+    # behind the empty main
     rows = (db.delta_tail("t") if ROUTES[route].get("tail_only") else db.get_table("t")).to_dicts()
-    built = []  # per dictionary() call: whether it built the dictionary
-    if ROUTES[route].get("tail_only"):
-        dictionary = Column.dictionary
-
-        def building(column):
-            built.append(built_dictionary(column) is None)
-            return dictionary(column)
-
-        monkeypatch.setattr(Column, "dictionary", building)
     got = {sql: db.sql(sql) for sql in _statements(KEYS[key])}
-    if ROUTES[route].get("tail_only"):
-        assert any(built) or "ds" not in KEYS[key]  # codes built on first use
-        monkeypatch.setattr(Column, "dictionary", dictionary)
     # the spec kernel under the reference configuration: serial, unoptimized,
     # unzoned — Aggregate(Filter(Scan)) through ``ops.hash_aggregate``
     settings.configure(threads=0, optimizer=False, zone_rows=0)
@@ -359,9 +347,6 @@ def _grouped_inputs(draw):
         (name, Column(values, dtype=types[kinds[int(name[1:])] if name[0] == "k" else name]))
         for name, values in data.items()
     ])
-    for name in table.column_names:
-        if draw(st.booleans()):  # a STRING column's dictionary built now, else by the kernel
-            table.column(name).dictionary()
     cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
     return table, len(kinds), cuts
 
@@ -580,7 +565,7 @@ def test_fused_scan_copies_only_what_the_sink_reads(monkeypatch):
         monkeypatch.undo()
         from_main = [
             name for column in taken for name in main.column_names
-            if np.shares_memory(column.data, main.column(name).data)
+            if np.shares_memory(ops.key_array(column), ops.key_array(main.column(name)))
         ]
         assert sorted(from_main) == ["ds", "fv"]
         assert len(taken) == 2 * sources and all(len(c) == 1 for c in taken[2:])

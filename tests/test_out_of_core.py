@@ -109,7 +109,7 @@ class TestColumnFiles:
     def test_dictionary_codes_roundtrip(self, tmp_path):
         column = Column(["bee", "ant", None, "bee"])
         files = layouts.save_column_files(tmp_path, "c0", column)
-        assert set(files) == {"data", "validity", "codes", "dictionary"}
+        assert set(files) == {"validity", "codes", "dictionary"}
         reopened = layouts.open_column_files(tmp_path, files, DataType.STRING, "mmap")
         codes, values = reopened.dictionary()
         want_codes, want_values = column.dictionary()

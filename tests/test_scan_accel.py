@@ -30,7 +30,7 @@ from repro.errors import CatalogError, TypeMismatchError
 from repro.indexing import CrackerIndex
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.engine.sql.parser import parse
-from tests.conftest import built_dictionary, pin_defaults
+from tests.conftest import pin_defaults
 from tests.reference_interpreter import run_reference
 from tests.test_parallel import tables_bit_identical
 from tests.test_sql_differential import _sort_key, normalise, random_query, random_table
@@ -67,9 +67,8 @@ class TestDictionaryEncoding:
         db = Database()
         db.create_table("t", {"s": _strings(50), "x": list(range(50))})
         column = db.get_table("t").column("s")
-        encoded = built_dictionary(column)
-        assert encoded is not None and column.dictionary() is encoded
-        codes, values = encoded
+        codes, values = column.dictionary()
+        assert codes is column.dictionary()[0]  # the column's own codes, not rebuilt
         assert codes.dtype == np.int32
         assert list(values) == sorted(set(values))
         assert [values[c] for c in codes] == _strings(50)
@@ -83,28 +82,23 @@ class TestDictionaryEncoding:
 
     def test_disabled_by_config(self):
         """No setting turns encoding off: a column the catalog never
-        registered builds its dictionary on first use."""
+        registered is encoded when it is built."""
         with pytest.raises(CatalogError, match="^unknown pragma 'dict_encode'"):
             Database().execute("PRAGMA dict_encode=0")
         column = Table.from_dict({"s": _strings(10)}).column("s")
-        assert built_dictionary(column) is None
         codes, values = column.dictionary()
-        assert built_dictionary(column) is not None
         assert values.tolist() == sorted(set(_strings(10)))
         assert [values[c] for c in codes] == _strings(10)
 
     def test_codes_survive_take_filter_slice(self):
         column = Column(_strings(40, null_every=9), dtype=DataType.STRING)
-        unbuilt = column.take(np.array([0, 1]))
         base = column.dictionary()
         taken = column.take(np.array([3, 1, 4, 15, 9, 2]))
         filtered = column.filter(np.arange(40) % 2 == 0)
         sliced = column.slice(5, 20)
-        assert built_dictionary(unbuilt) is None  # nothing to pass on yet
         for derived in (taken, filtered, sliced):
-            encoded = built_dictionary(derived)
-            assert encoded is not None and encoded[1] is base[1]
-            codes, values = encoded
+            codes, values = derived.dictionary()
+            assert values is base[1]
             decoded = [None if c < 0 else values[c] for c in codes]
             expected = [derived[i] for i in range(len(derived))]
             assert decoded == expected
@@ -151,14 +145,13 @@ class TestDictionaryEncoding:
         encoded = Database()
         encoded.create_table("t", {"s": list(values), "x": list(range(300))})
         # the same rows all pending over an empty main: the delta tail
-        # holds them without codes until a scan reads it in place
+        # encodes them when a scan reads it in place
         pending = Database()
         pending.create_table("t", encoded.get_table("t").slice(0, 0))
         pending.execute(
             "INSERT INTO t VALUES "
             + ", ".join(f"({'NULL' if s is None else repr(s)}, {x})" for x, s in enumerate(values))
         )
-        assert built_dictionary(pending.delta_tail("t").column("s")) is None
         rows = [{"s": s, "x": x} for x, s in enumerate(values)]
         for q in queries:
             got = encoded.sql(q)
@@ -169,12 +162,12 @@ class TestDictionaryEncoding:
         """Registering a table encodes its STRING columns, whichever way
         it was built."""
         table = Table.from_dict({"s": _strings(10)})
-        assert built_dictionary(table.column("s")) is None
         db = Database()
         db.create_table("t", table)
-        assert built_dictionary(db.get_table("t").column("s")) is not None
+        codes, values = db.get_table("t").column("s").dictionary()
+        assert [values[c] for c in codes] == _strings(10)
         db.replace_table("t", Table.from_dict({"s": _strings(12)}))
-        assert built_dictionary(db.get_table("t").column("s")) is not None
+        assert db.get_table("t").column("s").dictionary()[1].tolist() == sorted(set(_strings(12)))
 
 
 # -- Column fast-path constructor -----------------------------------------------------
@@ -552,8 +545,8 @@ def test_corpus_bit_identity_under_threads_and_faults(seed: int) -> None:
         return f"'{value}'" if isinstance(value, str) else repr(value)
 
     def pending_db() -> Database:
-        # every row pending over an empty main: the delta tail holds the
-        # strings without codes until the first scan builds them
+        # every row pending over an empty main: the delta tail encodes
+        # the strings when the first scan builds it
         db = Database()
         db.create_table("t", table.slice(0, 0))
         db.execute(
@@ -563,7 +556,6 @@ def test_corpus_bit_identity_under_threads_and_faults(seed: int) -> None:
                 for r in rows
             )
         )
-        assert built_dictionary(db.delta_tail("t").column("s")) is None
         assert db.delta_tail("t").num_rows == len(rows)
         return db
 
@@ -576,7 +568,6 @@ def test_corpus_bit_identity_under_threads_and_faults(seed: int) -> None:
     )
     accel_db = Database()
     accel_db.create_table("t", table)
-    assert built_dictionary(accel_db.get_table("t").column("s")) is not None
     # run each query twice so the second execution exercises the
     # plan-cache hit path under the same fault schedule
     accelerated = [accel_db.sql(sql) for sql in queries]

@@ -520,7 +520,7 @@ class TestShardDurability:
             assert list(layout.offsets) == list(saved.offsets)
             assert layout.bounds == saved.bounds
 
-    def test_manifest_version_gates_on_sharding(self, tmp_path):
+    def test_manifest_format_is_one_whether_sharded_or_not(self, tmp_path):
         import json
 
         root = tmp_path / "db"
@@ -530,13 +530,13 @@ class TestShardDurability:
             manifest = json.loads(
                 (root / walmod.checkpoint_dir_name(1) / "MANIFEST.json").read_text()
             )
-            assert manifest["format"] == 2  # unsharded stays readable by PR 9
+            assert manifest["format"] == 4
             db.apply_sharding("plain", 2, shard_by="hash(k)")
             db.checkpoint()
             manifest = json.loads(
                 (root / walmod.checkpoint_dir_name(2) / "MANIFEST.json").read_text()
             )
-            assert manifest["format"] == 3
+            assert manifest["format"] == 4 and manifest["tables"][0]["sharding"] is not None
 
     def test_wal_only_replay(self, tmp_path):
         root = tmp_path / "db"

@@ -22,7 +22,6 @@ from repro.engine import operators as ops
 from repro.engine import parallel
 from repro.engine.sql.parser import parse
 from repro.obs.metrics import MetricsRegistry, set_registry
-from tests.conftest import built_dictionary
 from tests.test_parallel import tables_bit_identical
 
 NAN = float("nan")
@@ -93,10 +92,10 @@ def test_top_n_equals_sorted_prefix(seed: int, encoded: bool) -> None:
     if encoded:
         db = Database()
         db.create_table("t", _random_table(seed))
-        table = db.get_table("t")  # dictionary-encoded by the catalog
+        table = db.get_table("t")  # the registered table
     else:
-        table = _random_table(seed)  # built outside a database: codes built on first use
-    assert (built_dictionary(table.column("s")) is not None) == encoded
+        table = _random_table(seed)  # built outside a database
+    assert table.column("s").dictionary() is not None  # codes from construction, either way
     for keys in KEY_SHAPES:
         order_by = _order_by(keys)
         full = ops.sort_table(table, order_by)

@@ -17,15 +17,13 @@ from repro.engine.types import DataType
 from repro.explore import CubeExplorer, FacetRecommender, SeeDB, VizDeck
 from repro.viz import OrderedSampler
 from repro.workloads import sales_table
-from tests.conftest import built_dictionary
 
 N = 480
 NAMES = np.array(["ash", "birch", "cedar", "elm", "fir"], dtype=object)
 
-#: (kind of key column ``k``, encoded): STRING keys with no dictionary
-#: built yet (a table built outside the database), dictionary codes built
-#: at registration (what ``Database.create_table`` does), INT64 keys, a
-#: NULL key
+#: (kind of key column ``k``, encoded): STRING keys of a table built
+#: outside the database, or of the registered one (both dictionary codes
+#: from construction), INT64 keys, a NULL key
 KEYS = [("string", 0), ("string", 1), ("int", 1), ("null", 0), ("null", 1)]
 MEASURES = ["clean", "null", "nan"]
 
@@ -33,11 +31,11 @@ MEASURES = ["clean", "null", "nan"]
 def _database(keys: str, encoded: int, measure: str = "clean") -> tuple[Database, Table]:
     """The database holding ``t`` and the table the views are handed: the
     registered one, or with ``encoded=0`` the same rows built outside the
-    database, whose STRING columns build their dictionaries on first use."""
+    database."""
     db = Database()
     db.create_table("t", _table(keys, measure))
     table = db.get_table("t") if encoded else _table(keys, measure)
-    assert (built_dictionary(table.column("c")) is not None) == bool(encoded)
+    assert (table is db.get_table("t")) == bool(encoded)
     return db, table
 
 
