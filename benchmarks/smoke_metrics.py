@@ -229,11 +229,41 @@ def check_straddling_group_by_ratio(zone_rows: int = 32_768, repeats: int = 5) -
     return ratio
 
 
+@contextlib.contextmanager
+def per_group_slices():
+    """Count the ``Column.slice`` calls made inside
+    ``operators.aggregate_groups``, which every grouped aggregation reaches
+    (``hash_aggregate`` and the recommenders alike): slicing the argument
+    once per group is what a per-group aggregation does.  Yields a
+    one-item list holding the count."""
+    slices, inside = [0], []
+    real_slice, real_aggregate = Column.slice, ops.aggregate_groups
+
+    def slice_spy(self, start, stop):
+        slices[0] += bool(inside)
+        return real_slice(self, start, stop)
+
+    def aggregate_spy(*args):
+        inside.append(1)
+        try:
+            return real_aggregate(*args)
+        finally:
+            inside.pop()
+
+    Column.slice, ops.aggregate_groups = slice_spy, aggregate_spy
+    try:
+        yield slices
+    finally:
+        Column.slice, ops.aggregate_groups = real_slice, real_aggregate
+
+
 def check_no_group_gathers(n: int = 200_000) -> int:
     """Guard the group kernel with a count, not a clock: the five
     aggregate views of a dashboard-shaped table (dictionary keys, a 1-10
     int key, float SUM/AVG, a global MIN/MAX) must take no per-group
-    gather — ``agg.rows_gathered`` stays 0 — and find the right groups.
+    gather — no column is sliced per group (:func:`per_group_slices`) —
+    and find the right groups; so must a COUNT(DISTINCT) and a STRING MIN,
+    which must also equal the brushed rows' distinct pairs.
     Returns the rows the views aggregated."""
     rng = np.random.default_rng(0)
     db = Database()
@@ -263,18 +293,23 @@ def check_no_group_gathers(n: int = 200_000) -> int:
         "SELECT COUNT(*) AS n, SUM(price) AS revenue, AVG(price) AS avg_price, "
         f"MIN(price) AS min_price, MAX(price) AS max_price FROM sales {where}": 1,
     }
-    gathered = get_registry().counter("agg.rows_gathered")
-    before = gathered.value
-    for sql, groups in views.items():
-        result = db.sql(sql)
-        assert result.num_rows == groups, f"{groups} groups expected: {sql}"
-        assert int(result.column("n").data.sum()) == brushed, sql
-    assert gathered.value == before, (
-        f"{gathered.value - before} rows went through a per-group gather"
-    )
-    # the counter is live: a DISTINCT aggregate is the fallback it counts
-    db.sql(f"SELECT region, COUNT(DISTINCT product) AS n FROM sales {where} GROUP BY region")
-    assert gathered.value - before == brushed
+    with per_group_slices() as slices:
+        for sql, groups in views.items():
+            result = db.sql(sql)
+            assert result.num_rows == groups, f"{groups} groups expected: {sql}"
+            assert int(result.column("n").data.sum()) == brushed, sql
+        # DISTINCT aggregates and STRING MIN/MAX run the same kernel
+        distinct = db.sql(
+            f"SELECT region, COUNT(DISTINCT product) AS n, MIN(product) AS lo FROM sales "
+            f"{where} GROUP BY region ORDER BY region"
+        )
+    assert slices == [0], f"{slices[0]} columns sliced per group"
+    rows = db.sql(f"SELECT region, product FROM sales {where}")
+    pairs = set(zip(rows.column("region").to_list(), rows.column("product").to_list()))
+    assert distinct.num_rows == 12 and list(distinct.rows()) == [
+        (region, sum(r == region for r, _ in pairs), min(p for r, p in pairs if r == region))
+        for region in sorted({r for r, _ in pairs})
+    ], "COUNT(DISTINCT) / MIN of a STRING differ from the brushed rows'"
     return brushed * len(views)
 
 
@@ -511,7 +546,7 @@ def check_views_run_on_group_kernel(n: int = 200_000, repeats: int = 3) -> float
     of the two ``GROUP BY dim, (region = 'north')`` statements that
     compute the same SUMs and COUNTs through ``Database.sql`` (192x when
     every view ran a private per-group loop), and SeeDB, facets, the cube
-    and VizDeck must send no row through the kernel's per-group fallback.
+    and VizDeck must slice no column per group (:func:`per_group_slices`).
     Returns the ratio."""
     db = Database()
     db.create_table("sales", sales_table(n, seed=0))
@@ -534,17 +569,14 @@ def check_views_run_on_group_kernel(n: int = 200_000, repeats: int = 3) -> float
             times.append(time.perf_counter() - started)
         return min(times)
 
-    gathered = get_registry().counter("agg.rows_gathered")
-    before = gathered.value
-    sql_s = best(lambda: [db.sql(statement) for statement in statements])
-    seedb_s = best(lambda: SeeDB(table, dimensions, measures).recommend(target, prune=False))
-    SeeDB(table, dimensions, measures).recommend(target, prune=True)
-    FacetRecommender(table).interesting_facets(target)
-    CubeExplorer(table, "region", "category", "revenue")
-    VizDeck(table).candidates()
-    assert gathered.value == before, (
-        f"{gathered.value - before} rows of a recommended view took the per-group fallback"
-    )
+    with per_group_slices() as slices:
+        sql_s = best(lambda: [db.sql(statement) for statement in statements])
+        seedb_s = best(lambda: SeeDB(table, dimensions, measures).recommend(target, prune=False))
+        SeeDB(table, dimensions, measures).recommend(target, prune=True)
+        FacetRecommender(table).interesting_facets(target)
+        CubeExplorer(table, "region", "category", "revenue")
+        VizDeck(table).candidates()
+    assert slices == [0], f"a recommended view sliced {slices[0]} columns per group"
     ratio = seedb_s / sql_s
     assert ratio <= 4.0, (
         f"SeeDB's shared pass is {ratio:.1f}x the equivalent GROUP BYs "
@@ -1171,7 +1203,7 @@ def main() -> int:
           f"string encoding {encode_speedup:.1f}x over np.unique,",
           f"{sorted_rows}-row ORDER BY at threads=2 ran 0 batches and 0 shard tasks,",
           f"straddling/in-zone group-by {straddle_ratio:.2f}x,",
-          f"{gather_free_rows} rows grouped with no per-group gather,",
+          f"{gather_free_rows} rows grouped with no column sliced per group,",
           f"{columns_taken} column takes over 12 straddling-brush scans, 6 sharded "
           "(one per sink column per task source),",
           f"{join_zones_pruned} zones of a join's right table pruned,",

@@ -116,7 +116,7 @@ class DeltaStore:
 
     __slots__ = (
         "main_rows", "schema", "length", "main_tombstones", "delta_tombstones",
-        "_data", "_valid", "_dead_delta", "_dead_main", "version", "_derived",
+        "_data", "_valid", "_dead_delta", "_dead_main", "version", "_derived", "_encoded",
     )
 
     def __init__(self, main: Table) -> None:
@@ -132,6 +132,8 @@ class DeltaStore:
         #: bumped on every state change; keys the derived-value cache
         self.version = 0
         self._derived: dict[str, tuple[int, Any]] = {}
+        #: per STRING column, its rows encoded so far (:meth:`column`)
+        self._encoded: dict[int, Column] = {}
 
     # -- state -----------------------------------------------------------------------
 
@@ -205,6 +207,7 @@ class DeltaStore:
         self._valid[index] = _regrown(
             np.ones(len(column), bool) if valid is None else valid, len(column), capacity
         )
+        self._encoded.pop(index, None)
         self.touch()
 
     def mark_deleted(self, main_rows: np.ndarray, delta_rows: np.ndarray) -> None:
@@ -221,11 +224,18 @@ class DeltaStore:
     # -- reads -----------------------------------------------------------------------
 
     def column(self, index: int, length: int) -> Column:
-        """Pending column ``index`` up to ``length``: read-only views of
-        its buffers, a STRING column's values encoded into codes."""
+        """Pending column ``index`` up to ``length``: read-only views of its
+        buffers.  A STRING column extends the codes its last read encoded
+        unless an UPDATE installed the column since: new rows alone encode."""
         data, valid = self._data[index][:length], self._valid[index][:length]
         data.flags.writeable = valid.flags.writeable = False
-        return Column(data, self.schema.types[index], valid)
+        dtype, done = self.schema.types[index], self._encoded.get(index)
+        if dtype is not DataType.STRING:
+            return Column(data, dtype, valid)
+        start = len(done) if done is not None and len(done) <= length else 0
+        column = Column(data[start:], dtype, valid[start:])
+        self._encoded[index] = column = concat_columns([done, column]) if start else column
+        return column
 
     def live_main_mask(self) -> np.ndarray | None:
         """True where a main row survives, or None when nothing was deleted."""
@@ -431,7 +441,8 @@ def tail_table(store: DeltaStore) -> Table:
     """All delta rows (dead ones included, for position stability) as a
     columnar table with the main's schema: zero-copy views of the
     store's buffers up to its current length, which no later write
-    changes (:class:`DeltaStore`), a STRING column encoded into codes."""
+    changes (:class:`DeltaStore`), a STRING column as codes
+    (:meth:`DeltaStore.column`)."""
     length = store.length  # read once: an append racing this lands past it
     return Table([
         (name, store.column(index, length)) for index, name in enumerate(store.schema.names)

@@ -12,10 +12,10 @@ import numpy as np
 
 from repro.engine.column import (
     Column,
+    _run_heads,
     column_from_parts,
     merge_dictionaries,
     null_column,
-    sorted_distinct,
 )
 from repro.engine.expressions import Expression, strip_outer_parens, truth_mask
 from repro.engine.sql.ast import AggregateCall, OrderItem, SelectItem
@@ -55,7 +55,8 @@ def limit(table: Table, n: int) -> Table:
 
 
 def distinct(table: Table) -> Table:
-    """Drop duplicate rows, keeping the first occurrence of each (in order).
+    """Drop duplicate rows, keeping the first occurrence of each (in order):
+    the group kernel over every column (:func:`group_rows`).
 
     Equality semantics: NULL equals NULL and NaN equals NaN, so at most
     one all-NULL duplicate and one NaN duplicate survive per key
@@ -64,11 +65,9 @@ def distinct(table: Table) -> Table:
     if table.num_rows <= 1:
         return table
     with trace("op.distinct", rows=table.num_rows):
-        codes = np.empty((table.num_rows, table.num_columns), dtype=np.int64)
-        for j, name in enumerate(table.column_names):
-            codes[:, j] = _distinct_codes(table.column(name))
-        _, first_seen = np.unique(codes, axis=0, return_index=True)
-        return table.take(np.sort(first_seen))
+        columns = [table.column(name) for name in table.column_names]
+        order, starts, _ = group_rows(columns, table.num_rows)
+        return table.take(first_appearance(order, starts)[0])
 
 
 def key_array(column: Column) -> np.ndarray:
@@ -86,24 +85,6 @@ def key_array(column: Column) -> np.ndarray:
     if column.dtype is DataType.STRING:
         return column.dictionary()[0]
     return column.data
-
-
-def _distinct_codes(column: Column) -> np.ndarray:
-    """Integer codes with equal codes iff values are DISTINCT-equal.
-
-    Code 0 marks NULL and code 1 marks NaN; real values get codes from 2
-    upward, so the special values never collide with payloads.
-    """
-    data = key_array(column)
-    if column.dtype is DataType.STRING:
-        codes = data.astype(np.int64) + 2  # dictionary codes: nothing to sort
-    else:
-        _, inverse = np.unique(data, return_inverse=True)
-        codes = inverse.astype(np.int64) + 2
-        if data.dtype.kind == "f":
-            codes[np.isnan(data)] = 1
-    codes[column.is_null_mask()] = 0
-    return codes
 
 
 # -- sorting -----------------------------------------------------------------------
@@ -395,31 +376,47 @@ def aggregate_columns(
     return names
 
 
-def _key_ids(column: Column) -> tuple[np.ndarray, int]:
-    """``(ids, radix)``: non-negative ints below ``radix``, equal iff the
-    key values are GROUP BY-equal (one NULL group, one NaN group).
+def _key_ids(column: Column, span: int | None = None) -> tuple[np.ndarray, int]:
+    """``(ids, radix)``: non-negative ints below ``radix`` that order as the
+    values do — NaN after every number, NULL after NaN — and are equal iff
+    the values are GROUP BY-equal (one NULL, one NaN, ±0.0 one value).
 
     The cheapest source that is exact wins: dictionary codes as they are;
     a BOOL as 0/1; an integer column as ``data - min`` when its observed
-    range is no wider than its row count (so the id space never exceeds
-    what a sort of the rows would touch anyway); :func:`_distinct_codes`
-    for a column holding a NULL; an ``np.unique`` inverse otherwise.
+    range is below ``span`` (default its row count, so a group sort never
+    touches a wider id space than its rows); an ``np.unique`` inverse
+    otherwise.
     """
-    encoded = column.dictionary()
-    if column.has_nulls:
-        ids = _distinct_codes(column)  # dictionary codes + 2 when there are any
-        return ids, (len(encoded[1]) + 2 if encoded is not None else int(ids.max()) + 1)
+    data, encoded = key_array(column), column.dictionary()
     if encoded is not None:
-        return encoded[0], len(encoded[1])
-    data = column.data
-    if data.dtype.kind == "b":
-        return data.view(np.uint8), 2
-    if data.dtype.kind == "i":
-        low, high = int(data.min()), int(data.max())
-        if high - low < len(data):
-            return (data - low if low else data), high - low + 1
-    ids = np.unique(data, return_inverse=True)[1]
-    return ids, int(ids.max()) + 1
+        ids, radix = data, len(encoded[1])
+    elif data.dtype.kind == "b":
+        ids, radix = data.view(np.uint8), 2
+    elif data.dtype.kind == "i" and (
+        (high := int(data.max())) - (low := int(data.min())) < (span or len(data))
+    ):
+        ids, radix = (data - low if low else data), high - low + 1
+    else:
+        values, ids = np.unique(data, return_inverse=True)
+        radix = len(values)
+    if column.has_nulls:
+        ids, radix = np.where(column.validity, ids, radix), radix + 1
+    return ids, radix
+
+
+def _combine_ids(
+    ids: np.ndarray, space: int, more: np.ndarray, radix: int
+) -> tuple[np.ndarray, int]:
+    """Mixed-radix ``ids * radix + more``, and its id space; the wider
+    operand is re-densified first when the product could leave int64."""
+    if space * radix >= 1 << 63 and space >= radix:
+        distinct, ids = np.unique(ids, return_inverse=True)
+        space = len(distinct)
+    if space * radix >= 1 << 63:
+        distinct, more = np.unique(more, return_inverse=True)
+        radix = len(distinct)
+    wide = np.int32 if space * radix < 1 << 31 else np.int64  # half the bytes to sort
+    return ids.astype(wide) * radix + more.astype(wide, copy=False), space * radix
 
 
 def group_ids(ids: np.ndarray, space: int) -> Grouping:
@@ -429,19 +426,16 @@ def group_ids(ids: np.ndarray, space: int) -> Grouping:
     if space <= _RADIX_SORT_IDS:  # a stable sort's permutation is one, whatever the width
         ids = ids.astype(np.uint8 if space <= 1 << 8 else np.uint16, copy=False)
     order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    leads = np.ones(len(ids), dtype=bool)  # the first row of each group
-    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=leads[1:])
-    starts = np.flatnonzero(leads)
+    starts = np.flatnonzero(_run_heads(ids[order]))
     return order, starts, np.diff(starts, append=len(ids))
 
 
 def group_rows(key_columns: Sequence[Column], num_rows: int) -> Grouping:
     """The group kernel: one stable argsort of the rows by key tuple.
 
-    Key columns combine mixed-radix into one id per row; the running id
-    space is re-densified before the product could leave int64.  No key
-    columns is the global group: ``order`` None stands for the identity.
+    Key columns combine mixed-radix into one id per row
+    (:func:`_combine_ids`).  No key columns is the global group: ``order``
+    None stands for the identity.
     """
     if not key_columns:
         return None, np.zeros(1, dtype=np.int64), np.array([num_rows], dtype=np.int64)
@@ -450,25 +444,63 @@ def group_rows(key_columns: Sequence[Column], num_rows: int) -> Grouping:
         return none, none, none
     ids, space = _key_ids(key_columns[0])
     for column in key_columns[1:]:
-        more, radix = _key_ids(column)
-        if space * radix >= 1 << 63:
-            distinct, ids = np.unique(ids, return_inverse=True)
-            space = len(distinct)
-        ids = ids.astype(np.int64) * radix + more
-        space *= radix
+        ids, space = _combine_ids(ids, space, *_key_ids(column))
     return group_ids(ids, space)
 
 
 def row_group_ids(
-    order: np.ndarray, counts: np.ndarray, labels: np.ndarray | None = None
+    order: np.ndarray | None, counts: np.ndarray, labels: np.ndarray | None = None
 ) -> np.ndarray:
-    """Per row of a keyed :data:`Grouping`, the label of its group
-    (default: the group's rank)."""
+    """Per row of a :data:`Grouping`, the label of its group (default: the
+    group's rank)."""
     if labels is None:
         labels = np.arange(len(counts), dtype=np.int32)
+    if order is None:  # the global group
+        return np.repeat(labels, counts)
     ids = np.empty(len(order), dtype=labels.dtype)
     ids[order] = np.repeat(labels, counts)
     return ids
+
+
+def _distinct_counts(column: Column, order: np.ndarray | None, counts: np.ndarray) -> np.ndarray:
+    """COUNT(DISTINCT): each group's number of distinct valid values — one
+    sort of the packed (group, value id) pairs of the valid rows; integer
+    ids are ``data - min`` over any range that packs (no factorize)."""
+    groups, (ids, radix) = row_group_ids(order, counts), _key_ids(column, 1 << 62)
+    if column.validity is not None:
+        groups, ids = groups[column.validity], ids[column.validity]
+    pairs, space = _combine_ids(groups, len(counts), ids, radix)
+    pairs = np.sort(pairs)
+    return np.bincount(pairs[_run_heads(pairs)] // (space // len(counts)), minlength=len(counts))
+
+
+def _distinct_values(
+    column: Column, order: np.ndarray | None, starts: np.ndarray, counts: np.ndarray
+) -> tuple[Column, np.ndarray]:
+    """Each group's distinct values, ascending (NaN last, its NULLs one more
+    after them), in group order, and each group's number of them: rows in
+    value order by one unstable argsort, then in group order by one sort of
+    the packed (group, value position) keys, so groups keep their ``starts``."""
+    data, labels, space = key_array(column), row_group_ids(order, counts), len(counts)
+    valid = column.validity
+    if valid is not None:  # a group's NULLs sort after its values
+        labels, space = labels * 2 + column.is_null_mask(), 2 * space
+    by_value = np.argsort(data)
+    pairs, _ = _combine_ids(labels[by_value], space, np.arange(len(data)), len(data))
+    rows = by_value[np.sort(pairs) % len(data)]
+    values = data[rows]
+    heads = np.ones(len(values), dtype=bool)
+    heads[1:] = values[1:] != values[:-1]
+    if data.dtype.kind == "f":
+        heads[1:] &= ~(np.isnan(values[1:]) & np.isnan(values[:-1]))
+    if valid is not None:
+        valid = valid[rows]
+        heads &= valid
+        heads[1:] |= valid[:-1] & ~valid[1:]  # a group's NULLs are one pair
+    heads[starts] = True
+    # a run's rows hold equal bits but for ±0.0, and a sum of zeros is +0.0
+    distinct = column_from_parts(values[heads], column.dtype, None if valid is None else valid[heads])
+    return distinct, np.add.reduceat(heads, starts, dtype=np.int64)
 
 
 def aggregate_groups(
@@ -482,11 +514,11 @@ def aggregate_groups(
     """One aggregate over every group of a :data:`Grouping`, in its order.
 
     ``column`` None is COUNT(*).  The argument is taken into group order
-    once; COUNT(x), integer SUM and numeric MIN/MAX are ``reduceat`` over
-    it, float SUM and AVG sum each group's contiguous slice — numpy's
-    pairwise ``.sum()`` over the rows in ascending order, which
-    ``np.add.reduceat`` (sequential) does not reproduce.  DISTINCT and
-    STRING arguments evaluate group by group.
+    once; COUNT(x), integer SUM and MIN/MAX (a STRING's over its codes)
+    are ``reduceat`` over it, float SUM and AVG sum each group's contiguous
+    slice — numpy's pairwise ``.sum()`` over the rows in ascending order,
+    which ``np.add.reduceat`` (sequential) does not reproduce.  DISTINCT
+    runs the same reductions over each group's distinct values.
     """
     if column is None:
         return column_from_parts(counts, DataType.INT64)
@@ -495,10 +527,11 @@ def aggregate_groups(
         if function == "COUNT":
             return column_from_parts(np.zeros(len(counts), dtype=np.int64), DataType.INT64)
         return null_column(result_type, len(counts))
-    if distinct or (column.dtype is DataType.STRING and function != "COUNT"):
-        if order is not None:
-            column = column.take(order)
-        return _aggregate_per_group(function, distinct, column, starts, counts, result_type)
+    if distinct and function == "COUNT":
+        return column_from_parts(_distinct_counts(column, order, counts), DataType.INT64)
+    if distinct and function in ("SUM", "AVG"):
+        column, counts = _distinct_values(column, order, starts, counts)
+        order, starts = None, np.cumsum(counts) - counts
     data, valid = key_array(column), column.validity
     if order is not None and valid is not None:
         valid = valid[order]
@@ -514,6 +547,9 @@ def aggregate_groups(
         values = reduce.reduceat(data, starts)
         if values.dtype.kind == "f":
             values = values + 0.0  # a zero extreme is +0.0 (numpy picks by SIMD lane)
+        elif column.dtype is DataType.STRING:  # codes, −1 where a group has no value
+            values[present == 0] = -1
+            return column_from_parts(values, result_type, present > 0, column.dictionary()[1])
     elif result_type is DataType.INT64:  # SUM of INT64 / BOOL: exact in any order
         data = data.astype(np.int64, copy=False)
         values = np.add.reduceat(data if valid is None else np.where(valid, data, 0), starts)
@@ -521,9 +557,8 @@ def aggregate_groups(
         data = data.astype(np.float64, copy=False)
         if valid is not None:
             data, starts = data[valid], np.cumsum(present) - present
-        values = np.array(
-            [np.add.reduce(data[start : start + size]) for start, size in zip(starts, present)]
-        )
+        sizes = zip(starts.tolist(), present.tolist())  # Python ints slice faster
+        values = np.array([np.add.reduce(data[start : start + size]) for start, size in sizes])
         if function == "AVG":
             values = values / np.maximum(present, 1)
     return column_from_parts(values, result_type, None if valid is None else present > 0)
@@ -537,45 +572,6 @@ def _reduce_identity(dtype: np.dtype, is_min: bool) -> Any:
         return is_min
     info = np.iinfo(dtype)
     return info.max if is_min else info.min
-
-
-def _aggregate_per_group(
-    function: str,
-    distinct: bool,
-    column: Column,
-    starts: np.ndarray,
-    counts: np.ndarray,
-    result_type: DataType,
-) -> Column:
-    """The fallback: one Python evaluation per group of ``column`` (already
-    in group order).  ``agg.rows_gathered`` counts the rows that take it."""
-    get_registry().counter("agg.rows_gathered").inc(len(column))
-    values = [
-        _aggregate_values(function, distinct, column.slice(start, start + size))
-        for start, size in zip(starts.tolist(), counts.tolist())
-    ]
-    return Column(values, dtype=result_type)
-
-
-def _aggregate_values(function: str, distinct: bool, column: Column) -> Any:
-    """Evaluate one aggregate over one group's values."""
-    if function == "COUNT":  # DISTINCT: one NaN, as SELECT DISTINCT and GROUP BY make
-        return column.distinct_count()
-    if column.dtype is DataType.STRING:  # MIN or MAX: of the codes
-        return column.min() if function == "MIN" else column.max()
-    valid = column.valid_data()
-    if distinct:
-        valid = sorted_distinct(valid)
-    if len(valid) == 0:
-        return None
-    if function == "SUM":
-        return float(valid.sum()) if column.dtype is DataType.FLOAT64 else int(valid.sum())
-    if function == "AVG":
-        return float(np.mean(valid.astype(np.float64)))
-    extreme = valid.min() if function == "MIN" else valid.max()
-    if column.dtype is DataType.FLOAT64:
-        extreme = extreme + 0.0  # a zero extreme is +0.0, as in aggregate_groups
-    return extreme.item()
 
 
 def first_appearance(order: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -435,3 +435,52 @@ def test_only_a_nul_ended_column_writes_lengths(tmp_path):
     reopened = layouts.open_column_files(tmp_path, files, DataType.STRING, "mmap")
     assert reopened.is_mapped and reopened.to_list() == ["a", "b\x00", None]
     assert reopened.dictionary()[1].tolist() == ["a", "b\x00"]
+
+
+def test_delta_tail_encodes_only_the_rows_appended_since(monkeypatch):
+    """A new delta version's STRING tail extends the previous version's
+    codes when only appends and deletes came between, and is encoded
+    afresh after an UPDATE of pending rows; at every version its codes,
+    dictionary and validity are a fresh encoding's of the pending values."""
+    from repro.engine.delta import DeltaStore
+
+    pin_defaults("delta_rows")
+    db = Database()
+    db.create_table("t", Table.from_dict({"i": [0], "s": ["m"]}))
+    encoded, inside = [], []
+    real_encode, real_column = column_module._encode_strings, DeltaStore.column
+
+    def encode_spy(values, validity):
+        if inside:
+            encoded.append(len(values))
+        return real_encode(values, validity)
+
+    def column_spy(self, index, length):
+        inside.append(1)
+        try:
+            return real_column(self, index, length)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(column_module, "_encode_strings", encode_spy)
+    monkeypatch.setattr(DeltaStore, "column", column_spy)
+    steps = [  # statement, the pending values after it, tail rows it encodes
+        ("INSERT INTO t VALUES (1, 'k'), (2, NULL), (3, 'b')", ["k", None, "b"], 3),
+        ("INSERT INTO t VALUES (4, 'a')", ["k", None, "b", "a"], 1),
+        ("DELETE FROM t WHERE i = 3", ["k", None, "b", "a"], 0),
+        ("UPDATE t SET s = 'z' WHERE i = 1", ["z", None, "b", "a"], 4),
+        ("INSERT INTO t VALUES (5, 'c'), (6, NULL)", ["z", None, "b", "a", "c", None], 2),
+        ("UPDATE t SET s = NULL WHERE i >= 4", ["z", None, "b", None, None, None], 6),
+        ("INSERT INTO t VALUES (7, 'z')", ["z", None, "b", None, None, None, "z"], 1),
+    ]
+    for sql, pending, rows in steps:
+        encoded.clear()
+        db.execute(sql)
+        got = db.delta_tail("t").column("s")
+        want = Column(pending, dtype=DataType.STRING)
+        assert sum(encoded) == rows, sql
+        assert np.array_equal(got.dictionary()[0], want.dictionary()[0]), sql
+        assert list(got.dictionary()[1]) == list(want.dictionary()[1]), sql
+        assert (got.validity is None) == (want.validity is None), sql
+        assert np.array_equal(got.is_null_mask(), want.is_null_mask()), sql
+    assert db.main_table("t").num_rows == 1

@@ -351,16 +351,32 @@ def _grouped_inputs(draw):
     return table, len(kinds), cuts
 
 
+_ARGUMENT_TYPES = {"f": DataType.FLOAT64, "g": DataType.FLOAT64, "n": DataType.INT64,
+                   "s": DataType.STRING, "b": DataType.BOOL}
+
+
+def _edge_inputs(rows: int, keys=(), **arguments):
+    """An input for the test below: key columns ``k0``... holding ``keys``,
+    the given argument columns, every other argument all NULL."""
+    return Table(
+        [(f"k{j}", Column(values)) for j, values in enumerate(keys)]
+        + [
+            (name, Column(arguments.get(name, [None] * rows), dtype=dtype))
+            for name, dtype in _ARGUMENT_TYPES.items()
+        ]
+    ), len(keys), []
+
+
 def _zero_sign_inputs():
     """ROADMAP item 0's repro: ``SELECT MIN(g) FROM t`` was -0.0 from
     ``reduceat`` over the NULL-padded array and 0.0 from ``valid.min()``."""
-    g = [-0.0, 1.0, 0.0, 1.0, 0.0, 0.0, -0.0, None, None, -0.0, -0.0]
-    types = {"f": DataType.FLOAT64, "g": DataType.FLOAT64, "n": DataType.INT64,
-             "s": DataType.STRING, "b": DataType.BOOL}
-    return Table([
-        (name, Column(g if name == "g" else [None] * len(g), dtype=dtype))
-        for name, dtype in types.items()
-    ]), 0, []
+    return _edge_inputs(11, g=[-0.0, 1.0, 0.0, 1.0, 0.0, 0.0, -0.0, None, None, -0.0, -0.0])
+
+
+#: 12 keys, each a permutation of 0..39: an id space of 40**12 > 2**63, so
+#: the group kernel re-densifies; ``n`` spans 2**61 over 40 groups, so the
+#: packed (group, value) pairs of COUNT(DISTINCT n) re-densify the values
+_WIDE_KEYS = [[(7 * i + 11 * j) % 40 for i in range(40)] for j in range(12)]
 
 
 def _pooled_aggregate(table, spans, group_exprs, aggregates) -> Table:
@@ -377,6 +393,20 @@ def _pooled_aggregate(table, spans, group_exprs, aggregates) -> Table:
 @hypothesis_settings(max_examples=150, deadline=None)
 @given(_grouped_inputs())
 @example(_zero_sign_inputs())
+# SUM(DISTINCT) over {inf, -inf, NaN}: ascending with NaN last, as np.unique
+# orders them, or inf + -inf meets the NaN first and the sum's sign bit differs
+@example(_edge_inputs(7, f=[NAN, float("inf"), -float("inf"), None, float("inf"), NAN, -1e308]))
+# a group whose STRING argument is all NULL: MIN is NULL (code -1), COUNT(DISTINCT) 0
+@example(_edge_inputs(5, [["a", "b", "a", "b", "b"]], s=[None, "x", None, "zebra", "x"]))
+# a group of only ±0.0, past the 8 rows numpy's sort keeps in place: np.unique
+# and the kernel may keep different zeros, and SUM/AVG(DISTINCT) must not show it
+@example(_edge_inputs(
+    14, [[0] * 11 + [1] * 3], f=[-0.0] * 3 + [0.0] * 3 + [-0.0] * 2 + [0.0] * 3 + [-0.0, 0.0, None],
+    g=[-0.0] + [0.0] * 10 + [0.0, 0.0, -0.0],
+))
+# INT64 past 2**53: distinct sums and ids stay exact
+@example(_edge_inputs(6, [[1, 1, 1, 2, 2, 2]], n=[BIG, BIG + 1, BIG, BIG + 1, None, -(2**62)]))
+@example(_edge_inputs(40, _WIDE_KEYS, n=[(i % 3) * (2**60) + i % 2 for i in range(40)]))
 def test_kernel_equals_the_per_group_formulation(pool, inputs):
     table, num_keys, cuts = inputs
     group_exprs = [ex.ColumnRef(f"k{j}") for j in range(num_keys)]
@@ -479,7 +509,7 @@ def test_distinct_spellings_agree_on_one_nan(route, pool):
     assert math.isnan(answers["sum_distinct"].column("s")[0])
 
 
-# -- logical work: no per-group gathers, no predicate-only copies ------------------------
+# -- logical work: no per-group slices, no predicate-only copies ------------------------
 
 
 def _ledger(module: str):
@@ -492,12 +522,31 @@ def _ledger(module: str):
         sys.path.remove(path)
 
 
-def _rows_gathered() -> int:
-    return get_registry().counter("agg.rows_gathered").value
+def _per_group_slices(monkeypatch) -> list[int]:
+    """A spy: the ``Column.slice`` calls made inside
+    ``operators.aggregate_groups``, which every aggregation route reaches —
+    the per-group formulation sliced the argument once per group."""
+    slices, inside = [0], []
+    real_slice, real_aggregate = Column.slice, ops.aggregate_groups
+
+    def slice_spy(self, start, stop):
+        slices[0] += bool(inside)
+        return real_slice(self, start, stop)
+
+    def aggregate_spy(*args):
+        inside.append(1)
+        try:
+            return real_aggregate(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Column, "slice", slice_spy)
+    monkeypatch.setattr(ops, "aggregate_groups", aggregate_spy)
+    return slices
 
 
 @pytest.mark.parametrize("route", ("serial", "threads", "sharded"))
-def test_dashboard_views_gather_no_group(route, pool):
+def test_dashboard_views_gather_no_group(route, pool, monkeypatch):
     datagen, sessions = _ledger("datagen"), _ledger("sessions")
     spec = ROUTES[route]
     settings.configure(
@@ -509,15 +558,25 @@ def test_dashboard_views_gather_no_group(route, pool):
     db.create_table("sales", datagen.to_table(data))
     if spec.get("shards"):
         db.apply_sharding("sales", 2, shard_by="range(ts)")
-    before = _rows_gathered()
+    slices = _per_group_slices(monkeypatch)
     for state in ((2_000, 15_000, None, None, None), (5_000, 9_000, 3, 1, 40.0)):
         queries = sessions.crossfilter_queries(data, state)
         assert len(queries) == 6
         for query in queries:
             assert db.sql(query.sql).num_rows > 0
-    assert _rows_gathered() == before
-    db.sql("SELECT region, COUNT(DISTINCT product) AS n FROM sales GROUP BY region")
-    assert _rows_gathered() - before == data.rows
+    # DISTINCT aggregates and a STRING MIN/MAX run the same kernel: no
+    # column is sliced per group, and the answer is the spec's
+    sql = (
+        "SELECT region, COUNT(DISTINCT product) AS n, SUM(DISTINCT qty) AS q, "
+        "AVG(DISTINCT price) AS p, MIN(product) AS lo, MAX(channel) AS hi "
+        "FROM sales GROUP BY region"
+    )
+    got = db.sql(sql)
+    assert slices == [0]
+    monkeypatch.undo()
+    settings.configure(threads=0, optimizer=False, zone_rows=0)
+    monkeypatch.setattr(ops, "hash_aggregate", spec_hash_aggregate)
+    tables_bit_identical(got, db.sql(sql))
 
 
 def test_fused_scan_copies_only_what_the_sink_reads(monkeypatch):
