@@ -315,12 +315,12 @@ def check_no_group_gathers(n: int = 200_000) -> int:
 
 def check_scan_gathers_once(zone_rows: int = 4_096) -> int:
     """Guard the selection-vector gather with counts, not a clock: over a
-    brush that straddles 4 zones, a fused GROUP BY takes each sink column
-    (``region``, ``price``) once per task source, serially and on the
-    pool alike — the pool's tasks only select — and a plain filter takes
-    each column it outputs once per scan, serially and at threads=2;
-    ``ts`` and ``qty``, read only by the fused predicate, and ``product``,
-    read by nothing, are never taken.  The same holds again over 4 ``range(ts)`` shards,
+    brush that straddles 4 zones, the scan under a GROUP BY takes each
+    column the aggregate reads (``region``, ``price``) once per task
+    source, serially and on the pool alike — the pool's tasks only
+    select — and a plain filter takes each column it outputs once per
+    scan, serially and at threads=2; ``ts`` and ``qty``, read only by the
+    predicate, and ``product``, read by nothing, are never taken.  The same holds again over 4 ``range(ts)`` shards,
     where the tasks are the scheduled shards.  Both answer what
     ``optimizer=0, zone_rows=0`` answers.  Returns the columns taken."""
     n = 8 * zone_rows
@@ -339,7 +339,7 @@ def check_scan_gathers_once(zone_rows: int = 4_096) -> int:
             ["price", "region"],
         f"SELECT region, COUNT(*) AS n, MAX(price) AS top FROM t {where} GROUP BY region":
             ["price", "region"],
-        f"SELECT region, price FROM t {where}": ["price", "qty", "region", "ts"],
+        f"SELECT region, price FROM t {where}": ["price", "region"],
     }
     main: list[tuple[str, np.ndarray]] = []
     local = threading.local()  # takes outside the gather do not count
@@ -438,8 +438,8 @@ def check_index_scans_share_the_pipeline(
     cracked a ``CrackerIndex`` on an unclustered column, a 1 % GROUP BY
     must run at least 3x faster than with the index unregistered (each
     repeat a first evaluation, not a selection-memo reuse), return
-    the same table bit for bit, and go through
-    ``parallel.fused_filter_aggregate`` like any other filtered aggregate.
+    the same table bit for bit, and go through the scan pipeline's
+    ``parallel.streamed_filter`` like any other filtered aggregate.
     Returns the speedup."""
     rng = np.random.default_rng(0)
     domain = 100_000
@@ -461,12 +461,12 @@ def check_index_scans_share_the_pipeline(
         "SELECT g, COUNT(*) AS n, SUM(v) AS s FROM t "
         f"WHERE x >= {low} AND x < {low + width} GROUP BY g"
     )
-    fused = parallel.fused_filter_aggregate
+    streamed = parallel.streamed_filter
     calls = []
 
     def spy(*args, **kwargs):
         calls.append(1)
-        return fused(*args, **kwargs)
+        return streamed(*args, **kwargs)
 
     def best() -> tuple[float, Table]:
         times = []
@@ -483,13 +483,13 @@ def check_index_scans_share_the_pipeline(
     try:
         settings.configure(threads=0, optimizer=True)
         assert f"index: x in [{low}, {low + width}): " in db.explain_analyze(sql).render()
-        parallel.fused_filter_aggregate = spy
+        parallel.streamed_filter = spy
         indexed_s, indexed = best()
-        assert len(calls) == repeats, "the indexed GROUP BY left the fused scan pipeline"
+        assert len(calls) == repeats, "the indexed GROUP BY left the scan pipeline"
         db.unregister_index("t", "x")
         plain_s, plain = best()
     finally:
-        parallel.fused_filter_aggregate = fused
+        parallel.streamed_filter = streamed
         settings.restore(saved)
     assert indexed.schema == plain.schema and indexed.num_rows == plain.num_rows == 16
     for name in plain.column_names:

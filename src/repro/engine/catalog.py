@@ -13,6 +13,7 @@ state").
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 from collections import OrderedDict
@@ -39,6 +40,21 @@ from repro.obs.profile import ExplainAnalyzeReport, PlanProfiler
 
 #: LRU capacity of each plan-cache level (:meth:`Database._plan_cached`)
 PLAN_CACHE_SIZE = 256
+
+
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or ``None`` where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # not glibc (musl, macOS, Windows)
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+#: returns the allocator's free pages to the operating system (:meth:`Database.close`)
+_MALLOC_TRIM = _malloc_trim()
 
 
 class RangeIndex(Protocol):
@@ -197,7 +213,11 @@ class Database:
         so a closed database pins no main, tail or zone map, and reading
         a table of it raises.  The shared worker pool is shut down
         deterministically (it restarts lazily if some other database
-        issues a parallel query later).
+        issues a parallel query later).  Last, the C allocator returns
+        its free pages to the operating system: otherwise whether the
+        arrays this database freed stay resident depends on where they sat
+        in the heap, and a process that builds a database, closes it and
+        builds the next alternates between two resident sizes.
         """
         if self._closed:
             return
@@ -209,6 +229,8 @@ class Database:
         from repro.engine import parallel
 
         parallel.shutdown_pool()
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)
 
     def _release_tables(self) -> None:
         """Drop every table's state and cached plan, and close the memory

@@ -18,19 +18,17 @@ only site of the ``scan.*`` / ``io.*`` counters and the ``zones:`` /
 (:func:`_index_rows`), **run span kernels** over ``(source, spans, live
 mask)`` tasks (:func:`repro.engine.parallel.select`: one task per span,
 or per shard over a shard layout; on the worker pool or as a governed
-loop on this thread), then one sink: a query **gathers once** (filtered
-pieces concatenate keeping their shared dictionary; a fused aggregate
-takes only the columns it reads), a DML statement marks the positions.
-Pending writes are a trailing tail task plus a live mask over the main
-and one over the tail, and a memory-mapped main differs only in that
-the bytes its surviving spans cover are counted.  Above the scan each
-operator has one serial kernel and at most one pooled route, the
-scan's: with the pool enabled (``PRAGMA threads=N`` /
-``REPRO_THREADS``) and enough input rows, a residual filter or a GROUP
-BY runs the span tasks over its in-memory child, and a sort is always
-:func:`~repro.engine.operators.sort_table`.  Every route is
-bit-identical to serial execution by construction (see the parallel
-module docstring and DESIGN.md, "Scan pipeline").
+loop on this thread), then one sink: a query **gathers once** the
+columns its consumer reads (filtered pieces concatenate keeping their
+shared dictionary; a column only the predicate reads is evaluated, never
+copied), a DML statement marks the positions.  Pending writes are a
+trailing tail task plus a live mask over the main and one over the
+tail, and a memory-mapped main differs only in that the bytes its
+surviving spans cover are counted.  Above the scan each operator is one
+serial kernel whatever produced its input: the pool runs only
+base-table spans.  Every route is bit-identical to serial execution by
+construction (see the parallel module docstring and DESIGN.md, "Scan
+pipeline").
 
 Execution is *governed*: when a :class:`~repro.resilience.QueryContext`
 is active, every plan node is a checkpoint — the deadline/cancellation
@@ -51,7 +49,6 @@ from repro.engine.planner import (
     AggregateNode,
     DistinctNode,
     FilterNode,
-    FusedAggregateNode,
     JoinNode,
     LimitNode,
     Plan,
@@ -122,23 +119,11 @@ def _run_node(
             kind=node.clause.kind,
         )
     if isinstance(node, FilterNode):
-        # pooled, an in-memory child is one unclassified span of a scan
-        child = _execute(node.child, database, profiler)
-        if parallel.should_parallelize(child.num_rows):
-            return parallel.streamed_filter(child, node.predicate, None, profiler=profiler)
-        return ops.filter_table(child, node.predicate)
-    if isinstance(node, FusedAggregateNode):
-        return _execute_scan(node.child, database, profiler, fused=node)
+        return ops.filter_table(_execute(node.child, database, profiler), node.predicate)
     if isinstance(node, AggregateNode):
-        # pooled, a fused scan of one PASS span: nothing to evaluate
-        child = _execute(node.child, database, profiler)
-        if parallel.should_parallelize(child.num_rows):
-            return parallel.fused_filter_aggregate(
-                child, None, node.group_exprs, node.aggregates, node.group_names,
-                ranges=[(0, child.num_rows, False)], profiler=profiler,
-            )
         return ops.hash_aggregate(
-            child, node.group_exprs, node.aggregates, node.group_names
+            _execute(node.child, database, profiler),
+            node.group_exprs, node.aggregates, node.group_names,
         )
     if isinstance(node, ProjectNode):
         return ops.project(_execute(node.child, database, profiler), node.items)
@@ -260,7 +245,10 @@ def _selection(
     delta tail — every pending row, dead ones included, so a tail
     position is a delta position — each with its live mask (a clean
     table has neither), so zone maps, index positions and shard extents
-    stay aligned to main row positions.  A predicate scan's index pick
+    stay aligned to main row positions.  A pruned scan's sources hold the
+    columns it reads: its ``columns`` and those its predicate reads (the
+    only columns an index pick copies or a mapped scan counts as read).
+    A predicate scan's index pick
     (:func:`_index_rows`) makes those rows the source, as one
     unclassified span; otherwise the main is classified once
     (:func:`_classify_scan`) and a shard layout of the clean main makes
@@ -288,9 +276,12 @@ def _selection(
                 f"{store.main_tombstones} tombstones"
             )
     if node.columns is not None:
-        main = main.select(node.columns)
+        read = set(node.columns)
+        if node.predicate is not None and not node.empty:
+            read |= node.predicate.referenced_columns()
+        main = main.select([name for name in main.column_names if name in read])
         if tail is not None:
-            tail = tail.select(node.columns)
+            tail = tail.select(main.column_names)
     scan = dict(
         table=main, predicate=node.predicate, ranges=None, extra_mask=live_main,
         tail=tail, tail_live=live_tail, profiler=profiler, layout=None, memo=None,
@@ -311,18 +302,13 @@ def _selection(
 
 
 def _execute_scan(
-    node: ScanNode,
-    database: "Database",
-    profiler: PlanProfiler | None,
-    fused: FusedAggregateNode | None = None,
+    node: ScanNode, database: "Database", profiler: PlanProfiler | None
 ) -> Table:
     """Every base-table scan: its selection (:func:`_selection`), gathered
-    once by :func:`parallel.streamed_filter` — or, with ``fused``, by
-    :func:`parallel.fused_filter_aggregate`, whose sink is one
-    aggregation over the gathered columns it reads, so the filtered
-    table is never materialised.  One route, two runners: the span
-    tasks run on the pool when :func:`parallel.should_parallelize` says
-    so, else as a governed loop on this thread.
+    once by :func:`parallel.streamed_filter` into the columns the scan's
+    consumer reads.  One route, two runners: the span tasks run on the
+    pool when the scan covers enough rows, else as a governed loop on
+    this thread.
     """
     scan, _ = _selection(node, database, profiler, memo=True)
     if node.empty:
@@ -333,15 +319,7 @@ def _execute_scan(
             source if live is None else source.filter(live)
             for source, live in sources if source is not None
         ])
-    if fused is None:
-        result = parallel.streamed_filter(**scan)
-    else:
-        if profiler is not None:
-            profiler.annotate("fused: filter per span, one group pass")
-        result = parallel.fused_filter_aggregate(
-            group_exprs=fused.group_exprs, aggregates=fused.aggregates,
-            group_names=fused.group_names, **scan,
-        )
+    result = parallel.streamed_filter(columns=node.columns, **scan)
     memo = scan["memo"]
     if profiler is not None and memo is not None and memo.tally[1]:
         evaluated, reused = memo.tally

@@ -62,6 +62,7 @@ class Expression(abc.ABC):
 
     _children: tuple[str, ...] = ()
     _key: tuple | None = None
+    _columns: frozenset[str] | None = None
     _bare_null: bool | None = None
     #: the type a bare NULL operand of this node takes, when the node fixes one
     _null_operand: DataType | None = None
@@ -113,9 +114,13 @@ class Expression(abc.ABC):
         for child in self.children():
             yield from child.walk()
 
-    def referenced_columns(self) -> set[str]:
-        """Names of all columns the expression reads."""
-        return {node.name for node in self.walk() if isinstance(node, ColumnRef)}
+    def referenced_columns(self) -> frozenset[str]:
+        """Names of all columns the expression reads, found once per node
+        and cached like the key (a :class:`ColumnRef` seeds its own): every
+        scan of a cached plan asks its predicate."""
+        if self._columns is None:
+            self._columns = frozenset().union(*(c.referenced_columns() for c in self.children()))
+        return self._columns
 
     def key(self) -> tuple:
         """Structural identity: the node type followed by its fields in
@@ -273,6 +278,7 @@ class ColumnRef(Expression):
 
     def __init__(self, name: str) -> None:
         self.name = name
+        self._columns = frozenset((name,))
 
     def evaluate(self, table: Table) -> Column:
         return table.column(self.name)

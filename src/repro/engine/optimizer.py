@@ -5,9 +5,9 @@ executor (gated by ``PRAGMA optimizer`` / ``REPRO_OPTIMIZER``, default
 on).  The bound plan is already a rewrite-friendly algebra — scans with
 residual predicates, join chains, filters, aggregates, projections — so
 optimization is a fixpoint of rule passes over that tree followed by
-four single-shot physical passes.  Rules 1–3, 6 and 7 are node-local
+three single-shot physical passes.  Rules 1–3 and 6 are node-local
 functions applied by a bottom-up walk (:func:`_bottom_up`: 1–3 in one
-walk per iteration, 6–7 in one):
+walk per iteration, 6 in one):
 
 Fixpoint rules (iterated until no rule fires):
 
@@ -27,18 +27,16 @@ Fixpoint rules (iterated until no rule fires):
 
 Single-shot passes (after the fixpoint):
 
-4. **projection pruning** — every scan materialises only referenced
-   columns; a join splits the required set between its inputs by its
-   ``right_names`` (planned names: pruning cannot change one);
+4. **projection pruning** — every scan gathers only the columns its
+   consumer reads (it still reads, and evaluates its predicate over,
+   the columns only the predicate reads, but never copies them); a join
+   splits the required set between its inputs by its ``right_names``
+   (planned names: pruning cannot change one);
 5. **statistics-driven join reordering** — under a global
    order-insensitive aggregate (COUNT/MIN/MAX), join inputs are ordered
    by estimated expansion ``rows / NDV(key)`` from
    :mod:`repro.engine.statistics`;
-6. **filter+aggregate fusion** — ``Aggregate -> Scan(filter)`` becomes a
-   :class:`~repro.engine.planner.FusedAggregateNode`, whose executor
-   pipeline evaluates the predicate morsel by morsel and aggregates
-   the surviving rows without materialising the filtered table;
-7. **Top-N** — ``Limit -> Sort`` and ``Limit -> Project -> Sort`` become
+6. **Top-N** — ``Limit -> Sort`` and ``Limit -> Project -> Sort`` become
    a :class:`~repro.engine.planner.TopNNode` (below the row-local
    projection), which sorts only the rows that can reach the first
    ``k`` instead of the whole input.
@@ -46,7 +44,7 @@ Single-shot passes (after the fixpoint):
 Every rewrite preserves bit-identity with the unoptimized plan: a plan
 arrives bound, so every dtype error has already been raised and a rule
 may drop whatever it proves (a folded NULL is BOOL-typed and keeps no
-row, like FALSE), pushdown and fusion are row-local, Top-N selects a
+row, like FALSE), pushdown and pruning are row-local, Top-N selects a
 superset of the answer under the sort's total order on (keys, row
 position), and join reordering fires only where row order is provably
 invisible.  No rule reads the table's indexes: an index picks rows at
@@ -77,7 +75,6 @@ from repro.engine.planner import (
     AggregateNode,
     DistinctNode,
     FilterNode,
-    FusedAggregateNode,
     JoinNode,
     LimitNode,
     Plan,
@@ -132,7 +129,7 @@ def optimize_plan(plan: Plan, database: "Database") -> Plan:
             break
     _prune_pass(plan.root, None, ctx)
     _reorder_pass(plan, ctx)
-    plan.root = _bottom_up(plan.root, ctx, (_fuse_rule, _topn_rule))
+    plan.root = _bottom_up(plan.root, ctx, (_topn_rule,))
     if ctx.fired:
         registry.counter("optimizer.rewrites").inc(len(ctx.notes))
     plan.notes.extend(f"optimizer: {note}" for note in ctx.notes)
@@ -328,7 +325,7 @@ def _prune_pass(node: PlanNode, needed: set[str] | None, ctx: _Context) -> None:
         _prune_pass(node.child, needed, ctx)
     elif isinstance(node, ProjectNode):
         _prune_pass(node.child, _item_refs(node.items), ctx)
-    elif isinstance(node, AggregateNode):  # includes FusedAggregateNode
+    elif isinstance(node, AggregateNode):
         _prune_pass(node.child, aggregate_columns(node.group_exprs, node.aggregates), ctx)
     elif isinstance(node, FilterNode):
         if needed is not None:
@@ -351,12 +348,10 @@ def _prune_scan(scan: ScanNode, needed: set[str] | None, ctx: _Context) -> None:
     if needed is None or scan.columns is not None:
         return
     names = list(ctx.database.main_table(scan.table).column_names)
-    required = set(needed)
-    if scan.predicate is not None:
-        required |= scan.predicate.referenced_columns()
-    keep = [name for name in names if name in required]
-    if not keep:
-        keep = names[:1]  # row count must survive even a column-free scan
+    keep = [name for name in names if name in needed]
+    if not keep:  # row count must survive a column-free sink: keep a column read anyway
+        read = set() if scan.predicate is None else scan.predicate.referenced_columns()
+        keep = [name for name in names if name in read][:1] or names[:1]
     if len(keep) == len(names):
         return
     scan.columns = keep
@@ -382,9 +377,7 @@ def _reorder_pass(plan: Plan, ctx: _Context) -> None:
         isinstance(node, FilterNode) and not isinstance(node.child, JoinNode)
     ):
         node = node.child
-    if not isinstance(node, AggregateNode) or isinstance(node, FusedAggregateNode):
-        return
-    if node.group_exprs:
+    if not isinstance(node, AggregateNode) or node.group_exprs:
         return
     if any(call.function not in _ORDER_INSENSITIVE for _, call in node.aggregates):
         return
@@ -425,28 +418,7 @@ def _reorder_pass(plan: Plan, ctx: _Context) -> None:
     ctx.record("join_reorder", f"by estimated expansion: {order}")
 
 
-# -- rule 6: filter+aggregate fusion -----------------------------------------------------
-
-
-def _fuse_rule(node: PlanNode, ctx: _Context) -> PlanNode:
-    if (
-        isinstance(node, AggregateNode)
-        and not isinstance(node, FusedAggregateNode)
-        and isinstance(node.child, ScanNode)
-        and node.child.predicate is not None
-        and not node.child.empty
-    ):
-        ctx.record("fuse", f"filter+aggregate over scan({node.child.table})")
-        return FusedAggregateNode(
-            child=node.child,
-            group_exprs=node.group_exprs,
-            group_names=node.group_names,
-            aggregates=node.aggregates,
-        )
-    return node
-
-
-# -- rule 7: Top-N -----------------------------------------------------------------------
+# -- rule 6: Top-N -----------------------------------------------------------------------
 
 
 def _topn_rule(node: PlanNode, ctx: _Context) -> PlanNode:

@@ -3,11 +3,9 @@
 A scan's spans are cut into row *morsels* of at most ``morsel_rows``
 rows (Leis et al., SIGMOD'14) and its span kernel — predicate
 evaluation into a row selection — runs across a shared
-``concurrent.futures`` worker pool.  That is the only pooled route: a
-residual filter or a GROUP BY over an in-memory input runs as a scan of
-it (one unclassified span, or one PASS span with nothing to evaluate),
-and an aggregation or a sort is one serial kernel on the calling thread
-whatever produced its input.  The kernels are
+``concurrent.futures`` worker pool.  The pool runs only base-table
+spans: a residual filter, an aggregation or a sort is one serial kernel
+on the calling thread whatever produced its input.  The kernels are
 numpy-heavy and release the GIL, so the pool is a thread pool and a task
 is an ordinary call over the scan's own tables.
 
@@ -33,16 +31,16 @@ have performed:
   under a predicate is one fixed array, so linked views repeating a
   WHERE evaluate it once, and the filter kernel is the one place that
   reads and fills the memo on every route;
-- a fused aggregate, pooled or not, gathers its tasks' selections once
-  and runs :func:`~repro.engine.operators.hash_aggregate` once on the
-  calling thread — the serial operator's input and arithmetic, so
+- a scan gathers only the columns its consumer reads (the columns only
+  its predicate reads are evaluated, never copied), and the operator
+  above it — a GROUP BY runs :func:`~repro.engine.operators.hash_aggregate`
+  once — is the serial operator over the serial operator's input, so
   numpy's pairwise float summation rounds as it does serially and a
   DISTINCT aggregate sees all its group's rows.  The pool only selects.
 
 One rule decides pooling: a scan pools when the rows its tasks cover
-reach ``min_parallel_rows`` (:func:`should_parallelize`).  Below it the
-executor runs a residual filter or GROUP BY with the serial operators,
-and a scan's span kernels run as a governed loop on the calling thread
+reach ``min_parallel_rows`` (:func:`should_parallelize`).  Below it a
+scan's span kernels run as a governed loop on the calling thread
 recording no ``parallel.*`` metrics — so interactive point queries
 never pay the fan-out overhead.
 
@@ -73,7 +71,7 @@ from repro import settings
 from repro.engine import operators as ops
 from repro.engine import shards
 from repro.engine.expressions import Expression, truth_mask
-from repro.engine.sql.ast import AggregateCall, OrderItem
+from repro.engine.sql.ast import OrderItem
 from repro.engine.table import Table, concat_tables
 from repro.errors import ExecutionError, ReproError, ResourceError
 from repro.obs.metrics import get_registry
@@ -431,11 +429,11 @@ def gather(
     pieces = []
     for _, run in itertools.groupby(selections, key=lambda pair: id(pair[0])):
         sources, parts = zip(*run)
-        source = sources[0] if columns is None else sources[0].select(columns)
         rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
         if len(rows) and rows[-1] - rows[0] == len(rows) - 1:
             rows = slice(int(rows[0]), int(rows[-1]) + 1)
-        pieces.append(source.take(rows))
+        names = sources[0].column_names if columns is None else columns
+        pieces.append(Table([(name, sources[0].column(name).take(rows)) for name in names]))
     return concat_tables(pieces)
 
 
@@ -522,62 +520,22 @@ def select(
 
 
 def streamed_filter(
-    table: Table, predicate: Expression, ranges: Sequence[Span] | None, **scan: Any
+    table: Table,
+    predicate: Expression,
+    ranges: Sequence[Span] | None,
+    columns: Sequence[str] | None = None,
+    **scan: Any,
 ) -> Table:
     """Filter by streaming classified spans — skipped rows are never read:
     the :func:`select` selection (``scan`` is the rest of its arguments),
-    gathered once.
+    gathered once into ``columns`` (all of ``table``'s when None).
 
     Bit-identical to filtering ``table ++ tail`` by ``truth_mask`` and
-    the live masks: the spans partition the surviving rows in ascending
-    order and every mask comes from the same row-local kernel (serially
-    or on the pool).
+    the live masks, then selecting ``columns``: the spans partition the
+    surviving rows in ascending order and every mask comes from the same
+    row-local kernel (serially or on the pool).
     """
-    return gather(select(table, predicate, ranges, **scan))
-
-
-# -- aggregation ---------------------------------------------------------------------
-
-
-def _sink_columns(
-    table: Table,
-    group_exprs: Sequence[Expression],
-    aggregates: Sequence[tuple[str, AggregateCall]],
-) -> list[str]:
-    """The columns of ``table`` a fused aggregate reads after its filter —
-    one at least, so the row count survives a COUNT(*)-only sink."""
-    read = ops.aggregate_columns(group_exprs, aggregates)
-    return [n for n in table.column_names if n in read] or list(table.column_names[:1])
-
-
-def fused_filter_aggregate(
-    table: Table,
-    predicate: Expression | None,
-    group_exprs: Sequence[Expression],
-    aggregates: Sequence[tuple[str, AggregateCall]],
-    group_names: Sequence[str] | None = None,
-    ranges: Sequence[Span] | None = None,
-    **scan: Any,
-) -> Table:
-    """Filter + hash aggregate fused per span (the FusedAggregate kernel).
-
-    ``ranges`` and ``scan`` are :func:`select`'s; a GROUP BY over an
-    in-memory input is this with no predicate and one PASS span over it.
-    Bit-identical to
-    ``hash_aggregate(filter(table ++ tail, predicate), ...)``: the spans'
-    selections gather into one aggregation pass — the same rows the
-    unfused filter would materialise, minus the skipped zones, the
-    full-table mask array and the columns only the predicate reads
-    (:func:`_sink_columns`), each sink column taken once per source.  On
-    the worker pool the tasks run the filter kernel and the calling
-    thread still runs that one pass.
-    """
-    with trace("op.fused_filter_aggregate", rows=table.num_rows, keys=len(group_exprs)):
-        selection = select(table, predicate, ranges, **scan)
-        columns = _sink_columns(table, group_exprs, aggregates)
-        return ops.hash_aggregate(
-            gather(selection, columns), group_exprs, aggregates, group_names
-        )
+    return gather(select(table, predicate, ranges, **scan), columns)
 
 
 # -- names the perf ledger's tracer binds --------------------------------------------
@@ -592,14 +550,21 @@ def parallel_truth_mask(predicate: Expression, table: Table) -> np.ndarray:
 
 
 def parallel_filter(table: Table, predicate: Expression) -> Table:
-    """:func:`streamed_filter` over one unclassified span; goes with ROADMAP 4(b)."""
-    return streamed_filter(table, predicate, None)
+    """:func:`~repro.engine.operators.filter_table`; goes with ROADMAP 4(b)."""
+    return ops.filter_table(table, predicate)
 
 
 def parallel_hash_aggregate(table, group_exprs, aggregates, group_names=None) -> Table:
-    """:func:`fused_filter_aggregate` over one PASS span; goes with ROADMAP 4(b)."""
-    whole = [(0, table.num_rows, False)]
-    return fused_filter_aggregate(table, None, group_exprs, aggregates, group_names, whole)
+    """:func:`~repro.engine.operators.hash_aggregate`; goes with ROADMAP 4(b)."""
+    return ops.hash_aggregate(table, group_exprs, aggregates, group_names)
+
+
+def fused_filter_aggregate(table, predicate, group_exprs, aggregates, group_names=None) -> Table:
+    """:func:`~repro.engine.operators.filter_table` then ``hash_aggregate``;
+    goes with ROADMAP 4(b)."""
+    return ops.hash_aggregate(
+        ops.filter_table(table, predicate), group_exprs, aggregates, group_names
+    )
 
 
 def parallel_sort(table: Table, order_by: Sequence[OrderItem]) -> Table:

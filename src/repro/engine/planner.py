@@ -96,7 +96,8 @@ class ScanNode(PlanNode):
     """Scan a base table, optionally filtered by a predicate.
 
     The optimizer may additionally set ``columns`` (projection pruning:
-    only the named columns are materialised) and ``empty`` (a provably
+    only the named columns are gathered; the predicate is still evaluated
+    over the columns it reads) and ``empty`` (a provably
     contradictory predicate: the scan returns no rows; the predicate
     stays for EXPLAIN).
     """
@@ -170,25 +171,6 @@ class AggregateNode(PlanNode):
         keys = ", ".join(self.group_names) or "<global>"
         aggs = ", ".join(f"{n}={c.to_sql()}" for n, c in self.aggregates)
         return f"Aggregate(keys: {keys}; aggs: {aggs})"
-
-
-@dataclass
-class FusedAggregateNode(AggregateNode):
-    """Filter+aggregate fused into one per-morsel pipeline.
-
-    Produced by the optimizer from ``Aggregate -> Scan(filter)``: the
-    executor evaluates the scan predicate morsel by morsel and aggregates
-    the surviving rows without materialising the filtered table in between,
-    consulting the zone map to skip FAIL zones and wholesale-accept PASS
-    zones.  Subclasses :class:`AggregateNode` (same fields, ``child`` is
-    the :class:`ScanNode`) so shape-based consumers — graceful
-    degradation in particular — treat it as the aggregate it is.
-    """
-
-    def label(self) -> str:
-        keys = ", ".join(self.group_names) or "<global>"
-        aggs = ", ".join(f"{n}={c.to_sql()}" for n, c in self.aggregates)
-        return f"FusedAggregate(keys: {keys}; aggs: {aggs})"
 
 
 @dataclass

@@ -283,10 +283,7 @@ def scatter_fused_aggregate(
     database, profiler,
 ) -> Table:
     """:func:`~repro.engine.parallel.fused_filter_aggregate`; goes with ROADMAP 4(b)."""
-    return parallel.fused_filter_aggregate(
-        table, predicate, group_exprs, aggregates, group_names, ranges,
-        profiler=profiler, layout=layout,
-    )
+    return parallel.fused_filter_aggregate(table, predicate, group_exprs, aggregates, group_names)
 
 
 def scatter_sort(name, table: Table, order_by, layout, database, profiler) -> Table:

@@ -1,8 +1,8 @@
 """The group kernel: one answer per key kind, aggregate kind and route.
 
 ``operators.group_rows`` / ``aggregate_groups`` / ``grouped_output`` sit
-under ``hash_aggregate``, ``parallel._fused_spans`` and
-``parallel._merge_partial_aggregates``.  The per-group formulation they
+under ``hash_aggregate``, which groups every GROUP BY once on the calling
+thread whatever route its scan took.  The per-group formulation they
 replaced — a dict of key tuple → ascending row indices, one
 ``Column.take`` and one Python evaluation per group × aggregate,
 ``Table.from_rows`` over the result tuples — is kept here as
@@ -178,9 +178,8 @@ AGGREGATES = {
                 "SUM(DISTINCT fz) AS sf, AVG(DISTINCT fv) AS af, MIN(DISTINCT sv) AS ls, "
                 "MAX(DISTINCT iv) AS hi",
 }
-#: no WHERE is Aggregate (``hash_aggregate``, pooled the fused span kernels over
-#: one PASS span), a WHERE is FusedAggregate (the span kernels); the last one
-#: keeps no row
+#: no WHERE is Aggregate over an unfiltered scan, a WHERE is Aggregate over the
+#: span kernels' filtered scan; the last one keeps no row
 WHERES = ("", "WHERE i >= 40 AND i < 555", "WHERE i < 0")
 ROUTES = {
     "serial": dict(threads=0),
@@ -380,12 +379,13 @@ _WIDE_KEYS = [[(7 * i + 11 * j) % 40 for i in range(40)] for j in range(12)]
 
 
 def _pooled_aggregate(table, spans, group_exprs, aggregates) -> Table:
-    """``fused_filter_aggregate`` at threads=2, one pool task per span of
-    ``spans`` (PASS spans, no predicate): one batch when any row is in."""
+    """``hash_aggregate`` over a scan at threads=2, one pool task per span
+    of ``spans`` (PASS spans, no predicate): one batch when any row is in."""
     settings.configure(threads=2, morsel_rows=max(table.num_rows, 1), min_parallel_rows=1)
     batches = get_registry().counter("parallel.batches")
     before = batches.value
-    result = parallel.fused_filter_aggregate(table, None, group_exprs, aggregates, ranges=spans)
+    scanned = parallel.streamed_filter(table, None, spans)
+    result = ops.hash_aggregate(scanned, group_exprs, aggregates)
     assert batches.value - before == (table.num_rows > 0)
     return result
 
@@ -580,9 +580,10 @@ def test_dashboard_views_gather_no_group(route, pool, monkeypatch):
 
 
 def test_fused_scan_copies_only_what_the_sink_reads(monkeypatch):
-    """The gather takes each sink column once per source — once from the
-    main however many spans survive, once more from a delta tail — and
-    never a column only the predicate reads."""
+    """The scan under a filtered GROUP BY gathers each column the
+    aggregate reads once per source — once from the main however many
+    spans survive, once more from a delta tail — and never a column only
+    the predicate reads."""
     settings.configure(
         threads=0, zone_rows=64, shards=0, optimizer=True,
         storage="memory", delta_rows=10_000,
@@ -614,7 +615,7 @@ def test_fused_scan_copies_only_what_the_sink_reads(monkeypatch):
             db.execute("INSERT INTO t (i, ds, si, fv, bk_n) VALUES (100, 'zulu', 1, 2.5, TRUE)")
             db.execute(WRITES[1])
         main = db.main_table("t")
-        assert "FusedAggregate" in db.explain(sql)
+        assert "Scan(t, filter: " in db.explain(sql) and "columns: [ds, fv])" in db.explain(sql)
         # zones 0 and 8 straddle the brush, zones 1-7 evaluate ``si`` and ``bk_n``
         assert "zones: 1 pruned, 0 passed of 10" in db.explain_analyze(sql).render()
         taken.clear()

@@ -4,8 +4,8 @@ Covers the satellite correctness fixes of PR 6 — probe AND-merge
 inclusivity at equal bounds, balanced-pair output-name stripping, and
 the ambiguous-join BindError — plus a per-rule before/after plan-shape
 suite driven by ``Plan.explain()``, the ``PRAGMA optimizer`` plumbing
-(including flag-aware plan-cache entries), the fused filter+aggregate
-kernel's zone metrics and degradability, and the corpus property test
+(including flag-aware plan-cache entries), a filtered aggregate's
+pruned scan — its zone metrics and degradability — and the corpus property test
 asserting optimizer-on and optimizer-off answers are bit-identical under
 threads and fault injection.
 """
@@ -257,8 +257,9 @@ class TestRewriteRules:
         assert db.sql(sql).num_rows == 0
 
     def test_projection_pruning_lists_columns(self, db):
+        # the scan gathers what its consumer reads; ``b`` is evaluated, not copied
         text = db.explain("SELECT a FROM t WHERE b > 2.0")
-        assert "columns: [a, b]" in text
+        assert "Scan(t, filter: (b > 2.0), columns: [a])" in text
 
     def test_projection_pruning_star_keeps_all(self, db):
         text = db.explain("SELECT * FROM t WHERE b > 2.0")
@@ -296,15 +297,18 @@ class TestRewriteRules:
         )
 
     def test_fusion_replaces_aggregate_over_filtered_scan(self, db):
+        """A filtered aggregate needs no node of its own: the Aggregate sits
+        on the filtered scan, which gathers only the columns it groups."""
         text = db.explain("SELECT a, COUNT(*) AS c FROM t WHERE b > 2.0 GROUP BY a")
-        assert "FusedAggregate(keys: a" in text
-        assert "\nFilter" not in text
+        assert "  Aggregate(keys: a; aggs: c=COUNT(*))\n" in text
+        assert text.endswith("\n    Scan(t, filter: (b > 2.0), columns: [a])")
+        assert "\nFilter" not in text and "Fused" not in text
 
     def test_explain_shows_three_distinct_rules(self, db):
         text = _explain_with_notes(
-            db, "SELECT COUNT(*) AS c FROM t WHERE TRUE AND b > 2.0 AND b > 2.0"
+            db, "SELECT b FROM t WHERE TRUE AND b > 2.0 AND b > 2.0 ORDER BY b LIMIT 3"
         )
-        for rule in ("constant_fold", "prune", "fuse"):
+        for rule in ("constant_fold", "prune", "topn"):
             assert f"note: optimizer: {rule}" in text
 
     def test_optimizer_off_leaves_plan_alone(self, db):
@@ -312,7 +316,7 @@ class TestRewriteRules:
         settings.configure(optimizer=False)
         text = _explain_with_notes(db, sql)
         assert "optimizer:" not in text
-        assert "FusedAggregate" not in text
+        assert "columns:" not in text
         assert "TRUE" in text
 
 
@@ -332,11 +336,12 @@ class TestOptimizerPragma:
         """Toggling PRAGMA optimizer must not serve stale optimized plans."""
         db = _db(t={"a": list(range(10)), "b": list(range(10))})
         sql = "SELECT COUNT(*) AS c FROM t WHERE b > 2"
-        assert "FusedAggregate" in db.plan(sql).explain()
+        pruned = "Scan(t, filter: (b > 2), columns: [b])"
+        assert pruned in db.plan(sql).explain()
         db.execute("PRAGMA optimizer=0")
-        assert "FusedAggregate" not in db.plan(sql).explain()
+        assert "columns:" not in db.plan(sql).explain()
         db.execute("PRAGMA optimizer=1")
-        assert "FusedAggregate" in db.plan(sql).explain()
+        assert pruned in db.plan(sql).explain()
 
     def test_optimizer_metrics_family(self, registry):
         db = _db(t={"a": list(range(10)), "b": list(range(10))})
@@ -344,13 +349,18 @@ class TestOptimizerPragma:
         metrics = registry.snapshot()
         assert metrics["counters"].get("optimizer.runs", 0) >= 1
         assert metrics["counters"].get("optimizer.constant_fold", 0) >= 1
-        assert metrics["counters"].get("optimizer.fuse", 0) >= 1
+        assert metrics["counters"].get("optimizer.prune", 0) >= 1
+        assert "optimizer.fuse" not in metrics["counters"]
 
 
-# -- fused filter+aggregate kernel -----------------------------------------------------
+# -- a filtered aggregate: Aggregate over its pruned scan -------------------------------
 
 
 class TestFusedAggregate:
+    """What a fused filter+aggregate was is now the plain plan: the scan
+    evaluates its predicate span by span and gathers only the aggregate's
+    columns, and one serial ``hash_aggregate`` groups them."""
+
     def _clustered_db(self, n: int = 4000) -> Database:
         return _db(
             t={
@@ -386,9 +396,8 @@ class TestFusedAggregate:
     def test_fused_records_zone_metrics(self, registry):
         db = self._clustered_db()
         settings.configure(zone_rows=100)
-        assert "FusedAggregate" in db.plan(
-            "SELECT COUNT(*) AS c FROM t WHERE a >= 30"
-        ).explain()
+        assert "  Aggregate(keys: <global>; aggs: c=COUNT(*))\n    Scan(t, filter: (a >= 30), " \
+            "columns: [a])" in db.plan("SELECT COUNT(*) AS c FROM t WHERE a >= 30").explain()
         result = db.sql("SELECT COUNT(*) AS c FROM t WHERE a >= 30")
         assert result.column("c").to_list() == [1000]
         metrics = registry.snapshot()
@@ -414,17 +423,23 @@ class TestFusedAggregate:
 
         db = self._clustered_db()
         plan = db.plan("SELECT COUNT(b) AS c FROM t WHERE a >= 30")
-        assert "FusedAggregate" in plan.explain()
+        assert "Scan(t, filter: (a >= 30), columns: [b])" in plan.explain()
         assert degradable(plan)
 
     def test_explain_analyze_annotates_fused_node(self):
         db = self._clustered_db()
         settings.configure(zone_rows=100)
-        text = db.explain_analyze(
+        lines = db.explain_analyze(
             "SELECT COUNT(*) AS c FROM t WHERE a >= 30"
-        ).render()
-        assert "FusedAggregate" in text
-        assert "fused: filter per span, one group pass" in text
+        ).render().splitlines()
+        # the scan's line carries its zone annotation and the gathered bytes
+        # (one INT64 column of 1,000 rows); the Aggregate's line carries none
+        (scan,) = [line for line in lines if line.strip().startswith("Scan(t")]
+        (aggregate,) = [line for line in lines if line.strip().startswith("Aggregate(")]
+        assert "zones: 30 pruned, 10 passed of 40" in scan and "rows=4000->1000" in scan
+        assert "->8000)" in scan
+        assert "[" not in aggregate.split(")  (")[1]
+        assert not any("fused:" in line for line in lines)
 
 
 # -- corpus property test: optimizer on == off, bit for bit ---------------------------

@@ -467,16 +467,27 @@ class TestStreamedScan:
             db.close()
 
     def test_fused_aggregate_streams_mapped_ranges(self, tmp_path, _pin_storage_config):
+        """The scan under a filtered aggregate streams the surviving zone of
+        the mapped main, reading there the predicate's and the aggregate's
+        columns (8 bytes a row each), and annotates its own line."""
         registry = _pin_storage_config
+        pin_defaults("optimizer")
         db = _clustered_db(tmp_path / "db")
         try:
+            read = registry.counter("io.bytes_read")
             got = db.sql("SELECT COUNT(*) AS n FROM t WHERE k = 5")
             assert got.column("n")[0] == 256
             assert registry.counter("io.zones_skipped_io").value >= 15
-            report = db.explain_analyze(
+            assert read.value == 256 * 8  # ``k`` alone
+            got = db.sql("SELECT SUM(v) AS s FROM t WHERE k = 5")
+            assert got.column("s")[0] == sum(float(i % 97) for i in range(1280, 1536))
+            assert read.value == 256 * 8 + 256 * 16  # ``k`` and ``v``
+            lines = db.explain_analyze(
                 "SELECT COUNT(*) AS n FROM t WHERE k = 5"
-            ).render()
-            assert "io:" in report
+            ).render().splitlines()
+            (scan,) = [line for line in lines if line.strip().startswith("Scan(t")]
+            assert "io: 2048 bytes read" in scan
+            assert not any("io:" in line for line in lines if line is not scan)
         finally:
             db.close()
 

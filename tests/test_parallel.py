@@ -171,10 +171,11 @@ class TestKernels:
 
     @staticmethod
     def _residual(sql: str, node: str) -> tuple[Table, Table, Database]:
-        """``sql`` under ``optimizer=0``, serially and with the pool; the
-        pooled run's ``node`` (a Filter left above a join, an unfused
-        Aggregate) must have fanned out.  Both tables have NULLs and NaNs,
-        and ``t.g`` is a dictionary-encoded STRING column."""
+        """``sql`` serially and with the pool: the pooled run's driving scan
+        ``Scan(t`` fans out, and ``node`` above it (a Filter left above a
+        join, an Aggregate) is one serial kernel — the pool runs only
+        base-table spans.  Both tables have NULLs and NaNs, and ``t.g`` is
+        a dictionary-encoded STRING column."""
         rng = np.random.default_rng(7)
         n = 500
 
@@ -193,29 +194,30 @@ class TestKernels:
         })
         db.create_table("u", {"k2": list(range(50)), "w": floats(50)})
         assert db.main_table("t").column("g").dictionary() is not None
-        settings.configure(optimizer=False, threads=0)
+        settings.configure(optimizer=True, threads=0)
         serial = db.sql(sql)
         settings.configure(threads=4, morsel_rows=7, min_parallel_rows=1)
         pooled = db.sql(sql)
-        lines = db.explain_analyze(sql).render().splitlines()
-        assert any(
-            line.strip().startswith(node) and "parallel:" in line for line in lines
-        ), "\n".join(lines)
+        lines = [line.strip() for line in db.explain_analyze(sql).render().splitlines()]
+        fanned = [line for line in lines if "parallel:" in line]
+        assert len(fanned) == 1 and fanned[0].startswith("Scan(t"), "\n".join(lines)
+        assert any(line.startswith(node) for line in lines), "\n".join(lines)
         return serial, pooled, db
 
     def test_filter_mask_identical(self) -> None:
-        """A pooled residual filter is the scan's span tasks over its child."""
+        """A residual filter over a pooled scan's join is the serial filter."""
         serial, pooled, db = self._residual(
-            "SELECT g, x, y, w FROM t JOIN u ON k = k2 WHERE x > 0 OR w < 0.5 OR g = 'b'",
+            "SELECT g, x, y, w FROM t JOIN u ON k = k2 "
+            "WHERE k < 45 AND (x > 0 OR w < 0.5 OR g = 'b')",
             "Filter",
         )
-        assert 0 < pooled.num_rows < 500
+        assert 0 < pooled.num_rows < 450
         tables_bit_identical(serial, pooled)
         base = db.main_table("t").column("g").dictionary()[1]
         assert pooled.column("g").dictionary()[1] is base
 
     def test_group_by_identical(self) -> None:
-        """A pooled non-fused GROUP BY is one PASS span's fused tasks."""
+        """A GROUP BY over a pooled scan is one serial group pass."""
         serial, pooled, _ = self._residual(
             "SELECT g, COUNT(*) AS n, COUNT(y) AS cy, SUM(x) AS sx, AVG(y) AS my, "
             "MIN(y) AS lo, MAX(x) AS hi, COUNT(DISTINCT x) AS dx FROM t "
@@ -369,7 +371,7 @@ def _pooled_run(db: Database, sql: str) -> tuple[Table, tuple[int, int]]:
 
 
 class TestPooledAggregates:
-    """A pooled fused aggregate runs the scan's filter tasks on the pool,
+    """A GROUP BY over a pooled scan runs the scan's filter tasks on the pool,
     and the calling thread groups the gathered rows once, whatever the
     aggregates: the serial operator's input and arithmetic."""
 

@@ -34,6 +34,7 @@ from repro.errors import (
     QueryTimeoutError,
 )
 from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.profile import table_nbytes
 from repro.obs.tracing import get_tracer
 from repro.resilience import (
     CancellationToken,
@@ -79,7 +80,9 @@ def _demo_db(n: int = 2_000, seed: int = 0) -> Database:
     return db
 
 
-AGG_QUERY = "SELECT g, COUNT(*) AS n, SUM(x) AS sx, AVG(y) AS ay FROM t GROUP BY g"
+#: a WHERE every row passes: the pool runs only a base-table scan's spans, so
+#: the slow and crashing morsels are this scan's span tasks
+AGG_QUERY = "SELECT g, COUNT(*) AS n, SUM(x) AS sx, AVG(y) AS ay FROM t WHERE x >= 0 GROUP BY g"
 
 
 # -- context unit behaviour -----------------------------------------------------------
@@ -286,6 +289,24 @@ class TestMemoryBudget:
         settings.configure(faults="alloc_spike:1.0:10000")
         with pytest.raises(MemoryBudgetError):
             db.sql("SELECT x FROM t WHERE x >= 0")
+
+    @pytest.mark.parametrize("degrade", (0, 1))
+    def test_filtered_aggregate_charges_its_gathered_columns(self, degrade):
+        """The scan under a filtered GROUP BY charges the columns it gathers
+        for the aggregate (``g`` and ``x``; ``y`` is only evaluated), so a
+        budget below them stops the query before the group pass, or
+        degrades it, though the grouped answer itself is tiny."""
+        settings.configure(shards=0, optimizer=True, faults="off")
+        db = _demo_db(n=20_000)
+        sql = "SELECT g, SUM(x) AS sx FROM t WHERE y < 90 GROUP BY g"
+        gathered = table_nbytes(db.sql("SELECT g, x FROM t WHERE y < 90"))
+        assert gathered > 150_000 and table_nbytes(db.sql(sql)) < 100
+        settings.configure(memory_budget_kb=gathered // 1024 - 8, degrade=degrade)
+        if degrade:
+            assert isinstance(db.sql(sql), DegradedTable)
+        else:
+            with pytest.raises(MemoryBudgetError, match=r"at Scan\(t, filter: \(y < 90\), columns: \[x, g\]\)"):
+                db.sql(sql)
 
 
 # -- graceful degradation -------------------------------------------------------------

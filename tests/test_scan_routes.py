@@ -2,7 +2,7 @@
 
 One small table — a dictionary-encoded STRING column with NULLs, a
 FLOAT64 column with NaN, a clustered INT64 key — at ``zone_rows=64`` so
-every scan is multi-span, run as plain scan / fused aggregate / Top-N
+every scan is multi-span, run as plain scan / filtered GROUP BY / Top-N
 over {memory, mmap} x {clean, appended tail, tombstoned main} x
 {threads 0, 4} x {shards 0, 4}.  Asserted per lattice point: results
 bit-identical to the unpruned serial in-memory reference; gathered
@@ -13,7 +13,7 @@ a type-mismatched predicate raises the same error on every route.
 An index axis — none, a ``CrackerIndex`` on the NaN-bearing float
 column, an ``UpdatableCrackerIndex`` holding pending inserts and
 tombstones, one registered over a 4-shard main — x threads x
-optimizer runs a filter, a fused GROUP BY with float SUM/AVG, an ORDER
+optimizer runs a filter, a filtered GROUP BY with float SUM/AVG, an ORDER
 BY and a join's right input: an index picks the rows a scan reads and
 never changes its answer, row order and float rounding included.
 
@@ -37,6 +37,7 @@ from repro.core.session import ExplorationSession
 from repro.engine import Database, Table
 from repro.engine import operators as ops
 from repro.engine import parallel
+from repro.engine.column import Column
 from repro.engine.sql.parser import parse
 from repro.errors import TypeMismatchError
 from repro.indexing import CrackerIndex, UpdatableCrackerIndex
@@ -51,7 +52,7 @@ ZONE_ROWS = 64
 WHERE = "k >= 100 AND k < 420"  # zones 1 and 6 MAYBE, zones 2..5 PASS
 QUERIES = {
     "scan": f"SELECT k, s, f FROM t WHERE {WHERE}",
-    "fused": (
+    "grouped": (
         "SELECT s, COUNT(*) AS n, SUM(f) AS total, MIN(k) AS lo "
         f"FROM t WHERE {WHERE} GROUP BY s"
     ),
@@ -180,13 +181,90 @@ def test_lattice_point(
         db.close()
 
 
+# -- a scan gathers what its consumer reads ----------------------------------------------
+
+#: ``k`` and ``f`` are read only by the predicate in every query but the join,
+#: whose driving scan also hands ``k`` to the join key
+CONSUMER_WHERE = f"{WHERE} AND f < 90.0"
+CONSUMERS = {
+    "project": (f"SELECT s FROM t WHERE {CONSUMER_WHERE}", ["s"]),
+    "distinct": (f"SELECT DISTINCT s FROM t WHERE {CONSUMER_WHERE}", ["s"]),
+    "topn": (f"SELECT s FROM t WHERE {CONSUMER_WHERE} ORDER BY s DESC LIMIT 7", ["s"]),
+    "group_by": (f"SELECT s, COUNT(*) AS n FROM t WHERE {CONSUMER_WHERE} GROUP BY s", ["s"]),
+    "join": (
+        "SELECT t.s, d.tag FROM t JOIN d ON t.k = d.k "
+        f"WHERE t.k >= 100 AND t.k < 420 AND t.f < 90.0",
+        ["k", "s"],
+    ),
+}
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS)
+@pytest.mark.parametrize("state", ("clean", "appended"))
+@pytest.mark.parametrize("storage", ("memory", "mmap"))
+def test_a_scan_gathers_only_what_its_consumer_reads(
+    checkpoints, tmp_path, monkeypatch, storage, state, consumer
+):
+    """The gather takes each column the scan's consumer reads once per
+    source (the main, and a pending tail) and no column only the
+    predicate reads; the predicate is still evaluated over the columns it
+    reads, so a mapped scan reads exactly the bytes ``SELECT *`` reads."""
+    sql, gathered = CONSUMERS[consumer]
+    settings.configure(optimizer=True)
+    db = _open(checkpoints, tmp_path, storage, state, 0, 0)
+    try:
+        _add_dimension(db)
+        main = db.main_table("t")
+        tail = db.delta_tail("t") if state == "appended" else None
+        taken: list[tuple[str, str]] = []
+        gathering: list[int] = []
+        real_take, real_gather = Column.take, parallel.gather
+
+        def owner(column) -> tuple[str, str]:
+            for source, table in (("main", main), ("tail", tail)):
+                for name in [] if table is None else table.column_names:
+                    if np.shares_memory(ops.key_array(column), ops.key_array(table.column(name))):
+                        return source, name
+            return "other", "?"
+
+        def take_spy(self, indices):
+            if gathering:
+                taken.append(owner(self))
+            return real_take(self, indices)
+
+        def gather_spy(*args, **kwargs):
+            gathering.append(1)
+            try:
+                return real_gather(*args, **kwargs)
+            finally:
+                gathering.pop()
+
+        monkeypatch.setattr(Column, "take", take_spy)
+        monkeypatch.setattr(parallel, "gather", gather_spy)
+        bytes_read = get_registry().counter("io.bytes_read")
+        before = bytes_read.value
+        got = db.sql(sql)
+        read = bytes_read.value - before
+        monkeypatch.undo()
+        sources = ["main"] + (["tail"] if tail is not None else [])
+        assert sorted(taken) == sorted((source, name) for source in sources for name in gathered)
+        before = bytes_read.value
+        db.sql(f"SELECT * FROM t WHERE {CONSUMER_WHERE}")
+        assert read == bytes_read.value - before
+        assert (read > 0) == (storage == "mmap")
+        settings.configure(optimizer=False, zone_rows=0)
+        tables_bit_identical(got, db.sql(sql))
+    finally:
+        db.close()
+
+
 # -- indexes: an index picks rows, the answer stays the scan's --------------------------
 
 INDEX_WHERE = f"{WHERE} AND f >= 5.0 AND f < 80.0"
 INDEX_WARMUP = "SELECT k FROM t WHERE k >= 200 AND k < 300 AND f >= 20.0 AND f < 60.0"
 INDEX_QUERIES = {
     "filter": f"SELECT k, s, f FROM t WHERE {INDEX_WHERE}",
-    "fused": (
+    "grouped": (
         "SELECT s, COUNT(*) AS n, SUM(f) AS total, AVG(f) AS mean "
         f"FROM t WHERE {INDEX_WHERE} GROUP BY s"
     ),

@@ -4,7 +4,7 @@ Covers the PR 10 surface: deterministic hash/range partitioning (NaN
 and NULL keys route to shard 0, identity layouts skip the re-cluster),
 `PRAGMA shards` / `shard_by` / `shard_min_rows` wiring and the settings
 listing, scatter-gather execution that stays bit-identical to the
-unsharded path over the same re-clustered main (filter, fused aggregate;
+unsharded path over the same re-clustered main (filter, filtered aggregate;
 serial and threaded) while a sort and every scan's pooling decision take
 one route each, shard-local pruning through the zone map
 (`shard.shards_pruned` = N−1 on a one-shard predicate, in memory and

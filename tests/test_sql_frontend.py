@@ -403,7 +403,8 @@ class TestPlanner:
             "SELECT label FROM t JOIN u ON t.a = u.a WHERE b < 50 AND label = 'x'"
         )
         text = plan.explain()
-        assert "Scan(t, filter: (b < 50))" in text
+        # t's scan gathers only the join key: ``b`` is evaluated, not copied
+        assert "Scan(t, filter: (b < 50), columns: [a])" in text
         assert "Scan(u, filter: (label = 'x')" in text
 
     def test_bind_error_unknown_qualifier(self, db):
