@@ -2,11 +2,13 @@
 
 Two experiments over the resilience layer:
 
-1. **Cancellation latency vs morsel size** — with every morsel slowed by
-   a fixed injected delay and a deadline far below the total work, the
-   overshoot past the deadline is bounded by roughly the work in flight
-   at the checkpoint (one morsel per worker): smaller morsels mean finer
-   checkpoints and tighter cancellation.
+1. **Cancellation latency vs span size** — a scan's task is one zone
+   span, on the calling thread (``threads=0``) or the pool
+   (``threads=2``).  With every task slowed by a fixed injected delay and
+   a deadline far below the total work, the overshoot past the deadline
+   is bounded by roughly the work in flight at the checkpoint (one span
+   per thread): smaller zones mean finer checkpoints and tighter
+   cancellation, on both runners.
 2. **Degraded-answer error/latency curve** — the sampling-based
    approximate answer at growing sample budgets, against the exact
    aggregate: wall time, relative error and CI width all shrink toward
@@ -38,49 +40,54 @@ QUERY = (
     "SELECT region, COUNT(*) AS n, SUM(quantity) AS sq, AVG(price) AS ap "
     "FROM sales GROUP BY region"
 )
-#: a WHERE every row passes (quantity is 1..9): the pool runs only a
-#: base-table scan's spans, so the slowed morsels are this scan's span tasks
+#: a WHERE every row passes (quantity is 1..9): a scan's span tasks are the
+#: only tasks, so the slowed tasks are this scan's zone spans
 LATENCY_QUERY = QUERY.replace(" GROUP BY", " WHERE quantity >= 1 GROUP BY")
 SLOW_MS = 20.0
 DEADLINE_MS = 60
+LATENCY_HEADER = ["threads", "zone_rows", "spans", "wall ms", "overshoot ms", "outcome"]
 COVERAGE_SEEDS = 20
 
 
 def _reset() -> None:
     settings.configure(
         timeout_ms=0, faults="off", degrade=0,
-        threads=0, morsel_rows=settings.ROWS["morsel_rows"].default,
+        threads=0, zone_rows=settings.ROWS["zone_rows"].default,
     )
     parallel.shutdown_pool()
 
 
 def run_latency_experiment(
-    n: int = 8_000, morsel_sizes: tuple[int, ...] = (100, 400, 1_600)
+    n: int = 8_000, span_sizes: tuple[int, ...] = (100, 250, 500), runners=(0, 2)
 ):
-    """Overshoot past the deadline for each morsel granularity."""
+    """Overshoot past the deadline for each span size, per runner
+    (``threads``).  Every point's slowed work is past its deadline: the
+    largest spans are ``n / 500 = 16`` tasks, 320 ms serially and about
+    110 ms over the two workers and the calling thread."""
     db = Database()
     db.create_table("sales", sales_table(n, seed=0))
     rows = []
     overshoots = {}
     try:
-        for morsel_rows in morsel_sizes:
-            settings.configure(
-                threads=2, morsel_rows=morsel_rows, min_parallel_rows=1,
-                timeout_ms=DEADLINE_MS, faults=f"slow_morsel:1.0:{SLOW_MS}",
-            )
-            morsels = -(-n // morsel_rows)  # the scan's one span, cut per morsel
-            start = time.perf_counter()
-            try:
+        for threads in runners:
+            for zone_rows in span_sizes:
+                # built before the clock starts: the zone map at this size and the plan
+                settings.configure(threads=threads, zone_rows=zone_rows, timeout_ms=0, faults="off")
                 db.sql(LATENCY_QUERY)
-                outcome = "finished"
-            except QueryTimeoutError:
-                outcome = "timeout"
-            wall_ms = (time.perf_counter() - start) * 1e3
-            overshoot_ms = max(0.0, wall_ms - DEADLINE_MS)
-            overshoots[morsel_rows] = overshoot_ms
-            rows.append(
-                [morsel_rows, morsels, f"{wall_ms:.1f}", f"{overshoot_ms:.1f}", outcome]
-            )
+                settings.configure(timeout_ms=DEADLINE_MS, faults=f"slow_morsel:1.0:{SLOW_MS}")
+                start = time.perf_counter()
+                try:
+                    db.sql(LATENCY_QUERY)
+                    outcome = "finished"
+                except QueryTimeoutError:
+                    outcome = "timeout"
+                wall_ms = (time.perf_counter() - start) * 1e3
+                overshoot_ms = max(0.0, wall_ms - DEADLINE_MS)
+                overshoots[threads, zone_rows] = (overshoot_ms, outcome)
+                rows.append([
+                    threads, zone_rows, -(-n // zone_rows),
+                    f"{wall_ms:.1f}", f"{overshoot_ms:.1f}", outcome,
+                ])
     finally:
         _reset()
     return rows, overshoots
@@ -144,17 +151,17 @@ def _interval_coverage(db, plan, truth: dict, size: int) -> float:
 
 
 def test_bench_resilience(benchmark) -> None:
-    latency_rows, overshoots = run_latency_experiment(
-        n=2_000, morsel_sizes=(50, 200, 800)
-    )
+    latency_rows, overshoots = run_latency_experiment(n=2_000, span_sizes=(50, 125))
     print_table(
-        "Governor: cancellation latency vs morsel size (injected 20 ms/morsel)",
-        ["morsel_rows", "morsels", "wall ms", "overshoot ms", "outcome"],
+        "Governor: cancellation latency vs span size (injected 20 ms/task)",
+        LATENCY_HEADER,
         latency_rows,
     )
-    # fine morsels keep the overshoot within a handful of slow morsels'
-    # work; generous bound so single-core CI hosts don't flake
-    assert overshoots[50] < SLOW_MS * 10
+    # every point is slowed past its deadline, serial and pooled alike, and
+    # small spans keep the overshoot within a handful of slow tasks' work;
+    # generous bound so single-core CI hosts don't flake
+    assert {outcome for _, outcome in overshoots.values()} == {"timeout"}
+    assert max(overshoots[threads, 50][0] for threads in (0, 2)) < SLOW_MS * 10
 
     degrade_rows, errors, coverage = run_degradation_experiment(
         n=50_000, sample_sizes=(1_000, 10_000)
@@ -182,8 +189,8 @@ def test_bench_resilience(benchmark) -> None:
 if __name__ == "__main__":
     rows, _ = run_latency_experiment()
     print_table(
-        "Governor: cancellation latency vs morsel size (injected 20 ms/morsel)",
-        ["morsel_rows", "morsels", "wall ms", "overshoot ms", "outcome"],
+        "Governor: cancellation latency vs span size (injected 20 ms/task)",
+        LATENCY_HEADER,
         rows,
     )
     rows, _, _ = run_degradation_experiment()

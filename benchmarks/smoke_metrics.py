@@ -369,9 +369,7 @@ def check_scan_gathers_once(zone_rows: int = 4_096) -> int:
             main[:] = [(name, ops.key_array(base.column(name))) for name in base.column_names]
             for threads in (0, 2):
                 for sql, gathered in statements.items():
-                    settings.configure(
-                        threads=threads, min_parallel_rows=2, zone_rows=zone_rows, optimizer=True
-                    )
+                    settings.configure(threads=threads, zone_rows=zone_rows, optimizer=True)
                     plan = db.explain_analyze(sql).render()
                     assert "zones: 4 pruned, 0 passed of 8" in plan, sql
                     assert ("shards: 2 of 4 scheduled" in plan) == bool(shards), sql
@@ -795,10 +793,7 @@ def check_type_errors_raise_at_bind(n: int = 200_000) -> int:
     try:
         with truth_mask_calls() as calls:
             for threads in (0, 2):
-                settings.configure(
-                    threads=threads, morsel_rows=65_536,
-                    zone_rows=settings.ROWS["zone_rows"].default,
-                )
+                settings.configure(threads=threads, zone_rows=settings.ROWS["zone_rows"].default)
                 calls.clear()
                 assert db.sql(f"SELECT k FROM t WHERE k >= {n}").num_rows == 0
                 assert not calls, (
@@ -1014,7 +1009,7 @@ def check_linked_views_share_selections(zone_rows: int = 4_096) -> int:
         with truth_mask_calls() as calls:
             for threads in (0, 2):
                 settings.configure(
-                    threads=threads, min_parallel_rows=2, zone_rows=zone_rows, optimizer=True,
+                    threads=threads, zone_rows=zone_rows, optimizer=True,
                     delta_rows=settings.ROWS["delta_rows"].default,
                 )
                 for gesture in range(2):
@@ -1082,7 +1077,7 @@ def check_pooled_float_aggregate_groups_once(n: int = 200_000) -> int:
         for sql, want in statements.items():
             settings.configure(threads=0)
             serial = db.sql(sql)
-            settings.configure(threads=2, min_parallel_rows=2)
+            settings.configure(threads=2)
             for lists in calls.values():
                 lists.clear()
             before = [counter.value for counter in fanout]

@@ -136,10 +136,8 @@ class Shell:
             if not self._set("threads", parts):
                 return "usage: \\threads [n]   (n >= 0; 0 = serial)"
             mode = "serial" if settings.current.threads < 2 else "parallel"
-            return (
-                f"threads = {settings.current.threads} ({mode}), "
-                + _settings_line("morsel_rows", "min_parallel_rows")
-            )
+            # a scan's task is one zone span, so zone_rows is the pool's unit
+            return f"threads = {settings.current.threads} ({mode}), " + _settings_line("zone_rows")
         if command == "timeout":
             if not self._set("timeout_ms", parts):
                 return "usage: \\timeout [ms]   (ms >= 0; 0 = no deadline)"

@@ -107,13 +107,6 @@ class _TableState:
         self.selections = SelectionMemo()
 
 
-def _layout_spec(layout: shardsmod.ShardLayout | None) -> tuple | None:
-    """What a cached plan can know of a layout.  Offsets, bounds and the
-    object itself move with every merge; compared by identity, each merge
-    of a sharded table would clear the plan cache."""
-    return None if layout is None else (layout.mode, layout.key, layout.num_shards)
-
-
 class Database:
     """A database: tables, statistics, indexes, SQL execution.
 
@@ -273,9 +266,9 @@ class Database:
     @property
     def catalog_version(self) -> int:
         """Monotonic counter bumped by every *structural* change — DDL,
-        table replacement, a changed shard layout; cached plans are valid
-        only for the version they were planned under.  Delta appends,
-        tombstones and index (un)registration deliberately do **not**
+        table replacement; cached plans are valid only for the version
+        they were planned under.  Delta appends, tombstones, index
+        (un)registration and a re-shard or unshard deliberately do **not**
         bump it: they change no schema and no plan shape, so the plan cache
         survives the write (the per-table data version below keys the
         data-dependent caches instead)."""
@@ -322,22 +315,22 @@ class Database:
         Contents are *new* when no table of that name is registered
         (``replace_table`` retires the old one first).  From that alone:
 
-        ================================  ==========  ========  =======  =======
-        observed (writers)                zone maps   indexes   pending  data
-                                                                delta    version
-        ================================  ==========  ========  =======  =======
-        new contents (create, replace,    ``zones``   none      fresh    new
+        ================================  ==========  ========  =======  =======  =======
+        observed (writers)                zone maps   indexes   pending  data     cached
+                                                                delta    version  plans
+        ================================  ==========  ========  =======  =======  =======
+        new contents (create, replace,    ``zones``   none      fresh    new      dropped
         recovered, unfiltered DELETE)
-        rows moved (compacting or re-     none        none      fresh    new
+        rows moved (compacting or re-     none        none      fresh    new      kept
         clustering merge, re-shard)
-        rows appended (pure-append        extended    kept      fresh    new
+        rows appended (pure-append        extended    kept      fresh    new      kept
         merge)
-        ``changed`` at ``rows`` in place  patched     others    touched  new
+        ``changed`` at ``rows`` in place  patched     others    touched  new      kept
         (UPDATE)                                      kept
-        same content (adopted check-      kept        kept      kept     kept
+        same content (adopted check-      kept        kept      kept     kept     kept
         point, identity re-shard,
         unshard)
-        ================================  ==========  ========  =======  =======
+        ================================  ==========  ========  =======  =======  =======
 
         *Patched* zone maps re-summarise the zones holding ``rows`` of
         the ``changed`` columns, *extended* ones the appended rows
@@ -348,15 +341,16 @@ class Database:
         they are derived per delta version (:meth:`statistics`), so a
         fresh or touched delta retires them.
 
-        On every row the catalog version moves iff the schema or the
-        layout's (mode, key, shard count) changed — an index picks rows at
-        run time, so the index set is no part of a plan.
+        Cached plans go with new contents only (the catalog version
+        moves): an index picks rows and a shard layout schedules a scan's
+        tasks at run time, so neither is part of a plan.
         """
         state = self._tables.get(name)
-        structural = rebuilt = state is None
+        rebuilt = state is None
         if state is None:
             state = self._tables[name] = _TableState(main)
             state.zones = zones or {}
+            self._bump_catalog()
         else:
             # a merge or re-shard hands over a whole new image; an UPDATE
             # or an adopted checkpoint keeps every row where it was
@@ -381,7 +375,6 @@ class Database:
                     zone_rows: zone_map.resummarised(main, rows, changed)
                     for zone_rows, zone_map in state.zones.items()
                 }
-            structural = _layout_spec(layout) != _layout_spec(state.layout)
             for column in list(state.indexes):
                 if moved or column in changed:
                     del state.indexes[column]
@@ -393,8 +386,6 @@ class Database:
             self._data_counter += 1
             state.version = self._data_counter
         state.main, state.layout = main, layout
-        if structural:
-            self._bump_catalog()
 
     # -- DDL ---------------------------------------------------------------------
 
@@ -774,8 +765,8 @@ class Database:
         The cache has two LRU levels, each bounded by ``PLAN_CACHE_SIZE``,
         and holds fully *optimized* plans.  An entry remembers the catalog
         version *and* the optimizer setting it was planned under and is
-        only served while both are current (DDL, table replacement and a
-        changed layout bump the version and clear the cache; toggling
+        only served while both are current (DDL and table replacement
+        bump the version and clear the cache; toggling
         ``PRAGMA optimizer`` makes old entries stale).  The first level
         is keyed on the exact SQL text and costs no tokenization.  The
         second is keyed on the statement's shape, its tokens with the

@@ -17,11 +17,11 @@ only site of the ``scan.*`` / ``io.*`` counters and the ``zones:`` /
 ``io:`` annotations) unless an index picks the rows
 (:func:`_index_rows`), **run span kernels** over ``(source, spans, live
 mask)`` tasks (:func:`repro.engine.parallel.select`: one task per span,
-or per shard over a shard layout; on the worker pool or as a governed
-loop on this thread), then one sink: a query **gathers once** the
-columns its consumer reads (filtered pieces concatenate keeping their
-shared dictionary; a column only the predicate reads is evaluated, never
-copied), a DML statement marks the positions.  Pending writes are a
+or per shard over a shard layout, each through one governed step on
+this thread or the worker pool), then one sink: a query **gathers
+once** the columns its consumer reads (filtered pieces concatenate
+keeping their shared dictionary; a column only the predicate reads is
+evaluated, never copied), a DML statement marks the positions.  Pending writes are a
 trailing tail task plus a live mask over the main and one over the
 tail, and a memory-mapped main differs only in that the bytes its
 surviving spans cover are counted.  Above the scan each operator is one
@@ -263,6 +263,13 @@ def _selection(
     if store is not None:
         tail = database.delta_tail(node.table)
         live_main, live_tail = store.live_main_mask(), store.live_delta_mask()
+    if node.columns is not None:
+        read = set(node.columns)
+        if node.predicate is not None and not node.empty:
+            read |= node.predicate.referenced_columns()
+        main = main.select([name for name in main.column_names if name in read])
+        if tail is not None:
+            tail = tail.select(main.column_names)
     if profiler is not None:
         if store is None:
             profiler.note_input(main.num_rows, table_nbytes(main))
@@ -275,13 +282,6 @@ def _selection(
                 f"delta: {store.live_delta_count()} pending rows, "
                 f"{store.main_tombstones} tombstones"
             )
-    if node.columns is not None:
-        read = set(node.columns)
-        if node.predicate is not None and not node.empty:
-            read |= node.predicate.referenced_columns()
-        main = main.select([name for name in main.column_names if name in read])
-        if tail is not None:
-            tail = tail.select(main.column_names)
     scan = dict(
         table=main, predicate=node.predicate, ranges=None, extra_mask=live_main,
         tail=tail, tail_live=live_tail, profiler=profiler, layout=None, memo=None,
@@ -306,9 +306,9 @@ def _execute_scan(
 ) -> Table:
     """Every base-table scan: its selection (:func:`_selection`), gathered
     once by :func:`parallel.streamed_filter` into the columns the scan's
-    consumer reads.  One route, two runners: the span tasks run on the
-    pool when the scan covers enough rows, else as a governed loop on
-    this thread.
+    consumer reads.  One route, one task list: the span tasks run through
+    one governed step, partly on the pool when there are two or more and
+    ``threads >= 2``.
     """
     scan, _ = _selection(node, database, profiler, memo=True)
     if node.empty:

@@ -1,15 +1,18 @@
-"""Morsel-driven parallel query execution.
+"""A scan's span tasks and the one loop that runs them.
 
-A scan's spans are cut into row *morsels* of at most ``morsel_rows``
-rows (Leis et al., SIGMOD'14) and its span kernel — predicate
-evaluation into a row selection — runs across a shared
-``concurrent.futures`` worker pool.  The pool runs only base-table
-spans: a residual filter, an aggregation or a sort is one serial kernel
-on the calling thread whatever produced its input.  The kernels are
-numpy-heavy and release the GIL, so the pool is a thread pool and a task
-is an ordinary call over the scan's own tables.
+A scan is a list of tasks, one per zone span it keeps (or, over a shard
+layout, one per scheduled shard), built by :func:`_span_tasks` the same
+way whoever runs them.  Its span kernel — predicate evaluation into a
+row selection — runs each task through one governed step
+(:func:`_run_tasks`), on the calling thread or, with ``threads >= 2``
+and at least two tasks, partly on a shared ``concurrent.futures``
+thread pool.  The pool runs only base-table spans: a residual filter, an
+aggregation or a sort is one serial kernel on the calling thread
+whatever produced its input.  The kernels are numpy-heavy and release
+the GIL, so the pool is a thread pool and a task is an ordinary call
+over the scan's own tables.
 
-Correctness contract: **serial and parallel execution produce
+Correctness contract: **serial and pooled execution produce
 bit-identical results.**  Every kernel is organised so that the final
 combining step performs exactly the arithmetic the serial operator would
 have performed:
@@ -38,22 +41,16 @@ have performed:
   numpy's pairwise float summation rounds as it does serially and a
   DISTINCT aggregate sees all its group's rows.  The pool only selects.
 
-One rule decides pooling: a scan pools when the rows its tasks cover
-reach ``min_parallel_rows`` (:func:`should_parallelize`).  Below it a
-scan's span kernels run as a governed loop on the calling thread
-recording no ``parallel.*`` metrics — so interactive point queries
-never pay the fan-out overhead.
-
-The pool is also where the query governor's fine-grained checkpoints
-live: every morsel task checks the active
-:class:`~repro.resilience.QueryContext` before running, and the batch
-loop re-checks after each completed morsel — so a deadline or a
-cancellation surfaces within roughly one morsel's work.  Fault
-tolerance is morsel-granular too: a worker exception (real or injected
-via :mod:`repro.resilience.faults`) is retried *serially* on the
+A task is the unit of the query governor and of fault tolerance on
+both runners: every task checks the active
+:class:`~repro.resilience.QueryContext` before it runs and again once
+it is collected, so a deadline or a cancellation surfaces within about
+one span's work.  The ``slow_morsel`` / ``worker_crash`` fault sites of
+:mod:`repro.resilience.faults` fire on a scan task's first run, and a
+task that crashed (injected or real) is retried *serially* on the
 calling thread with bounded backoff instead of poisoning the query.
-Retries re-run exactly the kernel the worker would have run, so results
-stay bit-identical to serial execution.
+Retries re-run exactly the kernel the first run ran, so results stay
+bit-identical to serial execution.
 """
 
 from __future__ import annotations
@@ -73,7 +70,7 @@ from repro.engine import shards
 from repro.engine.expressions import Expression, truth_mask
 from repro.engine.sql.ast import OrderItem
 from repro.engine.table import Table, concat_tables
-from repro.errors import ExecutionError, ReproError, ResourceError
+from repro.errors import ExecutionError, ReproError
 from repro.obs.metrics import get_registry
 from repro.obs.profile import PlanProfiler
 from repro.obs.tracing import trace
@@ -89,9 +86,9 @@ _pool: ThreadPoolExecutor | None = None
 _pool_threads: int | None = None
 
 
-def should_parallelize(num_rows: int) -> bool:
-    """True when an operator over ``num_rows`` rows should use the pool."""
-    return settings.current.threads >= 2 and num_rows >= settings.current.min_parallel_rows
+def should_parallelize(tasks: int) -> bool:
+    """True when a scan of ``tasks`` tasks hands some of them to the pool."""
+    return settings.current.threads >= 2 and tasks >= 2
 
 
 def shutdown_pool() -> None:
@@ -117,116 +114,120 @@ def _get_pool() -> ThreadPoolExecutor:
         return _pool
 
 
-def note_fanout(profiler: PlanProfiler | None, tasks: int, unit: str = "morsels") -> None:
+def note_fanout(profiler: PlanProfiler | None, tasks: int) -> None:
     """Annotate the EXPLAIN ANALYZE node with the tasks a pooled batch ran."""
     if profiler is not None:
-        profiler.annotate(f"parallel: {tasks} {unit} x {settings.current.threads} threads")
+        profiler.annotate(f"parallel: {tasks} tasks x {settings.current.threads} threads")
 
 
 _batch_counter = itertools.count()
 
 
 def _run_tasks(
-    fn: Callable[..., Any], arg_tuples: Sequence[tuple], pooled: bool = True
+    fn: Callable[..., Any], arg_tuples: Sequence[tuple], profiler: PlanProfiler | None = None
 ) -> list[Any]:
     """Run ``fn(*args)`` for every tuple; results in order.
 
-    Serial execution (``pooled`` False) is a governed loop on the calling
-    thread — the query context is checked before every task — and
-    records nothing.  On the pool the ``parallel.*`` metrics family is
-    recorded: morsel and batch counts, the configured worker gauge, and
-    batch wall time.
+    The tasks run on the calling thread unless they are enough to pool
+    (:func:`should_parallelize`); either way :func:`_collect` runs them.
+    A pooled batch records the ``parallel.*`` metrics — task and batch
+    counts, the configured worker gauge and the batch's wall time — and
+    annotates ``profiler`` with its fan-out.
     """
-    if not pooled:
-        ctx = current_context()
-        results = []
-        for args in arg_tuples:
-            if ctx is not None:
-                ctx.check()
-            results.append(fn(*args))
-        return results
+    if not should_parallelize(len(arg_tuples)):
+        return _collect(fn, arg_tuples, None)
+    note_fanout(profiler, len(arg_tuples))
     registry = get_registry()
     registry.counter("parallel.morsels").inc(len(arg_tuples))
     registry.counter("parallel.batches").inc()
     registry.gauge("parallel.workers").set(settings.current.threads)
     with registry.timer("parallel.batch_time").time():
-        return _run_batch(fn, arg_tuples)
+        return _collect(fn, arg_tuples, _get_pool())
 
 
-def _run_batch(fn: Callable[..., Any], arg_tuples: Sequence[tuple]) -> list[Any]:
-    """Submit one batch and collect results, enforcing the governor.
+def _collect(
+    fn: Callable[..., Any], arg_tuples: Sequence[tuple], pool: ThreadPoolExecutor | None
+) -> list[Any]:
+    """Every task through one step (:func:`_step`), whoever runs it.
 
-    The active :class:`~repro.resilience.QueryContext` is re-checked
-    after every completed morsel, so a deadline/cancellation aborts the
-    batch within roughly one morsel's work.  Kernel exceptions are
-    retried serially.
+    Without a ``pool`` the calling thread runs the tasks in order.  A
+    ``pool`` only decides who runs the first n−1: it is handed them, and
+    the calling thread, which would otherwise only block, runs the last
+    and then takes back, from the end, each one the pool has not
+    started — a worker slow to wake delays the batch by no more than its
+    own work.  A :class:`~repro.errors.ReproError` cancels what the pool
+    still holds.
     """
-    ctx = current_context()
-    injector = get_injector()
-    batch = next(_batch_counter)
-    if not arg_tuples:
-        return []
-    pool = _get_pool()
-    tasks = [(fn, args, ctx, injector, (batch, i)) for i, args in enumerate(arg_tuples)]
-    # The caller, which would otherwise only block, keeps the last task and
-    # then takes back whatever the pool has not started: a lone task costs
-    # no cross-thread hand-off, and a worker that is slow to wake delays
-    # the batch by no more than its own work.
-    futures: list[Future] = [pool.submit(_traced_task, *task) for task in tasks[:-1]]
-    futures.append(_run_inline(tasks[-1]))
-    for i in reversed(range(len(tasks) - 1)):
-        if futures[i + 1].exception() is not None or not futures[i].cancel():
-            break
-        futures[i] = _run_inline(tasks[i])
-    results: list[Any] = [None] * len(futures)
-    for i, future in enumerate(futures):
-        try:
-            try:
-                results[i] = future.result()
-            except ResourceError:
-                raise
-            except Exception as exc:
-                results[i] = _retry_morsel_serially(fn, arg_tuples[i], (batch, i), exc)
-            if ctx is not None:
-                ctx.check()
-        except ReproError:
-            for later in futures[i + 1 :]:
-                later.cancel()
-            raise
+    ctx, injector, batch = current_context(), get_injector(), next(_batch_counter)
+    results: list[Any] = [None] * len(arg_tuples)
+    futures: list[Future | None] = [None] * len(arg_tuples)
+    collect = len(arg_tuples)  # the tasks before this one are collected in order
+    try:
+        if pool is not None:
+            futures[:-1] = [
+                pool.submit(_traced_task, fn, args, ctx, injector, (batch, i))
+                for i, args in enumerate(arg_tuples[:-1])
+            ]
+            while collect and (futures[collect - 1] is None or futures[collect - 1].cancel()):
+                collect -= 1
+                results[collect] = _step(fn, arg_tuples[collect], ctx, injector, (batch, collect))
+        for i in range(collect):
+            results[i] = _step(fn, arg_tuples[i], ctx, injector, (batch, i), futures[i])
+    except ReproError:
+        for future in futures:
+            if future is not None:
+                future.cancel()
+        raise
     return results
 
 
-def _run_inline(task: tuple) -> Future:
-    """Run one pool task on the calling thread; its outcome as a done future."""
-    done: Future = Future()
+def _step(
+    fn: Callable[..., Any],
+    args: tuple,
+    ctx: QueryContext | None,
+    injector: FaultInjector | None,
+    key: tuple[int, int],
+    future: Future | None = None,
+) -> Any:
+    """A task's collection step: its result — from the worker's
+    ``future``, else run here (:func:`_traced_task`) — then a governor
+    check.  A :class:`~repro.errors.ReproError` is the statement's own
+    error and is raised as it is; any other failure is a crash, and the
+    task is retried serially (:func:`_retry_morsel_serially`)."""
     try:
-        done.set_result(_traced_task(*task))
-    except Exception as exc:  # surfaces in the collection loop, like a worker's
-        done.set_exception(exc)
-    return done
+        result = _traced_task(fn, args, ctx, injector, key) if future is None else future.result()
+    except ReproError:
+        raise
+    except Exception as exc:
+        result = _retry_morsel_serially(fn, args, key, exc)
+    if ctx is not None:
+        ctx.check()
+    return result
 
 
-#: base backoff before a crashed morsel's second serial retry (doubles per attempt)
+#: serial retries of a task whose first run crashed
+MAX_RETRIES = 2
+#: base backoff before a crashed task's second serial retry (doubles per attempt)
 _RETRY_BACKOFF_S = 0.001
 
 
 def _retry_morsel_serially(
     fn: Callable[..., Any], args: tuple, key: tuple[int, int], exc: BaseException
 ) -> Any:
-    """Re-run a crashed morsel on the calling thread with bounded backoff.
+    """Re-run a crashed task on the calling thread with bounded backoff.
 
     Retries call the kernel directly — no pool, no fault injection — so
     an injected (or transient) crash recovers to the exact result the
-    worker would have produced, and a :class:`~repro.errors.ReproError`
-    a retry raises (a literal INT64 cannot hold) is the statement's own,
-    raised as serial execution raises it.  Exhausted retries surface as
-    :class:`~repro.errors.ExecutionError` chained to the last failure.
+    first run would have produced, and a
+    :class:`~repro.errors.ReproError` a retry raises is the statement's
+    own, raised as serial execution raises it.  Exhausted retries
+    surface as :class:`~repro.errors.ExecutionError` chained to the last
+    failure.
     """
     registry = get_registry()
     registry.counter("resilience.morsel_failures").inc()
-    max_retries = settings.current.max_retries
     last: BaseException = exc
-    for attempt in range(max_retries):
+    for attempt in range(MAX_RETRIES):
         if attempt:
             time.sleep(_RETRY_BACKOFF_S * (2 ** (attempt - 1)))
         registry.counter("resilience.retries").inc()
@@ -243,22 +244,22 @@ def _retry_morsel_serially(
         except Exception as retry_exc:
             last = retry_exc
     raise ExecutionError(
-        f"morsel {key[0]}:{key[1]} failed after {max_retries} "
-        f"retries: {last}"
+        f"morsel {key[0]}:{key[1]} failed after {MAX_RETRIES} retries: {last}"
     ) from last
 
 
 def _traced_task(
     fn: Callable[..., Any],
     args: tuple,
-    ctx: QueryContext | None = None,
-    injector: FaultInjector | None = None,
-    key: tuple[int, int] | None = None,
+    ctx: QueryContext | None,
+    injector: FaultInjector | None,
+    key: tuple[int, int],
 ) -> Any:
-    """One worker-side task: governor checkpoint, fault sites, traced kernel."""
+    """One task's run, on a worker or the calling thread: governor
+    checkpoint, fault sites, traced kernel."""
     if ctx is not None:
         ctx.check()
-    if injector is not None and key is not None:
+    if injector is not None:
         injector.maybe_slow(key)
         injector.maybe_crash(key)
     with trace(
@@ -446,47 +447,32 @@ def _span_tasks(
     profiler: PlanProfiler | None = None,
     layout: shards.ShardLayout | None = None,
     memo: ScanMemo | None = None,
-) -> tuple[list[tuple], bool]:
-    """``(tasks, pooled)`` of a scan: one ``(source, spans, live, memo)``
-    task per span, or per shard.
+) -> list[tuple]:
+    """A scan's ``(source, spans, live, memo)`` tasks, the same list
+    whoever runs them: one per span, or per scheduled shard.
 
     ``ranges`` of None is an unclassified scan — one evaluate-span over
-    the whole table.  The scan fans out when the spans cover enough rows
-    (:func:`should_parallelize`).  Without a ``layout`` a pooled scan is
-    cut at ``morsel_rows``, and serially every span is one governed step
-    on the caller.  Over a layout the spans split at shard extents and
-    each scheduled shard is one task of its own spans
-    (:func:`~repro.engine.shards.schedule`), pooled or not.  ``tail`` —
-    a delta store's pending rows, dead ones included — rides along as a
-    trailing always-evaluate task over its own small table, ``tail_live``
-    its live mask as ``extra_mask`` is the main's.  A scan nothing
-    survives keeps one empty span, so the kernels still produce the
-    empty result (and a global aggregate its one row) without evaluating
-    the predicate.  A pooled scan's task count is annotated on
-    ``profiler``.  A zone-gated scan's ``memo`` goes into every task,
-    bound to the task's source.
+    the whole table, none over an empty one.  Over a ``layout`` the
+    spans split at shard extents and each scheduled shard is one task of
+    its own spans (:func:`~repro.engine.shards.schedule`).  ``tail`` — a
+    delta store's pending rows, dead ones included — rides along as a
+    trailing always-evaluate task over its own small table,
+    ``tail_live`` its live mask as ``extra_mask`` is the main's.  A scan
+    nothing survives keeps one empty span, so the kernels still produce
+    the empty result (and a global aggregate its one row) without
+    evaluating the predicate.  A zone-gated scan's ``memo`` goes into
+    every task, bound to the task's source.
     """
     if layout is not None:
-        groups, rows = shards.schedule(layout, ranges, profiler)
-        pooled, unit = should_parallelize(rows), "shard tasks"
+        groups = shards.schedule(layout, ranges, profiler)
+    elif ranges is not None:
+        groups = [[span] for span in ranges]
     else:
-        spans = [(0, table.num_rows, True)] if ranges is None else ranges
-        pooled, unit = should_parallelize(sum(stop - start for start, stop, _ in spans)), "morsels"
-        if pooled:
-            size = settings.current.morsel_rows
-            spans = [
-                (cut, min(cut + size, stop), evaluate)
-                for start, stop, evaluate in spans
-                for cut in range(start, stop, size)
-            ]
-        groups = [[span] for span in spans]
+        groups = [[(0, table.num_rows, True)]] if table.num_rows else []
     tasks: list[tuple] = [(table, group, extra_mask, memo) for group in groups]
     if tail is not None and tail.num_rows:
         tasks.append((tail, [(0, tail.num_rows, True)], tail_live, memo and memo.on("tail")))
-    tasks = tasks or [(table, [(0, 0, False)], None, None)]
-    if pooled:
-        note_fanout(profiler, len(tasks), unit)
-    return tasks, pooled
+    return tasks or [(table, [(0, 0, False)], None, None)]
 
 
 def select(
@@ -508,13 +494,11 @@ def select(
     live masks; a ``layout`` of ``table`` makes one task per scheduled
     shard; a ``memo`` serves and keeps the evaluated spans' selections.
     """
-    tasks, pooled = _span_tasks(
-        table, ranges, extra_mask, tail, tail_live, profiler, layout, memo
-    )
+    tasks = _span_tasks(table, ranges, extra_mask, tail, tail_live, profiler, layout, memo)
     positions = _run_tasks(
         _filter_spans,
         [(source, spans, live, predicate, memo) for source, spans, live, memo in tasks],
-        pooled,
+        profiler,
     )
     return list(zip([task[0] for task in tasks], positions))
 

@@ -10,17 +10,17 @@ mode maps the one file and slices shards lazily — a shard that is never
 scheduled never faults its pages in.
 
 Execution is scatter-gather over the one main: :func:`schedule` turns a
-scan's spans into one group per shard, and the parallel module's scan
-runners make each group one ``(main, spans, live)`` task of their span
-kernels — on the morsel pool or a governed serial loop — and gather or
-merge as for any scan, so results are bit-identical to serial execution
-over the same (re-clustered) table by construction.  Pruning happens
-before scheduling: the executor's zone classification (this module
-never consults the zone map or counts I/O itself) is split at shard
-extents, and a shard left with no surviving span is never scheduled at
-all.  The scatter pools by the parallel module's one rule, on the rows
-the scheduled shards' spans cover.  Nothing else scatters: a sort is one
-kernel on the calling thread whatever produced its input.
+scan's spans into one group per shard, and the parallel module makes
+each group one ``(main, spans, live)`` task of its span kernel — the
+same task list and the same governed step whoever runs it — and gathers
+as for any scan, so results are bit-identical to serial execution over
+the same (re-clustered) table by construction.  Pruning happens before
+scheduling: the executor's zone classification (this module never
+consults the zone map or counts I/O itself) is split at shard extents,
+and a shard left with no surviving span is never scheduled at all.  The
+scatter pools by the parallel module's one rule: two scheduled shards or
+more.  Nothing else scatters: a sort is one kernel on the calling thread
+whatever produced its input.
 """
 
 from __future__ import annotations
@@ -246,11 +246,11 @@ def _merged(spans: Sequence[tuple[int, int, bool]]) -> list[tuple[int, int, bool
 
 def schedule(
     layout: ShardLayout, ranges: Sequence[tuple[int, int, bool]] | None, profiler
-) -> tuple[list[list[tuple[int, int, bool]]], int]:
+) -> list[list[tuple[int, int, bool]]]:
     """A sharded scan's task spans: per scheduled shard its surviving
     global spans, merged (:func:`_merged`), in shard order — ascending
-    row order — and the rows they cover.  Records the ``shard.*``
-    counters and annotates ``profiler``.
+    row order.  Records the ``shard.*`` counters and annotates
+    ``profiler``.
     """
     groups = [_merged(spans) for spans in plan_spans(layout, ranges) if spans]
     pruned = layout.num_shards - len(groups)
@@ -264,7 +264,7 @@ def schedule(
             f"shards: {len(groups)} of {layout.num_shards} scheduled, "
             f"{pruned} pruned"
         )
-    return groups, rows
+    return groups
 
 
 # -- names the perf ledger's tracer binds --------------------------------------------

@@ -20,7 +20,7 @@ bounds are kept in the column's native dtype so decisions use the same
 arithmetic as the expression kernels.  A pruned scan is bit-identical
 to the serial ``truth_mask`` filter — FAIL zones would have produced
 all-False, PASS zones all-True, and MAYBE zones are computed by the same
-row-local kernel (serially or on the morsel pool).
+row-local kernel (serially or on the worker pool).
 """
 
 from __future__ import annotations

@@ -56,7 +56,7 @@ class ApproximationError(ReproError):
 class ResourceError(ReproError):
     """Base class for query-governor violations (time, cancellation, memory).
 
-    The governor (:mod:`repro.resilience`) raises these at morsel and
+    The governor (:mod:`repro.resilience`) raises these at scan-task and
     operator boundaries; they deliberately do **not** derive from
     :class:`ExecutionError`, so resource exhaustion is distinguishable
     from a genuinely broken plan.

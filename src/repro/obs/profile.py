@@ -135,8 +135,8 @@ class PlanProfiler:
             frame.bytes_in += nbytes
 
     def annotate(self, text: str) -> None:
-        """Attach a free-form note to the current node (e.g. the morsel
-        fan-out of a parallel operator); rendered after the node's
+        """Attach a free-form note to the current node (e.g. the task
+        fan-out of a pooled scan); rendered after the node's
         measurements in the EXPLAIN ANALYZE report."""
         if self._stack:
             self._stack[-1].annotations.append(text)

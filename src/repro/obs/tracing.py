@@ -6,7 +6,7 @@ Tracing is **off by default** and the disabled path is a single attribute
 check returning a shared no-op context manager — cheap enough to leave
 ``trace()`` calls in hot operators permanently.
 
-Span stacks are thread-local: the morsel-driven parallel executor opens
+Span stacks are thread-local: a scan's pooled span tasks open
 spans from worker-pool threads, and each worker's spans nest among
 themselves and land in :attr:`Tracer.finished` as their own roots
 (appending is lock-protected) instead of corrupting another thread's

@@ -6,9 +6,9 @@ online aggregation degrades to a running estimate instead of blocking.
 This package is the substrate beneath those behaviours for our engine:
 
 - :mod:`repro.resilience.context` — per-query deadlines, cancellation
-  tokens and memory budgets, checked at operator and morsel boundaries;
+  tokens and memory budgets, checked at operator and scan-task boundaries;
 - :mod:`repro.resilience.faults` — a deterministic fault-injection
-  harness (worker crashes, slow morsels, malformed rows, allocation
+  harness (task crashes, slow tasks, malformed rows, allocation
   spikes) driven by ``REPRO_FAULTS`` / ``PRAGMA faults=...``;
 - :mod:`repro.resilience.degrade` — the graceful-degradation policy:
   a doomed aggregate re-routes through a bounded uniform sample and

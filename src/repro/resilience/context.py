@@ -4,9 +4,9 @@ A :class:`QueryContext` is created when a query starts (from the
 ``timeout_ms`` / ``memory_budget_kb`` rows of :mod:`repro.settings`) and
 installed in a thread-local slot for the duration of execution.  The
 executor calls :meth:`QueryContext.check` between plan operators and the
-morsel pool calls it at morsel boundaries, so a deadline or cancellation
-surfaces within roughly one morsel's work (see DESIGN.md for the latency
-model).
+parallel module before and after every scan task, on either runner, so a
+deadline or cancellation surfaces within roughly one span's work (see
+DESIGN.md for the latency model).
 
 Memory is governed by *estimated allocation accounting*: every operator
 output is charged against the budget via :meth:`QueryContext.charge`
@@ -88,7 +88,7 @@ class QueryContext:
     def check(self) -> None:
         """Raise if the query was cancelled or ran past its deadline.
 
-        Called between plan operators and at morsel boundaries; the cost
+        Called between plan operators and around every scan task; the cost
         of the happy path is one Event check plus one clock read.
         """
         if self.token.cancelled:

@@ -9,8 +9,8 @@ firing probability and an optional numeric parameter::
 =======================  ==============================================  =========
 Point                    Effect                                          Parameter
 =======================  ==============================================  =========
-``worker_crash``         a morsel task raises :class:`InjectedFault`     —
-``slow_morsel``          a morsel task sleeps before running             sleep ms
+``worker_crash``         a scan task raises :class:`InjectedFault`       —
+``slow_morsel``          a scan task sleeps before running               sleep ms
 ``malformed_row``        a CSV row is treated as unparseable             —
 ``alloc_spike``          a memory charge is inflated                     multiplier
 ``wal_pre_fsync``        process dies after append, before fsync         —
@@ -31,8 +31,10 @@ these sites, so enabling them process-wide is safe for ordinary tests.
 Whether a given site fires is decided by hashing ``(seed, point, key)``
 into a uniform value and comparing against the probability — the same
 run therefore injects the same faults every time, which is what makes
-retry/degradation behaviour unit-testable.  Injection only happens on
-the *first* attempt of a pool task (retries call the kernel directly),
+retry/degradation behaviour unit-testable.  A scan task is one span (or
+one shard's spans) of a scan, run on the calling thread or a pool
+worker alike (:mod:`repro.engine.parallel`).  Injection only happens on
+the *first* attempt of a scan task (retries call the kernel directly),
 so an injected ``worker_crash`` behaves like a transient fault: the
 serial retry succeeds and the query's result is unchanged.
 """
@@ -173,7 +175,7 @@ class FaultInjector:
     def maybe_crash(self, key: Any) -> None:
         """Raise :class:`InjectedFault` when ``worker_crash`` fires."""
         if self.decide("worker_crash", key) is not None:
-            raise InjectedFault(f"injected worker crash at morsel {key}")
+            raise InjectedFault(f"injected worker crash at task {key}")
 
     def maybe_slow(self, key: Any) -> None:
         """Sleep for the configured duration when ``slow_morsel`` fires."""

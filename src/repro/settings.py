@@ -128,12 +128,7 @@ class Setting(NamedTuple):
 
 SETTINGS = (
     Setting("threads", "REPRO_THREADS", 0, _integer(0),
-            "morsel-pool workers; 0 or 1 runs every operator serially"),
-    Setting("morsel_rows", "REPRO_MORSEL_ROWS", 65_536, _integer(1),
-            "rows per morsel, the pool's unit of work"),
-    Setting("min_parallel_rows", "REPRO_PARALLEL_MIN_ROWS", 131_072, _integer(1),
-            "inputs smaller than this skip the pool; re-derived as 2 x morsel_rows "
-            "whenever morsel_rows is set without it"),
+            "pool workers for a scan's span tasks; 0 or 1 runs every scan serially"),
     Setting("delta_rows", "REPRO_DELTA_ROWS", 8192, _integer(0),
             "pending inserts + tombstones that trigger a delta merge; "
             "0 merges on every write"),
@@ -149,8 +144,6 @@ SETTINGS = (
     Setting("degrade", "REPRO_DEGRADE", False, _flag,
             "answer a degradable aggregate that blew its budget from a sample, "
             "with bounds, instead of failing"),
-    Setting("max_retries", "REPRO_MAX_RETRIES", 2, _integer(0),
-            "serial retries of a morsel whose worker crashed"),
     Setting("faults", "REPRO_FAULTS", "", _faults,
             "fault-injection spec, e.g. worker_crash:0.05,slow_morsel:0.1:20; "
             "off disables"),
@@ -177,14 +170,6 @@ SETTINGS = (
 ROWS = {row.name: row for row in SETTINGS}
 
 
-def _derive(values: dict[str, Any]) -> dict[str, Any]:
-    """The one dependent default: ``morsel_rows`` given without
-    ``min_parallel_rows`` puts the serial-fallback threshold at twice it."""
-    if "morsel_rows" in values and "min_parallel_rows" not in values:
-        values["min_parallel_rows"] = 2 * values["morsel_rows"]
-    return values
-
-
 def shown(value: Any) -> int | str:
     """A stored value as ``PRAGMA`` prints it: flags 0/1, an empty spec ``off``."""
     if isinstance(value, bool):
@@ -204,22 +189,18 @@ class Settings:
     __slots__ = tuple(ROWS) + ("_seeded",)
 
     def __init__(self, environ: Mapping[str, str]) -> None:
-        accepted: dict[str, Any] = {}
+        #: what start-up gave each slot, and where that came from
+        self._seeded = {}
         for row in SETTINGS:
-            setattr(self, row.name, row.default)
+            value, origin = row.default, "default"
             raw = environ.get(row.env, "").strip()
             if raw:
                 try:
-                    accepted[row.name] = row.parse(row.name, raw)
+                    value, origin = row.parse(row.name, raw), f"env:{row.env}"
                 except ValueError:
                     pass
-        origins = {name: f"env:{ROWS[name].env}" for name in accepted}
-        for name, value in _derive(accepted).items():
-            setattr(self, name, value)
-        #: what start-up gave each slot, and where that came from
-        self._seeded = {
-            name: (getattr(self, name), origins.get(name, "default")) for name in ROWS
-        }
+            setattr(self, row.name, value)
+            self._seeded[row.name] = (value, origin)
 
     def source(self, name: str) -> str:
         """Where the current value came from: ``default``, ``env:REPRO_X``,
@@ -252,7 +233,7 @@ def configure(**values: Any) -> None:
         raise TypeError(f"unknown setting(s) {unknown}; expected some of {sorted(ROWS)}")
     with _lock:
         parsed = {name: ROWS[name].parse(name, raw) for name, raw in values.items()}
-        for name, value in _derive(parsed).items():
+        for name, value in parsed.items():
             setattr(current, name, value)
         generation += 1
 

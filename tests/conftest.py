@@ -31,7 +31,7 @@ def pin_defaults(*names: str) -> None:
 
 def restart_batch_numbering() -> None:
     """Fault injection keys on ``(batch, task)`` and batches are numbered
-    process-wide: restarted per test, the morsel an injected fault lands
+    process-wide: restarted per test, the task an injected fault lands
     on depends on the test alone, so a chaos-leg failure reproduces by
     running that one test."""
     parallel._batch_counter = itertools.count()

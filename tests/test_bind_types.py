@@ -261,10 +261,7 @@ def _route_db(table: Table, route: dict) -> Database:
 @pytest.mark.parametrize("seed", range(12))
 def test_schema_does_not_depend_on_the_rows(route, seed):
     spec = ROUTES[route]
-    settings.configure(
-        threads=spec["threads"], morsel_rows=16, min_parallel_rows=2,
-        zone_rows=16,
-    )
+    settings.configure(threads=spec["threads"], zone_rows=16)
     rng = np.random.default_rng(seed)
     table, _ = random_table(rng, n=int(rng.integers(20, 80)))
     full, empty = _route_db(table, spec), _route_db(table.slice(0, 0), spec)

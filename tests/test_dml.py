@@ -614,7 +614,7 @@ def _random_dml(rng: np.random.Generator, next_id: int) -> tuple[tuple, int]:
 @pytest.mark.parametrize("delta_rows", [1, 1_000_000])
 def test_dml_corpus_matches_rebuild_oracle(seed: int, delta_rows: int) -> None:
     """Replay a random DML script through the delta-store write path —
-    accelerators on, morsel pool with worker-crash injection — checking
+    accelerators on, worker pool with worker-crash injection — checking
     after every step against a database rebuilt from scratch off a plain
     Python mirror of the rows.  ``delta_rows=1`` merges on every write;
     the large threshold keeps everything pending in the delta."""
@@ -627,10 +627,7 @@ def test_dml_corpus_matches_rebuild_oracle(seed: int, delta_rows: int) -> None:
         op, next_id = _random_dml(rng, next_id)
         script.append(op)
 
-    under_test = dict(
-        zone_rows=8, threads=4, morsel_rows=7, min_parallel_rows=1,
-        faults="worker_crash:0.1", fault_seed=seed,
-    )
+    under_test = dict(zone_rows=8, threads=4, faults="worker_crash:0.1", fault_seed=seed)
     settings.configure(delta_rows=delta_rows, **under_test)
     db = Database()
     db.create_table("t", table)

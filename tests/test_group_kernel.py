@@ -210,10 +210,7 @@ def _statements(key: str):
 
 def _database(route: dict) -> Database:
     pin_defaults("delta_rows")  # the dirty routes keep their writes pending
-    settings.configure(
-        threads=route["threads"], morsel_rows=64, min_parallel_rows=2, zone_rows=64,
-        shards=0, optimizer=True,
-    )
+    settings.configure(threads=route["threads"], zone_rows=64, shards=0, optimizer=True)
     db = Database()
     if route.get("tail_only"):
         table = _lattice_table()
@@ -273,7 +270,12 @@ def test_lattice_point(route, key, monkeypatch, pool):
     # the tail's rows read as they are: ``get_table`` would concat them
     # behind the empty main
     rows = (db.delta_tail("t") if ROUTES[route].get("tail_only") else db.get_table("t")).to_dicts()
+    batches = get_registry().counter("parallel.batches")
+    before = batches.value
     got = {sql: db.sql(sql) for sql in _statements(KEYS[key])}
+    # a pooled point pools (its 600 rows are 10 zones); a tail over an empty main is one task
+    pools = ROUTES[route]["threads"] >= 2 and not ROUTES[route].get("tail_only")
+    assert (batches.value > before) == pools
     # the spec kernel under the reference configuration: serial, unoptimized,
     # unzoned — Aggregate(Filter(Scan)) through ``ops.hash_aggregate``
     settings.configure(threads=0, optimizer=False, zone_rows=0)
@@ -379,14 +381,15 @@ _WIDE_KEYS = [[(7 * i + 11 * j) % 40 for i in range(40)] for j in range(12)]
 
 
 def _pooled_aggregate(table, spans, group_exprs, aggregates) -> Table:
-    """``hash_aggregate`` over a scan at threads=2, one pool task per span
-    of ``spans`` (PASS spans, no predicate): one batch when any row is in."""
-    settings.configure(threads=2, morsel_rows=max(table.num_rows, 1), min_parallel_rows=1)
+    """``hash_aggregate`` over a scan at threads=2, one task per span of
+    ``spans`` (PASS spans, no predicate): one pooled batch when there are
+    two spans or more."""
+    settings.configure(threads=2)
     batches = get_registry().counter("parallel.batches")
     before = batches.value
     scanned = parallel.streamed_filter(table, None, spans)
     result = ops.hash_aggregate(scanned, group_exprs, aggregates)
-    assert batches.value - before == (table.num_rows > 0)
+    assert batches.value - before == (len(spans) > 1)
     return result
 
 
@@ -454,10 +457,7 @@ def test_mixed_radix_ids_never_wrap_int64(threads, pool):
     n = 65536
     wide = list(range(n)) + [0]
     table = Table.from_dict({"c0": [0] * n + [7], **{f"c{j}": wide for j in range(1, 5)}})
-    settings.configure(
-        threads=threads, morsel_rows=16384, min_parallel_rows=2,
-        shards=0, zone_rows=0,
-    )
+    settings.configure(threads=threads, shards=0, zone_rows=0)
     db = Database()
     db.create_table("t", table)
     sql = "SELECT c0, c1, c2, c3, c4, COUNT(*) AS n FROM t GROUP BY c0, c1, c2, c3, c4"
@@ -479,10 +479,7 @@ DISTINCT_SPELLINGS = {
 @pytest.mark.parametrize("route", ("serial", "threads", "sharded", "dirty"))
 def test_distinct_spellings_agree_on_one_nan(route, pool):
     spec = ROUTES[route]
-    settings.configure(
-        threads=spec["threads"], morsel_rows=4, min_parallel_rows=2,
-        zone_rows=0, shards=0,
-    )
+    settings.configure(threads=spec["threads"], zone_rows=0, shards=0)
     pin_defaults("delta_rows")
     xs = [NAN, NAN, 1.0, None, 1.0, 2.0, NAN, -0.0, 0.0, None, 2.0, NAN]
     db = Database()
@@ -549,10 +546,7 @@ def _per_group_slices(monkeypatch) -> list[int]:
 def test_dashboard_views_gather_no_group(route, pool, monkeypatch):
     datagen, sessions = _ledger("datagen"), _ledger("sessions")
     spec = ROUTES[route]
-    settings.configure(
-        threads=spec["threads"], morsel_rows=2048, min_parallel_rows=2,
-        zone_rows=1024, shards=0,
-    )
+    settings.configure(threads=spec["threads"], zone_rows=1024, shards=0)
     data = datagen.sales(3, rows=20_000)
     db = Database()
     db.create_table("sales", datagen.to_table(data))

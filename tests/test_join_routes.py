@@ -33,7 +33,7 @@ STATES = {
     "sharded": {"shards": 2},
     "zoned": {"zone_rows": ZONE_ROWS},
     "mmap": {"zone_rows": ZONE_ROWS, "storage": "mmap"},
-    "pooled": {"threads": 4},
+    "pooled": {"threads": 4, "zone_rows": ZONE_ROWS},
 }
 JOIN = "SELECT id, amount, day, label, w FROM f {join} u ON day_id = day"
 RANGE = "day >= 100 AND day < 420"  # zones 1 and 6 MAYBE, 2..5 PASS, ten FAIL
@@ -82,8 +82,7 @@ def pins():
 def _open(state: str, tmp_path) -> Database:
     spec = STATES[state]
     settings.configure(
-        storage="memory", threads=spec.get("threads", 0), morsel_rows=64,
-        min_parallel_rows=2,
+        storage="memory", threads=spec.get("threads", 0),
         zone_rows=spec.get("zone_rows", settings.ROWS["zone_rows"].default),
     )
     if spec.get("storage") == "mmap":
@@ -131,6 +130,8 @@ def test_lattice_point(state, kind, tmp_path):
     db = _open(state, tmp_path)
     join = JOIN.format(join="LEFT JOIN" if kind == "left" else "JOIN")
     zoned = settings.current.zone_rows == ZONE_ROWS
+    batches = get_registry().counter("parallel.batches")
+    before = batches.value
     try:
         for case, where in WHERES.items():
             settings.configure(optimizer=False)
@@ -148,6 +149,8 @@ def test_lattice_point(state, kind, tmp_path):
             else:
                 assert bytes_read == 0
         assert (want.num_rows, got.num_rows) == (0, 0)  # the contradiction, last
+        # the pushed range's six surviving zones are one pooled batch per run
+        assert (batches.value > before) == (state == "pooled")
 
         for optimizer in (False, True):
             settings.configure(optimizer=optimizer)

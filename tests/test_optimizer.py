@@ -21,7 +21,7 @@ from repro.engine.expressions import strip_outer_parens
 from repro.engine.planner import RangeProbe, intersect_probes
 from repro.errors import BindError, TypeMismatchError
 from repro.indexing import CrackerIndex
-from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from tests.conftest import pin_defaults
 from tests.test_parallel import tables_bit_identical
 from tests.test_sql_differential import random_query, random_table
@@ -389,9 +389,11 @@ class TestFusedAggregate:
         sql = "SELECT a, SUM(b) AS s, COUNT(*) AS c FROM t WHERE a < 35 GROUP BY a"
         settings.configure(optimizer=False)
         baseline = db.sql(sql)
-        settings.configure(optimizer=True)
-        settings.configure(threads=4, morsel_rows=7, min_parallel_rows=1)
+        settings.configure(optimizer=True, threads=4, zone_rows=64)
+        batches = get_registry().counter("parallel.batches")
+        before = batches.value
         tables_bit_identical(db.sql(sql), baseline)
+        assert batches.value > before
 
     def test_fused_records_zone_metrics(self, registry):
         db = self._clustered_db()
@@ -448,7 +450,7 @@ class TestFusedAggregate:
 @pytest.mark.parametrize("seed", range(12))
 def test_corpus_bit_identity_optimizer_on_off(seed: int) -> None:
     """Replay the differential-test corpus with the optimizer on — under
-    tiny zones, tiny morsels, four threads and worker-crash injection —
+    tiny zones, four threads and worker-crash injection —
     against the optimizer-off serial engine.  Payloads must match byte
     for byte (the plan rewrites may only change how answers are computed,
     never the answers)."""
@@ -470,10 +472,7 @@ def test_corpus_bit_identity_optimizer_on_off(seed: int) -> None:
     baseline_db = build_db()
     baseline = [baseline_db.sql(sql) for sql in queries]
 
-    settings.configure(
-        optimizer=True, threads=4, morsel_rows=7, min_parallel_rows=1,
-        faults="worker_crash:0.1", fault_seed=seed,
-    )
+    settings.configure(optimizer=True, threads=4, faults="worker_crash:0.1", fault_seed=seed)
     opt_db = build_db()
     # run twice so the repeat hits the (flag-aware) plan cache
     optimized = [opt_db.sql(sql) for sql in queries]

@@ -561,7 +561,7 @@ class TestCloseReleasesMaps:
 @pytest.mark.parametrize("seed", range(6))
 def test_corpus_bit_identity_mmap_vs_memory(seed: int, tmp_path) -> None:
     """Replay the differential corpus against a durable database twice —
-    recovered with storage=memory and storage=mmap — under the morsel
+    recovered with storage=memory and storage=mmap — under the worker
     pool with worker-crash injection and tiny zones, with a kill–recover
     cycle in between.  Payloads must match byte for byte."""
     rng = np.random.default_rng(3000 + seed)
@@ -586,10 +586,7 @@ def test_corpus_bit_identity_mmap_vs_memory(seed: int, tmp_path) -> None:
     baseline = [baseline_db.sql(sql) for sql in queries]
     baseline_db.close()
 
-    settings.configure(
-        storage="mmap", threads=4, morsel_rows=7, min_parallel_rows=1,
-        faults="worker_crash:0.1", fault_seed=seed,
-    )
+    settings.configure(storage="mmap", threads=4, faults="worker_crash:0.1", fault_seed=seed)
     mapped_db = Database(path=root)
     assert mapped_db.main_table("t").is_mapped
     mapped = [mapped_db.sql(sql) for sql in queries]

@@ -2,13 +2,14 @@
 
 Covers the four pillars of the resilience layer:
 
-- deadlines and cancellation (operator- and morsel-boundary checkpoints,
+- deadlines and cancellation (operator- and scan-task checkpoints on
+  both runners,
   bounded cancellation latency, Ctrl-C surfacing as a typed error);
 - memory budgets (estimated-allocation accounting, the ``alloc_spike``
   fault point);
 - graceful degradation (approximate answers whose confidence interval
   contains the exact result);
-- fault tolerance (serial morsel retry under injected worker crashes —
+- fault tolerance (serial task retry under injected task crashes —
   including bit-identity of the SQL differential corpus — and the
   process-pool -> thread-pool fallback).
 """
@@ -80,8 +81,8 @@ def _demo_db(n: int = 2_000, seed: int = 0) -> Database:
     return db
 
 
-#: a WHERE every row passes: the pool runs only a base-table scan's spans, so
-#: the slow and crashing morsels are this scan's span tasks
+#: a WHERE every row passes: the scan's span tasks are the only tasks, so
+#: the slowed and crashing tasks are this scan's spans
 AGG_QUERY = "SELECT g, COUNT(*) AS n, SUM(x) AS sx, AVG(y) AS ay FROM t WHERE x >= 0 GROUP BY g"
 
 
@@ -142,8 +143,6 @@ class TestQueryContext:
         with pytest.raises(ValueError):
             settings.configure(memory_budget_kb=-1)
         with pytest.raises(ValueError):
-            settings.configure(max_retries=-1)
-        with pytest.raises(ValueError):
             settings.configure(faults="nonsense")
 
 
@@ -197,19 +196,34 @@ class TestFaults:
 
 class TestDeadlines:
     def test_timeout_cancels_within_a_morsel_of_the_deadline(self):
-        """The acceptance criterion: with slow-morsel injection the query
-        dies within roughly one morsel's work of its deadline, far before
+        """The acceptance criterion: with slow-task injection the query
+        dies within roughly one span's work of its deadline, far before
         it could have finished."""
         db = _demo_db(n=4_000)
-        settings.configure(threads=2, morsel_rows=100, min_parallel_rows=1)
-        # 40 morsels x 50 ms sleep / 2 workers ~= 1 s of work if run dry
+        settings.configure(threads=2, zone_rows=100)
+        # 40 spans x 50 ms sleep / 2 threads ~= 1 s of work if run dry
         settings.configure(faults="slow_morsel:1.0:50", timeout_ms=60)
         start = time.perf_counter()
         with pytest.raises(QueryTimeoutError):
             db.sql(AGG_QUERY)
         wall_s = time.perf_counter() - start
-        # deadline (60 ms) + in-flight morsels (~2 x 50 ms) + slack
+        # deadline (60 ms) + in-flight spans (~2 x 50 ms) + slack
         assert wall_s < 0.45, f"cancellation latency out of bounds: {wall_s:.3f}s"
+
+    def test_a_serial_scan_stops_within_a_span_of_the_deadline(self):
+        """The calling thread runs each span through the same governed
+        step as a worker: its fault sites slow every span, and the
+        deadline stops the scan within about one span past it."""
+        db = _demo_db(n=4_000)
+        settings.configure(threads=0, zone_rows=250)
+        # 16 spans x 20 ms = 320 ms of work if run dry
+        settings.configure(faults="slow_morsel:1.0:20", timeout_ms=60)
+        start = time.perf_counter()
+        with pytest.raises(QueryTimeoutError):
+            db.sql(AGG_QUERY)
+        wall_s = time.perf_counter() - start
+        # deadline (60 ms) + the span in flight (20 ms) + slack
+        assert wall_s < 0.16, f"cancellation latency out of bounds: {wall_s:.3f}s"
 
     def test_timeout_pragma_roundtrip(self):
         db = Database()
@@ -220,10 +234,7 @@ class TestDeadlines:
 
     def test_timeout_metric_increments(self, registry):
         db = _demo_db(n=4_000)
-        settings.configure(
-            threads=2, morsel_rows=100, min_parallel_rows=1,
-            faults="slow_morsel:1.0:50", timeout_ms=40,
-        )
+        settings.configure(threads=2, zone_rows=100, faults="slow_morsel:1.0:50", timeout_ms=40)
         with pytest.raises(QueryTimeoutError):
             db.sql(AGG_QUERY)
         assert registry.counter("resilience.timeouts").value == 1
@@ -411,10 +422,8 @@ class TestRetries:
         db = _demo_db(n=2_000)
         settings.configure(threads=0)
         serial = db.sql(AGG_QUERY)
-        settings.configure(
-            threads=4, morsel_rows=64, min_parallel_rows=1,
-            faults="worker_crash:1.0",  # every morsel crashes once
-        )
+        # every task crashes once
+        settings.configure(threads=4, zone_rows=64, faults="worker_crash:1.0")
         recovered = db.sql(AGG_QUERY)
         tables_bit_identical(serial, recovered)
         assert registry.counter("resilience.morsel_failures").value > 0
@@ -423,14 +432,11 @@ class TestRetries:
     def test_crash_placement_ignores_earlier_batches(self, monkeypatch):
         """Faults key on (batch, task); conftest restarts the batch
         numbering per test, so the same query under the same faults and
-        seed crashes the same morsels whatever ran before it."""
+        seed crashes the same tasks whatever ran before it."""
         from tests.conftest import restart_batch_numbering
 
         db = _demo_db(n=2_000)
-        settings.configure(
-            threads=4, morsel_rows=64, min_parallel_rows=1,
-            faults="worker_crash:0.3", fault_seed=7,
-        )
+        settings.configure(threads=4, zone_rows=64, faults="worker_crash:0.3", fault_seed=7)
         crashed: list[tuple[int, int]] = []
         retry = parallel._retry_morsel_serially
 
@@ -450,7 +456,7 @@ class TestRetries:
         assert sorted(crashed) == first
 
     def test_persistent_failure_exhausts_retries(self):
-        settings.configure(threads=2, morsel_rows=4, min_parallel_rows=1)
+        settings.configure(threads=2)
 
         def always_broken(start: int, stop: int) -> int:
             raise RuntimeError("kaput")
@@ -459,7 +465,7 @@ class TestRetries:
             parallel._run_tasks(always_broken, [(0, 4)])
 
     def test_resource_errors_are_not_retried(self):
-        settings.configure(threads=2, morsel_rows=4, min_parallel_rows=1)
+        settings.configure(threads=2)
         ctx = QueryContext()
         ctx.cancel()
 
@@ -473,7 +479,7 @@ class TestRetries:
     def test_differential_corpus_bit_identical_under_crashes(self):
         """The acceptance criterion: with worker_crash injection on, the
         SQL differential corpus still matches serial bit for bit."""
-        settings.configure(faults="worker_crash:0.2", fault_seed=3)
+        settings.configure(faults="worker_crash:0.2", fault_seed=3, zone_rows=8)
         rng = np.random.default_rng(11)
         checked = 0
         for _ in range(40):
@@ -483,7 +489,7 @@ class TestRetries:
             db.create_table("t", table)
             settings.configure(threads=0)
             serial = db.sql(query)
-            settings.configure(threads=4, morsel_rows=7, min_parallel_rows=1)
+            settings.configure(threads=4)
             recovered = db.sql(query)
             settings.configure(threads=0)
             tables_bit_identical(serial, recovered)
@@ -493,7 +499,7 @@ class TestRetries:
 
 class TestPoolFallback:
     def test_thread_pool_failure_is_wrapped_with_morsel_id(self):
-        settings.configure(threads=2, morsel_rows=4, min_parallel_rows=1)
+        settings.configure(threads=2)
 
         def kernel(start: int, stop: int) -> int:
             raise RuntimeError("worker died")

@@ -530,7 +530,7 @@ class TestScanAccelPragmas:
 @pytest.mark.parametrize("seed", range(12))
 def test_corpus_bit_identity_under_threads_and_faults(seed: int) -> None:
     """Replay the differential-test corpus with dictionary codes, zone maps
-    (tiny zones) and the plan cache — executed on the morsel pool with
+    (tiny zones) and the plan cache — executed on the worker pool with
     worker-crash injection — against the reference interpreter over the
     same rows, and against the serial, unzoned engine reading them from a
     delta tail (codes built on first use), each query planned by a fresh
@@ -562,10 +562,7 @@ def test_corpus_bit_identity_under_threads_and_faults(seed: int) -> None:
     settings.configure(zone_rows=0, threads=0, faults="off", delta_rows=len(rows) + 1)
     baseline = [pending_db().sql(sql) for sql in queries]
 
-    settings.configure(
-        zone_rows=8, threads=4, morsel_rows=7, min_parallel_rows=1,
-        faults="worker_crash:0.1", fault_seed=seed,
-    )
+    settings.configure(zone_rows=8, threads=4, faults="worker_crash:0.1", fault_seed=seed)
     accel_db = Database()
     accel_db.create_table("t", table)
     # run each query twice so the second execution exercises the

@@ -42,6 +42,7 @@ from repro.engine.sql.parser import parse
 from repro.errors import TypeMismatchError
 from repro.indexing import CrackerIndex, UpdatableCrackerIndex
 from repro.obs.metrics import get_registry
+from repro.obs.profile import table_nbytes
 from tests.conftest import pin_defaults
 from tests.reference_interpreter import run_reference
 from tests.test_join_differential import nested_loop_join
@@ -104,9 +105,7 @@ def _open(checkpoints, tmp_path, storage, state, threads, shard_count, index=Non
     index axis uses ``deleted``: tombstones and no pending rows."""
     root = tmp_path / f"{storage}-{state}-{threads}-{shard_count}"
     shutil.copytree(checkpoints[shard_count], root)
-    settings.configure(
-        storage=storage, threads=threads, morsel_rows=64, min_parallel_rows=2
-    )
+    settings.configure(storage=storage, threads=threads)
     db = Database(path=root)
     assert db.get_table("t").is_mapped == (storage == "mmap")
     if index is not None:
@@ -167,7 +166,11 @@ def test_lattice_point(
     db = _open(checkpoints, tmp_path, storage, state, threads, shard_count)
     try:
         assert (db.shard_layout("t") is not None) == bool(shard_count)
+        batches = get_registry().counter("parallel.batches")
+        before = batches.value
         got = _run(db, monkeypatch)
+        # six surviving zones (or two shards) are several tasks: threads=4 pools them
+        assert (batches.value > before) == bool(threads)
         for label, want in reference[state].items():
             tables_bit_identical(got["results"][label], want)
         for pruned, passed, bytes_read in got["counters"].values():
@@ -256,6 +259,28 @@ def test_a_scan_gathers_only_what_its_consumer_reads(
         tables_bit_identical(got, db.sql(sql))
     finally:
         db.close()
+
+
+@pytest.mark.parametrize("state", ("clean", "appended"))
+def test_explain_analyze_charges_a_scan_the_columns_it_reads(checkpoints, tmp_path, state):
+    """A pruned scan's input bytes are those of the columns it reads — its
+    consumer's ``s`` and its predicate's ``k``, never ``f`` — over the main
+    and, while writes are pending, the tail."""
+    settings.configure(optimizer=True)
+    db = _open(checkpoints, tmp_path, "memory", state, 0, 0)
+    try:
+        report = db.explain_analyze(f"SELECT s FROM t WHERE {WHERE}")
+        (scan,) = [node for node in _walk(report.root) if node.label.startswith("Scan(t")]
+        sources = [db.main_table("t")] + [db.delta_tail("t")] * (state == "appended")
+        assert scan.bytes_in == sum(table_nbytes(source.select(["k", "s"])) for source in sources)
+    finally:
+        db.close()
+
+
+def _walk(node):
+    yield node
+    for child in node.children:
+        yield from _walk(child)
 
 
 # -- indexes: an index picks rows, the answer stays the scan's --------------------------
@@ -400,9 +425,7 @@ NAN_GROUP_QUERIES = {
 def _at_point(point: str, name: str, table: Table, shard_key: str, writes) -> Database:
     """An in-memory database holding ``table`` at one corner of the lattice."""
     spec = POINTS[point]
-    settings.configure(
-        threads=spec["threads"], morsel_rows=64, min_parallel_rows=2
-    )
+    settings.configure(threads=spec["threads"])
     db = Database()
     db.create_table(name, table)
     if spec["shards"]:

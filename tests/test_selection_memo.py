@@ -162,7 +162,7 @@ class _Script:
         self.db.replace_table("t", _table(self.rows))
 
     def configure(self, threads: int) -> None:
-        settings.configure(threads=threads, morsel_rows=48, min_parallel_rows=2)
+        settings.configure(threads=threads)
 
 
 _predicate = st.integers(0, len(PREDICATES) - 1)
@@ -326,7 +326,7 @@ def test_memo_positions_stay_within_the_main() -> None:
 def test_pooled_tasks_fill_the_memo_without_lost_updates() -> None:
     """More workers than cores and a tiny switch interval: every run a
     task keeps is accounted for, and every span of a repeat is reused."""
-    settings.configure(threads=8, morsel_rows=8, min_parallel_rows=2)
+    settings.configure(threads=8)
     db = _database(64 * ZONE_ROWS)
     memo = db._state("t").selections
     reused = get_registry().counter("scan.spans_reused")
@@ -339,7 +339,7 @@ def test_pooled_tasks_fill_the_memo_without_lost_updates() -> None:
             assert memo._positions == _kept(memo)
             before = reused.value
             tables_bit_identical(db.sql(sql), first)
-            assert reused.value - before == 64 * ZONE_ROWS // 8  # every morsel
+            assert reused.value - before == 64  # every span
     finally:
         sys.setswitchinterval(interval)
         parallel.shutdown_pool()

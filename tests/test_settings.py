@@ -5,8 +5,8 @@ every surface that derives from it — ``PRAGMA name``, ``PRAGMA
 name=value``, the bare listing, ``settings.configure`` and a store built
 from an environ mapping — so a new row is covered by adding one entry to
 ``CASES``.  The rest pins what the table cannot express per row: the
-all-or-nothing ``configure``, the one derived default, the source
-column, and that the docs and the CI workflow name only real rows.
+all-or-nothing ``configure``, the source column, and that the docs and
+the CI workflow name only real rows.
 """
 
 from __future__ import annotations
@@ -31,15 +31,12 @@ REPO = Path(__file__).resolve().parent.parent
 #: the store then holds, and a value the row's parser rejects
 CASES = {
     "threads": ("3", 3, "-1"),
-    "morsel_rows": ("500", 500, "0"),
-    "min_parallel_rows": ("7", 7, "0"),
     "delta_rows": ("0", 0, "-1"),
     "zone_rows": ("128", 128, "-1"),
     "optimizer": ("0", False, "fast"),
     "timeout_ms": ("250", 250, "-1"),
     "memory_budget_kb": ("64", 64, "-1"),
     "degrade": ("2", True, "maybe"),
-    "max_retries": ("0", 0, "-1"),
     "faults": ("'worker_crash:0.5,slow_morsel:0.1:20'", "worker_crash:0.5,slow_morsel:0.1:20",
                "meteor_strike:1"),
     "fault_seed": ("-7", -7, "1.5"),
@@ -59,14 +56,16 @@ def _listing(db: Database) -> dict[str, tuple[str, str]]:
 
 def test_every_row_has_a_case() -> None:
     assert list(CASES) == [row.name for row in settings.SETTINGS]
-    assert len(settings.SETTINGS) == 19
+    assert len(settings.SETTINGS) == 16
 
 
 #: deleted settings, spelled so no live use of the name remains: the pool
 #: is always a thread pool, a sharded table builds no index of its own,
 #: the catalog always dictionary-encodes STRING columns, the plan cache
-#: is always on with a fixed size, and a degraded answer always samples
-#: ``degraded_answer``'s default row budget
+#: is always on with a fixed size, a degraded answer always samples
+#: ``degraded_answer``'s default row budget, a scan's task is its zone
+#: span (no morsel cut), a scan pools with two tasks or more whatever
+#: rows they cover, and a crashed task has a fixed number of retries
 DELETED = {
     "_".join(("pool", "kind")): ("process", "thread"),
     "_".join(("shard", "index")): ("1", True),
@@ -74,6 +73,9 @@ DELETED = {
     "_".join(("plan", "cache")): ("0", False),
     "_".join(("plan", "cache", "size")): ("8", 8),
     "_".join(("degrade", "rows")): ("100", 100),
+    "_".join(("morsel", "rows")): ("500", 500),
+    "_".join(("min", "parallel", "rows")): ("7", 7),
+    "_".join(("max", "retries")): ("0", 0),
 }
 
 
@@ -163,44 +165,13 @@ def test_row_on_every_surface(row: settings.Setting) -> None:
 
 def test_rejected_configure_changes_nothing() -> None:
     before = settings.snapshot()
-    with pytest.raises(ValueError, match="morsel_rows"):
-        settings.configure(threads=3, morsel_rows=0)
+    with pytest.raises(ValueError, match="zone_rows"):
+        settings.configure(threads=3, zone_rows=-1)
     with pytest.raises(ValueError, match="faults"):
         settings.configure(zone_rows=8, delta_rows=1, faults="nonsense")
     with pytest.raises(TypeError, match="zone_row"):
         settings.configure(threads=3, zone_row=8)
     assert settings.snapshot() == before
-
-
-def test_morsel_rows_rederives_the_serial_threshold() -> None:
-    settings.configure(morsel_rows=100)
-    assert settings.current.min_parallel_rows == 200
-    settings.configure(morsel_rows=50, min_parallel_rows=5)
-    assert settings.current.min_parallel_rows == 5
-    settings.configure(threads=2)
-    assert settings.current.min_parallel_rows == 5
-    Database().execute("PRAGMA morsel_rows=500")
-    assert settings.current.min_parallel_rows == 1000
-
-
-@pytest.mark.parametrize(
-    "environ, morsel_rows, min_parallel_rows, source",
-    [
-        ({}, 65_536, 131_072, "default"),
-        # the default CI leg passes the variable blank
-        ({"REPRO_MORSEL_ROWS": "65536", "REPRO_PARALLEL_MIN_ROWS": ""}, 65_536, 131_072, "default"),
-        ({"REPRO_MORSEL_ROWS": "64", "REPRO_PARALLEL_MIN_ROWS": ""}, 64, 128, "default"),
-        ({"REPRO_MORSEL_ROWS": "64", "REPRO_PARALLEL_MIN_ROWS": "2"}, 64, 2,
-         "env:REPRO_PARALLEL_MIN_ROWS"),
-        ({"REPRO_MORSEL_ROWS": "0", "REPRO_PARALLEL_MIN_ROWS": "junk"}, 65_536, 131_072, "default"),
-    ],
-)
-def test_start_up_derives_the_serial_threshold(
-    environ, morsel_rows, min_parallel_rows, source
-) -> None:
-    seeded = settings.Settings(environ)
-    assert (seeded.morsel_rows, seeded.min_parallel_rows) == (morsel_rows, min_parallel_rows)
-    assert seeded.source("min_parallel_rows") == source
 
 
 @pytest.mark.parametrize("spelling", ["off", "OFF", "none", "''", "'off'"])
@@ -258,24 +229,24 @@ def test_module_imports_nothing_of_the_engine_at_import() -> None:
 
 def test_concurrent_configures_never_tear() -> None:
     """``configure`` holds one lock from validation to the last
-    assignment: a snapshot taken beside eight writers always shows a
-    ``min_parallel_rows`` derived from the ``morsel_rows`` next to it."""
+    assignment: a snapshot taken beside eight writers always shows the
+    ``zone_rows`` and ``delta_rows`` one call set together."""
     stop = time.monotonic() + 0.5
     torn: list[dict] = []
 
     def write(worker: int) -> None:
         rows = 10 + worker
         while time.monotonic() < stop:
-            settings.configure(morsel_rows=rows)
+            settings.configure(zone_rows=rows, delta_rows=rows)
             rows += 8
 
     def check() -> None:
         while time.monotonic() < stop:
             seen = settings.snapshot()
-            if seen["min_parallel_rows"] != 2 * seen["morsel_rows"]:
+            if seen["zone_rows"] != seen["delta_rows"]:
                 torn.append(seen)
 
-    settings.configure(morsel_rows=9)
+    settings.configure(zone_rows=9, delta_rows=9)
     workers = [threading.Thread(target=write, args=(i,)) for i in range(8)]
     workers += [threading.Thread(target=check) for _ in range(2)]
     interval = sys.getswitchinterval()

@@ -148,11 +148,11 @@ class TestShellSettings:
     def test_status_lines_read_the_store(self, shell):
         shell.execute("PRAGMA shard_by='hash(region)'")
         shell.execute("PRAGMA shard_min_rows=1234")
-        shell.execute("PRAGMA morsel_rows=4096")
+        shell.execute("PRAGMA zone_rows=4096")
         assert shell.execute("\\shards").splitlines()[0].endswith(
             "shard_by = hash(region), shard_min_rows = 1234"
         )
-        assert "morsel_rows = 4096, min_parallel_rows = 8192" in shell.execute("\\threads")
+        assert shell.execute("\\threads").endswith(", zone_rows = 4096")
 
 
 class TestMainEntry:

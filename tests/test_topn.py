@@ -243,10 +243,7 @@ def test_top_n_is_the_sorted_prefix_on_every_route(point, tmp_path, _pinned_conf
             )
             db.execute("DELETE FROM t WHERE id = 7 OR id = 40")
             assert db.delta_store_if_dirty("t") is not None
-        settings.configure(
-            threads=threads, morsel_rows=7, min_parallel_rows=1,
-            faults=faults, fault_seed=5,
-        )
+        settings.configure(threads=threads, faults=faults, fault_seed=5)
         for where in ("", " WHERE id >= 12 AND ties < 2"):
             # the reference: this route's own scan, sorted serially by the kernel
             scanned = db.sql(f"SELECT * FROM t{where}")
